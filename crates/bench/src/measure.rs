@@ -333,9 +333,8 @@ mod tests {
 
     #[test]
     fn write_csv_appends_atomically_and_propagates_errors() {
-        let dir = std::env::temp_dir().join(format!("cosbt-csv-{}", std::process::id()));
+        let dir = cosbt_testkit::TempPath::new("csv");
         let path = dir.join("series.csv");
-        std::fs::remove_file(&path).ok();
         let s = Series {
             name: "a".into(),
             points: vec![Checkpoint {
@@ -362,11 +361,10 @@ mod tests {
         assert!(second.contains("a,8,") && second.contains("b,8,"));
         assert_eq!(second.matches("series,n,").count(), 1);
         // No temp droppings left behind.
-        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
+        assert_eq!(std::fs::read_dir(&*dir).unwrap().count(), 1);
         // Errors propagate: the target's parent is an existing *file*.
         let bad = path.join("sub").join("x.csv");
         assert!(s.write_csv(&bad).is_err());
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

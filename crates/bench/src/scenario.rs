@@ -1396,7 +1396,7 @@ mod tests {
         let scenario = Scenario::by_name("balanced").unwrap();
         let n = 4000u64;
         let dist = scenario.dist_for(n);
-        let path = std::env::temp_dir().join(format!("cosbt-scen-{}.dat", std::process::id()));
+        let path = cosbt_testkit::TempPath::new("scen.dat");
         let meta = RunMeta {
             structure: "gcola".into(),
             label: "4-COLA ×2 shards".into(),
@@ -1414,16 +1414,12 @@ mod tests {
         };
         let builder = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .backend(cosbt::Backend::file(path))
+            .backend(cosbt::Backend::file(path.to_path_buf()))
             .cache_bytes(64 * 1024)
             .shards(2);
-        let mut db = builder.clone().build().unwrap();
+        let mut db = builder.build().unwrap();
         let report = run(scenario, dist, meta, &mut db);
         assert!(report.io_prefill.transfers() > 0, "prefill hit the files");
         assert!(report.io_run.accesses > 0, "run phase touched the stores");
-        drop(db);
-        for p in builder.data_paths() {
-            std::fs::remove_file(p).ok();
-        }
     }
 }

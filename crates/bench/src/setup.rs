@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn every_kind_constructs_and_roundtrips() {
-        let dir = std::env::temp_dir().join("cosbt-setup-test");
+        let dir = cosbt_testkit::TempPath::new("setup");
         for kind in [
             DictKind::GCola(4),
             DictKind::Basic,
@@ -165,7 +165,7 @@ mod tests {
 
     #[test]
     fn batched_updates_reach_disk() {
-        let dir = std::env::temp_dir().join("cosbt-setup-test");
+        let dir = cosbt_testkit::TempPath::new("setup");
         for kind in [DictKind::GCola(4), DictKind::Basic, DictKind::Brt] {
             let mut ooc = OutOfCore::create(kind, &dir, 64 * 1024);
             let run: Vec<(u64, u64)> = (0..4096u64).map(|k| (k * 2, k)).collect();

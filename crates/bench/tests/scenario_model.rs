@@ -90,7 +90,7 @@ fn every_scenario_matches_model_on_every_mem_matrix_cell() {
 #[test]
 fn scenarios_match_model_on_file_backed_cells() {
     let n = 2000u64;
-    let dir = std::env::temp_dir().join(format!("cosbt-scenmodel-{}", std::process::id()));
+    let dir = cosbt_testkit::TempPath::new("scenmodel");
     std::fs::create_dir_all(&dir).unwrap();
     for (i, structure) in [Structure::GCola { g: 4 }, Structure::BTree, Structure::Brt]
         .into_iter()
@@ -103,7 +103,6 @@ fn scenarios_match_model_on_file_backed_cells() {
             .cache_bytes(64 * 1024);
         check_cell(Scenario::by_name("balanced").unwrap(), builder, n, 0xF00D);
     }
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

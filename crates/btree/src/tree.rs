@@ -940,8 +940,7 @@ mod tests {
     #[test]
     fn works_over_file_pages() {
         use cosbt_dam::FilePages;
-        let mut path = std::env::temp_dir();
-        path.push(format!("cosbt-btree-{}.db", std::process::id()));
+        let path = cosbt_testkit::TempPath::new("btree.db");
         let store = FilePages::create(&path, 4096, 16).unwrap();
         let mut t = BTree::new(store);
         for k in 0..10_000u64 {
@@ -956,6 +955,5 @@ mod tests {
             assert_eq!(t.get(k), Some(v));
         }
         assert!(t.store().stats().fetches > 0, "should have done real I/O");
-        std::fs::remove_file(path).ok();
     }
 }

@@ -28,6 +28,7 @@ use crate::cursor::{Run, RunMergeCursor};
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_BASIC_COLA};
+use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
@@ -63,6 +64,9 @@ pub struct BasicCola<M: Mem<Cell>> {
     /// Whether sealed levels carry a vEB-packed mirror of their ghost
     /// sample ([`BasicCola::set_veb_layout`]); off by default.
     veb: bool,
+    /// Staging for the rebuild scans, which reach `mem` as run-level
+    /// calls.
+    scratch: RunBuf,
 }
 
 impl BasicCola<PlainMem<Cell>> {
@@ -84,6 +88,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
             aux: vec![None],
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         }
     }
 
@@ -306,8 +311,9 @@ impl<M: Mem<Cell>> BasicCola<M> {
         sources.push(batch.to_vec());
         for j in 0..t {
             if self.full[j] {
-                let base = level_off(j);
-                sources.push((0..1usize << j).map(|i| self.mem.get(base + i)).collect());
+                let mut level = vec![Cell::default(); 1 << j];
+                self.mem.read_run(level_off(j), &mut level);
+                sources.push(level);
             }
         }
 
@@ -342,10 +348,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
             let full = total >> k & 1 == 1;
             self.full[k] = full;
             if full {
-                let base = level_off(k);
-                for i in 0..(1usize << k) {
-                    self.mem.set(base + i, merged[start + i]);
-                }
+                self.mem
+                    .write_run(level_off(k), &merged[start..start + (1 << k)]);
                 let veb = self.veb;
                 self.aux[k] = self.cascade.then(|| {
                     crate::cascade::build_aux(merged[start..start + (1 << k)].iter()).with_veb(veb)
@@ -410,14 +414,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
     /// reopen and when re-enabling the cascade; merges build the aux
     /// inline instead).
     fn rebuild_aux(&mut self, k: usize) {
-        let base = level_off(k);
-        let len = 1usize << k;
-        let mut b = AuxBuilder::new(len);
-        for i in 0..len {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[k] = Some(b.finish().with_veb(self.veb));
+        let aux = self.scratch.scan_aux(&self.mem, level_off(k), 1 << k);
+        self.aux[k] = Some(aux.with_veb(self.veb));
     }
 
     /// Rebuilds the structure keeping only live entries (drops shadowed
@@ -527,6 +525,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
             aux,
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         };
         for (k, fence) in fences.iter().enumerate() {
             if !cola.full[k] {

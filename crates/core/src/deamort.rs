@@ -42,6 +42,7 @@ use crate::cursor::{Run, RunMergeCursor};
 use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT};
+use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
@@ -146,6 +147,9 @@ pub struct DeamortCola<M: Mem<Cell>> {
     /// Whether array auxes carry a vEB-packed mirror of their ghost
     /// sample ([`DeamortCola::set_veb_layout`]); off by default.
     veb: bool,
+    /// Staging for the rebuild scans, which reach `mem` as run-level
+    /// calls.
+    scratch: RunBuf,
 }
 
 /// Slot capacity of one array at level `k`: room for `2^k` items from each
@@ -189,6 +193,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             phase_aux: vec![None],
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         }
     }
 
@@ -263,13 +268,10 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             self.aux[k][a] = None;
             return;
         }
-        let base = arr_off(k, a) + ar.start;
-        let mut b = AuxBuilder::new(ar.len);
-        for i in 0..ar.len {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[k][a] = Some(b.finish().with_veb(self.veb));
+        let aux = self
+            .scratch
+            .scan_aux(&self.mem, arr_off(k, a) + ar.start, ar.len);
+        self.aux[k][a] = Some(aux.with_veb(self.veb));
     }
 
     /// Number of insert operations performed.
@@ -799,6 +801,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             phase_aux: (0..count).map(|_| None).collect(),
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         };
         // v2: cross-check the persisted run fence keys against the
         // reopened cells, then rebuild each occupied array's cascade

@@ -22,6 +22,7 @@ use crate::cursor::{Run, RunMergeCursor};
 use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT_BASIC};
+use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
@@ -80,6 +81,9 @@ pub struct DeamortBasicCola<M: Mem<Cell>> {
     /// Whether array auxes carry a vEB-packed mirror of their ghost
     /// sample ([`DeamortBasicCola::set_veb_layout`]); off by default.
     veb: bool,
+    /// Staging for the rebuild scans, which reach `mem` as run-level
+    /// calls.
+    scratch: RunBuf,
 }
 
 /// Offset of array `side` of level `k`: levels are packed contiguously,
@@ -112,6 +116,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             merge_aux: vec![None],
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         }
     }
 
@@ -168,14 +173,8 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
     /// (used on reopen and when an array commits without an incremental
     /// builder; merges normally build the aux inline).
     fn rebuild_aux(&mut self, k: usize, side: Side) {
-        let base = arr_off(k, side);
-        let len = 1usize << k;
-        let mut b = AuxBuilder::new(len);
-        for i in 0..len {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[k][side] = Some(b.finish().with_veb(self.veb));
+        let aux = self.scratch.scan_aux(&self.mem, arr_off(k, side), 1 << k);
+        self.aux[k][side] = Some(aux.with_veb(self.veb));
     }
 
     /// Number of insert operations performed.
@@ -475,6 +474,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             merge_aux: (0..count).map(|_| None).collect(),
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         };
         // v2: rebuild each full array's cascade accelerators from the
         // reopened cells and cross-check the persisted fence keys —

@@ -38,6 +38,7 @@ use crate::cursor::{Run, RunMergeCursor};
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
+use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
@@ -96,6 +97,9 @@ pub struct GCola<M: Mem<Cell>> {
     /// Whether level auxes carry a vEB-packed mirror of their ghost
     /// sample ([`GCola::set_veb_layout`]); off by default.
     veb: bool,
+    /// Staging for the contiguous sweeps (level reads, level rewrites,
+    /// rebuild scans), which reach `mem` as run-level calls.
+    scratch: RunBuf,
 }
 
 impl GCola<PlainMem<Cell>> {
@@ -123,6 +127,7 @@ impl<M: Mem<Cell>> GCola<M> {
             aux: Vec::new(),
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         };
         this.push_level();
         this
@@ -295,6 +300,7 @@ impl<M: Mem<Cell>> GCola<M> {
             aux,
             cascade: true,
             veb: false,
+            scratch: RunBuf::new(),
         };
         // v2: cross-check the persisted run fence keys against the
         // reopened cells, then rebuild the cascade accelerators from
@@ -357,26 +363,20 @@ impl<M: Mem<Cell>> GCola<M> {
             self.aux[l] = None;
             return;
         }
-        let base = lv.run_base();
-        let mut b = AuxBuilder::new(occ);
-        for i in 0..occ {
-            let c = self.mem.get(base + i);
-            b.push(&c);
-        }
-        self.aux[l] = Some(b.finish().with_veb(self.veb));
+        let aux = self.scratch.scan_aux(&self.mem, lv.run_base(), occ);
+        self.aux[l] = Some(aux.with_veb(self.veb));
     }
 
     /// Reads level ℓ's occupied run, filtered to real cells.
-    fn read_items(&self, l: usize) -> Vec<Cell> {
+    fn read_items(&mut self, l: usize) -> Vec<Cell> {
         let lv = self.levels[l];
-        let base = lv.run_base();
         let mut out = Vec::with_capacity(lv.items);
-        for i in 0..lv.occ() {
-            let c = self.mem.get(base + i);
-            if c.is_real() {
-                out.push(c);
-            }
-        }
+        self.scratch
+            .for_each(&self.mem, lv.run_base(), lv.occ(), |c| {
+                if c.is_real() {
+                    out.push(*c);
+                }
+            });
         out
     }
 
@@ -415,7 +415,7 @@ impl<M: Mem<Cell>> GCola<M> {
         // The woven cells feed the cascade aux as they stream past, so
         // the accelerator costs no extra pass over the data.
         let mut aux_builder = (self.cascade && occ > 0).then(|| AuxBuilder::new(occ));
-        for w in 0..occ {
+        self.scratch.fill(&mut self.mem, base, occ, || {
             // Weave by key; put lookaheads first among equals so a real
             // cell's left-copy includes pointers at its own key.
             let take_la =
@@ -431,11 +431,11 @@ impl<M: Mem<Cell>> GCola<M> {
                 c.ptr = last_ptr;
                 c
             };
-            self.mem.set(base + w, cell);
             if let Some(builder) = aux_builder.as_mut() {
                 builder.push(&cell);
             }
-        }
+            cell
+        });
         self.stats.cells_written += occ as u64;
         self.levels[l].items = items.len();
         self.levels[l].reds = lookaheads.len();

@@ -30,6 +30,7 @@ pub mod epoch;
 pub mod gcola;
 pub mod layout;
 pub mod persist;
+mod runbuf;
 pub mod stats;
 pub mod worker;
 

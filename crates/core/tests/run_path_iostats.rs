@@ -1,0 +1,164 @@
+//! The COLAs' run-level `Mem` calls change time, not counts: the same
+//! seeded stream over a file store driven through the run overrides and
+//! through a wrapper that forwards only `get`/`set` (so every sweep takes
+//! the trait's per-cell default) must report the same [`IoStats`] in all
+//! six fields, phase by phase, the same answers, and leave byte-identical
+//! device images.
+
+use cosbt_core::entry::Cell;
+use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola, Persist};
+use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats, Mem};
+use cosbt_testkit::Rng;
+
+type Store = ArcFileMem<Cell, CrashDev>;
+
+/// Forwards only the four required methods.
+struct PerCell(Store);
+
+impl Mem<Cell> for PerCell {
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn get(&self, i: usize) -> Cell {
+        self.0.get(i)
+    }
+    fn set(&mut self, i: usize, v: Cell) {
+        self.0.set(i, v)
+    }
+    fn resize(&mut self, new_len: usize, fill: Cell) {
+        self.0.resize(new_len, fill)
+    }
+}
+
+/// 16 cells per page, 6 resident pages: merges of a few thousand cells
+/// evict constantly and chunks of 512 cells span 32 pages.
+const PAGE: usize = 512;
+const CACHE_PAGES: usize = 6;
+
+fn store() -> (Store, CrashDev) {
+    let dev = CrashDev::new();
+    let fm = FileMem::create_on(dev.clone(), PAGE, CACHE_PAGES, 32).unwrap();
+    (ArcFileMem::new(fm), dev)
+}
+
+/// Ingest (single inserts, deletes, sorted batches), a commit, then cold
+/// gets and a scan. Returns the stats of each phase and the answers.
+fn drive<D: Dictionary + Persist>(d: &mut D, store: &Store) -> (Vec<IoStats>, Vec<u64>) {
+    let mut rng = Rng::new(0x5EED_CE11);
+    let mut phases = Vec::new();
+    let mut keys = Vec::new();
+    for round in 0..6 {
+        for _ in 0..700 {
+            let k = rng.next_u64() >> 16;
+            if rng.chance(1, 10) && !keys.is_empty() {
+                d.delete(keys[rng.index(keys.len())]);
+            } else {
+                d.insert(k, k ^ round);
+                keys.push(k);
+            }
+        }
+        let mut batch: Vec<(u64, u64)> = (0..300).map(|_| (rng.next_u64() >> 16, round)).collect();
+        batch.sort_unstable();
+        batch.dedup_by_key(|e| e.0);
+        d.insert_batch(&batch);
+        phases.push(store.take_stats());
+    }
+    store.commit_meta(&d.save_meta()).unwrap();
+    store.drop_cache().unwrap();
+    phases.push(store.take_stats());
+    let mut answers = Vec::new();
+    for i in 0..400 {
+        let k = if i % 2 == 0 {
+            keys[rng.index(keys.len())]
+        } else {
+            rng.next_u64() >> 16
+        };
+        answers.push(d.get(k).unwrap_or(u64::MAX));
+    }
+    phases.push(store.take_stats());
+    answers.extend(d.range(0, u64::MAX >> 20).into_iter().map(|(k, _)| k));
+    phases.push(store.take_stats());
+    (phases, answers)
+}
+
+/// Runs `build`'s structure on the run path and on the per-cell path,
+/// then reopens both (`from_parts`: the rebuild scans) the same two ways.
+fn check<A, B>(
+    name: &str,
+    build_run: impl Fn(Store) -> A,
+    build_cell: impl Fn(PerCell) -> B,
+    reopen_run: impl Fn(Store, &[u8]) -> A,
+    reopen_cell: impl Fn(PerCell, &[u8]) -> B,
+) where
+    A: Dictionary + Persist,
+    B: Dictionary + Persist,
+{
+    let (run_store, run_dev) = store();
+    let (cell_store, cell_dev) = store();
+    let mut run = build_run(run_store.clone());
+    let mut cell = build_cell(PerCell(cell_store.clone()));
+    let (run_phases, run_answers) = drive(&mut run, &run_store);
+    let (cell_phases, cell_answers) = drive(&mut cell, &cell_store);
+    assert_eq!(run_phases, cell_phases, "{name}: IoStats per phase");
+    assert_eq!(run_answers, cell_answers, "{name}: answers");
+    assert!(
+        run_phases.iter().all(|p| p.transfers() > 0),
+        "{name}: every phase did device I/O"
+    );
+
+    let meta = run.save_meta();
+    assert_eq!(meta, cell.save_meta(), "{name}: metadata");
+    run_store.commit_meta(&meta).unwrap();
+    cell_store.commit_meta(&meta).unwrap();
+    assert!(
+        run_dev.snapshot() == cell_dev.snapshot(),
+        "{name}: device images differ"
+    );
+    drop((run, cell));
+    for s in [&run_store, &cell_store] {
+        s.drop_cache().unwrap();
+        s.reset_stats();
+    }
+    let mut run = reopen_run(run_store.clone(), &meta);
+    let mut cell = reopen_cell(PerCell(cell_store.clone()), &meta);
+    assert_eq!(run_store.stats(), cell_store.stats(), "{name}: reopen scan");
+    assert!(
+        run_store.stats().fetches > 0,
+        "{name}: reopen read the runs"
+    );
+    assert_eq!(run.get(1), cell.get(1));
+}
+
+/// `check` with each constructor written once (the two paths need two
+/// instantiations of it, so it cannot be passed as one value).
+macro_rules! check_both {
+    ($name:expr, $new:expr, $from_parts:expr) => {
+        check(
+            $name,
+            $new,
+            $new,
+            |m, meta| $from_parts(m, meta).unwrap(),
+            |m, meta| $from_parts(m, meta).unwrap(),
+        )
+    };
+}
+
+#[test]
+fn gcola_ingest_reports_the_same_iostats_on_both_paths() {
+    check_both!("4-COLA", |m| GCola::new(m, 4, 0.1), GCola::from_parts);
+}
+
+#[test]
+fn other_variants_report_the_same_iostats_on_both_paths() {
+    check_both!("basic COLA", BasicCola::new, BasicCola::from_parts);
+    check_both!(
+        "deamortized basic COLA",
+        DeamortBasicCola::new,
+        DeamortBasicCola::from_parts
+    );
+    check_both!(
+        "deamortized COLA",
+        DeamortCola::new,
+        DeamortCola::from_parts
+    );
+}

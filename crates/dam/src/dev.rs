@@ -611,15 +611,9 @@ mod tests {
         assert_eq!(big.slice().len(), 4 * DIRECT_ALIGN);
     }
 
-    fn direct_scratch(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("cosbt-directfile-test");
-        std::fs::create_dir_all(&dir).expect("create scratch dir");
-        dir.join(format!("{name}-{}.dat", std::process::id()))
-    }
-
     #[test]
     fn direct_file_round_trips_aligned_and_unaligned() {
-        let path = direct_scratch("roundtrip");
+        let path = cosbt_testkit::TempPath::new("direct-roundtrip");
         let mut dev = DirectFile::create(&path, true).unwrap();
 
         // Unaligned prologue (superblock-shaped) through the buffered path.
@@ -654,20 +648,18 @@ mod tests {
             re.read_at(&mut back, DIRECT_ALIGN as u64).unwrap();
             assert_eq!(back, block, "direct={direct}");
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn direct_file_buffered_mode_never_opens_direct() {
-        let path = direct_scratch("buffered");
+        let path = cosbt_testkit::TempPath::new("direct-buffered");
         let dev = DirectFile::create(&path, false).unwrap();
         assert!(!dev.is_direct());
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn direct_file_mixed_paths_stay_coherent() {
-        let path = direct_scratch("coherent");
+        let path = cosbt_testkit::TempPath::new("direct-coherent");
         let mut dev = DirectFile::create(&path, true).unwrap();
         // Direct-path write, then an unaligned (buffered) read of the
         // same range; then a buffered overwrite re-read via the direct
@@ -682,6 +674,5 @@ mod tests {
         assert_eq!(&block[..5], &[0x11; 5]);
         assert_eq!(&block[5..12], &[0x22; 7]);
         assert_eq!(&block[12..], &vec![0x11; DIRECT_ALIGN - 12][..]);
-        std::fs::remove_file(&path).ok();
     }
 }

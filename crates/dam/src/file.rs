@@ -31,7 +31,6 @@
 //! epoch. This is verified exhaustively by the crash-injection suite over
 //! [`crate::dev::CrashDev`].
 
-use std::collections::{HashMap, HashSet};
 use std::fs::{File, OpenOptions};
 use std::io;
 use std::path::Path;
@@ -41,7 +40,7 @@ use crate::format::{
     decode_slot, encode_slot, OpenError, Superblock, DEFAULT_SLOT_BYTES, FORMAT_VERSION, KIND_ELEM,
     KIND_PAGES, SUPER_BYTES,
 };
-use crate::lru::{Access, LruCache};
+use crate::lru::FrameSlab;
 use crate::mem::Mem;
 use crate::page::PageStore;
 use crate::pod::Pod;
@@ -72,9 +71,9 @@ pub struct FilePages<D: RawDev = File> {
     /// committed state; `alloc_page` zeros them before handing them out
     /// so the "fresh pages read as zeros" contract survives recovery.
     suspect_end: u32,
-    cache: LruCache,
-    frames: HashMap<u64, Box<[u8]>>,
-    dirty: HashSet<u64>,
+    /// The resident pages: bytes, dirty bits and LRU order in one slab
+    /// indexed by logical page id (no hashing on the access path).
+    frames: FrameSlab,
     /// Shared with observer handles: counters are atomic so `stats` /
     /// `take_stats` probes on other threads never wait on (or race
     /// with) the store's own lock.
@@ -219,9 +218,7 @@ impl<D: RawDev> FilePages<D> {
             free: Vec::new(),
             epoch: 0,
             suspect_end: 0,
-            cache: LruCache::new(cache_pages.max(1)),
-            frames: HashMap::new(),
-            dirty: HashSet::new(),
+            frames: FrameSlab::new(cache_pages.max(1)),
             stats: Arc::new(AtomicIoStats::new()),
             retired: VecDeque::new(),
             gate: None,
@@ -344,9 +341,7 @@ impl<D: RawDev> FilePages<D> {
                 free,
                 epoch,
                 suspect_end,
-                cache: LruCache::new(cache_pages.max(1)),
-                frames: HashMap::new(),
-                dirty: HashSet::new(),
+                frames: FrameSlab::new(cache_pages.max(1)),
                 stats: Arc::new(AtomicIoStats::new()),
                 retired: VecDeque::new(),
                 gate: None,
@@ -430,7 +425,7 @@ impl<D: RawDev> FilePages<D> {
         self.sb.data_off() + phys as u64 * self.sb.page_size as u64
     }
 
-    fn read_page_from_file(&mut self, logical: u64, buf: &mut [u8]) {
+    fn read_page_from_file(&mut self, logical: u32, buf: &mut [u8]) {
         let phys = self.table[logical as usize];
         let off = self.page_off(phys);
         self.stats.inc_fetches();
@@ -453,7 +448,7 @@ impl<D: RawDev> FilePages<D> {
     /// The physical slot the next writeback of `logical` must target,
     /// relocating away from the committed mapping if necessary (shadow
     /// paging: committed slots are immutable until the next commit).
-    fn phys_for_write(&mut self, logical: u64) -> u32 {
+    fn phys_for_write(&mut self, logical: u32) -> u32 {
         let l = logical as usize;
         if l < self.committed.len() && self.table[l] == self.committed[l] {
             if self.free.is_empty() {
@@ -486,42 +481,49 @@ impl<D: RawDev> FilePages<D> {
         }
     }
 
-    fn write_page_to_file(&mut self, logical: u64, buf: &[u8]) -> io::Result<()> {
+    /// Accounts one writeback of `logical` and returns the device
+    /// offset its bytes must be written at.
+    fn writeback_off(&mut self, logical: u32) -> u64 {
         let phys = self.phys_for_write(logical);
-        let off = self.page_off(phys);
         self.stats.inc_writebacks();
         self.note_device_access(phys as u64);
-        self.dev.write_all_at(buf, off)
+        self.page_off(phys)
     }
 
-    /// Makes page `id` resident and returns whether it was a hit.
-    fn ensure_resident(&mut self, id: u64, write: bool) {
-        self.stats.inc_accesses();
-        match self.cache.access(id, write) {
-            Access::Hit => {
-                self.stats.inc_hits();
-                if write {
-                    self.dirty.insert(id);
-                }
-            }
-            Access::Miss { evicted } => {
-                if let Some((victim, victim_dirty)) = evicted {
-                    self.stats.inc_evictions();
-                    let frame = self.frames.remove(&victim).expect("evicted frame missing");
-                    if victim_dirty || self.dirty.remove(&victim) {
-                        self.write_page_to_file(victim, &frame)
-                            .expect("eviction writeback failed");
-                        self.dirty.remove(&victim);
-                    }
-                }
-                let mut frame = vec![0u8; self.page_size_usize()].into_boxed_slice();
-                self.read_page_from_file(id, &mut frame);
-                self.frames.insert(id, frame);
-                if write {
-                    self.dirty.insert(id);
-                }
-            }
+    /// Makes page `id` resident and most recently used, charged as `k ≥ 1`
+    /// consecutive accesses to it (`k` hits, or `k − 1` after a fault),
+    /// marks it dirty if `write`, and returns its frame. A resident page
+    /// costs one index lookup and one counter update, whatever `k`.
+    fn touch_page(&mut self, id: u32, write: bool, k: u64) -> usize {
+        if let Some(frame) = self.frames.touch(id, write) {
+            self.stats.add_accesses(k, k);
+            return frame;
         }
+        self.stats.add_accesses(k, k - 1);
+        // The victim's buffer becomes the new page's: the device read
+        // below overwrites every byte of it.
+        let mut buf = match self.frames.evict_lru() {
+            Some((victim, written, buf)) => {
+                self.stats.inc_evictions();
+                if written {
+                    let off = self.writeback_off(victim);
+                    self.dev
+                        .write_all_at(&buf, off)
+                        .expect("eviction writeback failed");
+                }
+                buf
+            }
+            None => vec![0u8; self.page_size_usize()].into_boxed_slice(),
+        };
+        self.read_page_from_file(id, &mut buf);
+        self.frames.insert(id, buf, write)
+    }
+
+    /// [`PageStore::with_page`] / [`PageStore::with_page_mut`] for a run
+    /// of `k` accesses to one page (see [`Mem::read_run`]).
+    fn page_run(&mut self, id: u32, write: bool, k: usize) -> &mut [u8] {
+        let frame = self.touch_page(id, write, k as u64);
+        self.frames.data_mut(frame)
     }
 
     /// Writes every dirty resident page back to the device (to shadow
@@ -529,12 +531,10 @@ impl<D: RawDev> FilePages<D> {
     /// Does **not** commit metadata: after a crash the store still
     /// recovers the last [`FilePages::commit_meta`] state.
     pub fn sync(&mut self) -> io::Result<()> {
-        let mut dirty: Vec<u64> = self.dirty.iter().copied().collect();
-        dirty.sort_unstable();
-        for id in dirty {
-            let frame = self.frames.get(&id).expect("dirty frame missing").clone();
-            self.write_page_to_file(id, &frame)?;
-            self.dirty.remove(&id);
+        for (id, frame) in self.frames.dirty_frames() {
+            let off = self.writeback_off(id);
+            self.dev.write_all_at(self.frames.data(frame), off)?;
+            self.frames.clear_dirty(frame);
         }
         self.dev.sync()
     }
@@ -585,7 +585,6 @@ impl<D: RawDev> FilePages<D> {
     /// array ... to clear the file cache".
     pub fn drop_cache(&mut self) -> io::Result<()> {
         self.sync()?;
-        self.cache.flush();
         self.frames.clear();
         Ok(())
     }
@@ -634,13 +633,11 @@ impl<D: RawDev> PageStore for FilePages<D> {
     }
 
     fn with_page<R>(&mut self, id: u32, f: impl FnOnce(&[u8]) -> R) -> R {
-        self.ensure_resident(id as u64, false);
-        f(self.frames.get(&(id as u64)).expect("frame resident"))
+        f(self.page_run(id, false, 1))
     }
 
     fn with_page_mut<R>(&mut self, id: u32, f: impl FnOnce(&mut [u8]) -> R) -> R {
-        self.ensure_resident(id as u64, true);
-        f(self.frames.get_mut(&(id as u64)).expect("frame resident"))
+        f(self.page_run(id, true, 1))
     }
 }
 
@@ -877,6 +874,37 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
         let off = (i % self.per_page) * self.elem_bytes;
         (page, off)
     }
+
+    /// Splits the run `start..start + n` at page boundaries and hands
+    /// `f` each piece as `(cells before it, cell count, the page's bytes
+    /// from its first cell on)`, ascending; each page is touched once,
+    /// charged as that many accesses (the rule of [`Mem::read_run`]).
+    fn for_each_page(
+        &mut self,
+        start: usize,
+        n: usize,
+        write: bool,
+        mut f: impl FnMut(usize, usize, &mut [u8]),
+    ) {
+        assert!(start + n <= self.len, "run past the end of the array");
+        let mut done = 0;
+        while done < n {
+            let (page, off) = self.locate(start + done);
+            let k = (n - done).min(self.per_page - (start + done) % self.per_page);
+            f(done, k, &mut self.pages.page_run(page, write, k)[off..]);
+            done += k;
+        }
+    }
+
+    /// Writes `cell(j)` to element `start + j` for `j` in `0..n`.
+    fn write_cells(&mut self, start: usize, n: usize, cell: impl Fn(usize) -> T) {
+        let eb = self.elem_bytes;
+        self.for_each_page(start, n, true, |done, k, bytes| {
+            for (j, out) in bytes.chunks_mut(eb).take(k).enumerate() {
+                cell(done + j).write_to(&mut out[..T::BYTES]);
+            }
+        });
+    }
 }
 
 impl<T: Pod, D: RawDev> Mem<T> for FileMem<T, D> {
@@ -891,9 +919,7 @@ impl<T: Pod, D: RawDev> Mem<T> for FileMem<T, D> {
     fn set(&mut self, i: usize, v: T) {
         assert!(i < self.len);
         let (page, off) = self.locate(i);
-        let eb = T::BYTES;
-        self.pages
-            .with_page_mut(page, |pg| v.write_to(&mut pg[off..off + eb]));
+        v.write_to(&mut self.pages.page_run(page, true, 1)[off..off + T::BYTES]);
     }
 
     fn resize(&mut self, new_len: usize, fill: T) {
@@ -903,9 +929,13 @@ impl<T: Pod, D: RawDev> Mem<T> for FileMem<T, D> {
             self.pages.alloc_page();
         }
         self.len = new_len;
-        for i in old_len..new_len {
-            self.set(i, fill);
+        if new_len > old_len {
+            self.write_cells(old_len, new_len - old_len, |_| fill);
         }
+    }
+
+    fn write_run(&mut self, start: usize, src: &[T]) {
+        self.write_cells(start, src.len(), |j| src[j]);
     }
 }
 
@@ -917,68 +947,18 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
     pub fn get_mut(&mut self, i: usize) -> T {
         assert!(i < self.len);
         let (page, off) = self.locate(i);
-        self.pages
-            .with_page(page, |pg| T::read_from(&pg[off..off + T::BYTES]))
-    }
-}
-
-/// A [`Mem`] adapter over [`FileMem`] using interior mutability, so the
-/// element-array structures (which read through `&self`) can run unchanged
-/// on top of a file.
-pub struct SharedFileMem<T: Pod, D: RawDev = File> {
-    inner: std::cell::RefCell<FileMem<T, D>>,
-}
-
-impl<T: Pod, D: RawDev> SharedFileMem<T, D> {
-    /// Wraps a [`FileMem`].
-    pub fn new(inner: FileMem<T, D>) -> Self {
-        SharedFileMem {
-            inner: std::cell::RefCell::new(inner),
-        }
+        T::read_from(&self.pages.page_run(page, false, 1)[off..off + T::BYTES])
     }
 
-    /// I/O counters of the backing store.
-    pub fn stats(&self) -> IoStats {
-        self.inner.borrow().stats()
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_stats(&self) {
-        self.inner.borrow_mut().reset_stats()
-    }
-
-    /// Snapshot-and-reset of the counters in one borrow, so a measurement
-    /// phase boundary cannot lose accesses between the read and the reset.
-    pub fn take_stats(&self) -> IoStats {
-        self.inner.borrow_mut().take_stats()
-    }
-
-    /// Writes dirty pages back with a durability barrier.
-    pub fn sync(&self) -> io::Result<()> {
-        self.inner.borrow_mut().sync()
-    }
-
-    /// Empties the user-space page cache.
-    pub fn drop_cache(&self) -> io::Result<()> {
-        self.inner.borrow_mut().drop_cache()
-    }
-}
-
-impl<T: Pod, D: RawDev> Mem<T> for SharedFileMem<T, D> {
-    fn len(&self) -> usize {
-        self.inner.borrow().len()
-    }
-
-    fn get(&self, i: usize) -> T {
-        self.inner.borrow_mut().get_mut(i)
-    }
-
-    fn set(&mut self, i: usize, v: T) {
-        self.inner.borrow_mut().set(i, v)
-    }
-
-    fn resize(&mut self, new_len: usize, fill: T) {
-        self.inner.borrow_mut().resize(new_len, fill)
+    /// [`Mem::read_run`] for the file store (`&mut self` for the same
+    /// reason as [`FileMem::get_mut`]).
+    pub fn read_run_mut(&mut self, start: usize, out: &mut [T]) {
+        let eb = self.elem_bytes;
+        self.for_each_page(start, out.len(), false, |done, k, bytes| {
+            for (slot, cell) in out[done..done + k].iter_mut().zip(bytes.chunks(eb)) {
+                *slot = T::read_from(&cell[..T::BYTES]);
+            }
+        });
     }
 }
 
@@ -1081,6 +1061,14 @@ impl<T: Pod, D: RawDev> Mem<T> for ArcFileMem<T, D> {
 
     fn resize(&mut self, new_len: usize, fill: T) {
         self.lock().resize(new_len, fill)
+    }
+
+    fn read_run(&self, start: usize, out: &mut [T]) {
+        self.lock().read_run_mut(start, out)
+    }
+
+    fn write_run(&mut self, start: usize, src: &[T]) {
+        self.lock().write_run(start, src)
     }
 }
 
@@ -1186,16 +1174,11 @@ impl<D: RawDev> crate::page::PageStore for ArcFilePages<D> {
 mod tests {
     use super::*;
     use crate::dev::CrashDev;
-
-    fn tmp(name: &str) -> std::path::PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cosbt-dam-{}-{}", std::process::id(), name));
-        p
-    }
+    use cosbt_testkit::TempPath;
 
     #[test]
     fn file_pages_roundtrip_through_evictions() {
-        let path = tmp("pages");
+        let path = TempPath::new("pages");
         let mut fp = FilePages::create(&path, 256, 2).unwrap();
         for _ in 0..8 {
             fp.alloc_page();
@@ -1208,23 +1191,21 @@ mod tests {
             assert_eq!(fp.with_page(id, |pg| pg[0]), id as u8 + 1);
         }
         assert!(fp.stats().writebacks >= 6);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn drop_cache_preserves_data() {
-        let path = tmp("dropcache");
+        let path = TempPath::new("dropcache");
         let mut fp = FilePages::create(&path, 128, 4).unwrap();
         let id = fp.alloc_page();
         fp.with_page_mut(id, |pg| pg[7] = 99);
         fp.drop_cache().unwrap();
         assert_eq!(fp.with_page(id, |pg| pg[7]), 99);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn file_mem_stores_padded_elements() {
-        let path = tmp("filemem");
+        let path = TempPath::new("filemem");
         let mut fm: FileMem<(u64, u64)> = FileMem::create(&path, 4096, 2, 32).unwrap();
         fm.resize(1000, (0, 0));
         for i in 0..1000usize {
@@ -1237,28 +1218,11 @@ mod tests {
         // 1000 elements * 32 B = 8 pages of 4096; cold reverse scan with a
         // 2-page cache must fetch each at least once.
         assert!(fm.stats().fetches >= 8);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn shared_file_mem_is_a_mem() {
-        let path = tmp("sharedfm");
-        let fm: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
-        let mut sm = SharedFileMem::new(fm);
-        sm.resize(300, 0);
-        for i in 0..300usize {
-            sm.set(i, i as u64 * 7);
-        }
-        sm.drop_cache().unwrap();
-        for i in 0..300usize {
-            assert_eq!(sm.get(i), i as u64 * 7);
-        }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn arc_handles_share_state() {
-        let path = tmp("arcmem");
+        let path = TempPath::new("arcmem");
         let fm: FileMem<u64> = FileMem::create(&path, 512, 4, 8).unwrap();
         let mut a = ArcFileMem::new(fm);
         let b = a.clone();
@@ -1267,9 +1231,8 @@ mod tests {
         b.drop_cache().unwrap();
         assert_eq!(a.get(50), 1234);
         assert!(b.stats().fetches > 0);
-        std::fs::remove_file(path).ok();
 
-        let path = tmp("arcpages");
+        let path = TempPath::new("arcpages");
         let fp = FilePages::create(&path, 256, 2).unwrap();
         let mut p = ArcFilePages::new(fp);
         let q = p.clone();
@@ -1278,12 +1241,11 @@ mod tests {
         p.with_page_mut(id, |pg| pg[0] = 7);
         q.drop_cache().unwrap();
         assert_eq!(p.with_page(id, |pg| pg[0]), 7);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn take_stats_splits_phases_without_losing_counts() {
-        let path = tmp("phases");
+        let path = TempPath::new("phases");
         let fm: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
         let mut m = ArcFileMem::new(fm);
         m.resize(500, 0);
@@ -1308,7 +1270,6 @@ mod tests {
         let phase3 = m.take_stats();
         assert_eq!(phase3.fetches, 0, "warm phase after snapshot");
         assert_eq!(phase3.hits, phase3.accesses);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -1321,16 +1282,15 @@ mod tests {
 
     #[test]
     fn reading_unwritten_page_yields_zeroes() {
-        let path = tmp("zeroes");
+        let path = TempPath::new("zeroes");
         let mut fp = FilePages::create(&path, 128, 2).unwrap();
         let id = fp.alloc_page();
         assert_eq!(fp.with_page(id, |pg| pg.to_vec()), vec![0u8; 128]);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn commit_and_reopen_recovers_pages_and_payload() {
-        let path = tmp("reopen-pages");
+        let path = TempPath::new("reopen-pages");
         {
             let mut fp = FilePages::create(&path, 128, 2).unwrap();
             for i in 0..5u32 {
@@ -1355,12 +1315,11 @@ mod tests {
         assert_eq!(payload, b"root=7");
         assert_eq!(fp.epoch(), 2);
         assert_eq!(fp.with_page(0, |pg| pg[0]), 99);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn file_mem_commit_restores_len() {
-        let path = tmp("reopen-mem");
+        let path = TempPath::new("reopen-mem");
         {
             let mut fm: FileMem<u64> = FileMem::create(&path, 512, 2, 8).unwrap();
             fm.resize(100, 0);
@@ -1375,7 +1334,6 @@ mod tests {
         for i in 0..100usize {
             assert_eq!(fm.get_mut(i), i as u64 * 3);
         }
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -37,7 +37,7 @@ pub mod sim;
 pub mod stats;
 
 pub use dev::{CrashDev, DevOp, DirectFile, RawDev, DIRECT_ALIGN};
-pub use file::{ArcFileMem, ArcFilePages, FileMem, FilePages, SharedFileMem};
+pub use file::{ArcFileMem, ArcFilePages, FileMem, FilePages};
 pub use format::OpenError;
 pub use lru::LruCache;
 pub use mem::{Mem, PlainMem, SimMem};

@@ -1,9 +1,11 @@
 //! An exact LRU cache over abstract block identifiers.
 //!
-//! This is the replacement policy of the DAM simulator ([`crate::IoSim`])
-//! and of the user-space page cache backing [`crate::FilePages`]. It is a
-//! classic slab-backed intrusive doubly-linked list plus a hash map, so
-//! every operation is O(1).
+//! [`LruCache`] is the replacement policy of the DAM simulator
+//! ([`crate::IoSim`]): a classic slab-backed intrusive doubly-linked list
+//! plus a hash map, so every operation is O(1) over sparse 64-bit block
+//! ids. The user-space page cache backing [`crate::FilePages`] runs the
+//! same policy over dense page ids in `FrameSlab`, which indexes instead
+//! of hashing and keeps the page bytes in the list nodes.
 
 use std::collections::HashMap;
 
@@ -185,6 +187,220 @@ impl LruCache {
     }
 }
 
+/// The resident set of a [`crate::FilePages`] store: page frames under
+/// the same exact LRU policy as [`LruCache`], without the hash map.
+///
+/// Logical page ids are dense, so residency is a `Vec` index (`slot`),
+/// and each frame owns its page bytes, its dirty bits and its LRU
+/// links — a resident-page touch is two array reads, and a touch of the
+/// page that is already most recently used skips the relink. Eviction
+/// order and victims are those of [`LruCache`] on the same trace (the
+/// `frame_slab_matches_lru_cache_on_random_trace` test pins it).
+///
+/// A frame carries two dirty bits because the store has always kept
+/// two: `dirty` is cleared by a sync, `written` only when the frame
+/// leaves the cache, and an evicted frame is written back when
+/// `written` is set. A page that is synced and then evicted without
+/// another write is therefore written twice; every committed transfer
+/// baseline counts that second write, so it is kept as it is.
+#[derive(Debug)]
+pub(crate) struct FrameSlab {
+    capacity: usize,
+    /// Logical page id → frame index, `NO_FRAME` when not resident
+    /// (ids past the end are not resident either).
+    slot: Vec<u32>,
+    frames: Vec<Frame>,
+    /// Frames emptied by [`FrameSlab::evict_lru`] awaiting reuse.
+    free: Vec<u32>,
+    head: u32, // most recently used
+    tail: u32, // least recently used
+}
+
+const NO_FRAME: u32 = u32::MAX;
+
+#[derive(Debug)]
+struct Frame {
+    page: u32,
+    prev: u32,
+    next: u32,
+    /// Modified since the last sync.
+    dirty: bool,
+    /// Modified since it became resident.
+    written: bool,
+    data: Box<[u8]>,
+}
+
+impl FrameSlab {
+    /// Creates an empty slab that holds up to `capacity` frames
+    /// (`capacity >= 1`).
+    pub(crate) fn new(capacity: usize) -> Self {
+        assert!(capacity >= 1, "frame slab capacity must be at least 1");
+        FrameSlab {
+            capacity,
+            slot: Vec::new(),
+            frames: Vec::new(),
+            free: Vec::new(),
+            head: NO_FRAME,
+            tail: NO_FRAME,
+        }
+    }
+
+    /// Number of resident pages.
+    pub(crate) fn len(&self) -> usize {
+        self.frames.len() - self.free.len()
+    }
+
+    fn unlink(&mut self, idx: u32) {
+        let (prev, next) = {
+            let f = &self.frames[idx as usize];
+            (f.prev, f.next)
+        };
+        match prev {
+            NO_FRAME => self.head = next,
+            p => self.frames[p as usize].next = next,
+        }
+        match next {
+            NO_FRAME => self.tail = prev,
+            n => self.frames[n as usize].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, idx: u32) {
+        let old = self.head;
+        let f = &mut self.frames[idx as usize];
+        f.prev = NO_FRAME;
+        f.next = old;
+        match old {
+            NO_FRAME => self.tail = idx,
+            h => self.frames[h as usize].prev = idx,
+        }
+        self.head = idx;
+    }
+
+    /// Touches `page` if it is resident: makes it most recently used,
+    /// marks it dirty if `write`, and returns its frame. `None` is a
+    /// miss and changes nothing.
+    #[inline]
+    pub(crate) fn touch(&mut self, page: u32, write: bool) -> Option<usize> {
+        let idx = *self.slot.get(page as usize)?;
+        if idx == NO_FRAME {
+            return None;
+        }
+        if self.head != idx {
+            self.unlink(idx);
+            self.push_front(idx);
+        }
+        if write {
+            let f = &mut self.frames[idx as usize];
+            f.dirty = true;
+            f.written = true;
+        }
+        Some(idx as usize)
+    }
+
+    /// When the slab is full, removes the least recently used page and
+    /// returns `(page, written, bytes)`; the caller writes the bytes
+    /// back if `written` and may hand the buffer to
+    /// [`FrameSlab::insert`]. `None` while there is room.
+    pub(crate) fn evict_lru(&mut self) -> Option<(u32, bool, Box<[u8]>)> {
+        if self.len() < self.capacity {
+            return None;
+        }
+        let idx = self.tail;
+        self.unlink(idx);
+        self.free.push(idx);
+        let f = &mut self.frames[idx as usize];
+        self.slot[f.page as usize] = NO_FRAME;
+        f.dirty = false; // a vacant frame is not a sync candidate
+        Some((f.page, f.written, std::mem::take(&mut f.data)))
+    }
+
+    /// Makes the non-resident `page` resident with contents `data`, as
+    /// the most recently used page, and returns its frame. There must
+    /// be room ([`FrameSlab::evict_lru`] first).
+    pub(crate) fn insert(&mut self, page: u32, data: Box<[u8]>, write: bool) -> usize {
+        assert!(self.len() < self.capacity, "frame slab is full");
+        let frame = Frame {
+            page,
+            prev: NO_FRAME,
+            next: NO_FRAME,
+            dirty: write,
+            written: write,
+            data,
+        };
+        let idx = match self.free.pop() {
+            Some(idx) => {
+                self.frames[idx as usize] = frame;
+                idx
+            }
+            None => {
+                self.frames.push(frame);
+                (self.frames.len() - 1) as u32
+            }
+        };
+        if self.slot.len() <= page as usize {
+            self.slot.resize(page as usize + 1, NO_FRAME);
+        }
+        debug_assert_eq!(self.slot[page as usize], NO_FRAME, "page already resident");
+        self.slot[page as usize] = idx;
+        self.push_front(idx);
+        idx as usize
+    }
+
+    /// The bytes of frame `idx`.
+    #[inline]
+    pub(crate) fn data(&self, idx: usize) -> &[u8] {
+        &self.frames[idx].data
+    }
+
+    /// The bytes of frame `idx`, mutably (does not mark it dirty:
+    /// [`FrameSlab::touch`] with `write` does).
+    #[inline]
+    pub(crate) fn data_mut(&mut self, idx: usize) -> &mut [u8] {
+        &mut self.frames[idx].data
+    }
+
+    /// `(page, frame)` of every page modified since the last sync, in
+    /// ascending page order.
+    pub(crate) fn dirty_frames(&self) -> Vec<(u32, usize)> {
+        let mut out: Vec<(u32, usize)> = self
+            .frames
+            .iter()
+            .enumerate()
+            .filter(|(_, f)| f.dirty)
+            .map(|(idx, f)| (f.page, idx))
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Records that frame `idx` has been synced.
+    pub(crate) fn clear_dirty(&mut self, idx: usize) {
+        self.frames[idx].dirty = false;
+    }
+
+    /// Drops every frame.
+    pub(crate) fn clear(&mut self) {
+        self.slot.clear();
+        self.frames.clear();
+        self.free.clear();
+        self.head = NO_FRAME;
+        self.tail = NO_FRAME;
+    }
+
+    /// Pages currently resident, most-recently-used first.
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> Vec<u32> {
+        let mut out = Vec::with_capacity(self.len());
+        let mut cur = self.head;
+        while cur != NO_FRAME {
+            out.push(self.frames[cur as usize].page);
+            cur = self.frames[cur as usize].next;
+        }
+        out
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -284,5 +500,57 @@ mod tests {
         let mut want: Vec<u64> = model.iter().map(|&(b, _)| b).collect();
         assert_eq!(c.resident_blocks(), want);
         want.sort_unstable();
+    }
+
+    /// The frame slab against [`LruCache`] on one trace: same hits, same
+    /// victims with the same dirty bit, same recency order — repeated
+    /// touches of the most recently used page (the relink-skipping path)
+    /// and syncs included.
+    #[test]
+    fn frame_slab_matches_lru_cache_on_random_trace() {
+        let mut lru = LruCache::new(4);
+        let mut slab = FrameSlab::new(4);
+        let mut x: u64 = 0x9E3779B97F4A7C15;
+        let mut last = 0u32;
+        for step in 0..20_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            // One access in four repeats the previous page.
+            let page = if x & 3 == 0 {
+                last
+            } else {
+                (x >> 8) as u32 % 9
+            };
+            let write = x & 4 == 0;
+            last = page;
+            match (lru.access(page as u64, write), slab.touch(page, write)) {
+                (Access::Hit, Some(f)) => assert_eq!(slab.data(f)[0], page as u8),
+                (Access::Miss { evicted }, None) => {
+                    let got = slab.evict_lru();
+                    assert_eq!(
+                        got.as_ref().map(|(p, written, _)| (*p as u64, *written)),
+                        evicted,
+                        "step {step}: victim differs"
+                    );
+                    let buf = got.map_or_else(|| vec![0u8; 8].into_boxed_slice(), |g| g.2);
+                    let f = slab.insert(page, buf, write);
+                    slab.data_mut(f)[0] = page as u8;
+                }
+                (a, b) => panic!("step {step}: cache says {a:?}, slab says {b:?}"),
+            }
+            let want: Vec<u32> = lru.resident_blocks().iter().map(|&b| b as u32).collect();
+            assert_eq!(slab.resident_pages(), want, "step {step}");
+            if step % 97 == 0 {
+                // A sync clears `dirty` but not `written`: the victims'
+                // bits above keep matching the cache's, which never
+                // hears of syncs.
+                for (_, f) in slab.dirty_frames() {
+                    slab.clear_dirty(f);
+                }
+                assert!(slab.dirty_frames().is_empty());
+            }
+        }
+        assert_eq!(slab.len(), lru.len());
     }
 }

@@ -30,6 +30,39 @@ pub trait Mem<T: Copy> {
     /// Grows or shrinks to `new_len`, filling new slots with `fill`.
     fn resize(&mut self, new_len: usize, fill: T);
 
+    /// Reads the run `start..start + out.len()` into `out`.
+    ///
+    /// **Accounting rule.** A run call charges exactly what the same
+    /// cells read one [`get`](Mem::get) at a time, in ascending order,
+    /// charge: `k` cells on one page are `k` accesses and `k` hits (or
+    /// `k − 1` when the first one faults the page in), pages are touched
+    /// in ascending order, and replacement state ends up the same. A
+    /// backend overrides this only to pay its fixed costs — lock,
+    /// residency lookup, counter update — once per page instead of once
+    /// per cell; the default is the per-cell loop itself, so an
+    /// implementor that forwards only `get`/`set` stays correct.
+    ///
+    /// **Adoption rule.** Call it only where the per-cell code was
+    /// already one contiguous ascending sweep with no other access to
+    /// this `Mem` in between (a level rewrite, a rebuild scan). Then
+    /// page-touch order, and with it every transfer count, is unchanged.
+    /// A two-source merge or a binary search interleaves pages and must
+    /// stay on `get`/`set`.
+    fn read_run(&self, start: usize, out: &mut [T]) {
+        for (k, slot) in out.iter_mut().enumerate() {
+            *slot = self.get(start + k);
+        }
+    }
+
+    /// Writes `src` to the run `start..start + src.len()`; the
+    /// accounting and adoption rules of [`read_run`](Mem::read_run)
+    /// apply, with [`set`](Mem::set) as the per-cell call.
+    fn write_run(&mut self, start: usize, src: &[T]) {
+        for (k, &v) in src.iter().enumerate() {
+            self.set(start + k, v);
+        }
+    }
+
     /// Copies `src..src+n` to `dst..dst+n` (ranges may overlap).
     fn copy_within(&mut self, src: usize, dst: usize, n: usize) {
         if dst == src || n == 0 {
@@ -99,6 +132,16 @@ impl<T: Copy> Mem<T> for PlainMem<T> {
 
     fn resize(&mut self, new_len: usize, fill: T) {
         self.data.resize(new_len, fill);
+    }
+
+    #[inline]
+    fn read_run(&self, start: usize, out: &mut [T]) {
+        out.copy_from_slice(&self.data[start..start + out.len()]);
+    }
+
+    #[inline]
+    fn write_run(&mut self, start: usize, src: &[T]) {
+        self.data[start..start + src.len()].copy_from_slice(src);
     }
 
     fn copy_within(&mut self, src: usize, dst: usize, n: usize) {
@@ -180,14 +223,22 @@ impl<T: Copy> Mem<T> for SimMem<T> {
         // allocated, not transferred); writes are charged when they happen.
         self.data.resize(new_len, fill);
     }
-}
 
-/// A file-backed flat element array; see [`crate::file`].
-pub use crate::file::FileMem as FileElemArray;
+    fn read_run(&self, start: usize, out: &mut [T]) {
+        out.copy_from_slice(&self.data[start..start + out.len()]);
+        let mut sim = self.sim.borrow_mut();
+        for i in start..start + out.len() {
+            sim.touch(self.addr(i), self.elem_bytes, false);
+        }
+    }
 
-/// Convenience: reads `mem[lo..hi]` into a `Vec` (charging transfers).
-pub fn read_range<T: Copy, M: Mem<T>>(mem: &M, lo: usize, hi: usize) -> Vec<T> {
-    (lo..hi).map(|i| mem.get(i)).collect()
+    fn write_run(&mut self, start: usize, src: &[T]) {
+        self.data[start..start + src.len()].copy_from_slice(src);
+        let mut sim = self.sim.borrow_mut();
+        for i in start..start + src.len() {
+            sim.touch(self.addr(i), self.elem_bytes, true);
+        }
+    }
 }
 
 /// Marker trait bundle for elements storable in any backend.

@@ -141,6 +141,22 @@ impl AtomicIoStats {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Count `accesses` logical block accesses of which `hits` found
+    /// their block resident: what that many [`inc_accesses`] and
+    /// [`inc_hits`] calls count, in two adds (a run of cells on one
+    /// page is charged in bulk).
+    ///
+    /// [`inc_accesses`]: AtomicIoStats::inc_accesses
+    /// [`inc_hits`]: AtomicIoStats::inc_hits
+    #[inline]
+    pub fn add_accesses(&self, accesses: u64, hits: u64) {
+        // ordering: pure statistics; no other memory is published. A
+        // concurrent `take` sees each add wholly or not at all, so every
+        // access still lands in exactly one window.
+        self.accesses.fetch_add(accesses, Ordering::Relaxed);
+        self.hits.fetch_add(hits, Ordering::Relaxed);
+    }
+
     /// Count one block fetched from external memory.
     #[inline]
     pub fn inc_fetches(&self) {

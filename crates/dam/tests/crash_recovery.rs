@@ -370,8 +370,7 @@ fn o_direct_device_recovers_every_crash_image_like_the_oracle() {
     let journal_len = dev.journal_len();
     drop(fp);
 
-    let dir = std::env::temp_dir();
-    let path = dir.join(format!("cosbt-odirect-crash-{}.dat", std::process::id()));
+    let path = cosbt_testkit::TempPath::new("odirect-crash");
     for cut in 0..=journal_len {
         // Clean cut at every position; a torn final write every fourth.
         let mut images = vec![dev.image_at(cut, None)];
@@ -393,7 +392,6 @@ fn o_direct_device_recovers_every_crash_image_like_the_oracle() {
             }
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// The metadata slot caps the committable page table; overflowing it is

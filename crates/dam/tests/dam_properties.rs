@@ -5,7 +5,7 @@
 use cosbt_dam::{
     new_shared_sim, CacheConfig, FilePages, LruCache, Mem, PageStore, PlainMem, SimMem,
 };
-use cosbt_testkit::{check_cases, Rng};
+use cosbt_testkit::{check_cases, Rng, TempPath};
 
 /// SimMem behaves exactly like PlainMem content-wise, whatever the
 /// cache geometry.
@@ -81,8 +81,7 @@ fn file_pages_mirror_memory() {
     check_cases("file_pages_mirror_memory", 64, |rng: &mut Rng| {
         let cache = 1 + rng.index(7);
         let writes = 1 + rng.index(199);
-        let mut path = std::env::temp_dir();
-        path.push(format!("cosbt-prop-{}-{}", std::process::id(), cache));
+        let path = TempPath::new("prop");
         let mut fp = FilePages::create(&path, 64, cache).unwrap();
         let mut mirror = vec![[0u8; 64]; 16];
         for _ in 0..16 {
@@ -98,7 +97,6 @@ fn file_pages_mirror_memory() {
             let got = fp.with_page(pg, |p| p.to_vec());
             assert_eq!(&got[..], &mirror[pg as usize][..]);
         }
-        std::fs::remove_file(path).ok();
     });
 }
 
@@ -106,8 +104,7 @@ fn file_pages_mirror_memory() {
 fn seek_model_distinguishes_patterns() {
     // Sequential writes: ~1 seek. Random writes over a large span with a
     // tiny cache: ~1 seek per page.
-    let mut path = std::env::temp_dir();
-    path.push(format!("cosbt-seeks-{}", std::process::id()));
+    let path = TempPath::new("seeks");
     let mut fp = FilePages::create(&path, 64, 2).unwrap();
     for _ in 0..512 {
         fp.alloc_page();
@@ -136,5 +133,4 @@ fn seek_model_distinguishes_patterns() {
         rnd_seeks > 256,
         "random access should seek on most pages: {rnd_seeks}"
     );
-    std::fs::remove_file(path).ok();
 }

@@ -187,6 +187,66 @@ pub fn check_cases(name: &str, cases: u64, mut case: impl FnMut(&mut Rng)) {
     }
 }
 
+/// A path for a test's scratch file, store or directory that no other
+/// test — in this process, in a parallel test process, or in an earlier
+/// run — shares, removed with everything beside it when the value drops.
+///
+/// `cargo test` runs tests on parallel threads and test binaries in
+/// parallel processes, so two tests that build the same
+/// `temp_dir().join("…")` path race on it. Each `TempPath` is
+/// `<tmp>/cosbt-<pid>-<counter>-<nanos>/<name>`: the directory is
+/// created, nothing is created at the path itself, and the drop removes
+/// the directory — so the files a store derives from its base path
+/// (`<name>.shard0`, `<name>.manifest`) go with it. It derefs to
+/// [`Path`](std::path::Path), so `&tmp` goes wherever `&Path` does.
+#[derive(Debug)]
+pub struct TempPath {
+    /// The directory this value created and removes — kept, not derived
+    /// from `path`, so no `name` can make the drop remove anything else.
+    dir: std::path::PathBuf,
+    path: std::path::PathBuf,
+}
+
+impl TempPath {
+    /// A fresh path ending in `name`.
+    pub fn new(name: &str) -> TempPath {
+        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+        // ordering: a uniqueness counter; no other memory is published.
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let nanos = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.subsec_nanos());
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("cosbt-{pid}-{n}-{nanos}"));
+        if let Err(e) = std::fs::create_dir_all(&dir) {
+            panic!("cannot create {}: {e}", dir.display());
+        }
+        let path = dir.join(name);
+        TempPath { dir, path }
+    }
+}
+
+impl std::ops::Deref for TempPath {
+    type Target = std::path::Path;
+
+    fn deref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+impl AsRef<std::path::Path> for TempPath {
+    fn as_ref(&self) -> &std::path::Path {
+        &self.path
+    }
+}
+
+impl Drop for TempPath {
+    fn drop(&mut self) {
+        // Best effort: a leftover directory must not fail a test.
+        let _ = std::fs::remove_dir_all(&self.dir);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -218,6 +278,19 @@ mod tests {
         let mut r = Rng::new(2);
         let hits = (0..10_000).filter(|_| r.chance(1, 4)).count();
         assert!((2000..3000).contains(&hits), "1/4 chance hit {hits}/10000");
+    }
+
+    #[test]
+    fn temp_paths_are_distinct_and_removed_with_their_siblings() {
+        let (a, b) = (TempPath::new("t.db"), TempPath::new("t.db"));
+        assert_ne!(*a, *b);
+        assert!(!a.exists() && a.parent().unwrap().is_dir());
+        std::fs::write(&a, b"x").unwrap();
+        std::fs::write(a.with_extension("db.shard0"), b"y").unwrap();
+        std::fs::create_dir(&*b).unwrap();
+        let (pa, pb) = (a.parent().unwrap().to_path_buf(), b.to_path_buf());
+        drop((a, b));
+        assert!(!pa.exists() && !pb.exists());
     }
 
     #[test]

@@ -1994,10 +1994,8 @@ impl Dictionary for Db {
 mod tests {
     use super::*;
 
-    fn tmp(name: &str) -> PathBuf {
-        let mut p = std::env::temp_dir();
-        p.push(format!("cosbt-db-{}-{name}.dat", std::process::id()));
-        p
+    fn tmp(name: &str) -> cosbt_testkit::TempPath {
+        cosbt_testkit::TempPath::new(&format!("db-{name}.dat"))
     }
 
     /// The shared matrix plus a few splitter variants with boundaries
@@ -2070,7 +2068,7 @@ mod tests {
             let path = tmp(&format!("{s:?}").replace([' ', '{', '}', ':'], ""));
             let mut db = DbBuilder::new()
                 .structure(s)
-                .backend(Backend::file(path.clone()))
+                .backend(Backend::file(path.to_path_buf()))
                 .cache_bytes(64 * 1024)
                 .build()
                 .unwrap();
@@ -2081,7 +2079,6 @@ mod tests {
             assert_eq!(db.get(1500), Some(1507), "{}", db.label());
             assert!(db.io().snapshot().accesses > 0, "{}", db.label());
             drop(db);
-            std::fs::remove_file(path).ok();
         }
     }
 
@@ -2090,7 +2087,7 @@ mod tests {
         let base = tmp("sharded");
         let mut db = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .backend(Backend::file(base.clone()))
+            .backend(Backend::file(base.to_path_buf()))
             .cache_bytes(256 * 1024)
             .shards(4)
             .shard_splitters(vec![500, 1000, 1500])
@@ -2113,11 +2110,10 @@ mod tests {
         assert_eq!(db.io().snapshot().accesses, 0);
         drop(db);
         for i in 0..4 {
-            let mut os = base.clone().into_os_string();
+            let mut os = base.to_path_buf().into_os_string();
             os.push(format!(".shard{i}"));
             let shard_path = PathBuf::from(os);
             assert!(shard_path.exists(), "shard {i} has its own file");
-            std::fs::remove_file(shard_path).ok();
         }
     }
 
@@ -2126,23 +2122,22 @@ mod tests {
         let base = tmp("cleanup");
         // A directory squatting on shard 1's path makes its creation fail
         // after shard 0's file was already created and truncated.
-        let mut os = base.clone().into_os_string();
+        let mut os = base.to_path_buf().into_os_string();
         os.push(".shard1");
         let blocker = PathBuf::from(os);
         std::fs::create_dir_all(&blocker).unwrap();
         let err = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .backend(Backend::file(base.clone()))
+            .backend(Backend::file(base.to_path_buf()))
             .shards(2)
             .build();
         assert!(matches!(err, Err(BuildError::Io(_))));
-        let mut os = base.clone().into_os_string();
+        let mut os = base.to_path_buf().into_os_string();
         os.push(".shard0");
         assert!(
             !PathBuf::from(os).exists(),
             "a failed build must not leave partial shard files behind"
         );
-        std::fs::remove_dir(&blocker).ok();
     }
 
     #[test]
@@ -2154,7 +2149,7 @@ mod tests {
         std::fs::write(&path, b"precious bytes").unwrap();
         let err = DbBuilder::new()
             .structure(Structure::Shuttle { c: 4 })
-            .backend(Backend::file(path.clone()))
+            .backend(Backend::file(path.to_path_buf()))
             .build();
         assert!(matches!(err, Err(BuildError::Unsupported(_))));
         assert_eq!(
@@ -2162,15 +2157,18 @@ mod tests {
             b"precious bytes",
             "an Unsupported build error must not unlink pre-existing data"
         );
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
     fn data_paths_name_every_backing_file() {
         assert!(DbBuilder::new().data_paths().is_empty(), "mem: no files");
         let base = tmp("datapaths");
-        let b = DbBuilder::new().backend(Backend::file(base.clone()));
-        assert_eq!(b.data_paths(), vec![base.clone()], "unsharded: the path");
+        let b = DbBuilder::new().backend(Backend::file(base.to_path_buf()));
+        assert_eq!(
+            b.data_paths(),
+            vec![base.to_path_buf()],
+            "unsharded: the path"
+        );
         let b = b.shards(3);
         let paths = b.data_paths();
         assert_eq!(
@@ -2236,7 +2234,7 @@ mod tests {
         let path = tmp("takeio");
         let mut db = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .backend(Backend::file(path.clone()))
+            .backend(Backend::file(path.to_path_buf()))
             .cache_bytes(64 * 1024)
             .build()
             .unwrap();
@@ -2254,7 +2252,6 @@ mod tests {
         let run = db.io().take();
         assert!(run.fetches > 0, "cold search phase fetched");
         drop(db);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]
@@ -2280,7 +2277,7 @@ mod tests {
             .is_err());
         assert!(DbBuilder::new()
             .structure(Structure::Shuttle { c: 4 })
-            .backend(Backend::file(tmp("shuttle")))
+            .backend(Backend::file(tmp("shuttle").to_path_buf()))
             .build()
             .is_err());
         assert!(DbBuilder::new().shards(0).build().is_err());
@@ -2297,7 +2294,7 @@ mod tests {
         // A sharded file backend whose budget cannot cover every shard's
         // 2-page cache floor must fail instead of silently exceeding it.
         assert!(DbBuilder::new()
-            .backend(Backend::file(tmp("tinycache")))
+            .backend(Backend::file(tmp("tinycache").to_path_buf()))
             .shards(8)
             .cache_bytes(4 * 4096)
             .build()
@@ -2384,7 +2381,7 @@ mod tests {
         let path = tmp("config-reflect");
         let builder = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .backend(Backend::file(path.clone()))
+            .backend(Backend::file(path.to_path_buf()))
             .cache_bytes(128 * 1024)
             .shards(2)
             .shard_splitters(vec![1000]);
@@ -2400,7 +2397,7 @@ mod tests {
         // so the recorded config reproduces the layout exactly.
         let db = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .backend(Backend::file(path.clone()))
+            .backend(Backend::file(path.to_path_buf()))
             .cache_bytes(128 * 1024)
             .shards(2)
             .open()

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use cosbt::testkit::Rng;
+use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, Db, DbBuilder, Structure};
 
 /// The COLA cells of the matrix — the structures whose read path the
@@ -47,16 +47,8 @@ fn builder(
     b
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cosbt-cascade-{}-{name}.db", std::process::id()));
-    p
-}
-
-fn cleanup(b: &DbBuilder) {
-    for p in b.data_paths() {
-        std::fs::remove_file(p).ok();
-    }
+fn tmp(name: &str) -> TempPath {
+    TempPath::new(&format!("cascade-{name}.db"))
 }
 
 /// Keys sit on even positions of a bounded space so the odd positions
@@ -175,10 +167,8 @@ fn file_matrix_cascade_agrees_with_model_and_plain_search() {
         for shards in [1usize, 3] {
             let pw = tmp(&format!("with-{i}-{shards}"));
             let po = tmp(&format!("without-{i}-{shards}"));
-            let bw = builder(s, deamortized, shards, true, Some(pw));
-            let bo = builder(s, deamortized, shards, false, Some(po));
-            cleanup(&bw);
-            cleanup(&bo);
+            let bw = builder(s, deamortized, shards, true, Some(pw.to_path_buf()));
+            let bo = builder(s, deamortized, shards, false, Some(po.to_path_buf()));
             let mut with = bw.build().unwrap();
             let mut without = bo.build().unwrap();
             with.discard_on_drop();
@@ -202,8 +192,7 @@ fn file_matrix_cascade_agrees_with_model_and_plain_search() {
 fn reopen_preserves_equivalence_across_toggle() {
     for (i, (s, deamortized)) in cola_cells().into_iter().enumerate() {
         let path = tmp(&format!("reopen-{i}"));
-        let mk = || builder(s, deamortized, 1, true, Some(path.clone()));
-        cleanup(&mk());
+        let mk = || builder(s, deamortized, 1, true, Some(path.to_path_buf()));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         {
             let mut db = mk().build().unwrap();
@@ -221,7 +210,7 @@ fn reopen_preserves_equivalence_across_toggle() {
             db.sync().unwrap();
         }
         for cascade in [true, false] {
-            let mut db = builder(s, deamortized, 1, cascade, Some(path.clone()))
+            let mut db = builder(s, deamortized, 1, cascade, Some(path.to_path_buf()))
                 .open()
                 .unwrap();
             let mut rng = Rng::new(0xBEEF);
@@ -237,6 +226,5 @@ fn reopen_preserves_equivalence_across_toggle() {
             let want: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
             assert_eq!(db.range(0, u64::MAX), want, "reopen cascade={cascade}");
         }
-        cleanup(&mk());
     }
 }

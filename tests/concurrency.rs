@@ -8,12 +8,11 @@
 //! raises them; the defaults keep `cargo test` quick).
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
-use cosbt::testkit::Rng;
+use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, CursorOps, Db, DbBuilder, DbSnapshot, Structure};
 
 fn env_or(name: &str, default: usize) -> usize {
@@ -31,10 +30,8 @@ fn rounds() -> usize {
     env_or("COSBT_STRESS_ROUNDS", 6)
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cosbt-conc-{}-{name}.db", std::process::id()));
-    p
+fn tmp(name: &str) -> TempPath {
+    TempPath::new(&format!("conc-{name}.db"))
 }
 
 /// One seeded round of mixed mutations applied to db and model alike.
@@ -218,12 +215,10 @@ fn background_merges_bound_runs_and_never_corrupt_reads() {
 fn crash_mid_background_merge_recovers_last_committed_epoch() {
     let path = tmp("crash-bg");
     let copy = tmp("crash-bg-copy");
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&copy).ok();
 
     let builder = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .cache_bytes(256 * 1024)
         .background_merge(1);
 
@@ -252,7 +247,7 @@ fn crash_mid_background_merge_recovers_last_committed_epoch() {
 
     let mut recovered = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(copy.clone()))
+        .backend(Backend::file(copy.to_path_buf()))
         .cache_bytes(256 * 1024)
         .open()
         .unwrap();
@@ -264,8 +259,6 @@ fn crash_mid_background_merge_recovers_last_committed_epoch() {
     );
     recovered.discard_on_drop();
     drop(recovered);
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&copy).ok();
 }
 
 /// Regression for the `take_io_stats` race: a monitor thread repeatedly
@@ -288,10 +281,9 @@ fn take_io_stats_loses_nothing_under_concurrent_swaps() {
 
     // Serial baseline: same workload, stats taken once at the end.
     let serial_path = tmp("stats-serial");
-    std::fs::remove_file(&serial_path).ok();
     let mut serial = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(serial_path.clone()))
+        .backend(Backend::file(serial_path.to_path_buf()))
         .cache_bytes(128 * 1024)
         .build()
         .unwrap();
@@ -299,16 +291,14 @@ fn take_io_stats_loses_nothing_under_concurrent_swaps() {
     let expected = serial.io().take();
     serial.discard_on_drop();
     drop(serial);
-    std::fs::remove_file(&serial_path).ok();
 
     // Concurrent run: monitor thread drains the counters in a tight
     // loop (lock-free — it cannot be starved by the writer holding the
     // store lock) while the writer runs the identical workload.
     let conc_path = tmp("stats-conc");
-    std::fs::remove_file(&conc_path).ok();
     let mut db = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(conc_path.clone()))
+        .backend(Backend::file(conc_path.to_path_buf()))
         .cache_bytes(128 * 1024)
         .build()
         .unwrap();
@@ -334,7 +324,6 @@ fn take_io_stats_loses_nothing_under_concurrent_swaps() {
     writer.join().unwrap();
     done.store(true, Ordering::Release);
     let accumulated = monitor.join().unwrap();
-    std::fs::remove_file(&conc_path).ok();
 
     assert_eq!(
         accumulated, expected,

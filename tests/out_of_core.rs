@@ -7,12 +7,7 @@ use cosbt::brt::Brt;
 use cosbt::btree::BTree;
 use cosbt::cola::{BasicCola, Cell, DeamortCola, Dictionary, GCola};
 use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, DEFAULT_PAGE_SIZE};
-
-fn tmpfile(name: &str) -> std::path::PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cosbt-ooc-{}-{}", std::process::id(), name));
-    p
-}
+use cosbt_testkit::TempPath;
 
 fn run_file_backed(name: &str, dict: &mut dyn Dictionary, drop_cache: &dyn Fn()) {
     let n = 20_000u64;
@@ -35,59 +30,54 @@ fn run_file_backed(name: &str, dict: &mut dyn Dictionary, drop_cache: &dyn Fn())
 
 #[test]
 fn gcola_out_of_core() {
-    let path = tmpfile("gcola");
+    let path = TempPath::new("ooc-gcola");
     let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
     let handle = mem.clone();
     let mut d = GCola::new(mem, 4, 0.1);
     run_file_backed("4-COLA", &mut d, &|| handle.drop_cache().unwrap());
     assert!(handle.stats().fetches > 0, "must have touched disk");
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn basic_cola_out_of_core() {
-    let path = tmpfile("basic");
+    let path = TempPath::new("ooc-basic");
     let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
     let handle = mem.clone();
     let mut d = BasicCola::new(mem);
     run_file_backed("basic-COLA", &mut d, &|| handle.drop_cache().unwrap());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn deamort_cola_out_of_core() {
-    let path = tmpfile("deamort");
+    let path = TempPath::new("ooc-deamort");
     let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
     let handle = mem.clone();
     let mut d = DeamortCola::new(mem);
     run_file_backed("deamortized-COLA", &mut d, &|| handle.drop_cache().unwrap());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn btree_out_of_core() {
-    let path = tmpfile("btree");
+    let path = TempPath::new("ooc-btree");
     let pages = ArcFilePages::new(FilePages::create(&path, DEFAULT_PAGE_SIZE, 8).unwrap());
     let handle = pages.clone();
     let mut d = BTree::new(pages);
     run_file_backed("B-tree", &mut d, &|| handle.drop_cache().unwrap());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn brt_out_of_core() {
-    let path = tmpfile("brt");
+    let path = TempPath::new("ooc-brt");
     let pages = ArcFilePages::new(FilePages::create(&path, DEFAULT_PAGE_SIZE, 8).unwrap());
     let handle = pages.clone();
     let mut d = Brt::new(pages);
     run_file_backed("BRT", &mut d, &|| handle.drop_cache().unwrap());
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
 fn tiny_cache_still_correct() {
     // Two resident pages — brutal thrashing — must not affect results.
-    let path = tmpfile("tiny");
+    let path = TempPath::new("ooc-tiny");
     let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 2, 32).unwrap());
     let mut d = GCola::new(mem, 2, 0.125);
     for i in 0..5_000u64 {
@@ -96,5 +86,4 @@ fn tiny_cache_still_correct() {
     for i in (0..5_000u64).step_by(97) {
         assert_eq!(d.get(i), Some(i));
     }
-    std::fs::remove_file(path).ok();
 }

@@ -12,19 +12,11 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use cosbt::testkit::Rng;
+use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, DbBuilder, OpenError, Structure};
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cosbt-persist-{}-{name}.db", std::process::id()));
-    p
-}
-
-fn cleanup(b: &DbBuilder) {
-    for p in b.data_paths() {
-        std::fs::remove_file(p).ok();
-    }
+fn tmp(name: &str) -> TempPath {
+    TempPath::new(&format!("persist-{name}.db"))
 }
 
 /// Seeded mixed workload applied to both the db and the model.
@@ -94,9 +86,10 @@ fn reopen_round_trip_across_the_matrix() {
     );
     for (i, cell) in cells.into_iter().enumerate() {
         let path = tmp(&format!("matrix{i}"));
-        let builder = cell.backend(Backend::file(path)).cache_bytes(512 * 1024);
+        let builder = cell
+            .backend(Backend::file(path.to_path_buf()))
+            .cache_bytes(512 * 1024);
         let label = builder.label();
-        cleanup(&builder);
         let mut rng = Rng::new(42 + i as u64);
         let mut model = BTreeMap::new();
 
@@ -131,7 +124,6 @@ fn reopen_round_trip_across_the_matrix() {
             .unwrap_or_else(|e| panic!("{label}: second reopen: {e}"));
         conform(&mut db, &model, &mut rng, &format!("{label} (2nd cycle)"));
         drop(db);
-        cleanup(&builder);
     }
 }
 
@@ -142,8 +134,7 @@ fn open_or_create_semantics() {
     let path = tmp("ooc");
     let builder = DbBuilder::new()
         .structure(Structure::BTree)
-        .backend(Backend::file(path.clone()));
-    cleanup(&builder);
+        .backend(Backend::file(path.to_path_buf()));
 
     assert!(matches!(builder.clone().open(), Err(OpenError::Missing(_))));
     let mut db = builder.clone().open_or_create().unwrap();
@@ -153,7 +144,6 @@ fn open_or_create_semantics() {
     let mut db = builder.clone().open_or_create().unwrap();
     assert_eq!(db.get(1), Some(10), "open_or_create must not truncate");
     drop(db);
-    cleanup(&builder);
 }
 
 fn structure_of(b: &DbBuilder) -> Structure {
@@ -176,7 +166,6 @@ fn make_gcola_store(path: &std::path::Path) -> DbBuilder {
     let builder = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
         .backend(Backend::file(path.to_path_buf()));
-    cleanup(&builder);
     let mut db = builder.clone().build().unwrap();
     for k in 0..500u64 {
         db.insert(k, k);
@@ -193,7 +182,7 @@ fn wrong_magic_is_typed_and_nondestructive() {
     let before = std::fs::read(&path).unwrap();
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(
@@ -211,7 +200,6 @@ fn wrong_magic_is_typed_and_nondestructive() {
         before,
         "failed open must not modify the file"
     );
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -229,7 +217,7 @@ fn unsupported_version_is_typed_and_nondestructive() {
     let before = std::fs::read(&path).unwrap();
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(
@@ -243,7 +231,6 @@ fn unsupported_version_is_typed_and_nondestructive() {
         "{err}"
     );
     assert_eq!(std::fs::read(&path).unwrap(), before);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -251,7 +238,6 @@ fn page_size_mismatch_is_typed_and_nondestructive() {
     use cosbt::cola::entry::Cell;
     use cosbt::dam::FileMem;
     let path = tmp("pagesize");
-    std::fs::remove_file(&path).ok();
     // A valid store written with a non-default page size.
     let mut fm: FileMem<Cell> = FileMem::create(&path, 1024, 4, 32).unwrap();
     fm.commit_meta(b"").unwrap();
@@ -259,7 +245,7 @@ fn page_size_mismatch_is_typed_and_nondestructive() {
     let before = std::fs::read(&path).unwrap();
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(
@@ -274,7 +260,6 @@ fn page_size_mismatch_is_typed_and_nondestructive() {
         "{err}"
     );
     assert_eq!(std::fs::read(&path).unwrap(), before);
-    std::fs::remove_file(path).ok();
 }
 
 #[test]
@@ -284,8 +269,7 @@ fn structure_mismatch_is_typed_and_nondestructive() {
     let path = tmp("structure");
     let builder = DbBuilder::new()
         .structure(Structure::BasicCola)
-        .backend(Backend::file(path.clone()));
-    cleanup(&builder);
+        .backend(Backend::file(path.to_path_buf()));
     let mut db = builder.clone().build().unwrap();
     db.insert(1, 1);
     db.sync().unwrap();
@@ -294,32 +278,31 @@ fn structure_mismatch_is_typed_and_nondestructive() {
 
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(matches!(&err, OpenError::StructureMismatch { .. }), "{err}");
 
     // Different parameters of the same structure are a mismatch too.
-    let g8 = make_gcola_store(&tmp("structure-g"));
+    let g_path = tmp("structure-g");
+    make_gcola_store(&g_path);
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 8 })
-        .backend(Backend::file(tmp("structure-g")))
+        .backend(Backend::file(g_path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(matches!(&err, OpenError::StructureMismatch { .. }), "{err}");
-    cleanup(&g8);
 
     // A page store (B-tree) opened as an element array (COLA) is caught
     // one layer down, still typed, still nondestructive.
     let bt_path = tmp("structure-bt");
     let bt = DbBuilder::new()
         .structure(Structure::BTree)
-        .backend(Backend::file(bt_path.clone()));
-    cleanup(&bt);
+        .backend(Backend::file(bt_path.to_path_buf()));
     drop(bt.clone().build().unwrap());
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(bt_path.clone()))
+        .backend(Backend::file(bt_path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(
@@ -332,14 +315,12 @@ fn structure_mismatch_is_typed_and_nondestructive() {
         ),
         "{err}"
     );
-    cleanup(&bt);
 
     assert_eq!(
         std::fs::read(&path).unwrap(),
         before,
         "failed opens must not modify the file"
     );
-    cleanup(&builder);
 }
 
 #[test]
@@ -347,11 +328,10 @@ fn shard_layout_mismatches_are_typed() {
     let base = tmp("shardcfg");
     let builder = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(base.clone()))
+        .backend(Backend::file(base.to_path_buf()))
         .cache_bytes(512 * 1024)
         .shards(3)
         .shard_splitters(vec![100, 10_000]);
-    cleanup(&builder);
     let mut db = builder.clone().build().unwrap();
     db.insert_batch(&[(5, 1), (5_000, 2), (1 << 40, 3)]);
     db.sync().unwrap();
@@ -360,7 +340,7 @@ fn shard_layout_mismatches_are_typed() {
     // Wrong shard count.
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(base.clone()))
+        .backend(Backend::file(base.to_path_buf()))
         .cache_bytes(512 * 1024)
         .shards(2)
         .open()
@@ -387,7 +367,7 @@ fn shard_layout_mismatches_are_typed() {
     // Omitting splitters adopts the persisted routing.
     let mut db = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(base.clone()))
+        .backend(Backend::file(base.to_path_buf()))
         .cache_bytes(512 * 1024)
         .shards(3)
         .open()
@@ -396,7 +376,6 @@ fn shard_layout_mismatches_are_typed() {
     assert_eq!(db.get(5_000), Some(2));
     assert_eq!(db.get(1 << 40), Some(3));
     drop(db);
-    cleanup(&builder);
 }
 
 #[test]
@@ -404,13 +383,12 @@ fn never_synced_store_is_typed() {
     use cosbt::cola::entry::Cell;
     use cosbt::dam::FileMem;
     let path = tmp("neversynced");
-    std::fs::remove_file(&path).ok();
     // Created at the storage layer but never committed.
     let fm: FileMem<Cell> = FileMem::create(&path, 4096, 4, 32).unwrap();
     drop(fm);
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(
@@ -426,10 +404,9 @@ fn never_synced_store_is_typed() {
     // open_or_create must NOT clobber a present-but-unsynced file.
     assert!(DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open_or_create()
         .is_err());
-    std::fs::remove_file(path).ok();
 }
 
 /// Opening with the memory backend is a typed configuration error.
@@ -449,10 +426,9 @@ fn sharded_open_rolls_back_a_shard_committed_past_the_record() {
     let base = tmp("xshard");
     let sharded = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(base.clone()))
+        .backend(Backend::file(base.to_path_buf()))
         .cache_bytes(512 * 1024)
         .shards(2);
-    cleanup(&sharded);
     let mut db = sharded.clone().build().unwrap();
     db.insert(5, 50); // shard 0
     db.insert(u64::MAX - 5, 60); // shard 1
@@ -464,7 +440,7 @@ fn sharded_open_rolls_back_a_shard_committed_past_the_record() {
     // extra key — the commit record still points at the previous epoch,
     // exactly as if a 2-shard sync died after shard 0's commit.
     let shard0 = {
-        let mut os = base.clone().into_os_string();
+        let mut os = base.to_path_buf().into_os_string();
         os.push(".shard0");
         PathBuf::from(os)
     };
@@ -496,7 +472,6 @@ fn sharded_open_rolls_back_a_shard_committed_past_the_record() {
     let mut db = sharded.clone().open().unwrap();
     assert_eq!(db.get(8), Some(80));
     drop(db);
-    cleanup(&sharded);
 }
 
 /// `open_or_create` must never truncate a *partially* missing store: a
@@ -507,10 +482,9 @@ fn open_or_create_refuses_partial_stores() {
     let base = tmp("partial");
     let sharded = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(base.clone()))
+        .backend(Backend::file(base.to_path_buf()))
         .cache_bytes(512 * 1024)
         .shards(2);
-    cleanup(&sharded);
     let mut db = sharded.clone().build().unwrap();
     db.insert(5, 50);
     db.sync().unwrap();
@@ -527,7 +501,7 @@ fn open_or_create_refuses_partial_stores() {
     // normal means would still recover the data (prove it by checking
     // the shard file is a non-empty, committed store).
     let shard0 = {
-        let mut os = base.clone().into_os_string();
+        let mut os = base.to_path_buf().into_os_string();
         os.push(".shard0");
         PathBuf::from(os)
     };
@@ -542,7 +516,6 @@ fn open_or_create_refuses_partial_stores() {
         "open_or_create must not have truncated the shard data"
     );
     drop(standalone);
-    cleanup(&sharded);
 }
 
 /// The metadata-slot capacity knob reaches the files and survives
@@ -552,9 +525,8 @@ fn meta_slot_capacity_is_configurable_and_persisted() {
     let path = tmp("slotcap");
     let builder = DbBuilder::new()
         .structure(Structure::BTree)
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .meta_slot_bytes(1024 * 1024);
-    cleanup(&builder);
     let mut db = builder.clone().build().unwrap();
     for k in 0..5000u64 {
         db.insert(k, k);
@@ -565,10 +537,9 @@ fn meta_slot_capacity_is_configurable_and_persisted() {
     let mut db = builder.clone().meta_slot_bytes(4096).open().unwrap();
     assert_eq!(db.get(4999), Some(4999));
     drop(db);
-    cleanup(&builder);
     // And a nonsensical capacity is a build-time error.
     assert!(DbBuilder::new()
-        .backend(Backend::file(tmp("slotcap2")))
+        .backend(Backend::file(tmp("slotcap2").to_path_buf()))
         .meta_slot_bytes(64)
         .build()
         .is_err());
@@ -581,10 +552,9 @@ fn missing_commit_record_is_typed() {
     let base = tmp("norecord");
     let sharded = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(base.clone()))
+        .backend(Backend::file(base.to_path_buf()))
         .cache_bytes(512 * 1024)
         .shards(2);
-    cleanup(&sharded);
     let mut db = sharded.clone().build().unwrap();
     db.insert(1, 1);
     db.sync().unwrap();
@@ -607,7 +577,6 @@ fn missing_commit_record_is_typed() {
         "{err}"
     );
     assert!(sharded.clone().open_or_create().is_err());
-    cleanup(&sharded);
 }
 
 /// A store whose *storage-layer* commit is pristine but whose committed
@@ -621,7 +590,6 @@ fn corrupt_cascade_fences_are_a_typed_open_error() {
     use cosbt::dam::{ArcFileMem, FileMem, DEFAULT_PAGE_SIZE};
 
     let path = tmp("fences");
-    std::fs::remove_file(&path).ok();
     {
         let fm: FileMem<Cell> = FileMem::create(&path, DEFAULT_PAGE_SIZE, 4, 32).unwrap();
         let store = ArcFileMem::new(fm);
@@ -642,7 +610,7 @@ fn corrupt_cascade_fences_are_a_typed_open_error() {
     let before = std::fs::read(&path).unwrap();
     let err = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(path.clone()))
+        .backend(Backend::file(path.to_path_buf()))
         .open()
         .unwrap_err();
     assert!(
@@ -660,7 +628,6 @@ fn corrupt_cascade_fences_are_a_typed_open_error() {
         before,
         "failed open must not modify the file"
     );
-    std::fs::remove_file(path).ok();
 }
 
 /// Reopening a file-backed COLA rebuilds the cascade accelerators from
@@ -680,12 +647,11 @@ fn reopen_rebuilds_cascade_accelerators() {
         let path = tmp(&format!("cascade{i}"));
         let mut builder = DbBuilder::new()
             .structure(s)
-            .backend(Backend::file(path))
+            .backend(Backend::file(path.to_path_buf()))
             .cache_bytes(256 * 1024);
         if deamortized {
             builder = builder.deamortized();
         }
-        cleanup(&builder);
         let label = builder.label();
         let mut db = builder.clone().build().unwrap();
         for k in 0..3_000u64 {
@@ -715,6 +681,5 @@ fn reopen_rebuilds_cascade_accelerators() {
             }
             assert_eq!(db.get(4), Some(1), "{label}: hit after reopen");
         }
-        cleanup(&builder);
     }
 }

@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 
-use cosbt::testkit::Rng;
+use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, Db, DbBuilder, Structure};
 
 /// Cells whose static search surfaces the vEB layout accelerates: the
@@ -48,16 +48,8 @@ fn builder(
     b
 }
 
-fn tmp(name: &str) -> PathBuf {
-    let mut p = std::env::temp_dir();
-    p.push(format!("cosbt-veb-{}-{name}.db", std::process::id()));
-    p
-}
-
-fn cleanup(b: &DbBuilder) {
-    for p in b.data_paths() {
-        std::fs::remove_file(p).ok();
-    }
+fn tmp(name: &str) -> TempPath {
+    TempPath::new(&format!("veb-{name}.db"))
 }
 
 /// Even keys in a bounded space: the odd positions are guaranteed misses
@@ -173,6 +165,8 @@ fn mem_cells_agree_across_veb_and_cascade_toggles() {
 #[test]
 fn file_cells_agree_across_veb_and_cascade_toggles() {
     for (i, (s, deamortized)) in veb_cells().into_iter().enumerate() {
+        // One scratch directory per cell; the four stores are siblings.
+        let base = tmp(&format!("file-{i}"));
         let mut dbs: Vec<(String, Db)> = combos()
             .into_iter()
             .enumerate()
@@ -182,9 +176,8 @@ fn file_cells_agree_across_veb_and_cascade_toggles() {
                     deamortized,
                     veb,
                     cascade,
-                    Some(tmp(&format!("file-{i}-{j}"))),
+                    Some(base.with_file_name(format!("file-{i}-{j}.db"))),
                 );
-                cleanup(&b);
                 let mut db = b.build().unwrap();
                 db.discard_on_drop();
                 (format!("veb={veb} cascade={cascade}"), db)
@@ -202,9 +195,9 @@ fn file_cells_agree_across_veb_and_cascade_toggles() {
 fn reopen_preserves_equivalence_across_both_toggles() {
     for (i, (s, deamortized)) in veb_cells().into_iter().enumerate() {
         let path = tmp(&format!("reopen-{i}"));
-        let mk =
-            |veb: bool, cascade: bool| builder(s, deamortized, veb, cascade, Some(path.clone()));
-        cleanup(&mk(true, true));
+        let mk = |veb: bool, cascade: bool| {
+            builder(s, deamortized, veb, cascade, Some(path.to_path_buf()))
+        };
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         {
             let mut db = mk(true, true).build().unwrap();
@@ -244,6 +237,5 @@ fn reopen_preserves_equivalence_across_both_toggles() {
                 "reopen veb={veb} cascade={cascade}"
             );
         }
-        cleanup(&mk(true, true));
     }
 }

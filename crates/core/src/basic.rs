@@ -366,12 +366,13 @@ impl<M: Mem<Cell>> BasicCola<M> {
     }
 
     /// The cursor's merge sources: every full level, newest first.
-    fn runs(&self) -> Vec<Run> {
+    fn runs(&self) -> Vec<Run<'_>> {
         (0..self.full.len())
             .filter(|&k| self.full[k])
             .map(|k| Run {
                 base: level_off(k),
                 len: 1 << k,
+                aux: self.aux[k].as_ref(),
             })
             .collect()
     }

@@ -984,6 +984,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortCola<M> {
                 runs.push(Run {
                     base: arr_off(k, a) + ar.start,
                     len: ar.len,
+                    aux: self.aux[k][a].as_ref(),
                 });
             }
         }

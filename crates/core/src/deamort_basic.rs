@@ -639,6 +639,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortBasicCola<M> {
                 runs.push(Run {
                     base: arr_off(k, side),
                     len: 1usize << k,
+                    aux: self.aux[k][side].as_ref(),
                 });
             }
         }

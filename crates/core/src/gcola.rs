@@ -817,10 +817,12 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
         let runs: Vec<Run> = self
             .levels
             .iter()
-            .filter(|lv| lv.occ() > 0)
-            .map(|lv| Run {
+            .zip(&self.aux)
+            .filter(|(lv, _)| lv.occ() > 0)
+            .map(|(lv, aux)| Run {
                 base: lv.run_base(),
                 len: lv.occ(),
+                aux: aux.as_ref(),
             })
             .collect();
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))

@@ -27,6 +27,7 @@ use crate::cascade::{AuxBuilder, LevelAux};
 use crate::cursor::{Run, RunMergeCursor};
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::Cell;
+use crate::merge::MergeBuf;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_BASIC_COLA};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
@@ -67,6 +68,8 @@ pub struct BasicCola<M: Mem<Cell>> {
     /// Staging for the rebuild scans, which reach `mem` as run-level
     /// calls.
     scratch: RunBuf,
+    /// Batch-carry merge scratch, bounded between carries.
+    merge: MergeBuf,
 }
 
 impl BasicCola<PlainMem<Cell>> {
@@ -89,6 +92,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
             cascade: true,
             veb: false,
             scratch: RunBuf::new(),
+            merge: MergeBuf::default(),
         }
     }
 
@@ -276,8 +280,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
     }
 
     /// Absorbs a sorted batch of cells (one per key, newest versions) in a
-    /// single carry cascade: one k-way merge of the batch with the full
-    /// levels it displaces, instead of one cascade per key.
+    /// single carry cascade: one fold of the batch with the full levels
+    /// it displaces ([`crate::merge`]), instead of one cascade per key.
     ///
     /// The merge targets the first *empty* level `t` with `2^t ≥ batch`;
     /// everything below `t` plus the batch re-sorts into the levels named
@@ -307,35 +311,19 @@ impl<M: Mem<Cell>> BasicCola<M> {
         }
 
         // Sources, newest first: the batch, then levels 0..t ascending.
-        let mut sources: Vec<Vec<Cell>> = Vec::with_capacity(t + 1);
-        sources.push(batch.to_vec());
-        for j in 0..t {
-            if self.full[j] {
-                let mut level = vec![Cell::default(); 1 << j];
-                self.mem.read_run(level_off(j), &mut level);
-                sources.push(level);
-            }
+        // Among equal keys the newer source goes first, preserving the
+        // leftmost-is-newest level layout.
+        let mut m = std::mem::take(&mut self.merge);
+        let total = b + (self.n as usize & ((1 << t) - 1)); // Invariant 1
+        m.begin(batch, total);
+        let mut level = std::mem::take(&mut m.staged);
+        for j in (0..t).filter(|&j| self.full[j]) {
+            level.resize(1 << j, Cell::default());
+            self.mem.read_run(level_off(j), &mut level);
+            m.step(1 << j, |s| level.iter().for_each(|c| s.push(c)));
         }
-
-        // Stable k-way merge: among equal keys, the earlier (newer) source
-        // goes first, preserving the leftmost-is-newest level layout.
-        let mut idx = vec![0usize; sources.len()];
-        let total: usize = sources.iter().map(|s| s.len()).sum();
-        let mut merged = Vec::with_capacity(total);
-        for _ in 0..total {
-            let mut best: Option<(u64, usize)> = None;
-            for (r, src) in sources.iter().enumerate() {
-                if idx[r] < src.len() {
-                    let k = src[idx[r]].key;
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, r));
-                    }
-                }
-            }
-            let (_, r) = best.expect("total counted");
-            merged.push(sources[r][idx[r]]);
-            idx[r] += 1;
-        }
+        m.staged = level;
+        let merged = m.run();
 
         // Redistribute over the binary decomposition of the new low bits:
         // ascending chunks to ascending set bits, newest-within-key kept
@@ -361,6 +349,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
             }
         }
         debug_assert_eq!(start, total);
+        m.release();
+        self.merge = m;
         let w = self.stats.cells_written - before;
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
     }
@@ -527,6 +517,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
             cascade: true,
             veb: false,
             scratch: RunBuf::new(),
+            merge: MergeBuf::default(),
         };
         for (k, fence) in fences.iter().enumerate() {
             if !cola.full[k] {
@@ -827,6 +818,72 @@ mod tests {
         for k in 50..200u64 {
             assert_eq!(c.get(k), Some(k + 1));
         }
+    }
+
+    impl<M: Mem<Cell>> BasicCola<M> {
+        /// The pre-kernel `insert_cells_batch`, kept as the differential
+        /// oracle: every source staged in its own `Vec`, one k-way merge.
+        fn insert_cells_batch_heap(&mut self, batch: &[Cell]) {
+            let b = batch.len();
+            match b {
+                0 => return,
+                1 => return self.insert_cell(batch[0]),
+                _ => {}
+            }
+            let before = self.stats.cells_written;
+            let mut t = 0usize;
+            loop {
+                self.ensure_levels(t + 1);
+                if !self.full[t] && (1usize << t) >= b {
+                    break;
+                }
+                t += 1;
+            }
+            let mut sources = vec![batch.to_vec()];
+            for j in (0..t).filter(|&j| self.full[j]) {
+                let mut level = vec![Cell::default(); 1 << j];
+                self.mem.read_run(level_off(j), &mut level);
+                sources.push(level);
+            }
+            let merged = crate::merge::oracle::heap_merge(&sources);
+            self.n += b as u64;
+            self.stats.inserts += b as u64;
+            self.stats.merges += 1;
+            let mut start = 0usize;
+            for k in 0..=t {
+                self.full[k] = merged.len() >> k & 1 == 1;
+                self.aux[k] = None;
+                if self.full[k] {
+                    let chunk = &merged[start..start + (1 << k)];
+                    self.mem.write_run(level_off(k), chunk);
+                    self.aux[k] = Some(crate::cascade::build_aux(chunk.iter()));
+                    self.stats.cells_written += 1u64 << k;
+                    start += 1 << k;
+                }
+            }
+            let w = self.stats.cells_written - before;
+            self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
+        }
+    }
+
+    #[test]
+    fn fold_batch_carry_is_byte_identical_to_the_heap_merge() {
+        let (mut new, mut old) = (BasicCola::new_plain(), BasicCola::new_plain());
+        let ops = crate::merge::oracle::stream(0xBA5C, 1 << 14);
+        for (i, op) in ops.iter().enumerate() {
+            op.apply_to(&mut new);
+            old.insert_cells_batch_heap(&op.cells());
+            if i % 1024 == 1023 {
+                assert!(
+                    new.mem.as_slice() == old.mem.as_slice(),
+                    "cells after op {i}"
+                );
+                let (a, b) = (new.stats(), old.stats());
+                assert_eq!(format!("{a:?}"), format!("{b:?}"), "stats after op {i}");
+                assert_eq!(new.save_meta(), old.save_meta(), "meta after op {i}");
+            }
+        }
+        new.check_invariants();
     }
 
     #[test]

@@ -75,10 +75,10 @@ fn splitmix64(x: u64) -> u64 {
 /// returns `true` for absent keys at roughly [`FILTER_TARGET_FP`].
 /// Probes use double hashing — `h1 + i·h2` with both hashes derived
 /// from SplitMix64 — so no per-probe rehash is needed.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelFilter {
+    /// Empty until sized: a filter nothing was inserted into.
     bits: Vec<u64>,
-    mask: u64,
 }
 
 impl LevelFilter {
@@ -86,12 +86,17 @@ impl LevelFilter {
     /// [`FILTER_BITS_PER_KEY`], rounded up to a power-of-two bit count
     /// (minimum one 64-bit word).
     pub fn with_capacity(keys: usize) -> LevelFilter {
+        let mut filter = LevelFilter::default();
+        filter.reset(keys);
+        filter
+    }
+
+    /// Zeroes the filter and re-sizes it as [`LevelFilter::with_capacity`]
+    /// would, keeping the bit array's allocation.
+    fn reset(&mut self, keys: usize) {
         let wanted = keys.saturating_mul(FILTER_BITS_PER_KEY).max(64);
-        let bits = wanted.next_power_of_two();
-        LevelFilter {
-            bits: vec![0u64; bits / 64],
-            mask: bits as u64 - 1,
-        }
+        self.bits.clear();
+        self.bits.resize(wanted.next_power_of_two() / 64, 0);
     }
 
     #[inline]
@@ -105,9 +110,9 @@ impl LevelFilter {
 
     /// Sets the key's probe bits.
     pub fn insert(&mut self, key: u64) {
-        let (h1, h2) = Self::hashes(key);
+        let ((h1, h2), mask) = (Self::hashes(key), self.bits.len() as u64 * 64 - 1);
         for i in 0..FILTER_HASHES as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) & self.mask;
+            let bit = h1.wrapping_add(i.wrapping_mul(h2)) & mask;
             self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
         }
     }
@@ -115,9 +120,12 @@ impl LevelFilter {
     /// Whether the key may have been inserted. `false` is definitive.
     #[inline]
     pub fn may_contain(&self, key: u64) -> bool {
-        let (h1, h2) = Self::hashes(key);
+        if self.bits.is_empty() {
+            return false;
+        }
+        let ((h1, h2), mask) = (Self::hashes(key), self.bits.len() as u64 * 64 - 1);
         for i in 0..FILTER_HASHES as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) & self.mask;
+            let bit = h1.wrapping_add(i.wrapping_mul(h2)) & mask;
             if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
                 return false;
             }
@@ -256,7 +264,10 @@ impl LevelAux {
 /// the half-built state across inserts.
 #[derive(Debug, Clone)]
 pub struct AuxBuilder {
+    /// Sized at the first real cell: a lookahead-only run never
+    /// consults its filter (the fences reject every key first).
     filter: LevelFilter,
+    slots: usize,
     fence_min: u64,
     fence_max: u64,
     any_real: bool,
@@ -267,12 +278,23 @@ pub struct AuxBuilder {
 impl AuxBuilder {
     /// A builder for a run of up to `slots` cells.
     pub fn new(slots: usize) -> AuxBuilder {
+        AuxBuilder::recycling(slots, None)
+    }
+
+    /// [`AuxBuilder::new`] over the filter and ghost allocations of
+    /// `retired`, the aux this run's rewrite is replacing.
+    pub(crate) fn recycling(slots: usize, retired: Option<LevelAux>) -> AuxBuilder {
+        let (mut filter, mut ghosts) = retired.map(|a| (a.filter, a.ghosts)).unwrap_or_default();
+        filter.bits.clear();
+        ghosts.clear();
+        ghosts.reserve_exact(slots / GHOST_STRIDE + 1);
         AuxBuilder {
-            filter: LevelFilter::with_capacity(slots),
+            filter,
+            slots,
             fence_min: u64::MAX,
             fence_max: 0,
             any_real: false,
-            ghosts: Vec::with_capacity(slots / GHOST_STRIDE + 1),
+            ghosts,
             pos: 0,
         }
     }
@@ -286,11 +308,12 @@ impl AuxBuilder {
             self.ghosts.push((cell.key, self.pos));
         }
         if cell.is_real() {
-            self.filter.insert(cell.key);
             if !self.any_real {
+                self.filter.reset(self.slots);
                 self.fence_min = cell.key;
                 self.any_real = true;
             }
+            self.filter.insert(cell.key);
             self.fence_max = cell.key;
         }
         self.pos += 1;

@@ -20,16 +20,15 @@
 //! `O(log_{Bᵉ+1} N)` searches ([`GCola::cache_aware`]).
 //!
 //! One departure from the paper's merge mechanics: the paper merges two
-//! levels at a time, alternating the result between the start of the target
-//! level and the freed prefix, to need only one element of extra space
-//! (demonstrated faithfully in [`crate::BasicCola`]). Here a carry is a
-//! single k-way merge that reads every source cell once and writes every
-//! output cell once — the same block-transfer count with simpler overlap
-//! reasoning (the target level's old run is staged through a scratch
-//! buffer; reads and writes are still charged to the storage backend).
-
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+//! levels at a time in the array, alternating the result between the
+//! start of the target level and the freed prefix, to need only one
+//! element of extra space (demonstrated faithfully in
+//! [`crate::BasicCola`]). Here a carry reads every source cell once —
+//! the target's old run first, staged — folds the runs two at a time,
+//! newest first, in DRAM (`merge.rs`: why that is cell-for-cell a k-way
+//! merge, and where its structure-owned scratch is bounded), streams the
+//! last merge into the rewrite, and writes every output cell once: the
+//! paper's block-transfer count, and no allocation in a steady state.
 
 use cosbt_dam::{Mem, PlainMem};
 
@@ -37,6 +36,7 @@ use crate::cascade::{AuxBuilder, LevelAux};
 use crate::cursor::{Run, RunMergeCursor};
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
+use crate::merge::{MergeBuf, RETAIN_CELLS};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
@@ -100,6 +100,10 @@ pub struct GCola<M: Mem<Cell>> {
     /// Staging for the contiguous sweeps (level reads, level rewrites,
     /// rebuild scans), which reach `mem` as run-level calls.
     scratch: RunBuf,
+    /// Carry scratch: the merge buffers, and small auxes of emptied
+    /// levels awaiting reuse (at most one per level).
+    merge: MergeBuf,
+    spare_aux: Vec<LevelAux>,
 }
 
 impl GCola<PlainMem<Cell>> {
@@ -128,6 +132,8 @@ impl<M: Mem<Cell>> GCola<M> {
             cascade: true,
             veb: false,
             scratch: RunBuf::new(),
+            merge: MergeBuf::default(),
+            spare_aux: Vec::new(),
         };
         this.push_level();
         this
@@ -301,6 +307,8 @@ impl<M: Mem<Cell>> GCola<M> {
             cascade: true,
             veb: false,
             scratch: RunBuf::new(),
+            merge: MergeBuf::default(),
+            spare_aux: Vec::new(),
         };
         // v2: cross-check the persisted run fence keys against the
         // reopened cells, then rebuild the cascade accelerators from
@@ -367,67 +375,78 @@ impl<M: Mem<Cell>> GCola<M> {
         self.aux[l] = Some(aux.with_veb(self.veb));
     }
 
-    /// Reads level ℓ's occupied run, filtered to real cells.
-    fn read_items(&mut self, l: usize) -> Vec<Cell> {
+    /// Reads level ℓ's occupied run, passing its real cells to `f`.
+    fn read_items(&mut self, l: usize, mut f: impl FnMut(&Cell)) {
         let lv = self.levels[l];
-        let mut out = Vec::with_capacity(lv.items);
         self.scratch
             .for_each(&self.mem, lv.run_base(), lv.occ(), |c| {
                 if c.is_real() {
-                    out.push(*c);
+                    f(c);
                 }
             });
-        out
     }
 
-    /// Samples up to `quota` evenly spaced lookahead cells from level `l`'s
-    /// occupied run. Returns `(key, position-in-run)` pairs in key order.
-    fn sample_lookaheads(&self, l: usize, quota: usize) -> Vec<(u64, u64)> {
-        if l >= self.levels.len() || quota == 0 {
-            return Vec::new();
-        }
-        let lv = self.levels[l];
+    /// Samples level `l`'s quota of evenly spaced lookahead cells from level
+    /// `l + 1`'s run into `out`: `(key, position-in-run)` in key order.
+    fn sample_lookaheads(&self, l: usize, out: &mut Vec<(u64, u64)>) {
+        out.clear();
+        let quota = self.levels[l].red_cap;
+        let Some(lv) = self.levels.get(l + 1).filter(|_| quota > 0) else {
+            return;
+        };
         let occ = lv.occ();
-        if occ == 0 {
-            return Vec::new();
-        }
         let cnt = quota.min(occ);
         let base = lv.run_base();
-        let mut out = Vec::with_capacity(cnt);
+        out.reserve_exact(cnt);
         for i in 0..cnt {
             let pos = (2 * i + 1) * occ / (2 * cnt); // midpoint sampling
             let c = self.mem.get(base + pos);
             out.push((c.key, pos as u64));
         }
-        out
     }
 
-    /// Writes level `l`'s new content: `items` (sorted, newest-first on
-    /// ties) woven with `lookaheads` (sorted by key), right-justified, with
+    /// Writes level `l`'s new content: the merge of `newer` and `older`
+    /// (each sorted, newest-first on ties; `newer` wins ties) woven with
+    /// the lookaheads `las` (sorted by key), right-justified, with
     /// left-pointer copies filled in.
-    fn write_level(&mut self, l: usize, items: &[Cell], lookaheads: &[(u64, u64)]) {
-        let occ = items.len() + lookaheads.len();
+    fn write_level(&mut self, l: usize, newer: &[Cell], older: &[Cell], las: &[(u64, u64)]) {
+        let items = newer.len() + older.len();
+        let occ = items + las.len();
         let lv = self.levels[l];
         assert!(occ <= lv.slots, "level {l} overflow: {occ} > {}", lv.slots);
         let base = lv.off + lv.slots - occ;
-        let (mut a, mut b) = (0usize, 0usize);
+        let (mut a, mut o, mut b) = (0usize, 0usize, 0usize);
         let mut last_ptr = NO_PTR;
-        // The woven cells feed the cascade aux as they stream past, so
-        // the accelerator costs no extra pass over the data.
-        let mut aux_builder = (self.cascade && occ > 0).then(|| AuxBuilder::new(occ));
+        // The woven cells feed the cascade aux as they stream past, so the
+        // accelerator costs no extra pass over the data. A small retiring
+        // aux lends it its allocations, by way of `spare_aux` when the
+        // level sits empty in between.
+        let retired = self.aux[l].take().filter(|a| a.len <= RETAIN_CELLS);
+        let mut aux_builder = if self.cascade && occ > 0 {
+            let retired = retired.or_else(|| self.spare_aux.pop());
+            Some(AuxBuilder::recycling(occ, retired))
+        } else {
+            self.spare_aux.extend(retired);
+            None
+        };
         self.scratch.fill(&mut self.mem, base, occ, || {
             // Weave by key; put lookaheads first among equals so a real
             // cell's left-copy includes pointers at its own key.
-            let take_la =
-                b < lookaheads.len() && (a == items.len() || lookaheads[b].0 <= items[a].key);
+            let from_newer = a < newer.len() && (o == older.len() || newer[a].key <= older[o].key);
+            let item = if from_newer {
+                newer.get(a)
+            } else {
+                older.get(o)
+            };
+            let take_la = b < las.len() && item.is_none_or(|c| las[b].0 <= c.key);
             let cell = if take_la {
-                let (key, tgt) = lookaheads[b];
+                let (key, tgt) = las[b];
                 b += 1;
                 last_ptr = tgt;
                 Cell::lookahead(key, tgt)
             } else {
-                let mut c = items[a];
-                a += 1;
+                let mut c = if from_newer { newer[a] } else { older[o] };
+                (a, o) = (a + from_newer as usize, o + !from_newer as usize);
                 c.ptr = last_ptr;
                 c
             };
@@ -437,10 +456,22 @@ impl<M: Mem<Cell>> GCola<M> {
             cell
         });
         self.stats.cells_written += occ as u64;
-        self.levels[l].items = items.len();
-        self.levels[l].reds = lookaheads.len();
+        self.levels[l].items = items;
+        self.levels[l].reds = las.len();
         let veb = self.veb;
         self.aux[l] = aux_builder.map(|b| b.finish().with_veb(veb));
+    }
+
+    /// Rewrites levels `t−1..0`, emptied of items, as the lookahead
+    /// pointers into the level above each.
+    fn relink_below(&mut self, t: usize) {
+        let mut las = std::mem::take(&mut self.merge.las);
+        for j in (0..t).rev() {
+            self.sample_lookaheads(j, &mut las);
+            self.write_level(j, &[], &[], &las);
+        }
+        self.merge.las = las;
+        self.merge.release();
     }
 
     fn insert_cell(&mut self, cell: Cell) {
@@ -475,54 +506,36 @@ impl<M: Mem<Cell>> GCola<M> {
             // Level 0 holds no lookahead cells (its redundancy is 0), so
             // this is a single right-justified write.
             debug_assert_eq!(self.levels[0].items, 0);
-            self.write_level(0, run, &[]);
+            self.write_level(0, run, &[], &[]);
             let w = self.stats.cells_written - before;
             self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
             return;
         }
         self.stats.merges += 1;
 
-        // k-way merge: the new run (newest), then levels 0..t-1, then the
-        // target's own items (oldest). Sources are read in place; the
-        // target's run is staged so the right-justified rewrite can't
-        // overwrite unread input.
-        let target_old = self.read_items(t);
-        let mut sources: Vec<Vec<Cell>> = Vec::with_capacity(t + 2);
-        sources.push(run.to_vec());
+        // Fold the new run (newest), then levels 0..t-1; the target's own
+        // items (oldest) are read first and staged, so the right-justified
+        // rewrite can't overwrite unread input, and merged in last, as the
+        // rewrite streams out.
+        let mut m = std::mem::take(&mut self.merge);
+        m.staged.reserve_exact(self.levels[t].items);
+        self.read_items(t, |c| m.staged.push(*c));
+        m.begin(run, carry);
         for j in 0..t {
-            sources.push(self.read_items(j));
+            let items = self.levels[j].items;
+            m.step(items, |s| self.read_items(j, |c| s.push(c)));
         }
-        sources.push(target_old);
-
-        let mut heap: BinaryHeap<Reverse<(u64, usize, usize)>> = BinaryHeap::new();
-        for (rank, src) in sources.iter().enumerate() {
-            if !src.is_empty() {
-                heap.push(Reverse((src[0].key, rank, 0)));
-            }
-        }
-        let total: usize = sources.iter().map(|s| s.len()).sum();
-        let mut merged = Vec::with_capacity(total);
-        while let Some(Reverse((_, rank, idx))) = heap.pop() {
-            merged.push(sources[rank][idx]);
-            if idx + 1 < sources[rank].len() {
-                heap.push(Reverse((sources[rank][idx + 1].key, rank, idx + 1)));
-            }
-        }
-        debug_assert_eq!(merged.len(), total);
 
         // Weave in fresh lookahead pointers into level t+1 (unchanged by
         // this merge) and write the target.
-        let quota = self.levels[t].red_cap;
-        let las = self.sample_lookaheads(t + 1, quota);
-        self.write_level(t, &merged, &las);
+        self.sample_lookaheads(t, &mut m.las);
+        self.write_level(t, m.run(), &m.staged, &m.las);
+        m.release();
+        self.merge = m;
 
         // Levels below t are now empty of items; rebuild the pointer
         // cascade downward, level by level, as in the paper.
-        for j in (0..t).rev() {
-            let quota = self.levels[j].red_cap;
-            let las = self.sample_lookaheads(j + 1, quota);
-            self.write_level(j, &[], &las);
-        }
+        self.relink_below(t);
 
         let w = self.stats.cells_written - before;
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
@@ -648,17 +661,13 @@ impl<M: Mem<Cell>> GCola<M> {
     /// versions and tombstones); see [`crate::BasicCola::compact`].
     pub fn compact(&mut self) {
         let live = self.range(0, u64::MAX);
-        let g = self.g;
-        let p = self.p;
         self.mem.resize(0, Cell::default());
         self.levels.clear();
         self.aux.clear();
         self.n = 0;
         self.push_level();
-        // Re-insert bottom-up into the largest level that fits, then
-        // cascade pointers. Simple approach: bulk-place into the smallest
-        // level that can hold everything.
-        let _ = (g, p);
+        // Bulk-place into the smallest level that can hold everything,
+        // then cascade pointers.
         if live.is_empty() {
             return;
         }
@@ -670,12 +679,8 @@ impl<M: Mem<Cell>> GCola<M> {
             }
         }
         let cells: Vec<Cell> = live.iter().map(|&(k, v)| Cell::item(k, v)).collect();
-        self.write_level(t, &cells, &[]);
-        for j in (0..t).rev() {
-            let quota = self.levels[j].red_cap;
-            let las = self.sample_lookaheads(j + 1, quota);
-            self.write_level(j, &[], &las);
-        }
+        self.write_level(t, &cells, &[], &[]);
+        self.relink_below(t);
         self.n = live.len() as u64;
     }
 
@@ -1053,6 +1058,97 @@ mod tests {
         c.check_invariants();
         for k in (0..500u64).step_by(11) {
             assert_eq!(c.get(k), Some(k + 1));
+        }
+    }
+
+    impl<M: Mem<Cell>> GCola<M> {
+        /// Level `l`'s real cells, staged whole as the old carry did.
+        fn items_vec(&mut self, l: usize) -> Vec<Cell> {
+            let mut out = Vec::new();
+            self.read_items(l, |c| out.push(*c));
+            out
+        }
+
+        /// The pre-kernel `insert_run`, kept as the differential oracle:
+        /// every source staged in its own `Vec`, one k-way heap merge,
+        /// the merged run materialized before the rewrite.
+        fn insert_run_heap(&mut self, run: &[Cell]) {
+            if run.is_empty() {
+                return;
+            }
+            self.n += run.len() as u64;
+            self.stats.inserts += run.len() as u64;
+            let before = self.stats.cells_written;
+            let mut carry = run.len();
+            let mut t = 0usize;
+            while carry + self.levels[t].items > self.levels[t].cap {
+                carry += self.levels[t].items;
+                t += 1;
+                if t == self.levels.len() {
+                    self.push_level();
+                }
+            }
+            if t == 0 {
+                self.write_level(0, run, &[], &[]);
+            } else {
+                self.stats.merges += 1;
+                let target_old = self.items_vec(t);
+                let mut sources = vec![run.to_vec()];
+                for j in 0..t {
+                    sources.push(self.items_vec(j));
+                }
+                sources.push(target_old);
+                let merged = crate::merge::oracle::heap_merge(&sources);
+                let mut las = Vec::new();
+                self.sample_lookaheads(t, &mut las);
+                self.write_level(t, &merged, &[], &las);
+                self.relink_below(t);
+            }
+            let w = self.stats.cells_written - before;
+            self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
+        }
+    }
+
+    #[test]
+    fn fold_carry_is_byte_identical_to_the_heap_merge() {
+        use crate::merge::oracle::stream;
+        for (g, p) in [(2, 0.0), (2, 0.1), (4, 0.0), (4, 0.1), (8, 0.0), (8, 0.1)] {
+            let (mut new, mut old) = (plain(g, p), plain(g, p));
+            for (i, op) in stream(0xD1FF + g as u64, 1 << 14).iter().enumerate() {
+                op.apply_to(&mut new);
+                old.insert_run_heap(&op.cells());
+                assert!(
+                    new.merge.retained() <= RETAIN_CELLS,
+                    "scratch kept after op {i}"
+                );
+                assert!(new.spare_aux.len() <= new.levels.len());
+                if i % 1024 == 1023 || i + 1 == 1 << 14 {
+                    let at = format!("g={g} p={p} after op {i}");
+                    assert!(new.mem.as_slice() == old.mem.as_slice(), "cells, {at}");
+                    let (a, b) = (new.stats(), old.stats());
+                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "stats, {at}");
+                    assert_eq!(new.save_meta(), old.save_meta(), "meta, {at}");
+                }
+            }
+            // The recycled builders left what a fresh scan builds.
+            new.check_invariants();
+            for l in 0..new.levels.len() {
+                let lv = new.levels[l];
+                let Some(aux) = new.aux[l].clone() else {
+                    continue;
+                };
+                let fresh = new.scratch.scan_aux(&new.mem, lv.run_base(), lv.occ());
+                assert_eq!(
+                    (aux.fence_min, aux.fence_max, &aux.filter, &aux.ghosts),
+                    (
+                        fresh.fence_min,
+                        fresh.fence_max,
+                        &fresh.filter,
+                        &fresh.ghosts
+                    ),
+                    "g={g} p={p} level {l} aux"
+                );
+            }
         }
     }
 

@@ -29,6 +29,7 @@ pub mod entry;
 pub mod epoch;
 pub mod gcola;
 pub mod layout;
+mod merge;
 pub mod persist;
 mod runbuf;
 pub mod stats;

@@ -5,10 +5,11 @@
 //! cell.
 //!
 //! Only sweeps that were already one contiguous ascending pass with no
-//! other `Mem` access in between go through it (level rewrites, rebuild
-//! scans): page-touch order, and with it every transfer count, is then
-//! unchanged. Two-source merges, binary searches, cursors and budgeted
-//! deamortized moves interleave pages and stay on `get`/`set`.
+//! other `Mem` access in between go through it (level reads and rewrites
+//! — what a carry does with the cells in between is `merge.rs` — and
+//! rebuild scans): page-touch order, and with it every transfer count, is
+//! then unchanged. In-array two-source merges, binary searches, cursors
+//! and budgeted deamortized moves interleave pages and stay on `get`/`set`.
 
 use cosbt_dam::Mem;
 

@@ -1,0 +1,113 @@
+//! The memory contract of the g-COLA's amortized write path, observed
+//! from outside through a counting global allocator: a steady-state
+//! carry within the retained-scratch bound allocates nothing, and a
+//! carry past it leaves nothing behind.
+//!
+//! One `#[test]` on purpose: the counters are process-wide, and the
+//! harness runs the tests of a binary on parallel threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+
+use cosbt_core::{Dictionary, GCola};
+
+struct Counting;
+
+/// Allocator calls that hand out memory (`alloc`, `realloc`, zeroed).
+static CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes currently allocated.
+static LIVE: AtomicI64 = AtomicI64::new(0);
+
+// SAFETY: every method forwards to `System` with the arguments it was
+// given; the counters are side effects that touch no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE.fetch_sub(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+#[test]
+fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
+    // SplitMix64 keys: fresh random inserts, no allocation of our own.
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next_key = move || {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    };
+
+    // Warm-up: every level of the measured window exists (a new level
+    // grows the store), and every small level has been a carry target,
+    // a lookahead-only level and empty at least once.
+    let base = LIVE.load(Ordering::Relaxed);
+    let mut cola = GCola::new_plain(4);
+    for i in 0..1u64 << 16 {
+        cola.insert(next_key(), i);
+    }
+    let levels = cola.num_levels();
+
+    // The 4-COLA's level 4 holds 384 items and its slots (422) are under
+    // the 1,024-cell retained-scratch bound (`merge::RETAIN_CELLS`);
+    // a carry into level 5 writes more than 384 cells. So an insert that
+    // writes at most 384 stayed within the bound — it must not allocate.
+    const SMALL: u64 = 384;
+    // After a carry this large the structure may hold its store (32 B a
+    // slot), its accelerators (filter ≤ 2.5 B, ghost sample 2 B a slot)
+    // and the bounded scratch (three buffers of ≤ 32 KiB) — not the fold
+    // buffer and staged target the carry used, which are 32 B per cell
+    // carried (1 MiB at this size's largest carry).
+    const BIG: u64 = 1 << 14;
+    let (mut small, mut big) = (0u64, 0u64);
+    for i in 0..3u64 << 14 {
+        let key = next_key();
+        let (calls, written) = (CALLS.load(Ordering::Relaxed), cola.stats().cells_written);
+        cola.insert(key, i);
+        let calls = CALLS.load(Ordering::Relaxed) - calls;
+        let w = cola.stats().cells_written - written;
+        assert_eq!(cola.num_levels(), levels, "window must not add a level");
+        if w <= SMALL {
+            small += 1;
+            assert_eq!(calls, 0, "insert {i} wrote {w} cells and allocated");
+        } else if w >= BIG {
+            big += 1;
+            let slots = cola.mem().as_slice().len() as i64;
+            let held = LIVE.load(Ordering::Relaxed) - base - 32 * slots;
+            let allowed = 5 * slots + (128 << 10);
+            assert!(
+                held <= allowed,
+                "insert {i} wrote {w} cells and left {held} B beside the store (allowed {allowed})"
+            );
+            assert!(calls > 0, "a carry past the bound sizes its buffers itself");
+        }
+    }
+    assert!(small > 48_000, "only {small} small inserts observed");
+    assert!(big >= 3, "only {big} big carries observed");
+}

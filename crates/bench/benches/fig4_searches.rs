@@ -23,23 +23,14 @@ fn main() {
 
     println!("== Figure 4: {probes_n} random searches after sorted build, N = {n} ==");
     let mut finals: Vec<(String, f64)> = Vec::new();
-    // The vEB rows measure the PR's read-path accelerator on the same
-    // workload: the B-tree routes through its DRAM leaf directory (one
-    // leaf fetch per cold search), the 4-COLA through vEB ghost mirrors.
-    for (kind, veb) in [
-        (DictKind::GCola(2), false),
-        (DictKind::GCola(4), false),
-        (DictKind::GCola(4), true),
-        (DictKind::GCola(8), false),
-        (DictKind::BTree, false),
-        (DictKind::BTree, true),
+    for kind in [
+        DictKind::GCola(2),
+        DictKind::GCola(4),
+        DictKind::GCola(8),
+        DictKind::BTree,
     ] {
-        let label = if veb {
-            format!("{} +vEB", kind.label())
-        } else {
-            kind.label()
-        };
-        let mut ooc = OutOfCore::create_veb(kind, &dir, cache, veb);
+        let label = kind.label();
+        let mut ooc = OutOfCore::create(kind, &dir, cache);
         for (i, &k) in keys.iter().enumerate() {
             ooc.dict.insert(k, i as u64);
         }
@@ -54,8 +45,6 @@ fn main() {
     }
     let cola = finals.iter().find(|(n, _)| n == "4-COLA").unwrap().1;
     let btree = finals.iter().find(|(n, _)| n == "B-tree").unwrap().1;
-    let btree_veb = finals.iter().find(|(n, _)| n == "B-tree +vEB").unwrap().1;
     print_ratio("searches (paper: 3.5x)", "4-COLA", cola, "B-tree", btree);
-    print_ratio("vEB read path", "B-tree +vEB", btree_veb, "B-tree", btree);
     println!("csv: {}", csv.display());
 }

@@ -102,8 +102,6 @@ fn usage() -> ExitCode {
          \x20                              kernel page cache; falls back to buffered with a\n\
          \x20                              warning where unsupported)\n\
          \x20 --cache-bytes N              file-backend page-cache budget (default 16 MiB)\n\
-         \x20 --veb-layout                 vEB-packed static search layouts with branchless\n\
-         \x20                              probes (runtime knob; default off)\n\
          \x20 --dist NAME                  uniform | zipfian | ascending | timeseries |\n\
          \x20                              shifting_hotspot\n\
          \x20 --n N                        measured ops (default {} / COSBT_SCALE=full {})\n\
@@ -222,7 +220,7 @@ fn list() {
     for s in SCENARIOS {
         println!("  {:<18} {}", s.name, s.about);
     }
-    println!("\nstructures: gcola (--g), basic, btree, brt, shuttle (--c); modifiers: --deamortized, --shards N, --parallel-ingest, --veb-layout, --backend mem|file [--direct]");
+    println!("\nstructures: gcola (--g), basic, btree, brt, shuttle (--c); modifiers: --deamortized, --shards N, --parallel-ingest, --backend mem|file [--direct]");
     println!("\nfigure experiments:");
     for (name, _, desc) in EXPERIMENTS {
         println!("  {name:<18} {desc}");
@@ -239,7 +237,6 @@ struct CellSpec {
     backend: String,
     direct: bool,
     cache_bytes: usize,
-    veb_layout: bool,
 }
 
 impl CellSpec {
@@ -261,7 +258,6 @@ impl CellSpec {
             backend,
             direct,
             cache_bytes: args.num("--cache-bytes").unwrap_or(16 * 1024 * 1024) as usize,
-            veb_layout: args.flag("--veb-layout"),
         }
     }
 }
@@ -311,8 +307,7 @@ fn build_cell(
         .structure(s)
         .shards(spec.shards)
         .parallel_ingest(spec.parallel)
-        .cache_bytes(spec.cache_bytes)
-        .veb_layout(spec.veb_layout);
+        .cache_bytes(spec.cache_bytes);
     if spec.deamortized {
         b = b.deamortized();
     }
@@ -470,7 +465,7 @@ fn cmd_run(args: &mut Args) -> ExitCode {
     // prefill phase.
     let stable_key = (prefill_only || resume).then(|| {
         format!(
-            "{}|{}|g={}|deamortized={}|shards={}|parallel={}|direct={}|cache={}|veb={}|dist={}|prefill={}|seed={}",
+            "{}|{}|g={}|deamortized={}|shards={}|parallel={}|direct={}|cache={}|dist={}|prefill={}|seed={}",
             scenario.name,
             spec.structure,
             spec.param,
@@ -479,7 +474,6 @@ fn cmd_run(args: &mut Args) -> ExitCode {
             spec.parallel,
             spec.direct,
             spec.cache_bytes,
-            spec.veb_layout,
             dist.name(),
             prefill,
             seed,

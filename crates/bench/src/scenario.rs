@@ -176,10 +176,6 @@ pub struct RunMeta {
     pub cache_bytes: u64,
     /// Whether batches were applied on worker threads.
     pub parallel_ingest: bool,
-    /// Whether fractional cascading was enabled.
-    pub cascade: bool,
-    /// Whether vEB-packed search layouts were enabled.
-    pub veb_layout: bool,
     /// Lookahead-pointer density of the COLA levels.
     pub pointer_density: f64,
     /// Key distribution CLI name.
@@ -214,14 +210,28 @@ impl RunMeta {
                 cosbt::Backend::File { .. } => cfg.cache_bytes as u64,
             },
             parallel_ingest: cfg.parallel_ingest,
-            cascade: cfg.cascade,
-            veb_layout: cfg.veb_layout,
             pointer_density: cfg.pointer_density,
             dist: dist.name().to_string(),
             ops,
             prefill,
             seed,
         }
+    }
+
+    /// The `meta` object of a `BENCH_*.json` run entry.
+    pub fn to_json(&self) -> Json {
+        Json::obj()
+            .with("structure", self.structure.as_str().into())
+            .with("label", self.label.as_str().into())
+            .with("backend", self.backend.as_str().into())
+            .with("shards", self.shards.into())
+            .with("cache_bytes", self.cache_bytes.into())
+            .with("parallel_ingest", Json::Bool(self.parallel_ingest))
+            .with("pointer_density", self.pointer_density.into())
+            .with("dist", self.dist.as_str().into())
+            .with("ops", self.ops.into())
+            .with("prefill", self.prefill.into())
+            .with("seed", self.seed.into())
     }
 }
 
@@ -858,7 +868,6 @@ fn io_json(s: &IoStats) -> Json {
 impl ScenarioReport {
     /// The run as one entry of a `BENCH_*.json` `runs` array.
     pub fn to_json(&self) -> Json {
-        let m = &self.meta;
         let reopen_json = self.reopen.as_ref().map(|r| {
             Json::obj()
                 .with("open_s", r.open_s.into())
@@ -903,23 +912,7 @@ impl ScenarioReport {
                 .with("runs_reclaimed", c.runs_reclaimed.into())
         });
         let base = Json::obj()
-            .with(
-                "meta",
-                Json::obj()
-                    .with("structure", m.structure.as_str().into())
-                    .with("label", m.label.as_str().into())
-                    .with("backend", m.backend.as_str().into())
-                    .with("shards", m.shards.into())
-                    .with("cache_bytes", m.cache_bytes.into())
-                    .with("parallel_ingest", Json::Bool(m.parallel_ingest))
-                    .with("cascade", Json::Bool(m.cascade))
-                    .with("veb_layout", Json::Bool(m.veb_layout))
-                    .with("pointer_density", m.pointer_density.into())
-                    .with("dist", m.dist.as_str().into())
-                    .with("ops", m.ops.into())
-                    .with("prefill", m.prefill.into())
-                    .with("seed", m.seed.into()),
-            )
+            .with("meta", self.meta.to_json())
             .with("elapsed_s", self.elapsed_s.into())
             .with("throughput_ops_per_sec", self.throughput.into())
             .with(
@@ -1010,9 +1003,10 @@ pub fn merge_document(scenario: &str, existing: Option<&Json>, new_runs: &[Json]
 /// fanout, deamortization) the bare structure name does not — a 2-COLA
 /// and an 8-COLA must not replace each other's trajectory rows;
 /// cache_bytes because it directly changes transfer counts on file
-/// cells. `cascade`/`veb_layout`/`pointer_density` default to the
-/// builder defaults when absent, so baselines recorded before those
-/// fields existed keep matching runs that use the defaults.
+/// cells. `pointer_density` defaults to the builder default when absent,
+/// so baselines recorded before the field existed keep matching. Older
+/// artifacts also carry two booleans for read-path knobs that no longer
+/// exist; they are not part of the key.
 pub fn run_identity(run: &Json) -> String {
     let meta = run.get("meta");
     let s = |k: &str| {
@@ -1030,28 +1024,18 @@ pub fn run_identity(run: &Json) -> String {
         .and_then(|m| m.get("parallel_ingest"))
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    let cascade = meta
-        .and_then(|m| m.get("cascade"))
-        .and_then(Json::as_bool)
-        .unwrap_or(true);
-    let veb = meta
-        .and_then(|m| m.get("veb_layout"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
     let density = meta
         .and_then(|m| m.get("pointer_density"))
         .and_then(Json::as_f64)
         .unwrap_or(0.1);
     format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         s("structure"),
         s("label"),
         s("backend"),
         n("shards"),
         n("cache_bytes"),
         parallel,
-        cascade,
-        veb,
         density,
         s("dist"),
         n("ops"),
@@ -1240,8 +1224,6 @@ mod tests {
             shards: 1,
             cache_bytes: 0,
             parallel_ingest: false,
-            cascade: true,
-            veb_layout: false,
             pointer_density: 0.1,
             dist: dist.name().into(),
             ops: n,
@@ -1404,8 +1386,6 @@ mod tests {
             shards: 2,
             cache_bytes: 64 * 1024,
             parallel_ingest: false,
-            cascade: true,
-            veb_layout: false,
             pointer_density: 0.1,
             dist: dist.name().into(),
             ops: n,

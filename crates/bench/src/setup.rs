@@ -73,24 +73,16 @@ impl OutOfCore {
     /// Creates `kind` with its data file under `dir` and a memory budget
     /// of `cache_bytes`.
     pub fn create(kind: DictKind, dir: &Path, cache_bytes: usize) -> OutOfCore {
-        Self::create_veb(kind, dir, cache_bytes, false)
-    }
-
-    /// [`OutOfCore::create`] with the vEB-layout toggle explicit, for
-    /// experiments that compare the two read paths side by side.
-    pub fn create_veb(kind: DictKind, dir: &Path, cache_bytes: usize, veb: bool) -> OutOfCore {
         std::fs::create_dir_all(dir).expect("create bench dir");
         let path = dir.join(format!(
-            "cosbt-{}{}-{}.dat",
+            "cosbt-{}-{}.dat",
             kind.label().to_lowercase().replace(' ', "-"),
-            if veb { "-veb" } else { "" },
             std::process::id()
         ));
         let dict = kind
             .builder()
             .backend(Backend::file(path.clone()))
             .cache_bytes(cache_bytes)
-            .veb_layout(veb)
             .build()
             .expect("out-of-core configuration must build");
         OutOfCore { dict, path }

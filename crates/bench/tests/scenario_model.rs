@@ -8,7 +8,10 @@
 use std::collections::BTreeMap;
 
 use cosbt::{Backend, DbBuilder, Structure};
-use cosbt_bench::scenario::{self, mix_of, prefill_seed, RunMeta, Scenario, SCENARIOS};
+use cosbt_bench::json::{self, Json};
+use cosbt_bench::scenario::{
+    self, mix_of, prefill_seed, run_identity, RunMeta, Scenario, SCENARIOS,
+};
 use cosbt_bench::workloads::{prefill_run, Op, OpStream};
 
 /// Replays the exact streams the runner executes into a model.
@@ -48,8 +51,6 @@ fn check_cell(scenario: &Scenario, builder: DbBuilder, n: u64, seed: u64) {
         shards: 1,
         cache_bytes: 0,
         parallel_ingest: false,
-        cascade: true,
-        veb_layout: false,
         pointer_density: 0.1,
         dist: dist.name().into(),
         ops: n,
@@ -136,8 +137,6 @@ fn drain_scenario_streams_exactly_the_live_set() {
         shards: 1,
         cache_bytes: 0,
         parallel_ingest: false,
-        cascade: true,
-        veb_layout: false,
         pointer_density: 0.1,
         dist: dist.name().into(),
         ops: n,
@@ -148,4 +147,40 @@ fn drain_scenario_streams_exactly_the_live_set() {
     let report = scenario::run(scenario, dist, meta, &mut db);
     let model = model_replay(scenario, n, 0, 99);
     assert_eq!(report.scanned_entries, model.len() as u64);
+}
+
+#[test]
+fn legacy_baseline_rows_keep_their_identity() {
+    // The committed baselines were recorded when the run meta still
+    // carried two read-path knobs; the row today's harness writes for
+    // the same cell omits them and must still be that cell to
+    // `bench compare`.
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../results/baseline/BENCH_scan_heavy.json"
+    );
+    let doc = json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let legacy = &doc.get("runs").and_then(Json::as_arr).unwrap()[0];
+    let meta = legacy.get("meta").unwrap();
+    assert!(meta.get("cascade").is_some(), "a row with the old fields");
+
+    let s = |k: &str| meta.get(k).and_then(Json::as_str).unwrap().to_string();
+    let n = |k: &str| meta.get(k).and_then(Json::as_u64).unwrap();
+    let current = RunMeta {
+        structure: s("structure"),
+        label: s("label"),
+        backend: s("backend"),
+        shards: n("shards") as usize,
+        cache_bytes: n("cache_bytes"),
+        parallel_ingest: meta.get("parallel_ingest").and_then(Json::as_bool).unwrap(),
+        pointer_density: meta.get("pointer_density").and_then(Json::as_f64).unwrap(),
+        dist: s("dist"),
+        ops: n("ops"),
+        prefill: n("prefill"),
+        seed: n("seed"),
+    }
+    .to_json();
+    assert!(current.get("cascade").is_none(), "new rows omit them");
+    let current = Json::obj().with("meta", current);
+    assert_eq!(run_identity(legacy), run_identity(&current));
 }

@@ -123,29 +123,6 @@ pub fn leaf_lower_bound(pg: &[u8], key: u64) -> usize {
     lo
 }
 
-/// First index in the leaf with key ≥ `key`, bit-identical to
-/// [`leaf_lower_bound`] but branchless: the probe count depends only on
-/// the pair count, and the only data-dependent operation is a
-/// mask-selected base advance (a conditional move, never a predicted
-/// branch). Used by the vEB read path, where the layout keeps probes
-/// cache-resident and misprediction stalls dominate.
-#[inline]
-pub fn leaf_lower_bound_branchless(pg: &[u8], key: u64) -> usize {
-    let n = count(pg);
-    if n == 0 {
-        return 0;
-    }
-    let mut base = 0usize;
-    let mut len = n;
-    while len > 1 {
-        let half = len / 2;
-        let less = (leaf_key(pg, base + half - 1) < key) as usize;
-        base += half & less.wrapping_neg();
-        len -= half;
-    }
-    base + ((leaf_key(pg, base) < key) as usize)
-}
-
 /// Shifts pairs `[i, n)` right by one (making room at `i`).
 pub fn leaf_make_room(pg: &mut [u8], i: usize) {
     let n = count(pg);
@@ -247,31 +224,6 @@ mod tests {
         assert_eq!(leaf_lower_bound(&pg, 31), 4);
         assert_eq!(leaf_lower_bound(&pg, 0), 0);
         assert_eq!(leaf_lower_bound(&pg, 1000), 10);
-    }
-
-    #[test]
-    fn branchless_lower_bound_matches_branchy() {
-        let mut pg = vec![0u8; PS];
-        set_node_type(&mut pg, LEAF);
-        // Every count 0..=cap, with duplicates, probing all boundaries.
-        for n in 0..=leaf_cap(PS) {
-            for i in 0..n {
-                set_leaf_pair(&mut pg, i, (i as u64 / 3) * 6 + 2, i as u64);
-            }
-            set_count(&mut pg, n);
-            let max = if n == 0 { 8 } else { leaf_key(&pg, n - 1) + 3 };
-            for key in 0..max {
-                assert_eq!(
-                    leaf_lower_bound_branchless(&pg, key),
-                    leaf_lower_bound(&pg, key),
-                    "n={n} key={key}"
-                );
-            }
-            assert_eq!(
-                leaf_lower_bound_branchless(&pg, u64::MAX),
-                leaf_lower_bound(&pg, u64::MAX)
-            );
-        }
     }
 
     #[test]

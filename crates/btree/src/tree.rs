@@ -1,33 +1,9 @@
 //! The B+-tree proper.
 
-use cosbt_core::{Cursor, CursorOps, VebIndex};
+use cosbt_core::{Cursor, CursorOps};
 use cosbt_dam::{PageStore, VecPages, DEFAULT_PAGE_SIZE};
 
 use crate::node::*;
-
-/// DRAM directory of the leaf level, active while the vEB toggle is on.
-///
-/// `seps` is every branch separator in key order — exactly the keys a
-/// root-to-leaf descent would compare against, flattened — and `pages`
-/// the leaf pages in key order (`seps.len() + 1` of them). The vEB-packed
-/// mirror of `seps` routes a point lookup to its leaf without touching
-/// any branch page, so a cold search costs one leaf fetch instead of
-/// `height` fetches. Pure DRAM state: never persisted, rebuilt from the
-/// branch level on open or toggle-on, and patched in place at leaf
-/// splits (branch splits only re-shard the same separator multiset, so
-/// the flattened sequence is unaffected).
-#[derive(Debug)]
-struct LeafDir {
-    /// All branch separators in key order; keys ≥ `seps[i]` route past
-    /// leaf `i`.
-    seps: Vec<u64>,
-    /// Leaf pages in key order.
-    pages: Vec<u32>,
-    /// vEB-packed mirror of `seps`; stale while `dirty` is set.
-    veb: VebIndex,
-    /// Set by leaf splits; the next lookup rebuilds `veb` first.
-    dirty: bool,
-}
 
 /// A B+-tree over any page store. Keys and values are `u64`, matching the
 /// paper's experimental setup.
@@ -43,8 +19,6 @@ pub struct BTree<P: PageStore> {
     height: u32, // 1 = root is a leaf
     len: usize,
     inserted_flag: bool,
-    /// vEB leaf directory; `Some` iff the layout toggle is on.
-    dir: Option<LeafDir>,
 }
 
 impl BTree<VecPages> {
@@ -70,7 +44,6 @@ impl<P: PageStore> BTree<P> {
             height: 1,
             len: 0,
             inserted_flag: false,
-            dir: None,
         }
     }
 
@@ -114,84 +87,8 @@ impl<P: PageStore> BTree<P> {
         page
     }
 
-    /// Enables or disables the vEB leaf directory (off by default).
-    ///
-    /// Runtime-only, like the cascade toggle: nothing on disk changes, so
-    /// the flag can flip freely, including across reopens. Enabling costs
-    /// one full traversal of the branch level to flatten the separators;
-    /// thereafter the directory is patched in place at leaf splits.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.dir.is_some() {
-            return;
-        }
-        self.dir = enabled.then(|| self.build_dir());
-    }
-
-    /// Whether the vEB leaf directory is active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.dir.is_some()
-    }
-
-    fn build_dir(&mut self) -> LeafDir {
-        let mut seps = Vec::new();
-        let mut pages = Vec::new();
-        self.collect_dir(self.root, self.height, &mut seps, &mut pages);
-        LeafDir {
-            veb: VebIndex::build(&seps),
-            seps,
-            pages,
-            dirty: false,
-        }
-    }
-
-    /// In-order walk of the branch level: child, separator, child, … —
-    /// yielding the separators flattened in key order and the leaves in
-    /// key order.
-    fn collect_dir(&mut self, page: u32, height: u32, seps: &mut Vec<u64>, pages: &mut Vec<u32>) {
-        if height == 1 {
-            pages.push(page);
-            return;
-        }
-        let (keys, kids): (Vec<u64>, Vec<u32>) = self.store.with_page(page, |pg| {
-            let n = count(pg);
-            (
-                (0..n).map(|i| branch_key(pg, i)).collect(),
-                (0..=n).map(|i| branch_child(pg, i)).collect(),
-            )
-        });
-        for (i, &child) in kids.iter().enumerate() {
-            if i > 0 {
-                seps.push(keys[i - 1]);
-            }
-            self.collect_dir(child, height - 1, seps, pages);
-        }
-    }
-
-    /// Routes `key` to its leaf through the vEB directory: a branchless
-    /// DRAM descent replaces the `height - 1` branch-page fetches.
-    fn dir_leaf_for(&mut self, key: u64) -> u32 {
-        let dir = self.dir.as_mut().expect("vEB directory enabled");
-        if dir.dirty {
-            dir.veb = VebIndex::build(&dir.seps);
-            dir.dirty = false;
-        }
-        // upper_bound ≡ branch_descend: key == separator goes right.
-        dir.pages[dir.veb.upper_bound(key)]
-    }
-
     /// Point lookup.
     pub fn get(&mut self, key: u64) -> Option<u64> {
-        if self.dir.is_some() {
-            let leaf = self.dir_leaf_for(key);
-            return self.store.with_page(leaf, |pg| {
-                let i = leaf_lower_bound_branchless(pg, key);
-                if i < count(pg) && leaf_key(pg, i) == key {
-                    Some(leaf_val(pg, i))
-                } else {
-                    None
-                }
-            });
-        }
         let leaf = self.leaf_for(key);
         self.store.with_page(leaf, |pg| {
             let i = leaf_lower_bound(pg, key);
@@ -339,16 +236,6 @@ impl<P: PageStore> BTree<P> {
                     set_count(pg, count(pg) + 1);
                 });
                 self.inserted_flag = true;
-                if let Some(dir) = &mut self.dir {
-                    // `sep` sits strictly between its neighbours (leaf
-                    // keys are globally strict), so its sorted insertion
-                    // point is exactly the split leaf's directory slot.
-                    let p = dir.seps.partition_point(|&s| s < sep);
-                    debug_assert_eq!(dir.pages[p], page, "split leaf mislocated");
-                    dir.seps.insert(p, sep);
-                    dir.pages.insert(p + 1, right);
-                    dir.dirty = true;
-                }
                 Some((sep, right))
             }
         }
@@ -487,9 +374,6 @@ impl<P: PageStore> BTree<P> {
         self.root = nodes[0].1;
         self.height = height;
         self.len = pairs.len();
-        if self.dir.is_some() {
-            self.dir = Some(self.build_dir());
-        }
     }
 
     /// Verifies tree invariants (for tests): key ordering within and
@@ -499,17 +383,6 @@ impl<P: PageStore> BTree<P> {
         let height = self.height;
         let counted = self.check_node(root, height, None, None);
         assert_eq!(counted, self.len, "entry count mismatch");
-        if let Some(dir) = self.dir.take() {
-            let fresh = self.build_dir();
-            assert_eq!(dir.seps, fresh.seps, "vEB directory separators stale");
-            assert_eq!(dir.pages, fresh.pages, "vEB directory leaf pages stale");
-            if !dir.dirty {
-                dir.veb
-                    .check_against(&dir.seps)
-                    .expect("vEB directory mirror");
-            }
-            self.dir = Some(dir);
-        }
     }
 
     fn check_node(&mut self, page: u32, height: u32, lo: Option<u64>, hi: Option<u64>) -> usize {
@@ -672,7 +545,6 @@ impl<P: PageStore> BTree<P> {
             height,
             len,
             inserted_flag: false,
-            dir: None,
         })
     }
 }
@@ -840,100 +712,6 @@ mod tests {
             per <= t.height() as f64 + 0.5,
             "fetches/search {per} vs height {}",
             t.height()
-        );
-    }
-
-    #[test]
-    fn veb_directory_matches_branchy_under_churn() {
-        let mut t = BTree::new_plain();
-        t.set_veb_layout(true);
-        assert!(t.veb_layout_enabled());
-        let mut model = std::collections::BTreeMap::new();
-        let mut x: u64 = 9;
-        for i in 0..40_000u64 {
-            x = x
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let k = x % 12_000;
-            if x.is_multiple_of(5) {
-                assert_eq!(t.delete(k), model.remove(&k).is_some());
-            } else {
-                t.insert(k, i);
-                model.insert(k, i);
-            }
-        }
-        assert_eq!(t.len(), model.len());
-        for k in 0..12_000u64 {
-            assert_eq!(t.get(k), model.get(&k).copied(), "key {k}");
-        }
-        t.check_invariants();
-        // Toggling off and back on must route identically.
-        t.set_veb_layout(false);
-        assert!(!t.veb_layout_enabled());
-        t.set_veb_layout(true);
-        t.check_invariants();
-        for k in (0..12_000u64).step_by(7) {
-            assert_eq!(t.get(k), model.get(&k).copied(), "key {k} after toggle");
-        }
-    }
-
-    #[test]
-    fn veb_directory_survives_bulk_load_and_reopen() {
-        use cosbt_core::Persist;
-        let pairs: Vec<(u64, u64)> = (0..60_000u64).map(|k| (k * 5 + 1, k)).collect();
-        let mut t = BTree::new_plain();
-        t.set_veb_layout(true);
-        t.bulk_load(&pairs);
-        t.check_invariants();
-        for &(k, v) in pairs.iter().step_by(211) {
-            assert_eq!(t.get(k), Some(v));
-            assert_eq!(t.get(k + 1), None);
-        }
-        // The directory is DRAM-only: reopen from persisted meta, then
-        // re-enable on the reconstructed tree.
-        let meta = t.save_meta();
-        let BTree { store, .. } = t;
-        let mut r = BTree::from_parts(store, &meta).unwrap();
-        assert!(!r.veb_layout_enabled());
-        r.set_veb_layout(true);
-        r.check_invariants();
-        for &(k, v) in pairs.iter().step_by(173) {
-            assert_eq!(r.get(k), Some(v));
-        }
-    }
-
-    #[test]
-    fn veb_directory_cuts_search_transfers_to_one_leaf() {
-        use cosbt_dam::{new_shared_sim, CacheConfig, SimPages};
-        let pairs: Vec<(u64, u64)> = (0..200_000u64).map(|k| (k, k)).collect();
-        let mut per = [0f64; 2];
-        for (slot, veb) in [(0usize, false), (1usize, true)] {
-            let sim = new_shared_sim(CacheConfig::new(4096, 8));
-            let mut t = BTree::new(SimPages::new(sim.clone(), 4096));
-            t.set_veb_layout(veb);
-            t.bulk_load(&pairs);
-            sim.borrow_mut().drop_cache();
-            sim.borrow_mut().reset_stats();
-            let mut x: u64 = 5;
-            let probes = 500u64;
-            for _ in 0..probes {
-                x = x
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                t.get(x % 200_000);
-            }
-            per[slot] = sim.borrow().stats().fetches as f64 / probes as f64;
-        }
-        assert!(
-            per[1] <= 1.0 + f64::EPSILON,
-            "vEB cold search should fetch only the leaf, got {}",
-            per[1]
-        );
-        assert!(
-            per[1] < per[0],
-            "vEB ({}) should beat branchy descent ({})",
-            per[1],
-            per[0]
         );
     }
 

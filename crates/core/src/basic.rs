@@ -53,18 +53,11 @@ pub struct BasicCola<M: Mem<Cell>> {
     n: u64,
     stats: ColaStats,
     /// Per-level read accelerators (fences, filter, ghost sample); kept
-    /// in lockstep with `full` — `Some` exactly for full levels while
-    /// `cascade` is on. Rebuilt by the merge that rebuilds a level, so
-    /// it can never go stale: a carry to level `t` empties every level
-    /// below `t` and touches none above it.
+    /// in lockstep with `full` — `Some` exactly for full levels. Rebuilt
+    /// by the merge that rebuilds a level, so it can never go stale: a
+    /// carry to level `t` empties every level below `t` and touches none
+    /// above it.
     aux: Vec<Option<LevelAux>>,
-    /// Whether searches use the cascade accelerators. The pre-cascade
-    /// binary-search path is kept behind this toggle for differential
-    /// testing ([`BasicCola::set_cascade`]).
-    cascade: bool,
-    /// Whether sealed levels carry a vEB-packed mirror of their ghost
-    /// sample ([`BasicCola::set_veb_layout`]); off by default.
-    veb: bool,
     /// Staging for the rebuild scans, which reach `mem` as run-level
     /// calls.
     scratch: RunBuf,
@@ -89,56 +82,9 @@ impl<M: Mem<Cell>> BasicCola<M> {
             n: 0,
             stats: ColaStats::default(),
             aux: vec![None],
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
             merge: MergeBuf::default(),
         }
-    }
-
-    /// Enables or disables the fractional-cascading read path (fences,
-    /// filters, ghost windows). On by default; turning it off restores
-    /// the pre-cascade full binary search per level — kept for
-    /// differential tests and benchmarks. Re-enabling rebuilds the
-    /// accelerators from the stored cells.
-    pub fn set_cascade(&mut self, enabled: bool) {
-        if enabled == self.cascade {
-            return;
-        }
-        self.cascade = enabled;
-        for k in 0..self.full.len() {
-            if enabled && self.full[k] {
-                self.rebuild_aux(k);
-            } else {
-                self.aux[k] = None;
-            }
-        }
-    }
-
-    /// Whether the cascade read path is active.
-    pub fn cascade_enabled(&self) -> bool {
-        self.cascade
-    }
-
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way — the mirror only changes how the DRAM-resident ghost
-    /// sample is probed — so the toggle can flip freely, including
-    /// across reopens. Flipping rebuilds the mirrors from the in-DRAM
-    /// samples without touching any stored cell.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
     }
 
     /// Number of insert operations performed (the paper's N).
@@ -192,12 +138,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
         if t == 0 {
             self.mem.set(level_off(0), cell);
             self.full[0] = true;
-            let veb = self.veb;
-            self.aux[0] = self.cascade.then(|| {
-                let mut b = AuxBuilder::new(1);
-                b.push(&cell);
-                b.finish().with_veb(veb)
-            });
+            self.aux[0] = Some(crate::cascade::build_aux([cell].iter()));
             self.stats.cells_written += 1;
             let w = self.stats.cells_written - before;
             self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
@@ -223,7 +164,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
         // The final merge step writes the target level; its cells feed
         // the cascade aux as they stream past, so the accelerator costs
         // no extra pass over the data.
-        let mut aux_builder = self.cascade.then(|| AuxBuilder::new(1 << t));
+        let mut aux_builder = AuxBuilder::new(1 << t);
         for j in 0..t {
             let out_base = if (t - 1 - j).is_multiple_of(2) {
                 target_base
@@ -257,9 +198,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
                 };
                 self.mem.set(out_base + w, v);
                 if final_step {
-                    if let Some(builder) = aux_builder.as_mut() {
-                        builder.push(&v);
-                    }
+                    aux_builder.push(&v);
                 }
                 w += 1;
             }
@@ -272,8 +211,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
         debug_assert_eq!(run_base, target_base);
         debug_assert_eq!(run_len, 1 << t);
         self.full[t] = true;
-        let veb = self.veb;
-        self.aux[t] = aux_builder.map(|b| b.finish().with_veb(veb));
+        self.aux[t] = Some(aux_builder.finish());
 
         let w = self.stats.cells_written - before;
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
@@ -338,10 +276,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
             if full {
                 self.mem
                     .write_run(level_off(k), &merged[start..start + (1 << k)]);
-                let veb = self.veb;
-                self.aux[k] = self.cascade.then(|| {
-                    crate::cascade::build_aux(merged[start..start + (1 << k)].iter()).with_veb(veb)
-                });
+                let chunk = merged[start..start + (1 << k)].iter();
+                self.aux[k] = Some(crate::cascade::build_aux(chunk));
                 self.stats.cells_written += 1u64 << k;
                 start += 1 << k;
             } else {
@@ -401,12 +337,21 @@ impl<M: Mem<Cell>> BasicCola<M> {
         None
     }
 
-    /// Rebuilds level `k`'s cascade aux by scanning its cells (used on
-    /// reopen and when re-enabling the cascade; merges build the aux
-    /// inline instead).
-    fn rebuild_aux(&mut self, k: usize) {
-        let aux = self.scratch.scan_aux(&self.mem, level_off(k), 1 << k);
-        self.aux[k] = Some(aux.with_veb(self.veb));
+    /// The paper's Section 3 search: a full binary search of every full
+    /// level, newest first, with no fences, filter or ghost sample. Same
+    /// answers as [`Dictionary::get`]; kept as the reference the cascade
+    /// is tested and costed against.
+    pub fn get_plain(&mut self, key: u64) -> Option<u64> {
+        self.stats.searches += 1;
+        for k in 0..self.full.len() {
+            if !self.full[k] {
+                continue;
+            }
+            if let Some(c) = self.search_level_window(k, key, 0, 1 << k) {
+                return c.as_lookup();
+            }
+        }
+        None
     }
 
     /// Rebuilds the structure keeping only live entries (drops shadowed
@@ -441,17 +386,14 @@ impl<M: Mem<Cell>> BasicCola<M> {
         }
         for (k, start) in placements {
             let base = level_off(k);
-            let mut b = self.cascade.then(|| AuxBuilder::new(1 << k));
+            let mut b = AuxBuilder::new(1 << k);
             for i in 0..(1usize << k) {
                 let (key, val) = live[start + i];
                 let cell = Cell::item(key, val);
                 self.mem.set(base + i, cell);
-                if let Some(b) = b.as_mut() {
-                    b.push(&cell);
-                }
+                b.push(&cell);
             }
-            let veb = self.veb;
-            self.aux[k] = b.map(|b| b.finish().with_veb(veb));
+            self.aux[k] = Some(b.finish());
             self.full[k] = true;
             self.n += 1 << k;
         }
@@ -514,8 +456,6 @@ impl<M: Mem<Cell>> BasicCola<M> {
             n,
             stats: ColaStats::default(),
             aux,
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
             merge: MergeBuf::default(),
         };
@@ -523,8 +463,8 @@ impl<M: Mem<Cell>> BasicCola<M> {
             if !cola.full[k] {
                 continue;
             }
-            cola.rebuild_aux(k);
-            let rebuilt = cola.aux[k].as_ref().expect("just rebuilt");
+            // Merges build the aux inline; a reopen scans.
+            let rebuilt = cola.scratch.scan_aux(&cola.mem, level_off(k), 1 << k);
             rebuilt
                 .check()
                 .map_err(|e| MetaError::Invalid(format!("level {k} cascade state: {e}")))?;
@@ -536,6 +476,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
                     rebuilt.fence_min, rebuilt.fence_max
                 )));
             }
+            cola.aux[k] = Some(rebuilt);
         }
         Ok(cola)
     }
@@ -563,22 +504,16 @@ impl<M: Mem<Cell>> BasicCola<M> {
                 );
             }
         }
-        // Cascade state: aux present exactly for full levels while the
-        // toggle is on, internally consistent, and agreeing with the
-        // stored cells' fence keys.
+        // Cascade state: aux present exactly for full levels,
+        // internally consistent, and agreeing with the stored cells'
+        // fence keys.
         assert_eq!(self.aux.len(), self.full.len(), "aux out of lockstep");
         for (k, &f) in self.full.iter().enumerate() {
             match &self.aux[k] {
                 Some(aux) => {
                     assert!(f, "level {k} empty but has cascade aux");
-                    assert!(self.cascade, "cascade off but level {k} has aux");
                     aux.check().unwrap_or_else(|e| panic!("level {k} aux: {e}"));
                     assert_eq!(aux.len, 1usize << k, "level {k} aux length");
-                    assert_eq!(
-                        aux.veb.is_some(),
-                        self.veb,
-                        "level {k} vEB mirror out of lockstep with the toggle"
-                    );
                     let base = level_off(k);
                     assert_eq!(
                         (aux.fence_min, aux.fence_max),
@@ -589,12 +524,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
                         "level {k} fences disagree with stored cells"
                     );
                 }
-                None => {
-                    assert!(
-                        !f || !self.cascade,
-                        "cascade on but full level {k} lacks aux"
-                    );
-                }
+                None => assert!(!f, "full level {k} lacks aux"),
             }
         }
     }
@@ -609,9 +539,8 @@ impl<M: Mem<Cell>> Persist for BasicCola<M> {
         }
         // v2: each full level's fence keys (its first and last cell —
         // every basic-COLA cell is non-redundant), read straight from
-        // the store so the record is valid regardless of the runtime
-        // cascade toggle. `from_parts` cross-checks them against the
-        // reopened cells.
+        // the store. `from_parts` cross-checks them against the reopened
+        // cells.
         for k in 0..self.full.len() {
             if self.full[k] {
                 let base = level_off(k);
@@ -635,23 +564,18 @@ impl<M: Mem<Cell>> Dictionary for BasicCola<M> {
     fn get(&mut self, key: u64) -> Option<u64> {
         self.stats.searches += 1;
         for k in 0..self.full.len() {
-            if !self.full[k] {
-                continue;
-            }
-            // Cascade fast path: fences and the filter skip the level
+            // `Some` ⇔ full. Fences and the filter skip the level
             // outright (0 transfers); otherwise the ghost sample brackets
             // the probe to a one-stride window.
-            let window = match self.aux.get(k).and_then(Option::as_ref) {
-                Some(aux) if self.cascade => {
-                    if !aux.may_contain(key) {
-                        self.stats.filter_skips += 1;
-                        continue;
-                    }
-                    aux.window(key)
-                }
-                _ => (0, 1usize << k),
+            let Some(aux) = &self.aux[k] else {
+                continue;
             };
-            if let Some(c) = self.search_level_window(k, key, window.0, window.1) {
+            if !aux.may_contain(key) {
+                self.stats.filter_skips += 1;
+                continue;
+            }
+            let (lo, hi) = aux.window(key);
+            if let Some(c) = self.search_level_window(k, key, lo, hi) {
                 return c.as_lookup();
             }
         }

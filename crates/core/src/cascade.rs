@@ -25,7 +25,6 @@
 //! ("Fractional cascading & filters") for the sizing rationale.
 
 use crate::entry::Cell;
-use crate::layout::VebIndex;
 
 /// Ghost-pointer density: one sampled `(key, slot)` per this many slots.
 ///
@@ -34,17 +33,6 @@ use crate::layout::VebIndex;
 /// blocks of 32-byte cells while costing only ~2 bytes of DRAM per
 /// stored cell.
 pub const GHOST_STRIDE: usize = 8;
-
-/// Minimum ghost-sample size for the vEB mirror to engage.
-///
-/// The mirror only changes *where* DRAM probes land, never which blocks
-/// are fetched, so its value is purely a memory-hierarchy effect: a
-/// sample below a few thousand keys sits in L1/L2 where a predicted
-/// branchy binary search wins, while larger samples spill and the
-/// cache-oblivious packing starts paying. Runs below the threshold keep
-/// the flat search even with the toggle on — answers are bit-identical
-/// either way, so this is invisible to everything but the clock.
-pub const VEB_MIN_GHOSTS: usize = 4096;
 
 /// Filter sizing: bits per stored key before rounding the bit-array up
 /// to a power of two. Ten bits with [`FILTER_HASHES`] probes targets the
@@ -153,12 +141,6 @@ pub struct LevelAux {
     pub ghosts: Vec<(u64, usize)>,
     /// Number of slots the aux was built over.
     pub len: usize,
-    /// Optional vEB-packed mirror of the ghost keys: when present,
-    /// [`LevelAux::window`] brackets via branchless cache-oblivious
-    /// probes instead of binary-searching the flat sample. Pure DRAM
-    /// state — results are bit-identical either way, so block-transfer
-    /// counts never depend on it.
-    pub veb: Option<VebIndex>,
 }
 
 impl LevelAux {
@@ -175,16 +157,8 @@ impl LevelAux {
     /// whose key is strictly below it to the first sampled slot whose
     /// key is strictly above. Costs zero block transfers.
     pub fn window(&self, key: u64) -> (usize, usize) {
-        // The vEB mirror (when enabled) and the flat binary search are
-        // interchangeable: both compute the same partition points over
-        // the sampled keys, bit-for-bit.
-        let (lo_idx, hi_idx) = match &self.veb {
-            Some(v) => (v.lower_bound(key), v.upper_bound(key)),
-            None => (
-                self.ghosts.partition_point(|&(k, _)| k < key),
-                self.ghosts.partition_point(|&(k, _)| k <= key),
-            ),
-        };
+        let lo_idx = self.ghosts.partition_point(|&(k, _)| k < key);
+        let hi_idx = self.ghosts.partition_point(|&(k, _)| k <= key);
         let lo = if lo_idx == 0 {
             0
         } else {
@@ -196,39 +170,6 @@ impl LevelAux {
             self.ghosts[hi_idx].1
         };
         (lo, hi)
-    }
-
-    /// Chainable [`LevelAux::set_veb`], for sealing sites that publish a
-    /// freshly finished aux: `builder.finish().with_veb(veb_on)`.
-    pub fn with_veb(mut self, on: bool) -> LevelAux {
-        if on {
-            self.set_veb(true);
-        }
-        self
-    }
-
-    /// Enables or disables the vEB-packed mirror of the ghost sample,
-    /// (re)building it from the in-DRAM sample — no run cells are
-    /// touched, so toggling costs zero block transfers. Engages only at
-    /// [`VEB_MIN_GHOSTS`] samples and above: below it the flat sample is
-    /// already cache-resident and a predicted branchy binary search beats
-    /// the fixed-height branchless descent, so small runs keep the flat
-    /// path even when the toggle is on (results are bit-identical either
-    /// way).
-    pub fn set_veb(&mut self, on: bool) {
-        self.set_veb_min(on, VEB_MIN_GHOSTS)
-    }
-
-    /// [`LevelAux::set_veb`] with an explicit engagement threshold.
-    /// Tests pass 0 to force the mirror onto small samples; production
-    /// sites go through `set_veb`.
-    pub fn set_veb_min(&mut self, on: bool, min_ghosts: usize) {
-        if on && self.ghosts.len() >= min_ghosts {
-            let keys: Vec<u64> = self.ghosts.iter().map(|&(k, _)| k).collect();
-            self.veb = Some(VebIndex::build(&keys));
-        } else {
-            self.veb = None;
-        }
     }
 
     /// Validates internal consistency (fence ordering, sample ordering
@@ -247,11 +188,6 @@ impl LevelAux {
             if pos >= self.len {
                 return Err(format!("ghost slot {pos} past run length {}", self.len));
             }
-        }
-        if let Some(v) = &self.veb {
-            let keys: Vec<u64> = self.ghosts.iter().map(|&(k, _)| k).collect();
-            v.check_against(&keys)
-                .map_err(|e| format!("vEB ghost mirror: {e}"))?;
         }
         Ok(())
     }
@@ -324,9 +260,7 @@ impl AuxBuilder {
         self.pos
     }
 
-    /// Finishes the run's aux. The vEB ghost mirror is *not* built here
-    /// — sealing sites call [`LevelAux::set_veb`] when the structure's
-    /// `veb_layout` toggle is on, so a disabled toggle costs nothing.
+    /// Finishes the run's aux.
     pub fn finish(self) -> LevelAux {
         LevelAux {
             fence_min: self.fence_min,
@@ -334,7 +268,6 @@ impl AuxBuilder {
             filter: self.filter,
             ghosts: self.ghosts,
             len: self.pos,
-            veb: None,
         }
     }
 }
@@ -508,62 +441,6 @@ mod tests {
         assert_eq!(inc.fence_max, one_shot.fence_max);
         assert_eq!(inc.ghosts, one_shot.ghosts);
         assert_eq!(inc.filter, one_shot.filter);
-    }
-
-    #[test]
-    fn veb_window_is_bit_identical_to_flat() {
-        for seed in 0..6u64 {
-            let cells = sorted_cells(900 + seed as usize * 131, 0x7EB + seed);
-            let flat = build_aux(cells.iter());
-            let mut veb = flat.clone();
-            // Threshold 0: force the mirror onto a sample far below
-            // VEB_MIN_GHOSTS so the equivalence claim is actually probed.
-            veb.set_veb_min(true, 0);
-            assert!(veb.veb.is_some());
-            assert!(veb.check().is_ok());
-            for c in &cells {
-                assert_eq!(veb.window(c.key), flat.window(c.key));
-            }
-            let mut rng = Rng::new(seed);
-            for _ in 0..500 {
-                let k = rng.below(1 << 41);
-                assert_eq!(veb.window(k), flat.window(k), "seed {seed} key {k}");
-            }
-            veb.set_veb(false);
-            assert!(veb.veb.is_none());
-        }
-    }
-
-    #[test]
-    fn check_rejects_stale_veb_mirror() {
-        let cells = sorted_cells(300, 9);
-        let mut aux = build_aux(cells.iter());
-        aux.set_veb_min(true, 0);
-        assert!(aux.check().is_ok());
-        // A mirror built over the wrong keys is self-consistent but must
-        // still fail the cross-check against the live ghost sample.
-        let mut wrong: Vec<u64> = aux.ghosts.iter().map(|&(k, _)| k).collect();
-        *wrong.last_mut().unwrap() += 1;
-        aux.veb = Some(crate::layout::VebIndex::build(&wrong));
-        assert!(aux.check().is_err(), "stale vEB mirror rejected");
-    }
-
-    #[test]
-    fn veb_mirror_engages_only_at_threshold() {
-        // Below VEB_MIN_GHOSTS the toggle is a no-op (flat search is
-        // already cache-resident); at or above it the mirror builds.
-        let small = sorted_cells(VEB_MIN_GHOSTS * GHOST_STRIDE / 2, 3);
-        let mut aux = build_aux(small.iter());
-        aux.set_veb(true);
-        assert!(aux.veb.is_none(), "sub-threshold sample stays flat");
-        let big = sorted_cells(VEB_MIN_GHOSTS * GHOST_STRIDE, 4);
-        let mut aux = build_aux(big.iter());
-        assert!(aux.ghosts.len() >= VEB_MIN_GHOSTS);
-        aux.set_veb(true);
-        assert!(aux.veb.is_some(), "threshold sample builds the mirror");
-        assert!(aux.check().is_ok());
-        aux.set_veb(false);
-        assert!(aux.veb.is_none());
     }
 
     #[test]

@@ -47,8 +47,8 @@ pub struct Run<'a> {
     pub len: usize,
     /// The cascade aux built over exactly these `len` cells, if the
     /// structure keeps one: its ghost sample brackets every seek to two
-    /// strides. `None` (cascade off, or an aux mid-rebuild) means a full
-    /// binary search; an aux of another length is ignored.
+    /// strides. `None` (a caller with bare runs) means a full binary
+    /// search; an aux of another length is ignored.
     pub aux: Option<&'a LevelAux>,
 }
 

@@ -125,28 +125,19 @@ pub struct DeamortCola<M: Mem<Cell>> {
     mem: M,
     /// `arrs[k][a]`, three per level (level 0 uses the first two).
     arrs: Vec<[Arr; 3]>,
-    /// In-progress work of unsafe levels.
-    phase: Vec<Option<Phase>>,
+    /// In-progress work of unsafe levels, each with the aux builder of
+    /// the array it is writing: fed one cell per budgeted move and
+    /// published when that array settles, so the accelerator respects
+    /// the deamortized per-insert move bound.
+    phase: Vec<Option<(Phase, AuxBuilder)>>,
     n: u64,
     seq: u64,
     stats: ColaStats,
     max_moves: u64,
-    /// Per-array read accelerators, `aux[k][a]` in lockstep with `arrs`.
-    /// Present for arrays with settled content while `cascade` is on;
-    /// cleared the moment an array becomes an incremental write target.
+    /// Per-array read accelerators, `aux[k][a]` in lockstep with `arrs`:
+    /// `Some` exactly for occupied arrays with settled content, cleared
+    /// the moment an array becomes an incremental write target.
     aux: Vec<[Option<LevelAux>; 3]>,
-    /// Incremental aux builder for each level's in-flight phase, fed one
-    /// cell per budgeted move and published when the phase's output
-    /// array settles — the accelerator respects the deamortized
-    /// per-insert move bound.
-    phase_aux: Vec<Option<AuxBuilder>>,
-    /// Whether searches use the cascade accelerators; the pre-cascade
-    /// full-binary-search path stays behind this toggle for differential
-    /// testing ([`DeamortCola::set_cascade`]).
-    cascade: bool,
-    /// Whether array auxes carry a vEB-packed mirror of their ghost
-    /// sample ([`DeamortCola::set_veb_layout`]); off by default.
-    veb: bool,
     /// Staging for the rebuild scans, which reach `mem` as run-level
     /// calls.
     scratch: RunBuf,
@@ -190,88 +181,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             stats: ColaStats::default(),
             max_moves: 0,
             aux: vec![[None, None, None]],
-            phase_aux: vec![None],
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
         }
-    }
-
-    /// Enables or disables the cascade read path (fences, filters, ghost
-    /// windows). On by default; turning it off restores the pre-cascade
-    /// full binary search per array — kept for differential tests and
-    /// benchmarks. Re-enabling rebuilds the accelerators for settled
-    /// arrays; an array mid-phase at that moment gets its aux rebuilt
-    /// when its phase completes.
-    pub fn set_cascade(&mut self, enabled: bool) {
-        if enabled == self.cascade {
-            return;
-        }
-        self.cascade = enabled;
-        for k in 0..self.arrs.len() {
-            self.phase_aux[k] = None;
-            for a in 0..3 {
-                if enabled && self.arrs[k][a].len > 0 && !self.mid_phase(k, a) {
-                    self.rebuild_aux(k, a);
-                } else {
-                    self.aux[k][a] = None;
-                }
-            }
-        }
-    }
-
-    /// Whether the cascade read path is active.
-    pub fn cascade_enabled(&self) -> bool {
-        self.cascade
-    }
-
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way, so the toggle can flip freely, including across
-    /// reopens and mid-phase: settled arrays rebuild their mirrors from
-    /// the in-DRAM samples now, and an in-flight phase picks up the
-    /// current flag when it publishes.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flat_map(|s| s.iter_mut()).flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
-    }
-
-    /// Whether array `(k, a)` is the in-flight write target of some
-    /// phase, i.e. its bookkeeping and cells are mid-rewrite.
-    fn mid_phase(&self, k: usize, a: usize) -> bool {
-        let is_merge_dst = k >= 1
-            && self.phase[k - 1]
-                .as_ref()
-                .is_some_and(|p| matches!(p, Phase::Merge { dst, .. } if *dst == a));
-        let is_copy_target = self.phase[k]
-            .as_ref()
-            .is_some_and(|p| matches!(p, Phase::CopyPtrs { to, .. } if *to == a));
-        is_merge_dst || is_copy_target
-    }
-
-    /// Rebuilds the aux for array `(k, a)` by scanning its occupied run
-    /// (used on reopen and when an array settles without an incremental
-    /// builder; phases normally build the aux inline).
-    fn rebuild_aux(&mut self, k: usize, a: usize) {
-        let ar = self.arrs[k][a];
-        if ar.len == 0 {
-            self.aux[k][a] = None;
-            return;
-        }
-        let aux = self
-            .scratch
-            .scan_aux(&self.mem, arr_off(k, a) + ar.start, ar.len);
-        self.aux[k][a] = Some(aux.with_veb(self.veb));
     }
 
     /// Number of insert operations performed.
@@ -304,7 +215,6 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             self.arrs.push([Arr::empty(), Arr::empty(), Arr::empty()]);
             self.phase.push(None);
             self.aux.push([None, None, None]);
-            self.phase_aux.push(None);
         }
         let need = arr_off(self.arrs.len(), 0);
         if self.mem.len() < need {
@@ -368,8 +278,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         // The destination's cells are overwritten incrementally from here
         // on; its aux (stale pointer-run state, if any) must go now.
         self.aux[k + 1][dst] = None;
-        self.phase_aux[k] = self.cascade.then(|| AuxBuilder::new(total));
-        self.phase[k] = Some(Phase::Merge {
+        let merge = Phase::Merge {
             src,
             dst,
             ia: 0,
@@ -378,7 +287,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             w: 0,
             ptrs,
             total,
-        });
+        };
+        self.phase[k] = Some((merge, AuxBuilder::new(total)));
         self.stats.merges += 1;
     }
 
@@ -416,9 +326,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
     /// Advances level `k`'s work by at most `budget`; returns moves spent.
     fn step(&mut self, k: usize, budget: u64) -> u64 {
         let mut spent = 0u64;
-        let mut phase = match self.phase[k].take() {
-            Some(p) => p,
-            None => return 0,
+        let Some((mut phase, mut aux)) = self.phase[k].take() else {
+            return 0;
         };
         loop {
             match &mut phase {
@@ -482,11 +391,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                             _ => unreachable!(),
                         };
                         self.mem.set(out_base + *w, cell);
-                        // Feed the destination's incremental aux builder
-                        // (O(1) per move, within the deamortized budget).
-                        if let Some(builder) = self.phase_aux[k].as_mut() {
-                            builder.push(&cell);
-                        }
+                        aux.push(&cell);
                         *w += 1;
                         spent += 1;
                         self.stats.cells_written += 1;
@@ -503,18 +408,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                     d.seq = s0.seq.max(s1.seq);
                     d.zombie = false;
                     let dst_arr = *dst;
-                    // Publish the destination's aux. A merge that started
-                    // while the cascade was off has no builder; rebuild by
-                    // scan so the toggle can't leave a settled array
-                    // unaccelerated.
-                    self.aux[k + 1][dst_arr] = match self.phase_aux[k].take() {
-                        Some(builder) => Some(builder.finish().with_veb(self.veb)),
-                        None if self.cascade => {
-                            self.rebuild_aux(k + 1, dst_arr);
-                            self.aux[k + 1][dst_arr].take()
-                        }
-                        None => None,
-                    };
+                    self.aux[k + 1][dst_arr] = Some(aux.finish());
                     if k == 0 {
                         // Level-0 merges complete the chain: the target
                         // becomes visible immediately; level 0's arrays
@@ -526,7 +420,6 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                             self.aux[0][s] = None;
                         }
                         self.make_visible(1, dst_arr);
-                        self.phase[k] = None;
                         return spent;
                     }
                     for &s in src.iter() {
@@ -541,9 +434,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                                 && !self.arrs[k][a].zombie
                         })
                         .expect("no empty shadow to receive pointers");
-                    self.phase_aux[k] = self
-                        .cascade
-                        .then(|| AuxBuilder::new((*total).div_ceil(STRIDE)));
+                    aux = AuxBuilder::new((*total).div_ceil(STRIDE));
                     phase = Phase::CopyPtrs {
                         from: dst_arr,
                         to,
@@ -561,9 +452,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                             let c = self.mem.get(f_base + *i);
                             let ptr = Cell::lookahead(c.key, *i as u64);
                             self.mem.set(to_base + *w, ptr);
-                            if let Some(builder) = self.phase_aux[k].as_mut() {
-                                builder.push(&ptr);
-                            }
+                            aux.push(&ptr);
                             *w += 1;
                             spent += 1;
                             self.stats.cells_written += 1;
@@ -578,21 +467,12 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                     t.len = count;
                     t.items = 0;
                     t.linked_to = Some(*from);
-                    let to_arr = *to;
-                    self.aux[k][to_arr] = match self.phase_aux[k].take() {
-                        Some(builder) => Some(builder.finish().with_veb(self.veb)),
-                        None if self.cascade => {
-                            self.rebuild_aux(k, to_arr);
-                            self.aux[k][to_arr].take()
-                        }
-                        None => None,
-                    };
-                    self.phase[k] = None;
+                    self.aux[k][*to] = Some(aux.finish());
                     return spent;
                 }
             }
         }
-        self.phase[k] = Some(phase);
+        self.phase[k] = Some((phase, aux));
         spent
     }
 
@@ -611,12 +491,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         a.len = 1;
         a.items = 1;
         a.seq = self.seq;
-        let veb = self.veb;
-        self.aux[0][side] = self.cascade.then(|| {
-            let mut b = AuxBuilder::new(1);
-            b.push(&cell);
-            b.finish().with_veb(veb)
-        });
+        self.aux[0][side] = Some(crate::cascade::build_aux([cell].iter()));
         self.stats.cells_written += 1;
 
         // Mover: trigger due merges lazily (skipping levels whose
@@ -663,20 +538,16 @@ impl<M: Mem<Cell>> DeamortCola<M> {
     fn search_array(&mut self, k: usize, a: usize, key: u64) -> Option<Cell> {
         let ar = self.arrs[k][a];
         let base = arr_off(k, a) + ar.start;
-        // Cascade fast path: fences and the filter skip the array
-        // outright (0 cell reads); otherwise the ghost sample brackets
-        // the probe. An array without aux (settled while the cascade was
-        // off) falls back to the full binary search.
-        let (mut lo, mut hi) = match &self.aux[k][a] {
-            Some(aux) if self.cascade => {
-                if !aux.may_contain(key) {
-                    self.stats.filter_skips += 1;
-                    return None;
-                }
-                aux.window(key)
-            }
-            _ => (0, ar.len),
-        };
+        // Fences and the filter skip the array outright (0 cell reads);
+        // otherwise the ghost sample brackets the probe.
+        let aux = self.aux[k][a]
+            .as_ref()
+            .expect("a visible array has its aux");
+        if !aux.may_contain(key) {
+            self.stats.filter_skips += 1;
+            return None;
+        }
+        let (mut lo, mut hi) = aux.window(key);
         while lo < hi {
             let mid = (lo + hi) / 2;
             self.stats.cells_scanned += 1;
@@ -798,9 +669,6 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             stats: ColaStats::default(),
             max_moves: 0,
             aux: vec![[None, None, None]; count],
-            phase_aux: (0..count).map(|_| None).collect(),
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
         };
         // v2: cross-check the persisted run fence keys against the
@@ -822,13 +690,12 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                          with stored cells ({got_first}, {got_last})"
                     )));
                 }
-                cola.rebuild_aux(k, a);
-                let rebuilt = cola.aux[k][a]
-                    .as_ref()
-                    .expect("occupied array just rebuilt");
+                // Phases build the aux inline; a reopen scans.
+                let rebuilt = cola.scratch.scan_aux(&cola.mem, base, ar.len);
                 rebuilt.check().map_err(|e| {
                     MetaError::Invalid(format!("level {k} array {a} cascade state: {e}"))
                 })?;
+                cola.aux[k][a] = Some(rebuilt);
             }
         }
         Ok(cola)
@@ -865,11 +732,11 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                 // updated, so mid-operation their slots legitimately mix
                 // old and new content: skip content checks for those.
                 let is_dst = k >= 1
-                    && self.phase[k - 1].as_ref().is_some_and(|p| match p {
+                    && self.phase[k - 1].as_ref().is_some_and(|(p, _)| match p {
                         Phase::Merge { dst, .. } => *dst == a,
                         Phase::CopyPtrs { from, .. } => *from == a,
                     });
-                let is_copy_target = self.phase[k].as_ref().is_some_and(|p| match p {
+                let is_copy_target = self.phase[k].as_ref().is_some_and(|(p, _)| match p {
                     Phase::CopyPtrs { to, .. } => *to == a,
                     Phase::Merge { .. } => false,
                 });
@@ -892,25 +759,16 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                 }
                 assert_eq!(items, ar.items, "level {k} array {a} item count");
                 // Cascade state for settled arrays: aux present exactly
-                // when occupied and the toggle is on (modulo arrays that
-                // settled while it was off), internally consistent, and
-                // sized to the occupied run.
+                // when occupied, internally consistent, and sized to the
+                // occupied run.
                 match &self.aux[k][a] {
                     Some(aux) => {
                         assert!(ar.len > 0, "level {k} array {a} empty but has aux");
-                        assert!(self.cascade, "cascade off but level {k} array {a} has aux");
                         aux.check()
                             .unwrap_or_else(|e| panic!("level {k} array {a} aux: {e}"));
                         assert_eq!(aux.len, ar.len, "level {k} array {a} aux length");
                     }
-                    None => {
-                        // A settled occupied array may legitimately lack
-                        // aux only if it settled while the cascade was
-                        // off; with the cascade on since construction
-                        // this would be a staleness bug, but the toggle
-                        // makes it unprovable here — searches fall back
-                        // to the full binary search either way.
-                    }
+                    None => assert_eq!(ar.len, 0, "level {k} array {a} occupied but lacks aux"),
                 }
             }
         }
@@ -935,8 +793,7 @@ impl<M: Mem<Cell>> Persist for DeamortCola<M> {
             }
         }
         // v2: each occupied array's run fence keys (its first and last
-        // occupied cell), read O(1) from the store so the record is
-        // valid regardless of the runtime cascade toggle. `from_parts`
+        // occupied cell), read O(1) from the store. `from_parts`
         // cross-checks them against the reopened cells.
         for (k, level) in self.arrs.iter().enumerate() {
             for (a, arr) in level.iter().enumerate() {

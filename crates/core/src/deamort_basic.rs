@@ -44,7 +44,7 @@ enum ArrState {
 }
 
 /// In-progress merge of level `k`'s two arrays into `dst` at level `k+1`.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct MergeState {
     dst_side: Side,
     /// Consumed prefix of source arrays 0 and 1.
@@ -52,6 +52,10 @@ struct MergeState {
     ib: usize,
     /// Cells written to the destination.
     w: usize,
+    /// The destination's aux, fed one cell per budgeted move and
+    /// published when the array commits — the accelerator respects the
+    /// deamortized per-insert move bound.
+    aux: AuxBuilder,
 }
 
 /// Deamortized basic COLA over any [`Mem`] backend.
@@ -68,19 +72,8 @@ pub struct DeamortBasicCola<M: Mem<Cell>> {
     /// Largest number of cells moved by a single insert's mover pass.
     max_moves: u64,
     /// Per-array read accelerators, `aux[k][side]` in lockstep with
-    /// `state` — `Some` exactly for `Full` arrays while `cascade` is on.
+    /// `state` — `Some` exactly for `Full` arrays.
     aux: Vec<[Option<LevelAux>; 2]>,
-    /// Incremental aux builders for in-flight merges, fed one cell per
-    /// budgeted move and published when the destination array commits —
-    /// the accelerator respects the deamortized per-insert move bound.
-    merge_aux: Vec<Option<AuxBuilder>>,
-    /// Whether searches use the cascade accelerators; the pre-cascade
-    /// full-binary-search path stays behind this toggle for differential
-    /// testing ([`DeamortBasicCola::set_cascade`]).
-    cascade: bool,
-    /// Whether array auxes carry a vEB-packed mirror of their ghost
-    /// sample ([`DeamortBasicCola::set_veb_layout`]); off by default.
-    veb: bool,
     /// Staging for the rebuild scans, which reach `mem` as run-level
     /// calls.
     scratch: RunBuf,
@@ -113,68 +106,8 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             stats: ColaStats::default(),
             max_moves: 0,
             aux: vec![[None, None]],
-            merge_aux: vec![None],
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
         }
-    }
-
-    /// Enables or disables the cascade read path (fences, filters, ghost
-    /// windows). On by default; turning it off restores the pre-cascade
-    /// full binary search per array — kept for differential tests and
-    /// benchmarks. Re-enabling rebuilds the accelerators for committed
-    /// arrays; an array mid-merge at that moment gets its aux rebuilt
-    /// when it commits.
-    pub fn set_cascade(&mut self, enabled: bool) {
-        if enabled == self.cascade {
-            return;
-        }
-        self.cascade = enabled;
-        for k in 0..self.state.len() {
-            self.merge_aux[k] = None;
-            for side in 0..2 {
-                if enabled && matches!(self.state[k][side], ArrState::Full { .. }) {
-                    self.rebuild_aux(k, side);
-                } else {
-                    self.aux[k][side] = None;
-                }
-            }
-        }
-    }
-
-    /// Whether the cascade read path is active.
-    pub fn cascade_enabled(&self) -> bool {
-        self.cascade
-    }
-
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way, so the toggle can flip freely, including across
-    /// reopens and mid-merge: committed arrays rebuild their mirrors
-    /// from the in-DRAM samples now, and an in-flight merge picks up
-    /// the current flag when it commits.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flat_map(|s| s.iter_mut()).flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
-    }
-
-    /// Rebuilds the aux for array `(k, side)` by scanning its cells
-    /// (used on reopen and when an array commits without an incremental
-    /// builder; merges normally build the aux inline).
-    fn rebuild_aux(&mut self, k: usize, side: Side) {
-        let aux = self.scratch.scan_aux(&self.mem, arr_off(k, side), 1 << k);
-        self.aux[k][side] = Some(aux.with_veb(self.veb));
     }
 
     /// Number of insert operations performed.
@@ -208,7 +141,6 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             self.state.push([ArrState::Empty; 2]);
             self.merges.push(None);
             self.aux.push([None, None]);
-            self.merge_aux.push(None);
         }
         let need = arr_off(self.state.len(), 0);
         if self.mem.len() < need {
@@ -228,17 +160,16 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             ia: 0,
             ib: 0,
             w: 0,
+            aux: AuxBuilder::new(1 << (k + 1)),
         });
-        self.merge_aux[k] = self.cascade.then(|| AuxBuilder::new(1 << (k + 1)));
         self.stats.merges += 1;
     }
 
     /// Advances level `k`'s merge by at most `budget` moves; returns moves
     /// spent. Sources stay intact (readable) until commit.
     fn step_merge(&mut self, k: usize, budget: u64) -> u64 {
-        let mut ms = match self.merges[k] {
-            Some(ms) => ms,
-            None => return 0,
+        let Some(mut ms) = self.merges[k].take() else {
+            return 0;
         };
         let len = 1usize << k;
         // Tie-break: the newer source wins equal keys.
@@ -270,11 +201,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                 v
             };
             self.mem.set(dst_base + ms.w, v);
-            // Feed the destination's incremental aux builder (O(1) per
-            // move, so the deamortized budget is respected).
-            if let Some(builder) = self.merge_aux[k].as_mut() {
-                builder.push(&v);
-            }
+            ms.aux.push(&v);
             ms.w += 1;
             spent += 1;
             self.stats.cells_written += 1;
@@ -287,18 +214,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             self.state[k][1] = ArrState::Empty;
             self.aux[k][0] = None;
             self.aux[k][1] = None;
-            self.merges[k] = None;
-            // Publish the destination's aux. A merge that started while
-            // the cascade was off has no builder; rebuild by scan so the
-            // toggle can't leave a committed array unaccelerated.
-            self.aux[k + 1][ms.dst_side] = match self.merge_aux[k].take() {
-                Some(builder) => Some(builder.finish().with_veb(self.veb)),
-                None if self.cascade => {
-                    self.rebuild_aux(k + 1, ms.dst_side);
-                    self.aux[k + 1][ms.dst_side].take()
-                }
-                None => None,
-            };
+            self.aux[k + 1][ms.dst_side] = Some(ms.aux.finish());
             // The commit may have made level k+1 unsafe.
             self.maybe_mark_unsafe(k + 1);
         } else {
@@ -327,12 +243,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             .expect("level 0 has no free array: mover fell behind");
         self.mem.set(arr_off(0, side), cell);
         self.state[0][side] = ArrState::Full { seq: self.seq };
-        let veb = self.veb;
-        self.aux[0][side] = self.cascade.then(|| {
-            let mut b = AuxBuilder::new(1);
-            b.push(&cell);
-            b.finish().with_veb(veb)
-        });
+        self.aux[0][side] = Some(crate::cascade::build_aux([cell].iter()));
         self.stats.cells_written += 1;
         self.maybe_mark_unsafe(0);
 
@@ -356,20 +267,16 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
     fn search_array(&mut self, k: usize, side: Side, key: u64) -> Option<Cell> {
         let base = arr_off(k, side);
         let len = 1usize << k;
-        // Cascade fast path: fences and the filter skip the array
-        // outright (0 cell reads); otherwise the ghost sample brackets
-        // the probe. An array without aux (merge committed while the
-        // cascade was off) falls back to the full binary search.
-        let (mut lo, mut hi) = match &self.aux[k][side] {
-            Some(aux) if self.cascade => {
-                if !aux.may_contain(key) {
-                    self.stats.filter_skips += 1;
-                    return None;
-                }
-                aux.window(key)
-            }
-            _ => (0, len),
-        };
+        // Fences and the filter skip the array outright (0 cell reads);
+        // otherwise the ghost sample brackets the probe.
+        let aux = self.aux[k][side]
+            .as_ref()
+            .expect("a full array has its aux");
+        if !aux.may_contain(key) {
+            self.stats.filter_skips += 1;
+            return None;
+        }
+        let (mut lo, mut hi) = aux.window(key);
         while lo < hi {
             let mid = (lo + hi) / 2;
             self.stats.cells_scanned += 1;
@@ -471,9 +378,6 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             stats: ColaStats::default(),
             max_moves: 0,
             aux: vec![[None, None]; count],
-            merge_aux: (0..count).map(|_| None).collect(),
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
         };
         // v2: rebuild each full array's cascade accelerators from the
@@ -485,8 +389,8 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                 let Some((min, max)) = *fence else {
                     continue;
                 };
-                cola.rebuild_aux(k, side);
-                let rebuilt = cola.aux[k][side].as_ref().expect("just rebuilt");
+                // Merges build the aux inline; a reopen scans.
+                let rebuilt = cola.scratch.scan_aux(&cola.mem, arr_off(k, side), 1 << k);
                 rebuilt.check().map_err(|e| {
                     MetaError::Invalid(format!("level {k} side {side} cascade state: {e}"))
                 })?;
@@ -497,6 +401,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                         rebuilt.fence_min, rebuilt.fence_max
                     )));
                 }
+                cola.aux[k][side] = Some(rebuilt);
             }
         }
         Ok(cola)
@@ -512,7 +417,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             );
         }
         for k in 0..self.state.len() {
-            if let Some(ms) = self.merges[k] {
+            if let Some(ms) = &self.merges[k] {
                 assert!(
                     self.state[k + 1][ms.dst_side] == ArrState::Filling,
                     "merge destination not marked filling"
@@ -537,23 +442,19 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                 }
             }
         }
-        // Cascade state: aux only on full arrays and only while the
-        // toggle is on, internally consistent, and agreeing with the
-        // stored cells' fence keys. (A full array may lack aux if its
-        // merge committed while the cascade was off — searches fall
-        // back to the full binary search there.)
+        // Cascade state: aux present exactly for full arrays,
+        // internally consistent, and agreeing with the stored cells'
+        // fence keys.
         assert_eq!(self.aux.len(), self.state.len(), "aux out of lockstep");
         for k in 0..self.state.len() {
             for side in 0..2 {
+                let full = matches!(self.state[k][side], ArrState::Full { .. });
+                assert_eq!(
+                    self.aux[k][side].is_some(),
+                    full,
+                    "level {k} side {side}: aux present ⇔ full"
+                );
                 if let Some(aux) = &self.aux[k][side] {
-                    assert!(
-                        matches!(self.state[k][side], ArrState::Full { .. }),
-                        "level {k} side {side} not full but has cascade aux"
-                    );
-                    assert!(
-                        self.cascade,
-                        "cascade off but level {k} side {side} has aux"
-                    );
                     aux.check()
                         .unwrap_or_else(|e| panic!("level {k} side {side} aux: {e}"));
                     assert_eq!(aux.len, 1usize << k, "level {k} side {side} aux length");
@@ -592,8 +493,7 @@ impl<M: Mem<Cell>> Persist for DeamortBasicCola<M> {
         }
         // v2: each full array's fence keys (its first and last cell —
         // every cell in a committed array is non-redundant), read O(1)
-        // from the store so the record is valid regardless of the
-        // runtime cascade toggle.
+        // from the store.
         for k in 0..self.state.len() {
             for side in 0..2 {
                 if matches!(self.state[k][side], ArrState::Full { .. }) {

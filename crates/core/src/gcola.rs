@@ -84,19 +84,10 @@ pub struct GCola<M: Mem<Cell>> {
     n: u64,
     stats: ColaStats,
     /// Per-level read accelerators (fences, filter, ghost sample) in
-    /// lockstep with `levels` — `Some` exactly for occupied levels while
-    /// `cascade` is on. Every level rewrite goes through
-    /// [`GCola::write_level`], which rebuilds the level's aux inline, so
-    /// it can never go stale.
+    /// lockstep with `levels` — `Some` exactly for occupied levels.
+    /// Every level rewrite goes through [`GCola::write_level`], which
+    /// rebuilds the level's aux inline, so it can never go stale.
     aux: Vec<Option<LevelAux>>,
-    /// Whether searches use the out-of-band cascade accelerators on top
-    /// of the paper's in-array lookahead pointers. The pointer-only
-    /// search path is kept behind this toggle for differential testing
-    /// ([`GCola::set_cascade`]).
-    cascade: bool,
-    /// Whether level auxes carry a vEB-packed mirror of their ghost
-    /// sample ([`GCola::set_veb_layout`]); off by default.
-    veb: bool,
     /// Staging for the contiguous sweeps (level reads, level rewrites,
     /// rebuild scans), which reach `mem` as run-level calls.
     scratch: RunBuf,
@@ -129,59 +120,12 @@ impl<M: Mem<Cell>> GCola<M> {
             n: 0,
             stats: ColaStats::default(),
             aux: Vec::new(),
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
             merge: MergeBuf::default(),
             spare_aux: Vec::new(),
         };
         this.push_level();
         this
-    }
-
-    /// Enables or disables the cascade read path (fences, filters, ghost
-    /// windows layered over the in-array lookahead pointers). On by
-    /// default; turning it off restores the pointer-only search — kept
-    /// for differential tests and benchmarks. Re-enabling rebuilds the
-    /// accelerators from the stored cells.
-    pub fn set_cascade(&mut self, enabled: bool) {
-        if enabled == self.cascade {
-            return;
-        }
-        self.cascade = enabled;
-        for l in 0..self.levels.len() {
-            if enabled && self.levels[l].occ() > 0 {
-                self.rebuild_aux(l);
-            } else {
-                self.aux[l] = None;
-            }
-        }
-    }
-
-    /// Whether the cascade read path is active.
-    pub fn cascade_enabled(&self) -> bool {
-        self.cascade
-    }
-
-    /// Enables or disables the vEB-packed ghost mirrors (off by
-    /// default). Search results and block-transfer counts are identical
-    /// either way — the mirror only changes how the DRAM-resident ghost
-    /// sample is probed — so the toggle can flip freely, including
-    /// across reopens. Flipping rebuilds the mirrors from the in-DRAM
-    /// samples without touching any stored cell.
-    pub fn set_veb_layout(&mut self, enabled: bool) {
-        if enabled == self.veb {
-            return;
-        }
-        self.veb = enabled;
-        for aux in self.aux.iter_mut().flatten() {
-            aux.set_veb(enabled);
-        }
-    }
-
-    /// Whether the vEB ghost mirrors are active.
-    pub fn veb_layout_enabled(&self) -> bool {
-        self.veb
     }
 
     /// The COLA of Lemma 20: growth factor 2 with lookahead pointers
@@ -304,8 +248,6 @@ impl<M: Mem<Cell>> GCola<M> {
             n,
             stats: ColaStats::default(),
             aux,
-            cascade: true,
-            veb: false,
             scratch: RunBuf::new(),
             merge: MergeBuf::default(),
             spare_aux: Vec::new(),
@@ -328,11 +270,12 @@ impl<M: Mem<Cell>> GCola<M> {
                          cells ({got_first}, {got_last})"
                     )));
                 }
-                cola.rebuild_aux(l);
-                let rebuilt = cola.aux[l].as_ref().expect("occupied level just rebuilt");
+                // Level rewrites build the aux inline; a reopen scans.
+                let rebuilt = cola.scratch.scan_aux(&cola.mem, base, lv.occ());
                 rebuilt
                     .check()
                     .map_err(|e| MetaError::Invalid(format!("level {l} cascade state: {e}")))?;
+                cola.aux[l] = Some(rebuilt);
             }
         }
         Ok(cola)
@@ -359,20 +302,6 @@ impl<M: Mem<Cell>> GCola<M> {
         });
         self.aux.push(None);
         self.mem.resize(off + cap + red_cap, Cell::default());
-    }
-
-    /// Rebuilds level `l`'s cascade aux by scanning its occupied run
-    /// (used on reopen and when re-enabling the cascade; level rewrites
-    /// build the aux inline instead).
-    fn rebuild_aux(&mut self, l: usize) {
-        let lv = self.levels[l];
-        let occ = lv.occ();
-        if occ == 0 {
-            self.aux[l] = None;
-            return;
-        }
-        let aux = self.scratch.scan_aux(&self.mem, lv.run_base(), occ);
-        self.aux[l] = Some(aux.with_veb(self.veb));
     }
 
     /// Reads level ℓ's occupied run, passing its real cells to `f`.
@@ -422,7 +351,7 @@ impl<M: Mem<Cell>> GCola<M> {
         // aux lends it its allocations, by way of `spare_aux` when the
         // level sits empty in between.
         let retired = self.aux[l].take().filter(|a| a.len <= RETAIN_CELLS);
-        let mut aux_builder = if self.cascade && occ > 0 {
+        let mut aux_builder = if occ > 0 {
             let retired = retired.or_else(|| self.spare_aux.pop());
             Some(AuxBuilder::recycling(occ, retired))
         } else {
@@ -458,8 +387,7 @@ impl<M: Mem<Cell>> GCola<M> {
         self.stats.cells_written += occ as u64;
         self.levels[l].items = items;
         self.levels[l].reds = las.len();
-        let veb = self.veb;
-        self.aux[l] = aux_builder.map(|b| b.finish().with_veb(veb));
+        self.aux[l] = aux_builder.map(AuxBuilder::finish);
     }
 
     /// Rewrites levels `t−1..0`, emptied of items, as the lookahead
@@ -543,12 +471,14 @@ impl<M: Mem<Cell>> GCola<M> {
 
     /// Searches level `l` for `key` within run positions `[wlo, whi)`.
     /// Returns the found real cell (leftmost = newest) and the window for
-    /// the next level.
+    /// the next level. `cascade = false` ignores the level's aux: the
+    /// paper's pointer-only probe ([`GCola::get_plain`]).
     fn search_level(
         &mut self,
         l: usize,
         key: u64,
         window: Option<(usize, usize)>,
+        cascade: bool,
     ) -> (Option<Cell>, Option<(usize, usize)>) {
         let lv = self.levels[l];
         let occ = lv.occ();
@@ -566,16 +496,14 @@ impl<M: Mem<Cell>> GCola<M> {
         // Skipping breaks the pointer chain into the next level, but
         // every level carries its own ghost sample, so the next search
         // is still bracketed.
-        if self.cascade {
-            if let Some(aux) = self.aux.get(l).and_then(Option::as_ref) {
-                if !aux.may_contain(key) {
-                    self.stats.filter_skips += 1;
-                    return (None, None);
-                }
-                let (alo, ahi) = aux.window(key);
-                lo = lo.max(alo);
-                hi = hi.min(ahi);
+        if let Some(aux) = self.aux[l].as_ref().filter(|_| cascade) {
+            if !aux.may_contain(key) {
+                self.stats.filter_skips += 1;
+                return (None, None);
             }
+            let (alo, ahi) = aux.window(key);
+            lo = lo.max(alo);
+            hi = hi.min(ahi);
         }
         // Leftmost position in [lo, hi) with key >= target.
         while lo < hi {
@@ -644,11 +572,20 @@ impl<M: Mem<Cell>> GCola<M> {
         (None, Some((next_lo, next_hi)))
     }
 
-    fn get_impl(&mut self, key: u64) -> Option<u64> {
+    /// The paper's Lemma 20 search: each level probed inside the window
+    /// its predecessor's in-array lookahead pointers bracket, with no
+    /// fences, filter or ghost sample. Same answers as
+    /// [`Dictionary::get`]; kept as the reference the cascade is tested
+    /// and costed against.
+    pub fn get_plain(&mut self, key: u64) -> Option<u64> {
+        self.get_impl(key, false)
+    }
+
+    fn get_impl(&mut self, key: u64, cascade: bool) -> Option<u64> {
         self.stats.searches += 1;
         let mut window: Option<(usize, usize)> = None;
         for l in 0..self.levels.len() {
-            let (found, next) = self.search_level(l, key, window);
+            let (found, next) = self.search_level(l, key, window, cascade);
             if let Some(c) = found {
                 return c.as_lookup();
             }
@@ -728,24 +665,18 @@ impl<M: Mem<Cell>> GCola<M> {
             assert_eq!(items_seen, lv.items, "level {l} item count");
             assert_eq!(reds_seen, lv.reds, "level {l} red count");
         }
-        let _ = total_items;
-        // Cascade state: aux present exactly for occupied levels while
-        // the toggle is on, internally consistent, and agreeing with
-        // the stored run's fence keys.
+        assert_eq!(total_items, self.physical_len());
+        // Cascade state: aux present exactly for occupied levels,
+        // internally consistent, and agreeing with the stored run's
+        // fence keys.
         assert_eq!(self.aux.len(), self.levels.len(), "aux out of lockstep");
         for (l, lv) in self.levels.iter().enumerate() {
             let occ = lv.occ();
             match &self.aux[l] {
                 Some(aux) => {
                     assert!(occ > 0, "level {l} empty but has cascade aux");
-                    assert!(self.cascade, "cascade off but level {l} has aux");
                     aux.check().unwrap_or_else(|e| panic!("level {l} aux: {e}"));
                     assert_eq!(aux.len, occ, "level {l} aux length");
-                    assert_eq!(
-                        aux.veb.is_some(),
-                        self.veb,
-                        "level {l} vEB mirror out of lockstep with the toggle"
-                    );
                     if lv.items > 0 {
                         let base = lv.run_base();
                         let keys: Vec<u64> = (0..occ)
@@ -760,12 +691,7 @@ impl<M: Mem<Cell>> GCola<M> {
                         );
                     }
                 }
-                None => {
-                    assert!(
-                        occ == 0 || !self.cascade,
-                        "cascade on but occupied level {l} lacks aux"
-                    );
-                }
+                None => assert_eq!(occ, 0, "occupied level {l} lacks aux"),
             }
         }
     }
@@ -787,8 +713,7 @@ impl<M: Mem<Cell>> Persist for GCola<M> {
                 .usize(lv.reds);
         }
         // v2: each occupied level's run fence keys (its first and last
-        // occupied cell), read O(1) from the store so the record is
-        // valid regardless of the runtime cascade toggle. `from_parts`
+        // occupied cell), read O(1) from the store. `from_parts`
         // cross-checks them against the reopened cells before
         // rebuilding the cascade accelerators.
         for lv in &self.levels {
@@ -813,7 +738,7 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
     }
 
     fn get(&mut self, key: u64) -> Option<u64> {
-        self.get_impl(key)
+        self.get_impl(key, true)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
@@ -1013,10 +938,6 @@ mod tests {
         let n = (1u64 << 15) - 1;
         let mut with = plain(2, 0.125);
         let mut without = plain(2, 0.0);
-        // Isolate the paper's in-array pointers: the out-of-band ghost
-        // windows would otherwise bracket both structures equally.
-        with.set_cascade(false);
-        without.set_cascade(false);
         for i in 0..n {
             let k = i.wrapping_mul(0x9E3779B97F4A7C15) | 1;
             with.insert(k, i);
@@ -1025,14 +946,16 @@ mod tests {
         let probes: Vec<u64> = (0..2000u64)
             .map(|i| i.wrapping_mul(0x9E3779B97F4A7C15) & !1)
             .collect();
+        // `get_plain` isolates the paper's in-array pointers: the ghost
+        // windows would otherwise bracket both structures equally.
         let s0 = with.stats().cells_scanned;
         for &k in &probes {
-            with.get(k);
+            with.get_plain(k);
         }
         let scanned_with = with.stats().cells_scanned - s0;
         let s0 = without.stats().cells_scanned;
         for &k in &probes {
-            without.get(k);
+            without.get_plain(k);
         }
         let scanned_without = without.stats().cells_scanned - s0;
         // Comparisons drop noticeably (the asymptotic win — O(1) vs
@@ -1042,6 +965,41 @@ mod tests {
         assert!(
             scanned_with * 5 < scanned_without * 4,
             "lookahead should cut scanning: {scanned_with} vs {scanned_without}"
+        );
+    }
+
+    /// The cascade against its reference: `get` and `get_plain` agree on
+    /// every probe of a mixed stream — live keys, upserted and deleted
+    /// ones, in-fence and beyond-fence misses.
+    #[test]
+    fn get_agrees_with_get_plain() {
+        fn check<D: Dictionary>(mut d: D, plain: fn(&mut D, u64) -> Option<u64>, what: &str) {
+            const N: u64 = 1 << 13;
+            let mut rng = cosbt_testkit::Rng::new(0x9E7);
+            let same = |d: &mut D, key: u64, at: usize| {
+                assert_eq!(d.get(key), plain(d, key), "{what}: key {key} after op {at}");
+            };
+            let ops = crate::merge::oracle::stream(0x9E7, N as usize);
+            for (i, op) in ops.iter().enumerate() {
+                op.apply_to(&mut d);
+                // A key just written, two draws from the stream's key
+                // space (most of it never written), and both ends.
+                let written = op.cells().first().map_or(0, |c| c.key);
+                for key in [written, rng.below(3 * N), rng.below(3 * N), 0, u64::MAX] {
+                    same(&mut d, key, i);
+                }
+            }
+            for key in 0..3 * N {
+                same(&mut d, key, N as usize);
+            }
+        }
+        for (g, p) in [(2, 0.0), (2, 0.1), (4, 0.0), (4, 0.1), (8, 0.0), (8, 0.1)] {
+            check(plain(g, p), GCola::get_plain, &format!("g={g} p={p}"));
+        }
+        check(
+            crate::BasicCola::new_plain(),
+            crate::BasicCola::get_plain,
+            "basic",
         );
     }
 

@@ -28,7 +28,6 @@ pub mod dict;
 pub mod entry;
 pub mod epoch;
 pub mod gcola;
-pub mod layout;
 mod merge;
 pub mod persist;
 mod runbuf;
@@ -44,7 +43,6 @@ pub use dict::{BatchOp, Cursor, CursorOps, Dictionary, UpdateBatch, VecCursor};
 pub use entry::Cell;
 pub use epoch::{EpochManager, EpochStats, EpochVersion, PinnedEpoch};
 pub use gcola::GCola;
-pub use layout::VebIndex;
 pub use persist::{MetaError, MetaReader, MetaWriter, Persist};
 pub use stats::ColaStats;
 pub use worker::WorkerPool;

@@ -7,7 +7,8 @@
 //!    main memory.
 //! 2. **Golden get-phase counts.** A fixed seed, a fixed structure, and
 //!    a fixed probe set pin the *exact* number of block fetches for the
-//!    cascaded and the plain search path, in debug and release alike.
+//!    cascaded search and for the paper's plain search (`get_plain`,
+//!    the reference it is costed against), in debug and release alike.
 //!    If a change moves these numbers, it changed the read path's I/O
 //!    behaviour and must update the goldens consciously.
 
@@ -102,36 +103,33 @@ fn filtered_misses_read_zero_pages() {
 }
 
 /// Golden numbers for the get phase: 256 cold probes (128 hits + 128
-/// misses) against a 2-COLA and a basic COLA holding `N` keys, with the
-/// cascade on and off. The simulator is deterministic, the workload is
-/// seeded, and the counts are byte-exact in debug and release builds.
+/// misses) against a 2-COLA and a basic COLA holding `N` keys, through
+/// `get` (the cascade, "on") and `get_plain` (the paper's search, "off").
+/// The simulator is deterministic, the workload is seeded, and the
+/// counts are byte-exact in debug and release builds.
 #[test]
 fn golden_get_phase_fetch_counts() {
-    fn run<D: Dictionary>(mut d: D, sim: &SharedSim) -> u64 {
+    fn run<D: Dictionary>(mut d: D, sim: &SharedSim, get: fn(&mut D, u64) -> Option<u64>) -> u64 {
         fill(&mut d);
         cold(sim);
         for i in 0..128u64 {
-            assert_eq!(d.get(key(i * 97 % N)), Some(i * 97 % N), "hit probe");
-            assert_eq!(d.get(key(N + i) & !1), None, "miss probe");
+            assert_eq!(get(&mut d, key(i * 97 % N)), Some(i * 97 % N), "hit probe");
+            assert_eq!(get(&mut d, key(N + i) & !1), None, "miss probe");
         }
         fetches(sim)
     }
 
     let (sim, mem) = sim_and_mem(8);
-    let gcola_on = run(GCola::new(mem, 2, 0.125), &sim);
+    let gcola_on = run(GCola::new(mem, 2, 0.125), &sim, GCola::get);
 
     let (sim, mem) = sim_and_mem(8);
-    let mut g = GCola::new(mem, 2, 0.125);
-    g.set_cascade(false);
-    let gcola_off = run(g, &sim);
+    let gcola_off = run(GCola::new(mem, 2, 0.125), &sim, GCola::get_plain);
 
     let (sim, mem) = sim_and_mem(8);
-    let basic_on = run(BasicCola::new(mem), &sim);
+    let basic_on = run(BasicCola::new(mem), &sim, BasicCola::get);
 
     let (sim, mem) = sim_and_mem(8);
-    let mut b = BasicCola::new(mem);
-    b.set_cascade(false);
-    let basic_off = run(b, &sim);
+    let basic_off = run(BasicCola::new(mem), &sim, BasicCola::get_plain);
 
     assert!(
         gcola_on < gcola_off && basic_on < basic_off,

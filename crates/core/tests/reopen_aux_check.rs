@@ -47,27 +47,3 @@ fn reopen_rejects_corrupted_sample_cells() {
         "error should name the cascade validation, got: {msg}"
     );
 }
-
-#[test]
-fn reopen_then_veb_toggle_builds_validated_mirrors() {
-    // Enough cells that the sealed top level's ghost sample crosses
-    // VEB_MIN_GHOSTS — below that the toggle deliberately leaves the
-    // flat search in place.
-    let n = (cosbt_core::cascade::VEB_MIN_GHOSTS * cosbt_core::cascade::GHOST_STRIDE) as u64;
-    let mut cola = BasicCola::new(PlainMem::new());
-    for i in 0..n {
-        cola.insert(i * 3 + 1, i);
-    }
-    let meta = cola.save_meta();
-    let mut reopened =
-        BasicCola::from_parts(cola.mem().clone(), &meta).expect("intact store reopens");
-    // Enabling the vEB layout after reopen rebuilds the DRAM mirrors
-    // from the ghost samples; check_invariants re-runs LevelAux::check,
-    // which now cross-validates every mirror against its flat array.
-    reopened.set_veb_layout(true);
-    reopened.check_invariants();
-    assert_eq!(reopened.get(3 * (n / 2) + 1), Some(n / 2));
-    assert_eq!(reopened.get(2), None);
-    reopened.set_veb_layout(false);
-    reopened.check_invariants();
-}

@@ -138,10 +138,6 @@ pub struct DbConfig {
     pub deamortized: bool,
     /// Lookahead-pointer density (g-COLA only; retained for others).
     pub pointer_density: f64,
-    /// Fractional-cascading read accelerators enabled.
-    pub cascade: bool,
-    /// vEB-packed static search layouts with branchless probes enabled.
-    pub veb_layout: bool,
     /// Shard count (1 = unsharded).
     pub shards: usize,
     /// Explicit shard boundaries, if any were configured or recovered.
@@ -186,7 +182,7 @@ impl DbConfig {
     /// the data file's location, which is scratch-dependent.
     pub fn identity(&self) -> String {
         format!(
-            "{}|{}|shards={}|cache={}|parallel={}|cascade={}|density={}|veb={}",
+            "{}|{}|shards={}|cache={}|parallel={}|density={}",
             self.label(),
             self.backend_kind(),
             self.shards,
@@ -195,9 +191,7 @@ impl DbConfig {
                 Backend::File { .. } => self.cache_bytes,
             },
             self.parallel_ingest,
-            self.cascade,
             self.pointer_density,
-            self.veb_layout,
         )
     }
 }
@@ -546,8 +540,6 @@ pub struct DbBuilder {
     splitters: Option<Vec<u64>>,
     parallel_ingest: bool,
     background_merge: usize,
-    cascade: bool,
-    veb_layout: bool,
 }
 
 impl Default for DbBuilder {
@@ -563,8 +555,6 @@ impl Default for DbBuilder {
             splitters: None,
             parallel_ingest: false,
             background_merge: 0,
-            cascade: true,
-            veb_layout: false,
         }
     }
 }
@@ -671,29 +661,6 @@ impl DbBuilder {
     /// single shard; point operations are always routed directly.
     pub fn parallel_ingest(mut self, on: bool) -> DbBuilder {
         self.parallel_ingest = on;
-        self
-    }
-
-    /// Enables or disables the fractional-cascading read accelerators
-    /// of the COLA family — per-level fence keys, Bloom-style filters,
-    /// and ghost-pointer search windows (default on). A runtime knob: it
-    /// changes the search path, never on-disk state, and tree structures
-    /// ignore it. Kept primarily so differential tests can compare the
-    /// cascaded search against the plain per-level binary search.
-    pub fn cascade(mut self, on: bool) -> DbBuilder {
-        self.cascade = on;
-        self
-    }
-
-    /// Enables or disables vEB-packed static search layouts with
-    /// branchless probes (default off). For COLA structures the sealed
-    /// runs' ghost-sample arrays get a van Emde Boas-ordered DRAM mirror;
-    /// for the B-tree the branch separators are flattened into a vEB
-    /// leaf directory that routes point lookups in one leaf fetch. Like
-    /// [`DbBuilder::cascade`], a runtime knob: it changes the search
-    /// path, never on-disk state, so it can flip freely across reopens.
-    pub fn veb_layout(mut self, on: bool) -> DbBuilder {
-        self.veb_layout = on;
         self
     }
 
@@ -1118,9 +1085,7 @@ impl DbBuilder {
                 let store = ArcFilePages::new(store);
                 let dict: Shard = match self.structure {
                     Structure::BTree => {
-                        let mut t = BTree::from_parts(store.clone(), &meta).map_err(meta_err)?;
-                        t.set_veb_layout(self.veb_layout);
-                        Box::new(t)
+                        Box::new(BTree::from_parts(store.clone(), &meta).map_err(meta_err)?)
                     }
                     _ => Box::new(Brt::from_parts(store.clone(), &meta).map_err(meta_err)?),
                 };
@@ -1137,20 +1102,13 @@ impl DbBuilder {
                 let mem = ArcFileMem::new(store);
                 let dict: Shard = match (self.structure, self.deamortized) {
                     (Structure::BasicCola, false) => {
-                        let mut c = BasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        c.set_cascade(self.cascade);
-                        c.set_veb_layout(self.veb_layout);
-                        Box::new(c)
+                        Box::new(BasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?)
                     }
-                    (Structure::BasicCola, true) => {
-                        let mut c =
-                            DeamortBasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        c.set_cascade(self.cascade);
-                        c.set_veb_layout(self.veb_layout);
-                        Box::new(c)
-                    }
+                    (Structure::BasicCola, true) => Box::new(
+                        DeamortBasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?,
+                    ),
                     (Structure::GCola { g }, false) => {
-                        let mut cola = GCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
+                        let cola = GCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
                         if cola.growth() != g {
                             return Err(OpenError::StructureMismatch {
                                 path,
@@ -1158,16 +1116,10 @@ impl DbBuilder {
                                 expected: format!("{g}-COLA"),
                             });
                         }
-                        cola.set_cascade(self.cascade);
-                        cola.set_veb_layout(self.veb_layout);
                         Box::new(cola)
                     }
                     (Structure::GCola { .. }, true) => {
-                        let mut c =
-                            DeamortCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        c.set_cascade(self.cascade);
-                        c.set_veb_layout(self.veb_layout);
-                        Box::new(c)
+                        Box::new(DeamortCola::from_parts(mem.clone(), &meta).map_err(meta_err)?)
                     }
                     _ => unreachable!(),
                 };
@@ -1234,34 +1186,17 @@ impl DbBuilder {
         let cache_pages = (self.cache_bytes / self.shards / DEFAULT_PAGE_SIZE).max(2);
         match (&self.backend, self.structure) {
             (Backend::Mem, Structure::BasicCola) if self.deamortized => {
-                let mut c = DeamortBasicCola::new_plain();
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
+                Ok((Box::new(DeamortBasicCola::new_plain()), None))
             }
-            (Backend::Mem, Structure::BasicCola) => {
-                let mut c = BasicCola::new_plain();
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
-            }
+            (Backend::Mem, Structure::BasicCola) => Ok((Box::new(BasicCola::new_plain()), None)),
             (Backend::Mem, Structure::GCola { .. }) if self.deamortized => {
-                let mut c = DeamortCola::new_plain();
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
-                Ok((Box::new(c), None))
+                Ok((Box::new(DeamortCola::new_plain()), None))
             }
             (Backend::Mem, Structure::GCola { g }) => {
-                let mut c = GCola::new(cosbt_dam::PlainMem::new(), g, self.pointer_density);
-                c.set_cascade(self.cascade);
-                c.set_veb_layout(self.veb_layout);
+                let c = GCola::new(cosbt_dam::PlainMem::new(), g, self.pointer_density);
                 Ok((Box::new(c), None))
             }
-            (Backend::Mem, Structure::BTree) => {
-                let mut t = BTree::new_plain();
-                t.set_veb_layout(self.veb_layout);
-                Ok((Box::new(t), None))
-            }
+            (Backend::Mem, Structure::BTree) => Ok((Box::new(BTree::new_plain()), None)),
             (Backend::Mem, Structure::Brt) => Ok((Box::new(Brt::new_plain()), None)),
             (Backend::Mem, Structure::Shuttle { c }) => Ok((Box::new(ShuttleTree::new(c)), None)),
             (Backend::File { path: base, direct }, structure) => {
@@ -1280,11 +1215,7 @@ impl DbBuilder {
                             self.meta_slot_bytes,
                         )?);
                         let dict: Shard = match structure {
-                            Structure::BTree => {
-                                let mut t = BTree::new(store.clone());
-                                t.set_veb_layout(self.veb_layout);
-                                Box::new(t)
-                            }
+                            Structure::BTree => Box::new(BTree::new(store.clone())),
                             _ => Box::new(Brt::new(store.clone())),
                         };
                         Ok((dict, Some(StoreHandle::Pages(store))))
@@ -1300,29 +1231,15 @@ impl DbBuilder {
                             self.meta_slot_bytes,
                         )?);
                         let dict: Shard = match (structure, self.deamortized) {
-                            (Structure::BasicCola, false) => {
-                                let mut c = BasicCola::new(mem.clone());
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
-                            }
+                            (Structure::BasicCola, false) => Box::new(BasicCola::new(mem.clone())),
                             (Structure::BasicCola, true) => {
-                                let mut c = DeamortBasicCola::new(mem.clone());
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
+                                Box::new(DeamortBasicCola::new(mem.clone()))
                             }
                             (Structure::GCola { g }, false) => {
-                                let mut c = GCola::new(mem.clone(), g, self.pointer_density);
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
+                                Box::new(GCola::new(mem.clone(), g, self.pointer_density))
                             }
                             (Structure::GCola { .. }, true) => {
-                                let mut c = DeamortCola::new(mem.clone());
-                                c.set_cascade(self.cascade);
-                                c.set_veb_layout(self.veb_layout);
-                                Box::new(c)
+                                Box::new(DeamortCola::new(mem.clone()))
                             }
                             _ => unreachable!(),
                         };
@@ -1386,8 +1303,6 @@ impl DbBuilder {
             structure: self.structure,
             deamortized: self.deamortized,
             pointer_density: self.pointer_density,
-            cascade: self.cascade,
-            veb_layout: self.veb_layout,
             shards: self.shards,
             splitters: self.splitters.clone(),
             parallel_ingest: self.parallel_ingest,
@@ -1418,9 +1333,7 @@ impl DbBuilder {
             .pointer_density(cfg.pointer_density)
             .shards(cfg.shards)
             .parallel_ingest(cfg.parallel_ingest)
-            .background_merge(cfg.background_merge)
-            .cascade(cfg.cascade)
-            .veb_layout(cfg.veb_layout);
+            .background_merge(cfg.background_merge);
         if let Some(s) = &cfg.splitters {
             b = b.shard_splitters(s.clone());
         }
@@ -2354,7 +2267,6 @@ mod tests {
             .structure(Structure::GCola { g: 8 })
             .deamortized()
             .pointer_density(0.25)
-            .cascade(false)
             .shards(3)
             .shard_splitters(vec![100, 200])
             .parallel_ingest(true)

@@ -631,10 +631,8 @@ fn corrupt_cascade_fences_are_a_typed_open_error() {
 }
 
 /// Reopening a file-backed COLA rebuilds the cascade accelerators from
-/// the persisted fences: cold beyond-fence misses then read **zero**
-/// pages, while the same probes with the cascade disabled do real I/O —
-/// so it is the rebuilt accelerator state, not the page cache, serving
-/// them.
+/// the committed cells: cold beyond-fence misses then read **zero**
+/// pages — the rebuilt fences, not the dropped page cache, reject them.
 #[test]
 fn reopen_rebuilds_cascade_accelerators() {
     let cells = [
@@ -660,26 +658,17 @@ fn reopen_rebuilds_cascade_accelerators() {
         db.sync().unwrap();
         drop(db);
 
-        for cascade in [true, false] {
-            let mut db = builder.clone().cascade(cascade).open().unwrap();
-            db.drop_cache().unwrap();
-            db.io().reset();
-            for p in 0..64u64 {
-                assert_eq!(db.get(u64::MAX - p), None, "{label}: far miss");
-            }
-            let fetches = db.io().snapshot().fetches;
-            if cascade {
-                assert_eq!(
-                    fetches, 0,
-                    "{label}: rebuilt fences must reject far misses without reads"
-                );
-            } else {
-                assert!(
-                    fetches > 0,
-                    "{label}: the plain search does real I/O for the same probes"
-                );
-            }
-            assert_eq!(db.get(4), Some(1), "{label}: hit after reopen");
+        let mut db = builder.open().unwrap();
+        db.drop_cache().unwrap();
+        db.io().reset();
+        for p in 0..64u64 {
+            assert_eq!(db.get(u64::MAX - p), None, "{label}: far miss");
         }
+        assert_eq!(
+            db.io().snapshot().fetches,
+            0,
+            "{label}: rebuilt fences must reject far misses without reads"
+        );
+        assert_eq!(db.get(4), Some(1), "{label}: hit after reopen");
     }
 }

@@ -51,6 +51,8 @@ pub(crate) struct MergeBuf {
     pub(crate) staged: Vec<Cell>,
     /// Lookahead samples `(key, position)` for the level being rewritten.
     pub(crate) las: Vec<(u64, u64)>,
+    /// The samples that rewrite takes of itself, for the level below.
+    pub(crate) down: Vec<(u64, u64)>,
     buf: Vec<Cell>,
     start: usize,
 }
@@ -89,6 +91,7 @@ impl MergeBuf {
     pub(crate) fn release(&mut self) {
         recycle(&mut self.staged);
         recycle(&mut self.las);
+        recycle(&mut self.down);
         if self.buf.len() > RETAIN_CELLS {
             self.buf = vec![Cell::default(); RETAIN_CELLS];
         }
@@ -124,6 +127,7 @@ impl MergeBuf {
         let caps = [
             self.staged.capacity(),
             self.las.capacity(),
+            self.down.capacity(),
             self.buf.capacity(),
         ];
         caps.into_iter().max().unwrap_or(0)
@@ -292,6 +296,7 @@ mod tests {
         assert_eq!(buf.run().len(), big.len());
         buf.staged.extend_from_slice(&big);
         buf.las.resize(2 * RETAIN_CELLS, (0, 0));
+        buf.down.resize(2 * RETAIN_CELLS, (0, 0));
         buf.release();
         assert!(buf.retained() <= RETAIN_CELLS);
         // The retained buffer still serves a carry within the bound.

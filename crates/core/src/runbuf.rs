@@ -8,8 +8,11 @@
 //! other `Mem` access in between go through it (level reads and rewrites
 //! — what a carry does with the cells in between is `merge.rs` — and
 //! rebuild scans): page-touch order, and with it every transfer count, is
-//! then unchanged. In-array two-source merges, binary searches, cursors
-//! and budgeted deamortized moves interleave pages and stay on `get`/`set`.
+//! then unchanged. A caller that wants some cells of a sweep for later
+//! (the g-COLA's lookahead samples) taps the staged chunks instead of
+//! reading the store again. In-array two-source merges, binary searches,
+//! cursors and budgeted deamortized moves interleave pages and stay on
+//! `get`/`set`.
 
 use cosbt_dam::Mem;
 
@@ -31,6 +34,29 @@ impl RunBuf {
         RunBuf(vec![Cell::default(); CHUNK].into_boxed_slice())
     }
 
+    /// Calls `f` on each staged chunk of `mem[base..base + len]`, in
+    /// order, with the chunk's offset in the run.
+    pub(crate) fn for_each_chunk<M: Mem<Cell>>(
+        &mut self,
+        mem: &M,
+        base: usize,
+        len: usize,
+        mut f: impl FnMut(usize, &[Cell]),
+    ) {
+        if len == 1 {
+            // A run of one cell is the per-cell call; level 0 is read
+            // and written by every insert and must not pay for staging.
+            return f(0, &[mem.get(base)]);
+        }
+        let mut done = 0;
+        while done < len {
+            let chunk = &mut self.0[..(len - done).min(CHUNK)];
+            mem.read_run(base + done, chunk);
+            f(done, chunk);
+            done += chunk.len();
+        }
+    }
+
     /// Calls `f` on each cell of `mem[base..base + len]`, in order.
     pub(crate) fn for_each<M: Mem<Cell>>(
         &mut self,
@@ -39,18 +65,7 @@ impl RunBuf {
         len: usize,
         mut f: impl FnMut(&Cell),
     ) {
-        if len == 1 {
-            // A run of one cell is the per-cell call; level 0 is read
-            // and written by every insert and must not pay for staging.
-            return f(&mem.get(base));
-        }
-        let mut done = 0;
-        while done < len {
-            let chunk = &mut self.0[..(len - done).min(CHUNK)];
-            mem.read_run(base + done, chunk);
-            chunk.iter().for_each(&mut f);
-            done += chunk.len();
-        }
+        self.for_each_chunk(mem, base, len, |_, chunk| chunk.iter().for_each(&mut f));
     }
 
     /// Builds the cascade aux of the run `mem[base..base + len]` by
@@ -63,21 +78,27 @@ impl RunBuf {
     }
 
     /// Writes `next()`, called `len` times, to `mem[base..base + len]` in
-    /// slot order.
+    /// slot order. `tap` sees each chunk once it is staged, with its
+    /// offset in the run: what a caller wants of the cells it has just
+    /// written, it takes here and never reads back.
     pub(crate) fn fill<M: Mem<Cell>>(
         &mut self,
         mem: &mut M,
         base: usize,
         len: usize,
         mut next: impl FnMut() -> Cell,
+        mut tap: impl FnMut(usize, &[Cell]),
     ) {
         if len == 1 {
-            return mem.set(base, next());
+            let cell = next();
+            tap(0, &[cell]);
+            return mem.set(base, cell);
         }
         let mut done = 0;
         while done < len {
             let chunk = &mut self.0[..(len - done).min(CHUNK)];
             chunk.iter_mut().for_each(|c| *c = next());
+            tap(done, chunk);
             mem.write_run(base + done, chunk);
             done += chunk.len();
         }
@@ -89,20 +110,56 @@ mod tests {
     use super::*;
     use cosbt_dam::PlainMem;
 
+    /// A tap that checks the chunks tile the run in order and picks the
+    /// cells at `positions` (ascending) off them.
+    fn pick<'a>(
+        positions: &'a [usize],
+        covered: &'a mut usize,
+        got: &'a mut Vec<(usize, Cell)>,
+    ) -> impl FnMut(usize, &[Cell]) + 'a {
+        move |off, chunk| {
+            assert_eq!(off, *covered, "chunks tile the run in order");
+            *covered += chunk.len();
+            let inside = positions.iter().filter(|&&p| (off..*covered).contains(&p));
+            got.extend(inside.map(|&p| (p, chunk[p - off])));
+        }
+    }
+
     fn round_trip(len: usize) {
         let mut mem = PlainMem::with_len(len + 5, Cell::default());
         let mut buf = RunBuf::new();
+        // Either side of the first chunk boundary, and both ends.
+        let mut positions = vec![0, CHUNK - 1, CHUNK, CHUNK + 1, len.saturating_sub(1)];
+        positions.retain(|&p| p < len);
+        positions.sort_unstable();
+        positions.dedup();
+        let want: Vec<(usize, Cell)> = positions
+            .iter()
+            .map(|&p| (p, Cell::item(p as u64, 2 * p as u64)))
+            .collect();
+
         let mut i = 0u64;
-        buf.fill(&mut mem, 3, len, || {
-            i += 1;
-            Cell::item(i - 1, 2 * (i - 1))
-        });
+        let (mut covered, mut got) = (0, Vec::new());
+        buf.fill(
+            &mut mem,
+            3,
+            len,
+            || {
+                i += 1;
+                Cell::item(i - 1, 2 * (i - 1))
+            },
+            pick(&positions, &mut covered, &mut got),
+        );
+        assert_eq!((covered, &got), (len, &want), "fill tap, len {len}");
         let mut next = 0u64;
         buf.for_each(&mem, 3, len, |c| {
             assert_eq!(*c, Cell::item(next, 2 * next));
             next += 1;
         });
         assert_eq!(next, len as u64);
+        let (mut covered, mut got) = (0, Vec::new());
+        buf.for_each_chunk(&mem, 3, len, pick(&positions, &mut covered, &mut got));
+        assert_eq!((covered, &got), (len, &want), "read tap, len {len}");
         // Nothing outside the run was written.
         for i in [0, 1, 2, len + 3, len + 4] {
             assert_eq!(mem.get(i), Cell::default());
@@ -114,7 +171,16 @@ mod tests {
 
     #[test]
     fn fill_and_for_each_cross_chunk_boundaries() {
-        for len in [0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 7] {
+        for len in [
+            0,
+            1,
+            2,
+            CHUNK - 1,
+            CHUNK,
+            CHUNK + 1,
+            CHUNK + 2,
+            3 * CHUNK + 7,
+        ] {
             round_trip(len);
         }
     }

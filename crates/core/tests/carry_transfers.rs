@@ -1,0 +1,164 @@
+//! What a g-COLA carry moves between the device and the cache, pinned
+//! on a file store small enough that every sweep evicts (16 cells per
+//! page, 6 resident pages, as `run_path_iostats.rs`):
+//!
+//! 1. **A carry into level t reads only what it merges.** From a cold
+//!    cache it fetches no more pages than the old and the new runs of
+//!    levels `0..=t` span — one read sweep and one rewrite of each. The
+//!    lookahead pointers into level `t + 1` come from level t's own
+//!    redundant cells and the ones for the levels below from the rewrites
+//!    as they stream out, so nothing in level `t + 1`'s extent is
+//!    touched, however large that level is.
+//! 2. **Golden ingest counts.** A fixed seed and structure pin all six
+//!    `IoStats` fields of a 2^13-insert stream, in debug and release
+//!    alike. A change that moves them changed the carry's I/O and must
+//!    update the goldens consciously.
+
+use cosbt_core::entry::Cell;
+use cosbt_core::{Dictionary, GCola};
+use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats};
+use cosbt_testkit::Rng;
+
+type Store = ArcFileMem<Cell, CrashDev>;
+
+const PAGE: usize = 512;
+const CELLS_PER_PAGE: usize = PAGE / 32;
+const CACHE_PAGES: usize = 6;
+const N: usize = 1 << 13;
+
+fn store() -> Store {
+    let fm = FileMem::create_on(CrashDev::new(), PAGE, CACHE_PAGES, 32).unwrap();
+    ArcFileMem::new(fm)
+}
+
+fn keys() -> impl Iterator<Item = u64> {
+    let mut rng = Rng::new(0xCA11_AB1E);
+    (0..N).map(move |_| rng.next_u64() >> 16)
+}
+
+/// The test's own copy of the level geometry (Section 4's formulas) and
+/// of the item counts the carry rule keeps, so it knows each insert's
+/// target level and run sizes without asking the structure.
+struct Shape {
+    g: usize,
+    p: f64,
+    levels: Vec<Level>,
+}
+
+#[derive(Clone, Copy)]
+struct Level {
+    /// Item capacity.
+    cap: usize,
+    /// Redundancy allowance: the most lookahead cells it may hold.
+    red: usize,
+    items: usize,
+}
+
+impl Shape {
+    fn new(g: usize, p: f64) -> Shape {
+        let level0 = Level {
+            cap: 1,
+            red: 0,
+            items: 0,
+        };
+        Shape {
+            g,
+            p,
+            levels: vec![level0],
+        }
+    }
+
+    /// Applies one single-cell insert; returns the most pages its carry
+    /// may fetch from a cold cache.
+    fn insert(&mut self) -> u64 {
+        // A run of n cells starting anywhere spans at most this many pages.
+        let span = |n: usize| match n {
+            0 => 0,
+            n => n.div_ceil(CELLS_PER_PAGE) as u64 + 1,
+        };
+        let (mut carry, mut t, mut pages) = (1, 0, 0);
+        while carry + self.levels[t].items > self.levels[t].cap {
+            // A level below the target: its run (items and at most
+            // `red` lookaheads) is read, then rewritten as lookaheads.
+            let Level { red, items, .. } = self.levels[t];
+            pages += span(items + red) + span(red);
+            carry += items;
+            self.levels[t].items = 0;
+            t += 1;
+            if t == self.levels.len() {
+                let scale = (self.g - 1) * self.g.pow(t as u32 - 1);
+                let (cap, items) = (2 * scale, 0);
+                let red = (2.0 * self.p * scale as f64).floor() as usize;
+                self.levels.push(Level { cap, red, items });
+                // Growing the store zero-fills the new level's slots.
+                pages += span(cap + red);
+            }
+        }
+        let Level { red, items, .. } = self.levels[t];
+        self.levels[t].items = items + carry;
+        pages + span(items + red) + span(items + carry + red)
+    }
+}
+
+#[test]
+fn a_cold_carry_fetches_only_the_levels_it_merges() {
+    for (g, p) in [(2, 0.125), (4, 0.1)] {
+        let store = store();
+        let mut cola = GCola::new(store.clone(), g, p);
+        let mut shape = Shape::new(g, p);
+        // Over the carries of more than a few pages, to show the bound
+        // has no room for a sweep of the level above.
+        let (mut fetched_big, mut allowed_big) = (0, 0);
+        for (i, key) in keys().enumerate() {
+            let allowed = shape.insert();
+            store.drop_cache().unwrap();
+            store.reset_stats();
+            cola.insert(key, i as u64);
+            let fetched = store.stats().fetches;
+            assert!(
+                fetched <= allowed,
+                "g={g}: insert {i} fetched {fetched} pages, its levels span {allowed}"
+            );
+            if allowed > 20 {
+                fetched_big += fetched;
+                allowed_big += allowed;
+            }
+        }
+        assert_eq!(cola.num_levels(), shape.levels.len(), "g={g}: the model");
+        assert!(
+            2 * fetched_big > allowed_big,
+            "g={g}: the bound is slack ({fetched_big} of {allowed_big})"
+        );
+        cola.check_invariants();
+    }
+}
+
+#[test]
+fn golden_ingest_iostats() {
+    let ingest = |g, p| {
+        let store = store();
+        let mut cola = GCola::new(store.clone(), g, p);
+        for (i, key) in keys().enumerate() {
+            cola.insert(key, i as u64);
+        }
+        store.stats()
+    };
+    let golden = |accesses, hits, fetches, evictions, writebacks, seeks| IoStats {
+        accesses,
+        hits,
+        fetches,
+        evictions,
+        writebacks,
+        seeks,
+    };
+    assert_eq!(
+        ingest(2, 0.125),
+        golden(150530, 143747, 6783, 6777, 4543, 563),
+        "2-COLA"
+    );
+    assert_eq!(
+        ingest(4, 0.1),
+        golden(217545, 207004, 10541, 10535, 6956, 764),
+        "4-COLA"
+    );
+}

@@ -3,8 +3,14 @@
 //! the committed cells and runs `LevelAux::check` on it — so a store
 //! whose cells were corrupted between commit and reopen surfaces as a
 //! typed `MetaError`, never as a silently wrong search window.
+//!
+//! The g-COLA's reopen validates one thing more. Its carry keeps a
+//! level's stored lookahead cells instead of sampling the level above
+//! again, so a corrupt one would be woven into every later rewrite of
+//! its level; `GCola::from_parts` checks each against the midpoint
+//! sample of the level above during the same scans.
 
-use cosbt_core::{BasicCola, Cell, Dictionary, Persist};
+use cosbt_core::{BasicCola, Cell, Dictionary, GCola, Persist};
 use cosbt_dam::{Mem, PlainMem};
 
 /// A 128-insert basic COLA: level 7 is full, so the tail 128 cells of
@@ -46,4 +52,56 @@ fn reopen_rejects_corrupted_sample_cells() {
         msg.contains("cascade state"),
         "error should name the cascade validation, got: {msg}"
     );
+}
+
+/// A 4-COLA of 3,000 scattered keys: items in the top level (6) and
+/// lookahead cells in every level below it that has room for any.
+fn linked_gcola() -> (PlainMem<Cell>, Vec<u8>) {
+    let mut cola = GCola::new(PlainMem::new(), 4, 0.1);
+    for i in 0..3000u64 {
+        cola.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 8, i);
+    }
+    cola.check_invariants();
+    let meta = cola.save_meta();
+    (cola.mem().clone(), meta)
+}
+
+#[test]
+fn gcola_reopen_rejects_corrupted_lookahead_cells() {
+    let (mem, meta) = linked_gcola();
+    GCola::from_parts(mem.clone(), &meta)
+        .expect("intact store reopens")
+        .check_invariants();
+
+    // The last lookahead cell stored: the top level has never held one,
+    // so it is the last of the level below it, whose run is
+    // right-justified — a live cell, with the rest of that level's
+    // sample to its left and items after it, so not a fence key.
+    let at = (0..mem.len())
+        .rev()
+        .find(|&i| mem.get(i).is_redundant())
+        .expect("the store holds lookahead cells");
+    let (before, cell, after) = (mem.get(at - 1), mem.get(at), mem.get(at + 1));
+    assert!(before.key < cell.key && cell.key < after.key && after.is_real());
+
+    // Each corruption keeps the level sorted and its fence keys and
+    // ghost samples plausible; only the lookahead check can see it.
+    type Corrupt = fn(&mut Cell, &Cell);
+    let corruptions: [(&str, Corrupt); 3] = [
+        ("ptr", |c, _| c.ptr ^= 1),
+        ("key", |c, before| c.key = before.key),
+        ("flag", |c, _| *c = Cell::item(c.key, 0)),
+    ];
+    for (what, corrupt) in corruptions {
+        let mut bad = mem.clone();
+        let mut c = cell;
+        corrupt(&mut c, &before);
+        bad.set(at, c);
+        let err = GCola::from_parts(bad, &meta).expect_err(what);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("lookahead"),
+            "a corrupt {what} should fail the lookahead validation, got: {msg}"
+        );
+    }
 }

@@ -258,7 +258,7 @@ impl<M: Mem<Cell>> BasicCola<M> {
         for j in (0..t).filter(|&j| self.full[j]) {
             level.resize(1 << j, Cell::default());
             self.mem.read_run(level_off(j), &mut level);
-            m.step(1 << j, |s| level.iter().for_each(|c| s.push(c)));
+            m.step(1 << j, |s| level.iter().for_each(|c| s.push_all(c)));
         }
         m.staged = level;
         let merged = m.run();

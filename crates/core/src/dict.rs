@@ -323,8 +323,11 @@ pub trait Dictionary {
         self.cursor(lo, hi).collect()
     }
 
-    /// Number of physically stored entries (including shadowed versions and
-    /// tombstones for log-structured implementations).
+    /// Number of physically stored entries. The log-structured
+    /// implementations count the shadowed versions and tombstones they
+    /// still hold: all of them until `compact` for the basic and the
+    /// deamortized COLAs, at most one version per key and level for the
+    /// g-COLA, whose carries drop the rest as they merge.
     fn physical_len(&self) -> usize;
 
     /// A short human-readable name for reports.

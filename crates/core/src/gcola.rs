@@ -23,12 +23,13 @@
 //! levels at a time in the array, alternating the result between the
 //! start of the target level and the freed prefix, to need only one
 //! element of extra space (demonstrated faithfully in
-//! [`crate::BasicCola`]). Here a carry reads every source cell once —
-//! the target's old run first, staged — folds the runs two at a time,
-//! newest first, in DRAM (`merge.rs`: why that is cell-for-cell a k-way
-//! merge, and where its structure-owned scratch is bounded), streams the
-//! last merge into the rewrite, and writes every output cell once: the
-//! paper's block-transfer count, and no allocation in a steady state.
+//! [`crate::BasicCola`]). Here a carry reads every source cell once,
+//! the target's old run last, folds the runs two at a time, newest
+//! first, in DRAM (`merge.rs`: why that is cell-for-cell a k-way merge of
+//! the newest version of each key, and where its structure-owned scratch
+//! is bounded), and writes every output cell once: at most the paper's
+//! block-transfer count, and no allocation in a steady state. A level
+//! so holds one version per key, and the deepest one no tombstone.
 //!
 //! The lookahead pointers cost a carry no read of their own, because the
 //! paper stores them *in* the level that uses them. The invariant, held
@@ -411,21 +412,19 @@ impl<M: Mem<Cell>> GCola<M> {
             });
     }
 
-    /// Writes level `l`'s new content: the merge of `newer` and `older`
-    /// (each sorted, newest-first on ties; `newer` wins ties) woven with
-    /// the lookaheads `las` (sorted by key), right-justified, with
-    /// left-pointer copies filled in. Leaves in `down` the lookaheads
-    /// level `l − 1` keeps of the new run, taken as it streams out.
+    /// Writes level `l`'s new content: `items` (sorted, one real cell per
+    /// key) woven with the lookaheads `las` (sorted by key),
+    /// right-justified, with left-pointer copies filled in. Leaves in
+    /// `down` the lookaheads level `l − 1` keeps of the new run, taken as
+    /// it streams out.
     fn write_level(
         &mut self,
         l: usize,
-        newer: &[Cell],
-        older: &[Cell],
+        items: &[Cell],
         las: &[(u64, u64)],
         down: &mut Vec<(u64, u64)>,
     ) {
-        let items = newer.len() + older.len();
-        let occ = items + las.len();
+        let occ = items.len() + las.len();
         let lv = self.levels[l];
         assert!(occ <= lv.slots, "level {l} overflow: {occ} > {}", lv.slots);
         let base = lv.off + lv.slots - occ;
@@ -433,7 +432,7 @@ impl<M: Mem<Cell>> GCola<M> {
         let mut sample = Midpoints::new(below_quota, occ);
         down.clear();
         down.reserve_exact(sample.cnt);
-        let (mut a, mut o, mut b) = (0usize, 0usize, 0usize);
+        let (mut a, mut b) = (0usize, 0usize);
         let mut last_ptr = NO_PTR;
         // The woven cells feed the cascade aux as they stream past, so the
         // accelerator costs no extra pass over the data. A small retiring
@@ -450,21 +449,15 @@ impl<M: Mem<Cell>> GCola<M> {
         let weave = || {
             // Weave by key; put lookaheads first among equals so a real
             // cell's left-copy includes pointers at its own key.
-            let from_newer = a < newer.len() && (o == older.len() || newer[a].key <= older[o].key);
-            let item = if from_newer {
-                newer.get(a)
-            } else {
-                older.get(o)
-            };
-            let take_la = b < las.len() && item.is_none_or(|c| las[b].0 <= c.key);
+            let take_la = b < las.len() && items.get(a).is_none_or(|c| las[b].0 <= c.key);
             let cell = if take_la {
                 let (key, tgt) = las[b];
                 b += 1;
                 last_ptr = tgt;
                 Cell::lookahead(key, tgt)
             } else {
-                let mut c = if from_newer { newer[a] } else { older[o] };
-                (a, o) = (a + from_newer as usize, o + !from_newer as usize);
+                let mut c = items[a];
+                a += 1;
                 c.ptr = last_ptr;
                 c
             };
@@ -478,7 +471,7 @@ impl<M: Mem<Cell>> GCola<M> {
                 sample.tap(off, chunk, |pos, c| down.push((c.key, pos as u64)));
             });
         self.stats.cells_written += occ as u64;
-        self.levels[l].items = items;
+        self.levels[l].items = items.len();
         self.levels[l].reds = las.len();
         self.aux[l] = aux_builder.map(AuxBuilder::finish);
     }
@@ -490,7 +483,7 @@ impl<M: Mem<Cell>> GCola<M> {
     fn relink_below(&mut self, t: usize, las: &mut Vec<(u64, u64)>, down: &mut Vec<(u64, u64)>) {
         for j in (0..t).rev() {
             std::mem::swap(las, down);
-            self.write_level(j, &[], &[], las, down);
+            self.write_level(j, &[], las, down);
         }
     }
 
@@ -511,7 +504,8 @@ impl<M: Mem<Cell>> GCola<M> {
         let before = self.stats.cells_written;
 
         // Target level: the smallest ℓ whose spare item capacity absorbs
-        // the carry (everything below plus the new run).
+        // the carry (everything below plus the new run, counted before
+        // the merge drops any of it).
         let mut carry = run.len();
         let mut t = 0usize;
         while carry + self.levels[t].items > self.levels[t].cap {
@@ -521,50 +515,61 @@ impl<M: Mem<Cell>> GCola<M> {
                 self.push_level();
             }
         }
-
-        if t == 0 {
+        // With no item above the target, nothing older than this carry
+        // stays stored for its tombstones to shadow.
+        let deepest = self.levels[t + 1..].iter().all(|lv| lv.items == 0);
+        if t == 0 && !(deepest && run[0].is_tombstone()) {
             // Level 0 holds no lookahead cells (its redundancy is 0), so
-            // this is a single right-justified write.
+            // a cell that stays is a single right-justified write. Every
+            // other insert lands here; through the fold below it cost
+            // `ingest_ooc`'s median call 5 %.
             debug_assert_eq!(self.levels[0].items, 0);
-            self.write_level(0, run, &[], &[], &mut Vec::new());
+            self.write_level(0, run, &[], &mut Vec::new());
             let w = self.stats.cells_written - before;
             self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
             return;
         }
-        self.stats.merges += 1;
+        self.stats.merges += (t > 0) as u64;
 
-        // Fold the new run (newest), then levels 0..t-1; the target's own
-        // items (oldest) are read first and staged, so the right-justified
-        // rewrite can't overwrite unread input, and merged in last, as the
-        // rewrite streams out. The same sweep keeps the target's redundant
+        // Fold the new run (newest), then levels 0..t-1, then the target's
+        // own items (oldest), each keeping only the keys no newer source
+        // holds: the whole target is in DRAM before its right-justified
+        // rewrite starts, so the rewrite can't overwrite unread input and
+        // knows its length. The last sweep keeps the target's redundant
         // cells: level t+1 is unchanged by this merge and level t is
         // rewritten whenever t+1 is, so they are, cell for cell, the
         // sample of t+1 this rewrite must weave back in — the carry reads
         // levels 0..=t once and nothing else.
         let mut m = std::mem::take(&mut self.merge);
         let target = self.levels[t];
-        m.staged.reserve_exact(target.items);
-        m.las.reserve_exact(target.reds);
-        self.scratch
-            .for_each(&self.mem, target.run_base(), target.occ(), |c| {
-                if c.is_real() {
-                    m.staged.push(*c);
-                } else {
-                    m.las.push((c.key, c.ptr));
-                }
-            });
-        m.begin(run, carry);
+        m.begin(run, carry + target.items);
         for j in 0..t {
             let items = self.levels[j].items;
             m.step(items, |s| self.read_items(j, |c| s.push(c)));
         }
+        let mut las = std::mem::take(&mut m.las);
+        las.reserve_exact(target.reds);
+        m.step(target.items, |s| {
+            self.scratch
+                .for_each(&self.mem, target.run_base(), target.occ(), |c| {
+                    if c.is_real() {
+                        s.push(c);
+                    } else {
+                        las.push((c.key, c.ptr));
+                    }
+                });
+        });
+        if deepest {
+            m.drop_tombstones();
+        }
+        self.stats.cells_dropped += m.dropped;
         let mut down = std::mem::take(&mut m.down);
-        self.write_level(t, m.run(), &m.staged, &m.las, &mut down);
+        self.write_level(t, m.run(), &las, &mut down);
 
         // Levels below t are now empty of items; rebuild the pointer
         // cascade downward, level by level, as in the paper.
-        self.relink_below(t, &mut m.las, &mut down);
-        m.down = down;
+        self.relink_below(t, &mut las, &mut down);
+        (m.las, m.down) = (las, down);
         m.release();
         self.merge = m;
 
@@ -720,20 +725,23 @@ impl<M: Mem<Cell>> GCola<M> {
         }
         let cells: Vec<Cell> = live.iter().map(|&(k, v)| Cell::item(k, v)).collect();
         let (mut las, mut down) = (Vec::new(), Vec::new());
-        self.write_level(t, &cells, &[], &las, &mut down);
+        self.write_level(t, &cells, &las, &mut down);
         self.relink_below(t, &mut las, &mut down);
         self.n = live.len() as u64;
     }
 
     /// Structural invariants (tests): per-level sortedness, right
-    /// justification accounting, counts, capacity bounds, and the
-    /// lookahead invariant — each level's redundant cells are exactly the
-    /// evenly spaced midpoint sample of the run above it, in count,
-    /// positions and keys. The carry (which keeps a target's redundant cells instead of
+    /// justification accounting, counts, capacity bounds, the carry rule
+    /// — a level holds one real cell per key, and the deepest level
+    /// holding items holds no tombstone — and the lookahead invariant:
+    /// each level's redundant cells are exactly the evenly spaced
+    /// midpoint sample of the run above it, in count, positions and keys.
+    /// The carry (which keeps a target's redundant cells instead of
     /// sampling again) and `search_level`'s arithmetic right bracket both
     /// rest on it.
     pub fn check_invariants(&self) {
         let mut total_items = 0usize;
+        let deepest = self.levels.iter().rposition(|lv| lv.items > 0);
         for (l, lv) in self.levels.iter().enumerate() {
             assert!(lv.items <= lv.cap, "level {l} items over capacity");
             assert!(lv.reds <= lv.red_cap, "level {l} reds over allowance");
@@ -743,6 +751,7 @@ impl<M: Mem<Cell>> GCola<M> {
             let mut items_seen = 0;
             let mut reds_seen = 0;
             let mut last_ptr = NO_PTR;
+            let mut last_real = None;
             let (above_base, above_occ) = self
                 .levels
                 .get(l + 1)
@@ -771,6 +780,10 @@ impl<M: Mem<Cell>> GCola<M> {
                 } else {
                     items_seen += 1;
                     assert_eq!(c.ptr, last_ptr, "level {l} left-copy stale at {i}");
+                    assert!(last_real < Some(c.key), "level {l} repeats a key at {i}");
+                    last_real = Some(c.key);
+                    let spent = Some(l) == deepest && c.is_tombstone();
+                    assert!(!spent, "deepest level {l} holds a tombstone at {i}");
                 }
             }
             assert_eq!(items_seen, lv.items, "level {l} item count");
@@ -1121,7 +1134,9 @@ mod tests {
             c.insert(k, k);
             c.insert(k, k + 1);
         }
-        assert_eq!(c.physical_len(), 1000);
+        // Carries have already dropped the versions they met; the rest
+        // sit in levels no carry has reached since.
+        assert!((500..=1000).contains(&c.physical_len()));
         c.compact();
         assert_eq!(c.physical_len(), 500);
         c.check_invariants();
@@ -1131,7 +1146,8 @@ mod tests {
     }
 
     impl<M: Mem<Cell>> GCola<M> {
-        /// Level `l`'s real cells, staged whole as the old carry did.
+        /// Level `l`'s real cells in a `Vec` of their own, as the old carry
+        /// held them.
         fn items_vec(&mut self, l: usize) -> Vec<Cell> {
             let mut out = Vec::new();
             self.read_items(l, |c| out.push(*c));
@@ -1153,8 +1169,9 @@ mod tests {
         }
 
         /// The pre-kernel `insert_run`, kept as the differential oracle:
-        /// every source staged in its own `Vec`, one k-way heap merge,
-        /// the merged run materialized before the rewrite.
+        /// every source in its own `Vec`, one k-way heap merge,
+        /// the carry rule applied to its output as a filter, the merged
+        /// run materialized before the rewrite.
         fn insert_run_heap(&mut self, run: &[Cell]) {
             if run.is_empty() {
                 return;
@@ -1171,23 +1188,21 @@ mod tests {
                     self.push_level();
                 }
             }
-            if t == 0 {
-                self.write_level(0, run, &[], &[], &mut Vec::new());
-            } else {
-                self.stats.merges += 1;
-                let target_old = self.items_vec(t);
-                let mut sources = vec![run.to_vec()];
-                for j in 0..t {
-                    sources.push(self.items_vec(j));
-                }
-                sources.push(target_old);
-                let merged = crate::merge::oracle::heap_merge(&sources);
-                // Every level sampled afresh: no cell is carried over.
-                for l in (0..=t).rev() {
-                    let las = self.sample_lookaheads(l);
-                    let merged = if l == t { &merged[..] } else { &[] };
-                    self.write_level(l, merged, &[], &las, &mut Vec::new());
-                }
+            self.stats.merges += (t > 0) as u64;
+            let target_old = self.items_vec(t);
+            let mut sources = vec![run.to_vec()];
+            for j in 0..t {
+                sources.push(self.items_vec(j));
+            }
+            sources.push(target_old);
+            let mut merged = crate::merge::oracle::heap_merge(&sources);
+            let deepest = self.levels[t + 1..].iter().all(|lv| lv.items == 0);
+            self.stats.cells_dropped += crate::merge::oracle::newest_only(&mut merged, deepest);
+            // Every level sampled afresh: no cell is carried over.
+            for l in (0..=t).rev() {
+                let las = self.sample_lookaheads(l);
+                let merged = if l == t { &merged[..] } else { &[] };
+                self.write_level(l, merged, &las, &mut Vec::new());
             }
             let w = self.stats.cells_written - before;
             self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
@@ -1245,6 +1260,85 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Every written cell is stored or counted as dropped, and a level
+    /// holds a key at most once: an overwrite-heavy store stays within
+    /// its key space per level instead of growing with the stream.
+    #[test]
+    fn a_level_holds_one_version_per_key() {
+        const KEYS: u64 = 1 << 9;
+        let mut rng = cosbt_testkit::Rng::new(0x1CE);
+        for (g, p) in [(2, 0.125), (4, 0.1)] {
+            let mut c = plain(g, p);
+            let mut model = std::collections::BTreeMap::new();
+            for i in 0..1u64 << 14 {
+                let key = rng.below(KEYS);
+                if rng.chance(1, 4) {
+                    c.delete(key);
+                    model.remove(&key);
+                } else {
+                    c.insert(key, i);
+                    model.insert(key, i);
+                }
+                assert_eq!(c.get(key), model.get(&key).copied(), "g={g} op {i}");
+            }
+            c.check_invariants();
+            assert!(c.levels.iter().all(|lv| lv.items <= KEYS as usize));
+            let stored = c.physical_len() as u64;
+            assert_eq!(c.stats().cells_dropped, c.insertions() - stored, "g={g}");
+            for key in 0..KEYS {
+                assert_eq!(c.get(key), model.get(&key).copied(), "g={g} key {key}");
+            }
+            let live: Vec<(u64, u64)> = model.into_iter().collect();
+            assert_eq!(c.range(0, u64::MAX), live, "g={g}");
+        }
+    }
+
+    /// A store written before carries dropped anything reopens, answers
+    /// as it did, and loses its shadowed versions as carries reach them.
+    #[test]
+    fn multi_version_levels_reopen_and_converge() {
+        // p = 0: no lookahead cell samples the cells edited below.
+        let mut c = plain(4, 0.0);
+        let mut model = std::collections::BTreeMap::new();
+        for k in 0..500u64 {
+            c.insert(2 * k, k);
+            model.insert(2 * k, k);
+        }
+        // Turn the second and third of every four cells of each level,
+        // interior so the persisted fence keys stay true, into older
+        // versions of the first: what the old carry left behind.
+        let meta = c.save_meta();
+        let mut mem = c.mem.clone();
+        let mut shadowed = 0;
+        for lv in c.levels.iter().filter(|lv| lv.items >= 8) {
+            for i in (lv.run_base()..lv.run_base() + lv.items - 4).step_by(4) {
+                let newest = mem.get(i).key;
+                for older in [i + 1, i + 2] {
+                    model.remove(&mem.get(older).key);
+                    mem.set(older, Cell::item(newest, u64::MAX));
+                    shadowed += 1;
+                }
+            }
+        }
+        assert!(shadowed > 100);
+        let mut c = GCola::from_parts(mem, &meta).expect("a multi-version store opens");
+        for k in 0..1000u64 {
+            assert_eq!(c.get(k), model.get(&k).copied(), "reopened, key {k}");
+        }
+        // Fresh odd keys until a carry has rewritten the deepest level.
+        let deepest = c.levels.len() - 1;
+        let mut k = 1;
+        while c.levels.len() == deepest + 1 {
+            c.insert(k, k);
+            model.insert(k, k);
+            k += 2;
+        }
+        c.check_invariants();
+        assert_eq!(c.stats().cells_dropped, shadowed);
+        let live: Vec<(u64, u64)> = model.into_iter().collect();
+        assert_eq!(c.range(0, u64::MAX), live);
     }
 
     #[test]

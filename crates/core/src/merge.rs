@@ -9,15 +9,24 @@
 //! geometrically, so the fold copies `Σ size_j·(t−j) ≤ total·g/(g−1)`
 //! cells at one compare each, against a heap's `O(log k)` sifts per cell.
 //!
+//! The calling structure picks what a step keeps by the method it feeds.
+//! [`Step::push`] drops a source cell whose key the cell just written
+//! carries — the newer run's, or the source's own in a level written
+//! before this rule — so the output is cell-for-cell a k-way merge *of the
+//! newest version of each key*, and [`MergeBuf::drop_tombstones`] ends a
+//! fold nothing older lies beneath. [`Step::push_all`] keeps every cell:
+//! the basic COLA's levels are exactly full or empty.
+//!
 //! The fold runs in place. Source sizes are known up front, so the run
-//! so far sits right-justified in a buffer of the final size and each
-//! older source is merged into the gap on its left as its cells stream
-//! past: the write position reaches the unread run only when the source
-//! is exhausted, and the rest of the run is then already in place. No
-//! source is staged and nothing ping-pongs; a caller that streams the
-//! last, largest merge (fold ⋈ staged target) into the level rewrite
-//! holds the sources once and the output never — half a k-way merge's
-//! peak (sources + output).
+//! so far sits right-justified in a buffer of their sum and each older
+//! source is merged into the gap on its left as its cells stream past:
+//! the write position reaches the unread run only when the source is
+//! exhausted, and the rest of the run is then already in place. A step
+//! that dropped cells ends short of the run and closes the gap with one
+//! `copy_within`; fresh keys never pay it. No source is staged and
+//! nothing ping-pongs: the fold holds the sources once and the output
+//! never — half a k-way merge's peak (sources + output) — and its length
+//! is known before the target's rewrite starts.
 //!
 //! The scratch belongs to the structure, so a steady-state carry
 //! allocates nothing. Between carries each buffer keeps at most
@@ -46,13 +55,14 @@ fn recycle<T>(v: &mut Vec<T>) {
 /// stays initialized to its full length, so steps index instead of push.
 #[derive(Debug, Default)]
 pub(crate) struct MergeBuf {
-    /// A source that must be read whole before it is merged (a carry
-    /// target's own run, which the rewrite overwrites).
+    /// One source's cells, read whole before they are fed to a step.
     pub(crate) staged: Vec<Cell>,
     /// Lookahead samples `(key, position)` for the level being rewritten.
     pub(crate) las: Vec<(u64, u64)>,
     /// The samples that rewrite takes of itself, for the level below.
     pub(crate) down: Vec<(u64, u64)>,
+    /// Shadowed versions and spent tombstones the fold has dropped.
+    pub(crate) dropped: u64,
     buf: Vec<Cell>,
     start: usize,
 }
@@ -65,20 +75,42 @@ impl MergeBuf {
         }
         self.start = self.buf.len() - newest.len();
         self.buf[self.start..].copy_from_slice(newest);
+        self.dropped = 0;
     }
 
     /// Merges the next-older source, of exactly `n` cells, into the run:
     /// `feed` pushes them in key order.
     pub(crate) fn step(&mut self, n: usize, feed: impl FnOnce(&mut Step<'_>)) {
         assert!(n <= self.start, "fold begun with room for fewer cells");
-        let (r, w) = (self.start, self.start - n);
+        let base = self.start - n;
         let mut step = Step {
             buf: &mut self.buf,
-            r,
-            w,
+            r: self.start,
+            w: base,
+            base,
+            left: n,
         };
         feed(&mut step);
-        assert_eq!(step.w, step.r, "source shorter than its item count");
+        assert_eq!(step.left, 0, "source shorter than its item count");
+        let (w, gap) = (step.w, step.r - step.w);
+        if gap > 0 {
+            self.buf.copy_within(base..w, base + gap);
+            self.dropped += gap as u64;
+        }
+        self.start = base + gap;
+    }
+
+    /// Ends a fold nothing older lies beneath: its tombstones have no
+    /// version left to shadow and are compacted out, right to left.
+    pub(crate) fn drop_tombstones(&mut self) {
+        let mut w = self.buf.len();
+        for r in (self.start..self.buf.len()).rev() {
+            if !self.buf[r].is_tombstone() {
+                w -= 1;
+                self.buf[w] = self.buf[r];
+            }
+        }
+        self.dropped += (w - self.start) as u64;
         self.start = w;
     }
 
@@ -98,23 +130,46 @@ impl MergeBuf {
     }
 }
 
-/// One source being merged in: `buf[r..]` is the unread run, `w` the next
-/// output slot, and `r − w` the number of source cells still to come.
+/// One source being merged in: `buf[base..w]` is the output so far,
+/// `buf[r..]` the unread run and `left` the number of source cells still
+/// to come; `r − w − left` cells have been dropped.
 pub(crate) struct Step<'a> {
     buf: &'a mut [Cell],
     r: usize,
     w: usize,
+    base: usize,
+    left: usize,
 }
 
 impl Step<'_> {
-    /// The source's next cell. The run is newer and wins ties.
+    /// Moves the run's cells up to and including `key` to the output: the
+    /// run is newer and wins ties.
     #[inline]
-    pub(crate) fn push(&mut self, cell: &Cell) {
-        assert!(self.w < self.r, "source longer than its item count");
-        while self.r < self.buf.len() && self.buf[self.r].key <= cell.key {
+    fn advance(&mut self, key: u64) {
+        assert!(self.left > 0, "source longer than its item count");
+        self.left -= 1;
+        while self.r < self.buf.len() && self.buf[self.r].key <= key {
             self.buf[self.w] = self.buf[self.r];
             (self.w, self.r) = (self.w + 1, self.r + 1);
         }
+    }
+
+    /// The source's next cell, dropped if the cell just written — newer
+    /// than it — has its key.
+    #[inline]
+    pub(crate) fn push(&mut self, cell: &Cell) {
+        self.advance(cell.key);
+        if self.w > self.base && self.buf[self.w - 1].key == cell.key {
+            return;
+        }
+        self.buf[self.w] = *cell;
+        self.w += 1;
+    }
+
+    /// The source's next cell, kept whatever the run holds.
+    #[inline]
+    pub(crate) fn push_all(&mut self, cell: &Cell) {
+        self.advance(cell.key);
         self.buf[self.w] = *cell;
         self.w += 1;
     }
@@ -164,6 +219,16 @@ pub(crate) mod oracle {
         }
         assert_eq!(merged.len(), total);
         merged
+    }
+
+    /// The g-COLA's carry rule as a filter on [`heap_merge`]'s output: the
+    /// first cell of each key, and no tombstone when nothing older lies
+    /// beneath (`deepest`). Returns the number of cells dropped.
+    pub(crate) fn newest_only(merged: &mut Vec<Cell>, deepest: bool) -> u64 {
+        let all = merged.len();
+        merged.dedup_by_key(|c| c.key);
+        merged.retain(|c| !(deepest && c.is_tombstone()));
+        (all - merged.len()) as u64
     }
 
     /// One write of the mixed stream, in the shape each entry point takes.
@@ -261,28 +326,88 @@ mod tests {
             .collect()
     }
 
+    /// 1 to 7 sources, a quarter of them empty.
+    fn sources(rng: &mut Rng) -> Vec<Vec<Cell>> {
+        let mut next_val = 0;
+        (0..1 + rng.index(7))
+            .map(|_| {
+                let len = if rng.chance(1, 4) { 0 } else { rng.index(40) };
+                source(rng, len, &mut next_val)
+            })
+            .collect()
+    }
+
+    /// The basic COLA's path: every cell of every source survives.
     #[test]
     fn fold_is_a_stable_sort_of_the_sources_newest_first() {
         let mut buf = MergeBuf::default();
         check_cases("fold_stable", 500, |rng| {
-            let mut next_val = 0;
-            let sources: Vec<Vec<Cell>> = (0..1 + rng.index(7))
-                .map(|_| {
-                    let len = if rng.chance(1, 4) { 0 } else { rng.index(40) };
-                    source(rng, len, &mut next_val)
-                })
-                .collect();
+            let sources = sources(rng);
             let mut want: Vec<Cell> = sources.concat();
             want.sort_by_key(|c| c.key); // stable: ties keep source order
             assert_eq!(oracle::heap_merge(&sources), want, "the oracle itself");
 
             buf.begin(&sources[0], want.len());
             for src in &sources[1..] {
+                buf.step(src.len(), |s| src.iter().for_each(|c| s.push_all(c)));
+            }
+            assert_eq!(buf.run(), want);
+            assert_eq!(buf.dropped, 0);
+            buf.release();
+        });
+    }
+
+    /// The g-COLA's path: the first cell of each key in that same order,
+    /// also when an older source repeats a key itself (a level written
+    /// before carries dropped anything), and then no tombstone.
+    #[test]
+    fn push_keeps_the_newest_version_of_each_key() {
+        let mut buf = MergeBuf::default();
+        check_cases("fold_newest", 500, |rng| {
+            let mut sources = sources(rng);
+            sources[0].dedup_by_key(|c| c.key); // a new run holds a key once
+            let mut want = oracle::heap_merge(&sources);
+            let total = want.len();
+            let shadowed = oracle::newest_only(&mut want, false);
+
+            buf.begin(&sources[0], total);
+            for src in &sources[1..] {
                 buf.step(src.len(), |s| src.iter().for_each(|c| s.push(c)));
             }
             assert_eq!(buf.run(), want);
+            assert_eq!(buf.dropped, shadowed);
+
+            let spent = oracle::newest_only(&mut want, true);
+            buf.drop_tombstones();
+            assert_eq!(buf.run(), want);
+            assert_eq!(buf.dropped, shadowed + spent);
             buf.release();
         });
+    }
+
+    /// Drops at either end of a step, where the gap meets the run.
+    #[test]
+    fn push_drops_at_the_first_and_last_position_of_a_step() {
+        let cells = |keys: &[u64], val| keys.iter().map(|&k| Cell::item(k, val)).collect();
+        let fold = |run: &[u64], src: &[u64]| {
+            let (run, src): (Vec<Cell>, Vec<Cell>) = (cells(run, 0), cells(src, 1));
+            let mut buf = MergeBuf::default();
+            buf.begin(&run, run.len() + src.len());
+            buf.step(src.len(), |s| src.iter().for_each(|c| s.push(c)));
+            let out: Vec<(u64, u64)> = buf.run().iter().map(|c| (c.key, c.val)).collect();
+            (out, buf.dropped)
+        };
+        // First: the source's first cell is shadowed by the run's.
+        assert_eq!(fold(&[1, 5], &[1, 3]), (vec![(1, 0), (3, 1), (5, 0)], 1));
+        // Last: the source's last cell is shadowed by the run's last.
+        assert_eq!(fold(&[2, 9], &[1, 9]), (vec![(1, 1), (2, 0), (9, 0)], 1));
+        // Every cell, leaving nothing of the source.
+        assert_eq!(fold(&[4, 6], &[4, 6]), (vec![(4, 0), (6, 0)], 2));
+        // A source that repeats its own first key, which the run lacks:
+        // the slot before the step's output is never consulted.
+        assert_eq!(fold(&[7], &[3, 3, 7]), (vec![(3, 1), (7, 0)], 2));
+        // Nothing shadowed: the step ends flush and nothing moves.
+        assert_eq!(fold(&[2], &[1, 3]), (vec![(1, 1), (2, 0), (3, 1)], 0));
     }
 
     #[test]
@@ -292,7 +417,9 @@ mod tests {
             .map(|k| Cell::item(k, k))
             .collect();
         buf.begin(&big[..10], big.len());
-        buf.step(big.len() - 10, |s| big[10..].iter().for_each(|c| s.push(c)));
+        buf.step(big.len() - 10, |s| {
+            big[10..].iter().for_each(|c| s.push_all(c))
+        });
         assert_eq!(buf.run().len(), big.len());
         buf.staged.extend_from_slice(&big);
         buf.las.resize(2 * RETAIN_CELLS, (0, 0));
@@ -301,7 +428,7 @@ mod tests {
         assert!(buf.retained() <= RETAIN_CELLS);
         // The retained buffer still serves a carry within the bound.
         buf.begin(&big[..3], 5);
-        buf.step(2, |s| big[1..3].iter().for_each(|c| s.push(c)));
+        buf.step(2, |s| big[1..3].iter().for_each(|c| s.push_all(c)));
         let keys: Vec<u64> = buf.run().iter().map(|c| c.key).collect();
         assert_eq!(keys, [0, 1, 1, 2, 2]);
     }

@@ -20,6 +20,12 @@ pub struct ColaStats {
     /// Levels (or deamortized arrays) skipped by a fence or filter
     /// during searches without touching any of their cells.
     pub filter_skips: u64,
+    /// Cells a carry read and did not write back: versions shadowed by a
+    /// newer one of the same key, and tombstones merged into the deepest
+    /// occupied level, where nothing is left for them to shadow. Only
+    /// the g-COLA drops cells; the other variants keep every version
+    /// until `compact`.
+    pub cells_dropped: u64,
 }
 
 impl ColaStats {

@@ -11,11 +11,13 @@
 //!    touched, however large that level is.
 //! 2. **Golden ingest counts.** A fixed seed and structure pin all six
 //!    `IoStats` fields of a 2^13-insert stream, in debug and release
-//!    alike. A change that moves them changed the carry's I/O and must
-//!    update the goldens consciously.
+//!    alike: duplicate-free and overwrite-heavy for the g-COLA, whose
+//!    carry keeps one version per key, and duplicate-free for the
+//!    deamortized variants. A change that moves them changed the carry's
+//!    I/O and must update the goldens consciously.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{Dictionary, GCola};
+use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats};
 use cosbt_testkit::Rng;
 
@@ -133,32 +135,102 @@ fn a_cold_carry_fetches_only_the_levels_it_merges() {
     }
 }
 
-#[test]
-fn golden_ingest_iostats() {
-    let ingest = |g, p| {
-        let store = store();
-        let mut cola = GCola::new(store.clone(), g, p);
-        for (i, key) in keys().enumerate() {
-            cola.insert(key, i as u64);
-        }
-        store.stats()
-    };
-    let golden = |accesses, hits, fetches, evictions, writebacks, seeks| IoStats {
+/// All six `IoStats` fields of `cola`'s ingest of `keys`, on `store`.
+fn ingest(store: &Store, cola: &mut impl Dictionary, keys: impl Iterator<Item = u64>) -> IoStats {
+    for (i, key) in keys.enumerate() {
+        cola.insert(key, i as u64);
+    }
+    store.stats()
+}
+
+fn golden(
+    accesses: u64,
+    hits: u64,
+    fetches: u64,
+    evictions: u64,
+    writebacks: u64,
+    seeks: u64,
+) -> IoStats {
+    IoStats {
         accesses,
         hits,
         fetches,
         evictions,
         writebacks,
         seeks,
+    }
+}
+
+#[test]
+fn golden_ingest_iostats() {
+    let gcola = |g, p| {
+        let store = store();
+        ingest(&store, &mut GCola::new(store.clone(), g, p), keys())
     };
+    // No key repeats, so nothing is dropped; what moved from the goldens
+    // before (fetches 6783 and 10541, writebacks 4543 and 6956, seeks
+    // 563 and 764) is the read order: the target level is swept last,
+    // right before its rewrite, not first.
     assert_eq!(
-        ingest(2, 0.125),
-        golden(150530, 143747, 6783, 6777, 4543, 563),
+        gcola(2, 0.125),
+        golden(150530, 143946, 6584, 6578, 4480, 489),
         "2-COLA"
     );
     assert_eq!(
-        ingest(4, 0.1),
-        golden(217545, 207004, 10541, 10535, 6956, 764),
+        gcola(4, 0.1),
+        golden(217545, 207471, 10074, 10068, 6700, 653),
         "4-COLA"
+    );
+}
+
+/// The same 2^13 inserts drawn from 2^10 keys: every key is overwritten
+/// about eight times, and a carry keeps one version of it.
+#[test]
+fn golden_overwrite_ingest_iostats() {
+    let gcola = |g, p| {
+        let store = store();
+        let mut cola = GCola::new(store.clone(), g, p);
+        let stats = ingest(&store, &mut cola, keys().map(|k| k % (1 << 10)));
+        cola.check_invariants();
+        let stored = cola.physical_len();
+        assert!(stored <= 1 << 10, "g={g}: one version per key");
+        assert_eq!(cola.stats().cells_dropped, (N - stored) as u64, "g={g}");
+        stats
+    };
+    // While a carry kept every version, this stream cost what the
+    // duplicate-free one did: fetches 6783 and 10541, writebacks 4543
+    // and 6956.
+    assert_eq!(
+        gcola(2, 0.125),
+        golden(116258, 111739, 4519, 4513, 2866, 527),
+        "2-COLA"
+    );
+    assert_eq!(
+        gcola(4, 0.1),
+        golden(146295, 140607, 5688, 5682, 3196, 689),
+        "4-COLA"
+    );
+}
+
+/// The deamortized variants over the duplicate-free stream. They share
+/// none of the g-COLA's carry (ROADMAP item 2), so these stand as the
+/// numbers to beat when the engines are unified.
+#[test]
+fn golden_deamortized_ingest_iostats() {
+    let store_a = store();
+    assert_eq!(
+        ingest(&store_a, &mut DeamortCola::new(store_a.clone()), keys()),
+        golden(689410, 665179, 24231, 24225, 14342, 4641),
+        "deamortized COLA"
+    );
+    let store_b = store();
+    assert_eq!(
+        ingest(
+            &store_b,
+            &mut DeamortBasicCola::new(store_b.clone()),
+            keys()
+        ),
+        golden(364546, 354089, 10457, 10451, 7115, 1002),
+        "deamortized basic COLA"
     );
 }

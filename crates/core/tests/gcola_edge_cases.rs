@@ -30,12 +30,20 @@ fn boundary_keys_u64_min_max() {
 
 #[test]
 fn all_same_key_hammering() {
-    // Every insert shadows the previous one; the structure grows but the
-    // map stays a single live key.
+    // Every insert shadows the previous one, and every carry keeps one
+    // version of the key: at most one cell per level, however long the
+    // stream, and the map stays a single live key.
     let mut c = plain(4, 0.1);
     for i in 0..10_000u64 {
         c.insert(7, i);
     }
+    assert!(c.physical_len() <= c.num_levels());
+    assert_eq!(
+        c.stats().cells_dropped,
+        10_000 - c.physical_len() as u64,
+        "every cell is stored or counted as dropped"
+    );
+    c.check_invariants();
     assert_eq!(c.get(7), Some(9_999));
     assert_eq!(c.range(0, u64::MAX), vec![(7, 9_999)]);
     c.compact();
@@ -81,6 +89,38 @@ fn compact_empty_and_all_tombstones() {
     assert_eq!(c.get(5), None);
     c.insert(1, 1);
     assert_eq!(c.get(1), Some(1));
+}
+
+/// A tombstone has nothing left to shadow once it reaches the deepest
+/// occupied level: the first carry into it after everything is deleted
+/// empties the structure, with no `compact`.
+#[test]
+fn deleting_everything_empties_the_structure() {
+    for (g, p) in [(2, 0.125), (4, 0.1)] {
+        let mut c = plain(g, p);
+        for k in 0..300u64 {
+            c.insert(k, k);
+        }
+        for k in 0..300u64 {
+            c.delete(k);
+        }
+        // Deleting again only adds tombstones, and brings that carry on.
+        let mut again = 0u64;
+        while c.physical_len() > 0 {
+            c.delete(again % 300);
+            again += 1;
+            assert!(again <= 2048, "g={g}: no carry reached the deepest level");
+        }
+        assert_eq!(c.stats().cells_dropped, c.insertions(), "g={g}");
+        c.check_invariants();
+        assert_eq!(c.range(0, u64::MAX), vec![]);
+        // Nothing is stored, so a delete is not either.
+        c.delete(5);
+        assert_eq!(c.physical_len(), 0);
+        c.insert(5, 50);
+        assert_eq!(c.get(5), Some(50));
+        c.check_invariants();
+    }
 }
 
 #[test]
@@ -143,8 +183,8 @@ fn compact_preserves_content() {
     });
 }
 
-/// Level occupancy accounting never drifts: the sum of per-level item
-/// counts equals inserts (without compaction, nothing is dropped).
+/// Level occupancy accounting never drifts: over distinct keys nothing
+/// is shadowed, so the sum of per-level item counts equals inserts.
 #[test]
 fn physical_len_equals_operations() {
     check_cases("physical_len_equals_operations", 48, |rng: &mut Rng| {

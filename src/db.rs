@@ -1650,9 +1650,11 @@ impl Db {
         self.dict.insert_batch(sorted)
     }
 
-    /// Number of physically stored entries (shadowed versions and
-    /// tombstones included for the log-structured structures), summed
-    /// across shards.
+    /// Number of physically stored entries, summed across shards: what a
+    /// store holds, not what it answers. The log-structured structures
+    /// count the shadowed versions and tombstones they still keep — the
+    /// g-COLA at most one version per key and level, since its carries
+    /// drop the rest; the basic and deamortized COLAs every one.
     pub fn physical_len(&self) -> usize {
         self.dict.physical_len()
     }

@@ -6,8 +6,7 @@
 //! keys that were deleted and later reinserted. Fence keys, Bloom-style
 //! filters, and ghost-pointer windows are pure accelerators; any
 //! observable divergence is a bug. (The cascade against the paper's
-//! plain search, `get_plain`, is a unit differential in `cosbt-core`;
-//! the test names here predate it.)
+//! plain search, `get_plain`, is a unit differential in `cosbt-core`.)
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
@@ -115,7 +114,7 @@ fn drive(db: &mut Db, seed: u64, ops: usize, label: &str) {
 }
 
 #[test]
-fn mem_matrix_cascade_agrees_with_model_and_plain_search() {
+fn mem_matrix_agrees_with_model() {
     for (s, deamortized) in cola_cells() {
         for shards in [1usize, 3] {
             let mut db = builder(s, deamortized, shards, None).build().unwrap();
@@ -131,7 +130,7 @@ fn mem_matrix_cascade_agrees_with_model_and_plain_search() {
 }
 
 #[test]
-fn file_matrix_cascade_agrees_with_model_and_plain_search() {
+fn file_matrix_agrees_with_model() {
     for (i, (s, deamortized)) in cola_cells().into_iter().enumerate() {
         for shards in [1usize, 3] {
             let path = tmp(&format!("{i}-{shards}"));
@@ -153,7 +152,7 @@ fn file_matrix_cascade_agrees_with_model_and_plain_search() {
 /// Reopening a file-backed db rebuilds the accelerators from the
 /// committed cells and must serve the model's answers through them.
 #[test]
-fn reopen_preserves_equivalence_across_toggle() {
+fn reopened_db_agrees_with_model() {
     for (i, (s, deamortized)) in cola_cells().into_iter().enumerate() {
         let path = tmp(&format!("reopen-{i}"));
         let mk = || builder(s, deamortized, 1, Some(path.to_path_buf()));

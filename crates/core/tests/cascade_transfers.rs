@@ -104,7 +104,8 @@ fn filtered_misses_read_zero_pages() {
 
 /// Golden numbers for the get phase: 256 cold probes (128 hits + 128
 /// misses) against a 2-COLA and a basic COLA holding `N` keys, through
-/// `get` (the cascade, "on") and `get_plain` (the paper's search, "off").
+/// `get` (the cascade, "on") and `get_plain` (the paper's search, "off"),
+/// and against the two deamortized variants through `get`.
 /// The simulator is deterministic, the workload is seeded, and the
 /// counts are byte-exact in debug and release builds.
 #[test]
@@ -131,6 +132,12 @@ fn golden_get_phase_fetch_counts() {
     let (sim, mem) = sim_and_mem(8);
     let basic_off = run(BasicCola::new(mem), &sim, BasicCola::get_plain);
 
+    let (sim, mem) = sim_and_mem(8);
+    let deamort_basic = run(DeamortBasicCola::new(mem), &sim, DeamortBasicCola::get);
+
+    let (sim, mem) = sim_and_mem(8);
+    let deamort = run(DeamortCola::new(mem), &sim, DeamortCola::get);
+
     assert!(
         gcola_on < gcola_off && basic_on < basic_off,
         "cascade must strictly reduce cold get fetches: \
@@ -144,9 +151,16 @@ fn golden_get_phase_fetch_counts() {
         (GOLD_GCOLA_ON, GOLD_GCOLA_OFF, GOLD_BASIC_ON, GOLD_BASIC_OFF),
         "get-phase fetch counts moved"
     );
+    assert_eq!(
+        (deamort_basic, deamort),
+        (GOLD_DEAMORT_BASIC, GOLD_DEAMORT),
+        "deamortized get-phase fetch counts moved"
+    );
 }
 
 const GOLD_GCOLA_ON: u64 = 132;
 const GOLD_GCOLA_OFF: u64 = 1668;
 const GOLD_BASIC_ON: u64 = 131;
 const GOLD_BASIC_OFF: u64 = 5870;
+const GOLD_DEAMORT_BASIC: u64 = 134;
+const GOLD_DEAMORT: u64 = 134;

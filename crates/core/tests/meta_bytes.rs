@@ -1,0 +1,122 @@
+//! The stored control-state format of the four COLAs, pinned byte for
+//! byte: one fixed seeded stream (inserts, overwrites, deletes) into each
+//! structure, then the length and an FNV-1a hash of `save_meta()` against
+//! literals, and `from_parts` on those very bytes answering like the
+//! structure that wrote them. A change that moves the fence encoding — or
+//! any other field — without meaning to change the format fails here; one
+//! that means to bumps `META_VERSION` and records new literals.
+
+use std::cell::RefCell;
+use std::collections::BTreeMap;
+use std::rc::Rc;
+
+use cosbt_core::{
+    BasicCola, Cell, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist,
+};
+use cosbt_dam::{Mem, PlainMem};
+use cosbt_testkit::Rng;
+
+/// A store the test keeps a handle on, so it can reopen what a structure
+/// that owns the other handle wrote.
+#[derive(Clone, Default)]
+struct Shared(Rc<RefCell<PlainMem<Cell>>>);
+
+impl Mem<Cell> for Shared {
+    fn len(&self) -> usize {
+        self.0.borrow().len()
+    }
+    fn get(&self, i: usize) -> Cell {
+        self.0.borrow().get(i)
+    }
+    fn set(&mut self, i: usize, v: Cell) {
+        self.0.borrow_mut().set(i, v)
+    }
+    fn resize(&mut self, new_len: usize, fill: Cell) {
+        self.0.borrow_mut().resize(new_len, fill)
+    }
+}
+
+const OPS: usize = 6000;
+const KEYS: u64 = 1500;
+
+/// 6,000 operations over 1,500 keys: every key is overwritten about
+/// three times and one operation in five is a delete.
+fn stream(d: &mut dyn Dictionary) -> BTreeMap<u64, u64> {
+    let mut rng = Rng::new(0x3E7A_B17E);
+    let mut model = BTreeMap::new();
+    for i in 0..OPS as u64 {
+        let k = rng.below(KEYS).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 4;
+        if rng.chance(1, 5) {
+            d.delete(k);
+            model.remove(&k);
+        } else {
+            d.insert(k, i);
+            model.insert(k, i);
+        }
+    }
+    model
+}
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn pinned<D: Dictionary + Persist>(
+    name: &str,
+    new: impl Fn(Shared) -> D,
+    from_parts: impl Fn(Shared, &[u8]) -> Result<D, MetaError>,
+    want: (usize, u64),
+) {
+    let store = Shared::default();
+    let mut d = new(store.clone());
+    let model = stream(&mut d);
+    let meta = d.save_meta();
+    assert_eq!(
+        (meta.len(), fnv1a(&meta)),
+        want,
+        "{name}: stored control state moved (got length {}, FNV-1a {:#018x})",
+        meta.len(),
+        fnv1a(&meta)
+    );
+    let mut reopened = from_parts(store, &meta).unwrap_or_else(|e| panic!("{name}: {e}"));
+    assert_eq!(reopened.save_meta(), meta, "{name}: reopened meta");
+    let mut rng = Rng::new(7);
+    for _ in 0..2000 {
+        let k = rng.below(KEYS + 200).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 4;
+        assert_eq!(reopened.get(k), model.get(&k).copied(), "{name}: get {k}");
+        assert_eq!(d.get(k), model.get(&k).copied(), "{name}: original get {k}");
+    }
+    let live: Vec<(u64, u64)> = model.into_iter().collect();
+    assert_eq!(reopened.range(0, u64::MAX), live, "{name}: scan");
+}
+
+#[test]
+fn stored_control_state_is_byte_identical() {
+    pinned("basic COLA", BasicCola::new, BasicCola::from_parts, BASIC);
+    pinned(
+        "4-COLA",
+        |m| GCola::new(m, 4, 0.1),
+        GCola::from_parts,
+        GCOLA,
+    );
+    pinned(
+        "deamortized basic COLA",
+        DeamortBasicCola::new,
+        DeamortBasicCola::from_parts,
+        DEAMORT_BASIC,
+    );
+    pinned(
+        "deamortized COLA",
+        DeamortCola::new,
+        DeamortCola::from_parts,
+        DEAMORT,
+    );
+}
+
+// (length, FNV-1a) of `save_meta()` after `stream`, recorded at ff2d039.
+const BASIC: (usize, u64) = (143, 0x3731_646a_d6bd_04ff);
+const GCOLA: (usize, u64) = (482, 0x629c_74d6_dade_48b9);
+const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
+const DEAMORT: (usize, u64) = (1870, 0x5133_1371_4425_40ff);

@@ -5,8 +5,10 @@
 //! level k holds items iff bit k of the number of insertions N is set.
 //! Inserting performs a binary *carry*: merge equal-length runs upward
 //! until an empty level absorbs the result (Lemma 19: amortized
-//! `O((log N)/B)` transfers). Searches binary-search each level:
-//! `O(log² N)` transfers — the paper speeds this to `O(log N)` with
+//! `O((log N)/B)` transfers). The paper's search binary-searches each
+//! level, `O(log² N)` transfers ([`BasicCola::get_plain`]); lookups here
+//! probe each full level, newest first, as a [`Run`] bracketed by its
+//! DRAM aux. The paper itself speeds the search to `O(log N)` with
 //! lookahead pointers (see [`crate::gcola`]).
 //!
 //! Merging follows the implementation section exactly: "we merge the 2
@@ -24,11 +26,12 @@
 use cosbt_dam::{Mem, PlainMem};
 
 use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::Cell;
 use crate::merge::MergeBuf;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_BASIC_COLA};
+use crate::run::{lookup, Run};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
@@ -42,6 +45,11 @@ const META_VERSION: u8 = 2;
 fn level_off(k: usize) -> usize {
     1usize << k // 1 (spare) + (2^k - 1) (levels 0..k)
 }
+
+/// How far past its ghost window a level's probe reads ([`Run::find`]):
+/// nowhere. A level holds no redundant cells and is probed unclamped, so
+/// the window holds every cell of the key.
+const PAST_WINDOW: usize = 0;
 
 /// Basic COLA over any [`Mem`] backend.
 #[derive(Debug)]
@@ -291,67 +299,27 @@ impl<M: Mem<Cell>> BasicCola<M> {
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
     }
 
-    /// The cursor's merge sources: every full level, newest first.
-    fn runs(&self) -> Vec<Run<'_>> {
-        (0..self.full.len())
-            .filter(|&k| self.full[k])
-            .map(|k| Run {
-                base: level_off(k),
-                len: 1 << k,
-                aux: self.aux[k].as_ref(),
-            })
-            .collect()
-    }
-
-    /// Leftmost cell with key == `key` in the slot window `[lo, hi)` of
-    /// level `k`, if any (the newest version within the level). The
-    /// window must contain every cell with the given key, and its
-    /// preceding cells must all have smaller keys — the ghost-window
-    /// contract of [`LevelAux::window`]. Pass `(0, 1 << k)` for a full
-    /// binary search.
-    fn search_level_window(
-        &mut self,
-        k: usize,
-        key: u64,
-        mut lo: usize,
-        hi: usize,
-    ) -> Option<Cell> {
-        let base = level_off(k);
-        let mut end = hi;
-        while lo < end {
-            let mid = (lo + end) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                end = mid;
-            }
-        }
-        if lo < hi {
-            let c = self.mem.get(base + lo);
-            self.stats.cells_scanned += 1;
-            if c.key == key {
-                return Some(c);
-            }
-        }
-        None
+    /// Every level in directory order — which is newest first — as the
+    /// run it holds: `2^k` cells when full, none when empty.
+    fn runs<'a>(
+        full: &'a [bool],
+        aux: &'a [Option<LevelAux>],
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        full.iter().zip(aux).enumerate().map(|(k, (&f, aux))| Run {
+            base: level_off(k),
+            len: if f { 1 << k } else { 0 },
+            aux: aux.as_ref(),
+        })
     }
 
     /// The paper's Section 3 search: a full binary search of every full
-    /// level, newest first, with no fences, filter or ghost sample. Same
-    /// answers as [`Dictionary::get`]; kept as the reference the cascade
-    /// is tested and costed against.
+    /// level, newest first, with no fences, filter or ghost sample — the
+    /// same probe as [`Dictionary::get`] over runs without their aux.
+    /// Same answers; kept as the reference the cascade is tested and
+    /// costed against.
     pub fn get_plain(&mut self, key: u64) -> Option<u64> {
-        self.stats.searches += 1;
-        for k in 0..self.full.len() {
-            if !self.full[k] {
-                continue;
-            }
-            if let Some(c) = self.search_level_window(k, key, 0, 1 << k) {
-                return c.as_lookup();
-            }
-        }
-        None
+        let bare = Self::runs(&self.full, &self.aux).map(Run::bare);
+        lookup(&self.mem, &mut self.stats, bare, key, PAST_WINDOW)
     }
 
     /// Rebuilds the structure keeping only live entries (drops shadowed
@@ -410,25 +378,12 @@ impl<M: Mem<Cell>> BasicCola<M> {
     pub fn from_parts(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
         let mut r = MetaReader::new(meta, TAG_BASIC_COLA, META_VERSION)?;
         let n = r.u64()?;
-        let levels = r.usize()?;
-        // Bound the count before allocating anything with it: a corrupt
-        // payload must yield a MetaError, not an allocator abort. 60
-        // levels ≈ 2^60 cells, far past any real store.
-        if levels == 0 || levels > 60 {
-            return Err(MetaError::Invalid(format!("level count {levels}")));
-        }
+        let levels = r.level_count(60)?;
         let mut full = Vec::with_capacity(levels);
         for _ in 0..levels {
             full.push(r.bool()?);
         }
-        let mut fences = Vec::with_capacity(levels);
-        for &f in &full {
-            if f {
-                fences.push(Some((r.u64()?, r.u64()?)));
-            } else {
-                fences.push(None);
-            }
-        }
+        let fences = r.fences(full.iter().copied())?;
         r.finish()?;
         for (k, &f) in full.iter().enumerate() {
             if f != (n >> k & 1 == 1) {
@@ -459,30 +414,23 @@ impl<M: Mem<Cell>> BasicCola<M> {
             scratch: RunBuf::new(),
             merge: MergeBuf::default(),
         };
-        for (k, fence) in fences.iter().enumerate() {
-            if !cola.full[k] {
-                continue;
+        for (k, fence) in fences.into_iter().enumerate() {
+            if let Some(fence) = fence {
+                let run = Run {
+                    base: level_off(k),
+                    len: 1 << k,
+                    aux: None,
+                };
+                let what = format_args!("level {k}");
+                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, |_, _| {})?;
+                cola.aux[k] = Some(aux);
             }
-            // Merges build the aux inline; a reopen scans.
-            let rebuilt = cola.scratch.scan_aux(&cola.mem, level_off(k), 1 << k);
-            rebuilt
-                .check()
-                .map_err(|e| MetaError::Invalid(format!("level {k} cascade state: {e}")))?;
-            let (min, max) = fence.expect("fence recorded for every full level");
-            if (min, max) != (rebuilt.fence_min, rebuilt.fence_max) {
-                return Err(MetaError::Invalid(format!(
-                    "level {k} fence keys ({min}, {max}) disagree with stored cells \
-                     ({}, {})",
-                    rebuilt.fence_min, rebuilt.fence_max
-                )));
-            }
-            cola.aux[k] = Some(rebuilt);
         }
         Ok(cola)
     }
 
-    /// Checks Invariant 1 (level k full ⇔ bit k of N) and per-level
-    /// sortedness. Panics on violation; for tests.
+    /// Checks Invariant 1 (level k full ⇔ bit k of N) and every level as
+    /// a run (`Run::check`). Panics on violation; for tests.
     pub fn check_invariants(&self) {
         for (k, &f) in self.full.iter().enumerate() {
             assert_eq!(
@@ -492,40 +440,9 @@ impl<M: Mem<Cell>> BasicCola<M> {
                 self.n
             );
         }
-        for (k, &f) in self.full.iter().enumerate() {
-            if !f {
-                continue;
-            }
-            let base = level_off(k);
-            for i in 1..(1usize << k) {
-                assert!(
-                    self.mem.get(base + i - 1).key <= self.mem.get(base + i).key,
-                    "level {k} not sorted at {i}"
-                );
-            }
-        }
-        // Cascade state: aux present exactly for full levels,
-        // internally consistent, and agreeing with the stored cells'
-        // fence keys.
         assert_eq!(self.aux.len(), self.full.len(), "aux out of lockstep");
-        for (k, &f) in self.full.iter().enumerate() {
-            match &self.aux[k] {
-                Some(aux) => {
-                    assert!(f, "level {k} empty but has cascade aux");
-                    aux.check().unwrap_or_else(|e| panic!("level {k} aux: {e}"));
-                    assert_eq!(aux.len, 1usize << k, "level {k} aux length");
-                    let base = level_off(k);
-                    assert_eq!(
-                        (aux.fence_min, aux.fence_max),
-                        (
-                            self.mem.get(base).key,
-                            self.mem.get(base + (1 << k) - 1).key
-                        ),
-                        "level {k} fences disagree with stored cells"
-                    );
-                }
-                None => assert!(!f, "full level {k} lacks aux"),
-            }
+        for (k, run) in Self::runs(&self.full, &self.aux).enumerate() {
+            run.check(&self.mem, format_args!("level {k}"));
         }
     }
 }
@@ -537,17 +454,9 @@ impl<M: Mem<Cell>> Persist for BasicCola<M> {
         for &f in &self.full {
             w.bool(f);
         }
-        // v2: each full level's fence keys (its first and last cell —
-        // every basic-COLA cell is non-redundant), read straight from
-        // the store. `from_parts` cross-checks them against the reopened
-        // cells.
-        for k in 0..self.full.len() {
-            if self.full[k] {
-                let base = level_off(k);
-                w.u64(self.mem.get(base).key);
-                w.u64(self.mem.get(base + (1 << k) - 1).key);
-            }
-        }
+        // v2: each full level's fence keys; `from_parts` holds the
+        // reopened cells to them.
+        w.fences(&self.mem, Self::runs(&self.full, &self.aux));
         w.finish()
     }
 }
@@ -562,28 +471,12 @@ impl<M: Mem<Cell>> Dictionary for BasicCola<M> {
     }
 
     fn get(&mut self, key: u64) -> Option<u64> {
-        self.stats.searches += 1;
-        for k in 0..self.full.len() {
-            // `Some` ⇔ full. Fences and the filter skip the level
-            // outright (0 transfers); otherwise the ghost sample brackets
-            // the probe to a one-stride window.
-            let Some(aux) = &self.aux[k] else {
-                continue;
-            };
-            if !aux.may_contain(key) {
-                self.stats.filter_skips += 1;
-                continue;
-            }
-            let (lo, hi) = aux.window(key);
-            if let Some(c) = self.search_level_window(k, key, lo, hi) {
-                return c.as_lookup();
-            }
-        }
-        None
+        let runs = Self::runs(&self.full, &self.aux);
+        lookup(&self.mem, &mut self.stats, runs, key, PAST_WINDOW)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        let runs = self.runs();
+        let runs = Self::runs(&self.full, &self.aux);
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
     }
 

@@ -128,7 +128,7 @@ impl LevelFilter {
 }
 
 /// Read accelerators for one sorted run, consulted entirely in DRAM.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LevelAux {
     /// Smallest non-redundant key in the run (`u64::MAX` if none).
     pub fence_min: u64,

@@ -30,18 +30,19 @@
 //! mover (deferred while an adjacent level is unsafe) rather than fired
 //! eagerly, which is the schedule Lemma 21's budget argument guarantees
 //! anyway and keeps the no-two-adjacent-unsafe invariant checkable; and
-//! (b) queries binary-search each visible array per level — the windowed
-//! O(1)-per-level search over the pointer cells is exercised by the
-//! amortized [`crate::GCola`]; here the pointers' role is the
+//! (b) queries probe each visible array as an independent [`Run`] — the
+//! windowed O(1)-per-level search over the pointer cells is exercised by
+//! the amortized [`crate::GCola`]; here the pointers' role is the
 //! deamortization bookkeeping itself.
 
 use cosbt_dam::{Mem, PlainMem};
 
 use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT};
+use crate::run::{lookup, Run};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
@@ -156,6 +157,16 @@ fn arr_cap(k: usize) -> usize {
 fn arr_off(k: usize, a: usize) -> usize {
     // Levels are packed: sum of 3 * arr_cap(j) for j < k.
     3 * ((1usize << (k + 1)) - 2) + a * arr_cap(k)
+}
+
+/// Array `a` of level `k` as the run it holds (right-justified; empty
+/// when `len` is 0).
+fn arr_run<'a>(k: usize, a: usize, arrs: &[Arr; 3], aux: &'a [Option<LevelAux>; 3]) -> Run<'a> {
+    Run {
+        base: arr_off(k, a) + arrs[a].start,
+        len: arrs[a].len,
+        aux: aux[a].as_ref(),
+    }
 }
 
 impl DeamortCola<PlainMem<Cell>> {
@@ -524,51 +535,30 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(moved + 1);
     }
 
-    /// Visible arrays of level `k`, newest first.
-    fn visible_arrays(&self, k: usize) -> Vec<usize> {
-        let mut v: Vec<(u64, usize)> = (0..3)
-            .filter(|&a| self.arrs[k][a].vis == Vis::Visible && self.arrs[k][a].len > 0)
-            .map(|a| (self.arrs[k][a].seq, a))
-            .collect();
-        v.sort_unstable_by_key(|x| std::cmp::Reverse(x.0));
-        v.into_iter().map(|(_, a)| a).collect()
+    /// Every array in directory order, as the run it holds.
+    fn dir<'a>(
+        arrs: &'a [[Arr; 3]],
+        aux: &'a [[Option<LevelAux>; 3]],
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        let levels = arrs.iter().zip(aux).enumerate();
+        levels.flat_map(|(k, (lvl, aux))| [0, 1, 2].map(|a| arr_run(k, a, lvl, aux)))
     }
 
-    /// Leftmost real cell with `key` in array `(k, a)`.
-    fn search_array(&mut self, k: usize, a: usize, key: u64) -> Option<Cell> {
-        let ar = self.arrs[k][a];
-        let base = arr_off(k, a) + ar.start;
-        // Fences and the filter skip the array outright (0 cell reads);
-        // otherwise the ghost sample brackets the probe.
-        let aux = self.aux[k][a]
-            .as_ref()
-            .expect("a visible array has its aux");
-        if !aux.may_contain(key) {
-            self.stats.filter_skips += 1;
-            return None;
-        }
-        let (mut lo, mut hi) = aux.window(key);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        while lo < ar.len {
-            let c = self.mem.get(base + lo);
-            self.stats.cells_scanned += 1;
-            if c.key != key {
-                return None;
-            }
-            if c.is_real() {
-                return Some(c);
-            }
-            lo += 1;
-        }
-        None
+    /// The visible runs, newest first: visible arrays, smaller levels
+    /// first and, within a level, by descending `seq` — the snapshot
+    /// point lookups and cursors alike read. Shadow arrays (in-flight
+    /// merge destinations included) stay hidden.
+    fn runs<'a>(
+        arrs: &'a [[Arr; 3]],
+        aux: &'a [[Option<LevelAux>; 3]],
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        let levels = arrs.iter().zip(aux).enumerate();
+        levels.flat_map(|(k, (lvl, aux))| {
+            let mut order = [0, 1, 2];
+            order.sort_unstable_by_key(|&a| std::cmp::Reverse(lvl[a].seq));
+            let visible = order.into_iter().filter(|&a| lvl[a].vis == Vis::Visible);
+            visible.map(move |a| arr_run(k, a, lvl, aux))
+        })
     }
 
     /// Completes every in-flight phase and every due merge (the mover's
@@ -607,12 +597,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         let mut r = MetaReader::new(meta, TAG_DEAMORT, META_VERSION)?;
         let n = r.u64()?;
         let seq = r.u64()?;
-        let count = r.usize()?;
-        // Bound before allocating: corrupt counts yield MetaError, not
-        // an allocator abort (and keep every later shift in range).
-        if count == 0 || count > 60 {
-            return Err(MetaError::Invalid(format!("level count {count}")));
-        }
+        let count = r.level_count(60)?;
         let mut arrs = Vec::with_capacity(count);
         for _ in 0..count {
             let mut level = [Arr::empty(), Arr::empty(), Arr::empty()];
@@ -629,16 +614,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             }
             arrs.push(level);
         }
-        let mut fences = Vec::with_capacity(count);
-        for level in &arrs {
-            let mut triple = [None, None, None];
-            for (a, arr) in level.iter().enumerate() {
-                if arr.len > 0 {
-                    triple[a] = Some((r.u64()?, r.u64()?));
-                }
-            }
-            fences.push(triple);
-        }
+        let fences = r.fences(arrs.iter().flatten().map(|arr| arr.len > 0))?;
         r.finish()?;
         if mem.len() < arr_off(count, 0) {
             return Err(MetaError::Invalid(format!(
@@ -671,31 +647,15 @@ impl<M: Mem<Cell>> DeamortCola<M> {
             aux: vec![[None, None, None]; count],
             scratch: RunBuf::new(),
         };
-        // v2: cross-check the persisted run fence keys against the
-        // reopened cells, then rebuild each occupied array's cascade
-        // accelerators from them — corrupt cascade metadata is a typed
-        // `MetaError`, never a wrong answer.
-        for (k, triple) in fences.iter().enumerate() {
-            for (a, fence) in triple.iter().enumerate() {
-                let Some((first, last)) = *fence else {
-                    continue;
-                };
-                let ar = cola.arrs[k][a];
-                let base = arr_off(k, a) + ar.start;
-                let (got_first, got_last) =
-                    (cola.mem.get(base).key, cola.mem.get(base + ar.len - 1).key);
-                if (first, last) != (got_first, got_last) {
-                    return Err(MetaError::Invalid(format!(
-                        "level {k} array {a} fence keys ({first}, {last}) disagree \
-                         with stored cells ({got_first}, {got_last})"
-                    )));
-                }
-                // Phases build the aux inline; a reopen scans.
-                let rebuilt = cola.scratch.scan_aux(&cola.mem, base, ar.len);
-                rebuilt.check().map_err(|e| {
-                    MetaError::Invalid(format!("level {k} array {a} cascade state: {e}"))
-                })?;
-                cola.aux[k][a] = Some(rebuilt);
+        // v2: corrupt cascade metadata is a typed `MetaError`, never a
+        // wrong answer.
+        for (i, fence) in fences.into_iter().enumerate() {
+            if let Some(fence) = fence {
+                let (k, a) = (i / 3, i % 3);
+                let run = arr_run(k, a, &cola.arrs[k], &cola.aux[k]).bare();
+                let what = format_args!("level {k} array {a}");
+                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, |_, _| {})?;
+                cola.aux[k][a] = Some(aux);
             }
         }
         Ok(cola)
@@ -743,33 +703,11 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                 if is_dst || is_copy_target {
                     continue;
                 }
-                let base = arr_off(k, a) + ar.start;
-                let mut items = 0;
-                for i in 0..ar.len {
-                    let c = self.mem.get(base + i);
-                    if i > 0 {
-                        assert!(
-                            self.mem.get(base + i - 1).key <= c.key,
-                            "level {k} array {a} not sorted"
-                        );
-                    }
-                    if c.is_real() {
-                        items += 1;
-                    }
-                }
+                // A settled array as a run: sorted, aux present exactly
+                // when occupied and agreeing with the cells.
+                let run = arr_run(k, a, &self.arrs[k], &self.aux[k]);
+                let items = run.check(&self.mem, format_args!("level {k} array {a}"));
                 assert_eq!(items, ar.items, "level {k} array {a} item count");
-                // Cascade state for settled arrays: aux present exactly
-                // when occupied, internally consistent, and sized to the
-                // occupied run.
-                match &self.aux[k][a] {
-                    Some(aux) => {
-                        assert!(ar.len > 0, "level {k} array {a} empty but has aux");
-                        aux.check()
-                            .unwrap_or_else(|e| panic!("level {k} array {a} aux: {e}"));
-                        assert_eq!(aux.len, ar.len, "level {k} array {a} aux length");
-                    }
-                    None => assert_eq!(ar.len, 0, "level {k} array {a} occupied but lacks aux"),
-                }
             }
         }
     }
@@ -792,18 +730,8 @@ impl<M: Mem<Cell>> Persist for DeamortCola<M> {
                     .bool(arr.zombie);
             }
         }
-        // v2: each occupied array's run fence keys (its first and last
-        // occupied cell), read O(1) from the store. `from_parts`
-        // cross-checks them against the reopened cells.
-        for (k, level) in self.arrs.iter().enumerate() {
-            for (a, arr) in level.iter().enumerate() {
-                if arr.len > 0 {
-                    let base = arr_off(k, a) + arr.start;
-                    w.u64(self.mem.get(base).key);
-                    w.u64(self.mem.get(base + arr.len - 1).key);
-                }
-            }
-        }
+        // v2: each occupied array's fence keys.
+        w.fences(&self.mem, Self::dir(&self.arrs, &self.aux));
         w.finish()
     }
 }
@@ -818,33 +746,13 @@ impl<M: Mem<Cell>> Dictionary for DeamortCola<M> {
     }
 
     fn get(&mut self, key: u64) -> Option<u64> {
-        self.stats.searches += 1;
-        for k in 0..self.arrs.len() {
-            for a in self.visible_arrays(k) {
-                if let Some(c) = self.search_array(k, a, key) {
-                    return c.as_lookup();
-                }
-            }
-        }
-        None
+        let runs = Self::runs(&self.arrs, &self.aux);
+        lookup(&self.mem, &mut self.stats, runs, key, usize::MAX)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        // Visible arrays only, newest first per level — the same snapshot
-        // point lookups read; shadow arrays (including in-flight merge
-        // destinations) stay hidden, and pointer cells are skipped by the
-        // merge cursor.
-        let mut runs = Vec::new();
-        for k in 0..self.arrs.len() {
-            for a in self.visible_arrays(k) {
-                let ar = self.arrs[k][a];
-                runs.push(Run {
-                    base: arr_off(k, a) + ar.start,
-                    len: ar.len,
-                    aux: self.aux[k][a].as_ref(),
-                });
-            }
-        }
+        // Pointer cells are skipped by the merge cursor.
+        let runs = Self::runs(&self.arrs, &self.aux);
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
     }
 

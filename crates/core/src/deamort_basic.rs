@@ -11,17 +11,19 @@
 //! exists to merge into. Worst-case insert cost drops from `O(N/B)` to
 //! `O(log N)` while the amortized cost stays `O((log N)/B)`.
 //!
-//! Queries read completed (full) arrays only; a merge's destination is
-//! invisible until the merge commits, and its sources stay readable until
-//! then, so searches are never amortized against merges.
+//! Queries read completed (full) arrays only, each as a [`Run`]; a
+//! merge's destination is invisible until the merge commits, and its
+//! sources stay readable until then, so searches are never amortized
+//! against merges.
 
 use cosbt_dam::{Mem, PlainMem};
 
 use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT_BASIC};
+use crate::run::{lookup, Run};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
@@ -84,6 +86,22 @@ pub struct DeamortBasicCola<M: Mem<Cell>> {
 #[inline]
 fn arr_off(k: usize, side: Side) -> usize {
     2 * ((1usize << k) - 1) + side * (1usize << k)
+}
+
+/// Array `side` of level `k` as the run it holds: `2^k` cells when
+/// full, none otherwise (a filling array is invisible).
+fn arr_run<'a>(
+    k: usize,
+    side: Side,
+    state: &[ArrState; 2],
+    aux: &'a [Option<LevelAux>; 2],
+) -> Run<'a> {
+    let full = matches!(state[side], ArrState::Full { .. });
+    Run {
+        base: arr_off(k, side),
+        len: if full { 1 << k } else { 0 },
+        aux: aux[side].as_ref(),
+    }
 }
 
 impl DeamortBasicCola<PlainMem<Cell>> {
@@ -263,48 +281,35 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(moved + 1);
     }
 
-    /// Leftmost cell with `key` in the given full array, if any.
-    fn search_array(&mut self, k: usize, side: Side, key: u64) -> Option<Cell> {
-        let base = arr_off(k, side);
-        let len = 1usize << k;
-        // Fences and the filter skip the array outright (0 cell reads);
-        // otherwise the ghost sample brackets the probe.
-        let aux = self.aux[k][side]
-            .as_ref()
-            .expect("a full array has its aux");
-        if !aux.may_contain(key) {
-            self.stats.filter_skips += 1;
-            return None;
-        }
-        let (mut lo, mut hi) = aux.window(key);
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        if lo < len {
-            let c = self.mem.get(base + lo);
-            if c.key == key {
-                return Some(c);
-            }
-        }
-        None
+    /// Every array in directory order, as the run it holds.
+    fn dir<'a>(
+        state: &'a [[ArrState; 2]],
+        aux: &'a [[Option<LevelAux>; 2]],
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        let levels = state.iter().zip(aux).enumerate();
+        levels.flat_map(|(k, (st, aux))| [0, 1].map(|side| arr_run(k, side, st, aux)))
     }
 
-    /// Full arrays of level `k`, newest first.
-    fn full_sides(&self, k: usize) -> Vec<Side> {
-        let mut sides: Vec<(u64, Side)> = (0..2)
-            .filter_map(|s| match self.state[k][s] {
-                ArrState::Full { seq } => Some((seq, s)),
-                _ => None,
-            })
-            .collect();
-        sides.sort_unstable_by_key(|s| std::cmp::Reverse(s.0));
-        sides.into_iter().map(|(_, s)| s).collect()
+    /// The visible runs, newest first: smaller levels first and, within
+    /// a level, the side with the higher `seq` first — the order point
+    /// lookups and cursors alike read in. An array that is not full
+    /// shows as an empty run.
+    fn runs<'a>(
+        state: &'a [[ArrState; 2]],
+        aux: &'a [[Option<LevelAux>; 2]],
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        let seq = |st: ArrState| match st {
+            ArrState::Full { seq } => Some(seq),
+            _ => None,
+        };
+        let levels = state.iter().zip(aux).enumerate();
+        levels.flat_map(move |(k, (st, aux))| {
+            let mut sides = [0, 1].map(|side| arr_run(k, side, st, aux));
+            if seq(st[1]) > seq(st[0]) {
+                sides.reverse();
+            }
+            sides
+        })
     }
 
     /// Completes every in-flight merge (a merge commit can make the next
@@ -329,12 +334,7 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
         let mut r = MetaReader::new(meta, TAG_DEAMORT_BASIC, META_VERSION)?;
         let n = r.u64()?;
         let seq = r.u64()?;
-        let count = r.usize()?;
-        // Bound before allocating: corrupt counts yield MetaError, not
-        // an allocator abort (and keep every later shift in range).
-        if count == 0 || count > 60 {
-            return Err(MetaError::Invalid(format!("level count {count}")));
-        }
+        let count = r.level_count(60)?;
         let mut state = Vec::with_capacity(count);
         for _ in 0..count {
             let mut sides = [ArrState::Empty; 2];
@@ -351,16 +351,8 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             }
             state.push(sides);
         }
-        let mut fences = Vec::with_capacity(count);
-        for sides in &state {
-            let mut pair = [None, None];
-            for (side, st) in sides.iter().enumerate() {
-                if matches!(st, ArrState::Full { .. }) {
-                    pair[side] = Some((r.u64()?, r.u64()?));
-                }
-            }
-            fences.push(pair);
-        }
+        let full = |st: &ArrState| matches!(st, ArrState::Full { .. });
+        let fences = r.fences(state.iter().flatten().map(full))?;
         r.finish()?;
         if mem.len() < arr_off(count, 0) {
             return Err(MetaError::Invalid(format!(
@@ -380,28 +372,15 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
             aux: vec![[None, None]; count],
             scratch: RunBuf::new(),
         };
-        // v2: rebuild each full array's cascade accelerators from the
-        // reopened cells and cross-check the persisted fence keys —
-        // corrupt cascade metadata is a typed `MetaError`, never a
+        // v2: corrupt cascade metadata is a typed `MetaError`, never a
         // wrong answer.
-        for (k, pair) in fences.iter().enumerate() {
-            for (side, fence) in pair.iter().enumerate() {
-                let Some((min, max)) = *fence else {
-                    continue;
-                };
-                // Merges build the aux inline; a reopen scans.
-                let rebuilt = cola.scratch.scan_aux(&cola.mem, arr_off(k, side), 1 << k);
-                rebuilt.check().map_err(|e| {
-                    MetaError::Invalid(format!("level {k} side {side} cascade state: {e}"))
-                })?;
-                if (min, max) != (rebuilt.fence_min, rebuilt.fence_max) {
-                    return Err(MetaError::Invalid(format!(
-                        "level {k} side {side} fence keys ({min}, {max}) disagree \
-                         with stored cells ({}, {})",
-                        rebuilt.fence_min, rebuilt.fence_max
-                    )));
-                }
-                cola.aux[k][side] = Some(rebuilt);
+        for (i, fence) in fences.into_iter().enumerate() {
+            if let Some(fence) = fence {
+                let (k, side) = (i / 2, i % 2);
+                let run = arr_run(k, side, &cola.state[k], &cola.aux[k]).bare();
+                let what = format_args!("level {k} side {side}");
+                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, |_, _| {})?;
+                cola.aux[k][side] = Some(aux);
             }
         }
         Ok(cola)
@@ -429,46 +408,11 @@ impl<M: Mem<Cell>> DeamortBasicCola<M> {
                     "unsafe level {k} must have both arrays full"
                 );
             }
-            // Full arrays must be sorted.
-            for side in 0..2 {
-                if matches!(self.state[k][side], ArrState::Full { .. }) {
-                    let base = arr_off(k, side);
-                    for i in 1..(1usize << k) {
-                        assert!(
-                            self.mem.get(base + i - 1).key <= self.mem.get(base + i).key,
-                            "level {k} side {side} not sorted"
-                        );
-                    }
-                }
-            }
         }
-        // Cascade state: aux present exactly for full arrays,
-        // internally consistent, and agreeing with the stored cells'
-        // fence keys.
+        // Every array as a run: sorted, aux present exactly when full.
         assert_eq!(self.aux.len(), self.state.len(), "aux out of lockstep");
-        for k in 0..self.state.len() {
-            for side in 0..2 {
-                let full = matches!(self.state[k][side], ArrState::Full { .. });
-                assert_eq!(
-                    self.aux[k][side].is_some(),
-                    full,
-                    "level {k} side {side}: aux present ⇔ full"
-                );
-                if let Some(aux) = &self.aux[k][side] {
-                    aux.check()
-                        .unwrap_or_else(|e| panic!("level {k} side {side} aux: {e}"));
-                    assert_eq!(aux.len, 1usize << k, "level {k} side {side} aux length");
-                    let base = arr_off(k, side);
-                    assert_eq!(
-                        (aux.fence_min, aux.fence_max),
-                        (
-                            self.mem.get(base).key,
-                            self.mem.get(base + (1 << k) - 1).key
-                        ),
-                        "level {k} side {side} fences disagree with stored cells"
-                    );
-                }
-            }
+        for (i, run) in Self::dir(&self.state, &self.aux).enumerate() {
+            run.check(&self.mem, format_args!("level {} side {}", i / 2, i % 2));
         }
     }
 }
@@ -491,18 +435,8 @@ impl<M: Mem<Cell>> Persist for DeamortBasicCola<M> {
                 }
             }
         }
-        // v2: each full array's fence keys (its first and last cell —
-        // every cell in a committed array is non-redundant), read O(1)
-        // from the store.
-        for k in 0..self.state.len() {
-            for side in 0..2 {
-                if matches!(self.state[k][side], ArrState::Full { .. }) {
-                    let base = arr_off(k, side);
-                    w.u64(self.mem.get(base).key);
-                    w.u64(self.mem.get(base + (1 << k) - 1).key);
-                }
-            }
-        }
+        // v2: each full array's fence keys.
+        w.fences(&self.mem, Self::dir(&self.state, &self.aux));
         w.finish()
     }
 }
@@ -517,32 +451,14 @@ impl<M: Mem<Cell>> Dictionary for DeamortBasicCola<M> {
     }
 
     fn get(&mut self, key: u64) -> Option<u64> {
-        self.stats.searches += 1;
-        for k in 0..self.state.len() {
-            for side in self.full_sides(k) {
-                if let Some(c) = self.search_array(k, side, key) {
-                    return c.as_lookup();
-                }
-            }
-        }
-        None
+        let runs = Self::runs(&self.state, &self.aux);
+        lookup(&self.mem, &mut self.stats, runs, key, usize::MAX)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        // Completed (full) arrays only, smaller levels and newer sides
-        // first — the same visibility and recency order point lookups use.
         // In-flight merge destinations are invisible until commit, so the
         // cursor never observes a half-written array.
-        let mut runs = Vec::new();
-        for k in 0..self.state.len() {
-            for side in self.full_sides(k) {
-                runs.push(Run {
-                    base: arr_off(k, side),
-                    len: 1usize << k,
-                    aux: self.aux[k][side].as_ref(),
-                });
-            }
-        }
+        let runs = Self::runs(&self.state, &self.aux);
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
     }
 

@@ -12,7 +12,10 @@
 //!   real lookahead pointer to its left, and each redundant element holds
 //!   its own lookahead pointer (see [`crate::entry::Cell`]);
 //! * searches proceed as in Lemma 20, with right-hand lookahead pointers
-//!   computed on the fly by scanning.
+//!   computed on the fly by scanning: each level is probed as a [`Run`]
+//!   inside the bracket its predecessor's pointers give
+//!   ([`GCola::get_plain`]), which [`Dictionary::get`] intersects with
+//!   the level's DRAM aux.
 //!
 //! `g = 2` gives the COLA: `O((log N)/B)` amortized insert transfers and
 //! `O(log N)` search transfers. `g = Θ(Bᵉ)` gives the cache-aware lookahead
@@ -45,11 +48,12 @@
 use cosbt_dam::{Mem, PlainMem};
 
 use crate::cascade::{AuxBuilder, LevelAux};
-use crate::cursor::{Run, RunMergeCursor};
+use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
 use crate::merge::{MergeBuf, RETAIN_CELLS};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
+use crate::run::Run;
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
 
@@ -83,6 +87,15 @@ impl Level {
     /// First occupied slot.
     fn run_base(&self) -> usize {
         self.off + self.slots - self.occ()
+    }
+
+    /// The occupied cells as a run (empty when the level is).
+    fn run<'a>(&self, aux: &'a Option<LevelAux>) -> Run<'a> {
+        Run {
+            base: self.run_base(),
+            len: self.occ(),
+            aux: aux.as_ref(),
+        }
     }
 }
 
@@ -238,13 +251,7 @@ impl<M: Mem<Cell>> GCola<M> {
         let g = r.usize()?;
         let p = r.f64()?;
         let n = r.u64()?;
-        let count = r.usize()?;
-        // Bound the count before allocating with it (corrupt payloads
-        // must fail with MetaError, not an allocator abort); capacities
-        // grow geometrically, so 64 levels already exceed any store.
-        if count == 0 || count > 64 {
-            return Err(MetaError::Invalid(format!("level count {count}")));
-        }
+        let count = r.level_count(64)?;
         let mut levels = Vec::with_capacity(count);
         for _ in 0..count {
             levels.push(Level {
@@ -256,14 +263,7 @@ impl<M: Mem<Cell>> GCola<M> {
                 reds: r.usize()?,
             });
         }
-        let mut fences = Vec::with_capacity(count);
-        for lv in &levels {
-            if lv.occ() > 0 {
-                fences.push(Some((r.u64()?, r.u64()?)));
-            } else {
-                fences.push(None);
-            }
-        }
+        let fences = r.fences(levels.iter().map(|lv| lv.occ() > 0))?;
         r.finish()?;
         if g < 2 {
             return Err(MetaError::Invalid(format!("growth factor {g}")));
@@ -315,56 +315,35 @@ impl<M: Mem<Cell>> GCola<M> {
             merge: MergeBuf::default(),
             spare_aux: Vec::new(),
         };
-        // v2: cross-check the persisted run fence keys against the
-        // reopened cells, then rebuild the cascade accelerators from
-        // them — corrupt cascade metadata is a typed `MetaError`, never
-        // a wrong answer. The same scans check the lookahead invariant:
-        // a carry trusts a level's stored redundant cells to be the
-        // sample of the run above, so they are validated here, each
-        // level's (`below`) against the next scan's own sample.
+        // v2: corrupt cascade metadata is a typed `MetaError`, never a
+        // wrong answer. The reopen scans also check the lookahead
+        // invariant: a carry trusts a level's stored redundant cells to
+        // be the sample of the run above, so they are validated here,
+        // each level's (`below`) against the next scan's own sample.
         let mut below: Vec<(u64, u64)> = Vec::new();
-        for (l, fence) in fences.iter().enumerate() {
+        for (l, fence) in fences.into_iter().enumerate() {
             let lv = cola.levels[l];
             let mut reds = Vec::with_capacity(lv.reds);
-            if let Some((first, last)) = *fence {
-                let base = lv.run_base();
-                let (got_first, got_last) = (
-                    cola.mem.get(base).key,
-                    cola.mem.get(base + lv.occ() - 1).key,
-                );
-                if (first, last) != (got_first, got_last) {
-                    return Err(MetaError::Invalid(format!(
-                        "level {l} fence keys ({first}, {last}) disagree with stored \
-                         cells ({got_first}, {got_last})"
-                    )));
-                }
-                // Level rewrites build the aux inline; a reopen scans.
-                let mut aux = AuxBuilder::new(lv.occ());
+            if let Some(fence) = fence {
                 let mut sample = Midpoints::new(below.len(), lv.occ());
                 let (mut expect, mut sampled_ok) = (below.iter(), true);
-                cola.scratch
-                    .for_each_chunk(&cola.mem, base, lv.occ(), |off, chunk| {
-                        for c in chunk {
-                            aux.push(c);
-                            if c.is_redundant() {
-                                reds.push((c.key, c.ptr));
-                            }
-                        }
-                        sample.tap(off, chunk, |pos, c| {
-                            sampled_ok &= expect.next() == Some(&(c.key, pos as u64));
-                        });
+                let tap = |off: usize, chunk: &[Cell]| {
+                    let redundant = chunk.iter().filter(|c| c.is_redundant());
+                    reds.extend(redundant.map(|c| (c.key, c.ptr)));
+                    sample.tap(off, chunk, |pos, c| {
+                        sampled_ok &= expect.next() == Some(&(c.key, pos as u64));
                     });
+                };
+                let run = lv.run(&cola.aux[l]).bare();
+                let what = format_args!("level {l}");
+                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, tap)?;
                 if !sampled_ok {
                     return Err(MetaError::Invalid(format!(
                         "level {} lookahead cells are not the midpoint sample of level {l}",
                         l - 1
                     )));
                 }
-                let rebuilt = aux.finish();
-                rebuilt
-                    .check()
-                    .map_err(|e| MetaError::Invalid(format!("level {l} cascade state: {e}")))?;
-                cola.aux[l] = Some(rebuilt);
+                cola.aux[l] = Some(aux);
             }
             if reds.len() != lv.reds {
                 return Err(MetaError::Invalid(format!(
@@ -577,129 +556,82 @@ impl<M: Mem<Cell>> GCola<M> {
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
     }
 
-    /// Searches level `l` for `key` within run positions `[wlo, whi)`.
-    /// Returns the found real cell (leftmost = newest) and the window for
-    /// the next level. `cascade = false` ignores the level's aux: the
-    /// paper's pointer-only probe ([`GCola::get_plain`]).
-    fn search_level(
-        &mut self,
-        l: usize,
+    /// Every level in directory order — which is newest first — as the
+    /// run it holds.
+    fn runs<'a>(
+        levels: &'a [Level],
+        aux: &'a [Option<LevelAux>],
+    ) -> impl Iterator<Item = Run<'a>> + 'a {
+        levels.iter().zip(aux).map(|(lv, aux)| lv.run(aux))
+    }
+
+    /// The Lemma 20 search over `runs` (every level, newest first): each
+    /// level's probe is clamped to the bracket its predecessor's in-array
+    /// lookahead pointers give, and a miss reads the next bracket off the
+    /// cell left of where the key would sit. A level the aux skips, or
+    /// one holding no pointers, breaks the chain: the next level is
+    /// probed unclamped — with its own ghost sample, if `runs` carry
+    /// their aux, so the search stays bracketed.
+    fn lookup<'a>(
+        mem: &M,
+        stats: &mut ColaStats,
+        levels: &[Level],
+        runs: impl Iterator<Item = Run<'a>>,
         key: u64,
-        window: Option<(usize, usize)>,
-        cascade: bool,
-    ) -> (Option<Cell>, Option<(usize, usize)>) {
-        let lv = self.levels[l];
-        let occ = lv.occ();
-        if occ == 0 {
-            return (None, None);
-        }
-        let base = lv.run_base();
-        let (mut lo, mut hi) = match window {
-            Some((a, b)) => (a.min(occ), b.min(occ)),
-            None => (0, occ),
-        };
-        // Cascade fast path: fences and the filter skip the level
-        // outright (0 cell reads); otherwise the ghost sample narrows
-        // the probe, intersected with the lookahead-pointer window.
-        // Skipping breaks the pointer chain into the next level, but
-        // every level carries its own ghost sample, so the next search
-        // is still bracketed.
-        if let Some(aux) = self.aux[l].as_ref().filter(|_| cascade) {
-            if !aux.may_contain(key) {
-                self.stats.filter_skips += 1;
-                return (None, None);
+    ) -> Option<u64> {
+        stats.searches += 1;
+        let mut clamp = None;
+        for ((l, lv), run) in levels.iter().enumerate().zip(runs) {
+            // The clamp may end among the key's redundant cells, ahead
+            // of its real one: the probe reads on to the run's end.
+            let Some((ins, hit)) = run.find(mem, key, clamp.take(), usize::MAX, stats) else {
+                continue;
+            };
+            if let Some(c) = hit {
+                return c.as_lookup();
             }
-            let (alo, ahi) = aux.window(key);
-            lo = lo.max(alo);
-            hi = hi.min(ahi);
-        }
-        // Leftmost position in [lo, hi) with key >= target.
-        while lo < hi {
-            let mid = (lo + hi) / 2;
-            self.stats.cells_scanned += 1;
-            if self.mem.get(base + mid).key < key {
-                lo = mid + 1;
+            if lv.reds == 0 {
+                continue;
+            }
+
+            // Left bracket: nearest lookahead pointer at a position < ins; all
+            // such cells have key < target, so its target bounds the range from
+            // below. Real cells carry a copy of it (the paper's padding trick).
+            let next_lo = if ins == 0 {
+                0usize
             } else {
-                hi = mid;
-            }
+                let c = mem.get(run.base + ins - 1);
+                stats.cells_scanned += 1;
+                if c.ptr == NO_PTR {
+                    0
+                } else {
+                    c.ptr as usize
+                }
+            };
+
+            // Right bracket. The paper's duplicate lookahead pointers hand the
+            // next real pointer to the right in O(1); because our samples are
+            // evenly spaced over the next level's run, the same bound follows
+            // arithmetically: consecutive sampled targets are at most
+            // ⌈occ_next/reds⌉ + 2 apart (midpoint sampling, including the
+            // half-stride tail after the last sample), so the first cell with
+            // key ≥ target in the next level lies within one stride of the
+            // left bracket.
+            let occ_next = levels.get(l + 1).map_or(0, Level::occ);
+            let stride = occ_next / lv.reds + 3;
+            clamp = Some((next_lo, (next_lo + stride).min(occ_next)));
         }
-        let ins = lo;
-
-        // Scan the equal-key run for the leftmost real cell.
-        let mut i = ins;
-        while i < occ {
-            let c = self.mem.get(base + i);
-            self.stats.cells_scanned += 1;
-            if c.key != key {
-                break;
-            }
-            if c.is_real() {
-                // Hit: the caller stops here, no window needed.
-                return (Some(c), None);
-            }
-            i += 1;
-        }
-
-        // Without lookahead pointers this level gives no guidance; the
-        // next level gets a full binary search (as in the basic COLA).
-        if lv.reds == 0 {
-            return (None, None);
-        }
-
-        // Left bracket: nearest lookahead pointer at a position < ins; all
-        // such cells have key < target, so its target bounds the range from
-        // below. Real cells carry a copy of it (the paper's padding trick).
-        let next_lo = if ins == 0 {
-            0usize
-        } else {
-            let c = self.mem.get(base + ins - 1);
-            self.stats.cells_scanned += 1;
-            if c.ptr == NO_PTR {
-                0
-            } else {
-                c.ptr as usize
-            }
-        };
-
-        // Right bracket. The paper's duplicate lookahead pointers hand the
-        // next real pointer to the right in O(1); because our samples are
-        // evenly spaced over the next level's run, the same bound follows
-        // arithmetically: consecutive sampled targets are at most
-        // ⌈occ_next/reds⌉ + 2 apart (midpoint sampling, including the
-        // half-stride tail after the last sample), so the first cell with
-        // key ≥ target in the next level lies within one stride of the
-        // left bracket.
-        let occ_next = if l + 1 < self.levels.len() {
-            self.levels[l + 1].occ()
-        } else {
-            0
-        };
-        let stride = occ_next / lv.reds + 3;
-        let next_hi = (next_lo + stride).min(occ_next);
-
-        (None, Some((next_lo, next_hi)))
+        None
     }
 
     /// The paper's Lemma 20 search: each level probed inside the window
     /// its predecessor's in-array lookahead pointers bracket, with no
-    /// fences, filter or ghost sample. Same answers as
-    /// [`Dictionary::get`]; kept as the reference the cascade is tested
-    /// and costed against.
+    /// fences, filter or ghost sample — the same probe as
+    /// [`Dictionary::get`] over runs without their aux. Same answers;
+    /// kept as the reference the cascade is tested and costed against.
     pub fn get_plain(&mut self, key: u64) -> Option<u64> {
-        self.get_impl(key, false)
-    }
-
-    fn get_impl(&mut self, key: u64, cascade: bool) -> Option<u64> {
-        self.stats.searches += 1;
-        let mut window: Option<(usize, usize)> = None;
-        for l in 0..self.levels.len() {
-            let (found, next) = self.search_level(l, key, window, cascade);
-            if let Some(c) = found {
-                return c.as_lookup();
-            }
-            window = next;
-        }
-        None
+        let bare = Self::runs(&self.levels, &self.aux).map(Run::bare);
+        Self::lookup(&self.mem, &mut self.stats, &self.levels, bare, key)
     }
 
     /// Rebuilds the structure keeping only live entries (drops shadowed
@@ -730,14 +662,15 @@ impl<M: Mem<Cell>> GCola<M> {
         self.n = live.len() as u64;
     }
 
-    /// Structural invariants (tests): per-level sortedness, right
-    /// justification accounting, counts, capacity bounds, the carry rule
+    /// Structural invariants (tests): every level as a run
+    /// (`Run::check`), right justification accounting, counts,
+    /// capacity bounds, the carry rule
     /// — a level holds one real cell per key, and the deepest level
     /// holding items holds no tombstone — and the lookahead invariant:
     /// each level's redundant cells are exactly the evenly spaced
     /// midpoint sample of the run above it, in count, positions and keys.
     /// The carry (which keeps a target's redundant cells instead of
-    /// sampling again) and `search_level`'s arithmetic right bracket both
+    /// sampling again) and the search's arithmetic right bracket both
     /// rest on it.
     pub fn check_invariants(&self) {
         let mut total_items = 0usize;
@@ -748,7 +681,6 @@ impl<M: Mem<Cell>> GCola<M> {
             total_items += lv.items;
             let base = lv.run_base();
             let occ = lv.occ();
-            let mut items_seen = 0;
             let mut reds_seen = 0;
             let mut last_ptr = NO_PTR;
             let mut last_real = None;
@@ -760,12 +692,6 @@ impl<M: Mem<Cell>> GCola<M> {
             assert_eq!(lv.reds, want.cnt, "level {l} lookahead count");
             for i in 0..occ {
                 let c = self.mem.get(base + i);
-                if i > 0 {
-                    assert!(
-                        self.mem.get(base + i - 1).key <= c.key,
-                        "level {l} not sorted at {i}"
-                    );
-                }
                 if c.is_redundant() {
                     assert!(reds_seen < want.cnt, "level {l} stores extra lookaheads");
                     assert_eq!(
@@ -778,7 +704,6 @@ impl<M: Mem<Cell>> GCola<M> {
                     reds_seen += 1;
                     last_ptr = c.ptr;
                 } else {
-                    items_seen += 1;
                     assert_eq!(c.ptr, last_ptr, "level {l} left-copy stale at {i}");
                     assert!(last_real < Some(c.key), "level {l} repeats a key at {i}");
                     last_real = Some(c.key);
@@ -786,37 +711,15 @@ impl<M: Mem<Cell>> GCola<M> {
                     assert!(!spent, "deepest level {l} holds a tombstone at {i}");
                 }
             }
-            assert_eq!(items_seen, lv.items, "level {l} item count");
             assert_eq!(reds_seen, lv.reds, "level {l} red count");
         }
         assert_eq!(total_items, self.physical_len());
-        // Cascade state: aux present exactly for occupied levels,
-        // internally consistent, and agreeing with the stored run's
-        // fence keys.
+        // Every level as a run: sorted, aux present exactly when occupied
+        // and agreeing with the stored cells.
         assert_eq!(self.aux.len(), self.levels.len(), "aux out of lockstep");
-        for (l, lv) in self.levels.iter().enumerate() {
-            let occ = lv.occ();
-            match &self.aux[l] {
-                Some(aux) => {
-                    assert!(occ > 0, "level {l} empty but has cascade aux");
-                    aux.check().unwrap_or_else(|e| panic!("level {l} aux: {e}"));
-                    assert_eq!(aux.len, occ, "level {l} aux length");
-                    if lv.items > 0 {
-                        let base = lv.run_base();
-                        let keys: Vec<u64> = (0..occ)
-                            .map(|i| self.mem.get(base + i))
-                            .filter(|c| c.is_real())
-                            .map(|c| c.key)
-                            .collect();
-                        assert_eq!(
-                            (aux.fence_min, aux.fence_max),
-                            (keys[0], *keys.last().unwrap()),
-                            "level {l} fences disagree with stored real cells"
-                        );
-                    }
-                }
-                None => assert_eq!(occ, 0, "occupied level {l} lacks aux"),
-            }
+        for (l, run) in Self::runs(&self.levels, &self.aux).enumerate() {
+            let items = run.check(&self.mem, format_args!("level {l}"));
+            assert_eq!(items, self.levels[l].items, "level {l} item count");
         }
     }
 }
@@ -836,18 +739,9 @@ impl<M: Mem<Cell>> Persist for GCola<M> {
                 .usize(lv.items)
                 .usize(lv.reds);
         }
-        // v2: each occupied level's run fence keys (its first and last
-        // occupied cell), read O(1) from the store. `from_parts`
-        // cross-checks them against the reopened cells before
-        // rebuilding the cascade accelerators.
-        for lv in &self.levels {
-            let occ = lv.occ();
-            if occ > 0 {
-                let base = lv.run_base();
-                w.u64(self.mem.get(base).key);
-                w.u64(self.mem.get(base + occ - 1).key);
-            }
-        }
+        // v2: each occupied level's fence keys; `from_parts` holds the
+        // reopened cells to them before rebuilding the accelerators.
+        w.fences(&self.mem, Self::runs(&self.levels, &self.aux));
         w.finish()
     }
 }
@@ -862,23 +756,14 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
     }
 
     fn get(&mut self, key: u64) -> Option<u64> {
-        self.get_impl(key, true)
+        let runs = Self::runs(&self.levels, &self.aux);
+        Self::lookup(&self.mem, &mut self.stats, &self.levels, runs, key)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
         // Every occupied level is a sorted run, newest first; the merge
         // cursor skips the interleaved lookahead cells itself.
-        let runs: Vec<Run> = self
-            .levels
-            .iter()
-            .zip(&self.aux)
-            .filter(|(lv, _)| lv.occ() > 0)
-            .map(|(lv, aux)| Run {
-                base: lv.run_base(),
-                len: lv.occ(),
-                aux: aux.as_ref(),
-            })
-            .collect();
+        let runs = Self::runs(&self.levels, &self.aux);
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
     }
 
@@ -1247,7 +1132,8 @@ mod tests {
                 let Some(aux) = new.aux[l].clone() else {
                     continue;
                 };
-                let fresh = new.scratch.scan_aux(&new.mem, lv.run_base(), lv.occ());
+                let run = &new.mem.as_slice()[lv.run_base()..][..lv.occ()];
+                let fresh = crate::cascade::build_aux(run.iter());
                 assert_eq!(
                     (aux.fence_min, aux.fence_max, &aux.filter, &aux.ghosts),
                     (

@@ -30,6 +30,7 @@ pub mod epoch;
 pub mod gcola;
 mod merge;
 pub mod persist;
+mod run;
 mod runbuf;
 pub mod stats;
 pub mod worker;

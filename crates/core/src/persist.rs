@@ -25,6 +25,11 @@
 //! per-insert bound applies between checkpoints, not across one (a sync
 //! is an O(data) event anyway).
 
+use cosbt_dam::Mem;
+
+use crate::entry::Cell;
+use crate::run::Run;
+
 /// Serializes a dictionary's control state for the storage layer's
 /// metadata commit. Implemented by every structure in the workspace; the
 /// matching deserializer is the structure's inherent
@@ -162,6 +167,23 @@ impl MetaWriter {
         }
     }
 
+    /// Appends the fence keys of the COLA family's v2 formats: for each
+    /// occupied run among `runs`, in the order given (the structure's
+    /// directory order), the key of its first and of its last stored
+    /// cell, read from the store. Counterpart of [`MetaReader::fences`];
+    /// [`Run::reopen`] holds the reopened cells to them.
+    pub(crate) fn fences<'a, M: Mem<Cell>>(
+        &mut self,
+        mem: &M,
+        runs: impl Iterator<Item = Run<'a>>,
+    ) -> &mut Self {
+        for run in runs.filter(|run| run.len > 0) {
+            self.u64(mem.get(run.base).key)
+                .u64(mem.get(run.base + run.len - 1).key);
+        }
+        self
+    }
+
     /// The finished payload.
     pub fn finish(self) -> Vec<u8> {
         self.buf
@@ -233,6 +255,17 @@ impl<'a> MetaReader<'a> {
         usize::try_from(self.u64()?).map_err(|_| MetaError::Invalid("usize overflow".into()))
     }
 
+    /// Reads a level count in `1..=max`. Bounded before anything is
+    /// allocated or shifted with it: a corrupt payload must yield a
+    /// [`MetaError`], not an allocator abort, and every COLA's capacities
+    /// grow geometrically, so some 60 levels already exceed any store.
+    pub(crate) fn level_count(&mut self, max: usize) -> Result<usize, MetaError> {
+        match self.usize()? {
+            count if (1..=max).contains(&count) => Ok(count),
+            count => Err(MetaError::Invalid(format!("level count {count}"))),
+        }
+    }
+
     /// Reads an `f64` from its IEEE-754 bits.
     pub fn f64(&mut self) -> Result<f64, MetaError> {
         Ok(f64::from_bits(self.u64()?))
@@ -245,6 +278,18 @@ impl<'a> MetaReader<'a> {
         } else {
             Ok(None)
         }
+    }
+
+    /// Reads what [`MetaWriter::fences`] wrote: a `(first, last)` key
+    /// pair for each run slot that `occupied` says holds cells, `None`
+    /// for the others, in the order given.
+    pub(crate) fn fences(
+        &mut self,
+        occupied: impl Iterator<Item = bool>,
+    ) -> Result<Vec<Option<(u64, u64)>>, MetaError> {
+        occupied
+            .map(|occ| occ.then(|| Ok((self.u64()?, self.u64()?))).transpose())
+            .collect()
     }
 
     /// Asserts the payload is fully consumed (trailing garbage is a

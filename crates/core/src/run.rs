@@ -1,0 +1,223 @@
+//! A level is a run: what a point lookup, a cursor seek, a reopen and an
+//! invariant check do with *one* sorted run of cells, written once for
+//! all four COLAs. Each structure keeps what is its own — geometry,
+//! which runs are visible in which order, merge policy — and hands its
+//! runs here. DESIGN.md ("One run, one probe") has the window contract,
+//! the two search counters and the fence rule these methods share.
+
+use std::fmt;
+
+use cosbt_dam::Mem;
+
+use crate::cascade::{AuxBuilder, LevelAux};
+use crate::entry::Cell;
+use crate::persist::MetaError;
+use crate::runbuf::RunBuf;
+use crate::stats::ColaStats;
+
+/// One sorted, contiguous run of cells; runs are supplied newest first.
+#[derive(Debug, Clone, Copy)]
+pub struct Run<'a> {
+    /// First slot of the run in the backing array.
+    pub base: usize,
+    /// Number of occupied cells.
+    pub len: usize,
+    /// The cascade aux built over exactly these `len` cells, if the
+    /// structure keeps one: its fences and filter rule keys out without
+    /// touching the run, and its ghost sample brackets every search to
+    /// two strides. `None` (a caller with bare runs, the reference
+    /// searches) means a full binary search; an aux of another length is
+    /// ignored.
+    pub aux: Option<&'a LevelAux>,
+}
+
+impl<'a> Run<'a> {
+    /// The same cells without their aux: what the paper's plain searches
+    /// probe.
+    pub fn bare(self) -> Run<'static> {
+        Run {
+            base: self.base,
+            len: self.len,
+            aux: None,
+        }
+    }
+
+    /// The aux, if it was built over exactly these cells.
+    #[inline]
+    pub(crate) fn sample(&self) -> Option<&'a LevelAux> {
+        self.aux.filter(|aux| aux.len == self.len)
+    }
+
+    /// The slot window a search for `key` is confined to: the caller's
+    /// clamp cut to the run, intersected with the ghost window.
+    #[inline]
+    fn window(&self, key: u64, clamp: Option<(usize, usize)>) -> (usize, usize) {
+        let (lo, hi) = clamp.map_or((0, self.len), |(a, b)| (a.min(self.len), b.min(self.len)));
+        match self.sample() {
+            Some(aux) => {
+                let (alo, ahi) = aux.window(key);
+                (lo.max(alo), hi.min(ahi))
+            }
+            None => (lo, hi),
+        }
+    }
+
+    /// First position in `[lo, hi)` whose key is not `below`, or `hi`,
+    /// and the number of cells read to find it.
+    #[inline]
+    fn bisect<M: Mem<Cell>>(
+        &self,
+        mem: &M,
+        (mut lo, mut hi): (usize, usize),
+        below: impl Fn(u64) -> bool,
+    ) -> (usize, u64) {
+        let mut reads = 0;
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            reads += 1;
+            if below(mem.get(self.base + mid).key) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo, reads)
+    }
+
+    /// First position whose key is ≥ `key` (`len` if none): a binary
+    /// search inside the ghost window — at most two strides, bracketed in
+    /// DRAM — when the run has an aux, over the whole run otherwise.
+    #[inline]
+    pub fn lower_bound<M: Mem<Cell>>(&self, mem: &M, key: u64) -> usize {
+        self.bisect(mem, self.window(key, None), |k| k < key).0
+    }
+
+    /// First position whose key is > `key` (`len` if none), searched as
+    /// [`Run::lower_bound`] searches.
+    #[inline]
+    pub fn upper_bound<M: Mem<Cell>>(&self, mem: &M, key: u64) -> usize {
+        self.bisect(mem, self.window(key, None), |k| k <= key).0
+    }
+
+    /// The point probe of one run. `None` if the fences or the filter
+    /// rule `key` out in DRAM (one `filter_skips`, no cell read);
+    /// otherwise the position of the first cell with key ≥ `key` inside
+    /// the window — the ghost window, cut to `clamp` — and the leftmost
+    /// real cell carrying `key`, the run's newest version, if any.
+    ///
+    /// The walk to that cell passes redundant cells of the same key and
+    /// stops at the first other key. It covers the window and up to
+    /// `past_window` cells beyond: a clamp may end among the key's cells
+    /// (pass `usize::MAX`, to the run's end), the ghost window alone
+    /// holds them all (0 spares reading the cell that ends it). Every
+    /// cell read counts once in `cells_scanned`.
+    #[inline]
+    pub fn find<M: Mem<Cell>>(
+        &self,
+        mem: &M,
+        key: u64,
+        clamp: Option<(usize, usize)>,
+        past_window: usize,
+        stats: &mut ColaStats,
+    ) -> Option<(usize, Option<Cell>)> {
+        if self.sample().is_some_and(|aux| !aux.may_contain(key)) {
+            stats.filter_skips += 1;
+            return None;
+        }
+        let (lo, hi) = self.window(key, clamp);
+        let (ins, reads) = self.bisect(mem, (lo, hi), |k| k < key);
+        stats.cells_scanned += reads;
+        let end = hi.saturating_add(past_window).min(self.len);
+        for i in ins..end {
+            let c = mem.get(self.base + i);
+            stats.cells_scanned += 1;
+            if c.key != key {
+                break;
+            }
+            if c.is_real() {
+                return Some((ins, Some(c)));
+            }
+        }
+        Some((ins, None))
+    }
+
+    /// Rebuilds the aux of this occupied run over an already-populated
+    /// store: the persisted `fence` pair must equal the keys of the
+    /// run's first and last stored cell (two point reads, so metadata
+    /// for another store fails before the scan); one [`RunBuf`] sweep
+    /// then feeds the [`AuxBuilder`] and hands every staged chunk, with
+    /// its offset, to `tap`; [`LevelAux::check`] judges the result.
+    /// `what` names the run in the error.
+    pub(crate) fn reopen<M: Mem<Cell>>(
+        &self,
+        mem: &M,
+        scratch: &mut RunBuf,
+        fence: (u64, u64),
+        what: fmt::Arguments<'_>,
+        mut tap: impl FnMut(usize, &[Cell]),
+    ) -> Result<LevelAux, MetaError> {
+        debug_assert!(self.len > 0, "only occupied runs persist fences");
+        let stored = (
+            mem.get(self.base).key,
+            mem.get(self.base + self.len - 1).key,
+        );
+        if fence != stored {
+            return Err(MetaError::Invalid(format!(
+                "{what} fence keys ({}, {}) disagree with stored cells ({}, {})",
+                fence.0, fence.1, stored.0, stored.1
+            )));
+        }
+        let mut aux = AuxBuilder::new(self.len);
+        scratch.for_each_chunk(mem, self.base, self.len, |off, chunk| {
+            chunk.iter().for_each(|c| aux.push(c));
+            tap(off, chunk);
+        });
+        let aux = aux.finish();
+        aux.check()
+            .map_err(|e| MetaError::Invalid(format!("{what} cascade state: {e}")))?;
+        Ok(aux)
+    }
+
+    /// The invariants of one run slot (tests; panics on violation): the
+    /// cells are sorted, and the aux is present exactly when the run is
+    /// occupied and equals what a fresh build over the stored cells
+    /// gives — fences, ghost sample, filter and length. Returns the
+    /// number of real cells.
+    pub(crate) fn check<M: Mem<Cell>>(&self, mem: &M, what: fmt::Arguments<'_>) -> usize {
+        let Some(aux) = self.aux else {
+            assert_eq!(self.len, 0, "{what} occupied but lacks aux");
+            return 0;
+        };
+        assert!(self.len > 0, "{what} empty but has aux");
+        let (mut fresh, mut prev, mut items) = (AuxBuilder::new(self.len), 0, 0);
+        for i in 0..self.len {
+            let c = mem.get(self.base + i);
+            assert!(prev <= c.key, "{what} not sorted at {i}");
+            prev = c.key;
+            items += c.is_real() as usize;
+            fresh.push(&c);
+        }
+        assert!(
+            *aux == fresh.finish(),
+            "{what} aux disagrees with stored cells"
+        );
+        items
+    }
+}
+
+/// The point lookup of a structure whose visible runs are independent of
+/// one another: probes `runs` — visible, newest first — until one holds
+/// `key`, and answers with that version (`None` for a tombstone).
+/// `past_window` is [`Run::find`]'s.
+#[inline]
+pub(crate) fn lookup<'a, M: Mem<Cell>>(
+    mem: &M,
+    stats: &mut ColaStats,
+    mut runs: impl Iterator<Item = Run<'a>>,
+    key: u64,
+    past_window: usize,
+) -> Option<u64> {
+    stats.searches += 1;
+    runs.find_map(|run| run.find(mem, key, None, past_window, stats)?.1)?
+        .as_lookup()
+}

@@ -16,7 +16,6 @@
 
 use cosbt_dam::Mem;
 
-use crate::cascade::{AuxBuilder, LevelAux};
 use crate::entry::Cell;
 
 /// Cells per run call: 16 KiB, four 4 KiB pages. A level is streamed
@@ -66,15 +65,6 @@ impl RunBuf {
         mut f: impl FnMut(&Cell),
     ) {
         self.for_each_chunk(mem, base, len, |_, chunk| chunk.iter().for_each(&mut f));
-    }
-
-    /// Builds the cascade aux of the run `mem[base..base + len]` by
-    /// scanning it (reopen, and re-enabling the cascade; merges build
-    /// the aux inline instead).
-    pub(crate) fn scan_aux<M: Mem<Cell>>(&mut self, mem: &M, base: usize, len: usize) -> LevelAux {
-        let mut b = AuxBuilder::new(len);
-        self.for_each(mem, base, len, |c| b.push(c));
-        b.finish()
     }
 
     /// Writes `next()`, called `len` times, to `mem[base..base + len]` in
@@ -163,9 +153,6 @@ mod tests {
         // Nothing outside the run was written.
         for i in [0, 1, 2, len + 3, len + 4] {
             assert_eq!(mem.get(i), Cell::default());
-        }
-        if len > 0 {
-            assert_eq!(buf.scan_aux(&mem, 3, len).len, len);
         }
     }
 

@@ -1,7 +1,8 @@
 //! The memory contract of the g-COLA's amortized write path, observed
 //! from outside through a counting global allocator: a steady-state
 //! carry within the retained-scratch bound allocates nothing, and a
-//! carry past it leaves nothing behind.
+//! carry past it leaves nothing behind. And of every COLA's read path: a
+//! point lookup allocates nothing.
 //!
 //! One `#[test]` on purpose: the counters are process-wide, and the
 //! harness runs the tests of a binary on parallel threads.
@@ -9,7 +10,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use cosbt_core::{Dictionary, GCola};
+use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
 
 struct Counting;
 
@@ -110,4 +111,24 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     }
     assert!(small > 48_000, "only {small} small inserts observed");
     assert!(big >= 3, "only {big} big carries observed");
+
+    // Point lookups: 1,000 `get`s, hits and misses alternating, on each
+    // of the four COLAs at 2^12 keys.
+    let keys: Vec<u64> = (0..1u64 << 12).map(|_| next_key() | 1).collect();
+    let gets_allocate_nothing = |name: &str, d: &mut dyn Dictionary| {
+        for (i, &k) in keys.iter().enumerate() {
+            d.insert(k, i as u64);
+        }
+        let calls = CALLS.load(Ordering::Relaxed);
+        for (i, &k) in keys.iter().take(500).enumerate() {
+            assert_eq!(d.get(k), Some(i as u64), "{name}: hit");
+            assert_eq!(d.get(k & !1), None, "{name}: miss");
+        }
+        let calls = CALLS.load(Ordering::Relaxed) - calls;
+        assert_eq!(calls, 0, "{name}: 1,000 gets made {calls} allocator calls");
+    };
+    gets_allocate_nothing("basic COLA", &mut BasicCola::new_plain());
+    gets_allocate_nothing("4-COLA", &mut GCola::new_plain(4));
+    gets_allocate_nothing("deamortized basic COLA", &mut DeamortBasicCola::new_plain());
+    gets_allocate_nothing("deamortized COLA", &mut DeamortCola::new_plain());
 }

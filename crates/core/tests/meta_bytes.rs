@@ -6,35 +6,13 @@
 //! any other field — without meaning to change the format fails here; one
 //! that means to bumps `META_VERSION` and records new literals.
 
-use std::cell::RefCell;
+mod common;
+
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use cosbt_core::{
-    BasicCola, Cell, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist,
-};
-use cosbt_dam::{Mem, PlainMem};
+use common::Shared;
+use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist};
 use cosbt_testkit::Rng;
-
-/// A store the test keeps a handle on, so it can reopen what a structure
-/// that owns the other handle wrote.
-#[derive(Clone, Default)]
-struct Shared(Rc<RefCell<PlainMem<Cell>>>);
-
-impl Mem<Cell> for Shared {
-    fn len(&self) -> usize {
-        self.0.borrow().len()
-    }
-    fn get(&self, i: usize) -> Cell {
-        self.0.borrow().get(i)
-    }
-    fn set(&mut self, i: usize, v: Cell) {
-        self.0.borrow_mut().set(i, v)
-    }
-    fn resize(&mut self, new_len: usize, fill: Cell) {
-        self.0.borrow_mut().resize(new_len, fill)
-    }
-}
 
 const OPS: usize = 6000;
 const KEYS: u64 = 1500;

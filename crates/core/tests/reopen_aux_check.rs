@@ -1,8 +1,12 @@
 //! Regression: the reopen path must validate the cascade accelerators it
-//! rebuilds. `from_parts` rebuilds each sealed level's [`LevelAux`] from
-//! the committed cells and runs `LevelAux::check` on it — so a store
-//! whose cells were corrupted between commit and reopen surfaces as a
-//! typed `MetaError`, never as a silently wrong search window.
+//! rebuilds, the same way for all four COLAs. `from_parts` hands every
+//! occupied run to one shared reopen: the persisted fence pair is held
+//! against the run's first and last stored cell, the run's aux is
+//! rebuilt from the committed cells and `LevelAux::check` runs on it — so
+//! a store whose cells were corrupted between commit and reopen, or
+//! metadata that describes another store, surfaces as a typed
+//! `MetaError` naming what disagreed, never as a silently wrong search
+//! window.
 //!
 //! The g-COLA's reopen validates one thing more. Its carry keeps a
 //! level's stored lookahead cells instead of sampling the level above
@@ -10,48 +14,152 @@
 //! its level; `GCola::from_parts` checks each against the midpoint
 //! sample of the level above during the same scans.
 
-use cosbt_core::{BasicCola, Cell, Dictionary, GCola, Persist};
+mod common;
+
+use common::Shared;
+use cosbt_core::{
+    BasicCola, Cell, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist,
+};
 use cosbt_dam::{Mem, PlainMem};
 
-/// A 128-insert basic COLA: level 7 is full, so the tail 128 cells of
-/// the store are one sorted sealed array with ghost samples every 8.
-fn sealed_cola() -> (PlainMem<Cell>, Vec<u8>) {
-    let mut cola = BasicCola::new(PlainMem::new());
-    for i in 0..128u64 {
+/// What the table needs of a reopened structure.
+trait Reopened: Dictionary {
+    fn check_invariants(&self);
+}
+
+macro_rules! reopened {
+    ($($cola:ident),*) => {$(
+        impl Reopened for $cola<Shared> {
+            fn check_invariants(&self) {
+                $cola::check_invariants(self)
+            }
+        }
+    )*};
+}
+reopened!(BasicCola, GCola, DeamortBasicCola, DeamortCola);
+
+type Reopen = Result<Box<dyn Reopened>, MetaError>;
+
+struct Case {
+    name: &'static str,
+    new: fn(Shared) -> Box<dyn Persisted>,
+    from_parts: fn(Shared, &[u8]) -> Reopen,
+}
+
+trait Persisted: Dictionary + Persist {}
+impl<D: Dictionary + Persist> Persisted for D {}
+
+const CASES: [Case; 4] = [
+    Case {
+        name: "basic COLA",
+        new: |m| Box::new(BasicCola::new(m)),
+        from_parts: |m, meta| Ok(Box::new(BasicCola::from_parts(m, meta)?)),
+    },
+    Case {
+        name: "4-COLA",
+        new: |m| Box::new(GCola::new(m, 4, 0.1)),
+        from_parts: |m, meta| Ok(Box::new(GCola::from_parts(m, meta)?)),
+    },
+    Case {
+        name: "deamortized basic COLA",
+        new: |m| Box::new(DeamortBasicCola::new(m)),
+        from_parts: |m, meta| Ok(Box::new(DeamortBasicCola::from_parts(m, meta)?)),
+    },
+    Case {
+        name: "deamortized COLA",
+        new: |m| Box::new(DeamortCola::new(m)),
+        from_parts: |m, meta| Ok(Box::new(DeamortCola::from_parts(m, meta)?)),
+    },
+];
+
+const N: u64 = 1000;
+
+/// A quiesced store of `N` distinct keys and its metadata.
+fn sealed(case: &Case) -> (Shared, Vec<u8>) {
+    let store = Shared::default();
+    let mut cola = (case.new)(store.clone());
+    for i in 0..N {
         cola.insert(i * 3 + 1, i);
     }
     let meta = cola.save_meta();
-    (cola.mem().clone(), meta)
+    (store, meta)
+}
+
+/// The run the metadata's last fence pair describes — the last occupied
+/// array of the top level, which nothing but never-written slots follows
+/// in the store — as `(base, len)`. The fence section ends the payload:
+/// its last sixteen bytes are that run's first and last key.
+fn last_run(store: &Shared, meta: &[u8]) -> (usize, usize) {
+    let key = |at: usize| u64::from_le_bytes(meta[at..at + 8].try_into().unwrap());
+    let (first, last) = (key(meta.len() - 16), key(meta.len() - 8));
+    let end = (0..store.len())
+        .rposition(|i| store.get(i).key == last)
+        .expect("the last fence key is stored");
+    let base = (0..end)
+        .rposition(|i| store.get(i).key == first)
+        .expect("the first fence key is stored");
+    let sorted = (base..end).all(|i| store.get(i).key < store.get(i + 1).key);
+    assert!(sorted && end - base >= 32, "located a run of distinct keys");
+    (base, end + 1 - base)
 }
 
 #[test]
 fn reopen_accepts_intact_cells() {
-    let (mem, meta) = sealed_cola();
-    let mut reopened = BasicCola::from_parts(mem, &meta).expect("intact store reopens");
-    reopened.check_invariants();
-    assert_eq!(reopened.get(1), Some(0));
-    assert_eq!(reopened.get(3 * 127 + 1), Some(127));
+    for case in &CASES {
+        let (store, meta) = sealed(case);
+        let mut reopened = (case.from_parts)(store, &meta)
+            .unwrap_or_else(|e| panic!("{}: intact store must reopen: {e}", case.name));
+        reopened.check_invariants();
+        for i in 0..N {
+            assert_eq!(reopened.get(i * 3 + 1), Some(i), "{}: hit", case.name);
+            assert_eq!(reopened.get(i * 3), None, "{}: miss", case.name);
+        }
+    }
 }
 
 #[test]
 fn reopen_rejects_corrupted_sample_cells() {
-    let (mem, meta) = sealed_cola();
-    // Swap two interior ghost-sampled cells of the sealed level (stride
-    // 8 ⇒ in-level offsets 8 and 80 are both sample points). The level's
-    // first and last cells — its fence keys — are untouched, so the
-    // persisted-fence cross-check cannot catch this; only the rebuilt
-    // aux's own `check` (sorted ghost samples) can.
-    let base = mem.len() - 128;
-    let mut bad = mem;
-    let (a, b) = (bad.get(base + 8), bad.get(base + 80));
-    bad.set(base + 8, b);
-    bad.set(base + 80, a);
-    let err = BasicCola::from_parts(bad, &meta).expect_err("corrupt samples must be rejected");
-    let msg = err.to_string();
-    assert!(
-        msg.contains("cascade state"),
-        "error should name the cascade validation, got: {msg}"
-    );
+    for case in &CASES {
+        let (mut store, meta) = sealed(case);
+        // Swap two interior ghost-sampled cells of the run (stride 8 ⇒
+        // in-run offsets 8 and 24 are both sample points). The run's
+        // first and last cells — its fence keys — are untouched, so the
+        // persisted-fence cross-check cannot catch this; only the rebuilt
+        // aux's own `check` (sorted ghost samples) can.
+        let (base, _) = last_run(&store, &meta);
+        let (a, b) = (store.get(base + 8), store.get(base + 24));
+        store.set(base + 8, b);
+        store.set(base + 24, a);
+        let err = (case.from_parts)(store, &meta)
+            .err()
+            .unwrap_or_else(|| panic!("{}: corrupt samples must be rejected", case.name));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("cascade state"),
+            "{}: error should name the cascade validation, got: {msg}",
+            case.name
+        );
+    }
+}
+
+#[test]
+fn reopen_rejects_a_flipped_fence_key() {
+    for case in &CASES {
+        let (store, mut meta) = sealed(case);
+        // One bit of the last run's persisted last key: the metadata now
+        // describes a store these cells are not.
+        let at = meta.len() - 8;
+        meta[at] ^= 1;
+        let err = (case.from_parts)(store, &meta)
+            .err()
+            .unwrap_or_else(|| panic!("{}: a flipped fence key must be rejected", case.name));
+        let msg = err.to_string();
+        assert!(
+            msg.contains("fence keys"),
+            "{}: error should name the fence cross-check, got: {msg}",
+            case.name
+        );
+    }
 }
 
 /// A 4-COLA of 3,000 scattered keys: items in the top level (6) and

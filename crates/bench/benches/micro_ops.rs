@@ -8,7 +8,7 @@
 
 use std::time::Instant;
 
-use cosbt::DbBuilder;
+use cosbt::{Backend, Db, DbBuilder, Structure};
 use cosbt_bench::{random_keys, scaled, search_probes};
 
 /// Every unsharded cell of the shared configuration matrix — the same
@@ -76,20 +76,7 @@ fn main() {
         );
 
         // Streaming cursor over the same interval (no materialization).
-        let t = Instant::now();
-        let mut total = 0usize;
-        for _ in 0..20 {
-            let mut cur = d.cursor(70_000, 77_000);
-            while cur.next().is_some() {
-                total += 1;
-            }
-        }
-        report(
-            "cursor_scan_1k",
-            &name,
-            total as u64,
-            t.elapsed().as_secs_f64(),
-        );
+        cursor_scan_1k(&name, &mut d);
 
         // Sorted batched inserts (1k-key batches).
         let mut d = builder.clone().build().unwrap();
@@ -101,4 +88,39 @@ fn main() {
         }
         report("insert_batch_1k", &name, n, t.elapsed().as_secs_f64());
     }
+
+    // The same scan where a store call is a lock and a residency lookup:
+    // the 4-COLA on a file, its 64 KiB cache holding the interval after
+    // the first pass, so the row times the cursor's calls, not the disk.
+    let path = cosbt_testkit::TempPath::new("micro-ops.dat");
+    let mut d = DbBuilder::new()
+        .structure(Structure::GCola { g: 4 })
+        .backend(Backend::file(path.to_path_buf()))
+        .cache_bytes(64 << 10)
+        .build()
+        .unwrap();
+    for k in 0..n {
+        d.insert(k * 7, k);
+    }
+    cursor_scan_1k("4-COLA, file", &mut d);
+    d.discard_on_drop();
+}
+
+/// 20 scans of the ~1k entries in `[70_000, 77_000]` of the dense
+/// `k * 7` key space.
+fn cursor_scan_1k(name: &str, d: &mut Db) {
+    let t = Instant::now();
+    let mut total = 0usize;
+    for _ in 0..20 {
+        let mut cur = d.cursor(70_000, 77_000);
+        while cur.next().is_some() {
+            total += 1;
+        }
+    }
+    report(
+        "cursor_scan_1k",
+        name,
+        total as u64,
+        t.elapsed().as_secs_f64(),
+    );
 }

@@ -477,7 +477,7 @@ impl<M: Mem<Cell>> Dictionary for BasicCola<M> {
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
         let runs = Self::runs(&self.full, &self.aux);
-        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
+        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
     }
 
     fn apply(&mut self, batch: &mut UpdateBatch) {

@@ -19,7 +19,16 @@
 //!   over `k` runs costs `O(k + r)` cell reads — `r`, plus the redundant
 //!   and shadowed cells lying between the results, plus a constant per
 //!   run — and `O(k + r/B)` block transfers, instead of materializing
-//!   every overlapping cell up front.
+//!   every overlapping cell up front. Store *calls* — each a lock and a
+//!   residency lookup on the file store — are fewer than cell reads
+//!   where the store can be peeked ([`Mem::peek_run`]): after a head's
+//!   charged `get` the cursor copies the rest of the head's page into a
+//!   window, steps through the window, and pays for the cells it took
+//!   with one `read_run` per stretch, in the order it took them, before
+//!   it calls the store for anything else. Each seek probe and backward
+//!   step is a call; forward, a streak of `s` cells from one run is
+//!   `O(1 + log s + s/B)` calls, and the cells charged, their order and
+//!   every counter of the store are those of one `get` per cell.
 //! * [`MergeCursor`] — the same merge discipline generalized to
 //!   *heterogeneous sources*: any set of [`CursorOps`] engines (boxed
 //!   [`crate::Cursor`]s included), not just level runs of one array. A
@@ -37,6 +46,7 @@ use cosbt_dam::Mem;
 use crate::dict::CursorOps;
 use crate::entry::Cell;
 pub use crate::run::Run;
+use crate::runbuf::RunBuf;
 
 /// The gap position of the cursor (see [`CursorOps`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -75,6 +85,49 @@ impl Direction {
     }
 }
 
+/// One run's window: cells `start..start + len` of the run, peeked from
+/// a head the cursor had just read with a charged `get` to the end of
+/// the head's page at most. Run `r`'s window sits at `r * cap` in the
+/// lent cells ([`RunBuf::cap`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Window {
+    start: usize,
+    len: usize,
+    /// Cells the next peek asks for, capped at `cap`: 0 until the run
+    /// has given a head, then [`FIRST_FILL`], doubling. A run that gives
+    /// a scan one cell costs it one store call, as it did before there
+    /// were windows.
+    fill: usize,
+}
+
+/// `count` cells of run `run` from index `first` on: loaded from the
+/// run's window, one after the other, and owed to the store.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Segment {
+    run: usize,
+    first: usize,
+    count: usize,
+}
+
+const FIRST_FILL: usize = 4;
+
+/// Segments the log holds before it is settled early. Settling early is
+/// always allowed — the charges still arrive in load order — and a scan
+/// that alternates between runs cell by cell makes a segment per cell.
+pub(crate) const MAX_SEGMENTS: usize = 32;
+
+/// Charges the store for every window cell loaded since the last call,
+/// in load order: one `read_run` per segment, which is what the same
+/// cells read by `get` cost (a window never crosses a page end). The
+/// cells are read over their own window copy, which they equal.
+fn settle<M: Mem<Cell>>(mem: &M, runs: &[Run], scratch: &mut RunBuf) {
+    for seg in scratch.log.drain(..) {
+        let at = seg.run * scratch.cap + (seg.first - scratch.windows[seg.run].start);
+        let out = &mut scratch.cells[at..at + seg.count];
+        mem.read_run(runs[seg.run].base + seg.first, out);
+    }
+}
+
 /// Streaming merge cursor over [`Run`]s of one [`Mem`] array.
 #[derive(Debug)]
 pub struct RunMergeCursor<'a, M: Mem<Cell>> {
@@ -99,10 +152,21 @@ pub struct RunMergeCursor<'a, M: Mem<Cell>> {
     /// Direction the cached heads were loaded in; `None` after
     /// construction or a seek, until the next step positions the runs.
     dir: Option<Direction>,
+    /// The structure's scratch, if it lent one: the windows, their
+    /// cells and the log of what is owed for them.
+    scratch: Option<&'a mut RunBuf>,
 }
 
 impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// A cursor over `runs` (newest first) bounded to `[lo, hi]`.
+    ///
+    /// While it lives the cursor must be the only user of `mem`: it may
+    /// run up a debt of uncharged reads (the peek rule of
+    /// [`Mem::peek_run`]) that it pays before its next charged call and
+    /// when it is dropped, and the store's counters match the per-cell
+    /// path's only if nothing else touches the store in between. A
+    /// cursor opened through [`crate::Dictionary::cursor`] has that for
+    /// free: it borrows the structure mutably.
     pub fn new(mem: &'a M, runs: impl IntoIterator<Item = Run<'a>>, lo: u64, hi: u64) -> Self {
         // A run that can yield nothing is left out rather than merged in
         // and out: an empty one, and one whose fences put no real key
@@ -128,7 +192,75 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
             idx: vec![0; k],
             heads: vec![Head::Unknown; k],
             dir: None,
+            scratch: None,
         }
+    }
+
+    /// Lends the cursor the structure's scratch for its windows, which it
+    /// takes if the store peeks. Without one every load is a charged
+    /// `get`.
+    pub(crate) fn windowed(mut self, scratch: &'a mut RunBuf) -> Self {
+        if self.mem.peeks() {
+            let k = self.runs.len();
+            scratch.cap = scratch.cells.len().checked_div(k).unwrap_or(0);
+            scratch.windows.clear();
+            scratch.windows.resize(k, Window::default());
+            scratch.log.clear();
+            self.scratch = Some(scratch);
+        }
+        self
+    }
+
+    /// Pays what the cursor owes the store (see [`settle`]). Due before
+    /// every charged call.
+    fn settle(&mut self) {
+        if let Some(scratch) = self.scratch.as_deref_mut() {
+            settle(self.mem, &self.runs, scratch);
+        }
+    }
+
+    /// The cell at `idx[r]`, for a forward load from a store that peeks.
+    /// Inside run `r`'s window it is the peeked copy, logged as owed.
+    /// Otherwise it is a charged `get`, and the page that leaves
+    /// resident is peeked from that cell on into the window, for the
+    /// loads to come.
+    fn read_windowed(&mut self, r: usize) -> Cell {
+        let (run, i) = (self.runs[r], self.idx[r]);
+        let Some(scratch) = self.scratch.as_deref_mut() else {
+            return self.mem.get(run.base + i);
+        };
+        let (w, at) = (scratch.windows[r], r * scratch.cap);
+        if i.wrapping_sub(w.start) < w.len {
+            match scratch.log.last_mut() {
+                Some(seg) if seg.run == r && seg.first + seg.count == i => seg.count += 1,
+                _ => {
+                    if scratch.log.len() == MAX_SEGMENTS {
+                        settle(self.mem, &self.runs, scratch);
+                    }
+                    scratch.log.push(Segment {
+                        run: r,
+                        first: i,
+                        count: 1,
+                    });
+                }
+            }
+            return scratch.cells[at + (i - w.start)];
+        }
+        settle(self.mem, &self.runs, scratch);
+        let cell = self.mem.get(run.base + i);
+        let want = w.fill.min(scratch.cap).min(run.len - i);
+        let len = match want {
+            0 | 1 => 0,
+            _ => self
+                .mem
+                .peek_run(run.base + i, &mut scratch.cells[at..at + want]),
+        };
+        scratch.windows[r] = Window {
+            start: i,
+            len,
+            fill: (2 * w.fill).min(scratch.cap).max(FIRST_FILL),
+        };
+        cell
     }
 
     /// Whether a cell with this key sorts before the gap.
@@ -157,7 +289,12 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         match dir {
             Direction::Forward => {
                 while self.idx[r] < run.len {
-                    let c = self.mem.get(run.base + self.idx[r]);
+                    // Decided at compile time: over a store that peeks
+                    // nothing this is the loop it was before windows.
+                    let c = match self.mem.peeks() {
+                        true => self.read_windowed(r),
+                        false => self.mem.get(run.base + self.idx[r]),
+                    };
                     if !self.below_gap(c.key) {
                         self.heads[r] = Head::Entry(c);
                         break;
@@ -182,15 +319,18 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// cached for the other direction before stepping in `dir` (their
     /// cells stay where `idx` has them; nothing is re-read).
     fn face(&mut self, dir: Direction) {
+        if self.dir == Some(dir) {
+            return;
+        }
+        // A seek's bisects and every backward read are charged calls.
+        self.settle();
         if self.dir.is_none() {
             for r in 0..self.runs.len() {
                 self.idx[r] = self.split(self.runs[r]);
             }
         }
-        if self.dir != Some(dir) {
-            self.heads.fill(Head::Unknown);
-            self.dir = Some(dir);
-        }
+        self.heads.fill(Head::Unknown);
+        self.dir = Some(dir);
     }
 
     /// Fills the head cache in `dir` (only runs whose head a previous
@@ -323,6 +463,16 @@ impl<M: Mem<Cell>> CursorOps for RunMergeCursor<'_, M> {
             if !cell.is_tombstone() {
                 return Some((cell.key, cell.val));
             }
+        }
+    }
+}
+
+impl<M: Mem<Cell>> Drop for RunMergeCursor<'_, M> {
+    fn drop(&mut self) {
+        // What the scan used it owes, however it ended. Not while a
+        // panic unwinds: a store call may panic itself.
+        if self.scratch.is_some() && !std::thread::panicking() {
+            self.settle();
         }
     }
 }
@@ -479,6 +629,7 @@ mod tests {
     use crate::dict::{Cursor, CursorOps, VecCursor};
     use cosbt_dam::PlainMem;
     use cosbt_testkit::{check_cases, Rng};
+    use std::cell::RefCell;
 
     /// Lays runs out in one array and returns (mem, runs).
     fn build(runs: &[Vec<Cell>]) -> (PlainMem<Cell>, Vec<Run<'static>>) {
@@ -663,12 +814,90 @@ mod tests {
             .collect()
     }
 
+    /// A paged store in miniature: `per_page` cells a page, `frames`
+    /// resident pages under LRU, [`Mem::peek_run`] answered the way the
+    /// file store answers it. It keeps what a store's counters are made
+    /// of — every cell charged, in charge order — and counts the calls
+    /// that would each take the file store's lock, peeks included.
+    struct PagedMem {
+        inner: PlainMem<Cell>,
+        per_page: usize,
+        frames: usize,
+        /// Resident pages, most recently used first.
+        resident: RefCell<Vec<usize>>,
+        charged: RefCell<Vec<usize>>,
+        calls: std::cell::Cell<usize>,
+    }
+
+    impl PagedMem {
+        fn new(inner: PlainMem<Cell>, per_page: usize, frames: usize) -> PagedMem {
+            PagedMem {
+                inner,
+                per_page,
+                frames,
+                resident: RefCell::default(),
+                charged: RefCell::default(),
+                calls: std::cell::Cell::new(0),
+            }
+        }
+
+        fn charge(&self, i: usize) {
+            self.charged.borrow_mut().push(i);
+            let mut resident = self.resident.borrow_mut();
+            resident.retain(|&p| p != i / self.per_page);
+            resident.insert(0, i / self.per_page);
+            resident.truncate(self.frames);
+        }
+    }
+
+    impl Mem<Cell> for PagedMem {
+        fn len(&self) -> usize {
+            self.inner.len()
+        }
+        fn get(&self, i: usize) -> Cell {
+            self.calls.set(self.calls.get() + 1);
+            self.charge(i);
+            self.inner.get(i)
+        }
+        fn set(&mut self, i: usize, v: Cell) {
+            self.inner.set(i, v)
+        }
+        fn resize(&mut self, new_len: usize, fill: Cell) {
+            self.inner.resize(new_len, fill)
+        }
+        fn read_run(&self, start: usize, out: &mut [Cell]) {
+            self.calls.set(self.calls.get() + 1);
+            (start..start + out.len()).for_each(|i| self.charge(i));
+            self.inner.read_run(start, out);
+        }
+        fn peek_run(&self, start: usize, out: &mut [Cell]) -> usize {
+            self.calls.set(self.calls.get() + 1);
+            if start >= self.len() || !self.resident.borrow().contains(&(start / self.per_page)) {
+                return 0;
+            }
+            let n = out
+                .len()
+                .min(self.per_page - start % self.per_page)
+                .min(self.len() - start);
+            self.inner.read_run(start, &mut out[..n]);
+            n
+        }
+        fn peeks(&self) -> bool {
+            true
+        }
+    }
+
     #[test]
     fn run_cursor_matches_materialized_oracle() {
         // Random next/prev/seek interleavings against the oracle, whose
         // cursor is one index into the materialized answer (the gap).
         // Every case runs on the ghost-window seek and on the full binary
         // search; runs are long enough to span several ghost strides.
+        // And every case runs per cell and through peeked windows, over
+        // pages short enough and caches small enough that windows end
+        // early and their pages are evicted before they are settled: the
+        // two must answer alike and charge the store the same cells in
+        // the same order, the windowed cursor never ahead of the other.
         check_cases("run-cursor-oracle", 300, |rng| {
             let keys = 2 + rng.below(120);
             let cells: Vec<Vec<Cell>> = (0..rng.index(6))
@@ -690,16 +919,22 @@ mod tests {
             };
             let want = oracle(&cells, lo, hi);
             let ops: Vec<(u64, u64)> = (0..200).map(|_| (rng.below(8), pick(rng))).collect();
+            let (per_page, frames) = (1 + rng.index(40), 1 + rng.index(4));
 
-            let (mem, plain) = build(&cells);
+            let (inner, plain) = build(&cells);
             let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
             for runs in [with_aux(&plain, &auxes), plain.clone()] {
-                let mut cur = RunMergeCursor::new(&mem, runs, lo, hi);
+                let per_cell = PagedMem::new(inner.clone(), per_page, frames);
+                let windowed = PagedMem::new(inner.clone(), per_page, frames);
+                let mut scratch = RunBuf::new();
+                let mut reference = RunMergeCursor::new(&per_cell, runs.clone(), lo, hi);
+                let mut cur = RunMergeCursor::new(&windowed, runs, lo, hi).windowed(&mut scratch);
                 let mut gap = 0usize;
                 for &(op, key) in &ops {
                     match op {
                         0 => {
                             cur.seek(key);
+                            reference.seek(key);
                             gap = if key > hi {
                                 want.len()
                             } else {
@@ -709,40 +944,57 @@ mod tests {
                         1..=4 => {
                             let got = CursorOps::next(&mut cur);
                             assert_eq!(got, want.get(gap).copied(), "next at gap {gap}");
+                            assert_eq!(got, CursorOps::next(&mut reference));
                             gap += got.is_some() as usize;
                         }
                         _ => {
                             let got = CursorOps::prev(&mut cur);
                             let expect = gap.checked_sub(1).map(|g| want[g]);
                             assert_eq!(got, expect, "prev at gap {gap}");
+                            assert_eq!(got, CursorOps::prev(&mut reference));
                             gap -= got.is_some() as usize;
                         }
                     }
+                    let (owed, paid) = (per_cell.charged.borrow(), windowed.charged.borrow());
+                    assert_eq!(owed[..paid.len()], paid[..], "charged out of order");
                 }
+                drop((cur, reference));
+                assert_eq!(per_cell.charged, windowed.charged, "left unpaid at drop");
+                assert_eq!(per_cell.resident, windowed.resident);
             }
         });
     }
 
-    /// A [`PlainMem`] that counts `get` calls.
-    struct CountingMem {
-        inner: PlainMem<Cell>,
-        gets: std::cell::Cell<usize>,
-    }
+    /// A forward scan of `r` entries from `from` over six long runs on
+    /// 128-cell pages, per cell or windowed: the store calls it made,
+    /// the cells it charged, and the cells lying between its first and
+    /// last result.
+    fn scan_cost(windowed: bool) -> (usize, usize, usize) {
+        let mut rng = Rng::new(0xC057);
+        let cells: Vec<Vec<Cell>> = (0..6).map(|_| random_run(&mut rng, 600, 4000)).collect();
+        let (inner, plain) = build(&cells);
+        let mem = PagedMem::new(inner, 128, 64);
+        let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
+        let (r, from) = (150usize, 1000u64);
 
-    impl Mem<Cell> for CountingMem {
-        fn len(&self) -> usize {
-            self.inner.len()
+        let mut scratch = RunBuf::new();
+        let mut cur = RunMergeCursor::new(&mem, with_aux(&plain, &auxes), 0, u64::MAX);
+        if windowed {
+            cur = cur.windowed(&mut scratch);
         }
-        fn get(&self, i: usize) -> Cell {
-            self.gets.set(self.gets.get() + 1);
-            self.inner.get(i)
-        }
-        fn set(&mut self, i: usize, v: Cell) {
-            self.inner.set(i, v)
-        }
-        fn resize(&mut self, new_len: usize, fill: Cell) {
-            self.inner.resize(new_len, fill)
-        }
+        cur.seek(from);
+        let got: Vec<(u64, u64)> = (0..r).map_while(|_| CursorOps::next(&mut cur)).collect();
+        drop(cur);
+        assert_eq!(got, oracle(&cells, from, u64::MAX)[..r]);
+        let last = got[r - 1].0;
+        let in_range = cells
+            .iter()
+            .flatten()
+            .filter(|c| (from..=last).contains(&c.key))
+            .count();
+        assert!(in_range > r, "the scan passes redundant and shadowed cells");
+        let charged = mem.charged.borrow().len();
+        (mem.calls.get(), charged, in_range)
     }
 
     #[test]
@@ -752,32 +1004,54 @@ mod tests {
         // plus the redundant and shadowed cells passed — and a constant
         // per run: at most 5 probes to split a 16-slot ghost window and
         // one head left cached beyond the last result. Re-reading the
-        // k heads on every step would cost over 3·k·r.
-        let mut rng = Rng::new(0xC057);
-        let cells: Vec<Vec<Cell>> = (0..6).map(|_| random_run(&mut rng, 600, 4000)).collect();
-        let (inner, plain) = build(&cells);
-        let mem = CountingMem {
-            inner,
-            gets: std::cell::Cell::new(0),
-        };
-        let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
-        let (k, r, from) = (cells.len(), 150usize, 1000u64);
-
-        let mut cur = RunMergeCursor::new(&mem, with_aux(&plain, &auxes), 0, u64::MAX);
-        cur.seek(from);
-        let got: Vec<(u64, u64)> = (0..r).map_while(|_| CursorOps::next(&mut cur)).collect();
-        assert_eq!(got, oracle(&cells, from, u64::MAX)[..r]);
-        let last = got[r - 1].0;
-        let in_range = cells
-            .iter()
-            .flatten()
-            .filter(|c| (from..=last).contains(&c.key))
-            .count();
-        assert!(in_range > r, "the scan passes redundant and shadowed cells");
+        // k heads on every step would cost over 3·k·r. Per cell every
+        // read is a store call; windows charge the same cells and may
+        // not make more calls than that.
+        let k = 6;
+        let (calls, charged, in_range) = scan_cost(false);
+        assert_eq!(calls, charged, "per cell, a read is a call");
         assert!(
-            mem.gets.get() <= in_range + 6 * k,
-            "{} gets for {in_range} cells in range over {k} runs",
-            mem.gets.get()
+            charged <= in_range + 6 * k,
+            "{charged} reads for {in_range} cells in range over {k} runs"
+        );
+        let (windowed_calls, windowed_charged, _) = scan_cost(true);
+        assert_eq!(windowed_charged, charged);
+        assert!(
+            windowed_calls <= in_range + 6 * k,
+            "{windowed_calls} calls for {in_range} cells in range over {k} runs"
+        );
+    }
+
+    #[test]
+    fn a_long_run_costs_a_few_store_calls_a_page() {
+        // 128 entries of one run: five probes to split the ghost window,
+        // a `get` for the first head, then a `get`, a peek and the
+        // `read_run` that pays for it per window of 4, 8, 16, … cells.
+        let run: Vec<Cell> = (0..1000).map(|k| Cell::item(3 * k, k)).collect();
+        let (inner, plain) = build(std::slice::from_ref(&run));
+        let aux = [build_aux(run.iter())];
+        let scan = |windowed: bool| {
+            let mem = PagedMem::new(inner.clone(), 128, 4);
+            let mut scratch = RunBuf::new();
+            let mut cur = RunMergeCursor::new(&mem, with_aux(&plain, &aux), 0, u64::MAX);
+            if windowed {
+                cur = cur.windowed(&mut scratch);
+            }
+            cur.seek(900);
+            for k in 300..428 {
+                assert_eq!(CursorOps::next(&mut cur), Some((3 * k, k)));
+            }
+            drop(cur);
+            let charged = mem.charged.borrow().len();
+            (mem.calls.get(), charged)
+        };
+        let (per_cell_calls, charged) = scan(false);
+        let (calls, windowed_charged) = scan(true);
+        assert_eq!(windowed_charged, charged);
+        assert!(per_cell_calls >= 128, "{per_cell_calls} calls per cell");
+        assert!(
+            calls <= 32,
+            "{calls} store calls for 128 entries of one run"
         );
     }
 

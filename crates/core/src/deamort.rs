@@ -753,7 +753,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortCola<M> {
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
         // Pointer cells are skipped by the merge cursor.
         let runs = Self::runs(&self.arrs, &self.aux);
-        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
+        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
     }
 
     fn physical_len(&self) -> usize {

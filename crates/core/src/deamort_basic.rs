@@ -459,7 +459,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortBasicCola<M> {
         // In-flight merge destinations are invisible until commit, so the
         // cursor never observes a half-written array.
         let runs = Self::runs(&self.state, &self.aux);
-        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
+        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
     }
 
     fn physical_len(&self) -> usize {

@@ -764,7 +764,7 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
         // Every occupied level is a sorted run, newest first; the merge
         // cursor skips the interleaved lookahead cells itself.
         let runs = Self::runs(&self.levels, &self.aux);
-        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi))
+        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
     }
 
     fn apply(&mut self, batch: &mut UpdateBatch) {

@@ -10,12 +10,15 @@
 //! rebuild scans): page-touch order, and with it every transfer count, is
 //! then unchanged. A caller that wants some cells of a sweep for later
 //! (the g-COLA's lookahead samples) taps the staged chunks instead of
-//! reading the store again. In-array two-source merges, binary searches,
-//! cursors and budgeted deamortized moves interleave pages and stay on
-//! `get`/`set`.
+//! reading the store again. In-array two-source merges, binary searches
+//! and budgeted deamortized moves interleave pages and stay on
+//! `get`/`set`; so does a cursor, except that its forward loads come out
+//! of peeked windows it pays for in load order (`cursor.rs`), which it
+//! keeps in this buffer while the structure has no sweep to run.
 
 use cosbt_dam::Mem;
 
+use crate::cursor::{Segment, Window, MAX_SEGMENTS};
 use crate::entry::Cell;
 
 /// Cells per run call: 16 KiB, four 4 KiB pages. A level is streamed
@@ -24,13 +27,31 @@ use crate::entry::Cell;
 const CHUNK: usize = 512;
 
 /// A structure-owned scratch of [`CHUNK`] cells, allocated once at
-/// construction: no sweep allocates or zeroes anything.
+/// construction: no sweep allocates or zeroes anything. Between sweeps
+/// the structure lends it to the cursor it opens
+/// ([`crate::RunMergeCursor`]), which keeps its peeked windows in the
+/// cells and their bookkeeping beside them, so a scan allocates and
+/// zeroes nothing for them either.
 #[derive(Debug)]
-pub(crate) struct RunBuf(Box<[Cell]>);
+pub(crate) struct RunBuf {
+    pub(crate) cells: Box<[Cell]>,
+    /// Cells per window: `cells` split evenly among the cursor's runs.
+    pub(crate) cap: usize,
+    /// One per run of the cursor holding the scratch; sized up front
+    /// for more runs than a structure has levels.
+    pub(crate) windows: Vec<Window>,
+    /// At most [`MAX_SEGMENTS`] long.
+    pub(crate) log: Vec<Segment>,
+}
 
 impl RunBuf {
     pub(crate) fn new() -> RunBuf {
-        RunBuf(vec![Cell::default(); CHUNK].into_boxed_slice())
+        RunBuf {
+            cells: vec![Cell::default(); CHUNK].into_boxed_slice(),
+            cap: 0,
+            windows: Vec::with_capacity(64),
+            log: Vec::with_capacity(MAX_SEGMENTS),
+        }
     }
 
     /// Calls `f` on each staged chunk of `mem[base..base + len]`, in
@@ -49,7 +70,7 @@ impl RunBuf {
         }
         let mut done = 0;
         while done < len {
-            let chunk = &mut self.0[..(len - done).min(CHUNK)];
+            let chunk = &mut self.cells[..(len - done).min(CHUNK)];
             mem.read_run(base + done, chunk);
             f(done, chunk);
             done += chunk.len();
@@ -86,7 +107,7 @@ impl RunBuf {
         }
         let mut done = 0;
         while done < len {
-            let chunk = &mut self.0[..(len - done).min(CHUNK)];
+            let chunk = &mut self.cells[..(len - done).min(CHUNK)];
             chunk.iter_mut().for_each(|c| *c = next());
             tap(done, chunk);
             mem.write_run(base + done, chunk);

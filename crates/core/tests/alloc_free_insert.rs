@@ -2,7 +2,9 @@
 //! from outside through a counting global allocator: a steady-state
 //! carry within the retained-scratch bound allocates nothing, and a
 //! carry past it leaves nothing behind. And of every COLA's read path: a
-//! point lookup allocates nothing.
+//! point lookup allocates nothing, stepping a cursor allocates nothing on
+//! any backend, and opening one asks the allocator for what it asked
+//! before cursors kept windows.
 //!
 //! One `#[test]` on purpose: the counters are process-wide, and the
 //! harness runs the tests of a binary on parallel threads.
@@ -11,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_dam::{ArcFileMem, CrashDev, FileMem};
 
 struct Counting;
 
@@ -18,12 +21,15 @@ struct Counting;
 static CALLS: AtomicU64 = AtomicU64::new(0);
 /// Bytes currently allocated.
 static LIVE: AtomicI64 = AtomicI64::new(0);
+/// Bytes those calls asked for.
+static REQUESTED: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards to `System` with the arguments it was
 // given; the counters are side effects that touch no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
@@ -37,6 +43,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
         LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
@@ -44,6 +51,7 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
+        REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
         LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -131,4 +139,73 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     gets_allocate_nothing("4-COLA", &mut GCola::new_plain(4));
     gets_allocate_nothing("deamortized basic COLA", &mut DeamortBasicCola::new_plain());
     gets_allocate_nothing("deamortized COLA", &mut DeamortCola::new_plain());
+
+    // Cursors: 1,000 scans of 64 on each of the four COLAs at 2^12 keys,
+    // in memory and over a file store whose 8-page cache the first pass
+    // fills (a fault into a free frame allocates the frame). Returns what
+    // opening and dropping the cursors asked of the allocator.
+    let scans = |name: &str, d: &mut dyn Dictionary| {
+        for (i, &k) in keys.iter().enumerate() {
+            d.insert(k, i as u64);
+        }
+        let mut opening = (0, 0);
+        for pass in 0..2 {
+            opening = (0, 0);
+            for &lo in keys.iter().take(1000) {
+                let before = (
+                    CALLS.load(Ordering::Relaxed),
+                    REQUESTED.load(Ordering::Relaxed),
+                );
+                let mut cur = d.cursor(lo, u64::MAX);
+                let open = CALLS.load(Ordering::Relaxed);
+                let mut n = 0;
+                while n < 64 && cur.next().is_some() {
+                    n += 1;
+                }
+                let stepped = CALLS.load(Ordering::Relaxed) - open;
+                drop(cur);
+                assert!(
+                    pass == 0 || stepped == 0,
+                    "{name}: {n} steps made {stepped} allocator calls"
+                );
+                opening.0 += CALLS.load(Ordering::Relaxed) - before.0 - stepped;
+                opening.1 += REQUESTED.load(Ordering::Relaxed) - before.1;
+            }
+        }
+        opening
+    };
+    let file = || {
+        let fm = FileMem::create_on(CrashDev::new(), 4096, 8, 32).expect("store on a RAM device");
+        ArcFileMem::new(fm)
+    };
+    // Allocator calls and bytes requested by 1,000 opens over `PlainMem`
+    // at the commit before cursors kept windows: the runs, the two
+    // per-run arrays and the boxed cursor. The windows live in the
+    // structure's scratch and cost an open nothing but the pointer to
+    // it in the box.
+    let parent = [
+        (4000u64, 264_000u64),
+        (5000, 456_000),
+        (6000, 1_262_544),
+        (6000, 1_317_648),
+    ];
+    let opened = [
+        scans("basic COLA", &mut BasicCola::new_plain()),
+        scans("4-COLA", &mut GCola::new_plain(4)),
+        scans("deamortized basic COLA", &mut DeamortBasicCola::new_plain()),
+        scans("deamortized COLA", &mut DeamortCola::new_plain()),
+    ];
+    for (now, was) in opened.iter().zip(parent) {
+        assert!(
+            now.0 <= was.0 && now.1 <= was.1 + 8 * 1000,
+            "1,000 opens made (calls, bytes) {now:?}, {was:?} before windows"
+        );
+    }
+    scans("basic COLA on a file", &mut BasicCola::new(file()));
+    scans("4-COLA on a file", &mut GCola::new(file(), 4, 0.1));
+    scans(
+        "deamortized basic COLA on a file",
+        &mut DeamortBasicCola::new(file()),
+    );
+    scans("deamortized COLA on a file", &mut DeamortCola::new(file()));
 }

@@ -3,7 +3,8 @@
 //! through a wrapper that forwards only `get`/`set` (so every sweep takes
 //! the trait's per-cell default) must report the same [`IoStats`] in all
 //! six fields, phase by phase, the same answers, and leave byte-identical
-//! device images.
+//! device images. So must a cursor's peeked windows: the wrapper inherits
+//! the `peek_run` that peeks nothing, so its cursors step per cell.
 
 use cosbt_core::entry::Cell;
 use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola, Persist};
@@ -31,18 +32,22 @@ impl Mem<Cell> for PerCell {
 }
 
 /// 16 cells per page, 6 resident pages: merges of a few thousand cells
-/// evict constantly and chunks of 512 cells span 32 pages.
+/// evict constantly and chunks of 512 cells span 32 pages. With 2
+/// resident pages a k-way scan evicts a window's own page between the
+/// peek that filled it and the `read_run` that pays for it.
 const PAGE: usize = 512;
-const CACHE_PAGES: usize = 6;
+const CACHE_PAGES: [usize; 2] = [6, 2];
 
-fn store() -> (Store, CrashDev) {
+fn store(cache_pages: usize) -> (Store, CrashDev) {
     let dev = CrashDev::new();
-    let fm = FileMem::create_on(dev.clone(), PAGE, CACHE_PAGES, 32).unwrap();
+    let fm = FileMem::create_on(dev.clone(), PAGE, cache_pages, 32).unwrap();
     (ArcFileMem::new(fm), dev)
 }
 
 /// Ingest (single inserts, deletes, sorted batches), a commit, then cold
-/// gets and a scan. Returns the stats of each phase and the answers.
+/// gets and a scan, then the cursor battery: bounded scans dropped
+/// mid-window, re-seeks with charges still owed, and `next`/`prev`
+/// flips. Returns the stats of each phase and the answers.
 fn drive<D: Dictionary + Persist>(d: &mut D, store: &Store) -> (Vec<IoStats>, Vec<u64>) {
     let mut rng = Rng::new(0x5EED_CE11);
     let mut phases = Vec::new();
@@ -78,6 +83,41 @@ fn drive<D: Dictionary + Persist>(d: &mut D, store: &Store) -> (Vec<IoStats>, Ve
     phases.push(store.take_stats());
     answers.extend(d.range(0, u64::MAX >> 20).into_iter().map(|(k, _)| k));
     phases.push(store.take_stats());
+
+    keys.sort_unstable();
+    let start = |rng: &mut Rng| keys[rng.index(keys.len())];
+    let mut note = |e: Option<(u64, u64)>| answers.push(e.map_or(u64::MAX, |(k, v)| k ^ v));
+    // Scans of 1 to 60 entries, over a few windows at most, dropped where
+    // they stop.
+    for _ in 0..60 {
+        let mut cur = d.cursor(start(&mut rng), u64::MAX);
+        for _ in 0..1 + rng.index(60) {
+            note(cur.next());
+        }
+    }
+    phases.push(store.take_stats());
+    // One cursor, re-seeked while it owes for the cells it last loaded.
+    let mut cur = d.cursor(0, u64::MAX);
+    for _ in 0..60 {
+        cur.seek(start(&mut rng));
+        for _ in 0..rng.index(40) {
+            note(cur.next());
+        }
+    }
+    drop(cur);
+    phases.push(store.take_stats());
+    // Flips: forward loads go through windows, backward ones never do.
+    let mut cur = d.cursor(keys[keys.len() / 4], keys[3 * keys.len() / 4]);
+    for _ in 0..150 {
+        for _ in 0..rng.index(25) {
+            note(cur.next());
+        }
+        for _ in 0..rng.index(20) {
+            note(cur.prev());
+        }
+    }
+    drop(cur);
+    phases.push(store.take_stats());
     (phases, answers)
 }
 
@@ -85,6 +125,7 @@ fn drive<D: Dictionary + Persist>(d: &mut D, store: &Store) -> (Vec<IoStats>, Ve
 /// then reopens both (`from_parts`: the rebuild scans) the same two ways.
 fn check<A, B>(
     name: &str,
+    cache_pages: usize,
     build_run: impl Fn(Store) -> A,
     build_cell: impl Fn(PerCell) -> B,
     reopen_run: impl Fn(Store, &[u8]) -> A,
@@ -93,8 +134,9 @@ fn check<A, B>(
     A: Dictionary + Persist,
     B: Dictionary + Persist,
 {
-    let (run_store, run_dev) = store();
-    let (cell_store, cell_dev) = store();
+    let name = &format!("{name}, {cache_pages} resident pages");
+    let (run_store, run_dev) = store(cache_pages);
+    let (cell_store, cell_dev) = store(cache_pages);
     let mut run = build_run(run_store.clone());
     let mut cell = build_cell(PerCell(cell_store.clone()));
     let (run_phases, run_answers) = drive(&mut run, &run_store);
@@ -133,13 +175,16 @@ fn check<A, B>(
 /// instantiations of it, so it cannot be passed as one value).
 macro_rules! check_both {
     ($name:expr, $new:expr, $from_parts:expr) => {
-        check(
-            $name,
-            $new,
-            $new,
-            |m, meta| $from_parts(m, meta).unwrap(),
-            |m, meta| $from_parts(m, meta).unwrap(),
-        )
+        for cache_pages in CACHE_PAGES {
+            check(
+                $name,
+                cache_pages,
+                $new,
+                $new,
+                |m, meta| $from_parts(m, meta).unwrap(),
+                |m, meta| $from_parts(m, meta).unwrap(),
+            )
+        }
     };
 }
 

@@ -526,6 +526,12 @@ impl<D: RawDev> FilePages<D> {
         self.frames.data_mut(frame)
     }
 
+    /// The bytes of page `id` if it is resident; not an access (see
+    /// [`Mem::peek_run`]).
+    fn peek_page(&self, id: u32) -> Option<&[u8]> {
+        self.frames.peek(id).map(|frame| self.frames.data(frame))
+    }
+
     /// Writes every dirty resident page back to the device (to shadow
     /// slots, never over committed data) and issues a durability barrier.
     /// Does **not** commit metadata: after a crash the store still
@@ -960,6 +966,29 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
             }
         });
     }
+
+    /// [`Mem::peek_run`] for the file store: the cells from `start` to
+    /// the end of their page, if the page is in the cache.
+    pub fn peek_run(&self, start: usize, out: &mut [T]) -> usize {
+        if start >= self.len {
+            return 0;
+        }
+        let (page, off) = self.locate(start);
+        let Some(bytes) = self.pages.peek_page(page) else {
+            return 0;
+        };
+        let n = out
+            .len()
+            .min(self.per_page - start % self.per_page)
+            .min(self.len - start);
+        for (slot, cell) in out[..n]
+            .iter_mut()
+            .zip(bytes[off..].chunks(self.elem_bytes))
+        {
+            *slot = T::read_from(&cell[..T::BYTES]);
+        }
+        n
+    }
 }
 
 /// A cloneable, thread-safe handle to a [`FileMem`], so a benchmark can
@@ -1069,6 +1098,15 @@ impl<T: Pod, D: RawDev> Mem<T> for ArcFileMem<T, D> {
 
     fn write_run(&mut self, start: usize, src: &[T]) {
         self.lock().write_run(start, src)
+    }
+
+    fn peek_run(&self, start: usize, out: &mut [T]) -> usize {
+        self.lock().peek_run(start, out)
+    }
+
+    #[inline]
+    fn peeks(&self) -> bool {
+        true
     }
 }
 

@@ -298,6 +298,16 @@ impl FrameSlab {
         Some(idx as usize)
     }
 
+    /// The frame of `page` if it is resident. Unlike
+    /// [`FrameSlab::touch`] this is not an access: recency is unchanged.
+    #[inline]
+    pub(crate) fn peek(&self, page: u32) -> Option<usize> {
+        match *self.slot.get(page as usize)? {
+            NO_FRAME => None,
+            idx => Some(idx as usize),
+        }
+    }
+
     /// When the slab is full, removes the least recently used page and
     /// returns `(page, written, bytes)`; the caller writes the bytes
     /// back if `written` and may hand the buffer to

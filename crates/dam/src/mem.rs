@@ -63,6 +63,43 @@ pub trait Mem<T: Copy> {
         }
     }
 
+    /// Copies the cells from `start` to the end of their page into `out`
+    /// — as many as `out` holds and [`len`](Mem::len) allows — if that
+    /// page is resident, and returns how many it copied; 0 otherwise.
+    /// Uncharged: no counter moves and no replacement position changes,
+    /// so the store cannot tell a peek happened.
+    ///
+    /// **Peek rule.** The cells are a copy, not a read. A caller that
+    /// *uses* peeked cells owes the store their charge: a
+    /// [`read_run`](Mem::read_run) of exactly the cells it used, in the
+    /// order it used them, before its next call on this `Mem` other than
+    /// a peek. Cells peeked and never used are never charged. The store
+    /// then sees the page touches the same reads made one
+    /// [`get`](Mem::get) at a time would have sent, so every counter
+    /// agrees with the per-cell path — exactly, when the caller is the
+    /// store's only user between the peek and the charge.
+    ///
+    /// The default peeks nothing, which is always correct: it is the
+    /// answer of a store whose reads are cheap ([`PlainMem`],
+    /// [`SimMem`]) and of a wrapper that forwards only `get`/`set`,
+    /// whose caller then stays on the per-cell path. A backend overrides
+    /// it when a `get` has a fixed cost worth sparing — the file store's
+    /// lock, residency lookup and counter update — and says so in
+    /// [`peeks`](Mem::peeks).
+    fn peek_run(&self, _start: usize, _out: &mut [T]) -> usize {
+        0
+    }
+
+    /// Whether [`peek_run`](Mem::peek_run) ever returns cells. A caller
+    /// asks before it sets up to peek: `false`, the default, is a
+    /// constant once inlined, so over a store whose reads are cheap the
+    /// caller's peeking path is not even compiled and its per-cell loop
+    /// costs what it cost before peeks existed.
+    #[inline]
+    fn peeks(&self) -> bool {
+        false
+    }
+
     /// Copies `src..src+n` to `dst..dst+n` (ranges may overlap).
     fn copy_within(&mut self, src: usize, dst: usize, n: usize) {
         if dst == src || n == 0 {

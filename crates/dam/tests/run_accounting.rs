@@ -2,7 +2,8 @@
 //! [`Mem::write_run`]: a backend's run override must be indistinguishable
 //! from the per-cell loop it replaces — same contents, same [`IoStats`]
 //! in all six fields after every step, and for the file store the same
-//! bytes on the device.
+//! bytes on the device. And for the rule of [`Mem::peek_run`]: a peek is
+//! invisible to the store.
 
 use cosbt_dam::{
     new_shared_sim, ArcFileMem, CacheConfig, CrashDev, FileMem, IoStats, Mem, PlainMem, SimMem,
@@ -34,6 +35,9 @@ enum Step {
     WriteRun(usize, Vec<u64>),
     Get(usize),
     Set(usize, u64),
+    /// Only the run side peeks: the per-cell wrapper inherits the
+    /// default, which peeks nothing.
+    PeekRun(usize, usize),
     Resize(usize, u64),
     /// Store-level steps; the in-memory backends skip them.
     Commit,
@@ -68,10 +72,14 @@ fn step(rng: &mut Rng, len: usize) -> Step {
     if len == 0 {
         return Step::Resize(1 + rng.index(5 * PER_PAGE), rng.next_u64());
     }
-    match rng.below(16) {
+    match rng.below(18) {
         0..=4 => {
             let (start, n) = span(rng, len);
             Step::ReadRun(start, n)
+        }
+        16 | 17 => {
+            let (start, n) = span(rng, len);
+            Step::PeekRun(start, n)
         }
         5..=9 => {
             let (start, n) = span(rng, len);
@@ -107,6 +115,14 @@ fn apply<M: Mem<u64>>(m: &mut M, step: &Step) -> Vec<u64> {
             m.resize(*n, *fill);
             Vec::new()
         }
+        Step::PeekRun(start, n) => {
+            let mut out = vec![0; *n];
+            let got = m.peek_run(*start, &mut out);
+            let page_end = (*start / PER_PAGE + 1) * PER_PAGE;
+            assert!(got <= *n && start + got <= page_end.min(m.len()));
+            out.truncate(got);
+            out
+        }
         Step::Commit | Step::DropCache => Vec::new(),
     }
 }
@@ -132,6 +148,18 @@ fn file_store_run_calls_charge_what_per_cell_calls_charge() {
         let mut cell = PerCell(cell_handle.clone());
         for i in 0..400 {
             let s = step(rng, run.len());
+            if let Step::PeekRun(start, _) = s {
+                // Whatever it returns is what a read would, and the
+                // store cannot tell: the counters stand, and a moved
+                // replacement position would show in a later step.
+                let (before, peeked) = (run.stats(), apply(&mut run, &s));
+                assert_eq!(run.stats(), before, "step {i} {s:?}");
+                let want = apply(&mut cell, &Step::ReadRun(start, peeked.len()));
+                assert_eq!(peeked, want, "step {i} {s:?}");
+                apply(&mut run, &Step::ReadRun(start, peeked.len()));
+                assert_eq!(run.stats(), cell_handle.stats(), "step {i} {s:?}");
+                continue;
+            }
             assert_eq!(apply(&mut run, &s), apply(&mut cell, &s), "step {i} {s:?}");
             match s {
                 Step::Commit => {
@@ -187,6 +215,56 @@ fn a_run_is_charged_per_cell_and_looked_up_per_page() {
             ..IoStats::default()
         }
     );
+}
+
+/// The peek rule in numbers: a resident page's cells from `start` to the
+/// page end, the array end or the buffer end, nothing of a page that is
+/// not resident, and neither a counter nor the eviction order moved.
+#[test]
+fn a_peek_copies_a_resident_page_and_leaves_no_trace() {
+    let (mut m, _dev) = file_store(2);
+    m.resize(3 * PER_PAGE + 3, 0);
+    for i in 0..m.len() {
+        m.set(i, 100 + i as u64);
+    }
+    m.drop_cache().unwrap();
+    let mut out = [0u64; 2 * PER_PAGE];
+    assert_eq!(m.peek_run(3, &mut out), 0, "nothing is resident");
+    // Page 0, then page 1: page 0 is the next victim.
+    m.get(3);
+    m.get(PER_PAGE);
+    m.reset_stats();
+    assert_eq!(m.peek_run(3, &mut out), PER_PAGE - 3, "to the page end");
+    assert_eq!(out[..PER_PAGE - 3], [103, 104, 105, 106, 107]);
+    assert_eq!(m.peek_run(3, &mut out[..2]), 2, "to the buffer end");
+    assert_eq!(m.peek_run(2 * PER_PAGE, &mut out), 0, "page 2 is on disk");
+    assert_eq!(m.peek_run(m.len(), &mut out), 0, "past the end");
+    for _ in 0..5 {
+        assert_eq!(m.peek_run(0, &mut out), PER_PAGE);
+    }
+    assert_eq!(m.stats(), IoStats::default(), "a peek is not an access");
+    // Five peeks did not make page 0 recent: faulting page 3 in evicts
+    // it, not page 1, and there the array's end cuts the peek short.
+    m.get(3 * PER_PAGE);
+    assert_eq!(
+        m.peek_run(3 * PER_PAGE + 1, &mut out),
+        2,
+        "to the array end"
+    );
+    assert_eq!(
+        out[..2],
+        [100 + 3 * PER_PAGE as u64 + 1, 100 + 3 * PER_PAGE as u64 + 2]
+    );
+    assert_eq!(m.peek_run(0, &mut out), 0, "page 0 was the victim");
+    assert_eq!(m.peek_run(PER_PAGE, &mut out), PER_PAGE, "page 1 stayed");
+    // The in-memory backends peek nothing, and say so: their reads are
+    // cheap.
+    assert!(m.peeks());
+    let plain = PlainMem::with_len(4, 7u64);
+    assert!(!plain.peeks() && plain.peek_run(0, &mut out) == 0);
+    let mut sim = SimMem::new(new_shared_sim(CacheConfig::new(64, 3)));
+    sim.resize(4, 7u64);
+    assert!(!sim.peeks() && sim.peek_run(0, &mut out) == 0);
 }
 
 #[test]

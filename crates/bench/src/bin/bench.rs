@@ -75,7 +75,6 @@ const EXPERIMENTS: &[(&str, &str, &str)] = &[
         "bounds_shuttle",
         "E10: shuttle tree layout & inserts",
     ),
-    ("pma", "pma_moves", "E11: PMA amortized moves"),
     ("batch", "bounds_batch", "E12: batched vs per-key ingest"),
     ("shards", "bounds_shards", "E13: sharded ingest scaling"),
 ];

@@ -49,14 +49,7 @@ impl DictKind {
 
     /// Display label matching the paper's legends ("2-COLA", "B-tree", …).
     pub fn label(&self) -> String {
-        match self {
-            DictKind::GCola(g) => format!("{g}-COLA"),
-            DictKind::Basic => "basic-COLA".into(),
-            DictKind::DeamortBasic => "deamortized-basic-COLA".into(),
-            DictKind::Deamort => "deamortized-COLA".into(),
-            DictKind::BTree => "B-tree".into(),
-            DictKind::Brt => "BRT".into(),
-        }
+        self.builder().label()
     }
 }
 

@@ -488,7 +488,7 @@ mod tests {
         let hits = scan_str("crates/core/src/x.rs", src);
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].rule, "no-std-sync");
-        assert!(scan_str("crates/pma/src/x.rs", src).is_empty());
+        assert!(scan_str("crates/btree/src/x.rs", src).is_empty());
         // Arc alone is exempt (shared alias in both cfgs).
         assert!(scan_str("crates/core/src/x.rs", "use std::sync::Arc;\n").is_empty());
     }
@@ -549,7 +549,7 @@ mod tests {
     #[test]
     fn unwrap_and_ok_discard_flagged_but_not_variants() {
         let src = "v.unwrap();\nv.expect(\"x\");\nfile.sync_all().ok();\n";
-        let hits = scan_str("crates/pma/src/x.rs", src);
+        let hits = scan_str("crates/btree/src/x.rs", src);
         let rules: Vec<&str> = hits.iter().map(|f| f.rule).collect();
         assert_eq!(
             rules,
@@ -557,7 +557,7 @@ mod tests {
             "{hits:?}"
         );
         let fine = "v.unwrap_or(0);\nv.unwrap_or_else(|| 1);\nlet y = r.ok();\n";
-        assert!(scan_str("crates/pma/src/x.rs", fine).is_empty());
+        assert!(scan_str("crates/btree/src/x.rs", fine).is_empty());
     }
 
     #[test]

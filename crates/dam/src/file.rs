@@ -9,6 +9,15 @@
 //! positioned reads/writes on miss/eviction. Setting the cache budget well
 //! below the data size reproduces the out-of-core regime of Figures 2–4.
 //!
+//! There is one cache, one element view of it and one handle to either.
+//! [`FilePages`] is the cache and owns everything a store has: device,
+//! page table, frames, counters, reclaim gate, commit protocol.
+//! [`FileMem`] reads the same pages as a flat element array and adds only
+//! a length (which it prefixes to the commit payload). Both are plain
+//! `&mut self` types with no lock; [`Shared`] is the lock — a mutex
+//! around the store plus the counter block, read without it — and the
+//! only thing that implements [`Mem`] or a shareable [`PageStore`].
+//!
 //! # Durability: shadow paging + shadow-committed metadata
 //!
 //! Every store file carries the format of [`crate::format`]: a superblock,
@@ -117,49 +126,18 @@ impl FilePages<File> {
     /// Creates (truncating) a page store at `path` with room for
     /// `cache_pages` resident frames.
     pub fn create(path: &Path, page_size: usize, cache_pages: usize) -> io::Result<Self> {
-        Self::create_sized(path, page_size, cache_pages, DEFAULT_SLOT_BYTES)
+        Self::create_on(create_file(path)?, page_size, cache_pages)
     }
+}
 
-    /// [`FilePages::create`] with an explicit metadata-slot capacity.
-    /// The slot bounds the committable control state — page table
-    /// (4 B per logical page) plus the caller payload — so it caps the
-    /// store at roughly `slot_bytes / 4` pages; size it for the data the
-    /// store must grow to (the capacity is fixed at creation and
-    /// recorded in the superblock).
-    pub fn create_sized(
-        path: &Path,
-        page_size: usize,
-        cache_pages: usize,
-        slot_bytes: usize,
-    ) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Self::create_with_kind(file, page_size, cache_pages, KIND_PAGES, 0, slot_bytes)
-    }
-
-    /// Opens an existing page store at `path`, validating its superblock
-    /// and recovering the last committed metadata epoch; returns the
-    /// store and the caller payload of that epoch. The file is opened
-    /// read-write but **not modified** — a validation failure leaves it
-    /// byte-identical.
-    pub fn open(path: &Path, cache_pages: usize) -> Result<(Self, Vec<u8>), OpenError> {
-        Self::open_at(path, cache_pages, None)
-    }
-
-    /// [`FilePages::open`] bounded to epochs ≤ `max_epoch` (see
-    /// [`FilePages::open_bounded`]).
-    pub fn open_at(
-        path: &Path,
-        cache_pages: usize,
-        max_epoch: Option<u64>,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Self::open_bounded(file, cache_pages, (KIND_PAGES, 0), max_epoch)
-    }
+/// Opens `path` read-write, creating or truncating it.
+fn create_file(path: &Path) -> io::Result<File> {
+    OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(true)
+        .open(path)
 }
 
 impl<D: RawDev> FilePages<D> {
@@ -176,8 +154,12 @@ impl<D: RawDev> FilePages<D> {
         )
     }
 
-    /// [`FilePages::create_on`] with an explicit metadata-slot capacity
-    /// (see [`FilePages::create_sized`]).
+    /// [`FilePages::create_on`] with an explicit metadata-slot capacity.
+    /// The slot bounds the committable control state — page table
+    /// (4 B per logical page) plus the caller payload — so it caps the
+    /// store at roughly `slot_bytes / 4` pages; size it for the data the
+    /// store must grow to (the capacity is fixed at creation and
+    /// recorded in the superblock).
     pub fn create_on_sized(
         dev: D,
         page_size: usize,
@@ -226,9 +208,11 @@ impl<D: RawDev> FilePages<D> {
         })
     }
 
-    /// Opens a store on a raw device and recovers the newest committed
-    /// epoch; `expected` is the `(kind, elem_bytes)` pair the caller
-    /// requires. Returns the store and the recovered caller payload.
+    /// Opens a store on a raw device, validating its superblock and
+    /// recovering the newest committed epoch; `expected` is the
+    /// `(kind, elem_bytes)` pair the caller requires. Returns the store
+    /// and the recovered caller payload. The device is **not modified**
+    /// — a validation failure leaves it byte-identical.
     pub fn open_on(
         dev: D,
         cache_pages: usize,
@@ -647,9 +631,19 @@ impl<D: RawDev> PageStore for FilePages<D> {
     }
 }
 
-/// A flat element array over [`FilePages`]: logical element `i` lives at
-/// byte `i * elem_bytes` of the logical page space, elements never
-/// straddle pages.
+/// The element view of the cache: a flat array over [`FilePages`] where
+/// logical element `i` lives at byte `i * elem_bytes` of the logical page
+/// space and elements never straddle pages.
+///
+/// Faulting a page in needs `&mut self`, so a `FileMem` is **not** a
+/// [`Mem`] (whose reads take `&self`); the structures run over the
+/// locking handle [`ArcFileMem`], which is:
+///
+/// ```compile_fail
+/// use cosbt_dam::{FileMem, Mem};
+/// fn needs_mem<M: Mem<u64>>() {}
+/// needs_mem::<FileMem<u64>>();
+/// ```
 pub struct FileMem<T: Pod, D: RawDev = File> {
     pages: FilePages<D>,
     len: usize,
@@ -677,50 +671,7 @@ impl<T: Pod> FileMem<T, File> {
         cache_pages: usize,
         elem_bytes: usize,
     ) -> io::Result<Self> {
-        Self::create_sized(path, page_size, cache_pages, elem_bytes, DEFAULT_SLOT_BYTES)
-    }
-
-    /// [`FileMem::create`] with an explicit metadata-slot capacity (see
-    /// [`FilePages::create_sized`]): the slot caps the array at roughly
-    /// `slot_bytes / 4` pages, i.e. `slot_bytes / 4 * (page_size /
-    /// elem_bytes)` elements.
-    pub fn create_sized(
-        path: &Path,
-        page_size: usize,
-        cache_pages: usize,
-        elem_bytes: usize,
-        slot_bytes: usize,
-    ) -> io::Result<Self> {
-        let file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(true)
-            .open(path)?;
-        Self::create_on_sized(file, page_size, cache_pages, elem_bytes, slot_bytes)
-    }
-
-    /// Opens an existing element array at `path` (see
-    /// [`FilePages::open`]); returns the array and the recovered caller
-    /// payload.
-    pub fn open(
-        path: &Path,
-        cache_pages: usize,
-        elem_bytes: usize,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        Self::open_at(path, cache_pages, elem_bytes, None)
-    }
-
-    /// [`FileMem::open`] bounded to epochs ≤ `max_epoch` (see
-    /// [`FilePages::open_bounded`]).
-    pub fn open_at(
-        path: &Path,
-        cache_pages: usize,
-        elem_bytes: usize,
-        max_epoch: Option<u64>,
-    ) -> Result<(Self, Vec<u8>), OpenError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
-        Self::open_bounded(file, cache_pages, elem_bytes, max_epoch)
+        Self::create_on(create_file(path)?, page_size, cache_pages, elem_bytes)
     }
 }
 
@@ -737,7 +688,9 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
     }
 
     /// [`FileMem::create_on`] with an explicit metadata-slot capacity
-    /// (see [`FileMem::create_sized`]).
+    /// (see [`FilePages::create_on_sized`]): the slot caps the array at
+    /// roughly `slot_bytes / 4` pages, i.e. `slot_bytes / 4 * (page_size /
+    /// elem_bytes)` elements.
     pub fn create_on_sized(
         dev: D,
         page_size: usize,
@@ -817,47 +770,12 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
         ))
     }
 
-    /// Real-I/O counters of the backing page cache.
-    pub fn stats(&self) -> IoStats {
-        self.pages.stats()
-    }
-
-    /// Resets the I/O counters.
-    pub fn reset_stats(&self) {
-        self.pages.reset_stats()
-    }
-
-    /// Snapshot-and-reset of the counters (see [`FilePages::take_stats`]).
-    pub fn take_stats(&self) -> IoStats {
-        self.pages.take_stats()
-    }
-
-    /// The shared atomic counter block (see [`FilePages::stats_handle`]).
-    pub fn stats_handle(&self) -> Arc<AtomicIoStats> {
-        self.pages.stats_handle()
-    }
-
-    /// Installs a reclamation gate on the backing page store (see
-    /// [`FilePages::set_reclaim_gate`]).
-    pub fn set_reclaim_gate(&mut self, gate: Arc<dyn ReclaimGate>) {
-        self.pages.set_reclaim_gate(gate)
-    }
-
-    /// The last committed metadata epoch (0 = never committed).
-    pub fn epoch(&self) -> u64 {
-        self.pages.epoch()
-    }
-
-    /// Page size of the backing store.
-    pub fn page_size(&self) -> usize {
-        use crate::page::PageStore as _;
-        self.pages.page_size()
-    }
-
-    /// Writes dirty pages back (shadow slots) with a durability barrier;
-    /// no metadata commit.
-    pub fn sync(&mut self) -> io::Result<()> {
-        self.pages.sync()
+    /// The page cache under the array: its counters, page size, epoch,
+    /// reclaim gate, `sync` and `drop_cache`. Commit through
+    /// [`FileMem::commit_meta`], not the cache's own — only the former
+    /// records the array's length.
+    pub fn pages(&mut self) -> &mut FilePages<D> {
+        &mut self.pages
     }
 
     /// Commits the array durably: data pages, the committed length, and
@@ -867,11 +785,6 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
         payload.extend_from_slice(&(self.len as u64).to_le_bytes());
         payload.extend_from_slice(user);
         self.pages.commit_meta(&payload)
-    }
-
-    /// Empties the user-space cache (writes dirty pages back first).
-    pub fn drop_cache(&mut self) -> io::Result<()> {
-        self.pages.drop_cache()
     }
 
     #[inline]
@@ -911,24 +824,35 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
             }
         });
     }
-}
 
-impl<T: Pod, D: RawDev> Mem<T> for FileMem<T, D> {
-    fn len(&self) -> usize {
+    /// Number of elements.
+    pub fn len(&self) -> usize {
         self.len
     }
 
-    fn get(&self, _i: usize) -> T {
-        unreachable!("FileMem requires &mut access; use get_mut-style wrappers")
+    /// Whether the array is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
     }
 
-    fn set(&mut self, i: usize, v: T) {
+    /// Reads element `i` (`&mut self`: it may fault a page into the
+    /// cache).
+    pub fn get(&mut self, i: usize) -> T {
+        assert!(i < self.len);
+        let (page, off) = self.locate(i);
+        T::read_from(&self.pages.page_run(page, false, 1)[off..off + T::BYTES])
+    }
+
+    /// Writes element `i`.
+    pub fn set(&mut self, i: usize, v: T) {
         assert!(i < self.len);
         let (page, off) = self.locate(i);
         v.write_to(&mut self.pages.page_run(page, true, 1)[off..off + T::BYTES]);
     }
 
-    fn resize(&mut self, new_len: usize, fill: T) {
+    /// Grows or shrinks the array, filling new slots with `fill` (see
+    /// [`Mem::resize`]).
+    pub fn resize(&mut self, new_len: usize, fill: T) {
         let old_len = self.len;
         let pages_needed = new_len.div_ceil(self.per_page) as u32;
         while self.pages.num_pages() < pages_needed {
@@ -940,31 +864,19 @@ impl<T: Pod, D: RawDev> Mem<T> for FileMem<T, D> {
         }
     }
 
-    fn write_run(&mut self, start: usize, src: &[T]) {
-        self.write_cells(start, src.len(), |j| src[j]);
-    }
-}
-
-impl<T: Pod, D: RawDev> FileMem<T, D> {
-    /// Reads element `i` (requires `&mut self` because it may fault a page
-    /// into the cache). This is the accessor the structures actually use;
-    /// the `Mem::get` path is only reachable through `&self`, which a file
-    /// store cannot serve.
-    pub fn get_mut(&mut self, i: usize) -> T {
-        assert!(i < self.len);
-        let (page, off) = self.locate(i);
-        T::read_from(&self.pages.page_run(page, false, 1)[off..off + T::BYTES])
-    }
-
-    /// [`Mem::read_run`] for the file store (`&mut self` for the same
-    /// reason as [`FileMem::get_mut`]).
-    pub fn read_run_mut(&mut self, start: usize, out: &mut [T]) {
+    /// [`Mem::read_run`] for the file store.
+    pub fn read_run(&mut self, start: usize, out: &mut [T]) {
         let eb = self.elem_bytes;
         self.for_each_page(start, out.len(), false, |done, k, bytes| {
             for (slot, cell) in out[done..done + k].iter_mut().zip(bytes.chunks(eb)) {
                 *slot = T::read_from(&cell[..T::BYTES]);
             }
         });
+    }
+
+    /// [`Mem::write_run`] for the file store.
+    pub fn write_run(&mut self, start: usize, src: &[T]) {
+        self.write_cells(start, src.len(), |j| src[j]);
     }
 
     /// [`Mem::peek_run`] for the file store: the cells from `start` to
@@ -991,39 +903,103 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
     }
 }
 
-/// A cloneable, thread-safe handle to a [`FileMem`], so a benchmark can
-/// keep one clone for statistics and cache control while a dictionary owns
-/// the other as its storage backend. Backed by `Arc<Mutex<…>>`, so a
-/// file-backed dictionary is `Send` and can serve as one shard of a
-/// sharded database whose sub-batches are applied on worker threads.
-pub struct ArcFileMem<T: Pod, D: RawDev = File> {
-    inner: std::sync::Arc<std::sync::Mutex<FileMem<T, D>>>,
-    /// Cached counter block: stats observers bypass `inner`'s lock, so
-    /// a probe thread never waits on (or deadlocks with) a writer
+/// What a [`Shared`] handle needs to know of the store it locks: where
+/// its page cache is and how it commits.
+pub trait Store {
+    /// The device under the cache.
+    type Dev: RawDev;
+
+    /// The store's page cache.
+    fn pages(&mut self) -> &mut FilePages<Self::Dev>;
+
+    /// Commits the store's state plus the caller's `user` payload durably:
+    /// a [`FileMem`] prefixes its length, a [`FilePages`] does not.
+    fn commit_meta(&mut self, user: &[u8]) -> io::Result<()>;
+}
+
+impl<D: RawDev> Store for FilePages<D> {
+    type Dev = D;
+
+    fn pages(&mut self) -> &mut FilePages<D> {
+        self
+    }
+
+    fn commit_meta(&mut self, user: &[u8]) -> io::Result<()> {
+        FilePages::commit_meta(self, user)
+    }
+}
+
+impl<T: Pod, D: RawDev> Store for FileMem<T, D> {
+    type Dev = D;
+
+    fn pages(&mut self) -> &mut FilePages<D> {
+        FileMem::pages(self)
+    }
+
+    fn commit_meta(&mut self, user: &[u8]) -> io::Result<()> {
+        FileMem::commit_meta(self, user)
+    }
+}
+
+/// The one cloneable, thread-safe handle to a file store: a mutex around
+/// the store plus its counter block, so a benchmark can keep one clone
+/// for statistics and cache control while a dictionary owns the other as
+/// its storage backend — and a file-backed dictionary is `Send` and can
+/// serve as one shard of a sharded database whose sub-batches are applied
+/// on worker threads. [`ArcFileMem`] is the handle a COLA runs over (it is
+/// a [`Mem`]), [`ArcFilePages`] the one a tree runs over (a
+/// [`PageStore`]); [`SharedStore`] forgets which.
+pub struct Shared<S: ?Sized> {
+    /// The store's counter block: stats observers bypass `inner`'s lock,
+    /// so a probe thread never waits on (or deadlocks with) a writer
     /// holding the store through a long merge.
     stats: Arc<AtomicIoStats>,
+    inner: Arc<std::sync::Mutex<S>>,
 }
 
-impl<T: Pod, D: RawDev> Clone for ArcFileMem<T, D> {
+/// [`Shared`] over an element array: the [`Mem`] of a file-backed COLA.
+pub type ArcFileMem<T, D = File> = Shared<FileMem<T, D>>;
+
+/// [`Shared`] over the page cache itself: the [`PageStore`] of a
+/// file-backed tree.
+pub type ArcFilePages<D = File> = Shared<FilePages<D>>;
+
+/// [`Shared`] with the store's kind erased (see [`Shared::erased`]), for
+/// holders that only count, commit and control the cache.
+pub type SharedStore<D = File> = Shared<dyn Store<Dev = D> + Send>;
+
+impl<S: ?Sized> Clone for Shared<S> {
     fn clone(&self) -> Self {
-        ArcFileMem {
-            inner: self.inner.clone(),
+        Shared {
             stats: self.stats.clone(),
+            inner: self.inner.clone(),
         }
     }
 }
 
-impl<T: Pod, D: RawDev> ArcFileMem<T, D> {
-    /// Wraps a [`FileMem`].
-    pub fn new(inner: FileMem<T, D>) -> Self {
-        let stats = inner.stats_handle();
-        ArcFileMem {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(inner)),
-            stats,
+impl<S: Store> Shared<S> {
+    /// Wraps a store.
+    pub fn new(mut inner: S) -> Self {
+        Shared {
+            stats: inner.pages().stats_handle(),
+            inner: Arc::new(std::sync::Mutex::new(inner)),
         }
     }
+}
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, FileMem<T, D>> {
+impl<S: Store + Send + 'static> Shared<S> {
+    /// A clone of this handle that no longer says which kind of store it
+    /// locks: same mutex, same counters.
+    pub fn erased(&self) -> SharedStore<S::Dev> {
+        Shared {
+            stats: self.stats.clone(),
+            inner: self.inner.clone(),
+        }
+    }
+}
+
+impl<S: Store + ?Sized> Shared<S> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, S> {
         self.inner.lock().expect("file store mutex poisoned")
     }
 
@@ -1050,28 +1026,28 @@ impl<T: Pod, D: RawDev> ArcFileMem<T, D> {
     /// Installs a reclamation gate on the backing store (see
     /// [`FilePages::set_reclaim_gate`]).
     pub fn set_reclaim_gate(&self, gate: Arc<dyn ReclaimGate>) {
-        self.lock().set_reclaim_gate(gate)
+        self.lock().pages().set_reclaim_gate(gate)
     }
 
     /// Writes dirty pages back with a durability barrier.
     pub fn sync(&self) -> io::Result<()> {
-        self.lock().sync()
+        self.lock().pages().sync()
     }
 
-    /// Commits the array's state plus the caller's payload durably (see
-    /// [`FileMem::commit_meta`]).
+    /// Commits the store's state plus the caller's payload durably (see
+    /// [`Store::commit_meta`]).
     pub fn commit_meta(&self, user: &[u8]) -> io::Result<()> {
         self.lock().commit_meta(user)
     }
 
     /// The last committed metadata epoch.
     pub fn epoch(&self) -> u64 {
-        self.lock().epoch()
+        self.lock().pages().epoch()
     }
 
     /// Empties the user-space page cache.
     pub fn drop_cache(&self) -> io::Result<()> {
-        self.lock().drop_cache()
+        self.lock().pages().drop_cache()
     }
 }
 
@@ -1081,7 +1057,7 @@ impl<T: Pod, D: RawDev> Mem<T> for ArcFileMem<T, D> {
     }
 
     fn get(&self, i: usize) -> T {
-        self.lock().get_mut(i)
+        self.lock().get(i)
     }
 
     fn set(&mut self, i: usize, v: T) {
@@ -1093,7 +1069,7 @@ impl<T: Pod, D: RawDev> Mem<T> for ArcFileMem<T, D> {
     }
 
     fn read_run(&self, start: usize, out: &mut [T]) {
-        self.lock().read_run_mut(start, out)
+        self.lock().read_run(start, out)
     }
 
     fn write_run(&mut self, start: usize, src: &[T]) {
@@ -1110,83 +1086,7 @@ impl<T: Pod, D: RawDev> Mem<T> for ArcFileMem<T, D> {
     }
 }
 
-/// A cloneable, thread-safe handle to [`FilePages`] (see [`ArcFileMem`]).
-pub struct ArcFilePages<D: RawDev = File> {
-    inner: std::sync::Arc<std::sync::Mutex<FilePages<D>>>,
-    /// Cached counter block (see [`ArcFileMem`]): stats observers
-    /// bypass `inner`'s lock.
-    stats: Arc<AtomicIoStats>,
-}
-
-impl<D: RawDev> Clone for ArcFilePages<D> {
-    fn clone(&self) -> Self {
-        ArcFilePages {
-            inner: self.inner.clone(),
-            stats: self.stats.clone(),
-        }
-    }
-}
-
-impl<D: RawDev> ArcFilePages<D> {
-    /// Wraps a [`FilePages`].
-    pub fn new(inner: FilePages<D>) -> Self {
-        let stats = inner.stats_handle();
-        ArcFilePages {
-            inner: std::sync::Arc::new(std::sync::Mutex::new(inner)),
-            stats,
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, FilePages<D>> {
-        self.inner.lock().expect("file store mutex poisoned")
-    }
-
-    /// I/O counters of the backing store (lock-free, see
-    /// [`ArcFileMem::stats`]).
-    pub fn stats(&self) -> IoStats {
-        self.stats.snapshot()
-    }
-
-    /// Resets the I/O counters (lock-free).
-    pub fn reset_stats(&self) {
-        self.stats.reset()
-    }
-
-    /// Snapshot-and-reset of the counters, atomic per counter
-    /// (see [`ArcFileMem::take_stats`]).
-    pub fn take_stats(&self) -> IoStats {
-        self.stats.take()
-    }
-
-    /// Installs a reclamation gate on the backing store (see
-    /// [`FilePages::set_reclaim_gate`]).
-    pub fn set_reclaim_gate(&self, gate: Arc<dyn ReclaimGate>) {
-        self.lock().set_reclaim_gate(gate)
-    }
-
-    /// Writes dirty pages back with a durability barrier.
-    pub fn sync(&self) -> io::Result<()> {
-        self.lock().sync()
-    }
-
-    /// Commits the store's state plus the caller's payload durably (see
-    /// [`FilePages::commit_meta`]).
-    pub fn commit_meta(&self, user: &[u8]) -> io::Result<()> {
-        self.lock().commit_meta(user)
-    }
-
-    /// The last committed metadata epoch.
-    pub fn epoch(&self) -> u64 {
-        self.lock().epoch()
-    }
-
-    /// Empties the user-space page cache.
-    pub fn drop_cache(&self) -> io::Result<()> {
-        self.lock().drop_cache()
-    }
-}
-
-impl<D: RawDev> crate::page::PageStore for ArcFilePages<D> {
+impl<D: RawDev> PageStore for ArcFilePages<D> {
     fn page_size(&self) -> usize {
         self.lock().page_size()
     }
@@ -1213,6 +1113,14 @@ mod tests {
     use super::*;
     use crate::dev::CrashDev;
     use cosbt_testkit::TempPath;
+
+    fn reopen(path: &Path) -> File {
+        OpenOptions::new()
+            .read(true)
+            .write(true)
+            .open(path)
+            .unwrap()
+    }
 
     #[test]
     fn file_pages_roundtrip_through_evictions() {
@@ -1249,13 +1157,13 @@ mod tests {
         for i in 0..1000usize {
             fm.set(i, (i as u64, (i * 3) as u64));
         }
-        fm.drop_cache().unwrap();
+        fm.pages().drop_cache().unwrap();
         for i in (0..1000usize).rev() {
-            assert_eq!(fm.get_mut(i), (i as u64, (i * 3) as u64));
+            assert_eq!(fm.get(i), (i as u64, (i * 3) as u64));
         }
         // 1000 elements * 32 B = 8 pages of 4096; cold reverse scan with a
         // 2-page cache must fetch each at least once.
-        assert!(fm.stats().fetches >= 8);
+        assert!(fm.pages().stats().fetches >= 8);
     }
 
     #[test]
@@ -1264,21 +1172,30 @@ mod tests {
         let fm: FileMem<u64> = FileMem::create(&path, 512, 4, 8).unwrap();
         let mut a = ArcFileMem::new(fm);
         let b = a.clone();
+        let e = a.erased();
         a.resize(100, 0);
         a.set(50, 1234);
         b.drop_cache().unwrap();
         assert_eq!(a.get(50), 1234);
         assert!(b.stats().fetches > 0);
+        e.drop_cache().unwrap();
+        let before = e.stats();
+        assert_eq!(before, b.stats(), "one counter block under every clone");
+        assert_eq!(a.get(50), 1234);
+        assert_eq!(e.stats().fetches, before.fetches + 1);
 
         let path = TempPath::new("arcpages");
         let fp = FilePages::create(&path, 256, 2).unwrap();
         let mut p = ArcFilePages::new(fp);
         let q = p.clone();
-        use crate::page::PageStore;
+        let e = p.erased().clone();
         let id = p.alloc_page();
         p.with_page_mut(id, |pg| pg[0] = 7);
         q.drop_cache().unwrap();
         assert_eq!(p.with_page(id, |pg| pg[0]), 7);
+        e.drop_cache().unwrap();
+        assert_eq!(p.with_page(id, |pg| pg[0]), 7);
+        assert_eq!(e.stats(), q.stats());
     }
 
     #[test]
@@ -1308,6 +1225,12 @@ mod tests {
         let phase3 = m.take_stats();
         assert_eq!(phase3.fetches, 0, "warm phase after snapshot");
         assert_eq!(phase3.hits, phase3.accesses);
+        // The erased handle closes phases on the same counters.
+        let e = m.erased();
+        let _ = m.get(0);
+        let phase4 = e.take_stats();
+        assert_eq!((phase4.accesses, phase4.fetches), (1, 1));
+        assert_eq!(m.stats(), IoStats::default());
     }
 
     #[test]
@@ -1316,6 +1239,36 @@ mod tests {
         assert_send::<ArcFileMem<u64>>();
         assert_send::<ArcFilePages>();
         assert_send::<ArcFileMem<u64, CrashDev>>();
+        fn assert_shareable<T: Clone + Send + Sync>() {}
+        assert_shareable::<SharedStore>();
+        assert_shareable::<SharedStore<CrashDev>>();
+    }
+
+    #[test]
+    fn erased_handle_commits_as_its_store_does() {
+        // An element array's commit carries its length ahead of the
+        // caller's payload; the erased handle must not lose that.
+        let dev = CrashDev::new();
+        let mut m = ArcFileMem::new(FileMem::<u64, _>::create_on(dev.clone(), 512, 2, 8).unwrap());
+        m.resize(100, 0);
+        m.set(7, 77);
+        m.erased().commit_meta(b"x").unwrap();
+        assert_eq!(m.erased().epoch(), 1);
+        let image = CrashDev::from_image(dev.snapshot());
+        let (mut fm, payload) = FileMem::<u64, _>::open_on(image, 2, 8).unwrap();
+        assert_eq!((fm.len(), fm.get(7), fm.get(8)), (100, 77, 0));
+        assert_eq!(payload, b"x");
+
+        // The page cache's own commit is the bare payload.
+        let dev = CrashDev::new();
+        let mut p = ArcFilePages::new(FilePages::create_on(dev.clone(), 128, 2).unwrap());
+        let id = p.alloc_page();
+        p.with_page_mut(id, |pg| pg[0] = 9);
+        p.erased().commit_meta(b"x").unwrap();
+        let image = CrashDev::from_image(dev.snapshot());
+        let (mut fp, payload) = FilePages::open_on(image, 2, (KIND_PAGES, 0)).unwrap();
+        assert_eq!(fp.with_page(id, |pg| pg[0]), 9);
+        assert_eq!(payload, b"x");
     }
 
     #[test]
@@ -1338,7 +1291,7 @@ mod tests {
             fp.commit_meta(b"root=3").unwrap();
             assert_eq!(fp.epoch(), 1);
         }
-        let (mut fp, payload) = FilePages::open(&path, 2).unwrap();
+        let (mut fp, payload) = FilePages::open_on(reopen(&path), 2, (KIND_PAGES, 0)).unwrap();
         assert_eq!(payload, b"root=3");
         assert_eq!(fp.num_pages(), 5);
         assert_eq!(fp.epoch(), 1);
@@ -1349,7 +1302,7 @@ mod tests {
         fp.with_page_mut(0, |pg| pg[0] = 99);
         fp.commit_meta(b"root=7").unwrap();
         drop(fp);
-        let (mut fp, payload) = FilePages::open(&path, 2).unwrap();
+        let (mut fp, payload) = FilePages::open_on(reopen(&path), 2, (KIND_PAGES, 0)).unwrap();
         assert_eq!(payload, b"root=7");
         assert_eq!(fp.epoch(), 2);
         assert_eq!(fp.with_page(0, |pg| pg[0]), 99);
@@ -1366,11 +1319,11 @@ mod tests {
             }
             fm.commit_meta(b"cola").unwrap();
         }
-        let (mut fm, payload) = FileMem::<u64>::open(&path, 2, 8).unwrap();
+        let (mut fm, payload) = FileMem::<u64>::open_on(reopen(&path), 2, 8).unwrap();
         assert_eq!(payload, b"cola");
         assert_eq!(fm.len(), 100);
         for i in 0..100usize {
-            assert_eq!(fm.get_mut(i), i as u64 * 3);
+            assert_eq!(fm.get(i), i as u64 * 3);
         }
     }
 

@@ -14,10 +14,15 @@
 //! * [`SimMem`] / [`SimPages`] — every access is routed through an exact
 //!   LRU block-cache simulator ([`IoSim`]) that counts block transfers;
 //!   used to validate the paper's asymptotic bounds empirically.
-//! * [`FileMem`] / [`FilePages`] — real file-backed storage behind a
-//!   *bounded user-space page cache*, so the out-of-core regime (`M ≪ N`)
-//!   is explicit and not hidden by the OS page cache; used for the paper's
-//!   Figure 2–4 style experiments.
+//! * [`FilePages`] — real file-backed storage behind a *bounded
+//!   user-space page cache*, so the out-of-core regime (`M ≪ N`) is
+//!   explicit and not hidden by the OS page cache; used for the paper's
+//!   Figure 2–4 style experiments. One cache, one element view
+//!   ([`FileMem`], the same pages read as a flat array) and one handle:
+//!   [`Shared`] locks either and is what a structure runs over —
+//!   [`ArcFileMem`] is the [`Mem`], [`ArcFilePages`] the [`PageStore`],
+//!   [`SharedStore`] the kind-erased clone that only counts, commits and
+//!   controls the cache.
 //!
 //! Because the traits are monomorphized, `PlainMem` compiles to direct
 //! slice indexing: the instrumentation is zero-cost when it is not used.
@@ -37,7 +42,7 @@ pub mod sim;
 pub mod stats;
 
 pub use dev::{CrashDev, DevOp, DirectFile, RawDev, DIRECT_ALIGN};
-pub use file::{ArcFileMem, ArcFilePages, FileMem, FilePages};
+pub use file::{ArcFileMem, ArcFilePages, FileMem, FilePages, Shared, SharedStore, Store};
 pub use format::OpenError;
 pub use lru::LruCache;
 pub use mem::{Mem, PlainMem, SimMem};

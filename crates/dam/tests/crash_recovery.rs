@@ -9,7 +9,7 @@
 
 use cosbt_dam::dev::CrashDev;
 use cosbt_dam::format::{KIND_PAGES, SLOT_HDR_BYTES};
-use cosbt_dam::{DirectFile, FileMem, FilePages, Mem, OpenError, PageStore, RawDev, DIRECT_ALIGN};
+use cosbt_dam::{DirectFile, FileMem, FilePages, OpenError, PageStore, RawDev, DIRECT_ALIGN};
 use cosbt_testkit::Rng;
 
 const PAGE: usize = 256;
@@ -226,13 +226,13 @@ fn file_mem_crash_recovery_round_trips() {
                 b"len40" => {
                     assert_eq!(fm.len(), 40, "cut {cut}");
                     for i in 0..40 {
-                        assert_eq!(fm.get_mut(i), i as u64 + 100, "cut {cut} elem {i}");
+                        assert_eq!(fm.get(i), i as u64 + 100, "cut {cut} elem {i}");
                     }
                 }
                 b"len64" => {
                     assert_eq!(fm.len(), 64, "cut {cut}");
                     for i in 0..64 {
-                        assert_eq!(fm.get_mut(i), i as u64 + 500, "cut {cut} elem {i}");
+                        assert_eq!(fm.get(i), i as u64 + 500, "cut {cut} elem {i}");
                     }
                 }
                 other => panic!("cut {cut}: payload mixture {other:?}"),

@@ -40,7 +40,8 @@ use cosbt_core::{
 };
 use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
-    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, DEFAULT_PAGE_SIZE,
+    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, PageStore as _, SharedStore,
+    DEFAULT_PAGE_SIZE,
 };
 use cosbt_shuttle::ShuttleTree;
 
@@ -155,10 +156,26 @@ pub struct DbConfig {
 }
 
 impl DbConfig {
-    /// Display label of the structure configuration ("4-COLA ×4
-    /// shards", …), matching [`Db::label`].
+    /// Display label of the structure configuration ("4-COLA", "B-tree",
+    /// "4-COLA ×4 shards", …), matching [`Db::label`].
     pub fn label(&self) -> String {
-        DbBuilder::from_config(self).label()
+        let base = match self.structure {
+            Structure::BasicCola => "basic-COLA".to_string(),
+            Structure::GCola { g } => format!("{g}-COLA"),
+            Structure::BTree => "B-tree".to_string(),
+            Structure::Brt => "BRT".to_string(),
+            Structure::Shuttle { c } => format!("shuttle({c})"),
+        };
+        let base = if self.deamortized {
+            format!("deamortized-{base}")
+        } else {
+            base
+        };
+        if self.shards > 1 {
+            format!("{base} ×{} shards", self.shards)
+        } else {
+            base
+        }
     }
 
     /// Short backend tag: `mem`, `file`, or `file-direct`.
@@ -530,21 +547,12 @@ fn decode_commit_record(buf: &[u8]) -> Result<Vec<u64>, String> {
 /// Builder for a [`Db`]; see the module docs for a walkthrough.
 #[derive(Debug, Clone)]
 pub struct DbBuilder {
-    structure: Structure,
-    backend: Backend,
-    cache_bytes: usize,
-    meta_slot_bytes: usize,
-    deamortized: bool,
-    pointer_density: f64,
-    shards: usize,
-    splitters: Option<Vec<u64>>,
-    parallel_ingest: bool,
-    background_merge: usize,
+    cfg: DbConfig,
 }
 
 impl Default for DbBuilder {
     fn default() -> Self {
-        DbBuilder {
+        let cfg = DbConfig {
             structure: Structure::GCola { g: 4 },
             backend: Backend::Mem,
             cache_bytes: 16 * 1024 * 1024,
@@ -555,7 +563,8 @@ impl Default for DbBuilder {
             splitters: None,
             parallel_ingest: false,
             background_merge: 0,
-        }
+        };
+        DbBuilder { cfg }
     }
 }
 
@@ -569,13 +578,13 @@ impl DbBuilder {
 
     /// Selects the data structure.
     pub fn structure(mut self, s: Structure) -> DbBuilder {
-        self.structure = s;
+        self.cfg.structure = s;
         self
     }
 
     /// Selects the storage backend.
     pub fn backend(mut self, b: Backend) -> DbBuilder {
-        self.backend = b;
+        self.cfg.backend = b;
         self
     }
 
@@ -586,7 +595,7 @@ impl DbBuilder {
     /// that floor (silently exceeding the budget would corrupt the
     /// transfer counts the out-of-core experiments measure).
     pub fn cache_bytes(mut self, bytes: usize) -> DbBuilder {
-        self.cache_bytes = bytes;
+        self.cfg.cache_bytes = bytes;
         self
     }
 
@@ -601,7 +610,7 @@ impl DbBuilder {
     /// is ignored by [`DbBuilder::open`], which reads the capacity from
     /// the superblock.
     pub fn meta_slot_bytes(mut self, bytes: usize) -> DbBuilder {
-        self.meta_slot_bytes = bytes;
+        self.cfg.meta_slot_bytes = bytes;
         self
     }
 
@@ -611,14 +620,14 @@ impl DbBuilder {
     /// of Theorem 24 (which fixes growth factor 2). Tree structures have
     /// no deamortized variant and fail at build.
     pub fn deamortized(mut self) -> DbBuilder {
-        self.deamortized = true;
+        self.cfg.deamortized = true;
         self
     }
 
     /// Lookahead-pointer density for [`Structure::GCola`] (default 0.1,
     /// as in the paper's experiments; 0 disables the pointers).
     pub fn pointer_density(mut self, p: f64) -> DbBuilder {
-        self.pointer_density = p;
+        self.cfg.pointer_density = p;
         self
     }
 
@@ -643,7 +652,7 @@ impl DbBuilder {
     /// assert_eq!(db.range(0, u64::MAX).len(), 3);
     /// ```
     pub fn shards(mut self, n: usize) -> DbBuilder {
-        self.shards = n;
+        self.cfg.shards = n;
         self
     }
 
@@ -652,7 +661,7 @@ impl DbBuilder {
     /// `[splitters[i-1], splitters[i])`. Use when the key distribution is
     /// skewed and even splitting would leave shards idle.
     pub fn shard_splitters(mut self, splitters: Vec<u64>) -> DbBuilder {
-        self.splitters = Some(splitters);
+        self.cfg.splitters = Some(splitters);
         self
     }
 
@@ -660,7 +669,7 @@ impl DbBuilder {
     /// worker threads, one shard per job (default off). A no-op with a
     /// single shard; point operations are always routed directly.
     pub fn parallel_ingest(mut self, on: bool) -> DbBuilder {
-        self.parallel_ingest = on;
+        self.cfg.parallel_ingest = on;
         self
     }
 
@@ -671,7 +680,7 @@ impl DbBuilder {
     /// timeout — when the database drops. A runtime knob: it changes
     /// scheduling, never on-disk state.
     pub fn background_merge(mut self, n_workers: usize) -> DbBuilder {
-        self.background_merge = n_workers;
+        self.cfg.background_merge = n_workers;
         self
     }
 
@@ -682,9 +691,9 @@ impl DbBuilder {
         let label = self.label();
         let unsupported = |what: &str| BuildError::Unsupported(format!("{what} ({label})"));
 
-        if self.deamortized
+        if self.cfg.deamortized
             && !matches!(
-                self.structure,
+                self.cfg.structure,
                 Structure::BasicCola | Structure::GCola { .. }
             )
         {
@@ -692,30 +701,30 @@ impl DbBuilder {
                 "deamortization exists only for the COLA family",
             ));
         }
-        if let Structure::GCola { g } = self.structure {
+        if let Structure::GCola { g } = self.cfg.structure {
             if g < 2 {
                 return Err(unsupported("growth factor must be at least 2"));
             }
-            if self.deamortized && g != 2 {
+            if self.cfg.deamortized && g != 2 {
                 return Err(unsupported("the deamortized COLA fixes growth factor 2"));
             }
-            if !(0.0..1.0).contains(&self.pointer_density) {
+            if !(0.0..1.0).contains(&self.cfg.pointer_density) {
                 return Err(unsupported("pointer density must be in [0, 1)"));
             }
         }
-        if let Structure::Shuttle { c } = self.structure {
+        if let Structure::Shuttle { c } = self.cfg.structure {
             if c < 2 {
                 return Err(unsupported("fanout parameter must be at least 2"));
             }
         }
-        if self.shards == 0 {
+        if self.cfg.shards == 0 {
             return Err(unsupported("shard count must be at least 1"));
         }
-        if self.meta_slot_bytes < 4096 {
+        if self.cfg.meta_slot_bytes < 4096 {
             return Err(unsupported("metadata slot capacity must be at least 4 KiB"));
         }
-        if let Some(splitters) = &self.splitters {
-            if splitters.len() != self.shards - 1 {
+        if let Some(splitters) = &self.cfg.splitters {
+            if splitters.len() != self.cfg.shards - 1 {
                 return Err(unsupported(
                     "shard_splitters must supply exactly shards − 1 boundaries",
                 ));
@@ -724,9 +733,9 @@ impl DbBuilder {
                 return Err(unsupported("shard_splitters must be strictly increasing"));
             }
         }
-        if self.shards > 1
-            && matches!(self.backend, Backend::File { .. })
-            && self.cache_bytes / self.shards < 2 * DEFAULT_PAGE_SIZE
+        if self.cfg.shards > 1
+            && matches!(self.cfg.backend, Backend::File { .. })
+            && self.cfg.cache_bytes / self.cfg.shards < 2 * DEFAULT_PAGE_SIZE
         {
             // Each shard's cache is floored at 2 pages; flooring past the
             // configured budget would silently enlarge the effective
@@ -747,9 +756,9 @@ impl DbBuilder {
         self.validate()?;
         let label = self.label();
         let unsupported = |what: &str| BuildError::Unsupported(format!("{what} ({label})"));
-        let mut dicts: Vec<Shard> = Vec::with_capacity(self.shards);
+        let mut dicts: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
         let mut ios: Vec<StoreHandle> = Vec::new();
-        for i in 0..self.shards {
+        for i in 0..self.cfg.shards {
             match self.build_shard(i, &unsupported) {
                 Ok((dict, io)) => {
                     dicts.push(dict);
@@ -764,7 +773,7 @@ impl DbBuilder {
                     // (an I/O error). An Unsupported error fails before
                     // touching the filesystem, and unlinking then would
                     // delete a pre-existing user file at the path.
-                    if let Backend::File { path: base, .. } = &self.backend {
+                    if let Backend::File { path: base, .. } = &self.cfg.backend {
                         drop(dicts);
                         drop(ios);
                         let created = if matches!(e, BuildError::Io(_)) {
@@ -781,36 +790,14 @@ impl DbBuilder {
                 }
             }
         }
-        let dict: DbDict = if self.shards == 1 {
-            DbDict::Single(dicts.pop().expect("one shard was built"))
-        } else {
-            let splitters = self
-                .splitters
-                .clone()
-                .unwrap_or_else(|| even_splitters(self.shards));
-            DbDict::Sharded(ShardRouter::new(dicts, splitters, self.parallel_ingest))
-        };
-        let commit_path = match (&self.backend, self.shards) {
-            (Backend::File { path: base, .. }, n) if n > 1 => Some(self.commit_record_path(base)),
-            _ => None,
-        };
-        let mut db = Db {
-            dict,
-            ios,
-            label,
-            dirty: false,
-            commit_path,
-            mvcc: self.mvcc_state(),
-            config: self.config(),
-        };
-        db.install_reclaim_gates();
-        if let Backend::File { path: base, .. } = &self.backend {
+        let mut db = self.assemble(dicts, ios, self.cfg.splitters.clone());
+        if let Backend::File { path: base, .. } = &self.cfg.backend {
             // Make the fresh (empty) database immediately reopenable:
             // write the shard manifest (sharded configs) and commit the
             // initial metadata epoch. A failure here unwinds like a
             // failed shard build — no partial files left behind.
             let init = (|| -> io::Result<()> {
-                if self.shards > 1 {
+                if self.cfg.shards > 1 {
                     self.manifest().write_atomic(&self.manifest_path(base))?;
                 }
                 db.sync()
@@ -852,14 +839,14 @@ impl DbBuilder {
     pub fn open(self) -> Result<Db, OpenError> {
         self.validate().map_err(OpenError::from)?;
         let label = self.label();
-        let Backend::File { path: base, .. } = &self.backend else {
+        let Backend::File { path: base, .. } = &self.cfg.backend else {
             return Err(OpenError::Unsupported(BuildError::Unsupported(format!(
                 "nothing to open for the memory backend ({label})"
             ))));
         };
         // Sharded: recover the persisted routing first and require the
         // builder to agree with it.
-        let splitters = if self.shards > 1 {
+        let splitters = if self.cfg.shards > 1 {
             let mpath = self.manifest_path(base);
             let bytes = std::fs::read(&mpath).map_err(|e| {
                 if e.kind() == io::ErrorKind::NotFound {
@@ -872,10 +859,10 @@ impl DbBuilder {
                 path: mpath.clone(),
                 why,
             })?;
-            if manifest.shards as usize != self.shards {
+            if manifest.shards as usize != self.cfg.shards {
                 return Err(OpenError::ShardCountMismatch {
                     found: manifest.shards as usize,
-                    expected: self.shards,
+                    expected: self.cfg.shards,
                 });
             }
             let expected = self.manifest();
@@ -887,7 +874,7 @@ impl DbBuilder {
                     expected: tag_name(expected.structure_tag).to_string(),
                 });
             }
-            if let Some(requested) = &self.splitters {
+            if let Some(requested) = &self.cfg.splitters {
                 if *requested != manifest.splitters {
                     return Err(OpenError::SplitterMismatch {
                         found: manifest.splitters.clone(),
@@ -902,7 +889,7 @@ impl DbBuilder {
         // Sharded: the cross-shard commit record pins the epoch every
         // shard must be rolled back to, so a crash between two shards'
         // commits cannot surface a mixed whole-database state.
-        let epochs: Option<Vec<u64>> = if self.shards > 1 {
+        let epochs: Option<Vec<u64>> = if self.cfg.shards > 1 {
             let cpath = self.commit_record_path(base);
             let bytes = std::fs::read(&cpath).map_err(|e| {
                 if e.kind() == io::ErrorKind::NotFound {
@@ -919,13 +906,13 @@ impl DbBuilder {
                     path: cpath.clone(),
                     why,
                 })?;
-            if epochs.len() != self.shards {
+            if epochs.len() != self.cfg.shards {
                 return Err(OpenError::ManifestCorrupt {
                     path: cpath,
                     why: format!(
                         "commit record holds {} epochs for {} shards",
                         epochs.len(),
-                        self.shards
+                        self.cfg.shards
                     ),
                 });
             }
@@ -933,46 +920,55 @@ impl DbBuilder {
         } else {
             None
         };
-        let mut dicts: Vec<Shard> = Vec::with_capacity(self.shards);
-        let mut ios: Vec<StoreHandle> = Vec::with_capacity(self.shards);
-        for i in 0..self.shards {
+        let mut dicts: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
+        let mut ios: Vec<StoreHandle> = Vec::with_capacity(self.cfg.shards);
+        for i in 0..self.cfg.shards {
             let max_epoch = epochs.as_ref().map(|e| e[i]);
             let (dict, io) = self.open_shard(i, base, max_epoch)?;
             dicts.push(dict);
             ios.push(io);
         }
-        let manifest_splitters = splitters.clone();
-        let dict = if self.shards == 1 {
-            DbDict::Single(dicts.pop().expect("one shard was opened"))
+        // The persisted routing is authoritative: recording it makes
+        // `Db::config()` round-trip even when the builder omitted
+        // explicit splitters.
+        Ok(self.assemble(dicts, ios, splitters.or(self.cfg.splitters.clone())))
+    }
+
+    /// Wraps built or opened shards (and their stores, in shard order)
+    /// into a [`Db`] routing by `splitters` (even ones if `None`).
+    fn assemble(
+        &self,
+        mut dicts: Vec<Shard>,
+        ios: Vec<StoreHandle>,
+        splitters: Option<Vec<u64>>,
+    ) -> Db {
+        let sharded = self.cfg.shards > 1;
+        let dict = if sharded {
+            let splitters = splitters
+                .clone()
+                .unwrap_or_else(|| even_splitters(self.cfg.shards));
+            DbDict::Sharded(ShardRouter::new(dicts, splitters, self.cfg.parallel_ingest))
         } else {
-            DbDict::Sharded(ShardRouter::new(
-                dicts,
-                splitters.expect("sharded opens recovered splitters"),
-                self.parallel_ingest,
-            ))
+            DbDict::Single(dicts.pop().expect("one shard was built or opened"))
+        };
+        let commit_path = match &self.cfg.backend {
+            Backend::File { path: base, .. } if sharded => Some(self.commit_record_path(base)),
+            _ => None,
         };
         let mut db = Db {
             dict,
             ios,
-            label,
+            label: self.label(),
             dirty: false,
-            commit_path: if self.shards > 1 {
-                Some(self.commit_record_path(base))
-            } else {
-                None
-            },
+            commit_path,
             mvcc: self.mvcc_state(),
-            config: {
-                // The persisted routing is authoritative: record it so
-                // `Db::config()` round-trips even when the builder
-                // omitted explicit splitters.
-                let mut cfg = self.config();
-                cfg.splitters = manifest_splitters.or(cfg.splitters);
-                cfg
+            config: DbConfig {
+                splitters,
+                ..self.config()
             },
         };
         db.install_reclaim_gates();
-        Ok(db)
+        db
     }
 
     /// [`DbBuilder::open`] if the store exists, [`DbBuilder::build`]
@@ -998,8 +994,8 @@ impl DbBuilder {
     /// Fresh MVCC state for a database this builder constructs: the
     /// epoch manager plus, when requested, the background merge pool.
     fn mvcc_state(&self) -> MvccState {
-        let pool = if self.background_merge > 0 {
-            Some(WorkerPool::new(self.background_merge))
+        let pool = if self.cfg.background_merge > 0 {
+            Some(WorkerPool::new(self.cfg.background_merge))
         } else {
             None
         };
@@ -1009,7 +1005,7 @@ impl DbBuilder {
     /// The structure-metadata tag this configuration produces (what
     /// [`cosbt_core::Persist::save_meta`] will emit) plus its parameter.
     fn structure_identity(&self) -> (u8, u64) {
-        match (self.structure, self.deamortized) {
+        match (self.cfg.structure, self.cfg.deamortized) {
             (Structure::BasicCola, false) => (TAG_BASIC_COLA, 0),
             (Structure::BasicCola, true) => (TAG_DEAMORT_BASIC, 0),
             (Structure::GCola { g }, false) => (TAG_GCOLA, g as u64),
@@ -1023,13 +1019,14 @@ impl DbBuilder {
     fn manifest(&self) -> Manifest {
         let (structure_tag, param) = self.structure_identity();
         Manifest {
-            shards: self.shards as u32,
+            shards: self.cfg.shards as u32,
             structure_tag,
             param,
             splitters: self
+                .cfg
                 .splitters
                 .clone()
-                .unwrap_or_else(|| even_splitters(self.shards)),
+                .unwrap_or_else(|| even_splitters(self.cfg.shards)),
         }
     }
 
@@ -1052,8 +1049,13 @@ impl DbBuilder {
         max_epoch: Option<u64>,
     ) -> Result<(Shard, StoreHandle), OpenError> {
         let path = self.shard_file_path(base, idx);
-        let direct = self.backend.file_params().map(|(_, d)| d).unwrap_or(false);
-        let cache_pages = (self.cache_bytes / self.shards / DEFAULT_PAGE_SIZE).max(2);
+        let direct = self
+            .cfg
+            .backend
+            .file_params()
+            .map(|(_, d)| d)
+            .unwrap_or(false);
+        let cache_pages = self.cache_pages();
         let (expected_tag, _) = self.structure_identity();
         let meta_err = |source: MetaError| OpenError::Meta {
             path: path.clone(),
@@ -1070,7 +1072,7 @@ impl DbBuilder {
                 None => Err(meta_err(MetaError::Truncated)),
             }
         };
-        match self.structure {
+        match self.cfg.structure {
             Structure::Shuttle { .. } => Err(OpenError::Unsupported(BuildError::Unsupported(
                 format!("the shuttle tree is in-memory only ({})", self.label()),
             ))),
@@ -1080,27 +1082,27 @@ impl DbBuilder {
                 let (store, meta) =
                     FilePages::open_bounded(dev, cache_pages, (KIND_PAGES, 0), max_epoch)
                         .map_err(|e| store_error(&path, e))?;
-                self.check_page_size(&path, cosbt_dam::PageStore::page_size(&store))?;
+                self.check_page_size(&path, store.page_size())?;
                 check(&meta)?;
                 let store = ArcFilePages::new(store);
-                let dict: Shard = match self.structure {
+                let dict: Shard = match self.cfg.structure {
                     Structure::BTree => {
                         Box::new(BTree::from_parts(store.clone(), &meta).map_err(meta_err)?)
                     }
                     _ => Box::new(Brt::from_parts(store.clone(), &meta).map_err(meta_err)?),
                 };
-                Ok((dict, StoreHandle::Pages(store)))
+                Ok((dict, store.erased()))
             }
             Structure::BasicCola | Structure::GCola { .. } => {
                 let dev = DirectFile::open(&path, direct)
                     .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?;
-                let (store, meta) =
+                let (mut store, meta) =
                     FileMem::<Cell, DirectFile>::open_bounded(dev, cache_pages, 32, max_epoch)
                         .map_err(|e| store_error(&path, e))?;
-                self.check_page_size(&path, store.page_size())?;
+                self.check_page_size(&path, store.pages().page_size())?;
                 check(&meta)?;
                 let mem = ArcFileMem::new(store);
-                let dict: Shard = match (self.structure, self.deamortized) {
+                let dict: Shard = match (self.cfg.structure, self.cfg.deamortized) {
                     (Structure::BasicCola, false) => {
                         Box::new(BasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?)
                     }
@@ -1123,9 +1125,15 @@ impl DbBuilder {
                     }
                     _ => unreachable!(),
                 };
-                Ok((dict, StoreHandle::Mem(mem)))
+                Ok((dict, mem.erased()))
             }
         }
+    }
+
+    /// Frames in each shard's page cache: an even share of the budget,
+    /// floored at 2 pages.
+    fn cache_pages(&self) -> usize {
+        (self.cfg.cache_bytes / self.cfg.shards / DEFAULT_PAGE_SIZE).max(2)
     }
 
     fn check_page_size(&self, path: &Path, found: usize) -> Result<(), OpenError> {
@@ -1147,13 +1155,13 @@ impl DbBuilder {
     /// bench CLI's delete-after-run) should unlink exactly this list
     /// rather than re-deriving names.
     pub fn data_paths(&self) -> Vec<PathBuf> {
-        match &self.backend {
+        match &self.cfg.backend {
             Backend::Mem => Vec::new(),
             Backend::File { path: base, .. } => {
-                let mut paths: Vec<PathBuf> = (0..self.shards)
+                let mut paths: Vec<PathBuf> = (0..self.cfg.shards)
                     .map(|i| self.shard_file_path(base, i))
                     .collect();
-                if self.shards > 1 {
+                if self.cfg.shards > 1 {
                     paths.push(self.manifest_path(base));
                     paths.push(self.commit_record_path(base));
                 }
@@ -1165,7 +1173,7 @@ impl DbBuilder {
     /// Data-file path of shard `idx`: the configured path itself when
     /// unsharded, `<path>.shard<idx>` otherwise.
     fn shard_file_path(&self, base: &std::path::Path, idx: usize) -> PathBuf {
-        if self.shards == 1 {
+        if self.cfg.shards == 1 {
             base.to_path_buf()
         } else {
             let mut os = base.as_os_str().to_os_string();
@@ -1182,18 +1190,17 @@ impl DbBuilder {
         idx: usize,
         unsupported: &dyn Fn(&str) -> BuildError,
     ) -> Result<(Shard, Option<StoreHandle>), BuildError> {
-        // Each shard gets an even share of the cache budget.
-        let cache_pages = (self.cache_bytes / self.shards / DEFAULT_PAGE_SIZE).max(2);
-        match (&self.backend, self.structure) {
-            (Backend::Mem, Structure::BasicCola) if self.deamortized => {
+        let cache_pages = self.cache_pages();
+        match (&self.cfg.backend, self.cfg.structure) {
+            (Backend::Mem, Structure::BasicCola) if self.cfg.deamortized => {
                 Ok((Box::new(DeamortBasicCola::new_plain()), None))
             }
             (Backend::Mem, Structure::BasicCola) => Ok((Box::new(BasicCola::new_plain()), None)),
-            (Backend::Mem, Structure::GCola { .. }) if self.deamortized => {
+            (Backend::Mem, Structure::GCola { .. }) if self.cfg.deamortized => {
                 Ok((Box::new(DeamortCola::new_plain()), None))
             }
             (Backend::Mem, Structure::GCola { g }) => {
-                let c = GCola::new(cosbt_dam::PlainMem::new(), g, self.pointer_density);
+                let c = GCola::new(cosbt_dam::PlainMem::new(), g, self.cfg.pointer_density);
                 Ok((Box::new(c), None))
             }
             (Backend::Mem, Structure::BTree) => Ok((Box::new(BTree::new_plain()), None)),
@@ -1212,13 +1219,13 @@ impl DbBuilder {
                             dev,
                             DEFAULT_PAGE_SIZE,
                             cache_pages,
-                            self.meta_slot_bytes,
+                            self.cfg.meta_slot_bytes,
                         )?);
                         let dict: Shard = match structure {
                             Structure::BTree => Box::new(BTree::new(store.clone())),
                             _ => Box::new(Brt::new(store.clone())),
                         };
-                        Ok((dict, Some(StoreHandle::Pages(store))))
+                        Ok((dict, Some(store.erased())))
                     }
                     Structure::BasicCola | Structure::GCola { .. } => {
                         // 32-byte modeled elements, as in the paper.
@@ -1228,22 +1235,22 @@ impl DbBuilder {
                             DEFAULT_PAGE_SIZE,
                             cache_pages,
                             32,
-                            self.meta_slot_bytes,
+                            self.cfg.meta_slot_bytes,
                         )?);
-                        let dict: Shard = match (structure, self.deamortized) {
+                        let dict: Shard = match (structure, self.cfg.deamortized) {
                             (Structure::BasicCola, false) => Box::new(BasicCola::new(mem.clone())),
                             (Structure::BasicCola, true) => {
                                 Box::new(DeamortBasicCola::new(mem.clone()))
                             }
                             (Structure::GCola { g }, false) => {
-                                Box::new(GCola::new(mem.clone(), g, self.pointer_density))
+                                Box::new(GCola::new(mem.clone(), g, self.cfg.pointer_density))
                             }
                             (Structure::GCola { .. }, true) => {
                                 Box::new(DeamortCola::new(mem.clone()))
                             }
                             _ => unreachable!(),
                         };
-                        Ok((dict, Some(StoreHandle::Mem(mem))))
+                        Ok((dict, Some(mem.erased())))
                     }
                 }
             }
@@ -1299,18 +1306,7 @@ impl DbBuilder {
     /// The builder's configuration as plain serializable data; the
     /// round-trip companion of [`DbBuilder::from_config`].
     pub fn config(&self) -> DbConfig {
-        DbConfig {
-            structure: self.structure,
-            deamortized: self.deamortized,
-            pointer_density: self.pointer_density,
-            shards: self.shards,
-            splitters: self.splitters.clone(),
-            parallel_ingest: self.parallel_ingest,
-            background_merge: self.background_merge,
-            cache_bytes: self.cache_bytes,
-            meta_slot_bytes: self.meta_slot_bytes,
-            backend: self.backend.clone(),
-        }
+        self.cfg.clone()
     }
 
     /// A builder reproducing `cfg` exactly:
@@ -1325,104 +1321,19 @@ impl DbBuilder {
     /// assert_eq!(DbBuilder::from_config(&cfg).config(), cfg);
     /// ```
     pub fn from_config(cfg: &DbConfig) -> DbBuilder {
-        let mut b = DbBuilder::new()
-            .structure(cfg.structure)
-            .backend(cfg.backend.clone())
-            .cache_bytes(cfg.cache_bytes)
-            .meta_slot_bytes(cfg.meta_slot_bytes)
-            .pointer_density(cfg.pointer_density)
-            .shards(cfg.shards)
-            .parallel_ingest(cfg.parallel_ingest)
-            .background_merge(cfg.background_merge);
-        if let Some(s) = &cfg.splitters {
-            b = b.shard_splitters(s.clone());
-        }
-        if cfg.deamortized {
-            b = b.deamortized();
-        }
-        b
+        DbBuilder { cfg: cfg.clone() }
     }
 
     /// Display label of the configured structure ("4-COLA", "B-tree",
     /// "4-COLA ×4 shards", …).
     pub fn label(&self) -> String {
-        let base = match self.structure {
-            Structure::BasicCola => "basic-COLA".to_string(),
-            Structure::GCola { g } => format!("{g}-COLA"),
-            Structure::BTree => "B-tree".to_string(),
-            Structure::Brt => "BRT".to_string(),
-            Structure::Shuttle { c } => format!("shuttle({c})"),
-        };
-        let base = if self.deamortized {
-            format!("deamortized-{base}")
-        } else {
-            base
-        };
-        if self.shards > 1 {
-            format!("{base} ×{} shards", self.shards)
-        } else {
-            base
-        }
+        self.cfg.label()
     }
 }
 
-/// Shared I/O-counter handle of one file-backed shard.
-#[derive(Clone)]
-enum StoreHandle {
-    Mem(ArcFileMem<Cell, DirectFile>),
-    Pages(ArcFilePages<DirectFile>),
-}
-
-impl StoreHandle {
-    fn stats(&self) -> IoStats {
-        match self {
-            StoreHandle::Mem(m) => m.stats(),
-            StoreHandle::Pages(p) => p.stats(),
-        }
-    }
-
-    fn reset_stats(&self) {
-        match self {
-            StoreHandle::Mem(m) => m.reset_stats(),
-            StoreHandle::Pages(p) => p.reset_stats(),
-        }
-    }
-
-    fn take_stats(&self) -> IoStats {
-        match self {
-            StoreHandle::Mem(m) => m.take_stats(),
-            StoreHandle::Pages(p) => p.take_stats(),
-        }
-    }
-
-    fn drop_cache(&self) -> io::Result<()> {
-        match self {
-            StoreHandle::Mem(m) => m.drop_cache(),
-            StoreHandle::Pages(p) => p.drop_cache(),
-        }
-    }
-
-    fn commit_meta(&self, structure_meta: &[u8]) -> io::Result<()> {
-        match self {
-            StoreHandle::Mem(m) => m.commit_meta(structure_meta),
-            StoreHandle::Pages(p) => p.commit_meta(structure_meta),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            StoreHandle::Mem(m) => m.epoch(),
-            StoreHandle::Pages(p) => p.epoch(),
-        }
-    }
-
-    fn set_reclaim_gate(&self, gate: std::sync::Arc<dyn cosbt_dam::ReclaimGate>) {
-        match self {
-            StoreHandle::Mem(m) => m.set_reclaim_gate(gate),
-            StoreHandle::Pages(p) => p.set_reclaim_gate(gate),
-        }
-    }
-}
+/// The store of one file-backed shard, kind erased: what the facade
+/// counts, commits and drops the cache of.
+type StoreHandle = SharedStore<DirectFile>;
 
 /// The one I/O-statistics surface of a [`Db`]: a cheap, cloneable
 /// handle over every shard's counters, obtained from [`Db::io`].
@@ -1498,44 +1409,11 @@ impl DbDict {
             DbDict::Sharded(r) => r,
         }
     }
-}
 
-impl Dictionary for DbDict {
-    fn insert(&mut self, key: u64, val: u64) {
-        self.as_dyn().insert(key, val)
-    }
-
-    fn delete(&mut self, key: u64) {
-        self.as_dyn().delete(key)
-    }
-
-    fn get(&mut self, key: u64) -> Option<u64> {
-        self.as_dyn().get(key)
-    }
-
-    fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        self.as_dyn().cursor(lo, hi)
-    }
-
-    fn apply(&mut self, batch: &mut UpdateBatch) {
-        self.as_dyn().apply(batch)
-    }
-
-    fn insert_batch(&mut self, sorted: &[(u64, u64)]) {
-        self.as_dyn().insert_batch(sorted)
-    }
-
-    fn physical_len(&self) -> usize {
+    fn as_dyn_ref(&self) -> &dyn Dictionary {
         match self {
-            DbDict::Single(s) => s.physical_len(),
-            DbDict::Sharded(r) => r.physical_len(),
-        }
-    }
-
-    fn name(&self) -> &'static str {
-        match self {
-            DbDict::Single(s) => s.name(),
-            DbDict::Sharded(r) => r.name(),
+            DbDict::Single(s) => s.as_ref(),
+            DbDict::Sharded(r) => r,
         }
     }
 }
@@ -1610,29 +1488,29 @@ impl Db {
     pub fn insert(&mut self, key: u64, val: u64) {
         self.dirty = true;
         self.mvcc.record(key, Some(val));
-        self.dict.insert(key, val)
+        self.dict.as_dyn().insert(key, val)
     }
 
     /// Deletes `key`.
     pub fn delete(&mut self, key: u64) {
         self.dirty = true;
         self.mvcc.record(key, None);
-        self.dict.delete(key)
+        self.dict.as_dyn().delete(key)
     }
 
     /// Looks up `key`.
     pub fn get(&mut self, key: u64) -> Option<u64> {
-        self.dict.get(key)
+        self.dict.as_dyn().get(key)
     }
 
     /// A streaming cursor over live entries in `[lo, hi]`.
     pub fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        self.dict.cursor(lo, hi)
+        self.dict.as_dyn().cursor(lo, hi)
     }
 
     /// All live entries in `[lo, hi]`.
     pub fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.dict.range(lo, hi)
+        self.dict.as_dyn().range(lo, hi)
     }
 
     /// Applies and drains a batch of updates.
@@ -1640,14 +1518,14 @@ impl Db {
         self.dirty = true;
         // Record before `apply` drains the batch.
         self.mvcc.record_ops(batch.ops());
-        self.dict.apply(batch)
+        self.dict.as_dyn().apply(batch)
     }
 
     /// Inserts a key-sorted run of pairs in one batched pass.
     pub fn insert_batch(&mut self, sorted: &[(u64, u64)]) {
         self.dirty = true;
         self.mvcc.record_inserts(sorted);
-        self.dict.insert_batch(sorted)
+        self.dict.as_dyn().insert_batch(sorted)
     }
 
     /// Number of physically stored entries, summed across shards: what a
@@ -1656,7 +1534,7 @@ impl Db {
     /// g-COLA at most one version per key and level, since its carries
     /// drop the rest; the basic and deamortized COLAs every one.
     pub fn physical_len(&self) -> usize {
-        self.dict.physical_len()
+        self.dict.as_dyn_ref().physical_len()
     }
 
     /// The inner dictionary, for interfaces that want the trait object.
@@ -1777,7 +1655,7 @@ impl Db {
     pub fn snapshot(&mut self) -> DbSnapshot {
         let store_epochs: std::sync::Arc<[u64]> = self.ios.iter().map(StoreHandle::epoch).collect();
         if self.mvcc.needs_seed() {
-            let base = self.dict.range(0, u64::MAX);
+            let base = self.dict.as_dyn().range(0, u64::MAX);
             self.mvcc.seed(base, store_epochs);
         } else {
             self.mvcc.publish_pending(store_epochs);
@@ -1897,11 +1775,11 @@ impl Dictionary for Db {
     }
 
     fn physical_len(&self) -> usize {
-        self.dict.physical_len()
+        self.dict.as_dyn_ref().physical_len()
     }
 
     fn name(&self) -> &'static str {
-        self.dict.name()
+        self.dict.as_dyn_ref().name()
     }
 }
 

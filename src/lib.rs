@@ -89,9 +89,6 @@ pub use cosbt_core::{BatchOp, Cursor, CursorOps, Dictionary, UpdateBatch, VecCur
 /// DAM-model simulator and storage substrates.
 pub use cosbt_dam as dam;
 
-/// Packed-memory array.
-pub use cosbt_pma as pma;
-
 /// The COLA family (the paper's Section 3 and 4).
 pub use cosbt_core as cola;
 

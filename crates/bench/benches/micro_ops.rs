@@ -1,15 +1,20 @@
 //! Micro-benchmarks: raw in-memory operation throughput of every
-//! dictionary in the workspace, for quick regression tracking. (The
+//! dictionary in the workspace, and of the per-level filter and ghost
+//! window under the COLAs' lookups, for quick regression tracking. (The
 //! paper's figures are regenerated by the other bench targets and the
 //! `figures` binary; these are engineering benchmarks.)
 //!
 //! Plain timing loops rather than an external harness so the workspace
 //! builds offline; run with `cargo bench --bench micro_ops`.
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use cosbt::{Backend, Db, DbBuilder, Structure};
 use cosbt_bench::{random_keys, scaled, search_probes};
+use cosbt_core::cascade::build_aux;
+use cosbt_core::entry::Cell;
+use cosbt_core::LevelFilter;
 
 /// Every unsharded cell of the shared configuration matrix — the same
 /// list the conformance battery and the scenario harness enumerate.
@@ -104,6 +109,62 @@ fn main() {
     }
     cursor_scan_1k("4-COLA, file", &mut d);
     d.discard_on_drop();
+
+    aux_probe();
+}
+
+/// The DRAM half of a level probe, below every structure: the filter's
+/// inserts, its probes that hit and that miss, and the ghost window, at
+/// a level of 1,536 slots (a 4-COLA's fifth) and one of 393,216 (its
+/// ninth), each row ~8 M calls in random key order.
+fn aux_probe() {
+    for slots in [1_536u64, 393_216] {
+        let keys = random_keys(slots, 0xA0C);
+        let absent = random_keys(slots, 0xA0D);
+        let reps = (1 << 23) / slots;
+        let calls = reps * slots;
+        let done = |what: &str, t: Instant| {
+            let secs = t.elapsed().as_secs_f64();
+            report("aux_probe", &format!("{what}, {slots} slots"), calls, secs);
+        };
+
+        let mut filter = LevelFilter::with_capacity(slots as usize);
+        let t = Instant::now();
+        for _ in 0..reps {
+            for &k in &keys {
+                filter.insert(black_box(k));
+            }
+        }
+        black_box(&filter);
+        done("insert", t);
+
+        for (what, probes) in [("may_contain hit", &keys), ("may_contain miss", &absent)] {
+            let t = Instant::now();
+            let mut yes = 0u64;
+            for _ in 0..reps {
+                for &k in probes {
+                    yes += filter.may_contain(black_box(k)) as u64;
+                }
+            }
+            black_box(yes);
+            done(what, t);
+        }
+
+        let mut sorted = keys.clone();
+        sorted.sort_unstable();
+        let cells: Vec<Cell> = sorted.iter().map(|&k| Cell::item(k, k)).collect();
+        let aux = build_aux(cells.iter());
+        let t = Instant::now();
+        let mut span = 0usize;
+        for _ in 0..reps {
+            for &k in &keys {
+                let (lo, hi) = aux.window(black_box(k));
+                span += hi - lo;
+            }
+        }
+        black_box(span);
+        done("window", t);
+    }
 }
 
 /// 20 scans of the ~1k entries in `[70_000, 77_000]` of the dense

@@ -1,8 +1,8 @@
 //! Per-level read accelerators for the COLA family: fence keys, a
-//! hand-rolled Bloom-style membership filter, and every-8th-element
-//! lookahead (ghost) samples — the fractional-cascading machinery that
-//! turns a point query from one independent binary search per level into
-//! an `O(1)`-transfer probe per level.
+//! split-block Bloom filter, and every-8th-slot lookahead (ghost)
+//! samples — the fractional-cascading machinery that turns a point query
+//! from one independent binary search per level into an `O(1)`-transfer
+//! probe per level.
 //!
 //! Every structure in the family keeps one [`LevelAux`] per sorted run
 //! (a level of [`crate::BasicCola`]/[`crate::GCola`], or one array of
@@ -10,44 +10,76 @@
 //! rebuilt — during the merge that writes the run's cells — via an
 //! [`AuxBuilder`] fed one cell at a time, so deamortized merges can
 //! carry a partially built aux across budgeted steps at `O(1)` extra
-//! work per moved cell. A query consults the aux in DRAM only:
+//! work per moved cell. A query consults the aux in DRAM only, and each
+//! of the three steps touches one cache line or a short contiguous
+//! search:
 //!
 //! 1. **fences** — `key` outside `[fence_min, fence_max]` skips the run;
 //! 2. **filter** — a negative membership answer skips the run (zero
-//!    false negatives by construction, so skipping is always sound);
-//! 3. **ghosts** — a binary search over the every-8th-slot `(key, slot)`
-//!    sample brackets the run's candidate region to one stride, so the
-//!    run itself is probed in `O(1)` block transfers instead of
-//!    `O(log(run) / B)`.
+//!    false negatives by construction, so skipping is always sound). One
+//!    `splitmix64` of the key picks a 32-byte block and one bit in each
+//!    of its eight words, so a probe reads one aligned block and
+//!    branches once;
+//! 3. **ghosts** — one binary search over the keys of every 8th slot
+//!    (the slot is the sample's position times [`GHOST_STRIDE`], so only
+//!    the key is kept) brackets the run's candidate region to one
+//!    stride, so the run itself is probed in `O(1)` block transfers
+//!    instead of `O(log(run) / B)`.
 //!
 //! None of this changes the cell layout, so cursors, epoch-snapshot run
 //! stacks, and the on-disk format are unaffected; see DESIGN.md
 //! ("Fractional cascading & filters") for the sizing rationale.
+//!
+//! A rewritten run's aux may be built into the buffers of the aux it
+//! replaces: the filter and ghost vectors keep their capacity and are
+//! overwritten in place, and one that must grow is freed before it is
+//! allocated anew, so the two are never held at once. What a level can
+//! so retain is bounded by its own size, under 3.5 bytes per slot (a
+//! filter of at most 20 bits and one 8-byte ghost key per 8 slots); the
+//! g-COLA's level rewrite states which buffers it keeps.
 
 use crate::entry::Cell;
 
-/// Ghost-pointer density: one sampled `(key, slot)` per this many slots.
+/// Ghost-pointer density: the key of one slot in this many is sampled.
 ///
 /// The paper's Section 4 uses lookahead-pointer spacing of a small
 /// constant; 8 keeps a bracketing window within one or two 512-byte
-/// blocks of 32-byte cells while costing only ~2 bytes of DRAM per
+/// blocks of 32-byte cells while costing only one byte of DRAM per
 /// stored cell.
 pub const GHOST_STRIDE: usize = 8;
 
 /// Filter sizing: bits per stored key before rounding the bit-array up
-/// to a power of two. Ten bits with [`FILTER_HASHES`] probes targets the
-/// classic ~1% false-positive rate.
+/// to a power of two (at least one block). Ten bits with one bit set in
+/// each word of a key's block keeps the false-positive rate under
+/// [`FILTER_TARGET_FP`] even where the rounding leaves ~10.7 bits a key.
 pub const FILTER_BITS_PER_KEY: usize = 10;
 
-/// Number of filter probes per key (`k ≈ bits/key · ln 2`).
-pub const FILTER_HASHES: u32 = 7;
-
-/// The false-positive rate the sizing above targets; measured rates are
-/// property-tested to stay within 2× of this.
+/// The false-positive rate the sizing above targets: the measured rate
+/// is property-tested to stay at or under it at the worst rounding, and
+/// within 2× of it at every size.
 pub const FILTER_TARGET_FP: f64 = 0.01;
 
+/// Words in one filter block; a key sets one bit in each.
+const BLOCK_WORDS: usize = 8;
+
+/// Bits in one filter block, the smallest filter.
+const BLOCK_BITS: usize = BLOCK_WORDS * 32;
+
+/// Odd multipliers, one per word: word `i` of a key's block gets bit
+/// `(lo · SALT[i]) >> 27` of the low hash half `lo`.
+const SALT: [u32; BLOCK_WORDS] = [
+    0x47b6_137b,
+    0x4497_4d91,
+    0x8824_ad5b,
+    0xa2b7_289d,
+    0x7054_95c7,
+    0x2df1_424b,
+    0x9efc_4947,
+    0x5c6b_fb31,
+];
+
 /// SplitMix64 finalizer — the zero-dependency mixer used throughout the
-/// workspace; here it derives the filter's double-hashing pair.
+/// workspace; here the filter's one hash per key.
 #[inline]
 fn splitmix64(x: u64) -> u64 {
     let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
@@ -56,23 +88,32 @@ fn splitmix64(x: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A hand-rolled Bloom-style filter over a power-of-two bit array.
+/// One filter block: eight words, aligned so it never straddles a
+/// cache line.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[repr(align(32))]
+struct Block([u32; BLOCK_WORDS]);
+
+/// A split-block Bloom filter (Putze, Sanders & Singler's blocked
+/// filter, one bit per word) over a power-of-two number of 32-byte
+/// blocks.
 ///
 /// Membership is approximate one-sidedly: [`LevelFilter::may_contain`]
 /// never returns `false` for an inserted key (no false negatives), and
-/// returns `true` for absent keys at roughly [`FILTER_TARGET_FP`].
-/// Probes use double hashing — `h1 + i·h2` with both hashes derived
-/// from SplitMix64 — so no per-probe rehash is needed.
+/// returns `true` for absent keys at under [`FILTER_TARGET_FP`]. One
+/// `splitmix64` per key: its high half picks the block, its low half
+/// times each word's salt picks that word's bit, so an insert or a probe
+/// touches one block and nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelFilter {
     /// Empty until sized: a filter nothing was inserted into.
-    bits: Vec<u64>,
+    blocks: Vec<Block>,
 }
 
 impl LevelFilter {
     /// An empty filter sized for `keys` insertions at
     /// [`FILTER_BITS_PER_KEY`], rounded up to a power-of-two bit count
-    /// (minimum one 64-bit word).
+    /// (minimum one 256-bit block).
     pub fn with_capacity(keys: usize) -> LevelFilter {
         let mut filter = LevelFilter::default();
         filter.reset(keys);
@@ -80,50 +121,50 @@ impl LevelFilter {
     }
 
     /// Zeroes the filter and re-sizes it as [`LevelFilter::with_capacity`]
-    /// would, keeping the bit array's allocation.
+    /// would, keeping the block array's allocation.
     fn reset(&mut self, keys: usize) {
-        let wanted = keys.saturating_mul(FILTER_BITS_PER_KEY).max(64);
-        self.bits.clear();
-        self.bits.resize(wanted.next_power_of_two() / 64, 0);
+        let wanted = keys.saturating_mul(FILTER_BITS_PER_KEY).max(BLOCK_BITS);
+        let blocks = wanted.next_power_of_two() / BLOCK_BITS;
+        clear_for(&mut self.blocks, blocks);
+        self.blocks.resize(blocks, Block::default());
     }
 
+    /// The key's block index and the bit it owns in each of the block's
+    /// words. The index is past the end of an unsized filter.
     #[inline]
-    fn hashes(key: u64) -> (u64, u64) {
-        let h1 = splitmix64(key);
-        // A distinct stream for h2; forcing it odd keeps the probe
-        // sequence a full cycle over the power-of-two bit space.
-        let h2 = splitmix64(key ^ 0xA5A5_A5A5_A5A5_A5A5) | 1;
-        (h1, h2)
+    fn locate(&self, key: u64) -> (usize, [u32; BLOCK_WORDS]) {
+        let h = splitmix64(key);
+        let block = (h >> 32) as usize & self.blocks.len().wrapping_sub(1);
+        let lo = h as u32;
+        (block, SALT.map(|salt| 1 << (lo.wrapping_mul(salt) >> 27)))
     }
 
-    /// Sets the key's probe bits.
+    /// Sets the key's bit in each word of its block.
     pub fn insert(&mut self, key: u64) {
-        let ((h1, h2), mask) = (Self::hashes(key), self.bits.len() as u64 * 64 - 1);
-        for i in 0..FILTER_HASHES as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) & mask;
-            self.bits[(bit / 64) as usize] |= 1 << (bit % 64);
+        let (block, bits) = self.locate(key);
+        for (word, bit) in self.blocks[block].0.iter_mut().zip(bits) {
+            *word |= bit;
         }
     }
 
     /// Whether the key may have been inserted. `false` is definitive.
+    /// All eight words are tested before the one branch on the result.
     #[inline]
     pub fn may_contain(&self, key: u64) -> bool {
-        if self.bits.is_empty() {
+        let (block, bits) = self.locate(key);
+        let Some(Block(words)) = self.blocks.get(block) else {
             return false;
+        };
+        let mut missing = 0;
+        for (word, bit) in words.iter().zip(bits) {
+            missing |= bit & !word;
         }
-        let ((h1, h2), mask) = (Self::hashes(key), self.bits.len() as u64 * 64 - 1);
-        for i in 0..FILTER_HASHES as u64 {
-            let bit = h1.wrapping_add(i.wrapping_mul(h2)) & mask;
-            if self.bits[(bit / 64) as usize] & (1 << (bit % 64)) == 0 {
-                return false;
-            }
-        }
-        true
+        missing == 0
     }
 
     /// The bit-array size (diagnostics and sizing tests).
     pub fn bit_len(&self) -> usize {
-        self.bits.len() * 64
+        self.blocks.len() * BLOCK_BITS
     }
 }
 
@@ -136,9 +177,10 @@ pub struct LevelAux {
     pub fence_max: u64,
     /// Membership filter over the run's non-redundant keys.
     pub filter: LevelFilter,
-    /// Every [`GHOST_STRIDE`]-th slot's `(key, slot)` — the lookahead
-    /// sample that brackets a query's candidate window.
-    pub ghosts: Vec<(u64, usize)>,
+    /// The key of every [`GHOST_STRIDE`]-th slot: sample `i` is slot
+    /// `i · GHOST_STRIDE` — the lookahead sample that brackets a query's
+    /// candidate window.
+    pub ghosts: Vec<u64>,
     /// Number of slots the aux was built over.
     pub len: usize,
 }
@@ -155,25 +197,31 @@ impl LevelAux {
     /// The `[lo, hi)` slot window (relative to the run base) that must
     /// contain every cell with the given key: from the last sampled slot
     /// whose key is strictly below it to the first sampled slot whose
-    /// key is strictly above. Costs zero block transfers.
+    /// key is strictly above. One binary search finds the first sample
+    /// not below `key`; the samples equal to it are walked. Costs zero
+    /// block transfers.
+    #[inline]
     pub fn window(&self, key: u64) -> (usize, usize) {
-        let lo_idx = self.ghosts.partition_point(|&(k, _)| k < key);
-        let hi_idx = self.ghosts.partition_point(|&(k, _)| k <= key);
-        let lo = if lo_idx == 0 {
-            0
-        } else {
-            self.ghosts[lo_idx - 1].1
-        };
-        let hi = if hi_idx == self.ghosts.len() {
+        let first = self.ghosts.partition_point(|&k| k < key);
+        let equal = self.ghosts[first..].iter().take_while(|&&k| k == key);
+        let past = first + equal.count();
+        let lo = first.saturating_sub(1) * GHOST_STRIDE;
+        let hi = if past == self.ghosts.len() {
             self.len
         } else {
-            self.ghosts[hi_idx].1
+            past * GHOST_STRIDE
         };
         (lo, hi)
     }
 
+    /// Slots the aux's buffers can describe without growing, whatever
+    /// run it was last built over: what it retains.
+    pub(crate) fn capacity(&self) -> usize {
+        self.ghosts.capacity() * GHOST_STRIDE
+    }
+
     /// Validates internal consistency (fence ordering, sample ordering
-    /// and bounds); used by `from_parts` and invariant checks.
+    /// and count); used by `from_parts` and invariant checks.
     pub fn check(&self) -> Result<(), String> {
         if self.fence_min != u64::MAX && self.fence_min > self.fence_max {
             return Err(format!(
@@ -184,10 +232,13 @@ impl LevelAux {
         if !self.ghosts.windows(2).all(|w| w[0] <= w[1]) {
             return Err("ghost sample not sorted".into());
         }
-        if let Some(&(_, pos)) = self.ghosts.last() {
-            if pos >= self.len {
-                return Err(format!("ghost slot {pos} past run length {}", self.len));
-            }
+        let samples = self.len.div_ceil(GHOST_STRIDE);
+        if self.ghosts.len() > samples {
+            return Err(format!(
+                "{} ghost samples past the {samples} of a {}-slot run",
+                self.ghosts.len(),
+                self.len
+            ));
         }
         Ok(())
     }
@@ -195,9 +246,9 @@ impl LevelAux {
 
 /// Incremental [`LevelAux`] constructor: fed one cell at a time, in slot
 /// order, as a merge writes the run. Each [`AuxBuilder::push`] is `O(1)`
-/// (amortized, over the filter's probe count), so deamortized merges can
-/// interleave aux construction with their budgeted move steps and carry
-/// the half-built state across inserts.
+/// (one hash and one filter block), so deamortized merges can interleave
+/// aux construction with their budgeted move steps and carry the
+/// half-built state across inserts.
 #[derive(Debug, Clone)]
 pub struct AuxBuilder {
     /// Sized at the first real cell: a lookahead-only run never
@@ -207,7 +258,7 @@ pub struct AuxBuilder {
     fence_min: u64,
     fence_max: u64,
     any_real: bool,
-    ghosts: Vec<(u64, usize)>,
+    ghosts: Vec<u64>,
     pos: usize,
 }
 
@@ -218,12 +269,12 @@ impl AuxBuilder {
     }
 
     /// [`AuxBuilder::new`] over the filter and ghost allocations of
-    /// `retired`, the aux this run's rewrite is replacing.
+    /// `retired`, an aux no run uses any more: both are cleared and
+    /// refilled in place, growing only past their capacity.
     pub(crate) fn recycling(slots: usize, retired: Option<LevelAux>) -> AuxBuilder {
         let (mut filter, mut ghosts) = retired.map(|a| (a.filter, a.ghosts)).unwrap_or_default();
-        filter.bits.clear();
-        ghosts.clear();
-        ghosts.reserve_exact(slots / GHOST_STRIDE + 1);
+        filter.blocks.clear();
+        clear_for(&mut ghosts, slots.div_ceil(GHOST_STRIDE));
         AuxBuilder {
             filter,
             slots,
@@ -241,7 +292,7 @@ impl AuxBuilder {
     /// answer "does any item or tombstone for this key live here?".
     pub fn push(&mut self, cell: &Cell) {
         if self.pos.is_multiple_of(GHOST_STRIDE) {
-            self.ghosts.push((cell.key, self.pos));
+            self.ghosts.push(cell.key);
         }
         if cell.is_real() {
             if !self.any_real {
@@ -272,6 +323,18 @@ impl AuxBuilder {
     }
 }
 
+/// Empties `v` and makes room for `n` elements in place if they fit. If
+/// they do not, the old allocation is freed before the new one is made:
+/// a grown copy would hold both at once, at the peak of the carry that
+/// grows a level.
+fn clear_for<T>(v: &mut Vec<T>, n: usize) {
+    if v.capacity() < n {
+        *v = Vec::new();
+    }
+    v.clear();
+    v.reserve_exact(n);
+}
+
 /// Builds a run's aux in one pass over its cells.
 pub fn build_aux<'a>(cells: impl ExactSizeIterator<Item = &'a Cell>) -> LevelAux {
     let mut b = AuxBuilder::new(cells.len());
@@ -284,7 +347,7 @@ pub fn build_aux<'a>(cells: impl ExactSizeIterator<Item = &'a Cell>) -> LevelAux
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosbt_testkit::Rng;
+    use cosbt_testkit::{check_cases, Rng};
 
     #[test]
     fn filter_has_zero_false_negatives() {
@@ -300,6 +363,26 @@ mod tests {
             }
             for &k in &keys {
                 assert!(f.may_contain(k), "false negative for {k} (seed {seed})");
+            }
+        }
+    }
+
+    #[test]
+    fn filter_has_no_false_negatives_at_the_edges() {
+        // The extreme keys, and dense sequential ones whose hashes share
+        // most input bits, at the smallest size and at rounded sizes.
+        for n in [1usize, 25, 6_144, 98_304] {
+            let keys: Vec<u64> = [0, u64::MAX, u64::MAX - 1, 1]
+                .into_iter()
+                .chain(2..n as u64)
+                .take(n.max(2))
+                .collect();
+            let mut f = LevelFilter::with_capacity(keys.len());
+            for &k in &keys {
+                f.insert(k);
+            }
+            for &k in &keys {
+                assert!(f.may_contain(k), "false negative for {k} (n {n})");
             }
         }
     }
@@ -336,9 +419,34 @@ mod tests {
     }
 
     #[test]
+    fn filter_fp_rate_at_worst_rounding_within_target() {
+        // n = 3·2^k rounds 10·n bits up by only 16/15: ~10.7 bits a key,
+        // the fewest the sizing ever leaves. The target holds there.
+        for n in [6_144usize, 98_304, 393_216] {
+            let mut rng = Rng::new(0x5B1F + n as u64);
+            let mut f = LevelFilter::with_capacity(n);
+            assert!(f.bit_len() * 15 == n * FILTER_BITS_PER_KEY * 16);
+            // Odd keys in, even keys probed: every probe is absent.
+            for _ in 0..n {
+                f.insert(rng.next_u64() | 1);
+            }
+            let probes = 1_000_000u64;
+            let fp = (0..probes)
+                .filter(|_| f.may_contain(rng.next_u64() & !1))
+                .count();
+            let rate = fp as f64 / probes as f64;
+            assert!(
+                rate <= FILTER_TARGET_FP,
+                "n {n}: measured FP rate {rate} exceeds {FILTER_TARGET_FP}"
+            );
+        }
+    }
+
+    #[test]
     fn filter_sizing_rounds_to_power_of_two() {
-        assert_eq!(LevelFilter::with_capacity(0).bit_len(), 64);
-        assert_eq!(LevelFilter::with_capacity(6).bit_len(), 64);
+        assert_eq!(LevelFilter::with_capacity(0).bit_len(), 256);
+        assert_eq!(LevelFilter::with_capacity(25).bit_len(), 256);
+        assert_eq!(LevelFilter::with_capacity(26).bit_len(), 512);
         let f = LevelFilter::with_capacity(1000);
         assert!(f.bit_len() >= 1000 * FILTER_BITS_PER_KEY);
         assert!(f.bit_len().is_power_of_two());
@@ -394,6 +502,67 @@ mod tests {
         assert!(hi >= 41, "window must cover the last 7");
     }
 
+    /// The window's definition before samples lost their slots: two
+    /// binary searches over `(key, slot)` pairs.
+    fn two_search_window(aux: &LevelAux, key: u64) -> (usize, usize) {
+        let pairs: Vec<(u64, usize)> = (aux.ghosts.iter().enumerate())
+            .map(|(i, &k)| (k, i * GHOST_STRIDE))
+            .collect();
+        let lo_idx = pairs.partition_point(|&(k, _)| k < key);
+        let hi_idx = pairs.partition_point(|&(k, _)| k <= key);
+        let lo = if lo_idx == 0 { 0 } else { pairs[lo_idx - 1].1 };
+        let hi = if hi_idx == pairs.len() {
+            aux.len
+        } else {
+            pairs[hi_idx].1
+        };
+        (lo, hi)
+    }
+
+    #[test]
+    fn window_equals_the_two_search_window() {
+        // Runs of long equal-key stretches — lookahead copies, versions
+        // and tombstones of one key, as the four COLAs store them — over
+        // a narrow key space that includes 0 and u64::MAX.
+        check_cases("window_equals_the_two_search_window", 200, |rng| {
+            let mut keys: Vec<u64> = (0..1 + rng.index(40))
+                .map(|_| match rng.below(8) {
+                    0 => 0,
+                    1 => u64::MAX,
+                    _ => rng.below(64) * 1_000,
+                })
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            let mut cells = Vec::new();
+            for &k in &keys {
+                let stretch = if rng.chance(1, 4) {
+                    1 + rng.index(3 * GHOST_STRIDE + 5)
+                } else {
+                    1 + rng.index(3)
+                };
+                let lookaheads = rng.index(stretch + 1);
+                cells.extend((0..lookaheads).map(|i| Cell::lookahead(k, i as u64)));
+                cells.extend((lookaheads..stretch).map(|v| match rng.chance(1, 3) {
+                    true => Cell::tombstone(k),
+                    false => Cell::item(k, v as u64),
+                }));
+            }
+            let aux = build_aux(cells.iter());
+            assert_eq!(aux.check(), Ok(()));
+            assert_eq!(aux.ghosts.len(), cells.len().div_ceil(GHOST_STRIDE));
+            let probes = keys
+                .iter()
+                .flat_map(|&k| [k, k.wrapping_sub(1), k.wrapping_add(1)]);
+            for key in probes.chain([0, 1, u64::MAX - 1, u64::MAX, rng.next_u64()]) {
+                assert_eq!(aux.window(key), two_search_window(&aux, key), "key {key}");
+            }
+            let mut extra = aux.clone();
+            extra.ghosts.push(u64::MAX);
+            assert!(extra.check().is_err(), "one sample more than the run has");
+        });
+    }
+
     #[test]
     fn redundant_cells_sample_but_do_not_filter() {
         let cells = [
@@ -407,7 +576,7 @@ mod tests {
         assert!(aux.may_contain(12));
         assert!(aux.may_contain(14), "tombstones must be findable");
         assert!(!aux.may_contain(10), "lookahead-only keys are absent");
-        assert_eq!(aux.ghosts, vec![(10, 0)], "slot 0 sampled regardless");
+        assert_eq!(aux.ghosts, vec![10], "slot 0 sampled regardless");
     }
 
     #[test]
@@ -452,10 +621,8 @@ mod tests {
         aux.fence_min = aux.fence_max + 1;
         assert!(aux.check().is_err(), "inverted fences rejected");
         aux = good.clone();
-        if let Some(last) = aux.ghosts.last_mut() {
-            last.1 = aux.len + 5;
-        }
-        assert!(aux.check().is_err(), "out-of-range ghost slot rejected");
+        aux.ghosts.push(u64::MAX);
+        assert!(aux.check().is_err(), "a sample past the run's end rejected");
         aux = good;
         aux.ghosts.reverse();
         if aux.ghosts.len() > 1 {

@@ -47,7 +47,7 @@
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux};
+use crate::cascade::{AuxBuilder, LevelAux, LevelFilter};
 use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
@@ -396,6 +396,18 @@ impl<M: Mem<Cell>> GCola<M> {
     /// right-justified, with left-pointer copies filled in. Leaves in
     /// `down` the lookaheads level `l − 1` keeps of the new run, taken as
     /// it streams out.
+    ///
+    /// The level's new aux is built, as the cells stream past, into the
+    /// buffers of the aux it replaces, whatever their size, so rewriting
+    /// a big level neither frees nor faults in its filter and ghost
+    /// sample. What a level can retain is therefore bounded by its own
+    /// size, under 3.5 bytes per slot beside the 32 a slot holds in `mem`:
+    /// a ghost buffer of one 8-byte key per 8 slots of its largest run so
+    /// far, and, while it holds items, a filter of at most 20 bits per
+    /// slot. A run of lookahead cells only has no filter, so a level left
+    /// with one frees its filter unless the aux is small (`RETAIN_CELLS`
+    /// slots at most). An emptied level parks a small aux in `spare_aux`
+    /// for the next level to be filled and frees any other.
     fn write_level(
         &mut self,
         l: usize,
@@ -414,17 +426,21 @@ impl<M: Mem<Cell>> GCola<M> {
         let (mut a, mut b) = (0usize, 0usize);
         let mut last_ptr = NO_PTR;
         // The woven cells feed the cascade aux as they stream past, so the
-        // accelerator costs no extra pass over the data. A small retiring
-        // aux lends it its allocations, by way of `spare_aux` when the
-        // level sits empty in between.
-        let retired = self.aux[l].take().filter(|a| a.len <= RETAIN_CELLS);
-        let mut aux_builder = if occ > 0 {
+        // accelerator costs no extra pass over the data.
+        let mut retired = self.aux[l].take();
+        let big = |a: &LevelAux| a.capacity() > RETAIN_CELLS;
+        if occ == 0 {
+            self.spare_aux.extend(retired.take().filter(|a| !big(a)));
+        } else if items.is_empty() {
+            // Lookahead cells only: nothing for a filter to hold.
+            for aux in retired.iter_mut().filter(|a| big(a)) {
+                aux.filter = LevelFilter::default();
+            }
+        }
+        let mut aux_builder = (occ > 0).then(|| {
             let retired = retired.or_else(|| self.spare_aux.pop());
-            Some(AuxBuilder::recycling(occ, retired))
-        } else {
-            self.spare_aux.extend(retired);
-            None
-        };
+            AuxBuilder::recycling(occ, retired)
+        });
         let weave = || {
             // Weave by key; put lookaheads first among equals so a real
             // cell's left-copy includes pointers at its own key.

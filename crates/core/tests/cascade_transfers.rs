@@ -158,9 +158,9 @@ fn golden_get_phase_fetch_counts() {
     );
 }
 
-const GOLD_GCOLA_ON: u64 = 132;
+const GOLD_GCOLA_ON: u64 = 133;
 const GOLD_GCOLA_OFF: u64 = 1668;
-const GOLD_BASIC_ON: u64 = 131;
+const GOLD_BASIC_ON: u64 = 132;
 const GOLD_BASIC_OFF: u64 = 5870;
-const GOLD_DEAMORT_BASIC: u64 = 134;
-const GOLD_DEAMORT: u64 = 134;
+const GOLD_DEAMORT_BASIC: u64 = 135;
+const GOLD_DEAMORT: u64 = 135;

@@ -11,7 +11,7 @@
 use cosbt_bench::measure::results_dir;
 use cosbt_bench::{random_keys, scaled, search_probes};
 use cosbt_core::entry::Cell;
-use cosbt_core::{BasicCola, Dictionary, GCola};
+use cosbt_core::{Dictionary, GCola};
 use cosbt_dam::{new_shared_sim, CacheConfig, SimMem};
 use std::io::Write as _;
 
@@ -65,7 +65,7 @@ fn main() {
         // Basic COLA: same inserts, O(log^2 N) searches.
         let sim = new_shared_sim(CacheConfig::new(BLOCK, MEM_BLOCKS));
         let mem: SimMem<Cell> = SimMem::with_elem_bytes(sim.clone(), 32);
-        let mut basic = BasicCola::new(mem);
+        let mut basic = GCola::basic(mem);
         for (i, &k) in keys.iter().enumerate() {
             basic.insert(k, i as u64);
         }

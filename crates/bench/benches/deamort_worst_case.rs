@@ -9,7 +9,8 @@
 
 use cosbt_bench::measure::results_dir;
 use cosbt_bench::{random_keys, scaled};
-use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary};
+use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_dam::PlainMem;
 use std::io::Write as _;
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -60,7 +61,7 @@ fn main() {
         "structure", "avg", "p99", "p99.9", "worst"
     );
 
-    let mut amort = BasicCola::new_plain();
+    let mut amort = GCola::basic(PlainMem::new());
     let mut i = 0usize;
     let r = profile(
         "amortized basic COLA",

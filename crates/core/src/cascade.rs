@@ -5,7 +5,7 @@
 //! probe per level.
 //!
 //! Every structure in the family keeps one [`LevelAux`] per sorted run
-//! (a level of [`crate::BasicCola`]/[`crate::GCola`], or one array of
+//! (a level of a [`crate::GCola`], the basic COLA included, or one array of
 //! the deamortized variants). The aux is rebuilt exactly when its run is
 //! rebuilt — during the merge that writes the run's cells — via an
 //! [`AuxBuilder`] fed one cell at a time, so deamortized merges can

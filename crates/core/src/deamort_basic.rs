@@ -452,7 +452,7 @@ impl<M: Mem<Cell>> Dictionary for DeamortBasicCola<M> {
 
     fn get(&mut self, key: u64) -> Option<u64> {
         let runs = Self::runs(&self.state, &self.aux);
-        lookup(&self.mem, &mut self.stats, runs, key, usize::MAX)
+        lookup(&self.mem, &mut self.stats, runs, key)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {

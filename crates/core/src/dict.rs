@@ -26,9 +26,9 @@ pub type BatchOp = (u64, Option<u64>);
 /// the batch so the allocation can be reused for the next round.
 ///
 /// ```
-/// use cosbt_core::{BasicCola, Dictionary, UpdateBatch};
+/// use cosbt_core::{Dictionary, GCola, UpdateBatch};
 ///
-/// let mut dict = BasicCola::new_plain();
+/// let mut dict = GCola::new_plain(2);
 /// let mut batch = UpdateBatch::new();
 /// batch.put(1, 10).put(2, 20).delete(1).put(2, 21);
 /// dict.apply(&mut batch);
@@ -259,7 +259,7 @@ impl CursorOps for VecCursor {
 /// are written once:
 ///
 /// ```
-/// use cosbt_core::{BasicCola, Dictionary, GCola};
+/// use cosbt_core::{DeamortCola, Dictionary, GCola};
 ///
 /// fn ingest(dict: &mut dyn Dictionary) {
 ///     dict.insert_batch(&[(1, 10), (2, 20), (3, 30)]);
@@ -267,7 +267,7 @@ impl CursorOps for VecCursor {
 /// }
 ///
 /// for dict in [
-///     &mut BasicCola::new_plain() as &mut dyn Dictionary,
+///     &mut DeamortCola::new_plain() as &mut dyn Dictionary,
 ///     &mut GCola::new_plain(4),
 /// ] {
 ///     ingest(dict);
@@ -325,9 +325,9 @@ pub trait Dictionary {
 
     /// Number of physically stored entries. The log-structured
     /// implementations count the shadowed versions and tombstones they
-    /// still hold: all of them until `compact` for the basic and the
-    /// deamortized COLAs, at most one version per key and level for the
-    /// g-COLA, whose carries drop the rest as they merge.
+    /// still hold: all of them until `compact` for the deamortized COLAs,
+    /// at most one version per key and level for the g-COLA (the basic
+    /// COLA included), whose carries drop the rest as they merge.
     fn physical_len(&self) -> usize;
 
     /// A short human-readable name for reports.

@@ -1,5 +1,6 @@
-//! The carry merge kernel of the amortized COLAs: one stable two-way
-//! merge, folded over a carry's sources newest-first.
+//! The carry merge kernel of the g-COLA (and so of the basic COLA, its
+//! `g = 2, p = 0` case): one stable two-way merge, folded over a carry's
+//! sources newest-first.
 //!
 //! A carry into level `t` merges the new run, levels `0..t` and the
 //! target's own run. Folding them pairwise — `((run ⋈ L0) ⋈ L1) ⋈ …`,
@@ -9,13 +10,11 @@
 //! geometrically, so the fold copies `Σ size_j·(t−j) ≤ total·g/(g−1)`
 //! cells at one compare each, against a heap's `O(log k)` sifts per cell.
 //!
-//! The calling structure picks what a step keeps by the method it feeds.
 //! [`Step::push`] drops a source cell whose key the cell just written
 //! carries — the newer run's, or the source's own in a level written
 //! before this rule — so the output is cell-for-cell a k-way merge *of the
 //! newest version of each key*, and [`MergeBuf::drop_tombstones`] ends a
-//! fold nothing older lies beneath. [`Step::push_all`] keeps every cell:
-//! the basic COLA's levels are exactly full or empty.
+//! fold nothing older lies beneath.
 //!
 //! The fold runs in place. Source sizes are known up front, so the run
 //! so far sits right-justified in a buffer of their sum and each older
@@ -55,8 +54,6 @@ fn recycle<T>(v: &mut Vec<T>) {
 /// stays initialized to its full length, so steps index instead of push.
 #[derive(Debug, Default)]
 pub(crate) struct MergeBuf {
-    /// One source's cells, read whole before they are fed to a step.
-    pub(crate) staged: Vec<Cell>,
     /// Lookahead samples `(key, position)` for the level being rewritten.
     pub(crate) las: Vec<(u64, u64)>,
     /// The samples that rewrite takes of itself, for the level below.
@@ -121,7 +118,6 @@ impl MergeBuf {
 
     /// Ends a carry: gives back whatever outgrew the bound.
     pub(crate) fn release(&mut self) {
-        recycle(&mut self.staged);
         recycle(&mut self.las);
         recycle(&mut self.down);
         if self.buf.len() > RETAIN_CELLS {
@@ -165,14 +161,6 @@ impl Step<'_> {
         self.buf[self.w] = *cell;
         self.w += 1;
     }
-
-    /// The source's next cell, kept whatever the run holds.
-    #[inline]
-    pub(crate) fn push_all(&mut self, cell: &Cell) {
-        self.advance(cell.key);
-        self.buf[self.w] = *cell;
-        self.w += 1;
-    }
 }
 
 #[cfg(test)]
@@ -180,7 +168,6 @@ impl MergeBuf {
     /// The largest capacity, in elements, any scratch buffer holds.
     pub(crate) fn retained(&self) -> usize {
         let caps = [
-            self.staged.capacity(),
             self.las.capacity(),
             self.down.capacity(),
             self.buf.capacity(),
@@ -337,19 +324,30 @@ mod tests {
             .collect()
     }
 
-    /// The basic COLA's path: every cell of every source survives.
+    /// The oracle's merge is a stable sort of the sources, newest first;
+    /// where no key repeats, the fold is that same sort and drops nothing.
     #[test]
     fn fold_is_a_stable_sort_of_the_sources_newest_first() {
         let mut buf = MergeBuf::default();
         check_cases("fold_stable", 500, |rng| {
-            let sources = sources(rng);
+            let mut sources = sources(rng);
             let mut want: Vec<Cell> = sources.concat();
             want.sort_by_key(|c| c.key); // stable: ties keep source order
             assert_eq!(oracle::heap_merge(&sources), want, "the oracle itself");
 
+            // Source j's key k becomes 8k + j, so no key repeats.
+            for (j, src) in sources.iter_mut().enumerate() {
+                let j = j as u64;
+                for c in src.iter_mut() {
+                    c.key = c.key.checked_mul(8).map_or(u64::MAX - j, |k| k + j);
+                }
+                src.dedup_by_key(|c| c.key);
+            }
+            let mut want: Vec<Cell> = sources.concat();
+            want.sort_by_key(|c| c.key);
             buf.begin(&sources[0], want.len());
             for src in &sources[1..] {
-                buf.step(src.len(), |s| src.iter().for_each(|c| s.push_all(c)));
+                buf.step(src.len(), |s| src.iter().for_each(|c| s.push(c)));
             }
             assert_eq!(buf.run(), want);
             assert_eq!(buf.dropped, 0);
@@ -357,9 +355,9 @@ mod tests {
         });
     }
 
-    /// The g-COLA's path: the first cell of each key in that same order,
-    /// also when an older source repeats a key itself (a level written
-    /// before carries dropped anything), and then no tombstone.
+    /// The first cell of each key in that same order, also when an older
+    /// source repeats a key itself (a level written before carries
+    /// dropped anything), and then no tombstone.
     #[test]
     fn push_keeps_the_newest_version_of_each_key() {
         let mut buf = MergeBuf::default();
@@ -417,20 +415,17 @@ mod tests {
             .map(|k| Cell::item(k, k))
             .collect();
         buf.begin(&big[..10], big.len());
-        buf.step(big.len() - 10, |s| {
-            big[10..].iter().for_each(|c| s.push_all(c))
-        });
+        buf.step(big.len() - 10, |s| big[10..].iter().for_each(|c| s.push(c)));
         assert_eq!(buf.run().len(), big.len());
-        buf.staged.extend_from_slice(&big);
         buf.las.resize(2 * RETAIN_CELLS, (0, 0));
         buf.down.resize(2 * RETAIN_CELLS, (0, 0));
         buf.release();
         assert!(buf.retained() <= RETAIN_CELLS);
         // The retained buffer still serves a carry within the bound.
         buf.begin(&big[..3], 5);
-        buf.step(2, |s| big[1..3].iter().for_each(|c| s.push_all(c)));
+        buf.step(2, |s| big[3..5].iter().for_each(|c| s.push(c)));
         let keys: Vec<u64> = buf.run().iter().map(|c| c.key).collect();
-        assert_eq!(keys, [0, 1, 1, 2, 2]);
+        assert_eq!(keys, [0, 1, 2, 3, 4]);
     }
 
     #[test]

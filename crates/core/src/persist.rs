@@ -45,7 +45,9 @@ pub trait Persist {
     fn save_meta(&mut self) -> Vec<u8>;
 }
 
-/// Structure tag of [`crate::BasicCola`] metadata.
+/// Structure tag of the basic COLA's own metadata format, which
+/// [`crate::GCola::from_parts`] still reads: the basic COLA is now
+/// [`crate::GCola::basic`] and writes [`TAG_GCOLA`].
 pub const TAG_BASIC_COLA: u8 = 1;
 /// Structure tag of [`crate::GCola`] metadata.
 pub const TAG_GCOLA: u8 = 2;

@@ -1,6 +1,6 @@
 //! A level is a run: what a point lookup, a cursor seek, a reopen and an
 //! invariant check do with *one* sorted run of cells, written once for
-//! all four COLAs. Each structure keeps what is its own — geometry,
+//! all three COLAs. Each structure keeps what is its own — geometry,
 //! which runs are visible in which order, merge policy — and hands its
 //! runs here. DESIGN.md ("One run, one probe") has the window contract,
 //! the two search counters and the fence rule these methods share.
@@ -106,29 +106,24 @@ impl<'a> Run<'a> {
     /// real cell carrying `key`, the run's newest version, if any.
     ///
     /// The walk to that cell passes redundant cells of the same key and
-    /// stops at the first other key. It covers the window and up to
-    /// `past_window` cells beyond: a clamp may end among the key's cells
-    /// (pass `usize::MAX`, to the run's end), the ghost window alone
-    /// holds them all (0 spares reading the cell that ends it). Every
-    /// cell read counts once in `cells_scanned`.
+    /// stops at the first other key, or at the run's end: a clamp may end
+    /// among the key's cells, ahead of its real one. Every cell read
+    /// counts once in `cells_scanned`.
     #[inline]
     pub fn find<M: Mem<Cell>>(
         &self,
         mem: &M,
         key: u64,
         clamp: Option<(usize, usize)>,
-        past_window: usize,
         stats: &mut ColaStats,
     ) -> Option<(usize, Option<Cell>)> {
         if self.sample().is_some_and(|aux| !aux.may_contain(key)) {
             stats.filter_skips += 1;
             return None;
         }
-        let (lo, hi) = self.window(key, clamp);
-        let (ins, reads) = self.bisect(mem, (lo, hi), |k| k < key);
+        let (ins, reads) = self.bisect(mem, self.window(key, clamp), |k| k < key);
         stats.cells_scanned += reads;
-        let end = hi.saturating_add(past_window).min(self.len);
-        for i in ins..end {
+        for i in ins..self.len {
             let c = mem.get(self.base + i);
             stats.cells_scanned += 1;
             if c.key != key {
@@ -208,16 +203,14 @@ impl<'a> Run<'a> {
 /// The point lookup of a structure whose visible runs are independent of
 /// one another: probes `runs` — visible, newest first — until one holds
 /// `key`, and answers with that version (`None` for a tombstone).
-/// `past_window` is [`Run::find`]'s.
 #[inline]
 pub(crate) fn lookup<'a, M: Mem<Cell>>(
     mem: &M,
     stats: &mut ColaStats,
     mut runs: impl Iterator<Item = Run<'a>>,
     key: u64,
-    past_window: usize,
 ) -> Option<u64> {
     stats.searches += 1;
-    runs.find_map(|run| run.find(mem, key, None, past_window, stats)?.1)?
+    runs.find_map(|run| run.find(mem, key, None, stats)?.1)?
         .as_lookup()
 }

@@ -12,8 +12,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
-use cosbt_dam::{ArcFileMem, CrashDev, FileMem};
+use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_dam::{ArcFileMem, CrashDev, FileMem, PlainMem};
 
 struct Counting;
 
@@ -135,7 +135,7 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
         let calls = CALLS.load(Ordering::Relaxed) - calls;
         assert_eq!(calls, 0, "{name}: 1,000 gets made {calls} allocator calls");
     };
-    gets_allocate_nothing("basic COLA", &mut BasicCola::new_plain());
+    gets_allocate_nothing("basic COLA", &mut GCola::basic(PlainMem::new()));
     gets_allocate_nothing("4-COLA", &mut GCola::new_plain(4));
     gets_allocate_nothing("deamortized basic COLA", &mut DeamortBasicCola::new_plain());
     gets_allocate_nothing("deamortized COLA", &mut DeamortCola::new_plain());
@@ -190,7 +190,7 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
         (6000, 1_317_648),
     ];
     let opened = [
-        scans("basic COLA", &mut BasicCola::new_plain()),
+        scans("basic COLA", &mut GCola::basic(PlainMem::new())),
         scans("4-COLA", &mut GCola::new_plain(4)),
         scans("deamortized basic COLA", &mut DeamortBasicCola::new_plain()),
         scans("deamortized COLA", &mut DeamortCola::new_plain()),
@@ -201,7 +201,7 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
             "1,000 opens made (calls, bytes) {now:?}, {was:?} before windows"
         );
     }
-    scans("basic COLA on a file", &mut BasicCola::new(file()));
+    scans("basic COLA on a file", &mut GCola::basic(file()));
     scans("4-COLA on a file", &mut GCola::new(file(), 4, 0.1));
     scans(
         "deamortized basic COLA on a file",

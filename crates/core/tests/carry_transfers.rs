@@ -12,8 +12,8 @@
 //! 2. **Golden ingest counts.** A fixed seed and structure pin all six
 //!    `IoStats` fields of a 2^13-insert stream, in debug and release
 //!    alike: duplicate-free and overwrite-heavy for the g-COLA, whose
-//!    carry keeps one version per key, and duplicate-free for the
-//!    deamortized variants. A change that moves them changed the carry's
+//!    carry keeps one version per key — the basic COLA (g = 2, p = 0)
+//!    among its rows — and duplicate-free for the deamortized variants. A change that moves them changed the carry's
 //!    I/O and must update the goldens consciously.
 
 use cosbt_core::entry::Cell;
@@ -181,6 +181,13 @@ fn golden_ingest_iostats() {
         golden(217545, 207471, 10074, 10068, 6700, 653),
         "4-COLA"
     );
+    // The basic COLA's own engine, an in-array merge of two levels at a
+    // time, cost 8,734 fetches, 5,352 writebacks and 555 seeks here.
+    assert_eq!(
+        gcola(2, 0.0),
+        golden(131072, 125414, 5658, 5652, 3830, 285),
+        "basic COLA"
+    );
 }
 
 /// The same 2^13 inserts drawn from 2^10 keys: every key is overwritten
@@ -209,6 +216,13 @@ fn golden_overwrite_ingest_iostats() {
         gcola(4, 0.1),
         golden(146295, 140607, 5688, 5682, 3196, 689),
         "4-COLA"
+    );
+    // The basic COLA's own engine kept every version: 8,745 fetches,
+    // 5,360 writebacks and 552 seeks, for 8,192 stored cells.
+    assert_eq!(
+        gcola(2, 0.0),
+        golden(98336, 94630, 3706, 3700, 2376, 329),
+        "basic COLA"
     );
 }
 

@@ -13,7 +13,7 @@
 //!    behaviour and must update the goldens consciously.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
 use cosbt_dam::{new_shared_sim, CacheConfig, SharedSim, SimMem};
 
 const BLOCK: usize = 4096;
@@ -53,7 +53,7 @@ fn fetches(sim: &SharedSim) -> u64 {
 fn filtered_misses_read_zero_pages() {
     type Build = fn(SimMem<Cell>) -> Box<dyn Dictionary>;
     let builds: [(&str, Build); 4] = [
-        ("basic", |m| Box::new(BasicCola::new(m))),
+        ("basic", |m| Box::new(GCola::basic(m))),
         ("gcola", |m| Box::new(GCola::new(m, 2, 0.125))),
         ("deamort-basic", |m| Box::new(DeamortBasicCola::new(m))),
         ("deamort-gcola", |m| Box::new(DeamortCola::new(m))),
@@ -127,10 +127,10 @@ fn golden_get_phase_fetch_counts() {
     let gcola_off = run(GCola::new(mem, 2, 0.125), &sim, GCola::get_plain);
 
     let (sim, mem) = sim_and_mem(8);
-    let basic_on = run(BasicCola::new(mem), &sim, BasicCola::get);
+    let basic_on = run(GCola::basic(mem), &sim, GCola::get);
 
     let (sim, mem) = sim_and_mem(8);
-    let basic_off = run(BasicCola::new(mem), &sim, BasicCola::get_plain);
+    let basic_off = run(GCola::basic(mem), &sim, GCola::get_plain);
 
     let (sim, mem) = sim_and_mem(8);
     let deamort_basic = run(DeamortBasicCola::new(mem), &sim, DeamortBasicCola::get);

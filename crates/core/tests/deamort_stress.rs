@@ -2,7 +2,8 @@
 //! Lemma 21 / Lemma 23 guarantees under long mixed workloads, pause/burst
 //! patterns, and query storms between inserts.
 
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary};
+use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_dam::PlainMem;
 
 #[test]
 fn long_run_no_adjacent_unsafe_and_budget_holds() {
@@ -70,8 +71,7 @@ fn burst_then_idle_then_burst() {
 
 #[test]
 fn deamortized_matches_amortized_content_forever() {
-    use cosbt_core::BasicCola;
-    let mut a = BasicCola::new_plain();
+    let mut a = GCola::basic(PlainMem::new());
     let mut db = DeamortBasicCola::new_plain();
     let mut dc = DeamortCola::new_plain();
     let mut x = 17u64;
@@ -99,12 +99,11 @@ fn deamortized_matches_amortized_content_forever() {
 fn worst_case_stays_flat_while_amortized_spikes_grow() {
     // As N doubles, the amortized worst case doubles (full merges) while
     // the deamortized worst case grows only logarithmically.
-    use cosbt_core::BasicCola;
     let mut last_amort_worst = 0;
     let mut last_deamort_worst = 0;
     for exp in [12u32, 14, 16] {
         let n = 1u64 << exp;
-        let mut a = BasicCola::new_plain();
+        let mut a = GCola::basic(PlainMem::new());
         let mut d = DeamortBasicCola::new_plain();
         for i in 0..n {
             a.insert(i, i);

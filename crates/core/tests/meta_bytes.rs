@@ -11,7 +11,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::Shared;
-use cosbt_core::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist};
 use cosbt_testkit::Rng;
 
 const OPS: usize = 6000;
@@ -72,7 +72,7 @@ fn pinned<D: Dictionary + Persist>(
 
 #[test]
 fn stored_control_state_is_byte_identical() {
-    pinned("basic COLA", BasicCola::new, BasicCola::from_parts, BASIC);
+    pinned("basic COLA", GCola::basic, GCola::from_parts, BASIC);
     pinned(
         "4-COLA",
         |m| GCola::new(m, 4, 0.1),
@@ -94,7 +94,10 @@ fn stored_control_state_is_byte_identical() {
 }
 
 // (length, FNV-1a) of `save_meta()` after `stream`, recorded at ff2d039.
-const BASIC: (usize, u64) = (143, 0x3731_646a_d6bd_04ff);
+// `BASIC` was re-recorded when the basic COLA became the g-COLA at g = 2,
+// p = 0: it pins the g-COLA format that `GCola::basic` writes, and the
+// basic COLA's own format, still read, is pinned by a fixture in gcola.rs.
+const BASIC: (usize, u64) = (818, 0x9ea3_64b1_94fe_5df2);
 const GCOLA: (usize, u64) = (482, 0x629c_74d6_dade_48b9);
 const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
 const DEAMORT: (usize, u64) = (1870, 0x5133_1371_4425_40ff);

@@ -17,9 +17,7 @@
 mod common;
 
 use common::Shared;
-use cosbt_core::{
-    BasicCola, Cell, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist,
-};
+use cosbt_core::{Cell, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist};
 use cosbt_dam::{Mem, PlainMem};
 
 /// What the table needs of a reopened structure.
@@ -36,7 +34,7 @@ macro_rules! reopened {
         }
     )*};
 }
-reopened!(BasicCola, GCola, DeamortBasicCola, DeamortCola);
+reopened!(GCola, DeamortBasicCola, DeamortCola);
 
 type Reopen = Result<Box<dyn Reopened>, MetaError>;
 
@@ -52,8 +50,8 @@ impl<D: Dictionary + Persist> Persisted for D {}
 const CASES: [Case; 4] = [
     Case {
         name: "basic COLA",
-        new: |m| Box::new(BasicCola::new(m)),
-        from_parts: |m, meta| Ok(Box::new(BasicCola::from_parts(m, meta)?)),
+        new: |m| Box::new(GCola::basic(m)),
+        from_parts: |m, meta| Ok(Box::new(GCola::from_parts(m, meta)?)),
     },
     Case {
         name: "4-COLA",

@@ -35,13 +35,13 @@ use cosbt_core::persist::{
     TAG_GCOLA,
 };
 use cosbt_core::{
-    BasicCola, Cursor, DeamortBasicCola, DeamortCola, Dictionary, EpochStats, GCola, MetaError,
-    UpdateBatch, WorkerPool,
+    Cursor, DeamortBasicCola, DeamortCola, Dictionary, EpochStats, GCola, MetaError, UpdateBatch,
+    WorkerPool,
 };
 use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
-    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, PageStore as _, SharedStore,
-    DEFAULT_PAGE_SIZE,
+    ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, Mem, PageStore as _,
+    PlainMem, SharedStore, DEFAULT_PAGE_SIZE,
 };
 use cosbt_shuttle::ShuttleTree;
 
@@ -51,7 +51,11 @@ use crate::snapshot::{DbReader, DbSnapshot, MvccState};
 /// Which data structure a [`DbBuilder`] instantiates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Structure {
-    /// Section 3's basic COLA (no lookahead pointers).
+    /// Section 3's basic COLA: the g-COLA at growth factor 2 with no
+    /// lookahead pointers ([`GCola::basic`]), so its levels are the
+    /// paper's `2^k`-slot arrays and the pointer density is ignored. It
+    /// keeps its own identity in a shard manifest, and it opens a store
+    /// written in the basic COLA's earlier format.
     BasicCola,
     /// Section 4's lookahead array with growth factor `g` (the paper's
     /// experimental structure; `g = 2` is the COLA of Lemma 20).
@@ -617,8 +621,10 @@ impl DbBuilder {
     /// Requests the worst-case-bounded variant: [`Structure::BasicCola`]
     /// becomes the two-array deamortization of Theorem 22 and
     /// [`Structure::GCola`] the three-array shadow/visible deamortization
-    /// of Theorem 24 (which fixes growth factor 2). Tree structures have
-    /// no deamortized variant and fail at build.
+    /// of Theorem 24 (which fixes growth factor 2). Both are engines of
+    /// their own, not the g-COLA's carry, so they keep every version of
+    /// a key until `compact`. Tree structures have no deamortized variant
+    /// and fail at build.
     pub fn deamortized(mut self) -> DbBuilder {
         self.cfg.deamortized = true;
         self
@@ -1057,13 +1063,16 @@ impl DbBuilder {
             .unwrap_or(false);
         let cache_pages = self.cache_pages();
         let (expected_tag, _) = self.structure_identity();
+        // The basic COLA writes the g-COLA's meta; a store its own engine
+        // wrote still carries the basic tag.
+        let basic = self.cfg.structure == Structure::BasicCola && !self.cfg.deamortized;
         let meta_err = |source: MetaError| OpenError::Meta {
             path: path.clone(),
             source,
         };
         let check = |found_meta: &[u8]| -> Result<(), OpenError> {
             match peek_tag(found_meta) {
-                Some(tag) if tag == expected_tag => Ok(()),
+                Some(tag) if tag == expected_tag || (basic && tag == TAG_GCOLA) => Ok(()),
                 Some(tag) => Err(OpenError::StructureMismatch {
                     path: path.clone(),
                     found: tag_name(tag).to_string(),
@@ -1102,29 +1111,7 @@ impl DbBuilder {
                 self.check_page_size(&path, store.pages().page_size())?;
                 check(&meta)?;
                 let mem = ArcFileMem::new(store);
-                let dict: Shard = match (self.cfg.structure, self.cfg.deamortized) {
-                    (Structure::BasicCola, false) => {
-                        Box::new(BasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?)
-                    }
-                    (Structure::BasicCola, true) => Box::new(
-                        DeamortBasicCola::from_parts(mem.clone(), &meta).map_err(meta_err)?,
-                    ),
-                    (Structure::GCola { g }, false) => {
-                        let cola = GCola::from_parts(mem.clone(), &meta).map_err(meta_err)?;
-                        if cola.growth() != g {
-                            return Err(OpenError::StructureMismatch {
-                                path,
-                                found: format!("{}-COLA", cola.growth()),
-                                expected: format!("{g}-COLA"),
-                            });
-                        }
-                        Box::new(cola)
-                    }
-                    (Structure::GCola { .. }, true) => {
-                        Box::new(DeamortCola::from_parts(mem.clone(), &meta).map_err(meta_err)?)
-                    }
-                    _ => unreachable!(),
-                };
+                let dict = self.cola_shard(mem.clone(), Some((&meta, &path)))?;
                 Ok((dict, mem.erased()))
             }
         }
@@ -1182,6 +1169,57 @@ impl DbBuilder {
         }
     }
 
+    /// The COLA-family shard this configuration keeps in `mem`: a fresh
+    /// one, or, given the meta committed in a file and that file's path,
+    /// the one the meta describes. The basic COLA is [`GCola::basic`]: it
+    /// reopens a g-COLA of growth factor 2 and pointer density 0, or a
+    /// store in the basic COLA's own earlier format, which
+    /// [`GCola::from_parts`] reads as those very levels. A g-COLA
+    /// reopens with the growth factor asked for.
+    fn cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
+        &self,
+        mem: M,
+        opened: Option<(&[u8], &Path)>,
+    ) -> Result<Shard, OpenError> {
+        let path = || opened.map_or_else(PathBuf::new, |(_, path)| path.to_path_buf());
+        let meta_err = |source| OpenError::Meta {
+            path: path(),
+            source,
+        };
+        let (structure, density) = (self.cfg.structure, self.cfg.pointer_density);
+        let meta = opened.map(|(meta, _)| meta);
+        let cola = match (structure, self.cfg.deamortized, meta) {
+            (Structure::BasicCola, true, None) => return Ok(Box::new(DeamortBasicCola::new(mem))),
+            (Structure::BasicCola, true, Some(meta)) => {
+                return Ok(Box::new(
+                    DeamortBasicCola::from_parts(mem, meta).map_err(meta_err)?,
+                ))
+            }
+            (_, true, None) => return Ok(Box::new(DeamortCola::new(mem))),
+            (_, true, Some(meta)) => {
+                return Ok(Box::new(
+                    DeamortCola::from_parts(mem, meta).map_err(meta_err)?,
+                ))
+            }
+            (Structure::GCola { g }, false, None) => GCola::new(mem, g, density),
+            (_, false, None) => GCola::basic(mem),
+            (_, false, Some(meta)) => GCola::from_parts(mem, meta).map_err(meta_err)?,
+        };
+        let (g, p) = (cola.growth(), cola.pointer_density());
+        let fits = match structure {
+            Structure::GCola { g: want } => g == want,
+            _ => (g, p) == (2, 0.0),
+        };
+        if !fits {
+            return Err(OpenError::StructureMismatch {
+                path: path(),
+                found: format!("{g}-COLA, pointer density {p}"),
+                expected: self.label(),
+            });
+        }
+        Ok(Box::new(cola))
+    }
+
     /// Builds shard `idx` of [`DbBuilder::shards`] (the whole dictionary
     /// when unsharded): one structure instance plus, for file backends,
     /// the I/O handle of its backing store.
@@ -1192,16 +1230,9 @@ impl DbBuilder {
     ) -> Result<(Shard, Option<StoreHandle>), BuildError> {
         let cache_pages = self.cache_pages();
         match (&self.cfg.backend, self.cfg.structure) {
-            (Backend::Mem, Structure::BasicCola) if self.cfg.deamortized => {
-                Ok((Box::new(DeamortBasicCola::new_plain()), None))
-            }
-            (Backend::Mem, Structure::BasicCola) => Ok((Box::new(BasicCola::new_plain()), None)),
-            (Backend::Mem, Structure::GCola { .. }) if self.cfg.deamortized => {
-                Ok((Box::new(DeamortCola::new_plain()), None))
-            }
-            (Backend::Mem, Structure::GCola { g }) => {
-                let c = GCola::new(cosbt_dam::PlainMem::new(), g, self.cfg.pointer_density);
-                Ok((Box::new(c), None))
+            (Backend::Mem, Structure::BasicCola | Structure::GCola { .. }) => {
+                let dict = self.cola_shard(PlainMem::new(), None);
+                Ok((dict.map_err(|e| unsupported(&e.to_string()))?, None))
             }
             (Backend::Mem, Structure::BTree) => Ok((Box::new(BTree::new_plain()), None)),
             (Backend::Mem, Structure::Brt) => Ok((Box::new(Brt::new_plain()), None)),
@@ -1237,19 +1268,8 @@ impl DbBuilder {
                             32,
                             self.cfg.meta_slot_bytes,
                         )?);
-                        let dict: Shard = match (structure, self.cfg.deamortized) {
-                            (Structure::BasicCola, false) => Box::new(BasicCola::new(mem.clone())),
-                            (Structure::BasicCola, true) => {
-                                Box::new(DeamortBasicCola::new(mem.clone()))
-                            }
-                            (Structure::GCola { g }, false) => {
-                                Box::new(GCola::new(mem.clone(), g, self.cfg.pointer_density))
-                            }
-                            (Structure::GCola { .. }, true) => {
-                                Box::new(DeamortCola::new(mem.clone()))
-                            }
-                            _ => unreachable!(),
-                        };
+                        let dict = self.cola_shard(mem.clone(), None);
+                        let dict = dict.map_err(|e| unsupported(&e.to_string()))?;
                         Ok((dict, Some(mem.erased())))
                     }
                 }

@@ -282,7 +282,8 @@ impl Dictionary for ShardRouter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosbt_core::{BasicCola, GCola};
+    use cosbt_core::GCola;
+    use cosbt_dam::PlainMem;
 
     fn router(n: usize, parallel: bool) -> ShardRouter {
         let shards: Vec<Shard> = (0..n)
@@ -385,7 +386,7 @@ mod tests {
     #[test]
     fn mixed_structures_per_shard() {
         let shards: Vec<Shard> = vec![
-            Box::new(BasicCola::new_plain()),
+            Box::new(GCola::basic(PlainMem::new())),
             Box::new(GCola::new_plain(2)),
         ];
         let mut r = ShardRouter::new(shards, vec![100], false);

@@ -191,7 +191,7 @@ macro_rules! conformance {
 }
 
 conformance! {
-    basic_cola    => cosbt::cola::BasicCola::new_plain();
+    basic_cola    => cosbt::cola::GCola::basic(cosbt::dam::PlainMem::new());
     gcola2        => cosbt::cola::GCola::new_plain(2);
     gcola4        => cosbt::cola::GCola::new_plain(4);
     gcola8        => cosbt::cola::GCola::new_plain(8);

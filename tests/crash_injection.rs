@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use cosbt::cola::entry::Cell;
-use cosbt::cola::{BasicCola, DeamortBasicCola, DeamortCola, GCola, MetaError};
+use cosbt::cola::{DeamortBasicCola, DeamortCola, GCola, MetaError};
 use cosbt::dam::dev::CrashDev;
 use cosbt::dam::format::KIND_PAGES;
 use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, OpenError};
@@ -207,8 +207,8 @@ fn page_crash_test(
 
 #[test]
 fn basic_cola_survives_crashes() {
-    mem_crash_test("basic-COLA", &|s| Box::new(BasicCola::new(s)), &|s, m| {
-        Ok(Box::new(BasicCola::from_parts(s, m)?))
+    mem_crash_test("basic-COLA", &|s| Box::new(GCola::basic(s)), &|s, m| {
+        Ok(Box::new(GCola::from_parts(s, m)?))
     });
 }
 
@@ -371,9 +371,7 @@ where
 
 #[test]
 fn corrupt_cascade_fences_are_rejected_by_every_variant() {
-    corrupt_fence_case("basic-COLA", BasicCola::new, |s, m| {
-        BasicCola::from_parts(s, m)
-    });
+    corrupt_fence_case("basic-COLA", GCola::basic, GCola::from_parts);
     corrupt_fence_case("4-COLA", |s| GCola::new(s, 4, 0.1), GCola::from_parts);
     corrupt_fence_case("deamortized-basic-COLA", DeamortBasicCola::new, |s, m| {
         DeamortBasicCola::from_parts(s, m)

@@ -7,12 +7,13 @@ use std::collections::BTreeMap;
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::dam::PlainMem;
 use cosbt::shuttle::ShuttleTree;
 
 fn dicts() -> Vec<Box<dyn Dictionary>> {
     vec![
-        Box::new(BasicCola::new_plain()),
+        Box::new(GCola::basic(PlainMem::new())),
         Box::new(GCola::new_plain(2)),
         Box::new(GCola::new_plain(4)),
         Box::new(GCola::new_plain(8)),

@@ -6,7 +6,7 @@
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{BasicCola, Cell, Dictionary, GCola};
+use cosbt::cola::{Cell, Dictionary, GCola};
 use cosbt::dam::{new_shared_sim, CacheConfig, SimMem, SimPages};
 
 // N - 1 keys keeps every COLA level occupied (N = 2^k is the
@@ -89,7 +89,7 @@ fn search_cost_ordering_matches_theory() {
     let mut cola = GCola::new(mem, 2, 0.125);
     let sim_b = new_shared_sim(CacheConfig::new(block, 8));
     let memb: SimMem<Cell> = SimMem::with_elem_bytes(sim_b.clone(), 32);
-    let mut basic = BasicCola::new(memb);
+    let mut basic = GCola::basic(memb);
     for (i, &k) in keys().iter().enumerate() {
         bt.insert(k, i as u64);
         cola.insert(k, i as u64);

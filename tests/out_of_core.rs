@@ -5,7 +5,7 @@
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{BasicCola, Cell, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{Cell, DeamortCola, Dictionary, GCola};
 use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, DEFAULT_PAGE_SIZE};
 use cosbt_testkit::TempPath;
 
@@ -43,7 +43,7 @@ fn basic_cola_out_of_core() {
     let path = TempPath::new("ooc-basic");
     let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
     let handle = mem.clone();
-    let mut d = BasicCola::new(mem);
+    let mut d = GCola::basic(mem);
     run_file_backed("basic-COLA", &mut d, &|| handle.drop_cache().unwrap());
 }
 

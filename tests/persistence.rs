@@ -293,6 +293,27 @@ fn structure_mismatch_is_typed_and_nondestructive() {
         .unwrap_err();
     assert!(matches!(&err, OpenError::StructureMismatch { .. }), "{err}");
 
+    // The basic COLA is the 2-COLA without lookahead pointers: a 2-COLA
+    // that has them is not one.
+    let p_path = tmp("structure-p");
+    let mut db = DbBuilder::new()
+        .structure(Structure::GCola { g: 2 })
+        .pointer_density(0.1)
+        .backend(Backend::file(p_path.to_path_buf()))
+        .build()
+        .unwrap();
+    db.insert(1, 1);
+    db.sync().unwrap();
+    drop(db);
+    let p_before = std::fs::read(&p_path).unwrap();
+    let err = DbBuilder::new()
+        .structure(Structure::BasicCola)
+        .backend(Backend::file(p_path.to_path_buf()))
+        .open()
+        .unwrap_err();
+    assert!(matches!(&err, OpenError::StructureMismatch { .. }), "{err}");
+    assert_eq!(std::fs::read(&p_path).unwrap(), p_before);
+
     // A page store (B-tree) opened as an element array (COLA) is caught
     // one layer down, still typed, still nondestructive.
     let bt_path = tmp("structure-bt");

@@ -9,7 +9,8 @@ use std::collections::BTreeMap;
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{BasicCola, DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::dam::PlainMem;
 use cosbt::shuttle::ShuttleTree;
 use cosbt::testkit::{check_cases, Rng};
 use cosbt::UpdateBatch;
@@ -142,7 +143,7 @@ macro_rules! dict_props {
     };
 }
 
-dict_props!(basic_cola_matches_model, 64, BasicCola::new_plain());
+dict_props!(basic_cola_matches_model, 64, GCola::basic(PlainMem::new()));
 dict_props!(gcola2_matches_model, 64, GCola::new_plain(2));
 dict_props!(gcola4_matches_model, 64, GCola::new_plain(4));
 dict_props!(gcola_dense_pointers_matches_model, 64, {
@@ -166,7 +167,7 @@ fn invariants_after_bursts() {
     check_cases("invariants_after_bursts", 32, |rng: &mut Rng| {
         let len = 1 + rng.index(1999);
         let keys = rng.vec_u64(len);
-        let mut basic = BasicCola::new_plain();
+        let mut basic = GCola::basic(PlainMem::new());
         let mut g = GCola::new_plain(4);
         let mut db = DeamortBasicCola::new_plain();
         let mut dc = DeamortCola::new_plain();
@@ -193,7 +194,7 @@ fn invariants_after_bursts() {
 #[test]
 fn invariants_after_batched_bursts() {
     check_cases("invariants_after_batched_bursts", 32, |rng: &mut Rng| {
-        let mut basic = BasicCola::new_plain();
+        let mut basic = GCola::basic(PlainMem::new());
         let mut g = GCola::new_plain(4);
         let rounds = 1 + rng.index(12);
         for r in 0..rounds {

@@ -1,6 +1,7 @@
 //! Micro-benchmarks: raw in-memory operation throughput of every
-//! dictionary in the workspace, and of the per-level filter and ghost
-//! window under the COLAs' lookups, for quick regression tracking. (The
+//! dictionary in the workspace, of the per-level filter and ghost
+//! window under the COLAs' lookups, and of a `DbReader` point read over
+//! a deep snapshot run stack, for quick regression tracking. (The
 //! paper's figures are regenerated by the other bench targets and the
 //! `figures` binary; these are engineering benchmarks.)
 //!
@@ -14,7 +15,7 @@ use cosbt::{Backend, Db, DbBuilder, Structure};
 use cosbt_bench::{random_keys, scaled, search_probes};
 use cosbt_core::cascade::build_aux;
 use cosbt_core::entry::Cell;
-use cosbt_core::LevelFilter;
+use cosbt_core::{LevelFilter, Probe};
 
 /// Every unsharded cell of the shared configuration matrix — the same
 /// list the conformance battery and the scenario harness enumerate.
@@ -111,6 +112,7 @@ fn main() {
     d.discard_on_drop();
 
     aux_probe();
+    snapshot_get();
 }
 
 /// The DRAM half of a level probe, below every structure: the filter's
@@ -138,12 +140,12 @@ fn aux_probe() {
         black_box(&filter);
         done("insert", t);
 
-        for (what, probes) in [("may_contain hit", &keys), ("may_contain miss", &absent)] {
+        for (what, probes) in [("contains hit", &keys), ("contains miss", &absent)] {
             let t = Instant::now();
             let mut yes = 0u64;
             for _ in 0..reps {
                 for &k in probes {
-                    yes += filter.may_contain(black_box(k)) as u64;
+                    yes += filter.contains(&Probe::new(black_box(k))) as u64;
                 }
             }
             black_box(yes);
@@ -164,6 +166,56 @@ fn aux_probe() {
         }
         black_box(span);
         done("window", t);
+    }
+}
+
+/// `DbReader::get` on the deepest run stack a reader holds once
+/// `snapshot()` returns: a 65,536-entry base under seven 256-entry
+/// deltas (an eighth delta's publish would compact the stack). Rows: a
+/// key of the newest delta, a key only the base holds, and an absent
+/// key, each ~4 M calls in random key order.
+fn snapshot_get() {
+    const BASE: usize = 65_536;
+    const DELTA: usize = 256;
+    const DELTAS: usize = 7;
+    let keys = random_keys((2 * BASE + DELTAS * DELTA) as u64, 0x5A9);
+    let (base, rest) = keys.split_at(BASE);
+    let (deltas, absent) = rest.split_at(DELTAS * DELTA);
+    let mut db = DbBuilder::new().build().unwrap();
+    for &k in base {
+        db.insert(k, k);
+    }
+    let mut reader = db.reader();
+    for delta in deltas.chunks(DELTA) {
+        for &k in delta {
+            db.insert(k, k);
+        }
+        db.snapshot();
+    }
+    let newest = &deltas[(DELTAS - 1) * DELTA..];
+    assert_eq!(reader.get(newest[0]), Some(newest[0]));
+    let runs = reader.pin().run_count();
+    assert_eq!(runs, 1 + DELTAS, "the stack compacted");
+
+    let calls = 1u64 << 22;
+    for (what, probes, hits) in [
+        ("newest delta hit", newest, true),
+        ("base-only hit", base, true),
+        ("absent", absent, false),
+    ] {
+        let t = Instant::now();
+        let mut found = 0u64;
+        for &k in probes.iter().cycle().take(calls as usize) {
+            found += reader.get(black_box(k)).is_some() as u64;
+        }
+        let secs = t.elapsed().as_secs_f64();
+        assert_eq!(found, if hits { calls } else { 0 });
+        println!(
+            "{:<24} {:<24} {:>12.1} ns/call  ({runs} runs, {calls} calls in {secs:.3}s)",
+            "snapshot_get",
+            what,
+            secs * 1e9 / calls as f64
+        );
     }
 }
 

@@ -19,15 +19,17 @@
 //!    false negatives by construction, so skipping is always sound). One
 //!    `splitmix64` of the key picks a 32-byte block and one bit in each
 //!    of its eight words, so a probe reads one aligned block and
-//!    branches once;
+//!    branches once. The hash is taken once per lookup, as a [`Probe`]
+//!    every level's filter tests;
 //! 3. **ghosts** — one binary search over the keys of every 8th slot
 //!    (the slot is the sample's position times [`GHOST_STRIDE`], so only
 //!    the key is kept) brackets the run's candidate region to one
 //!    stride, so the run itself is probed in `O(1)` block transfers
 //!    instead of `O(log(run) / B)`.
 //!
-//! None of this changes the cell layout, so cursors, epoch-snapshot run
-//! stacks, and the on-disk format are unaffected; see DESIGN.md
+//! None of this changes the cell layout, so cursors and the on-disk
+//! format are unaffected; the epoch-snapshot runs on the heap carry the
+//! same [`LevelFilter`] and take the same [`Probe`]. See DESIGN.md
 //! ("Fractional cascading & filters") for the sizing rationale.
 //!
 //! A rewritten run's aux may be built into the buffers of the aux it
@@ -94,16 +96,48 @@ fn splitmix64(x: u64) -> u64 {
 #[repr(align(32))]
 struct Block([u32; BLOCK_WORDS]);
 
+/// A key hashed for the filters, once per lookup: the key, the high half
+/// of its `splitmix64` (which a filter of any size masks to pick the
+/// key's block) and the bit the low half gives it in each of a block's
+/// words. A lookup that probes many filters builds one and tests it
+/// against each.
+#[derive(Debug, Clone, Copy)]
+pub struct Probe {
+    key: u64,
+    block: usize,
+    bits: [u32; BLOCK_WORDS],
+}
+
+impl Probe {
+    /// Hashes `key`.
+    #[inline]
+    pub fn new(key: u64) -> Probe {
+        let h = splitmix64(key);
+        let lo = h as u32;
+        Probe {
+            key,
+            block: (h >> 32) as usize,
+            bits: SALT.map(|salt| 1 << (lo.wrapping_mul(salt) >> 27)),
+        }
+    }
+
+    /// The key hashed.
+    #[inline]
+    pub fn key(&self) -> u64 {
+        self.key
+    }
+}
+
 /// A split-block Bloom filter (Putze, Sanders & Singler's blocked
 /// filter, one bit per word) over a power-of-two number of 32-byte
 /// blocks.
 ///
-/// Membership is approximate one-sidedly: [`LevelFilter::may_contain`]
+/// Membership is approximate one-sidedly: [`LevelFilter::contains`]
 /// never returns `false` for an inserted key (no false negatives), and
 /// returns `true` for absent keys at under [`FILTER_TARGET_FP`]. One
-/// `splitmix64` per key: its high half picks the block, its low half
-/// times each word's salt picks that word's bit, so an insert or a probe
-/// touches one block and nothing else.
+/// `splitmix64` per key (a [`Probe`]): its high half picks the block,
+/// its low half times each word's salt picks that word's bit, so an
+/// insert or a probe touches one block and nothing else.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LevelFilter {
     /// Empty until sized: a filter nothing was inserted into.
@@ -129,34 +163,31 @@ impl LevelFilter {
         self.blocks.resize(blocks, Block::default());
     }
 
-    /// The key's block index and the bit it owns in each of the block's
-    /// words. The index is past the end of an unsized filter.
+    /// The probed key's block index; past the end of an unsized filter.
     #[inline]
-    fn locate(&self, key: u64) -> (usize, [u32; BLOCK_WORDS]) {
-        let h = splitmix64(key);
-        let block = (h >> 32) as usize & self.blocks.len().wrapping_sub(1);
-        let lo = h as u32;
-        (block, SALT.map(|salt| 1 << (lo.wrapping_mul(salt) >> 27)))
+    fn block_of(&self, probe: &Probe) -> usize {
+        probe.block & self.blocks.len().wrapping_sub(1)
     }
 
     /// Sets the key's bit in each word of its block.
     pub fn insert(&mut self, key: u64) {
-        let (block, bits) = self.locate(key);
-        for (word, bit) in self.blocks[block].0.iter_mut().zip(bits) {
+        let probe = Probe::new(key);
+        let block = self.block_of(&probe);
+        for (word, bit) in self.blocks[block].0.iter_mut().zip(probe.bits) {
             *word |= bit;
         }
     }
 
-    /// Whether the key may have been inserted. `false` is definitive.
-    /// All eight words are tested before the one branch on the result.
+    /// Whether the probed key may have been inserted. `false` is
+    /// definitive. All eight words are tested before the one branch on
+    /// the result.
     #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
-        let (block, bits) = self.locate(key);
-        let Some(Block(words)) = self.blocks.get(block) else {
+    pub fn contains(&self, probe: &Probe) -> bool {
+        let Some(Block(words)) = self.blocks.get(self.block_of(probe)) else {
             return false;
         };
         let mut missing = 0;
-        for (word, bit) in words.iter().zip(bits) {
+        for (word, bit) in words.iter().zip(probe.bits) {
             missing |= bit & !word;
         }
         missing == 0
@@ -186,12 +217,13 @@ pub struct LevelAux {
 }
 
 impl LevelAux {
-    /// Whether the run can possibly answer a lookup for `key`: fences
-    /// first, then the filter. A `false` here is definitive, so the
-    /// caller may skip the run without touching any of its blocks.
+    /// Whether the run can possibly answer a lookup for the probed key:
+    /// fences first, then the filter. A `false` here is definitive, so
+    /// the caller may skip the run without touching any of its blocks.
     #[inline]
-    pub fn may_contain(&self, key: u64) -> bool {
-        key >= self.fence_min && key <= self.fence_max && self.filter.may_contain(key)
+    pub fn may_contain(&self, probe: &Probe) -> bool {
+        let key = probe.key();
+        key >= self.fence_min && key <= self.fence_max && self.filter.contains(probe)
     }
 
     /// The `[lo, hi)` slot window (relative to the run base) that must
@@ -349,6 +381,16 @@ mod tests {
     use super::*;
     use cosbt_testkit::{check_cases, Rng};
 
+    /// The filter's answer for one key.
+    fn has(f: &LevelFilter, key: u64) -> bool {
+        f.contains(&Probe::new(key))
+    }
+
+    /// The aux's answer for one key.
+    fn may(aux: &LevelAux, key: u64) -> bool {
+        aux.may_contain(&Probe::new(key))
+    }
+
     #[test]
     fn filter_has_zero_false_negatives() {
         // Property: across seeds and sizes, every inserted key answers
@@ -362,7 +404,7 @@ mod tests {
                 f.insert(k);
             }
             for &k in &keys {
-                assert!(f.may_contain(k), "false negative for {k} (seed {seed})");
+                assert!(has(&f, k), "false negative for {k} (seed {seed})");
             }
         }
     }
@@ -382,7 +424,7 @@ mod tests {
                 f.insert(k);
             }
             for &k in &keys {
-                assert!(f.may_contain(k), "false negative for {k} (n {n})");
+                assert!(has(&f, k), "false negative for {k} (n {n})");
             }
         }
     }
@@ -406,7 +448,7 @@ mod tests {
             let mut fp = 0u64;
             for _ in 0..probes {
                 let k = rng.next_u64();
-                if !present.contains(&k) && f.may_contain(k) {
+                if !present.contains(&k) && has(&f, k) {
                     fp += 1;
                 }
             }
@@ -431,9 +473,7 @@ mod tests {
                 f.insert(rng.next_u64() | 1);
             }
             let probes = 1_000_000u64;
-            let fp = (0..probes)
-                .filter(|_| f.may_contain(rng.next_u64() & !1))
-                .count();
+            let fp = (0..probes).filter(|_| has(&f, rng.next_u64() & !1)).count();
             let rate = fp as f64 / probes as f64;
             assert!(
                 rate <= FILTER_TARGET_FP,
@@ -470,7 +510,7 @@ mod tests {
                 let (lo, hi) = aux.window(c.key);
                 assert!(lo <= i && i < hi, "slot {i} (key {}) outside window", c.key);
                 assert!(hi - lo <= 2 * GHOST_STRIDE + cells.len().min(16));
-                assert!(aux.may_contain(c.key));
+                assert!(may(&aux, c.key));
             }
             // Absent keys: the window is still well-formed (callers may
             // probe it when the filter false-positives).
@@ -573,20 +613,20 @@ mod tests {
         let aux = build_aux(cells.iter());
         assert_eq!(aux.fence_min, 12, "lookahead key is not a fence");
         assert_eq!(aux.fence_max, 14, "tombstones fence like items");
-        assert!(aux.may_contain(12));
-        assert!(aux.may_contain(14), "tombstones must be findable");
-        assert!(!aux.may_contain(10), "lookahead-only keys are absent");
+        assert!(may(&aux, 12));
+        assert!(may(&aux, 14), "tombstones must be findable");
+        assert!(!may(&aux, 10), "lookahead-only keys are absent");
         assert_eq!(aux.ghosts, vec![10], "slot 0 sampled regardless");
     }
 
     #[test]
     fn empty_and_all_redundant_runs_match_nothing() {
         let aux = build_aux([].iter());
-        assert!(!aux.may_contain(0));
-        assert!(!aux.may_contain(u64::MAX));
+        assert!(!may(&aux, 0));
+        assert!(!may(&aux, u64::MAX));
         let cells = [Cell::lookahead(3, 0), Cell::lookahead(8, 1)];
         let aux = build_aux(cells.iter());
-        assert!(!aux.may_contain(3));
+        assert!(!may(&aux, 3));
         assert_eq!(aux.window(3), (0, 2), "only slot 0 is sampled at this size");
     }
 

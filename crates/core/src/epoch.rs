@@ -8,8 +8,11 @@
 //! newest-first stack of sorted [`Run`]s, exactly a COLA level structure
 //! lifted onto the heap and shared via `Arc`. The writer publishes the
 //! next version atomically ([`EpochManager::publish_with`]); readers
-//! [`pin`](EpochManager::pin) a version and query it lock-free (binary
-//! searches over immutable slices, no mutex on the read path).
+//! [`pin`](EpochManager::pin) a version and query it lock-free: a key is
+//! hashed once, each run's split-block filter costs one 32-byte block,
+//! and only a run the filter passes is binary-searched. Whether a pin is
+//! stale is one atomic load ([`EpochManager::newest_seq`]), so a reader
+//! whose pin is fresh takes no lock and moves no reference count.
 //!
 //! Reclamation is grace-period based, in the style of Twigg et al.'s
 //! persistent streaming indexes: when a publish supersedes runs, they
@@ -20,18 +23,27 @@
 //! recycling in the shadow-paged file layer (see
 //! [`EpochManager::shard_gate`]).
 
+use cosbt_testkit::sync::atomic::{AtomicU64, Ordering};
 use cosbt_testkit::sync::{Arc, Mutex, MutexGuard};
 use std::collections::BTreeMap;
 
+use crate::cascade::{LevelFilter, Probe};
 use crate::dict::BatchOp;
 
 /// An immutable sorted run of update operations: strictly increasing
-/// keys, each mapped to `Some(value)` (upsert) or `None` (tombstone).
-/// Cheap to clone (`Arc`-backed); the shared unit of an
-/// [`EpochVersion`].
+/// keys, each mapped to `Some(value)` (upsert) or `None` (tombstone),
+/// with the split-block [`LevelFilter`] a COLA level carries, built over
+/// every key (tombstones included), so a lookup rules the run out in one
+/// 32-byte block before any binary search. Cheap to clone (one
+/// `Arc`); the shared unit of an [`EpochVersion`].
 #[derive(Clone)]
 pub struct Run {
-    entries: Arc<[BatchOp]>,
+    inner: Arc<RunInner>,
+}
+
+struct RunInner {
+    filter: LevelFilter,
+    entries: Box<[BatchOp]>,
 }
 
 impl std::fmt::Debug for Run {
@@ -41,11 +53,24 @@ impl std::fmt::Debug for Run {
 }
 
 impl Run {
-    /// Wraps entries already sorted by strictly increasing key.
+    /// Wraps entries already sorted by strictly increasing key and
+    /// builds their filter.
     pub fn from_sorted(entries: Vec<BatchOp>) -> Run {
         debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
+        let mut filter = LevelFilter::with_capacity(entries.len());
+        for &(k, _) in &entries {
+            filter.insert(k);
+        }
+        Run::with_filter(entries, filter)
+    }
+
+    /// Wraps sorted entries and a filter already built over their keys.
+    fn with_filter(entries: Vec<BatchOp>, filter: LevelFilter) -> Run {
         Run {
-            entries: entries.into(),
+            inner: Arc::new(RunInner {
+                filter,
+                entries: entries.into_boxed_slice(),
+            }),
         }
     }
 
@@ -66,32 +91,43 @@ impl Run {
     /// The operation recorded for `key`, if any: `Some(Some(v))` =
     /// upsert, `Some(None)` = tombstone, `None` = key not in this run.
     pub fn get(&self, key: u64) -> Option<Option<u64>> {
-        self.entries
-            .binary_search_by_key(&key, |&(k, _)| k)
+        self.find(&Probe::new(key))
+    }
+
+    /// [`Run::get`] for a key already hashed: the filter's one block,
+    /// then, unless it rules the key out, a binary search.
+    #[inline]
+    pub(crate) fn find(&self, probe: &Probe) -> Option<Option<u64>> {
+        if !self.inner.filter.contains(probe) {
+            return None;
+        }
+        let entries = self.entries();
+        entries
+            .binary_search_by_key(&probe.key(), |&(k, _)| k)
             .ok()
-            .map(|i| self.entries[i].1)
+            .map(|i| entries[i].1)
     }
 
     /// The sorted entries.
     pub fn entries(&self) -> &[BatchOp] {
-        &self.entries
+        &self.inner.entries
     }
 
     /// Number of entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.inner.entries.len()
     }
 
     /// Whether the run is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.inner.entries.is_empty()
     }
 
     /// Identity comparison: do two handles share the same backing
     /// allocation? Used by compaction to verify a merged suffix is
     /// still current at publish time.
     pub fn ptr_eq(&self, other: &Run) -> bool {
-        Arc::ptr_eq(&self.entries, &other.entries)
+        Arc::ptr_eq(&self.inner, &other.inner)
     }
 }
 
@@ -99,44 +135,52 @@ impl Run {
 /// shadowing older ones. With `drop_tombstones`, deletions are removed
 /// from the result — only valid when the stack's oldest run is the
 /// logical base (nothing older exists for a tombstone to shadow).
+///
+/// One k-way pass: the run holding the smallest head key (the newest on
+/// a tie) emits every entry below the other runs' smallest head at once,
+/// found by one binary search, so a large base is copied once, a
+/// stretch at a time, and never compared entry by entry with the
+/// deltas. The filter is built as the entries stream out, sized for the
+/// inputs' total.
 pub fn merge_runs(newest_first: &[Run], drop_tombstones: bool) -> Run {
-    let mut acc: Vec<BatchOp> = match newest_first.last() {
-        Some(oldest) => oldest.entries().to_vec(),
-        None => Vec::new(),
-    };
-    for newer in newest_first.iter().rev().skip(1) {
-        acc = merge_two(&acc, newer.entries());
-    }
-    if drop_tombstones {
-        acc.retain(|&(_, v)| v.is_some());
-    }
-    Run::from_sorted(acc)
-}
-
-/// Two-way sorted merge; on equal keys `newer` wins.
-fn merge_two(older: &[BatchOp], newer: &[BatchOp]) -> Vec<BatchOp> {
-    let mut out = Vec::with_capacity(older.len() + newer.len());
-    let (mut i, mut j) = (0, 0);
-    while i < older.len() && j < newer.len() {
-        match older[i].0.cmp(&newer[j].0) {
-            std::cmp::Ordering::Less => {
-                out.push(older[i]);
-                i += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                out.push(newer[j]);
-                j += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                out.push(newer[j]);
-                i += 1;
-                j += 1;
+    let total = newest_first.iter().map(Run::len).sum();
+    let mut out: Vec<BatchOp> = Vec::with_capacity(total);
+    let mut filter = LevelFilter::with_capacity(total);
+    let mut heads: Vec<&[BatchOp]> = newest_first.iter().map(Run::entries).collect();
+    loop {
+        let mut winner: Option<(u64, usize)> = None;
+        for (i, h) in heads.iter().enumerate() {
+            if let Some(&(k, _)) = h.first() {
+                if winner.is_none_or(|(wk, _)| k < wk) {
+                    winner = Some((k, i));
+                }
             }
         }
+        let Some((key, w)) = winner else {
+            break;
+        };
+        // Older versions of `key` are shadowed; what is left of the
+        // other runs starts past it, at the smallest of their heads.
+        for (i, h) in heads.iter_mut().enumerate() {
+            if i != w && h.first().is_some_and(|&(k, _)| k == key) {
+                *h = &h[1..];
+            }
+        }
+        let bound = (heads.iter().enumerate())
+            .filter(|&(i, _)| i != w)
+            .filter_map(|(_, h)| Some(h.first()?.0))
+            .min();
+        let h = heads[w];
+        let take = bound.map_or(h.len(), |b| h.partition_point(|&(k, _)| k < b));
+        for &(k, op) in &h[..take] {
+            if op.is_some() || !drop_tombstones {
+                out.push((k, op));
+                filter.insert(k);
+            }
+        }
+        heads[w] = &h[take..];
     }
-    out.extend_from_slice(&older[i..]);
-    out.extend_from_slice(&newer[j..]);
-    out
+    Run::with_filter(out, filter)
 }
 
 /// One committed, immutable version of the database: a monotone
@@ -172,14 +216,11 @@ impl EpochVersion {
     }
 
     /// Point lookup: newest run containing the key wins; a tombstone
-    /// reads as absent.
+    /// reads as absent. The key is hashed once; each run then costs one
+    /// filter block, and a binary search only where the filter passes.
     pub fn get(&self, key: u64) -> Option<u64> {
-        for run in &self.runs {
-            if let Some(op) = run.get(key) {
-                return op;
-            }
-        }
-        None
+        let probe = Probe::new(key);
+        self.runs.iter().find_map(|run| run.find(&probe))?
     }
 
     /// Total physical entries across runs (≥ live keys; superseded
@@ -230,9 +271,13 @@ pub struct EpochStats {
 /// The epoch/snapshot manager (used through `Arc<EpochManager>`).
 ///
 /// One short critical section guards version publication, pinning and
-/// retirement; reads against a pinned version never take it.
+/// retirement; reads against a pinned version never take it, nor does
+/// asking for the newest sequence number ([`EpochManager::newest_seq`]).
 pub struct EpochManager {
     state: Mutex<State>,
+    /// The current version's sequence number, stored by `publish_with`
+    /// under the lock so a reader can check its pin without taking it.
+    newest: AtomicU64,
 }
 
 impl std::fmt::Debug for EpochManager {
@@ -262,6 +307,7 @@ impl EpochManager {
                 retired_total: 0,
                 reclaimed_total: 0,
             }),
+            newest: AtomicU64::new(0),
         })
     }
 
@@ -272,6 +318,17 @@ impl EpochManager {
     /// The current (newest committed) version.
     pub fn current(&self) -> Arc<EpochVersion> {
         self.lock().current.clone()
+    }
+
+    /// The current version's sequence number, without the lock and
+    /// without touching the version's reference count: what a reader
+    /// compares with its pin to decide whether to re-pin.
+    #[inline]
+    pub fn newest_seq(&self) -> u64 {
+        // ordering: Acquire pairs with the Release store in
+        // `publish_with`: a reader that sees seq n and re-pins finds
+        // version n (or newer) behind the lock.
+        self.newest.load(Ordering::Acquire)
     }
 
     /// Pins the current version and returns a guard; the version's runs
@@ -323,6 +380,10 @@ impl EpochManager {
             });
         }
         st.current = new.clone();
+        // ordering: Release, under the lock, pairs with the Acquire load
+        // in `newest_seq`; a thread that learns of this publish through
+        // its own synchronisation (a join, a flag) then reads seq ≥ it.
+        self.newest.store(new.seq, Ordering::Release);
         st.published += 1;
         Self::collect_locked(&mut st);
         Some(new)
@@ -459,12 +520,17 @@ impl std::ops::Deref for PinnedEpoch {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosbt_testkit::{check_cases, Rng};
 
     fn publish_run(mgr: &Arc<EpochManager>, ops: Vec<BatchOp>) {
-        let run = Run::from_ops(ops);
+        publish_run_handle(mgr, Run::from_ops(ops));
+    }
+
+    /// Publishes `run` on top of the current stack.
+    fn publish_run_handle(mgr: &Arc<EpochManager>, run: Run) {
         mgr.publish_with(|cur| {
             let mut runs = Vec::with_capacity(cur.runs().len() + 1);
-            runs.push(run.clone());
+            runs.push(run);
             runs.extend_from_slice(cur.runs());
             Some((runs, cur.store_epochs_arc()))
         })
@@ -573,5 +639,154 @@ mod tests {
         });
         assert!(out.is_none());
         assert_eq!(mgr.current().seq(), 2);
+    }
+
+    #[test]
+    fn newest_seq_reads_without_the_lock() {
+        let mgr = EpochManager::new();
+        assert_eq!(mgr.newest_seq(), 0);
+        // The closure runs under the manager's lock, which is not
+        // reentrant: a `newest_seq` that locked would deadlock here.
+        let mut inside = None;
+        mgr.publish_with(|cur| {
+            inside = Some(mgr.newest_seq());
+            Some((Vec::new(), cur.store_epochs_arc()))
+        });
+        assert_eq!(inside, Some(0), "the closure runs before the store");
+        assert_eq!(mgr.newest_seq(), 1);
+        assert_eq!(mgr.newest_seq(), mgr.current().seq());
+        let aborted = mgr.publish_with(|_| {
+            inside = Some(mgr.newest_seq());
+            None
+        });
+        assert!(aborted.is_none());
+        assert_eq!(inside, Some(1));
+        assert_eq!(mgr.newest_seq(), 1, "an aborted publish stores nothing");
+        assert_eq!(mgr.newest_seq(), mgr.current().seq());
+    }
+
+    /// Two-way sorted merge; on equal keys `newer` wins.
+    fn merge_two(older: &[BatchOp], newer: &[BatchOp]) -> Vec<BatchOp> {
+        let mut out = Vec::with_capacity(older.len() + newer.len());
+        let (mut i, mut j) = (0, 0);
+        while i < older.len() && j < newer.len() {
+            match older[i].0.cmp(&newer[j].0) {
+                std::cmp::Ordering::Less => {
+                    out.push(older[i]);
+                    i += 1;
+                }
+                std::cmp::Ordering::Greater => {
+                    out.push(newer[j]);
+                    j += 1;
+                }
+                std::cmp::Ordering::Equal => {
+                    out.push(newer[j]);
+                    i += 1;
+                    j += 1;
+                }
+            }
+        }
+        out.extend_from_slice(&older[i..]);
+        out.extend_from_slice(&newer[j..]);
+        out
+    }
+
+    /// The pairwise fold `merge_runs` was before it became one k-way
+    /// pass: the oldest run merged with each newer one in turn.
+    fn merge_pairwise(newest_first: &[Run], drop_tombstones: bool) -> Vec<BatchOp> {
+        let mut acc = newest_first
+            .last()
+            .map_or(Vec::new(), |r| r.entries().to_vec());
+        for newer in newest_first.iter().rev().skip(1) {
+            acc = merge_two(&acc, newer.entries());
+        }
+        if drop_tombstones {
+            acc.retain(|&(_, v)| v.is_some());
+        }
+        acc
+    }
+
+    /// A newest-first stack of one to nine runs: empty, one-entry, small
+    /// and many-block ones, a third of their operations tombstones, over
+    /// a narrow key space that includes 0 and `u64::MAX`.
+    fn random_stack(rng: &mut Rng) -> Vec<Run> {
+        let runs = 1 + rng.index(9);
+        (0..runs)
+            .map(|_| {
+                let (len, space) = match rng.below(6) {
+                    0 => (0, 1),
+                    1 => (1, 100),
+                    5 => (rng.index(2_000), 4_000),
+                    _ => (rng.index(60), 100),
+                };
+                let ops = (0..len)
+                    .map(|_| {
+                        let key = match rng.below(10) {
+                            0 => 0,
+                            1 => u64::MAX,
+                            _ => rng.below(space),
+                        };
+                        (key, (!rng.chance(1, 3)).then(|| rng.next_u64()))
+                    })
+                    .collect();
+                Run::from_ops(ops)
+            })
+            .collect()
+    }
+
+    /// The newest-first lookup with no filter: a binary search of every
+    /// run until one holds the key.
+    fn unfiltered_get(newest_first: &[Run], key: u64) -> Option<u64> {
+        newest_first.iter().find_map(|run| {
+            let e = run.entries();
+            Some(e[e.binary_search_by_key(&key, |&(k, _)| k).ok()?].1)
+        })?
+    }
+
+    #[test]
+    fn k_way_merge_equals_the_pairwise_fold() {
+        check_cases("k_way_merge_equals_the_pairwise_fold", 300, |rng| {
+            let stack = random_stack(rng);
+            for drop_tombstones in [false, true] {
+                let merged = merge_runs(&stack, drop_tombstones);
+                let oracle = merge_pairwise(&stack, drop_tombstones);
+                assert_eq!(merged.entries(), &oracle[..], "drop {drop_tombstones}");
+                for &(k, op) in merged.entries() {
+                    assert_eq!(merged.get(k), Some(op), "the merged filter lost {k}");
+                }
+            }
+        });
+        assert!(merge_runs(&[], false).is_empty());
+    }
+
+    #[test]
+    fn filtered_get_equals_an_unfiltered_search() {
+        check_cases("filtered_get_equals_an_unfiltered_search", 300, |rng| {
+            let stack = random_stack(rng);
+            let mgr = EpochManager::new();
+            for run in stack.iter().rev() {
+                publish_run_handle(&mgr, run.clone());
+            }
+            let mut probes: Vec<u64> = (stack.iter().flat_map(Run::entries))
+                .flat_map(|&(k, _)| [k, k.wrapping_sub(1), k.wrapping_add(1)])
+                .collect();
+            probes.extend([0, 1, u64::MAX - 1, u64::MAX, rng.next_u64()]);
+            let check = |version: &EpochVersion| {
+                for &key in &probes {
+                    assert_eq!(version.get(key), unfiltered_get(&stack, key), "key {key}");
+                }
+            };
+            check(&mgr.current());
+            // Compact a suffix, as the facade does: it ends at the
+            // oldest run, so its tombstones may go.
+            let keep = rng.index(stack.len());
+            let merged = merge_runs(&stack[keep..], rng.chance(1, 2));
+            mgr.publish_with(|cur| {
+                let mut runs = cur.runs()[..keep].to_vec();
+                runs.push(merged);
+                Some((runs, cur.store_epochs_arc()))
+            });
+            check(&mgr.current());
+        });
     }
 }

@@ -50,7 +50,7 @@
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux, LevelFilter};
+use crate::cascade::{AuxBuilder, LevelAux, LevelFilter, Probe};
 use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
@@ -652,11 +652,12 @@ impl<M: Mem<Cell>> GCola<M> {
         key: u64,
     ) -> Option<u64> {
         stats.searches += 1;
+        let probe = Probe::new(key);
         let mut clamp = None;
         for ((l, lv), run) in levels.iter().enumerate().zip(runs) {
             // The clamp may end among the key's redundant cells, ahead
             // of its real one: the probe reads on to the run's end.
-            let Some((ins, hit)) = run.find(mem, key, clamp.take(), stats) else {
+            let Some((ins, hit)) = run.find(mem, &probe, clamp.take(), stats) else {
                 continue;
             };
             if let Some(c) = hit {

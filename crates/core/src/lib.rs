@@ -34,7 +34,7 @@ mod runbuf;
 pub mod stats;
 pub mod worker;
 
-pub use cascade::{AuxBuilder, LevelAux, LevelFilter};
+pub use cascade::{AuxBuilder, LevelAux, LevelFilter, Probe};
 pub use cursor::{MergeCursor, Run, RunMergeCursor};
 pub use deamort::DeamortCola;
 pub use deamort_basic::DeamortBasicCola;

@@ -9,7 +9,7 @@ use std::fmt;
 
 use cosbt_dam::Mem;
 
-use crate::cascade::{AuxBuilder, LevelAux};
+use crate::cascade::{AuxBuilder, LevelAux, Probe};
 use crate::entry::Cell;
 use crate::persist::MetaError;
 use crate::runbuf::RunBuf;
@@ -99,8 +99,9 @@ impl<'a> Run<'a> {
         self.bisect(mem, self.window(key, None), |k| k <= key).0
     }
 
-    /// The point probe of one run. `None` if the fences or the filter
-    /// rule `key` out in DRAM (one `filter_skips`, no cell read);
+    /// The point probe of one run for the probed key — hashed once by
+    /// the lookup, for every run it probes. `None` if the fences or the
+    /// filter rule `key` out in DRAM (one `filter_skips`, no cell read);
     /// otherwise the position of the first cell with key ≥ `key` inside
     /// the window — the ghost window, cut to `clamp` — and the leftmost
     /// real cell carrying `key`, the run's newest version, if any.
@@ -113,14 +114,15 @@ impl<'a> Run<'a> {
     pub fn find<M: Mem<Cell>>(
         &self,
         mem: &M,
-        key: u64,
+        probe: &Probe,
         clamp: Option<(usize, usize)>,
         stats: &mut ColaStats,
     ) -> Option<(usize, Option<Cell>)> {
-        if self.sample().is_some_and(|aux| !aux.may_contain(key)) {
+        if self.sample().is_some_and(|aux| !aux.may_contain(probe)) {
             stats.filter_skips += 1;
             return None;
         }
+        let key = probe.key();
         let (ins, reads) = self.bisect(mem, self.window(key, clamp), |k| k < key);
         stats.cells_scanned += reads;
         for i in ins..self.len {
@@ -211,6 +213,7 @@ pub(crate) fn lookup<'a, M: Mem<Cell>>(
     key: u64,
 ) -> Option<u64> {
     stats.searches += 1;
-    runs.find_map(|run| run.find(mem, key, None, stats)?.1)?
+    let probe = Probe::new(key);
+    runs.find_map(|run| run.find(mem, &probe, None, stats)?.1)?
         .as_lookup()
 }

@@ -8,7 +8,12 @@
 //! `'static`: any number of reader threads can run gets, ranges, and
 //! bidirectional cursors against their pinned epochs while the single
 //! writer keeps mutating the underlying structures and publishing newer
-//! epochs. Reads never touch the writer's structures, caches, or locks.
+//! epochs. Reads never touch the writer's structures, caches, or locks:
+//! a point read hashes its key once and tests each run's split-block
+//! filter (one 32-byte block) before binary-searching only the runs the
+//! filter passes, and a [`DbReader`] learns whether its pin is stale
+//! from one atomic load. A lock is taken only to pin an epoch: a
+//! reader's refresh, a cursor, a snapshot clone.
 //!
 //! The overlay is **lazy**: until the first `snapshot()` call a `Db`
 //! carries no mirror and its single-threaded behaviour (including
@@ -27,8 +32,9 @@ use cosbt_core::epoch::{merge_runs, Run};
 use cosbt_core::{BatchOp, Cursor, CursorOps, EpochManager, PinnedEpoch, WorkerPool};
 
 /// Compact when an epoch's run stack exceeds this many runs. Small
-/// enough to keep point reads cheap (one binary search per run), large
-/// enough that compaction is batched COLA-style work, not per-publish.
+/// enough to keep point reads cheap (one filter block per run, a binary
+/// search where it passes), large enough that compaction is batched
+/// COLA-style work, not per-publish.
 pub(crate) const MAX_SNAPSHOT_RUNS: usize = 8;
 
 /// Per-`Db` MVCC state: the epoch manager, the mirror of writes not yet
@@ -225,9 +231,10 @@ fn compact_once(mgr: &Arc<EpochManager>) {
 /// Obtained from [`Db::snapshot`](crate::Db::snapshot). `Clone` is
 /// cheap (re-pins the same epoch); the handle is `Send + Sync` and
 /// `'static`, so it can be handed to any number of reader threads.
-/// Reads are lock-free — binary searches over immutable `Arc`-shared
-/// runs — and are never affected by later writes, merges, or syncs on
-/// the originating database. While any clone (or cursor) is alive, the
+/// Reads are lock-free — one filter block per immutable `Arc`-shared
+/// run, and a binary search of the runs it passes — and are never
+/// affected by later writes, merges, or syncs on the originating
+/// database. While any clone (or cursor) is alive, the
 /// epoch's runs are retained and the backing stores will not recycle
 /// pages its committed store epochs reference.
 ///
@@ -318,8 +325,9 @@ impl DbSnapshot {
 /// documented read path for "many readers, one writer" deployments.
 /// Reads are lock-free and never block the writer; the handle is
 /// [`Send`], so each reader thread owns one. The read methods take
-/// `&mut self` only to perform the cheap staleness check — they never
-/// mutate the database.
+/// `&mut self` only to perform the staleness check — one atomic load of
+/// the newest published sequence number; a lock is taken only when the
+/// view is stale and is re-pinned. They never mutate the database.
 ///
 /// Freshness is bounded by publication: a reader observes writes only
 /// once the writer publishes them with
@@ -390,9 +398,10 @@ impl DbReader {
     }
 
     /// Re-pins if the local view lags more than the staleness bound.
+    /// The check is one atomic load; only a re-pin takes the lock.
     #[inline]
     fn maybe_refresh(&mut self) {
-        let newest = self.mgr.current().seq();
+        let newest = self.mgr.newest_seq();
         if newest > self.local.epoch().saturating_add(self.staleness) {
             self.refresh();
         }

@@ -9,7 +9,8 @@
 
 use cosbt::DbBuilder;
 use cosbt_testkit::model::{check_opts, ModelOpts};
-use cosbt_testkit::sync::thread;
+use cosbt_testkit::sync::atomic::{AtomicBool, Ordering};
+use cosbt_testkit::sync::{thread, Arc};
 
 /// A background compaction submitted just before a `dict_mut` reseed:
 /// the job's `compact_once` must either finish before the reseed
@@ -51,13 +52,18 @@ fn background_compaction_vs_reseed_is_safe() {
 /// A `DbReader` (staleness 0) reading while the writer publishes a new
 /// epoch: every read returns a committed value (never torn), the
 /// reader's pinned epoch is monotone, and two reads from the same
-/// epoch agree.
+/// epoch agree. The reader checks its pin with one atomic load of the
+/// newest sequence number, not under the manager's lock: once it has
+/// seen the writer's flag, set after `snapshot()` returned, that load
+/// must find the new epoch and the read must return the new value.
 #[test]
 fn reader_refresh_vs_publish_is_safe() {
     let report = check_opts(ModelOpts::bound(2), || {
         let mut db = DbBuilder::new().build().unwrap();
         db.insert(1, 10);
         let mut r = db.reader(); // publishes and pins epoch 1
+        let published = Arc::new(AtomicBool::new(false));
+        let seen = published.clone();
         let reader = thread::spawn(move || {
             let v1 = r.get(1);
             let e1 = r.epoch();
@@ -69,9 +75,18 @@ fn reader_refresh_vs_publish_is_safe() {
             if e1 == e2 {
                 assert_eq!(v1, v2, "same epoch must read the same value");
             }
+            // ordering: Acquire pairs with the writer's Release store
+            // below, which follows the publish.
+            if seen.load(Ordering::Acquire) {
+                assert_eq!(r.get(1), Some(20), "a fresh reader missed the publish");
+            }
         });
         db.insert(1, 20);
         db.snapshot(); // publish epoch 2
+
+        // ordering: Release, after the publish: a reader that acquires
+        // the flag must find epoch 2.
+        published.store(true, Ordering::Release);
         reader.join().unwrap();
         // After the join, a fresh reader must observe the newest epoch.
         let mut r2 = db.reader();

@@ -1,7 +1,8 @@
 //! Micro-benchmarks: raw in-memory operation throughput of every
 //! dictionary in the workspace, of the per-level filter and ghost
-//! window under the COLAs' lookups, and of a `DbReader` point read over
-//! a deep snapshot run stack, for quick regression tracking. (The
+//! window under the COLAs' lookups, of a `DbReader` point read over
+//! a deep snapshot run stack, and of one resident-cell store call, for
+//! quick regression tracking. (The
 //! paper's figures are regenerated by the other bench targets and the
 //! `figures` binary; these are engineering benchmarks.)
 //!
@@ -16,6 +17,7 @@ use cosbt_bench::{random_keys, scaled, search_probes};
 use cosbt_core::cascade::build_aux;
 use cosbt_core::entry::Cell;
 use cosbt_core::{LevelFilter, Probe};
+use cosbt_dam::{ArcFileMem, FileMem, Mem, PlainMem, DEFAULT_PAGE_SIZE};
 
 /// Every unsharded cell of the shared configuration matrix — the same
 /// list the conformance battery and the scenario harness enumerate.
@@ -113,6 +115,61 @@ fn main() {
 
     aux_probe();
     snapshot_get();
+    store_call();
+}
+
+/// One `Mem` call on cells that are all resident: a `get` and an 8-cell
+/// `read_run` inside one page, on a 4 KiB-page file store whose cache
+/// holds every page of its 4,096 cells, and on `PlainMem`. The file
+/// rows are the store's fixed costs per call — lock, residency lookup,
+/// counter update — with no device access; each row ~4 M calls in
+/// random cell order.
+fn store_call() {
+    const CELLS: usize = 4_096;
+    let path = cosbt_testkit::TempPath::new("micro-ops-store.dat");
+    let pages = CELLS * 32 / DEFAULT_PAGE_SIZE;
+    let fm = FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 2 * pages, 32).unwrap();
+    let cells: Vec<Cell> = (0..CELLS as u64).map(|k| Cell::item(k, k)).collect();
+    let mut file = ArcFileMem::new(fm);
+    let mut plain = PlainMem::new();
+    for m in [&mut file as &mut dyn Mem<Cell>, &mut plain] {
+        m.resize(CELLS, Cell::default());
+        m.write_run(0, &cells);
+    }
+    let idx: Vec<usize> = random_keys(1 << 16, 0x5C0)
+        .into_iter()
+        .map(|k| k as usize % CELLS)
+        .collect();
+    file.reset_stats();
+    store_rows("file", &file, &idx);
+    store_rows("plain", &plain, &idx);
+    assert_eq!(file.stats().fetches, 0, "the file rows left the cache");
+}
+
+fn store_rows<M: Mem<Cell>>(store: &str, m: &M, idx: &[usize]) {
+    let calls = 1u64 << 22;
+    let row = |what: &str, secs: f64| {
+        println!(
+            "{:<24} {:<24} {:>12.1} ns/call  ({calls} calls in {secs:.3}s)",
+            "store_call",
+            format!("{what}, {store}"),
+            secs * 1e9 / calls as f64
+        );
+    };
+    let t = Instant::now();
+    let mut sum = 0u64;
+    for &i in idx.iter().cycle().take(calls as usize) {
+        sum = sum.wrapping_add(m.get(black_box(i)).val);
+    }
+    row("get", t.elapsed().as_secs_f64());
+    let mut out = [Cell::default(); 8];
+    let t = Instant::now();
+    for &i in idx.iter().cycle().take(calls as usize) {
+        m.read_run(black_box(i & !7), &mut out);
+        sum = sum.wrapping_add(out[7].val);
+    }
+    row("read_run 8", t.elapsed().as_secs_f64());
+    black_box(sum);
 }
 
 /// The DRAM half of a level probe, below every structure: the filter's

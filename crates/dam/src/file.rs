@@ -348,15 +348,16 @@ impl<D: RawDev> FilePages<D> {
 
     /// Returns the counters accumulated so far and resets them: one call
     /// closes a measurement phase and opens the next (cache residency is
-    /// untouched, so a warm cache stays warm across phases). Each
-    /// counter is atomically swapped to zero, so even with a concurrent
-    /// mutator every transfer lands in exactly one phase.
+    /// untouched, so a warm cache stays warm across phases). Even with a
+    /// concurrent mutator every transfer lands in exactly one phase (see
+    /// [`AtomicIoStats::take`]).
     pub fn take_stats(&self) -> IoStats {
         self.stats.take()
     }
 
-    /// The shared atomic counter block, for observers that must read
-    /// the counters without acquiring the store's lock.
+    /// The shared counter block, for observers that must read the
+    /// counters without acquiring the store's lock. The store is its
+    /// one writer: increment it only through the store.
     pub fn stats_handle(&self) -> Arc<AtomicIoStats> {
         self.stats.clone()
     }
@@ -487,9 +488,9 @@ impl<D: RawDev> FilePages<D> {
         // The victim's buffer becomes the new page's: the device read
         // below overwrites every byte of it.
         let mut buf = match self.frames.evict_lru() {
-            Some((victim, written, buf)) => {
+            Some((victim, dirty, buf)) => {
                 self.stats.inc_evictions();
-                if written {
+                if dirty {
                     let off = self.writeback_off(victim);
                     self.dev
                         .write_all_at(&buf, off)
@@ -852,15 +853,33 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
 
     /// Grows or shrinks the array, filling new slots with `fill` (see
     /// [`Mem::resize`]).
+    ///
+    /// Growth is free, as in the DAM model: pages this call allocates
+    /// already read as zeros (the contract of [`PageStore::alloc_page`]),
+    /// so a fill whose encoding is all zero bytes — `Default` for the
+    /// structures' cells — is written only over cells on pages that
+    /// existed before the call (a grow after a shrink). Any other fill
+    /// is written everywhere.
     pub fn resize(&mut self, new_len: usize, fill: T) {
         let old_len = self.len;
+        let old_pages = self.pages.num_pages() as usize;
         let pages_needed = new_len.div_ceil(self.per_page) as u32;
         while self.pages.num_pages() < pages_needed {
             self.pages.alloc_page();
         }
         self.len = new_len;
-        if new_len > old_len {
-            self.write_cells(old_len, new_len - old_len, |_| fill);
+        if new_len <= old_len {
+            return;
+        }
+        let mut bytes = vec![0u8; T::BYTES];
+        fill.write_to(&mut bytes);
+        let end = if bytes.iter().all(|&b| b == 0) {
+            new_len.min(old_pages * self.per_page)
+        } else {
+            new_len
+        };
+        if end > old_len {
+            self.write_cells(old_len, end - old_len, |_| fill);
         }
     }
 
@@ -1003,22 +1022,22 @@ impl<S: Store + ?Sized> Shared<S> {
         self.inner.lock().expect("file store mutex poisoned")
     }
 
-    /// I/O counters of the backing store. Lock-free: reads the shared
-    /// atomic counters without touching the store's mutex.
+    /// I/O counters of the backing store, read without touching the
+    /// store's mutex.
     pub fn stats(&self) -> IoStats {
         self.stats.snapshot()
     }
 
-    /// Resets the I/O counters (lock-free).
+    /// Resets the I/O counters (without the store's mutex).
     pub fn reset_stats(&self) {
         self.stats.reset()
     }
 
-    /// Snapshot-and-reset of the counters. Each counter is atomically
-    /// swapped to zero, so a phase boundary cannot lose or double-count
-    /// concurrent accesses (the per-phase idiom of the scenario
-    /// harness) — and, being lock-free, it cannot be starved by a
-    /// writer holding the store through a long merge.
+    /// Snapshot-and-reset of the counters. A phase boundary cannot lose
+    /// or double-count concurrent accesses (the per-phase idiom of the
+    /// scenario harness; see [`AtomicIoStats::take`]) — and, taking no
+    /// store lock, it cannot be starved by a writer holding the store
+    /// through a long merge.
     pub fn take_stats(&self) -> IoStats {
         self.stats.take()
     }

@@ -191,18 +191,17 @@ impl LruCache {
 /// the same exact LRU policy as [`LruCache`], without the hash map.
 ///
 /// Logical page ids are dense, so residency is a `Vec` index (`slot`),
-/// and each frame owns its page bytes, its dirty bits and its LRU
+/// and each frame owns its page bytes, its dirty bit and its LRU
 /// links — a resident-page touch is two array reads, and a touch of the
 /// page that is already most recently used skips the relink. Eviction
 /// order and victims are those of [`LruCache`] on the same trace (the
 /// `frame_slab_matches_lru_cache_on_random_trace` test pins it).
 ///
-/// A frame carries two dirty bits because the store has always kept
-/// two: `dirty` is cleared by a sync, `written` only when the frame
-/// leaves the cache, and an evicted frame is written back when
-/// `written` is set. A page that is synced and then evicted without
-/// another write is therefore written twice; every committed transfer
-/// baseline counts that second write, so it is kept as it is.
+/// A frame has one dirty bit: set by a write, cleared when the store
+/// writes the page out (a sync), and reported by
+/// [`FrameSlab::evict_lru`], so a victim is written back iff it changed
+/// since it was last written out — once per change, as the DAM model
+/// charges.
 #[derive(Debug)]
 pub(crate) struct FrameSlab {
     capacity: usize,
@@ -223,10 +222,9 @@ struct Frame {
     page: u32,
     prev: u32,
     next: u32,
-    /// Modified since the last sync.
+    /// Modified since the page was last written out (by a sync) or
+    /// became resident.
     dirty: bool,
-    /// Modified since it became resident.
-    written: bool,
     data: Box<[u8]>,
 }
 
@@ -291,9 +289,7 @@ impl FrameSlab {
             self.push_front(idx);
         }
         if write {
-            let f = &mut self.frames[idx as usize];
-            f.dirty = true;
-            f.written = true;
+            self.frames[idx as usize].dirty = true;
         }
         Some(idx as usize)
     }
@@ -309,9 +305,9 @@ impl FrameSlab {
     }
 
     /// When the slab is full, removes the least recently used page and
-    /// returns `(page, written, bytes)`; the caller writes the bytes
-    /// back if `written` and may hand the buffer to
-    /// [`FrameSlab::insert`]. `None` while there is room.
+    /// returns `(page, dirty, bytes)`; the caller writes the bytes back
+    /// if `dirty` and may hand the buffer to [`FrameSlab::insert`].
+    /// `None` while there is room.
     pub(crate) fn evict_lru(&mut self) -> Option<(u32, bool, Box<[u8]>)> {
         if self.len() < self.capacity {
             return None;
@@ -321,8 +317,9 @@ impl FrameSlab {
         self.free.push(idx);
         let f = &mut self.frames[idx as usize];
         self.slot[f.page as usize] = NO_FRAME;
-        f.dirty = false; // a vacant frame is not a sync candidate
-        Some((f.page, f.written, std::mem::take(&mut f.data)))
+        // A vacant frame is not a sync candidate.
+        let dirty = std::mem::replace(&mut f.dirty, false);
+        Some((f.page, dirty, std::mem::take(&mut f.data)))
     }
 
     /// Makes the non-resident `page` resident with contents `data`, as
@@ -335,7 +332,6 @@ impl FrameSlab {
             prev: NO_FRAME,
             next: NO_FRAME,
             dirty: write,
-            written: write,
             data,
         };
         let idx = match self.free.pop() {
@@ -370,8 +366,7 @@ impl FrameSlab {
         &mut self.frames[idx].data
     }
 
-    /// `(page, frame)` of every page modified since the last sync, in
-    /// ascending page order.
+    /// `(page, frame)` of every dirty page, in ascending page order.
     pub(crate) fn dirty_frames(&self) -> Vec<(u32, usize)> {
         let mut out: Vec<(u32, usize)> = self
             .frames
@@ -384,7 +379,8 @@ impl FrameSlab {
         out
     }
 
-    /// Records that frame `idx` has been synced.
+    /// Records that frame `idx` has been written out: its eviction
+    /// writes nothing unless it is written again.
     pub(crate) fn clear_dirty(&mut self, idx: usize) {
         self.frames[idx].dirty = false;
     }
@@ -513,13 +509,16 @@ mod tests {
     }
 
     /// The frame slab against [`LruCache`] on one trace: same hits, same
-    /// victims with the same dirty bit, same recency order — repeated
-    /// touches of the most recently used page (the relink-skipping path)
-    /// and syncs included.
+    /// victims, same recency order — repeated touches of the most
+    /// recently used page (the relink-skipping path) and syncs included.
+    /// A victim's dirty bit is checked against the test's own dirty set,
+    /// which a sync clears, because the cache never hears of syncs.
     #[test]
     fn frame_slab_matches_lru_cache_on_random_trace() {
         let mut lru = LruCache::new(4);
         let mut slab = FrameSlab::new(4);
+        // Resident pages written since they were last synced or fetched.
+        let mut dirty = std::collections::BTreeSet::new();
         let mut x: u64 = 0x9E3779B97F4A7C15;
         let mut last = 0u32;
         for step in 0..20_000u32 {
@@ -538,9 +537,10 @@ mod tests {
                 (Access::Hit, Some(f)) => assert_eq!(slab.data(f)[0], page as u8),
                 (Access::Miss { evicted }, None) => {
                     let got = slab.evict_lru();
+                    let want = evicted.map(|(p, _)| (p, dirty.remove(&(p as u32))));
                     assert_eq!(
-                        got.as_ref().map(|(p, written, _)| (*p as u64, *written)),
-                        evicted,
+                        got.as_ref().map(|(p, d, _)| (*p as u64, *d)),
+                        want,
                         "step {step}: victim differs"
                     );
                     let buf = got.map_or_else(|| vec![0u8; 8].into_boxed_slice(), |g| g.2);
@@ -549,15 +549,21 @@ mod tests {
                 }
                 (a, b) => panic!("step {step}: cache says {a:?}, slab says {b:?}"),
             }
+            if write {
+                dirty.insert(page);
+            }
             let want: Vec<u32> = lru.resident_blocks().iter().map(|&b| b as u32).collect();
             assert_eq!(slab.resident_pages(), want, "step {step}");
             if step % 97 == 0 {
-                // A sync clears `dirty` but not `written`: the victims'
-                // bits above keep matching the cache's, which never
-                // hears of syncs.
+                // A sync writes out exactly the dirty pages and cleans
+                // them: a victim evicted before its next write costs no
+                // second writeback.
+                let synced: Vec<u32> = slab.dirty_frames().iter().map(|&(p, _)| p).collect();
+                assert_eq!(synced, dirty.iter().copied().collect::<Vec<_>>());
                 for (_, f) in slab.dirty_frames() {
                     slab.clear_dirty(f);
                 }
+                dirty.clear();
                 assert!(slab.dirty_frames().is_empty());
             }
         }

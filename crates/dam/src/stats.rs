@@ -1,6 +1,7 @@
 //! Block-transfer counters for the DAM simulator.
 
 use cosbt_testkit::sync::atomic::{AtomicU64, Ordering};
+use cosbt_testkit::sync::{Mutex, MutexGuard};
 
 /// Counters accumulated by [`crate::IoSim`].
 ///
@@ -99,16 +100,26 @@ impl std::iter::Sum for IoStats {
     }
 }
 
-/// Lock-free [`IoStats`] accumulator shared between a store and its
-/// observers.
+/// [`IoStats`] accumulator shared between one writer (a store) and
+/// any number of observers.
 ///
-/// The file stores increment these counters while holding their own
-/// lock, but observers (`stats` / `take_stats` probes on another
-/// thread) must not have to acquire that lock: a reader blocked behind
-/// a long merge would starve, and a non-atomic snapshot-and-reset
-/// could drop or double-count transfers. Each counter is an
-/// independent `AtomicU64`; [`take`](AtomicIoStats::take) swaps each
-/// counter to zero so every increment lands in exactly one phase.
+/// A file store increments these counters while it holds its own lock,
+/// but observers (`stats` / `take_stats` probes on another thread) must
+/// not have to acquire that lock: a reader blocked behind a long merge
+/// would starve.
+///
+/// **Single writer.** Every increment method requires that no other
+/// increment of the same accumulator runs concurrently — the store's
+/// lock (or its `&mut self`) already guarantees it. So an increment is
+/// a relaxed load and a relaxed store of its counter, no atomic
+/// read-modify-write. Each counter only grows.
+///
+/// **Observer baseline.** [`take`](AtomicIoStats::take) and
+/// [`reset`](AtomicIoStats::reset) never write a counter. They move a
+/// baseline to the counters' current values, and
+/// [`snapshot`](AtomicIoStats::snapshot) returns counters − baseline.
+/// Only observers take the baseline's mutex. Every increment is
+/// counted by exactly one window: the first `take` whose load sees it.
 /// Relaxed ordering suffices: the counters are statistics, not
 /// synchronization — no other memory is published through them.
 #[derive(Debug, Default)]
@@ -119,6 +130,17 @@ pub struct AtomicIoStats {
     evictions: AtomicU64,
     writebacks: AtomicU64,
     seeks: AtomicU64,
+    /// The counters' values at the last `take` or `reset`.
+    base: Mutex<IoStats>,
+}
+
+/// Adds `n` to `counter`. Single writer: no other thread stores to it.
+#[inline]
+fn bump(counter: &AtomicU64, n: u64) {
+    // ordering: pure statistic; no other memory is published. The one
+    // writer reads its own last store, so load + store cannot lose an
+    // increment, and observers only load.
+    counter.store(counter.load(Ordering::Relaxed) + n, Ordering::Relaxed);
 }
 
 impl AtomicIoStats {
@@ -127,74 +149,62 @@ impl AtomicIoStats {
         AtomicIoStats::default()
     }
 
-    /// Count one logical block access.
+    /// Count one logical block access. Single writer (see the type
+    /// docs): no other increment of `self` may run concurrently.
     #[inline]
     pub fn inc_accesses(&self) {
-        // ordering: pure statistic; no other memory is published.
-        self.accesses.fetch_add(1, Ordering::Relaxed);
+        bump(&self.accesses, 1);
     }
 
-    /// Count one access that found its block resident.
+    /// Count one access that found its block resident. Single writer.
     #[inline]
     pub fn inc_hits(&self) {
-        // ordering: pure statistic; no other memory is published.
-        self.hits.fetch_add(1, Ordering::Relaxed);
+        bump(&self.hits, 1);
     }
 
     /// Count `accesses` logical block accesses of which `hits` found
     /// their block resident: what that many [`inc_accesses`] and
     /// [`inc_hits`] calls count, in two adds (a run of cells on one
-    /// page is charged in bulk).
+    /// page is charged in bulk). Single writer.
     ///
     /// [`inc_accesses`]: AtomicIoStats::inc_accesses
     /// [`inc_hits`]: AtomicIoStats::inc_hits
     #[inline]
     pub fn add_accesses(&self, accesses: u64, hits: u64) {
-        // ordering: pure statistics; no other memory is published. A
-        // concurrent `take` sees each add wholly or not at all, so every
-        // access still lands in exactly one window.
-        self.accesses.fetch_add(accesses, Ordering::Relaxed);
-        self.hits.fetch_add(hits, Ordering::Relaxed);
+        bump(&self.accesses, accesses);
+        bump(&self.hits, hits);
     }
 
-    /// Count one block fetched from external memory.
+    /// Count one block fetched from external memory. Single writer.
     #[inline]
     pub fn inc_fetches(&self) {
-        // ordering: pure statistic; no other memory is published.
-        self.fetches.fetch_add(1, Ordering::Relaxed);
+        bump(&self.fetches, 1);
     }
 
-    /// Count one block evicted from internal memory.
+    /// Count one block evicted from internal memory. Single writer.
     #[inline]
     pub fn inc_evictions(&self) {
-        // ordering: pure statistic; no other memory is published.
-        self.evictions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.evictions, 1);
     }
 
-    /// Count one dirty block written back to external memory.
+    /// Count one dirty block written back to external memory. Single
+    /// writer.
     #[inline]
     pub fn inc_writebacks(&self) {
-        // ordering: pure statistic; no other memory is published.
-        self.writebacks.fetch_add(1, Ordering::Relaxed);
+        bump(&self.writebacks, 1);
     }
 
-    /// Count one non-sequential device access.
+    /// Count one non-sequential device access. Single writer.
     #[inline]
     pub fn inc_seeks(&self) {
-        // ordering: pure statistic; no other memory is published.
-        self.seeks.fetch_add(1, Ordering::Relaxed);
+        bump(&self.seeks, 1);
     }
 
-    /// Read all counters without resetting them.
-    ///
-    /// Counters are loaded one at a time, so a snapshot taken while
-    /// another thread is mid-operation may straddle that operation
-    /// (e.g. see its access but not yet its fetch); totals are still
-    /// never lost.
-    pub fn snapshot(&self) -> IoStats {
-        // ordering: counters are independent statistics; a snapshot may
-        // straddle an in-flight operation (documented above) and no
-        // other memory is consumed through these loads.
+    /// The counters' running totals, never reset.
+    fn totals(&self) -> IoStats {
+        // ordering: counters are independent statistics; a read may
+        // straddle an in-flight operation (see `snapshot`) and no other
+        // memory is consumed through these loads.
         IoStats {
             accesses: self.accesses.load(Ordering::Relaxed),
             hits: self.hits.load(Ordering::Relaxed),
@@ -205,27 +215,42 @@ impl AtomicIoStats {
         }
     }
 
-    /// Atomically (per counter) read and zero the counters.
+    /// Read all counters since the last [`take`](AtomicIoStats::take)
+    /// or [`reset`](AtomicIoStats::reset), without closing the window.
     ///
-    /// Each counter is `swap(0)`-ed, so concurrent increments land
-    /// either in the returned window or the next one — never both,
-    /// never neither. This is what makes phase accounting
-    /// (`prefill` / `measured`) exact even with a racing writer.
-    pub fn take(&self) -> IoStats {
-        // ordering: each swap is individually atomic, which is all the
-        // exactly-once phase accounting needs; the counters carry no
-        // other memory, so Relaxed suffices.
-        IoStats {
-            accesses: self.accesses.swap(0, Ordering::Relaxed),
-            hits: self.hits.swap(0, Ordering::Relaxed),
-            fetches: self.fetches.swap(0, Ordering::Relaxed),
-            evictions: self.evictions.swap(0, Ordering::Relaxed),
-            writebacks: self.writebacks.swap(0, Ordering::Relaxed),
-            seeks: self.seeks.swap(0, Ordering::Relaxed),
-        }
+    /// Counters are loaded one at a time, so a snapshot taken while
+    /// another thread is mid-operation may straddle that operation
+    /// (e.g. see its access but not yet its fetch); totals are still
+    /// never lost.
+    pub fn snapshot(&self) -> IoStats {
+        // Lock before loading: a `take` between the loads and the lock
+        // would move the baseline past them.
+        let base = self.base();
+        self.totals().since(&base)
     }
 
-    /// Zero all counters, discarding their values.
+    /// The observers' baseline. Every update of it is one assignment of
+    /// a `Copy` value, so even a poisoned lock guards a valid one.
+    fn base(&self) -> MutexGuard<'_, IoStats> {
+        self.base.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Read the counters since the last window and close it.
+    ///
+    /// The baseline moves to exactly the values this call read, so an
+    /// increment the loads missed lands in the next window — never
+    /// both, never neither. This is what makes phase accounting
+    /// (`prefill` / `measured`) exact even with a racing writer.
+    pub fn take(&self) -> IoStats {
+        let mut base = self.base();
+        let now = self.totals();
+        let window = now.since(&base);
+        *base = now;
+        window
+    }
+
+    /// Close the current window, discarding its counts: the next
+    /// `snapshot` reads zero until the writer counts again.
     pub fn reset(&self) {
         self.take();
     }

@@ -9,7 +9,7 @@
 
 use cosbt_dam::{AtomicIoStats, IoStats};
 use cosbt_testkit::model::{check_opts, ModelOpts};
-use cosbt_testkit::sync::{thread, Arc};
+use cosbt_testkit::sync::{thread, Arc, Mutex};
 
 /// Two increments race a mid-stream `take()` plus a post-join `take()`:
 /// the two windows must sum to exactly the increments performed.
@@ -31,6 +31,47 @@ fn take_is_exactly_once_against_racing_increments() {
         assert_eq!(total.fetches, 2, "fetches lost or double-counted");
         assert_eq!(total.writebacks, 1, "writebacks lost or double-counted");
         // And the accumulator is empty: both windows drained it.
+        assert_eq!(stats.snapshot(), IoStats::default());
+    });
+    assert!(
+        report.preemption_bound >= 2 && report.schedules > 1,
+        "expected a real exploration: {report:?}"
+    );
+}
+
+/// The store's contract: increments are not atomic read-modify-writes,
+/// so two writers must hand the counters off through the store lock.
+/// Each writer's load sees the other's store through the lock's
+/// happens-before edge, while an observer, which never takes that lock,
+/// closes two windows mid-stream: the three windows sum exactly.
+#[test]
+fn writers_handing_off_the_store_lock_lose_no_increment() {
+    let report = check_opts(ModelOpts::bound(2), || {
+        let stats = Arc::new(AtomicIoStats::new());
+        let store_lock = Arc::new(Mutex::new(()));
+        let writers: Vec<_> = (0..2)
+            .map(|_| {
+                let s = Arc::clone(&stats);
+                let lock = Arc::clone(&store_lock);
+                thread::spawn(move || {
+                    let _held = lock.lock().unwrap();
+                    s.inc_fetches();
+                    s.add_accesses(2, 1);
+                })
+            })
+            .collect();
+        let first = stats.take();
+        let second = stats.take();
+        for w in writers {
+            w.join().unwrap();
+        }
+        let total = first + second + stats.take();
+        assert_eq!(total.fetches, 2, "fetches lost or double-counted");
+        assert_eq!(
+            (total.accesses, total.hits),
+            (4, 2),
+            "accesses lost or double-counted"
+        );
         assert_eq!(stats.snapshot(), IoStats::default());
     });
     assert!(

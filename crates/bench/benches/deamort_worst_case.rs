@@ -1,7 +1,7 @@
-//! **E9** — deamortization (Theorems 22 & 24): the amortized COLA's
-//! worst-case insert touches Θ(N) cells (a full-structure merge), while
-//! the deamortized variants bound every insert by O(log N) moves with the
-//! same amortized totals.
+//! **E9** — deamortization (Theorem 22): the amortized COLA's worst-case
+//! insert touches Θ(N) cells (a full-structure merge), while the
+//! deamortized COLA bounds every insert by O(log N) moves with the same
+//! amortized totals.
 //!
 //! Prints, for each structure: total cells written per insert (amortized
 //! cost), the worst single insert, and a tail profile of per-insert cell
@@ -9,7 +9,7 @@
 
 use cosbt_bench::measure::results_dir;
 use cosbt_bench::{random_keys, scaled};
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_core::{DeamortCola, Dictionary, GCola};
 use cosbt_dam::PlainMem;
 use std::io::Write as _;
 
@@ -75,21 +75,6 @@ fn main() {
     );
     writeln!(csv, "basic,{},{},{},{},{lg:.1}", r.0, r.1, r.2, r.3).unwrap();
 
-    let mut dba = DeamortBasicCola::new_plain();
-    let mut i = 0usize;
-    let r = profile(
-        "deamortized basic COLA",
-        |_| {
-            let k = keys[i];
-            dba.insert(k, i as u64);
-            i += 1;
-            dba.stats().cells_written
-        },
-        &keys,
-    );
-    writeln!(csv, "deamort-basic,{},{},{},{},{lg:.1}", r.0, r.1, r.2, r.3).unwrap();
-    let worst_basic = r.3;
-
     let mut dc = DeamortCola::new_plain();
     let mut i = 0usize;
     let r = profile(
@@ -106,10 +91,10 @@ fn main() {
 
     println!(
         "\nshape check: the amortized COLA's worst insert moves ~N cells;\n\
-         the deamortized variants stay within m = O(log N) ≈ {:.0}–{:.0}\n\
-         (measured deamortized-basic worst: {worst_basic}).",
+         the deamortized COLA stays within m = 2k + 2 = O(log N) ≈ {:.0}\n\
+         (measured worst: {}).",
         2.0 * lg + 2.0,
-        6.0 * lg + 16.0
+        r.3
     );
     println!("csv: {}", csv_path.display());
 }

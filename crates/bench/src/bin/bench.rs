@@ -68,7 +68,7 @@ const EXPERIMENTS: &[(&str, &str, &str)] = &[
     (
         "deamort",
         "deamort_worst_case",
-        "E9: deamortized worst case (Thms 22/24)",
+        "E9: deamortized worst case (Thm 22)",
     ),
     (
         "shuttle",

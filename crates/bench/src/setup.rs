@@ -19,9 +19,7 @@ pub enum DictKind {
     GCola(usize),
     /// Basic COLA (no lookahead pointers).
     Basic,
-    /// Deamortized basic COLA.
-    DeamortBasic,
-    /// Fully deamortized COLA.
+    /// Deamortized COLA.
     Deamort,
     /// Baseline B+-tree.
     BTree,
@@ -36,9 +34,6 @@ impl DictKind {
         match *self {
             DictKind::GCola(g) => DbBuilder::new().structure(Structure::GCola { g }),
             DictKind::Basic => DbBuilder::new().structure(Structure::BasicCola),
-            DictKind::DeamortBasic => DbBuilder::new()
-                .structure(Structure::BasicCola)
-                .deamortized(),
             DictKind::Deamort => DbBuilder::new()
                 .structure(Structure::GCola { g: 2 })
                 .deamortized(),
@@ -123,7 +118,6 @@ mod tests {
         for kind in [
             DictKind::GCola(4),
             DictKind::Basic,
-            DictKind::DeamortBasic,
             DictKind::Deamort,
             DictKind::BTree,
             DictKind::Brt,

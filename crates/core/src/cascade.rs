@@ -6,7 +6,7 @@
 //!
 //! Every structure in the family keeps one [`LevelAux`] per sorted run
 //! (a level of a [`crate::GCola`], the basic COLA included, or one array of
-//! the deamortized variants). The aux is rebuilt exactly when its run is
+//! the [`crate::DeamortCola`]). The aux is rebuilt exactly when its run is
 //! rebuilt — during the merge that writes the run's cells — via an
 //! [`AuxBuilder`] fed one cell at a time, so deamortized merges can
 //! carry a partially built aux across budgeted steps at `O(1)` extra
@@ -562,7 +562,7 @@ mod tests {
     #[test]
     fn window_equals_the_two_search_window() {
         // Runs of long equal-key stretches — lookahead copies, versions
-        // and tombstones of one key, as the four COLAs store them — over
+        // and tombstones of one key, as the COLAs store them — over
         // a narrow key space that includes 0 and u64::MAX.
         check_cases("window_equals_the_two_search_window", 200, |rng| {
             let mut keys: Vec<u64> = (0..1 + rng.index(40))

@@ -1,47 +1,39 @@
-//! Full deamortization of the COLA with lookahead pointers (Section 3,
-//! Lemma 23 / Theorem 24).
+//! Deamortization of the COLA (Section 3, Lemma 21 / Theorem 22).
 //!
-//! Each level keeps **three** arrays (level 0: two, always visible). Arrays
-//! are *shadow* or *visible*; queries ignore shadow arrays, so no level
-//! ever appears mid-merge to a query. The machinery, following the paper:
+//! Each level k keeps **two** arrays of size `2^k`. A level is *unsafe*
+//! while it holds exactly `2^{k+1}` items (both arrays full) and becomes
+//! safe when both arrays empty. Each insertion places the new item in
+//! level 0 and then scans the levels left to right, continuing the merges
+//! of unsafe levels into the next level, stopping after moving `m = 2k + 2`
+//! items (k = number of levels), which by Lemma 21 guarantees that two
+//! adjacent levels are never simultaneously unsafe — so a free array always
+//! exists to merge into. Worst-case insert cost drops from `O(N/B)` to
+//! `O(log N)` while the amortized cost stays `O((log N)/B)`.
 //!
-//! * Level k becomes *unsafe* when two of its visible arrays are full. The
-//!   two full arrays are merged — incrementally, a bounded number of cell
-//!   moves per insertion — into a shadow array `A` of level k+1, with
-//!   preference for a shadow already holding lookahead pointers.
-//! * After the merge, lookahead pointers are copied from `A` (every eighth
-//!   cell) into an empty shadow array at level k, which becomes *linked*
-//!   to `A`. The level is then safe again. (Level 0 skips the pointer
-//!   copy; its two one-item arrays stay visible forever.)
-//! * A shadow array becomes visible when a chain of linked arrays from
-//!   level 0 reaches it: every completed merge *from level 0* makes its
-//!   target visible and the visibility cascades along `linked_to` edges.
-//!   When an array turns visible and its level already has two other
-//!   visible arrays, those two — by then *zombies* whose content has
-//!   already been merged upward — turn shadow and empty (their data is
-//!   exactly what just became visible one level down the chain).
+//! Queries read completed (full) arrays only, each as a [`Run`]; a
+//! merge's destination is invisible until the merge commits, and its
+//! sources stay readable until then, so searches are never amortized
+//! against merges.
 //!
-//! The per-insert work budget `m = Θ(log N)` counts merged cells plus
-//! copied pointers, giving the worst-case `O(log N)` insert bound of
-//! Theorem 24 while the amortized bound stays `O((log N)/B)`.
-//!
-//! Two engineering notes, recorded here because the paper leaves them
-//! implicit: (a) a level's unsafe transition is evaluated lazily by the
-//! mover (deferred while an adjacent level is unsafe) rather than fired
-//! eagerly, which is the schedule Lemma 21's budget argument guarantees
-//! anyway and keeps the no-two-adjacent-unsafe invariant checkable; and
-//! (b) queries probe each visible array as an independent [`Run`] — the
-//! windowed O(1)-per-level search over the pointer cells is exercised by
-//! the amortized [`crate::GCola`]; here the pointers' role is the
-//! deamortization bookkeeping itself.
+//! The paper deamortizes once more (Lemma 23 / Theorem 24): a third
+//! array per level, shadow/visible status and lookahead pointers copied
+//! down a level, all so that a search can follow those pointers. A search
+//! here follows none: each full array's DRAM aux — fences, filter, ghost
+//! sample — confines its probe to two strides, which is how this engine
+//! meets Theorem 24's search bound. So it is the one deamortized COLA
+//! (DESIGN.md, "Decided: one deamortized engine"), and
+//! [`DeamortCola::from_parts`] still opens the three-array stores the
+//! retired engine wrote.
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux};
+use crate::cascade::{build_aux, AuxBuilder, LevelAux};
 use crate::cursor::RunMergeCursor;
-use crate::dict::{Cursor, Dictionary};
+use crate::dict::{Cursor, CursorOps, Dictionary};
 use crate::entry::Cell;
-use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT};
+use crate::persist::{
+    peek_tag, MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT, TAG_DEAMORT_BASIC,
+};
 use crate::run::{lookup, Run};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
@@ -50,122 +42,86 @@ use crate::stats::ColaStats;
 /// Version 2 appends per-array cascade fence keys to version 1.
 const META_VERSION: u8 = 2;
 
-/// Pointer sampling stride: "every eighth element" (Lemma 20 / Thm 24).
-const STRIDE: usize = 8;
+/// Version of the three-array format, tagged [`TAG_DEAMORT`], which
+/// [`DeamortCola::from_parts`] still reads and nothing writes any more.
+const THREE_ARRAY_META_VERSION: u8 = 2;
+
+/// Which of a level's two arrays.
+type Side = usize; // 0 or 1
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Vis {
-    Shadow,
-    Visible,
+enum ArrState {
+    Empty,
+    /// Holds `2^k` sorted items; `seq` orders recency within the level.
+    Full {
+        seq: u64,
+    },
+    /// Being written by an incoming merge; invisible to queries.
+    Filling,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Arr {
-    vis: Vis,
-    /// First occupied slot (content is right-justified).
-    start: usize,
-    /// Occupied cells (items + pointer cells).
-    len: usize,
-    /// Real (item/tombstone) cells among `len`.
-    items: usize,
-    /// Recency of the newest item.
-    seq: u64,
-    /// Array at the next level this one received pointers from.
-    linked_to: Option<usize>,
-    /// Content already merged upward; awaiting the visibility cascade.
-    zombie: bool,
-}
-
-impl Arr {
-    fn empty() -> Arr {
-        Arr {
-            vis: Vis::Shadow,
-            start: 0,
-            len: 0,
-            items: 0,
-            seq: 0,
-            linked_to: None,
-            zombie: false,
-        }
-    }
-
-    fn clear(&mut self) {
-        *self = Arr::empty();
-    }
-}
-
-/// Incremental work of an unsafe level.
+/// In-progress merge of level `k`'s two arrays into `dst` at level `k+1`.
 #[derive(Debug, Clone)]
-enum Phase {
-    /// Merging the level's two full arrays (`src`) into `dst` at the next
-    /// level; `ia`/`ib` index source content, `ip` indexes `dst`'s own
-    /// staged pointer cells, `w` counts output cells written.
-    Merge {
-        src: [usize; 2],
-        dst: usize,
-        ia: usize,
-        ib: usize,
-        ip: usize,
-        w: usize,
-        ptrs: Vec<Cell>,
-        total: usize,
-    },
-    /// Copying every eighth cell of `from` (at level k+1) into `to` (the
-    /// empty shadow at level k); `i` indexes `from`'s content.
-    CopyPtrs {
-        from: usize,
-        to: usize,
-        i: usize,
-        w: usize,
-    },
+struct MergeState {
+    dst_side: Side,
+    /// Consumed prefix of source arrays 0 and 1.
+    ia: usize,
+    ib: usize,
+    /// Cells written to the destination.
+    w: usize,
+    /// The destination's aux, fed one cell per budgeted move and
+    /// published when the array commits — the accelerator respects the
+    /// deamortized per-insert move bound.
+    aux: AuxBuilder,
 }
 
-/// Fully deamortized COLA over any [`Mem`] backend.
+/// Deamortized COLA over any [`Mem`] backend.
 #[derive(Debug)]
 pub struct DeamortCola<M: Mem<Cell>> {
     mem: M,
-    /// `arrs[k][a]`, three per level (level 0 uses the first two).
-    arrs: Vec<[Arr; 3]>,
-    /// In-progress work of unsafe levels, each with the aux builder of
-    /// the array it is writing: fed one cell per budgeted move and
-    /// published when that array settles, so the accelerator respects
-    /// the deamortized per-insert move bound.
-    phase: Vec<Option<(Phase, AuxBuilder)>>,
+    /// `state[k][side]`.
+    state: Vec<[ArrState; 2]>,
+    /// Merge progress for unsafe levels.
+    merges: Vec<Option<MergeState>>,
     n: u64,
     seq: u64,
     stats: ColaStats,
+    /// Largest number of cells moved by a single insert's mover pass.
     max_moves: u64,
-    /// Per-array read accelerators, `aux[k][a]` in lockstep with `arrs`:
-    /// `Some` exactly for occupied arrays with settled content, cleared
-    /// the moment an array becomes an incremental write target.
-    aux: Vec<[Option<LevelAux>; 3]>,
+    /// Per-array read accelerators, `aux[k][side]` in lockstep with
+    /// `state` — `Some` exactly for `Full` arrays.
+    aux: Vec<[Option<LevelAux>; 2]>,
     /// Staging for the rebuild scans, which reach `mem` as run-level
     /// calls.
     scratch: RunBuf,
 }
 
-/// Slot capacity of one array at level `k`: room for `2^k` items from each
-/// of two merging sources plus the pointer cells (≤ content/8 cascaded),
-/// with slack so a right-justified rewrite never overlaps unread input.
+/// Offset of array `side` of level `k`: levels are packed contiguously,
+/// each holding two arrays of `2^k`.
 #[inline]
-fn arr_cap(k: usize) -> usize {
-    1usize << (k + 1)
+fn arr_off(k: usize, side: Side) -> usize {
+    2 * ((1usize << k) - 1) + side * (1usize << k)
 }
 
-/// First slot of array `a` at level `k`.
-#[inline]
-fn arr_off(k: usize, a: usize) -> usize {
-    // Levels are packed: sum of 3 * arr_cap(j) for j < k.
-    3 * ((1usize << (k + 1)) - 2) + a * arr_cap(k)
+/// First slot of array `a` of level `k` in the three-array format: levels
+/// packed contiguously, each holding three arrays of `2^{k+1}` slots.
+fn three_array_off(k: usize, a: usize) -> usize {
+    3 * ((2usize << k) - 2) + a * (2usize << k)
 }
 
-/// Array `a` of level `k` as the run it holds (right-justified; empty
-/// when `len` is 0).
-fn arr_run<'a>(k: usize, a: usize, arrs: &[Arr; 3], aux: &'a [Option<LevelAux>; 3]) -> Run<'a> {
+/// Array `side` of level `k` as the run it holds: `2^k` cells when
+/// full, none otherwise (a filling array is invisible).
+fn arr_run<'a>(
+    k: usize,
+    side: Side,
+    state: &[ArrState; 2],
+    aux: &'a [Option<LevelAux>; 2],
+) -> Run<'a> {
+    let full = matches!(state[side], ArrState::Full { .. });
     Run {
-        base: arr_off(k, a) + arrs[a].start,
-        len: arrs[a].len,
-        aux: aux[a].as_ref(),
+        base: arr_off(k, side),
+        len: if full { 1 << k } else { 0 },
+        aux: aux[side].as_ref(),
     }
 }
 
@@ -180,30 +136,27 @@ impl<M: Mem<Cell>> DeamortCola<M> {
     /// Creates an empty deamortized COLA over `mem` (cleared).
     pub fn new(mut mem: M) -> Self {
         mem.resize(arr_off(1, 0), Cell::default());
-        let mut l0 = [Arr::empty(), Arr::empty(), Arr::empty()];
-        l0[0].vis = Vis::Visible;
-        l0[1].vis = Vis::Visible;
         DeamortCola {
             mem,
-            arrs: vec![l0],
-            phase: vec![None],
+            state: vec![[ArrState::Empty; 2]],
+            merges: vec![None],
             n: 0,
             seq: 0,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None, None]],
+            aux: vec![[None, None]],
             scratch: RunBuf::new(),
         }
     }
 
-    /// Number of insert operations performed.
+    /// Number of cells stored: one per insert operation performed.
     pub fn insertions(&self) -> u64 {
         self.n
     }
 
     /// Number of levels allocated.
     pub fn num_levels(&self) -> usize {
-        self.arrs.len()
+        self.state.len()
     }
 
     /// Work counters.
@@ -211,280 +164,111 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         self.stats
     }
 
-    /// Largest number of cells moved/copied by any single insert.
+    /// Largest number of cells moved by any single insert — the worst-case
+    /// bound Theorem 22 is about.
     pub fn max_moves_per_insert(&self) -> u64 {
         self.max_moves
     }
 
-    /// Whether level `k` is unsafe (has in-progress work).
+    /// Whether level `k` is unsafe (mid-merge).
     pub fn is_unsafe(&self, k: usize) -> bool {
-        self.phase.get(k).is_some_and(|p| p.is_some())
+        self.merges.get(k).is_some_and(|m| m.is_some())
     }
 
     fn ensure_level(&mut self, k: usize) {
-        while self.arrs.len() <= k {
-            self.arrs.push([Arr::empty(), Arr::empty(), Arr::empty()]);
-            self.phase.push(None);
-            self.aux.push([None, None, None]);
+        while self.state.len() <= k {
+            self.state.push([ArrState::Empty; 2]);
+            self.merges.push(None);
+            self.aux.push([None, None]);
         }
-        let need = arr_off(self.arrs.len(), 0);
+        let need = arr_off(self.state.len(), 0);
         if self.mem.len() < need {
             self.mem.resize(need, Cell::default());
         }
     }
 
-    /// Item capacity of a level-k array.
-    fn item_cap(k: usize) -> usize {
-        1usize << k
-    }
-
-    /// The lazy unsafe trigger: two visible, non-zombie, item-full arrays.
-    fn wants_merge(&self, k: usize) -> Option<[usize; 2]> {
-        let mut full = [0usize; 2];
-        let mut cnt = 0;
-        for a in 0..3 {
-            let ar = &self.arrs[k][a];
-            if ar.vis == Vis::Visible && !ar.zombie && ar.items == Self::item_cap(k) {
-                if cnt < 2 {
-                    full[cnt] = a;
-                }
-                cnt += 1;
-            }
-        }
-        if cnt >= 2 {
-            Some(full)
-        } else {
-            None
-        }
-    }
-
-    /// Chooses the merge destination at level `k+1`: prefer a shadow
-    /// already holding lookahead pointers, else an empty shadow.
-    fn choose_dst(&mut self, k: usize) -> usize {
+    /// Starts the merge of unsafe level `k` into a free array of `k+1`.
+    fn begin_merge(&mut self, k: usize) {
         self.ensure_level(k + 1);
-        let lvl = &self.arrs[k + 1];
-        if let Some(a) = (0..3).find(|&a| {
-            lvl[a].vis == Vis::Shadow && !lvl[a].zombie && lvl[a].items == 0 && lvl[a].len > 0
-        }) {
-            return a;
-        }
-        (0..3)
-            .find(|&a| lvl[a].vis == Vis::Shadow && lvl[a].len == 0 && !lvl[a].zombie)
-            .expect("Lemma 23 violated: no shadow array available to merge into")
-    }
-
-    fn begin_merge(&mut self, k: usize, src: [usize; 2]) {
-        debug_assert!(self.phase[k].is_none());
-        let dst = self.choose_dst(k);
-        // Stage dst's own pointer cells (it holds only pointers, if
-        // anything): they participate in the merge by key order.
-        let d = self.arrs[k + 1][dst];
-        let mut ptrs = Vec::with_capacity(d.len);
-        let base = arr_off(k + 1, dst) + d.start;
-        for i in 0..d.len {
-            ptrs.push(self.mem.get(base + i));
-        }
-        let total = self.arrs[k][src[0]].items + self.arrs[k][src[1]].items + ptrs.len();
-        debug_assert!(total <= arr_cap(k + 1), "destination overflow");
-        // The destination's cells are overwritten incrementally from here
-        // on; its aux (stale pointer-run state, if any) must go now.
-        self.aux[k + 1][dst] = None;
-        let merge = Phase::Merge {
-            src,
-            dst,
+        let dst_side = (0..2)
+            .find(|&s| self.state[k + 1][s] == ArrState::Empty)
+            .expect("Lemma 21 violated: no free array in next level");
+        self.state[k + 1][dst_side] = ArrState::Filling;
+        self.merges[k] = Some(MergeState {
+            dst_side,
             ia: 0,
             ib: 0,
-            ip: 0,
             w: 0,
-            ptrs,
-            total,
-        };
-        self.phase[k] = Some((merge, AuxBuilder::new(total)));
+            aux: AuxBuilder::new(1 << (k + 1)),
+        });
         self.stats.merges += 1;
     }
 
-    /// Makes `(k, a)` visible, cascading along linked arrays and emptying
-    /// superseded zombie pairs, per the paper's visibility rules.
-    fn make_visible(&mut self, mut k: usize, mut a: usize) {
-        loop {
-            if self.arrs[k][a].vis == Vis::Visible {
-                return;
-            }
-            self.arrs[k][a].vis = Vis::Visible;
-            let others: Vec<usize> = (0..3)
-                .filter(|&o| o != a && self.arrs[k][o].vis == Vis::Visible)
-                .collect();
-            if others.len() == 2 {
-                for o in others {
-                    debug_assert!(
-                        self.arrs[k][o].zombie,
-                        "visibility cascade would empty a live array at level {k}"
-                    );
-                    self.arrs[k][o].clear();
-                    self.aux[k][o] = None;
-                }
-            }
-            match self.arrs[k][a].linked_to {
-                Some(nxt) => {
-                    k += 1;
-                    a = nxt;
-                }
-                None => return,
-            }
-        }
-    }
-
-    /// Advances level `k`'s work by at most `budget`; returns moves spent.
-    fn step(&mut self, k: usize, budget: u64) -> u64 {
-        let mut spent = 0u64;
-        let Some((mut phase, mut aux)) = self.phase[k].take() else {
+    /// Advances level `k`'s merge by at most `budget` moves; returns moves
+    /// spent. Sources stay intact (readable) until commit.
+    fn step_merge(&mut self, k: usize, budget: u64) -> u64 {
+        let Some(mut ms) = self.merges[k].take() else {
             return 0;
         };
-        loop {
-            match &mut phase {
-                Phase::Merge {
-                    src,
-                    dst,
-                    ia,
-                    ib,
-                    ip,
-                    w,
-                    ptrs,
-                    total,
-                } => {
-                    let (s0, s1) = (self.arrs[k][src[0]], self.arrs[k][src[1]]);
-                    let newer_a = s0.seq > s1.seq;
-                    let a_base = arr_off(k, src[0]) + s0.start;
-                    let b_base = arr_off(k, src[1]) + s1.start;
-                    let dst_cap = arr_cap(k + 1);
-                    let out_base = arr_off(k + 1, *dst) + dst_cap - *total;
-                    while spent < budget && *w < *total {
-                        // Skip pointer cells in the sources (they point at
-                        // this level's superseded arrays).
-                        while *ia < s0.len && {
-                            let c = self.mem.get(a_base + *ia);
-                            c.is_redundant()
-                        } {
-                            *ia += 1;
-                        }
-                        while *ib < s1.len && {
-                            let c = self.mem.get(b_base + *ib);
-                            c.is_redundant()
-                        } {
-                            *ib += 1;
-                        }
-                        let ka = (*ia < s0.len).then(|| self.mem.get(a_base + *ia).key);
-                        let kb = (*ib < s1.len).then(|| self.mem.get(b_base + *ib).key);
-                        let kp = (*ip < ptrs.len()).then(|| ptrs[*ip].key);
-                        // Pointers first among equal keys, then the newer
-                        // source.
-                        let cell = match (ka, kb, kp) {
-                            (a_k, b_k, Some(p))
-                                if a_k.is_none_or(|x| p <= x) && b_k.is_none_or(|x| p <= x) =>
-                            {
-                                let c = ptrs[*ip];
-                                *ip += 1;
-                                c
-                            }
-                            (Some(x), b_k, _)
-                                if b_k.is_none_or(|y| x < y || (x == y && newer_a)) =>
-                            {
-                                let c = self.mem.get(a_base + *ia);
-                                *ia += 1;
-                                c
-                            }
-                            (_, Some(_), _) => {
-                                let c = self.mem.get(b_base + *ib);
-                                *ib += 1;
-                                c
-                            }
-                            (None, None, None) => unreachable!("w < total"),
-                            _ => unreachable!(),
-                        };
-                        self.mem.set(out_base + *w, cell);
-                        aux.push(&cell);
-                        *w += 1;
-                        spent += 1;
-                        self.stats.cells_written += 1;
-                    }
-                    if *w < *total {
-                        break; // budget exhausted
-                    }
-                    // Merge complete: finalize destination, zombify sources.
-                    let items = s0.items + s1.items;
-                    let d = &mut self.arrs[k + 1][*dst];
-                    d.start = dst_cap - *total;
-                    d.len = *total;
-                    d.items = items;
-                    d.seq = s0.seq.max(s1.seq);
-                    d.zombie = false;
-                    let dst_arr = *dst;
-                    self.aux[k + 1][dst_arr] = Some(aux.finish());
-                    if k == 0 {
-                        // Level-0 merges complete the chain: the target
-                        // becomes visible immediately; level 0's arrays
-                        // simply empty (they stay visible).
-                        for &s in src.iter() {
-                            let keep_vis = self.arrs[0][s].vis;
-                            self.arrs[0][s].clear();
-                            self.arrs[0][s].vis = keep_vis;
-                            self.aux[0][s] = None;
-                        }
-                        self.make_visible(1, dst_arr);
-                        return spent;
-                    }
-                    for &s in src.iter() {
-                        self.arrs[k][s].zombie = true;
-                    }
-                    // Phase 2: copy pointers from dst into an empty shadow
-                    // at level k.
-                    let to = (0..3)
-                        .find(|&a| {
-                            self.arrs[k][a].vis == Vis::Shadow
-                                && self.arrs[k][a].len == 0
-                                && !self.arrs[k][a].zombie
-                        })
-                        .expect("no empty shadow to receive pointers");
-                    aux = AuxBuilder::new((*total).div_ceil(STRIDE));
-                    phase = Phase::CopyPtrs {
-                        from: dst_arr,
-                        to,
-                        i: 0,
-                        w: 0,
-                    };
-                }
-                Phase::CopyPtrs { from, to, i, w } => {
-                    let f = self.arrs[k + 1][*from];
-                    let f_base = arr_off(k + 1, *from) + f.start;
-                    let count = f.len.div_ceil(STRIDE);
-                    let to_base = arr_off(k, *to) + arr_cap(k) - count;
-                    while spent < budget && *i < f.len {
-                        if *i % STRIDE == 0 {
-                            let c = self.mem.get(f_base + *i);
-                            let ptr = Cell::lookahead(c.key, *i as u64);
-                            self.mem.set(to_base + *w, ptr);
-                            aux.push(&ptr);
-                            *w += 1;
-                            spent += 1;
-                            self.stats.cells_written += 1;
-                        }
-                        *i += 1;
-                    }
-                    if *i < f.len {
-                        break; // budget exhausted
-                    }
-                    let t = &mut self.arrs[k][*to];
-                    t.start = arr_cap(k) - count;
-                    t.len = count;
-                    t.items = 0;
-                    t.linked_to = Some(*from);
-                    self.aux[k][*to] = Some(aux.finish());
-                    return spent;
-                }
-            }
+        let len = 1usize << k;
+        // Tie-break: the newer source wins equal keys.
+        let seq_of = |st: ArrState| match st {
+            ArrState::Full { seq } => seq,
+            _ => unreachable!("merging a non-full array"),
+        };
+        let newer_a = seq_of(self.state[k][0]) > seq_of(self.state[k][1]);
+        let (a_base, b_base) = (arr_off(k, 0), arr_off(k, 1));
+        let dst_base = arr_off(k + 1, ms.dst_side);
+        let mut spent = 0u64;
+        while spent < budget && (ms.ia < len || ms.ib < len) {
+            let take_a = if ms.ia == len {
+                false
+            } else if ms.ib == len {
+                true
+            } else {
+                let ka = self.mem.get(a_base + ms.ia).key;
+                let kb = self.mem.get(b_base + ms.ib).key;
+                ka < kb || (ka == kb && newer_a)
+            };
+            let v = if take_a {
+                let v = self.mem.get(a_base + ms.ia);
+                ms.ia += 1;
+                v
+            } else {
+                let v = self.mem.get(b_base + ms.ib);
+                ms.ib += 1;
+                v
+            };
+            self.mem.set(dst_base + ms.w, v);
+            ms.aux.push(&v);
+            ms.w += 1;
+            spent += 1;
+            self.stats.cells_written += 1;
         }
-        self.phase[k] = Some((phase, aux));
+        if ms.ia == len && ms.ib == len {
+            // Commit: destination becomes full, sources empty, level safe.
+            let seq = seq_of(self.state[k][0]).max(seq_of(self.state[k][1]));
+            self.state[k + 1][ms.dst_side] = ArrState::Full { seq };
+            self.state[k][0] = ArrState::Empty;
+            self.state[k][1] = ArrState::Empty;
+            self.aux[k][0] = None;
+            self.aux[k][1] = None;
+            self.aux[k + 1][ms.dst_side] = Some(ms.aux.finish());
+            // The commit may have made level k+1 unsafe.
+            self.maybe_mark_unsafe(k + 1);
+        } else {
+            self.merges[k] = Some(ms);
+        }
         spent
+    }
+
+    fn maybe_mark_unsafe(&mut self, k: usize) {
+        let both_full = self.state[k]
+            .iter()
+            .all(|s| matches!(s, ArrState::Full { .. }));
+        if both_full && self.merges[k].is_none() {
+            self.begin_merge(k);
+        }
     }
 
     fn insert_cell(&mut self, cell: Cell) {
@@ -492,43 +276,26 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         self.seq += 1;
         self.stats.inserts += 1;
 
+        // Place the new item as a length-1 run in level 0.
         let side = (0..2)
-            .find(|&a| self.arrs[0][a].items == 0)
+            .find(|&s| self.state[0][s] == ArrState::Empty)
             .expect("level 0 has no free array: mover fell behind");
-        let base = arr_off(0, side) + arr_cap(0) - 1;
-        self.mem.set(base, cell);
-        let a = &mut self.arrs[0][side];
-        a.start = arr_cap(0) - 1;
-        a.len = 1;
-        a.items = 1;
-        a.seq = self.seq;
-        self.aux[0][side] = Some(crate::cascade::build_aux([cell].iter()));
+        self.mem.set(arr_off(0, side), cell);
+        self.state[0][side] = ArrState::Full { seq: self.seq };
+        self.aux[0][side] = Some(build_aux([cell].iter()));
         self.stats.cells_written += 1;
+        self.maybe_mark_unsafe(0);
 
-        // Mover: trigger due merges lazily (skipping levels whose
-        // neighbours are busy), then advance unsafe levels left to right
-        // within the budget.
-        let levels = self.arrs.len() as u64;
-        let m = 6 * levels + 16;
+        // Mover: scan levels left to right, spending at most m moves.
+        let k = self.state.len() as u64;
+        let m = 2 * k + 2;
         let mut budget = m;
-        let mut k = 0usize;
-        while k < self.arrs.len() {
-            if budget == 0 {
-                break;
+        let mut level = 0usize;
+        while budget > 0 && level < self.state.len() {
+            if self.merges[level].is_some() {
+                budget -= self.step_merge(level, budget);
             }
-            if self.phase[k].is_none() {
-                let left_busy = k > 0 && self.is_unsafe(k - 1);
-                let right_busy = k + 1 < self.phase.len() && self.is_unsafe(k + 1);
-                if !left_busy && !right_busy {
-                    if let Some(src) = self.wants_merge(k) {
-                        self.begin_merge(k, src);
-                    }
-                }
-            }
-            if self.phase[k].is_some() {
-                budget -= self.step(k, budget);
-            }
-            k += 1;
+            level += 1;
         }
         let moved = m - budget;
         self.max_moves = self.max_moves.max(moved);
@@ -537,84 +304,81 @@ impl<M: Mem<Cell>> DeamortCola<M> {
 
     /// Every array in directory order, as the run it holds.
     fn dir<'a>(
-        arrs: &'a [[Arr; 3]],
-        aux: &'a [[Option<LevelAux>; 3]],
+        state: &'a [[ArrState; 2]],
+        aux: &'a [[Option<LevelAux>; 2]],
     ) -> impl Iterator<Item = Run<'a>> + 'a {
-        let levels = arrs.iter().zip(aux).enumerate();
-        levels.flat_map(|(k, (lvl, aux))| [0, 1, 2].map(|a| arr_run(k, a, lvl, aux)))
+        let levels = state.iter().zip(aux).enumerate();
+        levels.flat_map(|(k, (st, aux))| [0, 1].map(|side| arr_run(k, side, st, aux)))
     }
 
-    /// The visible runs, newest first: visible arrays, smaller levels
-    /// first and, within a level, by descending `seq` — the snapshot
-    /// point lookups and cursors alike read. Shadow arrays (in-flight
-    /// merge destinations included) stay hidden.
+    /// The visible runs, newest first: smaller levels first and, within
+    /// a level, the side with the higher `seq` first — the order point
+    /// lookups and cursors alike read in. An array that is not full
+    /// shows as an empty run.
     fn runs<'a>(
-        arrs: &'a [[Arr; 3]],
-        aux: &'a [[Option<LevelAux>; 3]],
+        state: &'a [[ArrState; 2]],
+        aux: &'a [[Option<LevelAux>; 2]],
     ) -> impl Iterator<Item = Run<'a>> + 'a {
-        let levels = arrs.iter().zip(aux).enumerate();
-        levels.flat_map(|(k, (lvl, aux))| {
-            let mut order = [0, 1, 2];
-            order.sort_unstable_by_key(|&a| std::cmp::Reverse(lvl[a].seq));
-            let visible = order.into_iter().filter(|&a| lvl[a].vis == Vis::Visible);
-            visible.map(move |a| arr_run(k, a, lvl, aux))
+        let seq = |st: ArrState| match st {
+            ArrState::Full { seq } => Some(seq),
+            _ => None,
+        };
+        let levels = state.iter().zip(aux).enumerate();
+        levels.flat_map(move |(k, (st, aux))| {
+            let mut sides = [0, 1].map(|side| arr_run(k, side, st, aux));
+            if seq(st[1]) > seq(st[0]) {
+                sides.reverse();
+            }
+            sides
         })
     }
 
-    /// Completes every in-flight phase and every due merge (the mover's
-    /// loop with an unbounded budget, iterated to a fixpoint). Logical
-    /// contents are unchanged; afterwards no level is unsafe, so
-    /// [`Persist::save_meta`] only has to serialize the per-array
-    /// bookkeeping — an in-flight `Phase` stages up to `2^k/8` pointer
-    /// cells, which would blow the bounded metadata region.
+    /// Completes every in-flight merge (a merge commit can make the next
+    /// level unsafe, so iterate to a fixpoint). Logical contents are
+    /// unchanged; afterwards every array is `Empty` or `Full`, which is
+    /// the only state [`Persist::save_meta`] serializes. The per-insert
+    /// worst-case bound applies between quiesce points, not across one —
+    /// a checkpoint is an O(data) event by nature.
     pub fn quiesce(&mut self) {
-        loop {
-            let mut progressed = false;
-            for k in 0..self.arrs.len() {
-                if self.phase[k].is_none() {
-                    let left_busy = k > 0 && self.is_unsafe(k - 1);
-                    let right_busy = k + 1 < self.phase.len() && self.is_unsafe(k + 1);
-                    if !left_busy && !right_busy {
-                        if let Some(src) = self.wants_merge(k) {
-                            self.begin_merge(k, src);
-                        }
-                    }
+        while self.merges.iter().any(Option::is_some) {
+            for k in 0..self.merges.len() {
+                if self.merges[k].is_some() {
+                    self.step_merge(k, u64::MAX);
                 }
-                if self.phase[k].is_some() {
-                    self.step(k, u64::MAX);
-                    progressed = true;
-                }
-            }
-            if !progressed {
-                break;
             }
         }
     }
 
     /// Reconstructs a deamortized COLA over an already-populated `mem`
-    /// from persisted (quiesced) control state.
+    /// from persisted (quiesced) control state. A store the retired
+    /// three-array engine wrote opens too, rewritten in this engine's
+    /// layout in memory until the next sync commits it.
     pub fn from_parts(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
-        let mut r = MetaReader::new(meta, TAG_DEAMORT, META_VERSION)?;
+        if peek_tag(meta) == Some(TAG_DEAMORT) {
+            return Self::from_three_array(mem, meta);
+        }
+        let mut r = MetaReader::new(meta, TAG_DEAMORT_BASIC, META_VERSION)?;
         let n = r.u64()?;
         let seq = r.u64()?;
         let count = r.level_count(60)?;
-        let mut arrs = Vec::with_capacity(count);
+        let mut state = Vec::with_capacity(count);
         for _ in 0..count {
-            let mut level = [Arr::empty(), Arr::empty(), Arr::empty()];
-            for arr in &mut level {
-                *arr = Arr {
-                    vis: if r.bool()? { Vis::Visible } else { Vis::Shadow },
-                    start: r.usize()?,
-                    len: r.usize()?,
-                    items: r.usize()?,
-                    seq: r.u64()?,
-                    linked_to: r.opt_usize()?,
-                    zombie: r.bool()?,
+            let mut sides = [ArrState::Empty; 2];
+            for side in &mut sides {
+                *side = match r.u8()? {
+                    0 => ArrState::Empty,
+                    1 => ArrState::Full { seq: r.u64()? },
+                    b => {
+                        return Err(MetaError::Invalid(format!(
+                            "array state byte {b} (a quiesced store has no filling arrays)"
+                        )))
+                    }
                 };
             }
-            arrs.push(level);
+            state.push(sides);
         }
-        let fences = r.fences(arrs.iter().flatten().map(|arr| arr.len > 0))?;
+        let full = |st: &ArrState| matches!(st, ArrState::Full { .. });
+        let fences = r.fences(state.iter().flatten().map(full))?;
         r.finish()?;
         if mem.len() < arr_off(count, 0) {
             return Err(MetaError::Invalid(format!(
@@ -623,115 +387,182 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                 arr_off(count, 0)
             )));
         }
-        for (k, level) in arrs.iter().enumerate() {
-            for (a, arr) in level.iter().enumerate() {
-                let in_bounds = arr
-                    .start
-                    .checked_add(arr.len)
-                    .is_some_and(|end| end <= arr_cap(k));
-                if !in_bounds || arr.items > arr.len || arr.linked_to.is_some_and(|t| t >= 3) {
-                    return Err(MetaError::Invalid(format!(
-                        "level {k} array {a} bookkeeping out of bounds"
-                    )));
-                }
-            }
-        }
         let mut cola = DeamortCola {
             mem,
-            phase: vec![None; count],
-            arrs,
+            merges: vec![None; count],
+            state,
             n,
             seq,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None, None]; count],
+            aux: vec![[None, None]; count],
             scratch: RunBuf::new(),
         };
         // v2: corrupt cascade metadata is a typed `MetaError`, never a
         // wrong answer.
         for (i, fence) in fences.into_iter().enumerate() {
             if let Some(fence) = fence {
-                let (k, a) = (i / 3, i % 3);
-                let run = arr_run(k, a, &cola.arrs[k], &cola.aux[k]).bare();
-                let what = format_args!("level {k} array {a}");
+                let (k, side) = (i / 2, i % 2);
+                let run = arr_run(k, side, &cola.state[k], &cola.aux[k]).bare();
+                let what = format_args!("level {k} side {side}");
                 let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, |_, _| {})?;
-                cola.aux[k][a] = Some(aux);
+                cola.aux[k][side] = Some(aux);
             }
         }
         Ok(cola)
     }
 
-    /// Structural invariants (tests): no adjacent unsafe levels, at least
-    /// one shadow per in-use level (k ≥ 1), at most two visible arrays,
-    /// sortedness, and accounting consistency.
+    /// Opens a store the retired three-array engine of Lemma 23 wrote.
+    /// Its format lists, per level, three arrays of `2^{k+1}` slots, each
+    /// with a visible bit, its occupied `start..start + len`, its item
+    /// count, its recency, the array of the next level it took lookahead
+    /// pointers from and whether its content was already merged upward.
+    /// That format's checks stay: every array inside its slots, no more
+    /// items than cells, links inside the next level, and each occupied
+    /// array's fence keys and cascade state, through [`Run::reopen`].
+    ///
+    /// The store answers what its visible arrays, newest first, answer.
+    /// A [`RunMergeCursor`] over them reads those live entries into DRAM —
+    /// a one-time O(live) buffer — and they are placed once: a full array
+    /// at level k for each set bit k of their count, which becomes N. The
+    /// rewrite reaches the store as ordinary writes, so only the next
+    /// sync commits it.
+    fn from_three_array(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
+        let mut r = MetaReader::new(meta, TAG_DEAMORT, THREE_ARRAY_META_VERSION)?;
+        let _insertions = r.u64()?;
+        let seq = r.u64()?;
+        let count = r.level_count(60)?;
+        let mut arrs = Vec::with_capacity(3 * count);
+        for _ in 0..3 * count {
+            let visible = r.bool()?;
+            let (start, len, items, recency) = (r.usize()?, r.usize()?, r.usize()?, r.u64()?);
+            let link = r.opt_usize()?;
+            // Merged upward or not, a visible array answers.
+            r.bool()?;
+            arrs.push((visible, start, len, items, recency, link));
+        }
+        let fences = r.fences(arrs.iter().map(|arr| arr.2 > 0))?;
+        r.finish()?;
+        if mem.len() < three_array_off(count, 0) {
+            return Err(MetaError::Invalid(format!(
+                "store holds {} cells, {count} levels need {}",
+                mem.len(),
+                three_array_off(count, 0)
+            )));
+        }
+        for (i, &(_, start, len, items, _, link)) in arrs.iter().enumerate() {
+            let (k, a) = (i / 3, i % 3);
+            let in_bounds = start.checked_add(len).is_some_and(|end| end <= 2 << k);
+            if !in_bounds || items > len || link.is_some_and(|t| t >= 3) {
+                return Err(MetaError::Invalid(format!(
+                    "level {k} array {a} bookkeeping out of bounds"
+                )));
+            }
+        }
+        let run = |i: usize| Run {
+            base: three_array_off(i / 3, i % 3) + arrs[i].1,
+            len: arrs[i].2,
+            aux: None,
+        };
+        let mut scratch = RunBuf::new();
+        let mut auxes = Vec::with_capacity(arrs.len());
+        for (i, fence) in fences.into_iter().enumerate() {
+            let (k, a) = (i / 3, i % 3);
+            let what = format_args!("level {k} array {a}");
+            let reopen = |fence| run(i).reopen(&mem, &mut scratch, fence, what, |_, _| {});
+            auxes.push(fence.map(reopen).transpose()?);
+        }
+        // Newest first: by level, then by descending recency.
+        let mut visible: Vec<usize> = (0..arrs.len()).filter(|&i| arrs[i].0).collect();
+        visible.sort_by_key(|&i| (i / 3, std::cmp::Reverse(arrs[i].4)));
+        let runs = visible.into_iter().map(|i| Run {
+            aux: auxes[i].as_ref(),
+            ..run(i)
+        });
+        let mut live = Vec::new();
+        let mut cursor = RunMergeCursor::new(&mem, runs, 0, u64::MAX).windowed(&mut scratch);
+        while let Some((key, val)) = cursor.next() {
+            live.push(Cell::item(key, val));
+        }
+        drop(cursor);
+
+        let mut cola = DeamortCola {
+            mem,
+            state: vec![[ArrState::Empty; 2]],
+            merges: vec![None],
+            n: live.len() as u64,
+            seq,
+            stats: ColaStats::default(),
+            max_moves: 0,
+            aux: vec![[None, None]],
+            scratch,
+        };
+        let mut rest = &live[..];
+        for k in (0..usize::BITS as usize).filter(|k| live.len() >> k & 1 == 1) {
+            let (cells, tail) = rest.split_at(1 << k);
+            cola.ensure_level(k);
+            cola.mem.write_run(arr_off(k, 0), cells);
+            cola.state[k][0] = ArrState::Full { seq };
+            cola.aux[k][0] = Some(build_aux(cells.iter()));
+            rest = tail;
+        }
+        Ok(cola)
+    }
+
+    /// Verifies Lemma 21's guarantee and state consistency (for tests).
     pub fn check_invariants(&self) {
-        for k in 0..self.arrs.len().saturating_sub(1) {
+        for k in 0..self.state.len().saturating_sub(1) {
             assert!(
                 !(self.is_unsafe(k) && self.is_unsafe(k + 1)),
-                "levels {k},{} simultaneously unsafe",
+                "levels {k} and {} simultaneously unsafe",
                 k + 1
             );
         }
-        for k in 1..self.arrs.len() {
-            let shadows = (0..3)
-                .filter(|&a| self.arrs[k][a].vis == Vis::Shadow)
-                .count();
-            assert!(shadows >= 1, "level {k} has no shadow array");
-            let visible = 3 - shadows;
-            assert!(visible <= 2, "level {k} has 3 visible arrays");
-        }
-        for k in 0..self.arrs.len() {
-            for a in 0..3 {
-                let ar = self.arrs[k][a];
+        for k in 0..self.state.len() {
+            if let Some(ms) = &self.merges[k] {
                 assert!(
-                    ar.start + ar.len <= arr_cap(k),
-                    "level {k} array {a} bounds"
+                    self.state[k + 1][ms.dst_side] == ArrState::Filling,
+                    "merge destination not marked filling"
                 );
-                // An in-flight merge writes into its destination (and a
-                // pointer copy into its target) before the bookkeeping is
-                // updated, so mid-operation their slots legitimately mix
-                // old and new content: skip content checks for those.
-                let is_dst = k >= 1
-                    && self.phase[k - 1].as_ref().is_some_and(|(p, _)| match p {
-                        Phase::Merge { dst, .. } => *dst == a,
-                        Phase::CopyPtrs { from, .. } => *from == a,
-                    });
-                let is_copy_target = self.phase[k].as_ref().is_some_and(|(p, _)| match p {
-                    Phase::CopyPtrs { to, .. } => *to == a,
-                    Phase::Merge { .. } => false,
-                });
-                if is_dst || is_copy_target {
-                    continue;
-                }
-                // A settled array as a run: sorted, aux present exactly
-                // when occupied and agreeing with the cells.
-                let run = arr_run(k, a, &self.arrs[k], &self.aux[k]);
-                let items = run.check(&self.mem, format_args!("level {k} array {a}"));
-                assert_eq!(items, ar.items, "level {k} array {a} item count");
+                assert!(
+                    self.state[k]
+                        .iter()
+                        .all(|s| matches!(s, ArrState::Full { .. })),
+                    "unsafe level {k} must have both arrays full"
+                );
             }
         }
+        // Every array as a run: sorted, aux present exactly when full.
+        assert_eq!(self.aux.len(), self.state.len(), "aux out of lockstep");
+        let mut cells = 0;
+        for (i, run) in Self::dir(&self.state, &self.aux).enumerate() {
+            run.check(&self.mem, format_args!("level {} side {}", i / 2, i % 2));
+            cells += run.len as u64;
+        }
+        assert_eq!(cells, self.n, "full arrays hold one cell per insert");
     }
 }
 
 impl<M: Mem<Cell>> Persist for DeamortCola<M> {
     fn save_meta(&mut self) -> Vec<u8> {
         self.quiesce();
-        debug_assert!(self.phase.iter().all(Option::is_none));
-        let mut w = MetaWriter::new(TAG_DEAMORT, META_VERSION);
-        w.u64(self.n).u64(self.seq).usize(self.arrs.len());
-        for level in &self.arrs {
-            for arr in level {
-                w.bool(arr.vis == Vis::Visible)
-                    .usize(arr.start)
-                    .usize(arr.len)
-                    .usize(arr.items)
-                    .u64(arr.seq)
-                    .opt_usize(arr.linked_to)
-                    .bool(arr.zombie);
+        let mut w = MetaWriter::new(TAG_DEAMORT_BASIC, META_VERSION);
+        w.u64(self.n).u64(self.seq).usize(self.state.len());
+        for level in &self.state {
+            for side in level {
+                match side {
+                    ArrState::Empty => {
+                        w.u8(0);
+                    }
+                    ArrState::Full { seq } => {
+                        w.u8(1).u64(*seq);
+                    }
+                    ArrState::Filling => unreachable!("quiesce left a filling array"),
+                }
             }
         }
-        // v2: each occupied array's fence keys.
-        w.fences(&self.mem, Self::dir(&self.arrs, &self.aux));
+        // v2: each full array's fence keys.
+        w.fences(&self.mem, Self::dir(&self.state, &self.aux));
         w.finish()
     }
 }
@@ -746,13 +577,14 @@ impl<M: Mem<Cell>> Dictionary for DeamortCola<M> {
     }
 
     fn get(&mut self, key: u64) -> Option<u64> {
-        let runs = Self::runs(&self.arrs, &self.aux);
+        let runs = Self::runs(&self.state, &self.aux);
         lookup(&self.mem, &mut self.stats, runs, key)
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        // Pointer cells are skipped by the merge cursor.
-        let runs = Self::runs(&self.arrs, &self.aux);
+        // In-flight merge destinations are invisible until commit, so the
+        // cursor never observes a half-written array.
+        let runs = Self::runs(&self.state, &self.aux);
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
     }
 
@@ -770,110 +602,168 @@ mod tests {
     use super::*;
 
     #[test]
-    fn capacities_and_offsets() {
-        assert_eq!(arr_cap(0), 2);
-        assert_eq!(arr_cap(3), 16);
+    fn array_offsets_pack_levels() {
         assert_eq!(arr_off(0, 0), 0);
-        assert_eq!(arr_off(0, 1), 2);
-        assert_eq!(arr_off(0, 2), 4);
-        assert_eq!(arr_off(1, 0), 6);
+        assert_eq!(arr_off(0, 1), 1);
+        assert_eq!(arr_off(1, 0), 2);
+        assert_eq!(arr_off(1, 1), 4);
+        assert_eq!(arr_off(2, 0), 6);
         for k in 0..20 {
-            assert_eq!(arr_off(k, 2) + arr_cap(k), arr_off(k + 1, 0));
+            assert_eq!(arr_off(k, 1) + (1 << k), arr_off(k + 1, 0));
         }
     }
 
-    #[test]
-    fn inserts_and_gets_match_model() {
+    type PlainCola = DeamortCola<PlainMem<Cell>>;
+
+    /// Reopens `c` from its own `save_meta()`: the quiesced two-array
+    /// format carries the whole dictionary, merges in flight included.
+    fn reopened(mut c: PlainCola) -> PlainCola {
+        let meta = c.save_meta();
+        let c = DeamortCola::from_parts(c.mem.clone(), &meta).expect("own meta reopens");
+        c.check_invariants();
+        c
+    }
+
+    /// `ops` upserts of seeded keys below `keys`, spot-checked against a
+    /// model every `every` inserts (reopening there when `reopen`), then
+    /// every key checked.
+    fn upserts_match_model(seed: u64, ops: u64, keys: u64, every: u64, reopen: bool) {
         let mut c = DeamortCola::new_plain();
         let mut model = std::collections::BTreeMap::new();
-        let mut x: u64 = 11;
-        for i in 0..6000u64 {
+        let mut x = seed;
+        for i in 0..ops {
             x = x
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            let k = x % 2500;
+            let k = x % keys;
             c.insert(k, i);
             model.insert(k, i);
-            if i % 509 == 0 {
+            if i % every == 0 {
+                if reopen {
+                    c = reopened(c);
+                }
                 c.check_invariants();
-                for probe in [0u64, 1000, 2499, k] {
-                    assert_eq!(
-                        c.get(probe),
-                        model.get(&probe).copied(),
-                        "probe {probe} at {i}"
-                    );
+                for probe in [0, keys / 2, keys - 1, k] {
+                    let want = model.get(&probe).copied();
+                    assert_eq!(c.get(probe), want, "probe {probe} at {i}");
                 }
             }
         }
-        for probe in 0..2500u64 {
+        for probe in 0..keys {
             assert_eq!(c.get(probe), model.get(&probe).copied());
         }
         c.check_invariants();
     }
 
     #[test]
+    fn inserts_and_gets_match_model() {
+        upserts_match_model(11, 6000, 2500, 509, false);
+    }
+
+    #[test]
+    fn inserts_and_gets_match_model_across_reopens() {
+        upserts_match_model(3, 5000, 2000, 617, true);
+    }
+
+    /// The worst insert grows with log N, not N: at each size it stays
+    /// within 3·log2 N cells on a scattered key stream.
+    #[test]
     fn worst_case_moves_logarithmic() {
         let mut c = DeamortCola::new_plain();
-        for i in 0..(1u64 << 14) {
-            c.insert(i, i);
+        let mut i = 0u64;
+        for lg in [8u64, 11, 14] {
+            while i < 1 << lg {
+                c.insert(i.wrapping_mul(0x9E3779B97F4A7C15), i);
+                i += 1;
+            }
+            assert!(
+                c.max_moves_per_insert() <= 3 * lg,
+                "worst case {} at N = 2^{lg} exceeds 3·log2 N",
+                c.max_moves_per_insert()
+            );
         }
-        let levels = c.num_levels() as u64;
-        assert!(
-            c.max_moves_per_insert() <= 6 * levels + 16,
-            "worst case {} exceeds budget",
-            c.max_moves_per_insert()
-        );
         assert!(c.max_moves_per_insert() < 1 << 10);
     }
 
     #[test]
-    fn shadow_visible_invariants_hold_throughout() {
+    fn worst_case_moves_bounded_by_m() {
         let mut c = DeamortCola::new_plain();
-        for i in 0..30_000u64 {
+        for i in 0..(1u64 << 14) {
+            c.insert(i, i);
+        }
+        let k = c.num_levels() as u64;
+        assert!(
+            c.max_moves_per_insert() <= 2 * k + 2,
+            "worst case {} exceeds m = {}",
+            c.max_moves_per_insert(),
+            2 * k + 2
+        );
+        // Contrast: the amortized COLA's worst case is Θ(N).
+        assert!(c.max_moves_per_insert() < 1 << 10);
+    }
+
+    #[test]
+    fn no_adjacent_unsafe_levels_ever() {
+        let mut c = DeamortCola::new_plain();
+        for i in 0..20_000u64 {
             c.insert(i.wrapping_mul(0x9E3779B97F4A7C15), i);
-            if i % 1024 == 1023 {
+            if i % 256 == 255 {
                 c.check_invariants();
             }
         }
         c.check_invariants();
     }
 
-    #[test]
-    fn linked_arrays_receive_pointers() {
+    /// Writes keys `0..n`, deletes every `del`-th, overwrites every
+    /// `up`-th (reopening between the two when `reopen`), then checks each.
+    fn deletes_then_upserts(n: u64, del: u64, up: u64, reopen: bool) {
         let mut c = DeamortCola::new_plain();
-        for i in 0..4096u64 {
-            c.insert(i, i);
-        }
-        // Some array must be linked (pointer-carrying shadow) by now.
-        let linked = (0..c.num_levels())
-            .flat_map(|k| (0..3).map(move |a| (k, a)))
-            .filter(|&(k, a)| c.arrs[k][a].linked_to.is_some())
-            .count();
-        assert!(linked > 0, "no linked arrays formed");
-    }
-
-    #[test]
-    fn deletes_and_upserts() {
-        let mut c = DeamortCola::new_plain();
-        for k in 0..800u64 {
+        for k in 0..n {
             c.insert(k, k);
         }
-        for k in (0..800u64).step_by(4) {
+        for k in (0..n).filter(|k| k % del == 0) {
             c.delete(k);
         }
-        for k in (0..800u64).step_by(6) {
-            c.insert(k, k + 7000);
+        if reopen {
+            c = reopened(c);
         }
-        for k in 0..800u64 {
-            let want = if k % 6 == 0 {
-                Some(k + 7000)
-            } else if k % 4 == 0 {
+        for k in (0..n).filter(|k| k % up == 0) {
+            c.insert(k, k + 9000);
+        }
+        for k in 0..n {
+            let want = if k % up == 0 {
+                Some(k + 9000)
+            } else if k % del == 0 {
                 None
             } else {
                 Some(k)
             };
             assert_eq!(c.get(k), want, "key {k}");
         }
+    }
+
+    #[test]
+    fn deletes_and_upserts() {
+        deletes_then_upserts(800, 4, 6, false);
+    }
+
+    /// Tombstones and shadowed versions survive a reopen.
+    #[test]
+    fn deletes_and_upserts_across_reopen() {
+        deletes_then_upserts(500, 3, 5, true);
+    }
+
+    #[test]
+    fn range_sees_committed_state_only_but_completely() {
+        let mut c = DeamortCola::new_plain();
+        let mut model = std::collections::BTreeMap::new();
+        for i in 0..777u64 {
+            let k = (i * 37) % 1000;
+            c.insert(k, i);
+            model.insert(k, i);
+        }
+        let want: Vec<(u64, u64)> = model.range(100..=400).map(|(&k, &v)| (k, v)).collect();
+        assert_eq!(c.range(100, 400), want);
     }
 
     #[test]
@@ -905,5 +795,171 @@ mod tests {
             c.get(i);
         }
         assert_eq!(c.stats().cells_written, w0, "searches must not move cells");
+    }
+
+    #[test]
+    fn amortized_cost_unchanged() {
+        let mut c = DeamortCola::new_plain();
+        let n = 1u64 << 13;
+        for i in 0..n {
+            c.insert(i, i);
+        }
+        let per = c.stats().cells_written as f64 / n as f64;
+        assert!(
+            per < 2.0 * 13.0,
+            "amortized writes {per} should stay O(log N)"
+        );
+    }
+
+    /// The 25 ops the three-array engine stored `THREE_ARRAY_DIR` and
+    /// `THREE_ARRAY_CELLS` for: 12 keys, one op in five a delete, each
+    /// value its op's index.
+    fn three_array_stream() -> impl Iterator<Item = (u64, Option<u64>)> {
+        let mut rng = cosbt_testkit::Rng::new(0xDEA3);
+        (0..25u64).map(move |i| (rng.below(12), (!rng.chance(1, 5)).then_some(i)))
+    }
+
+    /// One array of the three-array format: `(visible, start, len, items,
+    /// seq, link, merged upward)`.
+    type ThreeArray = (bool, usize, usize, usize, u64, Option<usize>, bool);
+
+    /// Its five levels' arrays in directory order. Level 1 array 1 and
+    /// level 3 array 2 are linked shadows holding lookahead cells only;
+    /// levels 1 and 3 each show two arrays already merged upward into a
+    /// shadow of the next level, which queries do not read yet.
+    #[rustfmt::skip]
+    const THREE_ARRAY_DIR: [ThreeArray; 15] = [
+        (true, 1, 1, 1, 25, None, false),
+        (true, 0, 0, 0, 0, None, false),
+        (false, 0, 0, 0, 0, None, false),
+        (true, 2, 2, 2, 24, None, true),
+        (false, 3, 1, 0, 0, Some(0), false),
+        (true, 1, 3, 2, 22, Some(1), true),
+        (false, 4, 4, 4, 24, None, false),
+        (true, 3, 5, 4, 20, Some(1), false),
+        (false, 0, 0, 0, 0, None, false),
+        (true, 8, 8, 8, 8, None, true),
+        (true, 8, 8, 8, 16, None, true),
+        (false, 14, 2, 0, 0, Some(0), false),
+        (false, 16, 16, 16, 16, None, false),
+        (false, 0, 0, 0, 0, None, false),
+        (false, 0, 0, 0, 0, None, false),
+    ];
+
+    /// The occupied arrays' cells in the same order, as `(key, v, meta)`:
+    /// `v` is an item's value and a lookahead cell's (meta 1) pointer,
+    /// and meta 2 marks a tombstone.
+    #[rustfmt::skip]
+    const THREE_ARRAY_CELLS: [(u64, u64, u64); 50] = [
+        (8, 24, 0),
+        (1, 0, 2), (2, 22, 0),
+        (1, 0, 1),
+        (1, 0, 1), (1, 20, 0), (8, 21, 0),
+        (1, 0, 2), (1, 20, 0), (2, 22, 0), (8, 21, 0),
+        (1, 0, 1), (1, 19, 0), (2, 18, 0), (3, 17, 0), (7, 16, 0),
+        (0, 0, 2), (0, 3, 0), (1, 1, 0), (4, 6, 0), (4, 4, 0), (9, 5, 0), (9, 2, 0), (10, 0, 0),
+        (1, 15, 0), (1, 14, 0), (5, 10, 0), (6, 8, 0), (7, 13, 0), (7, 0, 2), (8, 12, 0),
+        (8, 11, 0),
+        (0, 0, 1), (6, 8, 1),
+        (0, 0, 2), (0, 3, 0), (1, 15, 0), (1, 14, 0), (1, 1, 0), (4, 6, 0), (4, 4, 0), (5, 10, 0),
+        (6, 8, 0), (7, 13, 0), (7, 0, 2), (8, 12, 0), (8, 11, 0), (9, 5, 0), (9, 2, 0), (10, 0, 0),
+    ];
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// The store and the `save_meta()` the three-array engine left after
+    /// `three_array_stream`: N = 25, five levels, then the fence keys of
+    /// each occupied array. The payload is pinned by length and FNV-1a.
+    fn three_array_store() -> (PlainMem<Cell>, Vec<u8>) {
+        let mut mem = PlainMem::with_len(three_array_off(5, 0), Cell::default());
+        let mut cells = THREE_ARRAY_CELLS.iter().map(|&(key, v, meta)| match meta {
+            0 => Cell::item(key, v),
+            1 => Cell::lookahead(key, v),
+            _ => Cell::tombstone(key),
+        });
+        let mut w = MetaWriter::new(TAG_DEAMORT, THREE_ARRAY_META_VERSION);
+        w.u64(25).u64(25).usize(5);
+        let mut fences = Vec::new();
+        for (i, &(visible, start, len, items, seq, link, merged)) in
+            THREE_ARRAY_DIR.iter().enumerate()
+        {
+            w.bool(visible)
+                .usize(start)
+                .usize(len)
+                .usize(items)
+                .u64(seq)
+                .opt_usize(link)
+                .bool(merged);
+            let base = three_array_off(i / 3, i % 3) + start;
+            for slot in base..base + len {
+                mem.set(slot, cells.next().expect("a cell per occupied slot"));
+            }
+            if len > 0 {
+                fences.push((mem.get(base).key, mem.get(base + len - 1).key));
+            }
+        }
+        assert!(cells.next().is_none(), "every cell placed");
+        for (first, last) in fences {
+            w.u64(first).u64(last);
+        }
+        let meta = w.finish();
+        assert_eq!(
+            (meta.len(), fnv1a(&meta)),
+            (743, 0xce6c_6c8a_fc21_8c05),
+            "the payload the three-array engine wrote"
+        );
+        (mem, meta)
+    }
+
+    /// A store the three-array engine wrote opens, answers as it did,
+    /// takes inserts and is written back in the two-array format. A
+    /// flipped fence byte is a typed error.
+    #[test]
+    fn three_array_stores_open_and_converge() {
+        let (mem, meta) = three_array_store();
+        let mut model = std::collections::BTreeMap::new();
+        for (key, val) in three_array_stream() {
+            match val {
+                Some(v) => model.insert(key, v),
+                None => model.remove(&key),
+            };
+        }
+        let live = |m: &std::collections::BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
+            m.iter().map(|(&k, &v)| (k, v)).collect()
+        };
+        let mut c = DeamortCola::from_parts(mem.clone(), &meta).expect("a three-array store opens");
+        // Nine live entries: a full array at levels 0 and 3.
+        assert_eq!((c.insertions(), c.num_levels()), (9, 4));
+        c.check_invariants();
+        for key in 0..16 {
+            assert_eq!(c.get(key), model.get(&key).copied(), "key {key}");
+        }
+        assert_eq!(c.range(0, u64::MAX), live(&model), "reopened");
+
+        for i in 25..125u64 {
+            let key = i * 7 % 40;
+            c.insert(key, i);
+            model.insert(key, i);
+        }
+        c.check_invariants();
+        assert_eq!(c.range(0, u64::MAX), live(&model), "after inserts");
+        let two_array = c.save_meta();
+        assert_eq!(peek_tag(&two_array), Some(TAG_DEAMORT_BASIC));
+        let mut re =
+            DeamortCola::from_parts(c.mem.clone(), &two_array).expect("rewritten store opens");
+        re.check_invariants();
+        assert_eq!(re.range(0, u64::MAX), live(&model), "rewritten");
+
+        let mut bad = meta;
+        let at = bad.len() - 1;
+        bad[at] ^= 1; // the last occupied array's last fence key
+        match DeamortCola::from_parts(mem, &bad) {
+            Err(MetaError::Invalid(why)) => assert!(why.contains("fence keys"), "{why}"),
+            other => panic!("a flipped fence byte opened: {:?}", other.map(|c| c.n)),
+        }
     }
 }

@@ -325,9 +325,10 @@ pub trait Dictionary {
 
     /// Number of physically stored entries. The log-structured
     /// implementations count the shadowed versions and tombstones they
-    /// still hold: all of them until `compact` for the deamortized COLAs,
-    /// at most one version per key and level for the g-COLA (the basic
-    /// COLA included), whose carries drop the rest as they merge.
+    /// still hold: all of them for the deamortized COLA, whose merges
+    /// keep every version, and at most one version per key and level for
+    /// the g-COLA (the basic COLA included), whose carries drop the rest
+    /// as they merge.
     fn physical_len(&self) -> usize;
 
     /// A short human-readable name for reports.

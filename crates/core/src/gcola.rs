@@ -903,24 +903,27 @@ mod tests {
 
     #[test]
     fn each_level_receives_g_minus_1_merges() {
-        // For g = 4, level 1 (capacity 6) absorbs units of size 2:
-        // exactly g - 1 = 3 merges before overflowing to level 2.
+        // For g = 4, level 1 (capacity 6) receives a run of 2 at inserts
+        // 2, 4 and 6, and insert 8 carries levels 0..=1 into level 2 as
+        // 8 items. Level 2 (capacity 24) so receives exactly g − 1 = 3
+        // merges, at inserts 8, 16 and 24; insert 32 carries it into
+        // level 3 as 32 items.
         let mut c = plain(4, 0.0);
-        let mut merges_into_l2 = 0;
-        for i in 0..24u64 {
-            let before = c.levels.get(2).map_or(0, |l| l.items);
+        let items = |c: &GCola<PlainMem<Cell>>, l: usize| c.levels.get(l).map_or(0, |lv| lv.items);
+        // (insert, items after) of each merge into levels 1 and 2.
+        let mut merges = [Vec::new(), Vec::new()];
+        for i in 1..=32u64 {
+            let before = [items(&c, 1), items(&c, 2)];
             c.insert(i, i);
-            if let Some(l2) = c.levels.get(2) {
-                if l2.items > before {
-                    merges_into_l2 += 1;
+            for (l, merges) in [1, 2].into_iter().zip(&mut merges) {
+                if items(&c, l) > before[l - 1] {
+                    merges.push((i, items(&c, l)));
                 }
             }
         }
-        // 24 inserts = 4 units of 6 items reaching level 2... level 2 cap
-        // is 24, so exactly 24/6 = 4 spills happened? Level 1 fills 3 times
-        // (6 items) then spills 7 -> recount: just assert level2 nonempty
-        // and level1 cycles.
-        assert!(merges_into_l2 >= 3);
+        assert_eq!(merges[0][..3], [(2, 2), (4, 4), (6, 6)]);
+        assert_eq!(merges[1], [(8, 8), (16, 16), (24, 24)]);
+        assert_eq!((items(&c, 2), items(&c, 3)), (0, 32));
         c.check_invariants();
     }
 

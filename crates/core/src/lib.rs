@@ -10,11 +10,11 @@
 //!   p = 0) is Section 3's basic COLA: `log₂ N` levels, binary-carry
 //!   merging, `O((log N)/B)` amortized insert transfers, `O(log² N)`
 //!   search transfers without the cascade.
-//! * [`DeamortBasicCola`] — Theorem 22's partial deamortization: two
-//!   arrays per level, safe/unsafe levels, `m = 2k + 2` moves per insert,
-//!   worst-case `O(log N)` per insert.
-//! * [`DeamortCola`] — Theorem 24: three arrays per level with
-//!   shadow/visible status and array linking, hiding merges from queries.
+//! * [`DeamortCola`] — Theorem 22's deamortization: two arrays per
+//!   level, safe/unsafe levels, `m = 2k + 2` moves per insert, worst-case
+//!   `O(log N)` per insert, merges hidden from queries until they commit.
+//!   Theorem 24's third array and lookahead pointers serve a search this
+//!   tree does not make: each array's DRAM aux bounds its probe instead.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -22,7 +22,6 @@
 pub mod cascade;
 pub mod cursor;
 pub mod deamort;
-pub mod deamort_basic;
 pub mod dict;
 pub mod entry;
 pub mod epoch;
@@ -37,7 +36,6 @@ pub mod worker;
 pub use cascade::{AuxBuilder, LevelAux, LevelFilter, Probe};
 pub use cursor::{MergeCursor, Run, RunMergeCursor};
 pub use deamort::DeamortCola;
-pub use deamort_basic::DeamortBasicCola;
 pub use dict::{BatchOp, Cursor, CursorOps, Dictionary, UpdateBatch, VecCursor};
 pub use entry::Cell;
 pub use epoch::{EpochManager, EpochStats, EpochVersion, PinnedEpoch};

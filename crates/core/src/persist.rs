@@ -17,9 +17,9 @@
 //! mismatched payload yields a [`MetaError`], never a panic or a
 //! mis-shaped structure.
 //!
-//! The deamortized COLAs carry in-flight incremental merge state whose
+//! The deamortized COLA carries in-flight incremental merge state whose
 //! size is proportional to the level being merged; rather than persist a
-//! half-finished merge, their `save_meta` first *quiesces* — drives all
+//! half-finished merge, its `save_meta` first *quiesces* — drives all
 //! in-flight merges to completion. That preserves logical contents
 //! exactly and makes the saved state a clean checkpoint; the worst-case
 //! per-insert bound applies between checkpoints, not across one (a sync
@@ -51,9 +51,12 @@ pub trait Persist {
 pub const TAG_BASIC_COLA: u8 = 1;
 /// Structure tag of [`crate::GCola`] metadata.
 pub const TAG_GCOLA: u8 = 2;
-/// Structure tag of [`crate::DeamortBasicCola`] metadata.
+/// Structure tag of [`crate::DeamortCola`] metadata: the two-array
+/// format of Theorem 22.
 pub const TAG_DEAMORT_BASIC: u8 = 3;
-/// Structure tag of [`crate::DeamortCola`] metadata.
+/// Structure tag of the three-array format of Theorem 24, which
+/// [`crate::DeamortCola::from_parts`] still reads and nothing writes any
+/// more.
 pub const TAG_DEAMORT: u8 = 4;
 /// Structure tag of the B-tree's metadata (`cosbt-btree`).
 pub const TAG_BTREE: u8 = 5;

@@ -1,6 +1,6 @@
 //! A level is a run: what a point lookup, a cursor seek, a reopen and an
 //! invariant check do with *one* sorted run of cells, written once for
-//! all three COLAs. Each structure keeps what is its own — geometry,
+//! both COLA engines. Each structure keeps what is its own — geometry,
 //! which runs are visible in which order, merge policy — and hands its
 //! runs here. DESIGN.md ("One run, one probe") has the window contract,
 //! the two search counters and the fence rule these methods share.

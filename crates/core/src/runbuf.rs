@@ -10,9 +10,8 @@
 //! rebuild scans): page-touch order, and with it every transfer count, is
 //! then unchanged. A caller that wants some cells of a sweep for later
 //! (the g-COLA's lookahead samples) taps the staged chunks instead of
-//! reading the store again. In-array two-source merges, binary searches
-//! and budgeted deamortized moves interleave pages and stay on
-//! `get`/`set`; so does a cursor, except that its forward loads come out
+//! reading the store again. Binary searches and the deamortized COLA's
+//! budgeted two-source moves interleave pages and stay on `get`/`set`; so does a cursor, except that its forward loads come out
 //! of peeked windows it pays for in load order (`cursor.rs`), which it
 //! keeps in this buffer while the structure has no sweep to run.
 

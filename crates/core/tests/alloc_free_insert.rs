@@ -12,7 +12,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_core::{DeamortCola, Dictionary, GCola};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, PlainMem};
 
 struct Counting;
@@ -121,7 +121,7 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     assert!(big >= 3, "only {big} big carries observed");
 
     // Point lookups: 1,000 `get`s, hits and misses alternating, on each
-    // of the four COLAs at 2^12 keys.
+    // of the three COLAs at 2^12 keys.
     let keys: Vec<u64> = (0..1u64 << 12).map(|_| next_key() | 1).collect();
     let gets_allocate_nothing = |name: &str, d: &mut dyn Dictionary| {
         for (i, &k) in keys.iter().enumerate() {
@@ -137,10 +137,9 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     };
     gets_allocate_nothing("basic COLA", &mut GCola::basic(PlainMem::new()));
     gets_allocate_nothing("4-COLA", &mut GCola::new_plain(4));
-    gets_allocate_nothing("deamortized basic COLA", &mut DeamortBasicCola::new_plain());
     gets_allocate_nothing("deamortized COLA", &mut DeamortCola::new_plain());
 
-    // Cursors: 1,000 scans of 64 on each of the four COLAs at 2^12 keys,
+    // Cursors: 1,000 scans of 64 on each of the three COLAs at 2^12 keys,
     // in memory and over a file store whose 8-page cache the first pass
     // fills (a fault into a free frame allocates the frame). Returns what
     // opening and dropping the cursors asked of the allocator.
@@ -183,16 +182,10 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     // per-run arrays and the boxed cursor. The windows live in the
     // structure's scratch and cost an open nothing but the pointer to
     // it in the box.
-    let parent = [
-        (4000u64, 264_000u64),
-        (5000, 456_000),
-        (6000, 1_262_544),
-        (6000, 1_317_648),
-    ];
+    let parent = [(4000u64, 264_000u64), (5000, 456_000), (6000, 1_262_544)];
     let opened = [
         scans("basic COLA", &mut GCola::basic(PlainMem::new())),
         scans("4-COLA", &mut GCola::new_plain(4)),
-        scans("deamortized basic COLA", &mut DeamortBasicCola::new_plain()),
         scans("deamortized COLA", &mut DeamortCola::new_plain()),
     ];
     for (now, was) in opened.iter().zip(parent) {
@@ -203,9 +196,5 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     }
     scans("basic COLA on a file", &mut GCola::basic(file()));
     scans("4-COLA on a file", &mut GCola::new(file(), 4, 0.1));
-    scans(
-        "deamortized basic COLA on a file",
-        &mut DeamortBasicCola::new(file()),
-    );
     scans("deamortized COLA on a file", &mut DeamortCola::new(file()));
 }

@@ -13,11 +13,12 @@
 //!    `IoStats` fields of a 2^13-insert stream, in debug and release
 //!    alike: duplicate-free and overwrite-heavy for the g-COLA, whose
 //!    carry keeps one version per key — the basic COLA (g = 2, p = 0)
-//!    among its rows — and duplicate-free for the deamortized variants. A change that moves them changed the carry's
-//!    I/O and must update the goldens consciously.
+//!    among its rows — and duplicate-free for the deamortized COLA. A
+//!    change that moves them changed the carry's I/O and must update the
+//!    goldens consciously.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_core::{DeamortCola, Dictionary, GCola};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats};
 use cosbt_testkit::Rng;
 
@@ -236,28 +237,19 @@ fn golden_overwrite_ingest_iostats() {
     );
 }
 
-/// The deamortized variants over the duplicate-free stream. They share
-/// none of the g-COLA's carry (ROADMAP item 2), so these stand as the
-/// numbers to beat when the engines are unified. Before growth stopped
-/// zero-filling and a synced page stopped being written back twice they
-/// read (689410, 665179, 24231, 24225, 14342, 4641) and
-/// (364546, 354089, 10457, 10451, 7115, 1002).
+/// The deamortized COLA over the duplicate-free stream. It shares none
+/// of the g-COLA's carry (ROADMAP item 2), so this stands as the number
+/// to beat when the engines are unified. Before growth stopped
+/// zero-filling and a synced page stopped being written back twice it
+/// read (364546, 354089, 10457, 10451, 7115, 1002). The retired
+/// three-array engine cost (640348, 619186, 21162, 21156, 11275, 4631)
+/// on this stream.
 #[test]
 fn golden_deamortized_ingest_iostats() {
-    let store_a = store();
+    let store = store();
     assert_eq!(
-        ingest(&store_a, &mut DeamortCola::new(store_a.clone()), keys()),
-        golden(640348, 619186, 21162, 21156, 11275, 4631),
-        "deamortized COLA"
-    );
-    let store_b = store();
-    assert_eq!(
-        ingest(
-            &store_b,
-            &mut DeamortBasicCola::new(store_b.clone()),
-            keys()
-        ),
+        ingest(&store, &mut DeamortCola::new(store.clone()), keys()),
         golden(348196, 338779, 9417, 9411, 6082, 989),
-        "deamortized basic COLA"
+        "deamortized COLA"
     );
 }

@@ -13,7 +13,7 @@
 //!    behaviour and must update the goldens consciously.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt_core::{DeamortCola, Dictionary, GCola};
 use cosbt_dam::{new_shared_sim, CacheConfig, SharedSim, SimMem};
 
 const BLOCK: usize = 4096;
@@ -52,11 +52,10 @@ fn fetches(sim: &SharedSim) -> u64 {
 #[test]
 fn filtered_misses_read_zero_pages() {
     type Build = fn(SimMem<Cell>) -> Box<dyn Dictionary>;
-    let builds: [(&str, Build); 4] = [
+    let builds: [(&str, Build); 3] = [
         ("basic", |m| Box::new(GCola::basic(m))),
         ("gcola", |m| Box::new(GCola::new(m, 2, 0.125))),
-        ("deamort-basic", |m| Box::new(DeamortBasicCola::new(m))),
-        ("deamort-gcola", |m| Box::new(DeamortCola::new(m))),
+        ("deamort", |m| Box::new(DeamortCola::new(m))),
     ];
     for (name, build) in builds {
         let (sim, mem) = sim_and_mem(8);
@@ -105,7 +104,7 @@ fn filtered_misses_read_zero_pages() {
 /// Golden numbers for the get phase: 256 cold probes (128 hits + 128
 /// misses) against a 2-COLA and a basic COLA holding `N` keys, through
 /// `get` (the cascade, "on") and `get_plain` (the paper's search, "off"),
-/// and against the two deamortized variants through `get`.
+/// and against the deamortized COLA through `get`.
 /// The simulator is deterministic, the workload is seeded, and the
 /// counts are byte-exact in debug and release builds.
 #[test]
@@ -133,9 +132,6 @@ fn golden_get_phase_fetch_counts() {
     let basic_off = run(GCola::basic(mem), &sim, GCola::get_plain);
 
     let (sim, mem) = sim_and_mem(8);
-    let deamort_basic = run(DeamortBasicCola::new(mem), &sim, DeamortBasicCola::get);
-
-    let (sim, mem) = sim_and_mem(8);
     let deamort = run(DeamortCola::new(mem), &sim, DeamortCola::get);
 
     assert!(
@@ -152,9 +148,8 @@ fn golden_get_phase_fetch_counts() {
         "get-phase fetch counts moved"
     );
     assert_eq!(
-        (deamort_basic, deamort),
-        (GOLD_DEAMORT_BASIC, GOLD_DEAMORT),
-        "deamortized get-phase fetch counts moved"
+        deamort, GOLD_DEAMORT,
+        "deamortized get-phase fetch count moved"
     );
 }
 
@@ -162,5 +157,4 @@ const GOLD_GCOLA_ON: u64 = 133;
 const GOLD_GCOLA_OFF: u64 = 1668;
 const GOLD_BASIC_ON: u64 = 132;
 const GOLD_BASIC_OFF: u64 = 5870;
-const GOLD_DEAMORT_BASIC: u64 = 135;
 const GOLD_DEAMORT: u64 = 135;

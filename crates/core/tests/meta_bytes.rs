@@ -1,5 +1,5 @@
-//! The stored control-state format of the four COLAs, pinned byte for
-//! byte: one fixed seeded stream (inserts, overwrites, deletes) into each
+//! The stored control-state format of every COLA, pinned byte for byte:
+//! one fixed seeded stream (inserts, overwrites, deletes) into each
 //! structure, then the length and an FNV-1a hash of `save_meta()` against
 //! literals, and `from_parts` on those very bytes answering like the
 //! structure that wrote them. A change that moves the fence encoding — or
@@ -11,7 +11,7 @@ mod common;
 use std::collections::BTreeMap;
 
 use common::Shared;
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_core::{DeamortCola, Dictionary, GCola, MetaError, Persist};
 use cosbt_testkit::Rng;
 
 const OPS: usize = 6000;
@@ -80,16 +80,10 @@ fn stored_control_state_is_byte_identical() {
         GCOLA,
     );
     pinned(
-        "deamortized basic COLA",
-        DeamortBasicCola::new,
-        DeamortBasicCola::from_parts,
-        DEAMORT_BASIC,
-    );
-    pinned(
         "deamortized COLA",
         DeamortCola::new,
         DeamortCola::from_parts,
-        DEAMORT,
+        DEAMORT_BASIC,
     );
 }
 
@@ -97,7 +91,9 @@ fn stored_control_state_is_byte_identical() {
 // `BASIC` was re-recorded when the basic COLA became the g-COLA at g = 2,
 // p = 0: it pins the g-COLA format that `GCola::basic` writes, and the
 // basic COLA's own format, still read, is pinned by a fixture in gcola.rs.
+// `DEAMORT_BASIC` is the two-array format `DeamortCola` writes under
+// `TAG_DEAMORT_BASIC`; the three-array format it still reads is pinned
+// by a fixture in deamort.rs.
 const BASIC: (usize, u64) = (818, 0x9ea3_64b1_94fe_5df2);
 const GCOLA: (usize, u64) = (482, 0x629c_74d6_dade_48b9);
 const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
-const DEAMORT: (usize, u64) = (1870, 0x5133_1371_4425_40ff);

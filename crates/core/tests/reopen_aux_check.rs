@@ -1,5 +1,5 @@
 //! Regression: the reopen path must validate the cascade accelerators it
-//! rebuilds, the same way for all four COLAs. `from_parts` hands every
+//! rebuilds, the same way for every COLA. `from_parts` hands every
 //! occupied run to one shared reopen: the persisted fence pair is held
 //! against the run's first and last stored cell, the run's aux is
 //! rebuilt from the committed cells and `LevelAux::check` runs on it — so
@@ -17,7 +17,7 @@
 mod common;
 
 use common::Shared;
-use cosbt_core::{Cell, DeamortBasicCola, DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_core::{Cell, DeamortCola, Dictionary, GCola, MetaError, Persist};
 use cosbt_dam::{Mem, PlainMem};
 
 /// What the table needs of a reopened structure.
@@ -34,7 +34,7 @@ macro_rules! reopened {
         }
     )*};
 }
-reopened!(GCola, DeamortBasicCola, DeamortCola);
+reopened!(GCola, DeamortCola);
 
 type Reopen = Result<Box<dyn Reopened>, MetaError>;
 
@@ -47,7 +47,7 @@ struct Case {
 trait Persisted: Dictionary + Persist {}
 impl<D: Dictionary + Persist> Persisted for D {}
 
-const CASES: [Case; 4] = [
+const CASES: [Case; 3] = [
     Case {
         name: "basic COLA",
         new: |m| Box::new(GCola::basic(m)),
@@ -57,11 +57,6 @@ const CASES: [Case; 4] = [
         name: "4-COLA",
         new: |m| Box::new(GCola::new(m, 4, 0.1)),
         from_parts: |m, meta| Ok(Box::new(GCola::from_parts(m, meta)?)),
-    },
-    Case {
-        name: "deamortized basic COLA",
-        new: |m| Box::new(DeamortBasicCola::new(m)),
-        from_parts: |m, meta| Ok(Box::new(DeamortBasicCola::from_parts(m, meta)?)),
     },
     Case {
         name: "deamortized COLA",

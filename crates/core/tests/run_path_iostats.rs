@@ -7,7 +7,7 @@
 //! the `peek_run` that peeks nothing, so its cursors step per cell.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{DeamortBasicCola, DeamortCola, Dictionary, GCola, Persist};
+use cosbt_core::{DeamortCola, Dictionary, GCola, Persist};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats, Mem};
 use cosbt_testkit::Rng;
 
@@ -196,11 +196,6 @@ fn gcola_ingest_reports_the_same_iostats_on_both_paths() {
 #[test]
 fn other_variants_report_the_same_iostats_on_both_paths() {
     check_both!("basic COLA", GCola::basic, GCola::from_parts);
-    check_both!(
-        "deamortized basic COLA",
-        DeamortBasicCola::new,
-        DeamortBasicCola::from_parts
-    );
     check_both!(
         "deamortized COLA",
         DeamortCola::new,

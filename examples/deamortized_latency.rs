@@ -1,6 +1,6 @@
-//! Deamortization in action (Theorems 22 & 24): the amortized COLA has
-//! inserts that occasionally rewrite the entire structure; the
-//! deamortized COLAs bound every insert by O(log N) moved cells.
+//! Deamortization in action (Theorem 22): the amortized COLA has inserts
+//! that occasionally rewrite the entire structure; the deamortized COLA
+//! bounds every insert by O(log N) moved cells.
 //!
 //! ```text
 //! cargo run --release --example deamortized_latency [N]
@@ -8,10 +8,10 @@
 //!
 //! Prints a per-insert cell-movement histogram for the amortized basic
 //! COLA (`GCola::basic`, the g-COLA at g = 2 without lookahead pointers)
-//! vs the two deamortized variants — the "tail latency" picture a
-//! production system cares about.
+//! vs the deamortized COLA — the "tail latency" picture a production
+//! system cares about.
 
-use cosbt::cola::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{DeamortCola, Dictionary, GCola};
 use cosbt::dam::PlainMem;
 
 fn histogram(name: &str, deltas: &mut [u64]) {
@@ -52,23 +52,6 @@ fn main() {
     }
     histogram("amortized basic COLA", &mut deltas);
 
-    let mut db = DeamortBasicCola::new_plain();
-    let mut deltas = Vec::with_capacity(keys.len());
-    let mut prev = 0;
-    for (i, &k) in keys.iter().enumerate() {
-        db.insert(k, i as u64);
-        let now = db.stats().cells_written;
-        deltas.push(now - prev);
-        prev = now;
-    }
-    histogram("deamortized basic COLA", &mut deltas);
-    println!(
-        "{:>26}  (mover budget m = 2k+2 = {}, worst observed {})",
-        "",
-        2 * db.num_levels() + 2,
-        db.max_moves_per_insert()
-    );
-
     let mut dc = DeamortCola::new_plain();
     let mut deltas = Vec::with_capacity(keys.len());
     let mut prev = 0;
@@ -79,17 +62,22 @@ fn main() {
         prev = now;
     }
     histogram("deamortized COLA", &mut deltas);
-
     println!(
-        "\nreading it: all three do O(log N) amortized work, but the\n\
-         amortized COLA's max is Θ(N) — a full-structure merge on one\n\
-         unlucky insert — while the deamortized maxima stay at O(log N)."
+        "{:>26}  (mover budget m = 2k+2 = {}, worst observed {})",
+        "",
+        2 * dc.num_levels() + 2,
+        dc.max_moves_per_insert()
     );
 
-    // Sanity: all agree on content.
+    println!(
+        "\nreading it: both do O(log N) amortized work, but the amortized\n\
+         COLA's max is Θ(N) — a full-structure merge on one unlucky\n\
+         insert — while the deamortized max stays at O(log N)."
+    );
+
+    // Sanity: both agree on content.
     for probe in keys.iter().step_by(997) {
-        assert_eq!(amort.get(*probe), db.get(*probe));
         assert_eq!(amort.get(*probe), dc.get(*probe));
     }
-    println!("content agreement across all three: ok");
+    println!("content agreement: ok");
 }

@@ -37,9 +37,9 @@ fn configs() -> Vec<DbBuilder> {
 fn exercise(db: &mut Db) {
     // Streaming upserts: newest version must win. Every key is written
     // five times; "physical size" below is what each structure still
-    // stores of that — one version per key and level in the g-COLAs,
-    // whose carries drop shadowed versions, every version in the basic
-    // and deamortized COLAs.
+    // stores of that — one version per key and level in the g-COLAs
+    // (the basic COLA among them), whose carries drop shadowed versions,
+    // every version in the deamortized COLA.
     for k in 0..50_000u64 {
         db.insert(k % 10_000, k);
     }

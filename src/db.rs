@@ -35,8 +35,7 @@ use cosbt_core::persist::{
     TAG_GCOLA,
 };
 use cosbt_core::{
-    Cursor, DeamortBasicCola, DeamortCola, Dictionary, EpochStats, GCola, MetaError, UpdateBatch,
-    WorkerPool,
+    Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, UpdateBatch, WorkerPool,
 };
 use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
@@ -619,12 +618,11 @@ impl DbBuilder {
     }
 
     /// Requests the worst-case-bounded variant: [`Structure::BasicCola`]
-    /// becomes the two-array deamortization of Theorem 22 and
-    /// [`Structure::GCola`] the three-array shadow/visible deamortization
-    /// of Theorem 24 (which fixes growth factor 2). Both are engines of
-    /// their own, not the g-COLA's carry, so they keep every version of
-    /// a key until `compact`. Tree structures have no deamortized variant
-    /// and fail at build.
+    /// and [`Structure::GCola`] (which then fixes growth factor 2) both
+    /// become [`DeamortCola`], the two-array deamortization of Theorem 22.
+    /// It is an engine of its own, not the g-COLA's carry, and its merges
+    /// keep every version of a key: nothing ever drops the shadowed ones.
+    /// Tree structures have no deamortized variant and fail at build.
     pub fn deamortized(mut self) -> DbBuilder {
         self.cfg.deamortized = true;
         self
@@ -1063,16 +1061,24 @@ impl DbBuilder {
             .unwrap_or(false);
         let cache_pages = self.cache_pages();
         let (expected_tag, _) = self.structure_identity();
-        // The basic COLA writes the g-COLA's meta; a store its own engine
-        // wrote still carries the basic tag.
-        let basic = self.cfg.structure == Structure::BasicCola && !self.cfg.deamortized;
+        // The basic COLA writes the g-COLA's meta, and both deamortized
+        // configurations the two-array meta; a store a retired engine
+        // wrote still carries that engine's tag.
+        let accepts = |tag| {
+            tag == expected_tag
+                || match (self.cfg.structure, self.cfg.deamortized) {
+                    (Structure::BasicCola, false) => tag == TAG_GCOLA,
+                    (_, true) => tag == TAG_DEAMORT_BASIC || tag == TAG_DEAMORT,
+                    _ => false,
+                }
+        };
         let meta_err = |source: MetaError| OpenError::Meta {
             path: path.clone(),
             source,
         };
         let check = |found_meta: &[u8]| -> Result<(), OpenError> {
             match peek_tag(found_meta) {
-                Some(tag) if tag == expected_tag || (basic && tag == TAG_GCOLA) => Ok(()),
+                Some(tag) if accepts(tag) => Ok(()),
                 Some(tag) => Err(OpenError::StructureMismatch {
                     path: path.clone(),
                     found: tag_name(tag).to_string(),
@@ -1175,7 +1181,9 @@ impl DbBuilder {
     /// reopens a g-COLA of growth factor 2 and pointer density 0, or a
     /// store in the basic COLA's own earlier format, which
     /// [`GCola::from_parts`] reads as those very levels. A g-COLA
-    /// reopens with the growth factor asked for.
+    /// reopens with the growth factor asked for. Either deamortized
+    /// configuration is [`DeamortCola`], which also reopens a store in
+    /// the three-array format.
     fn cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
         &self,
         mem: M,
@@ -1189,12 +1197,6 @@ impl DbBuilder {
         let (structure, density) = (self.cfg.structure, self.cfg.pointer_density);
         let meta = opened.map(|(meta, _)| meta);
         let cola = match (structure, self.cfg.deamortized, meta) {
-            (Structure::BasicCola, true, None) => return Ok(Box::new(DeamortBasicCola::new(mem))),
-            (Structure::BasicCola, true, Some(meta)) => {
-                return Ok(Box::new(
-                    DeamortBasicCola::from_parts(mem, meta).map_err(meta_err)?,
-                ))
-            }
             (_, true, None) => return Ok(Box::new(DeamortCola::new(mem))),
             (_, true, Some(meta)) => {
                 return Ok(Box::new(
@@ -1551,8 +1553,9 @@ impl Db {
     /// Number of physically stored entries, summed across shards: what a
     /// store holds, not what it answers. The log-structured structures
     /// count the shadowed versions and tombstones they still keep — the
-    /// g-COLA at most one version per key and level, since its carries
-    /// drop the rest; the basic and deamortized COLAs every one.
+    /// g-COLA (the basic COLA included) at most one version per key and
+    /// level, since its carries drop the rest; the deamortized COLA every
+    /// one.
     pub fn physical_len(&self) -> usize {
         self.dict.as_dyn_ref().physical_len()
     }

@@ -195,7 +195,13 @@ conformance! {
     gcola2        => cosbt::cola::GCola::new_plain(2);
     gcola4        => cosbt::cola::GCola::new_plain(4);
     gcola8        => cosbt::cola::GCola::new_plain(8);
-    deamort_basic => cosbt::cola::DeamortBasicCola::new_plain();
+    // The basic COLA's deamortized configuration: the `deamort` engine,
+    // reached through the facade's builder and shard layer.
+    deamort_basic => cosbt::DbBuilder::new()
+        .structure(cosbt::Structure::BasicCola)
+        .deamortized()
+        .build()
+        .unwrap();
     deamort       => cosbt::cola::DeamortCola::new_plain();
     btree         => cosbt::btree::BTree::new_plain();
     brt           => cosbt::brt::Brt::new_plain();

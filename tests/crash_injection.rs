@@ -1,8 +1,8 @@
 //! Crash injection for every file-backed structure.
 //!
 //! The durable format's guarantee, tested end-to-end: for each structure
-//! of the file-backed matrix (basic COLA, both deamortized variants,
-//! g-COLA, B-tree, BRT), a power cut or torn write at **any point in the
+//! of the file-backed matrix (basic COLA, deamortized COLA, g-COLA,
+//! B-tree, BRT), a power cut or torn write at **any point in the
 //! sync protocol** — and at sampled points between syncs — recovers a
 //! dictionary whose contents are exactly the last committed state: the
 //! pre-commit snapshot or the post-commit snapshot, never a mixture and
@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use cosbt::cola::entry::Cell;
-use cosbt::cola::{DeamortBasicCola, DeamortCola, GCola, MetaError};
+use cosbt::cola::{DeamortCola, GCola, MetaError};
 use cosbt::dam::dev::CrashDev;
 use cosbt::dam::format::KIND_PAGES;
 use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, OpenError};
@@ -219,12 +219,14 @@ fn gcola_survives_crashes() {
     });
 }
 
+/// The engine both deamortized configurations build; each row runs its
+/// own seeded workload, since the seed follows the name.
 #[test]
 fn deamortized_basic_cola_survives_crashes() {
     mem_crash_test(
         "deamortized-basic-COLA",
-        &|s| Box::new(DeamortBasicCola::new(s)),
-        &|s, m| Ok(Box::new(DeamortBasicCola::from_parts(s, m)?)),
+        &|s| Box::new(DeamortCola::new(s)),
+        &|s, m| Ok(Box::new(DeamortCola::from_parts(s, m)?)),
     );
 }
 
@@ -237,11 +239,11 @@ fn deamortized_cola_survives_crashes() {
     );
 }
 
-/// Deamortized variants carry half-built cascade state in RAM only: aux
-/// builders fed cell-by-cell by in-flight incremental merges. A crash at
-/// any point while merges are mid-flight must recover exactly the last
+/// The deamortized COLA carries half-built cascade state in RAM only:
+/// aux builders fed cell-by-cell by in-flight incremental merges. A crash
+/// at any point while merges are mid-flight must recover exactly the last
 /// committed epoch, with the cascade accelerators rebuilt whole — never
-/// a torn mixture of old windows and half-written lookahead pointers.
+/// a torn mixture of old windows and half-written merge output.
 fn mid_merge_crash_case<D, New, Open, Check>(name: &str, new: New, open: Open, check: Check)
 where
     D: cosbt::cola::Dictionary + cosbt::cola::Persist,
@@ -305,9 +307,9 @@ where
 fn deamortized_basic_mid_merge_crash_recovers_committed_cascade() {
     mid_merge_crash_case(
         "deamortized-basic-COLA",
-        DeamortBasicCola::new,
-        DeamortBasicCola::from_parts,
-        DeamortBasicCola::check_invariants,
+        DeamortCola::new,
+        DeamortCola::from_parts,
+        DeamortCola::check_invariants,
     );
 }
 
@@ -373,9 +375,6 @@ where
 fn corrupt_cascade_fences_are_rejected_by_every_variant() {
     corrupt_fence_case("basic-COLA", GCola::basic, GCola::from_parts);
     corrupt_fence_case("4-COLA", |s| GCola::new(s, 4, 0.1), GCola::from_parts);
-    corrupt_fence_case("deamortized-basic-COLA", DeamortBasicCola::new, |s, m| {
-        DeamortBasicCola::from_parts(s, m)
-    });
     corrupt_fence_case("deamortized-COLA", DeamortCola::new, |s, m| {
         DeamortCola::from_parts(s, m)
     });

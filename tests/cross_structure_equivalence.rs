@@ -1,13 +1,14 @@
-//! Cross-crate integration: every dictionary in the workspace — four COLA
-//! variants, B-tree, BRT, shuttle tree — replays the same operation
-//! stream and must agree with a `BTreeMap` reference model at every
-//! checkpoint, for point lookups and range queries alike.
+//! Cross-crate integration: every dictionary in the workspace — the basic
+//! COLA, three g-COLAs, the deamortized COLA, B-tree, BRT, shuttle tree —
+//! replays the same operation stream and must agree with a `BTreeMap`
+//! reference model at every checkpoint, for point lookups and range
+//! queries alike.
 
 use std::collections::BTreeMap;
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{DeamortCola, Dictionary, GCola};
 use cosbt::dam::PlainMem;
 use cosbt::shuttle::ShuttleTree;
 
@@ -17,7 +18,6 @@ fn dicts() -> Vec<Box<dyn Dictionary>> {
         Box::new(GCola::new_plain(2)),
         Box::new(GCola::new_plain(4)),
         Box::new(GCola::new_plain(8)),
-        Box::new(DeamortBasicCola::new_plain()),
         Box::new(DeamortCola::new_plain()),
         Box::new(BTree::new_plain()),
         Box::new(Brt::new_plain()),

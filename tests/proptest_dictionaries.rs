@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{DeamortBasicCola, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{DeamortCola, Dictionary, GCola};
 use cosbt::dam::PlainMem;
 use cosbt::shuttle::ShuttleTree;
 use cosbt::testkit::{check_cases, Rng};
@@ -151,11 +151,14 @@ dict_props!(gcola_dense_pointers_matches_model, 64, {
     use cosbt::dam::PlainMem;
     GCola::new(PlainMem::new(), 2, 0.5)
 });
-dict_props!(
-    deamort_basic_matches_model,
-    64,
-    DeamortBasicCola::new_plain()
-);
+dict_props!(deamort_basic_matches_model, 64, {
+    // The basic COLA's deamortized configuration, through the facade.
+    cosbt::DbBuilder::new()
+        .structure(cosbt::Structure::BasicCola)
+        .deamortized()
+        .build()
+        .unwrap()
+});
 dict_props!(deamort_matches_model, 64, DeamortCola::new_plain());
 dict_props!(btree_matches_model, 64, BTree::new_plain());
 dict_props!(brt_matches_model, 64, Brt::new_plain());
@@ -169,21 +172,18 @@ fn invariants_after_bursts() {
         let keys = rng.vec_u64(len);
         let mut basic = GCola::basic(PlainMem::new());
         let mut g = GCola::new_plain(4);
-        let mut db = DeamortBasicCola::new_plain();
         let mut dc = DeamortCola::new_plain();
         let mut st = ShuttleTree::new(4);
         let mut bt = BTree::new_plain();
         for (i, &k) in keys.iter().enumerate() {
             basic.insert(k, i as u64);
             g.insert(k, i as u64);
-            db.insert(k, i as u64);
             dc.insert(k, i as u64);
             st.insert(k, i as u64);
             bt.insert(k, i as u64);
         }
         basic.check_invariants();
         g.check_invariants();
-        db.check_invariants();
         dc.check_invariants();
         st.check_invariants();
         bt.check_invariants();
@@ -210,21 +210,17 @@ fn invariants_after_batched_bursts() {
     });
 }
 
-/// The deamortized COLAs never exceed their per-insert move budget.
+/// The deamortized COLA never exceeds its per-insert move budget.
 #[test]
 fn deamortized_budget_respected() {
     check_cases("deamortized_budget_respected", 32, |rng: &mut Rng| {
         let len = 1 + rng.index(2999);
         let keys = rng.vec_u64(len);
-        let mut db = DeamortBasicCola::new_plain();
         let mut dc = DeamortCola::new_plain();
         for (i, &k) in keys.iter().enumerate() {
-            db.insert(k, i as u64);
             dc.insert(k, i as u64);
         }
-        let levels = db.num_levels() as u64;
-        assert!(db.max_moves_per_insert() <= 2 * levels + 2);
         let levels = dc.num_levels() as u64;
-        assert!(dc.max_moves_per_insert() <= 6 * levels + 16);
+        assert!(dc.max_moves_per_insert() <= 2 * levels + 2);
     });
 }

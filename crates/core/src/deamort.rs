@@ -21,19 +21,17 @@
 //! here follows none: each full array's DRAM aux — fences, filter, ghost
 //! sample — confines its probe to two strides, which is how this engine
 //! meets Theorem 24's search bound. So it is the one deamortized COLA
-//! (DESIGN.md, "Decided: one deamortized engine"), and
-//! [`DeamortCola::from_parts`] still opens the three-array stores the
-//! retired engine wrote.
+//! (DESIGN.md, "Decided: one deamortized engine"). The stores the retired
+//! engine wrote open through [`crate::legacy`] and this engine's
+//! [`DeamortCola::bulk_load`].
 
 use cosbt_dam::{Mem, PlainMem};
 
 use crate::cascade::{build_aux, AuxBuilder, LevelAux};
 use crate::cursor::RunMergeCursor;
-use crate::dict::{Cursor, CursorOps, Dictionary};
+use crate::dict::{Cursor, Dictionary};
 use crate::entry::Cell;
-use crate::persist::{
-    peek_tag, MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT, TAG_DEAMORT_BASIC,
-};
+use crate::persist::{spans, MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT_BASIC};
 use crate::run::{lookup, Run};
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
@@ -41,10 +39,6 @@ use crate::stats::ColaStats;
 /// Per-structure metadata format version (see [`crate::persist`]).
 /// Version 2 appends per-array cascade fence keys to version 1.
 const META_VERSION: u8 = 2;
-
-/// Version of the three-array format, tagged [`TAG_DEAMORT`], which
-/// [`DeamortCola::from_parts`] still reads and nothing writes any more.
-const THREE_ARRAY_META_VERSION: u8 = 2;
 
 /// Which of a level's two arrays.
 type Side = usize; // 0 or 1
@@ -103,12 +97,6 @@ fn arr_off(k: usize, side: Side) -> usize {
     2 * ((1usize << k) - 1) + side * (1usize << k)
 }
 
-/// First slot of array `a` of level `k` in the three-array format: levels
-/// packed contiguously, each holding three arrays of `2^{k+1}` slots.
-fn three_array_off(k: usize, a: usize) -> usize {
-    3 * ((2usize << k) - 2) + a * (2usize << k)
-}
-
 /// Array `side` of level `k` as the run it holds: `2^k` cells when
 /// full, none otherwise (a filling array is invisible).
 fn arr_run<'a>(
@@ -136,17 +124,35 @@ impl<M: Mem<Cell>> DeamortCola<M> {
     /// Creates an empty deamortized COLA over `mem` (cleared).
     pub fn new(mut mem: M) -> Self {
         mem.resize(arr_off(1, 0), Cell::default());
-        DeamortCola {
+        Self::bulk_load(mem, &[])
+    }
+
+    /// A deamortized COLA holding `live` (ascending, one item per key),
+    /// N its length: one full array at level k for each set bit k of N,
+    /// over `mem` uncleared, the slots past the levels left unread.
+    pub fn bulk_load(mem: M, live: &[Cell]) -> Self {
+        let mut cola = DeamortCola {
             mem,
-            state: vec![[ArrState::Empty; 2]],
-            merges: vec![None],
-            n: 0,
+            state: Vec::new(),
+            merges: Vec::new(),
+            n: live.len() as u64,
             seq: 0,
             stats: ColaStats::default(),
             max_moves: 0,
-            aux: vec![[None, None]],
+            aux: Vec::new(),
             scratch: RunBuf::new(),
+        };
+        cola.ensure_level(0);
+        let mut rest = live;
+        for k in (0..usize::BITS as usize).filter(|k| live.len() >> k & 1 == 1) {
+            let (cells, tail) = rest.split_at(1 << k);
+            cola.ensure_level(k);
+            cola.mem.write_run(arr_off(k, 0), cells);
+            cola.state[k][0] = ArrState::Full { seq: 0 };
+            cola.aux[k][0] = Some(build_aux(cells.iter()));
+            rest = tail;
         }
+        cola
     }
 
     /// Number of cells stored: one per insert operation performed.
@@ -350,13 +356,8 @@ impl<M: Mem<Cell>> DeamortCola<M> {
     }
 
     /// Reconstructs a deamortized COLA over an already-populated `mem`
-    /// from persisted (quiesced) control state. A store the retired
-    /// three-array engine wrote opens too, rewritten in this engine's
-    /// layout in memory until the next sync commits it.
+    /// from persisted (quiesced) control state.
     pub fn from_parts(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
-        if peek_tag(meta) == Some(TAG_DEAMORT) {
-            return Self::from_three_array(mem, meta);
-        }
         let mut r = MetaReader::new(meta, TAG_DEAMORT_BASIC, META_VERSION)?;
         let n = r.u64()?;
         let seq = r.u64()?;
@@ -380,13 +381,7 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         let full = |st: &ArrState| matches!(st, ArrState::Full { .. });
         let fences = r.fences(state.iter().flatten().map(full))?;
         r.finish()?;
-        if mem.len() < arr_off(count, 0) {
-            return Err(MetaError::Invalid(format!(
-                "store holds {} cells, {count} levels need {}",
-                mem.len(),
-                arr_off(count, 0)
-            )));
-        }
+        spans(&mem, count, arr_off(count, 0))?;
         let mut cola = DeamortCola {
             mem,
             merges: vec![None; count],
@@ -408,103 +403,6 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                 let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, |_, _| {})?;
                 cola.aux[k][side] = Some(aux);
             }
-        }
-        Ok(cola)
-    }
-
-    /// Opens a store the retired three-array engine of Lemma 23 wrote.
-    /// Its format lists, per level, three arrays of `2^{k+1}` slots, each
-    /// with a visible bit, its occupied `start..start + len`, its item
-    /// count, its recency, the array of the next level it took lookahead
-    /// pointers from and whether its content was already merged upward.
-    /// That format's checks stay: every array inside its slots, no more
-    /// items than cells, links inside the next level, and each occupied
-    /// array's fence keys and cascade state, through [`Run::reopen`].
-    ///
-    /// The store answers what its visible arrays, newest first, answer.
-    /// A [`RunMergeCursor`] over them reads those live entries into DRAM —
-    /// a one-time O(live) buffer — and they are placed once: a full array
-    /// at level k for each set bit k of their count, which becomes N. The
-    /// rewrite reaches the store as ordinary writes, so only the next
-    /// sync commits it.
-    fn from_three_array(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
-        let mut r = MetaReader::new(meta, TAG_DEAMORT, THREE_ARRAY_META_VERSION)?;
-        let _insertions = r.u64()?;
-        let seq = r.u64()?;
-        let count = r.level_count(60)?;
-        let mut arrs = Vec::with_capacity(3 * count);
-        for _ in 0..3 * count {
-            let visible = r.bool()?;
-            let (start, len, items, recency) = (r.usize()?, r.usize()?, r.usize()?, r.u64()?);
-            let link = r.opt_usize()?;
-            // Merged upward or not, a visible array answers.
-            r.bool()?;
-            arrs.push((visible, start, len, items, recency, link));
-        }
-        let fences = r.fences(arrs.iter().map(|arr| arr.2 > 0))?;
-        r.finish()?;
-        if mem.len() < three_array_off(count, 0) {
-            return Err(MetaError::Invalid(format!(
-                "store holds {} cells, {count} levels need {}",
-                mem.len(),
-                three_array_off(count, 0)
-            )));
-        }
-        for (i, &(_, start, len, items, _, link)) in arrs.iter().enumerate() {
-            let (k, a) = (i / 3, i % 3);
-            let in_bounds = start.checked_add(len).is_some_and(|end| end <= 2 << k);
-            if !in_bounds || items > len || link.is_some_and(|t| t >= 3) {
-                return Err(MetaError::Invalid(format!(
-                    "level {k} array {a} bookkeeping out of bounds"
-                )));
-            }
-        }
-        let run = |i: usize| Run {
-            base: three_array_off(i / 3, i % 3) + arrs[i].1,
-            len: arrs[i].2,
-            aux: None,
-        };
-        let mut scratch = RunBuf::new();
-        let mut auxes = Vec::with_capacity(arrs.len());
-        for (i, fence) in fences.into_iter().enumerate() {
-            let (k, a) = (i / 3, i % 3);
-            let what = format_args!("level {k} array {a}");
-            let reopen = |fence| run(i).reopen(&mem, &mut scratch, fence, what, |_, _| {});
-            auxes.push(fence.map(reopen).transpose()?);
-        }
-        // Newest first: by level, then by descending recency.
-        let mut visible: Vec<usize> = (0..arrs.len()).filter(|&i| arrs[i].0).collect();
-        visible.sort_by_key(|&i| (i / 3, std::cmp::Reverse(arrs[i].4)));
-        let runs = visible.into_iter().map(|i| Run {
-            aux: auxes[i].as_ref(),
-            ..run(i)
-        });
-        let mut live = Vec::new();
-        let mut cursor = RunMergeCursor::new(&mem, runs, 0, u64::MAX).windowed(&mut scratch);
-        while let Some((key, val)) = cursor.next() {
-            live.push(Cell::item(key, val));
-        }
-        drop(cursor);
-
-        let mut cola = DeamortCola {
-            mem,
-            state: vec![[ArrState::Empty; 2]],
-            merges: vec![None],
-            n: live.len() as u64,
-            seq,
-            stats: ColaStats::default(),
-            max_moves: 0,
-            aux: vec![[None, None]],
-            scratch,
-        };
-        let mut rest = &live[..];
-        for k in (0..usize::BITS as usize).filter(|k| live.len() >> k & 1 == 1) {
-            let (cells, tail) = rest.split_at(1 << k);
-            cola.ensure_level(k);
-            cola.mem.write_run(arr_off(k, 0), cells);
-            cola.state[k][0] = ArrState::Full { seq };
-            cola.aux[k][0] = Some(build_aux(cells.iter()));
-            rest = tail;
         }
         Ok(cola)
     }
@@ -809,157 +707,5 @@ mod tests {
             per < 2.0 * 13.0,
             "amortized writes {per} should stay O(log N)"
         );
-    }
-
-    /// The 25 ops the three-array engine stored `THREE_ARRAY_DIR` and
-    /// `THREE_ARRAY_CELLS` for: 12 keys, one op in five a delete, each
-    /// value its op's index.
-    fn three_array_stream() -> impl Iterator<Item = (u64, Option<u64>)> {
-        let mut rng = cosbt_testkit::Rng::new(0xDEA3);
-        (0..25u64).map(move |i| (rng.below(12), (!rng.chance(1, 5)).then_some(i)))
-    }
-
-    /// One array of the three-array format: `(visible, start, len, items,
-    /// seq, link, merged upward)`.
-    type ThreeArray = (bool, usize, usize, usize, u64, Option<usize>, bool);
-
-    /// Its five levels' arrays in directory order. Level 1 array 1 and
-    /// level 3 array 2 are linked shadows holding lookahead cells only;
-    /// levels 1 and 3 each show two arrays already merged upward into a
-    /// shadow of the next level, which queries do not read yet.
-    #[rustfmt::skip]
-    const THREE_ARRAY_DIR: [ThreeArray; 15] = [
-        (true, 1, 1, 1, 25, None, false),
-        (true, 0, 0, 0, 0, None, false),
-        (false, 0, 0, 0, 0, None, false),
-        (true, 2, 2, 2, 24, None, true),
-        (false, 3, 1, 0, 0, Some(0), false),
-        (true, 1, 3, 2, 22, Some(1), true),
-        (false, 4, 4, 4, 24, None, false),
-        (true, 3, 5, 4, 20, Some(1), false),
-        (false, 0, 0, 0, 0, None, false),
-        (true, 8, 8, 8, 8, None, true),
-        (true, 8, 8, 8, 16, None, true),
-        (false, 14, 2, 0, 0, Some(0), false),
-        (false, 16, 16, 16, 16, None, false),
-        (false, 0, 0, 0, 0, None, false),
-        (false, 0, 0, 0, 0, None, false),
-    ];
-
-    /// The occupied arrays' cells in the same order, as `(key, v, meta)`:
-    /// `v` is an item's value and a lookahead cell's (meta 1) pointer,
-    /// and meta 2 marks a tombstone.
-    #[rustfmt::skip]
-    const THREE_ARRAY_CELLS: [(u64, u64, u64); 50] = [
-        (8, 24, 0),
-        (1, 0, 2), (2, 22, 0),
-        (1, 0, 1),
-        (1, 0, 1), (1, 20, 0), (8, 21, 0),
-        (1, 0, 2), (1, 20, 0), (2, 22, 0), (8, 21, 0),
-        (1, 0, 1), (1, 19, 0), (2, 18, 0), (3, 17, 0), (7, 16, 0),
-        (0, 0, 2), (0, 3, 0), (1, 1, 0), (4, 6, 0), (4, 4, 0), (9, 5, 0), (9, 2, 0), (10, 0, 0),
-        (1, 15, 0), (1, 14, 0), (5, 10, 0), (6, 8, 0), (7, 13, 0), (7, 0, 2), (8, 12, 0),
-        (8, 11, 0),
-        (0, 0, 1), (6, 8, 1),
-        (0, 0, 2), (0, 3, 0), (1, 15, 0), (1, 14, 0), (1, 1, 0), (4, 6, 0), (4, 4, 0), (5, 10, 0),
-        (6, 8, 0), (7, 13, 0), (7, 0, 2), (8, 12, 0), (8, 11, 0), (9, 5, 0), (9, 2, 0), (10, 0, 0),
-    ];
-
-    fn fnv1a(bytes: &[u8]) -> u64 {
-        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-            (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-        })
-    }
-
-    /// The store and the `save_meta()` the three-array engine left after
-    /// `three_array_stream`: N = 25, five levels, then the fence keys of
-    /// each occupied array. The payload is pinned by length and FNV-1a.
-    fn three_array_store() -> (PlainMem<Cell>, Vec<u8>) {
-        let mut mem = PlainMem::with_len(three_array_off(5, 0), Cell::default());
-        let mut cells = THREE_ARRAY_CELLS.iter().map(|&(key, v, meta)| match meta {
-            0 => Cell::item(key, v),
-            1 => Cell::lookahead(key, v),
-            _ => Cell::tombstone(key),
-        });
-        let mut w = MetaWriter::new(TAG_DEAMORT, THREE_ARRAY_META_VERSION);
-        w.u64(25).u64(25).usize(5);
-        let mut fences = Vec::new();
-        for (i, &(visible, start, len, items, seq, link, merged)) in
-            THREE_ARRAY_DIR.iter().enumerate()
-        {
-            w.bool(visible)
-                .usize(start)
-                .usize(len)
-                .usize(items)
-                .u64(seq)
-                .opt_usize(link)
-                .bool(merged);
-            let base = three_array_off(i / 3, i % 3) + start;
-            for slot in base..base + len {
-                mem.set(slot, cells.next().expect("a cell per occupied slot"));
-            }
-            if len > 0 {
-                fences.push((mem.get(base).key, mem.get(base + len - 1).key));
-            }
-        }
-        assert!(cells.next().is_none(), "every cell placed");
-        for (first, last) in fences {
-            w.u64(first).u64(last);
-        }
-        let meta = w.finish();
-        assert_eq!(
-            (meta.len(), fnv1a(&meta)),
-            (743, 0xce6c_6c8a_fc21_8c05),
-            "the payload the three-array engine wrote"
-        );
-        (mem, meta)
-    }
-
-    /// A store the three-array engine wrote opens, answers as it did,
-    /// takes inserts and is written back in the two-array format. A
-    /// flipped fence byte is a typed error.
-    #[test]
-    fn three_array_stores_open_and_converge() {
-        let (mem, meta) = three_array_store();
-        let mut model = std::collections::BTreeMap::new();
-        for (key, val) in three_array_stream() {
-            match val {
-                Some(v) => model.insert(key, v),
-                None => model.remove(&key),
-            };
-        }
-        let live = |m: &std::collections::BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
-            m.iter().map(|(&k, &v)| (k, v)).collect()
-        };
-        let mut c = DeamortCola::from_parts(mem.clone(), &meta).expect("a three-array store opens");
-        // Nine live entries: a full array at levels 0 and 3.
-        assert_eq!((c.insertions(), c.num_levels()), (9, 4));
-        c.check_invariants();
-        for key in 0..16 {
-            assert_eq!(c.get(key), model.get(&key).copied(), "key {key}");
-        }
-        assert_eq!(c.range(0, u64::MAX), live(&model), "reopened");
-
-        for i in 25..125u64 {
-            let key = i * 7 % 40;
-            c.insert(key, i);
-            model.insert(key, i);
-        }
-        c.check_invariants();
-        assert_eq!(c.range(0, u64::MAX), live(&model), "after inserts");
-        let two_array = c.save_meta();
-        assert_eq!(peek_tag(&two_array), Some(TAG_DEAMORT_BASIC));
-        let mut re =
-            DeamortCola::from_parts(c.mem.clone(), &two_array).expect("rewritten store opens");
-        re.check_invariants();
-        assert_eq!(re.range(0, u64::MAX), live(&model), "rewritten");
-
-        let mut bad = meta;
-        let at = bad.len() - 1;
-        bad[at] ^= 1; // the last occupied array's last fence key
-        match DeamortCola::from_parts(mem, &bad) {
-            Err(MetaError::Invalid(why)) => assert!(why.contains("fence keys"), "{why}"),
-            other => panic!("a flipped fence byte opened: {:?}", other.map(|c| c.n)),
-        }
     }
 }

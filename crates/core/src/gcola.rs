@@ -55,9 +55,7 @@ use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
 use crate::merge::{MergeBuf, RETAIN_CELLS};
-use crate::persist::{
-    peek_tag, MetaError, MetaReader, MetaWriter, Persist, TAG_BASIC_COLA, TAG_GCOLA,
-};
+use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
 use crate::run::Run;
 use crate::runbuf::RunBuf;
 use crate::stats::ColaStats;
@@ -65,10 +63,6 @@ use crate::stats::ColaStats;
 /// Per-structure metadata format version (see [`crate::persist`]).
 /// Version 2 appends per-level run fence keys to version 1.
 const META_VERSION: u8 = 2;
-
-/// Version of the basic COLA's own metadata format, which
-/// [`GCola::from_parts`] still reads and nothing writes any more.
-const BASIC_META_VERSION: u8 = 2;
 
 /// Per-level geometry and occupancy.
 #[derive(Debug, Clone, Copy)]
@@ -150,38 +144,6 @@ impl Midpoints {
     }
 }
 
-/// Reads the level directory of the basic COLA's own v2 metadata, which
-/// stores written before it became [`GCola::basic`] hold: N, a level
-/// count and one full bit per level, the fences of the full levels to
-/// follow. A full level k is exactly the `g = 2, p = 0` level k filled,
-/// so N and the directory come back in the g-COLA's terms. The old
-/// format's own checks stay: full bit k must be bit k of N, and N must
-/// fit the level count.
-fn basic_levels(r: &mut MetaReader<'_>) -> Result<(u64, Vec<Level>), MetaError> {
-    let n = r.u64()?;
-    let count = r.level_count(60)?;
-    let full: Vec<bool> = (0..count).map(|_| r.bool()).collect::<Result<_, _>>()?;
-    if let Some(k) = (0..count).find(|&k| full[k] != (n >> k & 1 == 1)) {
-        return Err(MetaError::Invalid(format!(
-            "level {k} occupancy disagrees with insertion count {n}"
-        )));
-    }
-    if n >> count != 0 {
-        return Err(MetaError::Invalid(format!(
-            "insertion count {n} needs more than {count} levels"
-        )));
-    }
-    let level = |k: usize| Level {
-        off: 1 << k,
-        slots: 1 << k,
-        cap: 1 << k,
-        red_cap: 0,
-        items: if full[k] { 1 << k } else { 0 },
-        reds: 0,
-    };
-    Ok((n, (0..count).map(level).collect()))
-}
-
 /// The g-COLA of Section 4 over any [`Mem`] backend.
 #[derive(Debug)]
 pub struct GCola<M: Mem<Cell>> {
@@ -217,9 +179,16 @@ impl<M: Mem<Cell>> GCola<M> {
     /// Creates an empty g-COLA with growth factor `g ≥ 2` and pointer
     /// density `0 ≤ p < 1` over `mem` (cleared).
     pub fn new(mut mem: M, g: usize, p: f64) -> Self {
+        mem.resize(0, Cell::default());
+        Self::bulk_load(mem, g, p, &[])
+    }
+
+    /// [`GCola::new`] holding `live` (ascending, one item per key) as
+    /// [`GCola::compact`] would, over `mem` uncleared: the slots past the
+    /// levels keep what they hold, unread.
+    pub fn bulk_load(mem: M, g: usize, p: f64, live: &[Cell]) -> Self {
         assert!(g >= 2, "growth factor must be at least 2");
         assert!((0.0..1.0).contains(&p), "pointer density in [0, 1)");
-        mem.resize(0, Cell::default());
         let mut this = GCola {
             mem,
             levels: Vec::new(),
@@ -232,7 +201,7 @@ impl<M: Mem<Cell>> GCola<M> {
             merge: MergeBuf::default(),
             spare_aux: Vec::new(),
         };
-        this.push_level();
+        this.load(live);
         this
     }
 
@@ -294,31 +263,23 @@ impl<M: Mem<Cell>> GCola<M> {
     /// persisted control state. Growth factor and pointer density are
     /// restored from the metadata (they shaped the existing level
     /// geometry); occupancy is validated against the store's length.
-    /// The basic COLA's own format opens too, as [`GCola::basic`].
     pub fn from_parts(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
-        let (g, p, n, levels, mut r) = if peek_tag(meta) == Some(TAG_BASIC_COLA) {
-            let mut r = MetaReader::new(meta, TAG_BASIC_COLA, BASIC_META_VERSION)?;
-            let (n, levels) = basic_levels(&mut r)?;
-            (2, 0.0, n, levels, r)
-        } else {
-            let mut r = MetaReader::new(meta, TAG_GCOLA, META_VERSION)?;
-            let g = r.usize()?;
-            let p = r.f64()?;
-            let n = r.u64()?;
-            let count = r.level_count(64)?;
-            let mut levels = Vec::with_capacity(count);
-            for _ in 0..count {
-                levels.push(Level {
-                    off: r.usize()?,
-                    slots: r.usize()?,
-                    cap: r.usize()?,
-                    red_cap: r.usize()?,
-                    items: r.usize()?,
-                    reds: r.usize()?,
-                });
-            }
-            (g, p, n, levels, r)
-        };
+        let mut r = MetaReader::new(meta, TAG_GCOLA, META_VERSION)?;
+        let g = r.usize()?;
+        let p = r.f64()?;
+        let n = r.u64()?;
+        let count = r.level_count(64)?;
+        let mut levels = Vec::with_capacity(count);
+        for _ in 0..count {
+            levels.push(Level {
+                off: r.usize()?,
+                slots: r.usize()?,
+                cap: r.usize()?,
+                red_cap: r.usize()?,
+                items: r.usize()?,
+                reds: r.usize()?,
+            });
+        }
         let fences = r.fences(levels.iter().map(|lv| lv.occ() > 0))?;
         r.finish()?;
         if g < 2 {
@@ -433,7 +394,10 @@ impl<M: Mem<Cell>> GCola<M> {
             reds: 0,
         });
         self.aux.push(None);
-        self.mem.resize(off + cap + red_cap, Cell::default());
+        let end = off + cap + red_cap;
+        if self.mem.len() < end {
+            self.mem.resize(end, Cell::default());
+        }
     }
 
     /// Reads level ℓ's occupied run, passing its real cells to `f`.
@@ -712,13 +676,18 @@ impl<M: Mem<Cell>> GCola<M> {
     /// removes anything; compaction restores `physical_len == live keys`.
     pub fn compact(&mut self) {
         let live = self.range(0, u64::MAX);
-        self.mem.resize(0, Cell::default());
+        let cells: Vec<Cell> = live.iter().map(|&(k, v)| Cell::item(k, v)).collect();
+        self.load(&cells);
+    }
+
+    /// Replaces the contents by `live`, N becoming its length: one level
+    /// write into the smallest level that holds it, then the pointer
+    /// cascade below. The store is not shrunk: regrowing would zero-fill.
+    fn load(&mut self, live: &[Cell]) {
         self.levels.clear();
         self.aux.clear();
-        self.n = 0;
+        self.n = live.len() as u64;
         self.push_level();
-        // Bulk-place into the smallest level that can hold everything,
-        // then cascade pointers.
         if live.is_empty() {
             return;
         }
@@ -729,11 +698,9 @@ impl<M: Mem<Cell>> GCola<M> {
                 self.push_level();
             }
         }
-        let cells: Vec<Cell> = live.iter().map(|&(k, v)| Cell::item(k, v)).collect();
         let (mut las, mut down) = (Vec::new(), Vec::new());
-        self.write_level(t, &cells, &las, &mut down);
+        self.write_level(t, live, &las, &mut down);
         self.relink_below(t, &mut las, &mut down);
-        self.n = live.len() as u64;
     }
 
     /// Structural invariants (tests): every level as a run
@@ -1305,103 +1272,6 @@ mod tests {
         assert_eq!(c.stats().cells_dropped, shadowed);
         let live: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(c.range(0, u64::MAX), live);
-    }
-
-    /// The 63 ops the basic COLA's own engine stored `BASIC_CELLS` and
-    /// `BASIC_META` for: 24 keys, one op in five a delete, each value its
-    /// op's index.
-    fn basic_stream() -> impl Iterator<Item = (u64, Option<u64>)> {
-        let mut rng = cosbt_testkit::Rng::new(0xBA51C);
-        (0..63u64).map(move |i| (rng.below(24), (!rng.chance(1, 5)).then_some(i)))
-    }
-
-    /// `(key, val, meta)` of each slot, slot 0 the merge spare: levels
-    /// 0..=5 full, a key's versions side by side in one level, and
-    /// tombstones (meta 2) in the deepest.
-    #[rustfmt::skip]
-    const BASIC_CELLS: [(u64, u64, u64); 64] = [
-        (4, 61, 0), (8, 62, 0), (4, 61, 0), (12, 60, 0),
-        (1, 0, 2), (2, 59, 0), (21, 57, 0), (22, 58, 0),
-        (4, 55, 0), (4, 50, 0), (8, 0, 2), (15, 54, 0),
-        (17, 53, 0), (19, 52, 0), (20, 51, 0), (22, 48, 0),
-        (0, 34, 0), (0, 33, 0), (1, 43, 0), (2, 0, 2),
-        (3, 0, 2), (3, 40, 0), (4, 39, 0), (9, 45, 0),
-        (9, 38, 0), (9, 0, 2), (11, 41, 0), (12, 46, 0),
-        (14, 36, 0), (15, 37, 0), (19, 42, 0), (22, 32, 0),
-        (1, 0, 2), (2, 24, 0), (2, 0, 2), (2, 0, 2),
-        (3, 29, 0), (3, 0, 2), (4, 11, 0), (5, 31, 0),
-        (5, 0, 2), (6, 7, 0), (7, 21, 0), (7, 10, 0),
-        (7, 0, 0), (9, 5, 0), (11, 30, 0), (12, 28, 0),
-        (12, 3, 0), (13, 27, 0), (13, 26, 0), (13, 15, 0),
-        (13, 2, 0), (14, 19, 0), (15, 22, 0), (16, 0, 2),
-        (17, 25, 0), (17, 9, 0), (18, 0, 2), (18, 0, 2),
-        (20, 6, 0), (21, 20, 0), (21, 13, 0), (23, 14, 0),
-    ];
-
-    /// Its `save_meta()`: tag 1 v2, N = 63, 6 levels, six full bits and
-    /// each level's first and last key.
-    #[rustfmt::skip]
-    const BASIC_META: [u8; 120] = [
-        1, 2,
-        63, 0, 0, 0, 0, 0, 0, 0,
-        6, 0, 0, 0, 0, 0, 0, 0,
-        1, 1, 1, 1, 1, 1,
-        8, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
-        4, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0,
-        1, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0,
-        4, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0,
-        0, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0,
-        1, 0, 0, 0, 0, 0, 0, 0, 23, 0, 0, 0, 0, 0, 0, 0,
-    ];
-
-    /// A store the basic COLA's own engine wrote opens as
-    /// [`GCola::basic`], answers as it did, and holds one version per key
-    /// once a carry reaches its deepest level. A full bit that disagrees
-    /// with N is a typed error.
-    #[test]
-    fn basic_format_stores_open_and_converge() {
-        let mut mem = PlainMem::with_len(64, Cell::default());
-        for (i, &(key, val, meta)) in BASIC_CELLS.iter().enumerate() {
-            mem.set(
-                i,
-                Cell {
-                    meta,
-                    ..Cell::item(key, val)
-                },
-            );
-        }
-        let mut model = std::collections::BTreeMap::new();
-        for (key, val) in basic_stream() {
-            match val {
-                Some(v) => model.insert(key, v),
-                None => model.remove(&key),
-            };
-        }
-        let mut c = GCola::from_parts(mem.clone(), &BASIC_META).expect("a basic store opens");
-        assert_eq!(
-            (c.growth(), c.pointer_density(), c.insertions()),
-            (2, 0.0, 63)
-        );
-        let live = |m: &std::collections::BTreeMap<u64, u64>| -> Vec<(u64, u64)> {
-            m.iter().map(|(&k, &v)| (k, v)).collect()
-        };
-        for key in 0..30 {
-            assert_eq!(c.get(key), model.get(&key).copied(), "key {key}");
-        }
-        assert_eq!(c.range(0, u64::MAX), live(&model), "reopened");
-        // The 64th insert carries levels 0..=5 into level 6, the deepest.
-        c.insert(30, 63);
-        model.insert(30, 63);
-        c.check_invariants();
-        assert_eq!(c.physical_len(), model.len());
-        assert_eq!(c.range(0, u64::MAX), live(&model), "converged");
-
-        let mut bad = BASIC_META;
-        bad[18 + 2] = 0; // level 2's full bit
-        match GCola::from_parts(mem, &bad) {
-            Err(MetaError::Invalid(why)) => assert!(why.contains("level 2 occupancy"), "{why}"),
-            other => panic!("a flipped full bit opened: {:?}", other.map(|c| c.n)),
-        }
     }
 
     #[test]

@@ -15,6 +15,7 @@
 //!   `O(log N)` per insert, merges hidden from queries until they commit.
 //!   Theorem 24's third array and lookahead pointers serve a search this
 //!   tree does not make: each array's DRAM aux bounds its probe instead.
+//! * [`legacy`] — the formats no engine writes any more, and one rebuild.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -26,6 +27,7 @@ pub mod dict;
 pub mod entry;
 pub mod epoch;
 pub mod gcola;
+pub mod legacy;
 mod merge;
 pub mod persist;
 mod run;

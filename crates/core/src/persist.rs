@@ -45,18 +45,17 @@ pub trait Persist {
     fn save_meta(&mut self) -> Vec<u8>;
 }
 
-/// Structure tag of the basic COLA's own metadata format, which
-/// [`crate::GCola::from_parts`] still reads: the basic COLA is now
-/// [`crate::GCola::basic`] and writes [`TAG_GCOLA`].
+/// Structure tag of the basic COLA's own metadata format, which nothing
+/// writes any more: the basic COLA is now [`crate::GCola::basic`] and
+/// writes [`TAG_GCOLA`]. [`crate::legacy`] opens such a store.
 pub const TAG_BASIC_COLA: u8 = 1;
 /// Structure tag of [`crate::GCola`] metadata.
 pub const TAG_GCOLA: u8 = 2;
 /// Structure tag of [`crate::DeamortCola`] metadata: the two-array
 /// format of Theorem 22.
 pub const TAG_DEAMORT_BASIC: u8 = 3;
-/// Structure tag of the three-array format of Theorem 24, which
-/// [`crate::DeamortCola::from_parts`] still reads and nothing writes any
-/// more.
+/// Structure tag of the three-array format of Theorem 24, which nothing
+/// writes any more. [`crate::legacy`] opens such a store.
 pub const TAG_DEAMORT: u8 = 4;
 /// Structure tag of the B-tree's metadata (`cosbt-btree`).
 pub const TAG_BTREE: u8 = 5;
@@ -164,14 +163,6 @@ impl MetaWriter {
         self.u64(v.to_bits())
     }
 
-    /// Appends an optional `usize`: presence byte, then the value.
-    pub fn opt_usize(&mut self, v: Option<usize>) -> &mut Self {
-        match v {
-            Some(x) => self.bool(true).usize(x),
-            None => self.bool(false),
-        }
-    }
-
     /// Appends the fence keys of the COLA family's v2 formats: for each
     /// occupied run among `runs`, in the order given (the structure's
     /// directory order), the key of its first and of its last stored
@@ -207,7 +198,7 @@ impl<'a> MetaReader<'a> {
     /// equal `version` exactly; bump per structure when its layout
     /// changes).
     pub fn new(buf: &'a [u8], expected_tag: u8, version: u8) -> Result<MetaReader<'a>, MetaError> {
-        let mut r = MetaReader { buf, pos: 0 };
+        let mut r = MetaReader::untagged(buf);
         let tag = r.u8()?;
         if tag != expected_tag {
             return Err(MetaError::WrongStructure {
@@ -222,18 +213,24 @@ impl<'a> MetaReader<'a> {
         Ok(r)
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MetaError> {
-        if self.pos + n > self.buf.len() {
-            return Err(MetaError::Truncated);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
+    /// Wraps a byte string with no tag or version in front: the same
+    /// bounds-checked reads over any little-endian record.
+    pub fn untagged(buf: &'a [u8]) -> MetaReader<'a> {
+        MetaReader { buf, pos: 0 }
+    }
+
+    /// The next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], MetaError> {
+        let bytes = *self.buf[self.pos..]
+            .first_chunk()
+            .ok_or(MetaError::Truncated)?;
+        self.pos += N;
+        Ok(bytes)
     }
 
     /// Reads a byte.
     pub fn u8(&mut self) -> Result<u8, MetaError> {
-        Ok(self.take(1)?[0])
+        Ok(u8::from_le_bytes(self.take()?))
     }
 
     /// Reads a bool (strictly 0 or 1).
@@ -247,12 +244,12 @@ impl<'a> MetaReader<'a> {
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, MetaError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, MetaError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     /// Reads a `usize` (persisted as `u64`; must fit the platform).
@@ -274,15 +271,6 @@ impl<'a> MetaReader<'a> {
     /// Reads an `f64` from its IEEE-754 bits.
     pub fn f64(&mut self) -> Result<f64, MetaError> {
         Ok(f64::from_bits(self.u64()?))
-    }
-
-    /// Reads an optional `usize` (presence byte, then the value).
-    pub fn opt_usize(&mut self) -> Result<Option<usize>, MetaError> {
-        if self.bool()? {
-            Ok(Some(self.usize()?))
-        } else {
-            Ok(None)
-        }
     }
 
     /// Reads what [`MetaWriter::fences`] wrote: a `(first, last)` key
@@ -311,6 +299,16 @@ impl<'a> MetaReader<'a> {
     }
 }
 
+/// Fails unless `mem` holds the `need` slots that `count` levels span.
+pub(crate) fn spans<M: Mem<Cell>>(mem: &M, count: usize, need: usize) -> Result<(), MetaError> {
+    match mem.len() {
+        len if len < need => Err(MetaError::Invalid(format!(
+            "store holds {len} cells, {count} levels need {need}"
+        ))),
+        _ => Ok(()),
+    }
+}
+
 /// Peeks the structure tag of a payload without consuming it (`None` for
 /// an empty payload). The facade uses this to produce "file holds X,
 /// builder asked for Y" errors before attempting reconstruction.
@@ -330,9 +328,7 @@ mod tests {
             .u32(0xDEAD_BEEF)
             .u64(u64::MAX - 1)
             .usize(12345)
-            .f64(0.125)
-            .opt_usize(Some(9))
-            .opt_usize(None);
+            .f64(0.125);
         let buf = w.finish();
         assert_eq!(peek_tag(&buf), Some(TAG_GCOLA));
         let mut r = MetaReader::new(&buf, TAG_GCOLA, 1).unwrap();
@@ -342,8 +338,6 @@ mod tests {
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.usize().unwrap(), 12345);
         assert_eq!(r.f64().unwrap(), 0.125);
-        assert_eq!(r.opt_usize().unwrap(), Some(9));
-        assert_eq!(r.opt_usize().unwrap(), None);
         r.finish().unwrap();
     }
 

@@ -1,0 +1,198 @@
+//! Stores in the retired formats, as the engines that wrote them left
+//! them: the cells slot by slot, the committed meta byte for byte, and
+//! the stream of operations that produced them. `cosbt-core`'s tests and
+//! the facade's include this one file by `#[path]`.
+
+use std::collections::BTreeMap;
+
+use cosbt_core::persist::TAG_DEAMORT;
+use cosbt_core::{Cell, MetaWriter};
+use cosbt_testkit::Rng;
+
+/// A store a retired engine wrote.
+pub struct Fixture {
+    /// Every slot of the store, in order.
+    pub cells: Vec<Cell>,
+    /// The meta the engine committed with them.
+    pub meta: Vec<u8>,
+    /// What the store answers: its stream replayed into a map.
+    pub model: BTreeMap<u64, u64>,
+}
+
+/// Replays `ops` (`None` a delete), each value its op's index.
+fn replay(ops: impl Iterator<Item = (u64, Option<u64>)>) -> BTreeMap<u64, u64> {
+    let mut model = BTreeMap::new();
+    for (key, val) in ops {
+        match val {
+            Some(v) => model.insert(key, v),
+            None => model.remove(&key),
+        };
+    }
+    model
+}
+
+/// `count` ops over `keys` keys drawn from `seed`, one in five a delete.
+fn stream(seed: u64, count: u64, keys: u64) -> impl Iterator<Item = (u64, Option<u64>)> {
+    let mut rng = Rng::new(seed);
+    (0..count).map(move |i| (rng.below(keys), (!rng.chance(1, 5)).then_some(i)))
+}
+
+/// A cell from its `(key, v, meta)`: `v` is an item's value and a
+/// lookahead cell's (meta 1) pointer, and meta 2 marks a tombstone.
+fn cell((key, v, meta): (u64, u64, u64)) -> Cell {
+    match meta {
+        0 => Cell::item(key, v),
+        1 => Cell::lookahead(key, v),
+        _ => Cell::tombstone(key),
+    }
+}
+
+/// The FNV-1a hash the meta payloads are pinned by.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// `(key, val, meta)` of each slot, slot 0 the merge spare: levels
+/// 0..=5 full, a key's versions side by side in one level, and
+/// tombstones (meta 2) in the deepest.
+#[rustfmt::skip]
+const BASIC_CELLS: [(u64, u64, u64); 64] = [
+    (4, 61, 0), (8, 62, 0), (4, 61, 0), (12, 60, 0),
+    (1, 0, 2), (2, 59, 0), (21, 57, 0), (22, 58, 0),
+    (4, 55, 0), (4, 50, 0), (8, 0, 2), (15, 54, 0),
+    (17, 53, 0), (19, 52, 0), (20, 51, 0), (22, 48, 0),
+    (0, 34, 0), (0, 33, 0), (1, 43, 0), (2, 0, 2),
+    (3, 0, 2), (3, 40, 0), (4, 39, 0), (9, 45, 0),
+    (9, 38, 0), (9, 0, 2), (11, 41, 0), (12, 46, 0),
+    (14, 36, 0), (15, 37, 0), (19, 42, 0), (22, 32, 0),
+    (1, 0, 2), (2, 24, 0), (2, 0, 2), (2, 0, 2),
+    (3, 29, 0), (3, 0, 2), (4, 11, 0), (5, 31, 0),
+    (5, 0, 2), (6, 7, 0), (7, 21, 0), (7, 10, 0),
+    (7, 0, 0), (9, 5, 0), (11, 30, 0), (12, 28, 0),
+    (12, 3, 0), (13, 27, 0), (13, 26, 0), (13, 15, 0),
+    (13, 2, 0), (14, 19, 0), (15, 22, 0), (16, 0, 2),
+    (17, 25, 0), (17, 9, 0), (18, 0, 2), (18, 0, 2),
+    (20, 6, 0), (21, 20, 0), (21, 13, 0), (23, 14, 0),
+];
+
+/// Its `save_meta()`: tag 1 v2, N = 63, 6 levels, six full bits and
+/// each level's first and last key.
+#[rustfmt::skip]
+pub const BASIC_META: [u8; 120] = [
+    1, 2,
+    63, 0, 0, 0, 0, 0, 0, 0,
+    6, 0, 0, 0, 0, 0, 0, 0,
+    1, 1, 1, 1, 1, 1,
+    8, 0, 0, 0, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0,
+    4, 0, 0, 0, 0, 0, 0, 0, 12, 0, 0, 0, 0, 0, 0, 0,
+    1, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0,
+    4, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0,
+    0, 0, 0, 0, 0, 0, 0, 0, 22, 0, 0, 0, 0, 0, 0, 0,
+    1, 0, 0, 0, 0, 0, 0, 0, 23, 0, 0, 0, 0, 0, 0, 0,
+];
+
+/// The store the basic COLA's own engine left after 63 ops over 24
+/// keys (seed `0xBA51C`).
+pub fn basic() -> Fixture {
+    Fixture {
+        cells: BASIC_CELLS.into_iter().map(cell).collect(),
+        meta: BASIC_META.to_vec(),
+        model: replay(stream(0xBA51C, 63, 24)),
+    }
+}
+
+/// One array of the three-array format: `(visible, start, len, items,
+/// seq, link, merged upward)`.
+type ThreeArray = (bool, usize, usize, usize, u64, Option<usize>, bool);
+
+/// Its five levels' arrays in directory order. Level 1 array 1 and
+/// level 3 array 2 are linked shadows holding lookahead cells only;
+/// levels 1 and 3 each show two arrays already merged upward into a
+/// shadow of the next level, which queries do not read yet.
+#[rustfmt::skip]
+const THREE_ARRAY_DIR: [ThreeArray; 15] = [
+    (true, 1, 1, 1, 25, None, false),
+    (true, 0, 0, 0, 0, None, false),
+    (false, 0, 0, 0, 0, None, false),
+    (true, 2, 2, 2, 24, None, true),
+    (false, 3, 1, 0, 0, Some(0), false),
+    (true, 1, 3, 2, 22, Some(1), true),
+    (false, 4, 4, 4, 24, None, false),
+    (true, 3, 5, 4, 20, Some(1), false),
+    (false, 0, 0, 0, 0, None, false),
+    (true, 8, 8, 8, 8, None, true),
+    (true, 8, 8, 8, 16, None, true),
+    (false, 14, 2, 0, 0, Some(0), false),
+    (false, 16, 16, 16, 16, None, false),
+    (false, 0, 0, 0, 0, None, false),
+    (false, 0, 0, 0, 0, None, false),
+];
+
+/// The occupied arrays' cells in the same order, as `(key, v, meta)`
+/// (see `cell`).
+#[rustfmt::skip]
+const THREE_ARRAY_CELLS: [(u64, u64, u64); 50] = [
+    (8, 24, 0),
+    (1, 0, 2), (2, 22, 0),
+    (1, 0, 1),
+    (1, 0, 1), (1, 20, 0), (8, 21, 0),
+    (1, 0, 2), (1, 20, 0), (2, 22, 0), (8, 21, 0),
+    (1, 0, 1), (1, 19, 0), (2, 18, 0), (3, 17, 0), (7, 16, 0),
+    (0, 0, 2), (0, 3, 0), (1, 1, 0), (4, 6, 0), (4, 4, 0), (9, 5, 0), (9, 2, 0), (10, 0, 0),
+    (1, 15, 0), (1, 14, 0), (5, 10, 0), (6, 8, 0), (7, 13, 0), (7, 0, 2), (8, 12, 0),
+    (8, 11, 0),
+    (0, 0, 1), (6, 8, 1),
+    (0, 0, 2), (0, 3, 0), (1, 15, 0), (1, 14, 0), (1, 1, 0), (4, 6, 0), (4, 4, 0), (5, 10, 0),
+    (6, 8, 0), (7, 13, 0), (7, 0, 2), (8, 12, 0), (8, 11, 0), (9, 5, 0), (9, 2, 0), (10, 0, 0),
+];
+
+/// The store and the `save_meta()` the three-array engine left after 25
+/// ops over 12 keys (seed `0xDEA3`): N = 25, five levels, then the fence
+/// keys of each occupied array. Level k held three arrays of `2^{k+1}`
+/// slots, the levels packed from slot 0. The payload is pinned by length
+/// and FNV-1a.
+pub fn three_array() -> Fixture {
+    let slot = |k: usize, a: usize| 3 * ((2 << k) - 2) + a * (2 << k);
+    let mut cells = vec![Cell::default(); slot(5, 0)];
+    let mut stored = THREE_ARRAY_CELLS.into_iter().map(cell);
+    let mut w = MetaWriter::new(TAG_DEAMORT, 2);
+    w.u64(25).u64(25).usize(5);
+    let mut fences = Vec::new();
+    for (i, &(visible, start, len, items, seq, link, merged)) in THREE_ARRAY_DIR.iter().enumerate()
+    {
+        w.bool(visible)
+            .usize(start)
+            .usize(len)
+            .usize(items)
+            .u64(seq);
+        w.bool(link.is_some());
+        if let Some(t) = link {
+            w.usize(t);
+        }
+        w.bool(merged);
+        let run = &mut cells[slot(i / 3, i % 3) + start..][..len];
+        for c in run.iter_mut() {
+            *c = stored.next().expect("a cell per occupied slot");
+        }
+        if let (Some(first), Some(last)) = (run.first(), run.last()) {
+            fences.push((first.key, last.key));
+        }
+    }
+    assert!(stored.next().is_none(), "every cell placed");
+    for (first, last) in fences {
+        w.u64(first).u64(last);
+    }
+    let meta = w.finish();
+    assert_eq!(
+        (meta.len(), fnv1a(&meta)),
+        (743, 0xce6c_6c8a_fc21_8c05),
+        "the payload the three-array engine wrote"
+    );
+    Fixture {
+        cells,
+        meta,
+        model: replay(stream(0xDEA3, 25, 12)),
+    }
+}

@@ -5,14 +5,25 @@
 //! structure that wrote them. A change that moves the fence encoding — or
 //! any other field — without meaning to change the format fails here; one
 //! that means to bumps `META_VERSION` and records new literals.
+//!
+//! The retired formats are pinned by the stores their engines left
+//! (`fixtures/legacy.rs`): each opens through `cosbt_core::legacy` and
+//! answers as it did. No truncation or flipped bit of any meta here
+//! panics an open.
 
 mod common;
+#[path = "fixtures/legacy.rs"]
+mod legacy_fixtures;
 
 use std::collections::BTreeMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::Shared;
-use cosbt_core::{DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_core::persist::{TAG_DEAMORT_BASIC, TAG_GCOLA};
+use cosbt_core::{legacy, Cell, DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_dam::Mem;
 use cosbt_testkit::Rng;
+use legacy_fixtures::{fnv1a, Fixture};
 
 const OPS: usize = 6000;
 const KEYS: u64 = 1500;
@@ -35,12 +46,6 @@ fn stream(d: &mut dyn Dictionary) -> BTreeMap<u64, u64> {
     model
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn pinned<D: Dictionary + Persist>(
     name: &str,
     new: impl Fn(Shared) -> D,
@@ -58,7 +63,7 @@ fn pinned<D: Dictionary + Persist>(
         meta.len(),
         fnv1a(&meta)
     );
-    let mut reopened = from_parts(store, &meta).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let mut reopened = from_parts(store.clone(), &meta).unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(reopened.save_meta(), meta, "{name}: reopened meta");
     let mut rng = Rng::new(7);
     for _ in 0..2000 {
@@ -68,6 +73,25 @@ fn pinned<D: Dictionary + Persist>(
     }
     let live: Vec<(u64, u64)> = model.into_iter().collect();
     assert_eq!(reopened.range(0, u64::MAX), live, "{name}: scan");
+    never_panics(name, &meta, |bad| from_parts(store.clone(), bad).map(drop));
+}
+
+/// Opens `meta` cut to every shorter length, and with one bit flipped in
+/// each byte (bit `i % 8` of byte `i`): `open` must answer, `Ok` or a
+/// typed `MetaError`, and never panic.
+fn never_panics(name: &str, meta: &[u8], open: impl Fn(&[u8]) -> Result<(), MetaError>) {
+    let answers = |bad: &[u8], what: std::fmt::Arguments<'_>| {
+        let opened = catch_unwind(AssertUnwindSafe(|| open(bad)));
+        assert!(opened.is_ok(), "{name}: the meta {what} panicked an open");
+    };
+    for len in 0..meta.len() {
+        answers(&meta[..len], format_args!("cut to {len} bytes"));
+    }
+    for i in 0..meta.len() {
+        let mut bad = meta.to_vec();
+        bad[i] ^= 1 << (i % 8);
+        answers(&bad, format_args!("with bit {} of byte {i} flipped", i % 8));
+    }
 }
 
 #[test]
@@ -89,11 +113,127 @@ fn stored_control_state_is_byte_identical() {
 
 // (length, FNV-1a) of `save_meta()` after `stream`, recorded at ff2d039.
 // `BASIC` was re-recorded when the basic COLA became the g-COLA at g = 2,
-// p = 0: it pins the g-COLA format that `GCola::basic` writes, and the
-// basic COLA's own format, still read, is pinned by a fixture in gcola.rs.
+// p = 0: it pins the g-COLA format that `GCola::basic` writes. The basic
+// COLA's own format is pinned by `legacy_fixtures::basic`.
 // `DEAMORT_BASIC` is the two-array format `DeamortCola` writes under
-// `TAG_DEAMORT_BASIC`; the three-array format it still reads is pinned
-// by a fixture in deamort.rs.
+// `TAG_DEAMORT_BASIC`; the retired three-array format is pinned by
+// `legacy_fixtures::three_array`.
 const BASIC: (usize, u64) = (818, 0x9ea3_64b1_94fe_5df2);
 const GCOLA: (usize, u64) = (482, 0x629c_74d6_dade_48b9);
 const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
+
+/// The fixture's cells in a store of their own.
+fn store(fx: &Fixture) -> Shared {
+    let mut mem = Shared::default();
+    mem.resize(fx.cells.len(), Cell::default());
+    mem.write_run(0, &fx.cells);
+    mem
+}
+
+/// The live entries `legacy` reads off the fixture's store.
+fn live_entries(fx: &Fixture, mem: &Shared) -> Vec<Cell> {
+    let live = legacy::live_entries(mem, &fx.meta).expect("a retired store opens");
+    live.expect("a retired format")
+}
+
+/// `d`, rebuilt from a retired store, holds one version per key and
+/// answers as the store did; after writes it answers as the model does,
+/// commits under `tag`, and `reopen`, its own `from_parts`, reopens that.
+fn converges<D: Dictionary + Persist>(
+    mut d: D,
+    mut model: BTreeMap<u64, u64>,
+    tag: u8,
+    check: impl Fn(&D),
+    reopen: impl Fn(&[u8]) -> Result<D, MetaError>,
+) {
+    let live =
+        |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
+    check(&d);
+    assert_eq!(d.physical_len(), model.len(), "one version per key");
+    for key in 0..50 {
+        assert_eq!(d.get(key), model.get(&key).copied(), "key {key}");
+    }
+    assert_eq!(d.range(0, u64::MAX), live(&model), "rebuilt");
+    for i in 100..200u64 {
+        let key = i * 7 % 40;
+        d.insert(key, i);
+        model.insert(key, i);
+    }
+    check(&d);
+    assert_eq!(d.range(0, u64::MAX), live(&model), "after writes");
+    let meta = d.save_meta();
+    assert_eq!(meta.first(), Some(&tag), "written in the current format");
+    let mut re = reopen(&meta).expect("the rewritten store reopens");
+    check(&re);
+    assert_eq!(re.range(0, u64::MAX), live(&model), "reopened");
+}
+
+/// A store the basic COLA's own engine wrote opens through the rebuild
+/// into the g-COLA at g = 2, p = 0, answers as it did, takes writes and
+/// is written back in the g-COLA format. A full bit that disagrees with
+/// N is a typed error.
+#[test]
+fn basic_format_stores_open_and_converge() {
+    let fx = legacy_fixtures::basic();
+    let mem = store(&fx);
+    let c = GCola::bulk_load(mem.clone(), 2, 0.0, &live_entries(&fx, &mem));
+    let n = fx.model.len() as u64;
+    assert_eq!(
+        (c.growth(), c.pointer_density(), c.insertions()),
+        (2, 0.0, n)
+    );
+    let reopen = |meta: &[u8]| GCola::from_parts(mem.clone(), meta);
+    converges(
+        c,
+        fx.model.clone(),
+        TAG_GCOLA,
+        GCola::check_invariants,
+        reopen,
+    );
+
+    let mut bad = fx.meta.clone();
+    bad[18 + 2] = 0; // level 2's full bit
+    match legacy::live_entries(&store(&fx), &bad) {
+        Err(MetaError::Invalid(why)) => assert!(why.contains("level 2 occupancy"), "{why}"),
+        other => panic!("a flipped full bit opened: {:?}", other.map(|_| ())),
+    }
+}
+
+/// A store the three-array engine wrote opens through the rebuild into
+/// the two-array engine, answers as it did, takes writes and is written
+/// back in the two-array format. A flipped fence byte is a typed error.
+#[test]
+fn three_array_stores_open_and_converge() {
+    let fx = legacy_fixtures::three_array();
+    let mem = store(&fx);
+    let c = DeamortCola::bulk_load(mem.clone(), &live_entries(&fx, &mem));
+    // Nine live entries: a full array at levels 0 and 3.
+    assert_eq!((c.insertions(), c.num_levels()), (9, 4));
+    let reopen = |meta: &[u8]| DeamortCola::from_parts(mem.clone(), meta);
+    let check = DeamortCola::check_invariants;
+    converges(c, fx.model.clone(), TAG_DEAMORT_BASIC, check, reopen);
+
+    let mut bad = fx.meta.clone();
+    let at = bad.len() - 1;
+    bad[at] ^= 1; // the last occupied array's last fence key
+    match legacy::live_entries(&store(&fx), &bad) {
+        Err(MetaError::Invalid(why)) => assert!(why.contains("fence keys"), "{why}"),
+        other => panic!("a flipped fence byte opened: {:?}", other.map(|_| ())),
+    }
+}
+
+/// No truncation or flipped bit of a retired store's meta panics its
+/// open; `pinned` sweeps the metas of the formats written today.
+#[test]
+fn corrupt_legacy_meta_never_panics() {
+    let fixtures = [
+        ("basic format", legacy_fixtures::basic()),
+        ("three-array format", legacy_fixtures::three_array()),
+    ];
+    for (name, fx) in fixtures {
+        let mem = store(&fx);
+        never_panics(name, &fx.meta, |bad| {
+            legacy::live_entries(&mem, bad).map(drop)
+        });
+    }
+}

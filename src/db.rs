@@ -30,12 +30,14 @@ use std::path::{Path, PathBuf};
 use cosbt_brt::Brt;
 use cosbt_btree::BTree;
 use cosbt_core::entry::Cell;
+use cosbt_core::legacy::{self, Heir};
 use cosbt_core::persist::{
     peek_tag, tag_name, TAG_BASIC_COLA, TAG_BRT, TAG_BTREE, TAG_DEAMORT, TAG_DEAMORT_BASIC,
     TAG_GCOLA,
 };
 use cosbt_core::{
-    Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, UpdateBatch, WorkerPool,
+    Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, MetaReader, MetaWriter,
+    UpdateBatch, WorkerPool,
 };
 use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
@@ -53,8 +55,8 @@ pub enum Structure {
     /// Section 3's basic COLA: the g-COLA at growth factor 2 with no
     /// lookahead pointers ([`GCola::basic`]), so its levels are the
     /// paper's `2^k`-slot arrays and the pointer density is ignored. It
-    /// keeps its own identity in a shard manifest, and it opens a store
-    /// written in the basic COLA's earlier format.
+    /// keeps its own identity in a shard manifest, and a store in the
+    /// basic COLA's retired format opens under it ([`legacy`]).
     BasicCola,
     /// Section 4's lookahead array with growth factor `g` (the paper's
     /// experimental structure; `g = 2` is the COLA of Lemma 20).
@@ -436,51 +438,36 @@ struct Manifest {
 
 impl Manifest {
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&MANIFEST_MAGIC);
-        out.extend_from_slice(&MANIFEST_VERSION.to_le_bytes());
-        out.extend_from_slice(&self.shards.to_le_bytes());
-        out.push(self.structure_tag);
-        out.extend_from_slice(&self.param.to_le_bytes());
-        out.extend_from_slice(&(self.splitters.len() as u32).to_le_bytes());
+        let mut w = MetaWriter::default();
+        w.u32(MANIFEST_VERSION)
+            .u32(self.shards)
+            .u8(self.structure_tag)
+            .u64(self.param)
+            .u32(self.splitters.len() as u32);
         for &s in &self.splitters {
-            out.extend_from_slice(&s.to_le_bytes());
+            w.u64(s);
         }
-        let ck = fnv1a(&out);
-        out.extend_from_slice(&ck.to_le_bytes());
-        out
+        seal(&MANIFEST_MAGIC, w)
     }
 
     fn decode(buf: &[u8]) -> Result<Manifest, String> {
-        if buf.len() < 8 || buf[0..8] != MANIFEST_MAGIC {
-            return Err("bad manifest magic".into());
-        }
-        if buf.len() < 33 {
-            return Err("truncated manifest".into());
-        }
-        let ck = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-        if ck != fnv1a(&buf[..buf.len() - 8]) {
-            return Err("manifest checksum mismatch".into());
-        }
-        let version = u32::from_le_bytes(buf[8..12].try_into().unwrap());
+        let mut r = unseal(buf, &MANIFEST_MAGIC, "manifest")?;
+        let truncated = |_| "truncated manifest".to_string();
+        let version = r.u32().map_err(truncated)?;
         if version != MANIFEST_VERSION {
             return Err(format!("unsupported manifest version {version}"));
         }
-        let shards = u32::from_le_bytes(buf[12..16].try_into().unwrap());
-        let structure_tag = buf[16];
-        let param = u64::from_le_bytes(buf[17..25].try_into().unwrap());
-        let count = u32::from_le_bytes(buf[25..29].try_into().unwrap()) as usize;
-        if buf.len() != 29 + 8 * count + 8 {
+        let (shards, structure_tag) = (r.u32().map_err(truncated)?, r.u8().map_err(truncated)?);
+        let (param, count) = (r.u64().map_err(truncated)?, r.u32().map_err(truncated)?);
+        if buf.len() != 29 + 8 * count as usize + 8 {
             return Err("manifest length disagrees with splitter count".into());
         }
-        let splitters = (0..count)
-            .map(|i| u64::from_le_bytes(buf[29 + 8 * i..37 + 8 * i].try_into().unwrap()))
-            .collect();
+        let splitters = (0..count).map(|_| r.u64().map_err(truncated));
         Ok(Manifest {
             shards,
             structure_tag,
             param,
-            splitters,
+            splitters: splitters.collect::<Result<_, _>>()?,
         })
     }
 
@@ -516,35 +503,41 @@ const COMMIT_MAGIC: [u8; 8] = *b"COSBTCPT";
 /// back to its recorded epoch (the double-buffered metadata region still
 /// holds it). The rename is the cross-shard commit point.
 fn encode_commit_record(epochs: &[u64]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(20 + 8 * epochs.len());
-    out.extend_from_slice(&COMMIT_MAGIC);
-    out.extend_from_slice(&(epochs.len() as u32).to_le_bytes());
+    let mut w = MetaWriter::default();
+    w.u32(epochs.len() as u32);
     for &e in epochs {
-        out.extend_from_slice(&e.to_le_bytes());
+        w.u64(e);
     }
-    let ck = fnv1a(&out);
-    out.extend_from_slice(&ck.to_le_bytes());
-    out
+    seal(&COMMIT_MAGIC, w)
 }
 
 fn decode_commit_record(buf: &[u8]) -> Result<Vec<u64>, String> {
-    if buf.len() < 8 || buf[0..8] != COMMIT_MAGIC {
-        return Err("bad commit-record magic".into());
-    }
-    if buf.len() < 20 {
-        return Err("truncated commit record".into());
-    }
-    let ck = u64::from_le_bytes(buf[buf.len() - 8..].try_into().unwrap());
-    if ck != fnv1a(&buf[..buf.len() - 8]) {
-        return Err("commit-record checksum mismatch".into());
-    }
-    let count = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
+    let mut r = unseal(buf, &COMMIT_MAGIC, "commit-record")?;
+    let truncated = |_| "truncated commit record".to_string();
+    let count = r.u32().map_err(truncated)? as usize;
     if buf.len() != 12 + 8 * count + 8 {
         return Err("commit-record length disagrees with shard count".into());
     }
-    Ok((0..count)
-        .map(|i| u64::from_le_bytes(buf[12 + 8 * i..20 + 8 * i].try_into().unwrap()))
-        .collect())
+    (0..count).map(|_| r.u64().map_err(truncated)).collect()
+}
+
+/// `magic`, the fields `w` wrote, and the FNV-1a of both as a trailing
+/// `u64`: the framing of the manifest and of the commit record.
+fn seal(magic: &[u8; 8], w: MetaWriter) -> Vec<u8> {
+    let mut out = [&magic[..], &w.finish()].concat();
+    out.extend_from_slice(&fnv1a(&out).to_le_bytes());
+    out
+}
+
+/// A reader over the fields [`seal`] framed in `buf` with `magic`, after
+/// the magic and the checksum check out; `what` names the record.
+fn unseal<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<MetaReader<'a>, String> {
+    let rest = buf.strip_prefix(magic).ok_or(format!("bad {what} magic"))?;
+    let (fields, ck) = rest.split_last_chunk().ok_or(format!("truncated {what}"))?;
+    if u64::from_le_bytes(*ck) != fnv1a(&buf[..magic.len() + fields.len()]) {
+        return Err(format!("{what} checksum mismatch"));
+    }
+    Ok(MetaReader::untagged(fields))
 }
 
 /// Builder for a [`Db`]; see the module docs for a walkthrough.
@@ -1060,18 +1053,16 @@ impl DbBuilder {
             .map(|(_, d)| d)
             .unwrap_or(false);
         let cache_pages = self.cache_pages();
-        let (expected_tag, _) = self.structure_identity();
-        // The basic COLA writes the g-COLA's meta, and both deamortized
-        // configurations the two-array meta; a store a retired engine
-        // wrote still carries that engine's tag.
-        let accepts = |tag| {
-            tag == expected_tag
-                || match (self.cfg.structure, self.cfg.deamortized) {
-                    (Structure::BasicCola, false) => tag == TAG_GCOLA,
-                    (_, true) => tag == TAG_DEAMORT_BASIC || tag == TAG_DEAMORT,
-                    _ => false,
-                }
+        // The meta tag this configuration writes (not its manifest
+        // identity), or a retired one `legacy` rebuilds into its engine.
+        let (writes, heir) = match (self.cfg.structure, self.cfg.deamortized) {
+            (Structure::BasicCola | Structure::GCola { .. }, true) => {
+                (TAG_DEAMORT_BASIC, Some(Heir::DeamortCola))
+            }
+            (Structure::BasicCola, false) => (TAG_GCOLA, Some(Heir::BasicCola)),
+            _ => (self.structure_identity().0, None),
         };
+        let accepts = |tag| tag == writes || heir.is_some_and(|h| legacy::heir(tag) == Some(h));
         let meta_err = |source: MetaError| OpenError::Meta {
             path: path.clone(),
             source,
@@ -1178,12 +1169,12 @@ impl DbBuilder {
     /// The COLA-family shard this configuration keeps in `mem`: a fresh
     /// one, or, given the meta committed in a file and that file's path,
     /// the one the meta describes. The basic COLA is [`GCola::basic`]: it
-    /// reopens a g-COLA of growth factor 2 and pointer density 0, or a
-    /// store in the basic COLA's own earlier format, which
-    /// [`GCola::from_parts`] reads as those very levels. A g-COLA
-    /// reopens with the growth factor asked for. Either deamortized
-    /// configuration is [`DeamortCola`], which also reopens a store in
-    /// the three-array format.
+    /// reopens a g-COLA of growth factor 2 and pointer density 0. A
+    /// g-COLA reopens with the growth factor asked for. Either
+    /// deamortized configuration is [`DeamortCola`]. A store in a retired
+    /// format is asked of [`legacy`] first, and its live entries are
+    /// bulk-loaded into a fresh engine of the configured kind: a fresh
+    /// shard is the bulk load of nothing.
     fn cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
         &self,
         mem: M,
@@ -1194,18 +1185,26 @@ impl DbBuilder {
             path: path(),
             source,
         };
-        let (structure, density) = (self.cfg.structure, self.cfg.pointer_density);
-        let meta = opened.map(|(meta, _)| meta);
-        let cola = match (structure, self.cfg.deamortized, meta) {
-            (_, true, None) => return Ok(Box::new(DeamortCola::new(mem))),
-            (_, true, Some(meta)) => {
+        let (structure, deamortized) = (self.cfg.structure, self.cfg.deamortized);
+        // `Ok` holds the entries to bulk-load, `Err` the meta to reopen.
+        let load = match opened {
+            None => Ok(Vec::new()),
+            Some((meta, _)) => legacy::live_entries(&mem, meta)
+                .map_err(meta_err)?
+                .ok_or(meta),
+        };
+        let cola = match load {
+            Ok(live) if deamortized => return Ok(Box::new(DeamortCola::bulk_load(mem, &live))),
+            Err(meta) if deamortized => {
                 return Ok(Box::new(
                     DeamortCola::from_parts(mem, meta).map_err(meta_err)?,
                 ))
             }
-            (Structure::GCola { g }, false, None) => GCola::new(mem, g, density),
-            (_, false, None) => GCola::basic(mem),
-            (_, false, Some(meta)) => GCola::from_parts(mem, meta).map_err(meta_err)?,
+            Ok(live) => match structure {
+                Structure::GCola { g } => GCola::bulk_load(mem, g, self.cfg.pointer_density, &live),
+                _ => GCola::bulk_load(mem, 2, 0.0, &live),
+            },
+            Err(meta) => GCola::from_parts(mem, meta).map_err(meta_err)?,
         };
         let (g, p) = (cola.growth(), cola.pointer_density());
         let fits = match structure {
@@ -1834,6 +1833,35 @@ mod tests {
                 .shard_splitters(vec![300, 900]),
         ]);
         configs
+    }
+
+    /// The manifest and the commit record round-trip, and every
+    /// truncation of either, or a flipped bit in any byte, decodes to an
+    /// error or a value, never a panic.
+    #[test]
+    fn shard_records_decode_corruption_without_panicking() {
+        let manifest = Manifest {
+            shards: 3,
+            structure_tag: TAG_GCOLA,
+            param: 4,
+            splitters: vec![100, 10_000],
+        };
+        assert_eq!(Manifest::decode(&manifest.encode()), Ok(manifest.clone()));
+        let epochs = [7, 9, 11];
+        let record = encode_commit_record(&epochs);
+        assert_eq!(decode_commit_record(&record), Ok(epochs.to_vec()));
+        for buf in [manifest.encode(), record] {
+            for len in 0..buf.len() {
+                assert!(Manifest::decode(&buf[..len]).is_err(), "cut to {len}");
+                assert!(decode_commit_record(&buf[..len]).is_err(), "cut to {len}");
+            }
+            for i in 0..buf.len() {
+                let mut bad = buf.clone();
+                bad[i] ^= 1 << (i % 8);
+                assert!(Manifest::decode(&bad).is_err(), "byte {i} flipped");
+                assert!(decode_commit_record(&bad).is_err(), "byte {i} flipped");
+            }
+        }
     }
 
     #[test]

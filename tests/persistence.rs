@@ -9,8 +9,11 @@
 //! page-size/structure/shard-count/splitter mismatches each produce a
 //! distinct [`OpenError`] variant and never modify or unlink the file.
 
+#[path = "../crates/core/tests/fixtures/legacy.rs"]
+mod legacy_fixtures;
+
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, DbBuilder, OpenError, Structure};
@@ -691,5 +694,123 @@ fn reopen_rebuilds_cascade_accelerators() {
             "{label}: rebuilt fences must reject far misses without reads"
         );
         assert_eq!(db.get(4), Some(1), "{label}: hit after reopen");
+    }
+}
+
+/// The file a retired engine left at `path`: `fx`'s cells in a fresh
+/// element store, and its meta as the committed payload.
+fn write_retired_store(path: &Path, fx: &legacy_fixtures::Fixture) {
+    use cosbt::cola::entry::Cell;
+    use cosbt::dam::{FileMem, DEFAULT_PAGE_SIZE};
+
+    let mut fm: FileMem<Cell> = FileMem::create(path, DEFAULT_PAGE_SIZE, 4, 32).unwrap();
+    fm.resize(fx.cells.len(), Cell::default());
+    for (i, &cell) in fx.cells.iter().enumerate() {
+        fm.set(i, cell);
+    }
+    fm.commit_meta(&fx.meta).unwrap();
+}
+
+/// The structure meta committed in the element store at `path`.
+fn committed_meta(path: &Path) -> Vec<u8> {
+    use cosbt::cola::entry::Cell;
+    use cosbt::dam::{DirectFile, FileMem};
+
+    let dev = DirectFile::open(path, false).unwrap();
+    FileMem::<Cell, DirectFile>::open_on(dev, 4, 32).unwrap().1
+}
+
+/// A store in a retired format opens under exactly the configurations
+/// whose engine it is rebuilt into: the basic COLA's own format under
+/// `BasicCola`, the three-array format under either deamortized
+/// configuration. Every other COLA configuration refuses it with
+/// `StructureMismatch` and leaves the file as it was. An accepted open
+/// answers as the store did and commits nothing until a `sync`: a
+/// read-only session leaves the retired meta committed, and a session
+/// that writes and syncs commits the current format.
+#[test]
+fn retired_formats_open_under_their_heirs_only() {
+    use cosbt::cola::persist::{TAG_DEAMORT_BASIC, TAG_GCOLA};
+
+    let mut configs: Vec<DbBuilder> = DbBuilder::matrix(&[1])
+        .into_iter()
+        .filter(|b| {
+            matches!(
+                b.config().structure,
+                Structure::BasicCola | Structure::GCola { .. }
+            )
+        })
+        .collect();
+    // The basic COLA's geometry, but not the basic COLA configuration.
+    configs.push(
+        DbBuilder::new()
+            .structure(Structure::GCola { g: 2 })
+            .pointer_density(0.0),
+    );
+    let fixtures = [
+        ("basic", legacy_fixtures::basic(), TAG_GCOLA),
+        (
+            "three-array",
+            legacy_fixtures::three_array(),
+            TAG_DEAMORT_BASIC,
+        ),
+    ];
+    for (name, fx, current) in fixtures {
+        let mut opened = Vec::new();
+        for (i, config) in configs.iter().enumerate() {
+            let path = tmp(&format!("retired-{name}-{i}"));
+            write_retired_store(&path, &fx);
+            let before = std::fs::read(&path).unwrap();
+            let builder = config
+                .clone()
+                .backend(Backend::file(path.to_path_buf()))
+                .cache_bytes(64 * 1024);
+            let label = format!("{name} store under {}", builder.label());
+            let cfg = builder.config();
+            let heir = match (cfg.structure, cfg.deamortized) {
+                (Structure::BasicCola, false) => name == "basic",
+                (_, deamortized) => deamortized && name == "three-array",
+            };
+            let mut db = match builder.clone().open() {
+                Ok(db) if heir => db,
+                Err(OpenError::StructureMismatch { .. }) if !heir => {
+                    let after = std::fs::read(&path).unwrap();
+                    assert!(after == before, "{label}: a refused open wrote the file");
+                    continue;
+                }
+                other => panic!("{label}: {:?}", other.err().map(|e| e.to_string())),
+            };
+            opened.push(builder.label());
+
+            let mut model = fx.model.clone();
+            for key in 0..50 {
+                assert_eq!(db.get(key), model.get(&key).copied(), "{label}: key {key}");
+            }
+            let live: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(db.range(0, u64::MAX), live, "{label}: scan");
+            drop(db);
+            assert_eq!(
+                committed_meta(&path),
+                fx.meta,
+                "{label}: a read-only session committed its rewrite"
+            );
+
+            let mut db = builder.clone().open().unwrap();
+            for key in 40..60 {
+                db.insert(key, key);
+                model.insert(key, key);
+            }
+            db.sync().unwrap();
+            drop(db);
+            assert_eq!(committed_meta(&path).first(), Some(&current), "{label}");
+            let mut db = builder.open().unwrap();
+            let live: Vec<(u64, u64)> = model.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(db.range(0, u64::MAX), live, "{label}: after sync");
+        }
+        let want: &[&str] = match name {
+            "basic" => &["basic-COLA"],
+            _ => &["deamortized-basic-COLA", "deamortized-2-COLA"],
+        };
+        assert_eq!(opened, want, "{name} store");
     }
 }

@@ -6,8 +6,9 @@
 //! reads), and *readers never touch them*: every committed version of
 //! the database is represented as an [`EpochVersion`] — an immutable,
 //! newest-first stack of sorted [`Run`]s, exactly a COLA level structure
-//! lifted onto the heap and shared via `Arc`. The writer publishes the
-//! next version atomically ([`EpochManager::publish_with`]); readers
+//! lifted onto the heap and shared via `Arc`. The one writer publishes
+//! every next version, compactions included, atomically
+//! ([`EpochManager::publish_with`]); readers
 //! [`pin`](EpochManager::pin) a version and query it lock-free: a key is
 //! hashed once, each run's split-block filter costs one 32-byte block,
 //! and only a run the filter passes is binary-searched. Whether a pin is
@@ -124,8 +125,7 @@ impl Run {
     }
 
     /// Identity comparison: do two handles share the same backing
-    /// allocation? Used by compaction to verify a merged suffix is
-    /// still current at publish time.
+    /// allocation? Used by a publish to find the runs it supersedes.
     pub fn ptr_eq(&self, other: &Run) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner)
     }
@@ -350,17 +350,17 @@ impl EpochManager {
 
     /// Publishes the next version. The closure runs under the manager's
     /// lock with the current version and returns the new run stack plus
-    /// its store-epoch vector — or `None` to abort (e.g. a compactor
-    /// discovering its input is stale). On publish, runs present in the
-    /// old version but absent from the new one are retired under the
-    /// old sequence number and freed once no pin is at or below it.
-    pub fn publish_with<F>(&self, f: F) -> Option<Arc<EpochVersion>>
+    /// its store-epoch vector; the publish cannot be refused. Runs
+    /// present in the old version but absent from the new one are
+    /// retired under the old sequence number and freed once no pin is at
+    /// or below it.
+    pub fn publish_with<F>(&self, f: F) -> Arc<EpochVersion>
     where
-        F: FnOnce(&EpochVersion) -> Option<(Vec<Run>, Arc<[u64]>)>,
+        F: FnOnce(&EpochVersion) -> (Vec<Run>, Arc<[u64]>),
     {
         let mut st = self.lock();
         let cur = st.current.clone();
-        let (runs, store_epochs) = f(&cur)?;
+        let (runs, store_epochs) = f(&cur);
         let new = Arc::new(EpochVersion {
             seq: cur.seq + 1,
             runs,
@@ -386,7 +386,7 @@ impl EpochManager {
         self.newest.store(new.seq, Ordering::Release);
         st.published += 1;
         Self::collect_locked(&mut st);
-        Some(new)
+        new
     }
 
     /// Frees retired runs whose grace period has elapsed: everything
@@ -532,9 +532,8 @@ mod tests {
             let mut runs = Vec::with_capacity(cur.runs().len() + 1);
             runs.push(run);
             runs.extend_from_slice(cur.runs());
-            Some((runs, cur.store_epochs_arc()))
-        })
-        .expect("unconditional publish");
+            (runs, cur.store_epochs_arc())
+        });
     }
 
     #[test]
@@ -583,7 +582,7 @@ mod tests {
         // Compact: replace the whole stack with one merged run.
         publish_run(&mgr, vec![(2, Some(2))]);
         let merged = merge_runs(mgr.current().runs(), true);
-        mgr.publish_with(|cur| Some((vec![merged], cur.store_epochs_arc())));
+        mgr.publish_with(|cur| (vec![merged], cur.store_epochs_arc()));
         let s = mgr.stats();
         assert!(s.retired_pending > 0, "pin holds retired runs");
         drop(pin);
@@ -610,9 +609,9 @@ mod tests {
     #[test]
     fn shard_gate_tracks_min_pinned_store_epoch() {
         let mgr = EpochManager::new();
-        mgr.publish_with(|_| Some((Vec::new(), Arc::from([5u64, 7u64]))));
+        mgr.publish_with(|_| (Vec::new(), Arc::from([5u64, 7u64])));
         let pin = mgr.pin();
-        mgr.publish_with(|_| Some((Vec::new(), Arc::from([9u64, 9u64]))));
+        mgr.publish_with(|_| (Vec::new(), Arc::from([9u64, 9u64])));
         let _pin2 = mgr.pin();
         let g0 = mgr.shard_gate(0);
         let g1 = mgr.shard_gate(1);
@@ -625,43 +624,19 @@ mod tests {
     }
 
     #[test]
-    fn stale_compaction_aborts() {
-        let mgr = EpochManager::new();
-        publish_run(&mgr, vec![(1, Some(1))]);
-        let before = mgr.current();
-        publish_run(&mgr, vec![(2, Some(2))]);
-        // A compactor that captured `before` must notice the world moved.
-        let out = mgr.publish_with(|cur| {
-            if cur.seq() != before.seq() {
-                return None;
-            }
-            Some((Vec::new(), cur.store_epochs_arc()))
-        });
-        assert!(out.is_none());
-        assert_eq!(mgr.current().seq(), 2);
-    }
-
-    #[test]
     fn newest_seq_reads_without_the_lock() {
         let mgr = EpochManager::new();
         assert_eq!(mgr.newest_seq(), 0);
         // The closure runs under the manager's lock, which is not
         // reentrant: a `newest_seq` that locked would deadlock here.
         let mut inside = None;
-        mgr.publish_with(|cur| {
+        let published = mgr.publish_with(|cur| {
             inside = Some(mgr.newest_seq());
-            Some((Vec::new(), cur.store_epochs_arc()))
+            (Vec::new(), cur.store_epochs_arc())
         });
         assert_eq!(inside, Some(0), "the closure runs before the store");
         assert_eq!(mgr.newest_seq(), 1);
-        assert_eq!(mgr.newest_seq(), mgr.current().seq());
-        let aborted = mgr.publish_with(|_| {
-            inside = Some(mgr.newest_seq());
-            None
-        });
-        assert!(aborted.is_none());
-        assert_eq!(inside, Some(1));
-        assert_eq!(mgr.newest_seq(), 1, "an aborted publish stores nothing");
+        assert_eq!(published.seq(), 1);
         assert_eq!(mgr.newest_seq(), mgr.current().seq());
     }
 
@@ -784,7 +759,7 @@ mod tests {
             mgr.publish_with(|cur| {
                 let mut runs = cur.runs()[..keep].to_vec();
                 runs.push(merged);
-                Some((runs, cur.store_epochs_arc()))
+                (runs, cur.store_epochs_arc())
             });
             check(&mgr.current());
         });

@@ -33,7 +33,6 @@ pub mod persist;
 mod run;
 mod runbuf;
 pub mod stats;
-pub mod worker;
 
 pub use cascade::{AuxBuilder, LevelAux, LevelFilter, Probe};
 pub use cursor::{MergeCursor, Run, RunMergeCursor};
@@ -44,7 +43,6 @@ pub use epoch::{EpochManager, EpochStats, EpochVersion, PinnedEpoch};
 pub use gcola::GCola;
 pub use persist::{MetaError, MetaReader, MetaWriter, Persist};
 pub use stats::ColaStats;
-pub use worker::WorkerPool;
 
 /// Section 3's basic COLA is [`GCola::basic`], the g-COLA at g = 2 and
 /// p = 0. These tests pin what makes it the paper's binary counter, on

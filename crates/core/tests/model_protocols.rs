@@ -1,18 +1,15 @@
 //! Model-checked protocol tests for the MVCC core: epoch
-//! pin/publish/retire races and `WorkerPool` shutdown races, explored
-//! exhaustively up to the preemption bound by the deterministic
-//! scheduler in `cosbt_testkit::model`.
+//! pin/publish/retire races, explored exhaustively up to the preemption
+//! bound by the deterministic scheduler in `cosbt_testkit::model`.
 //!
 //! Compiled only under `--cfg cosbt_model` (see `.github/workflows/ci.yml`
 //! for the invocation and expected runtimes).
 #![cfg(cosbt_model)]
 
 use cosbt_core::epoch::Run;
-use cosbt_core::{EpochManager, WorkerPool};
+use cosbt_core::EpochManager;
 use cosbt_testkit::model::{check_opts, ModelOpts};
-use cosbt_testkit::sync::atomic::{AtomicBool, Ordering};
-use cosbt_testkit::sync::{thread, Arc, Condvar, Mutex};
-use std::time::Duration;
+use cosbt_testkit::sync::{thread, Arc};
 
 /// A reader pins an epoch while a writer concurrently publishes a
 /// replacement run (retiring the one the reader may hold). In every
@@ -24,8 +21,7 @@ fn epoch_pin_publish_retire_is_safe() {
     let report = check_opts(ModelOpts::bound(2), || {
         let mgr = EpochManager::new();
         let run_a = Run::from_ops(vec![(1, Some(10))]);
-        mgr.publish_with(|cur| Some((vec![run_a.clone()], cur.store_epochs_arc())))
-            .expect("initial publish is unconditional");
+        mgr.publish_with(|cur| (vec![run_a.clone()], cur.store_epochs_arc()));
         let mgr2 = Arc::clone(&mgr);
         let reader = thread::spawn(move || {
             let pin = mgr2.pin();
@@ -40,8 +36,7 @@ fn epoch_pin_publish_retire_is_safe() {
         // Replace the stack wholesale: retires `run_a` under the old
         // seq; the reader's pin (if it raced ahead) parks it.
         let run_b = Run::from_ops(vec![(1, Some(20))]);
-        mgr.publish_with(|cur| Some((vec![run_b.clone()], cur.store_epochs_arc())))
-            .expect("replacement publish is unconditional");
+        mgr.publish_with(|cur| (vec![run_b.clone()], cur.store_epochs_arc()));
         reader.join().unwrap();
         // The reader's unpin ran `collect` (or the publish did, if the
         // pin was already gone): nothing may remain parked.
@@ -51,109 +46,6 @@ fn epoch_pin_publish_retire_is_safe() {
         assert_eq!(s.reclaimed_runs, s.retired_runs);
         assert_eq!(mgr.current().get(1), Some(20));
     });
-    assert!(
-        report.preemption_bound >= 2 && report.schedules > 1,
-        "expected a real exploration: {report:?}"
-    );
-}
-
-/// `WorkerPool::shutdown` straggler handling: a worker stuck in its
-/// current job forces the timeout path, which must (a) report exactly
-/// the stuck worker, and (b) clear the queue so the *queued* job can
-/// never run after the caller has moved on — in every interleaving.
-/// This pins the fix for the detached-straggler bug where a worker
-/// finishing late could pick up another queued job against
-/// already-torn-down state.
-#[test]
-fn shutdown_timeout_drops_queued_jobs_in_every_schedule() {
-    let report = check_opts(ModelOpts::bound(2), || {
-        let pool = WorkerPool::new(1);
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
-        pool.submit(move || {
-            let (m, cv) = &*g;
-            let mut open = m.lock().unwrap();
-            while !*open {
-                open = cv.wait(open).unwrap();
-            }
-        });
-        let second_ran = Arc::new(AtomicBool::new(false));
-        let s2 = Arc::clone(&second_ran);
-        pool.submit(move || {
-            // ordering: pure test flag, read only after shutdown
-            // returns (synchronized by the pool mutex).
-            s2.store(true, Ordering::Relaxed);
-        });
-        // The lone worker is either gated inside job 1 or has not yet
-        // started; either way it cannot exit before the deadline, so
-        // shutdown must time out and detach it in every schedule.
-        let res = pool.shutdown(Duration::from_millis(10));
-        assert_eq!(res, Err(1), "the gated worker is detached, never joined");
-        // ordering: see the store above.
-        assert!(
-            !second_ran.load(Ordering::Relaxed),
-            "a queued-but-unstarted job ran after shutdown returned"
-        );
-        // Open the gate so the detached worker can finish and the
-        // execution terminates (mirrors real teardown where the job's
-        // blocking resource is released later).
-        let (m, cv) = &*gate;
-        *m.lock().unwrap() = true;
-        cv.notify_all();
-    });
-    assert!(
-        report.preemption_bound >= 2 && report.schedules > 1,
-        "expected a real exploration: {report:?}"
-    );
-}
-
-/// Shutdown racing an in-flight job: the model explores both the clean
-/// join and the timeout/detach outcome (timed waits are always
-/// schedulable via their deadline). A clean `Ok` must imply the job
-/// completed; a timeout must report exactly one straggler.
-#[test]
-fn shutdown_vs_inflight_job_is_sound_in_both_outcomes() {
-    // Outcome flags are *plain std* atomics on purpose: they record
-    // which branches the exploration witnessed across executions, and
-    // must not themselves become schedule points.
-    let saw_ok = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let saw_err = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let (ok_c, err_c) = (Arc::clone(&saw_ok), Arc::clone(&saw_err));
-    let report = check_opts(ModelOpts::bound(2), move || {
-        let pool = WorkerPool::new(1);
-        let ran = Arc::new(AtomicBool::new(false));
-        let r = Arc::clone(&ran);
-        pool.submit(move || {
-            // ordering: pure test flag; the `Ok` path below reads it
-            // only after joining the worker thread.
-            r.store(true, Ordering::Relaxed);
-        });
-        match pool.shutdown(Duration::from_secs(60)) {
-            Ok(()) => {
-                // ordering: see the store above.
-                assert!(
-                    ran.load(Ordering::Relaxed),
-                    "clean shutdown implies the submitted job ran"
-                );
-                // ordering: cross-execution bookkeeping, not modeled.
-                ok_c.store(true, Ordering::Relaxed);
-            }
-            Err(n) => {
-                assert_eq!(n, 1, "exactly the lone worker may straggle");
-                // ordering: cross-execution bookkeeping, not modeled.
-                err_c.store(true, Ordering::Relaxed);
-            }
-        }
-    });
-    // ordering: read after `check_opts` returns; executions are serial.
-    assert!(
-        saw_ok.load(Ordering::Relaxed),
-        "no schedule reached the clean-join outcome"
-    );
-    assert!(
-        saw_err.load(Ordering::Relaxed),
-        "no schedule reached the timeout/detach outcome"
-    );
     assert!(
         report.preemption_bound >= 2 && report.schedules > 1,
         "expected a real exploration: {report:?}"

@@ -57,8 +57,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Panic payload used to unwind threads of an execution being torn
 /// down. Never surfaces to user code: the thread wrapper catches it.
@@ -87,18 +86,6 @@ pub(crate) fn active() -> Option<(Arc<Controller>, usize)> {
     let tid = TID.with(|t| t.get())?;
     let ctl = ACTIVE.lock().unwrap_or_else(|e| e.into_inner()).clone()?;
     Some((ctl, tid))
-}
-
-/// Logical nanoseconds for `sync::time::Instant`: the controller's
-/// deterministic clock during a model run, real monotonic time
-/// otherwise.
-pub(crate) fn now_ns() -> u64 {
-    if let Some((ctl, _)) = active() {
-        return lock_sched(&ctl).logical_ns;
-    }
-    static START: OnceLock<std::time::Instant> = OnceLock::new();
-    let start = START.get_or_init(std::time::Instant::now);
-    u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// Options for [`check_opts`].
@@ -174,7 +161,7 @@ struct Decision {
 enum ThState {
     Runnable,
     MutexWait(usize),
-    CvWait { cv: usize, deadline: Option<u64> },
+    CvWait(usize),
     JoinWait(usize),
     Done,
 }
@@ -184,9 +171,6 @@ struct Th {
     /// Vector clock: `clock[t]` = newest event of thread `t` that
     /// happens-before this thread's current point.
     clock: Vec<u64>,
-    /// Set when the thread was resumed from a timed wait by its
-    /// timeout rather than a notification.
-    timed_out: bool,
     name: String,
 }
 
@@ -232,7 +216,6 @@ struct Sched {
     stale_used: u32,
     stale_budget: u32,
     failure: Option<String>,
-    logical_ns: u64,
     mutexes: Vec<MxState>,
     condvars: Vec<CvState>,
     atomics: Vec<AtState>,
@@ -276,7 +259,6 @@ impl Controller {
                 stale_used: 0,
                 stale_budget: opts.stale_reads,
                 failure: None,
-                logical_ns: 0,
                 mutexes: Vec::new(),
                 condvars: Vec::new(),
                 atomics: Vec::new(),
@@ -351,36 +333,14 @@ impl Controller {
             std::panic::panic_any(ModelAbort);
         }
         // Candidate threads, deterministic order: the current thread
-        // first (when allowed), then others by ascending tid. A thread
-        // blocked in a timed wait is always schedulable via timeout.
-        let mut cands: Vec<(usize, bool)> = Vec::new();
+        // first (when allowed), then other runnable ones by ascending tid.
+        let mut cands: Vec<usize> = Vec::new();
         if me_runnable && !exclude_me {
-            cands.push((me, false));
+            cands.push(me);
         }
-        for t in 0..s.threads.len() {
-            if t == me {
-                // A caller blocking on a *timed* wait (`me_runnable ==
-                // false` with a deadline) is still schedulable via its
-                // own timeout — without this, a lone timed waiter
-                // among blocked peers is misdiagnosed as a deadlock.
-                if !me_runnable {
-                    if let ThState::CvWait {
-                        deadline: Some(_), ..
-                    } = s.threads[t].state
-                    {
-                        cands.push((t, true));
-                    }
-                }
-                continue;
-            }
-            match s.threads[t].state {
-                ThState::Runnable => cands.push((t, false)),
-                ThState::CvWait {
-                    deadline: Some(_), ..
-                } => cands.push((t, true)),
-                _ => {}
-            }
-        }
+        cands.extend(
+            (0..s.threads.len()).filter(|&t| t != me && s.threads[t].state == ThState::Runnable),
+        );
         if cands.is_empty() {
             if me_runnable {
                 // Nothing else to run; just continue.
@@ -406,7 +366,7 @@ impl Controller {
         }
         let preemptive_alts = me_runnable && !exclude_me;
         let choice = Self::decide(&mut s, cands.len() as u32, preemptive_alts);
-        let (next, via_timeout) = cands[choice as usize];
+        let next = cands[choice as usize];
         if debug_enabled() {
             let states: Vec<String> = s
                 .threads
@@ -414,29 +374,13 @@ impl Controller {
                 .map(|t| format!("{}:{:?}", t.name, t.state))
                 .collect();
             eprintln!(
-                "[step {} me={me} -> next={next} via_timeout={via_timeout} \
-                 cands={cands:?} [{}]]",
+                "[step {} me={me} -> next={next} cands={cands:?} [{}]]",
                 s.steps,
                 states.join(", ")
             );
         }
         if preemptive_alts && next != me {
             s.preemptions += 1;
-        }
-        if via_timeout {
-            // Resume the timed waiter as if its timeout fired: advance
-            // the logical clock to its deadline and pull it out of the
-            // condvar's queue.
-            if let ThState::CvWait {
-                cv,
-                deadline: Some(d),
-            } = s.threads[next].state
-            {
-                s.logical_ns = s.logical_ns.max(d);
-                s.condvars[cv].waiters.retain(|&w| w != next);
-                s.threads[next].state = ThState::Runnable;
-                s.threads[next].timed_out = true;
-            }
         }
         s.running = next;
         if next == me {
@@ -489,7 +433,6 @@ impl Controller {
         s.threads.push(Th {
             state: ThState::Runnable,
             clock: vec![1],
-            timed_out: false,
             name: "root".into(),
         });
         s.live += 1;
@@ -497,11 +440,7 @@ impl Controller {
     }
 
     /// Spawns a model thread; the OS thread parks until scheduled.
-    pub(crate) fn spawn(
-        ctl: &Arc<Controller>,
-        name: Option<String>,
-        body: Box<dyn FnOnce() + Send + 'static>,
-    ) -> usize {
+    pub(crate) fn spawn(ctl: &Arc<Controller>, body: Box<dyn FnOnce() + Send + 'static>) -> usize {
         ctl.abort_point();
         let me = ctl.me();
         let mut s = lock_sched(ctl);
@@ -516,8 +455,7 @@ impl Controller {
         s.threads.push(Th {
             state: ThState::Runnable,
             clock,
-            timed_out: false,
-            name: name.unwrap_or_else(|| format!("thread-{tid}")),
+            name: format!("thread-{tid}"),
         });
         s.live += 1;
         let ctl2 = ctl.clone();
@@ -677,10 +615,9 @@ impl Controller {
         s.condvars.len() - 1
     }
 
-    /// Atomically releases mutex `mid`, waits on condvar `cvid`
-    /// (bounded by `timeout` when given), re-acquires the mutex, and
-    /// reports whether the wakeup was a timeout.
-    pub(crate) fn cv_wait(&self, cvid: usize, mid: usize, timeout: Option<Duration>) -> bool {
+    /// Atomically releases mutex `mid`, waits on condvar `cvid`, and
+    /// re-acquires the mutex.
+    pub(crate) fn cv_wait(&self, cvid: usize, mid: usize) {
         self.abort_point();
         let me = self.me();
         let mut s = lock_sched(self);
@@ -696,31 +633,17 @@ impl Controller {
                 s.threads[t].state = ThState::Runnable;
             }
         }
-        let deadline = timeout.map(|d| {
-            s.logical_ns
-                .saturating_add(u64::try_from(d.as_nanos()).unwrap_or(u64::MAX))
-        });
-        s.threads[me].timed_out = false;
-        s.threads[me].state = ThState::CvWait { cv: cvid, deadline };
+        s.threads[me].state = ThState::CvWait(cvid);
         s.condvars[cvid].waiters.push_back(me);
         s = self.reschedule(s, false, false);
-        if let ThState::CvWait { cv, deadline } = s.threads[me].state {
+        if s.threads[me].state == ThState::CvWait(cvid) {
             // Reschedule returned with us still enqueued: the
             // execution is tearing down (abort with every peer blocked
-            // or done). Resolve the wait as a timeout when bounded —
-            // advancing the logical clock so deadline loops in
-            // unwind-path drop code (e.g. a pool shutdown) terminate —
-            // or as a spurious wake otherwise; non-panicking callers
+            // or done). Resolve the wait as a spurious wake; callers
             // then hit `abort_point` and unwind.
-            s.condvars[cv].waiters.retain(|&w| w != me);
+            s.condvars[cvid].waiters.retain(|&w| w != me);
             s.threads[me].state = ThState::Runnable;
-            if let Some(d) = deadline {
-                s.logical_ns = s.logical_ns.max(d);
-                s.threads[me].timed_out = true;
-            }
         }
-        let timed_out = s.threads[me].timed_out;
-        s.threads[me].timed_out = false;
         drop(s);
         // Re-acquire the mutex (contending with anyone else).
         loop {
@@ -730,7 +653,7 @@ impl Controller {
                 s.mutexes[mid].locked = true;
                 let mclock = s.mutexes[mid].clock.clone();
                 join_clock(&mut s.threads[me].clock, &mclock);
-                return timed_out;
+                return;
             }
             s.threads[me].state = ThState::MutexWait(mid);
             drop(self.reschedule(s, false, false));
@@ -740,12 +663,8 @@ impl Controller {
     pub(crate) fn cv_notify(&self, cvid: usize, all: bool) {
         self.abort_point();
         let mut s = lock_sched(self);
-        loop {
-            let Some(w) = s.condvars[cvid].waiters.pop_front() else {
-                break;
-            };
+        while let Some(w) = s.condvars[cvid].waiters.pop_front() {
             s.threads[w].state = ThState::Runnable;
-            s.threads[w].timed_out = false;
             if !all {
                 break;
             }

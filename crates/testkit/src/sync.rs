@@ -1,9 +1,9 @@
 //! Drop-in synchronization shim for the concurrency-checked crates.
 //!
 //! In a normal build this module is a zero-cost alias for `std`: every
-//! name re-exports the `std::sync` / `std::thread` / `std::time` item
-//! of the same name, so code written against `cosbt_testkit::sync`
-//! compiles to exactly what it would with direct `std` imports.
+//! name re-exports the `std::sync` / `std::thread` item of the same
+//! name, so code written against `cosbt_testkit::sync` compiles to
+//! exactly what it would with direct `std` imports.
 //!
 //! Under `--cfg cosbt_model` the same names resolve to model-aware
 //! wrappers that route every operation through the deterministic
@@ -28,7 +28,7 @@
 //!   is FIFO.
 
 #[cfg(not(cosbt_model))]
-pub use std::sync::{Arc, Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Atomic types for the shimmed crates (`std::sync::atomic` alias).
 #[cfg(not(cosbt_model))]
@@ -39,17 +39,11 @@ pub mod atomic {
 /// Thread spawning for the shimmed crates (`std::thread` alias).
 #[cfg(not(cosbt_model))]
 pub mod thread {
-    pub use std::thread::{spawn, yield_now, Builder, JoinHandle, Result};
-}
-
-/// Time sources for the shimmed crates (`std::time` alias).
-#[cfg(not(cosbt_model))]
-pub mod time {
-    pub use std::time::Instant;
+    pub use std::thread::{spawn, yield_now, JoinHandle, Result};
 }
 
 #[cfg(cosbt_model)]
-pub use model_impl::{Condvar, Mutex, MutexGuard, WaitTimeoutResult};
+pub use model_impl::{Condvar, Mutex, MutexGuard};
 #[cfg(cosbt_model)]
 pub use std::sync::Arc;
 
@@ -63,21 +57,14 @@ pub mod atomic {
 /// Thread spawning routed through the model checker.
 #[cfg(cosbt_model)]
 pub mod thread {
-    pub use super::model_impl::thread::{spawn, yield_now, Builder, JoinHandle};
+    pub use super::model_impl::thread::{spawn, yield_now, JoinHandle};
     pub use std::thread::Result;
-}
-
-/// Deterministic time source under the model checker.
-#[cfg(cosbt_model)]
-pub mod time {
-    pub use super::model_impl::time::Instant;
 }
 
 #[cfg(cosbt_model)]
 mod model_impl {
     use crate::model::{self, Controller};
     use std::sync::{Arc, LockResult};
-    use std::time::Duration;
 
     /// Lazily binds a shim object to a per-execution scheduler id.
     ///
@@ -188,17 +175,6 @@ mod model_impl {
         }
     }
 
-    /// Result of [`Condvar::wait_timeout`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct WaitTimeoutResult(bool);
-
-    impl WaitTimeoutResult {
-        /// Whether the wakeup was the timeout rather than a notify.
-        pub fn timed_out(&self) -> bool {
-            self.0
-        }
-    }
-
     /// Model-aware condition variable.
     pub struct Condvar {
         reg: ModelReg,
@@ -230,73 +206,37 @@ mod model_impl {
             self.reg.resolve(ctl, || ctl.register_condvar())
         }
 
-        fn wait_inner<'a, T>(
-            &self,
-            mut guard: MutexGuard<'a, T>,
-            timeout: Option<Duration>,
-        ) -> (MutexGuard<'a, T>, bool) {
+        /// Waits for a notification (always `Ok`; see the module docs
+        /// on poisoning).
+        pub fn wait<'a, T>(&self, mut guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
+            let lock = guard.lock;
             if let Some((ctl, mid)) = guard.model.take() {
                 let cvid = self.model_id(&ctl);
-                let lock = guard.lock;
                 // Disarm: drop the std guard without a model unlock —
                 // the scheduler releases and re-acquires the model
                 // mutex atomically inside `cv_wait`.
                 drop(guard.inner.take());
                 drop(guard);
-                let timed_out = ctl.cv_wait(cvid, mid, timeout);
+                ctl.cv_wait(cvid, mid);
                 let inner = lock.inner.lock().unwrap_or_else(|e| e.into_inner());
-                (
-                    MutexGuard {
-                        lock,
-                        inner: Some(inner),
-                        model: Some((ctl, mid)),
-                    },
-                    timed_out,
-                )
+                Ok(MutexGuard {
+                    lock,
+                    inner: Some(inner),
+                    model: Some((ctl, mid)),
+                })
             } else {
-                let lock = guard.lock;
                 let std_guard = guard.inner.take().expect("guard disarmed");
                 drop(guard);
-                let (std_guard, timed_out) = match timeout {
-                    Some(d) => {
-                        let (g, r) = self
-                            .inner
-                            .wait_timeout(std_guard, d)
-                            .unwrap_or_else(|e| e.into_inner());
-                        (g, r.timed_out())
-                    }
-                    None => (
-                        self.inner
-                            .wait(std_guard)
-                            .unwrap_or_else(|e| e.into_inner()),
-                        false,
-                    ),
-                };
-                (
-                    MutexGuard {
-                        lock,
-                        inner: Some(std_guard),
-                        model: None,
-                    },
-                    timed_out,
-                )
+                let inner = self
+                    .inner
+                    .wait(std_guard)
+                    .unwrap_or_else(|e| e.into_inner());
+                Ok(MutexGuard {
+                    lock,
+                    inner: Some(inner),
+                    model: None,
+                })
             }
-        }
-
-        /// Waits for a notification (always `Ok`; see the module docs
-        /// on poisoning).
-        pub fn wait<'a, T>(&self, guard: MutexGuard<'a, T>) -> LockResult<MutexGuard<'a, T>> {
-            Ok(self.wait_inner(guard, None).0)
-        }
-
-        /// Waits with a timeout.
-        pub fn wait_timeout<'a, T>(
-            &self,
-            guard: MutexGuard<'a, T>,
-            dur: Duration,
-        ) -> LockResult<(MutexGuard<'a, T>, WaitTimeoutResult)> {
-            let (guard, timed_out) = self.wait_inner(guard, Some(dur));
-            Ok((guard, WaitTimeoutResult(timed_out)))
         }
 
         /// Wakes one waiter (the longest-waiting one under the model).
@@ -584,64 +524,26 @@ mod model_impl {
             }
         }
 
-        /// Thread factory mirroring `std::thread::Builder` (only
-        /// `name` is supported; stack size is meaningless for model
-        /// threads).
-        #[derive(Debug, Default)]
-        pub struct Builder {
-            name: Option<String>,
-        }
-
-        impl Builder {
-            /// Creates a builder with no name set.
-            pub fn new() -> Builder {
-                Builder::default()
-            }
-
-            /// Names the thread.
-            pub fn name(mut self, name: String) -> Builder {
-                self.name = Some(name);
-                self
-            }
-
-            /// Spawns the thread.
-            pub fn spawn<F, T>(self, f: F) -> std::io::Result<JoinHandle<T>>
-            where
-                F: FnOnce() -> T + Send + 'static,
-                T: Send + 'static,
-            {
-                match model::active() {
-                    Some((ctl, _)) => {
-                        let slot = Arc::new(std::sync::Mutex::new(None));
-                        let slot2 = Arc::clone(&slot);
-                        let tid = Controller::spawn(
-                            &ctl,
-                            self.name,
-                            Box::new(move || {
-                                let v = f();
-                                *slot2.lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
-                            }),
-                        );
-                        Ok(JoinHandle(Inner::Model { ctl, tid, slot }))
-                    }
-                    None => {
-                        let mut b = std::thread::Builder::new();
-                        if let Some(n) = self.name {
-                            b = b.name(n);
-                        }
-                        b.spawn(f).map(|h| JoinHandle(Inner::Std(h)))
-                    }
-                }
-            }
-        }
-
-        /// Spawns a thread (see `std::thread::spawn`).
+        /// Spawns a thread (see `std::thread::spawn`): a model thread
+        /// during a run, an OS thread otherwise.
         pub fn spawn<F, T>(f: F) -> JoinHandle<T>
         where
             F: FnOnce() -> T + Send + 'static,
             T: Send + 'static,
         {
-            Builder::new().spawn(f).expect("failed to spawn thread")
+            let Some((ctl, _)) = model::active() else {
+                return JoinHandle(Inner::Std(std::thread::spawn(f)));
+            };
+            let slot = Arc::new(std::sync::Mutex::new(None));
+            let slot2 = Arc::clone(&slot);
+            let tid = Controller::spawn(
+                &ctl,
+                Box::new(move || {
+                    let v = f();
+                    *slot2.lock().unwrap_or_else(|e| e.into_inner()) = Some(v);
+                }),
+            );
+            JoinHandle(Inner::Model { ctl, tid, slot })
         }
 
         /// Yields the scheduler: a non-preemptive switch under the
@@ -650,63 +552,6 @@ mod model_impl {
             match model::active() {
                 Some((ctl, _)) => ctl.yield_now(),
                 None => std::thread::yield_now(),
-            }
-        }
-    }
-
-    /// Deterministic time under the model checker.
-    pub mod time {
-        use crate::model;
-        use std::time::Duration;
-
-        /// Monotonic instant: logical nanoseconds during a model run
-        /// (advanced only when a timed wait fires), real monotonic
-        /// time otherwise.
-        #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-        pub struct Instant(u64);
-
-        impl Instant {
-            /// The current instant.
-            pub fn now() -> Instant {
-                Instant(model::now_ns())
-            }
-
-            /// Time elapsed since this instant (zero if in the future).
-            pub fn elapsed(&self) -> Duration {
-                Instant::now().saturating_duration_since(*self)
-            }
-
-            /// `self - earlier`, saturating at zero.
-            pub fn saturating_duration_since(&self, earlier: Instant) -> Duration {
-                Duration::from_nanos(self.0.saturating_sub(earlier.0))
-            }
-
-            /// `self - earlier`, `None` if `earlier` is later.
-            pub fn checked_duration_since(&self, earlier: Instant) -> Option<Duration> {
-                self.0.checked_sub(earlier.0).map(Duration::from_nanos)
-            }
-
-            /// `self - earlier`; panics if `earlier` is later.
-            pub fn duration_since(&self, earlier: Instant) -> Duration {
-                self.checked_duration_since(earlier)
-                    .expect("supplied instant is later than self")
-            }
-        }
-
-        impl std::ops::Add<Duration> for Instant {
-            type Output = Instant;
-            fn add(self, rhs: Duration) -> Instant {
-                Instant(
-                    self.0
-                        .saturating_add(u64::try_from(rhs.as_nanos()).unwrap_or(u64::MAX)),
-                )
-            }
-        }
-
-        impl std::ops::Sub<Instant> for Instant {
-            type Output = Duration;
-            fn sub(self, rhs: Instant) -> Duration {
-                self.duration_since(rhs)
             }
         }
     }

@@ -37,7 +37,7 @@ use cosbt_core::persist::{
 };
 use cosbt_core::{
     Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, MetaReader, MetaWriter,
-    UpdateBatch, WorkerPool,
+    UpdateBatch,
 };
 use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
@@ -150,8 +150,6 @@ pub struct DbConfig {
     pub splitters: Option<Vec<u64>>,
     /// Batches applied on worker threads.
     pub parallel_ingest: bool,
-    /// Background snapshot-compaction workers (0 = inline).
-    pub background_merge: usize,
     /// Page-cache budget in bytes (file backends).
     pub cache_bytes: usize,
     /// Metadata commit-slot capacity in bytes (file backends).
@@ -558,7 +556,6 @@ impl Default for DbBuilder {
             shards: 1,
             splitters: None,
             parallel_ingest: false,
-            background_merge: 0,
         };
         DbBuilder { cfg }
     }
@@ -667,17 +664,6 @@ impl DbBuilder {
     /// single shard; point operations are always routed directly.
     pub fn parallel_ingest(mut self, on: bool) -> DbBuilder {
         self.cfg.parallel_ingest = on;
-        self
-    }
-
-    /// Runs snapshot-overlay compactions (the deamortized merge work
-    /// behind [`Db::snapshot`]) on `n_workers` background threads
-    /// instead of inline on the writer's thread (default 0 = inline).
-    /// The pool is drained by [`Db::sync`] and joined — with a bounded
-    /// timeout — when the database drops. A runtime knob: it changes
-    /// scheduling, never on-disk state.
-    pub fn background_merge(mut self, n_workers: usize) -> DbBuilder {
-        self.cfg.background_merge = n_workers;
         self
     }
 
@@ -958,7 +944,7 @@ impl DbBuilder {
             label: self.label(),
             dirty: false,
             commit_path,
-            mvcc: self.mvcc_state(),
+            mvcc: MvccState::new(),
             config: DbConfig {
                 splitters,
                 ..self.config()
@@ -986,17 +972,6 @@ impl DbBuilder {
             }
             other => other,
         }
-    }
-
-    /// Fresh MVCC state for a database this builder constructs: the
-    /// epoch manager plus, when requested, the background merge pool.
-    fn mvcc_state(&self) -> MvccState {
-        let pool = if self.cfg.background_merge > 0 {
-            Some(WorkerPool::new(self.cfg.background_merge))
-        } else {
-            None
-        };
-        MvccState::new(pool)
     }
 
     /// The structure-metadata tag this configuration produces (what
@@ -1591,13 +1566,11 @@ impl Db {
     /// to stderr but not propagated, skipped entirely if nothing changed
     /// since the last commit); call `sync` explicitly where durability
     /// failures must be handled.
+    ///
+    /// The snapshot overlay takes no part in a commit: it lives only in
+    /// memory, and [`Db::snapshot`] finishes its compactions before it
+    /// returns, so none is in flight here.
     pub fn sync(&mut self) -> io::Result<()> {
-        // Quiesce background merges first: a worker publishing a
-        // compacted epoch mid-commit is harmless for correctness (it
-        // only touches the in-memory overlay), but draining here gives
-        // `sync` a simple contract — after it returns, no background
-        // work is in flight.
-        self.mvcc.drain();
         if self.ios.is_empty() {
             return Ok(());
         }
@@ -1671,9 +1644,11 @@ impl Db {
     ///
     /// The first call activates the overlay with a full scan (`O(N)`);
     /// subsequent calls publish only the writes since the previous
-    /// snapshot. A database that never calls `snapshot()` pays nothing —
-    /// single-threaded transfer counts are byte-identical to builds
-    /// without this subsystem.
+    /// snapshot. When the published stack holds more than 8 runs, the
+    /// call also merges the oldest half into one run, on this thread,
+    /// before it returns. A database that never calls `snapshot()` pays
+    /// nothing — single-threaded transfer counts are byte-identical to
+    /// builds without this subsystem.
     pub fn snapshot(&mut self) -> DbSnapshot {
         let store_epochs: std::sync::Arc<[u64]> = self.ios.iter().map(StoreHandle::epoch).collect();
         if self.mvcc.needs_seed() {
@@ -1688,12 +1663,11 @@ impl Db {
 
     /// A concurrent read handle: a [`DbReader`] that serves
     /// `get`/`range`/`cursor` lock-free against the newest *published*
-    /// epoch, auto-refreshing within a configurable staleness bound
-    /// (see [`DbReader::with_staleness`]). This is the documented read
-    /// path for "many readers, one writer" deployments: hand one
-    /// reader to each thread, keep writing through the `Db`, and call
-    /// [`Db::snapshot`] (or `reader()` again) to publish batches of
-    /// writes to the readers.
+    /// epoch, re-pinning whenever a newer one has been published. This
+    /// is the documented read path for "many readers, one writer"
+    /// deployments: hand one reader to each thread, keep writing through
+    /// the `Db`, and call [`Db::snapshot`] (or `reader()` again) to
+    /// publish batches of writes to the readers.
     ///
     /// Like [`Db::snapshot`], the call publishes all pending writes
     /// first (the first ever call seeds the overlay with a full scan).
@@ -1730,26 +1704,10 @@ impl Drop for Db {
     /// exit never silently loses a committed-state opportunity. A
     /// failure is reported to stderr (Drop cannot propagate) — call
     /// [`Db::sync`] explicitly where errors must be handled.
+    ///
+    /// Snapshots, readers and cursors share the epoch manager, not the
+    /// `Db`: they keep answering from their pinned epochs after the drop.
     fn drop(&mut self) {
-        // Stop background merge workers before anything else. Bounded:
-        // a wedged worker is detached and reported rather than hanging
-        // the drop forever. Jobs only touch the in-memory overlay, so
-        // abandoning one never corrupts durable state.
-        if let Some(pool) = self.mvcc.pool.take() {
-            // Queued-but-unstarted compactions become no-ops from here
-            // on; shutdown's timeout path additionally clears the
-            // queue, so a detached worker can never start a job that
-            // races this teardown.
-            self.mvcc.close();
-            if let Err(n) = pool.shutdown(cosbt_core::worker::DROP_SHUTDOWN_TIMEOUT) {
-                eprintln!(
-                    "cosbt: drop of '{}' abandoned {n} background merge worker(s) \
-                     still running after {:?}",
-                    self.label,
-                    cosbt_core::worker::DROP_SHUTDOWN_TIMEOUT
-                );
-            }
-        }
         // Never commit during a panic unwind: the panic may have left a
         // merge or split half-applied, and serializing that bookkeeping
         // would durably overwrite the last *good* epoch (quiescing an

@@ -1,5 +1,5 @@
 //! MVCC snapshots of a [`Db`](crate::Db): lock-free readers over pinned
-//! epochs, one writer, background run compaction.
+//! epochs, one writer that also compacts.
 //!
 //! [`Db::snapshot`](crate::Db::snapshot) publishes the database's current
 //! logical contents as an immutable epoch — a newest-first stack of
@@ -20,16 +20,16 @@
 //! block-transfer counts) is bit-for-bit unchanged. The first call seeds
 //! a base run with a full scan; afterwards every write through the `Db`
 //! facade is also appended to a pending delta, and each `snapshot()`
-//! publishes the delta as a new run. When the run stack grows past a
-//! threshold it is compacted — inline, or on the
-//! [`background_merge`](crate::DbBuilder::background_merge) worker pool
-//! so a long merge never stalls the writer or the readers.
+//! publishes the delta as a new run. When the run stack grows past 8
+//! runs, the same `snapshot()` call merges its oldest half into one run
+//! on the writer's thread before it returns.
+//! Readers never wait for that merge: they keep reading the epochs they
+//! pinned, and the compacted epoch is one more publish.
 
-use cosbt_testkit::sync::atomic::{AtomicBool, Ordering};
 use cosbt_testkit::sync::Arc;
 
 use cosbt_core::epoch::{merge_runs, Run};
-use cosbt_core::{BatchOp, Cursor, CursorOps, EpochManager, PinnedEpoch, WorkerPool};
+use cosbt_core::{BatchOp, Cursor, CursorOps, EpochManager, PinnedEpoch};
 
 /// Compact when an epoch's run stack exceeds this many runs. Small
 /// enough to keep point reads cheap (one filter block per run, a binary
@@ -37,24 +37,13 @@ use cosbt_core::{BatchOp, Cursor, CursorOps, EpochManager, PinnedEpoch, WorkerPo
 /// COLA-style work, not per-publish.
 pub(crate) const MAX_SNAPSHOT_RUNS: usize = 8;
 
-/// Per-`Db` MVCC state: the epoch manager, the mirror of writes not yet
-/// published, and the optional background worker pool.
+/// Per-`Db` MVCC state: the epoch manager and the mirror of writes not
+/// yet published.
 pub(crate) struct MvccState {
     pub(crate) mgr: Arc<EpochManager>,
     /// Writes since the last published epoch, in arrival order. Only
     /// mirrored while `active`.
     pending: Vec<BatchOp>,
-    /// Background pool for compactions (`None` = compact inline).
-    pub(crate) pool: Option<WorkerPool>,
-    /// Single-flight latch: at most one background compaction in the
-    /// queue at a time.
-    merging: Arc<AtomicBool>,
-    /// Teardown latch: set when the owning `Db` starts dropping, so a
-    /// background compaction that has not yet begun its merge refuses
-    /// to run instead of racing the teardown (the pool's shutdown
-    /// clears queued jobs, but a job already *started* when the
-    /// timeout fired checks this before touching the epoch manager).
-    closed: Arc<AtomicBool>,
     /// Whether the overlay has been seeded and is mirroring writes.
     active: bool,
     /// Set when `dict_mut` hands out raw access the mirror cannot see;
@@ -63,13 +52,10 @@ pub(crate) struct MvccState {
 }
 
 impl MvccState {
-    pub(crate) fn new(pool: Option<WorkerPool>) -> MvccState {
+    pub(crate) fn new() -> MvccState {
         MvccState {
             mgr: EpochManager::new(),
             pending: Vec::new(),
-            pool,
-            merging: Arc::new(AtomicBool::new(false)),
-            closed: Arc::new(AtomicBool::new(false)),
             active: false,
             stale: false,
         }
@@ -120,9 +106,7 @@ impl MvccState {
         self.active = true;
         self.stale = false;
         let run = Run::from_sorted(base.into_iter().map(|(k, v)| (k, Some(v))).collect());
-        self.mgr
-            .publish_with(|_| Some((vec![run], store_epochs)))
-            .expect("unconditional publish");
+        self.mgr.publish_with(|_| (vec![run], store_epochs));
     }
 
     /// Publishes the pending delta (if any) as a new run on top of the
@@ -132,97 +116,30 @@ impl MvccState {
             return;
         }
         let run = Run::from_ops(std::mem::take(&mut self.pending));
-        self.mgr
-            .publish_with(|cur| {
-                let mut runs = Vec::with_capacity(cur.runs().len() + 1);
-                runs.push(run);
-                runs.extend_from_slice(cur.runs());
-                Some((runs, store_epochs))
-            })
-            .expect("unconditional publish");
+        self.mgr.publish_with(|cur| {
+            let mut runs = Vec::with_capacity(cur.runs().len() + 1);
+            runs.push(run);
+            runs.extend_from_slice(cur.runs());
+            (runs, store_epochs)
+        });
     }
 
-    /// Compacts the run stack if it outgrew the threshold: on the
-    /// worker pool when configured (single-flight), else inline.
+    /// Compacts the run stack if it outgrew `MAX_SNAPSHOT_RUNS`:
+    /// merges the oldest half of the current epoch's runs (which always
+    /// includes the base run, so tombstones can be dropped) into one run
+    /// and publishes it under the newest half. Only the writer publishes,
+    /// and it is here, so the stack it merged is the stack it replaces.
     pub(crate) fn maybe_compact(&self) {
-        if self.mgr.current().runs().len() <= MAX_SNAPSHOT_RUNS {
+        let cur = self.mgr.current();
+        let n = cur.runs().len();
+        if n <= MAX_SNAPSHOT_RUNS {
             return;
         }
-        match &self.pool {
-            Some(pool) => {
-                // ordering: AcqRel — the winning swap acquires the
-                // previous job's Release of `merging`, ordering its
-                // published epoch before this job's reads; losers just
-                // back off.
-                if self.merging.swap(true, Ordering::AcqRel) {
-                    return; // one compaction in flight already
-                }
-                let mgr = self.mgr.clone();
-                let merging = self.merging.clone();
-                let closed = self.closed.clone();
-                pool.submit(move || {
-                    // ordering: Acquire pairs with the Release store in
-                    // `close()`: once observed, the job must not touch
-                    // the epoch manager the teardown is about to drop.
-                    if !closed.load(Ordering::Acquire) {
-                        compact_once(&mgr);
-                    }
-                    // ordering: Release publishes this job's epoch
-                    // updates to the next compaction's AcqRel swap.
-                    merging.store(false, Ordering::Release);
-                });
-            }
-            None => compact_once(&self.mgr),
-        }
+        let keep = n / 2;
+        let mut runs = cur.runs()[..keep].to_vec();
+        runs.push(merge_runs(&cur.runs()[keep..], true));
+        self.mgr.publish_with(|_| (runs, cur.store_epochs_arc()));
     }
-
-    /// Flags teardown: background compactions submitted but not yet
-    /// running become no-ops. Called by the `Db` drop path before the
-    /// pool's bounded-timeout shutdown.
-    pub(crate) fn close(&self) {
-        // ordering: Release pairs with the Acquire load at the start of
-        // each queued compaction job.
-        self.closed.store(true, Ordering::Release);
-    }
-
-    /// Waits for queued background compactions to finish.
-    pub(crate) fn drain(&self) {
-        if let Some(pool) = &self.pool {
-            pool.drain();
-        }
-    }
-}
-
-/// Merges the oldest half of the current epoch's run stack into one
-/// run and publishes the result. The merge itself runs without the
-/// manager's lock (this is the long part — it may run on a worker
-/// thread); the publish closure then verifies the merged suffix is
-/// still the epoch's suffix and aborts otherwise (the writer only
-/// prepends runs, so the only way it changed is a reseed).
-fn compact_once(mgr: &Arc<EpochManager>) {
-    let cur = mgr.current();
-    let n = cur.runs().len();
-    if n <= MAX_SNAPSHOT_RUNS {
-        return;
-    }
-    // Keep the newest half intact; fold the oldest half (which always
-    // includes the base run, so tombstones can be dropped).
-    let keep = n / 2;
-    let suffix: Vec<Run> = cur.runs()[keep..].to_vec();
-    let merged = merge_runs(&suffix, true);
-    mgr.publish_with(|latest| {
-        let lr = latest.runs();
-        if lr.len() < suffix.len() {
-            return None;
-        }
-        let tail = &lr[lr.len() - suffix.len()..];
-        if !tail.iter().zip(&suffix).all(|(a, b)| a.ptr_eq(b)) {
-            return None;
-        }
-        let mut runs = lr[..lr.len() - suffix.len()].to_vec();
-        runs.push(merged);
-        Some((runs, latest.store_epochs_arc()))
-    });
 }
 
 /// A read-only, point-in-time view of a [`Db`](crate::Db), pinned to
@@ -317,25 +234,22 @@ impl DbSnapshot {
 }
 
 /// A concurrent read handle over a [`Db`](crate::Db): a
-/// [`DbSnapshot`] that automatically re-pins the newest *published*
-/// epoch when its own view falls more than a configurable number of
-/// epochs behind.
+/// [`DbSnapshot`] that re-pins the newest *published* epoch whenever
+/// the writer has published past its own view.
 ///
 /// Obtained from [`Db::reader`](crate::Db::reader); this is the
 /// documented read path for "many readers, one writer" deployments.
 /// Reads are lock-free and never block the writer; the handle is
 /// [`Send`], so each reader thread owns one. The read methods take
-/// `&mut self` only to perform the staleness check — one atomic load of
-/// the newest published sequence number; a lock is taken only when the
-/// view is stale and is re-pinned. They never mutate the database.
+/// `&mut self` only to check whether the view is stale — one atomic load
+/// of the newest published sequence number; a lock is taken only when
+/// it is, to re-pin. They never mutate the database.
 ///
 /// Freshness is bounded by publication: a reader observes writes only
 /// once the writer publishes them with
 /// [`Db::snapshot`](crate::Db::snapshot) (or another
-/// [`Db::reader`](crate::Db::reader) call). With the default staleness
-/// bound of 0 a refreshed reader always sees the newest published
-/// epoch; [`DbReader::with_staleness`] trades freshness for fewer
-/// re-pins.
+/// [`Db::reader`](crate::Db::reader) call), and then its next read sees
+/// the newest published epoch.
 ///
 /// ```
 /// use cosbt::DbBuilder;
@@ -351,40 +265,19 @@ impl DbSnapshot {
 pub struct DbReader {
     mgr: Arc<EpochManager>,
     local: DbSnapshot,
-    /// Allowed lag, in epochs, behind the newest published epoch
-    /// before a read re-pins.
-    staleness: u64,
 }
 
 impl std::fmt::Debug for DbReader {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DbReader")
             .field("epoch", &self.local.epoch())
-            .field("staleness", &self.staleness)
             .finish()
     }
 }
 
 impl DbReader {
     pub(crate) fn new(mgr: Arc<EpochManager>, local: DbSnapshot) -> DbReader {
-        DbReader {
-            mgr,
-            local,
-            staleness: 0,
-        }
-    }
-
-    /// Sets the staleness bound: reads tolerate a view up to `epochs`
-    /// published epochs old before re-pinning (0 = always refresh to
-    /// the newest published epoch).
-    pub fn with_staleness(mut self, epochs: u64) -> DbReader {
-        self.staleness = epochs;
-        self
-    }
-
-    /// The configured staleness bound, in epochs.
-    pub fn staleness(&self) -> u64 {
-        self.staleness
+        DbReader { mgr, local }
     }
 
     /// The epoch of the currently pinned view.
@@ -397,12 +290,11 @@ impl DbReader {
         self.local = DbSnapshot::new(self.mgr.pin());
     }
 
-    /// Re-pins if the local view lags more than the staleness bound.
-    /// The check is one atomic load; only a re-pin takes the lock.
+    /// Re-pins if a newer epoch has been published. The check is one
+    /// atomic load; only a re-pin takes the lock.
     #[inline]
     fn maybe_refresh(&mut self) {
-        let newest = self.mgr.newest_seq();
-        if newest > self.local.epoch().saturating_add(self.staleness) {
+        if self.mgr.newest_seq() > self.local.epoch() {
             self.refresh();
         }
     }
@@ -626,7 +518,7 @@ mod tests {
         }
         let snap = last.unwrap();
         assert!(
-            snap.run_count() <= MAX_SNAPSHOT_RUNS + 1,
+            snap.run_count() <= MAX_SNAPSHOT_RUNS,
             "compaction keeps the stack bounded (got {})",
             snap.run_count()
         );
@@ -660,21 +552,6 @@ mod tests {
         db.snapshot();
         assert_eq!(r.get(1), Some(20), "refreshes past published epochs");
         assert!(r.epoch() > e0);
-    }
-
-    #[test]
-    fn reader_staleness_bound_tolerates_lag() {
-        let mut db = DbBuilder::new().build().unwrap();
-        db.insert(1, 10);
-        let mut lazy = db.reader().with_staleness(u64::MAX);
-        let mut eager = db.reader();
-        assert_eq!(lazy.staleness(), u64::MAX);
-        db.insert(1, 30);
-        db.snapshot();
-        assert_eq!(lazy.get(1), Some(10), "within staleness budget: no re-pin");
-        assert_eq!(eager.get(1), Some(30));
-        lazy.refresh();
-        assert_eq!(lazy.get(1), Some(30), "explicit refresh still works");
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! regression here (say, a non-`Sync` field slipping into `Db`) fails
 //! this crate's *build*, not a runtime test.
 
-use cosbt::cola::{EpochManager, PinnedEpoch, WorkerPool};
+use cosbt::cola::{EpochManager, PinnedEpoch};
 use cosbt::{Db, DbReader, DbSnapshot, IoHandle, SnapshotCursor};
 
 fn assert_send<T: Send>() {}
@@ -48,6 +48,4 @@ fn probe_and_internals_are_shareable() {
     // Subsystem internals that cross thread boundaries by design.
     assert_send_sync::<EpochManager>();
     assert_send_sync::<PinnedEpoch>();
-    assert_send::<WorkerPool>();
-    assert_sync::<WorkerPool>();
 }

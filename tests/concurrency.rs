@@ -15,6 +15,10 @@ use std::thread;
 use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, CursorOps, Db, DbBuilder, DbSnapshot, Structure};
 
+/// Run count past which `snapshot()` compacts (the facade's
+/// `MAX_SNAPSHOT_RUNS`).
+const MAX_SNAPSHOT_RUNS: usize = 8;
+
 fn env_or(name: &str, default: usize) -> usize {
     std::env::var(name)
         .ok()
@@ -157,14 +161,13 @@ fn readers_on_pinned_snapshots_race_one_writer() {
     );
 }
 
-/// Background merge workers keep the run stack bounded without readers
-/// ever observing a wrong or torn result, and dropped pins release
-/// retired runs for reclamation.
+/// The compactions `snapshot()` runs keep the run stack bounded without
+/// pinned snapshots ever observing a wrong or torn result, and dropped
+/// pins release retired runs for reclamation.
 #[test]
-fn background_merges_bound_runs_and_never_corrupt_reads() {
+fn compactions_bound_runs_and_never_corrupt_reads() {
     let mut db = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .background_merge(2)
         .build()
         .unwrap();
 
@@ -175,8 +178,10 @@ fn background_merges_bound_runs_and_never_corrupt_reads() {
     for _ in 0..n_rounds {
         mutate_round(&mut db, &mut model, &mut rng, 300);
         let snap = db.snapshot();
+        // Compaction finishes inside `snapshot()`, so the bound holds
+        // on every epoch it returns.
         assert!(
-            snap.run_count() <= 16,
+            snap.run_count() <= MAX_SNAPSHOT_RUNS,
             "run stack unbounded: {}",
             snap.run_count()
         );
@@ -186,7 +191,6 @@ fn background_merges_bound_runs_and_never_corrupt_reads() {
             snaps.remove(0);
         }
     }
-    db.sync().unwrap(); // drains the worker pool
     for (snap, frozen) in &snaps {
         let mut check_rng = Rng::new(snap.epoch());
         validate_pair(snap, frozen, &mut check_rng);
@@ -208,19 +212,18 @@ fn background_merges_bound_runs_and_never_corrupt_reads() {
     assert_eq!(stats.pinned_epochs, 0, "no pins should remain");
 }
 
-/// Crash injection mid-background-merge: copy the store file while
-/// post-sync writes and background compactions are in flight, reopen
-/// the copy, and recover exactly the last committed epoch.
+/// Crash injection mid-compaction: copy the store file after post-sync
+/// writes and snapshot compactions, reopen the copy, and recover exactly
+/// the last committed epoch.
 #[test]
-fn crash_mid_background_merge_recovers_last_committed_epoch() {
+fn crash_mid_snapshot_compaction_recovers_last_committed_epoch() {
     let path = tmp("crash-bg");
     let copy = tmp("crash-bg-copy");
 
     let builder = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
         .backend(Backend::file(path.to_path_buf()))
-        .cache_bytes(256 * 1024)
-        .background_merge(1);
+        .cache_bytes(256 * 1024);
 
     let mut rng = Rng::new(0x5EED);
     let mut model = BTreeMap::new();
@@ -232,8 +235,8 @@ fn crash_mid_background_merge_recovers_last_committed_epoch() {
     db.sync().unwrap();
     let committed = model.clone(); // ← the state a crash must recover
 
-    // Keep writing and snapshotting past the commit point so background
-    // compactions and page writebacks are happening when we "crash".
+    // Keep writing and snapshotting past the commit point so snapshot
+    // compactions and page writebacks have happened when we "crash".
     let mut post = model.clone();
     let long_pin = db.snapshot(); // pinned epoch holds committed pages live
     for _ in 0..4 {
@@ -259,6 +262,45 @@ fn crash_mid_background_merge_recovers_last_committed_epoch() {
     );
     recovered.discard_on_drop();
     drop(recovered);
+}
+
+/// A snapshot, a reader and a cursor keep answering from their pinned
+/// epoch after the `Db` that published it is dropped — for a file
+/// backend, after its sync-on-drop — and drop cleanly afterwards.
+#[test]
+fn pins_outlive_their_db() {
+    let path = tmp("pins-outlive");
+    for backend in [Backend::Mem, Backend::file(path.to_path_buf())] {
+        let mut db = DbBuilder::new()
+            .structure(Structure::GCola { g: 4 })
+            .backend(backend)
+            .cache_bytes(64 * 1024)
+            .build()
+            .unwrap();
+        let want: Vec<(u64, u64)> = (0..2_000u64).map(|k| (k, k * 3)).collect();
+        db.insert_batch(&want);
+        let snap = db.snapshot();
+        let mut reader = db.reader();
+        let mut cursor = snap.cursor(0, u64::MAX);
+        assert_eq!(cursor.next(), Some((0, 0)));
+        // Unpublished writes make the drop commit on a file backend.
+        db.insert(5, 0);
+        db.delete(6);
+        let epoch = snap.epoch();
+        drop(db);
+
+        assert_eq!(snap.epoch(), epoch);
+        assert_eq!(snap.get(5), Some(15));
+        assert_eq!(snap.range(0, u64::MAX), want);
+        assert_eq!(reader.get(6), Some(18));
+        assert_eq!(reader.epoch(), epoch, "nothing newer was published");
+        assert_eq!(reader.range(1_990, u64::MAX), want[1_990..]);
+        assert_eq!(cursor.next(), Some((1, 3)));
+        assert_eq!(cursor.prev(), Some((1, 3)));
+        drop(cursor);
+        drop(reader);
+        drop(snap);
+    }
 }
 
 /// Regression for the `take_io_stats` race: a monitor thread repeatedly

@@ -1,7 +1,7 @@
-//! Model-checked MVCC facade protocols: background single-flight
-//! compaction racing a `dict_mut` reseed, and `DbReader` staleness
-//! re-pinning racing the writer's publish — explored exhaustively up
-//! to the preemption bound via the `cosbt_testkit::model` scheduler.
+//! Model-checked MVCC facade protocols: a `DbReader` racing the
+//! writer's inline compaction and `dict_mut` reseed, and a `DbReader`
+//! re-pinning racing the writer's publish — explored exhaustively up to
+//! the preemption bound via the `cosbt_testkit::model` scheduler.
 //!
 //! Compiled only under `--cfg cosbt_model` (see `.github/workflows/ci.yml`
 //! for the invocation and expected runtimes).
@@ -12,36 +12,59 @@ use cosbt_testkit::model::{check_opts, ModelOpts};
 use cosbt_testkit::sync::atomic::{AtomicBool, Ordering};
 use cosbt_testkit::sync::{thread, Arc};
 
-/// A background compaction submitted just before a `dict_mut` reseed:
-/// the job's `compact_once` must either finish before the reseed
-/// publishes or abort on its suffix `ptr_eq` check — in no
-/// interleaving may it resurrect pre-reseed runs or corrupt contents.
+/// A `DbReader` thread reading while the writer publishes past
+/// `MAX_SNAPSHOT_RUNS` (8) runs — so `snapshot()` compacts inline and
+/// publishes the merged epoch — and then reseeds after a `dict_mut`
+/// write. In every interleaving the reader sees no torn or resurrected
+/// value (key 0 lives only in the base run, key 2's tombstone is merged
+/// away with it), a monotone epoch and value, and one answer per epoch;
+/// after the join nothing stays pinned or parked.
 #[test]
-fn background_compaction_vs_reseed_is_safe() {
+fn inline_compaction_vs_reader_is_safe() {
     let report = check_opts(ModelOpts::bound(2), || {
-        let mut db = DbBuilder::new().background_merge(1).build().unwrap();
-        db.insert(0, 0);
-        db.snapshot(); // seed: 1 base run
-        for k in 1..=8u64 {
-            db.insert(k, k);
-            db.snapshot(); // 9 runs after this loop: queues a compaction
+        let mut db = DbBuilder::new().build().unwrap();
+        db.insert_batch(&[(0, 0), (1, 0), (2, 2)]);
+        db.snapshot(); // seed: the base run
+        db.delete(2);
+        db.snapshot();
+        for v in 2..=7u64 {
+            db.insert(1, v);
+            db.snapshot(); // 8 runs after this loop: at the threshold
         }
-        // Race the in-flight compaction with a raw write + reseed.
-        db.dict_mut().insert(100, 100);
+        let mut r = db.reader();
+        let reader = thread::spawn(move || {
+            let mut last: Option<(u64, u64)> = None;
+            for _ in 0..2 {
+                let snap = r.pin();
+                let (e, v) = (snap.epoch(), snap.get(1));
+                assert_eq!(snap.get(0), Some(0), "base-run key lost at epoch {e}");
+                assert_eq!(snap.get(2), None, "deleted key resurrected at epoch {e}");
+                let v = match v {
+                    Some(v @ (7 | 8 | 100)) => v,
+                    other => panic!("torn read at epoch {e}: {other:?}"),
+                };
+                if let Some((e0, v0)) = last {
+                    assert!(e >= e0, "pinned epoch went backwards: {e0} -> {e}");
+                    assert!(v >= v0, "value went backwards: {v0} -> {v}");
+                    if e == e0 {
+                        assert_eq!(v, v0, "same epoch must read the same value");
+                    }
+                }
+                last = Some((e, v));
+            }
+        });
+        db.insert(1, 8);
+        let compacted = db.snapshot(); // 9 runs: merges the oldest 5
+        assert_eq!(compacted.run_count(), 5, "compaction ran inline");
+        drop(compacted);
+        db.dict_mut().insert(1, 100);
         let reseeded = db.snapshot();
-        assert_eq!(reseeded.get(100), Some(100), "reseed saw the raw write");
-        db.sync().expect("in-memory sync cannot fail"); // drains the pool
-        let fin = db.snapshot();
-        for k in 0..=8u64 {
-            assert_eq!(fin.get(k), Some(k), "key {k} lost across compact/reseed");
-        }
-        assert_eq!(fin.get(100), Some(100));
-        // MAX_SNAPSHOT_RUNS is 8; one extra pending run may ride along.
-        assert!(
-            fin.run_count() <= 9,
-            "run stack unbounded: {}",
-            fin.run_count()
-        );
+        assert_eq!(reseeded.get(1), Some(100), "reseed saw the raw write");
+        drop(reseeded);
+        reader.join().unwrap();
+        let stats = db.snapshot_stats();
+        assert_eq!(stats.pinned_epochs, 0, "a pin outlived its reader");
+        assert_eq!(stats.retired_pending, 0, "retired runs left parked");
     });
     assert!(
         report.preemption_bound >= 2 && report.schedules > 1,
@@ -49,7 +72,7 @@ fn background_compaction_vs_reseed_is_safe() {
     );
 }
 
-/// A `DbReader` (staleness 0) reading while the writer publishes a new
+/// A `DbReader` reading while the writer publishes a new
 /// epoch: every read returns a committed value (never torn), the
 /// reader's pinned epoch is monotone, and two reads from the same
 /// epoch agree. The reader checks its pin with one atomic load of the

@@ -5,8 +5,10 @@
 //! scoped thread pool should scale batch ingestion with cores while
 //! leaving the read path (point gets, spliced cursors) intact. The table
 //! reports wall-clock ingest throughput for 1/2/4(/8 at full scale)
-//! shards with parallel ingest on and off, plus a read-back column so a
-//! routing bug cannot masquerade as a speedup.
+//! shards — every batch here is far above `PARALLEL_MIN_OPS`, so a
+//! sharded row runs on worker threads whenever the machine has more than
+//! one core — plus a read-back column so a routing bug cannot masquerade
+//! as a speedup.
 
 use std::time::Instant;
 
@@ -19,7 +21,6 @@ const BATCH: usize = 16 * 1024;
 
 struct Row {
     shards: usize,
-    parallel: bool,
     ingest_mops: f64,
     get_mops: f64,
     scan_len: usize,
@@ -27,11 +28,10 @@ struct Row {
 
 /// Ingests `keys` in sorted batches of [`BATCH`], then reads back a probe
 /// set and drains one full cursor.
-fn measure(keys: &[u64], shards: usize, parallel: bool) -> Row {
+fn measure(keys: &[u64], shards: usize) -> Row {
     let mut db = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
         .shards(shards)
-        .parallel_ingest(parallel)
         .build()
         .unwrap();
 
@@ -60,7 +60,6 @@ fn measure(keys: &[u64], shards: usize, parallel: bool) -> Row {
 
     Row {
         shards,
-        parallel,
         ingest_mops: keys.len() as f64 / ingest / 1e6,
         get_mops: probes.len() as f64 / get / 1e6,
         scan_len,
@@ -79,7 +78,7 @@ fn main() {
     let csv_path = results_dir().join("bounds_shards.csv");
     std::fs::create_dir_all(results_dir()).ok();
     let mut csv = std::fs::File::create(&csv_path).unwrap();
-    writeln!(csv, "shards,parallel,ingest_mops,get_mops,scan_len").unwrap();
+    writeln!(csv, "shards,ingest_mops,get_mops,scan_len").unwrap();
 
     println!(
         "== E13: sharded ingest scaling (N = {n}, batch = {BATCH}, 4-COLA per shard, \
@@ -87,28 +86,23 @@ fn main() {
         std::thread::available_parallelism().map_or(0, |p| p.get())
     );
     println!(
-        "{:>7} {:>9} {:>16} {:>13} {:>10}",
-        "shards", "parallel", "ingest Mops/s", "get Mops/s", "scan len"
+        "{:>7} {:>16} {:>13} {:>10}",
+        "shards", "ingest Mops/s", "get Mops/s", "scan len"
     );
     let mut rows = Vec::new();
     for &s in shard_counts {
-        for parallel in [false, true] {
-            if s == 1 && parallel {
-                continue; // one shard has nothing to parallelize
-            }
-            let r = measure(&keys, s, parallel);
-            println!(
-                "{:>7} {:>9} {:>16.2} {:>13.2} {:>10}",
-                r.shards, r.parallel, r.ingest_mops, r.get_mops, r.scan_len
-            );
-            writeln!(
-                csv,
-                "{},{},{:.4},{:.4},{}",
-                r.shards, r.parallel, r.ingest_mops, r.get_mops, r.scan_len
-            )
-            .unwrap();
-            rows.push(r);
-        }
+        let r = measure(&keys, s);
+        println!(
+            "{:>7} {:>16.2} {:>13.2} {:>10}",
+            r.shards, r.ingest_mops, r.get_mops, r.scan_len
+        );
+        writeln!(
+            csv,
+            "{},{:.4},{:.4},{}",
+            r.shards, r.ingest_mops, r.get_mops, r.scan_len
+        )
+        .unwrap();
+        rows.push(r);
     }
 
     // Every configuration must agree on the live-entry count: the shard
@@ -125,11 +119,11 @@ fn main() {
         .expect("single-shard baseline ran");
     if let Some(best) = rows
         .iter()
-        .filter(|r| r.parallel)
+        .filter(|r| r.shards > 1)
         .max_by(|a, b| a.ingest_mops.total_cmp(&b.ingest_mops))
     {
         println!(
-            "\nbest parallel config ({} shards): {:.2}x single-shard ingest \
+            "\nbest sharded config ({} shards): {:.2}x single-shard ingest \
              ({:.2} vs {:.2} Mops/s)",
             best.shards,
             best.ingest_mops / single.ingest_mops.max(1e-12),

@@ -12,8 +12,9 @@
 
 use std::time::Duration;
 
+use cosbt::Structure;
 use cosbt_bench::measure::{insert_throughput, pow2_checkpoints, print_ratio, results_dir};
-use cosbt_bench::{random_keys, scaled, DictKind, OutOfCore};
+use cosbt_bench::{random_keys, scaled, OutOfCore};
 
 fn main() {
     let n = scaled(1 << 18, 1 << 22);
@@ -27,20 +28,21 @@ fn main() {
 
     println!("== Figure 2: random inserts, N = {n}, memory budget = {cache} B ==");
     let mut finals: Vec<(String, f64)> = Vec::new();
-    for kind in [
-        DictKind::GCola(2),
-        DictKind::GCola(4),
-        DictKind::GCola(8),
-        DictKind::BTree,
+    for structure in [
+        Structure::GCola { g: 2 },
+        Structure::GCola { g: 4 },
+        Structure::GCola { g: 8 },
+        Structure::BTree,
     ] {
-        let mut ooc = OutOfCore::create(kind, &dir, cache);
-        let probe = ooc.probe();
-        let series = insert_throughput(&kind.label(), &mut ooc.dict, &keys, &cps, cap, &|| {
+        let mut ooc = OutOfCore::create(structure, &dir, cache);
+        let label = ooc.dict.label().to_string();
+        let probe = ooc.dict.io();
+        let series = insert_throughput(&label, &mut ooc.dict, &keys, &cps, cap, &|| {
             probe.snapshot()
         });
         series.print();
         series.write_csv(&csv).expect("write results csv");
-        finals.push((kind.label(), series.final_disk_rate()));
+        finals.push((label, series.final_disk_rate()));
         println!();
     }
     let cola = finals.iter().find(|(n, _)| n == "2-COLA").unwrap().1;

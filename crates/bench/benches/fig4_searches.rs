@@ -8,8 +8,9 @@
 //! (Figure 3's workload), clear the cache ("remounted the RAID array"),
 //! then time 2^15 random searches, checkpointing after search 2^x.
 
+use cosbt::Structure;
 use cosbt_bench::measure::{print_ratio, results_dir, search_throughput};
-use cosbt_bench::{descending, scaled, search_probes, DictKind, OutOfCore};
+use cosbt_bench::{descending, scaled, search_probes, OutOfCore};
 
 fn main() {
     let n = scaled(1 << 18, 1 << 22);
@@ -23,20 +24,20 @@ fn main() {
 
     println!("== Figure 4: {probes_n} random searches after sorted build, N = {n} ==");
     let mut finals: Vec<(String, f64)> = Vec::new();
-    for kind in [
-        DictKind::GCola(2),
-        DictKind::GCola(4),
-        DictKind::GCola(8),
-        DictKind::BTree,
+    for structure in [
+        Structure::GCola { g: 2 },
+        Structure::GCola { g: 4 },
+        Structure::GCola { g: 8 },
+        Structure::BTree,
     ] {
-        let label = kind.label();
-        let mut ooc = OutOfCore::create(kind, &dir, cache);
+        let mut ooc = OutOfCore::create(structure, &dir, cache);
+        let label = ooc.dict.label().to_string();
         for (i, &k) in keys.iter().enumerate() {
             ooc.dict.insert(k, i as u64);
         }
         ooc.drop_cache();
-        ooc.reset_stats();
-        let probe = ooc.probe();
+        ooc.dict.io().reset();
+        let probe = ooc.dict.io();
         let series = search_throughput(&label, &mut ooc.dict, &probes, &|| probe.snapshot());
         series.print();
         series.write_csv(&csv).expect("write results csv");

@@ -9,8 +9,9 @@
 
 use std::time::Duration;
 
+use cosbt::Structure;
 use cosbt_bench::measure::{insert_throughput, pow2_checkpoints, print_ratio, results_dir};
-use cosbt_bench::{ascending, descending, random_keys, scaled, DictKind, OutOfCore};
+use cosbt_bench::{ascending, descending, random_keys, scaled, OutOfCore};
 
 fn main() {
     let n = scaled(1 << 18, 1 << 22);
@@ -29,8 +30,8 @@ fn main() {
     ];
     let mut finals: Vec<(String, f64)> = Vec::new();
     for (name, keys) in workloads {
-        let mut ooc = OutOfCore::create(DictKind::GCola(4), &dir, cache);
-        let probe = ooc.probe();
+        let mut ooc = OutOfCore::create(Structure::GCola { g: 4 }, &dir, cache);
+        let probe = ooc.dict.io();
         let series = insert_throughput(name, &mut ooc.dict, &keys, &cps, cap, &|| probe.snapshot());
         series.print();
         series.write_csv(&csv).expect("write results csv");

@@ -91,11 +91,10 @@ fn usage() -> ExitCode {
          \n\
          run options:\n\
          \x20 --scenario NAME              {} (required)\n\
-         \x20 --structure NAME             gcola | basic | btree | brt | shuttle (default gcola)\n\
+         \x20 --structure NAME             gcola | basic | deamortized | btree | brt | shuttle\n\
+         \x20                              (default gcola)\n\
          \x20 --g N | --c N                growth factor / fanout (default 4)\n\
-         \x20 --deamortized                worst-case COLA variant\n\
          \x20 --shards N                   shard count (default 1)\n\
-         \x20 --parallel-ingest            apply batches on worker threads\n\
          \x20 --backend mem|file           storage backend (default mem)\n\
          \x20 --direct                     open the file backend with O_DIRECT (bypasses the\n\
          \x20                              kernel page cache; falls back to buffered with a\n\
@@ -219,7 +218,7 @@ fn list() {
     for s in SCENARIOS {
         println!("  {:<18} {}", s.name, s.about);
     }
-    println!("\nstructures: gcola (--g), basic, btree, brt, shuttle (--c); modifiers: --deamortized, --shards N, --parallel-ingest, --backend mem|file [--direct]");
+    println!("\nstructures: gcola (--g), basic, deamortized, btree, brt, shuttle (--c); modifiers: --shards N, --backend mem|file [--direct]");
     println!("\nfigure experiments:");
     for (name, _, desc) in EXPERIMENTS {
         println!("  {name:<18} {desc}");
@@ -230,9 +229,7 @@ fn list() {
 struct CellSpec {
     structure: String,
     param: usize,
-    deamortized: bool,
     shards: usize,
-    parallel: bool,
     backend: String,
     direct: bool,
     cache_bytes: usize,
@@ -251,9 +248,7 @@ impl CellSpec {
         CellSpec {
             structure: args.opt("--structure").unwrap_or_else(|| "gcola".into()),
             param: args.num("--g").or_else(|| args.num("--c")).unwrap_or(4) as usize,
-            deamortized: args.flag("--deamortized"),
             shards: args.num("--shards").unwrap_or(1) as usize,
-            parallel: args.flag("--parallel-ingest"),
             backend,
             direct,
             cache_bytes: args.num("--cache-bytes").unwrap_or(16 * 1024 * 1024) as usize,
@@ -297,6 +292,7 @@ fn build_cell(
     let s = match spec.structure.as_str() {
         "gcola" => Structure::GCola { g: spec.param },
         "basic" => Structure::BasicCola,
+        "deamortized" => Structure::DeamortizedCola,
         "btree" => Structure::BTree,
         "brt" => Structure::Brt,
         "shuttle" => Structure::Shuttle { c: spec.param },
@@ -305,11 +301,7 @@ fn build_cell(
     let mut b = DbBuilder::new()
         .structure(s)
         .shards(spec.shards)
-        .parallel_ingest(spec.parallel)
         .cache_bytes(spec.cache_bytes);
-    if spec.deamortized {
-        b = b.deamortized();
-    }
     let mut marker = None;
     match spec.backend.as_str() {
         "file" => {
@@ -464,13 +456,11 @@ fn cmd_run(args: &mut Args) -> ExitCode {
     // prefill phase.
     let stable_key = (prefill_only || resume).then(|| {
         format!(
-            "{}|{}|g={}|deamortized={}|shards={}|parallel={}|direct={}|cache={}|dist={}|prefill={}|seed={}",
+            "{}|{}|g={}|shards={}|direct={}|cache={}|dist={}|prefill={}|seed={}",
             scenario.name,
             spec.structure,
             spec.param,
-            spec.deamortized,
             spec.shards,
-            spec.parallel,
             spec.direct,
             spec.cache_bytes,
             dist.name(),

@@ -24,7 +24,7 @@ pub mod workloads;
 pub use histogram::Histogram;
 pub use measure::{Checkpoint, Series};
 pub use scenario::{Scenario, ScenarioReport, SCENARIOS, SCHEMA_VERSION};
-pub use setup::{DictKind, OutOfCore};
+pub use setup::OutOfCore;
 pub use workloads::{
     ascending, descending, random_keys, search_probes, KeyDist, Op, OpMix, OpStream,
 };

@@ -174,8 +174,6 @@ pub struct RunMeta {
     /// Page-cache budget of a file backend (0 for memory cells, where
     /// it has no effect).
     pub cache_bytes: u64,
-    /// Whether batches were applied on worker threads.
-    pub parallel_ingest: bool,
     /// Lookahead-pointer density of the COLA levels.
     pub pointer_density: f64,
     /// Key distribution CLI name.
@@ -209,7 +207,6 @@ impl RunMeta {
                 cosbt::Backend::Mem => 0,
                 cosbt::Backend::File { .. } => cfg.cache_bytes as u64,
             },
-            parallel_ingest: cfg.parallel_ingest,
             pointer_density: cfg.pointer_density,
             dist: dist.name().to_string(),
             ops,
@@ -226,7 +223,6 @@ impl RunMeta {
             .with("backend", self.backend.as_str().into())
             .with("shards", self.shards.into())
             .with("cache_bytes", self.cache_bytes.into())
-            .with("parallel_ingest", Json::Bool(self.parallel_ingest))
             .with("pointer_density", self.pointer_density.into())
             .with("dist", self.dist.as_str().into())
             .with("ops", self.ops.into())
@@ -1004,9 +1000,11 @@ pub fn merge_document(scenario: &str, existing: Option<&Json>, new_runs: &[Json]
 /// and an 8-COLA must not replace each other's trajectory rows;
 /// cache_bytes because it directly changes transfer counts on file
 /// cells. `pointer_density` defaults to the builder default when absent,
-/// so baselines recorded before the field existed keep matching. Older
-/// artifacts also carry two booleans for read-path knobs that no longer
-/// exist; they are not part of the key.
+/// so baselines recorded before the field existed keep matching.
+/// `parallel_ingest` reads as `false` when absent: runs no longer record
+/// it (the shard router picks its threads itself), and the older rows
+/// that do all say `false`. Older artifacts also carry two booleans for
+/// read-path knobs that no longer exist; they are not part of the key.
 pub fn run_identity(run: &Json) -> String {
     let meta = run.get("meta");
     let s = |k: &str| {
@@ -1223,7 +1221,6 @@ mod tests {
             backend: "mem".into(),
             shards: 1,
             cache_bytes: 0,
-            parallel_ingest: false,
             pointer_density: 0.1,
             dist: dist.name().into(),
             ops: n,
@@ -1385,7 +1382,6 @@ mod tests {
             backend: "file".into(),
             shards: 2,
             cache_bytes: 64 * 1024,
-            parallel_ingest: false,
             pointer_density: 0.1,
             dist: dist.name().into(),
             ops: n,

@@ -50,7 +50,6 @@ fn check_cell(scenario: &Scenario, builder: DbBuilder, n: u64, seed: u64) {
         backend: "?".into(),
         shards: 1,
         cache_bytes: 0,
-        parallel_ingest: false,
         pointer_density: 0.1,
         dist: dist.name().into(),
         ops: n,
@@ -108,11 +107,11 @@ fn scenarios_match_model_on_file_backed_cells() {
 
 #[test]
 fn parallel_sharded_run_matches_model() {
-    // Parallel ingest must not reorder a key's operations observably.
+    // Sharded ingest, on worker threads for the batches large enough,
+    // must not reorder a key's operations observably.
     let builder = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .shards(4)
-        .parallel_ingest(true);
+        .shards(4);
     for seed in [1u64, 2, 3] {
         check_cell(
             Scenario::by_name("write_heavy").unwrap(),
@@ -136,7 +135,6 @@ fn drain_scenario_streams_exactly_the_live_set() {
         backend: "mem".into(),
         shards: 1,
         cache_bytes: 0,
-        parallel_ingest: false,
         pointer_density: 0.1,
         dist: dist.name().into(),
         ops: n,
@@ -152,8 +150,9 @@ fn drain_scenario_streams_exactly_the_live_set() {
 #[test]
 fn legacy_baseline_rows_keep_their_identity() {
     // Committed rows recorded when the run meta still carried two
-    // read-path knobs (this is the meta of the BRT `write_heavy` baseline
-    // row) must stay the cell today's harness names without them.
+    // read-path knobs and the parallel-ingest switch (this is the meta of
+    // the BRT `write_heavy` baseline row) must stay the cell today's
+    // harness names without them.
     let legacy = json::parse(
         r#"{"meta": {"structure": "brt", "label": "BRT", "backend": "file", "shards": 1,
             "cache_bytes": 16384, "parallel_ingest": false, "cascade": true,
@@ -171,7 +170,6 @@ fn legacy_baseline_rows_keep_their_identity() {
         backend: s("backend"),
         shards: n("shards") as usize,
         cache_bytes: n("cache_bytes"),
-        parallel_ingest: meta.get("parallel_ingest").and_then(Json::as_bool).unwrap(),
         pointer_density: meta.get("pointer_density").and_then(Json::as_f64).unwrap(),
         dist: s("dist"),
         ops: n("ops"),
@@ -180,6 +178,7 @@ fn legacy_baseline_rows_keep_their_identity() {
     }
     .to_json();
     assert!(current.get("cascade").is_none(), "new rows omit them");
+    assert!(current.get("parallel_ingest").is_none(), "and the switch");
     let current = Json::obj().with("meta", current);
     assert_eq!(run_identity(&legacy), run_identity(&current));
 }

@@ -2,8 +2,10 @@
 //! checks — and the one path that opens them: a directory parser per
 //! format, and [`live_entries`], which reads the runs it names into the
 //! live entries a fresh engine bulk-loads ([`crate::GCola::bulk_load`],
-//! [`crate::DeamortCola::bulk_load`]). DESIGN.md, "Decided: one migration
-//! path for retired formats", has the format table and the trade.
+//! [`crate::DeamortCola::bulk_load`]). A sharded store also names its
+//! structure in a manifest; [`manifest_heir`] maps the one retired
+//! manifest identity. DESIGN.md, "Decided: one migration path for retired
+//! formats", has the format table and the trade.
 
 use std::cmp::Reverse;
 
@@ -38,6 +40,15 @@ pub fn heir(tag: u8) -> Option<Heir> {
         TAG_DEAMORT => Some(Heir::DeamortCola),
         _ => None,
     }
+}
+
+/// The engine a sharded store whose manifest records the structure
+/// identity `(tag, param)` is opened as, or `None` if that identity is
+/// not a retired one. Only `(TAG_DEAMORT, 2)` is: stores built as the
+/// deamortized 2-COLA recorded it, and the deamortized COLA now records
+/// its own meta tag. Its shards hold current meta.
+pub fn manifest_heir(tag: u8, param: u64) -> Option<Heir> {
+    ((tag, param) == (TAG_DEAMORT, 2)).then_some(Heir::DeamortCola)
 }
 
 /// A run slot of a retired directory: its first slot, its length and, if

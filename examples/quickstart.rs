@@ -19,13 +19,8 @@ fn configs() -> Vec<DbBuilder> {
         DbBuilder::new().structure(Structure::GCola { g: 4 }),
         // Basic COLA (no lookahead pointers): O(log² N) searches.
         DbBuilder::new().structure(Structure::BasicCola),
-        // Deamortized variants: same amortized cost, O(log N) worst case.
-        DbBuilder::new()
-            .structure(Structure::BasicCola)
-            .deamortized(),
-        DbBuilder::new()
-            .structure(Structure::GCola { g: 2 })
-            .deamortized(),
+        // The deamortized COLA: same amortized cost, O(log N) worst case.
+        DbBuilder::new().structure(Structure::DeamortizedCola),
         // The baselines the paper compares against.
         DbBuilder::new().structure(Structure::BTree),
         DbBuilder::new().structure(Structure::Brt),

@@ -20,9 +20,9 @@
 //! ```
 //!
 //! Adding `.shards(n)` splits the keyspace across `n` independent
-//! instances of the configured structure behind the same interface, and
-//! `.parallel_ingest(true)` applies batches on worker threads (see
-//! [`crate::shard`]).
+//! instances of the configured structure behind the same interface; a
+//! large batch that reaches several shards is applied on worker threads
+//! (see [`crate::shard`]).
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -32,8 +32,7 @@ use cosbt_btree::BTree;
 use cosbt_core::entry::Cell;
 use cosbt_core::legacy::{self, Heir};
 use cosbt_core::persist::{
-    peek_tag, tag_name, TAG_BASIC_COLA, TAG_BRT, TAG_BTREE, TAG_DEAMORT, TAG_DEAMORT_BASIC,
-    TAG_GCOLA,
+    peek_tag, tag_name, TAG_BASIC_COLA, TAG_BRT, TAG_BTREE, TAG_DEAMORT_BASIC, TAG_GCOLA,
 };
 use cosbt_core::{
     Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, MetaReader, MetaWriter,
@@ -64,6 +63,11 @@ pub enum Structure {
         /// Growth factor, at least 2.
         g: usize,
     },
+    /// Section 3's deamortized COLA (Lemma 21, Theorem 22):
+    /// [`DeamortCola`], two arrays per level and a budgeted mover, so no
+    /// insert moves more than `O(log N)` cells. Its merges keep every
+    /// version of a key: nothing ever drops the shadowed ones.
+    DeamortizedCola,
     /// The baseline B+-tree (4 KiB pages).
     BTree,
     /// The buffered repository tree.
@@ -117,39 +121,22 @@ impl Backend {
             direct: true,
         }
     }
-
-    /// The backing path and direct-I/O flag of a file backend.
-    fn file_params(&self) -> Option<(&Path, bool)> {
-        match self {
-            Backend::Mem => None,
-            Backend::File { path, direct } => Some((path, *direct)),
-        }
-    }
 }
 
 /// A serializable summary of a database configuration: everything a
-/// [`DbBuilder`] knows, as plain data. [`Db::config`] reports the
-/// configuration a live database was built or opened with, and
-/// [`DbBuilder::from_config`] reconstructs an equivalent builder — the
-/// round trip `DbBuilder::from_config(&b.config())` preserves every
-/// knob. The benchmark harness uses [`DbConfig::identity`] as the
-/// stable cell identity in its JSON artifacts (instead of ad-hoc label
-/// strings), so two runs compare as the same cell exactly when their
-/// configurations agree.
+/// [`DbBuilder`] knows, as plain data. [`DbBuilder::config`] and
+/// [`Db::config`] report it; the benchmark harness records it in its
+/// JSON artifacts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DbConfig {
     /// The data structure.
     pub structure: Structure,
-    /// Worst-case-bounded (deamortized) variant requested.
-    pub deamortized: bool,
     /// Lookahead-pointer density (g-COLA only; retained for others).
     pub pointer_density: f64,
     /// Shard count (1 = unsharded).
     pub shards: usize,
     /// Explicit shard boundaries, if any were configured or recovered.
     pub splitters: Option<Vec<u64>>,
-    /// Batches applied on worker threads.
-    pub parallel_ingest: bool,
     /// Page-cache budget in bytes (file backends).
     pub cache_bytes: usize,
     /// Metadata commit-slot capacity in bytes (file backends).
@@ -165,14 +152,10 @@ impl DbConfig {
         let base = match self.structure {
             Structure::BasicCola => "basic-COLA".to_string(),
             Structure::GCola { g } => format!("{g}-COLA"),
+            Structure::DeamortizedCola => "deamortized-COLA".to_string(),
             Structure::BTree => "B-tree".to_string(),
             Structure::Brt => "BRT".to_string(),
             Structure::Shuttle { c } => format!("shuttle({c})"),
-        };
-        let base = if self.deamortized {
-            format!("deamortized-{base}")
-        } else {
-            base
         };
         if self.shards > 1 {
             format!("{base} ×{} shards", self.shards)
@@ -189,50 +172,25 @@ impl DbConfig {
             Backend::File { direct: true, .. } => "file-direct",
         }
     }
-
-    /// Whether the backend requests direct I/O.
-    pub fn direct(&self) -> bool {
-        matches!(self.backend, Backend::File { direct: true, .. })
-    }
-
-    /// A canonical, path-independent identity string for this
-    /// configuration. Two cells with equal identities are performance-
-    /// comparable: the string covers structure, modifiers, backend kind
-    /// (including direct I/O), sharding, and the cache budget — but not
-    /// the data file's location, which is scratch-dependent.
-    pub fn identity(&self) -> String {
-        format!(
-            "{}|{}|shards={}|cache={}|parallel={}|density={}",
-            self.label(),
-            self.backend_kind(),
-            self.shards,
-            match self.backend {
-                Backend::Mem => 0,
-                Backend::File { .. } => self.cache_bytes,
-            },
-            self.parallel_ingest,
-            self.pointer_density,
-        )
-    }
 }
 
-/// The supported structure × modifier × backend matrix, enumerated in
-/// every [`BuildError::Unsupported`] message so a failed build names the
-/// valid alternatives, not just the invalid request.
+/// The supported structure × backend matrix, enumerated in every
+/// [`BuildError::Unsupported`] message so a failed build names the valid
+/// alternatives, not just the invalid request.
 pub const VALID_COMBINATIONS: &str = "\
-  BasicCola          × Mem | File  (deamortized: yes)
-  GCola { g ≥ 2 }    × Mem | File  (deamortized: only g = 2; pointer_density in [0, 1))
-  BTree              × Mem | File  (no deamortized variant)
-  Brt                × Mem | File  (no deamortized variant)
-  Shuttle { c ≥ 2 }  × Mem only    (no deamortized variant)
-  modifiers: shards(n ≥ 1) with strictly increasing shard_splitters (n − 1 of them), \
-parallel_ingest";
+  BasicCola          × Mem | File
+  GCola { g ≥ 2 }    × Mem | File  (pointer_density in [0, 1))
+  DeamortizedCola    × Mem | File
+  BTree              × Mem | File
+  Brt                × Mem | File
+  Shuttle { c ≥ 2 }  × Mem only
+  modifiers: shards(n ≥ 1) with strictly increasing shard_splitters (n − 1 of them)";
 
 /// Why a [`DbBuilder::build`] call failed.
 #[derive(Debug)]
 pub enum BuildError {
     /// The requested structure/modifier/backend combination does not
-    /// exist (e.g. a deamortized B-tree, or a file-backed shuttle tree).
+    /// exist (e.g. a 1-COLA, or a file-backed shuttle tree).
     /// The message enumerates the valid combinations.
     Unsupported(String),
     /// Creating the backing file failed.
@@ -468,10 +426,6 @@ impl Manifest {
             splitters: splitters.collect::<Result<_, _>>()?,
         })
     }
-
-    fn write_atomic(&self, path: &Path) -> io::Result<()> {
-        write_file_atomic(path, &self.encode())
-    }
 }
 
 /// Writes `bytes` to `path` atomically: temp file, contents fsynced,
@@ -551,11 +505,9 @@ impl Default for DbBuilder {
             backend: Backend::Mem,
             cache_bytes: 16 * 1024 * 1024,
             meta_slot_bytes: DEFAULT_SLOT_BYTES,
-            deamortized: false,
             pointer_density: 0.1,
             shards: 1,
             splitters: None,
-            parallel_ingest: false,
         };
         DbBuilder { cfg }
     }
@@ -607,17 +559,6 @@ impl DbBuilder {
         self
     }
 
-    /// Requests the worst-case-bounded variant: [`Structure::BasicCola`]
-    /// and [`Structure::GCola`] (which then fixes growth factor 2) both
-    /// become [`DeamortCola`], the two-array deamortization of Theorem 22.
-    /// It is an engine of its own, not the g-COLA's carry, and its merges
-    /// keep every version of a key: nothing ever drops the shadowed ones.
-    /// Tree structures have no deamortized variant and fail at build.
-    pub fn deamortized(mut self) -> DbBuilder {
-        self.cfg.deamortized = true;
-        self
-    }
-
     /// Lookahead-pointer density for [`Structure::GCola`] (default 0.1,
     /// as in the paper's experiments; 0 disables the pointers).
     pub fn pointer_density(mut self, p: f64) -> DbBuilder {
@@ -629,7 +570,9 @@ impl DbBuilder {
     /// the configured structure (default 1 = unsharded). The keyspace is
     /// split evenly unless [`DbBuilder::shard_splitters`] overrides the
     /// boundaries; reads, writes, and cursors behave exactly as with one
-    /// shard.
+    /// shard. A batch of at least [`crate::shard::PARALLEL_MIN_OPS`]
+    /// operations that reaches more than one shard is applied on worker
+    /// threads when the machine has more than one core.
     ///
     /// ```
     /// use cosbt::{DbBuilder, Structure};
@@ -637,7 +580,6 @@ impl DbBuilder {
     /// let mut db = DbBuilder::new()
     ///     .structure(Structure::GCola { g: 4 })
     ///     .shards(4)
-    ///     .parallel_ingest(true)
     ///     .build()
     ///     .unwrap();
     /// // Keys land in different quadrants of the u64 space → different
@@ -659,14 +601,6 @@ impl DbBuilder {
         self
     }
 
-    /// Applies `apply`/`insert_batch` sub-batches on a scoped pool of
-    /// worker threads, one shard per job (default off). A no-op with a
-    /// single shard; point operations are always routed directly.
-    pub fn parallel_ingest(mut self, on: bool) -> DbBuilder {
-        self.cfg.parallel_ingest = on;
-        self
-    }
-
     /// Validates the configuration (structure parameters, modifiers,
     /// shard layout) without touching any backend. Shared by
     /// [`DbBuilder::build`] and [`DbBuilder::open`].
@@ -674,22 +608,9 @@ impl DbBuilder {
         let label = self.label();
         let unsupported = |what: &str| BuildError::Unsupported(format!("{what} ({label})"));
 
-        if self.cfg.deamortized
-            && !matches!(
-                self.cfg.structure,
-                Structure::BasicCola | Structure::GCola { .. }
-            )
-        {
-            return Err(unsupported(
-                "deamortization exists only for the COLA family",
-            ));
-        }
         if let Structure::GCola { g } = self.cfg.structure {
             if g < 2 {
                 return Err(unsupported("growth factor must be at least 2"));
-            }
-            if self.cfg.deamortized && g != 2 {
-                return Err(unsupported("the deamortized COLA fixes growth factor 2"));
             }
             if !(0.0..1.0).contains(&self.cfg.pointer_density) {
                 return Err(unsupported("pointer density must be in [0, 1)"));
@@ -698,6 +619,12 @@ impl DbBuilder {
         if let Structure::Shuttle { c } = self.cfg.structure {
             if c < 2 {
                 return Err(unsupported("fanout parameter must be at least 2"));
+            }
+            if self.cfg.backend != Backend::Mem {
+                return Err(unsupported(
+                    "the shuttle tree is in-memory only (its file layout is measured \
+                     through LayoutImage, not served from disk)",
+                ));
             }
         }
         if self.cfg.shards == 0 {
@@ -737,43 +664,37 @@ impl DbBuilder {
     /// [`Db::sync`].
     pub fn build(self) -> Result<Db, BuildError> {
         self.validate()?;
-        let label = self.label();
-        let unsupported = |what: &str| BuildError::Unsupported(format!("{what} ({label})"));
-        let mut dicts: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
+        let mut shards: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
         let mut ios: Vec<StoreHandle> = Vec::new();
         for i in 0..self.cfg.shards {
-            match self.build_shard(i, &unsupported) {
-                Ok((dict, io)) => {
-                    dicts.push(dict);
+            match self.shard(i, Origin::Create) {
+                Ok((shard, io)) => {
+                    shards.push(shard);
                     ios.extend(io);
                 }
                 Err(e) => {
                     // A partial multi-shard file build must not leave the
                     // freshly created (truncated) shard files behind:
                     // release the stores built so far, then unlink the
-                    // files this call created — earlier shards always,
-                    // shard `i` only if its file creation was attempted
-                    // (an I/O error). An Unsupported error fails before
-                    // touching the filesystem, and unlinking then would
-                    // delete a pre-existing user file at the path.
+                    // files this call created, shard `i`'s included.
+                    // (`validate` refused every configuration error
+                    // before any file was touched.)
                     if let Backend::File { path: base, .. } = &self.cfg.backend {
-                        drop(dicts);
+                        drop(shards);
                         drop(ios);
-                        let created = if matches!(e, BuildError::Io(_)) {
-                            i + 1
-                        } else {
-                            i
-                        };
-                        for j in 0..created {
+                        for j in 0..=i {
                             // Best-effort cleanup of partially-created shards.
                             let _ = std::fs::remove_file(self.shard_file_path(base, j));
                         }
                     }
-                    return Err(e);
+                    return Err(match e {
+                        OpenError::Io(e) => BuildError::Io(e),
+                        e => BuildError::Unsupported(e.to_string()),
+                    });
                 }
             }
         }
-        let mut db = self.assemble(dicts, ios, self.cfg.splitters.clone());
+        let mut db = self.assemble(shards, ios, self.cfg.splitters.clone());
         if let Backend::File { path: base, .. } = &self.cfg.backend {
             // Make the fresh (empty) database immediately reopenable:
             // write the shard manifest (sharded configs) and commit the
@@ -781,7 +702,7 @@ impl DbBuilder {
             // failed shard build — no partial files left behind.
             let init = (|| -> io::Result<()> {
                 if self.cfg.shards > 1 {
-                    self.manifest().write_atomic(&self.manifest_path(base))?;
+                    write_file_atomic(&self.manifest_path(base), &self.manifest().encode())?;
                 }
                 db.sync()
             })();
@@ -803,8 +724,7 @@ impl DbBuilder {
     /// mismatch is a distinct typed [`OpenError`] — and the open path
     /// **never modifies or unlinks** the files it inspects. The
     /// lookahead-pointer density of a g-COLA is restored from the file;
-    /// cache budget and parallel-ingest are runtime knobs and may differ
-    /// per open.
+    /// the cache budget is a runtime knob and may differ per open.
     ///
     /// ```no_run
     /// use cosbt::{Backend, DbBuilder, Structure};
@@ -827,9 +747,12 @@ impl DbBuilder {
                 "nothing to open for the memory backend ({label})"
             ))));
         };
-        // Sharded: recover the persisted routing first and require the
-        // builder to agree with it.
-        let splitters = if self.cfg.shards > 1 {
+        // Sharded: recover the persisted routing, which the builder must
+        // agree with, and the cross-shard commit record, which pins the
+        // epoch every shard is rolled back to, so a crash between two
+        // shards' commits cannot surface a mixed whole-database state.
+        let (mut splitters, mut epochs): (_, Option<Vec<u64>>) = (None, None);
+        if self.cfg.shards > 1 {
             let mpath = self.manifest_path(base);
             let bytes = std::fs::read(&mpath).map_err(|e| {
                 if e.kind() == io::ErrorKind::NotFound {
@@ -849,8 +772,12 @@ impl DbBuilder {
                 });
             }
             let expected = self.manifest();
-            if manifest.structure_tag != expected.structure_tag || manifest.param != expected.param
-            {
+            let (tag, param) = (manifest.structure_tag, manifest.param);
+            let inherits = self
+                .engine()
+                .1
+                .is_some_and(|h| legacy::manifest_heir(tag, param) == Some(h));
+            if (tag, param) != (expected.structure_tag, expected.param) && !inherits {
                 return Err(OpenError::StructureMismatch {
                     path: mpath,
                     found: tag_name(manifest.structure_tag).to_string(),
@@ -865,14 +792,7 @@ impl DbBuilder {
                     });
                 }
             }
-            Some(manifest.splitters)
-        } else {
-            None
-        };
-        // Sharded: the cross-shard commit record pins the epoch every
-        // shard must be rolled back to, so a crash between two shards'
-        // commits cannot surface a mixed whole-database state.
-        let epochs: Option<Vec<u64>> = if self.cfg.shards > 1 {
+            splitters = Some(manifest.splitters);
             let cpath = self.commit_record_path(base);
             let bytes = std::fs::read(&cpath).map_err(|e| {
                 if e.kind() == io::ErrorKind::NotFound {
@@ -884,62 +804,56 @@ impl DbBuilder {
                     OpenError::Io(e)
                 }
             })?;
-            let epochs =
+            let record =
                 decode_commit_record(&bytes).map_err(|why| OpenError::ManifestCorrupt {
                     path: cpath.clone(),
                     why,
                 })?;
-            if epochs.len() != self.cfg.shards {
+            if record.len() != self.cfg.shards {
                 return Err(OpenError::ManifestCorrupt {
                     path: cpath,
                     why: format!(
                         "commit record holds {} epochs for {} shards",
-                        epochs.len(),
+                        record.len(),
                         self.cfg.shards
                     ),
                 });
             }
-            Some(epochs)
-        } else {
-            None
-        };
-        let mut dicts: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
+            epochs = Some(record);
+        }
+        let mut shards: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
         let mut ios: Vec<StoreHandle> = Vec::with_capacity(self.cfg.shards);
         for i in 0..self.cfg.shards {
             let max_epoch = epochs.as_ref().map(|e| e[i]);
-            let (dict, io) = self.open_shard(i, base, max_epoch)?;
-            dicts.push(dict);
-            ios.push(io);
+            let (shard, io) = self.shard(i, Origin::Open { max_epoch })?;
+            shards.push(shard);
+            ios.extend(io);
         }
         // The persisted routing is authoritative: recording it makes
         // `Db::config()` round-trip even when the builder omitted
         // explicit splitters.
-        Ok(self.assemble(dicts, ios, splitters.or(self.cfg.splitters.clone())))
+        Ok(self.assemble(shards, ios, splitters.or(self.cfg.splitters.clone())))
     }
 
     /// Wraps built or opened shards (and their stores, in shard order)
     /// into a [`Db`] routing by `splitters` (even ones if `None`).
     fn assemble(
         &self,
-        mut dicts: Vec<Shard>,
+        shards: Vec<Shard>,
         ios: Vec<StoreHandle>,
         splitters: Option<Vec<u64>>,
     ) -> Db {
-        let sharded = self.cfg.shards > 1;
-        let dict = if sharded {
-            let splitters = splitters
-                .clone()
-                .unwrap_or_else(|| even_splitters(self.cfg.shards));
-            DbDict::Sharded(ShardRouter::new(dicts, splitters, self.cfg.parallel_ingest))
-        } else {
-            DbDict::Single(dicts.pop().expect("one shard was built or opened"))
-        };
+        let routing = splitters
+            .clone()
+            .unwrap_or_else(|| even_splitters(self.cfg.shards));
         let commit_path = match &self.cfg.backend {
-            Backend::File { path: base, .. } if sharded => Some(self.commit_record_path(base)),
+            Backend::File { path: base, .. } if self.cfg.shards > 1 => {
+                Some(self.commit_record_path(base))
+            }
             _ => None,
         };
         let mut db = Db {
-            dict,
+            router: ShardRouter::new(shards, routing),
             ios,
             label: self.label(),
             dirty: false,
@@ -977,14 +891,24 @@ impl DbBuilder {
     /// The structure-metadata tag this configuration produces (what
     /// [`cosbt_core::Persist::save_meta`] will emit) plus its parameter.
     fn structure_identity(&self) -> (u8, u64) {
-        match (self.cfg.structure, self.cfg.deamortized) {
-            (Structure::BasicCola, false) => (TAG_BASIC_COLA, 0),
-            (Structure::BasicCola, true) => (TAG_DEAMORT_BASIC, 0),
-            (Structure::GCola { g }, false) => (TAG_GCOLA, g as u64),
-            (Structure::GCola { .. }, true) => (TAG_DEAMORT, 2),
-            (Structure::BTree, _) => (TAG_BTREE, 0),
-            (Structure::Brt, _) => (TAG_BRT, 0),
-            (Structure::Shuttle { c }, _) => (cosbt_core::persist::TAG_SHUTTLE, c as u64),
+        match self.cfg.structure {
+            Structure::BasicCola => (TAG_BASIC_COLA, 0),
+            Structure::GCola { g } => (TAG_GCOLA, g as u64),
+            Structure::DeamortizedCola => (TAG_DEAMORT_BASIC, 0),
+            Structure::BTree => (TAG_BTREE, 0),
+            Structure::Brt => (TAG_BRT, 0),
+            Structure::Shuttle { c } => (cosbt_core::persist::TAG_SHUTTLE, c as u64),
+        }
+    }
+
+    /// The meta tag this configuration's engine writes (not its manifest
+    /// identity), and the engine it is when [`legacy`] rebuilds retired
+    /// formats into it.
+    fn engine(&self) -> (u8, Option<Heir>) {
+        match self.cfg.structure {
+            Structure::BasicCola => (TAG_GCOLA, Some(Heir::BasicCola)),
+            Structure::DeamortizedCola => (TAG_DEAMORT_BASIC, Some(Heir::DeamortCola)),
+            _ => (self.structure_identity().0, None),
         }
     }
 
@@ -1012,98 +936,38 @@ impl DbBuilder {
         sibling_path(base, ".commit")
     }
 
-    /// Opens shard `idx`'s store file and reconstructs its structure from
-    /// the committed metadata.
-    fn open_shard(
-        &self,
-        idx: usize,
-        base: &Path,
-        max_epoch: Option<u64>,
-    ) -> Result<(Shard, StoreHandle), OpenError> {
-        let path = self.shard_file_path(base, idx);
-        let direct = self
-            .cfg
-            .backend
-            .file_params()
-            .map(|(_, d)| d)
-            .unwrap_or(false);
-        let cache_pages = self.cache_pages();
-        // The meta tag this configuration writes (not its manifest
-        // identity), or a retired one `legacy` rebuilds into its engine.
-        let (writes, heir) = match (self.cfg.structure, self.cfg.deamortized) {
-            (Structure::BasicCola | Structure::GCola { .. }, true) => {
-                (TAG_DEAMORT_BASIC, Some(Heir::DeamortCola))
-            }
-            (Structure::BasicCola, false) => (TAG_GCOLA, Some(Heir::BasicCola)),
-            _ => (self.structure_identity().0, None),
-        };
-        let accepts = |tag| tag == writes || heir.is_some_and(|h| legacy::heir(tag) == Some(h));
-        let meta_err = |source: MetaError| OpenError::Meta {
-            path: path.clone(),
-            source,
-        };
-        let check = |found_meta: &[u8]| -> Result<(), OpenError> {
-            match peek_tag(found_meta) {
-                Some(tag) if accepts(tag) => Ok(()),
-                Some(tag) => Err(OpenError::StructureMismatch {
-                    path: path.clone(),
-                    found: tag_name(tag).to_string(),
-                    expected: self.label(),
-                }),
-                None => Err(meta_err(MetaError::Truncated)),
-            }
-        };
-        match self.cfg.structure {
-            Structure::Shuttle { .. } => Err(OpenError::Unsupported(BuildError::Unsupported(
-                format!("the shuttle tree is in-memory only ({})", self.label()),
-            ))),
-            Structure::BTree | Structure::Brt => {
-                let dev = DirectFile::open(&path, direct)
-                    .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?;
-                let (store, meta) =
-                    FilePages::open_bounded(dev, cache_pages, (KIND_PAGES, 0), max_epoch)
-                        .map_err(|e| store_error(&path, e))?;
-                self.check_page_size(&path, store.page_size())?;
-                check(&meta)?;
-                let store = ArcFilePages::new(store);
-                let dict: Shard = match self.cfg.structure {
-                    Structure::BTree => {
-                        Box::new(BTree::from_parts(store.clone(), &meta).map_err(meta_err)?)
-                    }
-                    _ => Box::new(Brt::from_parts(store.clone(), &meta).map_err(meta_err)?),
-                };
-                Ok((dict, store.erased()))
-            }
-            Structure::BasicCola | Structure::GCola { .. } => {
-                let dev = DirectFile::open(&path, direct)
-                    .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?;
-                let (mut store, meta) =
-                    FileMem::<Cell, DirectFile>::open_bounded(dev, cache_pages, 32, max_epoch)
-                        .map_err(|e| store_error(&path, e))?;
-                self.check_page_size(&path, store.pages().page_size())?;
-                check(&meta)?;
-                let mem = ArcFileMem::new(store);
-                let dict = self.cola_shard(mem.clone(), Some((&meta, &path)))?;
-                Ok((dict, mem.erased()))
-            }
-        }
-    }
-
     /// Frames in each shard's page cache: an even share of the budget,
     /// floored at 2 pages.
     fn cache_pages(&self) -> usize {
         (self.cfg.cache_bytes / self.cfg.shards / DEFAULT_PAGE_SIZE).max(2)
     }
 
-    fn check_page_size(&self, path: &Path, found: usize) -> Result<(), OpenError> {
-        if found != DEFAULT_PAGE_SIZE {
+    /// Refuses a store written with another page size, or whose committed
+    /// meta names neither the engine this configuration runs nor a
+    /// retired format [`legacy`] rebuilds into it.
+    fn check_store(&self, path: &Path, page_size: usize, meta: &[u8]) -> Result<(), OpenError> {
+        if page_size != DEFAULT_PAGE_SIZE {
             return Err(OpenError::PageSizeMismatch {
                 path: path.to_path_buf(),
-                found,
+                found: page_size,
                 expected: DEFAULT_PAGE_SIZE,
             });
         }
-        Ok(())
+        let (writes, heir) = self.engine();
+        match peek_tag(meta) {
+            Some(tag) if tag == writes || heir.is_some_and(|h| legacy::heir(tag) == Some(h)) => {
+                Ok(())
+            }
+            Some(tag) => Err(OpenError::StructureMismatch {
+                path: path.to_path_buf(),
+                found: tag_name(tag).to_string(),
+                expected: self.label(),
+            }),
+            None => Err(OpenError::Meta {
+                path: path.to_path_buf(),
+                source: MetaError::Truncated,
+            }),
+        }
     }
 
     /// The backing-file paths this configuration stores data in: the
@@ -1141,54 +1005,135 @@ impl DbBuilder {
         }
     }
 
-    /// The COLA-family shard this configuration keeps in `mem`: a fresh
-    /// one, or, given the meta committed in a file and that file's path,
-    /// the one the meta describes. The basic COLA is [`GCola::basic`]: it
-    /// reopens a g-COLA of growth factor 2 and pointer density 0. A
-    /// g-COLA reopens with the growth factor asked for. Either
-    /// deamortized configuration is [`DeamortCola`]. A store in a retired
-    /// format is asked of [`legacy`] first, and its live entries are
-    /// bulk-loaded into a fresh engine of the configured kind: a fresh
-    /// shard is the bulk load of nothing.
+    /// Shard `idx` of [`DbBuilder::shards`] (the whole dictionary when
+    /// unsharded): its structure and, file-backed, the store it runs
+    /// over. A file-backed shard is made in three steps: the device (the
+    /// file, created or opened), the store on it (created, or opened and
+    /// checked for its page size and structure tag), and the structure
+    /// (fresh, or rebuilt from the store's committed meta).
+    fn shard(&self, idx: usize, origin: Origin) -> Result<(Shard, Option<StoreHandle>), OpenError> {
+        let Backend::File { path: base, direct } = &self.cfg.backend else {
+            let shard: Shard = match self.cfg.structure {
+                Structure::BTree => Box::new(BTree::new_plain()),
+                Structure::Brt => Box::new(Brt::new_plain()),
+                Structure::Shuttle { c } => Box::new(ShuttleTree::new(c)),
+                _ => self.cola_shard(PlainMem::new(), None, Path::new(""))?,
+            };
+            return Ok((shard, None));
+        };
+        let path = self.shard_file_path(base, idx);
+        let (cache_pages, slot_bytes) = (self.cache_pages(), self.cfg.meta_slot_bytes);
+        let dev = match origin {
+            Origin::Create => DirectFile::create(&path, *direct).map_err(OpenError::Io)?,
+            Origin::Open { .. } => DirectFile::open(&path, *direct)
+                .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?,
+        };
+        let meta_err = |source| OpenError::Meta {
+            path: path.clone(),
+            source,
+        };
+        if let Structure::BTree | Structure::Brt = self.cfg.structure {
+            let (store, meta) = match origin {
+                Origin::Create => {
+                    let store =
+                        FilePages::create_on_sized(dev, DEFAULT_PAGE_SIZE, cache_pages, slot_bytes);
+                    (store.map_err(OpenError::Io)?, None)
+                }
+                Origin::Open { max_epoch } => {
+                    let (store, meta) =
+                        FilePages::open_bounded(dev, cache_pages, (KIND_PAGES, 0), max_epoch)
+                            .map_err(|e| store_error(&path, e))?;
+                    self.check_store(&path, store.page_size(), &meta)?;
+                    (store, Some(meta))
+                }
+            };
+            let store = ArcFilePages::new(store);
+            let shard: Shard = match (self.cfg.structure, meta) {
+                (Structure::BTree, None) => Box::new(BTree::new(store.clone())),
+                (Structure::BTree, Some(meta)) => {
+                    Box::new(BTree::from_parts(store.clone(), &meta).map_err(meta_err)?)
+                }
+                (_, None) => Box::new(Brt::new(store.clone())),
+                (_, Some(meta)) => {
+                    Box::new(Brt::from_parts(store.clone(), &meta).map_err(meta_err)?)
+                }
+            };
+            return Ok((shard, Some(store.erased())));
+        }
+        // A COLA (`validate` keeps the shuttle tree off files), over
+        // 32-byte modeled elements, as in the paper.
+        let (store, meta) = match origin {
+            Origin::Create => {
+                let store = FileMem::<Cell, DirectFile>::create_on_sized(
+                    dev,
+                    DEFAULT_PAGE_SIZE,
+                    cache_pages,
+                    32,
+                    slot_bytes,
+                );
+                (store.map_err(OpenError::Io)?, None)
+            }
+            Origin::Open { max_epoch } => {
+                let (mut store, meta) =
+                    FileMem::<Cell, DirectFile>::open_bounded(dev, cache_pages, 32, max_epoch)
+                        .map_err(|e| store_error(&path, e))?;
+                self.check_store(&path, store.pages().page_size(), &meta)?;
+                (store, Some(meta))
+            }
+        };
+        let mem = ArcFileMem::new(store);
+        let shard = self.cola_shard(mem.clone(), meta.as_deref(), &path)?;
+        Ok((shard, Some(mem.erased())))
+    }
+
+    /// The COLA shard this configuration keeps in `mem`: a fresh one, or,
+    /// given the meta committed in the file at `path`, the one the meta
+    /// describes. The basic COLA is [`GCola::basic`]: it reopens a
+    /// g-COLA of growth factor 2 and pointer density 0. A g-COLA reopens
+    /// with the growth factor asked for. A store in a retired format is
+    /// asked of [`legacy`] first, and its live entries are bulk-loaded
+    /// into a fresh engine of the configured kind: a fresh shard is the
+    /// bulk load of nothing.
     fn cola_shard<M: Mem<Cell> + Send + Sync + 'static>(
         &self,
         mem: M,
-        opened: Option<(&[u8], &Path)>,
+        meta: Option<&[u8]>,
+        path: &Path,
     ) -> Result<Shard, OpenError> {
-        let path = || opened.map_or_else(PathBuf::new, |(_, path)| path.to_path_buf());
         let meta_err = |source| OpenError::Meta {
-            path: path(),
+            path: path.to_path_buf(),
             source,
         };
-        let (structure, deamortized) = (self.cfg.structure, self.cfg.deamortized);
         // `Ok` holds the entries to bulk-load, `Err` the meta to reopen.
-        let load = match opened {
+        let load = match meta {
             None => Ok(Vec::new()),
-            Some((meta, _)) => legacy::live_entries(&mem, meta)
+            Some(meta) => legacy::live_entries(&mem, meta)
                 .map_err(meta_err)?
                 .ok_or(meta),
         };
-        let cola = match load {
-            Ok(live) if deamortized => return Ok(Box::new(DeamortCola::bulk_load(mem, &live))),
-            Err(meta) if deamortized => {
+        let cola = match (self.cfg.structure, load) {
+            (Structure::DeamortizedCola, Ok(live)) => {
+                return Ok(Box::new(DeamortCola::bulk_load(mem, &live)))
+            }
+            (Structure::DeamortizedCola, Err(meta)) => {
                 return Ok(Box::new(
                     DeamortCola::from_parts(mem, meta).map_err(meta_err)?,
                 ))
             }
-            Ok(live) => match structure {
-                Structure::GCola { g } => GCola::bulk_load(mem, g, self.cfg.pointer_density, &live),
-                _ => GCola::bulk_load(mem, 2, 0.0, &live),
-            },
-            Err(meta) => GCola::from_parts(mem, meta).map_err(meta_err)?,
+            (Structure::GCola { g }, Ok(live)) => {
+                GCola::bulk_load(mem, g, self.cfg.pointer_density, &live)
+            }
+            (_, Ok(live)) => GCola::bulk_load(mem, 2, 0.0, &live),
+            (_, Err(meta)) => GCola::from_parts(mem, meta).map_err(meta_err)?,
         };
         let (g, p) = (cola.growth(), cola.pointer_density());
-        let fits = match structure {
+        let fits = match self.cfg.structure {
             Structure::GCola { g: want } => g == want,
             _ => (g, p) == (2, 0.0),
         };
         if !fits {
             return Err(OpenError::StructureMismatch {
-                path: path(),
+                path: path.to_path_buf(),
                 found: format!("{g}-COLA, pointer density {p}"),
                 expected: self.label(),
             });
@@ -1196,71 +1141,14 @@ impl DbBuilder {
         Ok(Box::new(cola))
     }
 
-    /// Builds shard `idx` of [`DbBuilder::shards`] (the whole dictionary
-    /// when unsharded): one structure instance plus, for file backends,
-    /// the I/O handle of its backing store.
-    fn build_shard(
-        &self,
-        idx: usize,
-        unsupported: &dyn Fn(&str) -> BuildError,
-    ) -> Result<(Shard, Option<StoreHandle>), BuildError> {
-        let cache_pages = self.cache_pages();
-        match (&self.cfg.backend, self.cfg.structure) {
-            (Backend::Mem, Structure::BasicCola | Structure::GCola { .. }) => {
-                let dict = self.cola_shard(PlainMem::new(), None);
-                Ok((dict.map_err(|e| unsupported(&e.to_string()))?, None))
-            }
-            (Backend::Mem, Structure::BTree) => Ok((Box::new(BTree::new_plain()), None)),
-            (Backend::Mem, Structure::Brt) => Ok((Box::new(Brt::new_plain()), None)),
-            (Backend::Mem, Structure::Shuttle { c }) => Ok((Box::new(ShuttleTree::new(c)), None)),
-            (Backend::File { path: base, direct }, structure) => {
-                let path = self.shard_file_path(base, idx);
-                match structure {
-                    Structure::Shuttle { .. } => Err(unsupported(
-                        "the shuttle tree is in-memory only (its file layout is measured \
-                         through LayoutImage, not served from disk)",
-                    )),
-                    Structure::BTree | Structure::Brt => {
-                        let dev = DirectFile::create(&path, *direct)?;
-                        let store = ArcFilePages::new(FilePages::create_on_sized(
-                            dev,
-                            DEFAULT_PAGE_SIZE,
-                            cache_pages,
-                            self.cfg.meta_slot_bytes,
-                        )?);
-                        let dict: Shard = match structure {
-                            Structure::BTree => Box::new(BTree::new(store.clone())),
-                            _ => Box::new(Brt::new(store.clone())),
-                        };
-                        Ok((dict, Some(store.erased())))
-                    }
-                    Structure::BasicCola | Structure::GCola { .. } => {
-                        // 32-byte modeled elements, as in the paper.
-                        let dev = DirectFile::create(&path, *direct)?;
-                        let mem = ArcFileMem::new(FileMem::<Cell, DirectFile>::create_on_sized(
-                            dev,
-                            DEFAULT_PAGE_SIZE,
-                            cache_pages,
-                            32,
-                            self.cfg.meta_slot_bytes,
-                        )?);
-                        let dict = self.cola_shard(mem.clone(), None);
-                        let dict = dict.map_err(|e| unsupported(&e.to_string()))?;
-                        Ok((dict, Some(mem.erased())))
-                    }
-                }
-            }
-        }
-    }
-
-    /// Enumerates every supported structure × modifier cell of the
-    /// configuration matrix (see [`VALID_COMBINATIONS`]) over the memory
-    /// backend, crossed with the given shard counts. This is the **one**
-    /// list of valid configurations shared by the conformance battery and
-    /// the benchmark harness, so a structure added to the builder is
-    /// automatically tested and benchmarkable; callers that want the
-    /// out-of-core regime override the backend per cell (the shuttle tree
-    /// is memory-only and must be skipped or left on [`Backend::Mem`]).
+    /// Enumerates every supported structure of the configuration matrix
+    /// (see [`VALID_COMBINATIONS`]) over the memory backend, crossed with
+    /// the given shard counts. This is the **one** list of valid
+    /// configurations shared by the conformance battery and the benchmark
+    /// harness, so a structure added to the builder is automatically
+    /// tested and benchmarkable; callers that want the out-of-core regime
+    /// override the backend per cell (the shuttle tree is memory-only and
+    /// must be skipped or left on [`Backend::Mem`]).
     ///
     /// Every returned builder is valid: `build()` succeeds.
     ///
@@ -1273,51 +1161,28 @@ impl DbBuilder {
     /// ```
     pub fn matrix(shard_counts: &[usize]) -> Vec<DbBuilder> {
         let structures = [
-            (Structure::BasicCola, false),
-            (Structure::BasicCola, true),
-            (Structure::GCola { g: 2 }, false),
-            (Structure::GCola { g: 2 }, true),
-            (Structure::GCola { g: 4 }, false),
-            (Structure::GCola { g: 8 }, false),
-            (Structure::BTree, false),
-            (Structure::Brt, false),
-            (Structure::Shuttle { c: 4 }, false),
+            Structure::BasicCola,
+            Structure::DeamortizedCola,
+            Structure::GCola { g: 2 },
+            Structure::GCola { g: 4 },
+            Structure::GCola { g: 8 },
+            Structure::BTree,
+            Structure::Brt,
+            Structure::Shuttle { c: 4 },
         ];
-        let mut out = Vec::new();
-        for &(structure, deamortized) in &structures {
-            for &shards in shard_counts {
-                if shards == 0 {
-                    continue;
-                }
-                let mut b = DbBuilder::new().structure(structure).shards(shards);
-                if deamortized {
-                    b = b.deamortized();
-                }
-                out.push(b);
-            }
-        }
-        out
+        let shard_counts = shard_counts.iter().filter(|&&n| n > 0);
+        structures
+            .iter()
+            .flat_map(|&s| {
+                let b = DbBuilder::new().structure(s);
+                shard_counts.clone().map(move |&n| b.clone().shards(n))
+            })
+            .collect()
     }
 
-    /// The builder's configuration as plain serializable data; the
-    /// round-trip companion of [`DbBuilder::from_config`].
+    /// The builder's configuration as plain serializable data.
     pub fn config(&self) -> DbConfig {
         self.cfg.clone()
-    }
-
-    /// A builder reproducing `cfg` exactly:
-    /// `DbBuilder::from_config(&b.config())` configures an equivalent
-    /// database (same structure, backend, modifiers, and budgets).
-    ///
-    /// ```
-    /// use cosbt::{DbBuilder, Structure};
-    ///
-    /// let b = DbBuilder::new().structure(Structure::GCola { g: 8 }).shards(2);
-    /// let cfg = b.config();
-    /// assert_eq!(DbBuilder::from_config(&cfg).config(), cfg);
-    /// ```
-    pub fn from_config(cfg: &DbConfig) -> DbBuilder {
-        DbBuilder { cfg: cfg.clone() }
     }
 
     /// Display label of the configured structure ("4-COLA", "B-tree",
@@ -1331,6 +1196,16 @@ impl DbBuilder {
 /// counts, commits and drops the cache of.
 type StoreHandle = SharedStore<DirectFile>;
 
+/// Where [`DbBuilder::shard`] gets a file-backed shard's store.
+#[derive(Clone, Copy)]
+enum Origin {
+    /// A new file, truncated if one was there.
+    Create,
+    /// The committed state of an existing file, rolled back to
+    /// `max_epoch` when the cross-shard commit record pins one.
+    Open { max_epoch: Option<u64> },
+}
+
 /// The one I/O-statistics surface of a [`Db`]: a cheap, cloneable
 /// handle over every shard's counters, obtained from [`Db::io`].
 ///
@@ -1339,8 +1214,7 @@ type StoreHandle = SharedStore<DirectFile>;
 /// database itself is mutably borrowed — a probe racing a concurrent
 /// writer can neither drop nor double-count a transfer, and cannot be
 /// starved by a writer mid-merge. For memory backends the handle is
-/// empty: every counter reads zero and
-/// [`is_instrumented`](IoHandle::is_instrumented) returns false.
+/// empty and every counter reads zero.
 #[derive(Clone)]
 pub struct IoHandle {
     handles: Vec<StoreHandle>,
@@ -1366,17 +1240,6 @@ impl IoHandle {
             h.reset_stats();
         }
     }
-
-    /// Cumulative block transfers (fetches + writebacks).
-    pub fn transfers(&self) -> u64 {
-        self.snapshot().transfers()
-    }
-
-    /// Whether any instrumented (file-backed) store is attached; false
-    /// for memory backends, whose counters always read zero.
-    pub fn is_instrumented(&self) -> bool {
-        !self.handles.is_empty()
-    }
 }
 
 impl std::fmt::Debug for IoHandle {
@@ -1385,32 +1248,6 @@ impl std::fmt::Debug for IoHandle {
             .field("shards", &self.handles.len())
             .field("stats", &self.snapshot())
             .finish()
-    }
-}
-
-/// The dictionary a [`Db`] drives: one structure, or a [`ShardRouter`]
-/// over several. Kept as an enum (not a boxed trait object) so the
-/// facade can reach each shard individually — [`Db::sync`] must pair
-/// every shard's serialized control state with *its own* store's
-/// metadata commit.
-enum DbDict {
-    Single(Shard),
-    Sharded(ShardRouter),
-}
-
-impl DbDict {
-    fn as_dyn(&mut self) -> &mut dyn Dictionary {
-        match self {
-            DbDict::Single(s) => s.as_mut(),
-            DbDict::Sharded(r) => r,
-        }
-    }
-
-    fn as_dyn_ref(&self) -> &dyn Dictionary {
-        match self {
-            DbDict::Single(s) => s.as_ref(),
-            DbDict::Sharded(r) => r,
-        }
     }
 }
 
@@ -1439,7 +1276,8 @@ impl DbDict {
 /// assert_eq!(db.label(), "B-tree");
 /// ```
 pub struct Db {
-    dict: DbDict,
+    /// The shards and their routing; an unsharded `Db` is one shard.
+    router: ShardRouter,
     /// One handle per file-backed shard, in shard order; empty for
     /// memory backends.
     ios: Vec<StoreHandle>,
@@ -1470,11 +1308,6 @@ impl std::fmt::Debug for Db {
 }
 
 impl Db {
-    /// Starts a builder (same as [`DbBuilder::new`]).
-    pub fn builder() -> DbBuilder {
-        DbBuilder::new()
-    }
-
     /// Display label of the structure configuration ("4-COLA", …).
     pub fn label(&self) -> &str {
         &self.label
@@ -1484,29 +1317,29 @@ impl Db {
     pub fn insert(&mut self, key: u64, val: u64) {
         self.dirty = true;
         self.mvcc.record(key, Some(val));
-        self.dict.as_dyn().insert(key, val)
+        self.router.insert(key, val)
     }
 
     /// Deletes `key`.
     pub fn delete(&mut self, key: u64) {
         self.dirty = true;
         self.mvcc.record(key, None);
-        self.dict.as_dyn().delete(key)
+        self.router.delete(key)
     }
 
     /// Looks up `key`.
     pub fn get(&mut self, key: u64) -> Option<u64> {
-        self.dict.as_dyn().get(key)
+        self.router.get(key)
     }
 
     /// A streaming cursor over live entries in `[lo, hi]`.
     pub fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        self.dict.as_dyn().cursor(lo, hi)
+        self.router.cursor(lo, hi)
     }
 
     /// All live entries in `[lo, hi]`.
     pub fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
-        self.dict.as_dyn().range(lo, hi)
+        self.router.range(lo, hi)
     }
 
     /// Applies and drains a batch of updates.
@@ -1514,14 +1347,14 @@ impl Db {
         self.dirty = true;
         // Record before `apply` drains the batch.
         self.mvcc.record_ops(batch.ops());
-        self.dict.as_dyn().apply(batch)
+        self.router.apply(batch)
     }
 
     /// Inserts a key-sorted run of pairs in one batched pass.
     pub fn insert_batch(&mut self, sorted: &[(u64, u64)]) {
         self.dirty = true;
         self.mvcc.record_inserts(sorted);
-        self.dict.as_dyn().insert_batch(sorted)
+        self.router.insert_batch(sorted)
     }
 
     /// Number of physically stored entries, summed across shards: what a
@@ -1531,18 +1364,7 @@ impl Db {
     /// level, since its carries drop the rest; the deamortized COLA every
     /// one.
     pub fn physical_len(&self) -> usize {
-        self.dict.as_dyn_ref().physical_len()
-    }
-
-    /// The inner dictionary, for interfaces that want the trait object.
-    /// Conservatively marks the database dirty (the borrow can mutate
-    /// without going through the tracked methods).
-    pub fn dict_mut(&mut self) -> &mut dyn Dictionary {
-        self.dirty = true;
-        // Mutations through the raw trait object bypass the mirror; the
-        // next snapshot() reseeds from a full scan instead of trusting it.
-        self.mvcc.invalidate();
-        self.dict.as_dyn()
+        self.router.physical_len()
     }
 
     /// Commits the current state durably (a no-op returning `Ok` for
@@ -1574,25 +1396,17 @@ impl Db {
         if self.ios.is_empty() {
             return Ok(());
         }
-        match &mut self.dict {
-            DbDict::Single(s) => {
-                let meta = s.save_meta();
-                self.ios[0].commit_meta(&meta)?;
-            }
-            DbDict::Sharded(r) => {
-                let shards = r.shards_mut();
-                debug_assert_eq!(shards.len(), self.ios.len());
-                for (shard, io) in shards.iter_mut().zip(&self.ios) {
-                    let meta = shard.save_meta();
-                    io.commit_meta(&meta)?;
-                }
-                // Cross-shard commit point: rename the epoch vector into
-                // place only after every shard's own commit is durable.
-                if let Some(cp) = &self.commit_path {
-                    let epochs: Vec<u64> = self.ios.iter().map(StoreHandle::epoch).collect();
-                    write_file_atomic(cp, &encode_commit_record(&epochs))?;
-                }
-            }
+        let shards = self.router.shards_mut();
+        debug_assert_eq!(shards.len(), self.ios.len());
+        for (shard, io) in shards.iter_mut().zip(&self.ios) {
+            io.commit_meta(&shard.save_meta())?;
+        }
+        // Cross-shard commit point (sharded only): rename the epoch
+        // vector into place only after every shard's own commit is
+        // durable.
+        if let Some(cp) = &self.commit_path {
+            let epochs: Vec<u64> = self.ios.iter().map(StoreHandle::epoch).collect();
+            write_file_atomic(cp, &encode_commit_record(&epochs))?;
         }
         self.dirty = false;
         Ok(())
@@ -1603,8 +1417,7 @@ impl Db {
     /// [`snapshot`](IoHandle::snapshot) / [`take`](IoHandle::take) /
     /// [`reset`](IoHandle::reset). Counters aggregate (sum fieldwise)
     /// across shards; for memory backends the handle is empty and every
-    /// counter reads zero ([`IoHandle::is_instrumented`] distinguishes
-    /// the two). The handle stays valid while the database is mutably
+    /// counter reads zero. The handle stays valid while the database is mutably
     /// borrowed or driven from another thread.
     pub fn io(&self) -> IoHandle {
         IoHandle {
@@ -1652,7 +1465,7 @@ impl Db {
     pub fn snapshot(&mut self) -> DbSnapshot {
         let store_epochs: std::sync::Arc<[u64]> = self.ios.iter().map(StoreHandle::epoch).collect();
         if self.mvcc.needs_seed() {
-            let base = self.dict.as_dyn().range(0, u64::MAX);
+            let base = self.router.range(0, u64::MAX);
             self.mvcc.seed(base, store_epochs);
         } else {
             self.mvcc.publish_pending(store_epochs);
@@ -1683,8 +1496,8 @@ impl Db {
     }
 
     /// The configuration this database was built or opened with, as a
-    /// serializable [`DbConfig`] — the round-trip companion of
-    /// [`DbBuilder::from_config`].
+    /// serializable [`DbConfig`]; a reopened database reports the shard
+    /// boundaries its manifest recorded.
     pub fn config(&self) -> &DbConfig {
         &self.config
     }
@@ -1755,11 +1568,11 @@ impl Dictionary for Db {
     }
 
     fn physical_len(&self) -> usize {
-        self.dict.as_dyn_ref().physical_len()
+        self.router.physical_len()
     }
 
     fn name(&self) -> &'static str {
-        self.dict.as_dyn_ref().name()
+        self.router.name()
     }
 }
 
@@ -1783,8 +1596,7 @@ mod tests {
             DbBuilder::new()
                 .structure(Structure::BTree)
                 .shards(2)
-                .shard_splitters(vec![500])
-                .parallel_ingest(true),
+                .shard_splitters(vec![500]),
             DbBuilder::new()
                 .structure(Structure::Shuttle { c: 4 })
                 .shards(3)
@@ -1893,7 +1705,6 @@ mod tests {
             .cache_bytes(256 * 1024)
             .shards(4)
             .shard_splitters(vec![500, 1000, 1500])
-            .parallel_ingest(true)
             .build()
             .unwrap();
         let run: Vec<(u64, u64)> = (0..2000u64).map(|k| (k, k + 7)).collect();
@@ -2007,16 +1818,15 @@ mod tests {
     #[test]
     fn matrix_cells_all_build_and_cover_every_structure() {
         let cells = DbBuilder::matrix(&[1, 2, 4]);
-        assert_eq!(cells.len(), 9 * 3);
+        assert_eq!(cells.len(), 8 * 3);
         let labels: Vec<String> = cells.iter().map(|b| b.label()).collect();
         for b in cells {
             b.build().expect("every matrix cell must build");
         }
         for needle in [
             "basic-COLA",
-            "deamortized-basic-COLA",
+            "deamortized-COLA",
             "2-COLA",
-            "deamortized-2-COLA",
             "4-COLA",
             "8-COLA",
             "B-tree",
@@ -2059,16 +1869,6 @@ mod tests {
     #[test]
     fn invalid_combinations_fail_clearly() {
         assert!(DbBuilder::new()
-            .structure(Structure::BTree)
-            .deamortized()
-            .build()
-            .is_err());
-        assert!(DbBuilder::new()
-            .structure(Structure::GCola { g: 4 })
-            .deamortized()
-            .build()
-            .is_err());
-        assert!(DbBuilder::new()
             .structure(Structure::GCola { g: 1 })
             .build()
             .is_err());
@@ -2106,8 +1906,7 @@ mod tests {
     #[test]
     fn errors_enumerate_the_valid_matrix() {
         let err = DbBuilder::new()
-            .structure(Structure::BTree)
-            .deamortized()
+            .structure(Structure::GCola { g: 1 })
             .build()
             .unwrap_err();
         let msg = err.to_string();
@@ -2116,7 +1915,14 @@ mod tests {
             "error should enumerate alternatives, got: {msg}"
         );
         // Every structure appears in the enumeration.
-        for name in ["BasicCola", "GCola", "BTree", "Brt", "Shuttle"] {
+        for name in [
+            "BasicCola",
+            "GCola",
+            "DeamortizedCola",
+            "BTree",
+            "Brt",
+            "Shuttle",
+        ] {
             assert!(msg.contains(name), "matrix should mention {name}: {msg}");
         }
         assert!(msg.contains("shards"), "matrix should mention sharding");
@@ -2132,10 +1938,9 @@ mod tests {
         );
         assert_eq!(
             DbBuilder::new()
-                .structure(Structure::BasicCola)
-                .deamortized()
+                .structure(Structure::DeamortizedCola)
                 .label(),
-            "deamortized-basic-COLA"
+            "deamortized-COLA"
         );
         assert_eq!(
             DbBuilder::new().structure(Structure::BTree).label(),
@@ -2154,27 +1959,21 @@ mod tests {
     fn config_round_trips_through_builder() {
         let b = DbBuilder::new()
             .structure(Structure::GCola { g: 8 })
-            .deamortized()
             .pointer_density(0.25)
             .shards(3)
             .shard_splitters(vec![100, 200])
-            .parallel_ingest(true)
             .cache_bytes(1 << 20)
             .backend(Backend::file_direct("scratch.db"));
         let cfg = b.config();
-        assert_eq!(DbBuilder::from_config(&cfg).config(), cfg);
-        assert_eq!(DbBuilder::from_config(&cfg).label(), b.label());
+        assert_eq!(cfg.structure, Structure::GCola { g: 8 });
+        assert_eq!(cfg.pointer_density, 0.25);
+        assert_eq!((cfg.shards, &cfg.splitters), (3, &Some(vec![100, 200])));
+        assert_eq!(cfg.cache_bytes, 1 << 20);
+        assert_eq!(cfg.backend, Backend::file_direct("scratch.db"));
         assert_eq!(cfg.backend_kind(), "file-direct");
-        assert!(cfg.direct());
-        assert_eq!(
-            cfg.identity(),
-            DbBuilder::from_config(&cfg).config().identity()
-        );
-
-        let mem = DbBuilder::new().config();
-        assert_eq!(mem.backend_kind(), "mem");
-        assert!(!mem.direct());
-        assert_ne!(mem.identity(), cfg.identity());
+        assert_eq!(DbBuilder::new().config().backend_kind(), "mem");
+        let file = DbBuilder::new().backend(Backend::file("scratch.db"));
+        assert_eq!(file.config().backend_kind(), "file");
     }
 
     #[test]
@@ -2204,21 +2003,7 @@ mod tests {
             .open()
             .unwrap();
         assert_eq!(db.config().splitters, Some(vec![1000]));
-        assert_eq!(db.config().identity(), built_cfg.identity());
-        drop(db);
-        for p in data_paths_for(&path) {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    fn data_paths_for(base: &Path) -> Vec<PathBuf> {
-        let mut out = vec![base.to_path_buf()];
-        for i in 0..8 {
-            let mut os = base.to_path_buf().into_os_string();
-            os.push(format!(".shard{i}"));
-            out.push(PathBuf::from(os));
-        }
-        out
+        assert_eq!(db.config(), &built_cfg);
     }
 
     #[test]

@@ -48,9 +48,9 @@
 //! ## Scaling across cores
 //!
 //! `.shards(n)` range-partitions the keyspace across `n` independent
-//! instances of the configured structure, and `.parallel_ingest(true)`
-//! applies batches on a scoped pool of worker threads — one coherent
-//! dictionary view, `n` merge machines (see [`shard`]):
+//! instances of the configured structure, and a large batch that reaches
+//! several shards is applied on a scoped pool of worker threads — one
+//! coherent dictionary view, `n` merge machines (see [`shard`]):
 //!
 //! ```
 //! use cosbt::{DbBuilder, Structure, UpdateBatch};
@@ -58,14 +58,13 @@
 //! let mut db = DbBuilder::new()
 //!     .structure(Structure::GCola { g: 4 })
 //!     .shards(4)
-//!     .parallel_ingest(true)
 //!     .build()
 //!     .unwrap();
 //! let mut batch = UpdateBatch::new();
 //! for k in 0..10_000u64 {
 //!     batch.put(k.wrapping_mul(0x9E3779B97F4A7C15), k); // spread over u64
 //! }
-//! db.apply(&mut batch); // split by shard, applied in parallel
+//! db.apply(&mut batch); // split by shard, applied on worker threads
 //! assert_eq!(db.range(0, u64::MAX).len(), 10_000);
 //! ```
 

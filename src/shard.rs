@@ -1,5 +1,5 @@
 //! Range-partitioned sharding: one coherent dictionary view over `S`
-//! independent structure instances, with optional parallel batch ingest.
+//! independent structure instances, with parallel batch ingest.
 //!
 //! The paper's structures win by turning point updates into batched,
 //! cache-friendly merges; this layer scales that across cores. The
@@ -8,12 +8,13 @@
 //! [`crate::DbBuilder`] with [`crate::DbBuilder::shards`]. Batches are
 //! split into per-shard sub-batches (arrival order preserved per key,
 //! since every operation on a key lands in the same shard) and applied on
-//! a scoped pool of worker threads when
-//! [`crate::DbBuilder::parallel_ingest`] is on; each shard then runs its
-//! own single-threaded merge machinery unchanged. Reads route point
-//! lookups to the owning shard and splice range scans back together with
-//! the k-way [`MergeCursor`], so the [`Dictionary`] trait is exposed
-//! unchanged.
+//! a scoped pool of worker threads when the batch is large and reaches
+//! more than one shard; each shard then runs its own single-threaded
+//! merge machinery unchanged. Reads route point lookups to the owning
+//! shard and splice range scans that cross a shard boundary back
+//! together with the k-way [`MergeCursor`], so the [`Dictionary`] trait
+//! is exposed unchanged. A [`crate::Db`] is always a router: an
+//! unsharded one routes everything to its one shard.
 //!
 //! Range partitioning (rather than hashing) keeps each shard a contiguous
 //! key interval: scans touch only the shards overlapping the query window
@@ -39,10 +40,10 @@ impl<T: Dictionary + Persist + Send + Sync> ShardDict for T {}
 /// A dictionary shard: any structure over any backend.
 pub type Shard = Box<dyn ShardDict>;
 
-/// Below this many operations a batch is applied sequentially even with
-/// parallel ingest on: scoped worker threads are spawned per batch, and
-/// for small batches the spawn/join overhead (tens of microseconds)
-/// exceeds the per-shard merge work it would hide.
+/// Below this many operations a batch is applied sequentially: scoped
+/// worker threads are spawned per batch, and for small batches the
+/// spawn/join overhead (tens of microseconds) exceeds the per-shard merge
+/// work it would hide.
 pub const PARALLEL_MIN_OPS: usize = 1024;
 
 /// Splits the `u64` keyspace evenly into `n` contiguous ranges, returning
@@ -69,7 +70,6 @@ pub fn even_splitters(n: usize) -> Vec<u64> {
 /// let mut db = ShardRouter::new(
 ///     vec![Box::new(BTree::new_plain()), Box::new(GCola::new_plain(4))],
 ///     vec![1 << 32],
-///     false,
 /// );
 /// db.insert(7, 70); // routed to the B-tree shard
 /// db.insert(u64::MAX, 1); // routed to the COLA shard
@@ -80,7 +80,9 @@ pub struct ShardRouter {
     /// `shards.len() - 1` strictly increasing boundaries; shard `i` owns
     /// `[splitters[i-1], splitters[i])` (unbounded at the two ends).
     splitters: Vec<u64>,
-    parallel: bool,
+    /// Worker threads a batch may use: `available_parallelism`, read
+    /// once at construction (1 for a single shard, which never spawns).
+    workers: usize,
 }
 
 impl std::fmt::Debug for ShardRouter {
@@ -88,23 +90,24 @@ impl std::fmt::Debug for ShardRouter {
         f.debug_struct("ShardRouter")
             .field("shards", &self.shards.len())
             .field("splitters", &self.splitters)
-            .field("parallel", &self.parallel)
+            .field("workers", &self.workers)
             .finish()
     }
 }
 
 impl ShardRouter {
     /// A router over `shards` split at `splitters` (strictly increasing,
-    /// one fewer than the shard count). `parallel` applies per-shard
-    /// sub-batches on a scoped thread pool; point operations are always
-    /// routed directly.
+    /// one fewer than the shard count). A batch of at least
+    /// [`PARALLEL_MIN_OPS`] operations that reaches more than one shard
+    /// is applied on a scoped thread pool if the machine has more than
+    /// one core; point operations are always routed directly.
     ///
     /// # Panics
     ///
     /// If `shards` is empty or `splitters` is not a strictly increasing
     /// list of length `shards.len() - 1`. ([`crate::DbBuilder`] validates
     /// the same conditions and returns an error instead.)
-    pub fn new(shards: Vec<Shard>, splitters: Vec<u64>, parallel: bool) -> ShardRouter {
+    pub fn new(shards: Vec<Shard>, splitters: Vec<u64>) -> ShardRouter {
         assert!(!shards.is_empty(), "need at least one shard");
         assert_eq!(
             splitters.len(),
@@ -115,16 +118,15 @@ impl ShardRouter {
             splitters.windows(2).all(|w| w[0] < w[1]),
             "splitters must be strictly increasing"
         );
+        let workers = match shards.len() {
+            1 => 1,
+            _ => std::thread::available_parallelism().map_or(1, |n| n.get()),
+        };
         ShardRouter {
             shards,
             splitters,
-            parallel,
+            workers,
         }
-    }
-
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// Mutable access to the shards in routing order, for per-shard
@@ -135,39 +137,31 @@ impl ShardRouter {
         &mut self.shards
     }
 
-    /// The shard boundaries.
-    pub fn splitters(&self) -> &[u64] {
-        &self.splitters
-    }
-
-    /// Whether batches are applied on worker threads.
-    pub fn parallel(&self) -> bool {
-        self.parallel
-    }
-
     /// Index of the shard owning `key`.
     #[inline]
     pub fn shard_of(&self, key: u64) -> usize {
         self.splitters.partition_point(|&s| s <= key)
     }
 
-    /// Runs `(shard, payload)` jobs, on a scoped pool of at most
-    /// `available_parallelism` worker threads when parallel ingest is on
-    /// and more than one shard has work.
+    /// Runs the `(shard, payload)` jobs of a batch of `ops` operations: on
+    /// a scoped pool of at most `workers` threads when more than one
+    /// shard has work, the batch has at least [`PARALLEL_MIN_OPS`]
+    /// operations and there is more than one worker; in order on this
+    /// thread otherwise. Each shard applies its own payload either way,
+    /// to its own store, so the outcome is the same.
     fn run_jobs<J: Send>(
-        parallel: bool,
+        workers: usize,
+        ops: usize,
         jobs: Vec<(&mut Shard, J)>,
         run: impl Fn(&mut Shard, J) + Send + Sync + Copy,
     ) {
-        if !parallel || jobs.len() <= 1 {
+        let workers = workers.min(jobs.len());
+        if workers <= 1 || ops < PARALLEL_MIN_OPS {
             for (shard, payload) in jobs {
                 run(shard, payload);
             }
             return;
         }
-        let workers = std::thread::available_parallelism()
-            .map_or(1, |n| n.get())
-            .min(jobs.len());
         let mut groups: Vec<Vec<(&mut Shard, J)>> = (0..workers).map(|_| Vec::new()).collect();
         for (i, job) in jobs.into_iter().enumerate() {
             groups[i % workers].push(job);
@@ -201,18 +195,31 @@ impl Dictionary for ShardRouter {
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
+        // A window inside one shard is that shard's own cursor.
+        let (first, last) = (self.shard_of(lo), self.shard_of(hi));
+        if first == last {
+            return self.shards[first].cursor(lo, hi);
+        }
         if lo > hi {
             return Cursor::new(MergeCursor::<Cursor<'_>>::new(Vec::new()));
         }
         // Only the shards whose range intersects [lo, hi] contribute;
         // snapshot-style shard cursors (BRT, shuttle) then materialize
         // only the overlapping partitions.
-        let (first, last) = (self.shard_of(lo), self.shard_of(hi));
         let subs: Vec<Cursor<'_>> = self.shards[first..=last]
             .iter_mut()
             .map(|s| s.cursor(lo, hi))
             .collect();
         Cursor::new(MergeCursor::new(subs))
+    }
+
+    fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        // A window inside one shard keeps that shard's own range scan.
+        let (first, last) = (self.shard_of(lo), self.shard_of(hi));
+        if first == last {
+            return self.shards[first].range(lo, hi);
+        }
+        self.cursor(lo, hi).collect()
     }
 
     fn apply(&mut self, batch: &mut UpdateBatch) {
@@ -234,7 +241,7 @@ impl Dictionary for ShardRouter {
                 None => subs[s].delete(key),
             };
         }
-        let parallel = self.parallel && batch.len() >= PARALLEL_MIN_OPS;
+        let ops = batch.len();
         batch.clear();
         let jobs: Vec<(&mut Shard, UpdateBatch)> = self
             .shards
@@ -242,7 +249,9 @@ impl Dictionary for ShardRouter {
             .zip(subs)
             .filter(|(_, sub)| !sub.is_empty())
             .collect();
-        Self::run_jobs(parallel, jobs, |shard, mut sub| shard.apply(&mut sub));
+        Self::run_jobs(self.workers, ops, jobs, |shard, mut sub| {
+            shard.apply(&mut sub)
+        });
     }
 
     fn insert_batch(&mut self, sorted: &[(u64, u64)]) {
@@ -260,14 +269,15 @@ impl Dictionary for ShardRouter {
             rest = tail;
         }
         pieces.push(rest);
-        let parallel = self.parallel && sorted.len() >= PARALLEL_MIN_OPS;
         let jobs: Vec<(&mut Shard, &[(u64, u64)])> = self
             .shards
             .iter_mut()
             .zip(pieces)
             .filter(|(_, piece)| !piece.is_empty())
             .collect();
-        Self::run_jobs(parallel, jobs, |shard, piece| shard.insert_batch(piece));
+        Self::run_jobs(self.workers, sorted.len(), jobs, |shard, piece| {
+            shard.insert_batch(piece)
+        });
     }
 
     fn physical_len(&self) -> usize {
@@ -275,7 +285,10 @@ impl Dictionary for ShardRouter {
     }
 
     fn name(&self) -> &'static str {
-        "sharded"
+        match &self.shards[..] {
+            [only] => only.name(),
+            _ => "sharded",
+        }
     }
 }
 
@@ -285,11 +298,11 @@ mod tests {
     use cosbt_core::GCola;
     use cosbt_dam::PlainMem;
 
-    fn router(n: usize, parallel: bool) -> ShardRouter {
+    fn router(n: usize) -> ShardRouter {
         let shards: Vec<Shard> = (0..n)
             .map(|_| Box::new(GCola::new_plain(4)) as Shard)
             .collect();
-        ShardRouter::new(shards, even_splitters(n), parallel)
+        ShardRouter::new(shards, even_splitters(n))
     }
 
     #[test]
@@ -297,7 +310,7 @@ mod tests {
         assert_eq!(even_splitters(1), vec![]);
         assert_eq!(even_splitters(2), vec![1 << 63]);
         assert_eq!(even_splitters(4), vec![1 << 62, 1 << 63, 3 << 62]);
-        let r = router(4, false);
+        let r = router(4);
         assert_eq!(r.shard_of(0), 0);
         assert_eq!(r.shard_of((1 << 62) - 1), 0);
         assert_eq!(r.shard_of(1 << 62), 1);
@@ -306,7 +319,7 @@ mod tests {
 
     #[test]
     fn routes_point_ops_and_scans_across_shards() {
-        let mut r = router(4, false);
+        let mut r = router(4);
         // One key per quadrant plus boundary keys.
         let keys = [0u64, 1 << 62, (1 << 63) | 5, u64::MAX, (1 << 62) - 1];
         for (i, &k) in keys.iter().enumerate() {
@@ -329,58 +342,90 @@ mod tests {
 
     #[test]
     fn batches_split_and_preserve_per_key_order() {
-        for parallel in [false, true] {
-            let mut r = router(4, parallel);
-            let mut batch = UpdateBatch::new();
-            let k_hi = (1 << 63) + 7;
-            batch
-                .put(5, 1)
-                .put(k_hi, 2)
-                .delete(5)
-                .put(5, 3)
-                .put(k_hi, 4);
-            r.apply(&mut batch);
-            assert!(batch.is_empty());
-            assert_eq!(r.get(5), Some(3), "parallel={parallel}");
-            assert_eq!(r.get(k_hi), Some(4), "parallel={parallel}");
-        }
+        let mut r = router(4);
+        let mut batch = UpdateBatch::new();
+        let k_hi = (1 << 63) + 7;
+        batch
+            .put(5, 1)
+            .put(k_hi, 2)
+            .delete(5)
+            .put(5, 3)
+            .put(k_hi, 4);
+        r.apply(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(r.get(5), Some(3));
+        assert_eq!(r.get(k_hi), Some(4));
     }
 
     #[test]
     fn sorted_runs_split_at_splitter_boundaries() {
-        for parallel in [false, true] {
-            let mut r = router(4, parallel);
-            let run: Vec<(u64, u64)> = (0..64u64).map(|i| (i << 58, i)).collect();
-            r.insert_batch(&run);
-            assert_eq!(r.range(0, u64::MAX), run, "parallel={parallel}");
-            assert_eq!(r.physical_len(), 64);
-        }
+        let mut r = router(4);
+        let run: Vec<(u64, u64)> = (0..64u64).map(|i| (i << 58, i)).collect();
+        r.insert_batch(&run);
+        assert_eq!(r.range(0, u64::MAX), run);
+        assert_eq!(r.physical_len(), 64);
     }
 
     #[test]
     fn large_batches_take_the_threaded_path() {
-        // Above PARALLEL_MIN_OPS the scoped workers actually spawn; the
-        // result must be indistinguishable from the sequential path.
-        let mut par = router(4, true);
-        let mut seq = router(4, false);
+        // From PARALLEL_MIN_OPS on, a batch that reaches several shards
+        // spawns the scoped workers (on a machine with more than one
+        // core); the result must be indistinguishable from one shard fed
+        // the same batches.
+        let mut par = router(4);
+        let mut one = router(1);
         let mut batch_par = UpdateBatch::new();
-        let mut batch_seq = UpdateBatch::new();
+        let mut batch_one = UpdateBatch::new();
         for i in 0..2 * PARALLEL_MIN_OPS as u64 {
             let k = i.wrapping_mul(0x9E3779B97F4A7C15);
             batch_par.put(k, i);
-            batch_seq.put(k, i);
+            batch_one.put(k, i);
         }
         par.apply(&mut batch_par);
-        seq.apply(&mut batch_seq);
-        assert_eq!(par.range(0, u64::MAX), seq.range(0, u64::MAX));
+        one.apply(&mut batch_one);
+        assert_eq!(par.range(0, u64::MAX), one.range(0, u64::MAX));
 
         let mut run: Vec<(u64, u64)> = (0..2 * PARALLEL_MIN_OPS as u64)
             .map(|i| (i.wrapping_mul(0x2545F4914F6CDD1D), i))
             .collect();
         run.sort_unstable_by_key(|&(k, _)| k);
         par.insert_batch(&run);
-        seq.insert_batch(&run);
-        assert_eq!(par.range(0, u64::MAX), seq.range(0, u64::MAX));
+        one.insert_batch(&run);
+        assert_eq!(par.range(0, u64::MAX), one.range(0, u64::MAX));
+    }
+
+    #[test]
+    fn one_shard_router_is_its_shard() {
+        let shards: Vec<Shard> = vec![Box::new(GCola::basic(PlainMem::new()))];
+        let r = ShardRouter::new(shards, Vec::new());
+        assert_eq!(r.name(), GCola::basic(PlainMem::new()).name());
+        assert_eq!(router(4).name(), "sharded");
+    }
+
+    #[test]
+    fn cursor_inside_one_shard_walks_it_both_ways() {
+        // Shard 1 of four owns [1 << 62, 1 << 63); its neighbours hold
+        // keys just outside the window, which the cursor must not reach.
+        let mut r = router(4);
+        let lo = 1u64 << 62;
+        let inside: Vec<(u64, u64)> = (0..40u64).map(|i| (lo + 3 * i, i)).collect();
+        r.insert_batch(&inside);
+        r.insert_batch(&[(lo - 1, 7), (1 << 63, 8)]);
+        r.delete(lo + 30);
+        let want: Vec<(u64, u64)> = inside.into_iter().filter(|&(k, _)| k != lo + 30).collect();
+        let hi = (1u64 << 63) - 1;
+        let mut c = r.cursor(lo, hi);
+        let fwd: Vec<(u64, u64)> = std::iter::from_fn(|| c.next()).collect();
+        assert_eq!(fwd, want, "forward");
+        let mut bwd: Vec<(u64, u64)> = std::iter::from_fn(|| c.prev()).collect();
+        bwd.reverse();
+        assert_eq!(bwd, want, "backward from the end");
+        c.seek(lo + 31);
+        assert_eq!(c.next(), Some((lo + 33, 11)), "seek past the deleted key");
+        assert_eq!(c.prev(), Some((lo + 33, 11)), "next then prev revisits");
+        assert_eq!(c.prev(), Some((lo + 27, 9)), "and steps over the tombstone");
+        drop(c);
+        assert_eq!(r.range(lo, hi), want);
     }
 
     #[test]
@@ -389,7 +434,7 @@ mod tests {
             Box::new(GCola::basic(PlainMem::new())),
             Box::new(GCola::new_plain(2)),
         ];
-        let mut r = ShardRouter::new(shards, vec![100], false);
+        let mut r = ShardRouter::new(shards, vec![100]);
         r.insert_batch(&[(1, 10), (99, 20), (100, 30), (5000, 40)]);
         assert_eq!(
             r.range(0, u64::MAX),
@@ -408,6 +453,6 @@ mod tests {
         let shards: Vec<Shard> = (0..3)
             .map(|_| Box::new(GCola::new_plain(4)) as Shard)
             .collect();
-        ShardRouter::new(shards, vec![10, 10], false);
+        ShardRouter::new(shards, vec![10, 10]);
     }
 }

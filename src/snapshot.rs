@@ -29,7 +29,7 @@
 use cosbt_testkit::sync::Arc;
 
 use cosbt_core::epoch::{merge_runs, Run};
-use cosbt_core::{BatchOp, Cursor, CursorOps, EpochManager, PinnedEpoch};
+use cosbt_core::{BatchOp, CursorOps, EpochManager, PinnedEpoch};
 
 /// Compact when an epoch's run stack exceeds this many runs. Small
 /// enough to keep point reads cheap (one filter block per run, a binary
@@ -46,9 +46,6 @@ pub(crate) struct MvccState {
     pending: Vec<BatchOp>,
     /// Whether the overlay has been seeded and is mirroring writes.
     active: bool,
-    /// Set when `dict_mut` hands out raw access the mirror cannot see;
-    /// forces a reseed (full rescan) at the next snapshot.
-    stale: bool,
 }
 
 impl MvccState {
@@ -57,7 +54,6 @@ impl MvccState {
             mgr: EpochManager::new(),
             pending: Vec::new(),
             active: false,
-            stale: false,
         }
     }
 
@@ -86,25 +82,15 @@ impl MvccState {
         }
     }
 
-    /// Marks the mirror unreliable (raw dictionary access escaped).
-    pub(crate) fn invalidate(&mut self) {
-        if self.active {
-            self.stale = true;
-            self.pending.clear();
-        }
-    }
-
-    /// Whether the next snapshot must reseed with a full scan.
+    /// Whether the next snapshot must seed the overlay with a full scan.
     pub(crate) fn needs_seed(&self) -> bool {
-        !self.active || self.stale
+        !self.active
     }
 
     /// Publishes `base` (the full logical contents) as a fresh
     /// single-run epoch and arms the mirror.
     pub(crate) fn seed(&mut self, base: Vec<(u64, u64)>, store_epochs: Arc<[u64]>) {
-        self.pending.clear();
         self.active = true;
-        self.stale = false;
         let run = Run::from_sorted(base.into_iter().map(|(k, v)| (k, Some(v))).collect());
         self.mgr.publish_with(|_| (vec![run], store_epochs));
     }
@@ -224,12 +210,6 @@ impl DbSnapshot {
     /// handle it came from.
     pub fn cursor(&self, lo: u64, hi: u64) -> SnapshotCursor {
         SnapshotCursor::new(self.pinned.clone(), lo, hi)
-    }
-
-    /// Like [`DbSnapshot::cursor`], boxed into the facade's generic
-    /// [`Cursor`] type.
-    pub fn cursor_dyn(&self, lo: u64, hi: u64) -> Cursor<'static> {
-        Cursor::new(self.cursor(lo, hi))
     }
 }
 
@@ -524,19 +504,6 @@ mod tests {
         );
         let expect: Vec<(u64, u64)> = (0..40).map(|k| (k, k)).collect();
         assert_eq!(snap.range(0, 999), expect);
-    }
-
-    #[test]
-    fn dict_mut_invalidates_and_reseeds() {
-        let mut db = DbBuilder::new().build().unwrap();
-        db.insert(1, 10);
-        let s1 = db.snapshot();
-        // Raw access the mirror cannot see.
-        db.dict_mut().insert(2, 20);
-        let s2 = db.snapshot();
-        assert_eq!(s1.get(2), None);
-        assert_eq!(s2.get(2), Some(20), "reseed picked up the raw write");
-        assert_eq!(s2.get(1), Some(10));
     }
 
     #[test]

@@ -16,22 +16,18 @@ use cosbt::{Backend, Db, DbBuilder, Structure};
 
 /// The COLA cells of the matrix — the structures whose read path the
 /// cascade machinery accelerates.
-fn cola_cells() -> Vec<(Structure, bool)> {
+fn cola_cells() -> Vec<Structure> {
     vec![
-        (Structure::BasicCola, false),
-        (Structure::BasicCola, true),
-        (Structure::GCola { g: 2 }, false),
-        (Structure::GCola { g: 2 }, true),
-        (Structure::GCola { g: 4 }, false),
-        (Structure::GCola { g: 8 }, false),
+        Structure::BasicCola,
+        Structure::DeamortizedCola,
+        Structure::GCola { g: 2 },
+        Structure::GCola { g: 4 },
+        Structure::GCola { g: 8 },
     ]
 }
 
-fn builder(s: Structure, deamortized: bool, shards: usize, file: Option<PathBuf>) -> DbBuilder {
+fn builder(s: Structure, shards: usize, file: Option<PathBuf>) -> DbBuilder {
     let mut b = DbBuilder::new().structure(s).shards(shards);
-    if deamortized {
-        b = b.deamortized();
-    }
     if let Some(p) = file {
         b = b.backend(Backend::file(p)).cache_bytes(256 * 1024);
     }
@@ -115,9 +111,9 @@ fn drive(db: &mut Db, seed: u64, ops: usize, label: &str) {
 
 #[test]
 fn mem_matrix_agrees_with_model() {
-    for (s, deamortized) in cola_cells() {
+    for s in cola_cells() {
         for shards in [1usize, 3] {
-            let mut db = builder(s, deamortized, shards, None).build().unwrap();
+            let mut db = builder(s, shards, None).build().unwrap();
             let label = db.label().to_string();
             drive(
                 &mut db,
@@ -131,10 +127,10 @@ fn mem_matrix_agrees_with_model() {
 
 #[test]
 fn file_matrix_agrees_with_model() {
-    for (i, (s, deamortized)) in cola_cells().into_iter().enumerate() {
+    for (i, s) in cola_cells().into_iter().enumerate() {
         for shards in [1usize, 3] {
             let path = tmp(&format!("{i}-{shards}"));
-            let mut db = builder(s, deamortized, shards, Some(path.to_path_buf()))
+            let mut db = builder(s, shards, Some(path.to_path_buf()))
                 .build()
                 .unwrap();
             db.discard_on_drop();
@@ -153,9 +149,9 @@ fn file_matrix_agrees_with_model() {
 /// committed cells and must serve the model's answers through them.
 #[test]
 fn reopened_db_agrees_with_model() {
-    for (i, (s, deamortized)) in cola_cells().into_iter().enumerate() {
+    for (i, s) in cola_cells().into_iter().enumerate() {
         let path = tmp(&format!("reopen-{i}"));
-        let mk = || builder(s, deamortized, 1, Some(path.to_path_buf()));
+        let mk = || builder(s, 1, Some(path.to_path_buf()));
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         {
             let mut db = mk().build().unwrap();

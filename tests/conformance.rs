@@ -195,11 +195,10 @@ conformance! {
     gcola2        => cosbt::cola::GCola::new_plain(2);
     gcola4        => cosbt::cola::GCola::new_plain(4);
     gcola8        => cosbt::cola::GCola::new_plain(8);
-    // The basic COLA's deamortized configuration: the `deamort` engine,
-    // reached through the facade's builder and shard layer.
+    // The deamortized COLA: the `deamort` engine, reached through the
+    // facade's builder and shard layer.
     deamort_basic => cosbt::DbBuilder::new()
-        .structure(cosbt::Structure::BasicCola)
-        .deamortized()
+        .structure(cosbt::Structure::DeamortizedCola)
         .build()
         .unwrap();
     deamort       => cosbt::cola::DeamortCola::new_plain();
@@ -228,16 +227,11 @@ fn matrix_unsharded_cells_conform() {
 }
 
 // Same matrix, range-partitioned: boundaries placed inside the battery's
-// key range (so every shard takes traffic and every window assertion
-// crosses shard boundaries), with parallel ingest on.
+// key range, so every shard takes traffic and every window assertion
+// crosses shard boundaries.
 #[test]
 fn matrix_sharded_cells_conform() {
     for b in cosbt::DbBuilder::matrix(&[4]) {
-        battery(
-            b.shard_splitters(vec![128, 256, 384])
-                .parallel_ingest(true)
-                .build()
-                .unwrap(),
-        );
+        battery(b.shard_splitters(vec![128, 256, 384]).build().unwrap());
     }
 }

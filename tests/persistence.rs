@@ -1,7 +1,7 @@
 //! Reopen round-trip property suite + typed open-error contract.
 //!
 //! For every file-backed cell of the `DbBuilder` matrix (including
-//! sharded and parallel-ingest configurations): ingest a seeded workload
+//! sharded configurations): ingest a seeded workload
 //! against a `BTreeMap` model, sync, drop the handle, reopen, and assert
 //! full conformance — point lookups (hits and misses), forward and
 //! backward cursors, continued writes, and a second sync/reopen cycle.
@@ -73,19 +73,18 @@ fn conform(db: &mut cosbt::Db, model: &BTreeMap<u64, u64>, rng: &mut Rng, label:
     }
 }
 
-/// Every file-backed matrix cell (sharded and parallel included)
-/// round-trips through sync → drop → open.
+/// Every file-backed matrix cell (sharded included) round-trips
+/// through sync → drop → open.
 #[test]
 fn reopen_round_trip_across_the_matrix() {
     let mut cells: Vec<DbBuilder> = DbBuilder::matrix(&[1, 3])
         .into_iter()
-        .filter(|b| !matches!(structure_of(b), Structure::Shuttle { .. }))
+        .filter(|b| !matches!(b.config().structure, Structure::Shuttle { .. }))
         .collect();
     cells.push(
         DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
-            .shards(4)
-            .parallel_ingest(true),
+            .shards(4),
     );
     for (i, cell) in cells.into_iter().enumerate() {
         let path = tmp(&format!("matrix{i}"));
@@ -147,21 +146,6 @@ fn open_or_create_semantics() {
     let mut db = builder.clone().open_or_create().unwrap();
     assert_eq!(db.get(1), Some(10), "open_or_create must not truncate");
     drop(db);
-}
-
-fn structure_of(b: &DbBuilder) -> Structure {
-    // The builder doesn't expose its structure; recover it from the
-    // label, which is stable API.
-    let l = b.label();
-    if l.contains("shuttle") {
-        Structure::Shuttle { c: 4 }
-    } else if l.contains("B-tree") {
-        Structure::BTree
-    } else if l.contains("BRT") {
-        Structure::Brt
-    } else {
-        Structure::BasicCola // COLA family: kept, not filtered
-    }
 }
 
 /// Helper: a valid synced single-file GCola store at `path`.
@@ -660,20 +644,16 @@ fn corrupt_cascade_fences_are_a_typed_open_error() {
 #[test]
 fn reopen_rebuilds_cascade_accelerators() {
     let cells = [
-        (Structure::BasicCola, false),
-        (Structure::BasicCola, true),
-        (Structure::GCola { g: 2 }, false),
-        (Structure::GCola { g: 2 }, true),
+        Structure::BasicCola,
+        Structure::DeamortizedCola,
+        Structure::GCola { g: 2 },
     ];
-    for (i, (s, deamortized)) in cells.into_iter().enumerate() {
+    for (i, s) in cells.into_iter().enumerate() {
         let path = tmp(&format!("cascade{i}"));
-        let mut builder = DbBuilder::new()
+        let builder = DbBuilder::new()
             .structure(s)
             .backend(Backend::file(path.to_path_buf()))
             .cache_bytes(256 * 1024);
-        if deamortized {
-            builder = builder.deamortized();
-        }
         let label = builder.label();
         let mut db = builder.clone().build().unwrap();
         for k in 0..3_000u64 {
@@ -720,10 +700,10 @@ fn committed_meta(path: &Path) -> Vec<u8> {
     FileMem::<Cell, DirectFile>::open_on(dev, 4, 32).unwrap().1
 }
 
-/// A store in a retired format opens under exactly the configurations
+/// A store in a retired format opens under exactly the configuration
 /// whose engine it is rebuilt into: the basic COLA's own format under
-/// `BasicCola`, the three-array format under either deamortized
-/// configuration. Every other COLA configuration refuses it with
+/// `BasicCola`, the three-array format under `DeamortizedCola`. Every
+/// other COLA configuration refuses it with
 /// `StructureMismatch` and leaves the file as it was. An accepted open
 /// answers as the store did and commits nothing until a `sync`: a
 /// read-only session leaves the retired meta committed, and a session
@@ -737,7 +717,7 @@ fn retired_formats_open_under_their_heirs_only() {
         .filter(|b| {
             matches!(
                 b.config().structure,
-                Structure::BasicCola | Structure::GCola { .. }
+                Structure::BasicCola | Structure::GCola { .. } | Structure::DeamortizedCola
             )
         })
         .collect();
@@ -766,10 +746,10 @@ fn retired_formats_open_under_their_heirs_only() {
                 .backend(Backend::file(path.to_path_buf()))
                 .cache_bytes(64 * 1024);
             let label = format!("{name} store under {}", builder.label());
-            let cfg = builder.config();
-            let heir = match (cfg.structure, cfg.deamortized) {
-                (Structure::BasicCola, false) => name == "basic",
-                (_, deamortized) => deamortized && name == "three-array",
+            let heir = match builder.config().structure {
+                Structure::BasicCola => name == "basic",
+                Structure::DeamortizedCola => name == "three-array",
+                _ => false,
             };
             let mut db = match builder.clone().open() {
                 Ok(db) if heir => db,
@@ -809,8 +789,60 @@ fn retired_formats_open_under_their_heirs_only() {
         }
         let want: &[&str] = match name {
             "basic" => &["basic-COLA"],
-            _ => &["deamortized-basic-COLA", "deamortized-2-COLA"],
+            _ => &["deamortized-COLA"],
         };
         assert_eq!(opened, want, "{name} store");
     }
+}
+
+/// A sharded store built when the deamortized COLA was the 2-COLA's
+/// modifier records `(TAG_DEAMORT, 2)` in its manifest, and its shards
+/// hold the deamortized COLA's current meta. It opens under
+/// `DeamortizedCola` and answers as written; a `BasicCola` open refuses
+/// it with `StructureMismatch` and leaves every file as it was.
+#[test]
+fn retired_deamortized_manifest_opens_as_the_deamortized_cola() {
+    use cosbt::cola::persist::{TAG_DEAMORT, TAG_DEAMORT_BASIC};
+
+    let base = tmp("retired-manifest");
+    let builder = DbBuilder::new()
+        .structure(Structure::DeamortizedCola)
+        .backend(Backend::file(base.to_path_buf()))
+        .cache_bytes(256 * 1024)
+        .shards(3);
+    let mut db = builder.clone().build().unwrap();
+    let (mut rng, mut model) = (Rng::new(0xDEA), BTreeMap::new());
+    ingest(&mut db, &mut model, &mut rng, 600);
+    db.sync().unwrap();
+    drop(db);
+
+    // Rewrite the manifest's identity: magic (8 bytes), version and
+    // shard count (4 each), then the tag byte and the u64 parameter,
+    // and the FNV-1a of all before it as the trailing u64.
+    let files = builder.data_paths();
+    let manifest = files
+        .iter()
+        .find(|p| p.to_string_lossy().ends_with(".manifest"))
+        .unwrap();
+    let mut bytes = std::fs::read(manifest).unwrap();
+    assert_eq!(bytes[16], TAG_DEAMORT_BASIC, "the identity it writes");
+    bytes[16] = TAG_DEAMORT;
+    bytes[17..25].copy_from_slice(&2u64.to_le_bytes());
+    let body = bytes.len() - 8;
+    let sum = legacy_fixtures::fnv1a(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(manifest, &bytes).unwrap();
+
+    let before: Vec<Vec<u8>> = files.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    let err = builder
+        .clone()
+        .structure(Structure::BasicCola)
+        .open()
+        .unwrap_err();
+    assert!(matches!(&err, OpenError::StructureMismatch { .. }), "{err}");
+    let after: Vec<Vec<u8>> = files.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    assert!(after == before, "a refused open wrote a file");
+
+    let mut db = builder.open().unwrap();
+    conform(&mut db, &model, &mut rng, "retired deamortized manifest");
 }

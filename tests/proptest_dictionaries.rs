@@ -152,10 +152,9 @@ dict_props!(gcola_dense_pointers_matches_model, 64, {
     GCola::new(PlainMem::new(), 2, 0.5)
 });
 dict_props!(deamort_basic_matches_model, 64, {
-    // The basic COLA's deamortized configuration, through the facade.
+    // The deamortized COLA through the facade's builder and router.
     cosbt::DbBuilder::new()
-        .structure(cosbt::Structure::BasicCola)
-        .deamortized()
+        .structure(cosbt::Structure::DeamortizedCola)
         .build()
         .unwrap()
 });

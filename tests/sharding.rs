@@ -3,10 +3,14 @@
 //! point ops, batches, and above all cursors (forward, backward, and
 //! after a `seek` across a shard boundary). The unsharded structure *is*
 //! the model here; the `BTreeMap`-backed batteries already pin its
-//! behaviour.
+//! behaviour. A batch applied on worker threads must leave every shard's
+//! store exactly as the sequential path does.
 
-use cosbt::testkit::{check_cases, Rng};
-use cosbt::{Db, DbBuilder, Structure, UpdateBatch};
+use std::path::PathBuf;
+
+use cosbt::shard::PARALLEL_MIN_OPS;
+use cosbt::testkit::{check_cases, Rng, TempPath};
+use cosbt::{Backend, Db, DbBuilder, Structure, UpdateBatch};
 
 const SPLITTERS: [u64; 3] = [64, 160, 320];
 const KEY_SPACE: u64 = 512;
@@ -21,12 +25,11 @@ fn structures() -> Vec<(&'static str, Structure)> {
     ]
 }
 
-fn sharded(s: Structure, parallel: bool) -> Db {
+fn sharded(s: Structure) -> Db {
     DbBuilder::new()
         .structure(s)
         .shards(SPLITTERS.len() + 1)
         .shard_splitters(SPLITTERS.to_vec())
-        .parallel_ingest(parallel)
         .build()
         .unwrap()
 }
@@ -132,7 +135,7 @@ fn assert_cursors_agree(name: &str, sharded: &mut Db, plain: &mut Db, lo: u64, h
 fn sharded_matches_unsharded_under_random_traffic() {
     for (name, s) in structures() {
         check_cases(&format!("sharded_{name}"), 24, |rng: &mut Rng| {
-            let mut sh = sharded(s, false);
+            let mut sh = sharded(s);
             let mut plain = unsharded(s);
             let n = 1 + rng.index(199);
             drive_pair(rng, &mut sh, &mut plain, n);
@@ -149,20 +152,25 @@ fn sharded_matches_unsharded_under_random_traffic() {
 
 #[test]
 fn parallel_ingest_is_deterministic() {
+    let route = |k: u64| SPLITTERS.partition_point(|&s| s <= k);
     for (name, s) in structures() {
         check_cases(&format!("parallel_{name}"), 12, |rng: &mut Rng| {
-            let mut par = sharded(s, true);
-            let mut seq = sharded(s, false);
+            let mut par = sharded(s);
+            let mut seq = sharded(s);
             let n = 1 + rng.index(149);
             drive_pair(rng, &mut par, &mut seq, n);
             // One batch big enough to cross the parallel threshold, so
-            // the scoped workers actually spawn.
-            let mut run: Vec<(u64, u64)> = (0..2048)
+            // the scoped workers spawn on a machine with several cores;
+            // the other store takes it one shard's piece at a time, which
+            // always runs on the calling thread.
+            let mut run: Vec<(u64, u64)> = (0..2 * PARALLEL_MIN_OPS)
                 .map(|_| (rng.below(KEY_SPACE), rng.next_u64()))
                 .collect();
             run.sort_unstable_by_key(|&(k, _)| k);
             par.insert_batch(&run);
-            seq.insert_batch(&run);
+            for piece in run.chunk_by(|a, b| route(a.0) == route(b.0)) {
+                seq.insert_batch(piece);
+            }
             assert_eq!(
                 par.range(0, u64::MAX),
                 seq.range(0, u64::MAX),
@@ -177,7 +185,7 @@ fn boundary_keys_route_consistently() {
     // Keys on and adjacent to every splitter: the most likely off-by-one
     // sites in routing and sub-batch splitting.
     for (name, s) in structures() {
-        let mut sh = sharded(s, true);
+        let mut sh = sharded(s);
         let mut plain = unsharded(s);
         let mut keys = Vec::new();
         for sp in SPLITTERS {
@@ -210,7 +218,6 @@ fn even_splitters_cover_the_full_keyspace() {
         let mut sh = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })
             .shards(4)
-            .parallel_ingest(true)
             .build()
             .unwrap();
         let mut plain = unsharded(Structure::GCola { g: 4 });
@@ -234,7 +241,7 @@ fn even_splitters_cover_the_full_keyspace() {
 fn apply_preserves_arrival_order_per_key_across_shards() {
     // Intra-batch last-wins must survive the split into sub-batches, for
     // keys in every shard and on the boundaries.
-    let mut sh = sharded(Structure::GCola { g: 4 }, true);
+    let mut sh = sharded(Structure::GCola { g: 4 });
     let mut batch = UpdateBatch::new();
     for sp in SPLITTERS {
         batch.put(sp, 1).delete(sp).put(sp, 2); // last wins: 2
@@ -248,4 +255,90 @@ fn apply_preserves_arrival_order_per_key_across_shards() {
         assert_eq!(sh.get(sp - 1), Some(8), "below-boundary key {}", sp - 1);
     }
     assert_eq!(sh.get(400), None);
+}
+
+/// Shard boundaries of the file-backed stores below: four even quarters
+/// of `[0, 2^20)`.
+const QUARTERS: [u64; 3] = [1 << 18, 2 << 18, 3 << 18];
+
+/// A 4-shard file-backed 4-COLA at a fresh path named `name`.
+fn file_builder(name: &str) -> (TempPath, DbBuilder) {
+    let base = TempPath::new(name);
+    let builder = DbBuilder::new()
+        .structure(Structure::GCola { g: 4 })
+        .backend(Backend::file(base.to_path_buf()))
+        .cache_bytes(4 * 64 * 1024)
+        .shards(QUARTERS.len() + 1)
+        .shard_splitters(QUARTERS.to_vec());
+    (base, builder)
+}
+
+/// The structure meta committed in each shard file of `builder`'s store.
+fn committed_shard_metas(builder: &DbBuilder) -> Vec<Vec<u8>> {
+    use cosbt::cola::entry::Cell;
+    use cosbt::dam::{DirectFile, FileMem};
+
+    let shard_files = builder.data_paths().into_iter().take(QUARTERS.len() + 1);
+    let open = |p: PathBuf| DirectFile::open(&p, false).unwrap();
+    let meta = |p| {
+        FileMem::<Cell, DirectFile>::open_on(open(p), 4, 32)
+            .unwrap()
+            .1
+    };
+    shard_files.map(meta).collect()
+}
+
+/// One stream fed to two 4-shard file-backed stores: to the first as
+/// `apply` and `insert_batch` batches of more than `PARALLEL_MIN_OPS`
+/// operations that reach every shard (threaded on a machine with more
+/// than one core), to the second as each batch's per-shard pieces, each
+/// below the threshold and reaching one shard (sequential). Every shard
+/// applies the same sub-batches in the same order either way, so both
+/// end with the same contents, the same summed `IoStats`, and the same
+/// meta committed in every shard.
+#[test]
+fn threaded_and_sequential_batches_leave_identical_stores() {
+    let route = |k: u64| QUARTERS.partition_point(|&s| s <= k);
+    let ((_t, threaded_at), (_s, sequential_at)) = (file_builder("t"), file_builder("s"));
+    let mut threaded = threaded_at.clone().build().unwrap();
+    let mut sequential = sequential_at.clone().build().unwrap();
+    let mut rng = Rng::new(0x5EED);
+    let n = PARALLEL_MIN_OPS + PARALLEL_MIN_OPS / 2;
+    for _ in 0..4 {
+        let mut batch = UpdateBatch::new();
+        let mut pieces: Vec<UpdateBatch> = (0..4).map(|_| UpdateBatch::new()).collect();
+        for _ in 0..n {
+            let (k, v) = (rng.below(1 << 20), rng.next_u64());
+            if rng.chance(1, 5) {
+                batch.delete(k);
+                pieces[route(k)].delete(k);
+            } else {
+                batch.put(k, v);
+                pieces[route(k)].put(k, v);
+            }
+        }
+        threaded.apply(&mut batch);
+        for piece in &mut pieces {
+            assert!(!piece.is_empty() && piece.len() < PARALLEL_MIN_OPS);
+            sequential.apply(piece);
+        }
+        let mut run: Vec<(u64, u64)> = (0..n)
+            .map(|_| (rng.below(1 << 20), rng.next_u64()))
+            .collect();
+        run.sort_unstable_by_key(|&(k, _)| k);
+        threaded.insert_batch(&run);
+        for piece in run.chunk_by(|a, b| route(a.0) == route(b.0)) {
+            assert!(piece.len() < PARALLEL_MIN_OPS);
+            sequential.insert_batch(piece);
+        }
+    }
+    assert_eq!(threaded.range(0, u64::MAX), sequential.range(0, u64::MAX));
+    assert_eq!(threaded.io().snapshot(), sequential.io().snapshot());
+    threaded.sync().unwrap();
+    sequential.sync().unwrap();
+    drop((threaded, sequential));
+    assert_eq!(
+        committed_shard_metas(&threaded_at),
+        committed_shard_metas(&sequential_at)
+    );
 }

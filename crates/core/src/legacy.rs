@@ -2,19 +2,22 @@
 //! checks — and the one path that opens them: a directory parser per
 //! format, and [`live_entries`], which reads the runs it names into the
 //! live entries a fresh engine bulk-loads ([`crate::GCola::bulk_load`],
-//! [`crate::DeamortCola::bulk_load`]). A sharded store also names its
-//! structure in a manifest; [`manifest_heir`] maps the one retired
-//! manifest identity. DESIGN.md, "Decided: one migration path for retired
-//! formats", has the format table and the trade.
+//! [`crate::DeamortCola::bulk_load`]). A sharded store built before its
+//! shard 0 carried the database's [`Root`] kept that root in two side
+//! files; [`sidecar_root`] reads them. DESIGN.md, "Decided: one migration
+//! path for retired formats", has the format table and the trade.
 
 use std::cmp::Reverse;
 
+use cosbt_dam::format::fnv1a;
 use cosbt_dam::Mem;
 
 use crate::cursor::RunMergeCursor;
 use crate::dict::CursorOps;
 use crate::entry::Cell;
-use crate::persist::{peek_tag, spans, MetaError, MetaReader, TAG_BASIC_COLA, TAG_DEAMORT};
+use crate::persist::{
+    peek_tag, spans, MetaError, MetaReader, Root, TAG_BASIC_COLA, TAG_DEAMORT, TAG_DEAMORT_BASIC,
+};
 use crate::run::Run;
 use crate::runbuf::RunBuf;
 
@@ -42,13 +45,58 @@ pub fn heir(tag: u8) -> Option<Heir> {
     }
 }
 
-/// The engine a sharded store whose manifest records the structure
-/// identity `(tag, param)` is opened as, or `None` if that identity is
-/// not a retired one. Only `(TAG_DEAMORT, 2)` is: stores built as the
-/// deamortized 2-COLA recorded it, and the deamortized COLA now records
-/// its own meta tag. Its shards hold current meta.
-pub fn manifest_heir(tag: u8, param: u64) -> Option<Heir> {
-    ((tag, param) == (TAG_DEAMORT, 2)).then_some(Heir::DeamortCola)
+/// The root of a sharded store built before shard 0 carried one, and
+/// shard 0's committed epoch, from the two side files it kept; `Err((i,
+/// why))` if side file `i` (in argument order) is corrupt. Each is a
+/// magic, its fields and the FNV-1a of both. `manifest` (`<base>.manifest`,
+/// written once) holds its version, the shard count, the structure
+/// identity and the splitters; `commit` (`<base>.commit`, renamed into
+/// place once every shard had committed) every shard's epoch. The retired
+/// identity `(TAG_DEAMORT, 2)` (the deamortized 2-COLA) becomes the
+/// deamortized COLA's.
+pub fn sidecar_root(manifest: &[u8], commit: &[u8]) -> Result<(Root, u64), (usize, String)> {
+    let fields = |r: &mut MetaReader| Ok(((r.u32()?, r.u32()?, r.u8()?, r.u64()?), list(r)?));
+    let ((version, shards, tag, param), splitters) =
+        unseal(manifest, b"COSBTMAN", fields).map_err(|why| (0, format!("manifest: {why}")))?;
+    if version != 1 || splitters.len() + 1 != shards as usize {
+        return Err((0, format!("manifest v{version} of {shards} shards")));
+    }
+    let epochs = unseal(commit, b"COSBTCPT", list).map_err(|why| (1, format!("commit: {why}")))?;
+    if epochs.len() != shards as usize {
+        return Err((1, format!("commit record of {} shards", epochs.len())));
+    }
+    let structure = match (tag, param) {
+        (TAG_DEAMORT, 2) => (TAG_DEAMORT_BASIC, 0),
+        identity => identity,
+    };
+    let root = Root {
+        structure,
+        splitters,
+        epochs: epochs[1..].to_vec(),
+    };
+    Ok((root, epochs[0]))
+}
+
+/// What `fields` reads from `buf` after `magic`, once the magic and the
+/// trailing FNV-1a of both check out; no byte may be left over.
+fn unseal<T>(
+    buf: &[u8],
+    magic: &[u8; 8],
+    fields: impl FnOnce(&mut MetaReader) -> Result<T, MetaError>,
+) -> Result<T, String> {
+    let body = buf.strip_prefix(magic).ok_or("bad magic")?;
+    let (body, sum) = body.split_last_chunk().ok_or("truncated")?;
+    if u64::from_le_bytes(*sum) != fnv1a(&buf[..buf.len() - 8]) {
+        return Err("checksum mismatch".into());
+    }
+    let mut r = MetaReader::untagged(body);
+    let out = fields(&mut r).and_then(|out| r.finish().map(|()| out));
+    out.map_err(|e| e.to_string())
+}
+
+/// A `u32` count, then that many `u64`s.
+fn list(r: &mut MetaReader) -> Result<Vec<u64>, MetaError> {
+    (0..r.u32()?).map(|_| r.u64()).collect()
 }
 
 /// A run slot of a retired directory: its first slot, its length and, if

@@ -63,6 +63,9 @@ pub const TAG_BTREE: u8 = 5;
 pub const TAG_BRT: u8 = 6;
 /// Structure tag of the shuttle tree (memory-only; never restored).
 pub const TAG_SHUTTLE: u8 = 7;
+/// Tag of a database [`Root`], which rides ahead of shard 0's own
+/// structure meta in shard 0's commit slot.
+pub const TAG_ROOT: u8 = 8;
 
 /// Human-readable name of a structure tag, for error messages.
 pub fn tag_name(tag: u8) -> &'static str {
@@ -74,6 +77,7 @@ pub fn tag_name(tag: u8) -> &'static str {
         TAG_BTREE => "B-tree",
         TAG_BRT => "BRT",
         TAG_SHUTTLE => "shuttle",
+        TAG_ROOT => "root",
         _ => "unknown",
     }
 }
@@ -314,6 +318,61 @@ pub(crate) fn spans<M: Mem<Cell>>(mem: &M, count: usize, need: usize) -> Result<
 /// builder asked for Y" errors before attempting reconstruction.
 pub fn peek_tag(buf: &[u8]) -> Option<u8> {
     buf.first().copied()
+}
+
+/// A database's identity, committed ahead of shard 0's structure meta
+/// in shard 0's slot, whose write is the database's one commit point; the
+/// slot framing checksums it with the rest.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Root {
+    /// The structure identity the database was built as: `(tag, growth
+    /// factor or fanout)`, 0 if the structure has neither.
+    pub structure: (u8, u64),
+    /// The shard boundaries.
+    pub splitters: Vec<u64>,
+    /// The committed epoch of each shard past shard 0.
+    pub epochs: Vec<u64>,
+}
+
+impl Root {
+    /// The number of shards.
+    pub fn shards(&self) -> usize {
+        self.splitters.len() + 1
+    }
+
+    /// The root, then `shard0`, shard 0's structure meta.
+    pub fn encode(&self, shard0: &[u8]) -> Vec<u8> {
+        let mut w = MetaWriter::new(TAG_ROOT, 1);
+        let (tag, param) = self.structure;
+        w.u8(tag).u64(param).u32(self.shards() as u32);
+        for &v in self.splitters.iter().chain(&self.epochs) {
+            w.u64(v);
+        }
+        [w.finish(), shard0.to_vec()].concat()
+    }
+
+    /// What shard 0 committed, split into the root and shard 0's
+    /// structure meta; `None` if `meta` is bare structure meta.
+    pub fn split(meta: &[u8]) -> Result<Option<(Root, &[u8])>, MetaError> {
+        if peek_tag(meta) != Some(TAG_ROOT) {
+            return Ok(None);
+        }
+        let mut r = MetaReader::new(meta, TAG_ROOT, 1)?;
+        let structure = (r.u8()?, r.u64()?);
+        // A root of 0 shards asks for 2^32 − 1 of each: a truncation.
+        let others = r.u32()?.wrapping_sub(1);
+        let mut list = || (0..others).map(|_| r.u64()).collect::<Result<Vec<_>, _>>();
+        let (splitters, epochs) = (list()?, list()?);
+        if !splitters.is_sorted_by(|a, b| a < b) {
+            return Err(MetaError::Invalid("root splitters not increasing".into()));
+        }
+        let root = Root {
+            structure,
+            splitters,
+            epochs,
+        };
+        Ok(Some((root, &meta[r.pos..])))
+    }
 }
 
 #[cfg(test)]

@@ -225,7 +225,7 @@ impl<D: RawDev> FilePages<D> {
     /// epoch **not exceeding `max_epoch`** (when given). The double
     /// buffering keeps the previous epoch intact until the next commit,
     /// so a coordinator that recorded an epoch vector (the sharded
-    /// database's cross-shard commit record) can roll every member store
+    /// database's root, in shard 0's commit) can roll every member store
     /// back to its recorded epoch after a crash mid-multi-store-commit.
     pub fn open_bounded(
         mut dev: D,
@@ -379,6 +379,12 @@ impl<D: RawDev> FilePages<D> {
     /// The last committed metadata epoch (0 = never committed).
     pub fn epoch(&self) -> u64 {
         self.epoch
+    }
+
+    /// Capacity of each metadata commit slot in bytes, as the superblock
+    /// records it.
+    pub fn slot_bytes(&self) -> usize {
+        self.sb.slot_bytes as usize
     }
 
     /// Physical slots allocated so far (≥ logical pages; the surplus is

@@ -258,7 +258,7 @@ pub fn decode_slot(buf: &[u8]) -> Option<(u64, Vec<u8>)> {
 }
 
 /// Shared naming convention for auxiliary files next to a store at
-/// `base` (e.g. the shard manifest). Kept here so every layer derives
+/// `base` (e.g. a shard file). Kept here so every layer derives
 /// the same names.
 pub fn sibling_path(base: &std::path::Path, suffix: &str) -> PathBuf {
     let mut os = base.as_os_str().to_os_string();

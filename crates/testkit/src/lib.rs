@@ -197,7 +197,7 @@ pub fn check_cases(name: &str, cases: u64, mut case: impl FnMut(&mut Rng)) {
 /// `<tmp>/cosbt-<pid>-<counter>-<nanos>/<name>`: the directory is
 /// created, nothing is created at the path itself, and the drop removes
 /// the directory — so the files a store derives from its base path
-/// (`<name>.shard0`, `<name>.manifest`) go with it. It derefs to
+/// (`<name>.shard0`, `<name>.shard1`, …) go with it. It derefs to
 /// [`Path`](std::path::Path), so `&tmp` goes wherever `&Path` does.
 #[derive(Debug)]
 pub struct TempPath {

@@ -32,16 +32,13 @@ use cosbt_btree::BTree;
 use cosbt_core::entry::Cell;
 use cosbt_core::legacy::{self, Heir};
 use cosbt_core::persist::{
-    peek_tag, tag_name, TAG_BASIC_COLA, TAG_BRT, TAG_BTREE, TAG_DEAMORT_BASIC, TAG_GCOLA,
+    peek_tag, tag_name, Root, TAG_BASIC_COLA, TAG_BRT, TAG_BTREE, TAG_DEAMORT_BASIC, TAG_GCOLA,
 };
-use cosbt_core::{
-    Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, MetaReader, MetaWriter,
-    UpdateBatch,
-};
-use cosbt_dam::format::{fnv1a, sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
+use cosbt_core::{Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, UpdateBatch};
+use cosbt_dam::format::{sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
     ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, Mem, PageStore as _,
-    PlainMem, SharedStore, DEFAULT_PAGE_SIZE,
+    PlainMem, SharedStore, Store, DEFAULT_PAGE_SIZE,
 };
 use cosbt_shuttle::ShuttleTree;
 
@@ -54,8 +51,8 @@ pub enum Structure {
     /// Section 3's basic COLA: the g-COLA at growth factor 2 with no
     /// lookahead pointers ([`GCola::basic`]), so its levels are the
     /// paper's `2^k`-slot arrays and the pointer density is ignored. It
-    /// keeps its own identity in a shard manifest, and a store in the
-    /// basic COLA's retired format opens under it ([`legacy`]).
+    /// keeps its own structure identity in a database's root, and a store
+    /// in the basic COLA's retired format opens under it ([`legacy`]).
     BasicCola,
     /// Section 4's lookahead array with growth factor `g` (the paper's
     /// experimental structure; `g = 2` is the COLA of Lemma 20).
@@ -88,7 +85,9 @@ pub enum Backend {
     /// (see [`DbBuilder::cache_bytes`]); the out-of-core regime of the
     /// paper's experiments. The file is created (truncated) at build.
     /// With [`DbBuilder::shards`] > 1, shard `i` stores its partition in
-    /// `<path>.shard<i>` and the cache budget is divided evenly.
+    /// `<path>.shard<i>` and the cache budget is divided evenly. Those
+    /// files are the whole store: shard 0's commit carries the database's
+    /// root (see [`Db::sync`]), and no other file is written.
     ///
     /// Construct with [`Backend::file`] / [`Backend::file_direct`].
     File {
@@ -223,9 +222,10 @@ impl From<std::io::Error> for BuildError {
 /// byte-identical.
 #[derive(Debug)]
 pub enum OpenError {
-    /// A required file (data file, shard file, or shard manifest) does
-    /// not exist. [`DbBuilder::open_or_create`] falls back to creation on
-    /// this variant and only this variant.
+    /// A required file (the data file, a shard file, or the shard
+    /// manifest of a sharded store written before roots) does not exist.
+    /// [`DbBuilder::open_or_create`] falls back to creation on this
+    /// variant and only this variant.
     Missing(PathBuf),
     /// The storage layer rejected the file: wrong magic, unsupported
     /// on-disk format version, payload-kind mismatch, checksum failure,
@@ -256,26 +256,28 @@ pub enum OpenError {
         /// Human label of what the builder asked for.
         expected: String,
     },
-    /// The shard manifest records a different shard count than the
+    /// The database's root records a different shard count than the
     /// builder was configured for.
     ShardCountMismatch {
-        /// Shard count recorded in the manifest.
+        /// Shard count recorded in the root.
         found: usize,
         /// Shard count the builder asked for.
         expected: usize,
     },
     /// The builder supplied explicit splitters that disagree with the
-    /// manifest (omit [`DbBuilder::shard_splitters`] to adopt the
-    /// persisted routing).
+    /// root's (omit [`DbBuilder::shard_splitters`] to adopt the persisted
+    /// routing).
     SplitterMismatch {
-        /// Splitters recorded in the manifest.
+        /// Splitters recorded in the root.
         found: Vec<u64>,
         /// Splitters the builder supplied.
         expected: Vec<u64>,
     },
-    /// The shard manifest exists but fails validation.
+    /// A side file of a sharded store written before roots — its shard
+    /// manifest or its cross-shard commit record — exists but fails
+    /// validation ([`legacy::sidecar_root`]).
     ManifestCorrupt {
-        /// The manifest file.
+        /// The side file.
         path: PathBuf,
         /// What failed.
         why: String,
@@ -322,14 +324,14 @@ impl std::fmt::Display for OpenError {
             ),
             OpenError::ShardCountMismatch { found, expected } => write!(
                 f,
-                "shard count mismatch (manifest records {found}, builder asked for {expected})"
+                "shard count mismatch (root records {found}, builder asked for {expected})"
             ),
             OpenError::SplitterMismatch { found, expected } => write!(
                 f,
-                "splitter mismatch (manifest {found:?}, builder {expected:?})"
+                "splitter mismatch (root {found:?}, builder {expected:?})"
             ),
             OpenError::ManifestCorrupt { path, why } => {
-                write!(f, "{}: corrupt shard manifest: {why}", path.display())
+                write!(f, "{}: corrupt side file: {why}", path.display())
             }
             OpenError::Meta { path, source } => {
                 write!(f, "{}: {source}", path.display())
@@ -359,137 +361,6 @@ impl From<BuildError> for OpenError {
             other => OpenError::Unsupported(other),
         }
     }
-}
-
-/// Maps a storage-layer open failure on `path` to the facade error,
-/// folding "file not found" into [`OpenError::Missing`].
-fn store_error(path: &Path, e: cosbt_dam::OpenError) -> OpenError {
-    if e.is_missing() {
-        OpenError::Missing(path.to_path_buf())
-    } else {
-        OpenError::Store {
-            path: path.to_path_buf(),
-            source: e,
-        }
-    }
-}
-
-/// Magic of the shard manifest file (`<base>.manifest`).
-const MANIFEST_MAGIC: [u8; 8] = *b"COSBTMAN";
-/// Manifest format version.
-const MANIFEST_VERSION: u32 = 1;
-
-/// The routing configuration a sharded file-backed database persists at
-/// creation, so a reopened database routes identically. Written once,
-/// atomically (temp file + rename); never rewritten, so it needs no
-/// shadow commit.
-#[derive(Debug, Clone, PartialEq)]
-struct Manifest {
-    shards: u32,
-    structure_tag: u8,
-    /// Structure parameter (growth factor / fanout; 0 if none).
-    param: u64,
-    splitters: Vec<u64>,
-}
-
-impl Manifest {
-    fn encode(&self) -> Vec<u8> {
-        let mut w = MetaWriter::default();
-        w.u32(MANIFEST_VERSION)
-            .u32(self.shards)
-            .u8(self.structure_tag)
-            .u64(self.param)
-            .u32(self.splitters.len() as u32);
-        for &s in &self.splitters {
-            w.u64(s);
-        }
-        seal(&MANIFEST_MAGIC, w)
-    }
-
-    fn decode(buf: &[u8]) -> Result<Manifest, String> {
-        let mut r = unseal(buf, &MANIFEST_MAGIC, "manifest")?;
-        let truncated = |_| "truncated manifest".to_string();
-        let version = r.u32().map_err(truncated)?;
-        if version != MANIFEST_VERSION {
-            return Err(format!("unsupported manifest version {version}"));
-        }
-        let (shards, structure_tag) = (r.u32().map_err(truncated)?, r.u8().map_err(truncated)?);
-        let (param, count) = (r.u64().map_err(truncated)?, r.u32().map_err(truncated)?);
-        if buf.len() != 29 + 8 * count as usize + 8 {
-            return Err("manifest length disagrees with splitter count".into());
-        }
-        let splitters = (0..count).map(|_| r.u64().map_err(truncated));
-        Ok(Manifest {
-            shards,
-            structure_tag,
-            param,
-            splitters: splitters.collect::<Result<_, _>>()?,
-        })
-    }
-}
-
-/// Writes `bytes` to `path` atomically: temp file, contents fsynced,
-/// rename. (The parent-directory fsync is omitted; on the platforms we
-/// target a rename reaching the directory after a crash without its
-/// contents is not a failure mode the tests model.)
-fn write_file_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    use std::io::Write as _;
-    let tmp = sibling_path(path, ".tmp");
-    let mut f = std::fs::File::create(&tmp)?;
-    f.write_all(bytes)?;
-    f.sync_all()?;
-    drop(f);
-    std::fs::rename(&tmp, path)
-}
-
-/// Magic of the cross-shard commit record (`<base>.commit`).
-const COMMIT_MAGIC: [u8; 8] = *b"COSBTCPT";
-
-/// The atomic commit point of a **sharded** file-backed database.
-///
-/// Each shard's store commit is individually crash-atomic, but a crash
-/// between two shards' commits would otherwise recover a whole-database
-/// state that never existed (half a batch applied). `Db::sync` therefore
-/// commits every shard first and only then renames this record — one
-/// epoch per shard — into place; `DbBuilder::open` rolls every shard
-/// back to its recorded epoch (the double-buffered metadata region still
-/// holds it). The rename is the cross-shard commit point.
-fn encode_commit_record(epochs: &[u64]) -> Vec<u8> {
-    let mut w = MetaWriter::default();
-    w.u32(epochs.len() as u32);
-    for &e in epochs {
-        w.u64(e);
-    }
-    seal(&COMMIT_MAGIC, w)
-}
-
-fn decode_commit_record(buf: &[u8]) -> Result<Vec<u64>, String> {
-    let mut r = unseal(buf, &COMMIT_MAGIC, "commit-record")?;
-    let truncated = |_| "truncated commit record".to_string();
-    let count = r.u32().map_err(truncated)? as usize;
-    if buf.len() != 12 + 8 * count + 8 {
-        return Err("commit-record length disagrees with shard count".into());
-    }
-    (0..count).map(|_| r.u64().map_err(truncated)).collect()
-}
-
-/// `magic`, the fields `w` wrote, and the FNV-1a of both as a trailing
-/// `u64`: the framing of the manifest and of the commit record.
-fn seal(magic: &[u8; 8], w: MetaWriter) -> Vec<u8> {
-    let mut out = [&magic[..], &w.finish()].concat();
-    out.extend_from_slice(&fnv1a(&out).to_le_bytes());
-    out
-}
-
-/// A reader over the fields [`seal`] framed in `buf` with `magic`, after
-/// the magic and the checksum check out; `what` names the record.
-fn unseal<'a>(buf: &'a [u8], magic: &[u8; 8], what: &str) -> Result<MetaReader<'a>, String> {
-    let rest = buf.strip_prefix(magic).ok_or(format!("bad {what} magic"))?;
-    let (fields, ck) = rest.split_last_chunk().ok_or(format!("truncated {what}"))?;
-    if u64::from_le_bytes(*ck) != fnv1a(&buf[..magic.len() + fields.len()]) {
-        return Err(format!("{what} checksum mismatch"));
-    }
-    Ok(MetaReader::untagged(fields))
 }
 
 /// Builder for a [`Db`]; see the module docs for a walkthrough.
@@ -553,7 +424,7 @@ impl DbBuilder {
     /// every call (loudly — the store itself keeps working, but commits
     /// no longer fit). Size this for the data a store must grow to; it
     /// is ignored by [`DbBuilder::open`], which reads the capacity from
-    /// the superblock.
+    /// the superblock, and [`Db::config`] reports that.
     pub fn meta_slot_bytes(mut self, bytes: usize) -> DbBuilder {
         self.cfg.meta_slot_bytes = bytes;
         self
@@ -664,67 +535,56 @@ impl DbBuilder {
     /// [`Db::sync`].
     pub fn build(self) -> Result<Db, BuildError> {
         self.validate()?;
-        let mut shards: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
-        let mut ios: Vec<StoreHandle> = Vec::new();
-        for i in 0..self.cfg.shards {
-            match self.shard(i, Origin::Create) {
-                Ok((shard, io)) => {
-                    shards.push(shard);
-                    ios.extend(io);
-                }
-                Err(e) => {
-                    // A partial multi-shard file build must not leave the
-                    // freshly created (truncated) shard files behind:
-                    // release the stores built so far, then unlink the
-                    // files this call created, shard `i`'s included.
-                    // (`validate` refused every configuration error
-                    // before any file was touched.)
-                    if let Backend::File { path: base, .. } = &self.cfg.backend {
-                        drop(shards);
-                        drop(ios);
-                        for j in 0..=i {
-                            // Best-effort cleanup of partially-created shards.
-                            let _ = std::fs::remove_file(self.shard_file_path(base, j));
-                        }
-                    }
-                    return Err(match e {
-                        OpenError::Io(e) => BuildError::Io(e),
-                        e => BuildError::Unsupported(e.to_string()),
-                    });
-                }
+        // `Err` holds how many shard files the build had created.
+        let built = (|| {
+            let (mut shards, mut ios) = (Vec::with_capacity(self.cfg.shards), Vec::new());
+            for i in 0..self.cfg.shards {
+                let (shard, io) = self.shard(i, Origin::Create).map_err(|e| (i + 1, e))?;
+                shards.push(shard);
+                ios.extend(io);
             }
-        }
-        let mut db = self.assemble(shards, ios, self.cfg.splitters.clone());
-        if let Backend::File { path: base, .. } = &self.cfg.backend {
-            // Make the fresh (empty) database immediately reopenable:
-            // write the shard manifest (sharded configs) and commit the
-            // initial metadata epoch. A failure here unwinds like a
-            // failed shard build — no partial files left behind.
-            let init = (|| -> io::Result<()> {
-                if self.cfg.shards > 1 {
-                    write_file_atomic(&self.manifest_path(base), &self.manifest().encode())?;
-                }
-                db.sync()
-            })();
-            if let Err(e) = init {
-                drop(db);
-                for p in self.data_paths() {
-                    // Best-effort cleanup of a failed build.
-                    let _ = std::fs::remove_file(p);
-                }
-                return Err(BuildError::Io(e));
+            let fresh = Found {
+                root: self.root(),
+                sidecars: Vec::new(),
+                config: self.config(),
+            };
+            // Make a fresh file-backed database immediately reopenable:
+            // commit its empty state and root.
+            let mut db = self.assemble(shards, ios, fresh);
+            db.sync().map_err(|e| (self.cfg.shards, OpenError::Io(e)))?;
+            Ok(db)
+        })();
+        built.map_err(|(made, e)| {
+            // A failed build must not leave the (truncated) files it
+            // created behind: the stores built so far are released, then
+            // those files unlinked, best-effort. (`validate` refused every
+            // configuration error before any file was touched.)
+            for p in self.data_paths().into_iter().take(made) {
+                let _ = std::fs::remove_file(p);
             }
-        }
-        Ok(db)
+            match e {
+                OpenError::Io(e) => BuildError::Io(e),
+                e => BuildError::Unsupported(e.to_string()),
+            }
+        })
     }
 
     /// Opens an existing file-backed database previously created (and
     /// synced) with this configuration. The builder must be configured
-    /// with the same structure and shard layout the file holds — every
-    /// mismatch is a distinct typed [`OpenError`] — and the open path
-    /// **never modifies or unlinks** the files it inspects. The
-    /// lookahead-pointer density of a g-COLA is restored from the file;
-    /// the cache budget is a runtime knob and may differ per open.
+    /// with the same structure and shard count the store's root records —
+    /// every mismatch is a distinct typed [`OpenError`] — and the open
+    /// path **never modifies or unlinks** the files it inspects.
+    ///
+    /// Shard 0 is opened at its newest commit, whose root names the epoch
+    /// every other shard committed with it; each of them is rolled back to
+    /// that epoch, so a crash between two shards' commits opens as the
+    /// last whole commit. Omitting [`DbBuilder::shard_splitters`] adopts
+    /// the recorded routing. A store written before roots existed opens
+    /// too: an unsharded one is its own root, and a sharded one is read
+    /// through its side files ([`legacy::sidecar_root`]). The
+    /// lookahead-pointer density of a g-COLA and the metadata slot
+    /// capacity are restored from the files; the cache budget is a
+    /// runtime knob and may differ per open.
     ///
     /// ```no_run
     /// use cosbt::{Backend, DbBuilder, Structure};
@@ -741,128 +601,39 @@ impl DbBuilder {
     /// ```
     pub fn open(self) -> Result<Db, OpenError> {
         self.validate().map_err(OpenError::from)?;
-        let label = self.label();
-        let Backend::File { path: base, .. } = &self.cfg.backend else {
+        if self.cfg.backend == Backend::Mem {
             return Err(OpenError::Unsupported(BuildError::Unsupported(format!(
-                "nothing to open for the memory backend ({label})"
+                "nothing to open for the memory backend ({})",
+                self.label()
             ))));
-        };
-        // Sharded: recover the persisted routing, which the builder must
-        // agree with, and the cross-shard commit record, which pins the
-        // epoch every shard is rolled back to, so a crash between two
-        // shards' commits cannot surface a mixed whole-database state.
-        let (mut splitters, mut epochs): (_, Option<Vec<u64>>) = (None, None);
-        if self.cfg.shards > 1 {
-            let mpath = self.manifest_path(base);
-            let bytes = std::fs::read(&mpath).map_err(|e| {
-                if e.kind() == io::ErrorKind::NotFound {
-                    OpenError::Missing(mpath.clone())
-                } else {
-                    OpenError::Io(e)
-                }
-            })?;
-            let manifest = Manifest::decode(&bytes).map_err(|why| OpenError::ManifestCorrupt {
-                path: mpath.clone(),
-                why,
-            })?;
-            if manifest.shards as usize != self.cfg.shards {
-                return Err(OpenError::ShardCountMismatch {
-                    found: manifest.shards as usize,
-                    expected: self.cfg.shards,
-                });
-            }
-            let expected = self.manifest();
-            let (tag, param) = (manifest.structure_tag, manifest.param);
-            let inherits = self
-                .engine()
-                .1
-                .is_some_and(|h| legacy::manifest_heir(tag, param) == Some(h));
-            if (tag, param) != (expected.structure_tag, expected.param) && !inherits {
-                return Err(OpenError::StructureMismatch {
-                    path: mpath,
-                    found: tag_name(manifest.structure_tag).to_string(),
-                    expected: tag_name(expected.structure_tag).to_string(),
-                });
-            }
-            if let Some(requested) = &self.cfg.splitters {
-                if *requested != manifest.splitters {
-                    return Err(OpenError::SplitterMismatch {
-                        found: manifest.splitters.clone(),
-                        expected: requested.clone(),
-                    });
-                }
-            }
-            splitters = Some(manifest.splitters);
-            let cpath = self.commit_record_path(base);
-            let bytes = std::fs::read(&cpath).map_err(|e| {
-                if e.kind() == io::ErrorKind::NotFound {
-                    OpenError::Store {
-                        path: cpath.clone(),
-                        source: cosbt_dam::OpenError::NeverCommitted,
-                    }
-                } else {
-                    OpenError::Io(e)
-                }
-            })?;
-            let record =
-                decode_commit_record(&bytes).map_err(|why| OpenError::ManifestCorrupt {
-                    path: cpath.clone(),
-                    why,
-                })?;
-            if record.len() != self.cfg.shards {
-                return Err(OpenError::ManifestCorrupt {
-                    path: cpath,
-                    why: format!(
-                        "commit record holds {} epochs for {} shards",
-                        record.len(),
-                        self.cfg.shards
-                    ),
-                });
-            }
-            epochs = Some(record);
         }
-        let mut shards: Vec<Shard> = Vec::with_capacity(self.cfg.shards);
-        let mut ios: Vec<StoreHandle> = Vec::with_capacity(self.cfg.shards);
-        for i in 0..self.cfg.shards {
-            let max_epoch = epochs.as_ref().map(|e| e[i]);
-            let (shard, io) = self.shard(i, Origin::Open { max_epoch })?;
+        let mut found = Found {
+            root: Root::default(),
+            sidecars: Vec::new(),
+            config: self.config(),
+        };
+        let (shard, io) = self.shard(0, Origin::Root(&mut found))?;
+        let (mut shards, mut ios) = (vec![shard], Vec::from_iter(io));
+        for (i, &epoch) in found.root.epochs.iter().enumerate() {
+            let (shard, io) = self.shard(i + 1, Origin::Open(epoch))?;
             shards.push(shard);
             ios.extend(io);
         }
-        // The persisted routing is authoritative: recording it makes
-        // `Db::config()` round-trip even when the builder omitted
-        // explicit splitters.
-        Ok(self.assemble(shards, ios, splitters.or(self.cfg.splitters.clone())))
+        Ok(self.assemble(shards, ios, found))
     }
 
     /// Wraps built or opened shards (and their stores, in shard order)
-    /// into a [`Db`] routing by `splitters` (even ones if `None`).
-    fn assemble(
-        &self,
-        shards: Vec<Shard>,
-        ios: Vec<StoreHandle>,
-        splitters: Option<Vec<u64>>,
-    ) -> Db {
-        let routing = splitters
-            .clone()
-            .unwrap_or_else(|| even_splitters(self.cfg.shards));
-        let commit_path = match &self.cfg.backend {
-            Backend::File { path: base, .. } if self.cfg.shards > 1 => {
-                Some(self.commit_record_path(base))
-            }
-            _ => None,
-        };
+    /// into a [`Db`] routing by the root's splitters.
+    fn assemble(&self, shards: Vec<Shard>, ios: Vec<StoreHandle>, found: Found) -> Db {
         let mut db = Db {
-            router: ShardRouter::new(shards, routing),
+            router: ShardRouter::new(shards, found.root.splitters.clone()),
             ios,
             label: self.label(),
             dirty: false,
-            commit_path,
+            root: found.root,
+            sidecars: found.sidecars,
             mvcc: MvccState::new(),
-            config: DbConfig {
-                splitters,
-                ..self.config()
-            },
+            config: found.config,
         };
         db.install_reclaim_gates();
         db
@@ -872,8 +643,8 @@ impl DbBuilder {
     /// otherwise. Only a genuinely missing store — **no** backing file
     /// of this configuration present at all — falls back to creation; a
     /// present-but-invalid store, and equally a *partially* missing one
-    /// (a lost manifest next to intact shard files), surfaces its open
-    /// error untouched. `build` truncates every backing file, so
+    /// (a lost shard file next to intact ones), surfaces its open error
+    /// untouched. `build` truncates every backing file, so
     /// re-creating over remnants would destroy data an operator may
     /// want to inspect or repair.
     pub fn open_or_create(self) -> Result<Db, OpenError> {
@@ -888,8 +659,9 @@ impl DbBuilder {
         }
     }
 
-    /// The structure-metadata tag this configuration produces (what
-    /// [`cosbt_core::Persist::save_meta`] will emit) plus its parameter.
+    /// The structure identity `(tag, parameter)` a root records for this
+    /// configuration: the meta tag of the structure it names, and its
+    /// growth factor or fanout (0 if none).
     fn structure_identity(&self) -> (u8, u64) {
         match self.cfg.structure {
             Structure::BasicCola => (TAG_BASIC_COLA, 0),
@@ -901,7 +673,7 @@ impl DbBuilder {
         }
     }
 
-    /// The meta tag this configuration's engine writes (not its manifest
+    /// The meta tag this configuration's engine writes (not its structure
     /// identity), and the engine it is when [`legacy`] rebuilds retired
     /// formats into it.
     fn engine(&self) -> (u8, Option<Heir>) {
@@ -912,28 +684,63 @@ impl DbBuilder {
         }
     }
 
-    fn manifest(&self) -> Manifest {
-        let (structure_tag, param) = self.structure_identity();
-        Manifest {
-            shards: self.cfg.shards as u32,
-            structure_tag,
-            param,
-            splitters: self
-                .cfg
-                .splitters
-                .clone()
-                .unwrap_or_else(|| even_splitters(self.cfg.shards)),
+    /// The root of a fresh database of this configuration.
+    fn root(&self) -> Root {
+        let even = || even_splitters(self.cfg.shards);
+        Root {
+            structure: self.structure_identity(),
+            splitters: self.cfg.splitters.clone().unwrap_or_else(even),
+            epochs: Vec::new(),
         }
     }
 
-    /// Path of the shard manifest: `<base>.manifest`.
-    fn manifest_path(&self, base: &Path) -> PathBuf {
-        sibling_path(base, ".manifest")
+    /// Refuses a root, found in shard 0's file at `path`, that records
+    /// another shard count or structure than this configuration, or other
+    /// splitters than it states.
+    fn check_root(&self, path: &Path, root: &Root) -> Result<(), OpenError> {
+        if root.shards() != self.cfg.shards {
+            return Err(OpenError::ShardCountMismatch {
+                found: root.shards(),
+                expected: self.cfg.shards,
+            });
+        }
+        let (tag, param) = root.structure;
+        if (tag, param) != self.structure_identity() {
+            return Err(OpenError::StructureMismatch {
+                path: path.to_path_buf(),
+                found: format!("{} (parameter {param})", tag_name(tag)),
+                expected: self.label(),
+            });
+        }
+        match &self.cfg.splitters {
+            Some(requested) if *requested != root.splitters => Err(OpenError::SplitterMismatch {
+                found: root.splitters.clone(),
+                expected: requested.clone(),
+            }),
+            _ => Ok(()),
+        }
     }
 
-    /// Path of the cross-shard commit record: `<base>.commit`.
-    fn commit_record_path(&self, base: &Path) -> PathBuf {
-        sibling_path(base, ".commit")
+    /// The root of a sharded store written before shard 0 carried one,
+    /// from the two side files it kept at `<base>.manifest` and
+    /// `<base>.commit`, with shard 0's recorded epoch and the files.
+    fn sidecar_root(&self, base: &Path) -> Result<(Root, u64, Vec<PathBuf>), OpenError> {
+        let paths = [".manifest", ".commit"].map(|side| sibling_path(base, side));
+        let read = |i: usize| {
+            std::fs::read(&paths[i]).map_err(|e| match (e.kind(), i) {
+                (io::ErrorKind::NotFound, 0) => OpenError::Missing(paths[0].clone()),
+                (io::ErrorKind::NotFound, _) => OpenError::Store {
+                    path: paths[1].clone(),
+                    source: cosbt_dam::OpenError::NeverCommitted,
+                },
+                _ => OpenError::Io(e),
+            })
+        };
+        let (root, epoch) = legacy::sidecar_root(&read(0)?, &read(1)?).map_err(|(i, why)| {
+            let path = paths[i].clone();
+            OpenError::ManifestCorrupt { path, why }
+        })?;
+        Ok((root, epoch, paths.to_vec()))
     }
 
     /// Frames in each shard's page cache: an even share of the budget,
@@ -972,24 +779,19 @@ impl DbBuilder {
 
     /// The backing-file paths this configuration stores data in: the
     /// configured path itself when unsharded, `<path>.shard<i>` per shard
-    /// plus the `<path>.manifest` routing manifest otherwise; empty for
-    /// the memory backend. This is the one source of the file naming
-    /// convention — harnesses that own the files' lifecycle (e.g. the
-    /// bench CLI's delete-after-run) should unlink exactly this list
-    /// rather than re-deriving names.
+    /// otherwise; empty for the memory backend. They are the whole store
+    /// (a sharded store written before roots also has the two side files
+    /// [`legacy::sidecar_root`] reads, until its first sync removes
+    /// them). This is the one source of the file naming convention —
+    /// harnesses that own the files' lifecycle (e.g. the bench CLI's
+    /// delete-after-run) should unlink exactly this list rather than
+    /// re-deriving names.
     pub fn data_paths(&self) -> Vec<PathBuf> {
         match &self.cfg.backend {
             Backend::Mem => Vec::new(),
-            Backend::File { path: base, .. } => {
-                let mut paths: Vec<PathBuf> = (0..self.cfg.shards)
-                    .map(|i| self.shard_file_path(base, i))
-                    .collect();
-                if self.cfg.shards > 1 {
-                    paths.push(self.manifest_path(base));
-                    paths.push(self.commit_record_path(base));
-                }
-                paths
-            }
+            Backend::File { path: base, .. } => (0..self.cfg.shards)
+                .map(|i| self.shard_file_path(base, i))
+                .collect(),
         }
     }
 
@@ -999,18 +801,16 @@ impl DbBuilder {
         if self.cfg.shards == 1 {
             base.to_path_buf()
         } else {
-            let mut os = base.as_os_str().to_os_string();
-            os.push(format!(".shard{idx}"));
-            PathBuf::from(os)
+            sibling_path(base, &format!(".shard{idx}"))
         }
     }
 
     /// Shard `idx` of [`DbBuilder::shards`] (the whole dictionary when
     /// unsharded): its structure and, file-backed, the store it runs
     /// over. A file-backed shard is made in three steps: the device (the
-    /// file, created or opened), the store on it (created, or opened and
-    /// checked for its page size and structure tag), and the structure
-    /// (fresh, or rebuilt from the store's committed meta).
+    /// file, created or opened), the store on it (created, or opened as
+    /// `origin` says and checked, see [`DbBuilder::store`]), and the
+    /// structure (fresh, or rebuilt from the store's committed meta).
     fn shard(&self, idx: usize, origin: Origin) -> Result<(Shard, Option<StoreHandle>), OpenError> {
         let Backend::File { path: base, direct } = &self.cfg.backend else {
             let shard: Shard = match self.cfg.structure {
@@ -1023,30 +823,18 @@ impl DbBuilder {
         };
         let path = self.shard_file_path(base, idx);
         let (cache_pages, slot_bytes) = (self.cache_pages(), self.cfg.meta_slot_bytes);
-        let dev = match origin {
-            Origin::Create => DirectFile::create(&path, *direct).map_err(OpenError::Io)?,
-            Origin::Open { .. } => DirectFile::open(&path, *direct)
-                .map_err(|e| store_error(&path, cosbt_dam::OpenError::Io(e)))?,
-        };
         let meta_err = |source| OpenError::Meta {
             path: path.clone(),
             source,
         };
         if let Structure::BTree | Structure::Brt = self.cfg.structure {
-            let (store, meta) = match origin {
-                Origin::Create => {
-                    let store =
-                        FilePages::create_on_sized(dev, DEFAULT_PAGE_SIZE, cache_pages, slot_bytes);
-                    (store.map_err(OpenError::Io)?, None)
-                }
-                Origin::Open { max_epoch } => {
-                    let (store, meta) =
-                        FilePages::open_bounded(dev, cache_pages, (KIND_PAGES, 0), max_epoch)
-                            .map_err(|e| store_error(&path, e))?;
-                    self.check_store(&path, store.page_size(), &meta)?;
-                    (store, Some(meta))
-                }
-            };
+            let (store, meta) = self.store(
+                (base, *direct),
+                &path,
+                origin,
+                |dev| FilePages::create_on_sized(dev, DEFAULT_PAGE_SIZE, cache_pages, slot_bytes),
+                |dev, max| FilePages::open_bounded(dev, cache_pages, (KIND_PAGES, 0), max),
+            )?;
             let store = ArcFilePages::new(store);
             let shard: Shard = match (self.cfg.structure, meta) {
                 (Structure::BTree, None) => Box::new(BTree::new(store.clone())),
@@ -1062,28 +850,83 @@ impl DbBuilder {
         }
         // A COLA (`validate` keeps the shuttle tree off files), over
         // 32-byte modeled elements, as in the paper.
-        let (store, meta) = match origin {
-            Origin::Create => {
-                let store = FileMem::<Cell, DirectFile>::create_on_sized(
-                    dev,
-                    DEFAULT_PAGE_SIZE,
-                    cache_pages,
-                    32,
-                    slot_bytes,
-                );
-                (store.map_err(OpenError::Io)?, None)
-            }
-            Origin::Open { max_epoch } => {
-                let (mut store, meta) =
-                    FileMem::<Cell, DirectFile>::open_bounded(dev, cache_pages, 32, max_epoch)
-                        .map_err(|e| store_error(&path, e))?;
-                self.check_store(&path, store.pages().page_size(), &meta)?;
-                (store, Some(meta))
-            }
-        };
+        let (store, meta) = self.store(
+            (base, *direct),
+            &path,
+            origin,
+            |dev| FileMem::create_on_sized(dev, DEFAULT_PAGE_SIZE, cache_pages, 32, slot_bytes),
+            |dev, max| FileMem::<Cell, DirectFile>::open_bounded(dev, cache_pages, 32, max),
+        )?;
         let mem = ArcFileMem::new(store);
         let shard = self.cola_shard(mem.clone(), meta.as_deref(), &path)?;
         Ok((shard, Some(mem.erased())))
+    }
+
+    /// The store in the shard file at `path` of the database at `base`
+    /// (`O_DIRECT` if `direct`): made by `create`, or by `open` (a store's
+    /// `open_bounded`) at the commit `origin` names and checked, with the
+    /// meta of the structure on it. Shard 0 opens at its newest commit
+    /// and its root is split off. Bare meta there is its own root if the
+    /// database is unsharded; else the store predates roots, and its side
+    /// files hold the root and pin shard 0's epoch.
+    fn store<S: Store<Dev = DirectFile>>(
+        &self,
+        (base, direct): (&Path, bool),
+        path: &Path,
+        origin: Origin,
+        create: impl FnOnce(DirectFile) -> io::Result<S>,
+        open: impl Fn(DirectFile, Option<u64>) -> Result<(S, Vec<u8>), cosbt_dam::OpenError>,
+    ) -> Result<(S, Option<Vec<u8>>), OpenError> {
+        let open = |max_epoch| {
+            let dev = DirectFile::open(path, direct).map_err(cosbt_dam::OpenError::Io);
+            dev.and_then(|dev| open(dev, max_epoch))
+                .map_err(|e| match e {
+                    e if e.is_missing() => OpenError::Missing(path.to_path_buf()),
+                    source => OpenError::Store {
+                        path: path.to_path_buf(),
+                        source,
+                    },
+                })
+        };
+        let (mut store, meta) = match origin {
+            Origin::Create => {
+                let dev = DirectFile::create(path, direct).map_err(OpenError::Io)?;
+                return Ok((create(dev).map_err(OpenError::Io)?, None));
+            }
+            Origin::Open(epoch) => open(Some(epoch))?,
+            Origin::Root(found) => {
+                let (store, meta) = open(None)?;
+                let meta_err = |source| OpenError::Meta {
+                    path: path.to_path_buf(),
+                    source,
+                };
+                let (mut store, meta) = match Root::split(&meta).map_err(meta_err)? {
+                    Some((root, shard0)) => {
+                        found.root = root;
+                        (store, shard0.to_vec())
+                    }
+                    None if self.cfg.shards == 1 => {
+                        found.root = self.root();
+                        (store, meta)
+                    }
+                    None => {
+                        let (root, epoch, sidecars) = self.sidecar_root(base)?;
+                        (found.root, found.sidecars) = (root, sidecars);
+                        drop(store);
+                        open(Some(epoch))?
+                    }
+                };
+                self.check_root(path, &found.root)?;
+                // The recorded routing and slot capacity are authoritative,
+                // so `Db::config()` reports them even where the builder
+                // left them out or stated another capacity.
+                found.config.splitters = Some(found.root.splitters.clone());
+                found.config.meta_slot_bytes = store.pages().slot_bytes();
+                (store, meta)
+            }
+        };
+        self.check_store(path, store.pages().page_size(), &meta)?;
+        Ok((store, Some(meta)))
     }
 
     /// The COLA shard this configuration keeps in `mem`: a fresh one, or,
@@ -1197,13 +1040,24 @@ impl DbBuilder {
 type StoreHandle = SharedStore<DirectFile>;
 
 /// Where [`DbBuilder::shard`] gets a file-backed shard's store.
-#[derive(Clone, Copy)]
-enum Origin {
+enum Origin<'a> {
     /// A new file, truncated if one was there.
     Create,
-    /// The committed state of an existing file, rolled back to
-    /// `max_epoch` when the cross-shard commit record pins one.
-    Open { max_epoch: Option<u64> },
+    /// Shard 0 of an existing store: what it says of the database goes
+    /// to `found`.
+    Root(&'a mut Found),
+    /// A shard past 0 of an existing store, at the epoch the root
+    /// recorded for it.
+    Open(u64),
+}
+
+/// What a database is beyond its shards: its root, the side files a
+/// store older than roots kept it in, and its configuration. `build`
+/// states it; `open` finds it in shard 0.
+struct Found {
+    root: Root,
+    sidecars: Vec<PathBuf>,
+    config: DbConfig,
 }
 
 /// The one I/O-statistics surface of a [`Db`]: a cheap, cloneable
@@ -1286,9 +1140,12 @@ pub struct Db {
     /// gates the best-effort sync-on-drop so a read-only session never
     /// rewrites metadata.
     dirty: bool,
-    /// Path of the cross-shard commit record (`Some` only for sharded
-    /// file-backed databases).
-    commit_path: Option<PathBuf>,
+    /// The root shard 0 commits: the structure identity and routing, and
+    /// the other shards' epochs as of the last [`Db::sync`].
+    root: Root,
+    /// The side files a store older than roots was opened through: the
+    /// first [`Db::sync`] unlinks them once the root is committed.
+    sidecars: Vec<PathBuf>,
     /// Epoch/snapshot machinery (see [`crate::snapshot`]). Lazy: until
     /// the first [`Db::snapshot`] call it mirrors nothing and costs one
     /// branch per write.
@@ -1373,16 +1230,17 @@ impl Db {
     /// store's shadow commit: data pages, then metadata, each behind a
     /// durability barrier — a crash at any point leaves either the
     /// previous or the new committed state of that store, never a
-    /// mixture. A **sharded** database additionally makes the commit
-    /// atomic across shards: every shard commits first, then the
-    /// cross-shard commit record (`<base>.commit`, one epoch per shard)
-    /// is renamed into place; on reopen each shard is rolled back to its
-    /// recorded epoch, so a crash between two shards' commits still
-    /// recovers the previous whole-database state. I/O errors propagate;
-    /// nothing is swallowed — and if writing the commit record itself
-    /// fails repeatedly while shard commits keep advancing, the record
-    /// can fall more than one epoch behind and the next open reports it
-    /// stale (`Corrupt`) instead of guessing.
+    /// mixture. Shards `n − 1 … 1` commit first; shard 0 commits last,
+    /// with the database's root in front of its own meta, and the root
+    /// records the epoch each other shard just committed. Shard 0's slot
+    /// write is the one commit point of the database: a crash before it
+    /// leaves the previous root, and [`DbBuilder::open`] rolls every other
+    /// shard back to the epoch that root records, so the previous whole
+    /// state is recovered. I/O errors propagate; nothing is swallowed —
+    /// and if shard 0's commit itself fails repeatedly while the other
+    /// shards' commits keep advancing, the root can fall more than one
+    /// epoch behind a shard, and the next open reports it stale
+    /// (`Corrupt`) instead of guessing.
     ///
     /// Dropping a file-backed `Db` syncs best-effort (errors reported
     /// to stderr but not propagated, skipped entirely if nothing changed
@@ -1393,20 +1251,17 @@ impl Db {
     /// memory, and [`Db::snapshot`] finishes its compactions before it
     /// returns, so none is in flight here.
     pub fn sync(&mut self) -> io::Result<()> {
-        if self.ios.is_empty() {
-            return Ok(());
-        }
         let shards = self.router.shards_mut();
-        debug_assert_eq!(shards.len(), self.ios.len());
-        for (shard, io) in shards.iter_mut().zip(&self.ios) {
+        for (shard, io) in shards.iter_mut().zip(&self.ios).skip(1).rev() {
             io.commit_meta(&shard.save_meta())?;
         }
-        // Cross-shard commit point (sharded only): rename the epoch
-        // vector into place only after every shard's own commit is
-        // durable.
-        if let Some(cp) = &self.commit_path {
-            let epochs: Vec<u64> = self.ios.iter().map(StoreHandle::epoch).collect();
-            write_file_atomic(cp, &encode_commit_record(&epochs))?;
+        if let (Some(shard), Some(io)) = (shards.first_mut(), self.ios.first()) {
+            self.root.epochs = self.ios[1..].iter().map(StoreHandle::epoch).collect();
+            io.commit_meta(&self.root.encode(&shard.save_meta()))?;
+            // The root now stands for the store, and its side files are
+            // never read again; one that cannot be unlinked is tried
+            // again at the next sync.
+            self.sidecars.retain(|p| std::fs::remove_file(p).is_err());
         }
         self.dirty = false;
         Ok(())
@@ -1497,7 +1352,8 @@ impl Db {
 
     /// The configuration this database was built or opened with, as a
     /// serializable [`DbConfig`]; a reopened database reports the shard
-    /// boundaries its manifest recorded.
+    /// boundaries its root recorded and the metadata slot capacity of its
+    /// files, whatever the builder stated.
     pub fn config(&self) -> &DbConfig {
         &self.config
     }
@@ -1605,32 +1461,66 @@ mod tests {
         configs
     }
 
-    /// The manifest and the commit record round-trip, and every
-    /// truncation of either, or a flipped bit in any byte, decodes to an
-    /// error or a value, never a panic.
+    /// The side files a sharded store kept before roots, as a6b301c
+    /// wrote them for a 3-shard 4-COLA split at 100 and 10,000 whose
+    /// shards had all committed epoch 3: the manifest, then the commit
+    /// record.
+    const SIDECARS: [&[u8]; 2] = [
+        &[
+            67, 79, 83, 66, 84, 77, 65, 78, 1, 0, 0, 0, 3, 0, 0, 0, 2, 4, 0, 0, 0, 0, 0, 0, 0, 2,
+            0, 0, 0, 100, 0, 0, 0, 0, 0, 0, 0, 16, 39, 0, 0, 0, 0, 0, 0, 13, 55, 192, 254, 202, 61,
+            197, 253,
+        ],
+        &[
+            67, 79, 83, 66, 84, 67, 80, 84, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 0,
+            0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 143, 132, 57, 180, 144, 111, 119, 238,
+        ],
+    ];
+
+    /// The side files decode into the root they held, and every
+    /// truncation of either, or a flipped bit in any byte, is an error,
+    /// never a panic. A root round-trips with the shard meta after it;
+    /// every truncation inside it is an error, and no flipped bit panics
+    /// (the slot framing, not the root, catches those).
     #[test]
     fn shard_records_decode_corruption_without_panicking() {
-        let manifest = Manifest {
-            shards: 3,
-            structure_tag: TAG_GCOLA,
-            param: 4,
+        let root = Root {
+            structure: (TAG_GCOLA, 4),
             splitters: vec![100, 10_000],
+            epochs: vec![3, 3],
         };
-        assert_eq!(Manifest::decode(&manifest.encode()), Ok(manifest.clone()));
-        let epochs = [7, 9, 11];
-        let record = encode_commit_record(&epochs);
-        assert_eq!(decode_commit_record(&record), Ok(epochs.to_vec()));
-        for buf in [manifest.encode(), record] {
+        let [manifest, commit] = SIDECARS;
+        assert_eq!(
+            legacy::sidecar_root(manifest, commit),
+            Ok((root.clone(), 3))
+        );
+        for (file, buf) in SIDECARS.into_iter().enumerate() {
+            let decode = |bad: &[u8]| match file {
+                0 => legacy::sidecar_root(bad, commit),
+                _ => legacy::sidecar_root(manifest, bad),
+            };
             for len in 0..buf.len() {
-                assert!(Manifest::decode(&buf[..len]).is_err(), "cut to {len}");
-                assert!(decode_commit_record(&buf[..len]).is_err(), "cut to {len}");
+                assert!(decode(&buf[..len]).is_err(), "file {file} cut to {len}");
             }
             for i in 0..buf.len() {
-                let mut bad = buf.clone();
+                let mut bad = buf.to_vec();
                 bad[i] ^= 1 << (i % 8);
-                assert!(Manifest::decode(&bad).is_err(), "byte {i} flipped");
-                assert!(decode_commit_record(&bad).is_err(), "byte {i} flipped");
+                assert!(decode(&bad).is_err(), "file {file} byte {i} flipped");
             }
+        }
+
+        let shard0 = [TAG_GCOLA, 1, 42];
+        let buf = root.encode(&shard0);
+        assert_eq!(Root::split(&buf), Ok(Some((root, &shard0[..]))));
+        // An empty payload is bare (and no structure's meta).
+        assert_eq!(Root::split(&[]), Ok(None));
+        for len in 1..buf.len() - shard0.len() {
+            assert!(Root::split(&buf[..len]).is_err(), "root cut to {len}");
+        }
+        for i in 0..buf.len() {
+            let mut bad = buf.clone();
+            bad[i] ^= 1 << (i % 8);
+            let _ = Root::split(&bad);
         }
     }
 
@@ -1784,31 +1674,20 @@ mod tests {
         );
         let b = b.shards(3);
         let paths = b.data_paths();
-        assert_eq!(
-            paths.len(),
-            5,
-            "3 shard files plus the routing manifest and the commit record"
-        );
-        for (i, p) in paths[..3].iter().enumerate() {
+        assert_eq!(paths.len(), 3, "one file per shard, nothing beside");
+        for (i, p) in paths.iter().enumerate() {
             assert!(
                 p.to_string_lossy().ends_with(&format!(".shard{i}")),
                 "{p:?}"
             );
         }
-        assert!(
-            paths[3].to_string_lossy().ends_with(".manifest"),
-            "{:?}",
-            paths[3]
-        );
-        assert!(
-            paths[4].to_string_lossy().ends_with(".commit"),
-            "{:?}",
-            paths[4]
-        );
         // The advertised contract: building then unlinking data_paths
         // leaves nothing behind.
         let db = b.clone().build().unwrap();
         drop(db);
+        for side in [".manifest", ".commit"] {
+            assert!(!sibling_path(&base, side).exists(), "build wrote {side}");
+        }
         for p in b.data_paths() {
             assert!(p.exists(), "{p:?} was created by build");
             std::fs::remove_file(p).unwrap();
@@ -1993,7 +1872,7 @@ mod tests {
         db.sync().unwrap();
         drop(db);
 
-        // Reopening without splitters recovers them from the manifest,
+        // Reopening without splitters recovers them from the root,
         // so the recorded config reproduces the layout exactly.
         let db = DbBuilder::new()
             .structure(Structure::GCola { g: 4 })

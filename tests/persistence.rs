@@ -9,12 +9,13 @@
 //! page-size/structure/shard-count/splitter mismatches each produce a
 //! distinct [`OpenError`] variant and never modify or unlink the file.
 
-#[path = "../crates/core/tests/fixtures/legacy.rs"]
 mod legacy_fixtures;
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
+use cosbt::cola::persist::Root;
+use cosbt::dam::format::sibling_path;
 use cosbt::testkit::{Rng, TempPath};
 use cosbt::{Backend, DbBuilder, OpenError, Structure};
 
@@ -426,9 +427,9 @@ fn mem_backend_has_nothing_to_open() {
 
 /// Cross-shard crash atomicity: a crash between two shards' commits must
 /// not surface a mixed whole-database state. Simulated by advancing one
-/// shard's store a full epoch past the cross-shard commit record — the
-/// exact on-disk state such a crash leaves — and reopening: the sharded
-/// open must roll that shard back to its recorded epoch.
+/// shard's store a full epoch past the epoch shard 0's root records for
+/// it — the exact on-disk state such a crash leaves — and reopening: the
+/// sharded open must roll that shard back to its recorded epoch.
 #[test]
 fn sharded_open_rolls_back_a_shard_committed_past_the_record() {
     let base = tmp("xshard");
@@ -443,48 +444,46 @@ fn sharded_open_rolls_back_a_shard_committed_past_the_record() {
     db.sync().unwrap();
     drop(db);
 
-    // "Crash" re-enactment: shard 0's file is itself a valid unsharded
-    // store, so open it standalone and commit one more epoch with an
-    // extra key — the commit record still points at the previous epoch,
-    // exactly as if a 2-shard sync died after shard 0's commit.
-    let shard0 = {
-        let mut os = base.to_path_buf().into_os_string();
-        os.push(".shard0");
-        PathBuf::from(os)
-    };
+    // "Crash" re-enactment: shard 1's file holds bare structure meta, so
+    // it is itself a valid unsharded store. Open it standalone and commit
+    // one more epoch with an extra key — shard 0's root still records
+    // the previous epoch, exactly as if a 2-shard sync died after shard
+    // 1's commit and before shard 0's.
     let mut half_synced = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(shard0))
+        .backend(Backend::file(sharded.data_paths()[1].clone()))
         .open()
         .unwrap();
-    assert_eq!(half_synced.get(5), Some(50));
-    half_synced.insert(7, 70);
+    assert_eq!(half_synced.get(u64::MAX - 5), Some(60));
+    half_synced.insert(u64::MAX - 7, 70);
     half_synced.sync().unwrap();
     drop(half_synced);
 
     // The sharded open must recover the pre-"crash" whole-DB state: the
-    // orphaned epoch (key 7) is rolled back, nothing else is lost.
+    // orphaned epoch (key MAX - 7) is rolled back, nothing else is lost.
     let mut db = sharded.clone().open().unwrap();
     assert_eq!(db.get(5), Some(50));
     assert_eq!(db.get(u64::MAX - 5), Some(60));
     assert_eq!(
-        db.get(7),
+        db.get(u64::MAX - 7),
         None,
         "a shard epoch past the commit record must be rolled back"
     );
     // And the database continues normally: the next sync overwrites the
     // orphaned slot and advances the record.
     db.insert(8, 80);
+    db.insert(u64::MAX - 8, 90);
     db.sync().unwrap();
     drop(db);
     let mut db = sharded.clone().open().unwrap();
     assert_eq!(db.get(8), Some(80));
+    assert_eq!(db.get(u64::MAX - 8), Some(90));
     drop(db);
 }
 
 /// `open_or_create` must never truncate a *partially* missing store: a
-/// lost manifest next to intact shard files surfaces the Missing error
-/// instead of rebuilding (which would destroy the shard data).
+/// lost shard file next to intact ones surfaces the Missing error
+/// instead of rebuilding (which would destroy the other shards' data).
 #[test]
 fn open_or_create_refuses_partial_stores() {
     let base = tmp("partial");
@@ -495,35 +494,28 @@ fn open_or_create_refuses_partial_stores() {
         .shards(2);
     let mut db = sharded.clone().build().unwrap();
     db.insert(5, 50);
+    db.insert(u64::MAX - 5, 60);
     db.sync().unwrap();
     drop(db);
-    let manifest = sharded
-        .data_paths()
-        .into_iter()
-        .find(|p| p.to_string_lossy().ends_with(".manifest"))
-        .unwrap();
-    std::fs::remove_file(&manifest).unwrap();
+    let shard1 = sharded.data_paths()[1].clone();
+    let aside = base.with_extension("aside");
+    std::fs::rename(&shard1, &aside).unwrap();
     let err = sharded.clone().open_or_create().unwrap_err();
-    assert!(matches!(err, OpenError::Missing(_)), "{err}");
-    // The shard files survived untouched: restoring the manifest by
-    // normal means would still recover the data (prove it by checking
-    // the shard file is a non-empty, committed store).
-    let shard0 = {
-        let mut os = base.to_path_buf().into_os_string();
-        os.push(".shard0");
-        PathBuf::from(os)
-    };
-    let mut standalone = DbBuilder::new()
-        .structure(Structure::GCola { g: 4 })
-        .backend(Backend::file(shard0))
-        .open()
-        .unwrap();
+    assert!(
+        matches!(&err, OpenError::Missing(p) if *p == shard1),
+        "{err}"
+    );
+    // The other shard survived untouched: with the lost file restored,
+    // the sharded open answers as before.
+    std::fs::rename(&aside, &shard1).unwrap();
+    let mut db = sharded.open().unwrap();
     assert_eq!(
-        standalone.get(5),
+        db.get(5),
         Some(50),
         "open_or_create must not have truncated the shard data"
     );
-    drop(standalone);
+    assert_eq!(db.get(u64::MAX - 5), Some(60));
+    drop(db);
 }
 
 /// The metadata-slot capacity knob reaches the files and survives
@@ -544,6 +536,7 @@ fn meta_slot_capacity_is_configurable_and_persisted() {
     // Open ignores the builder's slot setting and reads the file's.
     let mut db = builder.clone().meta_slot_bytes(4096).open().unwrap();
     assert_eq!(db.get(4999), Some(4999));
+    assert_eq!(db.config().meta_slot_bytes, 1 << 20);
     drop(db);
     // And a nonsensical capacity is a build-time error.
     assert!(DbBuilder::new()
@@ -553,8 +546,9 @@ fn meta_slot_capacity_is_configurable_and_persisted() {
         .is_err());
 }
 
-/// A missing cross-shard commit record is a typed error, and
-/// `open_or_create` refuses to clobber the shard files over it.
+/// A sharded store of the release before roots whose cross-shard commit
+/// record is missing: a typed error, and `open_or_create` refuses to
+/// clobber the shard files over it.
 #[test]
 fn missing_commit_record_is_typed() {
     let base = tmp("norecord");
@@ -567,12 +561,8 @@ fn missing_commit_record_is_typed() {
     db.insert(1, 1);
     db.sync().unwrap();
     drop(db);
-    let commit = sharded
-        .data_paths()
-        .into_iter()
-        .find(|p| p.to_string_lossy().ends_with(".commit"))
-        .unwrap();
-    std::fs::remove_file(&commit).unwrap();
+    legacy_fixtures::to_sidecar_layout(&base, &sharded.data_paths());
+    std::fs::remove_file(sibling_path(&base, ".commit")).unwrap();
     let err = sharded.clone().open().unwrap_err();
     assert!(
         matches!(
@@ -691,13 +681,18 @@ fn write_retired_store(path: &Path, fx: &legacy_fixtures::Fixture) {
     fm.commit_meta(&fx.meta).unwrap();
 }
 
-/// The structure meta committed in the element store at `path`.
+/// The structure meta committed in the element store at `path`, with
+/// the root in front of it, if any, split off.
 fn committed_meta(path: &Path) -> Vec<u8> {
     use cosbt::cola::entry::Cell;
     use cosbt::dam::{DirectFile, FileMem};
 
     let dev = DirectFile::open(path, false).unwrap();
-    FileMem::<Cell, DirectFile>::open_on(dev, 4, 32).unwrap().1
+    let meta = FileMem::<Cell, DirectFile>::open_on(dev, 4, 32).unwrap().1;
+    match Root::split(&meta).unwrap() {
+        Some((_, shard0)) => shard0.to_vec(),
+        None => meta,
+    }
 }
 
 /// A store in a retired format opens under exactly the configuration
@@ -816,23 +811,19 @@ fn retired_deamortized_manifest_opens_as_the_deamortized_cola() {
     db.sync().unwrap();
     drop(db);
 
-    // Rewrite the manifest's identity: magic (8 bytes), version and
-    // shard count (4 each), then the tag byte and the u64 parameter,
-    // and the FNV-1a of all before it as the trailing u64.
-    let files = builder.data_paths();
-    let manifest = files
-        .iter()
-        .find(|p| p.to_string_lossy().ends_with(".manifest"))
-        .unwrap();
-    let mut bytes = std::fs::read(manifest).unwrap();
-    assert_eq!(bytes[16], TAG_DEAMORT_BASIC, "the identity it writes");
-    bytes[16] = TAG_DEAMORT;
-    bytes[17..25].copy_from_slice(&2u64.to_le_bytes());
-    let body = bytes.len() - 8;
-    let sum = legacy_fixtures::fnv1a(&bytes[..body]);
-    bytes[body..].copy_from_slice(&sum.to_le_bytes());
-    std::fs::write(manifest, &bytes).unwrap();
+    // Rewrite the manifest with the retired identity.
+    let mut root = legacy_fixtures::to_sidecar_layout(&base, &builder.data_paths());
+    assert_eq!(
+        root.structure,
+        (TAG_DEAMORT_BASIC, 0),
+        "the identity it writes"
+    );
+    root.structure = (TAG_DEAMORT, 2);
+    let manifest = sibling_path(&base, ".manifest");
+    std::fs::write(&manifest, legacy_fixtures::manifest(&root)).unwrap();
 
+    let mut files = builder.data_paths();
+    files.extend([manifest, sibling_path(&base, ".commit")]);
     let before: Vec<Vec<u8>> = files.iter().map(|p| std::fs::read(p).unwrap()).collect();
     let err = builder
         .clone()
@@ -845,4 +836,196 @@ fn retired_deamortized_manifest_opens_as_the_deamortized_cola() {
 
     let mut db = builder.open().unwrap();
     conform(&mut db, &model, &mut rng, "retired deamortized manifest");
+}
+
+/// Every crash cut between the store commits of a sharded `sync` opens
+/// as exactly one whole commit. The protocol commits shards n − 1 … 1,
+/// each on its own, then shard 0 with the root that records their new
+/// epochs; for each k in 0..=n the image in which the first k of those
+/// commits landed (every other file as it was before the sync) must
+/// open to the state before the sync for k < n, and to the state after
+/// it for k = n — never a mixture. Cuts inside a single store's commit
+/// are swept by `crates/dam/tests/crash_recovery.rs` (every device op of
+/// a commit) and `tests/crash_injection.rs` (every structure over a
+/// crashing device).
+#[test]
+fn sharded_sync_crash_cuts_open_to_one_commit() {
+    const SHARDS: usize = 3;
+    for s in [
+        Structure::GCola { g: 4 },
+        Structure::DeamortizedCola,
+        Structure::BTree,
+    ] {
+        let base = tmp("cut");
+        let builder = DbBuilder::new()
+            .structure(s)
+            .backend(Backend::file(base.to_path_buf()))
+            .cache_bytes(64 * 1024)
+            .shards(SHARDS);
+        let label = builder.label();
+        let (mut rng, mut model) = (Rng::new(0xC07), BTreeMap::new());
+        let mut db = builder.clone().build().unwrap();
+        ingest(&mut db, &mut model, &mut rng, 600);
+        db.sync().unwrap();
+        let before = model.clone();
+        ingest(&mut db, &mut model, &mut rng, 200);
+        for i in 0..SHARDS as u64 {
+            let key = u64::MAX / SHARDS as u64 * i + 7;
+            db.insert(key, i);
+            model.insert(key, i);
+        }
+        let files = builder.data_paths();
+        let read_all =
+            || -> Vec<Vec<u8>> { files.iter().map(|p| std::fs::read(p).unwrap()).collect() };
+        let pre = read_all();
+        db.sync().unwrap();
+        let post = read_all();
+        drop(db);
+        for (i, (a, b)) in pre.iter().zip(&post).enumerate() {
+            assert!(a != b, "{label}: shard {i} committed nothing new");
+        }
+
+        for landed in 0..=SHARDS {
+            let cut = tmp("cut-image");
+            let image = builder.clone().backend(Backend::file(cut.to_path_buf()));
+            for (i, path) in image.data_paths().iter().enumerate() {
+                // Commit order: shard n − 1 first, shard 0 last.
+                let bytes = if SHARDS - i <= landed {
+                    &post[i]
+                } else {
+                    &pre[i]
+                };
+                std::fs::write(path, bytes).unwrap();
+            }
+            let want = if landed == SHARDS { &model } else { &before };
+            let mut db = image
+                .open()
+                .unwrap_or_else(|e| panic!("{label} cut {landed}: {e}"));
+            let want: Vec<(u64, u64)> = want.iter().map(|(&k, &v)| (k, v)).collect();
+            assert_eq!(
+                db.range(0, u64::MAX),
+                want,
+                "{label}: {landed} commits landed"
+            );
+            db.discard_on_drop();
+        }
+    }
+}
+
+/// A 3-shard 4-COLA written and synced by this release, then turned into
+/// the layout of the release before roots, with what it answers.
+fn legacy_sharded_store(name: &str) -> (TempPath, DbBuilder, BTreeMap<u64, u64>) {
+    let base = tmp(name);
+    let builder = DbBuilder::new()
+        .structure(Structure::GCola { g: 4 })
+        .backend(Backend::file(base.to_path_buf()))
+        .cache_bytes(256 * 1024)
+        .shards(3);
+    let mut db = builder.clone().build().unwrap();
+    let (mut rng, mut model) = (Rng::new(0x51DE), BTreeMap::new());
+    ingest(&mut db, &mut model, &mut rng, 600);
+    db.sync().unwrap();
+    drop(db);
+    legacy_fixtures::to_sidecar_layout(&base, &builder.data_paths());
+    (base, builder, model)
+}
+
+/// The side files of a store in the layout before roots.
+fn sidecars(base: &Path) -> [std::path::PathBuf; 2] {
+    [".manifest", ".commit"].map(|side| sibling_path(base, side))
+}
+
+/// A sharded store of the release before roots opens through its side
+/// files and answers as written; the open writes nothing, and a session
+/// that writes nothing leaves the side files where they are.
+#[test]
+fn legacy_sharded_store_opens_and_answers_as_written() {
+    let (base, builder, model) = legacy_sharded_store("legacy-open");
+    let mut files = builder.data_paths();
+    files.extend(sidecars(&base));
+    let before: Vec<Vec<u8>> = files.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    let mut db = builder.clone().open().unwrap();
+    conform(&mut db, &model, &mut Rng::new(1), "legacy sharded store");
+    drop(db);
+    let after: Vec<Vec<u8>> = files.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    assert!(after == before, "a read-only session wrote a file");
+}
+
+/// In the layout before roots, shard 0 committed before the record was
+/// renamed into place: a shard 0 one epoch past the record is what a
+/// crash between the two left, and the open rolls it back.
+#[test]
+fn legacy_sharded_open_rolls_back_shard0_past_the_record() {
+    use cosbt::cola::entry::Cell;
+    use cosbt::cola::{Dictionary, GCola, Persist};
+    use cosbt::dam::{ArcFileMem, DirectFile, FileMem};
+
+    let (_base, builder, model) = legacy_sharded_store("legacy-shard0");
+    assert!(!model.contains_key(&7));
+    let dev = DirectFile::open(&builder.data_paths()[0], false).unwrap();
+    let (fm, meta) = FileMem::<Cell, DirectFile>::open_on(dev, 4, 32).unwrap();
+    let store = ArcFileMem::new(fm);
+    let mut cola = GCola::from_parts(store.clone(), &meta).unwrap();
+    cola.insert(7, 70);
+    store.commit_meta(&cola.save_meta()).unwrap();
+    drop((cola, store));
+
+    let mut db = builder.open().unwrap();
+    assert_eq!(db.get(7), None, "shard 0 past the record is rolled back");
+    conform(
+        &mut db,
+        &model,
+        &mut Rng::new(2),
+        "rolled-back legacy store",
+    );
+}
+
+/// The first `sync` after a side-file open commits the root in shard 0,
+/// and only then unlinks both side files; the store reopens from the
+/// root and answers as before.
+#[test]
+fn first_sync_after_a_legacy_open_writes_the_root_and_unlinks_the_side_files() {
+    let (base, builder, mut model) = legacy_sharded_store("legacy-migrate");
+    let mut db = builder.clone().open().unwrap();
+    db.insert(9, 90);
+    model.insert(9, 90);
+    db.sync().unwrap();
+    for side in sidecars(&base) {
+        assert!(!side.exists(), "{side:?} outlived the root's commit");
+    }
+    drop(db);
+    let shard0 = committed_meta(&builder.data_paths()[0]);
+    assert_eq!(
+        shard0.first(),
+        Some(&cosbt::cola::persist::TAG_GCOLA),
+        "shard 0 holds its own meta behind the root"
+    );
+    let mut db = builder.open().unwrap();
+    conform(&mut db, &model, &mut Rng::new(3), "migrated store");
+}
+
+/// A crash between the root's first commit and the unlinking of the side
+/// files leaves both: the root, in shard 0's newest slot, wins over the
+/// side files' older epochs.
+#[test]
+fn a_root_takes_precedence_over_stale_side_files() {
+    let (base, builder, mut model) = legacy_sharded_store("legacy-stale");
+    let saved = sidecars(&base).map(|p| std::fs::read(p).unwrap());
+    let mut db = builder.clone().open().unwrap();
+    for key in [9, u64::MAX / 2, u64::MAX - 9] {
+        db.insert(key, key);
+        model.insert(key, key);
+    }
+    db.sync().unwrap();
+    drop(db);
+    for (side, bytes) in sidecars(&base).iter().zip(&saved) {
+        std::fs::write(side, bytes).unwrap();
+    }
+    let mut db = builder.open().unwrap();
+    conform(
+        &mut db,
+        &model,
+        &mut Rng::new(4),
+        "root beside stale side files",
+    );
 }

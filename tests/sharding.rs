@@ -273,19 +273,22 @@ fn file_builder(name: &str) -> (TempPath, DbBuilder) {
     (base, builder)
 }
 
-/// The structure meta committed in each shard file of `builder`'s store.
+/// The structure meta committed in each shard file of `builder`'s store,
+/// with the root in front of shard 0's split off.
 fn committed_shard_metas(builder: &DbBuilder) -> Vec<Vec<u8>> {
     use cosbt::cola::entry::Cell;
+    use cosbt::cola::persist::Root;
     use cosbt::dam::{DirectFile, FileMem};
 
-    let shard_files = builder.data_paths().into_iter().take(QUARTERS.len() + 1);
-    let open = |p: PathBuf| DirectFile::open(&p, false).unwrap();
-    let meta = |p| {
-        FileMem::<Cell, DirectFile>::open_on(open(p), 4, 32)
-            .unwrap()
-            .1
+    let meta = |p: PathBuf| {
+        let dev = DirectFile::open(&p, false).unwrap();
+        let meta = FileMem::<Cell, DirectFile>::open_on(dev, 4, 32).unwrap().1;
+        match Root::split(&meta).unwrap() {
+            Some((_, shard0)) => shard0.to_vec(),
+            None => meta,
+        }
     };
-    shard_files.map(meta).collect()
+    builder.data_paths().into_iter().map(meta).collect()
 }
 
 /// One stream fed to two 4-shard file-backed stores: to the first as

@@ -283,10 +283,10 @@ impl LevelAux {
 /// half-built state across inserts.
 #[derive(Debug, Clone)]
 pub struct AuxBuilder {
-    /// Sized at the first real cell: a lookahead-only run never
-    /// consults its filter (the fences reject every key first).
+    /// Sized at the first real cell, for `keys` keys: a lookahead-only
+    /// run never consults its filter (the fences reject every key first).
     filter: LevelFilter,
-    slots: usize,
+    keys: usize,
     fence_min: u64,
     fence_max: u64,
     any_real: bool,
@@ -295,21 +295,26 @@ pub struct AuxBuilder {
 }
 
 impl AuxBuilder {
-    /// A builder for a run of up to `slots` cells.
+    /// A builder for a run of up to `slots` cells, its filter sized for
+    /// as many keys.
     pub fn new(slots: usize) -> AuxBuilder {
-        AuxBuilder::recycling(slots, None)
+        AuxBuilder::recycling(slots, slots, None)
     }
 
-    /// [`AuxBuilder::new`] over the filter and ghost allocations of
+    /// A builder for a run of up to `slots` cells whose filter is sized
+    /// for `keys` keys, over the filter and ghost allocations of
     /// `retired`, an aux no run uses any more: both are cleared and
-    /// refilled in place, growing only past their capacity.
-    pub(crate) fn recycling(slots: usize, retired: Option<LevelAux>) -> AuxBuilder {
+    /// refilled in place, growing only past their capacity. A structure
+    /// that streams a run out before it knows its length sizes the filter
+    /// by a bound its geometry fixes, and then so must every rebuild of
+    /// that run's aux, for the two to agree.
+    pub(crate) fn recycling(slots: usize, keys: usize, retired: Option<LevelAux>) -> AuxBuilder {
         let (mut filter, mut ghosts) = retired.map(|a| (a.filter, a.ghosts)).unwrap_or_default();
         filter.blocks.clear();
         clear_for(&mut ghosts, slots.div_ceil(GHOST_STRIDE));
         AuxBuilder {
             filter,
-            slots,
+            keys,
             fence_min: u64::MAX,
             fence_max: 0,
             any_real: false,
@@ -328,7 +333,7 @@ impl AuxBuilder {
         }
         if cell.is_real() {
             if !self.any_real {
-                self.filter.reset(self.slots);
+                self.filter.reset(self.keys);
                 self.fence_min = cell.key;
                 self.any_real = true;
             }

@@ -400,7 +400,14 @@ impl<M: Mem<Cell>> DeamortCola<M> {
                 let (k, side) = (i / 2, i % 2);
                 let run = arr_run(k, side, &cola.state[k], &cola.aux[k]).bare();
                 let what = format_args!("level {k} side {side}");
-                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, |_, _| {})?;
+                let aux = run.reopen(
+                    &cola.mem,
+                    &mut cola.scratch,
+                    fence,
+                    run.len,
+                    what,
+                    |_, _| {},
+                )?;
                 cola.aux[k][side] = Some(aux);
             }
         }
@@ -434,7 +441,11 @@ impl<M: Mem<Cell>> DeamortCola<M> {
         assert_eq!(self.aux.len(), self.state.len(), "aux out of lockstep");
         let mut cells = 0;
         for (i, run) in Self::dir(&self.state, &self.aux).enumerate() {
-            run.check(&self.mem, format_args!("level {} side {}", i / 2, i % 2));
+            run.check(
+                &self.mem,
+                run.len,
+                format_args!("level {} side {}", i / 2, i % 2),
+            );
             cells += run.len as u64;
         }
         assert_eq!(cells, self.n, "full arrays hold one cell per insert");

@@ -7,7 +7,9 @@
 //!   plus `⌊2p(g−1)g^{ℓ−1}⌋` *redundant elements* — real lookahead pointers
 //!   into level ℓ+1;
 //! * a level receives `g−1` merges before being merged into a higher level;
-//! * partially full levels keep their elements right-justified;
+//! * partially full levels keep their elements right-justified (here a
+//!   level keeps its run anywhere in its slots, and records where: see
+//!   below);
 //! * elements are 32 bytes; each real element holds a copy of the closest
 //!   real lookahead pointer to its left, and each redundant element holds
 //!   its own lookahead pointer (see [`crate::entry::Cell`]);
@@ -25,44 +27,63 @@
 //! slot `2^k`, and on distinct keys it is full exactly when bit k of N is
 //! set (Invariant 1), with an `O(log² N)` plain search.
 //!
-//! One departure from the paper's merge mechanics: the paper merges two
-//! levels at a time in the array, alternating the result between the
-//! start of the target level and the freed prefix, to need only one
-//! element of extra space (slot 0, still kept spare so that every
-//! stored offset is the paper's). Here a carry reads every source cell once,
-//! the target's old run last, folds the runs two at a time, newest
-//! first, in DRAM (`merge.rs`: why that is cell-for-cell a k-way merge of
-//! the newest version of each key, and where its structure-owned scratch
-//! is bounded), and writes every output cell once: at most the paper's
-//! block-transfer count, and no allocation in a steady state. A level
-//! so holds one version per key, and the deepest one no tombstone.
+//! The merge, as in the paper, happens in the array with fixed extra
+//! space. The paper merges two levels at a time, alternating the result
+//! between the start of the target level and the freed prefix, to need
+//! one spare element (slot 0, still kept spare so that every stored
+//! offset is the paper's). Here a carry into level t merges all its
+//! sources at once — the new run, levels `0..t`, the target's old run —
+//! through a chain of two-way merges that reads each source through a
+//! chunk of its own and hands the output back a cell at a time
+//! (`merge.rs`), and writes it straight into level t: every source cell
+//! is read once and every output cell written once, at most the paper's
+//! block-transfer count, with a fixed DRAM scratch and no allocation. A
+//! level so holds one version per key, and the deepest one no tombstone.
+//!
+//! The output goes to level t in slot order, from `m` slots before the
+//! old run, `m` being the newer sources' item count: at most `m` of them
+//! have gone out before any given cell of the old run, so no write passes
+//! a cell not yet read. Each level so records its run's *lead*, the free
+//! slots before it; what a merge drops leaves free slots after it. A
+//! carry that finds a lead shorter than `m` first moves the old run to
+//! the level's right end (`ColaStats::run_moves`) — only after earlier
+//! carries into the level dropped cells.
 //!
 //! The lookahead pointers cost a carry no read of their own, because the
 //! paper stores them *in* the level that uses them. The invariant, held
 //! after every operation and checked by [`GCola::check_invariants`] and
-//! on reopen: level ℓ's redundant cells are exactly the evenly spaced
-//! midpoint sample of level ℓ+1's run. A carry into level t leaves level
-//! t+1 alone, so the redundant cells it meets while reading level t are
-//! already the pointers the rewritten level t needs; every level below t
-//! samples a run this carry writes, and takes its sample off the rewrite
-//! as it streams out. A carry therefore touches levels `0..=t` and
-//! nothing above them.
+//! on reopen: level ℓ's redundant cells are exactly the fixed-stride
+//! sample of level ℓ+1's run, the cells at positions `i·S + ⌊S/2⌋` for
+//! `S = ⌈slots(ℓ+1) / red_cap(ℓ)⌉` — a rule that, like Lemma 20's "every
+//! eighth cell", needs no run length, so a writer takes the sample as the
+//! cells stream past. A carry into level t leaves level t+1 alone, so the
+//! redundant cells it meets while reading level t are already the
+//! pointers the rewritten level t needs; every level below t samples a
+//! run this carry writes, and takes its sample off the rewrite as it
+//! streams out. A carry therefore touches levels `0..=t` and nothing
+//! above them.
 
 use cosbt_dam::{Mem, PlainMem};
 
-use crate::cascade::{AuxBuilder, LevelAux, LevelFilter, Probe};
+use crate::cascade::{AuxBuilder, LevelAux, Probe};
 use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, NO_PTR};
-use crate::merge::{MergeBuf, RETAIN_CELLS};
+use crate::merge::{Fold, Head, Source};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
 use crate::run::Run;
-use crate::runbuf::RunBuf;
+use crate::runbuf::{RunBuf, CHUNK};
 use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
-/// Version 2 appends per-level run fence keys to version 1.
-const META_VERSION: u8 = 2;
+/// Version 2 appended per-level run fence keys to version 1; version 3
+/// adds each level's lead, and samples the level above at a fixed stride
+/// (version 2 stores open through [`crate::legacy`]).
+const META_VERSION: u8 = 3;
+
+/// Slots an emptied level's aux may describe and still wait in
+/// `spare_aux` for the next level to be filled; a larger one is freed.
+const SPARE_AUX_SLOTS: usize = 1024;
 
 /// Per-level geometry and occupancy.
 #[derive(Debug, Clone, Copy)]
@@ -79,17 +100,19 @@ struct Level {
     items: usize,
     /// Redundant cells currently stored.
     reds: usize,
+    /// Free slots before the run; the rest of the free slots follow it.
+    lead: usize,
 }
 
 impl Level {
-    /// Occupied cells (items + redundant), right-justified.
+    /// Occupied cells (items + redundant).
     fn occ(&self) -> usize {
         self.items + self.reds
     }
 
     /// First occupied slot.
     fn run_base(&self) -> usize {
-        self.off + self.slots - self.occ()
+        self.off + self.lead
     }
 
     /// The occupied cells as a run (empty when the level is).
@@ -100,46 +123,51 @@ impl Level {
             aux: aux.as_ref(),
         }
     }
+
+    /// The stride of the lookahead sample this level keeps of `above`,
+    /// the level after it.
+    fn stride(&self, above: &Level) -> Stride {
+        match self.red_cap {
+            0 => Stride(0),
+            red_cap => Stride(above.slots.div_ceil(red_cap)),
+        }
+    }
 }
 
-/// The lookahead sample a level keeps of the run above it: `cnt` of that
-/// run's `occ` cells, the `i`-th from the midpoint of the `i`-th of `cnt`
-/// equal strides. `cnt ≤ occ`, so the positions ascend strictly and one
-/// sweep of the run meets them in order.
-struct Midpoints {
-    occ: usize,
-    cnt: usize,
-    next: usize,
-}
+/// The lookahead sample a level keeps of the run above it: the cells at
+/// run positions `i·S + ⌊S/2⌋`, as many as the run reaches, for the
+/// stride `S = ⌈slots(ℓ+1) / red_cap(ℓ)⌉` its geometry fixes (0: no
+/// sample). At most `red_cap(ℓ)` cells fit a run of the level's slots.
+/// It is the fixed-stride rule of Lemma 20's "every eighth cell", and it
+/// needs no run length, so a writer takes it as the cells stream past.
+#[derive(Debug, Clone, Copy)]
+struct Stride(usize);
 
-impl Midpoints {
-    /// The sample a level allowed `quota` redundant cells keeps of a run
-    /// of `occ` cells.
-    fn new(quota: usize, occ: usize) -> Midpoints {
-        Midpoints {
-            occ,
-            cnt: quota.min(occ),
-            next: 0,
+impl Stride {
+    /// Run position of the `i`-th sample.
+    fn pos(self, i: usize) -> usize {
+        i * self.0 + self.0 / 2
+    }
+
+    /// Samples a run of `occ` cells holds.
+    fn count(self, occ: usize) -> usize {
+        match self.0 {
+            0 => 0,
+            s => occ.saturating_sub(s / 2).div_ceil(s),
         }
     }
 
-    /// Run position of the `i`-th sample, `i < cnt`.
-    fn pos(&self, i: usize) -> usize {
-        (2 * i + 1) * self.occ / (2 * self.cnt)
-    }
-
-    /// Hands `f` the position and cell of each sample inside `chunk`,
-    /// the part of the run starting at position `off`. Called on every
-    /// chunk of a sweep in order, it costs a compare per chunk and a
-    /// call per sample: nothing per cell.
-    fn tap(&mut self, off: usize, chunk: &[Cell], mut f: impl FnMut(usize, &Cell)) {
-        while self.next < self.cnt {
-            let pos = self.pos(self.next);
-            let Some(cell) = chunk.get(pos - off) else {
-                break;
-            };
-            f(pos, cell);
-            self.next += 1;
+    /// Hands `f` the position and cell of each sample inside `chunk`, the
+    /// part of a run starting at position `off`, from sample `*next` on,
+    /// and advances `*next`. Called on every chunk of a sweep in order, it
+    /// costs a compare per chunk and a call per sample: nothing per cell.
+    fn tap(self, next: &mut usize, off: usize, chunk: &[Cell], mut f: impl FnMut(usize, &Cell)) {
+        if self.0 == 0 {
+            return;
+        }
+        while let Some(cell) = chunk.get(self.pos(*next) - off) {
+            f(self.pos(*next), cell);
+            *next += 1;
         }
     }
 }
@@ -155,15 +183,22 @@ pub struct GCola<M: Mem<Cell>> {
     stats: ColaStats,
     /// Per-level read accelerators (fences, filter, ghost sample) in
     /// lockstep with `levels` — `Some` exactly for occupied levels.
-    /// Every level rewrite goes through [`GCola::write_level`], which
+    /// Every level rewrite goes through [`GCola::rewrite`], which
     /// rebuilds the level's aux inline, so it can never go stale.
     aux: Vec<Option<LevelAux>>,
-    /// Staging for the contiguous sweeps (level reads, level rewrites,
-    /// rebuild scans), which reach `mem` as run-level calls.
+    /// Staging for the contiguous sweeps (level rewrites, rebuild scans),
+    /// which reach `mem` as run-level calls.
     scratch: RunBuf,
-    /// Carry scratch: the merge buffers, and small auxes of emptied
-    /// levels awaiting reuse (at most one per level).
-    merge: MergeBuf,
+    /// Carry scratch, all of it fixed by the level geometry: a source
+    /// chunk and a cached merge head per level (`merge.rs`), and the
+    /// keys of the lookahead sample the cascade below a carry passes down.
+    sources: Vec<Source>,
+    heads: Vec<Head>,
+    /// The cells of every source chunk.
+    chunk_cells: usize,
+    down: Vec<u64>,
+    /// Small auxes of emptied levels awaiting reuse (at most one per
+    /// level).
     spare_aux: Vec<LevelAux>,
 }
 
@@ -183,24 +218,32 @@ impl<M: Mem<Cell>> GCola<M> {
         Self::bulk_load(mem, g, p, &[])
     }
 
+    /// An empty structure over `mem`, uncleared, with no level.
+    fn bare(mem: M, g: usize, p: f64, n: u64) -> Self {
+        GCola {
+            mem,
+            levels: Vec::new(),
+            g,
+            p,
+            n,
+            stats: ColaStats::default(),
+            aux: Vec::new(),
+            scratch: RunBuf::new(),
+            sources: Vec::new(),
+            heads: Vec::new(),
+            chunk_cells: 0,
+            down: Vec::new(),
+            spare_aux: Vec::new(),
+        }
+    }
+
     /// [`GCola::new`] holding `live` (ascending, one item per key) as
     /// [`GCola::compact`] would, over `mem` uncleared: the slots past the
     /// levels keep what they hold, unread.
     pub fn bulk_load(mem: M, g: usize, p: f64, live: &[Cell]) -> Self {
         assert!(g >= 2, "growth factor must be at least 2");
         assert!((0.0..1.0).contains(&p), "pointer density in [0, 1)");
-        let mut this = GCola {
-            mem,
-            levels: Vec::new(),
-            g,
-            p,
-            n: 0,
-            stats: ColaStats::default(),
-            aux: Vec::new(),
-            scratch: RunBuf::new(),
-            merge: MergeBuf::default(),
-            spare_aux: Vec::new(),
-        };
+        let mut this = Self::bare(mem, g, p, 0);
         this.load(live);
         this
     }
@@ -278,6 +321,7 @@ impl<M: Mem<Cell>> GCola<M> {
                 red_cap: r.usize()?,
                 items: r.usize()?,
                 reds: r.usize()?,
+                lead: r.usize()?,
             });
         }
         let fences = r.fences(levels.iter().map(|lv| lv.occ() > 0))?;
@@ -296,6 +340,10 @@ impl<M: Mem<Cell>> GCola<M> {
                 && lv.items <= lv.cap
                 && lv.reds <= lv.red_cap
                 && lv
+                    .lead
+                    .checked_add(lv.occ())
+                    .is_some_and(|end| end <= lv.slots)
+                && lv
                     .off
                     .checked_add(lv.slots)
                     .is_some_and(|end| end <= mem.len());
@@ -311,52 +359,45 @@ impl<M: Mem<Cell>> GCola<M> {
             }
         }
         for (l, lv) in levels.iter().enumerate() {
-            let above = levels.get(l + 1).map_or(0, Level::occ);
-            if lv.reds != Midpoints::new(lv.red_cap, above).cnt {
+            let want = levels.get(l + 1).map_or(0, |a| lv.stride(a).count(a.occ()));
+            if lv.reds != want {
                 return Err(MetaError::Invalid(format!(
-                    "level {l} lookahead count {} does not sample the {above} cells above",
+                    "level {l} lookahead count {} does not sample the level above",
                     lv.reds
                 )));
             }
         }
-        let aux = vec![None; levels.len()];
-        let mut cola = GCola {
-            mem,
-            levels,
-            g,
-            p,
-            n,
-            stats: ColaStats::default(),
-            aux,
-            scratch: RunBuf::new(),
-            merge: MergeBuf::default(),
-            spare_aux: Vec::new(),
-        };
-        // v2: corrupt cascade metadata is a typed `MetaError`, never a
-        // wrong answer. The reopen scans also check the lookahead
-        // invariant: a carry trusts a level's stored redundant cells to
-        // be the sample of the run above, so they are validated here,
-        // each level's (`below`) against the next scan's own sample.
+        let mut cola = Self::bare(mem, g, p, n);
+        for lv in levels {
+            cola.push_geometry(lv);
+        }
+        // Corrupt cascade metadata is a typed `MetaError`, never a wrong
+        // answer. The reopen scans also check the lookahead invariant: a
+        // carry trusts a level's stored redundant cells to be the sample
+        // of the run above, so they are validated here, each level's
+        // (`below`) against the next scan's own sample.
         let mut below: Vec<(u64, u64)> = Vec::new();
         for (l, fence) in fences.into_iter().enumerate() {
             let lv = cola.levels[l];
             let mut reds = Vec::with_capacity(lv.reds);
             if let Some(fence) = fence {
-                let mut sample = Midpoints::new(below.len(), lv.occ());
-                let (mut expect, mut sampled_ok) = (below.iter(), true);
+                let stride = l
+                    .checked_sub(1)
+                    .map_or(Stride(0), |j| cola.levels[j].stride(&lv));
+                let (mut expect, mut next, mut sampled_ok) = (below.iter(), 0, true);
                 let tap = |off: usize, chunk: &[Cell]| {
                     let redundant = chunk.iter().filter(|c| c.is_redundant());
                     reds.extend(redundant.map(|c| (c.key, c.ptr)));
-                    sample.tap(off, chunk, |pos, c| {
+                    stride.tap(&mut next, off, chunk, |pos, c| {
                         sampled_ok &= expect.next() == Some(&(c.key, pos as u64));
                     });
                 };
                 let run = lv.run(&cola.aux[l]).bare();
                 let what = format_args!("level {l}");
-                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, what, tap)?;
-                if !sampled_ok {
+                let aux = run.reopen(&cola.mem, &mut cola.scratch, fence, lv.cap, what, tap)?;
+                if !sampled_ok || expect.next().is_some() {
                     return Err(MetaError::Invalid(format!(
-                        "level {} lookahead cells are not the midpoint sample of level {l}",
+                        "level {} lookahead cells are not the fixed-stride sample of level {l}",
                         l - 1
                     )));
                 }
@@ -374,6 +415,18 @@ impl<M: Mem<Cell>> GCola<M> {
         Ok(cola)
     }
 
+    /// Appends level `lv` to the directory with its carry scratch: the
+    /// source chunk that reads it (allocated here, once) and its cached
+    /// merge head.
+    fn push_geometry(&mut self, lv: Level) {
+        self.levels.push(lv);
+        self.aux.push(None);
+        let source = Source::new(lv.slots);
+        self.chunk_cells += source.cells();
+        self.sources.push(source);
+        self.heads.push(Head::END);
+    }
+
     fn push_level(&mut self) {
         let idx = self.levels.len();
         let (cap, red_cap) = if idx == 0 {
@@ -385,120 +438,147 @@ impl<M: Mem<Cell>> GCola<M> {
             (cap, red)
         };
         let off = self.levels.last().map_or(1, |l| l.off + l.slots); // slot 0 spare, as in the paper
-        self.levels.push(Level {
+        let slots = cap + red_cap;
+        self.push_geometry(Level {
             off,
-            slots: cap + red_cap,
+            slots,
             cap,
             red_cap,
             items: 0,
             reds: 0,
+            lead: slots,
         });
-        self.aux.push(None);
-        let end = off + cap + red_cap;
+        let end = off + slots;
         if self.mem.len() < end {
             self.mem.resize(end, Cell::default());
         }
     }
 
-    /// Reads level ℓ's occupied run, passing its real cells to `f`.
-    fn read_items(&mut self, l: usize, mut f: impl FnMut(&Cell)) {
-        let lv = self.levels[l];
-        self.scratch
-            .for_each(&self.mem, lv.run_base(), lv.occ(), |c| {
-                if c.is_real() {
-                    f(c);
-                }
-            });
+    /// The stride of the sample level `l − 1` keeps of level `l`.
+    fn stride_below(&self, l: usize) -> Stride {
+        l.checked_sub(1)
+            .map_or(Stride(0), |j| self.levels[j].stride(&self.levels[l]))
     }
 
-    /// Writes level `l`'s new content: `items` (sorted, one real cell per
-    /// key) woven with the lookaheads `las` (sorted by key),
-    /// right-justified, with left-pointer copies filled in. Leaves in
-    /// `down` the lookaheads level `l − 1` keeps of the new run, taken as
-    /// it streams out.
+    /// Writes level `l`'s new run from slot `start` on: the cells `next`
+    /// hands out, in slot order, each real one given a copy of the
+    /// nearest lookahead pointer to its left. Leaves in `down`, if given,
+    /// the keys of the lookaheads level `l − 1` keeps of the new run,
+    /// taken off the staged chunks as they go to the store.
     ///
-    /// The level's new aux is built, as the cells stream past, into the
+    /// The level's new aux is built as the cells stream past, into the
     /// buffers of the aux it replaces, whatever their size, so rewriting
     /// a big level neither frees nor faults in its filter and ghost
-    /// sample. What a level can retain is therefore bounded by its own
-    /// size, under 3.5 bytes per slot beside the 32 a slot holds in `mem`:
-    /// a ghost buffer of one 8-byte key per 8 slots of its largest run so
-    /// far, and, while it holds items, a filter of at most 20 bits per
-    /// slot. A run of lookahead cells only has no filter, so a level left
-    /// with one frees its filter unless the aux is small (`RETAIN_CELLS`
-    /// slots at most). An emptied level parks a small aux in `spare_aux`
-    /// for the next level to be filled and frees any other.
-    fn write_level(
+    /// sample. The filter is sized for the level's item capacity, not
+    /// the run (whose length the first cell does not know), and the ghost
+    /// buffer for its slots, so a level's buffers never grow after its
+    /// first rewrite: what a level retains is bounded by its own size,
+    /// under 3.5 bytes per slot beside the 32 a slot holds in `mem` — a
+    /// ghost buffer of one 8-byte key per 8 slots and, once it has held
+    /// items, a filter of at most 20 bits per item it can hold. An
+    /// emptied level parks a small aux in `spare_aux` for the next level
+    /// to be filled and frees any other.
+    fn rewrite(
         &mut self,
         l: usize,
-        items: &[Cell],
-        las: &[(u64, u64)],
-        down: &mut Vec<(u64, u64)>,
+        start: usize,
+        mut next: impl FnMut(&M) -> Option<Cell>,
+        mut down: Option<&mut Vec<u64>>,
     ) {
-        let occ = items.len() + las.len();
         let lv = self.levels[l];
-        assert!(occ <= lv.slots, "level {l} overflow: {occ} > {}", lv.slots);
-        let base = lv.off + lv.slots - occ;
-        let below_quota = l.checked_sub(1).map_or(0, |j| self.levels[j].red_cap);
-        let mut sample = Midpoints::new(below_quota, occ);
-        down.clear();
-        down.reserve_exact(sample.cnt);
-        let (mut a, mut b) = (0usize, 0usize);
-        let mut last_ptr = NO_PTR;
-        // The woven cells feed the cascade aux as they stream past, so the
-        // accelerator costs no extra pass over the data.
-        let mut retired = self.aux[l].take();
-        let big = |a: &LevelAux| a.capacity() > RETAIN_CELLS;
-        if occ == 0 {
-            self.spare_aux.extend(retired.take().filter(|a| !big(a)));
-        } else if items.is_empty() {
-            // Lookahead cells only: nothing for a filter to hold.
-            for aux in retired.iter_mut().filter(|a| big(a)) {
-                aux.filter = LevelFilter::default();
-            }
-        }
-        let mut aux_builder = (occ > 0).then(|| {
-            let retired = retired.or_else(|| self.spare_aux.pop());
-            AuxBuilder::recycling(occ, retired)
-        });
-        let weave = || {
-            // Weave by key; put lookaheads first among equals so a real
-            // cell's left-copy includes pointers at its own key.
-            let take_la = b < las.len() && items.get(a).is_none_or(|c| las[b].0 <= c.key);
-            let cell = if take_la {
-                let (key, tgt) = las[b];
-                b += 1;
-                last_ptr = tgt;
-                Cell::lookahead(key, tgt)
+        let retired = self.aux[l].take().or_else(|| self.spare_aux.pop());
+        let mut aux = AuxBuilder::recycling(lv.slots, lv.cap, retired);
+        let (mut last_ptr, mut items) = (NO_PTR, 0);
+        let weave = |mem: &M| {
+            let mut cell = next(mem)?;
+            if cell.is_redundant() {
+                last_ptr = cell.ptr;
             } else {
-                let mut c = items[a];
-                a += 1;
-                c.ptr = last_ptr;
-                c
-            };
-            if let Some(builder) = aux_builder.as_mut() {
-                builder.push(&cell);
+                cell.ptr = last_ptr;
+                items += 1;
             }
-            cell
+            aux.push(&cell);
+            Some(cell)
         };
-        self.scratch
-            .fill(&mut self.mem, base, occ, weave, |off, chunk| {
-                sample.tap(off, chunk, |pos, c| down.push((c.key, pos as u64)));
+        let (sample, mut sampled) = (self.stride_below(l), 0);
+        if let Some(down) = down.as_deref_mut() {
+            // Room for the most samples the level below can hold, whatever
+            // the run comes to: the buffer never grows mid-cascade.
+            down.clear();
+            down.reserve_exact(l.checked_sub(1).map_or(0, |j| self.levels[j].red_cap));
+        }
+        let occ = self
+            .scratch
+            .fill(&mut self.mem, start, weave, |off, chunk| {
+                if let Some(down) = down.as_deref_mut() {
+                    sample.tap(&mut sampled, off, chunk, |_, c| down.push(c.key));
+                }
             });
+        assert!(start + occ <= lv.off + lv.slots, "level {l} overflow");
         self.stats.cells_written += occ as u64;
-        self.levels[l].items = items.len();
-        self.levels[l].reds = las.len();
-        self.aux[l] = aux_builder.map(AuxBuilder::finish);
+        let lv = &mut self.levels[l];
+        (lv.items, lv.reds) = (items, occ - items);
+        let aux = aux.finish();
+        if occ == 0 {
+            lv.lead = lv.slots;
+            if aux.capacity() <= SPARE_AUX_SLOTS {
+                self.spare_aux.push(aux);
+            }
+        } else {
+            lv.lead = start - lv.off;
+            self.aux[l] = Some(aux);
+        }
+    }
+
+    /// Writes level `l`'s new content right-justified: `items` (sorted,
+    /// one real cell per key) woven with lookahead cells for the keys
+    /// `las` (sorted), the `i`-th pointing at sample position `i` of the
+    /// level above, lookaheads first among equal keys. Leaves in `down`,
+    /// if given, the sample level `l − 1` keeps of the new run.
+    fn write_level(&mut self, l: usize, items: &[Cell], las: &[u64], down: Option<&mut Vec<u64>>) {
+        let lv = self.levels[l];
+        let occ = items.len() + las.len();
+        assert!(occ <= lv.slots, "level {l} overflow: {occ} > {}", lv.slots);
+        if occ == 0 {
+            // Nothing to build an aux for: park the old one.
+            let retired = self.aux[l].take();
+            self.spare_aux
+                .extend(retired.filter(|a| a.capacity() <= SPARE_AUX_SLOTS));
+            (self.levels[l].items, self.levels[l].reds) = (0, 0);
+            self.levels[l].lead = lv.slots;
+            down.into_iter().for_each(Vec::clear);
+            return;
+        }
+        let stride = self.levels.get(l + 1).map_or(Stride(0), |a| lv.stride(a));
+        let (mut a, mut b) = (0, 0);
+        let weave = |_: &M| {
+            let take_la = b < las.len() && items.get(a).is_none_or(|c| las[b] <= c.key);
+            if take_la {
+                b += 1;
+                Some(Cell::lookahead(las[b - 1], stride.pos(b - 1) as u64))
+            } else {
+                a += 1;
+                items.get(a - 1).copied()
+            }
+        };
+        self.rewrite(l, lv.off + lv.slots - occ, weave, down);
     }
 
     /// Rewrites levels `t−1..0`, emptied of items, as the lookahead
-    /// pointers into the level above each. `down` holds the sample the
-    /// rewrite of level `t` left; each rewrite here leaves the next, so
-    /// the cascade reads nothing. `las` is scratch.
-    fn relink_below(&mut self, t: usize, las: &mut Vec<(u64, u64)>, down: &mut Vec<(u64, u64)>) {
+    /// pointers into the level above each. `down` holds the keys of the
+    /// sample the rewrite of level `t` left. A level below holds nothing
+    /// but its sample, so the next level's sample is every `S`-th of those
+    /// keys: `down` is narrowed to it in place, and the cascade reads
+    /// nothing.
+    fn relink_below(&mut self, t: usize, down: &mut Vec<u64>) {
         for j in (0..t).rev() {
-            std::mem::swap(las, down);
-            self.write_level(j, &[], las, down);
+            self.write_level(j, &[], down, None);
+            let stride = self.stride_below(j);
+            let n = stride.count(down.len());
+            for i in 0..n {
+                down[i] = down[stride.pos(i)];
+            }
+            down.truncate(n);
         }
     }
 
@@ -533,63 +613,75 @@ impl<M: Mem<Cell>> GCola<M> {
         // With no item above the target, nothing older than this carry
         // stays stored for its tombstones to shadow.
         let deepest = self.levels[t + 1..].iter().all(|lv| lv.items == 0);
+        let mut down = std::mem::take(&mut self.down);
         if t == 0 && !(deepest && run[0].is_tombstone()) {
             // Level 0 holds no lookahead cells (its redundancy is 0), so
             // a cell that stays is a single right-justified write. Every
-            // other insert lands here; through the fold below it cost
+            // other insert lands here; through the carry below it cost
             // `ingest_ooc`'s median call 5 %.
             debug_assert_eq!(self.levels[0].items, 0);
-            self.write_level(0, run, &[], &mut Vec::new());
-            let w = self.stats.cells_written - before;
-            self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
-            return;
+            self.write_level(0, run, &[], None);
+        } else {
+            self.stats.merges += (t > 0) as u64;
+            self.carry(run, t, carry, deepest, &mut down);
+            // Levels below t are now empty of items; rebuild the pointer
+            // cascade downward, level by level, as in the paper.
+            self.relink_below(t, &mut down);
         }
-        self.stats.merges += (t > 0) as u64;
-
-        // Fold the new run (newest), then levels 0..t-1, then the target's
-        // own items (oldest), each keeping only the keys no newer source
-        // holds: the whole target is in DRAM before its right-justified
-        // rewrite starts, so the rewrite can't overwrite unread input and
-        // knows its length. The last sweep keeps the target's redundant
-        // cells: level t+1 is unchanged by this merge and level t is
-        // rewritten whenever t+1 is, so they are, cell for cell, the
-        // sample of t+1 this rewrite must weave back in — the carry reads
-        // levels 0..=t once and nothing else.
-        let mut m = std::mem::take(&mut self.merge);
-        let target = self.levels[t];
-        m.begin(run, carry + target.items);
-        for j in 0..t {
-            let items = self.levels[j].items;
-            m.step(items, |s| self.read_items(j, |c| s.push(c)));
-        }
-        let mut las = std::mem::take(&mut m.las);
-        las.reserve_exact(target.reds);
-        m.step(target.items, |s| {
-            self.scratch
-                .for_each(&self.mem, target.run_base(), target.occ(), |c| {
-                    if c.is_real() {
-                        s.push(c);
-                    } else {
-                        las.push((c.key, c.ptr));
-                    }
-                });
-        });
-        if deepest {
-            m.drop_tombstones();
-        }
-        self.stats.cells_dropped += m.dropped;
-        let mut down = std::mem::take(&mut m.down);
-        self.write_level(t, m.run(), &las, &mut down);
-
-        // Levels below t are now empty of items; rebuild the pointer
-        // cascade downward, level by level, as in the paper.
-        self.relink_below(t, &mut las, &mut down);
-        (m.las, m.down) = (las, down);
-        m.release();
-        self.merge = m;
-
+        self.down = down;
+        let scratch = self.scratch_cells();
+        self.stats.scratch_peak_cells = self.stats.scratch_peak_cells.max(scratch);
         let w = self.stats.cells_written - before;
         self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
+    }
+
+    /// Merges the new run (newest), levels `0..t` and the target's own
+    /// run (oldest) into level `t`, streaming: every older source is read
+    /// through its chunk and the output goes to the store as it is made
+    /// (`merge.rs`). The target's redundant cells ride along: level t+1
+    /// is unchanged by this merge and level t is rewritten whenever t+1
+    /// is, so they are, cell for cell, the sample of t+1 this rewrite must
+    /// keep — the carry reads levels 0..=t once and nothing else.
+    ///
+    /// The output is written in slot order from `m` slots before the old
+    /// run, `m` (`carry`) being the newer sources' item count before any
+    /// is dropped: by then at most `m` cells have come from them, so a
+    /// write never reaches an unread cell of the old run. If fewer slots
+    /// are free before the run, it is first moved to the level's right
+    /// end (`ColaStats::run_moves`). What the merge drops leaves free
+    /// slots after the run.
+    fn carry(&mut self, run: &[Cell], t: usize, carry: usize, deepest: bool, down: &mut Vec<u64>) {
+        let lv = self.levels[t];
+        if lv.lead < carry {
+            let to = lv.slots - lv.occ();
+            self.scratch
+                .shift(&mut self.mem, lv.run_base(), lv.occ(), lv.off + to);
+            self.levels[t].lead = to;
+            self.stats.run_moves += 1;
+            self.stats.cells_written += lv.occ() as u64;
+        }
+        let target = self.levels[t];
+        let (mut sources, mut heads) = (
+            std::mem::take(&mut self.sources),
+            std::mem::take(&mut self.heads),
+        );
+        for (j, source) in sources.iter_mut().enumerate().take(t + 1) {
+            let lv = self.levels[j];
+            source.open(&self.mem, (lv.run_base(), lv.occ()), lv.items, j == t);
+        }
+        let (older, heads_t) = (&mut sources[..=t], &mut heads[..=t]);
+        let mut fold = Fold::new(&self.mem, run, older, heads_t, deepest);
+        let start = target.run_base() - carry;
+        self.rewrite(t, start, |mem| fold.next(mem), Some(down));
+        self.stats.cells_dropped += fold.dropped;
+        (self.sources, self.heads) = (sources, heads);
+    }
+
+    /// The write path's scratch, in cells: every level's source chunk,
+    /// the sweep buffer, and the lookahead keys (four to a cell).
+    fn scratch_cells(&self) -> u64 {
+        let keys = self.down.capacity();
+        (self.chunk_cells + CHUNK + keys.div_ceil(4)) as u64
     }
 
     /// Every level in directory order — which is newest first — as the
@@ -648,15 +740,14 @@ impl<M: Mem<Cell>> GCola<M> {
 
             // Right bracket. The paper's duplicate lookahead pointers hand the
             // next real pointer to the right in O(1); because our samples are
-            // evenly spaced over the next level's run, the same bound follows
-            // arithmetically: consecutive sampled targets are at most
-            // ⌈occ_next/reds⌉ + 2 apart (midpoint sampling, including the
-            // half-stride tail after the last sample), so the first cell with
-            // key ≥ target in the next level lies within one stride of the
-            // left bracket.
-            let occ_next = levels.get(l + 1).map_or(0, Level::occ);
-            let stride = occ_next / lv.reds + 3;
-            clamp = Some((next_lo, (next_lo + stride).min(occ_next)));
+            // a fixed stride S apart in the next level's run, the same bound
+            // follows arithmetically: the next sample — at or right of the
+            // insertion point here, so its key is not below the target — is
+            // S positions past the left bracket (S/2 past position 0 when no
+            // pointer lies left), or past the run's end.
+            let above = &levels[l + 1];
+            let Stride(stride) = lv.stride(above);
+            clamp = Some((next_lo, (next_lo + stride + 1).min(above.occ())));
         }
         None
     }
@@ -686,6 +777,9 @@ impl<M: Mem<Cell>> GCola<M> {
     fn load(&mut self, live: &[Cell]) {
         self.levels.clear();
         self.aux.clear();
+        self.sources.clear();
+        self.heads.clear();
+        self.chunk_cells = 0;
         self.n = live.len() as u64;
         self.push_level();
         if live.is_empty() {
@@ -698,19 +792,20 @@ impl<M: Mem<Cell>> GCola<M> {
                 self.push_level();
             }
         }
-        let (mut las, mut down) = (Vec::new(), Vec::new());
-        self.write_level(t, live, &las, &mut down);
-        self.relink_below(t, &mut las, &mut down);
+        let mut down = std::mem::take(&mut self.down);
+        self.write_level(t, live, &[], Some(&mut down));
+        self.relink_below(t, &mut down);
+        self.down = down;
     }
 
     /// Structural invariants (tests): every level as a run
-    /// (`Run::check`), right justification accounting, counts,
-    /// capacity bounds, the carry rule
-    /// — a level holds one real cell per key, and the deepest level
-    /// holding items holds no tombstone — and the lookahead invariant:
-    /// each level's redundant cells are exactly the evenly spaced
-    /// midpoint sample of the run above it, in count, positions and keys.
-    /// The carry (which keeps a target's redundant cells instead of
+    /// (`Run::check`, its filter sized for the level's item capacity),
+    /// the run inside the level's slots, counts, capacity bounds, the
+    /// carry rule — a level holds one real cell per key, and the deepest
+    /// level holding items holds no tombstone — and the lookahead
+    /// invariant: each level's redundant cells are exactly the
+    /// fixed-stride sample of the run above it, in count, positions and
+    /// keys. The carry (which keeps a target's redundant cells instead of
     /// sampling again) and the search's arithmetic right bracket both
     /// rest on it.
     pub fn check_invariants(&self) {
@@ -719,26 +814,29 @@ impl<M: Mem<Cell>> GCola<M> {
         for (l, lv) in self.levels.iter().enumerate() {
             assert!(lv.items <= lv.cap, "level {l} items over capacity");
             assert!(lv.reds <= lv.red_cap, "level {l} reds over allowance");
+            assert!(
+                lv.lead + lv.occ() <= lv.slots,
+                "level {l} run past its slots"
+            );
             total_items += lv.items;
             let base = lv.run_base();
             let occ = lv.occ();
             let mut reds_seen = 0;
             let mut last_ptr = NO_PTR;
             let mut last_real = None;
-            let (above_base, above_occ) = self
-                .levels
-                .get(l + 1)
-                .map_or((0, 0), |a| (a.run_base(), a.occ()));
-            let want = Midpoints::new(lv.red_cap, above_occ);
-            assert_eq!(lv.reds, want.cnt, "level {l} lookahead count");
+            let above = self.levels.get(l + 1);
+            let stride = above.map_or(Stride(0), |a| lv.stride(a));
+            let (above_base, above_occ) = above.map_or((0, 0), |a| (a.run_base(), a.occ()));
+            let want = stride.count(above_occ);
+            assert_eq!(lv.reds, want, "level {l} lookahead count");
             for i in 0..occ {
                 let c = self.mem.get(base + i);
                 if c.is_redundant() {
-                    assert!(reds_seen < want.cnt, "level {l} stores extra lookaheads");
+                    assert!(reds_seen < want, "level {l} stores extra lookaheads");
                     assert_eq!(
                         c.ptr as usize,
-                        want.pos(reds_seen),
-                        "level {l} lookahead {reds_seen} off its midpoint"
+                        stride.pos(reds_seen),
+                        "level {l} lookahead {reds_seen} off its stride"
                     );
                     let target = self.mem.get(above_base + c.ptr as usize);
                     assert_eq!(target.key, c.key, "level {l} lookahead key mismatch");
@@ -759,8 +857,9 @@ impl<M: Mem<Cell>> GCola<M> {
         // and agreeing with the stored cells.
         assert_eq!(self.aux.len(), self.levels.len(), "aux out of lockstep");
         for (l, run) in Self::runs(&self.levels, &self.aux).enumerate() {
-            let items = run.check(&self.mem, format_args!("level {l}"));
-            assert_eq!(items, self.levels[l].items, "level {l} item count");
+            let lv = self.levels[l];
+            let items = run.check(&self.mem, lv.cap, format_args!("level {l}"));
+            assert_eq!(items, lv.items, "level {l} item count");
         }
     }
 
@@ -787,9 +886,10 @@ impl<M: Mem<Cell>> Persist for GCola<M> {
                 .usize(lv.cap)
                 .usize(lv.red_cap)
                 .usize(lv.items)
-                .usize(lv.reds);
+                .usize(lv.reds)
+                .usize(lv.lead);
         }
-        // v2: each occupied level's fence keys; `from_parts` holds the
+        // Each occupied level's fence keys; `from_parts` holds the
         // reopened cells to them before rebuilding the accelerators.
         w.fences(&self.mem, Self::runs(&self.levels, &self.aux));
         w.finish()
@@ -815,6 +915,22 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
         // cursor skips the interleaved lookahead cells itself.
         let runs = Self::runs(&self.levels, &self.aux);
         Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
+    }
+
+    /// The cursor's entries, collected into a buffer sized once: no run
+    /// holds more of them than the cells its ghost sample brackets
+    /// between `lo` and `hi`, counted in DRAM. Collecting a large range
+    /// by regrowth copies the entries about twice and, at its last step,
+    /// holds the old buffer and the new one, half again the result.
+    fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
+        if lo > hi {
+            return Vec::new();
+        }
+        let runs = Self::runs(&self.levels, &self.aux);
+        let mut out = Vec::with_capacity(runs.map(|run| run.span(lo, hi)).sum());
+        let mut cursor = self.cursor(lo, hi);
+        out.extend(std::iter::from_fn(|| cursor.next()));
+        out
     }
 
     fn apply(&mut self, batch: &mut UpdateBatch) {
@@ -1059,6 +1175,43 @@ mod tests {
         }
     }
 
+    /// Each run's ghost windows bound the real cells it holds in a range
+    /// from above, so `range` collects into one buffer and never regrows
+    /// it.
+    #[test]
+    fn range_collects_into_one_buffer() {
+        let mut c = plain(4, 0.1);
+        let mut rng = cosbt_testkit::Rng::new(0x5A9E);
+        for i in 0..20_000u64 {
+            let key = rng.below(1 << 14);
+            if rng.chance(1, 5) {
+                c.delete(key);
+            } else {
+                c.insert(key, i);
+            }
+        }
+        for (lo, hi) in [
+            (0, u64::MAX),
+            (100, 5000),
+            (7, 7),
+            (9000, 9100),
+            (1 << 15, 1 << 16),
+        ] {
+            let mut bound = 0;
+            for run in GCola::<PlainMem<Cell>>::runs(&c.levels, &c.aux) {
+                let cells = &c.mem.as_slice()[run.base..][..run.len];
+                let inside = cells
+                    .iter()
+                    .filter(|x| x.is_real() && (lo..=hi).contains(&x.key));
+                let inside = inside.count();
+                assert!(inside <= run.span(lo, hi), "range {lo}..={hi}");
+                bound += run.span(lo, hi);
+            }
+            let got = c.range(lo, hi);
+            assert_eq!(got.capacity(), bound, "range {lo}..={hi} regrew its buffer");
+        }
+    }
+
     #[test]
     fn compact_shrinks_physical_size() {
         let mut c = plain(2, 0.125);
@@ -1080,37 +1233,36 @@ mod tests {
     impl<M: Mem<Cell>> GCola<M> {
         /// Level `l`'s real cells in a `Vec` of their own, as the old carry
         /// held them.
-        fn items_vec(&mut self, l: usize) -> Vec<Cell> {
-            let mut out = Vec::new();
-            self.read_items(l, |c| out.push(*c));
-            out
+        fn items_vec(&self, l: usize) -> Vec<Cell> {
+            let lv = self.levels[l];
+            let run = (0..lv.occ()).map(|i| self.mem.get(lv.run_base() + i));
+            run.filter(Cell::is_real).collect()
         }
 
-        /// Level `l`'s lookaheads read afresh off level `l + 1`, as every
-        /// carry once did — the oracle for the cells a carry now keeps:
-        /// `(key, position-in-run)` in key order.
-        fn sample_lookaheads(&self, l: usize) -> Vec<(u64, u64)> {
-            let Some(lv) = self.levels.get(l + 1) else {
+        /// The keys of level `l`'s lookaheads read afresh off level
+        /// `l + 1`, as every carry once did — the oracle for the cells a
+        /// carry now keeps or taps.
+        fn sample_lookaheads(&self, l: usize) -> Vec<u64> {
+            let Some(above) = self.levels.get(l + 1) else {
                 return Vec::new();
             };
-            let sample = Midpoints::new(self.levels[l].red_cap, lv.occ());
-            (0..sample.cnt)
-                .map(|i| sample.pos(i))
-                .map(|pos| (self.mem.get(lv.run_base() + pos).key, pos as u64))
+            let stride = self.levels[l].stride(above);
+            (0..stride.count(above.occ()))
+                .map(|i| self.mem.get(above.run_base() + stride.pos(i)).key)
                 .collect()
         }
 
         /// The pre-kernel `insert_run`, kept as the differential oracle:
-        /// every source in its own `Vec`, one k-way heap merge,
-        /// the carry rule applied to its output as a filter, the merged
-        /// run materialized before the rewrite.
+        /// every source in its own `Vec`, one k-way heap merge, the carry
+        /// rule applied to its output as a filter, the merged run
+        /// materialized and written right-justified, every level below
+        /// sampled afresh.
         fn insert_run_heap(&mut self, run: &[Cell]) {
             if run.is_empty() {
                 return;
             }
             self.n += run.len() as u64;
             self.stats.inserts += run.len() as u64;
-            let before = self.stats.cells_written;
             let mut carry = run.len();
             let mut t = 0usize;
             while carry + self.levels[t].items > self.levels[t].cap {
@@ -1121,12 +1273,8 @@ mod tests {
                 }
             }
             self.stats.merges += (t > 0) as u64;
-            let target_old = self.items_vec(t);
             let mut sources = vec![run.to_vec()];
-            for j in 0..t {
-                sources.push(self.items_vec(j));
-            }
-            sources.push(target_old);
+            sources.extend((0..=t).map(|j| self.items_vec(j)));
             let mut merged = crate::merge::oracle::heap_merge(&sources);
             let deepest = self.levels[t + 1..].iter().all(|lv| lv.items == 0);
             self.stats.cells_dropped += crate::merge::oracle::newest_only(&mut merged, deepest);
@@ -1134,11 +1282,26 @@ mod tests {
             for l in (0..=t).rev() {
                 let las = self.sample_lookaheads(l);
                 let merged = if l == t { &merged[..] } else { &[] };
-                self.write_level(l, merged, &las, &mut Vec::new());
+                self.write_level(l, merged, &las, None);
             }
-            let w = self.stats.cells_written - before;
-            self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
         }
+    }
+
+    /// What the kernel and the heap oracle must agree on after an op:
+    /// every level's run, cell for cell, and the work counters that do
+    /// not depend on where a run sits.
+    fn same_levels(new: &GCola<PlainMem<Cell>>, old: &GCola<PlainMem<Cell>>, at: &str) {
+        assert_eq!(new.levels.len(), old.levels.len(), "levels, {at}");
+        fn run(c: &GCola<PlainMem<Cell>>, l: usize) -> &[Cell] {
+            let lv = c.levels[l];
+            &c.mem.as_slice()[lv.run_base()..][..lv.occ()]
+        }
+        for l in 0..new.levels.len() {
+            assert!(run(new, l) == run(old, l), "level {l}, {at}");
+        }
+        let (a, b) = (new.stats(), old.stats());
+        let counters = |s: ColaStats| (s.inserts, s.merges, s.cells_dropped);
+        assert_eq!(counters(a), counters(b), "stats, {at}");
     }
 
     #[test]
@@ -1152,47 +1315,85 @@ mod tests {
             for (i, op) in stream(0xD1FF + g as u64, 1 << 14).iter().enumerate() {
                 op.apply_to(&mut new);
                 old.insert_run_heap(&op.cells());
-                assert!(
-                    new.merge.retained() <= RETAIN_CELLS,
-                    "scratch kept after op {i}"
-                );
                 assert!(new.spare_aux.len() <= new.levels.len());
                 // The oracle samples every lookahead afresh, so the cells
                 // a carry kept or tapped instead are compared here — after
                 // every op while the store is small (levels of several
                 // sweep chunks by then), and at intervals once a compare
                 // costs more than the ops between two of them.
-                let at = || format!("g={g} p={p} after op {i}");
                 if i < 1 << 11 || i % 1024 == 1023 || i + 1 == 1 << 14 {
-                    assert!(new.mem.as_slice() == old.mem.as_slice(), "cells, {}", at());
-                }
-                if i % 1024 == 1023 || i + 1 == 1 << 14 {
-                    let (a, b) = (new.stats(), old.stats());
-                    assert_eq!(format!("{a:?}"), format!("{b:?}"), "stats, {}", at());
-                    assert_eq!(new.save_meta(), old.save_meta(), "meta, {}", at());
+                    same_levels(&new, &old, &format!("g={g} p={p} after op {i}"));
                 }
             }
             // The recycled builders left what a fresh scan builds.
             new.check_invariants();
-            for l in 0..new.levels.len() {
-                let lv = new.levels[l];
-                let Some(aux) = new.aux[l].clone() else {
-                    continue;
-                };
-                let run = &new.mem.as_slice()[lv.run_base()..][..lv.occ()];
-                let fresh = crate::cascade::build_aux(run.iter());
-                assert_eq!(
-                    (aux.fence_min, aux.fence_max, &aux.filter, &aux.ghosts),
-                    (
-                        fresh.fence_min,
-                        fresh.fence_max,
-                        &fresh.filter,
-                        &fresh.ghosts
-                    ),
-                    "g={g} p={p} level {l} aux"
-                );
+        }
+    }
+
+    /// Overwrite-heavy and delete-heavy streams: every carry's output is
+    /// the heap merge's followed by the carry rule, the invariants hold
+    /// after every op, and every 64 ops a reopen from the meta a sync
+    /// would commit answers as the structure does. Dropped cells leave a
+    /// level's lead short, so some carries move the old run first.
+    #[test]
+    fn streamed_carries_match_the_heap_merge_and_reopen() {
+        use crate::merge::oracle::stream_over;
+        let mut moves = 0;
+        for (g, p) in [2, 4, 8]
+            .into_iter()
+            .flat_map(|g| [0.0, 0.1, 0.125].map(|p| (g, p)))
+        {
+            // (keys, deletes in 20): overwrite-heavy, then delete-heavy.
+            for (keys, deletes) in [(1 << 8, 2), (1 << 10, 10)] {
+                let (mut new, mut old) = (plain(g, p), plain(g, p));
+                let ops = stream_over(0x57EA + g as u64, 1 << 10, keys, deletes);
+                let mut rng = cosbt_testkit::Rng::new(keys);
+                for (i, op) in ops.iter().enumerate() {
+                    let at = format!("g={g} p={p} keys={keys} after op {i}");
+                    op.apply_to(&mut new);
+                    old.insert_run_heap(&op.cells());
+                    same_levels(&new, &old, &at);
+                    new.check_invariants();
+                    if i % 64 != 63 {
+                        continue;
+                    }
+                    let meta = new.save_meta();
+                    let mut re = GCola::from_parts(new.mem.clone(), &meta).expect(&at);
+                    re.check_invariants();
+                    assert_eq!(re.save_meta(), meta, "{at}");
+                    for _ in 0..64 {
+                        let key = rng.below(keys + 8);
+                        assert_eq!(re.get(key), new.get(key), "key {key}, {at}");
+                    }
+                    assert_eq!(re.range(0, u64::MAX), new.range(0, u64::MAX), "{at}");
+                }
+                moves += new.stats().run_moves;
             }
         }
+        assert!(moves > 0, "no carry moved a run");
+    }
+
+    /// A carry's scratch is the structure's fixed scratch: a chunk per
+    /// level, the sweep buffer and the cascade's keys — not a buffer the
+    /// size of the carry, however large it is.
+    #[test]
+    fn a_carry_holds_only_the_fixed_scratch() {
+        let mut c = plain(4, 0.1);
+        let mut largest = 0;
+        for i in 0..1u64 << 15 {
+            let before = c.stats().cells_written;
+            c.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i);
+            largest = largest.max(c.stats().cells_written - before);
+        }
+        let bound = (c.levels.len() + 1) * CHUNK
+            + 2 * c.levels.iter().map(|lv| lv.red_cap).max().unwrap_or(0) / 4;
+        let peak = c.stats().scratch_peak_cells;
+        assert!(largest >= 1 << 14, "a carry of {largest} cells");
+        assert!(
+            peak <= bound as u64,
+            "scratch peaked at {peak} cells, bound {bound}"
+        );
+        assert_eq!(peak, c.scratch_cells(), "the scratch is held, not grown");
     }
 
     /// Every written cell is stored or counted as dropped, and a level

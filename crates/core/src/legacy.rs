@@ -2,7 +2,9 @@
 //! checks — and the one path that opens them: a directory parser per
 //! format, and [`live_entries`], which reads the runs it names into the
 //! live entries a fresh engine bulk-loads ([`crate::GCola::bulk_load`],
-//! [`crate::DeamortCola::bulk_load`]). A sharded store built before its
+//! [`crate::DeamortCola::bulk_load`]). A retired format is a tag, or a
+//! tag and a version: the g-COLA's v2 shares its tag with the v3 the
+//! g-COLA writes. A sharded store built before its
 //! shard 0 carried the database's [`Root`] kept that root in two side
 //! files; [`sidecar_root`] reads them. DESIGN.md, "Decided: one migration
 //! path for retired formats", has the format table and the trade.
@@ -17,6 +19,7 @@ use crate::dict::CursorOps;
 use crate::entry::Cell;
 use crate::persist::{
     peek_tag, spans, MetaError, MetaReader, Root, TAG_BASIC_COLA, TAG_DEAMORT, TAG_DEAMORT_BASIC,
+    TAG_GCOLA,
 };
 use crate::run::Run;
 use crate::runbuf::RunBuf;
@@ -25,6 +28,8 @@ use crate::runbuf::RunBuf;
 const BASIC_VERSION: u8 = 2;
 /// Version of the three-array format.
 const THREE_ARRAY_VERSION: u8 = 2;
+/// The g-COLA's format before its levels kept a lead.
+const GCOLA_V2: u8 = 2;
 
 /// The engine a store in a retired format is rebuilt into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -112,9 +117,10 @@ type Directory = (Vec<Slot>, Vec<Option<(u64, u64)>>, fn(usize) -> String);
 /// cascade state by `Run::reopen`, the runs read newest first through one
 /// [`RunMergeCursor`] into a buffer of 32 bytes an entry. Writes nothing.
 pub fn live_entries<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Option<Vec<Cell>>, MetaError> {
-    let (slots, fences, what) = match peek_tag(meta) {
-        Some(TAG_BASIC_COLA) => basic_dir(mem, meta)?,
-        Some(TAG_DEAMORT) => three_array_dir(mem, meta)?,
+    let (slots, fences, what) = match (peek_tag(meta), meta.get(1)) {
+        (Some(TAG_BASIC_COLA), _) => basic_dir(mem, meta)?,
+        (Some(TAG_DEAMORT), _) => three_array_dir(mem, meta)?,
+        (Some(TAG_GCOLA), Some(&GCOLA_V2)) => gcola_v2_dir(mem, meta)?,
         _ => return Ok(None),
     };
     let (mut scratch, mut runs) = (RunBuf::new(), Vec::new());
@@ -126,7 +132,7 @@ pub fn live_entries<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Option<Vec<Cel
                 aux: None,
             };
             let what = format_args!("{}", what(i));
-            let aux = run.reopen(mem, &mut scratch, fence, what, |_, _| {})?;
+            let aux = run.reopen(mem, &mut scratch, fence, len, what, |_, _| {})?;
             runs.extend(order.map(|order| (order, run, aux)));
         }
     }
@@ -198,4 +204,36 @@ fn three_array_dir<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Directory, Meta
     Ok((arrays, fences, |i| {
         format!("level {} array {}", i / 3, i % 3)
     }))
+}
+
+/// The g-COLA's v2 directory: its growth factor, pointer density and N,
+/// a level count, then per level its first slot, slots, item capacity,
+/// redundancy allowance, items and redundant cells, each checked, then
+/// the occupied levels' fence keys. Every run is right-justified in its
+/// level; smaller levels are newer. Its lookahead cells sample the level
+/// above at midpoints, which no search here reads.
+fn gcola_v2_dir<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Directory, MetaError> {
+    let mut r = MetaReader::new(meta, TAG_GCOLA, GCOLA_V2)?;
+    let (_g, _p, _n) = (r.usize()?, r.f64()?, r.u64()?);
+    let count = r.level_count(64)?;
+    let (mut levels, mut end) = (Vec::with_capacity(count), 1);
+    for l in 0..count {
+        let (off, slots, cap) = (r.usize()?, r.usize()?, r.usize()?);
+        let (red_cap, items, reds) = (r.usize()?, r.usize()?, r.usize()?);
+        let fits = off == end
+            && cap.checked_add(red_cap) == Some(slots)
+            && items <= cap
+            && reds <= red_cap;
+        let Some(next) = off.checked_add(slots).filter(|_| fits) else {
+            return Err(MetaError::Invalid(format!(
+                "level {l} geometry/occupancy out of bounds"
+            )));
+        };
+        levels.push((next - items - reds, items + reds, Some((l, Reverse(0)))));
+        end = next;
+    }
+    let fences = r.fences(levels.iter().map(|&(_, len, _)| len > 0))?;
+    r.finish()?;
+    spans(mem, count, end)?;
+    Ok((levels, fences, |l| format!("level {l}")))
 }

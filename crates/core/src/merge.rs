@@ -1,183 +1,280 @@
 //! The carry merge kernel of the g-COLA (and so of the basic COLA, its
-//! `g = 2, p = 0` case): one stable two-way merge, folded over a carry's
-//! sources newest-first.
+//! `g = 2, p = 0` case): a chain of stable two-way merges that streams a
+//! carry's sources through fixed chunks and hands its output back one
+//! cell at a time, so a carry holds no buffer the size of its output.
 //!
 //! A carry into level `t` merges the new run, levels `0..t` and the
-//! target's own run. Folding them pairwise — `((run ⋈ L0) ⋈ L1) ⋈ …`,
-//! the left (newer) side winning ties — emits every key's versions in
-//! source order, which is what a k-way merge keyed on `(key, source
-//! rank)` emits: the output is cell-for-cell the same. Levels grow
-//! geometrically, so the fold copies `Σ size_j·(t−j) ≤ total·g/(g−1)`
-//! cells at one compare each, against a heap's `O(log k)` sifts per cell.
+//! target's own run. [`Fold`] merges them as a chain — `((run ⋈ L0) ⋈ L1)
+//! ⋈ …`, newest source innermost, the inner (newer) side winning ties —
+//! so it emits every key's versions in source order, which is what a
+//! k-way merge keyed on `(key, source rank)` emits: the output is cell for
+//! cell the same. Each node of the chain caches the next cell of the merge
+//! beneath it, so a cell from source `j` costs one compare at each node
+//! from the top down to `j` and one move back up: levels grow
+//! geometrically, so a carry pays `≤ g/(g−1)` compares a cell, against a
+//! heap's `O(log k)` sifts.
 //!
-//! [`Step::push`] drops a source cell whose key the cell just written
-//! carries — the newer run's, or the source's own in a level written
-//! before this rule — so the output is cell-for-cell a k-way merge *of the
-//! newest version of each key*, and [`MergeBuf::drop_tombstones`] ends a
-//! fold nothing older lies beneath.
+//! [`Fold::next`] keeps only the first cell of each key — the newest, from
+//! the newer run, or from the same source in a level written before this
+//! rule — and, at the deepest level, where nothing older lies beneath,
+//! drops tombstones. The target's lookahead cells (the only redundant
+//! cells a carry keeps: it reads level `j < t`'s as it reads its items,
+//! and skips them) come ahead of real cells with the same key, as a
+//! level rewrite places them.
 //!
-//! The fold runs in place. Source sizes are known up front, so the run
-//! so far sits right-justified in a buffer of their sum and each older
-//! source is merged into the gap on its left as its cells stream past:
-//! the write position reaches the unread run only when the source is
-//! exhausted, and the rest of the run is then already in place. A step
-//! that dropped cells ends short of the run and closes the gap with one
-//! `copy_within`; fresh keys never pay it. No source is staged and
-//! nothing ping-pongs: the fold holds the sources once and the output
-//! never — half a k-way merge's peak (sources + output) — and its length
-//! is known before the target's rewrite starts.
-//!
-//! The scratch belongs to the structure, so a steady-state carry
-//! allocates nothing. Between carries each buffer keeps at most
-//! [`RETAIN_CELLS`]: small carries are where an allocation is a visible
-//! share of the work (15 carries in 16 of a 4-COLA merge under 32 cells);
-//! a carry past the bound moves thousands of cells per allocation, sizes
-//! its buffers exactly and gives them back before it returns.
+//! Every older source reads its run through a [`Source`]: a chunk of at
+//! most [`CHUNK`] cells the structure allocates once, with the level, and
+//! refills by one run call as the merge drains it. A refill stops at the
+//! next multiple of [`CHUNK`] slots, and so does `RunBuf::fill` when it
+//! flushes the output, so a store page dividing `CHUNK` cells is
+//! read or written by one call of each sweep, never split between two
+//! calls with other sweeps' pages in between. The chunks, the one output
+//! chunk and the lookahead keys of the cascade below are the whole of a
+//! carry's scratch: no carry allocates, and none holds its output.
+
+use cosbt_dam::Mem;
 
 use crate::entry::Cell;
+use crate::runbuf::CHUNK;
 
-/// Elements a scratch buffer may keep between carries (32 KiB of cells).
-pub(crate) const RETAIN_CELLS: usize = 1024;
+/// A cell in merge order: by key, a lookahead cell ahead of real cells
+/// of its key, and [`Head::END`] after every cell.
+#[inline]
+fn rank(cell: &Cell) -> u128 {
+    (cell.key as u128) << 1 | cell.is_real() as u128
+}
 
-/// Empties `v`, giving back what it holds past the bound — by freeing,
-/// not shrinking: a shrunk mapping never teaches malloc to stop mmapping
-/// carry-sized blocks, and every large carry then page-faults its buffers
-/// in afresh (measured: 430 → 600 ns/insert).
-fn recycle<T>(v: &mut Vec<T>) {
-    v.clear();
-    if v.capacity() > RETAIN_CELLS {
-        *v = Vec::with_capacity(RETAIN_CELLS);
+/// A merge node's cached next cell, with its rank.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Head {
+    rank: u128,
+    cell: Cell,
+}
+
+impl Head {
+    /// What an exhausted merge hands out.
+    pub(crate) const END: Head = Head {
+        rank: u128::MAX,
+        cell: Cell {
+            key: 0,
+            val: 0,
+            ptr: 0,
+            meta: 0,
+        },
+    };
+
+    #[inline]
+    fn of(cell: Option<&Cell>) -> Head {
+        cell.map_or(Head::END, |&cell| Head {
+            rank: rank(&cell),
+            cell,
+        })
     }
 }
 
-/// A structure's carry scratch. `buf[start..]` is the fold so far; `buf`
-/// stays initialized to its full length, so steps index instead of push.
-#[derive(Debug, Default)]
-pub(crate) struct MergeBuf {
-    /// Lookahead samples `(key, position)` for the level being rewritten.
-    pub(crate) las: Vec<(u64, u64)>,
-    /// The samples that rewrite takes of itself, for the level below.
-    pub(crate) down: Vec<(u64, u64)>,
-    /// Shadowed versions and spent tombstones the fold has dropped.
-    pub(crate) dropped: u64,
-    buf: Vec<Cell>,
-    start: usize,
-}
-
-impl MergeBuf {
-    /// Starts a fold at `newest`, with room for `total` cells in all.
-    pub(crate) fn begin(&mut self, newest: &[Cell], total: usize) {
-        if self.buf.len() < total {
-            self.buf = vec![Cell::default(); total.max(RETAIN_CELLS)];
-        }
-        self.start = self.buf.len() - newest.len();
-        self.buf[self.start..].copy_from_slice(newest);
-        self.dropped = 0;
-    }
-
-    /// Merges the next-older source, of exactly `n` cells, into the run:
-    /// `feed` pushes them in key order.
-    pub(crate) fn step(&mut self, n: usize, feed: impl FnOnce(&mut Step<'_>)) {
-        assert!(n <= self.start, "fold begun with room for fewer cells");
-        let base = self.start - n;
-        let mut step = Step {
-            buf: &mut self.buf,
-            r: self.start,
-            w: base,
-            base,
-            left: n,
-        };
-        feed(&mut step);
-        assert_eq!(step.left, 0, "source shorter than its item count");
-        let (w, gap) = (step.w, step.r - step.w);
-        if gap > 0 {
-            self.buf.copy_within(base..w, base + gap);
-            self.dropped += gap as u64;
-        }
-        self.start = base + gap;
-    }
-
-    /// Ends a fold nothing older lies beneath: its tombstones have no
-    /// version left to shadow and are compacted out, right to left.
-    pub(crate) fn drop_tombstones(&mut self) {
-        let mut w = self.buf.len();
-        for r in (self.start..self.buf.len()).rev() {
-            if !self.buf[r].is_tombstone() {
-                w -= 1;
-                self.buf[w] = self.buf[r];
-            }
-        }
-        self.dropped += (w - self.start) as u64;
-        self.start = w;
-    }
-
-    /// The merged run.
-    pub(crate) fn run(&self) -> &[Cell] {
-        &self.buf[self.start..]
-    }
-
-    /// Ends a carry: gives back whatever outgrew the bound.
-    pub(crate) fn release(&mut self) {
-        recycle(&mut self.las);
-        recycle(&mut self.down);
-        if self.buf.len() > RETAIN_CELLS {
-            self.buf = vec![Cell::default(); RETAIN_CELLS];
-        }
-    }
-}
-
-/// One source being merged in: `buf[base..w]` is the output so far,
-/// `buf[r..]` the unread run and `left` the number of source cells still
-/// to come; `r − w − left` cells have been dropped.
-pub(crate) struct Step<'a> {
-    buf: &'a mut [Cell],
-    r: usize,
-    w: usize,
-    base: usize,
+/// One older source of a carry: `mem[next..stop]` still in the store,
+/// `buf[at..end]` staged and unread, `head` the cell at `at`.
+#[derive(Debug)]
+pub(crate) struct Source {
+    buf: Box<[Cell]>,
+    at: usize,
+    end: usize,
+    next: usize,
+    stop: usize,
+    head: Head,
+    /// Real cells the run holds and the source has not staged yet.
     left: usize,
+    /// Whether redundant cells are merged (the target's) or skipped.
+    keep_redundant: bool,
 }
 
-impl Step<'_> {
-    /// Moves the run's cells up to and including `key` to the output: the
-    /// run is newer and wins ties.
-    #[inline]
-    fn advance(&mut self, key: u64) {
-        assert!(self.left > 0, "source longer than its item count");
-        self.left -= 1;
-        while self.r < self.buf.len() && self.buf[self.r].key <= key {
-            self.buf[self.w] = self.buf[self.r];
-            (self.w, self.r) = (self.w + 1, self.r + 1);
+impl Source {
+    /// A source staging at most `cells` cells at a time.
+    pub(crate) fn new(cells: usize) -> Source {
+        Source {
+            buf: vec![Cell::default(); cells.clamp(1, CHUNK)].into_boxed_slice(),
+            at: 0,
+            end: 0,
+            next: 0,
+            stop: 0,
+            head: Head::END,
+            left: 0,
+            keep_redundant: false,
         }
     }
 
-    /// The source's next cell, dropped if the cell just written — newer
-    /// than it — has its key.
+    /// Cells the source stages at a time.
+    pub(crate) fn cells(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Starts reading the run `mem[base..base + len]`, which holds
+    /// `items` real cells, and stages its first chunk. A carry places its
+    /// output by the item counts, so a run holding more real cells, or
+    /// fewer, than its count is caught as it is read.
+    pub(crate) fn open<M: Mem<Cell>>(
+        &mut self,
+        mem: &M,
+        (base, len): (usize, usize),
+        items: usize,
+        keep_redundant: bool,
+    ) {
+        (self.next, self.stop) = (base, base + len);
+        (self.left, self.keep_redundant) = (items, keep_redundant);
+        self.refill(mem);
+    }
+
+    /// Hands out the head and moves on to the next cell.
     #[inline]
-    pub(crate) fn push(&mut self, cell: &Cell) {
-        self.advance(cell.key);
-        if self.w > self.base && self.buf[self.w - 1].key == cell.key {
-            return;
+    fn take<M: Mem<Cell>>(&mut self, mem: &M) -> Head {
+        let head = self.head;
+        self.at += 1;
+        match self.buf[..self.end].get(self.at) {
+            Some(&cell) => {
+                self.head = Head {
+                    rank: rank(&cell),
+                    cell,
+                }
+            }
+            None => self.refill(mem),
         }
-        self.buf[self.w] = *cell;
-        self.w += 1;
+        head
+    }
+
+    /// Stages the next chunk that holds a cell the merge takes: up to the
+    /// next multiple of [`CHUNK`] slots, and never more than the buffer.
+    /// A run of one cell is read by the per-cell call it is equivalent to.
+    fn refill<M: Mem<Cell>>(&mut self, mem: &M) {
+        (self.at, self.end) = (0, 0);
+        while self.end == 0 && self.next < self.stop {
+            let boundary = (self.next / CHUNK + 1) * CHUNK;
+            let n = (self.stop.min(boundary) - self.next).min(self.buf.len());
+            let chunk = &mut self.buf[..n];
+            if n == 1 {
+                chunk[0] = mem.get(self.next);
+            } else {
+                mem.read_run(self.next, chunk);
+            }
+            self.next += n;
+            let reals = if self.keep_redundant {
+                self.end = n;
+                chunk.iter().filter(|c| c.is_real()).count()
+            } else {
+                let mut kept = 0;
+                for r in 0..n {
+                    if chunk[r].is_real() {
+                        chunk[kept] = chunk[r];
+                        kept += 1;
+                    }
+                }
+                self.end = kept;
+                kept
+            };
+            assert!(reals <= self.left, "source longer than its item count");
+            self.left -= reals;
+        }
+        assert!(
+            self.end > 0 || self.left == 0,
+            "source shorter than its item count"
+        );
+        self.head = Head::of(self.buf[..self.end].first());
     }
 }
 
-#[cfg(test)]
-impl MergeBuf {
-    /// The largest capacity, in elements, any scratch buffer holds.
-    pub(crate) fn retained(&self) -> usize {
-        let caps = [
-            self.las.capacity(),
-            self.down.capacity(),
-            self.buf.capacity(),
-        ];
-        caps.into_iter().max().unwrap_or(0)
+/// A carry's merge in progress: `newest` (one cell per key, newer than
+/// everything stored), then `older`, newest first. Resumable: each
+/// [`Fold::next`] returns the next output cell, so a caller may write,
+/// stop and go on as it likes.
+pub(crate) struct Fold<'a> {
+    newest: &'a [Cell],
+    taken: usize,
+    older: &'a mut [Source],
+    /// `heads[i]`: the next cell of the merge of `newest` and
+    /// `older[..i]`, taken off it already.
+    heads: &'a mut [Head],
+    last_real: Option<u64>,
+    deepest: bool,
+    /// Shadowed versions and spent tombstones dropped so far.
+    pub(crate) dropped: u64,
+}
+
+impl<'a> Fold<'a> {
+    /// A fold of `newest` and the opened `older` sources; `heads` has a
+    /// slot per older source. `deepest`: nothing older than the sources
+    /// is stored, so their tombstones are dropped.
+    pub(crate) fn new<M: Mem<Cell>>(
+        mem: &M,
+        newest: &'a [Cell],
+        older: &'a mut [Source],
+        heads: &'a mut [Head],
+        deepest: bool,
+    ) -> Fold<'a> {
+        assert_eq!(older.len(), heads.len(), "one cached head per node");
+        let mut fold = Fold {
+            newest,
+            taken: 0,
+            older,
+            heads,
+            last_real: None,
+            deepest,
+            dropped: 0,
+        };
+        for i in 0..fold.heads.len() {
+            fold.heads[i] = fold.pop(mem, i);
+        }
+        fold
+    }
+
+    /// The next cell of the merge of `newest` and `older[..top]`. Walks
+    /// down while the cached inner (newer) head goes first — it wins ties
+    /// of rank, so a key's versions leave newest first — takes the cell
+    /// where a source's head goes first, and passes it up the nodes
+    /// walked, each handing on the head it held.
+    #[inline]
+    fn pop<M: Mem<Cell>>(&mut self, mem: &M, top: usize) -> Head {
+        let mut i = top;
+        while i > 0 && self.heads[i - 1].rank <= self.older[i - 1].head.rank {
+            i -= 1;
+        }
+        let mut head = match i {
+            0 => {
+                let head = Head::of(self.newest.get(self.taken));
+                self.taken += 1;
+                head
+            }
+            _ => self.older[i - 1].take(mem),
+        };
+        for cached in &mut self.heads[i..top] {
+            std::mem::swap(&mut head, cached);
+        }
+        head
+    }
+
+    /// The next cell the carry writes: the merge's next cell, unless it
+    /// is an older version of the last real key or a spent tombstone.
+    #[inline]
+    pub(crate) fn next<M: Mem<Cell>>(&mut self, mem: &M) -> Option<Cell> {
+        loop {
+            let Head { rank, cell } = self.pop(mem, self.heads.len());
+            if rank == u128::MAX {
+                return None;
+            }
+            if cell.is_redundant() {
+                return Some(cell);
+            }
+            let shadowed = self.last_real == Some(cell.key);
+            self.last_real = Some(cell.key);
+            if shadowed || (self.deepest && cell.is_tombstone()) {
+                self.dropped += 1;
+                continue;
+            }
+            return Some(cell);
+        }
     }
 }
 
 /// What the differential tests of the structures share: the k-way heap
-/// merge the fold replaced, kept as their oracle, and the seeded stream.
+/// merge the kernel replaced, kept as their oracle, and the seeded stream.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::cmp::Reverse;
@@ -252,10 +349,16 @@ pub(crate) mod oracle {
     /// a key pile up within and across levels: 80 % insert, 10 % delete,
     /// 5 % `apply` of up to 300 mixed ops, 5 % sorted `insert_batch`.
     pub(crate) fn stream(seed: u64, n: usize) -> Vec<Op> {
+        stream_over(seed, n, 3 * n as u64, 2)
+    }
+
+    /// [`stream`] over `keys` keys, `deletes` in 20 of its single writes
+    /// deletes (the rest inserts).
+    pub(crate) fn stream_over(seed: u64, n: usize, keys: u64, deletes: u64) -> Vec<Op> {
         let mut rng = Rng::new(seed);
         let key = |rng: &mut Rng| match rng.below(50) {
             0 => u64::MAX,
-            _ => rng.below(3 * n as u64),
+            _ => rng.below(keys),
         };
         (0..n as u64)
             .map(|i| match rng.below(20) {
@@ -276,7 +379,7 @@ pub(crate) mod oracle {
                     pairs.sort_by_key(|&(k, _)| k);
                     Op::Batch(pairs)
                 }
-                2 | 3 => Op::Delete(key(&mut rng)),
+                d if d < 2 + deletes => Op::Delete(key(&mut rng)),
                 _ => Op::Insert(key(&mut rng), i),
             })
             .collect()
@@ -286,6 +389,7 @@ pub(crate) mod oracle {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cosbt_dam::PlainMem;
     use cosbt_testkit::{check_cases, Rng};
 
     /// A sorted source of `len` cells with duplicate keys, tombstones and
@@ -313,23 +417,46 @@ mod tests {
             .collect()
     }
 
-    /// 1 to 7 sources, a quarter of them empty.
+    /// 1 to 7 sources, a quarter of them empty, some longer than a chunk.
     fn sources(rng: &mut Rng) -> Vec<Vec<Cell>> {
         let mut next_val = 0;
         (0..1 + rng.index(7))
             .map(|_| {
-                let len = if rng.chance(1, 4) { 0 } else { rng.index(40) };
+                let len = match rng.below(8) {
+                    0 | 1 => 0,
+                    2 => rng.index(3 * CHUNK),
+                    _ => rng.index(40),
+                };
                 source(rng, len, &mut next_val)
             })
             .collect()
+    }
+
+    /// `sources[1..]` laid out in a store one after another, at an
+    /// offset that puts the chunk boundaries anywhere in them, and
+    /// folded under `sources[0]`. Each source stages `cells` at a time.
+    fn fold(sources: &[Vec<Cell>], cells: usize, deepest: bool) -> (Vec<Cell>, u64) {
+        let mut mem = PlainMem::with_len(7, Cell::default());
+        let mut older = Vec::new();
+        for src in &sources[1..] {
+            let base = mem.len();
+            mem.resize(base + src.len(), Cell::default());
+            mem.write_run(base, src);
+            let mut s = Source::new(cells);
+            s.open(&mem, (base, src.len()), src.len(), false);
+            older.push(s);
+        }
+        let mut heads = vec![Head::END; older.len()];
+        let mut f = Fold::new(&mem, &sources[0], &mut older, &mut heads, deepest);
+        let out = std::iter::from_fn(|| f.next(&mem)).collect();
+        (out, f.dropped)
     }
 
     /// The oracle's merge is a stable sort of the sources, newest first;
     /// where no key repeats, the fold is that same sort and drops nothing.
     #[test]
     fn fold_is_a_stable_sort_of_the_sources_newest_first() {
-        let mut buf = MergeBuf::default();
-        check_cases("fold_stable", 500, |rng| {
+        check_cases("fold_stable", 300, |rng| {
             let mut sources = sources(rng);
             let mut want: Vec<Cell> = sources.concat();
             want.sort_by_key(|c| c.key); // stable: ties keep source order
@@ -345,13 +472,9 @@ mod tests {
             }
             let mut want: Vec<Cell> = sources.concat();
             want.sort_by_key(|c| c.key);
-            buf.begin(&sources[0], want.len());
-            for src in &sources[1..] {
-                buf.step(src.len(), |s| src.iter().for_each(|c| s.push(c)));
+            for cells in [1, 5, CHUNK] {
+                assert_eq!(fold(&sources, cells, false), (want.clone(), 0));
             }
-            assert_eq!(buf.run(), want);
-            assert_eq!(buf.dropped, 0);
-            buf.release();
         });
     }
 
@@ -359,41 +482,29 @@ mod tests {
     /// source repeats a key itself (a level written before carries
     /// dropped anything), and then no tombstone.
     #[test]
-    fn push_keeps_the_newest_version_of_each_key() {
-        let mut buf = MergeBuf::default();
-        check_cases("fold_newest", 500, |rng| {
+    fn next_keeps_the_newest_version_of_each_key() {
+        check_cases("fold_newest", 300, |rng| {
             let mut sources = sources(rng);
             sources[0].dedup_by_key(|c| c.key); // a new run holds a key once
             let mut want = oracle::heap_merge(&sources);
-            let total = want.len();
             let shadowed = oracle::newest_only(&mut want, false);
-
-            buf.begin(&sources[0], total);
-            for src in &sources[1..] {
-                buf.step(src.len(), |s| src.iter().for_each(|c| s.push(c)));
-            }
-            assert_eq!(buf.run(), want);
-            assert_eq!(buf.dropped, shadowed);
-
+            let cells = 1 + rng.index(CHUNK);
+            assert_eq!(fold(&sources, cells, false), (want.clone(), shadowed));
             let spent = oracle::newest_only(&mut want, true);
-            buf.drop_tombstones();
-            assert_eq!(buf.run(), want);
-            assert_eq!(buf.dropped, shadowed + spent);
-            buf.release();
+            assert_eq!(fold(&sources, cells, true), (want, shadowed + spent));
         });
     }
 
-    /// Drops at either end of a step, where the gap meets the run.
+    /// Drops at either end of a source, where it meets a chunk boundary
+    /// or the newer run's last cell.
     #[test]
-    fn push_drops_at_the_first_and_last_position_of_a_step() {
+    fn next_drops_at_the_first_and_last_cell_of_a_source() {
         let cells = |keys: &[u64], val| keys.iter().map(|&k| Cell::item(k, val)).collect();
         let fold = |run: &[u64], src: &[u64]| {
-            let (run, src): (Vec<Cell>, Vec<Cell>) = (cells(run, 0), cells(src, 1));
-            let mut buf = MergeBuf::default();
-            buf.begin(&run, run.len() + src.len());
-            buf.step(src.len(), |s| src.iter().for_each(|c| s.push(c)));
-            let out: Vec<(u64, u64)> = buf.run().iter().map(|c| (c.key, c.val)).collect();
-            (out, buf.dropped)
+            let sources: [Vec<Cell>; 2] = [cells(run, 0), cells(src, 1)];
+            let (out, dropped) = fold(&sources, 1, false);
+            let out: Vec<(u64, u64)> = out.iter().map(|c| (c.key, c.val)).collect();
+            (out, dropped)
         };
         // First: the source's first cell is shadowed by the run's.
         assert_eq!(fold(&[1, 5], &[1, 3]), (vec![(1, 0), (3, 1), (5, 0)], 1));
@@ -401,38 +512,92 @@ mod tests {
         assert_eq!(fold(&[2, 9], &[1, 9]), (vec![(1, 1), (2, 0), (9, 0)], 1));
         // Every cell, leaving nothing of the source.
         assert_eq!(fold(&[4, 6], &[4, 6]), (vec![(4, 0), (6, 0)], 2));
-        // A source that repeats its own first key, which the run lacks:
-        // the slot before the step's output is never consulted.
+        // A source that repeats its own first key, which the run lacks.
         assert_eq!(fold(&[7], &[3, 3, 7]), (vec![(3, 1), (7, 0)], 2));
-        // Nothing shadowed: the step ends flush and nothing moves.
+        // Nothing shadowed.
         assert_eq!(fold(&[2], &[1, 3]), (vec![(1, 1), (2, 0), (3, 1)], 0));
     }
 
     #[test]
-    fn a_carry_past_the_bound_is_given_back() {
-        let mut buf = MergeBuf::default();
-        let big: Vec<Cell> = (0..3 * RETAIN_CELLS as u64)
-            .map(|k| Cell::item(k, k))
-            .collect();
-        buf.begin(&big[..10], big.len());
-        buf.step(big.len() - 10, |s| big[10..].iter().for_each(|c| s.push(c)));
-        assert_eq!(buf.run().len(), big.len());
-        buf.las.resize(2 * RETAIN_CELLS, (0, 0));
-        buf.down.resize(2 * RETAIN_CELLS, (0, 0));
-        buf.release();
-        assert!(buf.retained() <= RETAIN_CELLS);
-        // The retained buffer still serves a carry within the bound.
-        buf.begin(&big[..3], 5);
-        buf.step(2, |s| big[3..5].iter().for_each(|c| s.push(c)));
-        let keys: Vec<u64> = buf.run().iter().map(|c| c.key).collect();
-        assert_eq!(keys, [0, 1, 2, 3, 4]);
+    #[should_panic(expected = "one cached head per node")]
+    fn a_fold_without_a_head_per_source_is_caught() {
+        let mem = PlainMem::with_len(1, Cell::default());
+        let mut older = [Source::new(1)];
+        Fold::new(&mem, &[], &mut older, &mut [], false);
     }
 
     #[test]
     #[should_panic(expected = "source shorter")]
     fn a_short_source_is_caught() {
-        let mut buf = MergeBuf::default();
-        buf.begin(&[Cell::item(1, 1)], 3);
-        buf.step(2, |s| s.push(&Cell::item(0, 0)));
+        let mem = PlainMem::with_len(3, Cell::item(1, 1));
+        let mut older = [Source::new(2)];
+        older[0].open(&mem, (0, 3), 4, false);
+        let mut heads = [Head::END];
+        let mut f = Fold::new(&mem, &[], &mut older, &mut heads, false);
+        while f.next(&mem).is_some() {}
+    }
+
+    #[test]
+    #[should_panic(expected = "source longer")]
+    fn a_long_source_is_caught() {
+        let mem = PlainMem::with_len(3, Cell::item(1, 1));
+        let mut older = [Source::new(8)];
+        older[0].open(&mem, (0, 3), 2, false);
+    }
+
+    /// The outermost source keeps its lookahead cells, ahead of real
+    /// cells of their key from any source; the others' are skipped.
+    #[test]
+    fn the_target_keeps_its_lookaheads_ahead_of_real_cells() {
+        let (run, level) = (
+            [Cell::item(5, 1)],
+            [Cell::lookahead(5, 7), Cell::item(9, 2)],
+        );
+        let target = [
+            Cell::lookahead(3, 0),
+            Cell::lookahead(5, 4),
+            Cell::item(5, 3),
+        ];
+        let mut mem = PlainMem::with_len(5, Cell::default());
+        mem.write_run(0, &level);
+        mem.write_run(2, &target);
+        let (mut a, mut b) = (Source::new(4), Source::new(4));
+        a.open(&mem, (0, 2), 1, false);
+        b.open(&mem, (2, 3), 1, true);
+        let mut older = [a, b];
+        let mut heads = [Head::END; 2];
+        let mut f = Fold::new(&mem, &run, &mut older, &mut heads, false);
+        let out: Vec<Cell> = std::iter::from_fn(|| f.next(&mem)).collect();
+        assert_eq!(
+            out,
+            [target[0], target[1], run[0], level[1]],
+            "lookaheads first, the newest 5 next, the target's 5 dropped"
+        );
+        assert_eq!(f.dropped, 1);
+    }
+
+    /// A refill stops at each multiple of `CHUNK` slots, however the run
+    /// is placed, and stages no more than the source's buffer.
+    #[test]
+    fn refills_stop_at_chunk_boundaries() {
+        let len = 3 * CHUNK;
+        let cells: Vec<Cell> = (0..len as u64).map(|k| Cell::item(k, k)).collect();
+        for (base, buf) in [(0, CHUNK), (CHUNK - 3, CHUNK), (5, 100)] {
+            let mut mem = PlainMem::with_len(base + len, Cell::default());
+            mem.write_run(base, &cells);
+            let mut s = Source::new(buf);
+            s.open(&mem, (base, len), len, true);
+            let mut got = Vec::new();
+            while s.at < s.end {
+                let slot = s.next - s.end;
+                assert!(s.end <= buf, "staged more than the buffer");
+                let last = slot + s.end - 1;
+                assert_eq!(slot / CHUNK, last / CHUNK, "a refill crossed a boundary");
+                for _ in 0..s.end {
+                    got.push(s.take(&mem).cell);
+                }
+            }
+            assert_eq!(got, cells, "base {base}, buffer {buf}");
+        }
     }
 }

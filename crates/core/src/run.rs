@@ -84,6 +84,17 @@ impl<'a> Run<'a> {
         (lo, reads)
     }
 
+    /// At least the number of real cells with keys in `lo..=hi`, read off
+    /// the aux in DRAM: the cells between the ghost windows of `lo` and
+    /// `hi`, none outside the fences; the whole run without an aux.
+    pub(crate) fn span(&self, lo: u64, hi: u64) -> usize {
+        match self.sample() {
+            Some(aux) if hi < aux.fence_min || lo > aux.fence_max => 0,
+            Some(aux) => aux.window(hi).1 - aux.window(lo).0,
+            None => self.len,
+        }
+    }
+
     /// First position whose key is ≥ `key` (`len` if none): a binary
     /// search inside the ghost window — at most two strides, bracketed in
     /// DRAM — when the run has an aux, over the whole run otherwise.
@@ -142,14 +153,16 @@ impl<'a> Run<'a> {
     /// store: the persisted `fence` pair must equal the keys of the
     /// run's first and last stored cell (two point reads, so metadata
     /// for another store fails before the scan); one [`RunBuf`] sweep
-    /// then feeds the [`AuxBuilder`] and hands every staged chunk, with
-    /// its offset, to `tap`; [`LevelAux::check`] judges the result.
-    /// `what` names the run in the error.
+    /// then feeds the [`AuxBuilder`] (its filter sized for `keys` keys, as
+    /// the structure sizes it) and hands every staged chunk, with its
+    /// offset, to `tap`; [`LevelAux::check`] judges the result. `what`
+    /// names the run in the error.
     pub(crate) fn reopen<M: Mem<Cell>>(
         &self,
         mem: &M,
         scratch: &mut RunBuf,
         fence: (u64, u64),
+        keys: usize,
         what: fmt::Arguments<'_>,
         mut tap: impl FnMut(usize, &[Cell]),
     ) -> Result<LevelAux, MetaError> {
@@ -164,7 +177,7 @@ impl<'a> Run<'a> {
                 fence.0, fence.1, stored.0, stored.1
             )));
         }
-        let mut aux = AuxBuilder::new(self.len);
+        let mut aux = AuxBuilder::recycling(self.len, keys, None);
         scratch.for_each_chunk(mem, self.base, self.len, |off, chunk| {
             chunk.iter().for_each(|c| aux.push(c));
             tap(off, chunk);
@@ -178,15 +191,21 @@ impl<'a> Run<'a> {
     /// The invariants of one run slot (tests; panics on violation): the
     /// cells are sorted, and the aux is present exactly when the run is
     /// occupied and equals what a fresh build over the stored cells
-    /// gives — fences, ghost sample, filter and length. Returns the
-    /// number of real cells.
-    pub(crate) fn check<M: Mem<Cell>>(&self, mem: &M, what: fmt::Arguments<'_>) -> usize {
+    /// gives, its filter sized for `keys` keys — fences, ghost sample,
+    /// filter and length. Returns the number of real cells.
+    pub(crate) fn check<M: Mem<Cell>>(
+        &self,
+        mem: &M,
+        keys: usize,
+        what: fmt::Arguments<'_>,
+    ) -> usize {
         let Some(aux) = self.aux else {
             assert_eq!(self.len, 0, "{what} occupied but lacks aux");
             return 0;
         };
         assert!(self.len > 0, "{what} empty but has aux");
-        let (mut fresh, mut prev, mut items) = (AuxBuilder::new(self.len), 0, 0);
+        let fresh = AuxBuilder::recycling(self.len, keys, None);
+        let (mut fresh, mut prev, mut items) = (fresh, 0, 0);
         for i in 0..self.len {
             let c = mem.get(self.base + i);
             assert!(prev <= c.key, "{what} not sorted at {i}");

@@ -4,16 +4,18 @@
 //! residency lookup per page on the file store — instead of one call per
 //! cell.
 //!
-//! Only sweeps that were already one contiguous ascending pass with no
-//! other `Mem` access in between go through it (level reads and rewrites
-//! — what a carry does with the cells in between is `merge.rs` — and
-//! rebuild scans): page-touch order, and with it every transfer count, is
-//! then unchanged. A caller that wants some cells of a sweep for later
-//! (the g-COLA's lookahead samples) taps the staged chunks instead of
-//! reading the store again. Binary searches and the deamortized COLA's
-//! budgeted two-source moves interleave pages and stay on `get`/`set`; so does a cursor, except that its forward loads come out
-//! of peeked windows it pays for in load order (`cursor.rs`), which it
-//! keeps in this buffer while the structure has no sweep to run.
+//! Sweeps that are one contiguous ascending pass go through it: level
+//! rewrites, rebuild scans, and a carry's output, whose chunks
+//! interleave with the chunks its sources read (`merge.rs`). Those
+//! chunks never cross a multiple of [`CHUNK`] slots, so a page dividing
+//! it is touched by one call of each sweep. A caller that wants some
+//! cells of a sweep for later (the g-COLA's lookahead samples) taps the
+//! staged chunks instead of reading the store again. Binary searches and the
+//! deamortized COLA's budgeted two-source moves interleave single cells
+//! and stay on `get`/`set`; so does a cursor, except that its forward
+//! loads come out of peeked windows it pays for in load order
+//! (`cursor.rs`), which it keeps in this buffer while the structure has
+//! no sweep to run.
 
 use cosbt_dam::Mem;
 
@@ -23,7 +25,7 @@ use crate::entry::Cell;
 /// Cells per run call: 16 KiB, four 4 KiB pages. A level is streamed
 /// through the buffer chunk by chunk, never staged whole, so peak memory
 /// does not grow with the level.
-const CHUNK: usize = 512;
+pub(crate) const CHUNK: usize = 512;
 
 /// A structure-owned scratch of [`CHUNK`] cells, allocated once at
 /// construction: no sweep allocates or zeroes anything. Between sweeps
@@ -76,41 +78,63 @@ impl RunBuf {
         }
     }
 
-    /// Calls `f` on each cell of `mem[base..base + len]`, in order.
-    pub(crate) fn for_each<M: Mem<Cell>>(
-        &mut self,
-        mem: &M,
-        base: usize,
-        len: usize,
-        mut f: impl FnMut(&Cell),
-    ) {
-        self.for_each_chunk(mem, base, len, |_, chunk| chunk.iter().for_each(&mut f));
+    /// Moves the run `mem[base..base + len]` to start at `to ≥ base`, a
+    /// chunk at a time from its end, each chunk read and then written in
+    /// ascending order: a chunk's write lands past every cell still to
+    /// be read.
+    pub(crate) fn shift<M: Mem<Cell>>(&mut self, mem: &mut M, base: usize, len: usize, to: usize) {
+        debug_assert!(to >= base, "a run shifts right");
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(CHUNK);
+            left -= n;
+            let chunk = &mut self.cells[..n];
+            mem.read_run(base + left, chunk);
+            mem.write_run(to + left, chunk);
+        }
     }
 
-    /// Writes `next()`, called `len` times, to `mem[base..base + len]` in
-    /// slot order. `tap` sees each chunk once it is staged, with its
-    /// offset in the run: what a caller wants of the cells it has just
-    /// written, it takes here and never reads back.
+    /// Writes the cells `next` hands out, until it hands out `None`, to
+    /// `mem` from slot `base` on, in slot order, and returns how many it
+    /// wrote; `next` may read `mem` (not the slots being written). Chunks
+    /// are flushed at each multiple of [`CHUNK`] slots, so a page
+    /// dividing `CHUNK` cells is written by one call however the run is
+    /// placed. `tap` sees each chunk once it is staged, with its offset in
+    /// the run: what a caller wants of the cells it has just written, it
+    /// takes here and never reads back.
+    #[inline]
     pub(crate) fn fill<M: Mem<Cell>>(
         &mut self,
         mem: &mut M,
         base: usize,
-        len: usize,
-        mut next: impl FnMut() -> Cell,
+        mut next: impl FnMut(&M) -> Option<Cell>,
         mut tap: impl FnMut(usize, &[Cell]),
-    ) {
-        if len == 1 {
-            let cell = next();
-            tap(0, &[cell]);
-            return mem.set(base, cell);
-        }
+    ) -> usize {
         let mut done = 0;
-        while done < len {
-            let chunk = &mut self.cells[..(len - done).min(CHUNK)];
-            chunk.iter_mut().for_each(|c| *c = next());
+        loop {
+            let at = base + done;
+            let room = (at / CHUNK + 1) * CHUNK - at;
+            let mut n = 0;
+            while n < room {
+                let Some(cell) = next(mem) else { break };
+                self.cells[n] = cell;
+                n += 1;
+            }
+            if n == 0 {
+                return done;
+            }
+            let chunk = &self.cells[..n];
             tap(done, chunk);
-            mem.write_run(base + done, chunk);
-            done += chunk.len();
+            match n {
+                // A run of one cell is the per-cell call; level 0 is
+                // written by every insert and must not pay for staging.
+                1 => mem.set(at, chunk[0]),
+                _ => mem.write_run(at, chunk),
+            }
+            done += n;
+            if n < room {
+                return done;
+            }
         }
     }
 }
@@ -150,21 +174,39 @@ mod tests {
 
         let mut i = 0u64;
         let (mut covered, mut got) = (0, Vec::new());
-        buf.fill(
+        let mut flushes = Vec::new();
+        let mut tap = pick(&positions, &mut covered, &mut got);
+        let written = buf.fill(
             &mut mem,
             3,
-            len,
-            || {
+            |_| {
                 i += 1;
-                Cell::item(i - 1, 2 * (i - 1))
+                (i <= len as u64).then(|| Cell::item(i - 1, 2 * (i - 1)))
             },
-            pick(&positions, &mut covered, &mut got),
+            |off, chunk| {
+                flushes.push((3 + off, chunk.len()));
+                tap(off, chunk)
+            },
         );
-        assert_eq!((covered, &got), (len, &want), "fill tap, len {len}");
+        drop(tap);
+        assert_eq!(
+            (written, covered, &got),
+            (len, len, &want),
+            "fill tap, len {len}"
+        );
+        for (slot, n) in flushes {
+            assert_eq!(
+                slot / CHUNK,
+                (slot + n - 1) / CHUNK,
+                "a flush crossed a boundary"
+            );
+        }
         let mut next = 0u64;
-        buf.for_each(&mem, 3, len, |c| {
-            assert_eq!(*c, Cell::item(next, 2 * next));
-            next += 1;
+        buf.for_each_chunk(&mem, 3, len, |_, chunk| {
+            for c in chunk {
+                assert_eq!(*c, Cell::item(next, 2 * next));
+                next += 1;
+            }
         });
         assert_eq!(next, len as u64);
         let (mut covered, mut got) = (0, Vec::new());

@@ -26,6 +26,16 @@ pub struct ColaStats {
     /// the g-COLA drops cells; the other variants keep every version
     /// until `compact`.
     pub cells_dropped: u64,
+    /// The most DRAM scratch the write path held at once, in 32-byte
+    /// cells: the g-COLA's source chunks, its sweep buffer and the
+    /// lookahead keys of a cascade. Fixed by the level geometry, not by
+    /// the size of a carry.
+    pub scratch_peak_cells: u64,
+    /// Carries that first moved the target's old run to the right end of
+    /// its level, because the free slots before it were fewer than the
+    /// cells the carry brings (the g-COLA only; the moved cells count in
+    /// `cells_written`).
+    pub run_moves: u64,
 }
 
 impl ColaStats {

@@ -1,7 +1,8 @@
 //! The memory contract of the g-COLA's amortized write path, observed
-//! from outside through a counting global allocator: a steady-state
-//! carry within the retained-scratch bound allocates nothing, and a
-//! carry past it leaves nothing behind. And of every COLA's read path: a
+//! from outside through a counting global allocator: once every level
+//! has been written, a carry allocates nothing and leaves nothing behind,
+//! and the largest carry's peak of live heap bytes stays within its
+//! level's accelerators plus a fixed scratch bound. And of every COLA's read path: a
 //! point lookup allocates nothing, stepping a cursor allocates nothing on
 //! any backend, and opening one asks the allocator for what it asked
 //! before cursors kept windows.
@@ -23,6 +24,14 @@ static CALLS: AtomicU64 = AtomicU64::new(0);
 static LIVE: AtomicI64 = AtomicI64::new(0);
 /// Bytes those calls asked for.
 static REQUESTED: AtomicU64 = AtomicU64::new(0);
+/// The most bytes allocated at once since it was last set to `LIVE`.
+static PEAK: AtomicI64 = AtomicI64::new(0);
+
+/// Adds `bytes` to `LIVE` and raises `PEAK` to the new total.
+fn grow(bytes: i64) {
+    let live = LIVE.fetch_add(bytes, Ordering::Relaxed) + bytes;
+    PEAK.fetch_max(live, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards to `System` with the arguments it was
 // given; the counters are side effects that touch no allocator state.
@@ -30,7 +39,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        grow(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -44,7 +53,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        LIVE.fetch_add(layout.size() as i64, Ordering::Relaxed);
+        grow(layout.size() as i64);
         // SAFETY: the caller upholds `GlobalAlloc::alloc_zeroed`'s contract.
         unsafe { System.alloc_zeroed(layout) }
     }
@@ -52,7 +61,7 @@ unsafe impl GlobalAlloc for Counting {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         CALLS.fetch_add(1, Ordering::Relaxed);
         REQUESTED.fetch_add(new_size as u64, Ordering::Relaxed);
-        LIVE.fetch_add(new_size as i64 - layout.size() as i64, Ordering::Relaxed);
+        grow(new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with this layout (see `alloc`).
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -83,18 +92,12 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     }
     let levels = cola.num_levels();
 
-    // The 4-COLA's level 4 holds 384 items and its slots (422) are under
-    // the 1,024-cell retained-scratch bound (`merge::RETAIN_CELLS`);
-    // a carry into level 5 writes more than 384 cells. So an insert that
-    // writes at most 384 stayed within the bound — it must not allocate.
-    const SMALL: u64 = 384;
     // After a carry this large the structure may hold its store (32 B a
-    // slot), its accelerators (filter ≤ 2.5 B, ghost sample 2 B a slot)
-    // and the bounded scratch (three buffers of ≤ 32 KiB) — not the fold
-    // buffer and staged target the carry used, which are 32 B per cell
-    // carried (1 MiB at this size's largest carry).
+    // slot), its accelerators (filter ≤ 2.5 B, ghost sample 1 B a slot)
+    // and the fixed scratch (a 16 KiB chunk per level, the 16 KiB sweep
+    // buffer and the lookahead keys) — no buffer the size of the carry.
     const BIG: u64 = 1 << 14;
-    let (mut small, mut big) = (0u64, 0u64);
+    let (mut inserts, mut big) = (0u64, 0u64);
     for i in 0..3u64 << 14 {
         let key = next_key();
         let (calls, written) = (CALLS.load(Ordering::Relaxed), cola.stats().cells_written);
@@ -102,10 +105,9 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
         let calls = CALLS.load(Ordering::Relaxed) - calls;
         let w = cola.stats().cells_written - written;
         assert_eq!(cola.num_levels(), levels, "window must not add a level");
-        if w <= SMALL {
-            small += 1;
-            assert_eq!(calls, 0, "insert {i} wrote {w} cells and allocated");
-        } else if w >= BIG {
+        inserts += 1;
+        assert_eq!(calls, 0, "insert {i} wrote {w} cells and allocated");
+        if w >= BIG {
             big += 1;
             let slots = cola.mem().as_slice().len() as i64;
             let held = LIVE.load(Ordering::Relaxed) - base - 32 * slots;
@@ -114,11 +116,39 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
                 held <= allowed,
                 "insert {i} wrote {w} cells and left {held} B beside the store (allowed {allowed})"
             );
-            assert!(calls > 0, "a carry past the bound sizes its buffers itself");
         }
     }
-    assert!(small > 48_000, "only {small} small inserts observed");
+    assert_eq!(inserts, 3 << 14);
     assert!(big >= 3, "only {big} big carries observed");
+
+    // The largest carry of a 2^18-insert stream merges 2^17 items into
+    // the 2^17 of level 9 (393,216 items, 432,537 slots). Its peak of
+    // live bytes above what the structure held before it is bounded by
+    // the accelerators of that level — a filter of 2^22 bits for its
+    // item capacity and a ghost key per 8 slots, which the level keeps
+    // from its first carry on — plus 256 KiB. A carry that folded its
+    // sources in a buffer of their size peaked 8 MiB above.
+    let (mut largest, mut peak) = (0, 0);
+    for i in 3u64 << 14..(1 << 18) - (1 << 16) {
+        let key = next_key();
+        let (live, written) = (LIVE.load(Ordering::Relaxed), cola.stats().cells_written);
+        PEAK.store(live, Ordering::Relaxed);
+        cola.insert(key, i);
+        let w = cola.stats().cells_written - written;
+        if w > largest {
+            (largest, peak) = (w, PEAK.load(Ordering::Relaxed) - live);
+        }
+    }
+    assert_eq!(cola.insertions(), 1 << 18);
+    assert!(largest > 1 << 18, "largest carry wrote {largest} cells");
+    let (cap, slots) = (393_216usize, 432_537usize);
+    let aux = (cap * 10).next_power_of_two() / 8 + slots.div_ceil(8) * 8;
+    let allowed = aux as i64 + (256 << 10);
+    eprintln!("largest carry: {largest} cells, peak {peak} B above the store before it");
+    assert!(
+        peak <= allowed,
+        "the largest carry ({largest} cells) peaked {peak} B above its start (allowed {allowed})"
+    );
 
     // Point lookups: 1,000 `get`s, hits and misses alternating, on each
     // of the three COLAs at 2^12 keys.

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use cosbt_core::persist::TAG_DEAMORT;
+use cosbt_core::persist::{TAG_DEAMORT, TAG_GCOLA};
 use cosbt_core::{Cell, MetaWriter};
 use cosbt_testkit::Rng;
 
@@ -194,5 +194,92 @@ pub fn three_array() -> Fixture {
         cells,
         meta,
         model: replay(stream(0xDEA3, 25, 12)),
+    }
+}
+
+/// `(first slot, slots, item capacity, redundancy allowance, items,
+/// redundant cells)` of the four levels of a v2 4-COLA at `p = 0.1`.
+const GCOLA_V2_DIR: [[usize; 6]; 4] = [
+    [1, 1, 1, 0, 1, 0],
+    [2, 6, 6, 0, 4, 0],
+    [8, 26, 24, 2, 15, 2],
+    [34, 105, 96, 9, 33, 0],
+];
+
+/// Its store slot by slot, as `(key, v, meta)` (see `cell`): each run
+/// right-justified in its level, the cells an earlier carry left before
+/// it, and level 2's two lookahead cells, the midpoint sample of level
+/// 3's 33 cells (positions 8 and 24).
+#[rustfmt::skip]
+const GCOLA_V2_CELLS: [(u64, u64, u64); 139] = [
+    (0, 0, 0), (10, 119, 0), (12, 111, 0), (19, 107, 0),
+    (7, 0, 2), (25, 117, 0), (32, 118, 0), (42, 116, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 47, 0), (0, 0, 2), (5, 86, 0),
+    (7, 90, 0), (0, 104, 0), (3, 100, 0), (10, 0, 2),
+    (12, 8, 1), (12, 111, 0), (16, 105, 0), (18, 0, 2),
+    (19, 107, 0), (24, 101, 0), (27, 114, 0), (28, 109, 0),
+    (31, 106, 0), (34, 110, 0), (35, 108, 0), (36, 24, 1),
+    (36, 112, 0), (37, 0, 2), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (1, 93, 0), (2, 98, 0),
+    (3, 14, 0), (5, 94, 0), (7, 90, 0), (8, 72, 0),
+    (9, 10, 0), (11, 89, 0), (12, 40, 0), (13, 57, 0),
+    (14, 38, 0), (15, 68, 0), (16, 20, 0), (19, 67, 0),
+    (23, 22, 0), (25, 76, 0), (26, 85, 0), (27, 82, 0),
+    (28, 42, 0), (30, 81, 0), (31, 91, 0), (32, 88, 0),
+    (33, 54, 0), (34, 96, 0), (36, 41, 0), (37, 30, 0),
+    (39, 53, 0), (40, 71, 0), (41, 65, 0), (42, 73, 0),
+    (44, 78, 0), (45, 95, 0), (46, 97, 0),
+];
+
+/// The store and the `save_meta()` the g-COLA's v2 format left after
+/// 120 ops over 48 keys (seed `0x6C0A`): tag 2 v2, g = 4, p = 0.1,
+/// N = 120, four levels, then each occupied level's first and last key.
+/// The payload is pinned by length and FNV-1a.
+pub fn gcola_v2() -> Fixture {
+    let cells: Vec<Cell> = GCOLA_V2_CELLS.into_iter().map(cell).collect();
+    let mut w = MetaWriter::new(TAG_GCOLA, 2);
+    w.usize(4).f64(0.1).u64(120).usize(GCOLA_V2_DIR.len());
+    let mut fences = Vec::new();
+    for level in GCOLA_V2_DIR {
+        level.iter().for_each(|&field| {
+            w.usize(field);
+        });
+        let [off, slots, _, _, items, reds] = level;
+        let run = &cells[off + slots - items - reds..off + slots];
+        if let (Some(first), Some(last)) = (run.first(), run.last()) {
+            fences.push((first.key, last.key));
+        }
+    }
+    for (first, last) in fences {
+        w.u64(first).u64(last);
+    }
+    let meta = w.finish();
+    assert_eq!(
+        (meta.len(), fnv1a(&meta)),
+        (290, 0x4e05_0192_ad2d_c3d3),
+        "the payload the g-COLA's v2 format wrote"
+    );
+    Fixture {
+        cells,
+        meta,
+        model: replay(stream(0x6C0A, 120, 48)),
     }
 }

@@ -8,7 +8,7 @@
 //!
 //! The retired formats are pinned by the stores their engines left
 //! (`fixtures/legacy.rs`): each opens through `cosbt_core::legacy` and
-//! answers as it did. No truncation or flipped bit of any meta here
+//! answers as it did, the g-COLA's v2 included. No truncation or flipped bit of any meta here
 //! panics an open.
 
 mod common;
@@ -114,12 +114,15 @@ fn stored_control_state_is_byte_identical() {
 // (length, FNV-1a) of `save_meta()` after `stream`, recorded at ff2d039.
 // `BASIC` was re-recorded when the basic COLA became the g-COLA at g = 2,
 // p = 0: it pins the g-COLA format that `GCola::basic` writes. The basic
-// COLA's own format is pinned by `legacy_fixtures::basic`.
+// COLA's own format is pinned by `legacy_fixtures::basic`. Both g-COLA
+// rows were re-recorded for format v3, which adds a lead per level (8
+// bytes each: 818 → 922 and 482 → 538 bytes) and whose levels sample the
+// level above at a fixed stride; v2 is pinned by `legacy_fixtures::gcola_v2`.
 // `DEAMORT_BASIC` is the two-array format `DeamortCola` writes under
 // `TAG_DEAMORT_BASIC`; the retired three-array format is pinned by
 // `legacy_fixtures::three_array`.
-const BASIC: (usize, u64) = (818, 0x9ea3_64b1_94fe_5df2);
-const GCOLA: (usize, u64) = (482, 0x629c_74d6_dade_48b9);
+const BASIC: (usize, u64) = (922, 0x8566_1c16_f307_6249);
+const GCOLA: (usize, u64) = (538, 0x6f9d_51d9_46d7_1e88);
 const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
 
 /// The fixture's cells in a store of their own.
@@ -222,6 +225,38 @@ fn three_array_stores_open_and_converge() {
     }
 }
 
+/// A store the g-COLA's v2 format left — right-justified runs, midpoint
+/// lookahead samples — is a typed `BadVersion` to `from_parts`, opens
+/// through the rebuild into a v3 4-COLA, answers as it did, takes writes,
+/// and is written back and reopened as v3. A level whose items outgrow
+/// its capacity is a typed error.
+#[test]
+fn gcola_v2_stores_open_and_converge() {
+    let fx = legacy_fixtures::gcola_v2();
+    let mem = store(&fx);
+    match GCola::from_parts(mem.clone(), &fx.meta) {
+        Err(MetaError::BadVersion(2)) => {}
+        other => panic!("a v2 meta reopened in place: {:?}", other.map(|_| ())),
+    }
+    let c = GCola::bulk_load(mem.clone(), 4, 0.1, &live_entries(&fx, &mem));
+    assert_eq!(c.insertions(), fx.model.len() as u64);
+    let reopen = |meta: &[u8]| GCola::from_parts(mem.clone(), meta);
+    converges(
+        c,
+        fx.model.clone(),
+        TAG_GCOLA,
+        GCola::check_invariants,
+        reopen,
+    );
+
+    let mut bad = fx.meta.clone();
+    bad[2 + 3 * 8 + 8 + 2 * 48 + 4 * 8] = 25; // level 2's items, past its 24
+    match legacy::live_entries(&store(&fx), &bad) {
+        Err(MetaError::Invalid(why)) => assert!(why.contains("level 2 geometry"), "{why}"),
+        other => panic!("an overfull level opened: {:?}", other.map(|_| ())),
+    }
+}
+
 /// No truncation or flipped bit of a retired store's meta panics its
 /// open; `pinned` sweeps the metas of the formats written today.
 #[test]
@@ -229,6 +264,7 @@ fn corrupt_legacy_meta_never_panics() {
     let fixtures = [
         ("basic format", legacy_fixtures::basic()),
         ("three-array format", legacy_fixtures::three_array()),
+        ("g-COLA v2 format", legacy_fixtures::gcola_v2()),
     ];
     for (name, fx) in fixtures {
         let mem = store(&fx);

@@ -174,14 +174,17 @@ fn gcola_reopen_rejects_corrupted_lookahead_cells() {
         .expect("intact store reopens")
         .check_invariants();
 
-    // The last lookahead cell stored: the top level has never held one,
-    // so it is the last of the level below it, whose run is
-    // right-justified — a live cell, with the rest of that level's
-    // sample to its left and items after it, so not a fence key.
-    let at = (0..mem.len())
+    // The last lookahead cell stored with a greater real cell after it:
+    // the top level has never held one, so it is in the level below it —
+    // a live cell, with the rest of that level's sample to its left and
+    // an item after it, so not a fence key.
+    let at = (1..mem.len() - 1)
         .rev()
-        .find(|&i| mem.get(i).is_redundant())
-        .expect("the store holds lookahead cells");
+        .find(|&i| {
+            let (cell, after) = (mem.get(i), mem.get(i + 1));
+            cell.is_redundant() && after.is_real() && cell.key < after.key
+        })
+        .expect("the store holds an interior lookahead cell");
     let (before, cell, after) = (mem.get(at - 1), mem.get(at), mem.get(at + 1));
     assert!(before.key < cell.key && cell.key < after.key && after.is_real());
 

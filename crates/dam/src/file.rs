@@ -46,8 +46,8 @@ use std::path::Path;
 
 use crate::dev::RawDev;
 use crate::format::{
-    decode_slot, encode_slot, OpenError, Superblock, DEFAULT_SLOT_BYTES, FORMAT_VERSION, KIND_ELEM,
-    KIND_PAGES, SUPER_BYTES,
+    decode_slot, encode_slot, le, OpenError, Superblock, DEFAULT_SLOT_BYTES, FORMAT_VERSION,
+    KIND_ELEM, KIND_PAGES, SUPER_BYTES,
 };
 use crate::lru::FrameSlab;
 use crate::mem::Mem;
@@ -270,11 +270,10 @@ impl<D: RawDev> FilePages<D> {
         };
         // Parse the store section: logical count, phys high-water mark,
         // page table; the rest is the caller's payload.
-        if payload.len() < 8 {
-            return Err(OpenError::Corrupt("metadata payload too short".into()));
-        }
-        let logical = u32::from_le_bytes(payload[0..4].try_into().unwrap()) as usize;
-        let phys_len = u32::from_le_bytes(payload[4..8].try_into().unwrap());
+        let short = || OpenError::Corrupt("metadata payload too short".into());
+        let u32_at = |at| le(&payload, at).map(u32::from_le_bytes).ok_or_else(short);
+        let logical = u32_at(0)? as usize;
+        let phys_len = u32_at(4)?;
         // Bound both counts by what the checksummed payload can actually
         // describe *before* allocating with them (a crafted-but-valid
         // payload must produce Corrupt, not an allocator abort).
@@ -292,7 +291,7 @@ impl<D: RawDev> FilePages<D> {
         let mut table = Vec::with_capacity(logical);
         let mut referenced = vec![false; phys_len as usize];
         for l in 0..logical {
-            let p = u32::from_le_bytes(payload[8 + 4 * l..12 + 4 * l].try_into().unwrap());
+            let p = u32_at(8 + 4 * l)?;
             if p >= phys_len || std::mem::replace(&mut referenced[p as usize], true) {
                 return Err(OpenError::Corrupt(format!(
                     "page table maps logical page {l} to invalid or duplicate slot {p}"
@@ -753,12 +752,12 @@ impl<T: Pod, D: RawDev> FileMem<T, D> {
                 "element stride {elem_bytes} does not divide page size {page_size}"
             )));
         }
-        if payload.len() < 8 {
+        let Some(len) = le(&payload, 0).map(u64::from_le_bytes) else {
             return Err(OpenError::Corrupt(
                 "element-array metadata too short".into(),
             ));
-        }
-        let len = u64::from_le_bytes(payload[0..8].try_into().unwrap()) as usize;
+        };
+        let len = len as usize;
         let per_page = page_size / elem_bytes;
         if len > pages.num_pages() as usize * per_page {
             return Err(OpenError::Corrupt(format!(

@@ -171,21 +171,22 @@ impl Superblock {
         if got < SUPER_BYTES {
             return Err(OpenError::Corrupt("truncated superblock".into()));
         }
-        let u32_at = |o: usize| u32::from_le_bytes(buf[o..o + 4].try_into().unwrap());
-        let version = u32_at(8);
+        let truncated = || OpenError::Corrupt("truncated superblock".into());
+        let u32_at = |o| le(buf, o).map(u32::from_le_bytes).ok_or_else(truncated);
+        let version = u32_at(8)?;
         if version != FORMAT_VERSION {
             return Err(OpenError::UnsupportedVersion(version));
         }
-        let ck = u64::from_le_bytes(buf[56..64].try_into().unwrap());
+        let ck = le(buf, 56).map(u64::from_le_bytes).ok_or_else(truncated)?;
         if ck != fnv1a(&buf[..56]) {
             return Err(OpenError::Corrupt("superblock checksum mismatch".into()));
         }
         let sb = Superblock {
             version,
-            page_size: u32_at(12),
-            kind: u32_at(16),
-            elem_bytes: u32_at(20),
-            slot_bytes: u32_at(24),
+            page_size: u32_at(12)?,
+            kind: u32_at(16)?,
+            elem_bytes: u32_at(20)?,
+            slot_bytes: u32_at(24)?,
         };
         if sb.page_size == 0 || sb.slot_bytes as usize <= SLOT_HDR_BYTES {
             return Err(OpenError::Corrupt("nonsensical superblock geometry".into()));
@@ -234,27 +235,29 @@ pub fn encode_slot(epoch: u64, payload: &[u8], slot_bytes: usize) -> std::io::Re
 /// and payload both verify, `None` for a never-written, torn, or stale
 /// slot (the recovery path treats all three the same way: ignore it).
 pub fn decode_slot(buf: &[u8]) -> Option<(u64, Vec<u8>)> {
-    if buf.len() < SLOT_HDR_BYTES {
-        return None;
-    }
-    let hdr_ck = u64::from_le_bytes(buf[20..28].try_into().unwrap());
+    let hdr_ck = u64::from_le_bytes(le(buf, 20)?);
     if hdr_ck != fnv1a(&buf[..20]) {
         return None;
     }
-    let epoch = u64::from_le_bytes(buf[0..8].try_into().unwrap());
+    let epoch = u64::from_le_bytes(le(buf, 0)?);
     if epoch == 0 {
         return None;
     }
-    let len = u32::from_le_bytes(buf[8..12].try_into().unwrap()) as usize;
-    if SLOT_HDR_BYTES + len > buf.len() {
-        return None;
-    }
-    let payload = &buf[SLOT_HDR_BYTES..SLOT_HDR_BYTES + len];
-    let pay_ck = u64::from_le_bytes(buf[12..20].try_into().unwrap());
+    let len = u32::from_le_bytes(le(buf, 8)?) as usize;
+    let payload = buf.get(SLOT_HDR_BYTES..)?.get(..len)?;
+    let pay_ck = u64::from_le_bytes(le(buf, 12)?);
     if pay_ck != fnv1a(payload) {
         return None;
     }
     Some((epoch, payload.to_vec()))
+}
+
+/// The `N` bytes of `buf` from byte `at` on, `None` if `buf` ends
+/// first: the one reader of the little-endian fields of the file's
+/// headers, so a truncated header is an error of the caller's type, never
+/// a panic.
+pub fn le<const N: usize>(buf: &[u8], at: usize) -> Option<[u8; N]> {
+    buf.get(at..)?.first_chunk().copied()
 }
 
 /// Shared naming convention for auxiliary files next to a store at
@@ -330,6 +333,25 @@ mod tests {
         assert_eq!(decode_slot(&flipped), None, "payload bit flip detected");
         // Overflow is a hard error, not silent truncation.
         assert!(encode_slot(1, &vec![0u8; 1024], 64).is_err());
+    }
+
+    #[test]
+    fn fields_past_the_end_are_none() {
+        let buf = [1, 2, 3, 4, 5];
+        assert_eq!(le::<4>(&buf, 1), Some([2, 3, 4, 5]));
+        assert_eq!(le::<4>(&buf, 2), None);
+        assert_eq!(le::<1>(&buf, 5), None);
+        assert_eq!(le::<1>(&buf, usize::MAX), None);
+        // A superblock cut anywhere past its magic is a typed error.
+        let enc = sb().encode();
+        for got in 8..SUPER_BYTES {
+            let mut cut = [0; SUPER_BYTES];
+            cut[..got].copy_from_slice(&enc[..got]);
+            assert!(matches!(
+                Superblock::decode(&cut, got),
+                Err(OpenError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

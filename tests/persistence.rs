@@ -790,6 +790,52 @@ fn retired_formats_open_under_their_heirs_only() {
     }
 }
 
+/// A 4-COLA store in the g-COLA's v2 format (right-justified runs,
+/// midpoint lookahead samples, no root) opens under `GCola { g: 4 }`
+/// through the rebuild, answers as it did, commits nothing until a
+/// `sync`, then commits format v3 and reopens from it.
+#[test]
+fn gcola_v2_stores_open_as_v3() {
+    use cosbt::cola::persist::TAG_GCOLA;
+
+    let fx = legacy_fixtures::gcola_v2();
+    let path = tmp("gcola-v2");
+    write_retired_store(&path, &fx);
+    let builder = DbBuilder::new()
+        .structure(Structure::GCola { g: 4 })
+        .backend(Backend::file(path.to_path_buf()))
+        .cache_bytes(64 * 1024);
+    let mut model = fx.model.clone();
+    let live =
+        |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
+    let mut db = builder.clone().open().expect("a v2 store opens");
+    for key in 0..60 {
+        assert_eq!(db.get(key), model.get(&key).copied(), "key {key}");
+    }
+    assert_eq!(db.range(0, u64::MAX), live(&model), "scan");
+    drop(db);
+    assert_eq!(
+        committed_meta(&path),
+        fx.meta,
+        "a read-only session committed"
+    );
+
+    let mut db = builder.clone().open().unwrap();
+    for key in 40..60 {
+        db.insert(key, key);
+        model.insert(key, key);
+    }
+    db.sync().unwrap();
+    drop(db);
+    assert_eq!(
+        committed_meta(&path)[..2],
+        [TAG_GCOLA, 3],
+        "written back as v3"
+    );
+    let mut db = builder.open().unwrap();
+    assert_eq!(db.range(0, u64::MAX), live(&model), "reopened from v3");
+}
+
 /// A sharded store built when the deamortized COLA was the 2-COLA's
 /// modifier records `(TAG_DEAMORT, 2)` in its manifest, and its shards
 /// hold the deamortized COLA's current meta. It opens under

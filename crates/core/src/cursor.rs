@@ -28,7 +28,10 @@
 //!   it calls the store for anything else. Each seek probe and backward
 //!   step is a call; forward, a streak of `s` cells from one run is
 //!   `O(1 + log s + s/B)` calls, and the cells charged, their order and
-//!   every counter of the store are those of one `get` per cell.
+//!   every counter of the store are those of one `get` per cell. One run
+//!   may live in DRAM instead ([`RunMergeCursor::with_head`]): the
+//!   g-COLA's head, levels 0 and 1's items, merged as the newest run,
+//!   read directly and never charged to the store.
 //! * [`MergeCursor`] — the same merge discipline generalized to
 //!   *heterogeneous sources*: any set of [`CursorOps`] engines (boxed
 //!   [`crate::Cursor`]s included), not just level runs of one array. A
@@ -87,8 +90,8 @@ impl Direction {
 
 /// One run's window: cells `start..start + len` of the run, peeked from
 /// a head the cursor had just read with a charged `get` to the end of
-/// the head's page at most. Run `r`'s window sits at `r * cap` in the
-/// lent cells ([`RunBuf::cap`]).
+/// the head's page at most. Run `r`'s window sits at `(r − dram) · cap`
+/// in the lent cells ([`RunBuf::cap`], [`RunBuf::dram`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Window {
     start: usize,
@@ -122,10 +125,36 @@ pub(crate) const MAX_SEGMENTS: usize = 32;
 /// cells are read over their own window copy, which they equal.
 fn settle<M: Mem<Cell>>(mem: &M, runs: &[Run], scratch: &mut RunBuf) {
     for seg in scratch.log.drain(..) {
-        let at = seg.run * scratch.cap + (seg.first - scratch.windows[seg.run].start);
+        let at =
+            (seg.run - scratch.dram) * scratch.cap + (seg.first - scratch.windows[seg.run].start);
         let out = &mut scratch.cells[at..at + seg.count];
         mem.read_run(runs[seg.run].base + seg.first, out);
     }
+}
+
+/// Where the merge stands in one run.
+#[derive(Debug, Clone, Copy)]
+struct At {
+    /// Split index. Once positioned (`dir` is `Some`), the real cells
+    /// below `idx` have key < gap and those at or above it have key ≥
+    /// gap, with one exception: a step that consumes a run's head leaves
+    /// the run's other cells of that key on the side they were on. They
+    /// are older versions of the key just emitted: a load in the same
+    /// direction skips them, and the first step in the other direction
+    /// re-emits that key, which moves the gap to their side. Redundant
+    /// cells the merge has passed may sit on either side.
+    idx: usize,
+    /// Head cache, valid for the current `dir`: the cell at `idx` going
+    /// forward, at `idx - 1` going backward — real or redundant.
+    head: Head<Cell>,
+}
+
+impl At {
+    /// Before the first step: not positioned, nothing cached.
+    const START: At = At {
+        idx: 0,
+        head: Head::Unknown,
+    };
 }
 
 /// Streaming merge cursor over [`Run`]s of one [`Mem`] array.
@@ -136,25 +165,19 @@ pub struct RunMergeCursor<'a, M: Mem<Cell>> {
     lo: u64,
     hi: u64,
     gap: Gap,
-    /// Per-run split index. Once positioned (`dir` is `Some`), the real
-    /// cells below `idx[r]` have key < gap and those at or above it have
-    /// key ≥ gap, with one exception: a step that consumes a run's head
-    /// leaves the run's other cells of that key on the side they were
-    /// on. They are older versions of the key just emitted: a load in
-    /// the same direction skips them, and the first step in the other
-    /// direction re-emits that key, which moves the gap to their side.
-    /// Redundant cells the merge has passed may sit on either side.
-    idx: Vec<usize>,
-    /// Per-run head cache, valid for the current `dir`: the cell at
-    /// `idx[r]` going forward, at `idx[r] - 1` going backward — real or
-    /// redundant.
-    heads: Vec<Head<Cell>>,
+    /// Per-run position: split index and cached head, in one array so an
+    /// open allocates once for both.
+    at: Vec<At>,
     /// Direction the cached heads were loaded in; `None` after
     /// construction or a seek, until the next step positions the runs.
     dir: Option<Direction>,
     /// The structure's scratch, if it lent one: the windows, their
     /// cells and the log of what is owed for them.
     scratch: Option<&'a mut RunBuf>,
+    /// The cells of run 0 when it is a run in DRAM — the g-COLA's head —
+    /// rather than in `mem`: read for free, never charged to the store,
+    /// given no window. Empty otherwise.
+    dram: &'a [Cell],
 }
 
 impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
@@ -168,6 +191,20 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// cursor opened through [`crate::Dictionary::cursor`] has that for
     /// free: it borrows the structure mutably.
     pub fn new(mem: &'a M, runs: impl IntoIterator<Item = Run<'a>>, lo: u64, hi: u64) -> Self {
+        Self::with_head(mem, &[], runs, lo, hi)
+    }
+
+    /// [`RunMergeCursor::new`] with `head` — sorted, one real cell per
+    /// key, newer than every run — merged in as the newest run. Its cells
+    /// are in DRAM: the cursor reads them directly, charges the store
+    /// nothing for them and gives them no window.
+    pub fn with_head(
+        mem: &'a M,
+        head: &'a [Cell],
+        runs: impl IntoIterator<Item = Run<'a>>,
+        lo: u64,
+        hi: u64,
+    ) -> Self {
         // A run that can yield nothing is left out rather than merged in
         // and out: an empty one, and one whose fences put no real key
         // inside the bounds (a level holding only lookahead cells has
@@ -176,7 +213,18 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         // what glibc keeps of the heap between the repository
         // benchmark's rounds (`mixed_mem` `setup_s` 0.056 → 0.075 s,
         // minor faults 30.6 k → 62.1 k, measured for issue 22).
-        let mut runs: Vec<Run> = runs.into_iter().filter(|run| run.len > 0).collect();
+        // The head rides as run 0, a placeholder whose cells `head` holds.
+        let dram = match (head.first(), head.last()) {
+            (Some(first), Some(last)) if first.key <= hi && last.key >= lo => head,
+            _ => &[],
+        };
+        let placeholder = Run {
+            base: 0,
+            len: dram.len(),
+            aux: None,
+        };
+        let runs = std::iter::once(placeholder).chain(runs);
+        let mut runs: Vec<Run> = runs.filter(|run| run.len > 0).collect();
         runs.retain(|run| {
             run.sample().is_none_or(|aux| {
                 aux.fence_min <= aux.fence_max && aux.fence_min <= hi && aux.fence_max >= lo
@@ -189,22 +237,39 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
             lo,
             hi,
             gap: Gap::Before(lo),
-            idx: vec![0; k],
-            heads: vec![Head::Unknown; k],
+            at: vec![At::START; k],
             dir: None,
             scratch: None,
+            dram,
+        }
+    }
+
+    /// Whether run `r` is the run in DRAM.
+    #[inline]
+    fn in_dram(&self, r: usize) -> bool {
+        r == 0 && !self.dram.is_empty()
+    }
+
+    /// Cell `i` of run `r`: from DRAM, or a charged `get`.
+    #[inline]
+    fn cell(&self, r: usize, i: usize) -> Cell {
+        match self.in_dram(r) {
+            true => self.dram[i],
+            false => self.mem.get(self.runs[r].base + i),
         }
     }
 
     /// Lends the cursor the structure's scratch for its windows, which it
     /// takes if the store peeks. Without one every load is a charged
-    /// `get`.
+    /// `get`. The runs in the store share the cells; a run in DRAM takes
+    /// none.
     pub(crate) fn windowed(mut self, scratch: &'a mut RunBuf) -> Self {
         if self.mem.peeks() {
-            let k = self.runs.len();
+            scratch.dram = usize::from(!self.dram.is_empty());
+            let k = self.runs.len() - scratch.dram;
             scratch.cap = scratch.cells.len().checked_div(k).unwrap_or(0);
             scratch.windows.clear();
-            scratch.windows.resize(k, Window::default());
+            scratch.windows.resize(self.runs.len(), Window::default());
             scratch.log.clear();
             self.scratch = Some(scratch);
         }
@@ -219,17 +284,17 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         }
     }
 
-    /// The cell at `idx[r]`, for a forward load from a store that peeks.
+    /// The cell at `at[r].idx`, for a forward load from a store that peeks.
     /// Inside run `r`'s window it is the peeked copy, logged as owed.
     /// Otherwise it is a charged `get`, and the page that leaves
     /// resident is peeked from that cell on into the window, for the
     /// loads to come.
     fn read_windowed(&mut self, r: usize) -> Cell {
-        let (run, i) = (self.runs[r], self.idx[r]);
+        let (run, i) = (self.runs[r], self.at[r].idx);
         let Some(scratch) = self.scratch.as_deref_mut() else {
             return self.mem.get(run.base + i);
         };
-        let (w, at) = (scratch.windows[r], r * scratch.cap);
+        let (w, at) = (scratch.windows[r], (r - scratch.dram) * scratch.cap);
         if i.wrapping_sub(w.start) < w.len {
             match scratch.log.last_mut() {
                 Some(seg) if seg.run == r && seg.first + seg.count == i => seg.count += 1,
@@ -271,45 +336,48 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         }
     }
 
-    /// First index in `run` whose cell is not below the gap.
-    fn split(&self, run: Run) -> usize {
+    /// First index in run `r` whose cell is not below the gap.
+    fn split(&self, r: usize) -> usize {
+        let run = self.runs[r];
         match self.gap {
+            _ if self.in_dram(r) => self.dram.partition_point(|c| self.below_gap(c.key)),
             Gap::Before(g) => run.lower_bound(self.mem, g),
             Gap::AtEnd => run.upper_bound(self.mem, self.hi),
         }
     }
 
     /// Loads run `r`'s head in `dir`: the next cell on that side of
-    /// `idx[r]`, moving `idx[r]` past what is left of the last emitted
+    /// `at[r].idx`, moving `at[r].idx` past what is left of the last emitted
     /// key's cells (shadowed older versions). The head may be a redundant
     /// cell; the merge passes it in key order without emitting it.
     fn load(&mut self, r: usize, dir: Direction) {
         let run = self.runs[r];
-        self.heads[r] = Head::Exhausted;
+        self.at[r].head = Head::Exhausted;
         match dir {
             Direction::Forward => {
-                while self.idx[r] < run.len {
-                    // Decided at compile time: over a store that peeks
-                    // nothing this is the loop it was before windows.
-                    let c = match self.mem.peeks() {
+                while self.at[r].idx < run.len {
+                    // Over a store that peeks nothing this is decided at
+                    // compile time: the loop it was before windows. The
+                    // run in DRAM takes no window.
+                    let c = match self.mem.peeks() && !self.in_dram(r) {
                         true => self.read_windowed(r),
-                        false => self.mem.get(run.base + self.idx[r]),
+                        false => self.cell(r, self.at[r].idx),
                     };
                     if !self.below_gap(c.key) {
-                        self.heads[r] = Head::Entry(c);
+                        self.at[r].head = Head::Entry(c);
                         break;
                     }
-                    self.idx[r] += 1;
+                    self.at[r].idx += 1;
                 }
             }
             Direction::Backward => {
-                while self.idx[r] > 0 {
-                    let c = self.mem.get(run.base + self.idx[r] - 1);
+                while self.at[r].idx > 0 {
+                    let c = self.cell(r, self.at[r].idx - 1);
                     if self.below_gap(c.key) {
-                        self.heads[r] = Head::Entry(c);
+                        self.at[r].head = Head::Entry(c);
                         break;
                     }
-                    self.idx[r] -= 1;
+                    self.at[r].idx -= 1;
                 }
             }
         }
@@ -326,10 +394,10 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         self.settle();
         if self.dir.is_none() {
             for r in 0..self.runs.len() {
-                self.idx[r] = self.split(self.runs[r]);
+                self.at[r].idx = self.split(r);
             }
         }
-        self.heads.fill(Head::Unknown);
+        self.at.iter_mut().for_each(|at| at.head = Head::Unknown);
         self.dir = Some(dir);
     }
 
@@ -341,10 +409,10 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     fn pick(&mut self, dir: Direction) -> Option<(Cell, usize)> {
         let mut best: Option<(Cell, usize)> = None;
         for r in 0..self.runs.len() {
-            if self.heads[r] == Head::Unknown {
+            if self.at[r].head == Head::Unknown {
                 self.load(r, dir);
             }
-            if let Head::Entry(c) = self.heads[r] {
+            if let Head::Entry(c) = self.at[r].head {
                 if best.is_none_or(|(b, _)| dir.reaches_first(c.key, b.key)) {
                     best = Some((c, r));
                 }
@@ -353,12 +421,12 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         best
     }
 
-    /// Moves `idx[r]` over run `r`'s cached head and forgets the head.
+    /// Moves `at[r].idx` over run `r`'s cached head and forgets the head.
     fn consume(&mut self, r: usize, dir: Direction) {
-        self.heads[r] = Head::Unknown;
+        self.at[r].head = Head::Unknown;
         match dir {
-            Direction::Forward => self.idx[r] += 1,
-            Direction::Backward => self.idx[r] -= 1,
+            Direction::Forward => self.at[r].idx += 1,
+            Direction::Backward => self.at[r].idx -= 1,
         }
     }
 
@@ -366,7 +434,7 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// older runs' shadowed versions.
     fn consume_key(&mut self, key: u64, dir: Direction) {
         for r in 0..self.runs.len() {
-            if matches!(self.heads[r], Head::Entry(c) if c.key == key) {
+            if matches!(self.at[r].head, Head::Entry(c) if c.key == key) {
                 self.consume(r, dir);
             }
         }
@@ -416,14 +484,13 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
             // of the key; the newest version is the leftmost real one, so
             // walk down to it. The cell that ends the walk is the run's
             // next head.
-            let base = self.runs[r].base;
-            while self.idx[r] > 0 {
-                let c = self.mem.get(base + self.idx[r] - 1);
+            while self.at[r].idx > 0 {
+                let c = self.cell(r, self.at[r].idx - 1);
                 if c.key < key {
-                    self.heads[r] = Head::Entry(c);
+                    self.at[r].head = Head::Entry(c);
                     break;
                 }
-                self.idx[r] -= 1;
+                self.at[r].idx -= 1;
                 if c.is_real() {
                     cell = c;
                 }
@@ -444,7 +511,7 @@ impl<M: Mem<Cell>> CursorOps for RunMergeCursor<'_, M> {
         } else {
             Gap::Before(key.max(self.lo))
         };
-        self.heads.fill(Head::Unknown);
+        self.at.iter_mut().for_each(|at| at.head = Head::Unknown);
         self.dir = None;
     }
 

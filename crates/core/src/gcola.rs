@@ -19,6 +19,23 @@
 //!   ([`GCola::get_plain`]), which [`Dictionary::get`] intersects with
 //!   the level's DRAM aux.
 //!
+//! Levels 0 and 1 are the paper's smallest levels, which in its DAM
+//! analysis always sit in the cache M and cost no transfer. Here their
+//! items live in DRAM as one sorted array, the *head*: one version per
+//! key, at most `cap(0) + cap(1) = 2g − 1` cells, allocated once. An
+//! insert or delete goes into the head by binary search; a write to a key
+//! the head holds replaces it, and a tombstone with nothing stored beneath
+//! it removes the key instead of being kept. When a new key finds the
+//! head full, the head and that cell — `2g` sorted cells — become the new
+//! run of an ordinary carry, which lands in level 2 exactly when, and with
+//! exactly what, a cell-at-a-time path through levels 0 and 1 would carry
+//! there. A batch merges into the head and stays there if it fits, and is
+//! one carry otherwise. Levels 0 and 1 keep their geometry and slots, so
+//! every deeper offset is the paper's, but they never hold an item: only
+//! lookahead cells, where their redundancy allowance has room for any.
+//! A lookup probes the head first, a cursor merges it as its newest run,
+//! and the persisted control state carries it.
+//!
 //! `g = 2` gives the COLA: `O((log N)/B)` amortized insert transfers and
 //! `O(log N)` search transfers. `g = Θ(Bᵉ)` gives the cache-aware lookahead
 //! array matching the Bᵉ-tree: `O((log_{Bᵉ+1} N)/B^{1−ε})` inserts and
@@ -68,7 +85,7 @@ use cosbt_dam::{Mem, PlainMem};
 use crate::cascade::{AuxBuilder, LevelAux, Probe};
 use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
-use crate::entry::{Cell, NO_PTR};
+use crate::entry::{Cell, META_TOMBSTONE, NO_PTR};
 use crate::merge::{Fold, Head, Source};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
 use crate::run::Run;
@@ -77,9 +94,10 @@ use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
 /// Version 2 appended per-level run fence keys to version 1; version 3
-/// adds each level's lead, and samples the level above at a fixed stride
-/// (version 2 stores open through [`crate::legacy`]).
-const META_VERSION: u8 = 3;
+/// adds each level's lead, and samples the level above at a fixed stride;
+/// version 4 adds the head, whose items levels 0 and 1 held before
+/// (versions 2 and 3 open through [`crate::legacy`]).
+const META_VERSION: u8 = 4;
 
 /// Slots an emptied level's aux may describe and still wait in
 /// `spare_aux` for the next level to be filled; a larger one is freed.
@@ -200,6 +218,11 @@ pub struct GCola<M: Mem<Cell>> {
     /// Small auxes of emptied levels awaiting reuse (at most one per
     /// level).
     spare_aux: Vec<LevelAux>,
+    /// The items of levels 0 and 1, in fast memory: sorted, one real
+    /// cell per key, at most `2g − 1` between operations. Its buffer has
+    /// `2g` slots — the last for the cell that overflows it into a carry
+    /// — and is allocated once.
+    head: Vec<Cell>,
 }
 
 impl GCola<PlainMem<Cell>> {
@@ -234,6 +257,7 @@ impl<M: Mem<Cell>> GCola<M> {
             chunk_cells: 0,
             down: Vec::new(),
             spare_aux: Vec::new(),
+            head: Vec::with_capacity(2 * g),
         }
     }
 
@@ -324,6 +348,19 @@ impl<M: Mem<Cell>> GCola<M> {
                 lead: r.usize()?,
             });
         }
+        // Read cell by cell: a corrupt count runs out of payload before it
+        // can ask for memory.
+        let head = (0..r.usize()?)
+            .map(|_| {
+                let (key, val, kind) = (r.u64()?, r.u64()?, r.u8()?);
+                Ok(Cell {
+                    key,
+                    val,
+                    ptr: NO_PTR,
+                    meta: kind as u64,
+                })
+            })
+            .collect::<Result<Vec<Cell>, MetaError>>()?;
         let fences = r.fences(levels.iter().map(|lv| lv.occ() > 0))?;
         r.finish()?;
         if g < 2 {
@@ -332,11 +369,18 @@ impl<M: Mem<Cell>> GCola<M> {
         if !(0.0..1.0).contains(&p) {
             return Err(MetaError::Invalid(format!("pointer density {p}")));
         }
+        if count < 2 {
+            return Err(MetaError::Invalid(format!("level count {count}")));
+        }
         for (i, lv) in levels.iter().enumerate() {
             // Checked arithmetic throughout: crafted fields near
             // usize::MAX must fail validation, not wrap past it (or
-            // panic in debug builds).
-            let geometry_ok = lv.cap.checked_add(lv.red_cap) == Some(lv.slots)
+            // panic in debug builds). The level's capacities are the ones
+            // g and p give it, which bounds g by the store's length before
+            // the head's buffer of 2g cells is allocated.
+            let geometry_ok = Self::geometry(g, p, i) == Some((lv.cap, lv.red_cap))
+                && (i >= 2 || lv.items == 0)
+                && lv.cap.checked_add(lv.red_cap) == Some(lv.slots)
                 && lv.items <= lv.cap
                 && lv.reds <= lv.red_cap
                 && lv
@@ -367,7 +411,30 @@ impl<M: Mem<Cell>> GCola<M> {
                 )));
             }
         }
+        // The head: what a carry would take for the newest run, so it is
+        // held to the run rule (sorted, one real cell per key), and no
+        // longer than levels 0 and 1 hold.
+        if head.len() > 2 * g - 1 {
+            return Err(MetaError::Invalid(format!(
+                "head of {} cells, more than 2g − 1 = {}",
+                head.len(),
+                2 * g - 1
+            )));
+        }
+        if let Some(c) = head.iter().find(|c| !matches!(c.meta, 0 | META_TOMBSTONE)) {
+            return Err(MetaError::Invalid(format!(
+                "head cell of key {} is not an item or a tombstone",
+                c.key
+            )));
+        }
+        if let Some(w) = head.windows(2).find(|w| w[0].key >= w[1].key) {
+            return Err(MetaError::Invalid(format!(
+                "head keys {} then {}: unsorted or repeated",
+                w[0].key, w[1].key
+            )));
+        }
         let mut cola = Self::bare(mem, g, p, n);
+        cola.head.extend_from_slice(&head);
         for lv in levels {
             cola.push_geometry(lv);
         }
@@ -427,28 +494,41 @@ impl<M: Mem<Cell>> GCola<M> {
         self.heads.push(Head::END);
     }
 
-    fn push_level(&mut self) {
-        let idx = self.levels.len();
-        let (cap, red_cap) = if idx == 0 {
-            (1, 0)
-        } else {
-            let cap = 2 * (self.g - 1) * self.g.pow(idx as u32 - 1);
-            let red = (2.0 * self.p * (self.g - 1) as f64 * (self.g as f64).powi(idx as i32 - 1))
-                .floor() as usize;
-            (cap, red)
+    /// Item capacity and redundancy allowance of level `l` at growth
+    /// factor `g` and pointer density `p` (Section 4): 1 and 0 for level
+    /// 0, else `2(g−1)g^{l−1}` and `⌊2p(g−1)g^{l−1}⌋`. `None` past `usize`.
+    fn geometry(g: usize, p: f64, l: usize) -> Option<(usize, usize)> {
+        let Some(l) = l.checked_sub(1) else {
+            return Some((1, 0));
         };
-        let off = self.levels.last().map_or(1, |l| l.off + l.slots); // slot 0 spare, as in the paper
-        let slots = cap + red_cap;
-        self.push_geometry(Level {
-            off,
-            slots,
-            cap,
-            red_cap,
-            items: 0,
-            reds: 0,
-            lead: slots,
-        });
-        let end = off + slots;
+        let scale = (g - 1).checked_mul(g.checked_pow(u32::try_from(l).ok()?)?)?;
+        let red = (2.0 * p * (g - 1) as f64 * (g as f64).powi(l as i32)).floor() as usize;
+        Some((scale.checked_mul(2)?, red))
+    }
+
+    /// Appends the next `count` levels and grows the store, once, to
+    /// their end: growing within a page the store already has fills the
+    /// new slots cell by cell, so levels 0 and 1, which end on page 0,
+    /// are grown in one step.
+    fn push_levels(&mut self, count: usize) {
+        for _ in 0..count {
+            let idx = self.levels.len();
+            let Some((cap, red_cap)) = Self::geometry(self.g, self.p, idx) else {
+                panic!("level {idx}'s capacity overflows usize");
+            };
+            let off = self.levels.last().map_or(1, |l| l.off + l.slots); // slot 0 spare, as in the paper
+            let slots = cap + red_cap;
+            self.push_geometry(Level {
+                off,
+                slots,
+                cap,
+                red_cap,
+                items: 0,
+                reds: 0,
+                lead: slots,
+            });
+        }
+        let end = self.levels.last().map_or(0, |l| l.off + l.slots);
         if self.mem.len() < end {
             self.mem.resize(end, Cell::default());
         }
@@ -582,52 +662,112 @@ impl<M: Mem<Cell>> GCola<M> {
         }
     }
 
-    fn insert_cell(&mut self, cell: Cell) {
-        self.insert_run(&[cell]);
+    /// Whether no level past `t` holds an item: then nothing older than
+    /// a carry into `t` (or than the head, for `t = 1`) stays stored for
+    /// its tombstones to shadow.
+    fn deepest(&self, t: usize) -> bool {
+        self.levels.iter().skip(t + 1).all(|lv| lv.items == 0)
     }
 
-    /// Absorbs a sorted run of cells (one per key, newer than everything
-    /// stored) in a single carry cascade — the batched write path. A
-    /// one-cell run is exactly the paper's insertion.
-    fn insert_run(&mut self, run: &[Cell]) {
-        debug_assert!(run.windows(2).all(|w| w[0].key < w[1].key));
+    /// Cells the head holds at most between operations: `cap(0) +
+    /// cap(1)`.
+    fn head_cap(&self) -> usize {
+        2 * self.g - 1
+    }
+
+    /// The paper's insertion of one cell, into the head: it replaces the
+    /// key's cell there, or a tombstone with nothing stored beneath it
+    /// takes the key out; a new key goes in by binary search, and the
+    /// `2g`-th carries the head into level 2. Every discarded cell counts
+    /// in `cells_dropped`.
+    fn insert_cell(&mut self, cell: Cell) {
+        self.n += 1;
+        self.stats.inserts += 1;
+        let spent = cell.is_tombstone() && self.deepest(1);
+        match self.head.binary_search_by_key(&cell.key, |c| c.key) {
+            Ok(i) if spent => {
+                self.head.remove(i);
+                self.stats.cells_dropped += 2;
+            }
+            Ok(i) => {
+                self.head[i] = cell;
+                self.stats.cells_dropped += 1;
+            }
+            Err(_) if spent => self.stats.cells_dropped += 1,
+            Err(i) => {
+                self.head.insert(i, cell);
+                if self.head.len() > self.head_cap() {
+                    let head = std::mem::take(&mut self.head);
+                    self.insert_run(&head);
+                    self.head = head;
+                    self.head.clear();
+                }
+            }
+        }
+    }
+
+    /// A batch's cells (sorted, one per key, newer than everything
+    /// stored): merged over the head, the batch winning a key both hold,
+    /// spent tombstones out when nothing is stored beneath. What fits
+    /// the head stays there; anything larger is one carry.
+    fn absorb(&mut self, mut run: Vec<Cell>) {
         if run.is_empty() {
             return;
         }
         self.n += run.len() as u64;
         self.stats.inserts += run.len() as u64;
+        let received = self.head.len() + run.len();
+        if !self.head.is_empty() {
+            let mut merged = Vec::with_capacity(received);
+            let mut older = self.head.iter().copied().peekable();
+            for cell in run {
+                merged.extend(std::iter::from_fn(|| older.next_if(|c| c.key < cell.key)));
+                older.next_if(|c| c.key == cell.key);
+                merged.push(cell);
+            }
+            merged.extend(older);
+            run = merged;
+        }
+        if self.deepest(1) {
+            run.retain(|c| !c.is_tombstone());
+        }
+        self.stats.cells_dropped += (received - run.len()) as u64;
+        self.head.clear();
+        if run.len() <= self.head_cap() {
+            self.head.extend_from_slice(&run);
+        } else {
+            self.insert_run(&run);
+        }
+    }
+
+    /// Carries a sorted run of cells (one per key, newer than everything
+    /// stored, more than the head holds) into the smallest level from 2
+    /// on that absorbs it, in a single cascade.
+    fn insert_run(&mut self, run: &[Cell]) {
+        debug_assert!(run.windows(2).all(|w| w[0].key < w[1].key));
+        debug_assert!(self.head.is_empty() && run.len() > self.head_cap());
         let before = self.stats.cells_written;
 
         // Target level: the smallest ℓ whose spare item capacity absorbs
         // the carry (everything below plus the new run, counted before
-        // the merge drops any of it).
+        // the merge drops any of it). Levels 0 and 1 hold no items and
+        // less than the run, so it is level 2 or above.
         let mut carry = run.len();
         let mut t = 0usize;
         while carry + self.levels[t].items > self.levels[t].cap {
             carry += self.levels[t].items;
             t += 1;
             if t == self.levels.len() {
-                self.push_level();
+                self.push_levels(1);
             }
         }
-        // With no item above the target, nothing older than this carry
-        // stays stored for its tombstones to shadow.
-        let deepest = self.levels[t + 1..].iter().all(|lv| lv.items == 0);
+        let deepest = self.deepest(t);
         let mut down = std::mem::take(&mut self.down);
-        if t == 0 && !(deepest && run[0].is_tombstone()) {
-            // Level 0 holds no lookahead cells (its redundancy is 0), so
-            // a cell that stays is a single right-justified write. Every
-            // other insert lands here; through the carry below it cost
-            // `ingest_ooc`'s median call 5 %.
-            debug_assert_eq!(self.levels[0].items, 0);
-            self.write_level(0, run, &[], None);
-        } else {
-            self.stats.merges += (t > 0) as u64;
-            self.carry(run, t, carry, deepest, &mut down);
-            // Levels below t are now empty of items; rebuild the pointer
-            // cascade downward, level by level, as in the paper.
-            self.relink_below(t, &mut down);
-        }
+        self.stats.merges += 1;
+        self.carry(run, t, carry, deepest, &mut down);
+        // Levels below t are now empty of items; rebuild the pointer
+        // cascade downward, level by level, as in the paper.
+        self.relink_below(t, &mut down);
         self.down = down;
         let scratch = self.scratch_cells();
         self.stats.scratch_peak_cells = self.stats.scratch_peak_cells.max(scratch);
@@ -678,10 +818,11 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// The write path's scratch, in cells: every level's source chunk,
-    /// the sweep buffer, and the lookahead keys (four to a cell).
+    /// the sweep buffer, the lookahead keys (four to a cell) and the
+    /// head's buffer.
     fn scratch_cells(&self) -> u64 {
         let keys = self.down.capacity();
-        (self.chunk_cells + CHUNK + keys.div_ceil(4)) as u64
+        (self.chunk_cells + CHUNK + keys.div_ceil(4) + 2 * self.g) as u64
     }
 
     /// Every level in directory order — which is newest first — as the
@@ -693,21 +834,26 @@ impl<M: Mem<Cell>> GCola<M> {
         levels.iter().zip(aux).map(|(lv, aux)| lv.run(aux))
     }
 
-    /// The Lemma 20 search over `runs` (every level, newest first): each
-    /// level's probe is clamped to the bracket its predecessor's in-array
-    /// lookahead pointers give, and a miss reads the next bracket off the
-    /// cell left of where the key would sit. A level the aux skips, or
+    /// The Lemma 20 search over `runs` (every level, newest first), after
+    /// a binary search of `head` in DRAM: each level's probe is clamped to
+    /// the bracket its predecessor's in-array lookahead pointers give, and
+    /// a miss reads the next bracket off the cell left of where the key
+    /// would sit. A level the aux skips, or
     /// one holding no pointers, breaks the chain: the next level is
     /// probed unclamped — with its own ghost sample, if `runs` carry
     /// their aux, so the search stays bracketed.
     fn lookup<'a>(
         mem: &M,
         stats: &mut ColaStats,
+        head: &[Cell],
         levels: &[Level],
         runs: impl Iterator<Item = Run<'a>>,
         key: u64,
     ) -> Option<u64> {
         stats.searches += 1;
+        if let Ok(i) = head.binary_search_by_key(&key, |c| c.key) {
+            return head[i].as_lookup();
+        }
         let probe = Probe::new(key);
         let mut clamp = None;
         for ((l, lv), run) in levels.iter().enumerate().zip(runs) {
@@ -759,7 +905,14 @@ impl<M: Mem<Cell>> GCola<M> {
     /// kept as the reference the cascade is tested and costed against.
     pub fn get_plain(&mut self, key: u64) -> Option<u64> {
         let bare = Self::runs(&self.levels, &self.aux).map(Run::bare);
-        Self::lookup(&self.mem, &mut self.stats, &self.levels, bare, key)
+        Self::lookup(
+            &self.mem,
+            &mut self.stats,
+            &self.head,
+            &self.levels,
+            bare,
+            key,
+        )
     }
 
     /// Rebuilds the structure keeping only live entries (drops shadowed
@@ -771,9 +924,11 @@ impl<M: Mem<Cell>> GCola<M> {
         self.load(&cells);
     }
 
-    /// Replaces the contents by `live`, N becoming its length: one level
-    /// write into the smallest level that holds it, then the pointer
-    /// cascade below. The store is not shrunk: regrowing would zero-fill.
+    /// Replaces the contents by `live`, N becoming its length: the head,
+    /// if it holds them, else one level write into the smallest level
+    /// that does, then the pointer cascade below. Levels 0 and 1 exist
+    /// from the start. The store is not shrunk: regrowing would
+    /// zero-fill.
     fn load(&mut self, live: &[Cell]) {
         self.levels.clear();
         self.aux.clear();
@@ -781,16 +936,21 @@ impl<M: Mem<Cell>> GCola<M> {
         self.heads.clear();
         self.chunk_cells = 0;
         self.n = live.len() as u64;
-        self.push_level();
-        if live.is_empty() {
+        self.push_levels(2);
+        self.head.clear();
+        if live.len() <= self.head_cap() {
+            self.head.extend_from_slice(live);
             return;
         }
-        let mut t = 0usize;
-        while self.levels[t].cap < live.len() {
-            t += 1;
+        let mut t = 2usize;
+        loop {
             if t == self.levels.len() {
-                self.push_level();
+                self.push_levels(1);
             }
+            if self.levels[t].cap >= live.len() {
+                break;
+            }
+            t += 1;
         }
         let mut down = std::mem::take(&mut self.down);
         self.write_level(t, live, &[], Some(&mut down));
@@ -808,8 +968,26 @@ impl<M: Mem<Cell>> GCola<M> {
     /// keys. The carry (which keeps a target's redundant cells instead of
     /// sampling again) and the search's arithmetic right bracket both
     /// rest on it.
+    ///
+    /// And the head's: sorted, one cell per key, real cells only, at most
+    /// `2g − 1` of them, no tombstone when no level holds an item, and
+    /// levels 0 and 1 (always present) holding no item.
     pub fn check_invariants(&self) {
-        let mut total_items = 0usize;
+        assert!(self.levels.len() >= 2, "levels 0 and 1 exist");
+        assert!(self.head.len() <= self.head_cap(), "head over 2g − 1");
+        for w in self.head.windows(2) {
+            assert!(w[0].key < w[1].key, "head unsorted or repeats a key");
+        }
+        for c in &self.head {
+            assert!(c.is_real(), "head holds a lookahead cell");
+            let spent = c.is_tombstone() && self.deepest(1);
+            assert!(!spent, "head holds a tombstone with nothing beneath");
+        }
+        assert!(
+            self.levels[..2].iter().all(|lv| lv.items == 0),
+            "levels 0 and 1 hold items"
+        );
+        let mut total_items = self.head.len();
         let deepest = self.levels.iter().rposition(|lv| lv.items > 0);
         for (l, lv) in self.levels.iter().enumerate() {
             assert!(lv.items <= lv.cap, "level {l} items over capacity");
@@ -863,6 +1041,12 @@ impl<M: Mem<Cell>> GCola<M> {
         }
     }
 
+    /// Cells in the head (tests).
+    #[cfg(test)]
+    pub(crate) fn head_len(&self) -> usize {
+        self.head.len()
+    }
+
     /// `(first slot, slots, items)` of each level, shallowest first.
     #[cfg(test)]
     pub(crate) fn level_shapes(&self) -> Vec<(usize, usize, usize)> {
@@ -889,6 +1073,11 @@ impl<M: Mem<Cell>> Persist for GCola<M> {
                 .usize(lv.reds)
                 .usize(lv.lead);
         }
+        // The head, cell by cell: key, value and kind (its flag byte).
+        w.usize(self.head.len());
+        for c in &self.head {
+            w.u64(c.key).u64(c.val).u8(c.meta as u8);
+        }
         // Each occupied level's fence keys; `from_parts` holds the
         // reopened cells to them before rebuilding the accelerators.
         w.fences(&self.mem, Self::runs(&self.levels, &self.aux));
@@ -907,45 +1096,54 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
 
     fn get(&mut self, key: u64) -> Option<u64> {
         let runs = Self::runs(&self.levels, &self.aux);
-        Self::lookup(&self.mem, &mut self.stats, &self.levels, runs, key)
+        Self::lookup(
+            &self.mem,
+            &mut self.stats,
+            &self.head,
+            &self.levels,
+            runs,
+            key,
+        )
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        // Every occupied level is a sorted run, newest first; the merge
-        // cursor skips the interleaved lookahead cells itself.
+        // The head is the newest run, read from DRAM; every occupied
+        // level is a sorted run after it, newest first. The merge cursor
+        // skips the interleaved lookahead cells itself.
         let runs = Self::runs(&self.levels, &self.aux);
-        Cursor::new(RunMergeCursor::new(&self.mem, runs, lo, hi).windowed(&mut self.scratch))
+        let cursor = RunMergeCursor::with_head(&self.mem, &self.head, runs, lo, hi);
+        Cursor::new(cursor.windowed(&mut self.scratch))
     }
 
-    /// The cursor's entries, collected into a buffer sized once: no run
-    /// holds more of them than the cells its ghost sample brackets
-    /// between `lo` and `hi`, counted in DRAM. Collecting a large range
-    /// by regrowth copies the entries about twice and, at its last step,
-    /// holds the old buffer and the new one, half again the result.
+    /// The cursor's entries, collected into a buffer sized once: the head
+    /// holds no more of them than its length, and no run more than the
+    /// cells its ghost sample brackets between `lo` and `hi`, counted in
+    /// DRAM. Collecting a large range by regrowth copies the entries about
+    /// twice and, at its last step, holds the old buffer and the new one,
+    /// half again the result.
     fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
         if lo > hi {
             return Vec::new();
         }
         let runs = Self::runs(&self.levels, &self.aux);
-        let mut out = Vec::with_capacity(runs.map(|run| run.span(lo, hi)).sum());
+        let spans: usize = runs.map(|run| run.span(lo, hi)).sum();
+        let mut out = Vec::with_capacity(self.head.len() + spans);
         let mut cursor = self.cursor(lo, hi);
         out.extend(std::iter::from_fn(|| cursor.next()));
         out
     }
 
     fn apply(&mut self, batch: &mut UpdateBatch) {
-        let cells = crate::dict::batch_to_cells(batch);
-        self.insert_run(&cells);
+        self.absorb(crate::dict::batch_to_cells(batch));
         batch.clear();
     }
 
     fn insert_batch(&mut self, sorted: &[(u64, u64)]) {
-        let cells = crate::dict::sorted_pairs_to_cells(sorted);
-        self.insert_run(&cells);
+        self.absorb(crate::dict::sorted_pairs_to_cells(sorted));
     }
 
     fn physical_len(&self) -> usize {
-        self.levels.iter().map(|l| l.items).sum()
+        self.head.len() + self.levels.iter().map(|l| l.items).sum::<usize>()
     }
 
     fn name(&self) -> &'static str {
@@ -967,7 +1165,7 @@ mod tests {
         assert_eq!(c.levels[0].cap, 1);
         let mut c = c;
         for _ in 0..5 {
-            c.push_level();
+            c.push_levels(1);
         }
         // 2(g-1)g^(l-1) for g=4: 6, 24, 96, 384, ...
         assert_eq!(c.levels[1].cap, 6);
@@ -986,27 +1184,31 @@ mod tests {
 
     #[test]
     fn each_level_receives_g_minus_1_merges() {
-        // For g = 4, level 1 (capacity 6) receives a run of 2 at inserts
-        // 2, 4 and 6, and insert 8 carries levels 0..=1 into level 2 as
-        // 8 items. Level 2 (capacity 24) so receives exactly g − 1 = 3
-        // merges, at inserts 8, 16 and 24; insert 32 carries it into
-        // level 3 as 32 items.
+        // For g = 4 the head holds levels 0 and 1's 1 + 6 items, and
+        // insert 8 carries it, full, into level 2 as 8 items. Level 2
+        // (capacity 24) so receives exactly g − 1 = 3 merges, at inserts
+        // 8, 16 and 24; insert 32 carries it into level 3 as 32 items.
+        // Between carries the head holds N mod 8 items, and levels 0 and
+        // 1 none.
         let mut c = plain(4, 0.0);
         let items = |c: &GCola<PlainMem<Cell>>, l: usize| c.levels.get(l).map_or(0, |lv| lv.items);
-        // (insert, items after) of each merge into levels 1 and 2.
+        // (insert, items after) of each merge into levels 2 and 3.
         let mut merges = [Vec::new(), Vec::new()];
         for i in 1..=32u64 {
-            let before = [items(&c, 1), items(&c, 2)];
+            let before = [items(&c, 2), items(&c, 3)];
             c.insert(i, i);
-            for (l, merges) in [1, 2].into_iter().zip(&mut merges) {
-                if items(&c, l) > before[l - 1] {
+            for (l, merges) in [2, 3].into_iter().zip(&mut merges) {
+                if items(&c, l) > before[l - 2] {
                     merges.push((i, items(&c, l)));
                 }
             }
+            assert_eq!(c.head.len() as u64, i % 8, "head after insert {i}");
+            assert_eq!((items(&c, 0), items(&c, 1)), (0, 0), "insert {i}");
         }
-        assert_eq!(merges[0][..3], [(2, 2), (4, 4), (6, 6)]);
-        assert_eq!(merges[1], [(8, 8), (16, 16), (24, 24)]);
+        assert_eq!(merges[0], [(8, 8), (16, 16), (24, 24)]);
+        assert_eq!(merges[1], [(32, 32)]);
         assert_eq!((items(&c, 2), items(&c, 3)), (0, 32));
+        assert_eq!(c.stats().merges, 4, "one carry per 2g inserts");
         c.check_invariants();
     }
 
@@ -1176,8 +1378,8 @@ mod tests {
     }
 
     /// Each run's ghost windows bound the real cells it holds in a range
-    /// from above, so `range` collects into one buffer and never regrows
-    /// it.
+    /// from above, and the head's length bounds its own, so `range`
+    /// collects into one buffer and never regrows it.
     #[test]
     fn range_collects_into_one_buffer() {
         let mut c = plain(4, 0.1);
@@ -1197,7 +1399,7 @@ mod tests {
             (9000, 9100),
             (1 << 15, 1 << 16),
         ] {
-            let mut bound = 0;
+            let mut bound = c.head.len();
             for run in GCola::<PlainMem<Cell>>::runs(&c.levels, &c.aux) {
                 let cells = &c.mem.as_slice()[run.base..][..run.len];
                 let inside = cells
@@ -1256,24 +1458,34 @@ mod tests {
         /// every source in its own `Vec`, one k-way heap merge, the carry
         /// rule applied to its output as a filter, the merged run
         /// materialized and written right-justified, every level below
-        /// sampled afresh.
+        /// sampled afresh. The head is the same merge of the run over the
+        /// head, kept while it fits.
         fn insert_run_heap(&mut self, run: &[Cell]) {
             if run.is_empty() {
                 return;
             }
             self.n += run.len() as u64;
             self.stats.inserts += run.len() as u64;
+            let mut merged = crate::merge::oracle::heap_merge(&[run.to_vec(), self.head.clone()]);
+            let spent = self.levels.iter().all(|lv| lv.items == 0);
+            self.stats.cells_dropped += crate::merge::oracle::newest_only(&mut merged, spent);
+            self.head.clear();
+            if merged.len() < 2 * self.g {
+                self.head = merged;
+                return;
+            }
+            let run = merged;
             let mut carry = run.len();
             let mut t = 0usize;
             while carry + self.levels[t].items > self.levels[t].cap {
                 carry += self.levels[t].items;
                 t += 1;
                 if t == self.levels.len() {
-                    self.push_level();
+                    self.push_levels(1);
                 }
             }
-            self.stats.merges += (t > 0) as u64;
-            let mut sources = vec![run.to_vec()];
+            self.stats.merges += 1;
+            let mut sources = vec![run];
             sources.extend((0..=t).map(|j| self.items_vec(j)));
             let mut merged = crate::merge::oracle::heap_merge(&sources);
             let deepest = self.levels[t + 1..].iter().all(|lv| lv.items == 0);
@@ -1296,6 +1508,7 @@ mod tests {
             let lv = c.levels[l];
             &c.mem.as_slice()[lv.run_base()..][..lv.occ()]
         }
+        assert_eq!(new.head, old.head, "head, {at}");
         for l in 0..new.levels.len() {
             assert!(run(new, l) == run(old, l), "level {l}, {at}");
         }
@@ -1373,9 +1586,105 @@ mod tests {
         assert!(moves > 0, "no carry moved a run");
     }
 
+    /// The head against a model, on overwrite-heavy, delete-heavy and
+    /// small-batch-heavy streams at every (g, p) of the suite: `get`,
+    /// `get_plain` and a cursor walked both ways answer as the model does
+    /// after every op, the invariants hold after every op, and every 64
+    /// ops a reopen from the meta a sync would commit answers the same.
+    /// The delete-heavy streams must meet a head tombstone shadowing an
+    /// older level's item.
+    #[test]
+    fn the_head_answers_as_the_model_does() {
+        use std::collections::BTreeMap;
+        let configs = [2, 4, 8]
+            .into_iter()
+            .flat_map(|g| [0.0, 0.1, 0.125].map(|p| (g, p)));
+        for (g, p) in configs {
+            // (shape, keys, deletes in 8, batches in 8)
+            for (shape, keys, deletes, batches) in [
+                ("overwrite-heavy", 48, 1, 0),
+                ("delete-heavy", 384, 4, 0),
+                ("small-batch-heavy", 384, 1, 4),
+            ] {
+                let mut c = plain(g, p);
+                let mut model = BTreeMap::new();
+                let mut rng = cosbt_testkit::Rng::new(0x4EAD ^ keys ^ (g as u64) << 12);
+                let mut shadowing = 0;
+                for i in 0..1024u64 {
+                    let at = format!("g={g} p={p} {shape} after op {i}");
+                    let key = rng.below(keys);
+                    if rng.below(8) < batches {
+                        // A batch of up to 2g + 1 ops: it may fit the head
+                        // or carry it.
+                        let mut b = UpdateBatch::new();
+                        for _ in 0..rng.below(2 * g as u64 + 2) {
+                            let k = rng.below(keys);
+                            if rng.chance(1, 4) {
+                                b.delete(k);
+                                model.remove(&k);
+                            } else {
+                                b.put(k, i);
+                                model.insert(k, i);
+                            }
+                        }
+                        c.apply(&mut b);
+                    } else if rng.below(8) < deletes {
+                        c.delete(key);
+                        model.remove(&key);
+                    } else {
+                        c.insert(key, i);
+                        model.insert(key, i);
+                    }
+                    c.check_invariants();
+                    shadowing += c.head.iter().any(|h| {
+                        let stored = |l| c.items_vec(l).iter().any(|x| x.key == h.key);
+                        h.is_tombstone() && (2..c.levels.len()).any(stored)
+                    }) as u32;
+                    for k in [key, rng.below(keys), rng.below(keys)] {
+                        let want = model.get(&k).copied();
+                        assert_eq!(c.get(k), want, "get {k}, {at}");
+                        assert_eq!(c.get_plain(k), want, "get_plain {k}, {at}");
+                    }
+                    let lo = rng.below(keys);
+                    let hi = lo + rng.below(keys / 2);
+                    let want: Vec<(u64, u64)> =
+                        model.range(lo..=hi).map(|(&k, &v)| (k, v)).collect();
+                    let mut cur = c.cursor(lo, hi);
+                    let forward: Vec<_> = std::iter::from_fn(|| cur.next()).collect();
+                    let mut backward: Vec<_> = std::iter::from_fn(|| cur.prev()).collect();
+                    backward.reverse();
+                    drop(cur);
+                    assert_eq!(forward, want, "cursor forward {lo}..={hi}, {at}");
+                    assert_eq!(backward, want, "cursor backward {lo}..={hi}, {at}");
+                    if i % 64 != 63 {
+                        continue;
+                    }
+                    let meta = c.save_meta();
+                    let mut re = GCola::from_parts(c.mem.clone(), &meta).expect(&at);
+                    re.check_invariants();
+                    assert_eq!(re.head, c.head, "{at}");
+                    assert_eq!(re.save_meta(), meta, "{at}");
+                    for k in 0..keys {
+                        assert_eq!(re.get(k), model.get(&k).copied(), "reopened get {k}, {at}");
+                    }
+                }
+                let live: Vec<(u64, u64)> = model.into_iter().collect();
+                assert_eq!(c.range(0, u64::MAX), live, "g={g} p={p} {shape}");
+                let stored = c.physical_len() as u64;
+                assert_eq!(c.stats().cells_dropped, c.insertions() - stored);
+                if shape == "delete-heavy" {
+                    assert!(
+                        shadowing > 0,
+                        "g={g} p={p}: no head tombstone shadowed a level"
+                    );
+                }
+            }
+        }
+    }
+
     /// A carry's scratch is the structure's fixed scratch: a chunk per
-    /// level, the sweep buffer and the cascade's keys — not a buffer the
-    /// size of the carry, however large it is.
+    /// level, the sweep buffer, the cascade's keys and the head's `2g`
+    /// cells — not a buffer the size of the carry, however large it is.
     #[test]
     fn a_carry_holds_only_the_fixed_scratch() {
         let mut c = plain(4, 0.1);
@@ -1386,7 +1695,8 @@ mod tests {
             largest = largest.max(c.stats().cells_written - before);
         }
         let bound = (c.levels.len() + 1) * CHUNK
-            + 2 * c.levels.iter().map(|lv| lv.red_cap).max().unwrap_or(0) / 4;
+            + 2 * c.levels.iter().map(|lv| lv.red_cap).max().unwrap_or(0) / 4
+            + 2 * c.g;
         let peak = c.stats().scratch_peak_cells;
         assert!(largest >= 1 << 14, "a carry of {largest} cells");
         assert!(

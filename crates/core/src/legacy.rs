@@ -3,8 +3,8 @@
 //! format, and [`live_entries`], which reads the runs it names into the
 //! live entries a fresh engine bulk-loads ([`crate::GCola::bulk_load`],
 //! [`crate::DeamortCola::bulk_load`]). A retired format is a tag, or a
-//! tag and a version: the g-COLA's v2 shares its tag with the v3 the
-//! g-COLA writes. A sharded store built before its
+//! tag and a version: the g-COLA's v2 and v3 share their tag with the v4
+//! the g-COLA writes. A sharded store built before its
 //! shard 0 carried the database's [`Root`] kept that root in two side
 //! files; [`sidecar_root`] reads them. DESIGN.md, "Decided: one migration
 //! path for retired formats", has the format table and the trade.
@@ -30,6 +30,8 @@ const BASIC_VERSION: u8 = 2;
 const THREE_ARRAY_VERSION: u8 = 2;
 /// The g-COLA's format before its levels kept a lead.
 const GCOLA_V2: u8 = 2;
+/// The g-COLA's format before levels 0 and 1 became the head.
+const GCOLA_V3: u8 = 3;
 
 /// The engine a store in a retired format is rebuilt into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,7 +122,7 @@ pub fn live_entries<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Option<Vec<Cel
     let (slots, fences, what) = match (peek_tag(meta), meta.get(1)) {
         (Some(TAG_BASIC_COLA), _) => basic_dir(mem, meta)?,
         (Some(TAG_DEAMORT), _) => three_array_dir(mem, meta)?,
-        (Some(TAG_GCOLA), Some(&GCOLA_V2)) => gcola_v2_dir(mem, meta)?,
+        (Some(TAG_GCOLA), Some(&v @ (GCOLA_V2 | GCOLA_V3))) => gcola_dir(mem, meta, v)?,
         _ => return Ok(None),
     };
     let (mut scratch, mut runs) = (RunBuf::new(), Vec::new());
@@ -206,30 +208,35 @@ fn three_array_dir<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Directory, Meta
     }))
 }
 
-/// The g-COLA's v2 directory: its growth factor, pointer density and N,
-/// a level count, then per level its first slot, slots, item capacity,
-/// redundancy allowance, items and redundant cells, each checked, then
-/// the occupied levels' fence keys. Every run is right-justified in its
-/// level; smaller levels are newer. Its lookahead cells sample the level
-/// above at midpoints, which no search here reads.
-fn gcola_v2_dir<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Directory, MetaError> {
-    let mut r = MetaReader::new(meta, TAG_GCOLA, GCOLA_V2)?;
+/// The g-COLA's v2 and v3 directories: its growth factor, pointer
+/// density and N, a level count, then per level its first slot, slots,
+/// item capacity, redundancy allowance, items and redundant cells — and,
+/// from v3 on, its lead, the free slots before its run — each checked,
+/// then the occupied levels' fence keys. A v2 run is right-justified in
+/// its level; smaller levels are newer. Their lookahead cells sample the
+/// level above, which no search here reads.
+fn gcola_dir<M: Mem<Cell>>(mem: &M, meta: &[u8], version: u8) -> Result<Directory, MetaError> {
+    let mut r = MetaReader::new(meta, TAG_GCOLA, version)?;
     let (_g, _p, _n) = (r.usize()?, r.f64()?, r.u64()?);
     let count = r.level_count(64)?;
     let (mut levels, mut end) = (Vec::with_capacity(count), 1);
     for l in 0..count {
         let (off, slots, cap) = (r.usize()?, r.usize()?, r.usize()?);
         let (red_cap, items, reds) = (r.usize()?, r.usize()?, r.usize()?);
+        let lead = (version != GCOLA_V2).then(|| r.usize()).transpose()?;
+        // A v2 run ends its level: its lead is the slots it leaves.
         let fits = off == end
             && cap.checked_add(red_cap) == Some(slots)
             && items <= cap
-            && reds <= red_cap;
+            && reds <= red_cap
+            && lead.is_none_or(|lead| lead.checked_add(items + reds).is_some_and(|e| e <= slots));
         let Some(next) = off.checked_add(slots).filter(|_| fits) else {
             return Err(MetaError::Invalid(format!(
                 "level {l} geometry/occupancy out of bounds"
             )));
         };
-        levels.push((next - items - reds, items + reds, Some((l, Reverse(0)))));
+        let lead = lead.unwrap_or(slots - items - reds);
+        levels.push((off + lead, items + reds, Some((l, Reverse(0)))));
         end = next;
     }
     let fences = r.fences(levels.iter().map(|&(_, len, _)| len > 0))?;

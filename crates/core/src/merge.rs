@@ -143,18 +143,13 @@ impl Source {
 
     /// Stages the next chunk that holds a cell the merge takes: up to the
     /// next multiple of [`CHUNK`] slots, and never more than the buffer.
-    /// A run of one cell is read by the per-cell call it is equivalent to.
     fn refill<M: Mem<Cell>>(&mut self, mem: &M) {
         (self.at, self.end) = (0, 0);
         while self.end == 0 && self.next < self.stop {
             let boundary = (self.next / CHUNK + 1) * CHUNK;
             let n = (self.stop.min(boundary) - self.next).min(self.buf.len());
             let chunk = &mut self.buf[..n];
-            if n == 1 {
-                chunk[0] = mem.get(self.next);
-            } else {
-                mem.read_run(self.next, chunk);
-            }
+            mem.read_run(self.next, chunk);
             self.next += n;
             let reals = if self.keep_redundant {
                 self.end = n;

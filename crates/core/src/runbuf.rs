@@ -36,8 +36,13 @@ pub(crate) const CHUNK: usize = 512;
 #[derive(Debug)]
 pub(crate) struct RunBuf {
     pub(crate) cells: Box<[Cell]>,
-    /// Cells per window: `cells` split evenly among the cursor's runs.
+    /// Cells per window: `cells` split evenly among the cursor's runs in
+    /// the store.
     pub(crate) cap: usize,
+    /// The cursor's runs ahead of its first run in the store — its head
+    /// in DRAM, if any — which take no window: run `r`'s window starts at
+    /// cell `(r − dram) · cap`.
+    pub(crate) dram: usize,
     /// One per run of the cursor holding the scratch; sized up front
     /// for more runs than a structure has levels.
     pub(crate) windows: Vec<Window>,
@@ -50,6 +55,7 @@ impl RunBuf {
         RunBuf {
             cells: vec![Cell::default(); CHUNK].into_boxed_slice(),
             cap: 0,
+            dram: 0,
             windows: Vec::with_capacity(64),
             log: Vec::with_capacity(MAX_SEGMENTS),
         }
@@ -64,11 +70,6 @@ impl RunBuf {
         len: usize,
         mut f: impl FnMut(usize, &[Cell]),
     ) {
-        if len == 1 {
-            // A run of one cell is the per-cell call; level 0 is read
-            // and written by every insert and must not pay for staging.
-            return f(0, &[mem.get(base)]);
-        }
         let mut done = 0;
         while done < len {
             let chunk = &mut self.cells[..(len - done).min(CHUNK)];
@@ -125,12 +126,7 @@ impl RunBuf {
             }
             let chunk = &self.cells[..n];
             tap(done, chunk);
-            match n {
-                // A run of one cell is the per-cell call; level 0 is
-                // written by every insert and must not pay for staging.
-                1 => mem.set(at, chunk[0]),
-                _ => mem.write_run(at, chunk),
-            }
+            mem.write_run(at, chunk);
             done += n;
             if n < room {
                 return done;

@@ -1,6 +1,7 @@
 //! The memory contract of the g-COLA's amortized write path, observed
 //! from outside through a counting global allocator: once every level
 //! has been written, a carry allocates nothing and leaves nothing behind,
+//! a write into the head allocates nothing at all,
 //! and the largest carry's peak of live heap bytes stays within its
 //! level's accelerators plus a fixed scratch bound. And of every COLA's read path: a
 //! point lookup allocates nothing, stepping a cursor allocates nothing on
@@ -150,6 +151,25 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
         "the largest carry ({largest} cells) peaked {peak} B above its start (allowed {allowed})"
     );
 
+    // The head: a new key, an overwrite and a delete of a key it holds,
+    // and a delete of one it does not, all in DRAM, allocate nothing —
+    // with levels below it, where a delete leaves a tombstone, and over
+    // a fresh structure, where it takes the key out.
+    let mut head_writes = |name: &str, cola: &mut GCola<PlainMem<_>>| {
+        for round in 0..100u64 {
+            let key = next_key();
+            let calls = CALLS.load(Ordering::Relaxed);
+            cola.insert(key, round);
+            cola.insert(key, round + 1);
+            cola.delete(key);
+            cola.delete(key ^ 1);
+            let calls = CALLS.load(Ordering::Relaxed) - calls;
+            assert_eq!(calls, 0, "{name}: round {round} of head writes allocated");
+        }
+    };
+    head_writes("4-COLA over levels", &mut cola);
+    head_writes("fresh 4-COLA", &mut GCola::new_plain(4));
+
     // Point lookups: 1,000 `get`s, hits and misses alternating, on each
     // of the three COLAs at 2^12 keys.
     let keys: Vec<u64> = (0..1u64 << 12).map(|_| next_key() | 1).collect();
@@ -224,6 +244,18 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
             "1,000 opens made (calls, bytes) {now:?}, {was:?} before windows"
         );
     }
+    // The 4-COLA again, five keys past a multiple of 2g: its head holds
+    // the last five written and rides in the merge of every scan that
+    // starts below its largest key, within the same bound.
+    let mut headed = GCola::new_plain(4);
+    for k in 0..5 {
+        headed.insert(k, k);
+    }
+    let (now, was) = (scans("4-COLA with a head", &mut headed), parent[1]);
+    assert!(
+        now.0 <= was.0 && now.1 <= was.1 + 8 * 1000,
+        "1,000 opens with a head made (calls, bytes) {now:?}, {was:?} before windows"
+    );
     scans("basic COLA on a file", &mut GCola::basic(file()));
     scans("4-COLA on a file", &mut GCola::new(file(), 4, 0.1));
     scans("deamortized COLA on a file", &mut DeamortCola::new(file()));

@@ -283,3 +283,91 @@ pub fn gcola_v2() -> Fixture {
         model: replay(stream(0x6C0A, 120, 48)),
     }
 }
+
+/// `(first slot, slots, item capacity, redundancy allowance, items,
+/// redundant cells, lead)` of the four levels of a v3 4-COLA at `p =
+/// 0.1`: levels 0 and 1 hold items, as they did before the head.
+const GCOLA_V3_DIR: [[usize; 7]; 4] = [
+    [1, 1, 1, 0, 1, 0, 0],
+    [2, 6, 6, 0, 2, 0, 4],
+    [8, 26, 24, 2, 20, 1, 3],
+    [34, 105, 96, 9, 30, 0, 49],
+];
+
+/// Its store slot by slot, as `(key, v, meta)` (see `cell`): each run
+/// after its level's lead, the cells earlier carries left around it, and
+/// level 2's one lookahead cell, the fixed-stride sample of level 3's 30
+/// cells (position 26).
+#[rustfmt::skip]
+const GCOLA_V3_CELLS: [(u64, u64, u64); 139] = [
+    (0, 0, 0), (35, 101, 0), (2, 92, 0), (18, 91, 0),
+    (26, 96, 0), (40, 94, 0), (20, 100, 0), (24, 99, 0),
+    (0, 0, 0), (0, 0, 0), (0, 55, 0), (0, 89, 0),
+    (1, 78, 0), (2, 92, 0), (3, 81, 0), (8, 80, 0),
+    (9, 88, 0), (12, 76, 0), (16, 0, 2), (18, 91, 0),
+    (22, 75, 0), (24, 0, 2), (26, 96, 0), (27, 97, 0),
+    (29, 0, 2), (31, 87, 0), (34, 0, 2), (35, 84, 0),
+    (38, 86, 0), (40, 26, 1), (40, 94, 0), (44, 95, 0),
+    (38, 86, 0), (40, 26, 1), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 55, 0),
+    (1, 11, 0), (2, 47, 0), (3, 39, 0), (4, 23, 0),
+    (5, 72, 0), (6, 54, 0), (8, 37, 0), (10, 19, 0),
+    (11, 33, 0), (12, 74, 0), (14, 8, 0), (16, 36, 0),
+    (17, 70, 0), (19, 60, 0), (20, 63, 0), (21, 43, 0),
+    (24, 25, 0), (27, 20, 0), (28, 1, 0), (29, 52, 0),
+    (30, 13, 0), (33, 49, 0), (34, 50, 0), (37, 73, 0),
+    (38, 65, 0), (40, 45, 0), (42, 48, 0), (43, 59, 0),
+    (45, 67, 0), (0, 0, 0), (1, 11, 0), (2, 16, 0),
+    (4, 23, 0), (5, 30, 0), (10, 19, 0), (11, 33, 0),
+    (14, 8, 0), (15, 34, 0), (16, 24, 0), (19, 22, 0),
+    (20, 6, 0), (24, 25, 0), (25, 2, 0), (27, 20, 0),
+    (28, 1, 0), (29, 27, 0), (30, 13, 0), (34, 29, 0),
+    (37, 10, 0), (38, 26, 0), (41, 28, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0),
+];
+
+/// The store and the `save_meta()` the g-COLA's v3 format left after
+/// 102 ops over 48 keys (seed `0x6C0B`): tag 2 v3, g = 4, p = 0.1,
+/// N = 102, four levels, then each occupied level's first and last key.
+/// The payload is pinned by length and FNV-1a.
+pub fn gcola_v3() -> Fixture {
+    let cells: Vec<Cell> = GCOLA_V3_CELLS.into_iter().map(cell).collect();
+    let mut w = MetaWriter::new(TAG_GCOLA, 3);
+    w.usize(4).f64(0.1).u64(102).usize(GCOLA_V3_DIR.len());
+    let mut fences = Vec::new();
+    for level in GCOLA_V3_DIR {
+        level.iter().for_each(|&field| {
+            w.usize(field);
+        });
+        let [off, _, _, _, items, reds, lead] = level;
+        let run = &cells[off + lead..off + lead + items + reds];
+        if let (Some(first), Some(last)) = (run.first(), run.last()) {
+            fences.push((first.key, last.key));
+        }
+    }
+    for (first, last) in fences {
+        w.u64(first).u64(last);
+    }
+    let meta = w.finish();
+    assert_eq!(
+        (meta.len(), fnv1a(&meta)),
+        (322, 0xfc37_2857_de61_e643),
+        "the payload the g-COLA's v3 format wrote"
+    );
+    Fixture {
+        cells,
+        meta,
+        model: replay(stream(0x6C0B, 102, 48)),
+    }
+}

@@ -8,7 +8,7 @@
 //!
 //! The retired formats are pinned by the stores their engines left
 //! (`fixtures/legacy.rs`): each opens through `cosbt_core::legacy` and
-//! answers as it did, the g-COLA's v2 included. No truncation or flipped bit of any meta here
+//! answers as it did, the g-COLA's v2 and v3 included. No truncation or flipped bit of any meta here
 //! panics an open.
 
 mod common;
@@ -118,11 +118,16 @@ fn stored_control_state_is_byte_identical() {
 // rows were re-recorded for format v3, which adds a lead per level (8
 // bytes each: 818 → 922 and 482 → 538 bytes) and whose levels sample the
 // level above at a fixed stride; v2 is pinned by `legacy_fixtures::gcola_v2`.
+// Both were re-recorded again for format v4, which writes the head (8
+// bytes of count, 17 a cell) between the level directory and the fences,
+// and whose levels 0 and 1 hold no item, so persist no fence pair: 922 →
+// 898 bytes (the basic COLA's head ends the stream empty) and 538 → 599
+// (the 4-COLA's holds cells); v3 is pinned by `legacy_fixtures::gcola_v3`.
 // `DEAMORT_BASIC` is the two-array format `DeamortCola` writes under
 // `TAG_DEAMORT_BASIC`; the retired three-array format is pinned by
 // `legacy_fixtures::three_array`.
-const BASIC: (usize, u64) = (922, 0x8566_1c16_f307_6249);
-const GCOLA: (usize, u64) = (538, 0x6f9d_51d9_46d7_1e88);
+const BASIC: (usize, u64) = (898, 0x6386_d4fb_aa75_59e4);
+const GCOLA: (usize, u64) = (599, 0x98d8_b761_f034_4f86);
 const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
 
 /// The fixture's cells in a store of their own.
@@ -227,9 +232,9 @@ fn three_array_stores_open_and_converge() {
 
 /// A store the g-COLA's v2 format left — right-justified runs, midpoint
 /// lookahead samples — is a typed `BadVersion` to `from_parts`, opens
-/// through the rebuild into a v3 4-COLA, answers as it did, takes writes,
-/// and is written back and reopened as v3. A level whose items outgrow
-/// its capacity is a typed error.
+/// through the rebuild into a 4-COLA of the current format, answers as it
+/// did, takes writes, and is written back and reopened as v4. A level
+/// whose items outgrow its capacity is a typed error.
 #[test]
 fn gcola_v2_stores_open_and_converge() {
     let fx = legacy_fixtures::gcola_v2();
@@ -257,6 +262,41 @@ fn gcola_v2_stores_open_and_converge() {
     }
 }
 
+/// A store the g-COLA's v3 format left — items in levels 0 and 1, each
+/// run after its level's lead — is a typed `BadVersion` to `from_parts`,
+/// opens through the rebuild into a v4 4-COLA, answers as it did, takes
+/// writes, and is written back and reopened as v4. A lead that puts a
+/// run past its level is a typed error.
+#[test]
+fn gcola_v3_stores_open_and_converge() {
+    let fx = legacy_fixtures::gcola_v3();
+    let mem = store(&fx);
+    match GCola::from_parts(mem.clone(), &fx.meta) {
+        Err(MetaError::BadVersion(3)) => {}
+        other => panic!("a v3 meta reopened in place: {:?}", other.map(|_| ())),
+    }
+    let c = GCola::bulk_load(mem.clone(), 4, 0.1, &live_entries(&fx, &mem));
+    assert_eq!(c.insertions(), fx.model.len() as u64);
+    let reopen = |meta: &[u8]| {
+        assert_eq!(meta[..2], [TAG_GCOLA, 4], "written back as v4");
+        GCola::from_parts(mem.clone(), meta)
+    };
+    converges(
+        c,
+        fx.model.clone(),
+        TAG_GCOLA,
+        GCola::check_invariants,
+        reopen,
+    );
+
+    let mut bad = fx.meta.clone();
+    bad[2 + 3 * 8 + 8 + 56 + 6 * 8] = 5; // level 1's lead: 5 + 2 cells > 6 slots
+    match legacy::live_entries(&store(&fx), &bad) {
+        Err(MetaError::Invalid(why)) => assert!(why.contains("level 1 geometry"), "{why}"),
+        other => panic!("a run past its level opened: {:?}", other.map(|_| ())),
+    }
+}
+
 /// No truncation or flipped bit of a retired store's meta panics its
 /// open; `pinned` sweeps the metas of the formats written today.
 #[test]
@@ -265,6 +305,7 @@ fn corrupt_legacy_meta_never_panics() {
         ("basic format", legacy_fixtures::basic()),
         ("three-array format", legacy_fixtures::three_array()),
         ("g-COLA v2 format", legacy_fixtures::gcola_v2()),
+        ("g-COLA v3 format", legacy_fixtures::gcola_v3()),
     ];
     for (name, fx) in fixtures {
         let mem = store(&fx);

@@ -793,13 +793,23 @@ fn retired_formats_open_under_their_heirs_only() {
 /// A 4-COLA store in the g-COLA's v2 format (right-justified runs,
 /// midpoint lookahead samples, no root) opens under `GCola { g: 4 }`
 /// through the rebuild, answers as it did, commits nothing until a
-/// `sync`, then commits format v3 and reopens from it.
+/// `sync`, then commits the current format, v4, and reopens from it.
 #[test]
-fn gcola_v2_stores_open_as_v3() {
+fn gcola_v2_stores_open_as_the_current_format() {
+    retired_gcola_opens_as_current("gcola-v2", legacy_fixtures::gcola_v2());
+}
+
+/// The same for a v3 store, whose levels 0 and 1 hold items the head
+/// holds now.
+#[test]
+fn gcola_v3_stores_open_as_the_current_format() {
+    retired_gcola_opens_as_current("gcola-v3", legacy_fixtures::gcola_v3());
+}
+
+fn retired_gcola_opens_as_current(name: &str, fx: legacy_fixtures::Fixture) {
     use cosbt::cola::persist::TAG_GCOLA;
 
-    let fx = legacy_fixtures::gcola_v2();
-    let path = tmp("gcola-v2");
+    let path = tmp(name);
     write_retired_store(&path, &fx);
     let builder = DbBuilder::new()
         .structure(Structure::GCola { g: 4 })
@@ -808,16 +818,19 @@ fn gcola_v2_stores_open_as_v3() {
     let mut model = fx.model.clone();
     let live =
         |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
-    let mut db = builder.clone().open().expect("a v2 store opens");
+    let mut db = builder
+        .clone()
+        .open()
+        .expect("a retired g-COLA store opens");
     for key in 0..60 {
-        assert_eq!(db.get(key), model.get(&key).copied(), "key {key}");
+        assert_eq!(db.get(key), model.get(&key).copied(), "{name}: key {key}");
     }
-    assert_eq!(db.range(0, u64::MAX), live(&model), "scan");
+    assert_eq!(db.range(0, u64::MAX), live(&model), "{name}: scan");
     drop(db);
     assert_eq!(
         committed_meta(&path),
         fx.meta,
-        "a read-only session committed"
+        "{name}: an open that only read committed"
     );
 
     let mut db = builder.clone().open().unwrap();
@@ -829,11 +842,87 @@ fn gcola_v2_stores_open_as_v3() {
     drop(db);
     assert_eq!(
         committed_meta(&path)[..2],
-        [TAG_GCOLA, 3],
-        "written back as v3"
+        [TAG_GCOLA, 4],
+        "{name}: written back as v4"
     );
     let mut db = builder.open().unwrap();
-    assert_eq!(db.range(0, u64::MAX), live(&model), "reopened from v3");
+    assert_eq!(
+        db.range(0, u64::MAX),
+        live(&model),
+        "{name}: reopened from v4"
+    );
+}
+
+/// The g-COLA's head — levels 0 and 1's items, in DRAM — is durable
+/// exactly as the store's pages are: writes after the last `sync` are
+/// lost by a crash, whether they sit in the head or in pages a carry
+/// wrote back, and survive once synced, the head's included. A crash is
+/// the file's bytes as the live handle left them, opened by a fresh
+/// handle.
+#[test]
+fn head_writes_are_as_durable_as_pages() {
+    let path = tmp("head-crash");
+    // A two-page cache: carries evict, so uncommitted pages reach the
+    // file before the sync.
+    let builder = DbBuilder::new()
+        .structure(Structure::GCola { g: 4 })
+        .backend(Backend::file(path.to_path_buf()))
+        .cache_bytes(8 * 1024);
+    let key = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    let live = |n: u64| -> Vec<(u64, u64)> {
+        let mut v: Vec<(u64, u64)> = (0..n).map(|i| (key(i), i)).collect();
+        v.sort_unstable();
+        v
+    };
+    // Distinct keys from empty: the head holds N mod 2g = N mod 8 cells.
+    let mut db = builder.clone().build().unwrap();
+    for i in 0..4000 {
+        db.insert(key(i), i);
+    }
+    db.sync().unwrap();
+    let crash = |label: &str| {
+        let image = tmp("head-crash-image");
+        std::fs::copy(&path, &image).unwrap();
+        let mut db = builder
+            .clone()
+            .backend(Backend::file(image.to_path_buf()))
+            .open()
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        let got = db.range(0, u64::MAX);
+        db.discard_on_drop();
+        got
+    };
+
+    // Three writes into the head (4003 mod 8 = 3): no page moves.
+    for i in 4000..4003 {
+        db.insert(key(i), i);
+    }
+    assert_eq!(
+        crash("head writes"),
+        live(4000),
+        "head writes survived a crash"
+    );
+    // Past 4096: carries into deeper levels, which write pages back to
+    // the file, and six cells left in the head (4102 mod 8).
+    let synced = std::fs::read(&path).unwrap();
+    for i in 4003..4102 {
+        db.insert(key(i), i);
+    }
+    assert!(
+        std::fs::read(&path).unwrap() != synced,
+        "no carry wrote a page back"
+    );
+    assert_eq!(
+        crash("carried writes"),
+        live(4000),
+        "uncommitted carries survived a crash"
+    );
+    db.sync().unwrap();
+    assert_eq!(crash("synced"), live(4102), "synced writes were lost");
+    db.discard_on_drop();
+    drop(db);
+    let mut db = builder.open().unwrap();
+    assert_eq!(db.range(0, u64::MAX), live(4102), "reopened");
 }
 
 /// A sharded store built when the deamortized COLA was the 2-COLA's

@@ -9,7 +9,7 @@
 
 use cosbt_bench::measure::results_dir;
 use cosbt_bench::{random_keys, scaled};
-use cosbt_core::{DeamortCola, Dictionary, GCola};
+use cosbt_core::{Dictionary, GCola};
 use cosbt_dam::PlainMem;
 use std::io::Write as _;
 
@@ -61,38 +61,31 @@ fn main() {
         "structure", "avg", "p99", "p99.9", "worst"
     );
 
-    let mut amort = GCola::basic(PlainMem::new());
-    let mut i = 0usize;
-    let r = profile(
-        "amortized basic COLA",
-        |_| {
-            let k = keys[i];
-            amort.insert(k, i as u64);
-            i += 1;
-            amort.stats().cells_written
-        },
-        &keys,
-    );
-    writeln!(csv, "basic,{},{},{},{},{lg:.1}", r.0, r.1, r.2, r.3).unwrap();
-
-    let mut dc = DeamortCola::new_plain();
-    let mut i = 0usize;
-    let r = profile(
-        "deamortized COLA",
-        |_| {
-            let k = keys[i];
-            dc.insert(k, i as u64);
-            i += 1;
-            dc.stats().cells_written
-        },
-        &keys,
-    );
-    writeln!(csv, "deamort,{},{},{},{},{lg:.1}", r.0, r.1, r.2, r.3).unwrap();
+    let mut r = (0.0, 0, 0, 0);
+    for (name, row, mut cola) in [
+        (
+            "amortized basic COLA",
+            "basic",
+            GCola::basic(PlainMem::new()),
+        ),
+        (
+            "deamortized COLA",
+            "deamort",
+            GCola::deamortized(PlainMem::new()),
+        ),
+    ] {
+        let mut writes_of = |i: u64| {
+            cola.insert(keys[i as usize], i);
+            cola.stats().cells_written
+        };
+        r = profile(name, &mut writes_of, &keys);
+        writeln!(csv, "{row},{},{},{},{},{lg:.1}", r.0, r.1, r.2, r.3).unwrap();
+    }
 
     println!(
         "\nshape check: the amortized COLA's worst insert moves ~N cells;\n\
          the deamortized COLA stays within m = 2k + 2 = O(log N) ≈ {:.0}\n\
-         (measured worst: {}).",
+         moves plus the head's 4 cells (measured worst: {}).",
         2.0 * lg + 2.0,
         r.3
     );

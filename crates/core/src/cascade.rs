@@ -5,8 +5,8 @@
 //! probe per level.
 //!
 //! Every structure in the family keeps one [`LevelAux`] per sorted run
-//! (a level of a [`crate::GCola`], the basic COLA included, or one array of
-//! the [`crate::DeamortCola`]). The aux is rebuilt exactly when its run is
+//! (a level of a [`crate::GCola`], or one extent of a level under the
+//! deamortized COLA's policy). The aux is rebuilt exactly when its run is
 //! rebuilt — during the merge that writes the run's cells — via an
 //! [`AuxBuilder`] fed one cell at a time, so deamortized merges can
 //! carry a partially built aux across budgeted steps at `O(1)` extra
@@ -280,7 +280,7 @@ impl LevelAux {
 /// order, as a merge writes the run. Each [`AuxBuilder::push`] is `O(1)`
 /// (one hash and one filter block), so deamortized merges can interleave
 /// aux construction with their budgeted move steps and carry the
-/// half-built state across inserts.
+/// half-built state across inserts (`AuxBuilder::resume`).
 #[derive(Debug, Clone)]
 pub struct AuxBuilder {
     /// Sized at the first real cell, for `keys` keys: a lookahead-only
@@ -320,6 +320,21 @@ impl AuxBuilder {
             any_real: false,
             ghosts,
             pos: 0,
+        }
+    }
+
+    /// A builder that goes on from `aux`, what [`AuxBuilder::finish`] gave
+    /// for a run's first cells, its filter sized for `keys` keys as then.
+    pub(crate) fn resume(aux: LevelAux, keys: usize) -> AuxBuilder {
+        AuxBuilder {
+            // The filter is sized at the first real cell.
+            any_real: !aux.filter.blocks.is_empty(),
+            filter: aux.filter,
+            keys,
+            fence_min: aux.fence_min,
+            fence_max: aux.fence_max,
+            ghosts: aux.ghosts,
+            pos: aux.len,
         }
     }
 

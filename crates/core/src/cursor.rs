@@ -4,8 +4,8 @@
 //!
 //! * [`RunMergeCursor`] — the cell-level engine of the COLA family. Every
 //!   COLA variant stores its data as a small set of sorted, contiguous
-//!   runs of [`Cell`]s in one flat [`Mem`] array (levels, or the level's
-//!   arrays for the deamortized COLA), ordered newest-first both
+//!   runs of [`Cell`]s in one flat [`Mem`] array (levels, or a level's
+//!   two extents under the deamortized COLA's policy), ordered newest-first both
 //!   across runs and — among equal keys — within a run. The cursor walks
 //!   those runs directly, the way the paper's lookahead array answers a
 //!   range query. A seek brackets each run's position with the run's

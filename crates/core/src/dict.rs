@@ -259,7 +259,8 @@ impl CursorOps for VecCursor {
 /// are written once:
 ///
 /// ```
-/// use cosbt_core::{DeamortCola, Dictionary, GCola};
+/// use cosbt_core::{Dictionary, GCola};
+/// use cosbt_dam::PlainMem;
 ///
 /// fn ingest(dict: &mut dyn Dictionary) {
 ///     dict.insert_batch(&[(1, 10), (2, 20), (3, 30)]);
@@ -267,7 +268,7 @@ impl CursorOps for VecCursor {
 /// }
 ///
 /// for dict in [
-///     &mut DeamortCola::new_plain() as &mut dyn Dictionary,
+///     &mut GCola::deamortized(PlainMem::new()) as &mut dyn Dictionary,
 ///     &mut GCola::new_plain(4),
 /// ] {
 ///     ingest(dict);
@@ -325,10 +326,9 @@ pub trait Dictionary {
 
     /// Number of physically stored entries. The log-structured
     /// implementations count the shadowed versions and tombstones they
-    /// still hold: all of them for the deamortized COLA, whose merges
-    /// keep every version, and at most one version per key and level for
-    /// the g-COLA (the basic COLA included), whose carries drop the rest
-    /// as they merge.
+    /// still hold: at most one version per key and level for the g-COLA
+    /// (the basic and the deamortized COLA included), whose merges drop
+    /// the rest.
     fn physical_len(&self) -> usize;
 
     /// A short human-readable name for reports.

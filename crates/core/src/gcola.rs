@@ -44,6 +44,14 @@
 //! slot `2^k`, and on distinct keys it is full exactly when bit k of N is
 //! set (Invariant 1), with an `O(log² N)` plain search.
 //!
+//! The merge policy is the constructor's too: [`GCola::deamortized`] is
+//! Section 3's deamortized COLA (Lemma 21, Theorem 22), the basic COLA
+//! with every level split into two *extents* of `2^k` slots, listed
+//! newest first. The head's overflow seals a free extent of level 2; a
+//! level with two sealed extents is *unsafe*, and the carry's fold merges
+//! them into a free extent of the next level, which fills invisibly, at
+//! most `m = 2·levels + 2` source cells per insert.
+//!
 //! The merge, as in the paper, happens in the array with fixed extra
 //! space. The paper merges two levels at a time, alternating the result
 //! between the start of the target level and the freed prefix, to need
@@ -86,8 +94,8 @@ use crate::cascade::{AuxBuilder, LevelAux, Probe};
 use crate::cursor::RunMergeCursor;
 use crate::dict::{Cursor, Dictionary, UpdateBatch};
 use crate::entry::{Cell, META_TOMBSTONE, NO_PTR};
-use crate::merge::{Fold, Head, Source};
-use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_GCOLA};
+use crate::merge::{Fold, FoldAt, Head, Source};
+use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT_BASIC, TAG_GCOLA};
 use crate::run::Run;
 use crate::runbuf::{RunBuf, CHUNK};
 use crate::stats::ColaStats;
@@ -98,6 +106,11 @@ use crate::stats::ColaStats;
 /// version 4 adds the head, whose items levels 0 and 1 held before
 /// (versions 2 and 3 open through [`crate::legacy`]).
 const META_VERSION: u8 = 4;
+
+/// The tag and version of the meta each merge policy writes, amortized
+/// first. The deamortized policy's version 3 is version 4's body and a
+/// state byte per extent (its version 2 opens through [`crate::legacy`]).
+const FORMATS: [(u8, u8); 2] = [(TAG_GCOLA, META_VERSION), (TAG_DEAMORT_BASIC, 3)];
 
 /// Slots an emptied level's aux may describe and still wait in
 /// `spare_aux` for the next level to be filled; a larger one is freed.
@@ -223,6 +236,21 @@ pub struct GCola<M: Mem<Cell>> {
     /// `2g` slots — the last for the cell that overflows it into a carry
     /// — and is allocated once.
     head: Vec<Cell>,
+    /// The merge policy: amortized carries, or budgeted merges, two
+    /// extents a level ([`GCola::deamortized`]).
+    budgeted: bool,
+    /// The budgeted merges in flight, by the extent each fills, which
+    /// holds no item in the directory until the merge commits.
+    fills: Vec<(usize, Fill)>,
+}
+
+/// A budgeted merge in flight: where its fold stands, the cells written
+/// from its extent's first slot, and their aux.
+#[derive(Debug)]
+struct Fill {
+    at: FoldAt,
+    written: usize,
+    aux: LevelAux,
 }
 
 impl GCola<PlainMem<Cell>> {
@@ -242,7 +270,7 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// An empty structure over `mem`, uncleared, with no level.
-    fn bare(mem: M, g: usize, p: f64, n: u64) -> Self {
+    fn bare(mem: M, g: usize, p: f64, n: u64, budgeted: bool) -> Self {
         GCola {
             mem,
             levels: Vec::new(),
@@ -258,6 +286,8 @@ impl<M: Mem<Cell>> GCola<M> {
             down: Vec::new(),
             spare_aux: Vec::new(),
             head: Vec::with_capacity(2 * g),
+            budgeted,
+            fills: Vec::new(),
         }
     }
 
@@ -267,7 +297,7 @@ impl<M: Mem<Cell>> GCola<M> {
     pub fn bulk_load(mem: M, g: usize, p: f64, live: &[Cell]) -> Self {
         assert!(g >= 2, "growth factor must be at least 2");
         assert!((0.0..1.0).contains(&p), "pointer density in [0, 1)");
-        let mut this = Self::bare(mem, g, p, 0);
+        let mut this = Self::bare(mem, g, p, 0, false);
         this.load(live);
         this
     }
@@ -283,6 +313,20 @@ impl<M: Mem<Cell>> GCola<M> {
     /// searched in full by [`GCola::get_plain`].
     pub fn basic(mem: M) -> Self {
         Self::new(mem, 2, 0.0)
+    }
+
+    /// Section 3's deamortized COLA: the basic COLA with budgeted merges,
+    /// so no insert moves more than `2·levels + 2` cells and the head's.
+    pub fn deamortized(mut mem: M) -> Self {
+        mem.resize(0, Cell::default());
+        Self::deamortized_bulk_load(mem, &[])
+    }
+
+    /// [`GCola::deamortized`] holding `live`, as [`GCola::bulk_load`].
+    pub fn deamortized_bulk_load(mem: M, live: &[Cell]) -> Self {
+        let mut this = Self::bare(mem, 2, 0.0, 0, true);
+        this.load(live);
+        this
     }
 
     /// The cache-aware lookahead array: growth factor `Θ(Bᵉ)` for block
@@ -313,7 +357,7 @@ impl<M: Mem<Cell>> GCola<M> {
 
     /// Number of levels allocated.
     pub fn num_levels(&self) -> usize {
-        self.levels.len()
+        self.levels.len() >> self.budgeted as usize
     }
 
     /// Work counters.
@@ -327,18 +371,20 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// Reconstructs a g-COLA over an already-populated `mem` from
-    /// persisted control state. Growth factor and pointer density are
-    /// restored from the metadata (they shaped the existing level
-    /// geometry); occupancy is validated against the store's length.
+    /// persisted control state, in either policy's format. Growth factor
+    /// and pointer density are restored from the metadata (they shaped the
+    /// existing level geometry); occupancy is validated against the store.
     pub fn from_parts(mem: M, meta: &[u8]) -> Result<Self, MetaError> {
-        let mut r = MetaReader::new(meta, TAG_GCOLA, META_VERSION)?;
+        let budgeted = meta.first() == Some(&TAG_DEAMORT_BASIC);
+        let (tag, version) = FORMATS[budgeted as usize];
+        let mut r = MetaReader::new(meta, tag, version)?;
         let g = r.usize()?;
         let p = r.f64()?;
         let n = r.u64()?;
-        let count = r.level_count(64)?;
-        let mut levels = Vec::with_capacity(count);
-        for _ in 0..count {
-            levels.push(Level {
+        let count = r.level_count(64 << budgeted as usize)?;
+        let mut levels: Vec<Level> = Vec::with_capacity(count);
+        for i in 0..count {
+            let lv = Level {
                 off: r.usize()?,
                 slots: r.usize()?,
                 cap: r.usize()?,
@@ -346,7 +392,15 @@ impl<M: Mem<Cell>> GCola<M> {
                 items: r.usize()?,
                 reds: r.usize()?,
                 lead: r.usize()?,
-            });
+            };
+            // Empty or sealed, and a level never sealed twice: `save_meta`
+            // quiesces, so no merge is in flight or due.
+            let twice = i % 2 == 1 && lv.items > 0 && levels[i - 1].items > 0;
+            if budgeted && (r.u8()? != (lv.items > 0) as u8 || twice) {
+                let why = format!("extent {i} is filling, sealed twice or not its items");
+                return Err(MetaError::Invalid(why));
+            }
+            levels.push(lv);
         }
         // Read cell by cell: a corrupt count runs out of payload before it
         // can ask for memory.
@@ -369,8 +423,9 @@ impl<M: Mem<Cell>> GCola<M> {
         if !(0.0..1.0).contains(&p) {
             return Err(MetaError::Invalid(format!("pointer density {p}")));
         }
-        if count < 2 {
-            return Err(MetaError::Invalid(format!("level count {count}")));
+        if (count >> budgeted as usize) < 2 || (budgeted && (count % 2, g, p) != (0, 2, 0.0)) {
+            let why = format!("{count} levels, g = {g}, p = {p}");
+            return Err(MetaError::Invalid(why));
         }
         for (i, lv) in levels.iter().enumerate() {
             // Checked arithmetic throughout: crafted fields near
@@ -378,8 +433,9 @@ impl<M: Mem<Cell>> GCola<M> {
             // panic in debug builds). The level's capacities are the ones
             // g and p give it, which bounds g by the store's length before
             // the head's buffer of 2g cells is allocated.
-            let geometry_ok = Self::geometry(g, p, i) == Some((lv.cap, lv.red_cap))
-                && (i >= 2 || lv.items == 0)
+            let l = i >> budgeted as usize;
+            let geometry_ok = Self::geometry(g, p, l) == Some((lv.cap, lv.red_cap))
+                && (l >= 2 || lv.items == 0)
                 && lv.cap.checked_add(lv.red_cap) == Some(lv.slots)
                 && lv.items <= lv.cap
                 && lv.reds <= lv.red_cap
@@ -397,8 +453,14 @@ impl<M: Mem<Cell>> GCola<M> {
                 )));
             }
         }
-        for w in levels.windows(2) {
-            if w[0].off + w[0].slots != w[1].off {
+        // A level's extents tile its span, in either order, a pair's from a
+        // multiple of its width, and the spans follow one another.
+        let mut end = 1usize;
+        for w in levels.chunks(1 << budgeted as usize) {
+            let offs = || w.iter().map(|lv| lv.off);
+            let start = end.next_multiple_of(if budgeted { 2 * w[0].slots } else { 1 });
+            end = start + w.len() * w[0].slots;
+            if offs().min() != Some(start) || offs().max() != Some(end - w[0].slots) {
                 return Err(MetaError::Invalid("levels are not contiguous".into()));
             }
         }
@@ -433,7 +495,7 @@ impl<M: Mem<Cell>> GCola<M> {
                 w[0].key, w[1].key
             )));
         }
-        let mut cola = Self::bare(mem, g, p, n);
+        let mut cola = Self::bare(mem, g, p, n, budgeted);
         cola.head.extend_from_slice(&head);
         for lv in levels {
             cola.push_geometry(lv);
@@ -506,29 +568,37 @@ impl<M: Mem<Cell>> GCola<M> {
         Some((scale.checked_mul(2)?, red))
     }
 
-    /// Appends the next `count` levels and grows the store, once, to
-    /// their end: growing within a page the store already has fills the
-    /// new slots cell by cell, so levels 0 and 1, which end on page 0,
-    /// are grown in one step.
+    /// Appends the next `count` levels — under the budgeted policy, two
+    /// extents each, side by side from a multiple of their span, so that,
+    /// as in the basic COLA, no page dividing an extent is split between
+    /// two — and grows the store, once, to their end: growing within a
+    /// page the store already has fills the new slots cell by cell, so
+    /// levels 0 and 1, which end on page 0, are grown in one step.
     fn push_levels(&mut self, count: usize) {
+        // A budgeted level's extents may be listed in either order.
+        let mut end = self.levels.iter().map(|l| l.off + l.slots).max();
         for _ in 0..count {
-            let idx = self.levels.len();
+            let idx = self.num_levels();
             let Some((cap, red_cap)) = Self::geometry(self.g, self.p, idx) else {
                 panic!("level {idx}'s capacity overflows usize");
             };
-            let off = self.levels.last().map_or(1, |l| l.off + l.slots); // slot 0 spare, as in the paper
             let slots = cap + red_cap;
-            self.push_geometry(Level {
-                off,
-                slots,
-                cap,
-                red_cap,
-                items: 0,
-                reds: 0,
-                lead: slots,
-            });
+            let at = end.unwrap_or(1); // slot 0 spare, as in the paper
+            let off = at.next_multiple_of(if self.budgeted { 2 * slots } else { 1 });
+            end = Some(off + (slots << self.budgeted as usize));
+            for side in 0..1 << self.budgeted as usize {
+                self.push_geometry(Level {
+                    off: off + side * slots,
+                    slots,
+                    cap,
+                    red_cap,
+                    items: 0,
+                    reds: 0,
+                    lead: slots,
+                });
+            }
         }
-        let end = self.levels.last().map_or(0, |l| l.off + l.slots);
+        let end = end.unwrap_or(0);
         if self.mem.len() < end {
             self.mem.resize(end, Cell::default());
         }
@@ -620,12 +690,7 @@ impl<M: Mem<Cell>> GCola<M> {
         let occ = items.len() + las.len();
         assert!(occ <= lv.slots, "level {l} overflow: {occ} > {}", lv.slots);
         if occ == 0 {
-            // Nothing to build an aux for: park the old one.
-            let retired = self.aux[l].take();
-            self.spare_aux
-                .extend(retired.filter(|a| a.capacity() <= SPARE_AUX_SLOTS));
-            (self.levels[l].items, self.levels[l].reds) = (0, 0);
-            self.levels[l].lead = lv.slots;
+            self.clear(l);
             down.into_iter().for_each(Vec::clear);
             return;
         }
@@ -642,6 +707,15 @@ impl<M: Mem<Cell>> GCola<M> {
             }
         };
         self.rewrite(l, lv.off + lv.slots - occ, weave, down);
+    }
+
+    /// Empties level `l`, parking its aux.
+    fn clear(&mut self, l: usize) {
+        let retired = self.aux[l].take();
+        self.spare_aux
+            .extend(retired.filter(|a| a.capacity() <= SPARE_AUX_SLOTS));
+        let lv = &mut self.levels[l];
+        (lv.items, lv.reds, lv.lead) = (0, 0, lv.slots);
     }
 
     /// Rewrites levels `t−1..0`, emptied of items, as the lookahead
@@ -678,9 +752,11 @@ impl<M: Mem<Cell>> GCola<M> {
     /// The paper's insertion of one cell, into the head: it replaces the
     /// key's cell there, or a tombstone with nothing stored beneath it
     /// takes the key out; a new key goes in by binary search, and the
-    /// `2g`-th carries the head into level 2. Every discarded cell counts
-    /// in `cells_dropped`.
+    /// `2g`-th carries the head into level 2 — budgeted, seals a free
+    /// extent there, and the mover runs. Every discarded cell counts in
+    /// `cells_dropped`.
     fn insert_cell(&mut self, cell: Cell) {
+        let before = self.stats.cells_written;
         self.n += 1;
         self.stats.inserts += 1;
         let spent = cell.is_tombstone() && self.deepest(1);
@@ -698,19 +774,35 @@ impl<M: Mem<Cell>> GCola<M> {
                 self.head.insert(i, cell);
                 if self.head.len() > self.head_cap() {
                     let head = std::mem::take(&mut self.head);
-                    self.insert_run(&head);
+                    if self.budgeted {
+                        let e = self.free_extent(2);
+                        self.write_level(e, &head, &[], None);
+                        self.sealed(e);
+                    } else {
+                        self.insert_run(&head);
+                    }
                     self.head = head;
                     self.head.clear();
                 }
             }
+        }
+        if self.budgeted {
+            self.mover();
+            let w = self.stats.cells_written - before;
+            self.stats.max_cells_per_insert = self.stats.max_cells_per_insert.max(w);
         }
     }
 
     /// A batch's cells (sorted, one per key, newer than everything
     /// stored): merged over the head, the batch winning a key both hold,
     /// spent tombstones out when nothing is stored beneath. What fits
-    /// the head stays there; anything larger is one carry.
+    /// the head stays there; anything larger is one carry. Budgeted, each
+    /// cell is an insert of its own.
     fn absorb(&mut self, mut run: Vec<Cell>) {
+        if self.budgeted {
+            run.into_iter().for_each(|cell| self.insert_cell(cell));
+            return;
+        }
         if run.is_empty() {
             return;
         }
@@ -813,8 +905,116 @@ impl<M: Mem<Cell>> GCola<M> {
         let mut fold = Fold::new(&self.mem, run, older, heads_t, deepest);
         let start = target.run_base() - carry;
         self.rewrite(t, start, |mem| fold.next(mem), Some(down));
-        self.stats.cells_dropped += fold.dropped;
+        self.stats.cells_dropped += fold.at.dropped;
         (self.sources, self.heads) = (sources, heads);
+    }
+
+    /// The first extent of level `k`, the newer when both are sealed.
+    fn extent(&self, k: usize) -> usize {
+        k << self.budgeted as usize
+    }
+
+    /// Whether level `k` is unsafe: both extents sealed, so merging up.
+    fn is_unsafe(&self, k: usize) -> bool {
+        let pair = self.levels.get(self.extent(k)..self.extent(k) + 2);
+        self.budgeted && pair.is_some_and(|p| p.iter().all(|lv| lv.items > 0))
+    }
+
+    /// A free extent of level `k`, pushed if need be: Lemma 21's promise.
+    fn free_extent(&mut self, k: usize) -> usize {
+        if k == self.num_levels() {
+            self.push_levels(1);
+        }
+        let e = self.extent(k);
+        let filling = |i: usize| self.fills.iter().any(|&(d, _)| d == i);
+        let free = (e..e + 2).find(|&i| self.levels[i].items == 0 && !filling(i));
+        free.unwrap_or_else(|| panic!("Lemma 21 violated: level {k} has no free extent"))
+    }
+
+    /// Extent `e` has just been written whole: it goes first in its level,
+    /// the newest there, and if the level is now unsafe, its merge opens,
+    /// newest source first, into a free extent of the next level.
+    fn sealed(&mut self, e: usize) {
+        self.stats.merges += 1;
+        let (k, a) = (e >> 1, e & !1);
+        self.levels.swap(a, e);
+        self.aux.swap(a, e);
+        if !self.is_unsafe(k) {
+            return;
+        }
+        let d = self.free_extent(k + 1);
+        for j in [a, a + 1] {
+            let lv = self.levels[j];
+            self.sources[j].open(&self.mem, (lv.run_base(), lv.occ()), lv.items, false);
+        }
+        let deepest = self.deepest(a + 1);
+        let (older, heads) = (&mut self.sources[a..a + 2], &mut self.heads[a..a + 2]);
+        let (at, written) = (Fold::new(&self.mem, &[], older, heads, deepest).at, 0);
+        let (lv, retired) = (self.levels[d], self.spare_aux.pop());
+        let aux = AuxBuilder::recycling(lv.slots, lv.cap, retired).finish();
+        self.fills.push((d, Fill { at, written, aux }));
+    }
+
+    /// Lemma 21's mover, after every budgeted insert: advances the unsafe
+    /// levels' merges, lowest first, by `2·levels + 2` source cells in all.
+    fn mover(&mut self) {
+        let (mut budget, mut k) = (2 * self.num_levels() as u64 + 2, 2);
+        while budget > 0 && k < self.num_levels() {
+            if self.is_unsafe(k) {
+                budget -= self.advance(k, budget);
+            }
+            k += 1;
+        }
+    }
+
+    /// Takes up to `budget` cells off unsafe level `k`'s merge, writing
+    /// what the fold keeps in one sweep, and returns how many; once the
+    /// sources are spent the extent is sealed (or emptied, if every cell
+    /// was dropped) and level `k` empties.
+    fn advance(&mut self, k: usize, budget: u64) -> u64 {
+        let a = self.extent(k);
+        let Some(j) = self.fills.iter().position(|&(d, _)| d >> 1 == k + 1) else {
+            panic!("Lemma 21 violated: unsafe level {k} fills no extent");
+        };
+        let (d, Fill { at, written, aux }) = self.fills.swap_remove(j);
+        let lv = self.levels[d];
+        let mut aux = AuxBuilder::resume(aux, lv.cap);
+        let (older, heads) = (&mut self.sources[a..a + 2], &mut self.heads[a..a + 2]);
+        let (mut fold, mut taken) = (Fold::resume(&[], older, heads, at), 0);
+        let next = |mem: &M| {
+            while taken < budget && !fold.done() {
+                taken += 1;
+                if let Some((cell, true)) = fold.step(mem) {
+                    aux.push(&cell);
+                    return Some(cell);
+                }
+            }
+            None
+        };
+        let wrote = self
+            .scratch
+            .fill(&mut self.mem, lv.off + written, next, |_, _| {});
+        let (done, at, written, aux) = (fold.done(), fold.at, written + wrote, aux.finish());
+        self.stats.cells_written += wrote as u64;
+        if !done {
+            self.fills.push((d, Fill { at, written, aux }));
+            return taken;
+        }
+        self.stats.cells_dropped += at.dropped;
+        (self.levels[d].items, self.levels[d].lead) = (written, 0);
+        self.aux[d] = Some(aux);
+        for e in [a, a + 1].into_iter().chain((written == 0).then_some(d)) {
+            self.clear(e);
+        }
+        self.sealed(d);
+        taken
+    }
+
+    /// Runs every merge in flight, and any its commit opens, to its end.
+    fn quiesce(&mut self) {
+        while let Some(k) = (2..self.num_levels()).find(|&k| self.is_unsafe(k)) {
+            self.advance(k, u64::MAX);
+        }
     }
 
     /// The write path's scratch, in cells: every level's source chunk,
@@ -925,12 +1125,13 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// Replaces the contents by `live`, N becoming its length: the head,
-    /// if it holds them, else one level write into the smallest level
-    /// that does, then the pointer cascade below. Levels 0 and 1 exist
-    /// from the start. The store is not shrunk: regrowing would
-    /// zero-fill.
+    /// if it holds them, else one level write into (the first extent of)
+    /// the smallest level that does, then the pointer cascade below.
+    /// Levels 0 and 1 exist from the start. The store is not shrunk:
+    /// regrowing would zero-fill.
     fn load(&mut self, live: &[Cell]) {
         self.levels.clear();
+        self.fills.clear();
         self.aux.clear();
         self.sources.clear();
         self.heads.clear();
@@ -944,14 +1145,15 @@ impl<M: Mem<Cell>> GCola<M> {
         }
         let mut t = 2usize;
         loop {
-            if t == self.levels.len() {
+            if t == self.num_levels() {
                 self.push_levels(1);
             }
-            if self.levels[t].cap >= live.len() {
+            if self.levels[self.extent(t)].cap >= live.len() {
                 break;
             }
             t += 1;
         }
+        let t = self.extent(t);
         let mut down = std::mem::take(&mut self.down);
         self.write_level(t, live, &[], Some(&mut down));
         self.relink_below(t, &mut down);
@@ -972,7 +1174,12 @@ impl<M: Mem<Cell>> GCola<M> {
     /// And the head's: sorted, one cell per key, real cells only, at most
     /// `2g − 1` of them, no tombstone when no level holds an item, and
     /// levels 0 and 1 (always present) holding no item.
+    ///
+    /// Budgeted, the deepest level may keep tombstones (a merge that
+    /// dropped every cell empties the level beneath it), and Lemma 21
+    /// holds ([`GCola::check_schedule`]).
     pub fn check_invariants(&self) {
+        self.check_schedule();
         assert!(self.levels.len() >= 2, "levels 0 and 1 exist");
         assert!(self.head.len() <= self.head_cap(), "head over 2g − 1");
         for w in self.head.windows(2) {
@@ -984,11 +1191,12 @@ impl<M: Mem<Cell>> GCola<M> {
             assert!(!spent, "head holds a tombstone with nothing beneath");
         }
         assert!(
-            self.levels[..2].iter().all(|lv| lv.items == 0),
+            self.levels[..self.extent(2)].iter().all(|lv| lv.items == 0),
             "levels 0 and 1 hold items"
         );
         let mut total_items = self.head.len();
         let deepest = self.levels.iter().rposition(|lv| lv.items > 0);
+        let deepest = deepest.filter(|_| !self.budgeted);
         for (l, lv) in self.levels.iter().enumerate() {
             assert!(lv.items <= lv.cap, "level {l} items over capacity");
             assert!(lv.reds <= lv.red_cap, "level {l} reds over allowance");
@@ -1041,6 +1249,25 @@ impl<M: Mem<Cell>> GCola<M> {
         }
     }
 
+    /// The merge schedule's part of [`GCola::check_invariants`] (tests),
+    /// in `O(levels)`, so a test can check it after every op: Lemma 21's
+    /// schedule — a level fills one extent exactly while the level below
+    /// is unsafe, so no two adjacent levels are unsafe and the top one is
+    /// not — and a level's extents tiling its span. Amortized, nothing
+    /// fills.
+    pub fn check_schedule(&self) {
+        for k in 0..=self.num_levels() {
+            let fills = self.fills.iter().filter(|&&(d, _)| d >> 1 == k).count();
+            let below = k > 0 && self.is_unsafe(k - 1);
+            assert_eq!(fills, below as usize, "level {k} fills {fills} extents");
+            if let Some([a, b]) = self.levels.get(self.extent(k)..self.extent(k + 1)) {
+                assert_eq!(a.off.abs_diff(b.off), a.slots, "level {k} is not tiled");
+            }
+        }
+        let empty = |&(d, _): &(usize, Fill)| self.levels[d].items == 0;
+        assert!(self.fills.iter().all(empty), "a filling extent holds items");
+    }
+
     /// Cells in the head (tests).
     #[cfg(test)]
     pub(crate) fn head_len(&self) -> usize {
@@ -1058,8 +1285,13 @@ impl<M: Mem<Cell>> GCola<M> {
 }
 
 impl<M: Mem<Cell>> Persist for GCola<M> {
+    /// Budgeted, it quiesces first and writes [`TAG_DEAMORT_BASIC`]: a
+    /// state byte per extent, 0 empty or 1 sealed; a level lists its
+    /// newest extent first, so recency needs no field.
     fn save_meta(&mut self) -> Vec<u8> {
-        let mut w = MetaWriter::new(TAG_GCOLA, META_VERSION);
+        self.quiesce();
+        let (tag, version) = FORMATS[self.budgeted as usize];
+        let mut w = MetaWriter::new(tag, version);
         w.usize(self.g)
             .f64(self.p)
             .u64(self.n)
@@ -1072,6 +1304,9 @@ impl<M: Mem<Cell>> Persist for GCola<M> {
                 .usize(lv.items)
                 .usize(lv.reds)
                 .usize(lv.lead);
+            if self.budgeted {
+                w.u8((lv.items > 0) as u8);
+            }
         }
         // The head, cell by cell: key, value and kind (its flag byte).
         w.usize(self.head.len());
@@ -1147,7 +1382,10 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
     }
 
     fn name(&self) -> &'static str {
-        "g-cola"
+        match self.budgeted {
+            true => "deamortized-cola",
+            false => "g-cola",
+        }
     }
 }
 
@@ -1592,26 +1830,35 @@ mod tests {
     /// after every op, the invariants hold after every op, and every 64
     /// ops a reopen from the meta a sync would commit answers the same.
     /// The delete-heavy streams must meet a head tombstone shadowing an
-    /// older level's item.
+    /// older level's item. The deamortized COLA runs the same streams,
+    /// its invariants holding it to Lemma 21 after every op.
     #[test]
     fn the_head_answers_as_the_model_does() {
         use std::collections::BTreeMap;
         let configs = [2, 4, 8]
             .into_iter()
-            .flat_map(|g| [0.0, 0.1, 0.125].map(|p| (g, p)));
-        for (g, p) in configs {
+            .flat_map(|g| [0.0, 0.1, 0.125].map(|p| (g, p, false)))
+            .chain([(2, 0.0, true)]);
+        for (g, p, budgeted) in configs {
+            let p_or_policy = match budgeted {
+                true => "deamortized".to_string(),
+                false => p.to_string(),
+            };
             // (shape, keys, deletes in 8, batches in 8)
             for (shape, keys, deletes, batches) in [
                 ("overwrite-heavy", 48, 1, 0),
                 ("delete-heavy", 384, 4, 0),
                 ("small-batch-heavy", 384, 1, 4),
             ] {
-                let mut c = plain(g, p);
+                let mut c = match budgeted {
+                    true => GCola::deamortized(PlainMem::new()),
+                    false => plain(g, p),
+                };
                 let mut model = BTreeMap::new();
                 let mut rng = cosbt_testkit::Rng::new(0x4EAD ^ keys ^ (g as u64) << 12);
                 let mut shadowing = 0;
                 for i in 0..1024u64 {
-                    let at = format!("g={g} p={p} {shape} after op {i}");
+                    let at = format!("g={g} p={p_or_policy} {shape} after op {i}");
                     let key = rng.below(keys);
                     if rng.below(8) < batches {
                         // A batch of up to 2g + 1 ops: it may fit the head
@@ -1669,13 +1916,13 @@ mod tests {
                     }
                 }
                 let live: Vec<(u64, u64)> = model.into_iter().collect();
-                assert_eq!(c.range(0, u64::MAX), live, "g={g} p={p} {shape}");
+                assert_eq!(c.range(0, u64::MAX), live, "g={g} p={p_or_policy} {shape}");
                 let stored = c.physical_len() as u64;
                 assert_eq!(c.stats().cells_dropped, c.insertions() - stored);
                 if shape == "delete-heavy" {
                     assert!(
                         shadowing > 0,
-                        "g={g} p={p}: no head tombstone shadowed a level"
+                        "g={g} p={p_or_policy}: no head tombstone shadowed a level"
                     );
                 }
             }
@@ -1783,6 +2030,46 @@ mod tests {
         assert_eq!(c.stats().cells_dropped, shadowed);
         let live: Vec<(u64, u64)> = model.into_iter().collect();
         assert_eq!(c.range(0, u64::MAX), live);
+    }
+
+    /// A committed deamortized store has no merge in flight or due:
+    /// meta with a filling extent, a state byte that disagrees with its
+    /// items, or both extents of a level sealed is a typed error at the
+    /// open, not a panic at the next insert.
+    #[test]
+    fn deamortized_meta_with_a_merge_in_flight_or_due_is_refused() {
+        let mut c = GCola::deamortized(PlainMem::new());
+        for k in 0..4 {
+            c.insert(k, k);
+        }
+        let meta = c.save_meta();
+        // The head sealed level 2's first extent, 4; 5 is empty.
+        let (a, b) = (c.levels[4], c.levels[5]);
+        assert_eq!((a.items, b.items), (4, 0));
+        // Field `f` of extent `e`: after tag, version, g, p, N and the
+        // count, seven fields and a state byte an extent.
+        let at = |e: usize, f: usize| 2 + 4 * 8 + 57 * e + 8 * f;
+        let mut sealed_twice = meta.clone();
+        let mut mem = c.mem.clone();
+        for i in 0..4 {
+            mem.set(b.off + i, c.mem.get(a.run_base() + i));
+        }
+        sealed_twice[at(5, 4)..][..8].copy_from_slice(&4u64.to_le_bytes());
+        sealed_twice[at(5, 6)..][..8].copy_from_slice(&0u64.to_le_bytes());
+        sealed_twice[at(5, 7)] = 1;
+        sealed_twice.extend_from_slice(&meta[meta.len() - 16..]);
+        let (mut filling, mut disagrees) = (meta.clone(), meta);
+        (filling[at(5, 7)], disagrees[at(4, 7)]) = (2, 0);
+        for (bad, why) in [
+            (filling, "extent 5 is filling"),
+            (disagrees, "extent 4"),
+            (sealed_twice, "sealed twice"),
+        ] {
+            match GCola::from_parts(mem.clone(), &bad) {
+                Err(MetaError::Invalid(msg)) => assert!(msg.contains(why), "{msg}"),
+                other => panic!("{why}: opened: {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! checks — and the one path that opens them: a directory parser per
 //! format, and [`live_entries`], which reads the runs it names into the
 //! live entries a fresh engine bulk-loads ([`crate::GCola::bulk_load`],
-//! [`crate::DeamortCola::bulk_load`]). A retired format is a tag, or a
-//! tag and a version: the g-COLA's v2 and v3 share their tag with the v4
-//! the g-COLA writes. A sharded store built before its
+//! [`crate::GCola::deamortized_bulk_load`]). A retired format is a tag,
+//! or a tag and a version: the g-COLA's v2 and v3 share their tag with
+//! the v4 the g-COLA writes, and the two-array engine's v2 its tag with
+//! the deamortized g-COLA's v3. A sharded store built before its
 //! shard 0 carried the database's [`Root`] kept that root in two side
 //! files; [`sidecar_root`] reads them. DESIGN.md, "Decided: one migration
 //! path for retired formats", has the format table and the trade.
@@ -28,6 +29,8 @@ use crate::runbuf::RunBuf;
 const BASIC_VERSION: u8 = 2;
 /// Version of the three-array format.
 const THREE_ARRAY_VERSION: u8 = 2;
+/// Version of the two-array engine's format (the deamortized COLA's v2).
+const TWO_ARRAY_VERSION: u8 = 2;
 /// The g-COLA's format before its levels kept a lead.
 const GCOLA_V2: u8 = 2;
 /// The g-COLA's format before levels 0 and 1 became the head.
@@ -38,8 +41,8 @@ const GCOLA_V3: u8 = 3;
 pub enum Heir {
     /// The basic COLA, [`crate::GCola::basic`].
     BasicCola,
-    /// The deamortized COLA, [`crate::DeamortCola`].
-    DeamortCola,
+    /// The deamortized COLA, [`crate::GCola::deamortized`].
+    DeamortizedCola,
 }
 
 /// The engine a store whose meta carries `tag` is rebuilt into, or
@@ -47,7 +50,7 @@ pub enum Heir {
 pub fn heir(tag: u8) -> Option<Heir> {
     match tag {
         TAG_BASIC_COLA => Some(Heir::BasicCola),
-        TAG_DEAMORT => Some(Heir::DeamortCola),
+        TAG_DEAMORT => Some(Heir::DeamortizedCola),
         _ => None,
     }
 }
@@ -122,6 +125,7 @@ pub fn live_entries<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Option<Vec<Cel
     let (slots, fences, what) = match (peek_tag(meta), meta.get(1)) {
         (Some(TAG_BASIC_COLA), _) => basic_dir(mem, meta)?,
         (Some(TAG_DEAMORT), _) => three_array_dir(mem, meta)?,
+        (Some(TAG_DEAMORT_BASIC), Some(&TWO_ARRAY_VERSION)) => two_array_dir(mem, meta)?,
         (Some(TAG_GCOLA), Some(&v @ (GCOLA_V2 | GCOLA_V3))) => gcola_dir(mem, meta, v)?,
         _ => return Ok(None),
     };
@@ -205,6 +209,38 @@ fn three_array_dir<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Directory, Meta
     spans(mem, count, three_array_off(count, 0))?;
     Ok((arrays, fences, |i| {
         format!("level {} array {}", i / 3, i % 3)
+    }))
+}
+
+/// The two-array format's directory: N, a recency counter, a level
+/// count, then per array a state byte — 0 empty, 1 full and its recency
+/// (the engine quiesced before it wrote, so no array is filling) — then
+/// the full arrays' fence keys. Level k held two arrays of `2^k` slots,
+/// the levels packed from slot 0; a full one holds `2^k` cells, a key's
+/// versions newest first, and answers by level, then recency.
+fn two_array_dir<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Directory, MetaError> {
+    let mut r = MetaReader::new(meta, TAG_DEAMORT_BASIC, TWO_ARRAY_VERSION)?;
+    let (_insertions, _recency) = (r.u64()?, r.u64()?);
+    let count = r.level_count(60)?;
+    let off = |k: usize, side: usize| ((2 + side) << k) - 2;
+    let mut arrays = Vec::with_capacity(2 * count);
+    for (k, side) in (0..count).flat_map(|k| [(k, 0), (k, 1)]) {
+        let order = match r.u8()? {
+            0 => None,
+            1 => Some((k, Reverse(r.u64()?))),
+            b => {
+                return Err(MetaError::Invalid(format!(
+                    "level {k} side {side} state {b}"
+                )))
+            }
+        };
+        arrays.push((off(k, side), order.map_or(0, |_| 1 << k), order));
+    }
+    let fences = r.fences(arrays.iter().map(|&(_, len, _)| len > 0))?;
+    r.finish()?;
+    spans(mem, count, off(count, 0))?;
+    Ok((arrays, fences, |i| {
+        format!("level {} side {}", i / 2, i % 2)
     }))
 }
 

@@ -1,7 +1,8 @@
 //! The carry merge kernel of the g-COLA (and so of the basic COLA, its
-//! `g = 2, p = 0` case): a chain of stable two-way merges that streams a
-//! carry's sources through fixed chunks and hands its output back one
-//! cell at a time, so a carry holds no buffer the size of its output.
+//! `g = 2, p = 0` case, and of the deamortized COLA's merges): a chain of
+//! stable two-way merges that streams a carry's sources through fixed
+//! chunks and hands its output back one cell at a time, so a carry holds
+//! no buffer the size of its output.
 //!
 //! A carry into level `t` merges the new run, levels `0..t` and the
 //! target's own run. [`Fold`] merges them as a chain — `((run ⋈ L0) ⋈ L1)
@@ -179,14 +180,21 @@ impl Source {
 /// A carry's merge in progress: `newest` (one cell per key, newer than
 /// everything stored), then `older`, newest first. Resumable: each
 /// [`Fold::next`] returns the next output cell, so a caller may write,
-/// stop and go on as it likes.
+/// stop and go on as it likes, across calls too ([`Fold::resume`]).
 pub(crate) struct Fold<'a> {
     newest: &'a [Cell],
-    taken: usize,
     older: &'a mut [Source],
     /// `heads[i]`: the next cell of the merge of `newest` and
     /// `older[..i]`, taken off it already.
     heads: &'a mut [Head],
+    pub(crate) at: FoldAt,
+}
+
+/// Where a fold stands, besides its sources and their cached heads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct FoldAt {
+    /// Cells of `newest` taken.
+    taken: usize,
     last_real: Option<u64>,
     deepest: bool,
     /// Shadowed versions and spent tombstones dropped so far.
@@ -204,20 +212,33 @@ impl<'a> Fold<'a> {
         heads: &'a mut [Head],
         deepest: bool,
     ) -> Fold<'a> {
-        assert_eq!(older.len(), heads.len(), "one cached head per node");
-        let mut fold = Fold {
-            newest,
+        let at = FoldAt {
             taken: 0,
-            older,
-            heads,
             last_real: None,
             deepest,
             dropped: 0,
         };
+        let mut fold = Fold::resume(newest, older, heads, at);
         for i in 0..fold.heads.len() {
             fold.heads[i] = fold.pop(mem, i);
         }
         fold
+    }
+
+    /// The fold that stood at `at` over `newest`, `older` and `heads`.
+    pub(crate) fn resume(
+        newest: &'a [Cell],
+        older: &'a mut [Source],
+        heads: &'a mut [Head],
+        at: FoldAt,
+    ) -> Fold<'a> {
+        assert_eq!(older.len(), heads.len(), "one cached head per node");
+        Fold {
+            newest,
+            older,
+            heads,
+            at,
+        }
     }
 
     /// The next cell of the merge of `newest` and `older[..top]`. Walks
@@ -233,8 +254,8 @@ impl<'a> Fold<'a> {
         }
         let mut head = match i {
             0 => {
-                let head = Head::of(self.newest.get(self.taken));
-                self.taken += 1;
+                let head = Head::of(self.newest.get(self.at.taken));
+                self.at.taken += 1;
                 head
             }
             _ => self.older[i - 1].take(mem),
@@ -245,8 +266,36 @@ impl<'a> Fold<'a> {
         head
     }
 
-    /// The next cell the carry writes: the merge's next cell, unless it
-    /// is an older version of the last real key or a spent tombstone.
+    /// Whether every source is spent.
+    pub(crate) fn done(&self) -> bool {
+        let spent = |h: Option<&Head>| h.is_none_or(|h| h.rank == u128::MAX);
+        let older = self.older.last().map(|s| &s.head);
+        spent(self.heads.last()) && spent(older) && self.at.taken >= self.newest.len()
+    }
+
+    /// The carry rule: whether the carry writes the merge's next cell, not
+    /// an older version of the last real key or a spent tombstone.
+    #[inline]
+    fn keeps(&mut self, cell: &Cell) -> bool {
+        if cell.is_redundant() {
+            return true;
+        }
+        let shadowed = self.at.last_real == Some(cell.key);
+        self.at.last_real = Some(cell.key);
+        let dropped = shadowed || (self.at.deepest && cell.is_tombstone());
+        self.at.dropped += dropped as u64;
+        !dropped
+    }
+
+    /// Takes one cell off the merge: `None` once every source is spent,
+    /// else the cell and whether the carry writes it.
+    #[inline]
+    pub(crate) fn step<M: Mem<Cell>>(&mut self, mem: &M) -> Option<(Cell, bool)> {
+        let Head { rank, cell } = self.pop(mem, self.heads.len());
+        (rank != u128::MAX).then(|| (cell, self.keeps(&cell)))
+    }
+
+    /// The next cell the carry writes.
     #[inline]
     pub(crate) fn next<M: Mem<Cell>>(&mut self, mem: &M) -> Option<Cell> {
         loop {
@@ -254,16 +303,9 @@ impl<'a> Fold<'a> {
             if rank == u128::MAX {
                 return None;
             }
-            if cell.is_redundant() {
+            if self.keeps(&cell) {
                 return Some(cell);
             }
-            let shadowed = self.last_real == Some(cell.key);
-            self.last_real = Some(cell.key);
-            if shadowed || (self.deepest && cell.is_tombstone()) {
-                self.dropped += 1;
-                continue;
-            }
-            return Some(cell);
         }
     }
 }
@@ -444,7 +486,7 @@ mod tests {
         let mut heads = vec![Head::END; older.len()];
         let mut f = Fold::new(&mem, &sources[0], &mut older, &mut heads, deepest);
         let out = std::iter::from_fn(|| f.next(&mem)).collect();
-        (out, f.dropped)
+        (out, f.at.dropped)
     }
 
     /// The oracle's merge is a stable sort of the sources, newest first;
@@ -568,7 +610,7 @@ mod tests {
             [target[0], target[1], run[0], level[1]],
             "lookaheads first, the newest 5 next, the target's 5 dropped"
         );
-        assert_eq!(f.dropped, 1);
+        assert_eq!(f.at.dropped, 1);
     }
 
     /// A refill stops at each multiple of `CHUNK` slots, however the run

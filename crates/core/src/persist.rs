@@ -17,13 +17,13 @@
 //! mismatched payload yields a [`MetaError`], never a panic or a
 //! mis-shaped structure.
 //!
-//! The deamortized COLA carries in-flight incremental merge state whose
-//! size is proportional to the level being merged; rather than persist a
-//! half-finished merge, its `save_meta` first *quiesces* — drives all
-//! in-flight merges to completion. That preserves logical contents
-//! exactly and makes the saved state a clean checkpoint; the worst-case
-//! per-insert bound applies between checkpoints, not across one (a sync
-//! is an O(data) event anyway).
+//! The deamortized COLA ([`crate::GCola::deamortized`]) carries merges
+//! in flight across inserts — a filling extent and where its fold stands;
+//! rather than persist a half-finished merge, its `save_meta` first
+//! *quiesces* — drives all in-flight merges to completion. That preserves
+//! logical contents exactly and makes the saved state a clean checkpoint;
+//! the worst-case per-insert bound applies between checkpoints, not
+//! across one (a sync is an O(data) event anyway).
 
 use cosbt_dam::Mem;
 
@@ -51,8 +51,10 @@ pub trait Persist {
 pub const TAG_BASIC_COLA: u8 = 1;
 /// Structure tag of [`crate::GCola`] metadata.
 pub const TAG_GCOLA: u8 = 2;
-/// Structure tag of [`crate::DeamortCola`] metadata: the two-array
-/// format of Theorem 22.
+/// Structure tag of the deamortized COLA's metadata
+/// ([`crate::GCola::deamortized`]): the g-COLA's, with each extent's
+/// state. Its version 2, the two-array engine's own format, opens through
+/// [`crate::legacy`].
 pub const TAG_DEAMORT_BASIC: u8 = 3;
 /// Structure tag of the three-array format of Theorem 24, which nothing
 /// writes any more. [`crate::legacy`] opens such a store.

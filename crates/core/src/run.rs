@@ -1,8 +1,8 @@
 //! A level is a run: what a point lookup, a cursor seek, a reopen and an
 //! invariant check do with *one* sorted run of cells, written once for
-//! both COLA engines. Each structure keeps what is its own — geometry,
-//! which runs are visible in which order, merge policy — and hands its
-//! runs here. DESIGN.md ("One run, one probe") has the window contract,
+//! the g-COLA and the rebuild of retired formats ([`crate::legacy`]).
+//! Each keeps what is its own — geometry, which runs are visible in which
+//! order, merge policy — and hands its runs here. DESIGN.md ("One run, one probe") has the window contract,
 //! the two search counters and the fence rule these methods share.
 
 use std::fmt;
@@ -219,20 +219,4 @@ impl<'a> Run<'a> {
         );
         items
     }
-}
-
-/// The point lookup of a structure whose visible runs are independent of
-/// one another: probes `runs` — visible, newest first — until one holds
-/// `key`, and answers with that version (`None` for a tombstone).
-#[inline]
-pub(crate) fn lookup<'a, M: Mem<Cell>>(
-    mem: &M,
-    stats: &mut ColaStats,
-    mut runs: impl Iterator<Item = Run<'a>>,
-    key: u64,
-) -> Option<u64> {
-    stats.searches += 1;
-    let probe = Probe::new(key);
-    runs.find_map(|run| run.find(mem, &probe, None, stats)?.1)?
-        .as_lookup()
 }

@@ -10,9 +10,10 @@
 //! chunks never cross a multiple of [`CHUNK`] slots, so a page dividing
 //! it is touched by one call of each sweep. A caller that wants some
 //! cells of a sweep for later (the g-COLA's lookahead samples) taps the
-//! staged chunks instead of reading the store again. Binary searches and the
-//! deamortized COLA's budgeted two-source moves interleave single cells
-//! and stay on `get`/`set`; so does a cursor, except that its forward
+//! staged chunks instead of reading the store again; a deamortized merge's
+//! budgeted moves go through it too, one short sweep per insert. Binary
+//! searches interleave single cells and stay on `get`/`set`; so does a
+//! cursor, except that its forward
 //! loads come out of peeked windows it pays for in load order
 //! (`cursor.rs`), which it keeps in this buffer while the structure has
 //! no sweep to run.

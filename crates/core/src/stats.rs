@@ -7,7 +7,7 @@
 pub struct ColaStats {
     /// Insert operations (including deletes, which insert tombstones).
     pub inserts: u64,
-    /// Merge events (an insert that triggered a carry).
+    /// Merge events: carries, or, deamortized, extents written whole.
     pub merges: u64,
     /// Cells written during merges (the paper's "moves").
     pub cells_written: u64,
@@ -17,7 +17,7 @@ pub struct ColaStats {
     pub cells_scanned: u64,
     /// Largest number of cells written by any single insert (worst case).
     pub max_cells_per_insert: u64,
-    /// Levels (or deamortized arrays) skipped by a fence or filter
+    /// Levels (or a deamortized level's extents) skipped by a fence or filter
     /// during searches without touching any of their cells.
     pub filter_skips: u64,
     /// Cells a carry read and did not write back: versions shadowed by a

@@ -14,7 +14,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
-use cosbt_core::{DeamortCola, Dictionary, GCola};
+use cosbt_core::{Dictionary, GCola};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, PlainMem};
 
 struct Counting;
@@ -187,7 +187,7 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     };
     gets_allocate_nothing("basic COLA", &mut GCola::basic(PlainMem::new()));
     gets_allocate_nothing("4-COLA", &mut GCola::new_plain(4));
-    gets_allocate_nothing("deamortized COLA", &mut DeamortCola::new_plain());
+    gets_allocate_nothing("deamortized COLA", &mut GCola::deamortized(PlainMem::new()));
 
     // Cursors: 1,000 scans of 64 on each of the three COLAs at 2^12 keys,
     // in memory and over a file store whose 8-page cache the first pass
@@ -236,7 +236,7 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     let opened = [
         scans("basic COLA", &mut GCola::basic(PlainMem::new())),
         scans("4-COLA", &mut GCola::new_plain(4)),
-        scans("deamortized COLA", &mut DeamortCola::new_plain()),
+        scans("deamortized COLA", &mut GCola::deamortized(PlainMem::new())),
     ];
     for (now, was) in opened.iter().zip(parent) {
         assert!(
@@ -258,5 +258,8 @@ fn steady_state_carries_allocate_nothing_and_big_ones_retain_nothing() {
     );
     scans("basic COLA on a file", &mut GCola::basic(file()));
     scans("4-COLA on a file", &mut GCola::new(file(), 4, 0.1));
-    scans("deamortized COLA on a file", &mut DeamortCola::new(file()));
+    scans(
+        "deamortized COLA on a file",
+        &mut GCola::deamortized(file()),
+    );
 }

@@ -19,7 +19,7 @@
 //!    goldens consciously.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{DeamortCola, Dictionary, GCola};
+use cosbt_core::{Dictionary, GCola};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats};
 use cosbt_testkit::Rng;
 
@@ -288,19 +288,21 @@ fn golden_overwrite_ingest_iostats() {
     );
 }
 
-/// The deamortized COLA over the duplicate-free stream. It shares none
-/// of the g-COLA's carry (ROADMAP item 2), so this stands as the number
-/// to beat when the engines are unified. Before growth stopped
-/// zero-filling and a synced page stopped being written back twice it
-/// read (364546, 354089, 10457, 10451, 7115, 1002). The retired
-/// three-array engine cost (640348, 619186, 21162, 21156, 11275, 4631)
-/// on this stream.
+/// The deamortized COLA over the duplicate-free stream: the g-COLA's
+/// budgeted merge policy, whose merges run through the carry's fold and
+/// its run-level writes. While it was an engine of its own, whose moves
+/// went cell by cell through `get`/`set` and kept every version, it read
+/// (348196, 338779, 9417, 9411, 6082, 989), and before growth stopped
+/// zero-filling and a synced page stopped being written back twice
+/// (364546, 354089, 10457, 10451, 7115, 1002). The retired three-array
+/// engine cost (640348, 619186, 21162, 21156, 11275, 4631) on this
+/// stream.
 #[test]
 fn golden_deamortized_ingest_iostats() {
     let store = store();
     assert_eq!(
-        ingest(&store, &mut DeamortCola::new(store.clone()), keys()),
-        golden(348196, 338779, 9417, 9411, 6082, 989),
+        ingest(&store, &mut GCola::deamortized(store.clone()), keys()),
+        golden(155756, 148339, 7417, 7411, 4800, 865),
         "deamortized COLA"
     );
 }

@@ -5,7 +5,7 @@
 
 use std::collections::BTreeMap;
 
-use cosbt_core::persist::{TAG_DEAMORT, TAG_GCOLA};
+use cosbt_core::persist::{TAG_DEAMORT, TAG_DEAMORT_BASIC, TAG_GCOLA};
 use cosbt_core::{Cell, MetaWriter};
 use cosbt_testkit::Rng;
 
@@ -194,6 +194,74 @@ pub fn three_array() -> Fixture {
         cells,
         meta,
         model: replay(stream(0xDEA3, 25, 12)),
+    }
+}
+
+/// `Some(recency)` of each full array of a two-array store, level by
+/// level, side 0 then side 1; `None` an empty one.
+#[rustfmt::skip]
+const TWO_ARRAY_DIR: [Option<u64>; 10] = [
+    Some(27), None, Some(26), None, None, None, Some(24), None, Some(16), None,
+];
+
+/// Its store slot by slot, as `(key, v, meta)` (see `cell`): the full
+/// arrays hold a key's versions side by side, newest first, and the
+/// empty ones what earlier merges left.
+#[rustfmt::skip]
+const TWO_ARRAY_CELLS: [(u64, u64, u64); 62] = [
+    (1, 0, 2), (8, 25, 0), (4, 24, 0), (8, 25, 0),
+    (3, 22, 0), (7, 23, 0), (2, 0, 2), (3, 17, 0),
+    (5, 0, 2), (8, 16, 0), (3, 22, 0), (3, 21, 0),
+    (6, 20, 0), (7, 23, 0), (2, 0, 2), (3, 22, 0),
+    (3, 21, 0), (3, 17, 0), (5, 0, 2), (6, 20, 0),
+    (7, 23, 0), (8, 16, 0), (0, 12, 0), (0, 0, 2),
+    (4, 15, 0), (6, 13, 0), (7, 11, 0), (8, 10, 0),
+    (9, 8, 0), (10, 14, 0), (0, 12, 0), (0, 0, 2),
+    (1, 6, 0), (1, 4, 0), (4, 15, 0), (4, 2, 0),
+    (5, 0, 2), (5, 0, 2), (6, 13, 0), (6, 0, 2),
+    (7, 11, 0), (8, 10, 0), (8, 3, 0), (9, 8, 0),
+    (10, 14, 0), (11, 0, 2), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0),
+];
+
+/// The store and the `save_meta()` the two-array engine left after 27
+/// ops over 12 keys (seed `0xDEA2`): tag 3 v2, N = 27, recency 27, five
+/// levels, a state byte per array (and a full one's recency), then each
+/// full array's first and last key. Level k held two arrays of `2^k`
+/// slots, the levels packed from slot 0; the engine ran its merges to
+/// their commits before it wrote, so no array is filling. The payload is
+/// pinned by length and FNV-1a.
+pub fn two_array() -> Fixture {
+    let slot = |k: usize, side: usize| 2 * ((1 << k) - 1) + side * (1 << k);
+    let cells: Vec<Cell> = TWO_ARRAY_CELLS.into_iter().map(cell).collect();
+    let mut w = MetaWriter::new(TAG_DEAMORT_BASIC, 2);
+    w.u64(27).u64(27).usize(5);
+    let mut fences = Vec::new();
+    for (i, recency) in TWO_ARRAY_DIR.into_iter().enumerate() {
+        let Some(recency) = recency else {
+            w.u8(0);
+            continue;
+        };
+        w.u8(1).u64(recency);
+        let run = &cells[slot(i / 2, i % 2)..][..1 << (i / 2)];
+        fences.push((run[0].key, run[run.len() - 1].key));
+    }
+    for (first, last) in fences {
+        w.u64(first).u64(last);
+    }
+    let meta = w.finish();
+    assert_eq!(
+        (meta.len(), fnv1a(&meta)),
+        (132, 0x554a_cf58_35c8_db2f),
+        "the payload the two-array engine wrote"
+    );
+    Fixture {
+        cells,
+        meta,
+        model: replay(stream(0xDEA2, 27, 12)),
     }
 }
 

@@ -8,8 +8,9 @@
 //!
 //! The retired formats are pinned by the stores their engines left
 //! (`fixtures/legacy.rs`): each opens through `cosbt_core::legacy` and
-//! answers as it did, the g-COLA's v2 and v3 included. No truncation or flipped bit of any meta here
-//! panics an open.
+//! answers as it did, the g-COLA's v2 and v3 and the two-array engine's
+//! v2 included. No truncation or flipped bit of any meta here panics an
+//! open.
 
 mod common;
 #[path = "fixtures/legacy.rs"]
@@ -20,7 +21,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use common::Shared;
 use cosbt_core::persist::{TAG_DEAMORT_BASIC, TAG_GCOLA};
-use cosbt_core::{legacy, Cell, DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_core::{legacy, Cell, Dictionary, GCola, MetaError, Persist};
 use cosbt_dam::Mem;
 use cosbt_testkit::Rng;
 use legacy_fixtures::{fnv1a, Fixture};
@@ -46,12 +47,7 @@ fn stream(d: &mut dyn Dictionary) -> BTreeMap<u64, u64> {
     model
 }
 
-fn pinned<D: Dictionary + Persist>(
-    name: &str,
-    new: impl Fn(Shared) -> D,
-    from_parts: impl Fn(Shared, &[u8]) -> Result<D, MetaError>,
-    want: (usize, u64),
-) {
+fn pinned(name: &str, new: impl Fn(Shared) -> GCola<Shared>, want: (usize, u64)) {
     let store = Shared::default();
     let mut d = new(store.clone());
     let model = stream(&mut d);
@@ -63,7 +59,8 @@ fn pinned<D: Dictionary + Persist>(
         meta.len(),
         fnv1a(&meta)
     );
-    let mut reopened = from_parts(store.clone(), &meta).unwrap_or_else(|e| panic!("{name}: {e}"));
+    let reopened = GCola::from_parts(store.clone(), &meta);
+    let mut reopened = reopened.unwrap_or_else(|e| panic!("{name}: {e}"));
     assert_eq!(reopened.save_meta(), meta, "{name}: reopened meta");
     let mut rng = Rng::new(7);
     for _ in 0..2000 {
@@ -73,7 +70,9 @@ fn pinned<D: Dictionary + Persist>(
     }
     let live: Vec<(u64, u64)> = model.into_iter().collect();
     assert_eq!(reopened.range(0, u64::MAX), live, "{name}: scan");
-    never_panics(name, &meta, |bad| from_parts(store.clone(), bad).map(drop));
+    never_panics(name, &meta, |bad| {
+        GCola::from_parts(store.clone(), bad).map(drop)
+    });
 }
 
 /// Opens `meta` cut to every shorter length, and with one bit flipped in
@@ -96,19 +95,9 @@ fn never_panics(name: &str, meta: &[u8], open: impl Fn(&[u8]) -> Result<(), Meta
 
 #[test]
 fn stored_control_state_is_byte_identical() {
-    pinned("basic COLA", GCola::basic, GCola::from_parts, BASIC);
-    pinned(
-        "4-COLA",
-        |m| GCola::new(m, 4, 0.1),
-        GCola::from_parts,
-        GCOLA,
-    );
-    pinned(
-        "deamortized COLA",
-        DeamortCola::new,
-        DeamortCola::from_parts,
-        DEAMORT_BASIC,
-    );
+    pinned("basic COLA", GCola::basic, BASIC);
+    pinned("4-COLA", |m| GCola::new(m, 4, 0.1), GCOLA);
+    pinned("deamortized COLA", GCola::deamortized, DEAMORT_BASIC);
 }
 
 // (length, FNV-1a) of `save_meta()` after `stream`, recorded at ff2d039.
@@ -123,12 +112,14 @@ fn stored_control_state_is_byte_identical() {
 // and whose levels 0 and 1 hold no item, so persist no fence pair: 922 →
 // 898 bytes (the basic COLA's head ends the stream empty) and 538 → 599
 // (the 4-COLA's holds cells); v3 is pinned by `legacy_fixtures::gcola_v3`.
-// `DEAMORT_BASIC` is the two-array format `DeamortCola` writes under
-// `TAG_DEAMORT_BASIC`; the retired three-array format is pinned by
-// `legacy_fixtures::three_array`.
+// `DEAMORT_BASIC` is what `GCola::deamortized` writes under
+// `TAG_DEAMORT_BASIC`, format v3: the g-COLA body with a state byte per
+// extent. It was (220, 0x4adf_6ccb_8c62_f504) while the two-array engine
+// wrote its own v2, now pinned by `legacy_fixtures::two_array`; the
+// retired three-array format is pinned by `legacy_fixtures::three_array`.
 const BASIC: (usize, u64) = (898, 0x6386_d4fb_aa75_59e4);
 const GCOLA: (usize, u64) = (599, 0x98d8_b761_f034_4f86);
-const DEAMORT_BASIC: (usize, u64) = (220, 0x4adf_6ccb_8c62_f504);
+const DEAMORT_BASIC: (usize, u64) = (1652, 0x4d7f_f664_7d11_7776);
 
 /// The fixture's cells in a store of their own.
 fn store(fx: &Fixture) -> Shared {
@@ -144,19 +135,14 @@ fn live_entries(fx: &Fixture, mem: &Shared) -> Vec<Cell> {
     live.expect("a retired format")
 }
 
-/// `d`, rebuilt from a retired store, holds one version per key and
-/// answers as the store did; after writes it answers as the model does,
-/// commits under `tag`, and `reopen`, its own `from_parts`, reopens that.
-fn converges<D: Dictionary + Persist>(
-    mut d: D,
-    mut model: BTreeMap<u64, u64>,
-    tag: u8,
-    check: impl Fn(&D),
-    reopen: impl Fn(&[u8]) -> Result<D, MetaError>,
-) {
+/// `d`, rebuilt from a retired store in `mem`, holds one version per key
+/// and answers as the store did; after writes it answers as the model
+/// does, commits in the current `format` (tag and version), and reopens
+/// from that.
+fn converges(mut d: GCola<Shared>, mut model: BTreeMap<u64, u64>, mem: &Shared, format: [u8; 2]) {
     let live =
         |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
-    check(&d);
+    d.check_invariants();
     assert_eq!(d.physical_len(), model.len(), "one version per key");
     for key in 0..50 {
         assert_eq!(d.get(key), model.get(&key).copied(), "key {key}");
@@ -167,12 +153,12 @@ fn converges<D: Dictionary + Persist>(
         d.insert(key, i);
         model.insert(key, i);
     }
-    check(&d);
+    d.check_invariants();
     assert_eq!(d.range(0, u64::MAX), live(&model), "after writes");
     let meta = d.save_meta();
-    assert_eq!(meta.first(), Some(&tag), "written in the current format");
-    let mut re = reopen(&meta).expect("the rewritten store reopens");
-    check(&re);
+    assert_eq!(meta[..2], format, "written in the current format");
+    let mut re = GCola::from_parts(mem.clone(), &meta).expect("the rewritten store reopens");
+    re.check_invariants();
     assert_eq!(re.range(0, u64::MAX), live(&model), "reopened");
 }
 
@@ -190,14 +176,7 @@ fn basic_format_stores_open_and_converge() {
         (c.growth(), c.pointer_density(), c.insertions()),
         (2, 0.0, n)
     );
-    let reopen = |meta: &[u8]| GCola::from_parts(mem.clone(), meta);
-    converges(
-        c,
-        fx.model.clone(),
-        TAG_GCOLA,
-        GCola::check_invariants,
-        reopen,
-    );
+    converges(c, fx.model.clone(), &mem, [TAG_GCOLA, 4]);
 
     let mut bad = fx.meta.clone();
     bad[18 + 2] = 0; // level 2's full bit
@@ -208,18 +187,16 @@ fn basic_format_stores_open_and_converge() {
 }
 
 /// A store the three-array engine wrote opens through the rebuild into
-/// the two-array engine, answers as it did, takes writes and is written
-/// back in the two-array format. A flipped fence byte is a typed error.
+/// the deamortized COLA, answers as it did, takes writes and is written
+/// back in the current format. A flipped fence byte is a typed error.
 #[test]
 fn three_array_stores_open_and_converge() {
     let fx = legacy_fixtures::three_array();
     let mem = store(&fx);
-    let c = DeamortCola::bulk_load(mem.clone(), &live_entries(&fx, &mem));
-    // Nine live entries: a full array at levels 0 and 3.
-    assert_eq!((c.insertions(), c.num_levels()), (9, 4));
-    let reopen = |meta: &[u8]| DeamortCola::from_parts(mem.clone(), meta);
-    let check = DeamortCola::check_invariants;
-    converges(c, fx.model.clone(), TAG_DEAMORT_BASIC, check, reopen);
+    let c = GCola::deamortized_bulk_load(mem.clone(), &live_entries(&fx, &mem));
+    // Nine live entries: one extent of level 4.
+    assert_eq!((c.insertions(), c.num_levels()), (9, 5));
+    converges(c, fx.model.clone(), &mem, [TAG_DEAMORT_BASIC, 3]);
 
     let mut bad = fx.meta.clone();
     let at = bad.len() - 1;
@@ -227,6 +204,31 @@ fn three_array_stores_open_and_converge() {
     match legacy::live_entries(&store(&fx), &bad) {
         Err(MetaError::Invalid(why)) => assert!(why.contains("fence keys"), "{why}"),
         other => panic!("a flipped fence byte opened: {:?}", other.map(|_| ())),
+    }
+}
+
+/// A store the two-array engine left — a key's versions side by side in
+/// its arrays — is a typed `BadVersion` to `from_parts`, opens through
+/// the rebuild into the deamortized COLA, answers as it did, takes
+/// writes, and is written back and reopened as v3. An array state byte
+/// past "full" is a typed error.
+#[test]
+fn deamort_v2_stores_open_and_converge() {
+    let fx = legacy_fixtures::two_array();
+    let mem = store(&fx);
+    match GCola::from_parts(mem.clone(), &fx.meta) {
+        Err(MetaError::BadVersion(2)) => {}
+        other => panic!("a v2 meta reopened in place: {:?}", other.map(|_| ())),
+    }
+    let c = GCola::deamortized_bulk_load(mem.clone(), &live_entries(&fx, &mem));
+    assert_eq!(c.insertions(), fx.model.len() as u64);
+    converges(c, fx.model.clone(), &mem, [TAG_DEAMORT_BASIC, 3]);
+
+    let mut bad = fx.meta.clone();
+    bad[2 + 3 * 8 + 9 + 1] = 2; // level 1 side 0's state byte
+    match legacy::live_entries(&store(&fx), &bad) {
+        Err(MetaError::Invalid(why)) => assert!(why.contains("level 1 side 0"), "{why}"),
+        other => panic!("a filling array opened: {:?}", other.map(|_| ())),
     }
 }
 
@@ -245,14 +247,7 @@ fn gcola_v2_stores_open_and_converge() {
     }
     let c = GCola::bulk_load(mem.clone(), 4, 0.1, &live_entries(&fx, &mem));
     assert_eq!(c.insertions(), fx.model.len() as u64);
-    let reopen = |meta: &[u8]| GCola::from_parts(mem.clone(), meta);
-    converges(
-        c,
-        fx.model.clone(),
-        TAG_GCOLA,
-        GCola::check_invariants,
-        reopen,
-    );
+    converges(c, fx.model.clone(), &mem, [TAG_GCOLA, 4]);
 
     let mut bad = fx.meta.clone();
     bad[2 + 3 * 8 + 8 + 2 * 48 + 4 * 8] = 25; // level 2's items, past its 24
@@ -277,17 +272,7 @@ fn gcola_v3_stores_open_and_converge() {
     }
     let c = GCola::bulk_load(mem.clone(), 4, 0.1, &live_entries(&fx, &mem));
     assert_eq!(c.insertions(), fx.model.len() as u64);
-    let reopen = |meta: &[u8]| {
-        assert_eq!(meta[..2], [TAG_GCOLA, 4], "written back as v4");
-        GCola::from_parts(mem.clone(), meta)
-    };
-    converges(
-        c,
-        fx.model.clone(),
-        TAG_GCOLA,
-        GCola::check_invariants,
-        reopen,
-    );
+    converges(c, fx.model.clone(), &mem, [TAG_GCOLA, 4]);
 
     let mut bad = fx.meta.clone();
     bad[2 + 3 * 8 + 8 + 56 + 6 * 8] = 5; // level 1's lead: 5 + 2 cells > 6 slots
@@ -304,6 +289,7 @@ fn corrupt_legacy_meta_never_panics() {
     let fixtures = [
         ("basic format", legacy_fixtures::basic()),
         ("three-array format", legacy_fixtures::three_array()),
+        ("two-array format", legacy_fixtures::two_array()),
         ("g-COLA v2 format", legacy_fixtures::gcola_v2()),
         ("g-COLA v3 format", legacy_fixtures::gcola_v3()),
     ];

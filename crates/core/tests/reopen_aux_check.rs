@@ -17,51 +17,26 @@
 mod common;
 
 use common::Shared;
-use cosbt_core::{Cell, DeamortCola, Dictionary, GCola, MetaError, Persist};
+use cosbt_core::{Cell, Dictionary, GCola, Persist};
 use cosbt_dam::{Mem, PlainMem};
-
-/// What the table needs of a reopened structure.
-trait Reopened: Dictionary {
-    fn check_invariants(&self);
-}
-
-macro_rules! reopened {
-    ($($cola:ident),*) => {$(
-        impl Reopened for $cola<Shared> {
-            fn check_invariants(&self) {
-                $cola::check_invariants(self)
-            }
-        }
-    )*};
-}
-reopened!(GCola, DeamortCola);
-
-type Reopen = Result<Box<dyn Reopened>, MetaError>;
 
 struct Case {
     name: &'static str,
-    new: fn(Shared) -> Box<dyn Persisted>,
-    from_parts: fn(Shared, &[u8]) -> Reopen,
+    new: fn(Shared) -> GCola<Shared>,
 }
-
-trait Persisted: Dictionary + Persist {}
-impl<D: Dictionary + Persist> Persisted for D {}
 
 const CASES: [Case; 3] = [
     Case {
         name: "basic COLA",
-        new: |m| Box::new(GCola::basic(m)),
-        from_parts: |m, meta| Ok(Box::new(GCola::from_parts(m, meta)?)),
+        new: GCola::basic,
     },
     Case {
         name: "4-COLA",
-        new: |m| Box::new(GCola::new(m, 4, 0.1)),
-        from_parts: |m, meta| Ok(Box::new(GCola::from_parts(m, meta)?)),
+        new: |m| GCola::new(m, 4, 0.1),
     },
     Case {
         name: "deamortized COLA",
-        new: |m| Box::new(DeamortCola::new(m)),
-        from_parts: |m, meta| Ok(Box::new(DeamortCola::from_parts(m, meta)?)),
+        new: GCola::deamortized,
     },
 ];
 
@@ -100,7 +75,7 @@ fn last_run(store: &Shared, meta: &[u8]) -> (usize, usize) {
 fn reopen_accepts_intact_cells() {
     for case in &CASES {
         let (store, meta) = sealed(case);
-        let mut reopened = (case.from_parts)(store, &meta)
+        let mut reopened = GCola::from_parts(store, &meta)
             .unwrap_or_else(|e| panic!("{}: intact store must reopen: {e}", case.name));
         reopened.check_invariants();
         for i in 0..N {
@@ -123,7 +98,7 @@ fn reopen_rejects_corrupted_sample_cells() {
         let (a, b) = (store.get(base + 8), store.get(base + 24));
         store.set(base + 8, b);
         store.set(base + 24, a);
-        let err = (case.from_parts)(store, &meta)
+        let err = GCola::from_parts(store, &meta)
             .err()
             .unwrap_or_else(|| panic!("{}: corrupt samples must be rejected", case.name));
         let msg = err.to_string();
@@ -143,7 +118,7 @@ fn reopen_rejects_a_flipped_fence_key() {
         // describes a store these cells are not.
         let at = meta.len() - 8;
         meta[at] ^= 1;
-        let err = (case.from_parts)(store, &meta)
+        let err = GCola::from_parts(store, &meta)
             .err()
             .unwrap_or_else(|| panic!("{}: a flipped fence key must be rejected", case.name));
         let msg = err.to_string();

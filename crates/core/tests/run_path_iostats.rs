@@ -7,7 +7,7 @@
 //! the `peek_run` that peeks nothing, so its cursors step per cell.
 
 use cosbt_core::entry::Cell;
-use cosbt_core::{DeamortCola, Dictionary, GCola, Persist};
+use cosbt_core::{Dictionary, GCola, Persist};
 use cosbt_dam::{ArcFileMem, CrashDev, FileMem, IoStats, Mem};
 use cosbt_testkit::Rng;
 
@@ -123,17 +123,12 @@ fn drive<D: Dictionary + Persist>(d: &mut D, store: &Store) -> (Vec<IoStats>, Ve
 
 /// Runs `build`'s structure on the run path and on the per-cell path,
 /// then reopens both (`from_parts`: the rebuild scans) the same two ways.
-fn check<A, B>(
+fn check(
     name: &str,
     cache_pages: usize,
-    build_run: impl Fn(Store) -> A,
-    build_cell: impl Fn(PerCell) -> B,
-    reopen_run: impl Fn(Store, &[u8]) -> A,
-    reopen_cell: impl Fn(PerCell, &[u8]) -> B,
-) where
-    A: Dictionary + Persist,
-    B: Dictionary + Persist,
-{
+    build_run: impl Fn(Store) -> GCola<Store>,
+    build_cell: impl Fn(PerCell) -> GCola<PerCell>,
+) {
     let name = &format!("{name}, {cache_pages} resident pages");
     let (run_store, run_dev) = store(cache_pages);
     let (cell_store, cell_dev) = store(cache_pages);
@@ -161,8 +156,8 @@ fn check<A, B>(
         s.drop_cache().unwrap();
         s.reset_stats();
     }
-    let mut run = reopen_run(run_store.clone(), &meta);
-    let mut cell = reopen_cell(PerCell(cell_store.clone()), &meta);
+    let mut run = GCola::from_parts(run_store.clone(), &meta).unwrap();
+    let mut cell = GCola::from_parts(PerCell(cell_store.clone()), &meta).unwrap();
     assert_eq!(run_store.stats(), cell_store.stats(), "{name}: reopen scan");
     assert!(
         run_store.stats().fetches > 0,
@@ -174,31 +169,20 @@ fn check<A, B>(
 /// `check` with each constructor written once (the two paths need two
 /// instantiations of it, so it cannot be passed as one value).
 macro_rules! check_both {
-    ($name:expr, $new:expr, $from_parts:expr) => {
+    ($name:expr, $new:expr) => {
         for cache_pages in CACHE_PAGES {
-            check(
-                $name,
-                cache_pages,
-                $new,
-                $new,
-                |m, meta| $from_parts(m, meta).unwrap(),
-                |m, meta| $from_parts(m, meta).unwrap(),
-            )
+            check($name, cache_pages, $new, $new)
         }
     };
 }
 
 #[test]
 fn gcola_ingest_reports_the_same_iostats_on_both_paths() {
-    check_both!("4-COLA", |m| GCola::new(m, 4, 0.1), GCola::from_parts);
+    check_both!("4-COLA", |m| GCola::new(m, 4, 0.1));
 }
 
 #[test]
 fn other_variants_report_the_same_iostats_on_both_paths() {
-    check_both!("basic COLA", GCola::basic, GCola::from_parts);
-    check_both!(
-        "deamortized COLA",
-        DeamortCola::new,
-        DeamortCola::from_parts
-    );
+    check_both!("basic COLA", GCola::basic);
+    check_both!("deamortized COLA", GCola::deamortized);
 }

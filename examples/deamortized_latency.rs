@@ -8,11 +8,23 @@
 //!
 //! Prints a per-insert cell-movement histogram for the amortized basic
 //! COLA (`GCola::basic`, the g-COLA at g = 2 without lookahead pointers)
-//! vs the deamortized COLA — the "tail latency" picture a production
-//! system cares about.
+//! vs the deamortized COLA (`GCola::deamortized`, the same levels with
+//! their merges run on a per-insert budget) — the "tail latency" picture
+//! a production system cares about.
 
-use cosbt::cola::{DeamortCola, Dictionary, GCola};
+use cosbt::cola::{Cell, Dictionary, GCola};
 use cosbt::dam::PlainMem;
+
+/// Inserts `keys` into `cola`, returning the cells each insert moved.
+fn moved(cola: &mut GCola<PlainMem<Cell>>, keys: &[u64]) -> Vec<u64> {
+    let mut prev = 0;
+    let mut moved = |(i, &k): (usize, &u64)| {
+        cola.insert(k, i as u64);
+        let now = cola.stats().cells_written;
+        now - std::mem::replace(&mut prev, now)
+    };
+    keys.iter().enumerate().map(&mut moved).collect()
+}
 
 fn histogram(name: &str, deltas: &mut [u64]) {
     deltas.sort_unstable();
@@ -42,31 +54,14 @@ fn main() {
     );
 
     let mut amort = GCola::basic(PlainMem::new());
-    let mut deltas = Vec::with_capacity(keys.len());
-    let mut prev = 0;
-    for (i, &k) in keys.iter().enumerate() {
-        amort.insert(k, i as u64);
-        let now = amort.stats().cells_written;
-        deltas.push(now - prev);
-        prev = now;
-    }
-    histogram("amortized basic COLA", &mut deltas);
-
-    let mut dc = DeamortCola::new_plain();
-    let mut deltas = Vec::with_capacity(keys.len());
-    let mut prev = 0;
-    for (i, &k) in keys.iter().enumerate() {
-        dc.insert(k, i as u64);
-        let now = dc.stats().cells_written;
-        deltas.push(now - prev);
-        prev = now;
-    }
-    histogram("deamortized COLA", &mut deltas);
+    histogram("amortized basic COLA", &mut moved(&mut amort, &keys));
+    let mut dc = GCola::deamortized(PlainMem::new());
+    histogram("deamortized COLA", &mut moved(&mut dc, &keys));
     println!(
-        "{:>26}  (mover budget m = 2k+2 = {}, worst observed {})",
+        "{:>26}  (mover budget m = 2k+2 = {} plus the head's 4 cells, worst observed {})",
         "",
         2 * dc.num_levels() + 2,
-        dc.max_moves_per_insert()
+        dc.stats().max_cells_per_insert
     );
 
     println!(

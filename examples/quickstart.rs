@@ -32,9 +32,9 @@ fn configs() -> Vec<DbBuilder> {
 fn exercise(db: &mut Db) {
     // Streaming upserts: newest version must win. Every key is written
     // five times; "physical size" below is what each structure still
-    // stores of that — one version per key and level in the g-COLAs
-    // (the basic COLA among them), whose carries drop shadowed versions,
-    // every version in the deamortized COLA.
+    // stores of that — one version per key and level in the COLAs (the
+    // g-COLAs, the basic and the deamortized COLA), whose merges drop
+    // shadowed versions.
     for k in 0..50_000u64 {
         db.insert(k % 10_000, k);
     }

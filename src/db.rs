@@ -34,7 +34,7 @@ use cosbt_core::legacy::{self, Heir};
 use cosbt_core::persist::{
     peek_tag, tag_name, Root, TAG_BASIC_COLA, TAG_BRT, TAG_BTREE, TAG_DEAMORT_BASIC, TAG_GCOLA,
 };
-use cosbt_core::{Cursor, DeamortCola, Dictionary, EpochStats, GCola, MetaError, UpdateBatch};
+use cosbt_core::{Cursor, Dictionary, EpochStats, GCola, MetaError, UpdateBatch};
 use cosbt_dam::format::{sibling_path, DEFAULT_SLOT_BYTES, KIND_PAGES};
 use cosbt_dam::{
     ArcFileMem, ArcFilePages, DirectFile, FileMem, FilePages, IoStats, Mem, PageStore as _,
@@ -61,9 +61,10 @@ pub enum Structure {
         g: usize,
     },
     /// Section 3's deamortized COLA (Lemma 21, Theorem 22):
-    /// [`DeamortCola`], two arrays per level and a budgeted mover, so no
-    /// insert moves more than `O(log N)` cells. Its merges keep every
-    /// version of a key: nothing ever drops the shadowed ones.
+    /// [`GCola::deamortized`], the basic COLA with two extents per level
+    /// and a budgeted mover, so no insert moves more than `O(log N)`
+    /// cells. Its merges keep one version of a key, as the g-COLA's
+    /// carries do.
     DeamortizedCola,
     /// The baseline B+-tree (4 KiB pages).
     BTree,
@@ -679,7 +680,7 @@ impl DbBuilder {
     fn engine(&self) -> (u8, Option<Heir>) {
         match self.cfg.structure {
             Structure::BasicCola => (TAG_GCOLA, Some(Heir::BasicCola)),
-            Structure::DeamortizedCola => (TAG_DEAMORT_BASIC, Some(Heir::DeamortCola)),
+            Structure::DeamortizedCola => (TAG_DEAMORT_BASIC, Some(Heir::DeamortizedCola)),
             _ => (self.structure_identity().0, None),
         }
     }
@@ -932,7 +933,9 @@ impl DbBuilder {
     /// The COLA shard this configuration keeps in `mem`: a fresh one, or,
     /// given the meta committed in the file at `path`, the one the meta
     /// describes. The basic COLA is [`GCola::basic`]: it reopens a
-    /// g-COLA of growth factor 2 and pointer density 0. A g-COLA reopens
+    /// g-COLA of growth factor 2 and pointer density 0, and the
+    /// deamortized COLA one whose merges run on a budget
+    /// ([`GCola::deamortized`]). A g-COLA reopens
     /// with the growth factor asked for. A store in a retired format is
     /// asked of [`legacy`] first, and its live entries are bulk-loaded
     /// into a fresh engine of the configured kind: a fresh shard is the
@@ -955,14 +958,7 @@ impl DbBuilder {
                 .ok_or(meta),
         };
         let cola = match (self.cfg.structure, load) {
-            (Structure::DeamortizedCola, Ok(live)) => {
-                return Ok(Box::new(DeamortCola::bulk_load(mem, &live)))
-            }
-            (Structure::DeamortizedCola, Err(meta)) => {
-                return Ok(Box::new(
-                    DeamortCola::from_parts(mem, meta).map_err(meta_err)?,
-                ))
-            }
+            (Structure::DeamortizedCola, Ok(live)) => GCola::deamortized_bulk_load(mem, &live),
             (Structure::GCola { g }, Ok(live)) => {
                 GCola::bulk_load(mem, g, self.cfg.pointer_density, &live)
             }
@@ -1217,9 +1213,8 @@ impl Db {
     /// Number of physically stored entries, summed across shards: what a
     /// store holds, not what it answers. The log-structured structures
     /// count the shadowed versions and tombstones they still keep — the
-    /// g-COLA (the basic COLA included) at most one version per key and
-    /// level, since its carries drop the rest; the deamortized COLA every
-    /// one.
+    /// g-COLA (the basic and deamortized COLAs included) at most one
+    /// version per key and level, since its merges drop the rest.
     pub fn physical_len(&self) -> usize {
         self.router.physical_len()
     }

@@ -195,13 +195,13 @@ conformance! {
     gcola2        => cosbt::cola::GCola::new_plain(2);
     gcola4        => cosbt::cola::GCola::new_plain(4);
     gcola8        => cosbt::cola::GCola::new_plain(8);
-    // The deamortized COLA: the `deamort` engine, reached through the
-    // facade's builder and shard layer.
+    // The deamortized COLA, the g-COLA's budgeted merge policy: reached
+    // through the facade's builder and shard layer, and bare.
     deamort_basic => cosbt::DbBuilder::new()
         .structure(cosbt::Structure::DeamortizedCola)
         .build()
         .unwrap();
-    deamort       => cosbt::cola::DeamortCola::new_plain();
+    deamort       => cosbt::cola::GCola::deamortized(cosbt::dam::PlainMem::new());
     btree         => cosbt::btree::BTree::new_plain();
     brt           => cosbt::brt::Brt::new_plain();
     shuttle       => cosbt::shuttle::ShuttleTree::new(4);

@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 
 use cosbt::cola::entry::Cell;
-use cosbt::cola::{DeamortCola, GCola, MetaError};
+use cosbt::cola::{Dictionary, GCola, MetaError, Persist};
 use cosbt::dam::dev::CrashDev;
 use cosbt::dam::format::KIND_PAGES;
 use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, OpenError};
@@ -219,14 +219,14 @@ fn gcola_survives_crashes() {
     });
 }
 
-/// The engine both deamortized configurations build; each row runs its
-/// own seeded workload, since the seed follows the name.
+/// The deamortized COLA, `GCola::deamortized`, under two names; each row
+/// runs its own seeded workload, since the seed follows the name.
 #[test]
 fn deamortized_basic_cola_survives_crashes() {
     mem_crash_test(
         "deamortized-basic-COLA",
-        &|s| Box::new(DeamortCola::new(s)),
-        &|s, m| Ok(Box::new(DeamortCola::from_parts(s, m)?)),
+        &|s| Box::new(GCola::deamortized(s)),
+        &|s, m| Ok(Box::new(GCola::from_parts(s, m)?)),
     );
 }
 
@@ -234,26 +234,21 @@ fn deamortized_basic_cola_survives_crashes() {
 fn deamortized_cola_survives_crashes() {
     mem_crash_test(
         "deamortized-COLA",
-        &|s| Box::new(DeamortCola::new(s)),
-        &|s, m| Ok(Box::new(DeamortCola::from_parts(s, m)?)),
+        &|s| Box::new(GCola::deamortized(s)),
+        &|s, m| Ok(Box::new(GCola::from_parts(s, m)?)),
     );
 }
 
 /// The deamortized COLA carries half-built cascade state in RAM only:
-/// aux builders fed cell-by-cell by in-flight incremental merges. A crash
+/// the auxes of its filling extents, fed as their budgeted merges
+/// write. A crash
 /// at any point while merges are mid-flight must recover exactly the last
 /// committed epoch, with the cascade accelerators rebuilt whole — never
 /// a torn mixture of old windows and half-written merge output.
-fn mid_merge_crash_case<D, New, Open, Check>(name: &str, new: New, open: Open, check: Check)
-where
-    D: cosbt::cola::Dictionary + cosbt::cola::Persist,
-    New: Fn(MemStore) -> D,
-    Open: Fn(MemStore, &[u8]) -> Result<D, MetaError>,
-    Check: Fn(&D),
-{
+fn mid_merge_crash_case(name: &str) {
     let dev = CrashDev::new();
     let store = ArcFileMem::new(FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap());
-    let mut dict = new(store.clone());
+    let mut dict = GCola::deamortized(store.clone());
     let mut rng = Rng::new(0x31D ^ name.len() as u64);
     let mut model = BTreeMap::new();
     for _ in 0..400 {
@@ -286,13 +281,14 @@ where
             .unwrap_or_else(|e| panic!("{name}: cut {cut}: {e}"));
         let st = ArcFileMem::new(fm);
         assert_eq!(st.epoch(), 1, "{name}: cut {cut} must recover epoch 1");
-        let mut re = open(st, &meta).unwrap_or_else(|e| panic!("{name}: cut {cut}: {e}"));
+        let mut re =
+            GCola::from_parts(st, &meta).unwrap_or_else(|e| panic!("{name}: cut {cut}: {e}"));
         assert_eq!(
             re.range(0, u64::MAX),
             committed,
             "{name}: cut {cut} recovered contents"
         );
-        check(&re);
+        re.check_invariants();
         // The rebuilt read path answers through the cascade: hits, gap
         // misses (keys ≡ 1 mod 3 were never inserted), fence misses.
         for &(k, v) in committed.iter().step_by(13) {
@@ -305,34 +301,19 @@ where
 
 #[test]
 fn deamortized_basic_mid_merge_crash_recovers_committed_cascade() {
-    mid_merge_crash_case(
-        "deamortized-basic-COLA",
-        DeamortCola::new,
-        DeamortCola::from_parts,
-        DeamortCola::check_invariants,
-    );
+    mid_merge_crash_case("deamortized-basic-COLA");
 }
 
 #[test]
 fn deamortized_cola_mid_merge_crash_recovers_committed_cascade() {
-    mid_merge_crash_case(
-        "deamortized-COLA",
-        DeamortCola::new,
-        DeamortCola::from_parts,
-        DeamortCola::check_invariants,
-    );
+    mid_merge_crash_case("deamortized-COLA");
 }
 
 /// Corrupting the persisted fence keys (the cascade's durable metadata)
 /// must be a typed [`MetaError::Invalid`] from `from_parts` — never a
 /// structure that silently serves wrong answers — while the intact
 /// metadata on the very same store still reconstructs perfectly.
-fn corrupt_fence_case<D, New, Open>(name: &str, new: New, open: Open)
-where
-    D: cosbt::cola::Dictionary + cosbt::cola::Persist,
-    New: Fn(MemStore) -> D,
-    Open: Fn(MemStore, &[u8]) -> Result<D, MetaError>,
-{
+fn corrupt_fence_case(name: &str, new: fn(MemStore) -> GCola<MemStore>) {
     let dev = CrashDev::new();
     let store = ArcFileMem::new(FileMem::create_on(dev.clone(), PAGE, CACHE, 32).unwrap());
     let mut dict = new(store.clone());
@@ -353,7 +334,7 @@ where
     let (fm, meta) =
         FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32).unwrap();
     assert_eq!(meta, bad, "{name}: the corrupt payload committed");
-    match open(ArcFileMem::new(fm), &meta) {
+    match GCola::from_parts(ArcFileMem::new(fm), &meta) {
         Err(MetaError::Invalid(_)) => {}
         Err(e) => panic!("{name}: wrong error class for bad fences: {e}"),
         Ok(_) => panic!("{name}: corrupt fence keys were accepted"),
@@ -365,7 +346,7 @@ where
     let image = dev.image_at(dev.journal_len(), None);
     let (fm, meta) =
         FileMem::<Cell, CrashDev>::open_on(CrashDev::from_image(image), CACHE, 32).unwrap();
-    let mut re = open(ArcFileMem::new(fm), &meta)
+    let mut re = GCola::from_parts(ArcFileMem::new(fm), &meta)
         .unwrap_or_else(|e| panic!("{name}: intact meta rejected: {e}"));
     let want: Vec<(u64, u64)> = (0..800u64).map(|i| (i * 3 + 1, i)).collect();
     assert_eq!(re.range(0, u64::MAX), want, "{name}: intact reopen");
@@ -373,11 +354,9 @@ where
 
 #[test]
 fn corrupt_cascade_fences_are_rejected_by_every_variant() {
-    corrupt_fence_case("basic-COLA", GCola::basic, GCola::from_parts);
-    corrupt_fence_case("4-COLA", |s| GCola::new(s, 4, 0.1), GCola::from_parts);
-    corrupt_fence_case("deamortized-COLA", DeamortCola::new, |s, m| {
-        DeamortCola::from_parts(s, m)
-    });
+    corrupt_fence_case("basic-COLA", GCola::basic);
+    corrupt_fence_case("4-COLA", |s| GCola::new(s, 4, 0.1));
+    corrupt_fence_case("deamortized-COLA", GCola::deamortized);
 }
 
 #[test]

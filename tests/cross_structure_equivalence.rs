@@ -8,7 +8,7 @@ use std::collections::BTreeMap;
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{DeamortCola, Dictionary, GCola};
+use cosbt::cola::{Dictionary, GCola};
 use cosbt::dam::PlainMem;
 use cosbt::shuttle::ShuttleTree;
 
@@ -18,7 +18,7 @@ fn dicts() -> Vec<Box<dyn Dictionary>> {
         Box::new(GCola::new_plain(2)),
         Box::new(GCola::new_plain(4)),
         Box::new(GCola::new_plain(8)),
-        Box::new(DeamortCola::new_plain()),
+        Box::new(GCola::deamortized(PlainMem::new())),
         Box::new(BTree::new_plain()),
         Box::new(Brt::new_plain()),
         Box::new(ShuttleTree::new(4)),

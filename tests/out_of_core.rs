@@ -5,7 +5,7 @@
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{Cell, DeamortCola, Dictionary, GCola};
+use cosbt::cola::{Cell, Dictionary, GCola};
 use cosbt::dam::{ArcFileMem, ArcFilePages, FileMem, FilePages, DEFAULT_PAGE_SIZE};
 use cosbt_testkit::TempPath;
 
@@ -52,7 +52,7 @@ fn deamort_cola_out_of_core() {
     let path = TempPath::new("ooc-deamort");
     let mem = ArcFileMem::new(FileMem::<Cell>::create(&path, DEFAULT_PAGE_SIZE, 8, 32).unwrap());
     let handle = mem.clone();
-    let mut d = DeamortCola::new(mem);
+    let mut d = GCola::deamortized(mem);
     run_file_backed("deamortized-COLA", &mut d, &|| handle.drop_cache().unwrap());
 }
 

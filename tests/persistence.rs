@@ -799,6 +799,20 @@ fn gcola_v2_stores_open_as_the_current_format() {
     retired_gcola_opens_as_current("gcola-v2", legacy_fixtures::gcola_v2());
 }
 
+/// A store the two-array engine left (its own v2 format under the
+/// deamortized COLA's tag, every version of a key kept) opens under
+/// `DeamortizedCola` through the rebuild, answers as it did, commits
+/// nothing until a `sync`, then commits the current format, v3, and
+/// reopens from it.
+#[test]
+fn deamortized_v2_stores_open_as_the_current_format() {
+    use cosbt::cola::persist::TAG_DEAMORT_BASIC;
+
+    let fx = legacy_fixtures::two_array();
+    let current = [TAG_DEAMORT_BASIC, 3];
+    retired_opens_as_current("deamort-v2", fx, Structure::DeamortizedCola, current);
+}
+
 /// The same for a v3 store, whose levels 0 and 1 hold items the head
 /// holds now.
 #[test]
@@ -809,19 +823,29 @@ fn gcola_v3_stores_open_as_the_current_format() {
 fn retired_gcola_opens_as_current(name: &str, fx: legacy_fixtures::Fixture) {
     use cosbt::cola::persist::TAG_GCOLA;
 
+    let structure = Structure::GCola { g: 4 };
+    retired_opens_as_current(name, fx, structure, [TAG_GCOLA, 4]);
+}
+
+/// Opens the retired store `fx` under `structure`, reads it, writes and
+/// syncs, and reopens what the sync committed: its meta's tag and
+/// version must be `current`.
+fn retired_opens_as_current(
+    name: &str,
+    fx: legacy_fixtures::Fixture,
+    structure: Structure,
+    current: [u8; 2],
+) {
     let path = tmp(name);
     write_retired_store(&path, &fx);
     let builder = DbBuilder::new()
-        .structure(Structure::GCola { g: 4 })
+        .structure(structure)
         .backend(Backend::file(path.to_path_buf()))
         .cache_bytes(64 * 1024);
     let mut model = fx.model.clone();
     let live =
         |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
-    let mut db = builder
-        .clone()
-        .open()
-        .expect("a retired g-COLA store opens");
+    let mut db = builder.clone().open().expect("a retired store opens");
     for key in 0..60 {
         assert_eq!(db.get(key), model.get(&key).copied(), "{name}: key {key}");
     }
@@ -842,14 +866,14 @@ fn retired_gcola_opens_as_current(name: &str, fx: legacy_fixtures::Fixture) {
     drop(db);
     assert_eq!(
         committed_meta(&path)[..2],
-        [TAG_GCOLA, 4],
-        "{name}: written back as v4"
+        current,
+        "{name}: written back in the current format"
     );
     let mut db = builder.open().unwrap();
     assert_eq!(
         db.range(0, u64::MAX),
         live(&model),
-        "{name}: reopened from v4"
+        "{name}: reopened from the current format"
     );
 }
 

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 use cosbt::brt::Brt;
 use cosbt::btree::BTree;
-use cosbt::cola::{DeamortCola, Dictionary, GCola};
+use cosbt::cola::{Dictionary, GCola};
 use cosbt::dam::PlainMem;
 use cosbt::shuttle::ShuttleTree;
 use cosbt::testkit::{check_cases, Rng};
@@ -158,7 +158,11 @@ dict_props!(deamort_basic_matches_model, 64, {
         .build()
         .unwrap()
 });
-dict_props!(deamort_matches_model, 64, DeamortCola::new_plain());
+dict_props!(
+    deamort_matches_model,
+    64,
+    GCola::deamortized(PlainMem::new())
+);
 dict_props!(btree_matches_model, 64, BTree::new_plain());
 dict_props!(brt_matches_model, 64, Brt::new_plain());
 dict_props!(shuttle_matches_model, 64, ShuttleTree::new(2));
@@ -171,7 +175,7 @@ fn invariants_after_bursts() {
         let keys = rng.vec_u64(len);
         let mut basic = GCola::basic(PlainMem::new());
         let mut g = GCola::new_plain(4);
-        let mut dc = DeamortCola::new_plain();
+        let mut dc = GCola::deamortized(PlainMem::new());
         let mut st = ShuttleTree::new(4);
         let mut bt = BTree::new_plain();
         for (i, &k) in keys.iter().enumerate() {
@@ -209,17 +213,21 @@ fn invariants_after_batched_bursts() {
     });
 }
 
-/// The deamortized COLA never exceeds its per-insert move budget.
+/// The deamortized COLA never exceeds its per-insert budget: `2·levels +
+/// 2` source cells moved plus the head's 4 cells sealed into level 2,
+/// with Lemma 21 checked after every insert.
 #[test]
 fn deamortized_budget_respected() {
     check_cases("deamortized_budget_respected", 32, |rng: &mut Rng| {
         let len = 1 + rng.index(2999);
         let keys = rng.vec_u64(len);
-        let mut dc = DeamortCola::new_plain();
+        let mut dc = GCola::deamortized(PlainMem::new());
         for (i, &k) in keys.iter().enumerate() {
             dc.insert(k, i as u64);
+            dc.check_schedule();
         }
+        dc.check_invariants();
         let levels = dc.num_levels() as u64;
-        assert!(dc.max_moves_per_insert() <= 2 * levels + 2);
+        assert!(dc.stats().max_cells_per_insert <= 2 * levels + 2 + 4);
     });
 }

@@ -14,24 +14,33 @@
 //!   run; a run whose fences put no real key inside the bounds (a level
 //!   holding only lookahead cells) is left out altogether. Each
 //!   remaining run's head cell is then read once and cached until the
-//!   merge consumes it, so a step compares `k` keys in DRAM and reloads
-//!   only the runs that carried the emitted key. A scan of `r` results
-//!   over `k` runs costs `O(k + r)` cell reads — `r`, plus the redundant
-//!   and shadowed cells lying between the results, plus a constant per
-//!   run — and `O(k + r/B)` block transfers, instead of materializing
-//!   every overlapping cell up front. Store *calls* — each a lock and a
-//!   residency lookup on the file store — are fewer than cell reads
-//!   where the store can be peeked ([`Mem::peek_run`]): after a head's
-//!   charged `get` the cursor copies the rest of the head's page into a
-//!   window, steps through the window, and pays for the cells it took
-//!   with one `read_run` per stretch, in the order it took them, before
-//!   it calls the store for anything else. Each seek probe and backward
-//!   step is a call; forward, a streak of `s` cells from one run is
-//!   `O(1 + log s + s/B)` calls, and the cells charged, their order and
-//!   every counter of the store are those of one `get` per cell. One run
-//!   may live in DRAM instead ([`RunMergeCursor::with_head`]): the
-//!   g-COLA's head, levels 0 and 1's items, merged as the newest run,
-//!   read directly and never charged to the store.
+//!   merge consumes it, beside the run's *rank*: the head's key as the
+//!   direction orders it, then the run's index. A step takes the least
+//!   rank — the head furthest along, and of equal keys the newest run's —
+//!   consumes only the runs whose head carries that key, and loads them
+//!   at the next step, in ascending run order. The ranks wait in one
+//!   array, least last; the run a step took its cell from goes back into
+//!   it only if another run's head now ranks below its own, so a streak
+//!   from one run costs each step one load and one compare, however many
+//!   runs are open. A scan of `r` results over `k` runs costs `O(k + r)`
+//!   cell reads — `r`, plus the redundant and shadowed cells lying
+//!   between the results, plus a constant per run — and `O(k + r/B)`
+//!   block transfers, instead of materializing every overlapping cell up
+//!   front. The run list and the per-run state live in the structure's
+//!   scratch (`RunBuf`) between scans, so opening a cursor allocates
+//!   nothing. Store *calls* — each a lock and a residency lookup on the
+//!   file store — are fewer than cell reads where the store can be
+//!   peeked ([`Mem::peek_run`]): after a head's charged `get` the cursor
+//!   copies the rest of the head's page into a window, steps through the
+//!   window, and pays for the cells it took with one `read_run` per
+//!   stretch, in the order it took them, before it calls the store for
+//!   anything else. Each seek probe and backward step is a call; forward,
+//!   a streak of `s` cells from one run is `O(1 + log s + s/B)` calls,
+//!   and the cells charged, their order and every counter of the store
+//!   are those of one `get` per cell. One run may live in DRAM instead
+//!   ([`RunMergeCursor::with_head`]): the g-COLA's head, levels 0 and
+//!   1's items, merged as the newest run, read directly and never charged
+//!   to the store.
 //! * [`MergeCursor`] — the same merge discipline generalized to
 //!   *heterogeneous sources*: any set of [`CursorOps`] engines (boxed
 //!   [`crate::Cursor`]s included), not just level runs of one array. A
@@ -60,7 +69,7 @@ enum Gap {
     AtEnd,
 }
 
-/// State of one merge source's cached head.
+/// State of one [`MergeCursor`] source's cached head.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Head<T> {
     /// Not pulled yet (or consumed) — the source sits at the merge gap.
@@ -86,6 +95,50 @@ impl Direction {
             Direction::Backward => a > b,
         }
     }
+
+    /// The rank of run `r`'s head with key `key` when stepping this way:
+    /// the key in the high half, complemented going backward so that the
+    /// least rank is always the head furthest along, and the run in the
+    /// low half, so that of equal keys the newest run's ranks least.
+    #[inline]
+    fn rank(self, key: u64, r: usize) -> u128 {
+        let key = match self {
+            Direction::Forward => key,
+            Direction::Backward => !key,
+        };
+        (key as u128) << 64 | r as u128
+    }
+}
+
+/// Where the merge stands in one run.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Slot {
+    /// The cached head, the cell at `idx` going forward, at `idx - 1`
+    /// going backward — real or redundant. Valid from the load that read
+    /// it until a step consumes it.
+    head: Cell,
+    /// Split index. Once positioned (`dir` is `Some`), the real cells
+    /// below `idx` have key < gap and those at or above it have key ≥
+    /// gap, with one exception: a step that consumes a run's head leaves
+    /// the run's other cells of that key on the side they were on. They
+    /// are older versions of the key just emitted: a load in the same
+    /// direction skips them, and the first step in the other direction
+    /// re-emits that key, which moves the gap to their side. Redundant
+    /// cells the merge has passed may sit on either side.
+    idx: usize,
+}
+
+impl Slot {
+    /// Before the first step: not positioned, nothing cached.
+    const START: Slot = Slot {
+        head: Cell {
+            key: 0,
+            val: 0,
+            ptr: 0,
+            meta: 0,
+        },
+        idx: 0,
+    };
 }
 
 /// One run's window: cells `start..start + len` of the run, peeked from
@@ -132,53 +185,49 @@ fn settle<M: Mem<Cell>>(mem: &M, runs: &[Run], scratch: &mut RunBuf) {
     }
 }
 
-/// Where the merge stands in one run.
-#[derive(Debug, Clone, Copy)]
-struct At {
-    /// Split index. Once positioned (`dir` is `Some`), the real cells
-    /// below `idx` have key < gap and those at or above it have key ≥
-    /// gap, with one exception: a step that consumes a run's head leaves
-    /// the run's other cells of that key on the side they were on. They
-    /// are older versions of the key just emitted: a load in the same
-    /// direction skips them, and the first step in the other direction
-    /// re-emits that key, which moves the gap to their side. Redundant
-    /// cells the merge has passed may sit on either side.
-    idx: usize,
-    /// Head cache, valid for the current `dir`: the cell at `idx` going
-    /// forward, at `idx - 1` going backward — real or redundant.
-    head: Head<Cell>,
-}
-
-impl At {
-    /// Before the first step: not positioned, nothing cached.
-    const START: At = At {
-        idx: 0,
-        head: Head::Unknown,
-    };
-}
-
 /// Streaming merge cursor over [`Run`]s of one [`Mem`] array.
 #[derive(Debug)]
 pub struct RunMergeCursor<'a, M: Mem<Cell>> {
     mem: &'a M,
+    /// The runs that can yield an entry, newest first.
     runs: Vec<Run<'a>>,
+    /// One per run: its cached head and split index.
+    slots: Vec<Slot>,
+    /// The rank ([`Direction::rank`]) of every run with a head cached,
+    /// greatest first: the next step's winner is last, and the runs
+    /// carrying its key right before it.
+    ranks: Vec<u128>,
+    /// The run the last step took its cell from, owed a load. The next
+    /// step loads it first, and if its new head ranks below every other,
+    /// takes it without putting it in `ranks`: a streak costs one load
+    /// and one compare a step.
+    won: Option<usize>,
+    /// The other runs owed a load, ascending and after `won`: every run
+    /// before the first step of a direction, then those whose shadowed
+    /// versions a step consumed. A run with nothing left in the direction
+    /// is in none of the lists.
+    owed: Vec<usize>,
     lo: u64,
     hi: u64,
     gap: Gap,
-    /// Per-run position: split index and cached head, in one array so an
-    /// open allocates once for both.
-    at: Vec<At>,
-    /// Direction the cached heads were loaded in; `None` after
+    /// Direction the ranks and heads were loaded in; `None` after
     /// construction or a seek, until the next step positions the runs.
     dir: Option<Direction>,
-    /// The structure's scratch, if it lent one: the windows, their
-    /// cells and the log of what is owed for them.
+    /// The structure's scratch, if it lent one: the cursor's lists go
+    /// back to it when the cursor is dropped, and over a store that
+    /// peeks it holds the windows, their cells and the log of what is
+    /// owed for them.
     scratch: Option<&'a mut RunBuf>,
     /// The cells of run 0 when it is a run in DRAM — the g-COLA's head —
     /// rather than in `mem`: read for free, never charged to the store,
     /// given no window. Empty otherwise.
     dram: &'a [Cell],
 }
+
+/// A cursor's run list, slots, ranks and owed loads: what it takes from
+/// the structure's scratch when it opens and gives back when it is
+/// dropped, so that the next open reuses their buffers.
+pub(crate) type Lists = (Vec<Run<'static>>, Vec<Slot>, Vec<u128>, Vec<usize>);
 
 impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// A cursor over `runs` (newest first) bounded to `[lo, hi]`.
@@ -205,39 +254,68 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         lo: u64,
         hi: u64,
     ) -> Self {
+        Self::open(mem, head, runs, (lo, hi), Lists::default())
+    }
+
+    /// [`RunMergeCursor::with_head`] over the structure's scratch: the
+    /// cursor's lists are the scratch's, which it gives back when it is
+    /// dropped, so the open allocates nothing; and the cursor keeps its
+    /// windows there if the store peeks ([`RunMergeCursor::windowed`]).
+    pub(crate) fn lent(
+        mem: &'a M,
+        head: &'a [Cell],
+        runs: impl IntoIterator<Item = Run<'a>>,
+        (lo, hi): (u64, u64),
+        scratch: &'a mut RunBuf,
+    ) -> Self {
+        let lists = std::mem::take(&mut scratch.lists);
+        Self::open(mem, head, runs, (lo, hi), lists).windowed(scratch)
+    }
+
+    /// The cursor over the runs that can yield an entry, kept in `lists`.
+    fn open(
+        mem: &'a M,
+        head: &'a [Cell],
+        runs: impl IntoIterator<Item = Run<'a>>,
+        (lo, hi): (u64, u64),
+        (list, mut slots, ranks, owed): Lists,
+    ) -> Self {
         // A run that can yield nothing is left out rather than merged in
         // and out: an empty one, and one whose fences put no real key
         // inside the bounds (a level holding only lookahead cells has
-        // inverted fences). Two steps on purpose: folding the fence test
-        // into the collect shrinks this first allocation, and with it
-        // what glibc keeps of the heap between the repository
-        // benchmark's rounds (`mixed_mem` `setup_s` 0.056 → 0.075 s,
-        // minor faults 30.6 k → 62.1 k, measured for issue 22).
-        // The head rides as run 0, a placeholder whose cells `head` holds.
+        // inverted fences). The head rides as run 0, a placeholder whose
+        // cells `head` holds.
         let dram = match (head.first(), head.last()) {
             (Some(first), Some(last)) if first.key <= hi && last.key >= lo => head,
             _ => &[],
         };
-        let placeholder = Run {
-            base: 0,
-            len: dram.len(),
-            aux: None,
-        };
-        let runs = std::iter::once(placeholder).chain(runs);
-        let mut runs: Vec<Run> = runs.filter(|run| run.len > 0).collect();
-        runs.retain(|run| {
-            run.sample().is_none_or(|aux| {
-                aux.fence_min <= aux.fence_max && aux.fence_min <= hi && aux.fence_max >= lo
-            })
-        });
-        let k = runs.len();
+        let mut list: Vec<Run<'a>> = list;
+        list.clear();
+        if !dram.is_empty() {
+            list.push(Run {
+                base: 0,
+                len: dram.len(),
+                aux: None,
+            });
+        }
+        list.extend(runs.into_iter().filter(|run| {
+            run.len > 0
+                && run.sample().is_none_or(|aux| {
+                    aux.fence_min <= aux.fence_max && aux.fence_min <= hi && aux.fence_max >= lo
+                })
+        }));
+        slots.clear();
+        slots.resize(list.len(), Slot::START);
         RunMergeCursor {
             mem,
-            runs,
+            runs: list,
+            slots,
+            ranks,
+            won: None,
+            owed,
             lo,
             hi,
             gap: Gap::Before(lo),
-            at: vec![At::START; k],
             dir: None,
             scratch: None,
             dram,
@@ -259,20 +337,21 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         }
     }
 
-    /// Lends the cursor the structure's scratch for its windows, which it
-    /// takes if the store peeks. Without one every load is a charged
+    /// Lends the cursor the structure's scratch, which takes back the
+    /// cursor's lists when it is dropped, and which holds the cursor's
+    /// windows if the store peeks. Without one every load is a charged
     /// `get`. The runs in the store share the cells; a run in DRAM takes
     /// none.
     pub(crate) fn windowed(mut self, scratch: &'a mut RunBuf) -> Self {
+        scratch.log.clear();
         if self.mem.peeks() {
             scratch.dram = usize::from(!self.dram.is_empty());
             let k = self.runs.len() - scratch.dram;
             scratch.cap = scratch.cells.len().checked_div(k).unwrap_or(0);
             scratch.windows.clear();
             scratch.windows.resize(self.runs.len(), Window::default());
-            scratch.log.clear();
-            self.scratch = Some(scratch);
         }
+        self.scratch = Some(scratch);
         self
     }
 
@@ -284,13 +363,13 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         }
     }
 
-    /// The cell at `at[r].idx`, for a forward load from a store that peeks.
+    /// Cell `i` of run `r`, for a forward load from a store that peeks.
     /// Inside run `r`'s window it is the peeked copy, logged as owed.
     /// Otherwise it is a charged `get`, and the page that leaves
     /// resident is peeked from that cell on into the window, for the
     /// loads to come.
-    fn read_windowed(&mut self, r: usize) -> Cell {
-        let (run, i) = (self.runs[r], self.at[r].idx);
+    fn read_windowed(&mut self, r: usize, i: usize) -> Cell {
+        let run = self.runs[r];
         let Some(scratch) = self.scratch.as_deref_mut() else {
             return self.mem.get(run.base + i);
         };
@@ -328,11 +407,12 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         cell
     }
 
-    /// Whether a cell with this key sorts before the gap.
-    fn below_gap(&self, key: u64) -> bool {
+    /// Keys below this lie before the gap.
+    #[inline]
+    fn gap_bound(&self) -> u128 {
         match self.gap {
-            Gap::Before(g) => key < g,
-            Gap::AtEnd => key <= self.hi,
+            Gap::Before(g) => g as u128,
+            Gap::AtEnd => self.hi as u128 + 1,
         }
     }
 
@@ -340,164 +420,222 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     fn split(&self, r: usize) -> usize {
         let run = self.runs[r];
         match self.gap {
-            _ if self.in_dram(r) => self.dram.partition_point(|c| self.below_gap(c.key)),
+            _ if self.in_dram(r) => {
+                let bound = self.gap_bound();
+                self.dram.partition_point(|c| (c.key as u128) < bound)
+            }
             Gap::Before(g) => run.lower_bound(self.mem, g),
             Gap::AtEnd => run.upper_bound(self.mem, self.hi),
         }
     }
 
-    /// Loads run `r`'s head in `dir`: the next cell on that side of
-    /// `at[r].idx`, moving `at[r].idx` past what is left of the last emitted
-    /// key's cells (shadowed older versions). The head may be a redundant
-    /// cell; the merge passes it in key order without emitting it.
-    fn load(&mut self, r: usize, dir: Direction) {
-        let run = self.runs[r];
-        self.at[r].head = Head::Exhausted;
+    /// Loads run `r`'s head in `dir` and returns its rank: the next cell
+    /// on that side of its split index, moving the index past what is
+    /// left of the last emitted key's cells (shadowed older versions),
+    /// which lie on the far side of `bound` ([`RunMergeCursor::gap_bound`]).
+    /// `None` if the run has nothing left in `dir`. The head may be a
+    /// redundant cell; the merge passes it in key order without emitting
+    /// it.
+    #[inline(always)]
+    fn load(&mut self, r: usize, dir: Direction, bound: u128) -> Option<u128> {
+        let (run, dram) = (self.runs[r], self.in_dram(r));
+        let mut i = self.slots[r].idx;
+        let mut head = None;
         match dir {
             Direction::Forward => {
-                while self.at[r].idx < run.len {
-                    // Over a store that peeks nothing this is decided at
-                    // compile time: the loop it was before windows. The
-                    // run in DRAM takes no window.
-                    let c = match self.mem.peeks() && !self.in_dram(r) {
-                        true => self.read_windowed(r),
-                        false => self.cell(r, self.at[r].idx),
+                // Over a store that peeks nothing this is decided at
+                // compile time: the loop it was before windows. The run in
+                // DRAM takes no window.
+                let windowed = self.mem.peeks() && !dram;
+                while i < run.len {
+                    let c = match (windowed, dram) {
+                        (true, _) => self.read_windowed(r, i),
+                        (false, true) => self.dram[i],
+                        (false, false) => self.mem.get(run.base + i),
                     };
-                    if !self.below_gap(c.key) {
-                        self.at[r].head = Head::Entry(c);
+                    if c.key as u128 >= bound {
+                        head = Some(c);
                         break;
                     }
-                    self.at[r].idx += 1;
+                    i += 1;
                 }
             }
             Direction::Backward => {
-                while self.at[r].idx > 0 {
-                    let c = self.cell(r, self.at[r].idx - 1);
-                    if self.below_gap(c.key) {
-                        self.at[r].head = Head::Entry(c);
+                while i > 0 {
+                    let c = self.cell(r, i - 1);
+                    if (c.key as u128) < bound {
+                        head = Some(c);
                         break;
                     }
-                    self.at[r].idx -= 1;
+                    i -= 1;
                 }
             }
         }
+        self.slots[r].idx = i;
+        let c = head?;
+        self.slots[r].head = c;
+        Some(dir.rank(c.key, r))
+    }
+
+    /// Puts a run's rank in its place in the rank array, searched from
+    /// the least end: a run that gives a scan a streak goes back where
+    /// it was, last, for one compare.
+    #[inline]
+    fn place(&mut self, rank: u128) {
+        let mut at = self.ranks.len();
+        while at > 0 && self.ranks[at - 1] < rank {
+            at -= 1;
+        }
+        self.ranks.insert(at, rank);
     }
 
     /// Positions every run at the gap after a seek, and drops the heads
     /// cached for the other direction before stepping in `dir` (their
-    /// cells stay where `idx` has them; nothing is re-read).
+    /// cells stay where `idx` has them; nothing is re-read): every run
+    /// is owed a load.
+    #[inline]
     fn face(&mut self, dir: Direction) {
-        if self.dir == Some(dir) {
-            return;
+        if self.dir != Some(dir) {
+            self.turn(dir);
         }
+    }
+
+    /// [`RunMergeCursor::face`] when the cursor is not facing `dir`: once
+    /// a scan, so kept out of the step's loop.
+    #[cold]
+    #[inline(never)]
+    fn turn(&mut self, dir: Direction) {
         // A seek's bisects and every backward read are charged calls.
         self.settle();
         if self.dir.is_none() {
             for r in 0..self.runs.len() {
-                self.at[r].idx = self.split(r);
+                self.slots[r].idx = self.split(r);
             }
         }
-        self.at.iter_mut().for_each(|at| at.head = Head::Unknown);
-        self.dir = Some(dir);
+        self.ranks.clear();
+        self.owed.clear();
+        self.owed.extend(0..self.runs.len());
+        (self.won, self.dir) = (None, Some(dir));
     }
 
-    /// Fills the head cache in `dir` (only runs whose head a previous
-    /// step consumed touch the array) and picks the head furthest along:
-    /// smallest key going forward, largest going backward. Ties keep the
-    /// newest run's head, so a redundant cell there is passed before any
-    /// older run's version of the key is considered.
-    fn pick(&mut self, dir: Direction) -> Option<(Cell, usize)> {
-        let mut best: Option<(Cell, usize)> = None;
-        for r in 0..self.runs.len() {
-            if self.at[r].head == Head::Unknown {
-                self.load(r, dir);
-            }
-            if let Head::Entry(c) = self.at[r].head {
-                if best.is_none_or(|(b, _)| dir.reaches_first(c.key, b.key)) {
-                    best = Some((c, r));
+    /// Moves run `r`'s split index over its cached head, whose rank the
+    /// caller took off the rank array.
+    #[inline]
+    fn consume(&mut self, r: usize, dir: Direction) {
+        let slot = &mut self.slots[r];
+        match dir {
+            Direction::Forward => slot.idx += 1,
+            Direction::Backward => slot.idx -= 1,
+        }
+    }
+
+    /// One merge step in `dir`: loads the heads the last step consumed,
+    /// in ascending run order, and takes the least rank — the head
+    /// furthest along, of equal keys the newest run's, so a redundant
+    /// cell there is passed before any older run's version of the key is
+    /// considered. Returns the newest real cell of the next key in bounds
+    /// (tombstones included; callers filter) and its run, having consumed
+    /// every head that carries the key: the winner's and, ranked right
+    /// before it, the older runs' shadowed versions. Inlined into each
+    /// direction's step, where `dir` is a constant.
+    #[inline(always)]
+    fn step(&mut self, dir: Direction) -> Option<(Cell, usize)> {
+        self.face(dir);
+        let bound = self.gap_bound();
+        loop {
+            let mut best = None;
+            if let Some(r) = self.won.take() {
+                match self.load(r, dir, bound) {
+                    Some(rank)
+                        if self.owed.is_empty()
+                            && self.ranks.last().is_none_or(|&least| rank < least) =>
+                    {
+                        best = Some(rank)
+                    }
+                    Some(rank) => self.place(rank),
+                    None => {}
                 }
             }
-        }
-        best
-    }
-
-    /// Moves `at[r].idx` over run `r`'s cached head and forgets the head.
-    fn consume(&mut self, r: usize, dir: Direction) {
-        self.at[r].head = Head::Unknown;
-        match dir {
-            Direction::Forward => self.at[r].idx += 1,
-            Direction::Backward => self.at[r].idx -= 1,
-        }
-    }
-
-    /// Consumes every cached head that carries `key`: the winner and the
-    /// older runs' shadowed versions.
-    fn consume_key(&mut self, key: u64, dir: Direction) {
-        for r in 0..self.runs.len() {
-            if matches!(self.at[r].head, Head::Entry(c) if c.key == key) {
-                self.consume(r, dir);
+            for o in 0..self.owed.len() {
+                if let Some(rank) = self.load(self.owed[o], dir, bound) {
+                    self.place(rank);
+                }
             }
+            self.owed.clear();
+            let best = match best {
+                Some(rank) => rank,
+                None => self.ranks.pop()?,
+            };
+            let r = best as u64 as usize;
+            let cell = self.slots[r].head;
+            let in_bounds = match dir {
+                Direction::Forward => cell.key <= self.hi,
+                Direction::Backward => cell.key >= self.lo,
+            };
+            if !in_bounds {
+                self.ranks.push(best);
+                return None;
+            }
+            self.consume(r, dir);
+            self.won = Some(r);
+            if cell.is_redundant() {
+                continue;
+            }
+            while let Some(&rank) = self.ranks.last() {
+                if rank >> 64 != best >> 64 {
+                    break;
+                }
+                self.ranks.pop();
+                self.consume(rank as u64 as usize, dir);
+                self.owed.push(rank as u64 as usize);
+            }
+            return Some((cell, r));
         }
     }
 
     /// One ascending merge step: the newest real cell of the smallest key
-    /// ≥ the gap (tombstones included; caller filters).
+    /// ≥ the gap (tombstones included; caller filters). The winner's head
+    /// is its run's leftmost — newest — cell of the key.
     fn step_forward(&mut self) -> Option<Cell> {
         if self.gap == Gap::AtEnd {
             return None;
         }
-        self.face(Direction::Forward);
-        loop {
-            let (cell, r) = self
-                .pick(Direction::Forward)
-                .filter(|(c, _)| c.key <= self.hi)?;
-            if cell.is_redundant() {
-                self.consume(r, Direction::Forward);
-                continue;
-            }
-            // The winner is its run's leftmost — newest — cell of the key.
-            self.consume_key(cell.key, Direction::Forward);
-            self.gap = if cell.key == u64::MAX {
-                Gap::AtEnd
-            } else {
-                Gap::Before(cell.key + 1)
-            };
-            return Some(cell);
-        }
+        let (cell, _) = self.step(Direction::Forward)?;
+        self.gap = if cell.key == u64::MAX {
+            Gap::AtEnd
+        } else {
+            Gap::Before(cell.key + 1)
+        };
+        Some(cell)
     }
 
     /// One descending merge step: the newest real cell of the largest key
     /// below the gap.
     fn step_backward(&mut self) -> Option<Cell> {
-        self.face(Direction::Backward);
-        loop {
-            let (mut cell, r) = self
-                .pick(Direction::Backward)
-                .filter(|(c, _)| c.key >= self.lo)?;
-            if cell.is_redundant() {
-                self.consume(r, Direction::Backward);
-                continue;
+        let dir = Direction::Backward;
+        let (mut cell, r) = self.step(dir)?;
+        let key = cell.key;
+        // The winner's cached head was its rightmost — oldest — cell of
+        // the key; the newest version is the leftmost real one, so walk
+        // down to it. The cell that ends the walk is the run's next head,
+        // no longer owed.
+        let mut i = self.slots[r].idx;
+        while i > 0 {
+            let c = self.cell(r, i - 1);
+            if c.key < key {
+                self.slots[r].head = c;
+                self.won = None;
+                self.place(dir.rank(c.key, r));
+                break;
             }
-            let key = cell.key;
-            self.consume_key(key, Direction::Backward);
-            // The winner's cached head was its rightmost — oldest — cell
-            // of the key; the newest version is the leftmost real one, so
-            // walk down to it. The cell that ends the walk is the run's
-            // next head.
-            while self.at[r].idx > 0 {
-                let c = self.cell(r, self.at[r].idx - 1);
-                if c.key < key {
-                    self.at[r].head = Head::Entry(c);
-                    break;
-                }
-                self.at[r].idx -= 1;
-                if c.is_real() {
-                    cell = c;
-                }
+            i -= 1;
+            if c.is_real() {
+                cell = c;
             }
-            self.gap = Gap::Before(key);
-            return Some(cell);
         }
+        self.slots[r].idx = i;
+        self.gap = Gap::Before(key);
+        Some(cell)
     }
 }
 
@@ -511,7 +649,7 @@ impl<M: Mem<Cell>> CursorOps for RunMergeCursor<'_, M> {
         } else {
             Gap::Before(key.max(self.lo))
         };
-        self.at.iter_mut().for_each(|at| at.head = Head::Unknown);
+        // The next step positions every run afresh.
         self.dir = None;
     }
 
@@ -536,11 +674,25 @@ impl<M: Mem<Cell>> CursorOps for RunMergeCursor<'_, M> {
 
 impl<M: Mem<Cell>> Drop for RunMergeCursor<'_, M> {
     fn drop(&mut self) {
+        let Some(scratch) = self.scratch.take() else {
+            return;
+        };
         // What the scan used it owes, however it ended. Not while a
         // panic unwinds: a store call may panic itself.
-        if self.scratch.is_some() && !std::thread::panicking() {
-            self.settle();
+        if !std::thread::panicking() {
+            settle(self.mem, &self.runs, scratch);
         }
+        // The lists go back for the next open. The run list is emptied
+        // of its borrowed runs first: collecting an empty `Vec` into one
+        // of a type of the same size keeps its buffer.
+        let mut runs = std::mem::take(&mut self.runs);
+        runs.clear();
+        scratch.lists = (
+            runs.into_iter().map(Run::bare).collect(),
+            std::mem::take(&mut self.slots),
+            std::mem::take(&mut self.ranks),
+            std::mem::take(&mut self.owed),
+        );
     }
 }
 
@@ -1028,6 +1180,156 @@ mod tests {
                 drop((cur, reference));
                 assert_eq!(per_cell.charged, windowed.charged, "left unpaid at drop");
                 assert_eq!(per_cell.resident, windowed.resident);
+            }
+        });
+    }
+
+    /// One cursor op: `Some(key)` seeks, `None` steps (`true` forward).
+    type Op = (Option<u64>, bool);
+
+    /// Runs `ops` on a cursor over a store that peeks and one over a store
+    /// that is read per cell, checking both against `want` (the oracle's
+    /// answer for `[lo, hi]`) and the charges of the first against the
+    /// second's, in order, after every op and at drop.
+    fn drive(
+        want: &[(u64, u64)],
+        (lo, hi): (u64, u64),
+        ops: &[Op],
+        mut cur: RunMergeCursor<PagedMem>,
+        mut reference: RunMergeCursor<PagedMem>,
+        (windowed, per_cell): (&PagedMem, &PagedMem),
+    ) {
+        let mut gap = 0usize;
+        for (at, &op) in ops.iter().enumerate() {
+            match op {
+                (Some(key), _) => {
+                    cur.seek(key);
+                    reference.seek(key);
+                    gap = if key > hi {
+                        want.len()
+                    } else {
+                        want.partition_point(|&(k, _)| k < key.max(lo))
+                    };
+                }
+                (None, true) => {
+                    let got = CursorOps::next(&mut cur);
+                    assert_eq!(got, want.get(gap).copied(), "next at gap {gap}, op {at}");
+                    assert_eq!(got, CursorOps::next(&mut reference));
+                    gap += got.is_some() as usize;
+                }
+                (None, false) => {
+                    let got = CursorOps::prev(&mut cur);
+                    let expect = gap.checked_sub(1).map(|g| want[g]);
+                    assert_eq!(got, expect, "prev at gap {gap}, op {at}");
+                    assert_eq!(got, CursorOps::prev(&mut reference));
+                    gap -= got.is_some() as usize;
+                }
+            }
+            let (owed, paid) = (per_cell.charged.borrow(), windowed.charged.borrow());
+            assert_eq!(owed[..paid.len()], paid[..], "charged out of order");
+        }
+        drop((cur, reference));
+        assert_eq!(per_cell.charged, windowed.charged, "left unpaid at drop");
+        assert_eq!(per_cell.resident, windowed.resident);
+    }
+
+    #[test]
+    fn run_cursor_rank_order_edge_cases() {
+        // Up to 12 runs in the store and a head in DRAM ranked before
+        // them, each holding one shared key; keys 0 and u64::MAX;
+        // tombstones in the head and the newest run; runs that begin and
+        // end with lookahead cells. Each case turns at both ends of the
+        // interval and seeks before `lo` and past `hi`, then steps at
+        // random, over the structure's lent scratch (reused from case to
+        // case, as a structure reuses it) and over a cursor's own lists.
+        let mut scratch = RunBuf::new();
+        check_cases("run-cursor-rank-order", 200, |rng| {
+            let keys = 2 + rng.below(60);
+            let shared = rng.below(keys);
+            let mut cells: Vec<Vec<Cell>> = (0..1 + rng.index(12))
+                .map(|_| {
+                    let len = rng.index(40);
+                    let mut run = random_run(rng, len, keys);
+                    run.push(Cell::item(shared, rng.below(1 << 20)));
+                    if rng.flag() {
+                        run.push(Cell::item(0, rng.below(1 << 20)));
+                        run.push(Cell::item(u64::MAX, rng.below(1 << 20)));
+                    }
+                    run.sort_by_key(|c| c.key);
+                    if rng.flag() {
+                        let (first, last) = (run[0].key, run[run.len() - 1].key);
+                        run.insert(0, Cell::lookahead(first, 0));
+                        run.push(Cell::lookahead(last, 1));
+                    }
+                    run
+                })
+                .collect();
+            for c in cells[0].iter_mut().filter(|c| c.is_real()) {
+                if rng.chance(1, 2) {
+                    *c = Cell::tombstone(c.key);
+                }
+            }
+            // The head: one real cell per key, a tombstone for some.
+            let mut head: Vec<Cell> = (0..rng.index(8))
+                .map(|_| match rng.below(4) {
+                    0 => Cell::tombstone(rng.below(keys)),
+                    _ => Cell::item(rng.below(keys), rng.below(1 << 20)),
+                })
+                .chain([Cell::item(shared, 7)])
+                .collect();
+            head.sort_by_key(|c| c.key);
+            head.dedup_by_key(|c| c.key);
+            let head = if rng.flag() { head } else { Vec::new() };
+
+            let (a, b) = (rng.below(keys + 1), rng.below(keys + 1));
+            let (lo, hi) = match rng.below(4) {
+                0 => (0, u64::MAX),
+                _ => (a.min(b), a.max(b)),
+            };
+            let with_head: Vec<Vec<Cell>> =
+                std::iter::once(head.clone()).chain(cells.clone()).collect();
+            let want = oracle(&with_head, lo, hi);
+            let n = want.len() + 2;
+            // Before `lo`, back at the start, through to the end and back,
+            // past `hi` and back, then at random.
+            let mut ops: Vec<Op> = vec![(Some(lo.saturating_sub(1 + rng.below(3))), true)];
+            ops.extend([(None, false), (None, true), (None, false), (None, false)]);
+            ops.extend((0..n).map(|_| (None, true)));
+            ops.extend([(None, false), (None, true), (None, false)]);
+            ops.push((Some(hi.saturating_add(1 + rng.below(3))), true));
+            ops.extend([(None, true), (None, false), (None, false), (None, true)]);
+            ops.extend((0..n).map(|_| (None, false)));
+            ops.extend([(None, true), (None, false)]);
+            ops.extend((0..60).map(|_| match rng.below(6) {
+                0 => (Some(rng.below(keys + 2)), true),
+                k => (None, k < 4),
+            }));
+            let (per_page, frames) = (1 + rng.index(12), 1 + rng.index(3));
+
+            let (inner, plain) = build(&cells);
+            let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
+            for (i, runs) in [with_aux(&plain, &auxes), plain.clone()]
+                .into_iter()
+                .enumerate()
+            {
+                let per_cell = PagedMem::new(inner.clone(), per_page, frames);
+                let windowed = PagedMem::new(inner.clone(), per_page, frames);
+                let reference = RunMergeCursor::with_head(&per_cell, &head, runs.clone(), lo, hi);
+                let mut own = RunBuf::new();
+                let cur = match i {
+                    0 => RunMergeCursor::lent(&windowed, &head, runs, (lo, hi), &mut scratch),
+                    _ => {
+                        RunMergeCursor::with_head(&windowed, &head, runs, lo, hi).windowed(&mut own)
+                    }
+                };
+                drive(
+                    &want,
+                    (lo, hi),
+                    &ops,
+                    cur,
+                    reference,
+                    (&windowed, &per_cell),
+                );
             }
         });
     }

@@ -97,7 +97,7 @@ use crate::entry::{Cell, META_TOMBSTONE, NO_PTR};
 use crate::merge::{Fold, FoldAt, Head, Source};
 use crate::persist::{MetaError, MetaReader, MetaWriter, Persist, TAG_DEAMORT_BASIC, TAG_GCOLA};
 use crate::run::Run;
-use crate::runbuf::{RunBuf, CHUNK};
+use crate::runbuf::{each, RunBuf, CHUNK};
 use crate::stats::ColaStats;
 
 /// Per-structure metadata format version (see [`crate::persist`]).
@@ -611,10 +611,11 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// Writes level `l`'s new run from slot `start` on: the cells `next`
-    /// hands out, in slot order, each real one given a copy of the
-    /// nearest lookahead pointer to its left. Leaves in `down`, if given,
-    /// the keys of the lookaheads level `l − 1` keeps of the new run,
-    /// taken off the staged chunks as they go to the store.
+    /// puts in the chunks [`RunBuf::fill`] hands it, in slot order, each
+    /// real one given a copy of the nearest lookahead pointer to its
+    /// left. Leaves in `down`, if given, the keys of the lookaheads level
+    /// `l − 1` keeps of the new run, taken off the staged chunks as they
+    /// go to the store.
     ///
     /// The level's new aux is built as the cells stream past, into the
     /// buffers of the aux it replaces, whatever their size, so rewriting
@@ -632,23 +633,25 @@ impl<M: Mem<Cell>> GCola<M> {
         &mut self,
         l: usize,
         start: usize,
-        mut next: impl FnMut(&M) -> Option<Cell>,
+        mut next: impl FnMut(&M, &mut [Cell]) -> usize,
         mut down: Option<&mut Vec<u64>>,
     ) {
         let lv = self.levels[l];
         let retired = self.aux[l].take().or_else(|| self.spare_aux.pop());
         let mut aux = AuxBuilder::recycling(lv.slots, lv.cap, retired);
         let (mut last_ptr, mut items) = (NO_PTR, 0);
-        let weave = |mem: &M| {
-            let mut cell = next(mem)?;
-            if cell.is_redundant() {
-                last_ptr = cell.ptr;
-            } else {
-                cell.ptr = last_ptr;
-                items += 1;
+        let weave = |mem: &M, out: &mut [Cell]| {
+            let n = next(mem, out);
+            for cell in &mut out[..n] {
+                if cell.is_redundant() {
+                    last_ptr = cell.ptr;
+                } else {
+                    cell.ptr = last_ptr;
+                    items += 1;
+                }
+                aux.push(cell);
             }
-            aux.push(&cell);
-            Some(cell)
+            n
         };
         let (sample, mut sampled) = (self.stride_below(l), 0);
         if let Some(down) = down.as_deref_mut() {
@@ -696,15 +699,17 @@ impl<M: Mem<Cell>> GCola<M> {
         }
         let stride = self.levels.get(l + 1).map_or(Stride(0), |a| lv.stride(a));
         let (mut a, mut b) = (0, 0);
-        let weave = |_: &M| {
-            let take_la = b < las.len() && items.get(a).is_none_or(|c| las[b] <= c.key);
-            if take_la {
-                b += 1;
-                Some(Cell::lookahead(las[b - 1], stride.pos(b - 1) as u64))
-            } else {
-                a += 1;
-                items.get(a - 1).copied()
-            }
+        let weave = |_: &M, out: &mut [Cell]| {
+            each(out, || {
+                let take_la = b < las.len() && items.get(a).is_none_or(|c| las[b] <= c.key);
+                if take_la {
+                    b += 1;
+                    Some(Cell::lookahead(las[b - 1], stride.pos(b - 1) as u64))
+                } else {
+                    a += 1;
+                    items.get(a - 1).copied()
+                }
+            })
         };
         self.rewrite(l, lv.off + lv.slots - occ, weave, down);
     }
@@ -904,7 +909,7 @@ impl<M: Mem<Cell>> GCola<M> {
         let (older, heads_t) = (&mut sources[..=t], &mut heads[..=t]);
         let mut fold = Fold::new(&self.mem, run, older, heads_t, deepest);
         let start = target.run_base() - carry;
-        self.rewrite(t, start, |mem| fold.next(mem), Some(down));
+        self.rewrite(t, start, |mem, out| fold.fill(mem, out), Some(down));
         self.stats.cells_dropped += fold.at.dropped;
         (self.sources, self.heads) = (sources, heads);
     }
@@ -981,15 +986,17 @@ impl<M: Mem<Cell>> GCola<M> {
         let mut aux = AuxBuilder::resume(aux, lv.cap);
         let (older, heads) = (&mut self.sources[a..a + 2], &mut self.heads[a..a + 2]);
         let (mut fold, mut taken) = (Fold::resume(&[], older, heads, at), 0);
-        let next = |mem: &M| {
-            while taken < budget && !fold.done() {
-                taken += 1;
-                if let Some((cell, true)) = fold.step(mem) {
-                    aux.push(&cell);
-                    return Some(cell);
+        let next = |mem: &M, out: &mut [Cell]| {
+            each(out, || {
+                while taken < budget && !fold.done() {
+                    taken += 1;
+                    if let Some((cell, true)) = fold.step(mem) {
+                        aux.push(&cell);
+                        return Some(cell);
+                    }
                 }
-            }
-            None
+                None
+            })
         };
         let wrote = self
             .scratch
@@ -1346,8 +1353,9 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
         // level is a sorted run after it, newest first. The merge cursor
         // skips the interleaved lookahead cells itself.
         let runs = Self::runs(&self.levels, &self.aux);
-        let cursor = RunMergeCursor::with_head(&self.mem, &self.head, runs, lo, hi);
-        Cursor::new(cursor.windowed(&mut self.scratch))
+        let scratch = &mut self.scratch;
+        let cursor = RunMergeCursor::lent(&self.mem, &self.head, runs, (lo, hi), scratch);
+        Cursor::new(cursor)
     }
 
     /// The cursor's entries, collected into a buffer sized once: the head

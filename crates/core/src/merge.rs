@@ -1,8 +1,8 @@
 //! The carry merge kernel of the g-COLA (and so of the basic COLA, its
 //! `g = 2, p = 0` case, and of the deamortized COLA's merges): a chain of
 //! stable two-way merges that streams a carry's sources through fixed
-//! chunks and hands its output back one cell at a time, so a carry holds
-//! no buffer the size of its output.
+//! chunks and fills the output chunks it is handed, so a carry holds no
+//! buffer the size of its output.
 //!
 //! A carry into level `t` merges the new run, levels `0..t` and the
 //! target's own run. [`Fold`] merges them as a chain — `((run ⋈ L0) ⋈ L1)
@@ -13,10 +13,14 @@
 //! beneath it, so a cell from source `j` costs one compare at each node
 //! from the top down to `j` and one move back up: levels grow
 //! geometrically, so a carry pays `≤ g/(g−1)` compares a cell, against a
-//! heap's `O(log k)` sifts.
+//! heap's `O(log k)` sifts. The outermost source, the target's old run,
+//! is the biggest and gives a carry most of its cells: while its next
+//! cell goes before the newer sources' cached one, [`Fold::fill`] copies
+//! its cells straight off its chunk, a compare and a copy each, with no
+//! walk of the chain and no cell handed through a cached head.
 //!
-//! [`Fold::next`] keeps only the first cell of each key — the newest, from
-//! the newer run, or from the same source in a level written before this
+//! The fold keeps only the first cell of each key — the newest, from the
+//! newer run, or from the same source in a level written before this
 //! rule — and, at the deepest level, where nothing older lies beneath,
 //! drops tombstones. The target's lookahead cells (the only redundant
 //! cells a carry keeps: it reads level `j < t`'s as it reads its items,
@@ -25,13 +29,14 @@
 //!
 //! Every older source reads its run through a [`Source`]: a chunk of at
 //! most [`CHUNK`] cells the structure allocates once, with the level, and
-//! refills by one run call as the merge drains it. A refill stops at the
-//! next multiple of [`CHUNK`] slots, and so does `RunBuf::fill` when it
-//! flushes the output, so a store page dividing `CHUNK` cells is
-//! read or written by one call of each sweep, never split between two
-//! calls with other sweeps' pages in between. The chunks, the one output
-//! chunk and the lookahead keys of the cascade below are the whole of a
-//! carry's scratch: no carry allocates, and none holds its output.
+//! refills by one run call as soon as the merge takes its last staged
+//! cell. A refill stops at the next multiple of [`CHUNK`] slots, and so
+//! does `RunBuf::fill` when it flushes the output, so a store page
+//! dividing `CHUNK` cells is read or written by one call of each sweep,
+//! never split between two calls with other sweeps' pages in between.
+//! The chunks, the one output chunk and the lookahead keys of the cascade
+//! below are the whole of a carry's scratch: no carry allocates, and none
+//! holds its output.
 
 use cosbt_dam::Mem;
 
@@ -142,6 +147,47 @@ impl Source {
         head
     }
 
+    /// Takes the cells ranked below `bar`, the head first, until `out`
+    /// holds as many as it can: those `at` keeps go to `out`, and the
+    /// number of them is returned. The same cells [`Source::take`] would
+    /// hand out one at a time, refilled at the same cells, but read
+    /// straight off the staged chunk.
+    #[inline]
+    fn stream<M: Mem<Cell>>(
+        &mut self,
+        mem: &M,
+        bar: u128,
+        out: &mut [Cell],
+        at: &mut FoldAt,
+    ) -> usize {
+        let mut n = 0;
+        while self.head.rank < bar && n < out.len() {
+            let staged = &self.buf[self.at..self.end];
+            let mut i = 0;
+            while i < staged.len() && n < out.len() {
+                let cell = staged[i];
+                if rank(&cell) >= bar {
+                    break;
+                }
+                i += 1;
+                out[n] = cell;
+                n += at.keeps(&cell) as usize;
+            }
+            self.at += i;
+            match self.buf[..self.end].get(self.at) {
+                Some(&cell) => {
+                    self.head = Head {
+                        rank: rank(&cell),
+                        cell,
+                    };
+                    break;
+                }
+                None => self.refill(mem),
+            }
+        }
+        n
+    }
+
     /// Stages the next chunk that holds a cell the merge takes: up to the
     /// next multiple of [`CHUNK`] slots, and never more than the buffer.
     fn refill<M: Mem<Cell>>(&mut self, mem: &M) {
@@ -179,8 +225,9 @@ impl Source {
 
 /// A carry's merge in progress: `newest` (one cell per key, newer than
 /// everything stored), then `older`, newest first. Resumable: each
-/// [`Fold::next`] returns the next output cell, so a caller may write,
-/// stop and go on as it likes, across calls too ([`Fold::resume`]).
+/// [`Fold::fill`] or [`Fold::step`] goes on where the last one stopped,
+/// so a caller may write, stop and go on as it likes, across calls too
+/// ([`Fold::resume`]).
 pub(crate) struct Fold<'a> {
     newest: &'a [Cell],
     older: &'a mut [Source],
@@ -193,6 +240,9 @@ pub(crate) struct Fold<'a> {
 /// Where a fold stands, besides its sources and their cached heads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct FoldAt {
+    /// The older sources spent when the fold opened, ahead of every live
+    /// one, which the chain leaves out.
+    spent: usize,
     /// Cells of `newest` taken.
     taken: usize,
     last_real: Option<u64>,
@@ -205,6 +255,12 @@ impl<'a> Fold<'a> {
     /// A fold of `newest` and the opened `older` sources; `heads` has a
     /// slot per older source. `deepest`: nothing older than the sources
     /// is stored, so their tombstones are dropped.
+    ///
+    /// Sources already spent, ahead of every live one — levels 0 and 1,
+    /// which hold no item since the head took their items — are left out
+    /// of the chain: their nodes would only hand the newest run's cells
+    /// up a node later. Nothing but the newest run, in DRAM, lies beneath
+    /// them, so leaving them out moves no store call.
     pub(crate) fn new<M: Mem<Cell>>(
         mem: &M,
         newest: &'a [Cell],
@@ -213,6 +269,10 @@ impl<'a> Fold<'a> {
         deepest: bool,
     ) -> Fold<'a> {
         let at = FoldAt {
+            spent: older
+                .iter()
+                .take_while(|s| s.head.rank == u128::MAX)
+                .count(),
             taken: 0,
             last_real: None,
             deepest,
@@ -235,8 +295,8 @@ impl<'a> Fold<'a> {
         assert_eq!(older.len(), heads.len(), "one cached head per node");
         Fold {
             newest,
-            older,
-            heads,
+            older: &mut older[at.spent..],
+            heads: &mut heads[at.spent..],
             at,
         }
     }
@@ -246,7 +306,7 @@ impl<'a> Fold<'a> {
     /// of rank, so a key's versions leave newest first — takes the cell
     /// where a source's head goes first, and passes it up the nodes
     /// walked, each handing on the head it held.
-    #[inline]
+    #[inline(always)]
     fn pop<M: Mem<Cell>>(&mut self, mem: &M, top: usize) -> Head {
         let mut i = top;
         while i > 0 && self.heads[i - 1].rank <= self.older[i - 1].head.rank {
@@ -273,6 +333,43 @@ impl<'a> Fold<'a> {
         spent(self.heads.last()) && spent(older) && self.at.taken >= self.newest.len()
     }
 
+    /// Takes one cell off the merge: `None` once every source is spent,
+    /// else the cell and whether the carry writes it.
+    #[inline]
+    pub(crate) fn step<M: Mem<Cell>>(&mut self, mem: &M) -> Option<(Cell, bool)> {
+        let Head { rank, cell } = self.pop(mem, self.heads.len());
+        (rank != u128::MAX).then(|| (cell, self.at.keeps(&cell)))
+    }
+
+    /// Fills `out` with the next cells the carry writes and returns how
+    /// many: fewer than `out.len()` only once every source is spent.
+    /// While the outermost source — the biggest, which gives a carry most
+    /// of its cells — goes first, its cells stream straight off its chunk
+    /// ([`Source::stream`]); any other cell is popped off the chain.
+    #[inline]
+    pub(crate) fn fill<M: Mem<Cell>>(&mut self, mem: &M, out: &mut [Cell]) -> usize {
+        let top = self.heads.len();
+        let mut n = 0;
+        while n < out.len() {
+            if let Some(i) = top.checked_sub(1) {
+                let bar = self.heads[i].rank;
+                if self.older[i].head.rank < bar {
+                    n += self.older[i].stream(mem, bar, &mut out[n..], &mut self.at);
+                    continue;
+                }
+            }
+            let Head { rank, cell } = self.pop(mem, top);
+            if rank == u128::MAX {
+                break;
+            }
+            out[n] = cell;
+            n += self.at.keeps(&cell) as usize;
+        }
+        n
+    }
+}
+
+impl FoldAt {
     /// The carry rule: whether the carry writes the merge's next cell, not
     /// an older version of the last real key or a spent tombstone.
     #[inline]
@@ -280,33 +377,11 @@ impl<'a> Fold<'a> {
         if cell.is_redundant() {
             return true;
         }
-        let shadowed = self.at.last_real == Some(cell.key);
-        self.at.last_real = Some(cell.key);
-        let dropped = shadowed || (self.at.deepest && cell.is_tombstone());
-        self.at.dropped += dropped as u64;
+        let shadowed = self.last_real == Some(cell.key);
+        self.last_real = Some(cell.key);
+        let dropped = shadowed || (self.deepest && cell.is_tombstone());
+        self.dropped += dropped as u64;
         !dropped
-    }
-
-    /// Takes one cell off the merge: `None` once every source is spent,
-    /// else the cell and whether the carry writes it.
-    #[inline]
-    pub(crate) fn step<M: Mem<Cell>>(&mut self, mem: &M) -> Option<(Cell, bool)> {
-        let Head { rank, cell } = self.pop(mem, self.heads.len());
-        (rank != u128::MAX).then(|| (cell, self.keeps(&cell)))
-    }
-
-    /// The next cell the carry writes.
-    #[inline]
-    pub(crate) fn next<M: Mem<Cell>>(&mut self, mem: &M) -> Option<Cell> {
-        loop {
-            let Head { rank, cell } = self.pop(mem, self.heads.len());
-            if rank == u128::MAX {
-                return None;
-            }
-            if self.keeps(&cell) {
-                return Some(cell);
-            }
-        }
     }
 }
 
@@ -469,6 +544,19 @@ mod tests {
             .collect()
     }
 
+    /// Every cell `f` writes, filled a few at a time, so the fills end
+    /// anywhere in a source's chunk.
+    fn drain(f: &mut Fold, mem: &PlainMem<Cell>) -> Vec<Cell> {
+        let (mut out, mut buf) = (Vec::new(), [Cell::default(); 7]);
+        loop {
+            let n = f.fill(mem, &mut buf);
+            out.extend_from_slice(&buf[..n]);
+            if n < buf.len() {
+                return out;
+            }
+        }
+    }
+
     /// `sources[1..]` laid out in a store one after another, at an
     /// offset that puts the chunk boundaries anywhere in them, and
     /// folded under `sources[0]`. Each source stages `cells` at a time.
@@ -485,8 +573,7 @@ mod tests {
         }
         let mut heads = vec![Head::END; older.len()];
         let mut f = Fold::new(&mem, &sources[0], &mut older, &mut heads, deepest);
-        let out = std::iter::from_fn(|| f.next(&mem)).collect();
-        (out, f.at.dropped)
+        (drain(&mut f, &mem), f.at.dropped)
     }
 
     /// The oracle's merge is a stable sort of the sources, newest first;
@@ -571,7 +658,7 @@ mod tests {
         older[0].open(&mem, (0, 3), 4, false);
         let mut heads = [Head::END];
         let mut f = Fold::new(&mem, &[], &mut older, &mut heads, false);
-        while f.next(&mem).is_some() {}
+        drain(&mut f, &mem);
     }
 
     #[test]
@@ -604,7 +691,7 @@ mod tests {
         let mut older = [a, b];
         let mut heads = [Head::END; 2];
         let mut f = Fold::new(&mem, &run, &mut older, &mut heads, false);
-        let out: Vec<Cell> = std::iter::from_fn(|| f.next(&mem)).collect();
+        let out = drain(&mut f, &mem);
         assert_eq!(
             out,
             [target[0], target[1], run[0], level[1]],

@@ -20,13 +20,16 @@
 
 use cosbt_dam::Mem;
 
-use crate::cursor::{Segment, Window, MAX_SEGMENTS};
+use crate::cursor::{Lists, Segment, Window, MAX_SEGMENTS};
 use crate::entry::Cell;
 
 /// Cells per run call: 16 KiB, four 4 KiB pages. A level is streamed
 /// through the buffer chunk by chunk, never staged whole, so peak memory
 /// does not grow with the level.
 pub(crate) const CHUNK: usize = 512;
+
+/// Runs a cursor's state is sized for up front.
+const RUNS: usize = 64;
 
 /// A structure-owned scratch of [`CHUNK`] cells, allocated once at
 /// construction: no sweep allocates or zeroes anything. Between sweeps
@@ -44,8 +47,13 @@ pub(crate) struct RunBuf {
     /// in DRAM, if any — which take no window: run `r`'s window starts at
     /// cell `(r − dram) · cap`.
     pub(crate) dram: usize,
-    /// One per run of the cursor holding the scratch; sized up front
-    /// for more runs than a structure has levels.
+    /// The lists a cursor takes while it lives and gives back when it is
+    /// dropped: its runs, their slots, their ranks and the runs it owes a
+    /// load. Like `windows`, each holds one entry per run of the cursor
+    /// and is sized up front for more runs than a structure has levels,
+    /// so no open allocates.
+    pub(crate) lists: Lists,
+    /// One per run of the cursor holding the scratch.
     pub(crate) windows: Vec<Window>,
     /// At most [`MAX_SEGMENTS`] long.
     pub(crate) log: Vec<Segment>,
@@ -57,7 +65,13 @@ impl RunBuf {
             cells: vec![Cell::default(); CHUNK].into_boxed_slice(),
             cap: 0,
             dram: 0,
-            windows: Vec::with_capacity(64),
+            lists: (
+                Vec::with_capacity(RUNS),
+                Vec::with_capacity(RUNS),
+                Vec::with_capacity(RUNS),
+                Vec::with_capacity(RUNS),
+            ),
+            windows: Vec::with_capacity(RUNS),
             log: Vec::with_capacity(MAX_SEGMENTS),
         }
     }
@@ -96,32 +110,28 @@ impl RunBuf {
         }
     }
 
-    /// Writes the cells `next` hands out, until it hands out `None`, to
-    /// `mem` from slot `base` on, in slot order, and returns how many it
-    /// wrote; `next` may read `mem` (not the slots being written). Chunks
-    /// are flushed at each multiple of [`CHUNK`] slots, so a page
-    /// dividing `CHUNK` cells is written by one call however the run is
-    /// placed. `tap` sees each chunk once it is staged, with its offset in
-    /// the run: what a caller wants of the cells it has just written, it
-    /// takes here and never reads back.
+    /// Writes the cells `next` puts in the chunks it is handed to `mem`
+    /// from slot `base` on, in slot order, and returns how many it wrote.
+    /// `next` fills a prefix of each chunk and returns its length, short
+    /// of the chunk's only once it has no more; it may read `mem` (not
+    /// the slots being written). Chunks are flushed at each multiple of
+    /// [`CHUNK`] slots, so a page dividing `CHUNK` cells is written by one
+    /// call however the run is placed. `tap` sees each chunk once it is
+    /// staged, with its offset in the run: what a caller wants of the
+    /// cells it has just written, it takes here and never reads back.
     #[inline]
     pub(crate) fn fill<M: Mem<Cell>>(
         &mut self,
         mem: &mut M,
         base: usize,
-        mut next: impl FnMut(&M) -> Option<Cell>,
+        mut next: impl FnMut(&M, &mut [Cell]) -> usize,
         mut tap: impl FnMut(usize, &[Cell]),
     ) -> usize {
         let mut done = 0;
         loop {
             let at = base + done;
             let room = (at / CHUNK + 1) * CHUNK - at;
-            let mut n = 0;
-            while n < room {
-                let Some(cell) = next(mem) else { break };
-                self.cells[n] = cell;
-                n += 1;
-            }
+            let n = next(mem, &mut self.cells[..room]);
             if n == 0 {
                 return done;
             }
@@ -134,6 +144,20 @@ impl RunBuf {
             }
         }
     }
+}
+
+/// Fills `out` with the cells `next` hands out until it is full or
+/// `next` hands out `None`, and returns how many: a per-cell source as
+/// [`RunBuf::fill`] takes it.
+#[inline]
+pub(crate) fn each(out: &mut [Cell], mut next: impl FnMut() -> Option<Cell>) -> usize {
+    let mut n = 0;
+    while n < out.len() {
+        let Some(cell) = next() else { break };
+        out[n] = cell;
+        n += 1;
+    }
+    n
 }
 
 #[cfg(test)]
@@ -176,9 +200,11 @@ mod tests {
         let written = buf.fill(
             &mut mem,
             3,
-            |_| {
-                i += 1;
-                (i <= len as u64).then(|| Cell::item(i - 1, 2 * (i - 1)))
+            |_, out| {
+                each(out, || {
+                    i += 1;
+                    (i <= len as u64).then(|| Cell::item(i - 1, 2 * (i - 1)))
+                })
             },
             |off, chunk| {
                 flushes.push((3 + off, chunk.len()));

@@ -212,7 +212,7 @@ fn aux_probe() {
         let mut sorted = keys.clone();
         sorted.sort_unstable();
         let cells: Vec<Cell> = sorted.iter().map(|&k| Cell::item(k, k)).collect();
-        let aux = build_aux(cells.iter());
+        let aux = build_aux(&cells);
         let t = Instant::now();
         let mut span = 0usize;
         for _ in 0..reps {

@@ -8,9 +8,12 @@
 //! (a level of a [`crate::GCola`], or one extent of a level under the
 //! deamortized COLA's policy). The aux is rebuilt exactly when its run is
 //! rebuilt — during the merge that writes the run's cells — via an
-//! [`AuxBuilder`] fed one cell at a time, so deamortized merges can
-//! carry a partially built aux across budgeted steps at `O(1)` extra
-//! work per moved cell. A query consults the aux in DRAM only, and each
+//! [`AuxBuilder`] handed each chunk the merge stages, so deamortized
+//! merges can carry a partially built aux across budgeted steps at
+//! `O(1)` extra work per moved cell. A carry that can drop no key keeps
+//! the filter of the run it rewrites and inserts only the keys the newer
+//! sources bring ([`AuxBuilder::keeping`]). A query consults the aux in
+//! DRAM only, and each
 //! of the three steps touches one cache line or a short contiguous
 //! search:
 //!
@@ -80,6 +83,19 @@ const SALT: [u32; BLOCK_WORDS] = [
     0x5c6b_fb31,
 ];
 
+/// `BIT[i] = 1 << i`: a word's bit looked up rather than shifted by a
+/// variable count, which the baseline x86-64 target does in three
+/// micro-ops through `cl`.
+const BIT: [u32; 32] = {
+    let mut bit = [0; 32];
+    let mut i = 0;
+    while i < 32 {
+        bit[i] = 1 << i;
+        i += 1;
+    }
+    bit
+};
+
 /// SplitMix64 finalizer — the zero-dependency mixer used throughout the
 /// workspace; here the filter's one hash per key.
 #[inline]
@@ -117,7 +133,7 @@ impl Probe {
         Probe {
             key,
             block: (h >> 32) as usize,
-            bits: SALT.map(|salt| 1 << (lo.wrapping_mul(salt) >> 27)),
+            bits: SALT.map(|salt| BIT[(lo.wrapping_mul(salt) >> 27) as usize]),
         }
     }
 
@@ -171,10 +187,26 @@ impl LevelFilter {
 
     /// Sets the key's bit in each word of its block.
     pub fn insert(&mut self, key: u64) {
+        self.insert_masked(key, u32::MAX);
+    }
+
+    /// Sets the key's bits, each masked by `mask`: all of them or, at 0,
+    /// none, with no branch. The filter must be sized.
+    #[inline]
+    fn insert_masked(&mut self, key: u64, mask: u32) {
         let probe = Probe::new(key);
         let block = self.block_of(&probe);
         for (word, bit) in self.blocks[block].0.iter_mut().zip(probe.bits) {
-            *word |= bit;
+            *word |= bit & mask;
+        }
+    }
+
+    /// Inserts the key of every real cell of `cells`, in one loop with
+    /// no branch per cell: a redundant cell's bits are masked to 0. The
+    /// filter must be sized.
+    fn insert_reals(&mut self, cells: &[Cell]) {
+        for c in cells {
+            self.insert_masked(c.key, (c.is_real() as u32).wrapping_neg());
         }
     }
 
@@ -276,17 +308,22 @@ impl LevelAux {
     }
 }
 
-/// Incremental [`LevelAux`] constructor: fed one cell at a time, in slot
-/// order, as a merge writes the run. Each [`AuxBuilder::push`] is `O(1)`
-/// (one hash and one filter block), so deamortized merges can interleave
-/// aux construction with their budgeted move steps and carry the
-/// half-built state across inserts (`AuxBuilder::resume`).
+/// Incremental [`LevelAux`] constructor: fed the run a chunk at a time,
+/// in slot order, as a merge writes it. Each [`AuxBuilder::extend`]
+/// costs one filter insert per real cell and one ghost key per
+/// [`GHOST_STRIDE`] cells, nothing else per cell, so deamortized merges
+/// can interleave aux construction with their budgeted move steps and
+/// carry the half-built state across inserts (`AuxBuilder::resume`).
 #[derive(Debug, Clone)]
 pub struct AuxBuilder {
     /// Sized at the first real cell, for `keys` keys: a lookahead-only
     /// run never consults its filter (the fences reject every key first).
     filter: LevelFilter,
     keys: usize,
+    /// The filter is the replaced run's, kept whole: the run's keys are
+    /// its keys and the ones [`AuxBuilder::add_keys`] inserts, so
+    /// `extend` leaves it alone.
+    kept: bool,
     fence_min: u64,
     fence_max: u64,
     any_real: bool,
@@ -315,6 +352,30 @@ impl AuxBuilder {
         AuxBuilder {
             filter,
             keys,
+            kept: false,
+            fence_min: u64::MAX,
+            fence_max: 0,
+            any_real: false,
+            ghosts,
+            pos: 0,
+        }
+    }
+
+    /// A builder for a run of up to `slots` cells that holds every key of
+    /// `retired`'s run, whose filter — sized, as a build would size it —
+    /// it keeps as it is: fences and ghosts are built anew, and the
+    /// caller hands [`AuxBuilder::add_keys`] the keys the old run lacks.
+    /// A Bloom filter over a union of key sets is the OR of their
+    /// filters, so the result is bit for bit the filter a fresh build
+    /// gives.
+    pub(crate) fn keeping(slots: usize, keys: usize, retired: LevelAux) -> AuxBuilder {
+        debug_assert!(!retired.filter.blocks.is_empty(), "an unsized filter");
+        let mut ghosts = retired.ghosts;
+        clear_for(&mut ghosts, slots.div_ceil(GHOST_STRIDE));
+        AuxBuilder {
+            filter: retired.filter,
+            keys,
+            kept: true,
             fence_min: u64::MAX,
             fence_max: 0,
             any_real: false,
@@ -331,6 +392,7 @@ impl AuxBuilder {
             any_real: !aux.filter.blocks.is_empty(),
             filter: aux.filter,
             keys,
+            kept: false,
             fence_min: aux.fence_min,
             fence_max: aux.fence_max,
             ghosts: aux.ghosts,
@@ -338,27 +400,46 @@ impl AuxBuilder {
         }
     }
 
-    /// Records the next cell of the run (call in slot order). Redundant
-    /// (lookahead) cells participate in the ghost sample — their keys
-    /// are in sorted position — but not in fences or the filter, which
-    /// answer "does any item or tombstone for this key live here?".
-    pub fn push(&mut self, cell: &Cell) {
-        if self.pos.is_multiple_of(GHOST_STRIDE) {
-            self.ghosts.push(cell.key);
+    /// Inserts `keys`, keys of the run the replaced run may lack, into
+    /// a kept filter ([`AuxBuilder::keeping`]). A fresh build ignores
+    /// them: [`AuxBuilder::extend`] inserts every real key it is handed.
+    pub(crate) fn add_keys(&mut self, keys: &[u64]) {
+        if self.kept {
+            keys.iter().for_each(|&key| self.filter.insert(key));
         }
-        if cell.is_real() {
-            if !self.any_real {
-                self.filter.reset(self.keys);
-                self.fence_min = cell.key;
-                self.any_real = true;
-            }
-            self.filter.insert(cell.key);
-            self.fence_max = cell.key;
-        }
-        self.pos += 1;
     }
 
-    /// Number of cells pushed so far.
+    /// Records the run's next cells (call in slot order). Redundant
+    /// (lookahead) cells participate in the ghost sample — their keys
+    /// are in sorted position — but not in fences or the filter, which
+    /// answer "does any item or tombstone for this key live here?". The
+    /// ghosts are taken by stride, the fences off the chunk's first and
+    /// last real cell, and the filter is filled in one loop.
+    pub fn extend(&mut self, cells: &[Cell]) {
+        let skip = (GHOST_STRIDE - self.pos % GHOST_STRIDE) % GHOST_STRIDE;
+        let sampled = cells.iter().skip(skip).step_by(GHOST_STRIDE);
+        self.ghosts.extend(sampled.map(|c| c.key));
+        self.pos += cells.len();
+        let (Some(first), Some(last)) = (
+            cells.iter().position(Cell::is_real),
+            cells.iter().rposition(Cell::is_real),
+        ) else {
+            return;
+        };
+        if !self.any_real {
+            if !self.kept {
+                self.filter.reset(self.keys);
+            }
+            self.fence_min = cells[first].key;
+            self.any_real = true;
+        }
+        self.fence_max = cells[last].key;
+        if !self.kept {
+            self.filter.insert_reals(&cells[first..=last]);
+        }
+    }
+
+    /// Number of cells recorded so far.
     pub fn pushed(&self) -> usize {
         self.pos
     }
@@ -387,12 +468,10 @@ fn clear_for<T>(v: &mut Vec<T>, n: usize) {
     v.reserve_exact(n);
 }
 
-/// Builds a run's aux in one pass over its cells.
-pub fn build_aux<'a>(cells: impl ExactSizeIterator<Item = &'a Cell>) -> LevelAux {
+/// Builds a run's aux over its cells.
+pub fn build_aux(cells: &[Cell]) -> LevelAux {
     let mut b = AuxBuilder::new(cells.len());
-    for c in cells {
-        b.push(c);
-    }
+    b.extend(cells);
     b.finish()
 }
 
@@ -523,7 +602,7 @@ mod tests {
     fn window_brackets_every_key() {
         for seed in 0..8u64 {
             let cells = sorted_cells(500 + seed as usize * 97, 0xB1D + seed);
-            let aux = build_aux(cells.iter());
+            let aux = build_aux(&cells);
             assert!(aux.check().is_ok());
             // Every present key's full equal-range falls inside its window.
             for (i, c) in cells.iter().enumerate() {
@@ -556,7 +635,7 @@ mod tests {
         let mut cells = vec![Cell::item(5, 0)];
         cells.extend((0..40).map(|i| Cell::item(7, i)));
         cells.push(Cell::item(9, 0));
-        let aux = build_aux(cells.iter());
+        let aux = build_aux(&cells);
         let (lo, hi) = aux.window(7);
         assert!(lo <= 1, "window must start at or before the first 7");
         assert!(hi >= 41, "window must cover the last 7");
@@ -608,7 +687,7 @@ mod tests {
                     false => Cell::item(k, v as u64),
                 }));
             }
-            let aux = build_aux(cells.iter());
+            let aux = build_aux(&cells);
             assert_eq!(aux.check(), Ok(()));
             assert_eq!(aux.ghosts.len(), cells.len().div_ceil(GHOST_STRIDE));
             let probes = keys
@@ -630,7 +709,7 @@ mod tests {
             Cell::item(12, 1),
             Cell::tombstone(14),
         ];
-        let aux = build_aux(cells.iter());
+        let aux = build_aux(&cells);
         assert_eq!(aux.fence_min, 12, "lookahead key is not a fence");
         assert_eq!(aux.fence_max, 14, "tombstones fence like items");
         assert!(may(&aux, 12));
@@ -641,11 +720,11 @@ mod tests {
 
     #[test]
     fn empty_and_all_redundant_runs_match_nothing() {
-        let aux = build_aux([].iter());
+        let aux = build_aux(&[]);
         assert!(!may(&aux, 0));
         assert!(!may(&aux, u64::MAX));
         let cells = [Cell::lookahead(3, 0), Cell::lookahead(8, 1)];
-        let aux = build_aux(cells.iter());
+        let aux = build_aux(&cells);
         assert!(!may(&aux, 3));
         assert_eq!(aux.window(3), (0, 2), "only slot 0 is sampled at this size");
     }
@@ -653,15 +732,13 @@ mod tests {
     #[test]
     fn incremental_builder_matches_one_shot() {
         let cells = sorted_cells(777, 0xD1FF);
-        let one_shot = build_aux(cells.iter());
-        // Simulate a budgeted merge: pushes split across many "steps".
+        let one_shot = build_aux(&cells);
+        // Simulate a budgeted merge: chunks split across many "steps".
         let mut b = AuxBuilder::new(cells.len());
         let mut fed = 0;
         while fed < cells.len() {
-            let step = 1 + (fed % 5);
-            for c in cells.iter().skip(fed).take(step) {
-                b.push(c);
-            }
+            let step = (1 + (fed % 5)).min(cells.len() - fed);
+            b.extend(&cells[fed..fed + step]);
             fed += step;
         }
         assert_eq!(b.pushed(), cells.len());
@@ -672,10 +749,115 @@ mod tests {
         assert_eq!(inc.filter, one_shot.filter);
     }
 
+    /// The aux by its definition, cell by cell: a ghost key at every
+    /// stride-th slot, fences at the first and last real key, and a
+    /// filter sized for `keys` keys at the first real cell holding
+    /// every real key.
+    fn cell_by_cell(cells: &[Cell], keys: usize) -> LevelAux {
+        let reals: Vec<u64> = cells
+            .iter()
+            .filter(|c| c.is_real())
+            .map(|c| c.key)
+            .collect();
+        let mut filter = LevelFilter::default();
+        if !reals.is_empty() {
+            filter = LevelFilter::with_capacity(keys);
+            reals.iter().for_each(|&k| filter.insert(k));
+        }
+        LevelAux {
+            fence_min: reals.first().copied().unwrap_or(u64::MAX),
+            fence_max: reals.last().copied().unwrap_or(0),
+            filter,
+            ghosts: cells.iter().step_by(GHOST_STRIDE).map(|c| c.key).collect(),
+            len: cells.len(),
+        }
+    }
+
+    /// Chunks of any length — empty, lookahead-only, ending mid-stride —
+    /// give the aux a cell-by-cell build gives, fresh or resumed.
+    #[test]
+    fn extend_matches_a_cell_by_cell_build() {
+        check_cases("extend_matches_a_cell_by_cell_build", 200, |rng| {
+            let mut keys: Vec<u64> = (0..rng.index(300)).map(|_| rng.below(1_000)).collect();
+            keys.push(if rng.chance(1, 2) { 0 } else { u64::MAX });
+            keys.sort_unstable();
+            let cells: Vec<Cell> = keys
+                .iter()
+                .map(|&k| match rng.below(6) {
+                    0 | 1 => Cell::lookahead(k, 0),
+                    2 => Cell::tombstone(k),
+                    _ => Cell::item(k, k),
+                })
+                .collect();
+            let capacity = cells.len() + rng.index(100);
+            let mut b = AuxBuilder::recycling(cells.len(), capacity, None);
+            let mut fed = 0;
+            while fed < cells.len() {
+                let step = rng.index(2 * GHOST_STRIDE + 3).min(cells.len() - fed);
+                b.extend(&cells[fed..fed + step]);
+                if rng.chance(1, 4) {
+                    b = AuxBuilder::resume(b.finish(), capacity);
+                }
+                fed += step;
+            }
+            assert_eq!(b.finish(), cell_by_cell(&cells, capacity));
+        });
+    }
+
+    /// A builder that keeps a run's filter and is handed the keys the
+    /// new run adds gives a fresh build's filter, whatever versions of
+    /// the old keys the new run holds.
+    #[test]
+    fn a_kept_filter_equals_a_fresh_build() {
+        check_cases("a_kept_filter_equals_a_fresh_build", 100, |rng| {
+            let capacity = 1 + rng.index(2_000);
+            let keys = |rng: &mut Rng, most: usize| {
+                let n = rng.index(most);
+                let mut keys: Vec<u64> = (0..n).map(|_| rng.below(4 * capacity as u64)).collect();
+                keys.sort_unstable();
+                keys.dedup();
+                keys
+            };
+            let mut old: Vec<Cell> = (keys(rng, capacity / 2 + 1).into_iter())
+                .map(|k| Cell::item(k, 0))
+                .collect();
+            if old.is_empty() {
+                old.push(Cell::item(rng.next_u64(), 0));
+            }
+            let added = keys(rng, capacity / 2 + 1);
+            let mut new: Vec<Cell> = old.iter().map(|c| Cell::tombstone(c.key)).collect();
+            new.extend(added.iter().map(|&k| Cell::item(k, 1)));
+            new.sort_by_key(|c| c.key);
+            new.dedup_by_key(|c| c.key);
+            let mut retired = AuxBuilder::recycling(old.len(), capacity, None);
+            retired.extend(&old);
+            let mut b = AuxBuilder::keeping(new.len(), capacity, retired.finish());
+            b.add_keys(&added);
+            b.extend(&new);
+            assert_eq!(b.finish(), cell_by_cell(&new, capacity));
+        });
+    }
+
+    /// The looked-up bits are the salted shift's, so the filters'
+    /// bits are as they were.
+    #[test]
+    fn probe_bits_are_the_salted_shift() {
+        let spread = (0..1u64 << 16).map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        for key in spread.chain([0, u64::MAX]) {
+            let h = splitmix64(key);
+            let lo = h as u32;
+            let p = Probe::new(key);
+            assert_eq!((p.key, p.block), (key, (h >> 32) as usize));
+            for (bit, salt) in p.bits.into_iter().zip(SALT) {
+                assert_eq!(bit, 1 << (lo.wrapping_mul(salt) >> 27), "key {key}");
+            }
+        }
+    }
+
     #[test]
     fn aux_check_rejects_corruption() {
         let cells = sorted_cells(100, 1);
-        let mut aux = build_aux(cells.iter());
+        let mut aux = build_aux(&cells);
         assert!(aux.check().is_ok());
         let good = aux.clone();
         aux.fence_min = aux.fence_max + 1;

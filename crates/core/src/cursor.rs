@@ -1141,7 +1141,7 @@ mod tests {
             let (per_page, frames) = (1 + rng.index(40), 1 + rng.index(4));
 
             let (inner, plain) = build(&cells);
-            let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
+            let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run)).collect();
             for runs in [with_aux(&plain, &auxes), plain.clone()] {
                 let per_cell = PagedMem::new(inner.clone(), per_page, frames);
                 let windowed = PagedMem::new(inner.clone(), per_page, frames);
@@ -1307,7 +1307,7 @@ mod tests {
             let (per_page, frames) = (1 + rng.index(12), 1 + rng.index(3));
 
             let (inner, plain) = build(&cells);
-            let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
+            let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run)).collect();
             for (i, runs) in [with_aux(&plain, &auxes), plain.clone()]
                 .into_iter()
                 .enumerate()
@@ -1343,7 +1343,7 @@ mod tests {
         let cells: Vec<Vec<Cell>> = (0..6).map(|_| random_run(&mut rng, 600, 4000)).collect();
         let (inner, plain) = build(&cells);
         let mem = PagedMem::new(inner, 128, 64);
-        let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run.iter())).collect();
+        let auxes: Vec<LevelAux> = cells.iter().map(|run| build_aux(run)).collect();
         let (r, from) = (150usize, 1000u64);
 
         let mut scratch = RunBuf::new();
@@ -1398,7 +1398,7 @@ mod tests {
         // `read_run` that pays for it per window of 4, 8, 16, … cells.
         let run: Vec<Cell> = (0..1000).map(|k| Cell::item(3 * k, k)).collect();
         let (inner, plain) = build(std::slice::from_ref(&run));
-        let aux = [build_aux(run.iter())];
+        let aux = [build_aux(&run)];
         let scan = |windowed: bool| {
             let mem = PagedMem::new(inner.clone(), 128, 4);
             let mut scratch = RunBuf::new();

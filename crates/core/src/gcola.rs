@@ -59,11 +59,13 @@
 //! offset is the paper's). Here a carry into level t merges all its
 //! sources at once — the new run, levels `0..t`, the target's old run —
 //! through a chain of two-way merges that reads each source through a
-//! chunk of its own and hands the output back a cell at a time
+//! chunk of its own and fills the output a chunk at a time
 //! (`merge.rs`), and writes it straight into level t: every source cell
 //! is read once and every output cell written once, at most the paper's
 //! block-transfer count, with a fixed DRAM scratch and no allocation. A
-//! level so holds one version per key, and the deepest one no tombstone.
+//! level so holds one version per key, and the deepest one no tombstone;
+//! below the deepest, the target keeps its filter and takes only the
+//! newer sources' keys.
 //!
 //! The output goes to level t in slot order, from `m` slots before the
 //! old run, `m` being the newer sources' item count: at most `m` of them
@@ -228,6 +230,9 @@ pub struct GCola<M: Mem<Cell>> {
     /// The cells of every source chunk.
     chunk_cells: usize,
     down: Vec<u64>,
+    /// The keys a carry's fold takes off the newer sources, a chunk's at
+    /// a time, for a level filter it keeps.
+    new_keys: Vec<u64>,
     /// Small auxes of emptied levels awaiting reuse (at most one per
     /// level).
     spare_aux: Vec<LevelAux>,
@@ -284,6 +289,7 @@ impl<M: Mem<Cell>> GCola<M> {
             heads: Vec::new(),
             chunk_cells: 0,
             down: Vec::new(),
+            new_keys: Vec::with_capacity(CHUNK),
             spare_aux: Vec::new(),
             head: Vec::with_capacity(2 * g),
             budgeted,
@@ -617,40 +623,48 @@ impl<M: Mem<Cell>> GCola<M> {
     /// `l − 1` keeps of the new run, taken off the staged chunks as they
     /// go to the store.
     ///
-    /// The level's new aux is built as the cells stream past, into the
-    /// buffers of the aux it replaces, whatever their size, so rewriting
-    /// a big level neither frees nor faults in its filter and ghost
-    /// sample. The filter is sized for the level's item capacity, not
-    /// the run (whose length the first cell does not know), and the ghost
-    /// buffer for its slots, so a level's buffers never grow after its
-    /// first rewrite: what a level retains is bounded by its own size,
-    /// under 3.5 bytes per slot beside the 32 a slot holds in `mem` — a
-    /// ghost buffer of one 8-byte key per 8 slots and, once it has held
-    /// items, a filter of at most 20 bits per item it can hold. An
-    /// emptied level parks a small aux in `spare_aux` for the next level
-    /// to be filled and frees any other.
+    /// The level's new aux is built a chunk at a time as the cells stream
+    /// past ([`AuxBuilder::extend`]), into the buffers of the aux it
+    /// replaces, whatever their size, so rewriting a big level neither
+    /// frees nor faults in its filter and ghost sample. With
+    /// `keep_filter` — a carry that can drop no key of the level's old
+    /// run — the old filter is kept as it is, and only the keys `next`
+    /// pushes onto the buffer it is handed, those the carry's newer
+    /// sources bring, go into it (DESIGN.md, "A carry keeps the filter
+    /// when it can drop no key"). The filter is sized for the level's
+    /// item capacity, not the run (whose length the first cell does not
+    /// know), and the ghost buffer for its slots, so a level's buffers
+    /// never grow after its first rewrite: what a level retains is
+    /// bounded by its own size, under 3.5 bytes per slot beside the 32 a
+    /// slot holds in `mem` — a ghost buffer of one 8-byte key per 8 slots
+    /// and, once it has held items, a filter of at most 20 bits per item
+    /// it can hold. An emptied level parks a small aux in `spare_aux` for
+    /// the next level to be filled and frees any other.
     fn rewrite(
         &mut self,
         l: usize,
         start: usize,
-        mut next: impl FnMut(&M, &mut [Cell]) -> usize,
+        keep_filter: bool,
+        mut next: impl FnMut(&M, &mut [Cell], &mut Vec<u64>) -> usize,
         mut down: Option<&mut Vec<u64>>,
     ) {
         let lv = self.levels[l];
-        let retired = self.aux[l].take().or_else(|| self.spare_aux.pop());
-        let mut aux = AuxBuilder::recycling(lv.slots, lv.cap, retired);
-        let (mut last_ptr, mut items) = (NO_PTR, 0);
+        let mut aux = match self.aux[l].take() {
+            Some(old) if keep_filter => AuxBuilder::keeping(lv.slots, lv.cap, old),
+            old => AuxBuilder::recycling(lv.slots, lv.cap, old.or_else(|| self.spare_aux.pop())),
+        };
+        let (mut last_ptr, mut items, mut keys) = (NO_PTR, 0, std::mem::take(&mut self.new_keys));
         let weave = |mem: &M, out: &mut [Cell]| {
-            let n = next(mem, out);
+            let n = next(mem, out, &mut keys);
             for cell in &mut out[..n] {
-                if cell.is_redundant() {
-                    last_ptr = cell.ptr;
-                } else {
-                    cell.ptr = last_ptr;
-                    items += 1;
-                }
-                aux.push(cell);
+                let redundant = cell.is_redundant();
+                last_ptr = if redundant { cell.ptr } else { last_ptr };
+                cell.ptr = last_ptr;
+                items += !redundant as usize;
             }
+            aux.extend(&out[..n]);
+            aux.add_keys(&keys);
+            keys.clear();
             n
         };
         let (sample, mut sampled) = (self.stride_below(l), 0);
@@ -667,6 +681,7 @@ impl<M: Mem<Cell>> GCola<M> {
                     sample.tap(&mut sampled, off, chunk, |_, c| down.push(c.key));
                 }
             });
+        self.new_keys = keys;
         assert!(start + occ <= lv.off + lv.slots, "level {l} overflow");
         self.stats.cells_written += occ as u64;
         let lv = &mut self.levels[l];
@@ -699,7 +714,7 @@ impl<M: Mem<Cell>> GCola<M> {
         }
         let stride = self.levels.get(l + 1).map_or(Stride(0), |a| lv.stride(a));
         let (mut a, mut b) = (0, 0);
-        let weave = |_: &M, out: &mut [Cell]| {
+        let weave = |_: &M, out: &mut [Cell], _: &mut Vec<u64>| {
             each(out, || {
                 let take_la = b < las.len() && items.get(a).is_none_or(|c| las[b] <= c.key);
                 if take_la {
@@ -711,7 +726,7 @@ impl<M: Mem<Cell>> GCola<M> {
                 }
             })
         };
-        self.rewrite(l, lv.off + lv.slots - occ, weave, down);
+        self.rewrite(l, lv.off + lv.slots - occ, false, weave, down);
     }
 
     /// Empties level `l`, parking its aux.
@@ -887,6 +902,10 @@ impl<M: Mem<Cell>> GCola<M> {
     /// are free before the run, it is first moved to the level's right
     /// end (`ColaStats::run_moves`). What the merge drops leaves free
     /// slots after the run.
+    ///
+    /// Below the deepest occupied level the carry drops only shadowed
+    /// versions, whose keys the newer versions keep, so a target that
+    /// holds items keeps its filter and takes the newer sources' keys.
     fn carry(&mut self, run: &[Cell], t: usize, carry: usize, deepest: bool, down: &mut Vec<u64>) {
         let lv = self.levels[t];
         if lv.lead < carry {
@@ -909,7 +928,9 @@ impl<M: Mem<Cell>> GCola<M> {
         let (older, heads_t) = (&mut sources[..=t], &mut heads[..=t]);
         let mut fold = Fold::new(&self.mem, run, older, heads_t, deepest);
         let start = target.run_base() - carry;
-        self.rewrite(t, start, |mem, out| fold.fill(mem, out), Some(down));
+        let keep_filter = !deepest && target.items > 0;
+        let next = |mem: &M, out: &mut [Cell], keys: &mut Vec<u64>| fold.fill(mem, out, keys);
+        self.rewrite(t, start, keep_filter, next, Some(down));
         self.stats.cells_dropped += fold.at.dropped;
         (self.sources, self.heads) = (sources, heads);
     }
@@ -987,16 +1008,17 @@ impl<M: Mem<Cell>> GCola<M> {
         let (older, heads) = (&mut self.sources[a..a + 2], &mut self.heads[a..a + 2]);
         let (mut fold, mut taken) = (Fold::resume(&[], older, heads, at), 0);
         let next = |mem: &M, out: &mut [Cell]| {
-            each(out, || {
+            let n = each(out, || {
                 while taken < budget && !fold.done() {
                     taken += 1;
                     if let Some((cell, true)) = fold.step(mem) {
-                        aux.push(&cell);
                         return Some(cell);
                     }
                 }
                 None
-            })
+            });
+            aux.extend(&out[..n]);
+            n
         };
         let wrote = self
             .scratch
@@ -1025,10 +1047,10 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// The write path's scratch, in cells: every level's source chunk,
-    /// the sweep buffer, the lookahead keys (four to a cell) and the
-    /// head's buffer.
+    /// the sweep buffer, the lookahead keys and a chunk's new keys (four
+    /// to a cell) and the head's buffer.
     fn scratch_cells(&self) -> u64 {
-        let keys = self.down.capacity();
+        let keys = self.down.capacity() + self.new_keys.capacity();
         (self.chunk_cells + CHUNK + keys.div_ceil(4) + 2 * self.g) as u64
     }
 
@@ -1938,8 +1960,9 @@ mod tests {
     }
 
     /// A carry's scratch is the structure's fixed scratch: a chunk per
-    /// level, the sweep buffer, the cascade's keys and the head's `2g`
-    /// cells — not a buffer the size of the carry, however large it is.
+    /// level, the sweep buffer, the cascade's keys, a chunk's new keys and
+    /// the head's `2g` cells — not a buffer the size of the carry,
+    /// however large it is.
     #[test]
     fn a_carry_holds_only_the_fixed_scratch() {
         let mut c = plain(4, 0.1);
@@ -1951,6 +1974,7 @@ mod tests {
         }
         let bound = (c.levels.len() + 1) * CHUNK
             + 2 * c.levels.iter().map(|lv| lv.red_cap).max().unwrap_or(0) / 4
+            + CHUNK / 4
             + 2 * c.g;
         let peak = c.stats().scratch_peak_cells;
         assert!(largest >= 1 << 14, "a carry of {largest} cells");

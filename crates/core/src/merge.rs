@@ -17,7 +17,12 @@
 //! is the biggest and gives a carry most of its cells: while its next
 //! cell goes before the newer sources' cached one, [`Fold::fill`] copies
 //! its cells straight off its chunk, a compare and a copy each, with no
-//! walk of the chain and no cell handed through a cached head.
+//! walk of the chain and no cell handed through a cached head; the fill
+//! keeps the newer sources' cached head in a local between such runs. A
+//! source caches only its head's rank: the head stays in the chunk until
+//! it is taken. The fill also hands back the key of every cell it took
+//! from the newer sources, which is all a carry that keeps its target's
+//! filter must insert (`GCola::rewrite`).
 //!
 //! The fold keeps only the first cell of each key — the newest, from the
 //! newer run, or from the same source in a level written before this
@@ -34,9 +39,9 @@
 //! does `RunBuf::fill` when it flushes the output, so a store page
 //! dividing `CHUNK` cells is read or written by one call of each sweep,
 //! never split between two calls with other sweeps' pages in between.
-//! The chunks, the one output chunk and the lookahead keys of the cascade
-//! below are the whole of a carry's scratch: no carry allocates, and none
-//! holds its output.
+//! The chunks, the one output chunk, a chunk's new keys and the lookahead
+//! keys of the cascade below are the whole of a carry's scratch: no carry
+//! allocates, and none holds its output.
 
 use cosbt_dam::Mem;
 
@@ -79,7 +84,7 @@ impl Head {
 }
 
 /// One older source of a carry: `mem[next..stop]` still in the store,
-/// `buf[at..end]` staged and unread, `head` the cell at `at`.
+/// `buf[at..end]` staged and unread, its head the cell at `at`.
 #[derive(Debug)]
 pub(crate) struct Source {
     buf: Box<[Cell]>,
@@ -87,7 +92,9 @@ pub(crate) struct Source {
     end: usize,
     next: usize,
     stop: usize,
-    head: Head,
+    /// The head's rank, `u128::MAX` once the source is spent: the head
+    /// itself stays in the chunk until it is taken.
+    rank: u128,
     /// Real cells the run holds and the source has not staged yet.
     left: usize,
     /// Whether redundant cells are merged (the target's) or skipped.
@@ -103,7 +110,7 @@ impl Source {
             end: 0,
             next: 0,
             stop: 0,
-            head: Head::END,
+            rank: u128::MAX,
             left: 0,
             keep_redundant: false,
         }
@@ -133,15 +140,13 @@ impl Source {
     /// Hands out the head and moves on to the next cell.
     #[inline]
     fn take<M: Mem<Cell>>(&mut self, mem: &M) -> Head {
-        let head = self.head;
+        let head = Head {
+            rank: self.rank,
+            cell: self.buf[self.at],
+        };
         self.at += 1;
         match self.buf[..self.end].get(self.at) {
-            Some(&cell) => {
-                self.head = Head {
-                    rank: rank(&cell),
-                    cell,
-                }
-            }
+            Some(cell) => self.rank = rank(cell),
             None => self.refill(mem),
         }
         head
@@ -161,7 +166,7 @@ impl Source {
         at: &mut FoldAt,
     ) -> usize {
         let mut n = 0;
-        while self.head.rank < bar && n < out.len() {
+        while self.rank < bar && n < out.len() {
             let staged = &self.buf[self.at..self.end];
             let mut i = 0;
             while i < staged.len() && n < out.len() {
@@ -175,11 +180,8 @@ impl Source {
             }
             self.at += i;
             match self.buf[..self.end].get(self.at) {
-                Some(&cell) => {
-                    self.head = Head {
-                        rank: rank(&cell),
-                        cell,
-                    };
+                Some(cell) => {
+                    self.rank = rank(cell);
                     break;
                 }
                 None => self.refill(mem),
@@ -219,7 +221,7 @@ impl Source {
             self.end > 0 || self.left == 0,
             "source shorter than its item count"
         );
-        self.head = Head::of(self.buf[..self.end].first());
+        self.rank = self.buf[..self.end].first().map_or(u128::MAX, rank);
     }
 }
 
@@ -269,10 +271,7 @@ impl<'a> Fold<'a> {
         deepest: bool,
     ) -> Fold<'a> {
         let at = FoldAt {
-            spent: older
-                .iter()
-                .take_while(|s| s.head.rank == u128::MAX)
-                .count(),
+            spent: older.iter().take_while(|s| s.rank == u128::MAX).count(),
             taken: 0,
             last_real: None,
             deepest,
@@ -309,7 +308,7 @@ impl<'a> Fold<'a> {
     #[inline(always)]
     fn pop<M: Mem<Cell>>(&mut self, mem: &M, top: usize) -> Head {
         let mut i = top;
-        while i > 0 && self.heads[i - 1].rank <= self.older[i - 1].head.rank {
+        while i > 0 && self.heads[i - 1].rank <= self.older[i - 1].rank {
             i -= 1;
         }
         let mut head = match i {
@@ -328,9 +327,11 @@ impl<'a> Fold<'a> {
 
     /// Whether every source is spent.
     pub(crate) fn done(&self) -> bool {
-        let spent = |h: Option<&Head>| h.is_none_or(|h| h.rank == u128::MAX);
-        let older = self.older.last().map(|s| &s.head);
-        spent(self.heads.last()) && spent(older) && self.at.taken >= self.newest.len()
+        let spent = |rank: Option<u128>| rank.is_none_or(|r| r == u128::MAX);
+        let (newer, older) = (self.heads.last(), self.older.last());
+        spent(newer.map(|h| h.rank))
+            && spent(older.map(|s| s.rank))
+            && self.at.taken >= self.newest.len()
     }
 
     /// Takes one cell off the merge: `None` once every source is spent,
@@ -345,27 +346,60 @@ impl<'a> Fold<'a> {
     /// many: fewer than `out.len()` only once every source is spent.
     /// While the outermost source — the biggest, which gives a carry most
     /// of its cells — goes first, its cells stream straight off its chunk
-    /// ([`Source::stream`]); any other cell is popped off the chain.
+    /// ([`Source::stream`]); every other cell is the newer sources'
+    /// merge's cached head, which the fill keeps in a local and refills
+    /// by a pop of the chain beneath it. The key of each of those cells
+    /// the carry writes — every key the output holds beyond the outermost
+    /// source's, and some of those, at most `out.len()` — is pushed onto
+    /// `new_keys`.
     #[inline]
-    pub(crate) fn fill<M: Mem<Cell>>(&mut self, mem: &M, out: &mut [Cell]) -> usize {
-        let top = self.heads.len();
+    pub(crate) fn fill<M: Mem<Cell>>(
+        &mut self,
+        mem: &M,
+        out: &mut [Cell],
+        new_keys: &mut Vec<u64>,
+    ) -> usize {
         let mut n = 0;
-        while n < out.len() {
-            if let Some(i) = top.checked_sub(1) {
-                let bar = self.heads[i].rank;
-                if self.older[i].head.rank < bar {
-                    n += self.older[i].stream(mem, bar, &mut out[n..], &mut self.at);
-                    continue;
+        let Some(i) = self.heads.len().checked_sub(1) else {
+            // Every older source was spent: only the newest run is left.
+            while n < out.len() {
+                let Head { rank, cell } = self.pop(mem, 0);
+                if rank == u128::MAX {
+                    break;
                 }
+                n += self.write_newer(cell, &mut out[n], new_keys) as usize;
             }
-            let Head { rank, cell } = self.pop(mem, top);
-            if rank == u128::MAX {
+            return n;
+        };
+        // No pop beneath node `i` touches its cached head.
+        let mut bar = self.heads[i];
+        while n < out.len() {
+            if self.older[i].rank < bar.rank {
+                n += self.older[i].stream(mem, bar.rank, &mut out[n..], &mut self.at);
+                continue;
+            }
+            if bar.rank == u128::MAX {
                 break;
             }
-            out[n] = cell;
-            n += self.at.keeps(&cell) as usize;
+            let cell = bar.cell;
+            bar = self.pop(mem, i);
+            n += self.write_newer(cell, &mut out[n], new_keys) as usize;
         }
+        self.heads[i] = bar;
         n
+    }
+
+    /// Puts a cell of the newer sources in `slot` and returns whether the
+    /// carry writes it, pushing its key onto `new_keys` if so. A dropped
+    /// cell's key is already there: only a newer version shadows it.
+    #[inline(always)]
+    fn write_newer(&mut self, cell: Cell, slot: &mut Cell, new_keys: &mut Vec<u64>) -> bool {
+        *slot = cell;
+        let kept = self.at.keeps(&cell);
+        if kept {
+            new_keys.push(cell.key);
+        }
+        kept
     }
 }
 
@@ -545,14 +579,19 @@ mod tests {
     }
 
     /// Every cell `f` writes, filled a few at a time, so the fills end
-    /// anywhere in a source's chunk.
-    fn drain(f: &mut Fold, mem: &PlainMem<Cell>) -> Vec<Cell> {
-        let (mut out, mut buf) = (Vec::new(), [Cell::default(); 7]);
+    /// anywhere in a source's chunk, and the new keys the fills push:
+    /// keys of cells each fill writes, no more of them than it writes.
+    fn drain(f: &mut Fold, mem: &PlainMem<Cell>) -> (Vec<Cell>, Vec<u64>) {
+        let (mut out, mut buf, mut keys) = (Vec::new(), [Cell::default(); 7], Vec::new());
         loop {
-            let n = f.fill(mem, &mut buf);
+            let mut new = Vec::new();
+            let n = f.fill(mem, &mut buf, &mut new);
+            assert!(new.len() <= n, "{} new keys for {n} cells", new.len());
+            assert!(new.iter().all(|k| buf[..n].iter().any(|c| c.key == *k)));
             out.extend_from_slice(&buf[..n]);
+            keys.extend(new);
             if n < buf.len() {
-                return out;
+                return (out, keys);
             }
         }
     }
@@ -573,7 +612,19 @@ mod tests {
         }
         let mut heads = vec![Head::END; older.len()];
         let mut f = Fold::new(&mem, &sources[0], &mut older, &mut heads, deepest);
-        (drain(&mut f, &mem), f.at.dropped)
+        let (out, new_keys) = drain(&mut f, &mem);
+        // What a carry keeping the outermost source's filter inserts:
+        // with its keys, every real key written.
+        let outer = sources.last().filter(|_| sources.len() > 1);
+        for c in out.iter().filter(|c| c.is_real()) {
+            let old = outer.is_some_and(|src| src.iter().any(|o| o.key == c.key));
+            assert!(
+                old || new_keys.contains(&c.key),
+                "key {} not inserted",
+                c.key
+            );
+        }
+        (out, f.at.dropped)
     }
 
     /// The oracle's merge is a stable sort of the sources, newest first;
@@ -691,7 +742,7 @@ mod tests {
         let mut older = [a, b];
         let mut heads = [Head::END; 2];
         let mut f = Fold::new(&mem, &run, &mut older, &mut heads, false);
-        let out = drain(&mut f, &mem);
+        let (out, _) = drain(&mut f, &mem);
         assert_eq!(
             out,
             [target[0], target[1], run[0], level[1]],

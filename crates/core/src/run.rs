@@ -12,7 +12,7 @@ use cosbt_dam::Mem;
 use crate::cascade::{AuxBuilder, LevelAux, Probe};
 use crate::entry::Cell;
 use crate::persist::MetaError;
-use crate::runbuf::RunBuf;
+use crate::runbuf::{RunBuf, CHUNK};
 use crate::stats::ColaStats;
 
 /// One sorted, contiguous run of cells; runs are supplied newest first.
@@ -153,9 +153,9 @@ impl<'a> Run<'a> {
     /// store: the persisted `fence` pair must equal the keys of the
     /// run's first and last stored cell (two point reads, so metadata
     /// for another store fails before the scan); one [`RunBuf`] sweep
-    /// then feeds the [`AuxBuilder`] (its filter sized for `keys` keys, as
-    /// the structure sizes it) and hands every staged chunk, with its
-    /// offset, to `tap`; [`LevelAux::check`] judges the result. `what`
+    /// then hands every staged chunk to [`AuxBuilder::extend`] (its
+    /// filter sized for `keys` keys, as the structure sizes it) and, with
+    /// its offset, to `tap`; [`LevelAux::check`] judges the result. `what`
     /// names the run in the error.
     pub(crate) fn reopen<M: Mem<Cell>>(
         &self,
@@ -179,7 +179,7 @@ impl<'a> Run<'a> {
         }
         let mut aux = AuxBuilder::recycling(self.len, keys, None);
         scratch.for_each_chunk(mem, self.base, self.len, |off, chunk| {
-            chunk.iter().for_each(|c| aux.push(c));
+            aux.extend(chunk);
             tap(off, chunk);
         });
         let aux = aux.finish();
@@ -204,14 +204,18 @@ impl<'a> Run<'a> {
             return 0;
         };
         assert!(self.len > 0, "{what} empty but has aux");
-        let fresh = AuxBuilder::recycling(self.len, keys, None);
-        let (mut fresh, mut prev, mut items) = (fresh, 0, 0);
+        let mut fresh = AuxBuilder::recycling(self.len, keys, None);
+        let (mut chunk, mut prev, mut items) = (Vec::with_capacity(CHUNK), 0, 0);
         for i in 0..self.len {
             let c = mem.get(self.base + i);
             assert!(prev <= c.key, "{what} not sorted at {i}");
             prev = c.key;
             items += c.is_real() as usize;
-            fresh.push(&c);
+            chunk.push(c);
+            if chunk.len() == CHUNK || i + 1 == self.len {
+                fresh.extend(&chunk);
+                chunk.clear();
+            }
         }
         assert!(
             *aux == fresh.finish(),

@@ -1,8 +1,8 @@
 //! Micro-benchmarks: raw in-memory operation throughput of every
 //! dictionary in the workspace, of the per-level filter and ghost
 //! window under the COLAs' lookups, of a `DbReader` point read over
-//! a deep snapshot run stack, and of one resident-cell store call, for
-//! quick regression tracking. (The
+//! a deep snapshot run stack and of that stack's compaction and scan,
+//! and of one resident-cell store call, for quick regression tracking. (The
 //! paper's figures are regenerated by the other bench targets and the
 //! `figures` binary; these are engineering benchmarks.)
 //!
@@ -12,10 +12,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use cosbt::{Backend, Db, DbBuilder, Structure};
+use cosbt::{Backend, CursorOps, Db, DbBuilder, DbReader, Structure};
 use cosbt_bench::{random_keys, scaled, search_probes};
 use cosbt_core::cascade::build_aux;
 use cosbt_core::entry::Cell;
+use cosbt_core::epoch::{merge_runs, Run};
 use cosbt_core::{LevelFilter, Probe};
 use cosbt_dam::{ArcFileMem, FileMem, Mem, PlainMem, DEFAULT_PAGE_SIZE};
 
@@ -274,6 +275,56 @@ fn snapshot_get() {
             secs * 1e9 / calls as f64
         );
     }
+    snapshot_walks(&mut reader, base, deltas, DELTA);
+}
+
+/// The other two readers of `snapshot_get`'s stack, in ns per entry,
+/// each the best of 5 passes: the compaction the next `snapshot()`
+/// runs (a ninth run's publish keeps the newest four and merges the
+/// base and the four oldest deltas into one run, tombstones dropped),
+/// and a `DbSnapshot` cursor walking the whole stack.
+fn snapshot_walks(reader: &mut DbReader, base: &[u64], deltas: &[u64], delta: usize) {
+    let upserts = |keys: &[u64]| keys.iter().map(|&k| (k, Some(k))).collect::<Vec<_>>();
+    let mut stack: Vec<Run> = (deltas.chunks(delta).rev())
+        .map(|d| Run::from_ops(upserts(d)))
+        .collect();
+    stack.push(Run::from_ops(upserts(base)));
+    let snap = reader.pin();
+    assert_eq!(snap.run_count(), stack.len(), "the stack compacted");
+    let best_of_5 = |f: &mut dyn FnMut() -> usize| {
+        (0..5)
+            .map(|_| {
+                let t = Instant::now();
+                let entries = f();
+                t.elapsed().as_secs_f64() * 1e9 / entries as f64
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let oldest = &stack[3..];
+    let entries: usize = oldest.iter().map(Run::len).sum();
+    let ns = best_of_5(&mut || {
+        assert_eq!(black_box(merge_runs(oldest, true)).len(), entries);
+        entries
+    });
+    println!(
+        "{:<24} {:<24} {:>12.1} ns/entry  ({} runs, {entries} entries, best of 5)",
+        "snapshot_compact",
+        "base + 4 deltas",
+        ns,
+        oldest.len()
+    );
+    let ns = best_of_5(&mut || {
+        let mut cur = snap.cursor(0, u64::MAX);
+        std::iter::from_fn(|| cur.next()).count()
+    });
+    println!(
+        "{:<24} {:<24} {:>12.1} ns/entry  ({} runs, {} entries, best of 5)",
+        "snapshot_scan",
+        "whole stack",
+        ns,
+        stack.len(),
+        snap.range(0, u64::MAX).len()
+    );
 }
 
 /// 20 scans of the ~1k entries in `[70_000, 77_000]` of the dense

@@ -322,8 +322,8 @@ pub struct ContendedReport {
     pub writer_throughput: f64,
     /// Epochs published during the phase.
     pub epochs_published: u64,
-    /// Retired runs reclaimed during the phase (readers unpinning let
-    /// the grace horizon advance under load).
+    /// Retired runs reclaimed during the phase (freed under load as
+    /// the readers' pins move past them).
     pub runs_reclaimed: u64,
 }
 

@@ -12,7 +12,7 @@
 //! merges can carry a partially built aux across budgeted steps at
 //! `O(1)` extra work per moved cell. A carry that can drop no key keeps
 //! the filter of the run it rewrites and inserts only the keys the newer
-//! sources bring ([`AuxBuilder::keeping`]). A query consults the aux in
+//! sources bring (`AuxBuilder::keeping`). A query consults the aux in
 //! DRAM only, and each
 //! of the three steps touches one cache line or a short contiguous
 //! search:

@@ -1,57 +1,55 @@
-//! Streaming k-way merge cursors.
+//! The streaming k-way merge cursor of the COLA family.
 //!
-//! Two engines live here, one per layer of the system:
+//! [`RunMergeCursor`] is the cell-level engine. Every COLA variant
+//! stores its data as a small set of sorted, contiguous runs of
+//! [`Cell`]s in one flat [`Mem`] array (levels, or a level's two extents
+//! under the deamortized COLA's policy), ordered newest-first both
+//! across runs and — among equal keys — within a run. The cursor walks
+//! those runs directly, the way the paper's lookahead array answers a
+//! range query. A seek brackets each run's position with the run's
+//! DRAM ghost sample ([`Run::lower_bound`]) and binary-searches only
+//! those two strides: `O(1)` cell reads and `O(1)` block transfers per
+//! run; a run whose fences put no real key inside the bounds (a level
+//! holding only lookahead cells) is left out altogether. Each
+//! remaining run's head cell is then read once and cached until the
+//! merge consumes it, beside the run's *rank*: the head's key as the
+//! direction orders it, then the run's index. A step takes the least
+//! rank — the head furthest along, and of equal keys the newest run's —
+//! consumes only the runs whose head carries that key, and loads them
+//! at the next step, in ascending run order. The ranks wait in one
+//! array, least last; the run a step took its cell from goes back into
+//! it only if another run's head now ranks below its own, so a streak
+//! from one run costs each step one load and one compare, however many
+//! runs are open. A scan of `r` results over `k` runs costs `O(k + r)`
+//! cell reads — `r`, plus the redundant and shadowed cells lying
+//! between the results, plus a constant per run — and `O(k + r/B)`
+//! block transfers, instead of materializing every overlapping cell up
+//! front. The run list and the per-run state live in the structure's
+//! scratch (`RunBuf`) between scans, so opening a cursor allocates
+//! nothing. Store *calls* — each a lock and a residency lookup on the
+//! file store — are fewer than cell reads where the store can be
+//! peeked ([`Mem::peek_run`]): after a head's charged `get` the cursor
+//! copies the rest of the head's page into a window, steps through the
+//! window, and pays for the cells it took with one `read_run` per
+//! stretch, in the order it took them, before it calls the store for
+//! anything else. Each seek probe and backward step is a call; forward,
+//! a streak of `s` cells from one run is `O(1 + log s + s/B)` calls,
+//! and the cells charged, their order and every counter of the store
+//! are those of one `get` per cell. One run may live in DRAM instead
+//! ([`RunMergeCursor::with_head`]): the g-COLA's head, levels 0 and
+//! 1's items, merged as the newest run, read directly and never charged
+//! to the store.
 //!
-//! * [`RunMergeCursor`] — the cell-level engine of the COLA family. Every
-//!   COLA variant stores its data as a small set of sorted, contiguous
-//!   runs of [`Cell`]s in one flat [`Mem`] array (levels, or a level's
-//!   two extents under the deamortized COLA's policy), ordered newest-first both
-//!   across runs and — among equal keys — within a run. The cursor walks
-//!   those runs directly, the way the paper's lookahead array answers a
-//!   range query. A seek brackets each run's position with the run's
-//!   DRAM ghost sample ([`Run::lower_bound`]) and binary-searches only
-//!   those two strides: `O(1)` cell reads and `O(1)` block transfers per
-//!   run; a run whose fences put no real key inside the bounds (a level
-//!   holding only lookahead cells) is left out altogether. Each
-//!   remaining run's head cell is then read once and cached until the
-//!   merge consumes it, beside the run's *rank*: the head's key as the
-//!   direction orders it, then the run's index. A step takes the least
-//!   rank — the head furthest along, and of equal keys the newest run's —
-//!   consumes only the runs whose head carries that key, and loads them
-//!   at the next step, in ascending run order. The ranks wait in one
-//!   array, least last; the run a step took its cell from goes back into
-//!   it only if another run's head now ranks below its own, so a streak
-//!   from one run costs each step one load and one compare, however many
-//!   runs are open. A scan of `r` results over `k` runs costs `O(k + r)`
-//!   cell reads — `r`, plus the redundant and shadowed cells lying
-//!   between the results, plus a constant per run — and `O(k + r/B)`
-//!   block transfers, instead of materializing every overlapping cell up
-//!   front. The run list and the per-run state live in the structure's
-//!   scratch (`RunBuf`) between scans, so opening a cursor allocates
-//!   nothing. Store *calls* — each a lock and a residency lookup on the
-//!   file store — are fewer than cell reads where the store can be
-//!   peeked ([`Mem::peek_run`]): after a head's charged `get` the cursor
-//!   copies the rest of the head's page into a window, steps through the
-//!   window, and pays for the cells it took with one `read_run` per
-//!   stretch, in the order it took them, before it calls the store for
-//!   anything else. Each seek probe and backward step is a call; forward,
-//!   a streak of `s` cells from one run is `O(1 + log s + s/B)` calls,
-//!   and the cells charged, their order and every counter of the store
-//!   are those of one `get` per cell. One run may live in DRAM instead
-//!   ([`RunMergeCursor::with_head`]): the g-COLA's head, levels 0 and
-//!   1's items, merged as the newest run, read directly and never charged
-//!   to the store.
-//! * [`MergeCursor`] — the same merge discipline generalized to
-//!   *heterogeneous sources*: any set of [`CursorOps`] engines (boxed
-//!   [`crate::Cursor`]s included), not just level runs of one array. A
-//!   sharded database uses it to splice per-shard cursors — each possibly
-//!   a different structure over a different backend — into one stream.
+//! The cursor has no counterpart for arbitrary sources: the shards of a
+//! range-partitioned database hold disjoint key ranges, so their cursors
+//! are chained end to end (`cosbt::shard`), and the heap runs of a
+//! snapshot epoch have their own walk ([`crate::epoch::SnapshotCursor`]).
 //!
-//! Duplicate resolution matches point lookups exactly: the newest source
-//! (lowest index) containing a key supplies its value, and — for the
-//! cell-level engine — tombstones suppress the key and redundant
-//! (lookahead) cells are passed over in key order and never output,
-//! since they are routing metadata, not data.
+//! Duplicate resolution matches point lookups exactly: the newest run
+//! (lowest index) containing a key supplies its value, tombstones
+//! suppress the key, and redundant (lookahead) cells are passed over in
+//! key order and never output, since they are routing metadata, not
+//! data.
 
 use cosbt_dam::Mem;
 
@@ -69,17 +67,6 @@ enum Gap {
     AtEnd,
 }
 
-/// State of one [`MergeCursor`] source's cached head.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Head<T> {
-    /// Not pulled yet (or consumed) — the source sits at the merge gap.
-    Unknown,
-    /// Pulled one step past the merge gap; holds the entry.
-    Entry(T),
-    /// Pulled and the source had nothing left in this direction.
-    Exhausted,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Direction {
     Forward,
@@ -87,15 +74,6 @@ enum Direction {
 }
 
 impl Direction {
-    /// Whether a head with key `a` comes before one with key `b` when
-    /// stepping this way.
-    fn reaches_first(self, a: u64, b: u64) -> bool {
-        match self {
-            Direction::Forward => a < b,
-            Direction::Backward => a > b,
-        }
-    }
-
     /// The rank of run `r`'s head with key `key` when stepping this way:
     /// the key in the high half, complemented going backward so that the
     /// least rank is always the head furthest along, and the run in the
@@ -696,156 +674,11 @@ impl<M: Mem<Cell>> Drop for RunMergeCursor<'_, M> {
     }
 }
 
-/// Streaming k-way merge over arbitrary [`CursorOps`] sources.
-///
-/// The generalization of [`RunMergeCursor`] from level runs of one cell
-/// array to any set of cursor engines: each source is itself a bounded,
-/// bidirectional cursor (a [`crate::Cursor`] works directly), and the
-/// merge yields their union in key order, resolving duplicate keys
-/// newest-source-first — source 0 shadows source 1, and so on, mirroring
-/// the newest-run-wins rule of the COLA merge.
-///
-/// Sources already filter their own tombstones and enforce their own
-/// bounds, so the merge is purely positional. Each source's head is
-/// pulled once and cached until consumed: a scan of `r` entries costs
-/// `O(r + k)` source steps in total (not `O(k · r)`), so the losing
-/// sources of each step are never re-read — for range-partitioned shards
-/// only the one live shard advances. Cached heads are pushed back (the
-/// gap contract makes a pull-then-push free) only when the direction
-/// flips or a `seek` repositions everything.
-///
-/// ```
-/// use cosbt_core::cursor::MergeCursor;
-/// use cosbt_core::{CursorOps, VecCursor};
-///
-/// // Two disjoint sorted sources (e.g. two shards of a partitioned db).
-/// let a = VecCursor::new(vec![(1, 10), (4, 40)]);
-/// let b = VecCursor::new(vec![(2, 20), (3, 30)]);
-/// let mut m = MergeCursor::new(vec![a, b]);
-/// assert_eq!(m.next(), Some((1, 10)));
-/// assert_eq!(m.next(), Some((2, 20)));
-/// assert_eq!(m.next(), Some((3, 30)));
-/// assert_eq!(m.prev(), Some((3, 30)), "gap semantics survive the merge");
-/// m.seek(4);
-/// assert_eq!(m.next(), Some((4, 40)));
-/// ```
-#[derive(Debug)]
-pub struct MergeCursor<C> {
-    sources: Vec<C>,
-    /// Per-source head cache, valid for the current `dir`.
-    heads: Vec<Head<(u64, u64)>>,
-    /// Direction the cached heads were pulled in; `None` after
-    /// construction or a seek.
-    dir: Option<Direction>,
-}
-
-impl<C: CursorOps> MergeCursor<C> {
-    /// A merge over `sources`, newest first: on duplicate keys the
-    /// lowest-indexed source wins and the others' entries are consumed.
-    pub fn new(sources: Vec<C>) -> Self {
-        let heads = vec![Head::Unknown; sources.len()];
-        MergeCursor {
-            sources,
-            heads,
-            dir: None,
-        }
-    }
-
-    /// Number of underlying sources.
-    pub fn num_sources(&self) -> usize {
-        self.sources.len()
-    }
-
-    /// Re-aligns every source with the merge gap before stepping in
-    /// `dir`: cached heads pulled in the *other* direction are pushed
-    /// back one step (the gap contract guarantees pull-then-push is a
-    /// no-op), then the cache is cleared.
-    fn face(&mut self, dir: Direction) {
-        if self.dir == Some(dir) {
-            return;
-        }
-        if let Some(old) = self.dir {
-            for (i, head) in self.heads.iter_mut().enumerate() {
-                if matches!(head, Head::Entry(_)) {
-                    match old {
-                        Direction::Forward => self.sources[i].prev(),
-                        Direction::Backward => self.sources[i].next(),
-                    };
-                }
-                *head = Head::Unknown;
-            }
-        }
-        self.dir = Some(dir);
-    }
-}
-
-impl<C: CursorOps> MergeCursor<C> {
-    /// One merge step in `dir`: fill the head cache (only sources whose
-    /// head was consumed by a previous step actually advance), yield the
-    /// winning key — smallest ahead of the gap going forward, largest
-    /// behind it going backward; ties go to the newest = lowest-indexed
-    /// source — and consume equal-key losers as shadowed older versions.
-    fn step(&mut self, dir: Direction) -> Option<(u64, u64)> {
-        self.face(dir);
-        let mut best: Option<(u64, usize)> = None;
-        for (i, s) in self.sources.iter_mut().enumerate() {
-            if self.heads[i] == Head::Unknown {
-                let pulled = match dir {
-                    Direction::Forward => s.next(),
-                    Direction::Backward => s.prev(),
-                };
-                self.heads[i] = match pulled {
-                    Some(kv) => Head::Entry(kv),
-                    None => Head::Exhausted,
-                };
-            }
-            if let Head::Entry((k, _)) = self.heads[i] {
-                if best.is_none_or(|(bk, _)| dir.reaches_first(k, bk)) {
-                    best = Some((k, i));
-                }
-            }
-        }
-        let (best_key, winner) = best?;
-        let mut out = None;
-        for (i, head) in self.heads.iter_mut().enumerate() {
-            if let Head::Entry((k, v)) = *head {
-                if k == best_key {
-                    if i == winner {
-                        out = Some((k, v));
-                    }
-                    *head = Head::Unknown;
-                }
-            }
-        }
-        out
-    }
-}
-
-impl<C: CursorOps> CursorOps for MergeCursor<C> {
-    fn seek(&mut self, key: u64) {
-        // Seeking repositions every source outright, so cached heads are
-        // simply forgotten — no push-back needed.
-        self.heads.fill(Head::Unknown);
-        self.dir = None;
-        for s in &mut self.sources {
-            s.seek(key);
-        }
-    }
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        self.step(Direction::Forward)
-    }
-
-    fn prev(&mut self) -> Option<(u64, u64)> {
-        self.step(Direction::Backward)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cascade::{build_aux, LevelAux};
-    use crate::dict::{Cursor, CursorOps, VecCursor};
+    use crate::dict::{Cursor, CursorOps};
     use cosbt_dam::PlainMem;
     use cosbt_testkit::{check_cases, Rng};
     use std::cell::RefCell;
@@ -1422,133 +1255,5 @@ mod tests {
             calls <= 32,
             "{calls} store calls for 128 entries of one run"
         );
-    }
-
-    #[test]
-    fn merge_cursor_interleaves_disjoint_sources() {
-        let a = VecCursor::new(vec![(1, 1), (3, 3), (5, 5)]);
-        let b = VecCursor::new(vec![(2, 2), (4, 4)]);
-        let mut m = MergeCursor::new(vec![a, b]);
-        let mut fwd = Vec::new();
-        while let Some(kv) = m.next() {
-            fwd.push(kv);
-        }
-        assert_eq!(fwd, vec![(1, 1), (2, 2), (3, 3), (4, 4), (5, 5)]);
-        let mut bwd = Vec::new();
-        while let Some(kv) = m.prev() {
-            bwd.push(kv);
-        }
-        bwd.reverse();
-        assert_eq!(bwd, fwd, "drained merge walks back over its output");
-    }
-
-    #[test]
-    fn merge_cursor_newest_source_wins_duplicates() {
-        let newest = VecCursor::new(vec![(2, 20), (4, 40)]);
-        let older = VecCursor::new(vec![(2, 99), (3, 30)]);
-        let mut m = MergeCursor::new(vec![newest, older]);
-        assert_eq!(m.next(), Some((2, 20)), "source 0 shadows source 1");
-        assert_eq!(m.next(), Some((3, 30)));
-        assert_eq!(m.next(), Some((4, 40)));
-        assert_eq!(m.next(), None);
-        // Backward: same resolution.
-        assert_eq!(m.prev(), Some((4, 40)));
-        assert_eq!(m.prev(), Some((3, 30)));
-        assert_eq!(m.prev(), Some((2, 20)));
-        assert_eq!(m.prev(), None);
-    }
-
-    #[test]
-    fn merge_cursor_direction_switches_and_seek() {
-        let a = VecCursor::new(vec![(1, 1), (4, 4)]);
-        let b = VecCursor::new(vec![(2, 2), (6, 6)]);
-        let c = VecCursor::new(vec![(3, 3), (5, 5)]);
-        let mut m = MergeCursor::new(vec![a, b, c]);
-        assert_eq!(m.next(), Some((1, 1)));
-        assert_eq!(m.next(), Some((2, 2)));
-        assert_eq!(m.prev(), Some((2, 2)), "next then prev revisits");
-        assert_eq!(m.prev(), Some((1, 1)));
-        assert_eq!(m.prev(), None);
-        m.seek(4);
-        assert_eq!(m.next(), Some((4, 4)));
-        assert_eq!(m.next(), Some((5, 5)));
-        assert_eq!(m.prev(), Some((5, 5)));
-        m.seek(0);
-        assert_eq!(m.next(), Some((1, 1)));
-    }
-
-    #[test]
-    fn merge_cursor_over_boxed_cursors() {
-        // The heterogeneous case: type-erased Cursor sources, one a COLA
-        // run merge, one a plain vector snapshot.
-        let (mem, runs) = build(&[vec![Cell::item(10, 1), Cell::item(30, 3)]]);
-        let run_cursor = Cursor::new(RunMergeCursor::new(&mem, runs, 0, u64::MAX));
-        let vec_cursor = Cursor::new(VecCursor::new(vec![(20, 2), (40, 4)]));
-        let mut m = Cursor::new(MergeCursor::new(vec![run_cursor, vec_cursor]));
-        assert_eq!(m.next(), Some((10, 1)));
-        assert_eq!(m.next(), Some((20, 2)));
-        assert_eq!(m.next(), Some((30, 3)));
-        assert_eq!(m.next(), Some((40, 4)));
-        assert_eq!(m.next(), None);
-        assert_eq!(m.prev(), Some((40, 4)));
-    }
-
-    /// A [`VecCursor`] that counts how many times the merge steps it.
-    struct CountingCursor {
-        inner: VecCursor,
-        steps: std::rc::Rc<std::cell::Cell<usize>>,
-    }
-
-    impl CursorOps for CountingCursor {
-        fn seek(&mut self, key: u64) {
-            self.inner.seek(key)
-        }
-        fn next(&mut self) -> Option<(u64, u64)> {
-            self.steps.set(self.steps.get() + 1);
-            self.inner.next()
-        }
-        fn prev(&mut self) -> Option<(u64, u64)> {
-            self.steps.set(self.steps.get() + 1);
-            self.inner.prev()
-        }
-    }
-
-    #[test]
-    fn merge_cursor_does_not_repull_losing_sources() {
-        // Four disjoint sources (the sharded-scan shape): a full scan of
-        // r entries must cost O(r + k) source steps — each entry pulled
-        // once plus one exhausted probe per source — not O(k · r) from
-        // re-pulling and pushing back the losers every step.
-        let steps = std::rc::Rc::new(std::cell::Cell::new(0usize));
-        let sources: Vec<CountingCursor> = (0..4u64)
-            .map(|s| CountingCursor {
-                inner: VecCursor::new((0..100).map(|i| (s * 100 + i, i)).collect()),
-                steps: steps.clone(),
-            })
-            .collect();
-        let mut m = MergeCursor::new(sources);
-        let mut yielded = 0;
-        while m.next().is_some() {
-            yielded += 1;
-        }
-        assert_eq!(yielded, 400);
-        assert!(
-            steps.get() <= 400 + 2 * 4,
-            "a cached merge pulls each entry once (got {} steps for 400 entries)",
-            steps.get()
-        );
-    }
-
-    #[test]
-    fn merge_cursor_empty_and_single_source() {
-        let mut empty: MergeCursor<VecCursor> = MergeCursor::new(vec![]);
-        assert_eq!(empty.next(), None);
-        assert_eq!(empty.prev(), None);
-
-        let mut one = MergeCursor::new(vec![VecCursor::new(vec![(7, 70)])]);
-        assert_eq!(one.num_sources(), 1);
-        assert_eq!(one.next(), Some((7, 70)));
-        assert_eq!(one.next(), None);
-        assert_eq!(one.prev(), Some((7, 70)));
     }
 }

@@ -91,18 +91,23 @@ impl UpdateBatch {
     /// applying the normalized run yields the same dictionary state as
     /// replaying the batch in arrival order.
     pub fn normalized(&self) -> Vec<BatchOp> {
-        let mut sorted = self.ops.clone();
-        // Stable sort keeps arrival order within equal keys.
-        sorted.sort_by_key(|&(k, _)| k);
-        let mut out: Vec<BatchOp> = Vec::with_capacity(sorted.len());
-        for op in sorted {
-            match out.last_mut() {
-                Some(last) if last.0 == op.0 => *last = op, // later arrival wins
-                _ => out.push(op),
-            }
-        }
-        out
+        normalize(self.ops.clone())
     }
+}
+
+/// [`UpdateBatch::normalized`] over an owned list of operations: sorted
+/// by key, one operation per key, the latest arrival winning.
+pub(crate) fn normalize(mut ops: Vec<BatchOp>) -> Vec<BatchOp> {
+    // Stable sort keeps arrival order within equal keys.
+    ops.sort_by_key(|&(k, _)| k);
+    ops.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            *kept = *later;
+        }
+        same
+    });
+    ops
 }
 
 /// The engine behind a [`Cursor`]; implemented per structure.
@@ -188,9 +193,8 @@ impl std::fmt::Debug for Cursor<'_> {
     }
 }
 
-/// A [`Cursor`] is itself a cursor engine, so cursors compose: the k-way
-/// [`crate::cursor::MergeCursor`] merges any mix of already-boxed cursors
-/// (e.g. one per shard of a range-partitioned database) into one stream.
+/// A [`Cursor`] is itself a cursor engine, so cursors compose: a
+/// range-partitioned database chains one per shard into one stream.
 impl CursorOps for Cursor<'_> {
     fn seek(&mut self, key: u64) {
         self.inner.seek(key)

@@ -1,5 +1,5 @@
-//! Epoch/snapshot manager: pinned committed versions with grace-period
-//! reclamation.
+//! Epoch/snapshot manager: pinned committed versions over shared,
+//! reference-counted runs.
 //!
 //! This is the MVCC core of the concurrency subsystem. The mutable
 //! write-optimized structures stay single-writer (their caches mutate on
@@ -15,21 +15,30 @@
 //! stale is one atomic load ([`EpochManager::newest_seq`]), so a reader
 //! whose pin is fresh takes no lock and moves no reference count.
 //!
-//! Reclamation is grace-period based, in the style of Twigg et al.'s
-//! persistent streaming indexes: when a publish supersedes runs, they
-//! are parked on a retire list tagged with the last epoch that
-//! referenced them, and freed only once every pinned reader has moved
-//! past that epoch. The same horizon, projected per shard onto the
-//! backing stores' committed *store* epochs, gates physical page
+//! A stack is read the COLA's way, by one walk: of the entries next to
+//! the gap, the first in the walk's direction wins, and of equal keys
+//! the newest run's. [`SnapshotCursor`] steps the walk either way,
+//! skipping tombstones; compaction ([`merge_runs`]) drains it forward and
+//! copies at once the entries of a run that lie below every other run's
+//! head.
+//!
+//! Reclamation is by reference count, as in Twigg et al.'s persistent
+//! streaming indexes, where a superseded run is freed once no pinned
+//! version references it: that is when its last `Arc` goes. A publish
+//! keeps weak handles to the runs it drops only to count them
+//! ([`EpochStats`]). The pin table serves the backing stores: projected
+//! per shard onto their committed *store* epochs, it gates physical page
 //! recycling in the shadow-paged file layer (see
 //! [`EpochManager::shard_gate`]).
 
 use cosbt_testkit::sync::atomic::{AtomicU64, Ordering};
 use cosbt_testkit::sync::{Arc, Mutex, MutexGuard};
 use std::collections::BTreeMap;
+// The shim's `Arc` is the std type in every configuration.
+use std::sync::Weak;
 
 use crate::cascade::{LevelFilter, Probe};
-use crate::dict::BatchOp;
+use crate::dict::{normalize, BatchOp, CursorOps};
 
 /// An immutable sorted run of update operations: strictly increasing
 /// keys, each mapped to `Some(value)` (upsert) or `None` (tombstone),
@@ -75,18 +84,12 @@ impl Run {
         }
     }
 
-    /// Builds a run from arrival-ordered operations: stable-sorts by
-    /// key and keeps the last operation per key (tombstones included).
-    pub fn from_ops(mut ops: Vec<BatchOp>) -> Run {
-        ops.sort_by_key(|&(k, _)| k);
-        let mut out: Vec<BatchOp> = Vec::with_capacity(ops.len());
-        for op in ops {
-            match out.last_mut() {
-                Some(last) if last.0 == op.0 => *last = op,
-                _ => out.push(op),
-            }
-        }
-        Run::from_sorted(out)
+    /// Builds a run from arrival-ordered operations, normalized as
+    /// [`UpdateBatch::normalized`](crate::UpdateBatch::normalized) does:
+    /// sorted by key, the last operation per key kept (tombstones
+    /// included).
+    pub fn from_ops(ops: Vec<BatchOp>) -> Run {
+        Run::from_sorted(normalize(ops))
     }
 
     /// The operation recorded for `key`, if any: `Some(Some(v))` =
@@ -131,62 +134,132 @@ impl Run {
     }
 }
 
+/// One run's entries inside a key window, and the walk's gap in them.
+struct Window {
+    run: Run,
+    /// First entry index inside the window.
+    lo: usize,
+    /// One past the last entry index inside the window.
+    hi: usize,
+    /// Gap position in `lo..=hi`.
+    pos: usize,
+}
+
+impl Window {
+    /// The entry just past the gap, forward or backward, if any.
+    #[inline]
+    fn head(&self, forward: bool) -> Option<BatchOp> {
+        let i = match forward {
+            true if self.pos < self.hi => self.pos,
+            false if self.pos > self.lo => self.pos - 1,
+            _ => return None,
+        };
+        Some(self.run.entries()[i])
+    }
+}
+
+/// The newest-wins walk over a newest-first stack of run windows.
+struct RunWalk {
+    windows: Vec<Window>,
+}
+
+impl RunWalk {
+    /// A walk over the entries of `runs` with `lo <= key <= hi`, its
+    /// gap before the first.
+    fn new(runs: &[Run], lo: u64, hi: u64) -> RunWalk {
+        let windows = (runs.iter())
+            .map(|run| {
+                let entries = run.entries();
+                let start = entries.partition_point(|&(k, _)| k < lo);
+                let end = entries.partition_point(|&(k, _)| k <= hi).max(start);
+                Window {
+                    run: run.clone(),
+                    lo: start,
+                    hi: end,
+                    pos: start,
+                }
+            })
+            .collect();
+        RunWalk { windows }
+    }
+
+    /// Places the gap before the first key ≥ `key` (clamped into the
+    /// window).
+    fn seek(&mut self, key: u64) {
+        for w in &mut self.windows {
+            w.pos = w.lo + w.run.entries()[w.lo..w.hi].partition_point(|&(k, _)| k < key);
+        }
+    }
+
+    /// Moves the gap past the winning entry — of the entries next to it,
+    /// the first in the walk's direction, and of equal keys the newest
+    /// run's — and past every older version of its key. Returns the
+    /// winning window and its entry, tombstones included.
+    fn step(&mut self, forward: bool) -> Option<(usize, BatchOp)> {
+        let mut best: Option<(usize, BatchOp)> = None;
+        for (i, w) in self.windows.iter().enumerate() {
+            if let Some(e) = w.head(forward) {
+                let first = |b: BatchOp| if forward { e.0 < b.0 } else { e.0 > b.0 };
+                if best.is_none_or(|(_, b)| first(b)) {
+                    best = Some((i, e));
+                }
+            }
+        }
+        let (_, (key, _)) = best?;
+        for w in &mut self.windows {
+            if w.head(forward).is_some_and(|(k, _)| k == key) {
+                w.pos = if forward { w.pos + 1 } else { w.pos - 1 };
+            }
+        }
+        best
+    }
+
+    /// [`RunWalk::step`] forward, with the winning run's further entries
+    /// that lie below every other window's head: one stretch of one
+    /// run, in key order.
+    fn next_stretch(&mut self) -> Option<&[BatchOp]> {
+        let (w, _) = self.step(true)?;
+        let bound = (self.windows.iter().enumerate())
+            .filter(|&(i, _)| i != w)
+            .filter_map(|(_, other)| Some(other.head(true)?.0))
+            .min();
+        let win = &mut self.windows[w];
+        let start = win.pos - 1;
+        let rest = &win.run.entries()[win.pos..win.hi];
+        win.pos += bound.map_or(rest.len(), |b| rest.partition_point(|&(k, _)| k < b));
+        Some(&win.run.entries()[start..win.pos])
+    }
+}
+
 /// Merges a newest-first stack of runs into one run, newer entries
 /// shadowing older ones. With `drop_tombstones`, deletions are removed
 /// from the result — only valid when the stack's oldest run is the
 /// logical base (nothing older exists for a tombstone to shadow).
 ///
-/// One k-way pass: the run holding the smallest head key (the newest on
-/// a tie) emits every entry below the other runs' smallest head at once,
-/// found by one binary search, so a large base is copied once, a
-/// stretch at a time, and never compared entry by entry with the
-/// deltas. The filter is built as the entries stream out, sized for the
-/// inputs' total.
+/// The run walk drained forward a stretch at a time, so a large base is
+/// copied in slices and never compared entry by entry with the deltas.
+/// The filter is built as the entries stream out, sized for the inputs'
+/// total.
 pub fn merge_runs(newest_first: &[Run], drop_tombstones: bool) -> Run {
     let total = newest_first.iter().map(Run::len).sum();
     let mut out: Vec<BatchOp> = Vec::with_capacity(total);
     let mut filter = LevelFilter::with_capacity(total);
-    let mut heads: Vec<&[BatchOp]> = newest_first.iter().map(Run::entries).collect();
-    loop {
-        let mut winner: Option<(u64, usize)> = None;
-        for (i, h) in heads.iter().enumerate() {
-            if let Some(&(k, _)) = h.first() {
-                if winner.is_none_or(|(wk, _)| k < wk) {
-                    winner = Some((k, i));
-                }
-            }
-        }
-        let Some((key, w)) = winner else {
-            break;
-        };
-        // Older versions of `key` are shadowed; what is left of the
-        // other runs starts past it, at the smallest of their heads.
-        for (i, h) in heads.iter_mut().enumerate() {
-            if i != w && h.first().is_some_and(|&(k, _)| k == key) {
-                *h = &h[1..];
-            }
-        }
-        let bound = (heads.iter().enumerate())
-            .filter(|&(i, _)| i != w)
-            .filter_map(|(_, h)| Some(h.first()?.0))
-            .min();
-        let h = heads[w];
-        let take = bound.map_or(h.len(), |b| h.partition_point(|&(k, _)| k < b));
-        for &(k, op) in &h[..take] {
+    let mut walk = RunWalk::new(newest_first, 0, u64::MAX);
+    while let Some(stretch) = walk.next_stretch() {
+        for &(k, op) in stretch {
             if op.is_some() || !drop_tombstones {
                 out.push((k, op));
                 filter.insert(k);
             }
         }
-        heads[w] = &h[take..];
     }
     Run::with_filter(out, filter)
 }
 
 /// One committed, immutable version of the database: a monotone
 /// sequence number, the newest-first run stack, and the per-shard
-/// committed *store* epochs it corresponds to (the PR 4 cross-shard
-/// epoch vector; empty for in-memory backends).
+/// committed *store* epochs it corresponds to (the cross-shard epoch
+/// vector; empty for in-memory backends).
 #[derive(Clone, Debug)]
 pub struct EpochVersion {
     seq: u64,
@@ -236,20 +309,14 @@ struct PinSlot {
     store_epochs: Arc<[u64]>,
 }
 
-/// Runs superseded by a publish, tagged with the last version sequence
-/// that referenced them.
-struct RetiredRuns {
-    seq: u64,
-    runs: Vec<Run>,
-}
-
 struct State {
     current: Arc<EpochVersion>,
     pins: BTreeMap<u64, PinSlot>,
-    retired: Vec<RetiredRuns>,
+    /// Runs dropped by a publish that were still alive at the last one.
+    /// Their last `Arc` frees them; these handles only count them.
+    dropped: Vec<Weak<RunInner>>,
     published: u64,
     retired_total: u64,
-    reclaimed_total: u64,
 }
 
 /// A point-in-time reading of the manager's counters, for tests and
@@ -260,19 +327,20 @@ pub struct EpochStats {
     pub published: u64,
     /// Runs ever retired by a publish.
     pub retired_runs: u64,
-    /// Retired runs whose grace period elapsed and were freed.
+    /// Retired runs freed: their last `Arc` is gone.
     pub reclaimed_runs: u64,
     /// Distinct epochs currently pinned by at least one reader.
     pub pinned_epochs: usize,
-    /// Retired runs still parked awaiting the pin horizon.
+    /// Retired runs still held by a pinned version, a cursor or another
+    /// handle.
     pub retired_pending: usize,
 }
 
 /// The epoch/snapshot manager (used through `Arc<EpochManager>`).
 ///
-/// One short critical section guards version publication, pinning and
-/// retirement; reads against a pinned version never take it, nor does
-/// asking for the newest sequence number ([`EpochManager::newest_seq`]).
+/// One short critical section guards version publication and pinning;
+/// reads against a pinned version never take it, nor does asking for
+/// the newest sequence number ([`EpochManager::newest_seq`]).
 pub struct EpochManager {
     state: Mutex<State>,
     /// The current version's sequence number, stored by `publish_with`
@@ -302,10 +370,9 @@ impl EpochManager {
                     store_epochs: Arc::from([]),
                 }),
                 pins: BTreeMap::new(),
-                retired: Vec::new(),
+                dropped: Vec::new(),
                 published: 0,
                 retired_total: 0,
-                reclaimed_total: 0,
             }),
             newest: AtomicU64::new(0),
         })
@@ -352,8 +419,8 @@ impl EpochManager {
     /// lock with the current version and returns the new run stack plus
     /// its store-epoch vector; the publish cannot be refused. Runs
     /// present in the old version but absent from the new one are
-    /// retired under the old sequence number and freed once no pin is at
-    /// or below it.
+    /// retired: each is freed as soon as no pinned version, cursor or
+    /// other handle holds it.
     pub fn publish_with<F>(&self, f: F) -> Arc<EpochVersion>
     where
         F: FnOnce(&EpochVersion) -> (Vec<Run>, Arc<[u64]>),
@@ -366,18 +433,14 @@ impl EpochManager {
             runs,
             store_epochs,
         });
-        let dropped: Vec<Run> = cur
+        st.dropped.retain(|run| run.strong_count() > 0);
+        let dropped = cur
             .runs
             .iter()
-            .filter(|r| !new.runs.iter().any(|n| n.ptr_eq(r)))
-            .cloned()
-            .collect();
-        if !dropped.is_empty() {
-            st.retired_total += dropped.len() as u64;
-            st.retired.push(RetiredRuns {
-                seq: cur.seq,
-                runs: dropped,
-            });
+            .filter(|r| !new.runs.iter().any(|n| n.ptr_eq(r)));
+        for run in dropped {
+            st.dropped.push(Arc::downgrade(&run.inner));
+            st.retired_total += 1;
         }
         st.current = new.clone();
         // ordering: Release, under the lock, pairs with the Acquire load
@@ -385,36 +448,15 @@ impl EpochManager {
         // its own synchronisation (a join, a flag) then reads seq ≥ it.
         self.newest.store(new.seq, Ordering::Release);
         st.published += 1;
-        Self::collect_locked(&mut st);
         new
-    }
-
-    /// Frees retired runs whose grace period has elapsed: everything
-    /// tagged strictly below the lowest pinned sequence.
-    fn collect_locked(st: &mut State) {
-        let horizon = st.pins.keys().next().copied().unwrap_or(u64::MAX);
-        let mut reclaimed = 0u64;
-        st.retired.retain(|r| {
-            if r.seq < horizon {
-                reclaimed += r.runs.len() as u64;
-                false
-            } else {
-                true
-            }
-        });
-        st.reclaimed_total += reclaimed;
     }
 
     fn unpin(&self, seq: u64) {
         let mut st = self.lock();
-        let remove = {
-            let slot = st.pins.get_mut(&seq).expect("unpin of unpinned epoch");
-            slot.count -= 1;
-            slot.count == 0
-        };
-        if remove {
+        let slot = st.pins.get_mut(&seq).expect("unpin of unpinned epoch");
+        slot.count -= 1;
+        if slot.count == 0 {
             st.pins.remove(&seq);
-            Self::collect_locked(&mut st);
         }
     }
 
@@ -452,12 +494,13 @@ impl EpochManager {
     /// Counter snapshot.
     pub fn stats(&self) -> EpochStats {
         let st = self.lock();
+        let pending = st.dropped.iter().filter(|r| r.strong_count() > 0).count();
         EpochStats {
             published: st.published,
             retired_runs: st.retired_total,
-            reclaimed_runs: st.reclaimed_total,
+            reclaimed_runs: st.retired_total - pending as u64,
             pinned_epochs: st.pins.len(),
-            retired_pending: st.retired.iter().map(|r| r.runs.len()).sum(),
+            retired_pending: pending,
         }
     }
 }
@@ -478,11 +521,23 @@ impl cosbt_dam::ReclaimGate for ShardGate {
 /// A pinned committed version: dereferences to the [`EpochVersion`] it
 /// holds. While any clone is alive, the version's runs are retained and
 /// the backing stores will not recycle pages its store epochs
-/// reference. Dropping the last clone lifts the pin and lets the
-/// manager reclaim.
+/// reference. Dropping the last clone lifts the pin and frees the runs
+/// no other handle holds.
 pub struct PinnedEpoch {
     mgr: Arc<EpochManager>,
     version: Arc<EpochVersion>,
+}
+
+impl PinnedEpoch {
+    /// A bidirectional cursor over the live entries with
+    /// `lo <= key <= hi`. It holds a pin of its own, so it may outlive
+    /// this one.
+    pub fn cursor(&self, lo: u64, hi: u64) -> SnapshotCursor {
+        SnapshotCursor {
+            walk: RunWalk::new(self.runs(), lo, hi),
+            _pin: self.clone(),
+        }
+    }
 }
 
 impl std::fmt::Debug for PinnedEpoch {
@@ -514,6 +569,49 @@ impl std::ops::Deref for PinnedEpoch {
 
     fn deref(&self) -> &EpochVersion {
         &self.version
+    }
+}
+
+/// A bidirectional cursor over a pinned version's live entries in a key
+/// window ([`PinnedEpoch::cursor`]): the run walk, tombstones skipped.
+/// Owns its pin, so the version stays alive for the cursor's lifetime;
+/// implements [`CursorOps`] with the dictionary-wide gap semantics
+/// (`next` then `prev` revisits the same entry).
+pub struct SnapshotCursor {
+    walk: RunWalk,
+    _pin: PinnedEpoch,
+}
+
+impl std::fmt::Debug for SnapshotCursor {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SnapshotCursor")
+            .field("runs", &self.walk.windows.len())
+            .finish()
+    }
+}
+
+impl SnapshotCursor {
+    /// The next live entry in the walk's direction.
+    fn live(&mut self, forward: bool) -> Option<(u64, u64)> {
+        loop {
+            if let (_, (k, Some(v))) = self.walk.step(forward)? {
+                return Some((k, v));
+            }
+        }
+    }
+}
+
+impl CursorOps for SnapshotCursor {
+    fn seek(&mut self, key: u64) {
+        self.walk.seek(key);
+    }
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        self.live(true)
+    }
+
+    fn prev(&mut self) -> Option<(u64, u64)> {
+        self.live(false)
     }
 }
 
@@ -591,6 +689,43 @@ mod tests {
         let s = mgr.stats();
         assert_eq!(s.retired_pending, 0);
         assert_eq!(s.reclaimed_runs, s.retired_runs);
+    }
+
+    /// The counters' invariant: every retired run is freed or held.
+    fn accounted(mgr: &EpochManager) -> EpochStats {
+        let s = mgr.stats();
+        let held = s.retired_pending as u64;
+        assert_eq!(s.retired_runs, s.reclaimed_runs + held, "{s:?}");
+        s
+    }
+
+    #[test]
+    fn a_run_no_pin_holds_is_freed_while_an_older_pin_lives() {
+        let mgr = EpochManager::new();
+        publish_run(&mgr, vec![(1, Some(1))]);
+        let pin = mgr.pin();
+        let own = Arc::downgrade(&pin.runs()[0].inner);
+        accounted(&mgr);
+        let r = Run::from_ops(vec![(2, Some(2))]);
+        let r_alive = Arc::downgrade(&r.inner);
+        publish_run_handle(&mgr, r);
+        accounted(&mgr);
+        // Compact R and the pinned run into one: both retire, but only
+        // the pin's version still holds one of them.
+        let merged = merge_runs(mgr.current().runs(), true);
+        mgr.publish_with(|cur| (vec![merged], cur.store_epochs_arc()));
+        let s = accounted(&mgr);
+        assert!(r_alive.upgrade().is_none(), "R waits for the older pin");
+        assert!(own.upgrade().is_some(), "the pin's own run was freed");
+        assert_eq!(
+            (s.retired_runs, s.reclaimed_runs, s.retired_pending),
+            (2, 1, 1)
+        );
+        assert_eq!((pin.get(1), pin.get(2)), (Some(1), None));
+        drop(pin);
+        let s = accounted(&mgr);
+        assert!(own.upgrade().is_none(), "unpinned, the last run goes too");
+        assert_eq!((s.reclaimed_runs, s.retired_pending), (2, 0));
     }
 
     #[test]

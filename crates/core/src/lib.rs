@@ -35,7 +35,7 @@ mod runbuf;
 pub mod stats;
 
 pub use cascade::{AuxBuilder, LevelAux, LevelFilter, Probe};
-pub use cursor::{MergeCursor, Run, RunMergeCursor};
+pub use cursor::{Run, RunMergeCursor};
 pub use dict::{BatchOp, Cursor, CursorOps, Dictionary, UpdateBatch, VecCursor};
 pub use entry::Cell;
 pub use epoch::{EpochManager, EpochStats, EpochVersion, PinnedEpoch};

@@ -21,7 +21,9 @@ fn epoch_pin_publish_retire_is_safe() {
     let report = check_opts(ModelOpts::bound(2), || {
         let mgr = EpochManager::new();
         let run_a = Run::from_ops(vec![(1, Some(10))]);
-        mgr.publish_with(|cur| (vec![run_a.clone()], cur.store_epochs_arc()));
+        // The manager takes the only handle to `run_a`: a run's last
+        // `Arc` frees it, so one kept here would hold it past every pin.
+        mgr.publish_with(|cur| (vec![run_a], cur.store_epochs_arc()));
         let mgr2 = Arc::clone(&mgr);
         let reader = thread::spawn(move || {
             let pin = mgr2.pin();
@@ -33,13 +35,13 @@ fn epoch_pin_publish_retire_is_safe() {
                 "torn value observed: {first:?}"
             );
         });
-        // Replace the stack wholesale: retires `run_a` under the old
-        // seq; the reader's pin (if it raced ahead) parks it.
+        // Replace the stack wholesale: retires `run_a`; the reader's pin
+        // (if it raced ahead) holds it.
         let run_b = Run::from_ops(vec![(1, Some(20))]);
         mgr.publish_with(|cur| (vec![run_b.clone()], cur.store_epochs_arc()));
         reader.join().unwrap();
-        // The reader's unpin ran `collect` (or the publish did, if the
-        // pin was already gone): nothing may remain parked.
+        // The reader's pin is gone, and with it the last handle to
+        // `run_a`: nothing may remain held.
         let s = mgr.stats();
         assert_eq!(s.pinned_epochs, 0);
         assert_eq!(s.retired_pending, 0, "retired runs reclaimed once unpinned");

@@ -11,18 +11,19 @@
 //! a scoped pool of worker threads when the batch is large and reaches
 //! more than one shard; each shard then runs its own single-threaded
 //! merge machinery unchanged. Reads route point lookups to the owning
-//! shard and splice range scans that cross a shard boundary back
-//! together with the k-way [`MergeCursor`], so the [`Dictionary`] trait
-//! is exposed unchanged. A [`crate::Db`] is always a router: an
-//! unsharded one routes everything to its one shard.
+//! shard and chain the shard cursors of a range scan that crosses a
+//! shard boundary end to end, so the [`Dictionary`] trait is exposed
+//! unchanged. A [`crate::Db`] is always a router: an unsharded one
+//! routes everything to its one shard.
 //!
 //! Range partitioning (rather than hashing) keeps each shard a contiguous
-//! key interval: scans touch only the shards overlapping the query window
-//! and the cross-shard merge never interleaves more than one live source
-//! at a time. The trade-off — skewed key distributions load shards
-//! unevenly — is what custom splitters are for.
+//! key interval: scans touch only the shards overlapping the query window,
+//! and since no two shards hold the same key, a cross-shard scan merges
+//! nothing — it steps one shard until it runs dry, then its neighbour.
+//! The trade-off — skewed key distributions load shards unevenly — is
+//! what custom splitters are for.
 
-use cosbt_core::{Cursor, Dictionary, MergeCursor, Persist, UpdateBatch};
+use cosbt_core::{Cursor, CursorOps, Dictionary, Persist, UpdateBatch};
 
 /// The trait bundle a shard must satisfy: the dictionary operations, the
 /// persistence boundary (so a file-backed shard can serialize its control
@@ -200,17 +201,15 @@ impl Dictionary for ShardRouter {
         if first == last {
             return self.shards[first].cursor(lo, hi);
         }
-        if lo > hi {
-            return Cursor::new(MergeCursor::<Cursor<'_>>::new(Vec::new()));
-        }
-        // Only the shards whose range intersects [lo, hi] contribute;
-        // snapshot-style shard cursors (BRT, shuttle) then materialize
-        // only the overlapping partitions.
-        let subs: Vec<Cursor<'_>> = self.shards[first..=last]
-            .iter_mut()
-            .map(|s| s.cursor(lo, hi))
-            .collect();
-        Cursor::new(MergeCursor::new(subs))
+        // Only the shards whose range intersects [lo, hi] contribute
+        // (none when lo > hi); snapshot-style shard cursors (BRT,
+        // shuttle) then materialize only the overlapping partitions.
+        let shards = self.shards.get_mut(first..=last).unwrap_or_default();
+        Cursor::new(ShardChain {
+            splitters: self.splitters.get(first..last).unwrap_or_default(),
+            cursors: shards.iter_mut().map(|s| s.cursor(lo, hi)).collect(),
+            at: 0,
+        })
     }
 
     fn range(&mut self, lo: u64, hi: u64) -> Vec<(u64, u64)> {
@@ -292,10 +291,50 @@ impl Dictionary for ShardRouter {
     }
 }
 
+/// The shard cursors of a window, in key order, walked end to end:
+/// shards own disjoint key ranges, so the gap lies in one shard, every
+/// shard before it is spent and every shard after it is untouched.
+struct ShardChain<'a> {
+    /// The boundaries between the chained shards.
+    splitters: &'a [u64],
+    cursors: Vec<Cursor<'a>>,
+    /// The shard whose cursor holds the gap.
+    at: usize,
+}
+
+impl CursorOps for ShardChain<'_> {
+    fn seek(&mut self, key: u64) {
+        for c in &mut self.cursors {
+            c.seek(key);
+        }
+        self.at = self.splitters.partition_point(|&s| s <= key);
+    }
+
+    fn next(&mut self) -> Option<(u64, u64)> {
+        loop {
+            let hit = self.cursors.get_mut(self.at)?.next();
+            if hit.is_some() || self.at + 1 == self.cursors.len() {
+                return hit;
+            }
+            self.at += 1;
+        }
+    }
+
+    fn prev(&mut self) -> Option<(u64, u64)> {
+        loop {
+            let hit = self.cursors.get_mut(self.at)?.prev();
+            if hit.is_some() || self.at == 0 {
+                return hit;
+            }
+            self.at -= 1;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cosbt_core::GCola;
+    use cosbt_core::{GCola, VecCursor};
     use cosbt_dam::PlainMem;
 
     fn router(n: usize) -> ShardRouter {
@@ -445,6 +484,123 @@ mod tests {
         assert_eq!(c.next(), Some((100, 30)), "crosses the shard boundary");
         assert_eq!(c.prev(), Some((100, 30)));
         assert_eq!(c.prev(), Some((99, 20)), "and back across it");
+    }
+
+    /// A chain over one `VecCursor` per shard, split at `splitters`.
+    fn chain(shards: Vec<Vec<(u64, u64)>>, splitters: &[u64]) -> ShardChain<'_> {
+        ShardChain {
+            splitters,
+            cursors: shards
+                .into_iter()
+                .map(|s| Cursor::new(VecCursor::new(s)))
+                .collect(),
+            at: 0,
+        }
+    }
+
+    #[test]
+    fn chain_walks_back_over_its_output() {
+        let mut c = chain(
+            vec![vec![(1, 1), (3, 3)], vec![], vec![(5, 5), (6, 6)]],
+            &[4, 5],
+        );
+        let fwd: Vec<(u64, u64)> = std::iter::from_fn(|| c.next()).collect();
+        assert_eq!(
+            fwd,
+            vec![(1, 1), (3, 3), (5, 5), (6, 6)],
+            "over the empty shard"
+        );
+        let mut bwd: Vec<(u64, u64)> = std::iter::from_fn(|| c.prev()).collect();
+        bwd.reverse();
+        assert_eq!(bwd, fwd, "drained chain walks back over its output");
+    }
+
+    #[test]
+    fn chain_direction_switches_and_seek() {
+        let mut c = chain(
+            vec![
+                vec![(1, 1), (2, 2)],
+                vec![(3, 3), (4, 4)],
+                vec![(5, 5), (6, 6)],
+            ],
+            &[3, 5],
+        );
+        assert_eq!(c.next(), Some((1, 1)));
+        assert_eq!(c.next(), Some((2, 2)));
+        assert_eq!(c.next(), Some((3, 3)), "into the middle shard");
+        assert_eq!(c.prev(), Some((3, 3)), "next then prev revisits");
+        assert_eq!(c.prev(), Some((2, 2)), "and steps back across");
+        assert_eq!(c.prev(), Some((1, 1)));
+        assert_eq!(c.prev(), None);
+        c.seek(4);
+        assert_eq!(c.next(), Some((4, 4)));
+        assert_eq!(c.next(), Some((5, 5)));
+        assert_eq!(c.prev(), Some((5, 5)));
+        c.seek(5);
+        assert_eq!(
+            c.prev(),
+            Some((4, 4)),
+            "a seek to a splitter backs into the shard below"
+        );
+        c.seek(0);
+        assert_eq!(c.next(), Some((1, 1)));
+        c.seek(u64::MAX);
+        assert_eq!(c.next(), None);
+        assert_eq!(c.prev(), Some((6, 6)));
+    }
+
+    /// A [`VecCursor`] that counts how many times it is stepped.
+    struct Counted(VecCursor, std::rc::Rc<std::cell::Cell<usize>>);
+
+    impl CursorOps for Counted {
+        fn seek(&mut self, key: u64) {
+            self.0.seek(key)
+        }
+        fn next(&mut self) -> Option<(u64, u64)> {
+            self.1.set(self.1.get() + 1);
+            self.0.next()
+        }
+        fn prev(&mut self) -> Option<(u64, u64)> {
+            self.1.set(self.1.get() + 1);
+            self.0.prev()
+        }
+    }
+
+    #[test]
+    fn chain_steps_only_the_shard_holding_the_gap() {
+        // A scan of r entries over k shards steps each entry once, plus
+        // one dry step per shard: O(r + k), not O(k · r).
+        let steps = std::rc::Rc::new(std::cell::Cell::new(0));
+        let mut c = ShardChain {
+            splitters: &[100, 200, 300],
+            cursors: (0..4u64)
+                .map(|s| {
+                    let entries = (0..100).map(|i| (s * 100 + i, i)).collect();
+                    Cursor::new(Counted(VecCursor::new(entries), steps.clone()))
+                })
+                .collect(),
+            at: 0,
+        };
+        assert_eq!(std::iter::from_fn(|| c.next()).count(), 400);
+        assert_eq!(steps.get(), 400 + 4);
+    }
+
+    #[test]
+    fn chain_of_no_shards_and_of_one() {
+        let mut none = chain(vec![], &[]);
+        assert_eq!(none.next(), None);
+        assert_eq!(none.prev(), None);
+        none.seek(7);
+        assert_eq!(none.next(), None);
+        let mut one = chain(vec![vec![(7, 70)]], &[]);
+        assert_eq!(one.next(), Some((7, 70)));
+        assert_eq!(one.next(), None);
+        assert_eq!(one.prev(), Some((7, 70)));
+        // A window with lo > hi across shards chains none of them.
+        let mut r = router(4);
+        r.insert_batch(&[(1, 1), (u64::MAX, 2)]);
+        let mut c = r.cursor(u64::MAX, 1);
+        assert_eq!((c.next(), c.prev()), (None, None));
     }
 
     #[test]

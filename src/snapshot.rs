@@ -24,10 +24,14 @@
 //! runs, the same `snapshot()` call merges its oldest half into one run
 //! on the writer's thread before it returns.
 //! Readers never wait for that merge: they keep reading the epochs they
-//! pinned, and the compacted epoch is one more publish.
+//! pinned, and the compacted epoch is one more publish. The merge and
+//! every [`SnapshotCursor`] are one walk of the run stack
+//! ([`cosbt_core::epoch`]), and a run the merge supersedes is freed as
+//! soon as no pinned epoch or cursor holds it.
 
 use cosbt_testkit::sync::Arc;
 
+pub use cosbt_core::epoch::SnapshotCursor;
 use cosbt_core::epoch::{merge_runs, Run};
 use cosbt_core::{BatchOp, CursorOps, EpochManager, PinnedEpoch};
 
@@ -209,7 +213,7 @@ impl DbSnapshot {
     /// cursor owns a pin on the epoch, so it may outlive the snapshot
     /// handle it came from.
     pub fn cursor(&self, lo: u64, hi: u64) -> SnapshotCursor {
-        SnapshotCursor::new(self.pinned.clone(), lo, hi)
+        self.pinned.cursor(lo, hi)
     }
 }
 
@@ -304,137 +308,6 @@ impl DbReader {
     pub fn pin(&mut self) -> DbSnapshot {
         self.maybe_refresh();
         self.local.clone()
-    }
-}
-
-/// One run restricted to the cursor's key window.
-struct RunWindow {
-    run: Run,
-    /// First entry index inside the window.
-    lo: usize,
-    /// One past the last entry index inside the window.
-    hi: usize,
-    /// Gap position in `[lo, hi]`.
-    pos: usize,
-}
-
-impl RunWindow {
-    fn at(&self, i: usize) -> BatchOp {
-        self.run.entries()[i]
-    }
-}
-
-/// A bidirectional cursor over a pinned epoch (see
-/// [`DbSnapshot::cursor`]): a k-way walk of the epoch's runs, newest
-/// run winning on key ties, tombstones skipped. Owns its pin, so the
-/// epoch stays alive for the cursor's lifetime; implements
-/// [`CursorOps`] with the dictionary-wide gap semantics (`next` then
-/// `prev` revisits the same entry).
-pub struct SnapshotCursor {
-    /// Newest-first, like the epoch's run stack.
-    windows: Vec<RunWindow>,
-    _pin: PinnedEpoch,
-}
-
-impl std::fmt::Debug for SnapshotCursor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotCursor")
-            .field("runs", &self.windows.len())
-            .finish()
-    }
-}
-
-impl SnapshotCursor {
-    fn new(pin: PinnedEpoch, lo: u64, hi: u64) -> SnapshotCursor {
-        let windows = pin
-            .runs()
-            .iter()
-            .map(|run| {
-                let entries = run.entries();
-                let start = entries.partition_point(|&(k, _)| k < lo);
-                let end = if lo > hi {
-                    start
-                } else {
-                    entries.partition_point(|&(k, _)| k <= hi)
-                };
-                RunWindow {
-                    run: run.clone(),
-                    lo: start,
-                    hi: end.max(start),
-                    pos: start,
-                }
-            })
-            .collect();
-        SnapshotCursor { windows, _pin: pin }
-    }
-}
-
-impl CursorOps for SnapshotCursor {
-    fn seek(&mut self, key: u64) {
-        for w in &mut self.windows {
-            let entries = w.run.entries();
-            let p = entries[w.lo..w.hi].partition_point(|&(k, _)| k < key);
-            w.pos = w.lo + p;
-        }
-    }
-
-    fn next(&mut self) -> Option<(u64, u64)> {
-        loop {
-            // Smallest key just after the gap; on ties the newest run
-            // (lowest index) wins.
-            let mut best: Option<(u64, usize)> = None;
-            for (i, w) in self.windows.iter().enumerate() {
-                if w.pos < w.hi {
-                    let k = w.at(w.pos).0;
-                    if best.is_none_or(|(bk, _)| k < bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let (key, winner) = best?;
-            let op = {
-                let w = &self.windows[winner];
-                w.at(w.pos).1
-            };
-            // Move the gap past `key` in every run.
-            for w in &mut self.windows {
-                if w.pos < w.hi && w.at(w.pos).0 == key {
-                    w.pos += 1;
-                }
-            }
-            if let Some(v) = op {
-                return Some((key, v));
-            }
-            // Tombstone: the key is dead at this epoch; keep walking.
-        }
-    }
-
-    fn prev(&mut self) -> Option<(u64, u64)> {
-        loop {
-            // Largest key just before the gap; ties → newest run wins.
-            let mut best: Option<(u64, usize)> = None;
-            for (i, w) in self.windows.iter().enumerate() {
-                if w.pos > w.lo {
-                    let k = w.at(w.pos - 1).0;
-                    if best.is_none_or(|(bk, _)| k > bk) {
-                        best = Some((k, i));
-                    }
-                }
-            }
-            let (key, winner) = best?;
-            let op = {
-                let w = &self.windows[winner];
-                w.at(w.pos - 1).1
-            };
-            for w in &mut self.windows {
-                if w.pos > w.lo && w.at(w.pos - 1).0 == key {
-                    w.pos -= 1;
-                }
-            }
-            if let Some(v) = op {
-                return Some((key, v));
-            }
-        }
     }
 }
 

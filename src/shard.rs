@@ -586,6 +586,30 @@ mod tests {
     }
 
     #[test]
+    fn chain_over_boxed_cursors() {
+        // The heterogeneous case: type-erased cursors of different kinds,
+        // one a COLA's run merge, one a plain vector snapshot.
+        let mut cola = GCola::basic(PlainMem::new());
+        cola.insert_batch(&[(10, 1), (30, 3)]);
+        let mut c = ShardChain {
+            splitters: &[40],
+            cursors: vec![
+                cola.cursor(0, u64::MAX),
+                Cursor::new(VecCursor::new(vec![(40, 4), (50, 5)])),
+            ],
+            at: 0,
+        };
+        assert_eq!(c.next(), Some((10, 1)));
+        assert_eq!(c.next(), Some((30, 3)));
+        assert_eq!(c.next(), Some((40, 4)), "from the COLA into the vector");
+        assert_eq!(c.next(), Some((50, 5)));
+        assert_eq!(c.next(), None);
+        assert_eq!(c.prev(), Some((50, 5)));
+        c.seek(31);
+        assert_eq!(c.prev(), Some((30, 3)), "a seek backs into the COLA");
+    }
+
+    #[test]
     fn chain_of_no_shards_and_of_one() {
         let mut none = chain(vec![], &[]);
         assert_eq!(none.next(), None);

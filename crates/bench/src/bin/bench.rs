@@ -7,7 +7,7 @@
 //! bench list
 //! bench run --scenario balanced --structure gcola --shards 2
 //! bench run --scenario read_heavy --structure btree --backend file --n 50000
-//! bench compare --current results --baseline results/baseline --threshold 0.15
+//! bench compare --current results --baseline results/baseline
 //! bench figures fig2 deamort        # the paper's figure sweeps
 //! ```
 //!
@@ -15,7 +15,8 @@
 //! cell identity are replaced; other cells' results survive, so the file
 //! accumulates a trajectory) plus a companion CSV. `compare` diffs every
 //! `BENCH_*.json` in `--current` against the same file in `--baseline`
-//! and exits nonzero past the threshold — the CI perf gate. Invoke via
+//! and exits nonzero when any cell's run-phase transfers exceed the
+//! baseline's — the CI transfer gate. Invoke via
 //! `cargo run --release -p cosbt-bench --bin bench -- <args>`.
 
 use std::path::PathBuf;
@@ -26,8 +27,8 @@ use cosbt_bench::json::{self, Json};
 use cosbt_bench::measure::{results_dir, write_atomic};
 use cosbt_bench::scaled;
 use cosbt_bench::scenario::{
-    compare_documents, csv_from_document, merge_document, mix_of, run_concurrent, run_contended,
-    run_reopen, run_resumable, RunMeta, Scenario, SCENARIOS,
+    compare_documents, csv_from_document, merge_document, run, run_reopen, RunMeta, Scenario,
+    REOPEN_SAMPLES, SCENARIOS,
 };
 use cosbt_bench::workloads::KeyDist;
 
@@ -86,7 +87,7 @@ fn usage() -> ExitCode {
          commands:\n\
          \x20 list                         scenarios, structures, experiments\n\
          \x20 run [options]                execute one scenario × cell, update BENCH_*.json\n\
-         \x20 compare [options]            diff BENCH_*.json against a baseline (perf gate)\n\
+         \x20 compare [options]            diff BENCH_*.json against a baseline (transfer gate)\n\
          \x20 figures <exp>...|all         regenerate the paper's figure sweeps\n\
          \n\
          run options:\n\
@@ -105,33 +106,15 @@ fn usage() -> ExitCode {
          \x20 --n N                        measured ops (default {} / COSBT_SCALE=full {})\n\
          \x20 --scale quick|full|huge      n preset; huge = {} ops, out-of-core (cache << data)\n\
          \x20 --prefill N                  prefill ops (default: scenario fraction of n)\n\
-         \x20 --prefill-only               stage 1 of a split run: prefill, sync, record a\n\
-         \x20                              resume marker, keep the store (file backend)\n\
-         \x20 --resume                     stage 2: reopen the --prefill-only store of the\n\
-         \x20                              identical cell and skip straight to the measured\n\
-         \x20                              phase (lets CI split huge out-of-core runs)\n\
          \x20 --seed N                     workload seed (default 42)\n\
          \x20 --reopen                     cold-start phase: sync, drop all process state,\n\
-         \x20                              reopen from the files, measure first-read latency\n\
-         \x20                              and transfers (file backend only)\n\
-         \x20 --reopen-samples N           cold point reads in the reopen phase (default 2000)\n\
-         \x20 --clients N                  contended phase: N reader threads on pinned\n\
-         \x20                              snapshots vs the writer; records read p99 under\n\
-         \x20                              contention and writer throughput\n\
-         \x20 --client-writes N            writer ops in the --clients phase (default n/4)\n\
-         \x20 --contended N                heavy-traffic phase: N client threads each run\n\
-         \x20                              the scenario's full op mix against their own\n\
-         \x20                              auto-refreshing reader, writes funnelled to the\n\
-         \x20                              single writer; reports per-client p99/p999\n\
-         \x20 --contended-ops N            ops per client in --contended (default n/clients)\n\
+         \x20                              reopen from the files, count the hits and\n\
+         \x20                              transfers of cold reads of {} key draws (file only)\n\
          \x20 --out DIR                    artifact directory (default results/)\n\
          \n\
          compare options:\n\
          \x20 --current DIR                directory of fresh BENCH_*.json (default results/)\n\
-         \x20 --baseline DIR               checked-in baseline (default results/baseline/)\n\
-         \x20 --threshold F                allowed fractional regression (default 0.15)\n\
-         \x20 --check-throughput           gate wall-clock throughput too (dedicated runners)\n\
-         \x20 --warn-only                  report findings but always exit 0",
+         \x20 --baseline DIR               checked-in baseline (default results/baseline/)",
         SCENARIOS
             .iter()
             .map(|s| s.name)
@@ -140,6 +123,7 @@ fn usage() -> ExitCode {
         DEFAULT_N_QUICK,
         DEFAULT_N_FULL,
         DEFAULT_N_HUGE,
+        REOPEN_SAMPLES,
     );
     ExitCode::from(2)
 }
@@ -256,39 +240,17 @@ impl CellSpec {
     }
 }
 
-/// FNV-1a, for deriving a stable scratch-file name from a resume key.
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// A `Db` plus its builder (for the `--reopen` phase), the file paths to
-/// unlink when the run is done, and the resume marker (if staged runs
-/// are in play).
+/// A `Db` plus its builder (for the `--reopen` phase) and the file paths
+/// to unlink when the run is done.
 struct BuiltCell {
     db: Db,
     builder: DbBuilder,
     cleanup: Vec<PathBuf>,
-    /// `<data>.prefilled` marker path, when a stable key was supplied.
-    marker: Option<PathBuf>,
-    /// True when the store was reopened from a matching prefill marker,
-    /// so the run can skip its prefill phase.
-    resumed: bool,
 }
 
-/// Builds (or, under `--resume`, reopens) the cell. `stable_key` is the
-/// staged-run identity: when present, the scratch file is named by its
-/// hash instead of the pid so a later invocation finds the same store,
-/// and `<data>.prefilled` holds the key for verification.
-fn build_cell(
-    spec: &CellSpec,
-    stable_key: Option<&str>,
-    resume: bool,
-) -> Result<BuiltCell, String> {
+/// Builds the cell `spec` names; a file cell gets a scratch store named
+/// by the process id.
+fn build_cell(spec: &CellSpec) -> Result<BuiltCell, String> {
     let s = match spec.structure.as_str() {
         "gcola" => Structure::GCola { g: spec.param },
         "basic" => Structure::BasicCola,
@@ -302,7 +264,6 @@ fn build_cell(
         .structure(s)
         .shards(spec.shards)
         .cache_bytes(spec.cache_bytes);
-    let mut marker = None;
     match spec.backend.as_str() {
         "file" => {
             // Scratch data lives under the system temp dir, never under
@@ -310,14 +271,7 @@ fn build_cell(
             // results/baseline/) must only ever receive BENCH_* files.
             let dir = std::env::temp_dir().join("cosbt-bench-data");
             std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
-            let path = match stable_key {
-                Some(key) => {
-                    let p = dir.join(format!("cell-{:016x}.dat", fnv64(key)));
-                    marker = Some(dir.join(format!("cell-{:016x}.prefilled", fnv64(key))));
-                    p
-                }
-                None => dir.join(format!("cell-{}.dat", std::process::id())),
-            };
+            let path = dir.join(format!("cell-{}.dat", std::process::id()));
             b = b.backend(if spec.direct {
                 Backend::file_direct(path)
             } else {
@@ -338,39 +292,11 @@ fn build_cell(
         }
     }
     let cleanup = b.data_paths();
-    let mut resumed = false;
-    let db = if resume {
-        let (marker_path, key) = match (&marker, stable_key) {
-            (Some(m), Some(k)) => (m, k),
-            _ => return Err("--resume needs --backend file".into()),
-        };
-        match std::fs::read_to_string(marker_path) {
-            Ok(found) if found.trim() == key => {
-                resumed = true;
-                b.clone().open().map_err(|e| e.to_string())?
-            }
-            Ok(_) => {
-                return Err(format!(
-                    "prefill marker {} belongs to a different cell — rerun --prefill-only",
-                    marker_path.display()
-                ))
-            }
-            Err(_) => {
-                return Err(format!(
-                    "no prefill marker at {} — run the same cell with --prefill-only first",
-                    marker_path.display()
-                ))
-            }
-        }
-    } else {
-        b.clone().build().map_err(|e| e.to_string())?
-    };
+    let db = b.clone().build().map_err(|e| e.to_string())?;
     Ok(BuiltCell {
         db,
         builder: b,
         cleanup,
-        marker,
-        resumed,
     })
 }
 
@@ -411,15 +337,6 @@ fn cmd_run(args: &mut Args) -> ExitCode {
         .unwrap_or((n as f64 * scenario.prefill_frac) as u64);
     let seed = args.num("--seed").unwrap_or(42);
     let reopen = args.flag("--reopen");
-    let reopen_samples = args.num("--reopen-samples").unwrap_or(2000);
-    let clients = args.num("--clients").unwrap_or(0) as usize;
-    let client_writes = args.num("--client-writes").unwrap_or(n / 4);
-    let contended = args.num("--contended").unwrap_or(0) as usize;
-    let contended_ops = args
-        .num("--contended-ops")
-        .unwrap_or_else(|| (n / contended.max(1) as u64).max(1));
-    let prefill_only = args.flag("--prefill-only");
-    let resume = args.flag("--resume");
     let out = args
         .opt("--out")
         .map(PathBuf::from)
@@ -442,33 +359,8 @@ fn cmd_run(args: &mut Args) -> ExitCode {
         eprintln!("--reopen needs --backend file (a memory cell has nothing to reopen)");
         return ExitCode::from(2);
     }
-    if (prefill_only || resume) && spec.backend != "file" {
-        eprintln!("--prefill-only/--resume need --backend file (staged runs live in the store)");
-        return ExitCode::from(2);
-    }
-    if prefill_only && resume {
-        eprintln!("--prefill-only and --resume are the two halves of a staged run; pick one");
-        return ExitCode::from(2);
-    }
 
-    // Staged runs key the scratch store on everything that shapes the
-    // prefill image, so --resume can only ever match a byte-identical
-    // prefill phase.
-    let stable_key = (prefill_only || resume).then(|| {
-        format!(
-            "{}|{}|g={}|shards={}|direct={}|cache={}|dist={}|prefill={}|seed={}",
-            scenario.name,
-            spec.structure,
-            spec.param,
-            spec.shards,
-            spec.direct,
-            spec.cache_bytes,
-            dist.name(),
-            prefill,
-            seed,
-        )
-    });
-    let built = match build_cell(&spec, stable_key.as_deref(), resume) {
+    let built = match build_cell(&spec) {
         Ok(b) => b,
         Err(e) => {
             eprintln!("cannot build cell: {e}");
@@ -477,101 +369,18 @@ fn cmd_run(args: &mut Args) -> ExitCode {
     };
     let mut db = built.db;
     let meta = RunMeta::for_cell(&spec.structure, db.config(), dist, n, prefill, seed);
-
-    if prefill_only {
-        cosbt_bench::scenario::prefill_into(&mut db, dist, prefill, seed);
-        if let Err(e) = db.sync() {
-            eprintln!("sync after prefill: {e}");
-            return ExitCode::FAILURE;
-        }
-        drop(db);
-        let marker = built.marker.expect("file backend has a marker path");
-        if let Err(e) = std::fs::write(&marker, stable_key.unwrap()) {
-            eprintln!("cannot write {}: {e}", marker.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "prefilled {} ({} backend) with {prefill} entries; resume with the same cell \
-             flags plus --resume",
-            meta.label, meta.backend
-        );
-        return ExitCode::SUCCESS;
-    }
-
     println!(
-        "running scenario '{}' on {} ({} backend, n = {n}, prefill = {prefill}{}, seed = {seed})",
-        scenario.name,
-        meta.label,
-        meta.backend,
-        if built.resumed { " [resumed]" } else { "" },
+        "running scenario '{}' on {} ({} backend, n = {n}, prefill = {prefill}, seed = {seed})",
+        scenario.name, meta.label, meta.backend,
     );
-    let mut report = run_resumable(scenario, dist, meta, &mut db, built.resumed);
+    let mut report = run(scenario, dist, meta, &mut db);
     report.print();
-    if contended > 0 {
-        let c = run_contended(
-            &mut db,
-            mix_of(scenario.kind),
-            dist,
-            seed,
-            contended,
-            contended_ops,
-        );
-        println!(
-            "contended {} clients × {contended_ops} ops: read p50 {} ns p99 {} ns p999 {} ns; \
-             writer {:.0} ops/s ({} ops, {} batches); {} epochs, {} runs reclaimed",
-            c.clients,
-            c.read_latency.p50(),
-            c.read_latency.p99(),
-            c.read_latency.p999(),
-            c.writer_throughput,
-            c.writer_ops,
-            c.writer_batches,
-            c.epochs_published,
-            c.runs_reclaimed,
-        );
-        for (i, cl) in c.per_client.iter().enumerate() {
-            println!(
-                "  client {i}: {} ops ({} reads, {} hits, {} scanned, {} writes) \
-                 p50 {} ns p99 {} ns p999 {} ns",
-                cl.ops,
-                cl.reads,
-                cl.read_hits,
-                cl.scanned,
-                cl.writes,
-                cl.latency.p50(),
-                cl.latency.p99(),
-                cl.latency.p999(),
-            );
-        }
-        report.contended = Some(c);
-    }
-    if clients > 0 {
-        let conc = run_concurrent(&mut db, dist, seed, clients, client_writes);
-        println!(
-            "clients {}: {} reads ({} hits) p50 {} ns p99 {} ns; writer {:.0} ops/s \
-             ({} ops, {} epochs)",
-            conc.clients,
-            conc.reads,
-            conc.read_hits,
-            conc.read_latency.p50(),
-            conc.read_latency.p99(),
-            conc.writer_throughput,
-            conc.writer_ops,
-            conc.epochs_published,
-        );
-        report.concurrent = Some(conc);
-    }
     let reopen_result = if reopen {
-        match run_reopen(built.builder.clone(), db, dist, seed, reopen_samples) {
+        match run_reopen(built.builder.clone(), db, dist, seed) {
             Ok((cold, reopened)) => {
                 println!(
-                    "reopen: open {:.1} ms, {} cold reads ({} hits): p50 {} ns p99 {} ns, \
-                     transfers {}",
-                    cold.open_s * 1e3,
-                    cold.first_reads.count(),
+                    "reopen: cold reads of {REOPEN_SAMPLES} key draws, {} hits, transfers {}",
                     cold.hits,
-                    cold.first_reads.p50(),
-                    cold.first_reads.p99(),
                     cold.io.transfers(),
                 );
                 report.reopen = Some(cold);
@@ -588,14 +397,10 @@ fn cmd_run(args: &mut Args) -> ExitCode {
         Ok(())
     };
     // Scratch files go away on success *and* failure — a failed reopen
-    // phase must not leak the cell's store files into the temp dir. The
-    // measured phase mutated a resumed store, so its marker dies too.
+    // phase must not leak the cell's store files into the temp dir.
     for path in built.cleanup {
         // Best-effort temp-dir hygiene; the file may be gone already.
         let _ = std::fs::remove_file(path);
-    }
-    if let Some(marker) = built.marker {
-        let _ = std::fs::remove_file(marker);
     }
     if let Err(e) = reopen_result {
         eprintln!("reopen phase failed: {e}");
@@ -651,17 +456,6 @@ fn cmd_compare(args: &mut Args) -> ExitCode {
         .opt("--baseline")
         .map(PathBuf::from)
         .unwrap_or_else(|| results_dir().join("baseline"));
-    let threshold = args
-        .opt("--threshold")
-        .map(|v| {
-            v.parse::<f64>().unwrap_or_else(|_| {
-                eprintln!("--threshold expects a fraction, got '{v}'");
-                std::process::exit(2);
-            })
-        })
-        .unwrap_or(0.15);
-    let check_throughput = args.flag("--check-throughput");
-    let warn_only = args.flag("--warn-only");
     args.finish("compare");
 
     let mut bench_files: Vec<PathBuf> = match std::fs::read_dir(&current_dir) {
@@ -724,9 +518,9 @@ fn cmd_compare(args: &mut Args) -> ExitCode {
                 continue;
             }
         };
-        let findings = compare_documents(&current, &baseline, threshold, check_throughput);
+        let findings = compare_documents(&current, &baseline);
         if findings.is_empty() {
-            println!("{name}: ok (within {:.0}% of baseline)", threshold * 100.0);
+            println!("{name}: ok (transfers equal to the baseline's)");
         }
         for f in findings {
             if f.fails {
@@ -737,12 +531,9 @@ fn cmd_compare(args: &mut Args) -> ExitCode {
             }
         }
     }
-    if failed && !warn_only {
-        eprintln!("\nperf gate failed (re-run with --warn-only to report without failing; refresh results/baseline/ if the change is intentional)");
-        return ExitCode::FAILURE;
-    }
     if failed {
-        println!("\nfindings above are warn-only");
+        eprintln!("\ntransfer gate failed (refresh results/baseline/ with tools/bench-cells.sh if the change is intentional)");
+        return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
 }

@@ -1,7 +1,8 @@
 //! The scenario runner: executes a named workload against any cell of
 //! the `DbBuilder` configuration matrix and produces a machine-readable
-//! report — throughput, per-op-class latency percentiles, and DAM
-//! block-transfer counts split by phase.
+//! report of deterministic counts: ops per class, scanned entries, and
+//! DAM block-transfer counts split by phase. Wall-clock is measured by
+//! the repository benchmark (`benchmark/`), not here.
 //!
 //! A **scenario** is a key distribution × operation mix (see
 //! [`crate::workloads`]) plus a prefill policy; a **cell** is one
@@ -11,21 +12,15 @@
 //! `BENCH_*.json` trajectory), and against a `BTreeMap` model replay
 //! (the property suite in `tests/scenario_model.rs`).
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-use cosbt::testkit::Rng;
-use cosbt::{CursorOps, Db, DbSnapshot};
+use cosbt::Db;
 use cosbt_dam::IoStats;
 
-use crate::histogram::Histogram;
 use crate::json::Json;
-use crate::workloads::{prefill_run, KeyDist, KeyGen, Op, OpMix, OpStream};
+use crate::workloads::{prefill_run, KeyDist, Op, OpMix, OpStream};
 
 /// Bump when the `BENCH_*.json` layout changes shape; `bench compare`
 /// refuses to diff across schema versions.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// How a scenario drives the dictionary after prefill.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,8 +28,7 @@ pub enum ScenarioKind {
     /// A stationary stream of mixed operations.
     Mixed(OpMix),
     /// Insert every op as a write, then drain the whole keyspace through
-    /// one streaming cursor (chunked so the drain contributes scan-class
-    /// latency samples) — the log-index build-then-read pattern.
+    /// one streaming cursor — the log-index build-then-read pattern.
     InsertThenDrain,
 }
 
@@ -231,46 +225,44 @@ impl RunMeta {
     }
 }
 
-/// Latency histograms of one run, by op class.
-#[derive(Debug, Clone, Default)]
-pub struct Latencies {
-    /// Every measured op.
-    pub overall: Histogram,
+/// How many ops of each class one run executed: the op stream's own
+/// tally, so a test can check that every op ran.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct OpCounts {
     /// Point lookups.
-    pub get: Histogram,
+    pub get: u64,
     /// Upserts.
-    pub insert: Histogram,
+    pub insert: u64,
     /// Deletes.
-    pub delete: Histogram,
-    /// Range scans (one sample per scan op, not per entry).
-    pub scan: Histogram,
-    /// Retention trims (one sample per whole expiry pass).
-    pub trim: Histogram,
+    pub delete: u64,
+    /// Range scans (one per scan op, not per entry).
+    pub scan: u64,
+    /// Retention trims (one per whole expiry pass).
+    pub trim: u64,
 }
 
-impl Latencies {
-    fn for_class(&mut self, class: &str) -> &mut Histogram {
-        match class {
-            "get" => &mut self.get,
-            "insert" => &mut self.insert,
-            "delete" => &mut self.delete,
-            "trim" => &mut self.trim,
-            _ => &mut self.scan,
+impl OpCounts {
+    fn count(&mut self, op: &Op) {
+        match op {
+            Op::Get(_) => self.get += 1,
+            Op::Insert(..) => self.insert += 1,
+            Op::Delete(_) => self.delete += 1,
+            Op::Scan(..) => self.scan += 1,
+            Op::Trim(_) => self.trim += 1,
         }
+    }
+
+    /// Every op the run executed.
+    pub fn total(&self) -> u64 {
+        self.get + self.insert + self.delete + self.scan + self.trim
     }
 }
 
 /// The cold-start phase a `--reopen` run appends: sync, drop the whole
 /// process-side state (handle, page caches), reopen from the files, and
-/// measure first-read behaviour.
+/// read the distinct keys of [`REOPEN_SAMPLES`] key draws cold.
 #[derive(Debug, Clone)]
 pub struct ReopenReport {
-    /// Wall-clock seconds from `DbBuilder::open` call to a usable `Db`
-    /// (superblock validation, metadata recovery, structure
-    /// reconstruction).
-    pub open_s: f64,
-    /// Latency of the cold point reads issued right after reopen.
-    pub first_reads: Histogram,
     /// Reads found (sanity: the reopened store actually serves data).
     pub hits: u64,
     /// I/O during the cold reads (every fetch is a real file read — the
@@ -278,116 +270,28 @@ pub struct ReopenReport {
     pub io: IoStats,
 }
 
-/// What one client thread of the contended driver did: its reads (with
-/// tail latency), scans, and the writes it shipped to the ingest queue.
-#[derive(Debug, Clone)]
-pub struct ClientStats {
-    /// Operations the client executed (reads served + writes enqueued).
-    pub ops: u64,
-    /// Point lookups served off the client's [`cosbt::DbReader`].
-    pub reads: u64,
-    /// Reads that found a live key.
-    pub read_hits: u64,
-    /// Entries streamed by the client's range scans.
-    pub scanned: u64,
-    /// Write operations (inserts/deletes/trims) enqueued to the writer.
-    pub writes: u64,
-    /// Read-path latency (gets and scans; enqueueing a write is not a
-    /// completed operation, so it is counted but not timed).
-    pub latency: Histogram,
-}
-
-/// The `--contended N` phase: N client threads each running the
-/// scenario's *full* op mix — reads and scans served locally off an
-/// auto-refreshing [`cosbt::DbReader`], writes shipped to the single
-/// writer through an ingest queue — while the writer applies batches and
-/// publishes an epoch per batch. Per-client p99/p999 read tails, writer
-/// throughput, and epoch/reclaim counters land in `BENCH_*.json`.
-#[derive(Debug, Clone)]
-pub struct ContendedReport {
-    /// Client thread count.
-    pub clients: usize,
-    /// Wall-clock seconds of the contended phase.
-    pub elapsed_s: f64,
-    /// Per-client breakdown (tail latency is per client, so one stalled
-    /// client cannot hide inside a merged histogram).
-    pub per_client: Vec<ClientStats>,
-    /// Read latency merged across clients.
-    pub read_latency: Histogram,
-    /// Write ops the writer applied (everything the clients enqueued).
-    pub writer_ops: u64,
-    /// Ingest batches (epoch publications) the writer processed.
-    pub writer_batches: u64,
-    /// Writer ops per second while every client hammers its reader.
-    pub writer_throughput: f64,
-    /// Epochs published during the phase.
-    pub epochs_published: u64,
-    /// Retired runs reclaimed during the phase (freed under load as
-    /// the readers' pins move past them).
-    pub runs_reclaimed: u64,
-}
-
-/// The `--clients N` phase: N reader threads serving point lookups off
-/// pinned snapshots while the writer keeps publishing epochs — the
-/// contention cell recorded into `BENCH_*.json`.
-#[derive(Debug, Clone)]
-pub struct ConcurrentReport {
-    /// Reader thread count.
-    pub clients: usize,
-    /// Wall-clock seconds of the contended phase.
-    pub elapsed_s: f64,
-    /// Point reads served across all readers.
-    pub reads: u64,
-    /// Reads that found a live key.
-    pub read_hits: u64,
-    /// Read latency under contention, merged across readers (the p99
-    /// here is the headline number: snapshot reads must not stall while
-    /// the writer publishes).
-    pub read_latency: Histogram,
-    /// Writes applied by the writer during the phase.
-    pub writer_ops: u64,
-    /// Writer ops per second while all readers hammer snapshots.
-    pub writer_throughput: f64,
-    /// Epochs the writer published during the phase.
-    pub epochs_published: u64,
-}
-
-/// Everything one scenario × cell execution measured.
+/// Everything one scenario × cell execution counted.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
     /// Scenario CLI name.
     pub scenario: String,
     /// Cell + stream identity.
     pub meta: RunMeta,
-    /// Wall-clock seconds of the measured phase (including the drain
-    /// for `insert_then_drain`).
-    pub elapsed_s: f64,
-    /// Measured ops per second over `elapsed_s`. For
-    /// `insert_then_drain` each drained entry counts as one op — the
-    /// build-then-stream pipeline rate — since the drain is inside the
-    /// measured window.
-    pub throughput: f64,
-    /// Per-class latency histograms.
-    pub latency: Latencies,
+    /// Ops executed in the measured phase, by class.
+    pub op_counts: OpCounts,
     /// Entries streamed by scan ops (and the drain phase).
     pub scanned_entries: u64,
     /// Block transfers etc. during prefill (zeros for memory backends).
     pub io_prefill: IoStats,
     /// Block transfers etc. during the measured phase.
     pub io_run: IoStats,
-    /// Cold-start measurements of the `--reopen` phase, when requested
-    /// (file cells only). Optional, so trajectories with and without the
-    /// phase keep one run identity.
+    /// Counts of the `--reopen` phase, when requested (file cells
+    /// only). Optional, so trajectories with and without the phase keep
+    /// one run identity.
     pub reopen: Option<ReopenReport>,
-    /// Measurements of the `--clients N` contended phase, when
-    /// requested. Optional for the same run-identity reason as `reopen`.
-    pub concurrent: Option<ConcurrentReport>,
-    /// Measurements of the `--contended N` full-mix multi-client phase,
-    /// when requested. Optional for the same run-identity reason.
-    pub contended: Option<ContendedReport>,
 }
 
-/// Batch size for prefill `insert_batch` runs and drain chunks.
+/// Batch size for prefill `insert_batch` runs.
 const CHUNK: usize = 16 * 1024;
 
 /// The seed of the prefill stream for a run seed — decorrelated from the
@@ -403,17 +307,6 @@ pub fn mix_of(kind: ScenarioKind) -> OpMix {
     match kind {
         ScenarioKind::Mixed(mix) => mix,
         ScenarioKind::InsertThenDrain => OpMix::INSERT_ONLY,
-    }
-}
-
-/// Loads the deterministic prefill stream for (`dist`, `prefill`,
-/// `seed`) into `db` in ingest-sized chunks. Factored out of [`run`] so
-/// the CLI's staged `--prefill-only` mode executes the *identical*
-/// phase before syncing the store and recording a resume marker.
-pub fn prefill_into(db: &mut Db, dist: KeyDist, prefill: u64, seed: u64) {
-    let run = prefill_run(dist, prefill, prefill_seed(seed));
-    for chunk in run.chunks(CHUNK) {
-        db.insert_batch(chunk);
     }
 }
 
@@ -436,41 +329,23 @@ pub fn trim_below(db: &mut Db, cutoff: u64) {
     db.apply(&mut batch);
 }
 
-/// Executes `scenario` against `db`: prefills (unmeasured, but its I/O
-/// is reported), then runs `meta.ops` operations timing each one.
-/// `meta.dist` must name the distribution actually passed in `dist` —
-/// the CLI guarantees this; tests construct both from the same value.
+/// Executes `scenario` against `db`: prefills (its I/O is reported as
+/// its own phase), then runs `meta.ops` operations, counting each by
+/// class. `meta.dist` must name the distribution actually passed in
+/// `dist` — the CLI guarantees this; tests construct both from the same
+/// value.
 pub fn run(scenario: &Scenario, dist: KeyDist, meta: RunMeta, db: &mut Db) -> ScenarioReport {
-    run_resumable(scenario, dist, meta, db, false)
-}
-
-/// [`run`] with a resume switch: when `skip_prefill` is true the prefill
-/// phase is skipped even though `meta.prefill` stays in the cell's
-/// identity — the caller attests that `db` already holds the exact state
-/// a fresh prefill with `meta.seed` would produce (the CLI's `--resume`
-/// verifies this via a marker file keyed on the cell identity). Prefill
-/// is deterministic, so the measured phase is identical either way; only
-/// the unmeasured `io_prefill` counters differ.
-pub fn run_resumable(
-    scenario: &Scenario,
-    dist: KeyDist,
-    meta: RunMeta,
-    db: &mut Db,
-    skip_prefill: bool,
-) -> ScenarioReport {
-    // Phase 1: prefill (not latency-measured; I/O reported separately).
-    if meta.prefill > 0 && !skip_prefill {
-        prefill_into(db, dist, meta.prefill, meta.seed);
+    // Phase 1: prefill.
+    for chunk in prefill_run(dist, meta.prefill, prefill_seed(meta.seed)).chunks(CHUNK) {
+        db.insert_batch(chunk);
     }
     let io_prefill = db.io().take();
 
     // Phase 2: the measured op stream.
-    let mix = mix_of(scenario.kind);
-    let mut latency = Latencies::default();
+    let mut op_counts = OpCounts::default();
     let mut scanned = 0u64;
-    let started = Instant::now();
-    for op in OpStream::new(mix, dist, meta.seed).take(meta.ops as usize) {
-        let t = Instant::now();
+    for op in OpStream::new(mix_of(scenario.kind), dist, meta.seed).take(meta.ops as usize) {
+        op_counts.count(&op);
         match op {
             Op::Get(k) => {
                 std::hint::black_box(db.get(k));
@@ -491,364 +366,59 @@ pub fn run_resumable(
             }
             Op::Trim(cutoff) => trim_below(db, cutoff),
         }
-        let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        latency.for_class(op.class()).record(ns);
-        latency.overall.record(ns);
     }
 
-    // Phase 2b (insert_then_drain): stream everything back out, one
-    // scan-class latency sample per chunk of entries.
+    // Phase 2b (insert_then_drain): stream everything back out.
     if scenario.kind == ScenarioKind::InsertThenDrain {
         let mut cur = db.cursor(0, u64::MAX);
-        loop {
-            let t = Instant::now();
-            let mut got = 0usize;
-            while got < CHUNK {
-                match cur.next() {
-                    Some(kv) => {
-                        std::hint::black_box(kv);
-                        got += 1;
-                    }
-                    None => break,
-                }
-            }
-            if got > 0 {
-                scanned += got as u64;
-                let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                latency.scan.record(ns);
-                latency.overall.record(ns);
-            }
-            if got < CHUNK {
-                break;
-            }
+        while let Some(kv) = cur.next() {
+            std::hint::black_box(kv);
+            scanned += 1;
         }
     }
 
-    let elapsed_s = started.elapsed().as_secs_f64();
     let io_run = db.io().take();
-    // elapsed_s covers the drain too, so the drained entries must count
-    // toward the rate — otherwise a drain-dominated run would understate
-    // insert throughput and a slower drain would masquerade as one.
-    let measured_ops = match scenario.kind {
-        ScenarioKind::Mixed(_) => meta.ops,
-        ScenarioKind::InsertThenDrain => meta.ops + scanned,
-    };
     ScenarioReport {
         scenario: scenario.name.to_string(),
-        throughput: measured_ops as f64 / elapsed_s.max(1e-9),
         meta,
-        elapsed_s,
-        latency,
+        op_counts,
         scanned_entries: scanned,
         io_prefill,
         io_run,
         reopen: None,
-        concurrent: None,
-        contended: None,
     }
 }
 
-/// The ingest-queue protocol between contended clients and the writer.
-enum IngestMsg {
-    /// Apply a batch of buffered upserts/deletes.
-    Batch(cosbt::UpdateBatch),
-    /// Expire everything strictly below the cutoff (a client rolled a
-    /// retention trim; only the writer may mutate).
-    Trim(u64),
-}
-
-/// Write ops a client buffers before shipping one batch to the writer.
-const CLIENT_WRITE_CHUNK: usize = 256;
-
-/// The `--contended N` phase: every client runs the full `mix` over
-/// `dist` (salted per client so streams differ but stay deterministic),
-/// serving gets/scans from its own auto-refreshing [`cosbt::DbReader`]
-/// and shipping writes to the single writer via an mpsc ingest queue.
-/// The writer drains the queue, applies each batch, and publishes an
-/// epoch per batch so readers observe fresh data mid-run. Returns when
-/// every client finished its `ops_per_client` stream and the queue is
-/// drained.
-pub fn run_contended(
-    db: &mut Db,
-    mix: OpMix,
-    dist: KeyDist,
-    seed: u64,
-    clients: usize,
-    ops_per_client: u64,
-) -> ContendedReport {
-    let epochs_before = db.snapshot_stats();
-    let (tx, rx) = std::sync::mpsc::channel::<IngestMsg>();
-    // One auto-refreshing reader per client, created up front (each
-    // `reader()` call publishes the current state once; after that the
-    // readers chase the writer's publications on their own).
-    let mut readers: Vec<cosbt::DbReader> = (0..clients).map(|_| db.reader()).collect();
-
-    let started = Instant::now();
-    let (per_client, writer_ops, writer_batches) = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let tx = tx.clone();
-                let mut reader = readers.pop().expect("one reader per client");
-                s.spawn(move || {
-                    let mut stats = ClientStats {
-                        ops: 0,
-                        reads: 0,
-                        read_hits: 0,
-                        scanned: 0,
-                        writes: 0,
-                        latency: Histogram::new(),
-                    };
-                    let mut batch = cosbt::UpdateBatch::new();
-                    let client_seed = seed ^ 0xC047_E4D0 ^ ((c as u64) << 32);
-                    for op in OpStream::new(mix, dist, client_seed).take(ops_per_client as usize) {
-                        stats.ops += 1;
-                        match op {
-                            Op::Get(k) => {
-                                let t = Instant::now();
-                                if std::hint::black_box(reader.get(k)).is_some() {
-                                    stats.read_hits += 1;
-                                }
-                                let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                                stats.latency.record(ns);
-                                stats.reads += 1;
-                            }
-                            Op::Scan(k, len) => {
-                                let t = Instant::now();
-                                let mut cur = reader.cursor(k, u64::MAX);
-                                for _ in 0..len {
-                                    match cur.next() {
-                                        Some(kv) => {
-                                            std::hint::black_box(kv);
-                                            stats.scanned += 1;
-                                        }
-                                        None => break,
-                                    }
-                                }
-                                let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                                stats.latency.record(ns);
-                            }
-                            Op::Insert(k, v) => {
-                                batch.put(k, v);
-                                stats.writes += 1;
-                            }
-                            Op::Delete(k) => {
-                                batch.delete(k);
-                                stats.writes += 1;
-                            }
-                            Op::Trim(cutoff) => {
-                                // Order matters: buffered writes must land
-                                // before the trim that may expire them.
-                                if !batch.is_empty() {
-                                    let full = std::mem::take(&mut batch);
-                                    tx.send(IngestMsg::Batch(full)).expect("writer alive");
-                                }
-                                tx.send(IngestMsg::Trim(cutoff)).expect("writer alive");
-                                stats.writes += 1;
-                            }
-                        }
-                        if batch.len() >= CLIENT_WRITE_CHUNK {
-                            let full = std::mem::take(&mut batch);
-                            tx.send(IngestMsg::Batch(full)).expect("writer alive");
-                        }
-                    }
-                    if !batch.is_empty() {
-                        tx.send(IngestMsg::Batch(batch)).expect("writer alive");
-                    }
-                    stats
-                })
-            })
-            .collect();
-        drop(tx); // the writer's recv loop ends when the last client hangs up
-
-        // The writer runs on this thread: drain the ingest queue, apply,
-        // publish an epoch per message so readers refresh mid-run.
-        let mut writer_ops = 0u64;
-        let mut writer_batches = 0u64;
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                IngestMsg::Batch(mut b) => {
-                    writer_ops += b.len() as u64;
-                    db.apply(&mut b);
-                }
-                IngestMsg::Trim(cutoff) => {
-                    writer_ops += 1;
-                    trim_below(db, cutoff);
-                }
-            }
-            writer_batches += 1;
-            drop(db.snapshot());
-        }
-
-        let per_client: Vec<ClientStats> = handles
-            .into_iter()
-            .map(|h| h.join().expect("client thread panicked"))
-            .collect();
-        (per_client, writer_ops, writer_batches)
-    });
-    let elapsed_s = started.elapsed().as_secs_f64();
-
-    let mut read_latency = Histogram::new();
-    for c in &per_client {
-        read_latency.merge(&c.latency);
-    }
-    let epochs_after = db.snapshot_stats();
-    ContendedReport {
-        clients,
-        elapsed_s,
-        per_client,
-        read_latency,
-        writer_ops,
-        writer_batches,
-        writer_throughput: writer_ops as f64 / elapsed_s.max(1e-9),
-        epochs_published: epochs_after.published - epochs_before.published,
-        runs_reclaimed: epochs_after.reclaimed_runs - epochs_before.reclaimed_runs,
-    }
-}
-
-/// The `--clients N` contended phase: `clients` reader threads run point
-/// lookups against the freshest published snapshot (each iteration clones
-/// the latest [`DbSnapshot`] out of a shared slot — one brief mutex touch,
-/// then every read is lock-free against the pinned epoch) while the
-/// writer applies `write_ops` upserts in chunks, publishing a new epoch
-/// per chunk. Keys on both sides come from the run's distribution, so
-/// readers mostly hit. Returns merged reader latency plus writer
-/// throughput under contention.
-pub fn run_concurrent(
-    db: &mut Db,
-    dist: KeyDist,
-    seed: u64,
-    clients: usize,
-    write_ops: u64,
-) -> ConcurrentReport {
-    const WRITE_CHUNK: usize = 4 * 1024;
-    let epochs_before = db.snapshot_stats().published;
-    let latest: Arc<Mutex<DbSnapshot>> = Arc::new(Mutex::new(db.snapshot()));
-    let stop = Arc::new(AtomicBool::new(false));
-
-    let readers: Vec<_> = (0..clients)
-        .map(|c| {
-            let latest = Arc::clone(&latest);
-            let stop = Arc::clone(&stop);
-            std::thread::spawn(move || {
-                let mut keygen = KeyGen::new(dist);
-                let mut rng = Rng::new(seed ^ 0xC11E_4700 ^ (c as u64) << 32);
-                let mut hist = Histogram::new();
-                let mut hits = 0u64;
-                // ordering: Acquire pairs with the driver's Release
-                // store so a client observing `stop` also observes the
-                // final snapshot published before it.
-                while !stop.load(Ordering::Acquire) {
-                    let snap = latest.lock().unwrap().clone();
-                    for _ in 0..256 {
-                        let k = keygen.next_key(&mut rng);
-                        let t = Instant::now();
-                        if std::hint::black_box(snap.get(k)).is_some() {
-                            hits += 1;
-                        }
-                        let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-                        hist.record(ns);
-                    }
-                }
-                (hist, hits)
-            })
-        })
-        .collect();
-
-    let mut keygen = KeyGen::new(dist);
-    let mut rng = Rng::new(seed ^ 0x3717_E400);
-    let started = Instant::now();
-    let mut written = 0u64;
-    while written < write_ops {
-        let n = WRITE_CHUNK.min((write_ops - written) as usize);
-        let mut chunk: Vec<(u64, u64)> = (0..n)
-            .map(|_| (keygen.next_key(&mut rng), rng.next_u64()))
-            .collect();
-        chunk.sort_unstable_by_key(|&(k, _)| k);
-        db.insert_batch(&chunk);
-        written += n as u64;
-        *latest.lock().unwrap() = db.snapshot();
-    }
-    let elapsed_s = started.elapsed().as_secs_f64();
-    // ordering: Release pairs with the clients' Acquire loads above.
-    stop.store(true, Ordering::Release);
-
-    let mut read_latency = Histogram::new();
-    let mut reads = 0u64;
-    let mut read_hits = 0u64;
-    for r in readers {
-        let (hist, hits) = r.join().expect("reader thread panicked");
-        reads += hist.count();
-        read_hits += hits;
-        read_latency.merge(&hist);
-    }
-    ConcurrentReport {
-        clients,
-        elapsed_s,
-        reads,
-        read_hits,
-        read_latency,
-        writer_ops: written,
-        writer_throughput: written as f64 / elapsed_s.max(1e-9),
-        epochs_published: db.snapshot_stats().published - epochs_before,
-    }
-}
+/// Key draws of the `--reopen` phase; it reads each distinct key once.
+pub const REOPEN_SAMPLES: u64 = 2000;
 
 /// The `--reopen` cold-start phase: commits `db` durably, drops every
 /// piece of process state (handle and user-space page caches), reopens
-/// the store from its files via `builder`, and measures open latency
-/// plus `samples` cold point reads against keys drawn from the run's
-/// key distribution (the regenerated prefill stream — real hits whenever
-/// the scenario prefills). Consumes and returns the database so the
-/// caller keeps control of file cleanup.
+/// the store from its files via `builder`, and counts the hits and I/O
+/// of cold point reads of the distinct keys among [`REOPEN_SAMPLES`]
+/// draws from the run's key distribution (the regenerated prefill stream
+/// — real hits whenever the scenario prefills). Consumes and returns the
+/// database so the caller keeps control of file cleanup.
 pub fn run_reopen(
     builder: cosbt::DbBuilder,
     db: Db,
     dist: KeyDist,
     seed: u64,
-    samples: u64,
 ) -> Result<(ReopenReport, Db), String> {
     let mut db = db;
     db.sync().map_err(|e| format!("sync before reopen: {e}"))?;
     drop(db);
 
-    let started = Instant::now();
     let mut db = builder.open().map_err(|e| format!("reopen: {e}"))?;
-    let open_s = started.elapsed().as_secs_f64();
-
     db.io().reset();
-    let mut first_reads = Histogram::default();
     let mut hits = 0u64;
-    let keys = prefill_run(dist, samples, prefill_seed(seed));
-    for &(k, _) in &keys {
-        let t = Instant::now();
+    for (k, _) in prefill_run(dist, REOPEN_SAMPLES, prefill_seed(seed)) {
         if std::hint::black_box(db.get(k)).is_some() {
             hits += 1;
         }
-        let ns = t.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
-        first_reads.record(ns);
     }
     let io = db.io().take();
-    Ok((
-        ReopenReport {
-            open_s,
-            first_reads,
-            hits,
-            io,
-        },
-        db,
-    ))
-}
-
-fn histogram_json(h: &Histogram) -> Json {
-    Json::obj()
-        .with("count", h.count().into())
-        .with("mean_ns", h.mean().into())
-        .with("min_ns", h.min().into())
-        .with("p50_ns", h.p50().into())
-        .with("p95_ns", h.p95().into())
-        .with("p99_ns", h.p99().into())
-        .with("p999_ns", h.p999().into())
-        .with("max_ns", h.max().into())
+    Ok((ReopenReport { hits, io }, db))
 }
 
 fn io_json(s: &IoStats) -> Json {
@@ -864,62 +434,17 @@ fn io_json(s: &IoStats) -> Json {
 impl ScenarioReport {
     /// The run as one entry of a `BENCH_*.json` `runs` array.
     pub fn to_json(&self) -> Json {
-        let reopen_json = self.reopen.as_ref().map(|r| {
-            Json::obj()
-                .with("open_s", r.open_s.into())
-                .with("first_reads_ns", histogram_json(&r.first_reads))
-                .with("hits", r.hits.into())
-                .with("io", io_json(&r.io))
-        });
-        let concurrent_json = self.concurrent.as_ref().map(|c| {
-            Json::obj()
-                .with("clients", (c.clients as u64).into())
-                .with("elapsed_s", c.elapsed_s.into())
-                .with("reads", c.reads.into())
-                .with("read_hits", c.read_hits.into())
-                .with("read_latency_ns", histogram_json(&c.read_latency))
-                .with("writer_ops", c.writer_ops.into())
-                .with("writer_throughput_ops_per_sec", c.writer_throughput.into())
-                .with("epochs_published", c.epochs_published.into())
-        });
-        let contended_json = self.contended.as_ref().map(|c| {
-            let per_client: Vec<Json> = c
-                .per_client
-                .iter()
-                .map(|cl| {
-                    Json::obj()
-                        .with("ops", cl.ops.into())
-                        .with("reads", cl.reads.into())
-                        .with("read_hits", cl.read_hits.into())
-                        .with("scanned", cl.scanned.into())
-                        .with("writes", cl.writes.into())
-                        .with("read_latency_ns", histogram_json(&cl.latency))
-                })
-                .collect();
-            Json::obj()
-                .with("clients", (c.clients as u64).into())
-                .with("elapsed_s", c.elapsed_s.into())
-                .with("per_client", Json::Arr(per_client))
-                .with("read_latency_ns", histogram_json(&c.read_latency))
-                .with("writer_ops", c.writer_ops.into())
-                .with("writer_batches", c.writer_batches.into())
-                .with("writer_throughput_ops_per_sec", c.writer_throughput.into())
-                .with("epochs_published", c.epochs_published.into())
-                .with("runs_reclaimed", c.runs_reclaimed.into())
-        });
-        let base = Json::obj()
+        let o = &self.op_counts;
+        let run = Json::obj()
             .with("meta", self.meta.to_json())
-            .with("elapsed_s", self.elapsed_s.into())
-            .with("throughput_ops_per_sec", self.throughput.into())
             .with(
-                "latency_ns",
+                "op_counts",
                 Json::obj()
-                    .with("overall", histogram_json(&self.latency.overall))
-                    .with("get", histogram_json(&self.latency.get))
-                    .with("insert", histogram_json(&self.latency.insert))
-                    .with("delete", histogram_json(&self.latency.delete))
-                    .with("scan", histogram_json(&self.latency.scan))
-                    .with("trim", histogram_json(&self.latency.trim)),
+                    .with("get", o.get.into())
+                    .with("insert", o.insert.into())
+                    .with("delete", o.delete.into())
+                    .with("scan", o.scan.into())
+                    .with("trim", o.trim.into()),
             )
             .with("scanned_entries", self.scanned_entries.into())
             .with(
@@ -928,40 +453,33 @@ impl ScenarioReport {
                     .with("prefill", io_json(&self.io_prefill))
                     .with("run", io_json(&self.io_run)),
             );
-        let base = match reopen_json {
-            Some(r) => base.with("reopen", r),
-            None => base,
-        };
-        let base = match concurrent_json {
-            Some(c) => base.with("concurrent", c),
-            None => base,
-        };
-        match contended_json {
-            Some(c) => base.with("contended", c),
-            None => base,
+        match &self.reopen {
+            Some(r) => run.with(
+                "reopen",
+                Json::obj()
+                    .with("hits", r.hits.into())
+                    .with("io", io_json(&r.io)),
+            ),
+            None => run,
         }
     }
 
     /// Human console summary.
     pub fn print(&self) {
         println!(
-            "{:<18} {:<24} {:>10.0} ops/s  p50 {:>8} ns  p95 {:>8} ns  p99 {:>8} ns  \
-             transfers {:>8}",
+            "{:<18} {:<24} transfers {:>8} (prefill {:>8})  scanned {:>8}",
             self.scenario,
             self.meta.label,
-            self.throughput,
-            self.latency.overall.p50(),
-            self.latency.overall.p95(),
-            self.latency.overall.p99(),
             self.io_run.transfers(),
+            self.io_prefill.transfers(),
+            self.scanned_entries,
         );
     }
 }
 
 /// Header of the `BENCH_*.csv` companion files.
 pub fn csv_header() -> &'static str {
-    "scenario,structure,backend,shards,dist,ops,prefill,seed,elapsed_s,\
-     throughput_ops_per_sec,p50_ns,p95_ns,p99_ns,p999_ns,prefill_transfers,run_transfers"
+    "scenario,structure,backend,shards,dist,ops,prefill,seed,prefill_transfers,run_transfers"
 }
 
 /// Wraps run entries into a schema-versioned `BENCH_<scenario>.json`
@@ -999,12 +517,7 @@ pub fn merge_document(scenario: &str, existing: Option<&Json>, new_runs: &[Json]
 /// fanout, deamortization) the bare structure name does not — a 2-COLA
 /// and an 8-COLA must not replace each other's trajectory rows;
 /// cache_bytes because it directly changes transfer counts on file
-/// cells. `pointer_density` defaults to the builder default when absent,
-/// so baselines recorded before the field existed keep matching.
-/// `parallel_ingest` reads as `false` when absent: runs no longer record
-/// it (the shard router picks its threads itself), and the older rows
-/// that do all say `false`. Older artifacts also carry two booleans for
-/// read-path knobs that no longer exist; they are not part of the key.
+/// cells.
 pub fn run_identity(run: &Json) -> String {
     let meta = run.get("meta");
     let s = |k: &str| {
@@ -1018,22 +531,17 @@ pub fn run_identity(run: &Json) -> String {
             .and_then(Json::as_u64)
             .unwrap_or(u64::MAX)
     };
-    let parallel = meta
-        .and_then(|m| m.get("parallel_ingest"))
-        .and_then(Json::as_bool)
-        .unwrap_or(false);
     let density = meta
         .and_then(|m| m.get("pointer_density"))
         .and_then(Json::as_f64)
-        .unwrap_or(0.1);
+        .unwrap_or(f64::NAN);
     format!(
-        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
+        "{}|{}|{}|{}|{}|{}|{}|{}|{}|{}",
         s("structure"),
         s("label"),
         s("backend"),
         n("shards"),
         n("cache_bytes"),
-        parallel,
         density,
         s("dist"),
         n("ops"),
@@ -1062,13 +570,6 @@ pub fn csv_from_document(doc: &Json) -> String {
                 .and_then(Json::as_u64)
                 .unwrap_or(0)
         };
-        let overall = r.get("latency_ns").and_then(|l| l.get("overall"));
-        let q = |k: &str| {
-            overall
-                .and_then(|o| o.get(k))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
         let io = |phase: &str| {
             r.get("io")
                 .and_then(|io| io.get(phase))
@@ -1079,7 +580,7 @@ pub fn csv_from_document(doc: &Json) -> String {
         use std::fmt::Write as _;
         let _ = writeln!(
             out,
-            "{},{},{},{},{},{},{},{},{:.6},{:.1},{},{},{},{},{},{}",
+            "{},{},{},{},{},{},{},{},{},{}",
             scenario,
             ms("structure"),
             ms("backend"),
@@ -1088,14 +589,6 @@ pub fn csv_from_document(doc: &Json) -> String {
             mn("ops"),
             mn("prefill"),
             mn("seed"),
-            r.get("elapsed_s").and_then(Json::as_f64).unwrap_or(0.0),
-            r.get("throughput_ops_per_sec")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-            q("p50_ns"),
-            q("p95_ns"),
-            q("p99_ns"),
-            q("p999_ns"),
             io("prefill"),
             io("run"),
         );
@@ -1103,7 +596,7 @@ pub fn csv_from_document(doc: &Json) -> String {
     out
 }
 
-/// One regression (or advisory) found by [`compare_documents`].
+/// One regression (or note) found by [`compare_documents`].
 #[derive(Debug, Clone)]
 pub struct Finding {
     /// Human description of the delta.
@@ -1115,44 +608,42 @@ pub struct Finding {
 /// Diffs a current `BENCH_*.json` document against a baseline.
 ///
 /// Block transfers are deterministic for a fixed `(scenario, cell, n,
-/// seed)` — same code, same count — so they gate hard: a current value
-/// more than `threshold` (fractional) above baseline is a failing
-/// finding. Wall-clock throughput depends on the machine, so it only
-/// gates when `check_throughput` is set (useful on a dedicated runner);
-/// otherwise it reports advisories. Runs missing from the baseline are
-/// advisories, so adding a new cell never breaks the gate.
-pub fn compare_documents(
-    current: &Json,
-    baseline: &Json,
-    threshold: f64,
-    check_throughput: bool,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
+/// seed)` — same code, same count — so they gate exactly: any rise in a
+/// run's `io.run.transfers` fails, and any fall is a note (refresh the
+/// baseline to keep the gain). Runs missing from the baseline are notes,
+/// so adding a new cell never breaks the gate.
+pub fn compare_documents(current: &Json, baseline: &Json) -> Vec<Finding> {
     let (cur_v, base_v) = (
         current.get("schema_version").and_then(Json::as_u64),
         baseline.get("schema_version").and_then(Json::as_u64),
     );
     if cur_v != Some(SCHEMA_VERSION) || base_v != Some(SCHEMA_VERSION) {
-        findings.push(Finding {
+        return vec![Finding {
             message: format!(
                 "schema mismatch: current {cur_v:?}, baseline {base_v:?}, tool expects \
                  {SCHEMA_VERSION} — refresh the baseline"
             ),
             fails: true,
-        });
-        return findings;
+        }];
     }
     let empty: &[Json] = &[];
     let base_runs = baseline.get("runs").and_then(Json::as_arr).unwrap_or(empty);
     let cur_runs = current.get("runs").and_then(Json::as_arr).unwrap_or(empty);
+    let transfers = |r: &Json| -> u64 {
+        r.get("io")
+            .and_then(|io| io.get("run"))
+            .and_then(|p| p.get("transfers"))
+            .and_then(Json::as_u64)
+            .unwrap_or(0)
+    };
+    let mut findings = Vec::new();
     for cur in cur_runs {
         let id = run_identity(cur);
         let label = cur
             .get("meta")
             .and_then(|m| m.get("label"))
             .and_then(Json::as_str)
-            .unwrap_or("?")
-            .to_string();
+            .unwrap_or("?");
         let Some(base) = base_runs.iter().find(|r| run_identity(r) == id) else {
             findings.push(Finding {
                 message: format!("{label}: no baseline run (new cell?) — skipped"),
@@ -1160,48 +651,14 @@ pub fn compare_documents(
             });
             continue;
         };
-        let transfers = |r: &Json| -> u64 {
-            r.get("io")
-                .and_then(|io| io.get("run"))
-                .and_then(|p| p.get("transfers"))
-                .and_then(Json::as_u64)
-                .unwrap_or(0)
-        };
         let (ct, bt) = (transfers(cur), transfers(base));
-        if ct as f64 > bt as f64 * (1.0 + threshold) + 0.5 {
+        if ct != bt {
             findings.push(Finding {
                 message: format!(
-                    "{label}: block transfers regressed {bt} → {ct} \
-                     (+{:.1}%, threshold {:.1}%)",
-                    (ct as f64 / bt.max(1) as f64 - 1.0) * 100.0,
-                    threshold * 100.0
+                    "{label}: block transfers {} {bt} → {ct}",
+                    if ct > bt { "regressed" } else { "improved" }
                 ),
-                fails: true,
-            });
-        } else if (bt as f64) > ct as f64 * (1.0 + threshold) + 0.5 {
-            findings.push(Finding {
-                message: format!("{label}: block transfers improved {bt} → {ct}"),
-                fails: false,
-            });
-        }
-        let tput = |r: &Json| {
-            r.get("throughput_ops_per_sec")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0)
-        };
-        let (cth, bth) = (tput(cur), tput(base));
-        if cth < bth * (1.0 - threshold) && bth > 0.0 {
-            findings.push(Finding {
-                message: format!(
-                    "{label}: throughput {} {bth:.0} → {cth:.0} ops/s (−{:.1}%)",
-                    if check_throughput {
-                        "regressed"
-                    } else {
-                        "lower (advisory)"
-                    },
-                    (1.0 - cth / bth) * 100.0
-                ),
-                fails: check_throughput,
+                fails: ct > bt,
             });
         }
     }
@@ -1239,20 +696,28 @@ mod tests {
                 .build()
                 .unwrap();
             let report = run(scenario, dist, meta, &mut db);
-            // Every op contributes one overall sample; a drain adds one
-            // more per streamed chunk on top of the 2000 ops.
-            let want = match scenario.kind {
-                ScenarioKind::Mixed(_) => 2000,
-                ScenarioKind::InsertThenDrain => 2000 + report.latency.scan.count(),
-            };
             assert_eq!(
-                report.latency.overall.count(),
-                want,
-                "{}: every op sampled",
+                report.op_counts.total(),
+                2000,
+                "{}: every op ran",
                 scenario.name
             );
-            assert!(report.throughput > 0.0, "{}", scenario.name);
-            assert!(report.elapsed_s > 0.0, "{}", scenario.name);
+            let mix = mix_of(scenario.kind);
+            let c = report.op_counts;
+            for (class, weight, count) in [
+                ("get", mix.get + mix.neg_get, c.get),
+                ("insert", mix.insert, c.insert),
+                ("delete", mix.delete, c.delete),
+                ("scan", mix.scan, c.scan),
+                ("trim", mix.trim, c.trim),
+            ] {
+                assert_eq!(
+                    weight > 0,
+                    count > 0,
+                    "{}: {class} ran iff the mix weights it",
+                    scenario.name
+                );
+            }
             if scenario.kind == ScenarioKind::InsertThenDrain {
                 assert!(
                     report.scanned_entries > 0,
@@ -1261,7 +726,10 @@ mod tests {
                 );
             }
             let j = report.to_json();
-            assert!(j.get("latency_ns").is_some());
+            assert_eq!(
+                j.get("op_counts").unwrap().get("insert").unwrap().as_u64(),
+                Some(c.insert)
+            );
             assert!(j
                 .get("io")
                 .unwrap()
@@ -1279,7 +747,10 @@ mod tests {
         let mut db = DbBuilder::new().build().unwrap();
         let r1 = run(scenario, dist, meta.clone(), &mut db).to_json();
         let doc = merge_document("balanced", None, std::slice::from_ref(&r1));
-        assert_eq!(doc.get("schema_version").unwrap().as_u64(), Some(1));
+        assert_eq!(
+            doc.get("schema_version").unwrap().as_u64(),
+            Some(SCHEMA_VERSION)
+        );
         // Same identity: replaced, not duplicated.
         let doc2 = merge_document("balanced", Some(&doc), std::slice::from_ref(&r1));
         assert_eq!(doc2.get("runs").unwrap().as_arr().unwrap().len(), 1);
@@ -1321,11 +792,10 @@ mod tests {
         let r = run(scenario, dist, meta, &mut db).to_json();
         let current = merge_document("balanced", None, std::slice::from_ref(&r));
 
-        // Identical baseline: clean.
-        let findings = compare_documents(&current, &current, 0.10, false);
-        assert!(findings.iter().all(|f| !f.fails), "{findings:?}");
+        // Identical baseline: no finding at all.
+        let findings = compare_documents(&current, &current);
+        assert!(findings.is_empty(), "{findings:?}");
 
-        // Baseline with *fewer* transfers than current → current regressed.
         // Memory cells report 0 transfers, so fabricate counts on both
         // sides through the JSON (what the CLI actually diffs).
         let inflate = |doc: &Json, t: u64| -> Json {
@@ -1344,30 +814,29 @@ mod tests {
             }
             doc
         };
-        let current_bad = inflate(&current, 150);
         let baseline = inflate(&current, 100);
-        let findings = compare_documents(&current_bad, &baseline, 0.10, false);
+        let findings = compare_documents(&inflate(&current, 100), &baseline);
+        assert!(findings.is_empty(), "{findings:?}");
+        // One extra transfer fails.
+        let findings = compare_documents(&inflate(&current, 101), &baseline);
         assert!(
             findings.iter().any(|f| f.fails),
-            "50% above a 10% threshold must fail: {findings:?}"
+            "one transfer over the baseline must fail: {findings:?}"
         );
-        // Within threshold: clean.
-        let findings = compare_documents(&inflate(&current, 105), &baseline, 0.10, false);
-        assert!(findings.iter().all(|f| !f.fails), "{findings:?}");
-        // Improvement: advisory only.
-        let findings = compare_documents(&inflate(&current, 50), &baseline, 0.10, false);
+        // One fewer is a note.
+        let findings = compare_documents(&inflate(&current, 99), &baseline);
         assert!(findings.iter().all(|f| !f.fails), "{findings:?}");
         assert!(findings.iter().any(|f| f.message.contains("improved")));
-        // Missing baseline run: advisory only.
+        // Missing baseline run: a note.
         let empty = Json::obj()
             .with("schema_version", SCHEMA_VERSION.into())
             .with("scenario", "balanced".into())
             .with("runs", Json::Arr(vec![]));
-        let findings = compare_documents(&current, &empty, 0.10, false);
+        let findings = compare_documents(&current, &empty);
         assert!(findings.iter().all(|f| !f.fails), "{findings:?}");
         // Schema mismatch: hard failure.
         let old = Json::obj().with("schema_version", 999u64.into());
-        assert!(compare_documents(&current, &old, 0.10, false)[0].fails);
+        assert!(compare_documents(&current, &old)[0].fails);
     }
 
     #[test]

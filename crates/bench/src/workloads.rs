@@ -252,19 +252,6 @@ pub enum Op {
     Trim(u64),
 }
 
-impl Op {
-    /// The op-class label used in reports ("get", "insert", …).
-    pub fn class(&self) -> &'static str {
-        match self {
-            Op::Get(_) => "get",
-            Op::Insert(..) => "insert",
-            Op::Delete(_) => "delete",
-            Op::Scan(..) => "scan",
-            Op::Trim(_) => "trim",
-        }
-    }
-}
-
 /// Relative operation weights of a stationary mixed workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpMix {

@@ -84,15 +84,38 @@ fn validate_pair(snap: &DbSnapshot, model: &BTreeMap<u64, u64>, rng: &mut Rng) {
 }
 
 /// N readers validate pinned snapshots against per-epoch models while
-/// one writer keeps publishing newer epochs on the same database.
+/// one writer keeps publishing newer epochs on the same database, over
+/// memory, a file and an `O_DIRECT` file. The file stores get a cache of
+/// four pages a shard and a commit after every publish, so the writer
+/// evicts pages and retires shadow slots whose reuse the readers' pins
+/// hold back while they validate.
 #[test]
 fn readers_on_pinned_snapshots_race_one_writer() {
-    let mut db = DbBuilder::new()
-        .structure(Structure::GCola { g: 4 })
-        .shards(3)
-        .build()
-        .unwrap();
+    const SHARDS: usize = 3;
+    let path = tmp("race");
+    let direct = tmp("race-direct");
+    for backend in [
+        Backend::Mem,
+        Backend::file(path.to_path_buf()),
+        Backend::file_direct(direct.to_path_buf()),
+    ] {
+        let on_file = !matches!(backend, Backend::Mem);
+        let db = DbBuilder::new()
+            .structure(Structure::GCola { g: 4 })
+            .shards(SHARDS)
+            .backend(backend)
+            .cache_bytes(SHARDS * 4 * cosbt::dam::DEFAULT_PAGE_SIZE)
+            .build()
+            .unwrap();
+        let io = race_readers_against_writer(db).io().take();
+        if on_file {
+            assert!(io.evictions > 0, "the cache never evicted: {io:?}");
+        }
+    }
+}
 
+/// Runs the race on `db` and returns it after checking its final state.
+fn race_readers_against_writer(mut db: Db) -> Db {
     type Pair = (DbSnapshot, Arc<BTreeMap<u64, u64>>);
     let published: Arc<Mutex<Vec<Pair>>> = Arc::new(Mutex::new(Vec::new()));
     let done = Arc::new(AtomicBool::new(false));
@@ -111,8 +134,8 @@ fn readers_on_pinned_snapshots_race_one_writer() {
                     .lock()
                     .unwrap()
                     .push((snap, Arc::new(model.clone())));
+                db.sync().unwrap();
             }
-            // ordering: Release pairs with the readers' Acquire loads.
             // ordering: Release pairs with the readers' Acquire loads.
             done.store(true, Ordering::Release);
             (db, model)
@@ -159,6 +182,7 @@ fn readers_on_pinned_snapshots_race_one_writer() {
         "expected ≥{n_rounds} epochs, saw {}",
         stats.published
     );
+    db
 }
 
 /// The compactions `snapshot()` runs keep the run stack bounded without

@@ -1,15 +1,19 @@
 //! The amortized COLA write path in isolation, over plain memory — no
 //! cache, device or facade — in ns per insert and ns per cell a carry
-//! writes (`ColaStats::cells_written`), best of 3:
+//! writes (`ColaStats::cells_written`), best of 3, beside the carries per
+//! 1,000 inserts (`ColaStats::merges`) and the cells written per insert,
+//! which say how much of the time is the carries' and how much the
+//! head's:
 //!
 //! - `random_insert`: `GCola::new_plain(4)`, 2^19 fresh random inserts.
-//!   The head, levels 0 and 1's items in DRAM, takes 2g − 1 of every 2g
-//!   inserts, so at g = 4 one insert in eight is a carry: the merge
-//!   kernel plus the level rewrites, and nothing else.
+//!   The head, levels 0 to 3's items in DRAM, takes 2g^3 − 1 = 127 of
+//!   every 128 inserts, merging its front into its back every eighth, so
+//!   one insert in 128 is a carry: the merge kernel plus the level
+//!   rewrites, and nothing else.
 //! - `zipf_insert`: the store `scan_merge` builds — 2^17 keys in 16
 //!   sorted batches — then its 2^17 seeded zipf-0.99 writes (one in nine
-//!   a delete), the only part timed. Most writes overwrite hot keys, so
-//!   most carries are small ones into level 2.
+//!   a delete), the only part timed. Most writes overwrite hot keys,
+//!   which the head absorbs in DRAM.
 //!
 //! And `aux_build`: ns per cell to build a `LevelAux` (fences, ghost
 //! sample, filter) over a sorted 2^16-cell run, best of 9.
@@ -33,22 +37,25 @@ fn key(i: u64) -> u64 {
 }
 
 /// Best of 3 of `run`, which builds a store untimed, then times its
-/// writes and returns their ns and the cells they wrote.
-fn best_of_3(mut run: impl FnMut() -> (u128, u64)) -> (f64, u64) {
-    let (mut best, mut cells) = (f64::INFINITY, 0);
+/// writes and returns their ns, the cells they wrote and the carries
+/// they ran.
+fn best_of_3(mut run: impl FnMut() -> (u128, u64, u64)) -> (f64, u64, u64) {
+    let (mut best, mut cells, mut carries) = (f64::INFINITY, 0, 0);
     for _ in 0..3 {
-        let (ns, written) = run();
+        let (ns, written, merges) = run();
         best = best.min(ns as f64);
-        cells = written;
+        (cells, carries) = (written, merges);
     }
-    (best, cells)
+    (best, cells, carries)
 }
 
-fn row(name: &str, writes: u64, (ns, cells): (f64, u64)) {
+fn row(name: &str, writes: u64, (ns, cells, carries): (f64, u64, u64)) {
     println!(
-        "{name:<14} {:>8.1} ns/insert  {:>6.2} ns/cell written ({cells} cells)",
+        "{name:<14} {:>8.1} ns/insert  {:>6.2} ns/cell written  {:>7.2} carries/1k inserts  {:>6.2} cells written/insert ({cells} cells)",
         ns / writes as f64,
-        ns / cells as f64
+        ns / cells as f64,
+        1000.0 * carries as f64 / writes as f64,
+        cells as f64 / writes as f64,
     );
 }
 
@@ -65,7 +72,7 @@ fn main() {
         let ns = t.elapsed().as_nanos();
         let stats = std::hint::black_box(&d).stats();
         assert_eq!(stats.inserts, n);
-        (ns, stats.cells_written)
+        (ns, stats.cells_written, stats.merges)
     });
     row("random_insert", n, random);
 
@@ -90,7 +97,7 @@ fn main() {
                 )
             })
             .collect();
-        let before = d.stats().cells_written;
+        let before = d.stats();
         let t = Instant::now();
         for (i, &(k, delete)) in stream.iter().enumerate() {
             match delete {
@@ -99,7 +106,9 @@ fn main() {
             }
         }
         let ns = t.elapsed().as_nanos();
-        (ns, std::hint::black_box(&d).stats().cells_written - before)
+        let after = std::hint::black_box(&d).stats();
+        let merges = after.merges - before.merges;
+        (ns, after.cells_written - before.cells_written, merges)
     });
     row("zipf_insert", writes, zipfian);
 

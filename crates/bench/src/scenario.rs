@@ -596,6 +596,16 @@ pub fn csv_from_document(doc: &Json) -> String {
     out
 }
 
+/// The fields of a run row, as paths, that [`compare_documents`] holds
+/// to the baseline's exactly.
+pub const EXACT_FIELDS: [&[&str]; 5] = [
+    &["io", "prefill"],
+    &["reopen", "io"],
+    &["reopen", "hits"],
+    &["op_counts"],
+    &["scanned_entries"],
+];
+
 /// One regression (or note) found by [`compare_documents`].
 #[derive(Debug, Clone)]
 pub struct Finding {
@@ -610,8 +620,11 @@ pub struct Finding {
 /// Block transfers are deterministic for a fixed `(scenario, cell, n,
 /// seed)` — same code, same count — so they gate exactly: any rise in a
 /// run's `io.run.transfers` fails, and any fall is a note (refresh the
-/// baseline to keep the gain). Runs missing from the baseline are notes,
-/// so adding a new cell never breaks the gate.
+/// baseline to keep the gain). The rest of a row is as deterministic, and
+/// nothing about it is better one way than the other, so each of
+/// [`EXACT_FIELDS`] must equal the baseline's; a field that differs fails
+/// by name. Runs missing from the baseline are notes, so adding a new
+/// cell never breaks the gate.
 pub fn compare_documents(current: &Json, baseline: &Json) -> Vec<Finding> {
     let (cur_v, base_v) = (
         current.get("schema_version").and_then(Json::as_u64),
@@ -660,6 +673,15 @@ pub fn compare_documents(current: &Json, baseline: &Json) -> Vec<Finding> {
                 ),
                 fails: ct > bt,
             });
+        }
+        for path in EXACT_FIELDS {
+            let field = |r: &Json| path.iter().try_fold(r, |j, k| j.get(k)).cloned();
+            if field(cur) != field(base) {
+                findings.push(Finding {
+                    message: format!("{label}: {} differs from the baseline's", path.join(".")),
+                    fails: true,
+                });
+            }
         }
     }
     findings
@@ -837,6 +859,35 @@ mod tests {
         // Schema mismatch: hard failure.
         let old = Json::obj().with("schema_version", 999u64.into());
         assert!(compare_documents(&current, &old)[0].fails);
+        // Every exactly gated field: a row that differs there alone fails,
+        // naming the field, whichever way it moved.
+        fn set(j: &Json, path: &[&str], value: Json) -> Json {
+            match path {
+                [] => value,
+                [k, rest @ ..] => {
+                    let inner = j.get(k).cloned().unwrap_or_else(Json::obj);
+                    j.clone().with(k, set(&inner, rest, value))
+                }
+            }
+        }
+        let edit = |doc: &Json, path: &[&str], value: u64| -> Json {
+            let runs = doc.get("runs").and_then(Json::as_arr).unwrap();
+            let runs = runs.iter().map(|r| set(r, path, value.into())).collect();
+            doc.clone().with("runs", Json::Arr(runs))
+        };
+        let baseline = inflate(&current, 100);
+        for path in EXACT_FIELDS {
+            let name = path.join(".");
+            let base = edit(&baseline, path, 4);
+            assert!(compare_documents(&base, &base).is_empty(), "{name}");
+            for value in [3, 5] {
+                let findings = compare_documents(&edit(&baseline, path, value), &base);
+                assert!(
+                    findings.len() == 1 && findings[0].fails && findings[0].message.contains(&name),
+                    "{name} at {value} against 4: {findings:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,9 +35,10 @@
 //! anything else. Each seek probe and backward step is a call; forward,
 //! a streak of `s` cells from one run is `O(1 + log s + s/B)` calls,
 //! and the cells charged, their order and every counter of the store
-//! are those of one `get` per cell. One run may live in DRAM instead
-//! ([`RunMergeCursor::with_head`]): the g-COLA's head, levels 0 and
-//! 1's items, merged as the newest run, read directly and never charged
+//! are those of one `get` per cell. The two newest runs may live in
+//! DRAM instead ([`RunMergeCursor::with_head`]): the g-COLA's head, its
+//! front (levels 0 and 1's items) and its back (the items of the levels
+//! up to `h`), merged as runs 0 and 1, read directly and never charged
 //! to the store.
 //!
 //! The cursor has no counterpart for arbitrary sources: the shards of a
@@ -196,10 +197,12 @@ pub struct RunMergeCursor<'a, M: Mem<Cell>> {
     /// peeks it holds the windows, their cells and the log of what is
     /// owed for them.
     scratch: Option<&'a mut RunBuf>,
-    /// The cells of run 0 when it is a run in DRAM — the g-COLA's head —
-    /// rather than in `mem`: read for free, never charged to the store,
-    /// given no window. Empty otherwise.
-    dram: &'a [Cell],
+    /// The cells of the runs `0..ndram` that live in DRAM — the g-COLA's
+    /// head, front then back — rather than in `mem`: read for free, never
+    /// charged to the store, given no window.
+    dram: [&'a [Cell]; 2],
+    /// How many of the runs are in DRAM: 0, 1 or 2.
+    ndram: usize,
 }
 
 /// A cursor's run list, slots, ranks and owed loads: what it takes from
@@ -218,16 +221,17 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// cursor opened through [`crate::Dictionary::cursor`] has that for
     /// free: it borrows the structure mutably.
     pub fn new(mem: &'a M, runs: impl IntoIterator<Item = Run<'a>>, lo: u64, hi: u64) -> Self {
-        Self::with_head(mem, &[], runs, lo, hi)
+        Self::with_head(mem, [&[], &[]], runs, lo, hi)
     }
 
-    /// [`RunMergeCursor::new`] with `head` — sorted, one real cell per
-    /// key, newer than every run — merged in as the newest run. Its cells
-    /// are in DRAM: the cursor reads them directly, charges the store
-    /// nothing for them and gives them no window.
+    /// [`RunMergeCursor::new`] with `head` — two runs, newest first, each
+    /// sorted with one real cell per key, both newer than every run in
+    /// the store — merged in as the two newest runs. Their cells are in
+    /// DRAM: the cursor reads them directly, charges the store nothing
+    /// for them and gives them no window.
     pub fn with_head(
         mem: &'a M,
-        head: &'a [Cell],
+        head: [&'a [Cell]; 2],
         runs: impl IntoIterator<Item = Run<'a>>,
         lo: u64,
         hi: u64,
@@ -241,7 +245,7 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// windows there if the store peeks ([`RunMergeCursor::windowed`]).
     pub(crate) fn lent(
         mem: &'a M,
-        head: &'a [Cell],
+        head: [&'a [Cell]; 2],
         runs: impl IntoIterator<Item = Run<'a>>,
         (lo, hi): (u64, u64),
         scratch: &'a mut RunBuf,
@@ -253,7 +257,7 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     /// The cursor over the runs that can yield an entry, kept in `lists`.
     fn open(
         mem: &'a M,
-        head: &'a [Cell],
+        head: [&'a [Cell]; 2],
         runs: impl IntoIterator<Item = Run<'a>>,
         (lo, hi): (u64, u64),
         (list, mut slots, ranks, owed): Lists,
@@ -261,20 +265,23 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         // A run that can yield nothing is left out rather than merged in
         // and out: an empty one, and one whose fences put no real key
         // inside the bounds (a level holding only lookahead cells has
-        // inverted fences). The head rides as run 0, a placeholder whose
-        // cells `head` holds.
-        let dram = match (head.first(), head.last()) {
-            (Some(first), Some(last)) if first.key <= hi && last.key >= lo => head,
-            _ => &[],
-        };
+        // inverted fences). The head's runs that can ride first, each a
+        // placeholder whose cells `dram` holds.
         let mut list: Vec<Run<'a>> = list;
         list.clear();
-        if !dram.is_empty() {
-            list.push(Run {
-                base: 0,
-                len: dram.len(),
-                aux: None,
-            });
+        let (mut dram, mut ndram): ([&'a [Cell]; 2], usize) = ([&[], &[]], 0);
+        for cells in head {
+            if let (Some(first), Some(last)) = (cells.first(), cells.last()) {
+                if first.key <= hi && last.key >= lo {
+                    dram[ndram] = cells;
+                    ndram += 1;
+                    list.push(Run {
+                        base: 0,
+                        len: cells.len(),
+                        aux: None,
+                    });
+                }
+            }
         }
         list.extend(runs.into_iter().filter(|run| {
             run.len > 0
@@ -297,20 +304,21 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
             dir: None,
             scratch: None,
             dram,
+            ndram,
         }
     }
 
-    /// Whether run `r` is the run in DRAM.
+    /// Whether run `r` is one of the runs in DRAM.
     #[inline]
     fn in_dram(&self, r: usize) -> bool {
-        r == 0 && !self.dram.is_empty()
+        r < self.ndram
     }
 
     /// Cell `i` of run `r`: from DRAM, or a charged `get`.
     #[inline]
     fn cell(&self, r: usize, i: usize) -> Cell {
         match self.in_dram(r) {
-            true => self.dram[i],
+            true => self.dram[r][i],
             false => self.mem.get(self.runs[r].base + i),
         }
     }
@@ -323,7 +331,7 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
     pub(crate) fn windowed(mut self, scratch: &'a mut RunBuf) -> Self {
         scratch.log.clear();
         if self.mem.peeks() {
-            scratch.dram = usize::from(!self.dram.is_empty());
+            scratch.dram = self.ndram;
             let k = self.runs.len() - scratch.dram;
             scratch.cap = scratch.cells.len().checked_div(k).unwrap_or(0);
             scratch.windows.clear();
@@ -400,7 +408,7 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         match self.gap {
             _ if self.in_dram(r) => {
                 let bound = self.gap_bound();
-                self.dram.partition_point(|c| (c.key as u128) < bound)
+                self.dram[r].partition_point(|c| (c.key as u128) < bound)
             }
             Gap::Before(g) => run.lower_bound(self.mem, g),
             Gap::AtEnd => run.upper_bound(self.mem, self.hi),
@@ -422,13 +430,13 @@ impl<'a, M: Mem<Cell>> RunMergeCursor<'a, M> {
         match dir {
             Direction::Forward => {
                 // Over a store that peeks nothing this is decided at
-                // compile time: the loop it was before windows. The run in
-                // DRAM takes no window.
+                // compile time: the loop it was before windows. The runs in
+                // DRAM take no window.
                 let windowed = self.mem.peeks() && !dram;
                 while i < run.len {
                     let c = match (windowed, dram) {
                         (true, _) => self.read_windowed(r, i),
-                        (false, true) => self.dram[i],
+                        (false, true) => self.dram[r][i],
                         (false, false) => self.mem.get(run.base + i),
                     };
                     if c.key as u128 >= bound {
@@ -1068,10 +1076,10 @@ mod tests {
 
     #[test]
     fn run_cursor_rank_order_edge_cases() {
-        // Up to 12 runs in the store and a head in DRAM ranked before
-        // them, each holding one shared key; keys 0 and u64::MAX;
-        // tombstones in the head and the newest run; runs that begin and
-        // end with lookahead cells. Each case turns at both ends of the
+        // Up to 12 runs in the store and a head of two runs in DRAM
+        // ranked before them, each holding one shared key; keys 0 and
+        // u64::MAX; tombstones in the head and the newest run; runs that
+        // begin and end with lookahead cells. Each case turns at both ends of the
         // interval and seeks before `lo` and past `hi`, then steps at
         // random, over the structure's lent scratch (reused from case to
         // case, as a structure reuses it) and over a cursor's own lists.
@@ -1102,25 +1110,36 @@ mod tests {
                     *c = Cell::tombstone(c.key);
                 }
             }
-            // The head: one real cell per key, a tombstone for some.
-            let mut head: Vec<Cell> = (0..rng.index(8))
-                .map(|_| match rng.below(4) {
-                    0 => Cell::tombstone(rng.below(keys)),
-                    _ => Cell::item(rng.below(keys), rng.below(1 << 20)),
-                })
-                .chain([Cell::item(shared, 7)])
-                .collect();
-            head.sort_by_key(|c| c.key);
-            head.dedup_by_key(|c| c.key);
-            let head = if rng.flag() { head } else { Vec::new() };
+            // The head's front and back: each one real cell per key, a
+            // tombstone for some, the front's newer where both hold a key.
+            let mut tier = || {
+                let mut run: Vec<Cell> = (0..rng.index(8))
+                    .map(|_| match rng.below(4) {
+                        0 => Cell::tombstone(rng.below(keys)),
+                        _ => Cell::item(rng.below(keys), rng.below(1 << 20)),
+                    })
+                    .chain([Cell::item(shared, 7)])
+                    .collect();
+                run.sort_by_key(|c| c.key);
+                run.dedup_by_key(|c| c.key);
+                if rng.flag() {
+                    run
+                } else {
+                    Vec::new()
+                }
+            };
+            let (front, back) = (tier(), tier());
+            let head = [&front[..], &back[..]];
 
             let (a, b) = (rng.below(keys + 1), rng.below(keys + 1));
             let (lo, hi) = match rng.below(4) {
                 0 => (0, u64::MAX),
                 _ => (a.min(b), a.max(b)),
             };
-            let with_head: Vec<Vec<Cell>> =
-                std::iter::once(head.clone()).chain(cells.clone()).collect();
+            let with_head: Vec<Vec<Cell>> = [front.clone(), back.clone()]
+                .into_iter()
+                .chain(cells.clone())
+                .collect();
             let want = oracle(&with_head, lo, hi);
             let n = want.len() + 2;
             // Before `lo`, back at the start, through to the end and back,
@@ -1147,12 +1166,12 @@ mod tests {
             {
                 let per_cell = PagedMem::new(inner.clone(), per_page, frames);
                 let windowed = PagedMem::new(inner.clone(), per_page, frames);
-                let reference = RunMergeCursor::with_head(&per_cell, &head, runs.clone(), lo, hi);
+                let reference = RunMergeCursor::with_head(&per_cell, head, runs.clone(), lo, hi);
                 let mut own = RunBuf::new();
                 let cur = match i {
-                    0 => RunMergeCursor::lent(&windowed, &head, runs, (lo, hi), &mut scratch),
+                    0 => RunMergeCursor::lent(&windowed, head, runs, (lo, hi), &mut scratch),
                     _ => {
-                        RunMergeCursor::with_head(&windowed, &head, runs, lo, hi).windowed(&mut own)
+                        RunMergeCursor::with_head(&windowed, head, runs, lo, hi).windowed(&mut own)
                     }
                 };
                 drive(

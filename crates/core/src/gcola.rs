@@ -19,22 +19,31 @@
 //!   ([`GCola::get_plain`]), which [`Dictionary::get`] intersects with
 //!   the level's DRAM aux.
 //!
-//! Levels 0 and 1 are the paper's smallest levels, which in its DAM
-//! analysis always sit in the cache M and cost no transfer. Here their
-//! items live in DRAM as one sorted array, the *head*: one version per
-//! key, at most `cap(0) + cap(1) = 2g − 1` cells, allocated once. An
-//! insert or delete goes into the head by binary search; a write to a key
-//! the head holds replaces it, and a tombstone with nothing stored beneath
-//! it removes the key instead of being kept. When a new key finds the
-//! head full, the head and that cell — `2g` sorted cells — become the new
-//! run of an ordinary carry, which lands in level 2 exactly when, and with
-//! exactly what, a cell-at-a-time path through levels 0 and 1 would carry
-//! there. A batch merges into the head and stays there if it fits, and is
-//! one carry otherwise. Levels 0 and 1 keep their geometry and slots, so
-//! every deeper offset is the paper's, but they never hold an item: only
-//! lookahead cells, where their redundancy allowance has room for any.
-//! A lookup probes the head first, a cursor merges it as its newest run,
-//! and the persisted control state carries it.
+//! The paper's smallest levels, which in its DAM analysis always sit in
+//! the cache M and cost no transfer, keep their items in DRAM, in the
+//! *head*: levels `0..=h`, for the largest `h` whose capacities sum to at
+//! most `HEAD_CELLS` = 127 cells (`2g^h − 1`: levels 0–3 at g = 4, 0–2
+//! at g = 8, 0–6 at g = 2; the constant knows neither B nor M). The head
+//! is two sorted runs, one cell per key, allocated once. The *front*
+//! holds at most `2g − 1` cells, levels 0 and 1's: an insert or delete
+//! goes into it by binary search, a write to a key it holds replaces it,
+//! and a tombstone with nothing beneath it in the back or in any level
+//! removes the key instead of being kept. The *back* holds levels
+//! `2..=h`'s items. When a new key finds the front full, the front merges
+//! into the back, newer winning, spent tombstones dropped when no level
+//! holds an item; only a back that would overflow carries front ∪ back —
+//! `2g^h` sorted cells on distinct keys — as the new run of an ordinary
+//! carry, which lands in level `h + 1` exactly when, and with exactly
+//! what, a cell-at-a-time path through levels `0..=h` would carry there.
+//! A batch merges into the front, then the back, and is one carry if
+//! they cannot hold it. Levels `0..=h` keep their geometry and slots, so
+//! every deeper offset is the paper's, but they hold no item a carry
+//! wrote (a store written before the head grew may hold some in levels
+//! 2 and up, which its next carry takes): only lookahead cells, where
+//! their redundancy allowance has room for any. A lookup probes the
+//! front, then the back; a cursor merges them as its two newest runs; the
+//! persisted control state carries their union. The budgeted policy
+//! keeps `h = 1`: its head is the front alone.
 //!
 //! `g = 2` gives the COLA: `O((log N)/B)` amortized insert transfers and
 //! `O(log N)` search transfers. `g = Θ(Bᵉ)` gives the cache-aware lookahead
@@ -117,6 +126,12 @@ const FORMATS: [(u8, u8); 2] = [(TAG_GCOLA, META_VERSION), (TAG_DEAMORT_BASIC, 3
 /// Slots an emptied level's aux may describe and still wait in
 /// `spare_aux` for the next level to be filled; a larger one is freed.
 const SPARE_AUX_SLOTS: usize = 1024;
+
+/// The most cells the head may hold: the head takes every level whose
+/// capacities, with the levels' below, sum to at most this. A constant
+/// that knows neither B nor M (DESIGN.md, "The head: the small levels in
+/// fast memory", has the sweep that fixed it).
+const HEAD_CELLS: usize = 127;
 
 /// Per-level geometry and occupancy.
 #[derive(Debug, Clone, Copy)]
@@ -205,6 +220,32 @@ impl Stride {
     }
 }
 
+/// Merges `newer` over `older` (each sorted, one cell per key) into
+/// `out`: the newer cell of a key both hold, and no tombstone of `newer`
+/// if `spent` — which `older` then holds none of (the head's rule). Each
+/// newer cell finds its place by a scan of the older keys after the last
+/// place, and the older cells between two places go out as one copy: a
+/// compare per older key, each scan ending on one mispredicted branch,
+/// and one pass of copying. (A binary search per newer cell cost a
+/// spill of a front into a back of about 60 cells a third more.)
+fn merge_newer(newer: &[Cell], older: &[Cell], spent: bool, out: &mut Vec<Cell>) {
+    debug_assert!(!spent || !older.iter().any(Cell::is_tombstone));
+    let mut j = 0;
+    for &c in newer {
+        let rest = &older[j..];
+        let at = j + rest
+            .iter()
+            .position(|o| o.key >= c.key)
+            .unwrap_or(rest.len());
+        out.extend_from_slice(&older[j..at]);
+        j = at + older.get(at).is_some_and(|o| o.key == c.key) as usize;
+        if !(spent && c.is_tombstone()) {
+            out.push(c);
+        }
+    }
+    out.extend_from_slice(&older[j..]);
+}
+
 /// The g-COLA of Section 4 over any [`Mem`] backend.
 #[derive(Debug)]
 pub struct GCola<M: Mem<Cell>> {
@@ -236,11 +277,21 @@ pub struct GCola<M: Mem<Cell>> {
     /// Small auxes of emptied levels awaiting reuse (at most one per
     /// level).
     spare_aux: Vec<LevelAux>,
-    /// The items of levels 0 and 1, in fast memory: sorted, one real
-    /// cell per key, at most `2g − 1` between operations. Its buffer has
-    /// `2g` slots — the last for the cell that overflows it into a carry
-    /// — and is allocated once.
-    head: Vec<Cell>,
+    /// The head's front, the items of levels 0 and 1, in fast memory:
+    /// sorted, one real cell per key, at most `2g − 1` between
+    /// operations. Its buffer has `2g` slots — the last for the cell that
+    /// overflows it into the back — and is allocated once.
+    front: Vec<Cell>,
+    /// The head's back, the items of levels `2..=h`: sorted, one real
+    /// cell per key, older than the front, at most `2g^h − 2g` cells
+    /// (none under the budgeted policy).
+    back: Vec<Cell>,
+    /// The buffer a full front merges into with the back, which then
+    /// trades places with the back. It and the back are allocated once,
+    /// at `2g^h` cells each.
+    spill: Vec<Cell>,
+    /// `h`, the deepest level whose items the head holds.
+    head_top: usize,
     /// The merge policy: amortized carries, or budgeted merges, two
     /// extents a level ([`GCola::deamortized`]).
     budgeted: bool,
@@ -276,6 +327,12 @@ impl<M: Mem<Cell>> GCola<M> {
 
     /// An empty structure over `mem`, uncleared, with no level.
     fn bare(mem: M, g: usize, p: f64, n: u64, budgeted: bool) -> Self {
+        let head_top = if budgeted { 1 } else { Self::head_top(g) };
+        // Front ∪ back at the spill that carries: `2g^h` cells.
+        let spill_cells = match head_top {
+            1 => 0,
+            h => 2 * g.pow(h as u32),
+        };
         GCola {
             mem,
             levels: Vec::new(),
@@ -291,7 +348,10 @@ impl<M: Mem<Cell>> GCola<M> {
             down: Vec::new(),
             new_keys: Vec::with_capacity(CHUNK),
             spare_aux: Vec::new(),
-            head: Vec::with_capacity(2 * g),
+            front: Vec::with_capacity(2 * g),
+            back: Vec::with_capacity(spill_cells),
+            spill: Vec::with_capacity(spill_cells),
+            head_top,
             budgeted,
             fills: Vec::new(),
         }
@@ -481,12 +541,13 @@ impl<M: Mem<Cell>> GCola<M> {
         }
         // The head: what a carry would take for the newest run, so it is
         // held to the run rule (sorted, one real cell per key), and no
-        // longer than levels 0 and 1 hold.
-        if head.len() > 2 * g - 1 {
+        // longer than the levels it stands for hold.
+        let top = if budgeted { 1 } else { Self::head_top(g) };
+        let most = Self::head_capacity(g, top);
+        if head.len() > most {
             return Err(MetaError::Invalid(format!(
-                "head of {} cells, more than 2g − 1 = {}",
+                "head of {} cells, more than levels 0..={top} hold ({most})",
                 head.len(),
-                2 * g - 1
             )));
         }
         if let Some(c) = head.iter().find(|c| !matches!(c.meta, 0 | META_TOMBSTONE)) {
@@ -502,10 +563,10 @@ impl<M: Mem<Cell>> GCola<M> {
             )));
         }
         let mut cola = Self::bare(mem, g, p, n, budgeted);
-        cola.head.extend_from_slice(&head);
         for lv in levels {
             cola.push_geometry(lv);
         }
+        cola.load_head(head);
         // Corrupt cascade metadata is a typed `MetaError`, never a wrong
         // answer. The reopen scans also check the lookahead invariant: a
         // carry trusts a level's stored redundant cells to be the sample
@@ -763,46 +824,95 @@ impl<M: Mem<Cell>> GCola<M> {
         self.levels.iter().skip(t + 1).all(|lv| lv.items == 0)
     }
 
-    /// Cells the head holds at most between operations: `cap(0) +
+    /// `h` at growth factor `g`: the deepest level whose capacities, with
+    /// the levels' below, sum to at most [`HEAD_CELLS`] — `2g^h − 1` —
+    /// and at least 1.
+    fn head_top(g: usize) -> usize {
+        let mut h = 1;
+        while g
+            .checked_pow(h as u32 + 1)
+            .is_some_and(|gh| gh <= HEAD_CELLS.div_ceil(2))
+        {
+            h += 1;
+        }
+        h
+    }
+
+    /// Items levels `0..=h` hold at most: `2g^h − 1`.
+    fn head_capacity(g: usize, h: usize) -> usize {
+        2 * g.pow(h as u32) - 1
+    }
+
+    /// Cells the front holds at most between operations: `cap(0) +
     /// cap(1)`.
-    fn head_cap(&self) -> usize {
+    fn front_cap(&self) -> usize {
         2 * self.g - 1
     }
 
-    /// The paper's insertion of one cell, into the head: it replaces the
-    /// key's cell there, or a tombstone with nothing stored beneath it
-    /// takes the key out; a new key goes in by binary search, and the
-    /// `2g`-th carries the head into level 2 — budgeted, seals a free
-    /// extent there, and the mover runs. Every discarded cell counts in
-    /// `cells_dropped`.
+    /// Cells the back holds at most: `cap(2) + … + cap(h)`.
+    fn back_cap(&self) -> usize {
+        Self::head_capacity(self.g, self.head_top) - self.front_cap()
+    }
+
+    /// Whether a tombstone for `key` in the front would shadow nothing:
+    /// no level holds an item, and the back does not hold the key.
+    fn spent_in_front(&self, key: u64) -> bool {
+        self.deepest(1) && self.back.binary_search_by_key(&key, |c| c.key).is_err()
+    }
+
+    /// Takes `cells` (sorted, one real cell per key, at most what levels
+    /// `0..=h` hold) as the head: the front if they fit it, else the back
+    /// and, what the back cannot hold, the front — the keys are distinct,
+    /// so either side may take any. Spent tombstones are dropped.
+    fn load_head(&mut self, mut cells: Vec<Cell>) {
+        if self.deepest(1) {
+            cells.retain(|c| !c.is_tombstone());
+        }
+        self.front.clear();
+        self.back.clear();
+        if cells.len() <= self.front_cap() {
+            self.front.extend_from_slice(&cells);
+            return;
+        }
+        let split = cells.len().min(self.back_cap());
+        self.back.extend_from_slice(&cells[..split]);
+        self.front.extend_from_slice(&cells[split..]);
+    }
+
+    /// The paper's insertion of one cell, into the front: it replaces the
+    /// key's cell there, or a tombstone with nothing beneath it in the
+    /// back or in any level takes the key out; a new key goes in by
+    /// binary search, and the `2g`-th spills the front into the back —
+    /// budgeted, seals a free extent of level 2, and the mover runs.
+    /// Every discarded cell counts in `cells_dropped`.
     fn insert_cell(&mut self, cell: Cell) {
         let before = self.stats.cells_written;
         self.n += 1;
         self.stats.inserts += 1;
-        let spent = cell.is_tombstone() && self.deepest(1);
-        match self.head.binary_search_by_key(&cell.key, |c| c.key) {
+        let spent = cell.is_tombstone() && self.spent_in_front(cell.key);
+        match self.front.binary_search_by_key(&cell.key, |c| c.key) {
             Ok(i) if spent => {
-                self.head.remove(i);
+                self.front.remove(i);
                 self.stats.cells_dropped += 2;
             }
             Ok(i) => {
-                self.head[i] = cell;
+                self.front[i] = cell;
                 self.stats.cells_dropped += 1;
             }
             Err(_) if spent => self.stats.cells_dropped += 1,
             Err(i) => {
-                self.head.insert(i, cell);
-                if self.head.len() > self.head_cap() {
-                    let head = std::mem::take(&mut self.head);
+                self.front.insert(i, cell);
+                if self.front.len() > self.front_cap() {
                     if self.budgeted {
+                        let front = std::mem::take(&mut self.front);
                         let e = self.free_extent(2);
-                        self.write_level(e, &head, &[], None);
+                        self.write_level(e, &front, &[], None);
                         self.sealed(e);
+                        self.front = front;
+                        self.front.clear();
                     } else {
-                        self.insert_run(&head);
+                        self.spill();
                     }
-                    self.head = head;
-                    self.head.clear();
                 }
             }
         }
@@ -813,11 +923,34 @@ impl<M: Mem<Cell>> GCola<M> {
         }
     }
 
+    /// Merges the full front into the back, newer winning, spent
+    /// tombstones out when no level holds an item, in the spill buffer,
+    /// which becomes the back — unless the back cannot hold the result:
+    /// then it is one carry, and the head empties. Kept out of line, so
+    /// that the seven inserts in eight that only touch the front run
+    /// the short path they ran before the back.
+    #[inline(never)]
+    fn spill(&mut self) {
+        let mut merged = std::mem::take(&mut self.spill);
+        let received = self.front.len() + self.back.len();
+        merge_newer(&self.front, &self.back, self.deepest(1), &mut merged);
+        self.stats.cells_dropped += (received - merged.len()) as u64;
+        self.front.clear();
+        if merged.len() <= self.back_cap() {
+            std::mem::swap(&mut self.back, &mut merged);
+        } else {
+            self.back.clear();
+            self.insert_run(&merged);
+        }
+        merged.clear();
+        self.spill = merged;
+    }
+
     /// A batch's cells (sorted, one per key, newer than everything
-    /// stored): merged over the head, the batch winning a key both hold,
-    /// spent tombstones out when nothing is stored beneath. What fits
-    /// the head stays there; anything larger is one carry. Budgeted, each
-    /// cell is an insert of its own.
+    /// stored): merged over the front, the batch winning a key both
+    /// hold, spent tombstones out. What fits the front stays there; what
+    /// does not merges over the back and stays there if it fits, and is
+    /// one carry otherwise. Budgeted, each cell is an insert of its own.
     fn absorb(&mut self, mut run: Vec<Cell>) {
         if self.budgeted {
             run.into_iter().for_each(|cell| self.insert_cell(cell));
@@ -828,42 +961,47 @@ impl<M: Mem<Cell>> GCola<M> {
         }
         self.n += run.len() as u64;
         self.stats.inserts += run.len() as u64;
-        let received = self.head.len() + run.len();
-        if !self.head.is_empty() {
-            let mut merged = Vec::with_capacity(received);
-            let mut older = self.head.iter().copied().peekable();
-            for cell in run {
-                merged.extend(std::iter::from_fn(|| older.next_if(|c| c.key < cell.key)));
-                older.next_if(|c| c.key == cell.key);
-                merged.push(cell);
-            }
-            merged.extend(older);
+        let received = self.front.len() + self.back.len() + run.len();
+        if !self.front.is_empty() {
+            let mut merged = Vec::with_capacity(self.front.len() + run.len());
+            merge_newer(&run, &self.front, false, &mut merged);
             run = merged;
         }
-        if self.deepest(1) {
-            run.retain(|c| !c.is_tombstone());
-        }
-        self.stats.cells_dropped += (received - run.len()) as u64;
-        self.head.clear();
-        if run.len() <= self.head_cap() {
-            self.head.extend_from_slice(&run);
+        run.retain(|c| !c.is_tombstone() || !self.spent_in_front(c.key));
+        self.front.clear();
+        if run.len() <= self.front_cap() {
+            self.front.extend_from_slice(&run);
         } else {
-            self.insert_run(&run);
+            if !self.back.is_empty() {
+                let mut merged = Vec::with_capacity(self.back.len() + run.len());
+                merge_newer(&run, &self.back, self.deepest(1), &mut merged);
+                run = merged;
+                self.back.clear();
+            }
+            if run.len() <= self.back_cap() {
+                self.back.extend_from_slice(&run);
+            } else {
+                self.insert_run(&run);
+            }
         }
+        let held = self.front.len() + self.back.len();
+        let carried = if held == 0 { run.len() } else { 0 };
+        self.stats.cells_dropped += (received - held - carried) as u64;
     }
 
     /// Carries a sorted run of cells (one per key, newer than everything
-    /// stored, more than the head holds) into the smallest level from 2
-    /// on that absorbs it, in a single cascade.
+    /// stored, more than the back holds) into the smallest level that
+    /// absorbs it, past `h`, in a single cascade.
     fn insert_run(&mut self, run: &[Cell]) {
         debug_assert!(run.windows(2).all(|w| w[0].key < w[1].key));
-        debug_assert!(self.head.is_empty() && run.len() > self.head_cap());
+        debug_assert!(self.front.is_empty() && self.back.is_empty());
         let before = self.stats.cells_written;
 
         // Target level: the smallest ℓ whose spare item capacity absorbs
         // the carry (everything below plus the new run, counted before
-        // the merge drops any of it). Levels 0 and 1 hold no items and
-        // less than the run, so it is level 2 or above.
+        // the merge drops any of it). The run is longer than the back
+        // holds, so than any level `2..=h`, and levels 0 and 1 hold
+        // less: the target is past `h`.
         let mut carry = run.len();
         let mut t = 0usize;
         while carry + self.levels[t].items > self.levels[t].cap {
@@ -873,6 +1011,11 @@ impl<M: Mem<Cell>> GCola<M> {
                 self.push_levels(1);
             }
         }
+        debug_assert!(
+            t > self.head_top,
+            "a carry of {} cells into level {t}",
+            run.len()
+        );
         let deepest = self.deepest(t);
         let mut down = std::mem::take(&mut self.down);
         self.stats.merges += 1;
@@ -1048,10 +1191,13 @@ impl<M: Mem<Cell>> GCola<M> {
 
     /// The write path's scratch, in cells: every level's source chunk,
     /// the sweep buffer, the lookahead keys and a chunk's new keys (four
-    /// to a cell) and the head's buffer.
+    /// to a cell), and the head's front, back and spill buffers — the
+    /// last two of one size, and the spill buffer lent to the carry it
+    /// makes while that runs.
     fn scratch_cells(&self) -> u64 {
         let keys = self.down.capacity() + self.new_keys.capacity();
-        (self.chunk_cells + CHUNK + keys.div_ceil(4) + 2 * self.g) as u64
+        let head = self.front.capacity() + 2 * self.back.capacity();
+        (self.chunk_cells + CHUNK + keys.div_ceil(4) + head) as u64
     }
 
     /// Every level in directory order — which is newest first — as the
@@ -1064,7 +1210,7 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// The Lemma 20 search over `runs` (every level, newest first), after
-    /// a binary search of `head` in DRAM: each level's probe is clamped to
+    /// a binary search of the head's front, then its back, in DRAM: each level's probe is clamped to
     /// the bracket its predecessor's in-array lookahead pointers give, and
     /// a miss reads the next bracket off the cell left of where the key
     /// would sit. A level the aux skips, or
@@ -1074,14 +1220,16 @@ impl<M: Mem<Cell>> GCola<M> {
     fn lookup<'a>(
         mem: &M,
         stats: &mut ColaStats,
-        head: &[Cell],
+        head: [&[Cell]; 2],
         levels: &[Level],
         runs: impl Iterator<Item = Run<'a>>,
         key: u64,
     ) -> Option<u64> {
         stats.searches += 1;
-        if let Ok(i) = head.binary_search_by_key(&key, |c| c.key) {
-            return head[i].as_lookup();
+        for tier in head {
+            if let Ok(i) = tier.binary_search_by_key(&key, |c| c.key) {
+                return tier[i].as_lookup();
+            }
         }
         let probe = Probe::new(key);
         let mut clamp = None;
@@ -1137,7 +1285,7 @@ impl<M: Mem<Cell>> GCola<M> {
         Self::lookup(
             &self.mem,
             &mut self.stats,
-            &self.head,
+            [&self.front, &self.back],
             &self.levels,
             bare,
             key,
@@ -1154,7 +1302,7 @@ impl<M: Mem<Cell>> GCola<M> {
     }
 
     /// Replaces the contents by `live`, N becoming its length: the head,
-    /// if it holds them, else one level write into (the first extent of)
+    /// if it holds them (`load_head`), else one level write into (the first extent of)
     /// the smallest level that does, then the pointer cascade below.
     /// Levels 0 and 1 exist from the start. The store is not shrunk:
     /// regrowing would zero-fill.
@@ -1167,11 +1315,12 @@ impl<M: Mem<Cell>> GCola<M> {
         self.chunk_cells = 0;
         self.n = live.len() as u64;
         self.push_levels(2);
-        self.head.clear();
-        if live.len() <= self.head_cap() {
-            self.head.extend_from_slice(live);
+        if live.len() <= Self::head_capacity(self.g, self.head_top) {
+            self.load_head(live.to_vec());
             return;
         }
+        self.front.clear();
+        self.back.clear();
         let mut t = 2usize;
         loop {
             if t == self.num_levels() {
@@ -1200,9 +1349,12 @@ impl<M: Mem<Cell>> GCola<M> {
     /// sampling again) and the search's arithmetic right bracket both
     /// rest on it.
     ///
-    /// And the head's: sorted, one cell per key, real cells only, at most
-    /// `2g − 1` of them, no tombstone when no level holds an item, and
-    /// levels 0 and 1 (always present) holding no item.
+    /// And the head's: front and back each sorted, one cell per key,
+    /// real cells only, at most `2g − 1` and `2g^h − 2g` of them; no
+    /// tombstone in the front with nothing beneath it in the back or in
+    /// the levels, none in the back with no level holding an item; and
+    /// levels `0..=h` holding no item (a store written before the head
+    /// grew may hold some in levels 2 and up until its next carry).
     ///
     /// Budgeted, the deepest level may keep tombstones (a merge that
     /// dropped every cell empties the level beneath it), and Lemma 21
@@ -1210,20 +1362,36 @@ impl<M: Mem<Cell>> GCola<M> {
     pub fn check_invariants(&self) {
         self.check_schedule();
         assert!(self.levels.len() >= 2, "levels 0 and 1 exist");
-        assert!(self.head.len() <= self.head_cap(), "head over 2g − 1");
-        for w in self.head.windows(2) {
-            assert!(w[0].key < w[1].key, "head unsorted or repeats a key");
+        assert!(self.front.len() <= self.front_cap(), "front over 2g − 1");
+        assert!(self.back.len() <= self.back_cap(), "back over its levels");
+        for (tier, cells) in [("front", &self.front), ("back", &self.back)] {
+            for w in cells.windows(2) {
+                assert!(w[0].key < w[1].key, "{tier} unsorted or repeats a key");
+            }
+            assert!(
+                cells.iter().all(Cell::is_real),
+                "{tier} holds a lookahead cell"
+            );
         }
-        for c in &self.head {
-            assert!(c.is_real(), "head holds a lookahead cell");
-            let spent = c.is_tombstone() && self.deepest(1);
-            assert!(!spent, "head holds a tombstone with nothing beneath");
+        for c in &self.front {
+            let spent = c.is_tombstone() && self.spent_in_front(c.key);
+            assert!(
+                !spent,
+                "head holds a tombstone with nothing beneath in the back or in the levels"
+            );
         }
+        let spent = self.deepest(1) && self.back.iter().any(Cell::is_tombstone);
         assert!(
-            self.levels[..self.extent(2)].iter().all(|lv| lv.items == 0),
-            "levels 0 and 1 hold items"
+            !spent,
+            "back holds a tombstone with nothing beneath in the levels"
         );
-        let mut total_items = self.head.len();
+        let head_levels = self.extent(self.head_top + 1).min(self.levels.len());
+        assert!(
+            self.levels[..head_levels].iter().all(|lv| lv.items == 0),
+            "levels 0..={} hold items",
+            self.head_top
+        );
+        let mut total_items = self.front.len() + self.back.len();
         let deepest = self.levels.iter().rposition(|lv| lv.items > 0);
         let deepest = deepest.filter(|_| !self.budgeted);
         for (l, lv) in self.levels.iter().enumerate() {
@@ -1297,10 +1465,23 @@ impl<M: Mem<Cell>> GCola<M> {
         assert!(self.fills.iter().all(empty), "a filling extent holds items");
     }
 
-    /// Cells in the head (tests).
-    #[cfg(test)]
+    /// Cells in the head, front and back.
     pub(crate) fn head_len(&self) -> usize {
-        self.head.len()
+        self.front.len() + self.back.len()
+    }
+
+    /// Cells the head's front and back hold: at most `2g − 1` and
+    /// `2g^h − 2g` (see the module docs).
+    pub fn head_shape(&self) -> (usize, usize) {
+        (self.front.len(), self.back.len())
+    }
+
+    /// The head's cells as one run, front over back, newer winning, and
+    /// no spent tombstone: what `save_meta` writes.
+    fn head_run(&self) -> Vec<Cell> {
+        let mut cells = Vec::with_capacity(self.front.len() + self.back.len());
+        merge_newer(&self.front, &self.back, self.deepest(1), &mut cells);
+        cells
     }
 
     /// `(first slot, slots, items)` of each level, shallowest first.
@@ -1337,9 +1518,11 @@ impl<M: Mem<Cell>> Persist for GCola<M> {
                 w.u8((lv.items > 0) as u8);
             }
         }
-        // The head, cell by cell: key, value and kind (its flag byte).
-        w.usize(self.head.len());
-        for c in &self.head {
+        // The head, front ∪ back, cell by cell: key, value and kind (its
+        // flag byte).
+        let head = self.head_run();
+        w.usize(head.len());
+        for c in &head {
             w.u64(c.key).u64(c.val).u8(c.meta as u8);
         }
         // Each occupied level's fence keys; `from_parts` holds the
@@ -1363,7 +1546,7 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
         Self::lookup(
             &self.mem,
             &mut self.stats,
-            &self.head,
+            [&self.front, &self.back],
             &self.levels,
             runs,
             key,
@@ -1371,17 +1554,18 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
     }
 
     fn cursor(&mut self, lo: u64, hi: u64) -> Cursor<'_> {
-        // The head is the newest run, read from DRAM; every occupied
-        // level is a sorted run after it, newest first. The merge cursor
-        // skips the interleaved lookahead cells itself.
+        // The head's front and back are the two newest runs, read from
+        // DRAM; every occupied level is a sorted run after them, newest
+        // first. The merge cursor skips the interleaved lookahead cells
+        // itself.
         let runs = Self::runs(&self.levels, &self.aux);
-        let scratch = &mut self.scratch;
-        let cursor = RunMergeCursor::lent(&self.mem, &self.head, runs, (lo, hi), scratch);
+        let (scratch, head) = (&mut self.scratch, [&self.front[..], &self.back[..]]);
+        let cursor = RunMergeCursor::lent(&self.mem, head, runs, (lo, hi), scratch);
         Cursor::new(cursor)
     }
 
     /// The cursor's entries, collected into a buffer sized once: the head
-    /// holds no more of them than its length, and no run more than the
+    /// holds no more of them than its two runs' lengths, and no run more than the
     /// cells its ghost sample brackets between `lo` and `hi`, counted in
     /// DRAM. Collecting a large range by regrowth copies the entries about
     /// twice and, at its last step, holds the old buffer and the new one,
@@ -1392,7 +1576,7 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
         }
         let runs = Self::runs(&self.levels, &self.aux);
         let spans: usize = runs.map(|run| run.span(lo, hi)).sum();
-        let mut out = Vec::with_capacity(self.head.len() + spans);
+        let mut out = Vec::with_capacity(self.head_len() + spans);
         let mut cursor = self.cursor(lo, hi);
         out.extend(std::iter::from_fn(|| cursor.next()));
         out
@@ -1408,7 +1592,7 @@ impl<M: Mem<Cell>> Dictionary for GCola<M> {
     }
 
     fn physical_len(&self) -> usize {
-        self.head.len() + self.levels.iter().map(|l| l.items).sum::<usize>()
+        self.head_len() + self.levels.iter().map(|l| l.items).sum::<usize>()
     }
 
     fn name(&self) -> &'static str {
@@ -1452,32 +1636,64 @@ mod tests {
 
     #[test]
     fn each_level_receives_g_minus_1_merges() {
-        // For g = 4 the head holds levels 0 and 1's 1 + 6 items, and
-        // insert 8 carries it, full, into level 2 as 8 items. Level 2
-        // (capacity 24) so receives exactly g − 1 = 3 merges, at inserts
-        // 8, 16 and 24; insert 32 carries it into level 3 as 32 items.
-        // Between carries the head holds N mod 8 items, and levels 0 and
-        // 1 none.
+        // For g = 4 the head holds levels 0 to 3's 1 + 6 + 24 + 96 = 127
+        // items, and insert 128 carries it, full, into level 4 as 128
+        // items. Level 4 (capacity 384) so receives exactly g − 1 = 3
+        // merges, at inserts 128, 256 and 384; insert 512 carries it into
+        // level 5 as 512 items. Between carries the head holds N mod 128
+        // items — its front N mod 8, the back the rest — and levels 0 to
+        // 3 none.
         let mut c = plain(4, 0.0);
+        assert_eq!(c.head_top, 3);
         let items = |c: &GCola<PlainMem<Cell>>, l: usize| c.levels.get(l).map_or(0, |lv| lv.items);
-        // (insert, items after) of each merge into levels 2 and 3.
+        // (insert, items after) of each merge into levels 4 and 5.
         let mut merges = [Vec::new(), Vec::new()];
-        for i in 1..=32u64 {
-            let before = [items(&c, 2), items(&c, 3)];
+        for i in 1..=512u64 {
+            let before = [items(&c, 4), items(&c, 5)];
             c.insert(i, i);
-            for (l, merges) in [2, 3].into_iter().zip(&mut merges) {
-                if items(&c, l) > before[l - 2] {
+            for (l, merges) in [4, 5].into_iter().zip(&mut merges) {
+                if items(&c, l) > before[l - 4] {
                     merges.push((i, items(&c, l)));
                 }
             }
-            assert_eq!(c.head.len() as u64, i % 8, "head after insert {i}");
-            assert_eq!((items(&c, 0), items(&c, 1)), (0, 0), "insert {i}");
+            assert_eq!(c.head_len() as u64, i % 128, "head after insert {i}");
+            assert_eq!(c.front.len() as u64, i % 8, "front after insert {i}");
+            let small = (0..4).map(|l| items(&c, l)).sum::<usize>();
+            assert_eq!(small, 0, "levels 0 to 3 after insert {i}");
         }
-        assert_eq!(merges[0], [(8, 8), (16, 16), (24, 24)]);
-        assert_eq!(merges[1], [(32, 32)]);
-        assert_eq!((items(&c, 2), items(&c, 3)), (0, 32));
-        assert_eq!(c.stats().merges, 4, "one carry per 2g inserts");
+        assert_eq!(merges[0], [(128, 128), (256, 256), (384, 384)]);
+        assert_eq!(merges[1], [(512, 512)]);
+        assert_eq!((items(&c, 4), items(&c, 5)), (0, 512));
+        assert_eq!(c.stats().merges, 4, "one carry per 2g^3 inserts");
         c.check_invariants();
+    }
+
+    /// `h`, and the cells the front, the back and levels `0..=h` hold,
+    /// at each growth factor: the head takes every level whose
+    /// capacities, with the levels' below, sum to at most 127.
+    #[test]
+    fn the_head_takes_the_levels_under_127_cells() {
+        for (g, h, back) in [
+            (2, 6, 124),
+            (3, 3, 48),
+            (4, 3, 120),
+            (8, 2, 112),
+            (64, 1, 0),
+            (100, 1, 0),
+        ] {
+            let c = plain(g, 0.1);
+            assert_eq!(c.head_top, h, "g = {g}");
+            assert_eq!(c.back_cap(), back, "g = {g}");
+            assert_eq!(
+                c.front_cap() + c.back_cap(),
+                GCola::<PlainMem<Cell>>::head_capacity(g, h)
+            );
+            assert!(
+                c.front_cap() + c.back_cap() <= HEAD_CELLS.max(2 * g - 1),
+                "g = {g}"
+            );
+        }
+        assert_eq!(GCola::deamortized(PlainMem::new()).head_top, 1);
     }
 
     #[test]
@@ -1667,7 +1883,7 @@ mod tests {
             (9000, 9100),
             (1 << 15, 1 << 16),
         ] {
-            let mut bound = c.head.len();
+            let mut bound = c.head_len();
             for run in GCola::<PlainMem<Cell>>::runs(&c.levels, &c.aux) {
                 let cells = &c.mem.as_slice()[run.base..][..run.len];
                 let inside = cells
@@ -1727,21 +1943,34 @@ mod tests {
         /// rule applied to its output as a filter, the merged run
         /// materialized and written right-justified, every level below
         /// sampled afresh. The head is the same merge of the run over the
-        /// head, kept while it fits.
+        /// front, kept while it fits, then of that over the back, kept
+        /// while it fits.
         fn insert_run_heap(&mut self, run: &[Cell]) {
+            use crate::merge::oracle::{heap_merge, newest_only};
             if run.is_empty() {
                 return;
             }
             self.n += run.len() as u64;
             self.stats.inserts += run.len() as u64;
-            let mut merged = crate::merge::oracle::heap_merge(&[run.to_vec(), self.head.clone()]);
-            let spent = self.levels.iter().all(|lv| lv.items == 0);
-            self.stats.cells_dropped += crate::merge::oracle::newest_only(&mut merged, spent);
-            self.head.clear();
+            let received = (run.len() + self.head_len()) as u64;
+            let empty = self.levels.iter().all(|lv| lv.items == 0);
+            let mut merged = heap_merge(&[run.to_vec(), std::mem::take(&mut self.front)]);
+            newest_only(&mut merged, false);
+            let back: Vec<u64> = self.back.iter().map(|c| c.key).collect();
+            merged.retain(|c| !(empty && c.is_tombstone() && !back.contains(&c.key)));
             if merged.len() < 2 * self.g {
-                self.head = merged;
+                self.front = merged;
+                self.stats.cells_dropped += received - self.head_len() as u64;
                 return;
             }
+            let mut merged = heap_merge(&[merged, std::mem::take(&mut self.back)]);
+            newest_only(&mut merged, empty);
+            if merged.len() <= self.back_cap() {
+                self.back = merged;
+                self.stats.cells_dropped += received - self.head_len() as u64;
+                return;
+            }
+            self.stats.cells_dropped += received - merged.len() as u64;
             let run = merged;
             let mut carry = run.len();
             let mut t = 0usize;
@@ -1776,7 +2005,8 @@ mod tests {
             let lv = c.levels[l];
             &c.mem.as_slice()[lv.run_base()..][..lv.occ()]
         }
-        assert_eq!(new.head, old.head, "head, {at}");
+        assert_eq!(new.front, old.front, "front, {at}");
+        assert_eq!(new.back, old.back, "back, {at}");
         for l in 0..new.levels.len() {
             assert!(run(new, l) == run(old, l), "level {l}, {at}");
         }
@@ -1859,8 +2089,8 @@ mod tests {
     /// `get_plain` and a cursor walked both ways answer as the model does
     /// after every op, the invariants hold after every op, and every 64
     /// ops a reopen from the meta a sync would commit answers the same.
-    /// The delete-heavy streams must meet a head tombstone shadowing an
-    /// older level's item. The deamortized COLA runs the same streams,
+    /// The delete-heavy streams must meet a head tombstone shadowing the
+    /// back's or an older level's item. The deamortized COLA runs the same streams,
     /// its invariants holding it to Lemma 21 after every op.
     #[test]
     fn the_head_answers_as_the_model_does() {
@@ -1891,10 +2121,16 @@ mod tests {
                     let at = format!("g={g} p={p_or_policy} {shape} after op {i}");
                     let key = rng.below(keys);
                     if rng.below(8) < batches {
-                        // A batch of up to 2g + 1 ops: it may fit the head
-                        // or carry it.
+                        // A batch of up to 2g + 1 ops, or one in eight up to
+                        // 160: it may fit the front or the back, or carry
+                        // the head.
                         let mut b = UpdateBatch::new();
-                        for _ in 0..rng.below(2 * g as u64 + 2) {
+                        let most = if rng.chance(1, 8) {
+                            161
+                        } else {
+                            2 * g as u64 + 2
+                        };
+                        for _ in 0..rng.below(most) {
                             let k = rng.below(keys);
                             if rng.chance(1, 4) {
                                 b.delete(k);
@@ -1913,9 +2149,10 @@ mod tests {
                         model.insert(key, i);
                     }
                     c.check_invariants();
-                    shadowing += c.head.iter().any(|h| {
+                    shadowing += c.front.iter().chain(&c.back).any(|h| {
                         let stored = |l| c.items_vec(l).iter().any(|x| x.key == h.key);
-                        h.is_tombstone() && (2..c.levels.len()).any(stored)
+                        let behind = c.back.iter().any(|x| x.key == h.key && x != h);
+                        h.is_tombstone() && (behind || (2..c.levels.len()).any(stored))
                     }) as u32;
                     for k in [key, rng.below(keys), rng.below(keys)] {
                         let want = model.get(&k).copied();
@@ -1939,7 +2176,7 @@ mod tests {
                     let meta = c.save_meta();
                     let mut re = GCola::from_parts(c.mem.clone(), &meta).expect(&at);
                     re.check_invariants();
-                    assert_eq!(re.head, c.head, "{at}");
+                    assert_eq!(re.head_run(), c.head_run(), "{at}");
                     assert_eq!(re.save_meta(), meta, "{at}");
                     for k in 0..keys {
                         assert_eq!(re.get(k), model.get(&k).copied(), "reopened get {k}, {at}");
@@ -1961,8 +2198,8 @@ mod tests {
 
     /// A carry's scratch is the structure's fixed scratch: a chunk per
     /// level, the sweep buffer, the cascade's keys, a chunk's new keys and
-    /// the head's `2g` cells — not a buffer the size of the carry,
-    /// however large it is.
+    /// the head's buffers, `2g` cells of front and `2g^h` each of back and
+    /// spill — not a buffer the size of the carry, however large it is.
     #[test]
     fn a_carry_holds_only_the_fixed_scratch() {
         let mut c = plain(4, 0.1);
@@ -1975,7 +2212,8 @@ mod tests {
         let bound = (c.levels.len() + 1) * CHUNK
             + 2 * c.levels.iter().map(|lv| lv.red_cap).max().unwrap_or(0) / 4
             + CHUNK / 4
-            + 2 * c.g;
+            + 2 * c.g
+            + 2 * 2 * c.g.pow(c.head_top as u32);
         let peak = c.stats().scratch_peak_cells;
         assert!(largest >= 1 << 14, "a carry of {largest} cells");
         assert!(

@@ -147,7 +147,7 @@ pub fn live_entries<M: Mem<Cell>>(mem: &M, meta: &[u8]) -> Result<Option<Vec<Cel
         aux: Some(aux),
         ..*run
     });
-    let mut cursor = RunMergeCursor::lent(mem, &[], runs, (0, u64::MAX), &mut scratch);
+    let mut cursor = RunMergeCursor::lent(mem, [&[], &[]], runs, (0, u64::MAX), &mut scratch);
     let live = std::iter::from_fn(|| cursor.next()).map(|(key, val)| Cell::item(key, val));
     Ok(Some(live.collect()))
 }

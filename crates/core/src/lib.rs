@@ -70,9 +70,9 @@ mod basic {
             }
         }
 
-        /// Invariant 1: level k ≥ 2 holds exactly `2^k` items iff bit k
-        /// of N is set, after every insert; levels 0 and 1 are the head,
-        /// which holds bits 0 and 1 of N, `N mod 4` items, in DRAM.
+        /// Invariant 1: level k ≥ 7 holds exactly `2^k` items iff bit k
+        /// of N is set, after every insert; levels 0 to 6 are the head,
+        /// which holds bits 0 to 6 of N, `N mod 128` items, in DRAM.
         #[test]
         fn insert_follows_binary_counter() {
             let mut c = GCola::basic(PlainMem::new());
@@ -80,9 +80,9 @@ mod basic {
                 c.insert(i.wrapping_mul(0x9E37_79B9_7F4A_7C15), i);
                 c.check_invariants();
                 let n = c.insertions();
-                assert_eq!(c.head_len() as u64, n % 4, "head after {n} inserts");
+                assert_eq!(c.head_len() as u64, n % 128, "head after {n} inserts");
                 for (k, &(_, _, items)) in c.level_shapes().iter().enumerate() {
-                    let want = if k >= 2 && n >> k & 1 == 1 { 1 << k } else { 0 };
+                    let want = if k >= 7 && n >> k & 1 == 1 { 1 << k } else { 0 };
                     assert_eq!(items, want, "level {k} after {n} inserts");
                 }
             }

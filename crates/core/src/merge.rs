@@ -258,7 +258,7 @@ impl<'a> Fold<'a> {
     /// slot per older source. `deepest`: nothing older than the sources
     /// is stored, so their tombstones are dropped.
     ///
-    /// Sources already spent, ahead of every live one — levels 0 and 1,
+    /// Sources already spent, ahead of every live one — levels 0 to `h`,
     /// which hold no item since the head took their items — are left out
     /// of the chain: their nodes would only hand the newest run's cells
     /// up a node later. Nothing but the newest run, in DRAM, lies beneath

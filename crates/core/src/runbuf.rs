@@ -43,9 +43,9 @@ pub(crate) struct RunBuf {
     /// Cells per window: `cells` split evenly among the cursor's runs in
     /// the store.
     pub(crate) cap: usize,
-    /// The cursor's runs ahead of its first run in the store — its head
-    /// in DRAM, if any — which take no window: run `r`'s window starts at
-    /// cell `(r − dram) · cap`.
+    /// The cursor's runs ahead of its first run in the store — the
+    /// head's runs in DRAM, if any — which take no window: run `r`'s
+    /// window starts at cell `(r − dram) · cap`.
     pub(crate) dram: usize,
     /// The lists a cursor takes while it lives and gives back when it is
     /// dropped: its runs, their slots, their ranks and the runs it owes a

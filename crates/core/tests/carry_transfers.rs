@@ -42,13 +42,16 @@ fn keys() -> impl Iterator<Item = u64> {
 
 /// The test's own copy of the level geometry (Section 4's formulas) and
 /// of the item counts the carry rule keeps, so it knows each insert's
-/// target level and run sizes without asking the structure. Levels 0 and
-/// 1 hold no items: theirs are the head's, which a carry takes, full, as
-/// its new run of `2g` cells.
+/// target level and run sizes without asking the structure. Levels
+/// `0..=h` hold no items: theirs are the head's — `h` the deepest level
+/// whose capacities, with the levels' below, sum to at most 127, `2g^h −
+/// 1` — which a carry takes, full, as its new run of `2g^h` cells.
 struct Shape {
     g: usize,
     p: f64,
     head: usize,
+    /// `2g^h`: the insert that finds the head full carries it.
+    carry_at: usize,
     levels: Vec<Level>,
 }
 
@@ -68,10 +71,15 @@ impl Shape {
             red: 0,
             items: 0,
         };
+        let h = (1..)
+            .take_while(|&h| 2 * g.pow(h) - 1 <= 127)
+            .last()
+            .unwrap_or(1);
         Shape {
             g,
             p,
             head: 0,
+            carry_at: 2 * g.pow(h),
             levels: vec![level0],
         }
     }
@@ -80,7 +88,7 @@ impl Shape {
     /// pages its carry may fetch from a cold cache.
     fn insert(&mut self) -> u64 {
         self.head += 1;
-        if self.head < 2 * self.g {
+        if self.head < self.carry_at {
             return 0;
         }
         // A run of n cells starting anywhere spans at most this many pages.
@@ -207,21 +215,30 @@ fn golden_ingest_iostats() {
     // (124315, 119165, 5150, 5144, 3145, 371),
     // (172968, 165416, 7552, 7546, 4292, 587) and
     // (114702, 110094, 4608, 4602, 2810, 271).
+    //
+    // Then the head took every level whose capacities sum to at most 127
+    // cells (levels 0–6 at g = 2, 0–3 at g = 4): the carries into those
+    // levels run in DRAM, and only one insert in 128 carries into the
+    // store — 64 carries in all here, against 2,048 at g = 2 and 1,024
+    // at g = 4. Every field fell. Before, the three rows read
+    // (107929, 102779, 5150, 5144, 3145, 371),
+    // (140194, 132642, 7552, 7546, 4292, 589) and
+    // (98316, 93708, 4608, 4602, 2810, 271).
     assert_eq!(
         gcola(2, 0.125),
-        golden(107929, 102779, 5150, 5144, 3145, 371),
+        golden(63385, 59303, 4082, 4076, 2357, 198),
         "2-COLA"
     );
     assert_eq!(
         gcola(4, 0.1),
-        golden(140194, 132642, 7552, 7546, 4292, 589),
+        golden(87284, 81636, 5648, 5642, 3133, 230),
         "4-COLA"
     );
     // The basic COLA's own engine, an in-array merge of two levels at a
     // time, cost 8,734 fetches, 5,352 writebacks and 555 seeks here.
     assert_eq!(
         gcola(2, 0.0),
-        golden(98316, 93708, 4608, 4602, 2810, 271),
+        golden(57356, 53771, 3585, 3579, 2043, 102),
         "basic COLA"
     );
 }
@@ -237,7 +254,8 @@ fn golden_overwrite_ingest_iostats() {
         let stats = ingest(&store, &mut cola, keys().map(|k| k % (1 << 10)));
         cola.check_invariants();
         let stored = cola.physical_len();
-        let holders = cola.num_levels() - 1; // the head, levels 2 and up
+        // The front, the back and the levels past them.
+        let holders = cola.num_levels() - 1;
         assert!(stored <= holders << 10, "g={g}: one version per key");
         assert_eq!(cola.stats().cells_dropped, (N - stored) as u64, "g={g}");
         stats
@@ -269,21 +287,29 @@ fn golden_overwrite_ingest_iostats() {
     // (99165, 95525, 3640, 3634, 2137, 375),
     // (161019, 154197, 6822, 6816, 3725, 638) and
     // (92162, 88841, 3321, 3315, 1940, 311).
+    //
+    // Then the head grew to the levels under 127 cells, whose back
+    // absorbs overwrites in DRAM too: 60, 61 and 60 carries reach the
+    // store (2,046 at g = 2 before), and the stream ends with 3,093,
+    // 1,237 and 3,093 stored cells. Before, the three rows read
+    // (76172, 72953, 3219, 3213, 2007, 358),
+    // (123901, 117357, 6544, 6538, 3595, 630) and
+    // (69423, 66507, 2916, 2910, 1816, 296).
     assert_eq!(
         gcola(2, 0.125),
-        golden(76172, 72953, 3219, 3213, 2007, 358),
+        golden(32681, 30526, 2155, 2149, 1212, 179),
         "2-COLA"
     );
     assert_eq!(
         gcola(4, 0.1),
-        golden(123901, 117357, 6544, 6538, 3595, 630),
+        golden(73718, 68995, 4723, 4717, 2478, 224),
         "4-COLA"
     );
     // The basic COLA's own engine kept every version: 8,745 fetches,
     // 5,360 writebacks and 552 seeks, for 8,192 stored cells.
     assert_eq!(
         gcola(2, 0.0),
-        golden(69423, 66507, 2916, 2910, 1816, 296),
+        golden(29428, 27541, 1887, 1881, 1034, 116),
         "basic COLA"
     );
 }

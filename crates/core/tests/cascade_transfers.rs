@@ -155,11 +155,14 @@ fn golden_get_phase_fetch_counts() {
 
 // The 2-COLA's two moved when its levels came to sample the level above
 // at a fixed stride and its filters to be sized by a level's item
-// capacity: from 133 and 1,668.
-const GOLD_GCOLA_ON: u64 = 132;
-const GOLD_GCOLA_OFF: u64 = 1659;
-const GOLD_BASIC_ON: u64 = 132;
-const GOLD_BASIC_OFF: u64 = 5870;
+// capacity: from 133 and 1,668. All four moved when the head came to
+// hold levels 0 to 6 at g = 2: N = 2^14 − 1 leaves their 127 items in
+// DRAM, so a search probes levels 7 to 13 of the store and not levels 2
+// to 6 — from 132, 1,659, 132 and 5,870.
+const GOLD_GCOLA_ON: u64 = 131;
+const GOLD_GCOLA_OFF: u64 = 1382;
+const GOLD_BASIC_ON: u64 = 131;
+const GOLD_BASIC_OFF: u64 = 5613;
 // The deamortized COLA's was 135 while it was an engine of its own, its
 // arrays packed from slot 0; as the g-COLA's budgeted policy each extent
 // starts on a multiple of its size, as the basic COLA's levels do.

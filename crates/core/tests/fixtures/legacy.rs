@@ -5,6 +5,7 @@
 
 use std::collections::BTreeMap;
 
+use cosbt_core::entry::NO_PTR;
 use cosbt_core::persist::{TAG_DEAMORT, TAG_DEAMORT_BASIC, TAG_GCOLA};
 use cosbt_core::{Cell, MetaWriter};
 use cosbt_testkit::Rng;
@@ -437,5 +438,110 @@ pub fn gcola_v3() -> Fixture {
         cells,
         meta,
         model: replay(stream(0x6C0B, 102, 48)),
+    }
+}
+
+/// `(first slot, slots, item capacity, redundancy allowance, items,
+/// redundant cells, lead)` of the four levels of a v4 4-COLA at `p = 0.1`
+/// written while the head held levels 0 and 1's items only: levels 2 and
+/// 3, which the head holds since, hold items.
+const GCOLA_V4_DIR: [[usize; 7]; 4] = [
+    [1, 1, 1, 0, 0, 0, 1],
+    [2, 6, 6, 0, 0, 0, 6],
+    [8, 26, 24, 2, 22, 1, 1],
+    [34, 105, 96, 9, 53, 0, 18],
+];
+
+/// Its head: `(key, value)` of five items.
+const GCOLA_V4_HEAD: [(u64, u64); 5] = [(10, 126), (34, 125), (47, 127), (50, 129), (81, 128)];
+
+/// Its store slot by slot, as `(key, v, meta)` (see `cell`): each run
+/// after its level's lead, the cells earlier carries left around it, and
+/// level 2's one lookahead cell, the fixed-stride sample of level 3's 53
+/// cells. Each real cell's copy of the nearest lookahead pointer to its
+/// left is restored by `gcola_v4`.
+#[rustfmt::skip]
+const GCOLA_V4_CELLS: [(u64, u64, u64); 139] = [
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (8, 115, 0), (25, 0, 2), (29, 0, 2),
+    (30, 112, 0), (34, 119, 0), (37, 122, 0), (38, 108, 0),
+    (40, 105, 0), (42, 102, 0), (46, 26, 1), (46, 104, 0),
+    (49, 117, 0), (52, 113, 0), (55, 124, 0), (63, 109, 0),
+    (70, 120, 0), (71, 0, 2), (75, 100, 0), (77, 107, 0),
+    (80, 116, 0), (83, 110, 0), (84, 0, 2), (90, 118, 0),
+    (80, 116, 0), (83, 110, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+    (1, 81, 0), (3, 87, 0), (4, 7, 0), (5, 65, 0),
+    (7, 54, 0), (8, 5, 0), (9, 46, 0), (10, 97, 0),
+    (14, 50, 0), (15, 8, 0), (19, 89, 0), (21, 56, 0),
+    (24, 2, 0), (25, 66, 0), (26, 24, 0), (27, 63, 0),
+    (28, 19, 0), (29, 28, 0), (32, 92, 0), (33, 77, 0),
+    (35, 80, 0), (36, 95, 0), (40, 74, 0), (43, 55, 0),
+    (44, 96, 0), (45, 69, 0), (46, 90, 0), (48, 44, 0),
+    (49, 85, 0), (52, 71, 0), (54, 16, 0), (60, 21, 0),
+    (61, 0, 0), (63, 93, 0), (65, 64, 0), (66, 34, 0),
+    (68, 99, 0), (71, 25, 0), (72, 11, 0), (73, 91, 0),
+    (76, 83, 0), (79, 76, 0), (80, 98, 0), (81, 20, 0),
+    (83, 62, 0), (84, 73, 0), (85, 61, 0), (87, 72, 0),
+    (88, 27, 0), (89, 3, 0), (90, 37, 0), (94, 94, 0),
+    (95, 1, 0), (65, 64, 0), (66, 34, 0), (71, 25, 0),
+    (72, 11, 0), (73, 40, 0), (76, 52, 0), (81, 20, 0),
+    (83, 62, 0), (85, 61, 0), (87, 29, 0), (88, 27, 0),
+    (89, 3, 0), (90, 37, 0), (95, 1, 0), (29, 28, 0),
+    (35, 12, 0), (43, 26, 0), (51, 13, 0), (52, 32, 0),
+    (54, 16, 0), (56, 31, 0), (57, 14, 0), (60, 21, 0),
+    (61, 0, 0), (71, 25, 0), (72, 11, 0), (81, 20, 0),
+    (87, 29, 0), (88, 27, 0), (89, 3, 0), (95, 1, 0),
+    (0, 0, 0), (0, 0, 0), (0, 0, 0),
+];
+
+/// The store and the `save_meta()` the g-COLA's v4 format left, with a
+/// head of levels 0 and 1, after 130 ops over 96 keys (seed `0x6C0C`):
+/// tag 2 v4, g = 4, p = 0.1, N = 130, four levels, the head's five cells,
+/// then each occupied level's first and last key. The payload is pinned
+/// by length and FNV-1a.
+pub fn gcola_v4() -> Fixture {
+    let mut cells: Vec<Cell> = GCOLA_V4_CELLS.into_iter().map(cell).collect();
+    let mut w = MetaWriter::new(TAG_GCOLA, 4);
+    w.usize(4).f64(0.1).u64(130).usize(GCOLA_V4_DIR.len());
+    let mut fences = Vec::new();
+    for level in GCOLA_V4_DIR {
+        level.iter().for_each(|&field| {
+            w.usize(field);
+        });
+        let [off, _, _, _, items, reds, lead] = level;
+        let run = &mut cells[off + lead..off + lead + items + reds];
+        let mut left = NO_PTR;
+        for c in run.iter_mut() {
+            match c.is_redundant() {
+                true => left = c.ptr,
+                false => c.ptr = left,
+            }
+        }
+        if let (Some(first), Some(last)) = (run.first(), run.last()) {
+            fences.push((first.key, last.key));
+        }
+    }
+    w.usize(GCOLA_V4_HEAD.len());
+    for (key, val) in GCOLA_V4_HEAD {
+        w.u64(key).u64(val).u8(0);
+    }
+    for (first, last) in fences {
+        w.u64(first).u64(last);
+    }
+    let meta = w.finish();
+    assert_eq!(
+        (meta.len(), fnv1a(&meta)),
+        (383, 0x08a4_dcb9_3e55_2fdd),
+        "the payload the g-COLA's v4 format wrote with a head of levels 0 and 1"
+    );
+    Fixture {
+        cells,
+        meta,
+        model: replay(stream(0x6C0C, 130, 96)),
     }
 }

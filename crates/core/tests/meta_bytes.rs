@@ -112,13 +112,20 @@ fn stored_control_state_is_byte_identical() {
 // and whose levels 0 and 1 hold no item, so persist no fence pair: 922 →
 // 898 bytes (the basic COLA's head ends the stream empty) and 538 → 599
 // (the 4-COLA's holds cells); v3 is pinned by `legacy_fixtures::gcola_v3`.
+// Both were re-recorded, in the same v4 format, when the head came to
+// hold every level whose capacities sum to at most 127 cells (levels 0–6
+// of the basic COLA, 0–3 of the 4-COLA), written as one list, front over
+// back: 898 → 1,310 bytes (the basic COLA's head ends the stream with
+// 28 cells, and four fewer levels hold items to persist fences for) and
+// 599 → 719 (the 4-COLA's with 13); a v4 store a smaller head wrote, with
+// items in those levels, is pinned by `legacy_fixtures::gcola_v4`.
 // `DEAMORT_BASIC` is what `GCola::deamortized` writes under
 // `TAG_DEAMORT_BASIC`, format v3: the g-COLA body with a state byte per
 // extent. It was (220, 0x4adf_6ccb_8c62_f504) while the two-array engine
 // wrote its own v2, now pinned by `legacy_fixtures::two_array`; the
 // retired three-array format is pinned by `legacy_fixtures::three_array`.
-const BASIC: (usize, u64) = (898, 0x6386_d4fb_aa75_59e4);
-const GCOLA: (usize, u64) = (599, 0x98d8_b761_f034_4f86);
+const BASIC: (usize, u64) = (1310, 0xf7b2_16a6_813e_de29);
+const GCOLA: (usize, u64) = (719, 0x5495_d5ba_9d7a_123d);
 const DEAMORT_BASIC: (usize, u64) = (1652, 0x4d7f_f664_7d11_7776);
 
 /// The fixture's cells in a store of their own.
@@ -281,6 +288,52 @@ fn gcola_v3_stores_open_and_converge() {
         other => panic!("a run past its level opened: {:?}", other.map(|_| ())),
     }
 }
+
+/// A store the g-COLA's v4 format left while its head held levels 0 and
+/// 1 only — items in levels 2 and 3, which the head holds since — opens
+/// in place through `from_parts`, answers as it did, writes back the meta
+/// it opened, and carries those levels out at its next carry: after it
+/// levels 0 to 3 hold no item and the invariants hold, a delete of a key
+/// level 3 held stays deleted, and the store reopens from its new meta. No truncation or flipped bit of that meta panics an open.
+#[test]
+fn gcola_v4_stores_with_items_in_levels_2_and_3_open_and_converge() {
+    let fx = legacy_fixtures::gcola_v4();
+    let mem = store(&fx);
+    let live =
+        |m: &BTreeMap<u64, u64>| -> Vec<(u64, u64)> { m.iter().map(|(&k, &v)| (k, v)).collect() };
+    let mut d = GCola::from_parts(mem.clone(), &fx.meta).expect("a v4 store opens in place");
+    let mut model = fx.model.clone();
+    for key in 0..100 {
+        assert_eq!(d.get(key), model.get(&key).copied(), "key {key}");
+    }
+    assert_eq!(d.range(0, u64::MAX), live(&model), "opened");
+    assert_eq!(d.save_meta(), fx.meta, "the meta it opened");
+    // A key level 3 holds: the tombstone must shadow it until the carry
+    // drops both.
+    let deleted = fx.cells[34 + 18].key;
+    assert!(model.contains_key(&deleted));
+    d.delete(deleted);
+    model.remove(&deleted);
+    let mut key = 1000;
+    while d.num_levels() == GCOLA_V4_LEVELS {
+        d.insert(key, key);
+        model.insert(key, key);
+        key += 1;
+        assert_eq!(d.get(deleted), None, "after insert {key}");
+    }
+    d.check_invariants();
+    assert_eq!(d.range(0, u64::MAX), live(&model), "after the carry");
+    let meta = d.save_meta();
+    let mut re = GCola::from_parts(mem.clone(), &meta).expect("the rewritten store reopens");
+    re.check_invariants();
+    assert_eq!(re.range(0, u64::MAX), live(&model), "reopened");
+    never_panics("g-COLA v4 format", &fx.meta, |bad| {
+        GCola::from_parts(mem.clone(), bad).map(drop)
+    });
+}
+
+/// Levels of `legacy_fixtures::gcola_v4`'s store.
+const GCOLA_V4_LEVELS: usize = 4;
 
 /// No truncation or flipped bit of a retired store's meta panics its
 /// open; `pinned` sweeps the metas of the formats written today.

@@ -820,6 +820,14 @@ fn gcola_v3_stores_open_as_the_current_format() {
     retired_gcola_opens_as_current("gcola-v3", legacy_fixtures::gcola_v3());
 }
 
+/// The same for a v4 store written while the head held levels 0 and 1
+/// only, with items in levels 2 and 3: it opens in place, in the format
+/// it was written in, and its next carry takes those levels' items.
+#[test]
+fn gcola_v4_stores_with_a_smaller_head_open_in_place() {
+    retired_gcola_opens_as_current("gcola-v4", legacy_fixtures::gcola_v4());
+}
+
 fn retired_gcola_opens_as_current(name: &str, fx: legacy_fixtures::Fixture) {
     use cosbt::cola::persist::TAG_GCOLA;
 

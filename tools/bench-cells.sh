@@ -34,7 +34,7 @@ bench --scenario read_heavy --structure btree --backend file --cache-bytes 16384
 bench --scenario read_heavy --structure gcola --backend file --cache-bytes 16384 --n 20000 --seed 42
 bench --scenario miss_heavy --structure gcola --backend file --cache-bytes 16384 --n 20000 --seed 42
 bench --scenario write_heavy --structure brt --backend file --cache-bytes 16384 --n 20000 --seed 42
-# The plain g-COLA carry path's gate: 4,118 run transfers, the merge I/O
+# The plain g-COLA carry path's gate: 3,802 run transfers, the merge I/O
 # of 18k inserts with nothing contending for the cache (a carry reads
 # levels 0..=t once and never the level above, writes back one version
 # of each key, and growing the store touches no page), plus the I/O of
